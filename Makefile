@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-ci fmt vet build test race race-cover bench bench-smoke serve-smoke fuzz-short chaos-smoke cover lint mxqlint verify optcheck
+.PHONY: check check-ci fmt vet build test race race-cover bench bench-smoke repo-bench-smoke serve-smoke fuzz-short chaos-smoke cover lint mxqlint verify optcheck
 
 # check is the CI gate: formatting, vet, build, and the full test suite
 # under the race detector (the parallel executor must stay race-clean).
@@ -71,6 +71,14 @@ bench:
 # slot pool). A fast CI gate that records the sched numbers per run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'PreparedVsCold|SchedOversubscribed' -benchtime 1x .
+
+# repo-bench-smoke runs the repository benchmark (bench/, a module of
+# its own that `go test ./...` here does not descend into) at smoke
+# scale, ~5 s: every workload once, each output verified against the
+# naive oracle's digests — a kernel change that breaks byte-identity on
+# the benchmark corpus fails here, before anyone measures it.
+repo-bench-smoke:
+	cd bench && $(GO) test ./...
 
 # serve-smoke boots the mxqd daemon on a loopback port and drives the
 # example wire client through a full session against it (healthz,

@@ -484,11 +484,15 @@ func fig14(scales []float64) {
 	noCfg := core.DefaultConfig()
 	noCfg.OrderAware = false
 	unordered := engineFor(noCfg, cont)
-	fmt.Printf("%-4s %12s %12s %8s\n", "Q", "order-aware", "baseline", "speedup")
+	// sorts/presorted: sort operators the order-aware plan still runs,
+	// and how many of them the kernel's runtime check found already in
+	// order — orderings the static inference has yet to derive
+	fmt.Printf("%-4s %12s %12s %8s %6s %9s %13s\n", "Q", "order-aware", "baseline", "speedup", "sorts", "presorted", "rows presorted")
 	var sumA, sumB time.Duration
 	for q := 1; q <= 20; q++ {
 		query := xmark.Query(q)
 		da, okA := bestOf(func() error { _, err := ordered.Query(query); return err })
+		st := ordered.LastStats()
 		db, okB := bestOf(func() error { _, err := unordered.Query(query); return err })
 		sumA += da
 		sumB += db
@@ -496,7 +500,8 @@ func fig14(scales []float64) {
 		if okA && okB {
 			ratio = fmt.Sprintf("%.2fx", float64(db)/float64(da))
 		}
-		fmt.Printf("Q%-3d %12s %12s %8s\n", q, fmtTime(da, okA), fmtTime(db, okB), ratio)
+		fmt.Printf("Q%-3d %12s %12s %8s %6d %9d %6d/%-6d\n", q, fmtTime(da, okA), fmtTime(db, okB), ratio,
+			st.FullSorts+st.RefineSort, st.SortsPresorted, st.RowsPresorted, st.SortedRows)
 	}
 	fmt.Printf("%-4s %12s %12s %8.2fx\n", "sum", fmtTime(sumA, true), fmtTime(sumB, true),
 		float64(sumB)/float64(sumA))

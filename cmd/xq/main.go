@@ -84,7 +84,7 @@ func main() {
 		docPath  = flag.String("doc", "", "XML document to load as the context document")
 		xmarkF   = flag.Float64("xmark", 0, "generate an XMark document at this scale factor instead of loading one")
 		seed     = flag.Int64("seed", 42, "XMark generator seed")
-		explain  = flag.Bool("explain", false, "print plan statistics instead of running the query")
+		explain  = flag.Bool("explain", false, "print the plan and the run's sort counters instead of the result")
 		rewrites = flag.Bool("rewrite-coverage", false, "print which optimizer rewrite rules fired on the query instead of running it")
 		noJoin   = flag.Bool("no-joinrec", false, "disable join recognition")
 		noOrder  = flag.Bool("no-order", false, "disable the order-aware peephole optimizer")
@@ -165,7 +165,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(tree)
-		return
 	}
 	// the prepared path is the only query path: -var values bind the
 	// query's external variables
@@ -182,6 +181,14 @@ func main() {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
+	if *explain {
+		// what the run found that the plan above did not promise: sorts
+		// whose input was already ordered are orderings opt did not infer
+		st := db.Engine().LastStats()
+		fmt.Printf("run: %d sort operators (%d full, %d refine) over %d rows; %d of them (%d rows) found their input already in order\n",
+			st.FullSorts+st.RefineSort, st.FullSorts, st.RefineSort, st.SortedRows, st.SortsPresorted, st.RowsPresorted)
+		return
+	}
 	if err := res.SerializeXML(os.Stdout); err != nil {
 		fatal(err)
 	}

@@ -51,6 +51,15 @@ func chaosSeed(t *testing.T) uint64 {
 	return 424242
 }
 
+// chaosMix is the XMark mix plus two queries for the kernel sites the
+// twenty XMark queries do not reach at this document scale: a sort over
+// thousands of unordered numeric keys (the radix passes of the sort
+// kernel, which poll for cancellation and charge their buffers) and a
+// theta join compared in the string domain.
+var chaosMix = append(xmark.Queries[:len(xmark.Queries):len(xmark.Queries)],
+	`for $e in //* order by string-length(name($e)) descending return name($e)`,
+	`for $i in //item/name for $p in //person/name where $i < $p return <m>{$i/text()}</m>`)
+
 // engineSites are the fault points the in-process engine stack reaches;
 // serve.stream needs an HTTP response writer and is exercised by the
 // serving-layer chaos test in internal/serve.
@@ -66,8 +75,8 @@ func TestChaosXMarkMix(t *testing.T) {
 	// Serial oracle results, computed before any fault is armed.
 	oracle := core.New(core.DefaultConfig())
 	oracle.LoadContainer("auction.xml", cont)
-	want := make([]string, len(xmark.Queries))
-	for i, q := range xmark.Queries {
+	want := make([]string, len(chaosMix))
+	for i, q := range chaosMix {
 		w, err := oracle.QueryString(q)
 		if err != nil {
 			t.Fatalf("oracle Q%d: %v", i+1, err)
@@ -110,7 +119,7 @@ func TestChaosXMarkMix(t *testing.T) {
 				// Invariant 1: no panic escapes — any injected failure
 				// surfaces as an error return (or the query survives).
 				failed := 0
-				for i, q := range xmark.Queries {
+				for i, q := range chaosMix {
 					got, err := eng.QueryString(q)
 					if err != nil {
 						failed++
@@ -126,7 +135,7 @@ func TestChaosXMarkMix(t *testing.T) {
 				}
 				// Invariant 3: the engine is unpoisoned — the full mix,
 				// un-faulted, is byte-identical to the serial oracle.
-				for i, q := range xmark.Queries {
+				for i, q := range chaosMix {
 					got, err := eng.QueryString(q)
 					if err != nil {
 						t.Errorf("post-fault Q%d: %v", i+1, err)
@@ -182,7 +191,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				q := xmark.Queries[(c*rounds+r)%len(xmark.Queries)]
+				q := chaosMix[(c*rounds+r)%len(chaosMix)]
 				// errors are expected; escapes/panics would kill the test
 				_, _ = eng.QueryString(q)
 			}
@@ -191,7 +200,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	wg.Wait()
 	faults.Reset()
 
-	for i, q := range xmark.Queries {
+	for i, q := range chaosMix {
 		w, err := oracle.QueryString(q)
 		if err != nil {
 			t.Fatalf("oracle Q%d: %v", i+1, err)
@@ -226,7 +235,7 @@ func TestChaosWithMemBudget(t *testing.T) {
 	if err := faults.Enable("ralg.op", 0.3, chaosSeed(t), faults.ModeError); err != nil {
 		t.Fatal(err)
 	}
-	for i, q := range xmark.Queries {
+	for i, q := range chaosMix {
 		_, err := eng.QueryString(q)
 		if err == nil {
 			continue

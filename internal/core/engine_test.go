@@ -3,8 +3,10 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"mxq/internal/naive"
+	"mxq/internal/opt"
 	"mxq/internal/scj"
 	"mxq/internal/xqc"
 )
@@ -264,5 +266,35 @@ func TestPlanStats(t *testing.T) {
 	}
 	if joins < 1 {
 		t.Errorf("expected at least one join (back-mapping), got %d", joins)
+	}
+}
+
+// Stacked positional predicates used to blow the optimizer's inferred
+// orderings up exponentially (every RowNum/Sort/Cross round multiplied
+// the append-only lists): [1][1] took most of a second and [1][1][1]
+// did not finish. With set semantics on the property lists the
+// orderings grow by a constant per predicate.
+func TestStackedPositionalPredicatesPrepareFast(t *testing.T) {
+	best := time.Hour
+	for _, name := range []string{"a", "b", "c"} { // distinct texts: each misses the plan cache
+		eng := New(DefaultConfig())
+		if err := eng.LoadXML("auction.xml", strings.NewReader(auctionDoc)); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		p, err := eng.Prepare("/site/" + name + "[1][1][1][1][1]")
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, time.Since(start))
+		for _, pr := range opt.InferProps(p.Plan()) {
+			if n := len(pr.Ords()); n > 150 {
+				t.Fatalf("a plan node carries %d inferred orderings", n)
+			}
+		}
+	}
+	// the best of three absorbs a descheduled attempt (16 ms under -race)
+	if best > 50*time.Millisecond {
+		t.Errorf("prepare took %v, want < 50ms", best)
 	}
 }

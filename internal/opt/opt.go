@@ -1,5 +1,6 @@
 // Package opt is the property-driven peephole optimizer of §4.1: a single
-// linear pass over the physical plan DAG maintains the column properties
+// pass over the physical plan DAG, visiting each operator once, maintains
+// the column properties
 //
 //	dense(c)        c is the sequence 1,2,3,…
 //	key(c)          c is duplicate-free
@@ -21,6 +22,8 @@
 package opt
 
 import (
+	"slices"
+
 	"mxq/internal/ralg"
 )
 
@@ -122,7 +125,10 @@ func (p *props) grpCovered(cols []string, g string) bool {
 }
 
 // Optimize rewrites the plan DAG in place (returning the possibly new
-// root). The pass is linear in the number of operators.
+// root). The pass visits each operator once; because every node's
+// orderings are kept as sets (see canon), the work per operator is
+// bounded by the distinct orderings over its columns, not by the number
+// of derivations that reach them.
 func Optimize(p ralg.Plan) ralg.Plan {
 	return OptimizeTraced(p, nil)
 }
@@ -523,8 +529,34 @@ func (o *optimizer) infer(p ralg.Plan) *props {
 			pr = clone(o.props[n.Ins[0]])
 		}
 	}
-	pr.expandOrds()
+	pr.canon()
 	return pr
+}
+
+// canon closes the orderings under expandOrds and gives ords and grps
+// set semantics, in fresh slices (several cases above alias the input's).
+// Every consumer asks "is there an ordering that…", so dropping repeats
+// changes no answer; without it clone, expandOrds, Cross and HashJoin
+// multiply the lists at every operator and stacked positional
+// predicates ([1][1][1]) grow them exponentially.
+func (p *props) canon() {
+	p.grps = uniq(p.grps, func(a, b grpOrd) bool { return a.g == b.g && slices.Equal(a.cols, b.cols) })
+	p.ords = uniq(p.ords, slices.Equal[[]string])
+	p.expandOrds()
+	p.ords = uniq(p.ords, slices.Equal[[]string])
+}
+
+// uniq returns the first occurrence of every distinct element of xs.
+// The lists are short (tens of entries on the largest XMark plan), so
+// pairwise comparison beats hashing the column names.
+func uniq[T any](xs []T, eq func(a, b T) bool) []T {
+	out := make([]T, 0, len(xs))
+	for _, x := range xs {
+		if !slices.ContainsFunc(out, func(o T) bool { return eq(o, x) }) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // expandOrds derives implied orderings: a table sorted on [a…g] whose

@@ -1,9 +1,11 @@
 package ralg
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,12 +24,17 @@ type ExecStats struct {
 	SortedRows int64     // rows passed through sort operators
 	FullSorts  int64     // sort operators that ran a full (non-refine) sort
 	RefineSort int64     // sort operators that ran in refine mode
-	HashJoins  int64
-	PosJoins   int64
-	ThetaNL    int64 // theta joins executed nested-loop
-	ThetaIdx   int64 // theta joins executed via transient index
-	ExistAggr  int64 // theta joins reduced to per-iter extrema (Fig. 8b)
-	CrossRows  int64 // rows produced by Cartesian products
+	// sort operators (of FullSorts+RefineSort) whose input the kernel's
+	// runtime check found already ordered, and their rows (of
+	// SortedRows): orderings opt's static inference did not derive
+	SortsPresorted int64
+	RowsPresorted  int64
+	HashJoins      int64
+	PosJoins       int64
+	ThetaNL        int64 // theta joins executed nested-loop
+	ThetaIdx       int64 // theta joins executed via transient index
+	ExistAggr      int64 // theta joins reduced to per-iter extrema (Fig. 8b)
+	CrossRows      int64 // rows produced by Cartesian products
 }
 
 // MaxRows bounds intermediate result sizes; exceeding it aborts the query
@@ -59,8 +66,9 @@ type Bindings map[string]ItemVec
 // poll it every few thousand rows and abandon their remaining work.
 // Partial outputs never escape: Run returns the context error before
 // memoizing a table produced under a cancelled context. A nil Ctx (the
-// default) disables all checks. Sorts run to completion (a cancelled
-// query still returns within one sort of its largest intermediate).
+// default) disables all checks. The radix sort kernel polls once per
+// pass; comparison sorts (string keys, mixed-tag columns) run to
+// completion, so a cancelled query returns within one of those.
 //
 // Mem is the execution's memory budget (nil = unlimited). Operators
 // charge the bytes they materialize through charge/chargeTable; an
@@ -516,74 +524,83 @@ func seqRank(part, rank []int64, lo, hi int) {
 	}
 }
 
+// rankRuns numbers rows 1.. per contiguous part run, on group-aligned
+// chunks in parallel when the input is large.
+func (e *Exec) rankRuns(part, rank []int64) {
+	if !e.Par.on(len(part)) {
+		seqRank(part, rank, 0, len(part))
+		return
+	}
+	rs := splitRuns(len(part), e.Par.Workers, func(i int) bool { return part[i] != part[i-1] })
+	e.Par.parRun(len(rs), func(k int) { seqRank(part, rank, rs[k][0], rs[k][1]) })
+}
+
 func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 	e.charge(8 * int64(in.N)) // the rank column
 	rank := make([]int64, in.N)
-	switch n.Mode {
-	case RankStream:
-		// hash-based numbering in arrival order per group (§4.1): valid
-		// under grpord(OrderBy, Part)
-		if n.Part == "" {
-			e.parFill(in.N, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					rank[i] = int64(i) + 1
-				}
-			})
-		} else if part := in.Ints(n.Part); e.Par.on(in.N) && int64sNonDecreasing(part) {
-			// clustered groups: arrival-order counters equal run-local
-			// numbering, which partitions at group boundaries
-			rs := splitRuns(in.N, e.Par.Workers, func(i int) bool { return part[i] != part[i-1] })
-			e.Par.parRun(len(rs), func(k int) { seqRank(part, rank, rs[k][0], rs[k][1]) })
-		} else {
-			ctr := make(map[int64]int64, 64)
-			for i := range rank {
-				if i&8191 == 8191 && e.stopRequested() {
-					break // Run's post-operator checkpoint discards the partial table
-				}
-				ctr[part[i]]++
-				rank[i] = ctr[part[i]]
-			}
-		}
-	case RankSeq:
-		if n.Part == "" {
-			e.parFill(in.N, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					rank[i] = int64(i) + 1
-				}
-			})
-		} else if part := in.Ints(n.Part); e.Par.on(in.N) {
-			// the RankSeq contract guarantees (Part, OrderBy) sort order,
-			// so group-aligned chunks number independently
-			rs := splitRuns(in.N, e.Par.Workers, func(i int) bool { return part[i] != part[i-1] })
-			e.Par.parRun(len(rs), func(k int) { seqRank(part, rank, rs[k][0], rs[k][1]) })
-		} else {
-			seqRank(part, rank, 0, in.N)
-		}
-	default: // RankSort
-		by := n.OrderBy
-		desc := n.Desc
-		if n.Part != "" {
+	var part []int64
+	if n.Part != "" {
+		part = in.Ints(n.Part)
+	}
+	// idx is the order to number rows in; nil numbers them in place
+	var idx []int32
+	if n.Mode == RankSort {
+		by, desc := n.OrderBy, n.Desc
+		if part != nil {
 			by = append([]string{n.Part}, by...)
 			desc = append([]bool{false}, desc...)
-			for len(desc) < len(by) {
-				desc = append(desc, false)
-			}
 		}
-		idx := SortIdx(in, by, desc, 0)
-		if n.Part == "" {
-			for r, i := range idx {
-				rank[i] = int64(r) + 1
+		idx = e.SortIdx(in, by, desc, 0)
+	}
+	switch {
+	case part == nil && idx == nil:
+		e.parFill(in.N, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				rank[i] = int64(i) + 1
 			}
+		})
+	case part == nil:
+		for r, i := range idx {
+			rank[i] = int64(r) + 1
+		}
+	case idx != nil:
+		var cur, k int64
+		for r, i := range idx {
+			if r == 0 || part[i] != cur {
+				cur, k = part[i], 0
+			}
+			k++
+			rank[i] = k
+		}
+	case n.Mode != RankStream || int64sNonDecreasing(part):
+		// rows arrive in (Part, OrderBy) order — the RankSeq contract, a
+		// RankSort input found presorted — or, for RankStream, at least
+		// clustered by group: arrival-order counters equal run-local
+		// numbering, which partitions at group boundaries
+		e.rankRuns(part, rank)
+	default:
+		// hash-based numbering in arrival order per group (§4.1): valid
+		// under grpord(OrderBy, Part). Group ids of a narrow range count
+		// in a slice; the map is the last resort
+		lo, hi := slices.Min(part), slices.Max(part)
+		var ctr []int64
+		var ctrMap map[int64]int64
+		if span := uint64(hi - lo); span <= 4*uint64(in.N) {
+			e.charge(8 * int64(span+1))
+			ctr = make([]int64, span+1)
 		} else {
-			part := in.Ints(n.Part)
-			var cur int64
-			var k int64
-			for r, i := range idx {
-				if r == 0 || part[i] != cur {
-					cur, k = part[i], 0
-				}
-				k++
-				rank[i] = k
+			ctrMap = make(map[int64]int64, 64)
+		}
+		for i, p := range part {
+			if i&8191 == 8191 && e.stopRequested() {
+				break // Run's post-operator checkpoint discards the partial table
+			}
+			if ctr != nil {
+				ctr[p-lo]++
+				rank[i] = ctr[p-lo]
+			} else {
+				ctrMap[p]++
+				rank[i] = ctrMap[p]
 			}
 		}
 	}
@@ -603,7 +620,12 @@ func (e *Exec) execSort(n *Sort, in *Table) *Table {
 	} else {
 		e.Stats.FullSorts++
 	}
-	idx := SortIdx(in, n.By, n.Desc, n.RefinePrefix)
+	idx := e.SortIdx(in, n.By, n.Desc, n.RefinePrefix)
+	if idx == nil {
+		e.Stats.SortsPresorted++
+		e.Stats.RowsPresorted += int64(in.N)
+		return in
+	}
 	out := in.Gather(idx)
 	e.chargeTable(out)
 	return out
@@ -791,7 +813,7 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 			if i&8191 == 8191 && e.stopRequested() {
 				break // Run's post-operator checkpoint discards the partial table
 			}
-			if i == 0 || compareRows(in, cols, nil, int32(i-1), int32(i)) != 0 {
+			if i == 0 || compareRows(cols, int32(i-1), int32(i)) != 0 {
 				idx = append(idx, int32(i))
 			}
 		}
@@ -2153,145 +2175,135 @@ func arith(op FunOp, a, b xqt.Item) xqt.Item {
 	return xqt.Double(math.NaN())
 }
 
-// cmpClass determines how a set of atoms compares: numeric dominates
-// string. Returns (numeric, mixedNodes).
-func cmpClass(items []xqt.Item) (numeric bool, uniform bool) {
-	sawNum, sawStr := false, false
-	for _, it := range items {
-		if it.IsNumeric() {
-			sawNum = true
-		} else {
-			sawStr = true
+// atoms materializes the per-row atomization of a column as items (the
+// per-pair fallback and the per-row casts of the existential joins).
+func (e *Exec) atoms(c *Col) []xqt.Item {
+	out := make([]xqt.Item, c.Len())
+	if v, ok := e.view(c); ok {
+		switch v.tag {
+		case xqt.KInt, xqt.KBool:
+			for i, x := range v.i {
+				out[i] = xqt.Item{K: v.tag, I: x}
+			}
+		case xqt.KDouble:
+			for i, x := range v.f {
+				out[i] = xqt.Double(x)
+			}
+		default:
+			for i, s := range v.s {
+				out[i] = xqt.Item{K: v.tag, S: s}
+			}
 		}
+		return out
 	}
-	return sawNum, !(sawNum && sawStr)
-}
-
-// atomCol materializes the per-row atomization of an item column (the
-// mixed-tag fallback of the existential joins).
-func (e *Exec) atomCol(c *Col) []xqt.Item {
-	vec := &c.Item
-	out := make([]xqt.Item, vec.Len())
 	for i := range out {
-		out[i] = e.atomize(vec.At(i))
+		out[i] = e.atomize(c.Item.At(i))
 	}
 	return out
 }
 
-// viewAtoms reconstructs the atomized items of a viewed column (used
-// when a uniform column meets a heterogeneous partner and the join falls
-// back to per-pair comparison).
-func viewAtoms(v vecView, n int) []xqt.Item {
-	out := make([]xqt.Item, n)
-	switch v.tag {
-	case xqt.KInt, xqt.KBool:
-		for i, x := range v.i {
-			out[i] = xqt.Item{K: v.tag, I: x}
+// cmpDomain is the domain xqt.Compare promotes a pair of atoms to.
+type cmpDomain uint8
+
+const (
+	domPerPair cmpDomain = iota // the pairs of the two columns do not share one domain
+	domBool
+	domDouble
+	domString
+)
+
+// atomKinds returns the set of kinds (one bit per xqt.Kind) the rows of
+// c have once atomized: nodes become xs:untypedAtomic.
+func atomKinds(c *Col) (set uint8) {
+	switch c.Kind {
+	case KInt:
+		return 1 << xqt.KInt
+	case KBool:
+		return 1 << xqt.KBool
+	}
+	tags := c.Item.Tags
+	if tags == nil {
+		tags = []xqt.Kind{c.Item.Tag}
+	}
+	for _, k := range tags {
+		if k >= xqt.KNode {
+			k = xqt.KUntyped
 		}
-	case xqt.KDouble:
-		for i, x := range v.f {
-			out[i] = xqt.Double(x)
+		set |= 1 << k
+	}
+	return set
+}
+
+// joinDomain is the promotion table of xqt.Compare lifted from a pair
+// of atoms to a pair of columns: a boolean operand makes the comparison
+// boolean, else a numeric operand makes it xs:double (untypedAtomic and
+// string operands are cast), else it compares strings. When every
+// (left kind, right kind) pair lands in one domain, each column casts
+// to that domain once per row and the typed kernels run; otherwise the
+// join compares pair by pair.
+func joinDomain(l, r uint8) cmpDomain {
+	const boolean, numeric = 1 << xqt.KBool, 1<<xqt.KInt | 1<<xqt.KDouble
+	switch {
+	case l == boolean || r == boolean:
+		return domBool
+	case (l|r)&boolean != 0:
+		return domPerPair
+	case l&^numeric == 0 || r&^numeric == 0:
+		return domDouble
+	case (l|r)&numeric == 0:
+		return domString
+	}
+	return domPerPair
+}
+
+// existKeys casts column c to the comparison keys of domain dom, once
+// per row: xs:double values (booleans as 0/1) or strings.
+func (e *Exec) existKeys(c *Col, dom cmpDomain) ([]float64, []string) {
+	n := c.Len()
+	v, ok := e.view(c)
+	switch {
+	case ok && dom == domDouble:
+		return v.floats(n), nil
+	case ok && dom == domString:
+		return nil, v.strs(n)
+	}
+	// mixed-tag columns and the boolean domain cast row by row
+	atoms := e.atoms(c)
+	if dom == domString {
+		s := make([]string, n)
+		for i, it := range atoms {
+			s[i] = it.AsString()
 		}
-	default:
-		for i, s := range v.s {
-			out[i] = xqt.Item{K: v.tag, S: s}
+		return nil, s
+	}
+	f := make([]float64, n)
+	for i, it := range atoms {
+		if dom == domDouble {
+			f[i] = it.AsDouble()
+		} else if xqt.Compare(it, xqt.Bool(true), xqt.CmpEq) { // the cast to xs:boolean, as Compare applies it
+			f[i] = 1
 		}
 	}
-	return out
+	return f, nil
 }
 
 // execExistJoin evaluates the existential general-comparison join. Both
-// inputs resolve to raw xs:double or string key vectors — through the
-// typed views when the columns are uniform (the common case), through
-// per-row atomization otherwise — and the join kernels below run over
-// those raw vectors.
+// inputs resolve to raw xs:double or string key vectors in the one
+// domain xqt.Compare promotes their kinds to (see joinDomain) — through
+// the typed views when the columns are uniform (the common case),
+// through per-row atomization otherwise — and the join kernels below
+// run over those raw vectors.
 func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 	liter := l.Ints(n.LIter)
 	riter := r.Ints(n.RIter)
-
-	var latoms, ratoms []xqt.Item // materialized only off the fast path
-	lv, lok := e.view(l.Col(n.LItem))
-	rv, rok := e.view(r.Col(n.RItem))
-	lnum, lu := lv.numeric(), true
-	rnum, ru := rv.numeric(), true
-	if !lok {
-		latoms = e.atomCol(l.Col(n.LItem))
-		lnum, lu = cmpClass(latoms)
-	}
-	if !rok {
-		ratoms = e.atomCol(r.Col(n.RItem))
-		rnum, ru = cmpClass(ratoms)
-	}
-	uniform := lu && ru && (lnum == rnum || l.N == 0 || r.N == 0)
-	numeric := lnum || rnum
-
-	// vector materializers for the uniform paths
-	toFloats := func(v vecView, ok bool, atoms []xqt.Item, n int) []float64 {
-		if ok {
-			return v.floats(n)
-		}
-		out := make([]float64, n)
-		for i, it := range atoms {
-			out[i] = it.AsDouble()
-		}
-		return out
-	}
-	toStrs := func(v vecView, ok bool, atoms []xqt.Item, n int) []string {
-		if ok {
-			return v.strs(n)
-		}
-		out := make([]string, n)
-		for i, it := range atoms {
-			out[i] = it.AsString()
-		}
-		return out
-	}
+	lc, rc := l.Col(n.LItem), r.Col(n.RItem)
+	dom := joinDomain(atomKinds(lc), atomKinds(rc))
 
 	var p1, p2 []int64
 	switch {
-	case n.Cmp == xqt.CmpEq && uniform:
-		// the build table hashes the whole right input: charge it before
-		// the package-level join helpers allocate it
-		if !e.charge(32 * int64(r.N)) {
-			return nil, e.Mem.Err()
-		}
-		if numeric {
-			p1, p2 = existHashJoinF(liter, toFloats(lv, lok, latoms, l.N), riter, toFloats(rv, rok, ratoms, r.N))
-		} else {
-			p1, p2 = existHashJoinS(liter, toStrs(lv, lok, latoms, l.N), riter, toStrs(rv, rok, ratoms, r.N))
-		}
-		e.Stats.HashJoins++
-	case n.Cmp != xqt.CmpEq && n.Cmp != xqt.CmpNe && uniform:
-		// Figure 8(b): under existential semantics an ordering
-		// comparison only needs each iteration's extremum, so both
-		// sides reduce to one row per iter before the join.
-		var lf, rf []float64
-		var ls, rs []string
-		if numeric {
-			lf = toFloats(lv, lok, latoms, l.N)
-			rf = toFloats(rv, rok, ratoms, r.N)
-		} else {
-			ls = toStrs(lv, lok, latoms, l.N)
-			rs = toStrs(rv, rok, ratoms, r.N)
-		}
-		lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
-		if numeric {
-			liter, lf = reduceExtremumF(liter, lf, lmax)
-			riter, rf = reduceExtremumF(riter, rf, !lmax)
-		} else {
-			liter, ls = reduceExtremumS(liter, ls, lmax)
-			riter, rs = reduceExtremumS(riter, rs, !lmax)
-		}
-		e.Stats.ExistAggr++
-		p1, p2 = e.existThetaJoin(n, liter, lf, ls, riter, rf, rs)
-	default:
-		// heterogeneous inputs: per-pair promotion via nested loop
-		if latoms == nil {
-			latoms = viewAtoms(lv, l.N)
-		}
-		if ratoms == nil {
-			ratoms = viewAtoms(rv, r.N)
-		}
+	case dom == domPerPair || n.Cmp == xqt.CmpNe:
+		// per-pair promotion via nested loop
+		latoms, ratoms := e.atoms(lc), e.atoms(rc)
 		e.Stats.ThetaNL++
 		charged := 0
 		for i := range latoms {
@@ -2311,6 +2323,14 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 		}
 		e.charge(16 * int64(len(p1)-charged))
 		p1, p2 = dedupPairs(p1, p2)
+	default:
+		lf, ls := e.existKeys(lc, dom)
+		rf, rs := e.existKeys(rc, dom)
+		if dom == domString {
+			p1, p2 = existTypedJoin(e, n, liter, ls, riter, rs)
+		} else {
+			p1, p2 = existTypedJoin(e, n, liter, lf, riter, rf)
+		}
 	}
 	out := NewTable([]string{n.Out1, n.Out2}, []ColKind{KInt, KInt})
 	out.N = len(p1)
@@ -2319,70 +2339,66 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 	return out, nil
 }
 
-// reduceExtremumF keeps one row per iter: the minimum (max=false) or
-// maximum (max=true) xs:double value. Input iters are clustered (the
-// inputs are [iter, pos] sorted); the output keeps one row per cluster
-// in input order. NaN is never less than anything, so a leading NaN
-// survives — matching the item-at-a-time comparison semantics.
-func reduceExtremumF(iters []int64, vals []float64, max bool) ([]int64, []float64) {
+// existTypedJoin runs the typed kernel for n.Cmp over key vectors of
+// one comparison domain.
+func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	if n.Cmp != xqt.CmpEq {
+		// Figure 8(b): under existential semantics an ordering
+		// comparison only needs each iteration's extremum, so both
+		// sides reduce to one row per iter before the join.
+		e.Stats.ExistAggr++
+		lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
+		liter, lv = reduceExtremum(liter, lv, lmax)
+		riter, rv = reduceExtremum(riter, rv, !lmax)
+		return existThetaJoin(e, n, liter, lv, riter, rv)
+	}
+	e.Stats.HashJoins++
+	// the build table hashes the whole right input: charge it before
+	// the join helper allocates it (over budget, Run surfaces the error)
+	if !e.charge(32 * int64(len(rv))) {
+		return nil, nil
+	}
+	return existHashJoin(liter, lv, riter, rv)
+}
+
+// reduceExtremum keeps one row per iter: the minimum (max=false) or
+// maximum (max=true) value. Input iters are clustered (the inputs are
+// [iter, pos] sorted); the output keeps one row per cluster in input
+// order. NaN satisfies no comparison, so it is skipped, and an iter
+// with nothing but NaN drops out.
+func reduceExtremum[T float64 | string](iters []int64, vals []T, max bool) ([]int64, []T) {
 	var oi []int64
-	var ov []float64
-	i := 0
-	for i < len(iters) {
-		best := vals[i]
-		j := i + 1
-		for j < len(iters) && iters[j] == iters[i] {
-			if (max && best < vals[j]) || (!max && vals[j] < best) {
-				best = vals[j]
-			}
-			j++
+	var ov []T
+	open := false // the current cluster has its output row
+	for i, v := range vals {
+		if i > 0 && iters[i] != iters[i-1] {
+			open = false
 		}
-		oi = append(oi, iters[i])
-		ov = append(ov, best)
-		i = j
+		if v != v {
+			continue
+		}
+		if !open {
+			oi, ov, open = append(oi, iters[i]), append(ov, v), true
+		} else if best := &ov[len(ov)-1]; (max && *best < v) || (!max && v < *best) {
+			*best = v
+		}
 	}
 	return oi, ov
 }
 
-// reduceExtremumS is reduceExtremumF under string ordering.
-func reduceExtremumS(iters []int64, vals []string, max bool) ([]int64, []string) {
-	var oi []int64
-	var ov []string
-	i := 0
-	for i < len(iters) {
-		best := vals[i]
-		j := i + 1
-		for j < len(iters) && iters[j] == iters[i] {
-			if (max && best < vals[j]) || (!max && vals[j] < best) {
-				best = vals[j]
-			}
-			j++
-		}
-		oi = append(oi, iters[i])
-		ov = append(ov, best)
-		i = j
-	}
-	return oi, ov
-}
-
-// existHashJoinF evaluates an existential eq join over raw xs:double key
-// vectors: hash the right input by value bits (NaN joins nothing), probe
+// existHashJoin evaluates an existential eq join over raw key vectors:
+// hash the right input by value (NaN joins nothing, -0 joins +0), probe
 // in left order, and eliminate duplicate (iter1, iter2) pairs per
 // left-iteration run (the merge-style δ of §4.2).
-func existHashJoinF(liter []int64, lf []float64, riter []int64, rf []float64) (p1, p2 []int64) {
-	ht := make(map[uint64][]int64, len(rf))
-	for j, f := range rf {
-		if math.IsNaN(f) {
-			continue
+func existHashJoin[T float64 | string](liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	ht := make(map[T][]int64, len(rv))
+	for j, v := range rv {
+		if v == v {
+			ht[v] = append(ht[v], riter[j])
 		}
-		k := math.Float64bits(f)
-		ht[k] = append(ht[k], riter[j])
 	}
-	for i, f := range lf {
-		if math.IsNaN(f) {
-			continue
-		}
-		for _, i2 := range ht[math.Float64bits(f)] {
+	for i, v := range lv {
+		for _, i2 := range ht[v] {
 			p1 = append(p1, liter[i])
 			p2 = append(p2, i2)
 		}
@@ -2390,156 +2406,110 @@ func existHashJoinF(liter []int64, lf []float64, riter []int64, rf []float64) (p
 	return dedupPairs(p1, p2)
 }
 
-// existHashJoinS is existHashJoinF over string keys.
-func existHashJoinS(liter []int64, ls []string, riter []int64, rs []string) (p1, p2 []int64) {
-	ht := make(map[string][]int64, len(rs))
-	for j, s := range rs {
-		ht[s] = append(ht[s], riter[j])
+// thetaHolds applies an ordering comparison to two promoted keys.
+func thetaHolds[T float64 | string](a, b T, op xqt.CmpOp) bool {
+	switch op {
+	case xqt.CmpLt:
+		return a < b
+	case xqt.CmpLe:
+		return a <= b
+	case xqt.CmpGt:
+		return a > b
 	}
-	for i, s := range ls {
-		for _, i2 := range ht[s] {
-			p1 = append(p1, liter[i])
-			p2 = append(p2, i2)
-		}
-	}
-	return dedupPairs(p1, p2)
+	return a >= b
 }
 
-// existThetaJoin evaluates <, <=, >, >= with the run-time "choose-plan"
-// of §4.2: a small join sample estimates the hit rate, then either
-// nested-loop join (output directly in [iter1, iter2] order) or a
-// transient sorted index with binary-search lookups (output refine-sorted
-// per iter1 chunk) evaluates the join. One of (lf, rf) and (ls, rs)
-// carries the promoted comparison keys.
-func (e *Exec) existThetaJoin(n *ExistJoin, liter []int64, lf []float64, ls []string, riter []int64, rf []float64, rs []string) (p1, p2 []int64) {
-	numeric := lf != nil || rf != nil
+// existThetaJoin evaluates <, <=, >, >= over the promoted comparison
+// keys of two extremum-reduced (one row per iter, NaN-free) sides. A
+// transient sorted index over the right side tells, by binary search,
+// how many rows each left row matches: the output is sized exactly,
+// and the run-time "choose-plan" of §4.2 picks from the true hit rate
+// between nested-loop join (output directly in [iter1, iter2] order)
+// and index lookups (output refine-sorted per iter1 chunk).
+func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
 	nl, nrt := len(liter), len(riter)
-	cmpOK := func(i, k int) bool {
-		if numeric {
-			return xqt.CompareFloat(lf[i], rf[k], n.Cmp)
-		}
-		return xqt.CompareString(ls[i], rs[k], n.Cmp)
-	}
 
-	strategy := n.Strategy
-	small := int64(nl)*int64(nrt) <= 4096
-	// build the transient index (needed for sampling and index lookup)
-	e.charge(4 * int64(nrt))
-	perm := make([]int32, nrt)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if numeric {
-		sort.SliceStable(perm, func(a, b int) bool { return rf[perm[a]] < rf[perm[b]] })
-	} else {
-		sort.SliceStable(perm, func(a, b int) bool { return rs[perm[a]] < rs[perm[b]] })
-	}
-	matchRange := func(i int) (int, int) {
-		// rows [lo, hi) of perm satisfy l[i] Cmp r
-		switch n.Cmp {
-		case xqt.CmpLt, xqt.CmpLe:
-			lo := sort.Search(len(perm), func(k int) bool { return cmpOK(i, int(perm[k])) })
-			return lo, len(perm)
-		default: // Gt, Ge
-			hi := sort.Search(len(perm), func(k int) bool { return !cmpOK(i, int(perm[k])) })
-			return 0, hi
-		}
-	}
-	if strategy == ThetaAuto {
-		if small {
-			strategy = ThetaNestedLoop
+	e.charge(4 * int64(nrt+nl))
+	perm := identity(nrt)
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(rv[a], rv[b]) })
+	// row i matches perm[cut[i]:] under <, <= and perm[:cut[i]] under >, >=
+	cut := make([]int32, nl)
+	total := int64(0)
+	for i := range cut {
+		c := sort.Search(nrt, func(k int) bool { return thetaHolds(lv[i], rv[perm[k]], n.Cmp) != lmax })
+		cut[i] = int32(c)
+		if lmax {
+			total += int64(c)
 		} else {
-			// sample up to 64 probes to estimate the hit rate
-			probes := 64
-			if nl < probes {
-				probes = nl
-			}
-			hits := int64(0)
-			for s := 0; s < probes; s++ {
-				i := s * nl / probes
-				lo, hi := matchRange(i)
-				hits += int64(hi - lo)
-			}
-			est := hits * int64(nl) / int64(probes)
-			if est*4 >= int64(nl)*int64(nrt) {
-				strategy = ThetaNestedLoop // result construction dominates
-			} else {
-				strategy = ThetaIndex
-			}
+			total += int64(nrt - c)
 		}
 	}
-	// pair output of a dense theta join approaches nl*nrt rows: charge
-	// pairs as they accumulate so the budget trips mid-join
-	charged := 0
-	switch strategy {
-	case ThetaNestedLoop:
+	strategy := n.Strategy
+	if strategy == ThetaAuto {
+		strategy = ThetaIndex
+		if int64(nl)*int64(nrt) <= 4096 || total*4 >= int64(nl)*int64(nrt) {
+			strategy = ThetaNestedLoop // tiny, or result construction dominates
+		}
+	}
+	if strategy == ThetaNestedLoop {
 		e.Stats.ThetaNL++
-		for i := 0; i < nl; i++ {
-			if i&255 == 255 {
-				e.charge(16 * int64(len(p1)-charged))
-				charged = len(p1)
-				if e.stopRequested() {
-					break
-				}
-			}
-			for j := 0; j < nrt; j++ {
-				if cmpOK(i, j) {
-					p1 = append(p1, liter[i])
-					p2 = append(p2, riter[j])
-				}
-			}
-		}
-	default:
+	} else {
 		e.Stats.ThetaIdx++
-		for i := 0; i < nl; i++ {
-			if i&1023 == 1023 {
-				e.charge(16 * int64(len(p1)-charged))
-				charged = len(p1)
-				if e.stopRequested() {
-					break
+	}
+	// a dense theta join approaches nl*nrt pairs: the budget trips here,
+	// before they are allocated
+	if !e.charge(16 * total) {
+		return nil, nil
+	}
+	p1, p2 = make([]int64, total), make([]int64, total)
+	o := 0
+	for i := 0; i < nl; i++ {
+		if i&255 == 255 && e.stopRequested() {
+			return nil, nil
+		}
+		lo, hi := int(cut[i]), nrt
+		if lmax {
+			lo, hi = 0, lo
+		}
+		start := o
+		for k := start; k < start+hi-lo; k++ {
+			p1[k] = liter[i]
+		}
+		if strategy == ThetaNestedLoop {
+			for j := 0; o < start+hi-lo; j++ {
+				if thetaHolds(lv[i], rv[j], n.Cmp) {
+					p2[o] = riter[j]
+					o++
 				}
 			}
-			lo, hi := matchRange(i)
-			start := len(p2)
-			for k := lo; k < hi; k++ {
-				p1 = append(p1, liter[i])
-				p2 = append(p2, riter[perm[k]])
-			}
-			// refine-sort the chunk on iter2 (the index delivers value
-			// order within an iter1 group)
-			chunk := p2[start:]
-			sort.Slice(chunk, func(a, b int) bool { return chunk[a] < chunk[b] })
+			continue
 		}
+		for _, j := range perm[lo:hi] {
+			p2[o] = riter[j]
+			o++
+		}
+		// refine-sort the chunk on iter2 (the index delivers value order
+		// within an iter1 group)
+		slices.Sort(p2[start:o])
 	}
-	e.charge(16 * int64(len(p1)-charged))
+	// reduced sides have unique iters: when both ascend (the [iter, pos]
+	// contract), the pairs are unique and already in [iter1, iter2] order
+	if int64sNonDecreasing(liter) && int64sNonDecreasing(riter) {
+		return p1, p2
+	}
 	return dedupPairs(p1, p2)
 }
 
 // dedupPairs removes duplicate (iter1, iter2) pairs and establishes
-// [iter1, iter2] order. Inputs that are already iter1-clustered (the
-// common case: probes in left order) are deduplicated with a per-run
-// merge; otherwise the pairs are sorted first.
+// [iter1, iter2] order, in place. Inputs that are already iter1-ordered
+// (the common case: probes in left order) are deduplicated with a
+// per-run merge; otherwise the pairs are sorted first.
 func dedupPairs(p1, p2 []int64) ([]int64, []int64) {
-	if len(p1) == 0 {
-		return p1, p2
-	}
-	clustered := true
-	for i := 1; i < len(p1); i++ {
-		if p1[i] < p1[i-1] {
-			clustered = false
-			break
-		}
-	}
-	if !clustered {
-		idx := make([]int, len(p1))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			if p1[idx[a]] != p1[idx[b]] {
-				return p1[idx[a]] < p1[idx[b]]
-			}
-			return p2[idx[a]] < p2[idx[b]]
+	if !int64sNonDecreasing(p1) {
+		idx := identity(len(p1))
+		slices.SortFunc(idx, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(p1[a], p1[b]), cmp.Compare(p2[a], p2[b]))
 		})
 		q1 := make([]int64, len(p1))
 		q2 := make([]int64, len(p2))
@@ -2548,26 +2518,22 @@ func dedupPairs(p1, p2 []int64) ([]int64, []int64) {
 		}
 		p1, p2 = q1, q2
 	}
-	o1 := p1[:0]
-	o2 := p2[:0]
-	start := 0
-	for start < len(p1) {
-		end := start + 1
-		for end < len(p1) && p1[end] == p1[start] {
-			end++
-		}
-		run := append([]int64(nil), p2[start:end]...)
-		sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
+	o := 0
+	for start, end := 0, 0; start < len(p1); start = end {
 		cur := p1[start]
+		for end = start + 1; end < len(p1) && p1[end] == cur; end++ {
+		}
+		run := p2[start:end]
+		slices.Sort(run)
+		// o never passes the row being read, so compacting in place is safe
 		for k, v := range run {
 			if k == 0 || v != run[k-1] {
-				o1 = append(o1, cur)
-				o2 = append(o2, v)
+				p1[o], p2[o] = cur, v
+				o++
 			}
 		}
-		start = end
 	}
-	return o1, o2
+	return p1[:o], p2[:o]
 }
 
 func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {

@@ -30,7 +30,6 @@ package ralg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mxq/internal/xqt"
@@ -499,118 +498,6 @@ func (t *Table) String() string {
 		fmt.Fprintf(&sb, "... (%d rows)\n", t.N)
 	}
 	return sb.String()
-}
-
-// compareRows compares rows i and j of t on the given columns with the
-// given per-column descending flags. Items compare with xqt.SortLess
-// (document order for nodes, value order for atoms).
-func compareRows(t *Table, by []*Col, desc []bool, i, j int32) int {
-	for k, c := range by {
-		var r int
-		switch c.Kind {
-		case KInt:
-			a, b := c.Int[i], c.Int[j]
-			switch {
-			case a < b:
-				r = -1
-			case a > b:
-				r = 1
-			}
-		case KBool:
-			a, b := c.Bool[i], c.Bool[j]
-			switch {
-			case !a && b:
-				r = -1
-			case a && !b:
-				r = 1
-			}
-		default:
-			a, b := c.Item.At(int(i)), c.Item.At(int(j))
-			switch {
-			case xqt.SortLess(a, b):
-				r = -1
-			case xqt.SortLess(b, a):
-				r = 1
-			}
-		}
-		if r != 0 {
-			if desc != nil && desc[k] {
-				return -r
-			}
-			return r
-		}
-	}
-	return 0
-}
-
-// CompareRowsOn compares rows i and j of t on the named columns,
-// ascending, with the same comparator the sort kernels use (items via
-// xqt.SortLess). Planck's literal-claim verification and optcheck's
-// input synthesis share it so "sorted" means exactly what the executor
-// means by it.
-func CompareRowsOn(t *Table, by []string, i, j int) int {
-	cols := make([]*Col, len(by))
-	for k, n := range by {
-		cols[k] = t.Col(n)
-	}
-	return compareRows(t, cols, nil, int32(i), int32(j))
-}
-
-// SortIdx returns a stable permutation of t's rows ordered by the given
-// columns. refinePrefix > 0 asserts that the input is already sorted on
-// the first refinePrefix columns; only runs with equal prefixes are
-// re-sorted (the paper's incremental refine-sort).
-func SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []int32 {
-	cols := make([]*Col, len(by))
-	for i, n := range by {
-		cols[i] = t.Col(n)
-	}
-	idx := make([]int32, t.N)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	if refinePrefix >= len(by) {
-		return idx
-	}
-	if refinePrefix == 0 {
-		sort.SliceStable(idx, func(a, b int) bool {
-			return compareRows(t, cols, desc, idx[a], idx[b]) < 0
-		})
-		return idx
-	}
-	prefix := cols[:refinePrefix]
-	suffix := cols[refinePrefix:]
-	var sufDesc []bool
-	if desc != nil {
-		sufDesc = desc[refinePrefix:]
-	}
-	start := 0
-	for start < t.N {
-		end := start + 1
-		for end < t.N && compareRows(t, prefix, nil, int32(start), int32(end)) == 0 {
-			end++
-		}
-		run := idx[start:end]
-		sort.SliceStable(run, func(a, b int) bool {
-			return compareRows(t, suffix, sufDesc, run[a], run[b]) < 0
-		})
-		start = end
-	}
-	return idx
-}
-
-// IsSortedBy reports whether t is sorted on the given columns.
-func IsSortedBy(t *Table, by []string) bool {
-	cols := make([]*Col, len(by))
-	for i, n := range by {
-		cols[i] = t.Col(n)
-	}
-	for i := 1; i < t.N; i++ {
-		if compareRows(t, cols, nil, int32(i-1), int32(i)) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // MemBytes estimates the heap bytes held by the vector's slices: O(1),

@@ -77,6 +77,17 @@ var specCases = []struct {
 	// arithmetic promotion sanity around the special values
 	{"nan-never-equal", `(0 div 0) = (0 div 0)`, "false"},
 	{"inf-compares", `(1 div 0) > 1e300`, "true"},
+
+	// a general comparison with an xs:boolean operand casts the other
+	// operand to xs:boolean ("1" and "true" are true, "0" is false); the
+	// join-recognized plan (an existential join over the two for
+	// ranges) must agree with the nested-loop plan and with the oracle
+	{"bool-join-casts-strings",
+		`for $x in ("1","true","0") for $y in (true(), false()) where $x = $y return <r>{$x}</r>`,
+		"<r>1</r><r>true</r><r>0</r>"},
+	{"bool-join-ordering",
+		`for $x in ("1","true","0") for $y in (true(), false()) where $x > $y return <r>{$x}</r>`,
+		"<r>1</r><r>true</r>"},
 }
 
 func TestSpecConformanceRelational(t *testing.T) {
@@ -113,6 +124,29 @@ func TestSpecConformanceRelationalParallel(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s: %s = %q, want %q", c.name, c.query, got, c.want)
+		}
+	}
+}
+
+// TestSpecConformanceNoJoinRecognition runs the suite on the plans the
+// compiler emits without join recognition (selections over Cartesian
+// products, not existential joins): both plan shapes must conform.
+func TestSpecConformanceNoJoinRecognition(t *testing.T) {
+	for name, opts := range map[string][]mxq.Option{
+		"serial":   {mxq.WithJoinRecognition(false)},
+		"parallel": {mxq.WithJoinRecognition(false), mxq.WithWorkers(4)},
+	} {
+		db := mxq.Open(opts...)
+		if err := db.LoadDocumentString("spec.xml", specDoc); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range specCases {
+			got, err := db.QueryString(c.query)
+			if err != nil {
+				t.Errorf("%s: %s: %s: %v", name, c.name, c.query, err)
+			} else if got != c.want {
+				t.Errorf("%s: %s: %s = %q, want %q", name, c.name, c.query, got, c.want)
+			}
 		}
 	}
 }
