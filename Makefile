@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-ci fmt vet build test race race-cover bench bench-smoke repo-bench-smoke serve-smoke fuzz-short chaos-smoke cover lint mxqlint verify optcheck
+.PHONY: check check-ci fmt vet build test race race-cover bench bench-smoke repo-bench-smoke size serve-smoke fuzz-short chaos-smoke cover lint mxqlint verify optcheck
 
 # check is the CI gate: formatting, vet, build, and the full test suite
 # under the race detector (the parallel executor must stay race-clean).
@@ -79,6 +79,15 @@ bench-smoke:
 # the benchmark corpus fails here, before anyone measures it.
 repo-bench-smoke:
 	cd bench && $(GO) test ./...
+
+# size prints the non-test Go lines of every internal/* package (plain
+# wc -l): the ROADMAP's "net ralg lines must not grow" budget as a
+# number in every CI log.
+size:
+	@for d in internal/*/; do \
+		n=$$(ls $$d*.go 2>/dev/null | grep -v _test.go | xargs cat 2>/dev/null | wc -l); \
+		printf '%6d  %s\n' $$n $${d%/}; \
+	done
 
 # serve-smoke boots the mxqd daemon on a loopback port and drives the
 # example wire client through a full session against it (healthz,

@@ -10,8 +10,9 @@ import (
 // and every staircase-join kernel (scj functions threading a *Stats)
 // must poll cancellation on an amortized schedule, either directly
 // (stopRequested / stopFunc / stopped / Stop wiring, or by delegating
-// to the parFill/parRun/parPairs drivers, which poll internally) or by
-// calling — transitively, within the package — a function that does.
+// to ralg's chunk drivers — forTasks, forChunks, forCols, chunkFill,
+// chunkPairs — which poll before every chunk) or by calling —
+// transitively, within the package — a function that does.
 //
 // A function whose loops are provably memory-bound (no per-row work
 // that can stall for long) may opt out with an explanatory annotation
@@ -28,15 +29,17 @@ var CancelCheck = &Analyzer{
 
 // cancelMarkers are the identifiers whose presence means the function
 // participates in cancellation: the poll entry points themselves, the
-// Stats.Stop wiring, and the parallel drivers that poll per chunk.
+// Stats.Stop wiring, and the chunk drivers that poll per chunk.
 var cancelMarkers = map[string]bool{
 	"stopRequested": true,
 	"stopFunc":      true,
 	"stopped":       true,
 	"Stop":          true,
-	"parFill":       true,
-	"parRun":        true,
-	"parPairs":      true,
+	"forTasks":      true,
+	"forChunks":     true,
+	"forCols":       true,
+	"chunkFill":     true,
+	"chunkPairs":    true,
 }
 
 var execNameRE = regexp.MustCompile(`^exec[A-Z]`)

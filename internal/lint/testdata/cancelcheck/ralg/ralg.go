@@ -36,6 +36,19 @@ func (e *Exec) execViaHelper(in *Table) *Table {
 
 func (e *Exec) pollingHelper() { _ = e.stopRequested() }
 
+// execViaChunkDriver hands its row loop to a chunk driver, which polls
+// before every chunk (the drivers live in parallel.go, outside this
+// fixture: the marker list must know them by name).
+func (e *Exec) execViaChunkDriver(in *Table) *Table {
+	out := make([]int64, in.N)
+	e.chunkFill(in.N, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = int64(i)
+		}
+	})
+	return in
+}
+
 // execLoopInClosure hides its row loop inside a function literal; the
 // loop is still this operator's loop, so the missing poll must fire.
 func (e *Exec) execLoopInClosure(in *Table) *Table { // want "execLoopInClosure: row loop never polls"

@@ -496,7 +496,11 @@ func (in *Interp) evalBinary(b *xqp.Binary, env *scope) ([]Val, error) {
 		if len(l) == 0 || len(r) == 0 {
 			return nil, nil
 		}
-		return []Val{atomVal(arith(b.Op, l[0].Atomize(), r[0].Atomize()))}, nil
+		v, err := arith(b.Op, l[0].Atomize(), r[0].Atomize())
+		if err != nil {
+			return nil, err
+		}
+		return []Val{atomVal(v)}, nil
 	case xqp.OpRange:
 		if len(l) == 0 || len(r) == 0 {
 			return nil, nil
@@ -520,45 +524,51 @@ func (in *Interp) evalBinary(b *xqp.Binary, env *scope) ([]Val, error) {
 	return nil, fmt.Errorf("naive: unhandled binary op %v", b.Op)
 }
 
-// arith mirrors ralg's arithmetic promotion exactly.
-func arith(op xqp.BinOp, a, b xqt.Item) xqt.Item {
+// arith implements XQuery arithmetic with numeric promotion: integer
+// operands stay integral (except div), everything else is xs:double.
+// idiv and integer mod raise FOAR0001 on a zero divisor, and idiv
+// raises FOAR0002 when the quotient is no xs:integer (F&O 6.2.5-6.2.6).
+func arith(op xqp.BinOp, a, b xqt.Item) (xqt.Item, error) {
 	if a.K == xqt.KInt && b.K == xqt.KInt && op != xqp.OpDiv {
 		x, y := a.I, b.I
+		if y == 0 && (op == xqp.OpIDiv || op == xqp.OpMod) {
+			return xqt.Item{}, xqerr.Newf("FOAR0001", "division by zero")
+		}
 		switch op {
 		case xqp.OpAdd:
-			return xqt.Int(x + y)
+			return xqt.Int(x + y), nil
 		case xqp.OpSub:
-			return xqt.Int(x - y)
+			return xqt.Int(x - y), nil
 		case xqp.OpMul:
-			return xqt.Int(x * y)
+			return xqt.Int(x * y), nil
 		case xqp.OpIDiv:
-			if y == 0 {
-				return xqt.Double(math.NaN())
-			}
-			return xqt.Int(x / y)
+			return xqt.Int(x / y), nil
 		case xqp.OpMod:
-			if y == 0 {
-				return xqt.Double(math.NaN())
-			}
-			return xqt.Int(x % y)
+			return xqt.Int(x % y), nil
 		}
 	}
 	x, y := a.AsDouble(), b.AsDouble()
 	switch op {
 	case xqp.OpAdd:
-		return xqt.Double(x + y)
+		return xqt.Double(x + y), nil
 	case xqp.OpSub:
-		return xqt.Double(x - y)
+		return xqt.Double(x - y), nil
 	case xqp.OpMul:
-		return xqt.Double(x * y)
+		return xqt.Double(x * y), nil
 	case xqp.OpDiv:
-		return xqt.Double(x / y)
+		return xqt.Double(x / y), nil
 	case xqp.OpIDiv:
-		return xqt.Int(int64(x / y))
+		if y == 0 {
+			return xqt.Item{}, xqerr.Newf("FOAR0001", "division by zero")
+		}
+		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.Abs(x/y) >= 1<<63 {
+			return xqt.Item{}, xqerr.Newf("FOAR0002", "idiv: %s idiv %s is not an xs:integer", xqt.FormatDouble(x), xqt.FormatDouble(y))
+		}
+		return xqt.Int(int64(x / y)), nil
 	case xqp.OpMod:
-		return xqt.Double(math.Mod(x, y))
+		return xqt.Double(math.Mod(x, y)), nil
 	}
-	return xqt.Double(math.NaN())
+	return xqt.Double(math.NaN()), nil
 }
 
 func (in *Interp) evalPath(p *xqp.Path, env *scope) ([]Val, error) {

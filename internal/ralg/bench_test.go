@@ -99,13 +99,14 @@ func BenchmarkHashJoinParallel(b *testing.B) {
 	benchmarkHashJoin(b, ParOptions{Workers: w, Threshold: DefaultParThreshold})
 }
 
-// --- typed-vector vs polymorphic dispatch pairs ------------------------
+// --- uniform vs tag-vector column pairs --------------------------------
 //
-// The *Typed benchmarks run the uniform-tag fast path (one kind dispatch
-// per column, monomorphic loops over raw payload vectors); the
-// *Polymorphic pairs run the identical values through a demoted column
-// whose materialized tag vector forces the per-row item path — the cost
-// the typed representation eliminates.
+// The *Typed benchmarks run the kernels over uniform columns (one kind
+// dispatch per column, monomorphic loops over raw payload vectors); the
+// *MixedTag pairs run the identical values through a demoted column
+// whose materialized tag vector sends Fun through the split-by-tag step
+// (one signature pass, then the same kernel) and Aggr through its
+// per-row item path — the cost of carrying a tag vector.
 
 const funBenchRows = 1 << 18
 
@@ -138,10 +139,10 @@ func benchmarkFun(b *testing.B, op FunOp, demoted bool) {
 	}
 }
 
-func BenchmarkFunAddTyped(b *testing.B)       { benchmarkFun(b, FunAdd, false) }
-func BenchmarkFunAddPolymorphic(b *testing.B) { benchmarkFun(b, FunAdd, true) }
-func BenchmarkFunCmpTyped(b *testing.B)       { benchmarkFun(b, FunLt, false) }
-func BenchmarkFunCmpPolymorphic(b *testing.B) { benchmarkFun(b, FunLt, true) }
+func BenchmarkFunAddTyped(b *testing.B)    { benchmarkFun(b, FunAdd, false) }
+func BenchmarkFunAddMixedTag(b *testing.B) { benchmarkFun(b, FunAdd, true) }
+func BenchmarkFunCmpTyped(b *testing.B)    { benchmarkFun(b, FunLt, false) }
+func BenchmarkFunCmpMixedTag(b *testing.B) { benchmarkFun(b, FunLt, true) }
 
 func aggrBenchTable(demoted bool) *Table {
 	vals := make([]xqt.Item, funBenchRows)
@@ -172,7 +173,7 @@ func benchmarkAggr(b *testing.B, op AggOp, demoted bool) {
 	}
 }
 
-func BenchmarkAggrSumTyped(b *testing.B)       { benchmarkAggr(b, AggSum, false) }
-func BenchmarkAggrSumPolymorphic(b *testing.B) { benchmarkAggr(b, AggSum, true) }
-func BenchmarkAggrMaxTyped(b *testing.B)       { benchmarkAggr(b, AggMax, false) }
-func BenchmarkAggrMaxPolymorphic(b *testing.B) { benchmarkAggr(b, AggMax, true) }
+func BenchmarkAggrSumTyped(b *testing.B)    { benchmarkAggr(b, AggSum, false) }
+func BenchmarkAggrSumMixedTag(b *testing.B) { benchmarkAggr(b, AggSum, true) }
+func BenchmarkAggrMaxTyped(b *testing.B)    { benchmarkAggr(b, AggMax, false) }
+func BenchmarkAggrMaxMixedTag(b *testing.B) { benchmarkAggr(b, AggMax, true) }

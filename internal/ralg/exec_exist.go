@@ -1,0 +1,333 @@
+package ralg
+
+import (
+	"cmp"
+	"slices"
+	"sort"
+
+	"mxq/internal/xqt"
+)
+
+// atoms materializes the per-row atomization of a column as items (the
+// per-pair fallback and the boolean cast of the existential joins).
+func (e *Exec) atoms(c *Col) []xqt.Item { return e.cast(FunAtomize, c).Slice() }
+
+// cmpDomain is the domain xqt.Compare promotes a pair of atoms to.
+type cmpDomain uint8
+
+const (
+	domPerPair cmpDomain = iota // the pairs of the two columns do not share one domain
+	domBool
+	domDouble
+	domString
+)
+
+// atomKinds returns the set of kinds (one bit per xqt.Kind) the rows of
+// c have once atomized: nodes become xs:untypedAtomic.
+func atomKinds(c *Col) (set uint8) {
+	switch c.Kind {
+	case KInt:
+		return 1 << xqt.KInt
+	case KBool:
+		return 1 << xqt.KBool
+	}
+	tags := c.Item.Tags
+	if tags == nil {
+		tags = []xqt.Kind{c.Item.Tag}
+	}
+	for _, k := range tags {
+		if k >= xqt.KNode {
+			k = xqt.KUntyped
+		}
+		set |= 1 << k
+	}
+	return set
+}
+
+// joinDomain is the promotion table of xqt.Compare lifted from a pair
+// of atoms to a pair of columns: a boolean operand makes the comparison
+// boolean, else a numeric operand makes it xs:double (untypedAtomic and
+// string operands are cast), else it compares strings. When every
+// (left kind, right kind) pair lands in one domain, each column casts
+// to that domain once per row and the typed kernels run; otherwise the
+// join compares pair by pair.
+func joinDomain(l, r uint8) cmpDomain {
+	const boolean, numeric = 1 << xqt.KBool, 1<<xqt.KInt | 1<<xqt.KDouble
+	switch {
+	case l == boolean || r == boolean:
+		return domBool
+	case (l|r)&boolean != 0:
+		return domPerPair
+	case l&^numeric == 0 || r&^numeric == 0:
+		return domDouble
+	case (l|r)&numeric == 0:
+		return domString
+	}
+	return domPerPair
+}
+
+// existKeys casts column c to the comparison keys of domain dom, once
+// per row: xs:double values (booleans as 0/1) or strings. The casts are
+// the fn:number and fn:string kernels, whatever the column's tag mix.
+func (e *Exec) existKeys(c *Col, dom cmpDomain) ([]float64, []string) {
+	switch dom {
+	case domDouble:
+		return e.cast(FunNumber, c).F, nil
+	case domString:
+		return nil, e.cast(FunStringOf, c).S
+	}
+	f := make([]float64, c.Len())
+	for i, it := range e.atoms(c) {
+		if xqt.Compare(it, xqt.Bool(true), xqt.CmpEq) { // the cast to xs:boolean, as Compare applies it
+			f[i] = 1
+		}
+	}
+	return f, nil
+}
+
+// execExistJoin evaluates the existential general-comparison join. Both
+// inputs resolve to raw xs:double or string key vectors in the one
+// domain xqt.Compare promotes their kinds to (see joinDomain), and the
+// join kernels below run over those raw vectors.
+func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
+	liter := l.Ints(n.LIter)
+	riter := r.Ints(n.RIter)
+	lc, rc := l.Col(n.LItem), r.Col(n.RItem)
+	dom := joinDomain(atomKinds(lc), atomKinds(rc))
+
+	var p1, p2 []int64
+	switch {
+	case dom == domPerPair || n.Cmp == xqt.CmpNe:
+		// per-pair promotion via nested loop
+		latoms, ratoms := e.atoms(lc), e.atoms(rc)
+		e.Stats.ThetaNL++
+		charged := 0
+		for i := range latoms {
+			if i&255 == 255 {
+				e.charge(16 * int64(len(p1)-charged))
+				charged = len(p1)
+				if e.stopRequested() {
+					break
+				}
+			}
+			for j := range ratoms {
+				if xqt.Compare(latoms[i], ratoms[j], n.Cmp) {
+					p1 = append(p1, liter[i])
+					p2 = append(p2, riter[j])
+				}
+			}
+		}
+		e.charge(16 * int64(len(p1)-charged))
+		p1, p2 = dedupPairs(p1, p2)
+	default:
+		lf, ls := e.existKeys(lc, dom)
+		rf, rs := e.existKeys(rc, dom)
+		if dom == domString {
+			p1, p2 = existTypedJoin(e, n, liter, ls, riter, rs)
+		} else {
+			p1, p2 = existTypedJoin(e, n, liter, lf, riter, rf)
+		}
+	}
+	out := NewTable([]string{n.Out1, n.Out2}, []ColKind{KInt, KInt})
+	out.N = len(p1)
+	out.Col(n.Out1).Int = p1
+	out.Col(n.Out2).Int = p2
+	return out, nil
+}
+
+// existTypedJoin runs the typed kernel for n.Cmp over key vectors of
+// one comparison domain.
+func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	if n.Cmp != xqt.CmpEq {
+		// Figure 8(b): under existential semantics an ordering
+		// comparison only needs each iteration's extremum, so both
+		// sides reduce to one row per iter before the join.
+		e.Stats.ExistAggr++
+		lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
+		liter, lv = reduceExtremum(liter, lv, lmax)
+		riter, rv = reduceExtremum(riter, rv, !lmax)
+		return existThetaJoin(e, n, liter, lv, riter, rv)
+	}
+	e.Stats.HashJoins++
+	// the build table hashes the whole right input: charge it before
+	// the join helper allocates it (over budget, Run surfaces the error)
+	if !e.charge(32 * int64(len(rv))) {
+		return nil, nil
+	}
+	return existHashJoin(liter, lv, riter, rv)
+}
+
+// reduceExtremum keeps one row per iter: the minimum (max=false) or
+// maximum (max=true) value. Input iters are clustered (the inputs are
+// [iter, pos] sorted); the output keeps one row per cluster in input
+// order. NaN satisfies no comparison, so it is skipped, and an iter
+// with nothing but NaN drops out.
+func reduceExtremum[T float64 | string](iters []int64, vals []T, max bool) ([]int64, []T) {
+	var oi []int64
+	var ov []T
+	open := false // the current cluster has its output row
+	for i, v := range vals {
+		if i > 0 && iters[i] != iters[i-1] {
+			open = false
+		}
+		if v != v {
+			continue
+		}
+		if !open {
+			oi, ov, open = append(oi, iters[i]), append(ov, v), true
+		} else if best := &ov[len(ov)-1]; (max && *best < v) || (!max && v < *best) {
+			*best = v
+		}
+	}
+	return oi, ov
+}
+
+// existHashJoin evaluates an existential eq join over raw key vectors:
+// hash the right input by value (NaN joins nothing, -0 joins +0), probe
+// in left order, and eliminate duplicate (iter1, iter2) pairs per
+// left-iteration run (the merge-style δ of §4.2).
+func existHashJoin[T float64 | string](liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	ht := make(map[T][]int64, len(rv))
+	for j, v := range rv {
+		if v == v {
+			ht[v] = append(ht[v], riter[j])
+		}
+	}
+	for i, v := range lv {
+		for _, i2 := range ht[v] {
+			p1 = append(p1, liter[i])
+			p2 = append(p2, i2)
+		}
+	}
+	return dedupPairs(p1, p2)
+}
+
+// thetaHolds applies an ordering comparison to two promoted keys.
+func thetaHolds[T float64 | string](a, b T, op xqt.CmpOp) bool {
+	switch op {
+	case xqt.CmpLt:
+		return a < b
+	case xqt.CmpLe:
+		return a <= b
+	case xqt.CmpGt:
+		return a > b
+	}
+	return a >= b
+}
+
+// existThetaJoin evaluates <, <=, >, >= over the promoted comparison
+// keys of two extremum-reduced (one row per iter, NaN-free) sides. A
+// transient sorted index over the right side tells, by binary search,
+// how many rows each left row matches: the output is sized exactly,
+// and the run-time "choose-plan" of §4.2 picks from the true hit rate
+// between nested-loop join (output directly in [iter1, iter2] order)
+// and index lookups (output refine-sorted per iter1 chunk).
+func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
+	nl, nrt := len(liter), len(riter)
+
+	e.charge(4 * int64(nrt+nl))
+	perm := identity(nrt)
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(rv[a], rv[b]) })
+	// row i matches perm[cut[i]:] under <, <= and perm[:cut[i]] under >, >=
+	cut := make([]int32, nl)
+	total := int64(0)
+	for i := range cut {
+		c := sort.Search(nrt, func(k int) bool { return thetaHolds(lv[i], rv[perm[k]], n.Cmp) != lmax })
+		cut[i] = int32(c)
+		if lmax {
+			total += int64(c)
+		} else {
+			total += int64(nrt - c)
+		}
+	}
+	strategy := n.Strategy
+	if strategy == ThetaAuto {
+		strategy = ThetaIndex
+		if int64(nl)*int64(nrt) <= 4096 || total*4 >= int64(nl)*int64(nrt) {
+			strategy = ThetaNestedLoop // tiny, or result construction dominates
+		}
+	}
+	if strategy == ThetaNestedLoop {
+		e.Stats.ThetaNL++
+	} else {
+		e.Stats.ThetaIdx++
+	}
+	// a dense theta join approaches nl*nrt pairs: the budget trips here,
+	// before they are allocated
+	if !e.charge(16 * total) {
+		return nil, nil
+	}
+	p1, p2 = make([]int64, total), make([]int64, total)
+	o := 0
+	for i := 0; i < nl; i++ {
+		if i&255 == 255 && e.stopRequested() {
+			return nil, nil
+		}
+		lo, hi := int(cut[i]), nrt
+		if lmax {
+			lo, hi = 0, lo
+		}
+		start := o
+		for k := start; k < start+hi-lo; k++ {
+			p1[k] = liter[i]
+		}
+		if strategy == ThetaNestedLoop {
+			for j := 0; o < start+hi-lo; j++ {
+				if thetaHolds(lv[i], rv[j], n.Cmp) {
+					p2[o] = riter[j]
+					o++
+				}
+			}
+			continue
+		}
+		for _, j := range perm[lo:hi] {
+			p2[o] = riter[j]
+			o++
+		}
+		// refine-sort the chunk on iter2 (the index delivers value order
+		// within an iter1 group)
+		slices.Sort(p2[start:o])
+	}
+	// reduced sides have unique iters: when both ascend (the [iter, pos]
+	// contract), the pairs are unique and already in [iter1, iter2] order
+	if int64sNonDecreasing(liter) && int64sNonDecreasing(riter) {
+		return p1, p2
+	}
+	return dedupPairs(p1, p2)
+}
+
+// dedupPairs removes duplicate (iter1, iter2) pairs and establishes
+// [iter1, iter2] order, in place. Inputs that are already iter1-ordered
+// (the common case: probes in left order) are deduplicated with a
+// per-run merge; otherwise the pairs are sorted first.
+func dedupPairs(p1, p2 []int64) ([]int64, []int64) {
+	if !int64sNonDecreasing(p1) {
+		idx := identity(len(p1))
+		slices.SortFunc(idx, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(p1[a], p1[b]), cmp.Compare(p2[a], p2[b]))
+		})
+		q1 := make([]int64, len(p1))
+		q2 := make([]int64, len(p2))
+		for i, j := range idx {
+			q1[i], q2[i] = p1[j], p2[j]
+		}
+		p1, p2 = q1, q2
+	}
+	o := 0
+	for start, end := 0, 0; start < len(p1); start = end {
+		cur := p1[start]
+		for end = start + 1; end < len(p1) && p1[end] == cur; end++ {
+		}
+		run := p2[start:end]
+		slices.Sort(run)
+		// o never passes the row being read, so compacting in place is safe
+		for k, v := range run {
+			if k == 0 || v != run[k-1] {
+				p1[o], p2[o] = cur, v
+				o++
+			}
+		}
+	}
+	return p1[:o], p2[:o]
+}

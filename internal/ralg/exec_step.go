@@ -1,0 +1,376 @@
+package ralg
+
+import (
+	"fmt"
+	"strings"
+
+	"mxq/internal/scj"
+	"mxq/internal/store"
+	"mxq/internal/xqerr"
+	"mxq/internal/xqt"
+)
+
+// stepInputSorted verifies the (item, iter) sort contract of Step inputs.
+func stepInputSorted(items *ItemVec, iters []int64) bool {
+	if k, ok := items.Uniform(); ok && (k == xqt.KNode || k == xqt.KAttr) {
+		// uniform node column: document order is (container, pre) order
+		// directly on the payload vectors
+		for i := 1; i < items.Len(); i++ {
+			switch {
+			case items.Cont[i-1] != items.Cont[i]:
+				if items.Cont[i-1] > items.Cont[i] {
+					return false
+				}
+			case items.I[i-1] != items.I[i]:
+				if items.I[i-1] > items.I[i] {
+					return false
+				}
+			case iters[i-1] > iters[i]:
+				return false
+			}
+		}
+		return true
+	}
+	for i := 1; i < items.Len(); i++ {
+		a, b := items.At(i-1), items.At(i)
+		if xqt.SortLess(a, b) {
+			continue
+		}
+		if xqt.SortLess(b, a) || iters[i-1] > iters[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// stepSeg is one contiguous segment of a Step input: either a run of
+// node-context rows [lo, hi) all living in container cont, or a single
+// attribute row (attrRow = true; only the parent axis resolves those).
+type stepSeg struct {
+	cont    int32
+	lo, hi  int
+	attrRow bool
+}
+
+// stepSegments cuts the (item, iter)-sorted Step input into per-container
+// context runs. With a sharded collection each shard is one segment, so
+// the segments are the unit of cross-shard parallelism.
+func stepSegments(items *ItemVec, axis scj.Axis) []stepSeg {
+	uniformNodes := false
+	if k, ok := items.Uniform(); ok && k == xqt.KNode {
+		uniformNodes = true
+	}
+	var segs []stepSeg
+	i := 0
+	for i < items.Len() {
+		if items.KindAt(i) != xqt.KNode {
+			// attribute nodes have no children etc.; only the parent
+			// axis resolves to their owner
+			if items.KindAt(i) == xqt.KAttr && axis == scj.Parent {
+				segs = append(segs, stepSeg{cont: items.Cont[i], lo: i, hi: i + 1, attrRow: true})
+			}
+			i++
+			continue
+		}
+		cont := items.Cont[i]
+		j := i
+		if uniformNodes {
+			for j < items.Len() && items.Cont[j] == cont {
+				j++
+			}
+		} else {
+			for j < items.Len() && items.KindAt(j) == xqt.KNode && items.Cont[j] == cont {
+				j++
+			}
+		}
+		segs = append(segs, stepSeg{cont: cont, lo: i, hi: j})
+		i = j
+	}
+	return segs
+}
+
+// stepSegRun evaluates one segment. The segment's worker budget is its
+// share — weight out of total — of the execution's workers: a budget
+// of at most one runs the serial step algorithm, larger budgets hand
+// the segment to ParallelStep (which still falls back to serial below
+// the threshold).
+func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) scj.Pairs {
+	if s.attrRow {
+		var out scj.Pairs
+		c := e.Pool.Get(s.cont)
+		owner := c.AttrOwner[items.I[s.lo]]
+		if scj.CompileTest(c, n.Test)(owner) {
+			out.Pre = []int32{owner}
+			out.Iter = []int32{int32(iters[s.lo])}
+		}
+		return out
+	}
+	// the context relation is emitted as columns straight off the typed
+	// payload vectors
+	ctx := scj.FromColumns(items.I, iters, s.lo, s.hi)
+	c := e.Pool.Get(s.cont)
+	if budget := int(int64(e.Par.Workers) * weight / total); budget > 1 {
+		return scj.ParallelStepSlots(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
+	}
+	return scj.Step(c, ctx, n.Axis, n.Test, n.Variant, st)
+}
+
+func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
+	iters := in.Ints(n.IterCol)
+	items := in.ItemVec(n.ItemCol)
+	if !stepInputSorted(items, iters) {
+		return nil, fmt.Errorf("ralg: step(%v) input not sorted on (item, iter): plan misses a sort", n.Axis)
+	}
+	segs := stepSegments(items, n.Axis)
+	results := make([]scj.Pairs, len(segs))
+	// Each container run is one task (with a sharded collection, the
+	// unit of cross-shard parallelism), and the worker budget is split
+	// across segments in proportion to their containers' sizes, so a
+	// dominant segment (one huge document next to small shards) keeps
+	// its intra-container range/context partitioning. Context rows are
+	// not the weight because one root row can cover a whole document.
+	// Per-segment stats are summed afterwards; concatenating segment
+	// outputs in segment order gives the same emission order whatever
+	// the task schedule.
+	weights := make([]int64, len(segs))
+	var weight int64
+	for k, s := range segs {
+		w := int64(1)
+		if !s.attrRow {
+			if l := int64(e.Pool.Get(s.cont).Len()); l > 1 {
+				w = l
+			}
+		}
+		weights[k] = w
+		weight += w
+	}
+	stats := make([]scj.Stats, len(segs))
+	stop := e.stopFunc()
+	charge := e.chargeFunc()
+	e.forTasks(len(segs), func(k int) {
+		stats[k].Stop = stop
+		stats[k].Charge = charge
+		results[k] = e.stepSegRun(n, iters, items, segs[k], weights[k], weight, &stats[k])
+	})
+	for k := range stats {
+		e.Stats.Step.Touched += stats[k].Touched
+		e.Stats.Step.Emitted += stats[k].Emitted
+		e.Stats.Step.Pruned += stats[k].Pruned
+	}
+	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	total := 0
+	for _, r := range results {
+		total += r.Len()
+	}
+	// 20 B/row: the iter int64 plus the node column's cont/pre vectors;
+	// the size is known before allocating, so an over-budget step fails
+	// without materializing the output
+	if !e.charge(20 * int64(total)) {
+		return nil, e.Mem.Err()
+	}
+	ic := out.Col("iter")
+	tc := out.Col("item")
+	ic.Int = make([]int64, total)
+	tc.Item.growRows(xqt.KNode, total)
+	base := 0
+	for k, res := range results {
+		cont := segs[k].cont
+		b := base
+		e.chunkFill(res.Len(), func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				ic.Int[b+r] = int64(res.Iter[r])
+				tc.Item.Cont[b+r] = cont
+				tc.Item.I[b+r] = int64(res.Pre[r])
+			}
+		})
+		base += res.Len()
+	}
+	out.N = total
+	return out, nil
+}
+
+func (e *Exec) execAttrStep(n *AttrStep, in *Table) (*Table, error) {
+	iters := in.Ints(n.IterCol)
+	items := in.ItemVec(n.ItemCol)
+	if !stepInputSorted(items, iters) {
+		return nil, fmt.Errorf("ralg: attribute step input not sorted on (item, iter)")
+	}
+	// newRunAt is the chunk boundary predicate: row i starts a new
+	// run of identical context items
+	newRunAt := func(i int) bool { return items.At(i) != items.At(i-1) }
+	if k, ok := items.Uniform(); ok && (k == xqt.KNode || k == xqt.KAttr) {
+		newRunAt = func(i int) bool {
+			return items.Cont[i] != items.Cont[i-1] || items.I[i] != items.I[i-1]
+		}
+	}
+	// chunks end at identical-item run boundaries: each run is resolved
+	// by one chunk, so concatenating chunk outputs keeps the (attribute,
+	// iter) order
+	rs := e.chunks(in.N, newRunAt)
+	ics := make([][]int64, len(rs))
+	tcs := make([]ItemVec, len(rs))
+	e.forChunks(rs, func(k, lo, hi int) {
+		ics[k], tcs[k] = e.attrStepRange(n, iters, items, lo, hi)
+	})
+	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	out.Col("iter").Int = concat(ics)
+	out.Col("item").Item = concatItemVecs(tcs)
+	out.N = out.Col("iter").Len()
+	e.chargeTable(out)
+	return out, nil
+}
+
+// attrStepRange resolves the attribute axis for input rows [lo, hi); lo
+// must start a run of identical context items.
+func (e *Exec) attrStepRange(n *AttrStep, iters []int64, items *ItemVec, lo, hi int) ([]int64, ItemVec) {
+	var ic []int64
+	var tc ItemVec
+	i := lo
+	runs := 0
+	for i < hi {
+		runs++
+		if runs&4095 == 4095 && e.stopRequested() {
+			break // the caller's partial output is discarded at Run's checkpoint
+		}
+		if items.KindAt(i) != xqt.KNode {
+			i++
+			continue
+		}
+		// group the run of identical context nodes so the output stays
+		// (attribute, iter)-ordered
+		j := i
+		for j < hi && items.KindAt(j) == xqt.KNode &&
+			items.Cont[j] == items.Cont[i] && items.I[j] == items.I[i] {
+			j++
+		}
+		c := e.Pool.Get(items.Cont[i])
+		pre := int32(items.I[i])
+		if c.Kind[pre] == store.KindElem {
+			ac, alo, ahi := c.Attrs(pre)
+			for a := alo; a < ahi; a++ {
+				if n.NameTest != "" && ac.Names.Name(ac.AttrName[a]) != n.NameTest {
+					continue
+				}
+				for k := i; k < j; k++ {
+					ic = append(ic, iters[k])
+					tc.Append(xqt.Attr(ac.ID, a))
+				}
+			}
+		}
+		i = j
+	}
+	return ic, tc
+}
+
+func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
+	if e.Transient == nil {
+		return nil, fmt.Errorf("ralg: element construction without a transient container")
+	}
+	loop := in[0].Ints("iter")
+	content := in[1]
+	citer := content.Ints("iter")
+	citem := content.Items("item")
+	// attribute value cursors: one per attribute part, its items cast to
+	// strings up front
+	type partCur struct {
+		iter []int64
+		strs []string
+		pos  int
+	}
+	type attrCur struct {
+		name  string
+		parts []partCur
+	}
+	attrs := make([]attrCur, len(n.Attrs))
+	next := 2
+	for i := range n.Attrs {
+		attrs[i].name = n.Attrs[i].Attr
+		for range n.Attrs[i].Parts {
+			t := in[next]
+			next++
+			attrs[i].parts = append(attrs[i].parts, partCur{iter: t.Ints("iter"), strs: e.cast(FunStringOf, t.Col("item")).S})
+		}
+	}
+	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	ic := out.Col("iter")
+	tc := out.Col("item")
+	b := store.NewContainerBuilder(e.Transient)
+	ci := 0
+	built := 0
+	for _, it := range loop {
+		built++
+		if built&1023 == 0 && e.stopRequested() {
+			return nil, e.stopErr()
+		}
+		pre := b.StartElem(n.Tag)
+		for a := range attrs {
+			var val strings.Builder
+			for pi := range attrs[a].parts {
+				cur := &attrs[a].parts[pi]
+				for cur.pos < len(cur.iter) && cur.iter[cur.pos] < it {
+					cur.pos++
+				}
+				first := true
+				for cur.pos < len(cur.iter) && cur.iter[cur.pos] == it {
+					if !first {
+						val.WriteString(" ")
+					}
+					first = false
+					val.WriteString(cur.strs[cur.pos])
+					cur.pos++
+				}
+			}
+			b.Attr(attrs[a].name, val.String())
+		}
+		for ci < len(citer) && citer[ci] < it {
+			ci++
+		}
+		pendingText := ""
+		sawContent := false
+		flush := func() {
+			if pendingText != "" {
+				b.Text(pendingText)
+				pendingText = ""
+			}
+		}
+		for ci < len(citer) && citer[ci] == it {
+			item := citem[ci]
+			switch item.K {
+			case xqt.KNode:
+				flush()
+				src := e.Pool.Get(item.Cont)
+				if src.Kind[item.I] == store.KindDoc {
+					// copying a document node copies its children
+					end := int32(item.I) + src.Size[item.I]
+					for p := int32(item.I) + 1; p <= end; p += src.Size[p] + 1 {
+						b.CopyTree(src, p)
+					}
+				} else {
+					b.CopyTree(src, int32(item.I))
+				}
+				sawContent = true
+			case xqt.KAttr:
+				src := e.Pool.Get(item.Cont)
+				if sawContent || pendingText != "" {
+					return nil, xqerr.Newf("XQTY0024", "attribute node after content in element constructor")
+				}
+				b.Attr(src.Names.Name(src.AttrName[item.I]), src.AttrVal[item.I])
+			default:
+				if pendingText != "" {
+					pendingText += " " + item.AsString()
+				} else {
+					pendingText = item.AsString()
+					sawContent = sawContent || pendingText != ""
+				}
+			}
+			ci++
+		}
+		flush()
+		b.End()
+		ic.Int = append(ic.Int, it)
+		tc.Item.Append(xqt.Node(e.Transient.ID, pre))
+	}
+	out.N = ic.Len()
+	e.chargeTable(out)
+	return out, nil
+}

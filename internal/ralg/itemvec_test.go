@@ -1,11 +1,9 @@
 package ralg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"mxq/internal/store"
 	"mxq/internal/xqt"
 )
 
@@ -177,9 +175,9 @@ func TestItemVecEmptyLeast(t *testing.T) {
 	}
 }
 
-// demote returns a copy of v with the tag vector materialized, so the
-// executor treats it as mixed and takes the per-row polymorphic path —
-// the reference implementation for the kernel-agreement test below.
+// demote returns a copy of v with the tag vector materialized: the same
+// values in the representation a mixed column has (the split-by-tag step
+// finds one group and runs it zero-copy).
 func demote(v ItemVec) ItemVec {
 	out := v
 	out.Tags = make([]xqt.Kind, v.Len())
@@ -187,102 +185,4 @@ func demote(v ItemVec) ItemVec {
 		out.Tags[i] = v.Tag
 	}
 	return out
-}
-
-// TestExecFunVecMatchesFallback: the typed-vector kernels and the
-// per-row polymorphic path must agree bit-for-bit on every op and kind
-// combination (the same values run through both representations).
-func TestExecFunVecMatchesFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const n = 64
-	mk := func(kind xqt.Kind) ItemVec {
-		items := make([]xqt.Item, n)
-		for i := range items {
-			switch kind {
-			case xqt.KInt:
-				items[i] = xqt.Int(int64(rng.Intn(21) - 10))
-			case xqt.KDouble:
-				items[i] = xqt.Double(float64(rng.Intn(41))/4 - 5)
-			case xqt.KBool:
-				items[i] = xqt.Bool(rng.Intn(2) == 0)
-			case xqt.KUntyped:
-				items[i] = xqt.Untyped([]string{"1", "2.5", "x", ""}[rng.Intn(4)])
-			default:
-				items[i] = xqt.Str([]string{"a", "ab", "b", ""}[rng.Intn(4)])
-			}
-		}
-		return NewItemVec(items)
-	}
-	kinds := []xqt.Kind{xqt.KInt, xqt.KDouble, xqt.KString, xqt.KUntyped, xqt.KBool}
-	binary := []FunOp{FunAdd, FunSub, FunMul, FunDiv, FunIDiv, FunMod,
-		FunEq, FunNe, FunLt, FunLe, FunGt, FunGe,
-		FunConcat, FunContains, FunStartsWith}
-	unary := []FunOp{FunNeg, FunStringOf, FunNumber, FunFloor, FunCeil,
-		FunRound, FunStrLen, FunAtomize, FunEbvAtom, FunIsNumeric}
-	pool := store.NewPool()
-	mkTab := func(cols ...ItemVec) *Table {
-		names := []string{"a", "b"}[:len(cols)]
-		tab := &Table{N: n}
-		for i, c := range cols {
-			tab.AddCol(names[i], Col{Kind: KItem, Item: c})
-		}
-		return tab
-	}
-	check := func(op FunOp, fast, slow *Table) {
-		t.Helper()
-		fc, sc := fast.Col("o"), slow.Col("o")
-		if fc.Kind != sc.Kind {
-			t.Fatalf("op %d: output kinds differ: %v vs %v", op, fc.Kind, sc.Kind)
-		}
-		for i := 0; i < n; i++ {
-			switch fc.Kind {
-			case KBool:
-				if fc.Bool[i] != sc.Bool[i] {
-					t.Fatalf("op %d row %d: %v vs %v", op, i, fc.Bool[i], sc.Bool[i])
-				}
-			default:
-				a, b := fc.Item.At(i), sc.Item.At(i)
-				// compare doubles by bit pattern so NaN == NaN
-				same := a == b || (a.K == xqt.KDouble && b.K == xqt.KDouble &&
-					math.Float64bits(a.F) == math.Float64bits(b.F))
-				if !same {
-					t.Fatalf("op %d row %d: %+v vs %+v", op, i, a, b)
-				}
-			}
-		}
-	}
-	for _, op := range binary {
-		for _, ka := range kinds {
-			for _, kb := range kinds {
-				a, b := mk(ka), mk(kb)
-				fn := &Fun{Op: op, Args: []string{"a", "b"}, Out: "o"}
-				ex := NewExec(pool, nil)
-				fast, err := ex.execFun(fn, mkTab(a, b))
-				if err != nil {
-					t.Fatal(err)
-				}
-				slow, err := ex.execFun(fn, mkTab(demote(a), demote(b)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(op, fast, slow)
-			}
-		}
-	}
-	for _, op := range unary {
-		for _, ka := range kinds {
-			a := mk(ka)
-			fn := &Fun{Op: op, Args: []string{"a"}, Out: "o"}
-			ex := NewExec(pool, nil)
-			fast, err := ex.execFun(fn, mkTab(a))
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := ex.execFun(fn, mkTab(demote(a)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(op, fast, slow)
-		}
-	}
 }

@@ -1,18 +1,29 @@
-// Intra-query parallel operator execution. The hot per-iter operators —
-// Step, AttrStep, RowNum, Aggr, Select, Fun and the HashJoin build and
-// probe phases — partition their inputs into contiguous row chunks and
-// run the chunks on a bounded goroutine pool. Chunk boundaries respect
-// iter/part group runs (splitRuns) or identical-item runs, so every
-// group is processed by exactly one worker with the serial algorithm and
-// the concatenated outputs are byte-identical to serial execution —
-// including floating-point aggregates, whose per-group accumulation
-// order is unchanged. Operators whose decomposition would reorder work
-// (Sort, ExistJoin, ElemConstruct, EBV) stay serial.
+// Chunked operator execution. Every partitionable operator — Select,
+// RowNum, Aggr, Step, AttrStep, Fun, the HashJoin build and probe, the
+// gathers — is written once, as a body over one contiguous row range
+// [lo, hi) (or one task: a container segment, a column, a key
+// partition), plus an in-order concatenation of the per-chunk outputs.
+// Serial execution is the one-chunk case of the same body: chunks
+// returns the single range [0, n) unless Par asks for more, a lone
+// chunk runs on the calling goroutine, and concat adopts a lone chunk's
+// slices without copying. This file is the only place that reads Par
+// (stepSegRun hands the worker budget on to scj); operators never
+// branch on it.
+//
+// Chunk boundaries respect iter/part group runs or identical-item runs
+// (the cuttable predicate), so every group is processed by exactly one
+// worker in row order and the concatenated outputs are byte-identical
+// whatever the chunk count — including floating-point aggregates, whose
+// per-group accumulation order never changes. Operators whose
+// decomposition would reorder work (Sort, ExistJoin, ElemConstruct,
+// EBV) always run as one chunk.
 //
 // Workers only read shared state (the plan, the input tables, the
-// container pool) and write to disjoint output ranges or worker-local
+// container pool) and write to disjoint output ranges or chunk-local
 // buffers, so the executor is race-free by construction; the test suite
-// runs the full differential corpus under -race to enforce this.
+// runs the full differential corpus under -race to enforce this. Every
+// chunk and task starts with a stopRequested poll, so a cancelled
+// context or an exhausted memory budget skips the work not yet begun.
 
 package ralg
 
@@ -54,24 +65,11 @@ func (p ParOptions) on(n int) bool {
 	return p.Workers > 1 && p.Threshold > 0 && n >= p.Threshold
 }
 
-// parRun executes f(0..chunks-1) on at most p.Workers concurrent
-// goroutines (drawn from the shared slot pool when one is installed)
-// and waits for completion.
-func (p ParOptions) parRun(chunks int, f func(int)) {
-	scj.ParRunSlots(p.Slots, p.Workers, chunks, f)
-}
-
-// splitRows cuts [0, n) into at most chunks contiguous non-empty
-// [lo, hi) ranges of near-equal size.
-func splitRows(n, chunks int) [][2]int {
-	return splitRuns(n, chunks, nil)
-}
-
-// splitRuns cuts [0, n) into at most chunks contiguous ranges like
-// splitRows, but moves each cut forward until cuttable(i) reports that a
-// chunk may start at row i — e.g. "part[i] != part[i-1]" keeps iter
-// groups intact (nil means every row is cuttable). A single run spanning
-// everything yields one chunk.
+// splitRuns cuts [0, n) into at most chunks contiguous non-empty
+// [lo, hi) ranges of near-equal size, moving each cut forward until
+// cuttable(i) reports that a chunk may start at row i — e.g.
+// "part[i] != part[i-1]" keeps iter groups intact (nil means every row
+// is cuttable). A single run spanning everything yields one chunk.
 func splitRuns(n, chunks int, cuttable func(i int) bool) [][2]int {
 	if chunks > n {
 		chunks = n
@@ -103,135 +101,128 @@ func int64sNonDecreasing(s []int64) bool {
 	return true
 }
 
-// parFill runs fill over row chunks of [0, n); fill must only write
-// rows in its own [lo, hi) range. Chunks whose turn comes after the
-// execution's context expired are skipped (the partial table is
-// discarded by Run).
-func (e *Exec) parFill(n int, fill func(lo, hi int)) {
+// chunks is the one chunking decision: the row ranges an operator over
+// n rows runs its per-chunk body on. Below the parallel threshold that
+// is the single range [0, n); above it, up to Par.Workers ranges cut
+// where cuttable allows (see splitRuns).
+func (e *Exec) chunks(n int, cuttable func(i int) bool) [][2]int {
 	if !e.Par.on(n) {
-		fill(0, n)
-		return
+		return [][2]int{{0, n}}
 	}
-	rs := splitRows(n, e.Par.Workers)
-	e.Par.parRun(len(rs), func(k int) {
+	return splitRuns(n, e.Par.Workers, cuttable)
+}
+
+// groupChunks chunks the rows of a part column at group boundaries, for
+// operators that keep per-group state. That is only sound when equal
+// part values are adjacent, so an unclustered column takes one chunk.
+func (e *Exec) groupChunks(part []int64) [][2]int {
+	rs := e.chunks(len(part), func(i int) bool { return part[i] != part[i-1] })
+	if len(rs) > 1 && !int64sNonDecreasing(part) {
+		return [][2]int{{0, len(part)}}
+	}
+	return rs
+}
+
+// forTasks runs f(0..n-1) on the worker pool and waits: the chunks of
+// forChunks, or work units that are not row ranges — a Step's container
+// segments, a hash build's key partitions. f(k) must write only task-k
+// state. A task whose turn comes after the execution was cancelled or
+// ran out of budget is skipped: its output stays empty and Run discards
+// the partial table.
+func (e *Exec) forTasks(n int, f func(k int)) { e.runTasks(e.Par.Workers, n, f) }
+
+// runTasks is forTasks on at most workers goroutines, drawn from the
+// shared slot pool when one is installed; one task, or one worker, runs
+// on the calling goroutine.
+func (e *Exec) runTasks(workers, n int, f func(k int)) {
+	scj.ParRunSlots(e.Par.Slots, workers, n, func(k int) {
 		if e.stopRequested() {
 			return
 		}
-		fill(rs[k][0], rs[k][1])
+		f(k)
 	})
 }
 
-// gather is Table.Gather with column-parallel execution for large index
-// sets (each column gathers independently).
-func (e *Exec) gather(t *Table, idx []int32) *Table {
-	if !e.Par.on(len(idx)) || len(t.cols) <= 1 {
-		return t.Gather(idx)
+// forChunks runs body over every range of rs; body(k, lo, hi) must
+// write only chunk-k state or rows of its own range.
+func (e *Exec) forChunks(rs [][2]int, body func(k, lo, hi int)) {
+	e.forTasks(len(rs), func(k int) { body(k, rs[k][0], rs[k][1]) })
+}
+
+// chunkFill runs fill over the row chunks of [0, n): the driver of
+// operators whose output is one preallocated column with a row per
+// input row.
+func (e *Exec) chunkFill(n int, fill func(lo, hi int)) {
+	e.forChunks(e.chunks(n, nil), func(_, lo, hi int) { fill(lo, hi) })
+}
+
+// chunkPairs produces (lidx, ridx) join-pair lists: gen emits the pairs
+// for input rows [lo, hi) into fresh slices, and the chunk outputs are
+// concatenated in chunk order, which is the one-chunk emission order.
+func (e *Exec) chunkPairs(nrows int, gen func(lo, hi int) ([]int32, []int32)) ([]int32, []int32) {
+	rs := e.chunks(nrows, nil)
+	ls := make([][]int32, len(rs))
+	rds := make([][]int32, len(rs))
+	e.forChunks(rs, func(k, lo, hi int) { ls[k], rds[k] = gen(lo, hi) })
+	return concat(ls), concat(rds)
+}
+
+// concat joins per-chunk outputs in chunk order. A lone chunk's slice
+// is adopted as the result, not copied — the serial case pays nothing
+// for being expressed as chunks.
+func concat[T any](parts [][]T) []T {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
-	out.cols = make([]Col, len(t.cols))
-	e.Par.parRun(len(t.cols), func(i int) {
-		if e.stopRequested() {
-			return
-		}
-		out.cols[i] = t.cols[i].Gather(idx)
-	})
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]T, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
 	return out
 }
 
-// parPairs produces concatenated (lidx, ridx) join-pair lists: gen emits
-// the pairs for input rows [lo, hi) into fresh slices. Chunk outputs are
-// concatenated in chunk order, preserving the serial emission order.
-func (e *Exec) parPairs(nrows int, gen func(lo, hi int) ([]int32, []int32)) ([]int32, []int32) {
-	if !e.Par.on(nrows) {
-		return gen(0, nrows)
+// concatItemVecs is concat for item columns: a lone chunk's vector is
+// adopted, several are appended (staying uniform when they agree).
+func concatItemVecs(parts []ItemVec) ItemVec {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	rs := splitRows(nrows, e.Par.Workers)
-	ls := make([][]int32, len(rs))
-	rds := make([][]int32, len(rs))
-	e.Par.parRun(len(rs), func(k int) {
-		if e.stopRequested() {
-			return
-		}
-		ls[k], rds[k] = gen(rs[k][0], rs[k][1])
-	})
-	total := 0
-	for _, l := range ls {
-		total += len(l)
+	var out ItemVec
+	for k := range parts {
+		out.AppendVec(&parts[k])
 	}
-	lidx := make([]int32, 0, total)
-	ridx := make([]int32, 0, total)
-	for k := range ls {
-		lidx = append(lidx, ls[k]...)
-		ridx = append(ridx, rds[k]...)
-	}
-	return lidx, ridx
+	return out
 }
 
-// hashTable is a key-partitioned join hash table: partition w owns the
-// keys with keyPart(k, w). Serial builds use a single partition.
-type hashTable struct {
-	parts []map[int64][]int32
-}
-
-// keyPart maps a join key to its owning partition (Fibonacci mixing so
-// dense ascending keys spread evenly).
-func keyPart(k int64, nparts int) int {
-	if nparts == 1 {
-		return 0
+// forCols runs f once per column of a gather over rows index entries:
+// columns gather independently, concurrently when the index is large.
+func (e *Exec) forCols(rows, ncols int, f func(i int)) {
+	workers := 1
+	if e.Par.on(rows) {
+		workers = e.Par.Workers
 	}
-	return int((uint64(k) * 0x9E3779B97F4A7C15 >> 32) % uint64(nparts))
+	e.runTasks(workers, ncols, f)
 }
 
-func (h *hashTable) lookup(k int64) []int32 {
-	return h.parts[keyPart(k, len(h.parts))][k]
-}
-
-// buildHashTable builds the right-side key -> row-list table. Large
-// build sides are partitioned by key hash: each worker scans the whole
-// key column but inserts only the keys it owns, so no serial merge is
-// needed and every key's row list is in right-input order exactly as the
-// serial build produces it.
-// hashEntryBytes is the accounted cost of one build-table entry: the
-// int32 row index plus amortized map bucket overhead.
-const hashEntryBytes = 16
-
-func (e *Exec) buildHashTable(rkey []int64) *hashTable {
-	if !e.Par.on(len(rkey)) {
-		m := make(map[int64][]int32, len(rkey))
-		for j, k := range rkey {
-			if j&8191 == 8191 {
-				// charge the build as it grows so an over-budget query
-				// aborts mid-build instead of after materializing it
-				e.charge(8192 * hashEntryBytes)
-				if e.stopRequested() {
-					break
-				}
-			}
-			m[k] = append(m[k], int32(j))
-		}
-		e.charge(int64(len(rkey)%8192) * hashEntryBytes)
-		return &hashTable{parts: []map[int64][]int32{m}}
+// keyPartitions is the number of key-hash partitions a hash-join build
+// over n rows uses: one per worker when the build goes parallel.
+func (e *Exec) keyPartitions(n int) int {
+	if !e.Par.on(n) {
+		return 1
 	}
-	nparts := e.Par.Workers
-	h := &hashTable{parts: make([]map[int64][]int32, nparts)}
-	e.Par.parRun(nparts, func(w int) {
-		m := make(map[int64][]int32, len(rkey)/nparts+1)
-		inserted := 0
-		for j, k := range rkey {
-			if j&8191 == 8191 {
-				e.charge(int64(inserted) * hashEntryBytes)
-				inserted = 0
-				if e.stopRequested() {
-					break
-				}
-			}
-			if keyPart(k, nparts) == w {
-				m[k] = append(m[k], int32(j))
-				inserted++
-			}
-		}
-		e.charge(int64(inserted) * hashEntryBytes)
-		h.parts[w] = m
-	})
-	return h
+	return e.Par.Workers
+}
+
+// gather is Table.Gather with the columns as tasks, charged to the
+// memory budget: the materializing tail of every row-selecting operator.
+func (e *Exec) gather(t *Table, idx []int32) *Table {
+	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
+	out.cols = make([]Col, len(t.cols))
+	e.forCols(len(idx), len(t.cols), func(i int) { out.cols[i] = t.cols[i].Gather(idx) })
+	e.chargeTable(out)
+	return out
 }

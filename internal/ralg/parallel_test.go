@@ -21,9 +21,9 @@ func TestSplitRows(t *testing.T) {
 		{3, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
 	}
 	for _, tc := range cases {
-		got := splitRows(tc.n, tc.chunks)
+		got := splitRuns(tc.n, tc.chunks, nil)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("splitRows(%d, %d) = %v, want %v", tc.n, tc.chunks, got, tc.want)
+			t.Errorf("splitRuns(%d, %d, nil) = %v, want %v", tc.n, tc.chunks, got, tc.want)
 		}
 	}
 }

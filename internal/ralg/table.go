@@ -22,10 +22,11 @@
 // inputs), so one compiled plan may be executed by any number of Exec
 // instances concurrently, each with its own memo table, statistics and
 // transient container. Within one execution, Exec.Par additionally
-// partitions the hot operators — Step/AttrStep, RowNum, Aggr, Select,
-// Fun, HashJoin build and probe — across a bounded goroutine pool with
-// chunk boundaries aligned to iter/part group runs, keeping output
-// byte-identical to serial execution (see parallel.go).
+// cuts the input of the hot operators — Step/AttrStep, RowNum, Aggr,
+// Select, Fun, HashJoin build and probe — into chunks run on a bounded
+// goroutine pool, with chunk boundaries aligned to iter/part group
+// runs so the output does not depend on the chunk count (see
+// parallel.go).
 package ralg
 
 import (
@@ -86,6 +87,44 @@ func payloads(k xqt.Kind) (cont, i, f, s bool) {
 	}
 }
 
+// growPayload extends one payload vector of an n-row column by count
+// zero rows. A vector no row has needed so far stays nil unless the new
+// rows use it.
+func growPayload[T any](p []T, used bool, n, count int) []T {
+	if p == nil && !used {
+		return nil
+	}
+	if p == nil {
+		p = make([]T, n, n+count)
+	}
+	return append(p, make([]T, count)...)
+}
+
+// appendPayload appends the on-row payload vector o (nil: zero rows) to
+// the n-row vector p, keeping p nil when neither column carries it.
+func appendPayload[T any](p, o []T, n, on int) []T {
+	if o == nil {
+		return growPayload(p, false, n, on)
+	}
+	if p == nil {
+		p = make([]T, n, n+on)
+	}
+	return append(p, o...)
+}
+
+// gatherOf returns src[idx[0]], src[idx[1]], …; a payload the column
+// does not carry (nil) stays nil.
+func gatherOf[T any](src []T, idx []int32) []T {
+	if src == nil {
+		return nil
+	}
+	out := make([]T, len(idx))
+	for i, j := range idx {
+		out[i] = src[j]
+	}
+	return out
+}
+
 // Len returns the number of rows.
 func (v *ItemVec) Len() int { return v.n }
 
@@ -139,30 +178,10 @@ func (v *ItemVec) growRows(k xqt.Kind, count int) int {
 		}
 	}
 	cont, i, f, s := payloads(k)
-	if v.Cont != nil || cont {
-		if v.Cont == nil {
-			v.Cont = make([]int32, v.n, v.n+count)
-		}
-		v.Cont = append(v.Cont, make([]int32, count)...)
-	}
-	if v.I != nil || i {
-		if v.I == nil {
-			v.I = make([]int64, v.n, v.n+count)
-		}
-		v.I = append(v.I, make([]int64, count)...)
-	}
-	if v.F != nil || f {
-		if v.F == nil {
-			v.F = make([]float64, v.n, v.n+count)
-		}
-		v.F = append(v.F, make([]float64, count)...)
-	}
-	if v.S != nil || s {
-		if v.S == nil {
-			v.S = make([]string, v.n, v.n+count)
-		}
-		v.S = append(v.S, make([]string, count)...)
-	}
+	v.Cont = growPayload(v.Cont, cont, v.n, count)
+	v.I = growPayload(v.I, i, v.n, count)
+	v.F = growPayload(v.F, f, v.n, count)
+	v.S = growPayload(v.S, s, v.n, count)
 	v.n += count
 	return base
 }
@@ -210,49 +229,10 @@ func (v *ItemVec) AppendVec(o *ItemVec) {
 			}
 		}
 	}
-	appendCont := func() {
-		if v.Cont == nil {
-			v.Cont = make([]int32, v.n, v.n+o.n)
-		}
-		if o.Cont != nil {
-			v.Cont = append(v.Cont, o.Cont...)
-		} else {
-			v.Cont = append(v.Cont, make([]int32, o.n)...)
-		}
-	}
-	if v.Cont != nil || o.Cont != nil {
-		appendCont()
-	}
-	if v.I != nil || o.I != nil {
-		if v.I == nil {
-			v.I = make([]int64, v.n, v.n+o.n)
-		}
-		if o.I != nil {
-			v.I = append(v.I, o.I...)
-		} else {
-			v.I = append(v.I, make([]int64, o.n)...)
-		}
-	}
-	if v.F != nil || o.F != nil {
-		if v.F == nil {
-			v.F = make([]float64, v.n, v.n+o.n)
-		}
-		if o.F != nil {
-			v.F = append(v.F, o.F...)
-		} else {
-			v.F = append(v.F, make([]float64, o.n)...)
-		}
-	}
-	if v.S != nil || o.S != nil {
-		if v.S == nil {
-			v.S = make([]string, v.n, v.n+o.n)
-		}
-		if o.S != nil {
-			v.S = append(v.S, o.S...)
-		} else {
-			v.S = append(v.S, make([]string, o.n)...)
-		}
-	}
+	v.Cont = appendPayload(v.Cont, o.Cont, v.n, o.n)
+	v.I = appendPayload(v.I, o.I, v.n, o.n)
+	v.F = appendPayload(v.F, o.F, v.n, o.n)
+	v.S = appendPayload(v.S, o.S, v.n, o.n)
 	v.n += o.n
 }
 
@@ -260,38 +240,8 @@ func (v *ItemVec) AppendVec(o *ItemVec) {
 // vector stays mixed even if the gathered rows happen to share a kind
 // (re-detecting uniformity would cost a scan per gather).
 func (v *ItemVec) Gather(idx []int32) ItemVec {
-	out := ItemVec{Tag: v.Tag, n: len(idx)}
-	if v.Tags != nil {
-		out.Tags = make([]xqt.Kind, len(idx))
-		for i, j := range idx {
-			out.Tags[i] = v.Tags[j]
-		}
-	}
-	if v.Cont != nil {
-		out.Cont = make([]int32, len(idx))
-		for i, j := range idx {
-			out.Cont[i] = v.Cont[j]
-		}
-	}
-	if v.I != nil {
-		out.I = make([]int64, len(idx))
-		for i, j := range idx {
-			out.I[i] = v.I[j]
-		}
-	}
-	if v.F != nil {
-		out.F = make([]float64, len(idx))
-		for i, j := range idx {
-			out.F[i] = v.F[j]
-		}
-	}
-	if v.S != nil {
-		out.S = make([]string, len(idx))
-		for i, j := range idx {
-			out.S[i] = v.S[j]
-		}
-	}
-	return out
+	return ItemVec{Tags: gatherOf(v.Tags, idx), Tag: v.Tag, n: len(idx),
+		Cont: gatherOf(v.Cont, idx), I: gatherOf(v.I, idx), F: gatherOf(v.F, idx), S: gatherOf(v.S, idx)}
 }
 
 // Slice materializes the vector as a polymorphic item slice (a
@@ -366,22 +316,13 @@ func (c *Col) Len() int {
 
 // Gather returns a new column holding rows idx of c, in order.
 func (c *Col) Gather(idx []int32) Col {
-	out := Col{Kind: c.Kind}
 	switch c.Kind {
 	case KInt:
-		out.Int = make([]int64, len(idx))
-		for i, j := range idx {
-			out.Int[i] = c.Int[j]
-		}
+		return Col{Kind: KInt, Int: gatherOf(c.Int, idx)}
 	case KBool:
-		out.Bool = make([]bool, len(idx))
-		for i, j := range idx {
-			out.Bool[i] = c.Bool[j]
-		}
-	default:
-		out.Item = c.Item.Gather(idx)
+		return Col{Kind: KBool, Bool: gatherOf(c.Bool, idx)}
 	}
-	return out
+	return Col{Kind: KItem, Item: c.Item.Gather(idx)}
 }
 
 // Table is a named collection of columns of equal length.
@@ -438,6 +379,12 @@ func (t *Table) AddCol(name string, c Col) {
 	}
 	t.names = append(t.names, name)
 	t.cols = append(t.cols, c)
+}
+
+// withCol returns a table sharing t's columns (zero-copy) plus c.
+func (t *Table) withCol(name string, c Col) *Table {
+	return &Table{N: t.N, names: append(t.names[:len(t.names):len(t.names)], name),
+		cols: append(t.cols[:len(t.cols):len(t.cols)], c)}
 }
 
 // Gather returns a new table holding rows idx of t, in order.
