@@ -11,9 +11,9 @@ import (
 // must account its allocations against the execution's memory budget,
 // either directly (charge / chargeTable / chargeFunc / Charge) or by
 // calling — transitively, within the package — a function that does.
-// Serial scj kernels are exempt by construction: their outputs are
-// charged by the ralg operator (or parallel driver) that invoked them,
-// which is where the output size is known.
+// Serial scj kernels are exempt by construction: they all write through
+// the block emitter, which charges per block, and the ralg operator that
+// invoked them charges the widened columns.
 //
 // A function whose allocations are provably O(columns) bookkeeping —
 // zero-copy column rearrangement, not row materialization — may opt out

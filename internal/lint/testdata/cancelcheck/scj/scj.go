@@ -41,3 +41,36 @@ func noStats(ctx Pairs) {
 	for range ctx.Pre {
 	}
 }
+
+// touch counts n visited tuples and polls once per 4096 of them.
+func (st *Stats) touch(n int64) bool {
+	before := st.Touched
+	st.Touched += n
+	return before>>12 != st.Touched>>12 && st.stopped()
+}
+
+// scanStretchBad is a bulk loop that accounts its tuples once per
+// stretch and never polls: a long stretch runs unbounded.
+func scanStretchBad(kind []uint8, p, stop int32, st *Stats) int32 { // want "scanStretchBad: row loop never polls cancellation"
+	from := p
+	for ; p <= stop; p++ {
+		_ = kind[p]
+	}
+	st.Touched += int64(p - from)
+	return p
+}
+
+// scanStretchGood cuts the stretch into bounded sub-stretches and polls
+// after each through touch.
+func scanStretchGood(kind []uint8, p, stop int32, st *Stats) int32 {
+	for p <= stop {
+		from := p
+		for end := min(stop, p+4095); p <= end; p++ {
+			_ = kind[p]
+		}
+		if st.touch(int64(p - from)) {
+			return -1
+		}
+	}
+	return p
+}

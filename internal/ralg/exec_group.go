@@ -134,6 +134,7 @@ func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 
 // aggGroup accumulates one group's aggregate state.
 type aggGroup struct {
+	part   int64
 	cnt    int64
 	sumF   float64
 	sumI   int64
@@ -142,7 +143,10 @@ type aggGroup struct {
 }
 
 // aggrRange aggregates rows [lo, hi) by part, returning one (part, value)
-// row per group in first-appearance order. When the argument column has a
+// row per group in first-appearance order. Groups live in one flat slice:
+// on clustered input (part non-decreasing, the usual state of an iter
+// column) a group is a run and its ordinal is the run's; otherwise a map
+// assigns the ordinals. When the argument column has a
 // uniform numeric tag, the accumulation loops run over the raw
 // int64/float64 payload vectors — one kind dispatch per chunk instead of
 // one per row (the accumulation order, and therefore every
@@ -150,17 +154,32 @@ type aggGroup struct {
 // every few thousand rows; when it fires the partial result is dropped
 // (the caller's Run surfaces the context error).
 func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool) ([]int64, []xqt.Item) {
-	order := make([]int64, 0, 64)
-	groups := make(map[int64]*aggGroup, 64)
-	lookup := func(p int64) *aggGroup {
-		g := groups[p]
-		if g == nil {
-			g = &aggGroup{allInt: true}
-			groups[p] = g
-			order = append(order, p)
+	runs, clustered := 0, true
+	for i := lo; i < hi; i++ {
+		if i == lo || part[i] != part[i-1] {
+			runs++
+			clustered = clustered && (i == lo || part[i] > part[i-1])
 		}
-		g.cnt++
-		return g
+	}
+	var ordinal map[int64]int32 // unclustered input only
+	if !clustered {
+		runs, ordinal = 64, make(map[int64]int32, 64)
+	}
+	groups := make([]aggGroup, 0, runs)
+	lookup := func(p int64) *aggGroup {
+		k := len(groups) - 1
+		if k < 0 || groups[k].part != p {
+			o, seen := ordinal[p]
+			if k = int(o); !seen {
+				k = len(groups)
+				groups = append(groups, aggGroup{part: p, allInt: true})
+				if ordinal != nil {
+					ordinal[p] = int32(k)
+				}
+			}
+		}
+		groups[k].cnt++
+		return &groups[k]
 	}
 	tag := xqt.KUntyped
 	uniform := false
@@ -236,11 +255,11 @@ func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool
 			}
 		}
 	}
-	pc := make([]int64, len(order))
-	vc := make([]xqt.Item, len(order))
-	for i, p := range order {
-		g := groups[p]
-		pc[i] = p
+	pc := make([]int64, len(groups))
+	vc := make([]xqt.Item, len(groups))
+	for i := range groups {
+		g := &groups[i]
+		pc[i] = g.part
 		switch n.Op {
 		case AggCount:
 			vc[i] = xqt.Int(g.cnt)

@@ -15,21 +15,7 @@ func stepInputSorted(items *ItemVec, iters []int64) bool {
 	if k, ok := items.Uniform(); ok && (k == xqt.KNode || k == xqt.KAttr) {
 		// uniform node column: document order is (container, pre) order
 		// directly on the payload vectors
-		for i := 1; i < items.Len(); i++ {
-			switch {
-			case items.Cont[i-1] != items.Cont[i]:
-				if items.Cont[i-1] > items.Cont[i] {
-					return false
-				}
-			case items.I[i-1] != items.I[i]:
-				if items.I[i-1] > items.I[i] {
-					return false
-				}
-			case iters[i-1] > iters[i]:
-				return false
-			}
-		}
-		return true
+		return rawColsSorted([]rawCol{{hi: items.Cont, lo: items.I}, {lo: iters}}, items.Len())
 	}
 	for i := 1; i < items.Len(); i++ {
 		a, b := items.At(i-1), items.At(i)
@@ -89,30 +75,26 @@ func stepSegments(items *ItemVec, axis scj.Axis) []stepSeg {
 	return segs
 }
 
-// stepSegRun evaluates one segment. The segment's worker budget is its
-// share — weight out of total — of the execution's workers: a budget
-// of at most one runs the serial step algorithm, larger budgets hand
-// the segment to ParallelStep (which still falls back to serial below
-// the threshold).
-func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) scj.Pairs {
+// stepSegRun evaluates one segment and returns the blocks the kernel
+// filled. The segment's worker budget is its share — weight out of
+// total — of the execution's workers: scj.StepBlocks runs the step
+// serially on a budget of one, or below the threshold, and decomposed
+// otherwise.
+func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) scj.Blocks {
+	c := e.Pool.Get(s.cont)
 	if s.attrRow {
-		var out scj.Pairs
-		c := e.Pool.Get(s.cont)
 		owner := c.AttrOwner[items.I[s.lo]]
-		if scj.CompileTest(c, n.Test)(owner) {
-			out.Pre = []int32{owner}
-			out.Iter = []int32{int32(iters[s.lo])}
+		if !scj.CompileTest(c, n.Test)(owner) {
+			return scj.Blocks{}
 		}
-		return out
+		e.charge(8) // the emitter's share of this row
+		return scj.Blocks{Segs: []scj.Pairs{{Pre: []int32{owner}, Iter: []int32{int32(iters[s.lo])}}}}
 	}
 	// the context relation is emitted as columns straight off the typed
 	// payload vectors
 	ctx := scj.FromColumns(items.I, iters, s.lo, s.hi)
-	c := e.Pool.Get(s.cont)
-	if budget := int(int64(e.Par.Workers) * weight / total); budget > 1 {
-		return scj.ParallelStepSlots(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
-	}
-	return scj.Step(c, ctx, n.Axis, n.Test, n.Variant, st)
+	budget := int(int64(e.Par.Workers) * weight / total)
+	return scj.StepBlocks(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
 }
 
 func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
@@ -122,7 +104,7 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 		return nil, fmt.Errorf("ralg: step(%v) input not sorted on (item, iter): plan misses a sort", n.Axis)
 	}
 	segs := stepSegments(items, n.Axis)
-	results := make([]scj.Pairs, len(segs))
+	results := make([]scj.Blocks, len(segs))
 	// Each container run is one task (with a sharded collection, the
 	// unit of cross-shard parallelism), and the worker budget is split
 	// across segments in proportion to their containers' sizes, so a
@@ -144,47 +126,57 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 		weights[k] = w
 		weight += w
 	}
+	defer func() {
+		for k := range results {
+			results[k].Release() // the blocks go back to the pool on every path
+		}
+	}()
 	stats := make([]scj.Stats, len(segs))
 	stop := e.stopFunc()
 	charge := e.chargeFunc()
 	e.forTasks(len(segs), func(k int) {
-		stats[k].Stop = stop
-		stats[k].Charge = charge
+		stats[k] = scj.Stats{Stop: stop, Charge: charge}
 		results[k] = e.stepSegRun(n, iters, items, segs[k], weights[k], weight, &stats[k])
 	})
-	for k := range stats {
+	// the pair segments of all container runs with their output offsets
+	type piece struct {
+		scj.Pairs
+		cont int32
+		base int
+	}
+	var pieces []piece
+	total := 0
+	for k := range results {
 		e.Stats.Step.Touched += stats[k].Touched
 		e.Stats.Step.Emitted += stats[k].Emitted
 		e.Stats.Step.Pruned += stats[k].Pruned
+		for _, seg := range results[k].Segs {
+			pieces = append(pieces, piece{seg, segs[k].cont, total})
+			total += seg.Len()
+		}
 	}
-	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	total := 0
-	for _, r := range results {
-		total += r.Len()
-	}
-	// 20 B/row: the iter int64 plus the node column's cont/pre vectors;
-	// the size is known before allocating, so an over-budget step fails
-	// without materializing the output
-	if !e.charge(20 * int64(total)) {
+	// A step costs 20 B per result row: the emitter charged 8 of them as
+	// each block filled (so a runaway step aborts mid-emission), the
+	// other 12 — the widening of iter and pre to int64 plus the cont
+	// vector — are charged here, before allocating, so an over-budget
+	// step fails without materializing the output
+	if !e.charge(12 * int64(total)) {
 		return nil, e.Mem.Err()
 	}
+	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
 	ic := out.Col("iter")
 	tc := out.Col("item")
 	ic.Int = make([]int64, total)
 	tc.Item.growRows(xqt.KNode, total)
-	base := 0
-	for k, res := range results {
-		cont := segs[k].cont
-		b := base
-		e.chunkFill(res.Len(), func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				ic.Int[b+r] = int64(res.Iter[r])
-				tc.Item.Cont[b+r] = cont
-				tc.Item.I[b+r] = int64(res.Pre[r])
-			}
-		})
-		base += res.Len()
-	}
+	// the single copy of the step result: block pairs widen straight into
+	// the output columns
+	e.forTasks(len(pieces), func(k int) {
+		pc := pieces[k]
+		ii, cc, pp := ic.Int[pc.base:], tc.Item.Cont[pc.base:], tc.Item.I[pc.base:]
+		for r, pre := range pc.Pre {
+			ii[r], cc[r], pp[r] = int64(pc.Iter[r]), pc.cont, int64(pre)
+		}
+	})
 	out.N = total
 	return out, nil
 }

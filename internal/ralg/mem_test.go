@@ -2,8 +2,11 @@ package ralg
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"mxq/internal/scj"
+	"mxq/internal/store"
 	"mxq/internal/xqerr"
 )
 
@@ -94,5 +97,62 @@ func TestTableMemBytes(t *testing.T) {
 	got := tb.MemBytes()
 	if got != 8*10+10 {
 		t.Fatalf("MemBytes = %d, want %d", got, 8*10+10)
+	}
+}
+
+// A serial step must be visible to the budget while it emits: under a
+// budget a tenth of its output, descendant::node() from the root aborts
+// mid-emission — Emitted stays below the full count — and Run returns
+// the typed resource-limit error. (Before the block emitter charged per
+// block, the serial step ran to completion uncharged and only the
+// post-hoc 20 B/row charge failed.)
+func TestSerialStepBudgetAbortsMidEmission(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<d>")
+	for i := 0; i < 40000; i++ {
+		sb.WriteString("<e>t</e>")
+	}
+	sb.WriteString("</d>")
+	c, err := store.Shred("big.xml", strings.NewReader(sb.String()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := store.NewPool()
+	pool.Register(c)
+	step := &Step{unary: unary{In: &DocRoot{Doc: "big.xml"}}, Axis: scj.Descendant,
+		Test: scj.Test{Kind: scj.TestNode}, Variant: scj.LoopLifted, IterCol: "pos", ItemCol: "item"}
+
+	free := NewExec(pool, nil)
+	full, err := free.Run(step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(full.N) != free.Stats.Step.Emitted || full.N < 80000 {
+		t.Fatalf("unbudgeted step: %d rows, %d emitted", full.N, free.Stats.Step.Emitted)
+	}
+	// the same step is charged 20 B/row whether it runs serially or forced
+	// parallel (28 B/row before: the drivers' 8 on top of execStep's 20)
+	budgeted := NewExec(pool, nil)
+	budgeted.Mem = NewMemBudget(1 << 30)
+	if _, err := budgeted.Run(step); err != nil || budgeted.Mem.Used() < 20*int64(full.N) {
+		t.Fatalf("budgeted step: err %v, %d bytes charged for %d rows", err, budgeted.Mem.Used(), full.N)
+	}
+	stepBytes := budgeted.Mem.Used()
+	par := NewExec(pool, nil)
+	par.Par = ParOptions{Workers: 4, Threshold: 1}
+	par.Mem = NewMemBudget(1 << 30)
+	if _, err := par.Run(step); err != nil || par.Mem.Used() != stepBytes {
+		t.Fatalf("parallel step: err %v, %d bytes charged, serial charged %d", err, par.Mem.Used(), stepBytes)
+	}
+
+	e := NewExec(pool, nil)
+	e.Mem = NewMemBudget(20 * int64(full.N) / 10)
+	_, err = e.Run(step)
+	var qe *xqerr.Error
+	if !errors.As(err, &qe) || qe.Code != "XPDY0130" || !xqerr.IsResourceLimit(err) {
+		t.Fatalf("err = %v, want %s", err, xqerr.CodeResourceLimit)
+	}
+	if got := e.Stats.Step.Emitted; got == 0 || got >= int64(full.N) {
+		t.Fatalf("step emitted %d of %d pairs under a tenth of its budget: not aborted mid-emission", got, full.N)
 	}
 }

@@ -1,6 +1,8 @@
 package ralg
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -215,6 +217,24 @@ func TestAggr(t *testing.T) {
 			if got := out.Items("v")[i]; got != c.want[p] {
 				t.Errorf("aggr op=%d part=%d: got %+v want %+v", c.op, p, got, c.want[p])
 			}
+		}
+	}
+}
+
+// Unclustered partitions (a group's rows not adjacent) aggregate like
+// clustered ones, one output row per group in first-appearance order.
+func TestAggrUnclustered(t *testing.T) {
+	part := []int64{3, 1, 3, 2, 1, 3, 3}
+	items := []xqt.Item{xqt.Int(1), xqt.Int(5), xqt.Int(9), xqt.Double(2.5), xqt.Int(7), xqt.Int(2), xqt.Int(4)}
+	tab := seqTable(part, make([]int64, len(part)), items)
+	for op, want := range map[AggOp][]xqt.Item{
+		AggCount: {xqt.Int(4), xqt.Int(2), xqt.Int(1)},
+		AggSum:   {xqt.Int(16), xqt.Int(12), xqt.Double(2.5)},
+		AggMax:   {xqt.Int(9), xqt.Int(7), xqt.Double(2.5)},
+	} {
+		out := run(t, &Aggr{unary: unary{In: &Lit{Tab: tab}}, Part: "iter", Op: op, Arg: "item", Out: "v"})
+		if fmt.Sprint(out.Ints("iter")) != "[3 1 2]" || !slices.Equal(out.Items("v"), want) {
+			t.Errorf("aggr op=%d: parts %v values %v, want [3 1 2] %v", op, out.Ints("iter"), out.Items("v"), want)
 		}
 	}
 }

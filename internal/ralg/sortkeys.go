@@ -230,6 +230,9 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 	if refinePrefix >= len(by) || n < 2 {
 		return nil
 	}
+	if rawSorted(t, by, desc) {
+		return nil
+	}
 	var run []uint64 // ordinal of each row's equal-prefix run
 	var keys []sortKey
 	if refinePrefix > 0 {
@@ -293,6 +296,61 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 		}
 	}
 	return idx
+}
+
+// rawCol is a column the presorted checks read in place: the (container,
+// pre) payload vectors of a uniform node column or, with hi nil, an
+// int64 column.
+type rawCol struct {
+	hi []int32
+	lo []int64
+}
+
+// rawColsSorted reports whether the n rows are in ascending
+// lexicographic order on cols.
+func rawColsSorted(cols []rawCol, n int) bool {
+	for i := 1; i < n; i++ {
+		for _, c := range cols {
+			if c.hi != nil && c.hi[i-1] != c.hi[i] {
+				if c.hi[i-1] > c.hi[i] {
+					return false
+				}
+				break
+			}
+			if c.lo[i-1] != c.lo[i] {
+				if c.lo[i-1] > c.lo[i] {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
+}
+
+// rawSorted is the presorted check on the raw column vectors, before any
+// key is extracted: it reports true only when every sort column is an
+// ascending KInt column or a uniform node column — the iter/pos/item
+// columns of path steps, which order by their payload vectors exactly as
+// their extracted keys do — and the rows are in order. On false the
+// caller takes the key route, which decides everything else.
+func rawSorted(t *Table, by []string, desc []bool) bool {
+	cols := make([]rawCol, len(by))
+	for k, name := range by {
+		c := t.Col(name)
+		tag, uniform := c.Item.Uniform()
+		switch {
+		case k < len(desc) && desc[k]:
+			return false
+		case c.Kind == KInt:
+			cols[k] = rawCol{lo: c.Int}
+		case c.Kind == KItem && uniform && (tag == xqt.KNode || tag == xqt.KAttr):
+			cols[k] = rawCol{hi: c.Item.Cont, lo: c.Item.I}
+		default:
+			return false
+		}
+	}
+	return rawColsSorted(cols, t.N)
 }
 
 // identity returns the row indexes 0..n-1.

@@ -464,3 +464,35 @@ func TestExistThetaJoinBudgetAndCancel(t *testing.T) {
 		t.Fatalf("pairs: %d", len(p1))
 	}
 }
+
+// TestSortIdxPresortedExtractsNoKeys: the sort every path step plans —
+// ascending on an int column and a uniform node column — finds an
+// ordered input on the raw vectors and allocates no key buffer; the same
+// columns out of order, or with a descending column, still sort.
+func TestSortIdxPresortedExtractsNoKeys(t *testing.T) {
+	const n = 5000
+	tab := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	for i := 0; i < n; i++ {
+		tab.Col("iter").Int = append(tab.Col("iter").Int, int64(i/3))
+		tab.Col("item").Item.Append(xqt.Node(int32(i/2000), int32(i%2000)))
+	}
+	tab.N = n
+	e := &Exec{}
+	for _, by := range [][]string{{"iter", "item"}, {"item", "iter"}, {"item"}} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if e.SortIdx(tab, by, nil, 0) != nil {
+				t.Fatalf("by %v: ordered input not detected", by)
+			}
+		})
+		if allocs > 1 { // the column list
+			t.Errorf("by %v: %v allocations on an ordered input, want <= 1", by, allocs)
+		}
+	}
+	if idx := e.SortIdx(tab, []string{"item"}, []bool{true}, 0); idx == nil || idx[0] != n-1 {
+		t.Errorf("descending sort of an ascending column kept the input")
+	}
+	rev := tab.Gather(e.SortIdx(tab, []string{"item"}, []bool{true}, 0))
+	if idx := e.SortIdx(rev, []string{"iter", "item"}, nil, 0); idx == nil || !TablesEqual(rev.Gather(idx), tab) {
+		t.Errorf("reversed input not sorted back")
+	}
+}

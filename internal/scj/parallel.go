@@ -22,24 +22,20 @@
 //     byte for byte. The candidate-list variant chunks the element-name
 //     posting list the same way.
 //
-// All workers write into worker-local Pairs and Stats; nothing shared is
-// mutated, so ParallelStep is safe under the race detector by
-// construction.
+// All workers write into worker-local blocks and Stats; nothing shared is
+// mutated (the budget hook behind Stats.Charge is concurrency-safe), so
+// the parallel step is safe under the race detector by construction.
 
 package scj
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mxq/internal/faults"
 	"mxq/internal/store"
 )
-
-// MergePairs merges two (pre, iter)-sorted pair lists, dropping pairs
-// present in both (the cross-chunk duplicates of context partitioning).
-func MergePairs(a, b Pairs) Pairs { return mergePairs(a, b) }
 
 // Slots is the slot-acquisition hook of the fork-join helpers: when a
 // global query scheduler is installed, every partitioned operator
@@ -55,18 +51,13 @@ type Slots interface {
 	ReleaseSlots(n int)
 }
 
-// ParRun executes f(0..n-1) on at most workers concurrent goroutines
-// (the calling goroutine included) and waits for all of them. It is
-// the bounded fork-join helper shared by this package and the ralg
-// operator layer; ParRunSlots is the variant that draws its extra
-// goroutines from a shared pool.
-func ParRun(workers, n int, f func(int)) { ParRunSlots(nil, workers, n, f) }
-
-// ParRunSlots is ParRun drawing worker goroutines from sl: the caller
+// ParRunSlots executes f(0..n-1) on at most workers concurrent
+// goroutines and waits for all of them: the bounded fork-join helper
+// shared by this package and the ralg operator layer. The caller
 // always participates, and up to workers-1 extra goroutines are
 // acquired from sl (spawned freely when sl is nil). Chunks are handed
-// out through an atomic cursor, so every index runs exactly once; as
-// in ParRun, callers must make f(i) write only chunk-i state.
+// out through an atomic cursor, so every index runs exactly once;
+// callers must make f(i) write only chunk-i state.
 //
 // A panic on a worker goroutine is captured and re-raised on the
 // calling goroutine after every worker has drained, so the execution
@@ -155,27 +146,14 @@ func splitPairsByPre(ctx Pairs, chunks int) []Pairs {
 	return out
 }
 
-// concatPairs appends chunk outputs in chunk order (used when chunks
-// cover disjoint ascending pre ranges, so no merge is needed).
-func concatPairs(outs []Pairs) Pairs {
-	out := outs[0]
-	for _, o := range outs[1:] {
-		out.Pre = append(out.Pre, o.Pre...)
-		out.Iter = append(out.Iter, o.Iter...)
-	}
-	return out
-}
-
-// mergePairsTree folds a list of sorted pair lists with pairwise merges.
+// mergePairsTree folds a non-empty list of sorted pair lists with
+// pairwise merges.
 func mergePairsTree(outs []Pairs) Pairs {
-	if len(outs) == 0 {
-		return Pairs{}
-	}
 	for len(outs) > 1 {
 		next := outs[:0:0]
 		for i := 0; i < len(outs); i += 2 {
 			if i+1 < len(outs) {
-				next = append(next, mergePairs(outs[i], outs[i+1]))
+				next = append(next, MergePairs(outs[i], outs[i+1]))
 			} else {
 				next = append(next, outs[i])
 			}
@@ -185,249 +163,145 @@ func mergePairsTree(outs []Pairs) Pairs {
 	return outs[0]
 }
 
-// ParallelStep evaluates one location step like Step, distributing the
-// work over up to workers goroutines when the input is large enough
-// (threshold context rows for context partitioning, threshold document
-// tuples for range partitioning). The result is identical to Step's —
-// same pairs, same (pre, iter) order — so serial execution remains the
-// differential-testing oracle. Small inputs fall back to Step.
+// ParallelStepSlots evaluates one location step like Step, distributing
+// the work over up to workers goroutines drawn from sl (see Slots; a nil
+// sl spawns freely) when the input is large enough (threshold context
+// rows for context partitioning, threshold document tuples for range
+// partitioning). The result is identical to Step's — same pairs, same
+// (pre, iter) order — so serial execution remains the
+// differential-testing oracle. Small inputs run serially.
 //
 // Stats count the total work performed across all workers: Emitted
 // equals the merged result size exactly, but Touched/Pruned include the
 // per-worker seeding and context-walk replays, so they can exceed the
 // serial counters for the same query. That surplus is the real cost of
 // the decomposition, not an accounting error.
-func ParallelStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
-	return ParallelStepSlots(nil, c, ctx, axis, test, v, workers, threshold, st)
+func ParallelStepSlots(sl Slots, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
+	return StepBlocks(sl, c, ctx, axis, test, v, workers, threshold, st).Pairs()
 }
 
-// ParallelStepSlots is ParallelStep drawing its worker goroutines from
-// sl (see Slots); a nil sl spawns freely, reproducing ParallelStep.
-func ParallelStepSlots(sl Slots, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
+// StepBlocks is the one entry to the step kernels: it evaluates the step
+// serially (workers <= 1, or an input below threshold) or decomposed,
+// and returns the result as the blocks the kernels filled. The caller
+// copies the segments out and calls Release. Step and ParallelStepSlots
+// are this run followed by Blocks.Pairs.
+func StepBlocks(sl Slots, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Blocks {
 	if st == nil {
 		st = &Stats{}
 	}
-	if workers <= 1 || threshold <= 0 || ctx.Len() == 0 {
-		return Step(c, ctx, axis, test, v, st)
-	}
-	switch axis {
-	case Descendant:
-		if out, ok := parDescendant(sl, c, ctx, test, v, workers, threshold, st); ok {
-			st.Emitted += int64(out.Len())
-			return out
+	out, ok := Blocks{}, false
+	if workers > 1 && threshold > 0 && ctx.Len() > 0 {
+		if axis == Descendant || axis == DescendantOrSelf {
+			out, ok = parDescendant(sl, c, ctx, axis == DescendantOrSelf, test, v, workers, threshold, st)
 		}
-	case DescendantOrSelf:
-		if out, ok := parDescendant(sl, c, ctx, test, v, workers, threshold, st); ok {
-			var self Pairs
-			llSelf(c, ctx, CompileTest(c, test), &self, st)
-			merged := mergePairs(out, self)
-			st.Emitted += int64(merged.Len())
-			return merged
+		if !ok && ctx.Len() >= threshold {
+			if chunks := splitPairsByPre(ctx, workers); len(chunks) > 1 {
+				out, ok = parByContext(sl, c, chunks, axis, test, v, workers, st), true
+			}
 		}
 	}
-	if ctx.Len() >= threshold {
-		return parByContext(sl, c, ctx, axis, test, v, workers, st)
+	if !ok {
+		out = serialStep(c, ctx, axis, test, v, st)
 	}
-	return Step(c, ctx, axis, test, v, st)
+	st.Emitted += int64(out.Len())
+	return out
+}
+
+// forkStats runs f(k, worker-local stats) for k in [0, n) on the pool
+// and sums the workers' touch and prune counters into st; the workers
+// share st's Stop and Charge hooks.
+func forkStats(sl Slots, workers, n int, st *Stats, f func(k int, wst *Stats)) {
+	stats := make([]Stats, n)
+	ParRunSlots(sl, workers, n, func(k int) {
+		stats[k] = Stats{Stop: st.Stop, Charge: st.Charge}
+		f(k, &stats[k])
+	})
+	for k := range stats {
+		st.Touched += stats[k].Touched
+		st.Pruned += stats[k].Pruned
+	}
 }
 
 // parByContext runs staircase join on context chunks concurrently and
 // merges the chunk results. Valid for every axis because the per-chunk
 // results are each duplicate-free per iteration and the merge removes
 // the duplicates serial pruning would have caught across chunks.
-func parByContext(sl Slots, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers int, st *Stats) Pairs {
-	chunks := splitPairsByPre(ctx, workers)
-	if len(chunks) <= 1 {
-		return Step(c, ctx, axis, test, v, st)
-	}
+func parByContext(sl Slots, c *store.Container, chunks []Pairs, axis Axis, test Test, v Variant, workers int, st *Stats) Blocks {
 	outs := make([]Pairs, len(chunks))
-	stats := make([]Stats, len(chunks))
-	for k := range stats {
-		stats[k].Stop = st.Stop
-	}
-	ParRunSlots(sl, workers, len(chunks), func(k int) {
-		outs[k] = Step(c, chunks[k], axis, test, v, &stats[k])
-		st.charge(8 * int64(outs[k].Len())) // context-chunk output pairs
+	forkStats(sl, workers, len(chunks), st, func(k int, wst *Stats) {
+		outs[k] = serialStep(c, chunks[k], axis, test, v, wst).Pairs()
 	})
-	for k := range stats {
-		st.Touched += stats[k].Touched
-		st.Pruned += stats[k].Pruned
-	}
-	out := mergePairsTree(outs)
-	st.Emitted += int64(out.Len())
-	return out
+	return Blocks{Segs: []Pairs{mergePairsTree(outs)}}
 }
 
-// parDescendant evaluates the descendant part of a step with document-
+// parDescendant evaluates a descendant(-or-self) step with document-
 // range partitioning, reporting ok=false when the covered region is too
 // small to bother or the variant is the per-iteration ablation baseline.
-func parDescendant(sl Slots, c *store.Container, ctx Pairs, test Test, v Variant, workers, threshold int, st *Stats) (Pairs, bool) {
+// The covered pre space [lo, hi] — or, for the candidate-list variant,
+// the ascending candidate list — is cut into ranges swept concurrently.
+// Every document position (every candidate) belongs to exactly one
+// worker, and the region stack at any position depends only on ctx, so
+// the chunk outputs concatenate to exactly the serial result.
+func parDescendant(sl Slots, c *store.Container, ctx Pairs, orSelf bool, test Test, v Variant, workers, threshold int, st *Stats) (Blocks, bool) {
 	if v == Iterative {
-		return Pairs{}, false
+		return Blocks{}, false
 	}
 	lo := ctx.Pre[0]
 	hi := lo
-	for i := 0; i < ctx.Len(); i++ {
-		if e := ctx.Pre[i] + c.Size[ctx.Pre[i]]; e > hi {
-			hi = e
-		}
+	for _, pre := range ctx.Pre {
+		hi = max(hi, pre+c.Size[pre])
 	}
 	if int(hi-lo) < threshold {
-		return Pairs{}, false
+		return Blocks{}, false
 	}
-	if v == CandidateList {
-		if cand, ok := candidates(c, test); ok {
-			return parCandDescendant(sl, c, ctx, cand, workers, st), true
-		}
-	}
-	return parScanDescendant(sl, c, ctx, CompileTest(c, test), lo, hi, workers, st), true
-}
-
-// parCandDescendant chunks the ascending candidate list; each worker
-// replays the context walk of candDescendant over its candidate slice.
-// The walk is O(|ctx| + |chunk|) per worker and the frame stack at any
-// candidate position depends only on ctx, so chunk outputs concatenate
-// to exactly the serial candDescendant result.
-func parCandDescendant(sl Slots, c *store.Container, ctx Pairs, cand []int32, workers int, st *Stats) Pairs {
-	chunks := workers
-	if chunks > len(cand) {
-		chunks = len(cand)
-	}
-	if chunks <= 1 {
-		var out Pairs
-		candDescendant(c, ctx, cand, &out, st)
-		return out
-	}
-	outs := make([]Pairs, chunks)
-	stats := make([]Stats, chunks)
-	for k := range stats {
-		stats[k].Stop = st.Stop
-	}
-	ParRunSlots(sl, workers, chunks, func(k int) {
-		lo := len(cand) * k / chunks
-		hi := len(cand) * (k + 1) / chunks
-		candDescendant(c, ctx, cand[lo:hi], &outs[k], &stats[k])
-		st.charge(8 * int64(outs[k].Len()))
-	})
-	for k := range stats {
-		st.Touched += stats[k].Touched
-		st.Pruned += stats[k].Pruned
-	}
-	return concatPairs(outs)
-}
-
-// parScanDescendant splits the covered pre space [lo, hi] into ranges
-// scanned concurrently. Each worker seeds its region stack with the
-// context nodes covering its range start, then runs the llDescendant
-// sweep restricted to its range, so every document position is emitted
-// by exactly one worker and the concatenation is in (pre, iter) order.
-func parScanDescendant(sl Slots, c *store.Container, ctx Pairs, match func(int32) bool, lo, hi int32, workers int, st *Stats) Pairs {
+	cand, useCand := candidates(c, test)
+	useCand = useCand && v == CandidateList
 	span := int(hi + 1 - lo)
-	chunks := workers
-	if chunks > span {
-		chunks = span
+	if useCand {
+		span = len(cand)
 	}
-	outs := make([]Pairs, chunks)
-	stats := make([]Stats, chunks)
-	for k := range stats {
-		stats[k].Stop = st.Stop
-	}
-	ParRunSlots(sl, workers, chunks, func(k int) {
-		rlo := lo + int32(span*k/chunks)
-		rhi := lo + int32(span*(k+1)/chunks)
-		scanDescendantRange(c, ctx, match, rlo, rhi, &outs[k], &stats[k])
-		st.charge(8 * int64(outs[k].Len()))
+	chunks := max(min(workers, span), 1)
+	t := compileTest(c, test)
+	outs := make([]Blocks, chunks)
+	forkStats(sl, workers, chunks, st, func(k int, wst *Stats) {
+		em := newEmitter(wst)
+		if klo, khi := span*k/chunks, span*(k+1)/chunks; useCand {
+			// each worker replays the context walk over its candidate slice
+			candDescendant(c, ctx, cand[klo:khi], orSelf, em)
+		} else {
+			scanDescendantRange(c, ctx, &t, orSelf, lo+int32(klo), lo+int32(khi), em)
+		}
+		outs[k] = em.finish()
 	})
-	for k := range stats {
-		st.Touched += stats[k].Touched
-		st.Pruned += stats[k].Pruned
+	for _, o := range outs[1:] { // disjoint ascending ranges: no merge needed
+		outs[0].Segs, outs[0].owned = append(outs[0].Segs, o.Segs...), append(outs[0].owned, o.owned...)
 	}
-	return concatPairs(outs)
+	return outs[0], true
 }
 
-// scanDescendantRange is llDescendant restricted to pre positions
+// scanDescendantRange is the descendant sweep restricted to pre positions
 // [rlo, rhi): the stack is pre-seeded with the contexts whose region
 // covers rlo (they nest, so ascending pre order is stack order), context
 // nodes inside the range push as in the full sweep, and the scan stops
-// at the range end.
-func scanDescendantRange(c *store.Container, ctx Pairs, match func(int32) bool, rlo, rhi int32, out *Pairs, st *Stats) {
-	type frame struct {
-		eos   int32
-		iters []int32
-	}
-	var frames []frame
-	activeSet := make(map[int32]bool)
-	var active []int32
-	rebuild := func() {
-		active = active[:0]
-		for _, f := range frames {
-			active = append(active, f.iters...)
-		}
-		sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
-	}
+// at the range end. With orSelf a context node joins the result of its
+// own iterations too: its region is pushed before the node is tested.
+func scanDescendantRange(c *store.Container, ctx Pairs, t *nodeTest, orSelf bool, rlo, rhi int32, em *emitter) {
+	var rg regions
+	st := em.st
 	n := int32(ctx.Len())
 	// seed: contexts starting before the range whose region reaches into it
-	seedEnd := int32(sort.Search(int(n), func(i int) bool { return ctx.Pre[i] >= rlo }))
-	i := int32(0)
-	for i < seedEnd {
-		curPre := ctx.Pre[i]
-		eos := curPre + c.Size[curPre]
-		if eos < rlo {
-			i++
-			continue
+	seedEnd, _ := slices.BinarySearch(ctx.Pre, rlo)
+	nxt := int32(seedEnd)
+	for i := int32(0); i < nxt; {
+		j := runEnd(ctx, i, nxt)
+		if eos := ctx.Pre[i] + c.Size[ctx.Pre[i]]; eos >= rlo {
+			st.Pruned += rg.push(ctx.Iter[i:j], eos)
 		}
-		var iters []int32
-		for i < seedEnd && ctx.Pre[i] == curPre {
-			it := ctx.Iter[i]
-			if activeSet[it] {
-				st.Pruned++
-			} else {
-				iters = append(iters, it)
-				activeSet[it] = true
-			}
-			i++
-		}
-		if len(iters) > 0 {
-			frames = append(frames, frame{eos: eos, iters: iters})
-		}
+		i = j
 	}
-	rebuild()
-
-	nxt := seedEnd
-	pushAt := func(nxt int32) int32 {
-		curPre := ctx.Pre[nxt]
-		var iters []int32
-		for nxt < n && ctx.Pre[nxt] == curPre {
-			it := ctx.Iter[nxt]
-			if activeSet[it] {
-				st.Pruned++
-			} else {
-				iters = append(iters, it)
-				activeSet[it] = true
-			}
-			nxt++
-		}
-		if len(iters) > 0 {
-			frames = append(frames, frame{eos: curPre + c.Size[curPre], iters: iters})
-			rebuild()
-		}
-		return nxt
-	}
-
-	p := rlo
-	for p < rhi {
-		popped := false
-		for len(frames) > 0 && frames[len(frames)-1].eos < p {
-			for _, it := range frames[len(frames)-1].iters {
-				delete(activeSet, it)
-			}
-			frames = frames[:len(frames)-1]
-			popped = true
-		}
-		if popped {
-			rebuild()
-		}
-		if len(frames) == 0 {
+	for p := rlo; p < rhi; {
+		rg.popBefore(p)
+		if len(rg.frames) == 0 {
 			// skipping: jump to the next context inside the range
 			if nxt >= n || ctx.Pre[nxt] >= rhi {
 				break
@@ -435,43 +309,80 @@ func scanDescendantRange(c *store.Container, ctx Pairs, match func(int32) bool, 
 			p = ctx.Pre[nxt]
 		}
 		if nxt < n && ctx.Pre[nxt] == p {
-			if len(active) > 0 {
-				st.Touched++
-				if st.Touched&4095 == 0 && st.stopped() {
+			j := runEnd(ctx, nxt, n)
+			if orSelf {
+				st.Pruned += rg.push(ctx.Iter[nxt:j], p+c.Size[p])
+			}
+			if len(rg.active) > 0 {
+				if st.touch(1) {
 					return
 				}
-				if match(p) {
-					for _, it := range active {
-						out.append(p, it)
+				if t.match(c, p) {
+					for _, it := range rg.active {
+						em.emit(p, it)
 					}
 				}
 			}
-			nxt = pushAt(nxt)
+			if !orSelf {
+				st.Pruned += rg.push(ctx.Iter[nxt:j], p+c.Size[p])
+			}
+			nxt = j
 			p++
 			continue
 		}
-		stop := frames[len(frames)-1].eos
-		if nxt < n && ctx.Pre[nxt]-1 < stop {
-			stop = ctx.Pre[nxt] - 1
+		stop := min(rg.frames[len(rg.frames)-1].eos, rhi-1)
+		if nxt < n {
+			stop = min(stop, ctx.Pre[nxt]-1)
 		}
-		if rhi-1 < stop {
-			stop = rhi - 1
+		if p = scanStretch(c, t, p, stop, rg.active, em); p < 0 {
+			return
 		}
-		for q := p; q <= stop; q++ {
-			st.Touched++
-			if st.Touched&4095 == 0 && st.stopped() {
-				return
+	}
+}
+
+// scanStretch emits the matching tuples of [p, stop] — a stretch with no
+// context node and one fixed set of active iterations — and returns the
+// position after it, or -1 when the sweep was stopped. With a single
+// active iteration and a table-only test (the common case) it is a bulk
+// filter straight into the current block: sub-stretches no longer than
+// the block's free space need no capacity check, and each adds its
+// touch count and polls Stop once.
+func scanStretch(c *store.Container, t *nodeTest, p, stop int32, active []int32, em *emitter) int32 {
+	st := em.st
+	if len(active) != 1 || t.name != nil {
+		for ; p <= stop; p++ {
+			if st.touch(1) {
+				return -1
 			}
-			if c.Level[q] == store.NullLevel {
-				q += c.Size[q] // skip unused run
-				continue
-			}
-			if match(q) {
+			if c.Level[p] == store.NullLevel {
+				p += c.Size[p] // skip unused run
+			} else if t.match(c, p) {
 				for _, it := range active {
-					out.append(q, it)
+					em.emit(p, it)
 				}
 			}
 		}
-		p = stop + 1
+		return p
 	}
+	kind, nameID, mask, id, it := c.Kind, c.NameID, t.mask, t.id, active[0]
+	for p <= stop {
+		pre, iter := em.room()
+		from, k := p, 0
+		for end := min(stop, p+int32(len(pre))-1); p <= end; p++ {
+			if kp := kind[p]; mask>>kp&1 != 0 {
+				if id < 0 || nameID[p] == id {
+					pre[k], iter[k] = p, it
+					k++
+				}
+			} else if kp == store.KindUnused {
+				from += c.Size[p] // a skipped unused run is one touch
+				p += c.Size[p]
+			}
+		}
+		em.fill += k
+		if st.touch(int64(p - from)) {
+			return -1
+		}
+	}
+	return p
 }

@@ -3,7 +3,14 @@ package scj
 import (
 	"math/rand"
 	"testing"
+
+	"mxq/internal/store"
 )
+
+// ParallelStep is ParallelStepSlots spawning its workers freely.
+func ParallelStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
+	return ParallelStepSlots(nil, c, ctx, axis, test, v, workers, threshold, st)
+}
 
 // TestParallelStepMatchesSerial is the core contract of the parallel
 // staircase join: for every axis, variant, node test, worker count and

@@ -20,14 +20,23 @@
 // as the ablation baseline of Figure 12, and candidate-list variants that
 // implement nametest pushdown through the element-name index (§3.2).
 //
-// ParallelStep distributes a step over a bounded goroutine pool — by
-// context chunks or by document ranges — producing output identical to
-// Step's (see parallel.go for the decomposition argument). All Step
-// variants are read-only with respect to the container, so any number of
-// steps may run concurrently against the same document.
+// There is one kernel per axis and variant, and it has one sink: the
+// block emitter of emit.go. Kernels write result pairs into pooled
+// fixed-capacity blocks, test nodes against a compiled (kind mask, name
+// id) table inline, and never hash: pruning state is a sorted iteration
+// set (descendant), the previous context of the iteration (ancestor) or
+// a stack of open sibling groups. StepBlocks hands the block list to the
+// caller; Step is the same run flattened into one exact-size Pairs.
+//
+// StepBlocks distributes a step over a bounded goroutine pool — by
+// context chunks or by document ranges — when asked to, producing output
+// identical to the serial run (see parallel.go for the decomposition
+// argument). All variants are read-only with respect to the container,
+// so any number of steps may run concurrently against the same document.
 package scj
 
 import (
+	"slices"
 	"sort"
 
 	"mxq/internal/store"
@@ -113,6 +122,8 @@ type Test struct {
 
 // Pairs is a context or result relation of the loop-lifted staircase join:
 // parallel (pre, iter) columns, sorted lexicographically by (pre, iter).
+// A result Pairs is exact-size: the kernels emit into pooled blocks (see
+// Blocks) and Step flattens those once.
 type Pairs struct {
 	Pre  []int32
 	Iter []int32
@@ -137,31 +148,9 @@ func FromColumns(pres, iters []int64, lo, hi int) Pairs {
 	return p
 }
 
-func (p *Pairs) append(pre, iter int32) {
-	p.Pre = append(p.Pre, pre)
-	p.Iter = append(p.Iter, iter)
-}
-
 // SortPairs establishes the (pre, iter) sort order in place.
 func SortPairs(p *Pairs) {
-	s := pairSorter{p}
-	if !sort.IsSorted(s) {
-		sort.Sort(s)
-	}
-}
-
-type pairSorter struct{ p *Pairs }
-
-func (s pairSorter) Len() int { return len(s.p.Pre) }
-func (s pairSorter) Less(i, j int) bool {
-	if s.p.Pre[i] != s.p.Pre[j] {
-		return s.p.Pre[i] < s.p.Pre[j]
-	}
-	return s.p.Iter[i] < s.p.Iter[j]
-}
-func (s pairSorter) Swap(i, j int) {
-	s.p.Pre[i], s.p.Pre[j] = s.p.Pre[j], s.p.Pre[i]
-	s.p.Iter[i], s.p.Iter[j] = s.p.Iter[j], s.p.Iter[i]
+	(&Blocks{Segs: []Pairs{*p}}).sort()
 }
 
 // Stats collects the access counters used to verify the
@@ -179,9 +168,10 @@ type Stats struct {
 	// keeps the sweeps poll-free.
 	Stop func() bool
 
-	// Charge, when non-nil, accounts n bytes of materialized pairs
-	// against the execution's memory budget (the parallel drivers call
-	// it as each context chunk completes). It must be safe for
+	// Charge, when non-nil, accounts n bytes of emitted pairs against the
+	// execution's memory budget: the emitter calls it with 8 B per pair
+	// as each block fills, on serial and parallel steps alike, so a step
+	// is visible to the budget while it runs. It must be safe for
 	// concurrent use; an exhausted budget reports through Stop, so the
 	// sweeps need no extra branch. Nil disables accounting.
 	Charge func(n int64) bool
@@ -190,11 +180,12 @@ type Stats struct {
 // stopped reports whether a cancellation hook is installed and has fired.
 func (st *Stats) stopped() bool { return st.Stop != nil && st.Stop() }
 
-// charge accounts n bytes when an accounting hook is installed.
-func (st *Stats) charge(n int64) {
-	if st.Charge != nil {
-		st.Charge(n)
-	}
+// touch counts n visited tuples and polls Stop whenever the count
+// crosses a multiple of 4096; true means the sweep must be abandoned.
+func (st *Stats) touch(n int64) bool {
+	before := st.Touched
+	st.Touched += n
+	return before>>12 != st.Touched>>12 && st.stopped()
 }
 
 // Variant selects the execution strategy of a step.
@@ -217,247 +208,322 @@ const (
 
 // Step evaluates one location step over ctx against the document encoding
 // of c and returns the result pairs in (pre, iter) order: within each
-// iteration the result is duplicate-free and in document order.
+// iteration the result is duplicate-free and in document order. It is
+// StepBlocks run serially and flattened.
 func Step(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, st *Stats) Pairs {
-	if st == nil {
-		st = &Stats{}
-	}
-	var out Pairs
-	switch v {
-	case Iterative:
-		iterative(c, ctx, axis, test, &out, st)
-	case CandidateList:
-		if cand, ok := candidates(c, test); ok {
-			switch axis {
-			case Descendant:
-				candDescendant(c, ctx, cand, &out, st)
-			case DescendantOrSelf:
-				candDescendant(c, ctx, cand, &out, st)
-				var self Pairs
-				llSelf(c, ctx, CompileTest(c, test), &self, st)
-				out = mergePairs(out, self)
-			case Child:
-				candChild(c, ctx, cand, &out, st)
-			default:
-				stepOnce(c, ctx, axis, test, &out, st)
-			}
-		} else {
-			stepOnce(c, ctx, axis, test, &out, st)
-		}
-	default:
-		stepOnce(c, ctx, axis, test, &out, st)
-	}
-	st.Emitted += int64(out.Len())
-	return out
+	return StepBlocks(nil, c, ctx, axis, test, v, 1, 0, st).Pairs()
 }
 
-func stepOnce(c *store.Container, ctx Pairs, axis Axis, test Test, out *Pairs, st *Stats) {
-	match := CompileTest(c, test)
+// serialStep runs the kernel of (axis, v) over ctx on the calling
+// goroutine.
+func serialStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, st *Stats) Blocks {
+	em := newEmitter(st)
+	runKernel(c, ctx, axis, test, v, em)
+	return em.finish()
+}
+
+func runKernel(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, em *emitter) {
+	if v == Iterative {
+		iterative(c, ctx, axis, test, em)
+		return
+	}
+	t := compileTest(c, test)
+	cand, useCand := candidates(c, test)
+	useCand = useCand && v == CandidateList
 	switch axis {
 	case Child:
-		llChild(c, ctx, match, out, st)
-	case Descendant:
-		llDescendant(c, ctx, match, out, st)
-	case DescendantOrSelf:
-		llDescendant(c, ctx, match, out, st)
-		var self Pairs
-		llSelf(c, ctx, match, &self, st)
-		*out = mergePairs(*out, self)
+		if useCand {
+			candChild(c, ctx, cand, em)
+		} else {
+			llChild(c, ctx, &t, em)
+		}
+	case Descendant, DescendantOrSelf:
+		if useCand {
+			candDescendant(c, ctx, cand, axis == DescendantOrSelf, em)
+		} else if ctx.Len() > 0 {
+			// the serial sweep is the full-document case of the range
+			// sweep, so serial and range-parallel share one kernel
+			scanDescendantRange(c, ctx, &t, axis == DescendantOrSelf, ctx.Pre[0], int32(c.Len()), em)
+		}
 	case Self:
-		llSelf(c, ctx, match, out, st)
+		llSelf(c, ctx, &t, em)
 	case Parent:
-		llParent(c, ctx, match, out, st)
-	case Ancestor:
-		llAncestor(c, ctx, match, false, out, st)
-	case AncestorOrSelf:
-		llAncestor(c, ctx, match, true, out, st)
+		llParent(c, ctx, &t, em)
+	case Ancestor, AncestorOrSelf:
+		llAncestor(c, ctx, &t, axis == AncestorOrSelf, em)
 	case Following:
-		llFollowing(c, ctx, match, out, st)
+		llFollowing(c, ctx, &t, em)
 	case Preceding:
-		llPreceding(c, ctx, match, out, st)
-	case FollowingSibling:
-		llFollowingSibling(c, ctx, match, out, st)
-	case PrecedingSibling:
-		llPrecedingSibling(c, ctx, match, out, st)
+		llPreceding(c, ctx, &t, em)
+	case FollowingSibling, PrecedingSibling:
+		llSibling(c, ctx, &t, axis == FollowingSibling, em)
 	}
 }
 
-// CompileTest builds a node-test predicate over the rows of c. For
-// containers with shallow-copy indirection the element name is resolved in
-// the referenced container; resolved name ids are cached per container.
+// nodeTest is a compiled node test: a bit mask over store.NodeKind plus
+// the name id a match must carry, evaluated inline by the kernels.
+type nodeTest struct {
+	mask uint8
+	id   int32                // -1: any name
+	name func(pre int32) bool // shallow-copy containers only: the name test through RefCont
+}
+
+var kindMasks = [...]uint8{
+	TestNode:    1<<store.KindUnused - 1, // every kind but unused
+	TestElem:    1 << store.KindElem,
+	TestText:    1 << store.KindText,
+	TestComment: 1 << store.KindComment,
+	TestPI:      1 << store.KindPI,
+	TestDoc:     1 << store.KindDoc,
+}
+
+// compileTest resolves t against c. Only a shallow-copy container, whose
+// rows name elements of other containers, keeps a name-resolving closure.
+func compileTest(c *store.Container, t Test) nodeTest {
+	nt := nodeTest{id: -1}
+	if int(t.Kind) < len(kindMasks) {
+		nt.mask = kindMasks[t.Kind]
+	}
+	if t.Name != "" && (t.Kind == TestElem || t.Kind == TestPI) {
+		if c.RefCont != nil {
+			nt.name = func(pre int32) bool { return c.NameOf(pre) == t.Name }
+		} else if id, ok := c.Names.Lookup(t.Name); ok {
+			nt.id = id
+		} else {
+			nt.mask = 0
+		}
+	}
+	return nt
+}
+
+// match reports whether row p passes the test; unused tuples never do.
+func (t *nodeTest) match(c *store.Container, p int32) bool {
+	return t.mask>>c.Kind[p]&1 != 0 && (t.id < 0 || c.NameID[p] == t.id) && (t.name == nil || t.name(p))
+}
+
+// CompileTest builds a node-test predicate over the rows of c.
 func CompileTest(c *store.Container, t Test) func(pre int32) bool {
-	kindOK := func(k store.NodeKind) bool {
-		switch t.Kind {
-		case TestNode:
-			return k != store.KindUnused
-		case TestElem:
-			return k == store.KindElem
-		case TestText:
-			return k == store.KindText
-		case TestComment:
-			return k == store.KindComment
-		case TestPI:
-			return k == store.KindPI
-		case TestDoc:
-			return k == store.KindDoc
-		}
-		return false
+	nt := compileTest(c, t)
+	return func(pre int32) bool { return nt.match(c, pre) }
+}
+
+// runEnd returns the end of the run of context rows sharing ctx.Pre[i].
+func runEnd(ctx Pairs, i, n int32) int32 {
+	j := i + 1
+	for j < n && ctx.Pre[j] == ctx.Pre[i] {
+		j++
 	}
-	if t.Name == "" || (t.Kind != TestElem && t.Kind != TestPI) {
-		return func(pre int32) bool { return kindOK(c.Kind[pre]) }
-	}
-	if c.RefCont == nil {
-		id, ok := c.Names.Lookup(t.Name)
-		if !ok {
-			return func(int32) bool { return false }
-		}
-		return func(pre int32) bool { return kindOK(c.Kind[pre]) && c.NameID[pre] == id }
-	}
-	// shallow-copy container: resolve names per referenced container
-	name := t.Name
-	return func(pre int32) bool {
-		return kindOK(c.Kind[pre]) && c.NameOf(pre) == name
-	}
+	return j
 }
 
 // llChild is the child-axis algorithm of Figure 6: a stack of active
 // context nodes, positional skipping over child subtrees, and per-context
 // iteration ranges (fstIter, lstIter).
-func llChild(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
+func llChild(c *store.Container, ctx Pairs, t *nodeTest, em *emitter) {
 	type frame struct {
 		eos     int32 // end of the current context's scope (pre + size)
 		nxtChld int32 // next child candidate to process
 		fstIter int32 // first ctx row of this context node
-		lstIter int32 // last ctx row of this context node
+		lstIter int32 // one past the last ctx row of this context node
 	}
 	var active []frame
+	st := em.st
 	n := int32(ctx.Len())
 	nxtCtx := int32(0)
 
 	pushCtx := func() {
 		curPre := ctx.Pre[nxtCtx]
 		f := frame{eos: curPre + c.Size[curPre], nxtChld: curPre + 1, fstIter: nxtCtx}
-		for nxtCtx < n && ctx.Pre[nxtCtx] == curPre {
-			nxtCtx++
-		}
-		f.lstIter = nxtCtx - 1
+		nxtCtx = runEnd(ctx, nxtCtx, n)
+		f.lstIter = nxtCtx
 		active = append(active, f)
 	}
-	innerLoop := func(stop int32) {
+	// innerLoop emits the top context's children up to stop; false means
+	// the sweep was stopped
+	innerLoop := func(stop int32) bool {
 		f := &active[len(active)-1]
 		p := f.nxtChld
 		for p <= stop && p <= f.eos {
-			st.Touched++
-			if st.Touched&4095 == 0 && st.stopped() {
-				break
+			if st.touch(1) {
+				return false
 			}
-			if c.Level[p] != store.NullLevel && match(p) {
-				for i := f.fstIter; i <= f.lstIter; i++ {
-					out.append(p, ctx.Iter[i])
+			if t.match(c, p) {
+				for i := f.fstIter; i < f.lstIter; i++ {
+					em.emit(p, ctx.Iter[i])
 				}
 			}
 			p += c.Size[p] + 1
 		}
 		f.nxtChld = p
+		return true
 	}
 
-	for nxtCtx < n {
-		if nxtCtx&1023 == 0 && st.stopped() {
+	for events := 1; nxtCtx < n || len(active) > 0; events++ {
+		if events&1023 == 0 && st.stopped() { // contexts without children touch nothing
 			return
 		}
-		if len(active) == 0 {
+		switch {
+		case len(active) == 0:
 			pushCtx() // ① start a new partition
-		} else if active[len(active)-1].eos >= ctx.Pre[nxtCtx] {
-			innerLoop(ctx.Pre[nxtCtx]) // ② children up to the next context
-			pushCtx()                  // ③ descend into the next context
-		} else {
-			innerLoop(active[len(active)-1].eos) // ④ finish current context
-			active = active[:len(active)-1]      // ⑤ pop
+		case nxtCtx < n && active[len(active)-1].eos >= ctx.Pre[nxtCtx]:
+			if !innerLoop(ctx.Pre[nxtCtx]) { // ② children up to the next context
+				return
+			}
+			pushCtx() // ③ descend into the next context
+		default:
+			if !innerLoop(active[len(active)-1].eos) { // ④ finish current context
+				return
+			}
+			active = active[:len(active)-1] // ⑤ pop
 		}
 	}
-	for len(active) > 0 {
-		innerLoop(active[len(active)-1].eos) // ⑥ finish remaining scopes
-		active = active[:len(active)-1]      // ⑦ pop
-	}
 }
 
-// llDescendant scans the document once; a stack of active context regions
-// tracks which iterations each visited node belongs to. Context nodes
-// whose iteration is already active are pruned. The sweep itself lives
-// in scanDescendantRange (parallel.go); the serial algorithm is its
-// full-document special case, so serial and range-parallel execution
-// share one implementation by construction.
-func llDescendant(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
-	if ctx.Len() == 0 {
-		return
-	}
-	scanDescendantRange(c, ctx, match, ctx.Pre[0], int32(c.Len()), out, st)
-}
-
-func llSelf(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
-	for i := 0; i < ctx.Len(); i++ {
-		st.Touched++
-		if st.Touched&4095 == 0 && st.stopped() {
+func llSelf(c *store.Container, ctx Pairs, t *nodeTest, em *emitter) {
+	for i, pre := range ctx.Pre {
+		if em.st.touch(1) {
 			return
 		}
-		if match(ctx.Pre[i]) {
-			out.append(ctx.Pre[i], ctx.Iter[i])
+		if t.match(c, pre) {
+			em.emit(pre, ctx.Iter[i])
 		}
 	}
 }
 
-func llParent(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
-	seen := make(map[int64]bool)
-	for i := 0; i < ctx.Len(); i++ {
-		if i&4095 == 4095 && st.stopped() {
-			break // the truncated output is discarded by the caller
-		}
-		par := c.Parent[ctx.Pre[i]]
+// llParent emits each context's parent once per iteration: the matches
+// are packed, sorted and compacted before they reach the emitter, so the
+// blocks hold exactly the result.
+func llParent(c *store.Container, ctx Pairs, t *nodeTest, em *emitter) {
+	keys := make([]uint64, 0, ctx.Len())
+	for i, pre := range ctx.Pre {
+		par := c.Parent[pre]
 		if par < 0 {
 			continue
 		}
-		st.Touched++
-		if !match(par) {
-			continue
+		if em.st.touch(1) {
+			return
 		}
-		key := int64(par)<<32 | int64(uint32(ctx.Iter[i]))
-		if seen[key] {
-			continue
+		if t.match(c, par) {
+			keys = append(keys, packPair(par, ctx.Iter[i]))
 		}
-		seen[key] = true
-		out.append(par, ctx.Iter[i])
 	}
-	SortPairs(out)
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
+		em.emit(unpackPair(k))
+	}
 }
 
-// llAncestor walks parent chains. The per-iteration visited set realizes
-// pruning: as soon as an (ancestor, iter) pair repeats, the remaining
-// chain is already emitted.
-func llAncestor(c *store.Container, ctx Pairs, match func(int32) bool, orSelf bool, out *Pairs, st *Stats) {
-	seen := make(map[int64]bool)
-	for i := 0; i < ctx.Len(); i++ {
-		if i&1023 == 0 && st.stopped() {
-			break
+// byIter calls body once per iteration of ctx with that iteration's
+// context nodes in document order, until body returns false. A context
+// of one iteration — the common case — is passed through as it is;
+// otherwise the rows are regrouped by a packed (iter, pre) sort.
+func byIter(ctx Pairs, body func(it int32, pres []int32) bool) {
+	n := ctx.Len()
+	if n == 0 || !slices.ContainsFunc(ctx.Iter, func(it int32) bool { return it != ctx.Iter[0] }) {
+		if n > 0 {
+			body(ctx.Iter[0], ctx.Pre)
 		}
-		p := ctx.Pre[i]
-		if !orSelf {
-			p = c.Parent[p]
+		return
+	}
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = packPair(ctx.Iter[i], ctx.Pre[i])
+	}
+	slices.Sort(keys)
+	pres := make([]int32, n)
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		it, _ := unpackPair(keys[lo])
+		for hi = lo; hi < n && keys[hi]>>32 == keys[lo]>>32; hi++ {
+			_, pres[hi] = unpackPair(keys[hi])
 		}
-		for p >= 0 {
-			st.Touched++
-			key := int64(p)<<32 | int64(uint32(ctx.Iter[i]))
-			if seen[key] {
-				st.Pruned++
-				break
-			}
-			seen[key] = true
-			if match(p) {
-				out.append(p, ctx.Iter[i])
-			}
-			p = c.Parent[p]
+		if !body(it, pres[lo:hi]) {
+			return
 		}
 	}
-	SortPairs(out)
+}
+
+// llAncestor walks parent chains. Pruning needs no visited set: the
+// contexts of one iteration arrive in document order, so an ancestor v of
+// the current context was reached from an earlier one exactly when v's
+// region also holds the previous context — and then the rest of the
+// chain is already emitted.
+func llAncestor(c *store.Container, ctx Pairs, t *nodeTest, orSelf bool, em *emitter) {
+	st := em.st
+	em.unsorted = true
+	byIter(ctx, func(it int32, pres []int32) bool {
+		prev := int32(-1) // the iteration's previous context
+		for _, pre := range pres {
+			p := pre
+			if !orSelf {
+				p = c.Parent[p]
+			}
+			for ; p >= 0; p = c.Parent[p] {
+				if st.touch(1) {
+					return false
+				}
+				if prev >= 0 && prev <= p+c.Size[p] && (p < prev || orSelf && p == prev) {
+					st.Pruned++
+					break
+				}
+				if t.match(c, p) {
+					em.emit(p, it)
+				}
+			}
+			prev = pre
+		}
+		return true
+	})
+}
+
+// llSibling evaluates following-sibling (following = true) and
+// preceding-sibling. Per iteration it keeps a stack of the parents whose
+// child lists an earlier context opened, innermost last; contexts arrive
+// in document order, so the current context's parent is on the stack
+// exactly when it is on top. A context with an earlier sibling context
+// has nothing new to follow it (its following siblings are that
+// sibling's too), and only the siblings since that one precede it anew.
+func llSibling(c *store.Container, ctx Pairs, t *nodeTest, following bool, em *emitter) {
+	type group struct{ par, last int32 } // last: the latest context child of par
+	st := em.st
+	em.unsorted = true
+	var open []group
+	byIter(ctx, func(it int32, pres []int32) bool {
+		open = open[:0]
+		for _, pre := range pres {
+			par := c.Parent[pre]
+			if par < 0 {
+				continue
+			}
+			for len(open) > 0 && open[len(open)-1].par+c.Size[open[len(open)-1].par] < pre {
+				open = open[:len(open)-1]
+			}
+			from, dup := par+1, len(open) > 0 && open[len(open)-1].par == par
+			if dup {
+				from = open[len(open)-1].last
+				open[len(open)-1].last = pre
+			} else {
+				open = append(open, group{par, pre})
+			}
+			to := pre - 1
+			if following {
+				from, to = pre+c.Size[pre]+1, par+c.Size[par]
+			}
+			for v := from; v <= to; v += c.Size[v] + 1 {
+				if st.touch(1) {
+					return false
+				}
+				if !t.match(c, v) {
+					continue
+				}
+				if following && dup {
+					st.Pruned++
+					break
+				}
+				em.emit(v, it)
+			}
+		}
+		return true
+	})
 }
 
 // groupByFragment invokes body once per run of context rows that share a
@@ -479,169 +545,88 @@ func groupByFragment(c *store.Container, ctx Pairs, body func(sub Pairs, frag in
 	}
 }
 
+// iterCut is one iteration's cutoff position on the following/preceding
+// axes.
+type iterCut struct{ cut, iter int32 }
+
+// iterCuts reduces a fragment's context to one cutoff per iteration —
+// the smallest (sign < 0) or largest value of at(i) over the iteration's
+// rows — and returns them in cutoff order, with the number of rows that
+// did not move their iteration's cutoff (the pruned ones).
+func iterCuts(ctx Pairs, sign int32, at func(i int) int32) (cuts []iterCut, pruned int64) {
+	cutoff := make(map[int32]int32) // iter -> cutoff
+	for i, it := range ctx.Iter {
+		if cur, ok := cutoff[it]; !ok || (at(i)-cur)*sign > 0 {
+			cutoff[it] = at(i)
+		} else {
+			pruned++
+		}
+	}
+	cuts = make([]iterCut, 0, len(cutoff))
+	for it, cut := range cutoff {
+		cuts = append(cuts, iterCut{cut, it})
+	}
+	slices.SortFunc(cuts, func(a, b iterCut) int { return int(a.cut) - int(b.cut) })
+	return cuts, pruned
+}
+
 // llFollowing exploits that the following regions of all context nodes of
 // one iteration collapse to a single region starting after the context
 // node with the smallest pre+size (partitioning degenerates to a
 // minimum), bounded by the context node's fragment. Fragment groups cover
 // disjoint ascending pre ranges, so the concatenated group outputs are in
 // (pre, iter) order.
-func llFollowing(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
+func llFollowing(c *store.Container, ctx Pairs, t *nodeTest, em *emitter) {
 	groupByFragment(c, ctx, func(sub Pairs, frag int32) {
-		followingFrag(c, sub, frag, match, out, st)
-	})
-}
-
-func followingFrag(c *store.Container, ctx Pairs, frag int32, match func(int32) bool, out *Pairs, st *Stats) {
-	cutoff := make(map[int32]int32) // iter -> smallest pre+size
-	for i := 0; i < ctx.Len(); i++ {
-		end := ctx.Pre[i] + c.Size[ctx.Pre[i]]
-		if cur, ok := cutoff[ctx.Iter[i]]; !ok || end < cur {
-			cutoff[ctx.Iter[i]] = end
-		} else {
-			st.Pruned++
-		}
-	}
-	if len(cutoff) == 0 {
-		return
-	}
-	type ci struct{ cut, iter int32 }
-	cuts := make([]ci, 0, len(cutoff))
-	for it, cut := range cutoff {
-		cuts = append(cuts, ci{cut, it})
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].cut < cuts[j].cut })
-	fragEnd := frag + c.Size[frag]
-	var active []int32
-	next := 0
-	start := cuts[0].cut + 1
-	for p := start; p <= fragEnd; p++ {
-		for next < len(cuts) && cuts[next].cut < p {
-			active = insertSorted(active, cuts[next].iter)
-			next = next + 1
-		}
-		st.Touched++
-		if st.Touched&4095 == 0 && st.stopped() {
-			return
-		}
-		if c.Level[p] == store.NullLevel {
-			p += c.Size[p]
-			continue
-		}
-		if match(p) {
-			for _, it := range active {
-				out.append(p, it)
+		cuts, pruned := iterCuts(sub, -1, func(i int) int32 { return sub.Pre[i] + c.Size[sub.Pre[i]] })
+		em.st.Pruned += pruned
+		fragEnd := frag + c.Size[frag]
+		var active []int32
+		next := 0
+		for p := cuts[0].cut + 1; p <= fragEnd; p++ {
+			for next < len(cuts) && cuts[next].cut < p {
+				i, _ := slices.BinarySearch(active, cuts[next].iter)
+				active = slices.Insert(active, i, cuts[next].iter)
+				next++
+			}
+			if em.st.touch(1) {
+				return
+			}
+			if c.Level[p] == store.NullLevel {
+				p += c.Size[p]
+			} else if t.match(c, p) {
+				for _, it := range active {
+					em.emit(p, it)
+				}
 			}
 		}
-	}
+	})
 }
 
 // llPreceding mirrors llFollowing: per iteration only the context node
 // with the largest pre matters; node v precedes it iff pre(v)+size(v) <
 // pre(c), with the sweep confined to the context node's fragment.
-func llPreceding(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
+func llPreceding(c *store.Container, ctx Pairs, t *nodeTest, em *emitter) {
+	em.unsorted = true // a node's iterations come out in cutoff order
 	groupByFragment(c, ctx, func(sub Pairs, frag int32) {
-		precedingFrag(c, sub, frag, match, out, st)
+		cuts, pruned := iterCuts(sub, 1, func(i int) int32 { return sub.Pre[i] })
+		em.st.Pruned += pruned
+		for p := frag; p < cuts[len(cuts)-1].cut; p++ {
+			if em.st.touch(1) {
+				return
+			}
+			if c.Level[p] == store.NullLevel {
+				p += c.Size[p]
+			} else if t.match(c, p) {
+				// iterations whose cutoff exceeds the node's end form a suffix of cuts
+				end := p + c.Size[p]
+				lo := sort.Search(len(cuts), func(i int) bool { return cuts[i].cut > end })
+				for _, ci := range cuts[lo:] {
+					em.emit(p, ci.iter)
+				}
+			}
+		}
 	})
-	SortPairs(out)
-}
-
-func precedingFrag(c *store.Container, ctx Pairs, frag int32, match func(int32) bool, out *Pairs, st *Stats) {
-	cutoff := make(map[int32]int32) // iter -> largest context pre
-	for i := 0; i < ctx.Len(); i++ {
-		if cur, ok := cutoff[ctx.Iter[i]]; !ok || ctx.Pre[i] > cur {
-			cutoff[ctx.Iter[i]] = ctx.Pre[i]
-		} else {
-			st.Pruned++
-		}
-	}
-	if len(cutoff) == 0 {
-		return
-	}
-	type ci struct{ cut, iter int32 }
-	cuts := make([]ci, 0, len(cutoff))
-	maxCut := int32(0)
-	for it, cut := range cutoff {
-		cuts = append(cuts, ci{cut, it})
-		if cut > maxCut {
-			maxCut = cut
-		}
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].cut < cuts[j].cut })
-	for p := frag; p < maxCut; p++ {
-		st.Touched++
-		if st.Touched&4095 == 0 && st.stopped() {
-			return
-		}
-		if c.Level[p] == store.NullLevel {
-			p += c.Size[p]
-			continue
-		}
-		if !match(p) {
-			continue
-		}
-		end := p + c.Size[p]
-		// iterations whose cutoff exceeds end form a suffix of cuts
-		lo := sort.Search(len(cuts), func(i int) bool { return cuts[i].cut > end })
-		for i := lo; i < len(cuts); i++ {
-			out.append(p, cuts[i].iter)
-		}
-	}
-}
-
-func llFollowingSibling(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
-	seen := make(map[int64]bool)
-	for i := 0; i < ctx.Len(); i++ {
-		if i&1023 == 0 && st.stopped() {
-			break
-		}
-		pre := ctx.Pre[i]
-		par := c.Parent[pre]
-		if par < 0 {
-			continue
-		}
-		eos := par + c.Size[par]
-		for v := pre + c.Size[pre] + 1; v <= eos; v += c.Size[v] + 1 {
-			st.Touched++
-			if c.Level[v] == store.NullLevel || !match(v) {
-				continue
-			}
-			key := int64(v)<<32 | int64(uint32(ctx.Iter[i]))
-			if seen[key] {
-				st.Pruned++
-				break // all further siblings already emitted for this iter
-			}
-			seen[key] = true
-			out.append(v, ctx.Iter[i])
-		}
-	}
-	SortPairs(out)
-}
-
-func llPrecedingSibling(c *store.Container, ctx Pairs, match func(int32) bool, out *Pairs, st *Stats) {
-	seen := make(map[int64]bool)
-	for i := 0; i < ctx.Len(); i++ {
-		if i&1023 == 0 && st.stopped() {
-			break
-		}
-		pre := ctx.Pre[i]
-		par := c.Parent[pre]
-		if par < 0 {
-			continue
-		}
-		for v := par + 1; v < pre; v += c.Size[v] + 1 {
-			st.Touched++
-			if c.Level[v] == store.NullLevel || !match(v) {
-				continue
-			}
-			key := int64(v)<<32 | int64(uint32(ctx.Iter[i]))
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out.append(v, ctx.Iter[i])
-		}
-	}
-	SortPairs(out)
 }
 
 // iterative is the pre-loop-lifting baseline: plain staircase join is
@@ -649,35 +634,25 @@ func llPrecedingSibling(c *store.Container, ctx Pairs, match func(int32) bool, o
 // iteration's context nodes from the full context relation, and the
 // per-iteration results are concatenated and re-sorted afterwards. This
 // reproduces the repeated-scan cost the loop-lifted algorithm eliminates.
-func iterative(c *store.Container, ctx Pairs, axis Axis, test Test, out *Pairs, st *Stats) {
-	iterSet := make(map[int32]bool)
-	var iters []int32
-	for _, it := range ctx.Iter {
-		if !iterSet[it] {
-			iterSet[it] = true
-			iters = append(iters, it)
-		}
-	}
-	sort.Slice(iters, func(i, j int) bool { return iters[i] < iters[j] })
-	var sub, tmp Pairs
+func iterative(c *store.Container, ctx Pairs, axis Axis, test Test, em *emitter) {
+	iters := slices.Clone(ctx.Iter)
+	slices.Sort(iters)
+	iters = slices.Compact(iters)
+	em.unsorted = len(iters) > 1
+	var sub Pairs
 	for _, it := range iters {
-		if st.stopped() {
+		if em.st.stopped() {
 			break
 		}
-		sub.Pre = sub.Pre[:0]
-		sub.Iter = sub.Iter[:0]
+		sub.Pre, sub.Iter = sub.Pre[:0], sub.Iter[:0]
 		for i := 0; i < ctx.Len(); i++ { // full scan per iteration
-			st.Touched++
+			em.st.Touched++
 			if ctx.Iter[i] == it {
-				sub.append(ctx.Pre[i], it)
+				sub.Pre, sub.Iter = append(sub.Pre, ctx.Pre[i]), append(sub.Iter, it)
 			}
 		}
-		tmp = Pairs{}
-		stepOnce(c, sub, axis, test, &tmp, st)
-		out.Pre = append(out.Pre, tmp.Pre...)
-		out.Iter = append(out.Iter, tmp.Iter...)
+		runKernel(c, sub, axis, test, LoopLifted, em)
 	}
-	SortPairs(out)
 }
 
 // candidates returns the ascending candidate pre list for a named element
@@ -689,163 +664,183 @@ func candidates(c *store.Container, t Test) ([]int32, bool) {
 	return c.ElemIndex(t.Name)
 }
 
-// candDescendant is the predicate-pushdown descendant variant: instead of
-// scanning the document it walks the candidate list, binary-searching past
-// regions that cannot contain results (§3.2).
-func candDescendant(c *store.Container, ctx Pairs, cand []int32, out *Pairs, st *Stats) {
-	const inf = int32(1) << 30
-	type frame struct {
-		eos   int32
-		iters []int32
-	}
-	var frames []frame
-	activeSet := make(map[int32]bool)
-	var active []int32
-	rebuild := func() {
-		active = active[:0]
-		for _, f := range frames {
-			active = append(active, f.iters...)
+// regions is the partitioning state of a descendant sweep: the stack of
+// open context regions, innermost last, and the sorted set of iterations
+// active in any of them. Both are maintained incrementally — a push
+// inserts, a pop removes, membership is a binary search.
+type regions struct {
+	frames []regionFrame
+	added  []int32 // iterations each open region activated, in push order
+	active []int32
+}
+
+type regionFrame struct {
+	eos  int32 // end of the region's scope
+	base int   // len(added) before the region was pushed
+}
+
+// push opens the region ending at eos for the ascending iterations
+// iters; an iteration that is already active is pruned, and the number
+// pruned is returned.
+func (r *regions) push(iters []int32, eos int32) int64 {
+	base := len(r.added)
+	for _, it := range iters {
+		if i, dup := slices.BinarySearch(r.active, it); !dup {
+			r.active = slices.Insert(r.active, i, it)
+			r.added = append(r.added, it)
 		}
-		sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
 	}
+	if len(r.added) > base {
+		r.frames = append(r.frames, regionFrame{eos, base})
+	}
+	return int64(len(iters) - (len(r.added) - base))
+}
+
+// popBefore closes the regions that end before p.
+func (r *regions) popBefore(p int32) {
+	for k := len(r.frames) - 1; k >= 0 && r.frames[k].eos < p; k-- {
+		base := r.frames[k].base
+		for j := len(r.added) - 1; j >= base; j-- {
+			i, _ := slices.BinarySearch(r.active, r.added[j])
+			r.active = slices.Delete(r.active, i, i+1)
+		}
+		r.added, r.frames = r.added[:base], r.frames[:k]
+	}
+}
+
+// gallop returns the first index >= i of the ascending list cand whose
+// entry exceeds pre: doubling probes from i, then a binary search, so a
+// cursor that only moves forward pays O(log distance) per move.
+func gallop(cand []int32, i int, pre int32) int {
+	hi, step := i, 1
+	for hi < len(cand) && cand[hi] <= pre {
+		i, hi, step = hi+1, hi+step, step*2
+	}
+	j, _ := slices.BinarySearch(cand[i:min(hi, len(cand))], pre+1)
+	return i + j
+}
+
+// candDescendant is the predicate-pushdown descendant variant: instead of
+// scanning the document it walks the candidate list, galloping past
+// regions that cannot contain results (§3.2). With orSelf a context node
+// that is itself a candidate joins the result of its own iterations.
+func candDescendant(c *store.Container, ctx Pairs, cand []int32, orSelf bool, em *emitter) {
+	const inf = int32(1) << 30
+	var rg regions
+	st := em.st
 	n := int32(ctx.Len())
 	nxt := int32(0)
 	li := 0
-	events := 0
-	for nxt < n || len(frames) > 0 {
-		events++
+	emitCand := func(pre int32) bool {
+		for _, it := range rg.active {
+			em.emit(pre, it)
+		}
+		return st.touch(1)
+	}
+	for events := 1; nxt < n || len(rg.frames) > 0; events++ {
 		if events&1023 == 0 && st.stopped() {
 			return
 		}
-		if len(frames) == 0 {
+		if len(rg.frames) == 0 {
 			// skipping: jump straight past candidates that precede the
 			// next context region
-			li = sort.Search(len(cand), func(i int) bool { return cand[i] > ctx.Pre[nxt] })
+			skipTo := ctx.Pre[nxt]
+			if orSelf {
+				skipTo--
+			}
+			li = gallop(cand, li, skipTo)
 		}
-		topEos, ctxPre, candPre := inf, inf, inf
-		if len(frames) > 0 {
-			topEos = frames[len(frames)-1].eos
-		}
+		ctxPre, candPre := inf, inf
 		if nxt < n {
 			ctxPre = ctx.Pre[nxt]
 		}
 		if li < len(cand) {
 			candPre = cand[li]
 		}
-		switch {
-		case len(frames) > 0 && candPre > topEos && ctxPre > topEos:
-			// current region exhausted: pop
-			for _, it := range frames[len(frames)-1].iters {
-				delete(activeSet, it)
-			}
-			frames = frames[:len(frames)-1]
-			rebuild()
-		case ctxPre <= candPre && ctxPre < inf:
-			// context event: emit the context node itself if it is a
-			// candidate inside enclosing regions, then push
-			if candPre == ctxPre && len(active) > 0 {
-				st.Touched++
-				for _, it := range active {
-					out.append(candPre, it)
-				}
+		if len(rg.frames) > 0 && min(candPre, ctxPre) > rg.frames[len(rg.frames)-1].eos {
+			rg.popBefore(min(candPre, ctxPre)) // innermost region exhausted
+		} else if ctxPre <= candPre {
+			// context event: the context node itself, if it is a
+			// candidate, belongs to the enclosing regions — with orSelf to
+			// its own as well — and then its region opens
+			j := runEnd(ctx, nxt, n)
+			if orSelf {
+				st.Pruned += rg.push(ctx.Iter[nxt:j], ctxPre+c.Size[ctxPre])
 			}
 			if candPre == ctxPre {
 				li++
-			}
-			var iters []int32
-			for nxt < n && ctx.Pre[nxt] == ctxPre {
-				it := ctx.Iter[nxt]
-				if activeSet[it] {
-					st.Pruned++
-				} else {
-					iters = append(iters, it)
-					activeSet[it] = true
+				if len(rg.active) > 0 && emitCand(candPre) {
+					return
 				}
-				nxt++
 			}
-			if len(iters) > 0 {
-				frames = append(frames, frame{eos: ctxPre + c.Size[ctxPre], iters: iters})
-				rebuild()
+			if !orSelf {
+				st.Pruned += rg.push(ctx.Iter[nxt:j], ctxPre+c.Size[ctxPre])
 			}
-		default:
-			// candidate event inside the top region
-			st.Touched++
-			for _, it := range active {
-				out.append(candPre, it)
-			}
-			li++
+			nxt = j
+		} else if li++; emitCand(candPre) { // candidate event inside the innermost region
+			return
 		}
 	}
 }
 
-// candChild is the candidate-list child variant: candidates inside each
-// context region are located by binary search and filtered by a parent
-// check.
-func candChild(c *store.Container, ctx Pairs, cand []int32, out *Pairs, st *Stats) {
-	i := 0
-	n := ctx.Len()
-	for i < n {
-		if st.stopped() {
-			break
-		}
+// candChild is the candidate-list child variant: the candidates inside
+// each context region are located by a forward-galloping cursor and
+// filtered by a parent check. Output leaves (pre, iter) order only when a
+// context region nests inside an earlier one.
+func candChild(c *store.Container, ctx Pairs, cand []int32, em *emitter) {
+	st := em.st
+	n := int32(ctx.Len())
+	lo, maxEos := 0, int32(-1)
+	for i := int32(0); i < n; {
 		pre := ctx.Pre[i]
-		j := i
-		for j < n && ctx.Pre[j] == pre {
-			j++
-		}
+		j := runEnd(ctx, i, n)
 		eos := pre + c.Size[pre]
-		li := sort.Search(len(cand), func(k int) bool { return cand[k] > pre })
-		for ; li < len(cand) && cand[li] <= eos; li++ {
-			st.Touched++
-			if c.Parent[cand[li]] != pre {
-				continue
+		em.unsorted = em.unsorted || pre <= maxEos
+		maxEos = max(maxEos, eos)
+		lo = gallop(cand, lo, pre)
+		for li := lo; li < len(cand) && cand[li] <= eos; {
+			from := li
+			for end := min(li+4096, len(cand)); li < end && cand[li] <= eos; li++ {
+				if c.Parent[cand[li]] == pre {
+					for k := i; k < j; k++ {
+						em.emit(cand[li], ctx.Iter[k])
+					}
+				}
 			}
-			for k := i; k < j; k++ {
-				out.append(cand[li], ctx.Iter[k])
+			if st.touch(int64(li - from)) {
+				return
 			}
 		}
 		i = j
 	}
-	SortPairs(out)
 }
 
-// mergePairs merges two (pre, iter)-sorted pair lists, dropping duplicates.
-func mergePairs(a, b Pairs) Pairs {
-	var out Pairs
-	i, j := 0, 0
-	less := func(p1, i1, p2, i2 int32) bool {
-		if p1 != p2 {
-			return p1 < p2
-		}
-		return i1 < i2
-	}
-	for i < a.Len() || j < b.Len() {
+// MergePairs merges two (pre, iter)-sorted pair lists, dropping pairs
+// present in both (the cross-chunk duplicates of context partitioning).
+func MergePairs(a, b Pairs) Pairs {
+	out := Pairs{Pre: make([]int32, a.Len()+b.Len()), Iter: make([]int32, a.Len()+b.Len())}
+	i, j, k := 0, 0, 0
+	for ; i < a.Len() || j < b.Len(); k++ {
+		var d int // < 0: take a, > 0: take b, 0: equal, take one
 		switch {
 		case j >= b.Len():
-			out.append(a.Pre[i], a.Iter[i])
-			i++
+			d = -1
 		case i >= a.Len():
-			out.append(b.Pre[j], b.Iter[j])
-			j++
-		case a.Pre[i] == b.Pre[j] && a.Iter[i] == b.Iter[j]:
-			out.append(a.Pre[i], a.Iter[i])
-			i++
-			j++
-		case less(a.Pre[i], a.Iter[i], b.Pre[j], b.Iter[j]):
-			out.append(a.Pre[i], a.Iter[i])
-			i++
+			d = 1
+		case a.Pre[i] != b.Pre[j]:
+			d = int(a.Pre[i]) - int(b.Pre[j])
 		default:
-			out.append(b.Pre[j], b.Iter[j])
+			d = int(a.Iter[i]) - int(b.Iter[j])
+		}
+		if d <= 0 {
+			out.Pre[k], out.Iter[k] = a.Pre[i], a.Iter[i]
+			i++
+		} else {
+			out.Pre[k], out.Iter[k] = b.Pre[j], b.Iter[j]
+		}
+		if d >= 0 {
 			j++
 		}
 	}
-	return out
-}
-
-func insertSorted(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(k int) bool { return s[k] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	return Pairs{Pre: out.Pre[:k], Iter: out.Iter[:k]}
 }
