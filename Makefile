@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-ci fmt vet build test race race-cover bench bench-smoke repo-bench-smoke size serve-smoke fuzz-short chaos-smoke cover lint mxqlint verify optcheck
+.PHONY: check check-ci fmt vet build test race race-cover bench bench-smoke repo-bench-smoke poison-smoke size serve-smoke fuzz-short chaos-smoke cover lint mxqlint verify optcheck
 
 # check is the CI gate: formatting, vet, build, and the full test suite
 # under the race detector (the parallel executor must stay race-clean).
@@ -80,6 +80,19 @@ bench-smoke:
 repo-bench-smoke:
 	cd bench && $(GO) test ./...
 
+# poison-smoke runs the executor's own suites (the Fun grid against the
+# oracle, the chunk-count identity tests, the arena contract) and the
+# repository benchmark's output verification on the poisoned arena build
+# (-tags arenapoison, docs/executor.md): dirty column memory arrives as
+# 0xA5…, every reset overwrites what was handed out and no request is
+# too small for the arena, so a kernel that relied on a zeroed make, a
+# column aliasing scratch, or a read after Release loses byte identity
+# here. fuzz-short and chaos-smoke run their poisoned passes themselves.
+POISON = -tags arenapoison
+poison-smoke:
+	$(GO) test $(POISON) -count=1 ./internal/ralg/ ./internal/store/ ./internal/core/
+	cd bench && $(GO) test $(POISON) -count=1 ./...
+
 # size prints the non-test Go lines of every internal/* package (plain
 # wc -l): the ROADMAP's "net ralg lines must not grow" budget as a
 # number in every CI log.
@@ -110,9 +123,11 @@ serve-smoke:
 # serial + parallel vs the naive oracle, ~30s budget). MXQ_FUZZ_SEED
 # defaults to a seed distinct from the in-suite run, so this is a fresh
 # 500-query stream, not a replay; override it to reproduce a failure.
+# The second pass replays the stream on the poisoned arena build.
 MXQ_FUZZ_SEED ?= 424242
 fuzz-short:
 	MXQ_FUZZ_SEED=$(MXQ_FUZZ_SEED) $(GO) test -run 'TestDifferentialFuzz' -count=1 -v .
+	MXQ_FUZZ_SEED=$(MXQ_FUZZ_SEED) $(GO) test $(POISON) -run 'TestDifferentialFuzz' -count=1 .
 
 # chaos-smoke runs the deterministic fault-injection suite under the
 # race detector: the XMark mix with errors, cancellations, and panics
@@ -120,10 +135,13 @@ fuzz-short:
 # serving-layer stream faults and the graceful-shutdown contract.
 # MXQ_FAULTS_SEED varies the injection schedule (CI passes the workflow
 # run id); re-run with the printed seed to replay a failure exactly.
+# The last pass repeats the engine suite on the poisoned arena build,
+# where every execution takes an arena: none may be left behind.
 MXQ_FAULTS_SEED ?= 424242
 chaos-smoke:
 	MXQ_FAULTS_SEED=$(MXQ_FAULTS_SEED) $(GO) test -race -count=1 -v ./internal/chaos/
 	MXQ_FAULTS_SEED=$(MXQ_FAULTS_SEED) $(GO) test -race -count=1 -run 'TestServeStreamChaos|TestGracefulShutdown|TestShutdownDeadline' ./internal/serve/
+	MXQ_FAULTS_SEED=$(MXQ_FAULTS_SEED) $(GO) test $(POISON) -race -count=1 ./internal/chaos/
 
 cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...

@@ -13,7 +13,10 @@
 //  3. once faults are disarmed, the same engine answers every query of
 //     the mix byte-identical to the serial oracle — a faulted execution
 //     never poisons memoization, the plan cache, the scheduler, or the
-//     store.
+//     store, and
+//  4. every execution, however it ended, released its column arena
+//     (ralg.LiveArenas is back to zero; the poisoned build of
+//     chaos-smoke makes every execution of this tiny corpus take one).
 //
 // Runs are reproducible: the injection schedule is a pure function of
 // (site, probability, seed), with the seed overridable via
@@ -31,6 +34,7 @@ import (
 
 	"mxq/internal/core"
 	"mxq/internal/faults"
+	"mxq/internal/ralg"
 	"mxq/internal/sched"
 	"mxq/internal/testutil"
 	"mxq/internal/xmark"
@@ -145,6 +149,10 @@ func TestChaosXMarkMix(t *testing.T) {
 						t.Errorf("post-fault Q%d differs from the serial oracle", i+1)
 					}
 				}
+				// Invariant 4: no execution path kept its arena.
+				if n := ralg.LiveArenas(); n != 0 {
+					t.Errorf("%d arenas still held after the faulted and clean runs", n)
+				}
 				// Invariant 2 (no goroutine leaks) is asserted by
 				// testutil.CheckGoroutines at test cleanup.
 			})
@@ -198,6 +206,9 @@ func TestChaosConcurrentClients(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	if n := ralg.LiveArenas(); n != 0 {
+		t.Errorf("%d arenas still held after the concurrent clients finished", n)
+	}
 	faults.Reset()
 
 	for i, q := range chaosMix {

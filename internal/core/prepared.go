@@ -156,6 +156,10 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	transient := store.NewContainer("")
 	qp.Register(transient)
 	ex := ralg.NewExec(qp, transient)
+	// The executor's column memory goes back for reuse on every exit
+	// path — result, error, cancellation, budget abort, contained panic.
+	// Nothing below may hand out a table: the result is copied off first.
+	defer ex.Release()
 	ex.Par = e.parOptions()
 	if grant != nil && ex.Par.Workers > 1 {
 		if b := grant.Budget(); b < ex.Par.Workers {

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"path/filepath"
 	"regexp"
+	"strings"
 )
 
 // AllocCheck enforces the executor's memory-governance contract, the
@@ -22,9 +24,17 @@ import (
 //	// alloccheck:exempt <reason>
 //
 // The reason is mandatory; a bare marker still fires.
+//
+// In ralg, column memory comes from the execution's arena: the arena
+// calls (dirty, zeroed, grown, settle, carve) are materializing sites
+// like make and append, and outside arena*.go a make of a pointer-free
+// column element type ([]int64, []int32, []float64, []uint64, []bool,
+// []xqt.Kind) whose size is not a literal is flagged wherever it
+// appears — a site that slipped back to the Go allocator — unless its
+// function carries the annotation.
 var AllocCheck = &Analyzer{
 	Name: "alloccheck",
-	Doc:  "row-materializing operators must charge the memory budget (charge/chargeTable/Charge), reach a charge via same-package calls, or carry an alloccheck:exempt annotation",
+	Doc:  "row-materializing operators must charge the memory budget (charge/chargeTable/Charge), reach a charge via same-package calls, or carry an alloccheck:exempt annotation; ralg column vectors come from the arena, not from make",
 	Run:  runAllocCheck,
 }
 
@@ -111,16 +121,21 @@ func runAllocCheck(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, name := range order {
 		info := fns[name]
+		_, exempt := exemptReason(info.decl.Doc, "alloccheck:exempt")
+		file := filepath.Base(p.Fset.Position(info.decl.Pos()).Filename)
+		if p.Name == "ralg" && !exempt && !strings.HasPrefix(file, "arena") {
+			for _, call := range columnMakes(info.decl.Body) {
+				diags = append(diags, p.diag("alloccheck", call,
+					"%s: row-sized make of a pointer-free column type outside arena.go; take it from the arena (dirty/zeroed) or annotate // alloccheck:exempt <reason>", name))
+			}
+		}
 		if !isAllocCandidate(p.Name, info.decl) {
 			continue
 		}
 		if !hasAlloc(info.decl.Body) {
 			continue
 		}
-		if _, ok := exemptReason(info.decl.Doc, "alloccheck:exempt"); ok {
-			continue
-		}
-		if reaches(name) {
+		if exempt || reaches(name) {
 			continue
 		}
 		diags = append(diags, p.diag("alloccheck", info.decl,
@@ -152,17 +167,66 @@ func isAllocCandidate(pkg string, fd *ast.FuncDecl) bool {
 	return false
 }
 
+// arenaCalls are ralg's column-memory entry points (arena.go).
+var arenaCalls = map[string]bool{"dirty": true, "zeroed": true, "grown": true, "settle": true, "carve": true}
+
+// calleeName returns the called identifier of f(...) or f[T](...).
+func calleeName(call *ast.CallExpr) string {
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ix.X
+	}
+	if id, ok := fun.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
 // hasAlloc reports whether the body contains a materializing allocation:
-// a make or append call, including inside function literals.
+// a make, append or arena call, including inside function literals.
 func hasAlloc(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && (id.Name == "make" || id.Name == "append") {
+			if name := calleeName(call); name == "make" || name == "append" || arenaCalls[name] {
 				found = true
 			}
 		}
 		return !found
 	})
 	return found
+}
+
+// columnElems are the pointer-free element types of column vectors.
+var columnElems = map[string]bool{"int64": true, "int32": true, "float64": true, "uint64": true, "bool": true, "Kind": true}
+
+// columnMakes returns the make([]E, n, …) calls in body whose element
+// type is a column element type and whose size is not all literals.
+func columnMakes(body *ast.BlockStmt) []*ast.CallExpr {
+	var out []*ast.CallExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || calleeName(call) != "make" || len(call.Args) < 2 {
+			return true
+		}
+		arr, ok := call.Args[0].(*ast.ArrayType)
+		if !ok || arr.Len != nil {
+			return true
+		}
+		elem := arr.Elt
+		if sel, ok := elem.(*ast.SelectorExpr); ok { // xqt.Kind
+			elem = sel.Sel
+		}
+		if id, ok := elem.(*ast.Ident); !ok || !columnElems[id.Name] {
+			return true
+		}
+		for _, size := range call.Args[1:] {
+			if _, lit := size.(*ast.BasicLit); !lit {
+				out = append(out, call)
+				break
+			}
+		}
+		return true
+	})
+	return out
 }

@@ -28,7 +28,7 @@ func BindStrings(vs ...string) ItemVec {
 
 // BindBools builds an xs:boolean sequence binding.
 func BindBools(vs ...bool) ItemVec {
-	iv := make([]int64, len(vs))
+	iv := zeroed[int64](nil, outRegion, len(vs)) // caller-owned: no execution, no arena
 	for i, b := range vs {
 		if b {
 			iv[i] = 1

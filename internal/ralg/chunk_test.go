@@ -17,19 +17,20 @@ import (
 // case pays no copy for being expressed as chunks.
 func TestLoneChunkIsAdopted(t *testing.T) {
 	part := []int32{1, 2, 3}
-	if got := concat([][]int32{part}); &got[0] != &part[0] {
+	if got := concat(nil, [][]int32{part}); &got[0] != &part[0] {
 		t.Error("concat copied a lone chunk")
 	}
-	if got := concat([][]int32{{1}, nil, {2, 3}}); fmt.Sprint(got) != "[1 2 3]" {
+	if got := concat(nil, [][]int32{{1}, nil, {2, 3}}); fmt.Sprint(got) != "[1 2 3]" {
 		t.Errorf("concat = %v", got)
 	}
-	vec := ItemsOf(xqt.Int(1), xqt.Int(2))
-	if got := concatItemVecs([]ItemVec{vec}); &got.I[0] != &vec.I[0] {
-		t.Error("concatItemVecs copied a lone chunk")
+	// a column is never adopted: settle and unionVecs copy at exact size
+	if got := settle(nil, part); &got[0] == &part[0] || cap(got) != 3 {
+		t.Error("settle adopted its input")
 	}
-	mixed := concatItemVecs([]ItemVec{vec, ItemsOf(xqt.Str("x"))})
+	vec, str := ItemsOf(xqt.Int(1), xqt.Int(2)), ItemsOf(xqt.Str("x"))
+	mixed := unionVecs(nil, []ItemVec{vec, str})
 	if mixed.Len() != 3 || mixed.At(2) != xqt.Str("x") || mixed.At(0) != xqt.Int(1) {
-		t.Errorf("concatItemVecs = %v", mixed.Slice())
+		t.Errorf("unionVecs = %v", mixed.Slice())
 	}
 
 	li, ri := []int32{0, 1}, []int32{5, 6}

@@ -72,6 +72,10 @@ type Bindings map[string]ItemVec
 // machinery uses, so workers drain and partial tables are discarded
 // identically, and Run surfaces the typed resource-exhausted error
 // instead of memoizing.
+//
+// Row-sized pointer-free columns come from a pooled arena (arena.go):
+// Release hands it back, after which no table of this Exec may be read.
+// An Exec that is never released is collected like any other value.
 type Exec struct {
 	Pool       *store.Pool
 	Transient  *store.Container
@@ -84,6 +88,7 @@ type Exec struct {
 
 	memo map[Plan]*Table
 	done <-chan struct{} // Ctx.Done(), captured once at Run entry
+	mem  execMem         // the arena behind every row-sized column (arena.go)
 }
 
 // NewExec returns an executor over the given pool. Transient nodes
@@ -120,6 +125,7 @@ func (e *Exec) Run(p Plan) (*Table, error) {
 		return nil, err
 	}
 	t, err := e.apply(p, in)
+	e.resetScratch() // no table column may reference operator-lifetime memory
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +266,7 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	case *RangeGen:
 		return e.execRangeGen(n, in[0])
 	case *CoverCheck:
-		return execCoverCheck(n, in[0], in[1])
+		return e.execCoverCheck(n, in[0], in[1])
 	}
 	return nil, fmt.Errorf("ralg: unknown operator %T", p)
 }
@@ -278,55 +284,47 @@ func (e *Exec) execColToItem(n *ColToItem, in *Table) *Table {
 
 func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 	iters := in.Ints(n.Iter)
-	lo := in.ItemVec(n.Lo)
-	hi := in.ItemVec(n.Hi)
-	out := NewTable([]string{"iter", "pos", "item"}, []ColKind{KInt, KInt, KItem})
-	ic, pc, tc := out.Col("iter"), out.Col("pos"), out.Col("item")
-	sinceCheck := 0
+	lo, hi := in.ItemVec(n.Lo), in.ItemVec(n.Hi)
+	bounds := func(i int) (a, b int64) { return int64(lo.At(i).AsDouble()), int64(hi.At(i).AsDouble()) }
+	total := int64(0)
 	for i := range iters {
-		a := int64(lo.At(i).AsDouble())
-		b := int64(hi.At(i).AsDouble())
-		if b-a > MaxRows {
-			return nil, xqerr.Newf(xqerr.CodeResourceLimit,
-				"range %d to %d exceeds the %d-row limit", a, b, MaxRows)
+		if a, b := bounds(i); b >= a {
+			total += b - a + 1
 		}
-		if b < a {
-			continue
-		}
-		// 24 B/row: the iter, pos and item int64 columns
-		sinceCheck += int(b-a) + 1
-		if sinceCheck >= 1<<16 {
-			e.charge(int64(sinceCheck) * 24)
-			sinceCheck = 0
-			if e.stopRequested() {
-				return nil, e.stopErr()
-			}
-		}
-		base := tc.Item.growRows(xqt.KInt, int(b-a)+1)
-		pos := int64(1)
-		for v := a; v <= b; v++ {
-			ic.Int = append(ic.Int, iters[i])
-			pc.Int = append(pc.Int, pos)
-			tc.Item.I[base] = v
-			base++
-			pos++
+		if total > MaxRows {
+			return nil, xqerr.Newf(xqerr.CodeResourceLimit, "ranges of %d rows and more exceed the %d-row limit", total, MaxRows)
 		}
 	}
-	e.charge(int64(sinceCheck) * 24)
-	out.N = ic.Len()
+	// 24 B/row: the iter, pos and item int64 columns, charged before any
+	// of them is allocated
+	if !e.charge(24 * total) {
+		return nil, e.Mem.Err()
+	}
+	out := NewTable([]string{"iter", "pos", "item"}, []ColKind{KInt, KInt, KItem})
+	ic, pc := dirty[int64](e, outRegion, int(total)), dirty[int64](e, outRegion, int(total))
+	tc := e.uniformVec(xqt.KInt, int(total))
+	o := 0
+	for i := range iters {
+		a, b := bounds(i)
+		for v := a; v <= b; v++ {
+			if o&(1<<16-1) == 1<<16-1 && e.stopRequested() {
+				return nil, e.stopErr()
+			}
+			ic[o], pc[o], tc.I[o] = iters[i], v-a+1, v
+			o++
+		}
+	}
+	out.N, out.Col("iter").Int, out.Col("pos").Int, out.Col("item").Item = o, ic, pc, tc
 	return out, nil
 }
 
 // cancelcheck:exempt two memory-bound integer-column scans
 // alloccheck:exempt transient membership scratch bounded by the charged
 // input column, freed at return; the output is the input, zero-copy
-func execCoverCheck(n *CoverCheck, loop, in *Table) (*Table, error) {
-	have := make(map[int64]bool, in.N)
-	for _, it := range in.Ints(n.Part) {
-		have[it] = true
-	}
+func (e *Exec) execCoverCheck(n *CoverCheck, loop, in *Table) (*Table, error) {
+	have := e.newKeySet(in.Ints(n.Part))
 	for _, it := range loop.Ints(n.LoopIter) {
-		if !have[it] {
+		if !have.has(it) {
 			return nil, xqerr.Newf("FORG0005", "%s applied to an empty sequence", n.Fn)
 		}
 	}
@@ -391,9 +389,9 @@ func (e *Exec) execCollectionRoot(n *CollectionRoot) (*Table, error) {
 	t := NewTable([]string{"pos", "item"}, []ColKind{KInt, KItem})
 	t.N = len(conts)
 	pc := t.Col("pos")
-	pc.Int = make([]int64, len(conts))
+	pc.Int = dirty[int64](e, outRegion, len(conts))
 	tc := t.Col("item")
-	tc.Item.growRows(xqt.KNode, len(conts))
+	tc.Item = e.uniformVec(xqt.KNode, len(conts))
 	for i := range conts {
 		pc.Int[i] = int64(i) + 1
 		tc.Item.Cont[i] = conts[i]
@@ -421,11 +419,13 @@ func (e *Exec) execAttach(n *Attach, in *Table) *Table {
 	c := Col{Kind: n.Kind}
 	switch n.Kind {
 	case KInt:
-		c.Int = slices.Repeat([]int64{n.I}, in.N)
+		c.Int = dirty[int64](e, outRegion, in.N)
+		fillWith(c.Int, n.I)
 	case KBool:
-		c.Bool = slices.Repeat([]bool{n.B}, in.N)
+		c.Bool = dirty[bool](e, outRegion, in.N)
+		fillWith(c.Bool, n.B)
 	default:
-		c.Item = constItemVec(n.It, in.N)
+		c.Item = e.constItemVec(n.It, in.N)
 	}
 	e.charge(c.MemBytes()) // the attached column is the only fresh allocation
 	return in.withCol(n.Col, c)
@@ -436,18 +436,19 @@ func (e *Exec) execSelect(n *Select, in *Table) *Table {
 	rs := e.chunks(in.N, nil)
 	parts := make([][]int32, len(rs))
 	e.forChunks(rs, func(k, lo, hi int) {
-		local := make([]int32, 0, (hi-lo)/2+1)
+		local, o := dirty[int32](e, scratchRegion, hi-lo), 0
 		for i := lo; i < hi; i++ {
 			if (i-lo)&8191 == 8191 && e.stopRequested() {
 				break // Run's post-operator checkpoint discards the partial table
 			}
 			if cond[i] != n.Neg {
-				local = append(local, int32(i))
+				local[o] = int32(i)
+				o++
 			}
 		}
-		parts[k] = local
+		parts[k] = local[:o]
 	})
-	return e.gather(in, concat(parts))
+	return e.gather(in, concat(e, parts))
 }
 
 // seqRank numbers rows 1.. per contiguous part run within [lo, hi); lo
@@ -468,7 +469,7 @@ func seqRank(part, rank []int64, lo, hi int) {
 // pos column of a bound sequence).
 func (e *Exec) rowNumbers(n int) []int64 {
 	e.charge(8 * int64(n))
-	out := make([]int64, n)
+	out := dirty[int64](e, outRegion, n)
 	e.chunkFill(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = int64(i) + 1
@@ -496,7 +497,7 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 		return in.withCol(n.Out, Col{Kind: KInt, Int: e.rowNumbers(in.N)})
 	}
 	e.charge(8 * int64(in.N)) // the rank column
-	rank := make([]int64, in.N)
+	rank := dirty[int64](e, outRegion, in.N)
 	switch {
 	case part == nil:
 		for r, i := range idx {
@@ -527,7 +528,7 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 		var ctrMap map[int64]int64
 		if span := uint64(hi - lo); span <= 4*uint64(in.N) {
 			e.charge(8 * int64(span+1))
-			ctr = make([]int64, span+1)
+			ctr = zeroed[int64](e, scratchRegion, int(span+1))
 		} else {
 			ctrMap = make(map[int64]int64, 64)
 		}
@@ -568,21 +569,21 @@ func (e *Exec) execSort(n *Sort, in *Table) *Table {
 
 // cancelcheck:exempt memory-bound column concatenation
 func (e *Exec) execUnion(in []*Table) *Table {
-	first := in[0]
 	out := &Table{}
-	for _, name := range first.names {
-		kind := first.Col(name).Kind
-		c := Col{Kind: kind}
-		for _, t := range in {
+	for _, name := range in[0].names {
+		c := Col{Kind: in[0].Col(name).Kind}
+		ints, bools, vecs := make([][]int64, len(in)), make([][]bool, len(in)), make([]ItemVec, len(in))
+		for k, t := range in {
 			src := t.Col(name)
-			switch kind {
-			case KInt:
-				c.Int = append(c.Int, src.Int...)
-			case KBool:
-				c.Bool = append(c.Bool, src.Bool...)
-			default:
-				c.Item.AppendVec(&src.Item)
-			}
+			ints[k], bools[k], vecs[k] = src.Int, src.Bool, src.Item
+		}
+		switch c.Kind {
+		case KInt:
+			c.Int = settle(e, ints...)
+		case KBool:
+			c.Bool = settle(e, bools...)
+		default:
+			c.Item = unionVecs(e, vecs)
 		}
 		out.names = append(out.names, name)
 		out.cols = append(out.cols, c)

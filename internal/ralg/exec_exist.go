@@ -76,7 +76,7 @@ func (e *Exec) existKeys(c *Col, dom cmpDomain) ([]float64, []string) {
 	case domString:
 		return nil, e.cast(FunStringOf, c).S
 	}
-	f := make([]float64, c.Len())
+	f := zeroed[float64](e, outRegion, c.Len())
 	for i, it := range e.atoms(c) {
 		if xqt.Compare(it, xqt.Bool(true), xqt.CmpEq) { // the cast to xs:boolean, as Compare applies it
 			f[i] = 1
@@ -112,13 +112,13 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 			}
 			for j := range ratoms {
 				if xqt.Compare(latoms[i], ratoms[j], n.Cmp) {
-					p1 = append(p1, liter[i])
-					p2 = append(p2, riter[j])
+					p1, p2 = append(grown(e, p1, 1), liter[i]), append(grown(e, p2, 1), riter[j])
 				}
 			}
 		}
 		e.charge(16 * int64(len(p1)-charged))
-		p1, p2 = dedupPairs(p1, p2)
+		p1, p2 = dedupPairs(e, p1, p2)
+		p1, p2 = settle(e, p1), settle(e, p2)
 	default:
 		lf, ls := e.existKeys(lc, dom)
 		rf, rs := e.existKeys(rc, dom)
@@ -144,8 +144,8 @@ func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 		// sides reduce to one row per iter before the join.
 		e.Stats.ExistAggr++
 		lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
-		liter, lv = reduceExtremum(liter, lv, lmax)
-		riter, rv = reduceExtremum(riter, rv, !lmax)
+		liter, lv = reduceExtremum(e, liter, lv, lmax)
+		riter, rv = reduceExtremum(e, riter, rv, !lmax)
 		return existThetaJoin(e, n, liter, lv, riter, rv)
 	}
 	e.Stats.HashJoins++
@@ -154,7 +154,7 @@ func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 	if !e.charge(32 * int64(len(rv))) {
 		return nil, nil
 	}
-	return existHashJoin(liter, lv, riter, rv)
+	return existHashJoin(e, liter, lv, riter, rv)
 }
 
 // reduceExtremum keeps one row per iter: the minimum (max=false) or
@@ -162,9 +162,8 @@ func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 // [iter, pos] sorted); the output keeps one row per cluster in input
 // order. NaN satisfies no comparison, so it is skipped, and an iter
 // with nothing but NaN drops out.
-func reduceExtremum[T float64 | string](iters []int64, vals []T, max bool) ([]int64, []T) {
-	var oi []int64
-	var ov []T
+func reduceExtremum[T float64 | string](e *Exec, iters []int64, vals []T, max bool) ([]int64, []T) {
+	oi, ov, o := dirty[int64](e, scratchRegion, len(vals)), dirty[T](e, scratchRegion, len(vals)), 0
 	open := false // the current cluster has its output row
 	for i, v := range vals {
 		if i > 0 && iters[i] != iters[i-1] {
@@ -174,19 +173,20 @@ func reduceExtremum[T float64 | string](iters []int64, vals []T, max bool) ([]in
 			continue
 		}
 		if !open {
-			oi, ov, open = append(oi, iters[i]), append(ov, v), true
-		} else if best := &ov[len(ov)-1]; (max && *best < v) || (!max && v < *best) {
+			oi[o], ov[o], open = iters[i], v, true
+			o++
+		} else if best := &ov[o-1]; (max && *best < v) || (!max && v < *best) {
 			*best = v
 		}
 	}
-	return oi, ov
+	return oi[:o], ov[:o]
 }
 
 // existHashJoin evaluates an existential eq join over raw key vectors:
 // hash the right input by value (NaN joins nothing, -0 joins +0), probe
 // in left order, and eliminate duplicate (iter1, iter2) pairs per
 // left-iteration run (the merge-style δ of §4.2).
-func existHashJoin[T float64 | string](liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+func existHashJoin[T float64 | string](e *Exec, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
 	ht := make(map[T][]int64, len(rv))
 	for j, v := range rv {
 		if v == v {
@@ -195,11 +195,11 @@ func existHashJoin[T float64 | string](liter []int64, lv []T, riter []int64, rv 
 	}
 	for i, v := range lv {
 		for _, i2 := range ht[v] {
-			p1 = append(p1, liter[i])
-			p2 = append(p2, i2)
+			p1, p2 = append(grown(e, p1, 1), liter[i]), append(grown(e, p2, 1), i2)
 		}
 	}
-	return dedupPairs(p1, p2)
+	p1, p2 = dedupPairs(e, p1, p2)
+	return settle(e, p1), settle(e, p2) // the lists grew in scratch
 }
 
 // thetaHolds applies an ordering comparison to two promoted keys.
@@ -227,10 +227,10 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 	nl, nrt := len(liter), len(riter)
 
 	e.charge(4 * int64(nrt+nl))
-	perm := identity(nrt)
+	perm := identity(e, nrt)
 	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(rv[a], rv[b]) })
 	// row i matches perm[cut[i]:] under <, <= and perm[:cut[i]] under >, >=
-	cut := make([]int32, nl)
+	cut := dirty[int32](e, scratchRegion, nl)
 	total := int64(0)
 	for i := range cut {
 		c := sort.Search(nrt, func(k int) bool { return thetaHolds(lv[i], rv[perm[k]], n.Cmp) != lmax })
@@ -258,7 +258,7 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 	if !e.charge(16 * total) {
 		return nil, nil
 	}
-	p1, p2 = make([]int64, total), make([]int64, total)
+	p1, p2 = dirty[int64](e, outRegion, int(total)), dirty[int64](e, outRegion, int(total))
 	o := 0
 	for i := 0; i < nl; i++ {
 		if i&255 == 255 && e.stopRequested() {
@@ -294,25 +294,21 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 	if int64sNonDecreasing(liter) && int64sNonDecreasing(riter) {
 		return p1, p2
 	}
-	return dedupPairs(p1, p2)
+	return dedupPairs(e, p1, p2)
 }
 
 // dedupPairs removes duplicate (iter1, iter2) pairs and establishes
 // [iter1, iter2] order, in place. Inputs that are already iter1-ordered
 // (the common case: probes in left order) are deduplicated with a
 // per-run merge; otherwise the pairs are sorted first.
-func dedupPairs(p1, p2 []int64) ([]int64, []int64) {
+func dedupPairs(e *Exec, p1, p2 []int64) ([]int64, []int64) {
 	if !int64sNonDecreasing(p1) {
-		idx := identity(len(p1))
+		idx := identity(e, len(p1))
 		slices.SortFunc(idx, func(a, b int32) int {
 			return cmp.Or(cmp.Compare(p1[a], p1[b]), cmp.Compare(p2[a], p2[b]))
 		})
-		q1 := make([]int64, len(p1))
-		q2 := make([]int64, len(p2))
-		for i, j := range idx {
-			q1[i], q2[i] = p1[j], p2[j]
-		}
-		p1, p2 = q1, q2
+		copy(p1, gatherOf(e, scratchRegion, p1, idx))
+		copy(p2, gatherOf(e, scratchRegion, p2, idx))
 	}
 	o := 0
 	for start, end := 0, 0; start < len(p1); start = end {

@@ -33,7 +33,7 @@ func (e *Exec) view(c *Col) vecView {
 	case KInt:
 		return vecView{tag: xqt.KInt, i: c.Int}
 	case KBool:
-		iv := make([]int64, len(c.Bool))
+		iv := zeroed[int64](e, outRegion, len(c.Bool))
 		for j, b := range c.Bool {
 			if b {
 				iv[j] = 1
@@ -81,23 +81,18 @@ func (e *Exec) nodeStrings(vec *ItemVec, bulk func(c *store.Container, rows []in
 
 // floats materializes the view as xs:double values (the AsDouble cast)
 // in one conversion pass.
-func (v vecView) floats(n int) []float64 {
-	switch v.tag {
-	case xqt.KDouble:
+func (v vecView) floats(e *Exec, n int) []float64 {
+	if v.tag == xqt.KDouble {
 		return v.f
-	case xqt.KInt, xqt.KBool:
-		out := make([]float64, n)
-		for i, x := range v.i {
-			out[i] = float64(x)
-		}
-		return out
-	default:
-		out := make([]float64, n)
-		for i, s := range v.s {
-			out[i] = xqt.ParseDouble(s)
-		}
-		return out
 	}
+	out := dirty[float64](e, outRegion, n)
+	for i, x := range v.i { // KInt, KBool
+		out[i] = float64(x)
+	}
+	for i, s := range v.s {
+		out[i] = xqt.ParseDouble(s)
+	}
+	return out
 }
 
 // strs materializes the view as xs:string values (the AsString cast).
@@ -141,9 +136,15 @@ func uniformIntCol(vs []int64) Col      { return vecView{tag: xqt.KInt, i: vs}.c
 func uniformDoubleCol(vs []float64) Col { return vecView{tag: xqt.KDouble, f: vs}.col(len(vs)) }
 func uniformStringCol(vs []string) Col  { return vecView{tag: xqt.KString, s: vs}.col(len(vs)) }
 func boolCol(vs []bool) Col             { return Col{Kind: KBool, Bool: vs} }
-func constBools(n int, b bool) Col      { return boolCol(slices.Repeat([]bool{b}, n)) }
-func (e *Exec) floats(c *Col) []float64 { return e.view(c).floats(c.Len()) }
+func (e *Exec) floats(c *Col) []float64 { return e.view(c).floats(e, c.Len()) }
 func (e *Exec) strs(c *Col) []string    { return e.view(c).strs(c.Len()) }
+
+// constBools is the predicate column that is b on every one of n rows.
+func (e *Exec) constBools(n int, b bool) Col {
+	out := dirty[bool](e, outRegion, n)
+	fillWith(out, b)
+	return boolCol(out)
+}
 
 // colTag is the kind of a uniform column's rows, nodes included.
 func colTag(c *Col) xqt.Kind {
@@ -159,7 +160,7 @@ func colTag(c *Col) xqt.Kind {
 // map1 and map2 apply a scalar function to every row of one or two
 // typed vectors, a chunk at a time.
 func map1[A, R any](e *Exec, a []A, f func(A) R) []R {
-	out := make([]R, len(a))
+	out := dirty[R](e, outRegion, len(a))
 	e.chunkFill(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = f(a[i])
@@ -169,7 +170,7 @@ func map1[A, R any](e *Exec, a []A, f func(A) R) []R {
 }
 
 func map2[A, B, R any](e *Exec, a []A, b []B, f func(A, B) R) []R {
-	out := make([]R, len(a))
+	out := dirty[R](e, outRegion, len(a))
 	e.chunkFill(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = f(a[i], b[i])
@@ -207,7 +208,7 @@ func (e *Exec) execFun(n *Fun, in *Table) (*Table, error) {
 // nothing about op. Uniform arguments are the zero-copy case of one
 // group.
 func (e *Exec) funCol(op FunOp, args []*Col, n int) (Col, error) {
-	groups := tagGroups(args, n)
+	groups := tagGroups(e, args, n)
 	if groups == nil {
 		return e.funKernel(op, args, n)
 	}
@@ -216,7 +217,7 @@ func (e *Exec) funCol(op FunOp, args []*Col, n int) (Col, error) {
 	for g, grp := range groups {
 		sub := make([]*Col, len(args))
 		for a, c := range args {
-			u := uniformRows(c, grp.kinds[a], grp.idx)
+			u := uniformRows(e, c, grp.kinds[a], grp.idx)
 			if grp.idx != nil {
 				e.charge(u.MemBytes())
 			}
@@ -227,7 +228,7 @@ func (e *Exec) funCol(op FunOp, args []*Col, n int) (Col, error) {
 			return Col{}, err
 		}
 	}
-	return mergeRows(parts, groups, n), nil
+	return mergeRows(e, parts, groups, n), nil
 }
 
 // cast applies a unary op that cannot fail to one column.
@@ -246,7 +247,7 @@ type tagGroup struct {
 // arguments' kinds. It returns nil when no argument has a tag vector,
 // and one group without a row list when the tag vectors turn out
 // constant (a demoted-uniform column): both run zero-copy.
-func tagGroups(args []*Col, n int) []tagGroup {
+func tagGroups(e *Exec, args []*Col, n int) []tagGroup {
 	var all tagGroup
 	var tags [2][]xqt.Kind
 	for a, c := range args {
@@ -274,7 +275,7 @@ func tagGroups(args []*Col, n int) []tagGroup {
 			slot[sig] = len(groups)
 		}
 		g := &groups[slot[sig]-1]
-		g.idx = append(g.idx, int32(i))
+		g.idx = append(grown(e, g.idx, 1), int32(i))
 	}
 	if len(groups) > 1 {
 		return groups
@@ -287,7 +288,8 @@ func tagGroups(args []*Col, n int) []tagGroup {
 
 // uniformRows returns rows idx of c (nil: every row), all of kind k, as
 // a uniform column: only the payload vectors k uses are carried over.
-func uniformRows(c *Col, k xqt.Kind, idx []int32) Col {
+// The gathered rows are kernel input, gone with the operator.
+func uniformRows(e *Exec, c *Col, k xqt.Kind, idx []int32) Col {
 	u := *c
 	if v := &c.Item; c.Kind == KItem {
 		cont, i, f, s := payloads(k)
@@ -296,7 +298,7 @@ func uniformRows(c *Col, k xqt.Kind, idx []int32) Col {
 	if idx == nil {
 		return u
 	}
-	return u.Gather(idx)
+	return u.gatherIn(e, scratchRegion, idx)
 }
 
 func keepIf[T any](p []T, used bool) []T {
@@ -306,14 +308,14 @@ func keepIf[T any](p []T, used bool) []T {
 	return nil
 }
 
-// scatterRows writes src[j] to dst[idx[j]], allocating dst (n rows) on
-// first use; groups that do not carry the payload leave it alone.
-func scatterRows[T any](dst, src []T, idx []int32, n int) []T {
+// scatterRows writes src[j] to dst[idx[j]], allocating dst (n zero rows)
+// on first use; groups that do not carry the payload leave it alone.
+func scatterRows[T any](e *Exec, dst, src []T, idx []int32, n int) []T {
 	if src == nil {
 		return dst
 	}
 	if dst == nil {
-		dst = make([]T, n)
+		dst = zeroed[T](e, outRegion, n)
 	}
 	for j, i := range idx {
 		dst[i] = src[j]
@@ -324,20 +326,20 @@ func scatterRows[T any](dst, src []T, idx []int32, n int) []T {
 // mergeRows scatters the per-group kernel outputs — predicate columns
 // or uniform item columns — back to row order. The result is uniform
 // when the groups' outputs agree on a kind.
-func mergeRows(parts []Col, groups []tagGroup, n int) Col {
+func mergeRows(e *Exec, parts []Col, groups []tagGroup, n int) Col {
 	if len(parts) == 1 {
 		return parts[0]
 	}
 	if parts[0].Kind == KBool {
 		var out []bool
 		for g := range parts {
-			out = scatterRows(out, parts[g].Bool, groups[g].idx, n)
+			out = scatterRows(e, out, parts[g].Bool, groups[g].idx, n)
 		}
 		return boolCol(out)
 	}
 	out := ItemVec{Tag: parts[0].Item.Tag, n: n}
 	if slices.ContainsFunc(parts, func(p Col) bool { return p.Item.Tag != out.Tag }) {
-		out.Tags = make([]xqt.Kind, n)
+		out.Tags = dirty[xqt.Kind](e, outRegion, n)
 	}
 	for g := range parts {
 		p, idx := &parts[g].Item, groups[g].idx
@@ -346,10 +348,10 @@ func mergeRows(parts []Col, groups []tagGroup, n int) Col {
 				out.Tags[i] = p.Tag
 			}
 		}
-		out.Cont = scatterRows(out.Cont, p.Cont, idx, n)
-		out.I = scatterRows(out.I, p.I, idx, n)
-		out.F = scatterRows(out.F, p.F, idx, n)
-		out.S = scatterRows(out.S, p.S, idx, n)
+		out.Cont = scatterRows(e, out.Cont, p.Cont, idx, n)
+		out.I = scatterRows(e, out.I, p.I, idx, n)
+		out.F = scatterRows(e, out.F, p.F, idx, n)
+		out.S = scatterRows(e, out.S, p.S, idx, n)
 	}
 	return Col{Kind: KItem, Item: out}
 }
@@ -468,10 +470,10 @@ func (e *Exec) funKernel(op FunOp, a []*Col, n int) (Col, error) {
 
 	case FunIsNumeric:
 		k := colTag(a[0])
-		return constBools(n, k == xqt.KInt || k == xqt.KDouble), nil
+		return e.constBools(n, k == xqt.KInt || k == xqt.KDouble), nil
 	case FunEbvAtom:
 		if k := colTag(a[0]); k == xqt.KNode || k == xqt.KAttr {
-			return constBools(n, true), nil
+			return e.constBools(n, true), nil
 		}
 		switch v := e.view(a[0]); v.tag {
 		case xqt.KDouble:
@@ -557,7 +559,7 @@ func (e *Exec) nodeNames(c *Col) ([]string, error) {
 // attributes, and gives two rows the same key exactly when they are the
 // same node.
 func (e *Exec) docOrderKeys(vec *ItemVec) []uint64 {
-	out := make([]uint64, vec.Len())
+	out := dirty[uint64](e, scratchRegion, vec.Len())
 	if vec.Tag != xqt.KAttr {
 		for i, pre := range vec.I {
 			out[i] = uint64(pre) << 32
@@ -589,7 +591,7 @@ func (e *Exec) nodeOrder(a, b *Col, rel func(ca, cb int32, oa, ob uint64) bool) 
 	}
 	e.charge(16 * int64(a.Len())) // the two key vectors
 	oa, ob := e.docOrderKeys(va), e.docOrderKeys(vb)
-	out := make([]bool, len(oa))
+	out := dirty[bool](e, outRegion, len(oa))
 	e.chunkFill(len(oa), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = rel(va.Cont[i], vb.Cont[i], oa[i], ob[i])

@@ -12,14 +12,15 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 	for i, name := range n.By {
 		cols[i] = in.Col(name)
 	}
-	var idx []int32
+	idx, o := dirty[int32](e, scratchRegion, in.N), 0
 	if n.Merge {
 		for i := 0; i < in.N; i++ {
 			if i&8191 == 8191 && e.stopRequested() {
 				break // Run's post-operator checkpoint discards the partial table
 			}
 			if i == 0 || compareRows(cols, int32(i-1), int32(i)) != 0 {
-				idx = append(idx, int32(i))
+				idx[o] = int32(i)
+				o++
 			}
 		}
 	} else {
@@ -41,11 +42,12 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 			}
 			if !seen[string(key)] {
 				seen[string(key)] = true
-				idx = append(idx, int32(i))
+				idx[o] = int32(i)
+				o++
 			}
 		}
 	}
-	return e.gather(in, idx)
+	return e.gather(in, idx[:o])
 }
 
 // keyEnc appends the hashable encoding of one column's row i to buf.
@@ -119,27 +121,26 @@ func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 	rs := e.groupChunks(part)
 	pcs := make([][]int64, len(rs))
 	vcs := make([]ItemVec, len(rs))
-	stop := e.stopFunc()
-	e.forChunks(rs, func(k, lo, hi int) {
-		pc, vc := aggrRange(n, part, arg, lo, hi, stop)
-		pcs[k], vcs[k] = pc, NewItemVec(vc)
-	})
+	e.forChunks(rs, func(k, lo, hi int) { pcs[k], vcs[k] = e.aggrRange(n, part, arg, lo, hi) })
 	out := NewTable([]string{n.Part, n.Out}, []ColKind{KInt, KItem})
-	out.Col(n.Part).Int = concat(pcs)
-	out.Col(n.Out).Item = concatItemVecs(vcs)
+	out.Col(n.Part).Int = settle(e, pcs...)
+	if out.Col(n.Out).Item = vcs[0]; len(vcs) > 1 {
+		out.Col(n.Out).Item = unionVecs(e, vcs)
+	}
 	out.N = out.Col(n.Part).Len()
 	e.chargeTable(out)
 	return out, nil
 }
 
-// aggGroup accumulates one group's aggregate state.
+// aggGroup accumulates one group's aggregate state: pointer-free, so the
+// groups of a chunk live in scratch memory. The minimum or maximum of a
+// uniform xs:integer or xs:double column is kept in sumI or sumF.
 type aggGroup struct {
 	part   int64
 	cnt    int64
 	sumF   float64
 	sumI   int64
 	allInt bool
-	minmax xqt.Item
 }
 
 // aggrRange aggregates rows [lo, hi) by part, returning one (part, value)
@@ -150,10 +151,11 @@ type aggGroup struct {
 // uniform numeric tag, the accumulation loops run over the raw
 // int64/float64 payload vectors — one kind dispatch per chunk instead of
 // one per row (the accumulation order, and therefore every
-// floating-point result bit, is unchanged). A non-nil stop is polled
-// every few thousand rows; when it fires the partial result is dropped
-// (the caller's Run surfaces the context error).
-func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool) ([]int64, []xqt.Item) {
+// floating-point result bit, is unchanged). The execution's stop signal
+// is polled every few thousand rows; when it fires the partial result is
+// dropped (the caller's Run surfaces the context error). The part list
+// is scratch memory, the value vector a column of its exact size.
+func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int64, ItemVec) {
 	runs, clustered := 0, true
 	for i := lo; i < hi; i++ {
 		if i == lo || part[i] != part[i-1] {
@@ -165,14 +167,26 @@ func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool
 	if !clustered {
 		runs, ordinal = 64, make(map[int64]int32, 64)
 	}
-	groups := make([]aggGroup, 0, runs)
+	tag := xqt.KUntyped
+	uniform := false
+	if arg != nil {
+		tag, uniform = arg.Uniform()
+	}
+	groups := dirty[aggGroup](e, scratchRegion, runs)[:0]
+	var mm []xqt.Item // per group: the extremum of a column that is not uniformly numeric
+	if (n.Op == AggMin || n.Op == AggMax) && !(uniform && (tag == xqt.KInt || tag == xqt.KDouble)) {
+		mm = make([]xqt.Item, 0, runs)
+	}
+	k := 0 // the group of the row at hand
 	lookup := func(p int64) *aggGroup {
-		k := len(groups) - 1
-		if k < 0 || groups[k].part != p {
+		if k = len(groups) - 1; k < 0 || groups[k].part != p {
 			o, seen := ordinal[p]
 			if k = int(o); !seen {
 				k = len(groups)
-				groups = append(groups, aggGroup{part: p, allInt: true})
+				groups = append(grown(e, groups, 1), aggGroup{part: p, allInt: true})
+				if mm != nil {
+					mm = append(mm, xqt.Item{})
+				}
 				if ordinal != nil {
 					ordinal[p] = int32(k)
 				}
@@ -181,15 +195,10 @@ func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool
 		groups[k].cnt++
 		return &groups[k]
 	}
-	tag := xqt.KUntyped
-	uniform := false
-	if arg != nil {
-		tag, uniform = arg.Uniform()
-	}
 	// one kernel dispatch and one poll per block of rows
 	for blo := lo; blo < hi; blo += 8192 {
-		if blo > lo && stop != nil && stop() {
-			return nil, nil
+		if blo > lo && e.stopRequested() {
+			return nil, ItemVec{}
 		}
 		bhi := min(blo+8192, hi)
 		switch {
@@ -216,10 +225,8 @@ func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool
 			for i := blo; i < bhi; i++ {
 				g := lookup(part[i])
 				v := arg.I[i]
-				if g.cnt == 1 ||
-					(max && float64(g.minmax.I) < float64(v)) ||
-					(!max && float64(v) < float64(g.minmax.I)) {
-					g.minmax = xqt.Int(v)
+				if g.cnt == 1 || (max && float64(g.sumI) < float64(v)) || (!max && float64(v) < float64(g.sumI)) {
+					g.sumI = v
 				}
 			}
 		case uniform && tag == xqt.KDouble && (n.Op == AggMin || n.Op == AggMax):
@@ -227,8 +234,8 @@ func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool
 			for i := blo; i < bhi; i++ {
 				g := lookup(part[i])
 				v := arg.F[i]
-				if g.cnt == 1 || (max && g.minmax.F < v) || (!max && v < g.minmax.F) {
-					g.minmax = xqt.Double(v)
+				if g.cnt == 1 || (max && g.sumF < v) || (!max && v < g.sumF) {
+					g.sumF = v
 				}
 			}
 		default:
@@ -244,38 +251,54 @@ func aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int, stop func() bool
 					}
 					g.sumF += it.AsDouble()
 				case AggMin:
-					if g.cnt == 1 || xqt.SortLess(arg.At(i), g.minmax) {
-						g.minmax = arg.At(i)
+					if g.cnt == 1 || xqt.SortLess(arg.At(i), mm[k]) {
+						mm[k] = arg.At(i)
 					}
 				case AggMax:
-					if g.cnt == 1 || xqt.SortLess(g.minmax, arg.At(i)) {
-						g.minmax = arg.At(i)
+					if g.cnt == 1 || xqt.SortLess(mm[k], arg.At(i)) {
+						mm[k] = arg.At(i)
 					}
 				}
 			}
 		}
 	}
-	pc := make([]int64, len(groups))
-	vc := make([]xqt.Item, len(groups))
+	pc := dirty[int64](e, scratchRegion, len(groups))
 	for i := range groups {
-		g := &groups[i]
-		pc[i] = g.part
-		switch n.Op {
-		case AggCount:
-			vc[i] = xqt.Int(g.cnt)
-		case AggSum:
-			if g.allInt {
-				vc[i] = xqt.Int(g.sumI)
-			} else {
-				vc[i] = xqt.Double(g.sumF)
-			}
-		case AggAvg:
-			vc[i] = xqt.Double(g.sumF / float64(g.cnt))
-		case AggMin, AggMax:
-			vc[i] = g.minmax
+		pc[i] = groups[i].part
+	}
+	ints := func(of func(g *aggGroup) int64) ItemVec {
+		v := e.uniformVec(xqt.KInt, len(groups))
+		for i := range groups {
+			v.I[i] = of(&groups[i])
+		}
+		return v
+	}
+	floats := func(of func(g *aggGroup) float64) ItemVec {
+		v := e.uniformVec(xqt.KDouble, len(groups))
+		for i := range groups {
+			v.F[i] = of(&groups[i])
+		}
+		return v
+	}
+	switch {
+	case n.Op == AggCount:
+		return pc, ints(func(g *aggGroup) int64 { return g.cnt })
+	case n.Op == AggAvg:
+		return pc, floats(func(g *aggGroup) float64 { return g.sumF / float64(g.cnt) })
+	case mm != nil:
+		return pc, itemVecOf(e, mm)
+	case uniform && tag == xqt.KInt: // the sum, minimum or maximum of xs:integers
+		return pc, ints(func(g *aggGroup) int64 { return g.sumI })
+	case uniform && tag == xqt.KDouble:
+		return pc, floats(func(g *aggGroup) float64 { return g.sumF })
+	}
+	vc := make([]xqt.Item, len(groups)) // a sum is an xs:integer while every addend was one
+	for i, g := range groups {
+		if vc[i] = xqt.Double(g.sumF); g.allInt {
+			vc[i] = xqt.Int(g.sumI)
 		}
 	}
-	return pc, vc
+	return pc, itemVecOf(e, vc)
 }
 
 func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
@@ -288,8 +311,7 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 		return nil, err
 	}
 	out := NewTable([]string{n.Part, n.Out}, []ColKind{KInt, KBool})
-	pc := out.Col(n.Part)
-	bc := out.Col(n.Out)
+	pc, bc := dirty[int64](e, scratchRegion, len(part)), dirty[bool](e, scratchRegion, len(part))
 	i := 0
 	groups := 0
 	for i < len(part) {
@@ -304,11 +326,11 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 		if k := items.KindAt(i); j-i > 1 && k != xqt.KNode && k != xqt.KAttr {
 			return nil, xqerr.Newf("FORG0006", "effective boolean value of a sequence of %d atomic values", j-i)
 		}
-		pc.Int = append(pc.Int, part[i])
-		bc.Bool = append(bc.Bool, rowEBV.Bool[i])
+		pc[groups-1], bc[groups-1] = part[i], rowEBV.Bool[i]
 		i = j
 	}
-	out.N = pc.Len()
+	out.N = groups
+	out.Col(n.Part).Int, out.Col(n.Out).Bool = settle(e, pc[:groups]), settle(e, bc[:groups])
 	e.chargeTable(out)
 	return out, nil
 }

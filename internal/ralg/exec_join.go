@@ -1,6 +1,11 @@
 package ralg
 
-import "mxq/internal/xqerr"
+import (
+	"math/bits"
+	"slices"
+
+	"mxq/internal/xqerr"
+)
 
 func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 	lkey := l.Ints(n.LKey)
@@ -29,9 +34,11 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 						break
 					}
 				}
-				for _, j := range ht.lookup(lkey[i]) {
-					li = append(li, int32(i))
-					ri = append(ri, j)
+				for j := ht.first(lkey[i]); j != 0; j = ht.next[j-1] {
+					if rkey[j-1] != lkey[i] {
+						continue // another key of the same bucket
+					}
+					li, ri = append(grown(e, li, 1), int32(i)), append(grown(e, ri, 1), j-1)
 				}
 			}
 			e.charge(8 * int64(len(li)-charged))
@@ -46,17 +53,17 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 // k-base over there, no table needed.
 func (e *Exec) posPairs(keys []int64, base int64, n int) (rows, targets []int32) {
 	return e.chunkPairs(len(keys), func(lo, hi int) ([]int32, []int32) {
-		var ri, ti []int32
+		ri, ti, o := dirty[int32](e, scratchRegion, hi-lo), dirty[int32](e, scratchRegion, hi-lo), 0
 		for i := lo; i < hi; i++ {
 			if (i-lo)&8191 == 8191 && e.stopRequested() {
 				break
 			}
 			if j := keys[i] - base; j >= 0 && j < int64(n) {
-				ri = append(ri, int32(i))
-				ti = append(ti, int32(j))
+				ri[o], ti[o] = int32(i), int32(j)
+				o++
 			}
 		}
-		return ri, ti
+		return ri[:o], ti[:o]
 	})
 }
 
@@ -71,14 +78,23 @@ func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32
 	for _, ref := range rcols {
 		out.names = append(out.names, ref.Dst)
 	}
+	// a side whose every row joins exactly once, in order — the usual
+	// outcome of mapping an iteration back to its scope — is shared, not
+	// copied: only gathered columns are materialized, and charged
+	lall, rall := identityIdx(lidx, l.N), identityIdx(ridx, r.N)
 	e.forCols(len(lidx), ncols, func(i int) {
+		src, idx, all := r, ridx, rall
+		ref := ColRef{}
 		if i < len(lcols) {
-			out.cols[i] = l.Col(lcols[i].Src).Gather(lidx)
+			src, idx, all, ref = l, lidx, lall, lcols[i]
 		} else {
-			out.cols[i] = r.Col(rcols[i-len(lcols)].Src).Gather(ridx)
+			ref = rcols[i-len(lcols)]
+		}
+		if out.cols[i] = *src.Col(ref.Src); !all {
+			out.cols[i] = out.cols[i].gatherIn(e, outRegion, idx)
+			e.charge(out.cols[i].MemBytes())
 		}
 	})
-	e.chargeTable(out)
 	return out, nil
 }
 
@@ -93,15 +109,13 @@ func (e *Exec) execCross(n *Cross, l, r *Table) (*Table, error) {
 		return nil, e.Mem.Err()
 	}
 	e.Stats.CrossRows += total
-	lidx := make([]int32, 0, total)
-	ridx := make([]int32, 0, total)
+	lidx, ridx := dirty[int32](e, scratchRegion, int(total)), dirty[int32](e, scratchRegion, int(total))
 	for i := 0; i < l.N; i++ {
 		if i&255 == 255 && e.stopRequested() {
 			return nil, e.stopErr()
 		}
 		for j := 0; j < r.N; j++ {
-			lidx = append(lidx, int32(i))
-			ridx = append(ridx, int32(j))
+			lidx[i*r.N+j], ridx[i*r.N+j] = int32(i), int32(j)
 		}
 	}
 	return e.joinGather(l, r, n.LCols, n.RCols, lidx, ridx)
@@ -109,61 +123,104 @@ func (e *Exec) execCross(n *Cross, l, r *Table) (*Table, error) {
 
 func (e *Exec) execDiff(n *Diff, l, r *Table) *Table {
 	e.charge(16 * int64(r.N)) // the key set, sized up front
-	rset := make(map[int64]bool, r.N)
-	for i, k := range r.Ints(n.RKey) {
+	rset := e.newKeySet(r.Ints(n.RKey))
+	idx, o := dirty[int32](e, scratchRegion, l.N), 0
+	for i, k := range l.Ints(n.LKey) {
 		if i&8191 == 8191 && e.stopRequested() {
 			break // Run's post-operator checkpoint discards the partial table
 		}
-		rset[k] = true
-	}
-	var idx []int32
-	for i, k := range l.Ints(n.LKey) {
-		if i&8191 == 8191 && e.stopRequested() {
-			break
-		}
-		if !rset[k] {
-			idx = append(idx, int32(i))
+		if !rset.has(k) {
+			idx[o] = int32(i)
+			o++
 		}
 	}
-	return e.gather(l, idx)
+	return e.gather(l, idx[:o])
 }
 
-// hashTable is a key-partitioned join hash table: partition w owns the
-// keys with keyPart(k, w).
+// keySet is a membership set over one int64 key column: a bitmap when
+// the key span is at most 4·N (the rule the RankStream counters use), a
+// map as the last resort.
+type keySet struct {
+	lo   int64
+	bits []uint64
+	m    map[int64]struct{}
+}
+
+func (e *Exec) newKeySet(keys []int64) keySet {
+	if len(keys) == 0 {
+		return keySet{}
+	}
+	lo, hi := slices.Min(keys), slices.Max(keys)
+	if span := uint64(hi - lo); span <= 4*uint64(len(keys)) {
+		s := keySet{lo: lo, bits: zeroed[uint64](e, scratchRegion, int(span>>6)+1)}
+		for _, k := range keys {
+			d := uint64(k - lo)
+			s.bits[d>>6] |= 1 << (d & 63)
+		}
+		return s
+	}
+	s := keySet{m: make(map[int64]struct{}, len(keys))}
+	for _, k := range keys {
+		s.m[k] = struct{}{}
+	}
+	return s
+}
+
+func (s *keySet) has(k int64) bool {
+	if s.bits != nil {
+		d := uint64(k - s.lo)
+		return d>>6 < uint64(len(s.bits)) && s.bits[d>>6]>>(d&63)&1 != 0
+	}
+	_, ok := s.m[k]
+	return ok
+}
+
+// hashTable is a bucket-chained join hash table over the right key
+// column, in scratch memory. Partition w owns the keys with
+// keyPart(k, w) and has its own bucket heads; one next array chains the
+// rows of a bucket in right-input order. Entries are 1 + a row, 0 ends
+// a chain; a bucket may chain rows of several keys.
 type hashTable struct {
-	parts []map[int64][]int32
+	heads [][]int32
+	next  []int32
+	shift uint // a key's bucket is the top 64-shift bits of its hash
 }
 
-// keyPart maps a join key to its owning partition (Fibonacci mixing so
-// dense ascending keys spread evenly).
+// hashKey is Fibonacci mixing, so dense ascending keys spread evenly.
+func hashKey(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
+
+// keyPart maps a join key to its owning partition.
 func keyPart(k int64, nparts int) int {
 	if nparts == 1 {
 		return 0
 	}
-	return int((uint64(k) * 0x9E3779B97F4A7C15 >> 32) % uint64(nparts))
+	return int((hashKey(k) >> 32) % uint64(nparts))
 }
 
-func (h *hashTable) lookup(k int64) []int32 {
-	return h.parts[keyPart(k, len(h.parts))][k]
+// first returns the head of the chain holding k's rows.
+func (h *hashTable) first(k int64) int32 {
+	return h.heads[keyPart(k, len(h.heads))][hashKey(k)>>h.shift]
 }
 
 // hashEntryBytes is the accounted cost of one build-table entry: the
-// int32 row index plus amortized map bucket overhead.
+// chain link plus amortized bucket overhead.
 const hashEntryBytes = 16
 
-// buildHashTable builds the right-side key -> row-list table, one task
-// per key partition: each task scans the whole key column but inserts
-// only the keys it owns, so no merge is needed and every key's row list
-// is in right-input order whatever the partition count. A small build
-// side has the one partition that owns every key.
+// buildHashTable builds the right-side key -> row-chain table, one task
+// per key partition: each task scans the whole key column, last row
+// first, and pushes only the keys it owns onto their buckets, so no
+// merge is needed and every chain is in right-input order whatever the
+// partition count. A small build side has the one partition that owns
+// every key.
 func (e *Exec) buildHashTable(rkey []int64) *hashTable {
 	nparts := e.keyPartitions(len(rkey))
-	h := &hashTable{parts: make([]map[int64][]int32, nparts)}
+	width := bits.Len(uint(len(rkey) / nparts)) // 2^width buckets per partition
+	h := &hashTable{heads: make([][]int32, nparts), next: dirty[int32](e, scratchRegion, len(rkey)), shift: uint(64 - width)}
 	e.forTasks(nparts, func(w int) {
-		m := make(map[int64][]int32, len(rkey)/nparts+1)
+		head := zeroed[int32](e, scratchRegion, 1<<width)
 		inserted := 0
-		for j, k := range rkey {
-			if j&8191 == 8191 {
+		for j := len(rkey) - 1; j >= 0; j-- {
+			if j&8191 == 0 {
 				// charge the build as it grows so an over-budget query
 				// aborts mid-build instead of after materializing it
 				e.charge(int64(inserted) * hashEntryBytes)
@@ -172,13 +229,14 @@ func (e *Exec) buildHashTable(rkey []int64) *hashTable {
 					break
 				}
 			}
-			if keyPart(k, nparts) == w {
-				m[k] = append(m[k], int32(j))
+			if k := rkey[j]; keyPart(k, nparts) == w {
+				b := hashKey(k) >> h.shift
+				h.next[j], head[b] = head[b], int32(j)+1
 				inserted++
 			}
 		}
 		e.charge(int64(inserted) * hashEntryBytes)
-		h.parts[w] = m
+		h.heads[w] = head
 	})
 	return h
 }

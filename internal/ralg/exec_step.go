@@ -90,9 +90,12 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, wei
 		e.charge(8) // the emitter's share of this row
 		return scj.Blocks{Segs: []scj.Pairs{{Pre: []int32{owner}, Iter: []int32{int32(iters[s.lo])}}}}
 	}
-	// the context relation is emitted as columns straight off the typed
-	// payload vectors
-	ctx := scj.FromColumns(items.I, iters, s.lo, s.hi)
+	// the context relation: the run's pre and iter vectors narrowed to the
+	// document's int32 encoding, in scratch memory
+	ctx := scj.Pairs{Pre: dirty[int32](e, scratchRegion, s.hi-s.lo), Iter: dirty[int32](e, scratchRegion, s.hi-s.lo)}
+	for i := s.lo; i < s.hi; i++ {
+		ctx.Pre[i-s.lo], ctx.Iter[i-s.lo] = int32(items.I[i]), int32(iters[i])
+	}
 	budget := int(int64(e.Par.Workers) * weight / total)
 	return scj.StepBlocks(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
 }
@@ -114,7 +117,7 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	// Per-segment stats are summed afterwards; concatenating segment
 	// outputs in segment order gives the same emission order whatever
 	// the task schedule.
-	weights := make([]int64, len(segs))
+	weights := dirty[int64](e, scratchRegion, len(segs))
 	var weight int64
 	for k, s := range segs {
 		w := int64(1)
@@ -166,8 +169,8 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
 	ic := out.Col("iter")
 	tc := out.Col("item")
-	ic.Int = make([]int64, total)
-	tc.Item.growRows(xqt.KNode, total)
+	ic.Int = dirty[int64](e, outRegion, total)
+	tc.Item = e.uniformVec(xqt.KNode, total)
 	// the single copy of the step result: block pairs widen straight into
 	// the output columns
 	e.forTasks(len(pieces), func(k int) {
@@ -199,24 +202,22 @@ func (e *Exec) execAttrStep(n *AttrStep, in *Table) (*Table, error) {
 	// by one chunk, so concatenating chunk outputs keeps the (attribute,
 	// iter) order
 	rs := e.chunks(in.N, newRunAt)
-	ics := make([][]int64, len(rs))
-	tcs := make([]ItemVec, len(rs))
+	ics, conts, rows := make([][]int64, len(rs)), make([][]int32, len(rs)), make([][]int64, len(rs))
 	e.forChunks(rs, func(k, lo, hi int) {
-		ics[k], tcs[k] = e.attrStepRange(n, iters, items, lo, hi)
+		ics[k], conts[k], rows[k] = e.attrStepRange(n, iters, items, lo, hi)
 	})
 	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	out.Col("iter").Int = concat(ics)
-	out.Col("item").Item = concatItemVecs(tcs)
+	out.Col("iter").Int = settle(e, ics...)
 	out.N = out.Col("iter").Len()
+	out.Col("item").Item = ItemVec{Tag: xqt.KAttr, n: out.N, Cont: settle(e, conts...), I: settle(e, rows...)}
 	e.chargeTable(out)
 	return out, nil
 }
 
 // attrStepRange resolves the attribute axis for input rows [lo, hi); lo
-// must start a run of identical context items.
-func (e *Exec) attrStepRange(n *AttrStep, iters []int64, items *ItemVec, lo, hi int) ([]int64, ItemVec) {
-	var ic []int64
-	var tc ItemVec
+// must start a run of identical context items. The (iter, container,
+// attribute row) lists it returns grow in scratch memory.
+func (e *Exec) attrStepRange(n *AttrStep, iters []int64, items *ItemVec, lo, hi int) (ic []int64, tc []int32, ta []int64) {
 	i := lo
 	runs := 0
 	for i < hi {
@@ -244,14 +245,13 @@ func (e *Exec) attrStepRange(n *AttrStep, iters []int64, items *ItemVec, lo, hi 
 					continue
 				}
 				for k := i; k < j; k++ {
-					ic = append(ic, iters[k])
-					tc.Append(xqt.Attr(ac.ID, a))
+					ic, tc, ta = append(grown(e, ic, 1), iters[k]), append(grown(e, tc, 1), ac.ID), append(grown(e, ta, 1), int64(a))
 				}
 			}
 		}
 		i = j
 	}
-	return ic, tc
+	return ic, tc, ta
 }
 
 func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
@@ -261,7 +261,7 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	loop := in[0].Ints("iter")
 	content := in[1]
 	citer := content.Ints("iter")
-	citem := content.Items("item")
+	citem := content.ItemVec("item")
 	// attribute value cursors: one per attribute part, its items cast to
 	// strings up front
 	type partCur struct {
@@ -284,14 +284,23 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 		}
 	}
 	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	ic := out.Col("iter")
+	out.N = len(loop)
+	out.Col("iter").Int = loop // one element per iteration, in loop order
 	tc := out.Col("item")
+	tc.Item = e.uniformVec(xqt.KNode, len(loop))
 	b := store.NewContainerBuilder(e.Transient)
+	// the copied subtrees dominate the rows this operator appends to the
+	// transient container: make room for them once
+	rows := len(loop)
+	for i := 0; i < citem.Len(); i++ {
+		if citem.KindAt(i) == xqt.KNode {
+			rows += int(e.Pool.Get(citem.Cont[i]).Size[citem.I[i]]) + 1
+		}
+	}
+	b.Reserve(rows)
 	ci := 0
-	built := 0
-	for _, it := range loop {
-		built++
-		if built&1023 == 0 && e.stopRequested() {
+	for built, it := range loop {
+		if built&1023 == 1023 && e.stopRequested() {
 			return nil, e.stopErr()
 		}
 		pre := b.StartElem(n.Tag)
@@ -326,32 +335,31 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 			}
 		}
 		for ci < len(citer) && citer[ci] == it {
-			item := citem[ci]
-			switch item.K {
+			switch citem.KindAt(ci) {
 			case xqt.KNode:
 				flush()
-				src := e.Pool.Get(item.Cont)
-				if src.Kind[item.I] == store.KindDoc {
+				src, node := e.Pool.Get(citem.Cont[ci]), int32(citem.I[ci])
+				if src.Kind[node] == store.KindDoc {
 					// copying a document node copies its children
-					end := int32(item.I) + src.Size[item.I]
-					for p := int32(item.I) + 1; p <= end; p += src.Size[p] + 1 {
+					end := node + src.Size[node]
+					for p := node + 1; p <= end; p += src.Size[p] + 1 {
 						b.CopyTree(src, p)
 					}
 				} else {
-					b.CopyTree(src, int32(item.I))
+					b.CopyTree(src, node)
 				}
 				sawContent = true
 			case xqt.KAttr:
-				src := e.Pool.Get(item.Cont)
+				src, row := e.Pool.Get(citem.Cont[ci]), citem.I[ci]
 				if sawContent || pendingText != "" {
 					return nil, xqerr.Newf("XQTY0024", "attribute node after content in element constructor")
 				}
-				b.Attr(src.Names.Name(src.AttrName[item.I]), src.AttrVal[item.I])
+				b.Attr(src.Names.Name(src.AttrName[row]), src.AttrVal[row])
 			default:
-				if pendingText != "" {
-					pendingText += " " + item.AsString()
+				if text := citem.At(ci).AsString(); pendingText != "" {
+					pendingText += " " + text
 				} else {
-					pendingText = item.AsString()
+					pendingText = text
 					sawContent = sawContent || pendingText != ""
 				}
 			}
@@ -359,10 +367,8 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 		}
 		flush()
 		b.End()
-		ic.Int = append(ic.Int, it)
-		tc.Item.Append(xqt.Node(e.Transient.ID, pre))
+		tc.Item.Cont[built], tc.Item.I[built] = e.Transient.ID, int64(pre)
 	}
-	out.N = ic.Len()
 	e.chargeTable(out)
 	return out, nil
 }

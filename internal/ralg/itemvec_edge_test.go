@@ -35,7 +35,7 @@ func mixedVec(items ...xqt.Item) ItemVec {
 func TestItemVecEmptyColumns(t *testing.T) {
 	pool := store.NewPool()
 	mixed := mixedVec(xqt.Int(1), xqt.Str("a"), xqt.Double(2.5))
-	emptyMixed := mixed.Gather(nil)
+	emptyMixed := mixed.gatherIn(nil, outRegion, nil)
 	if emptyMixed.Tags == nil || emptyMixed.Len() != 0 {
 		t.Fatalf("gather(nil) of a mixed column: Tags=%v len=%d, want non-nil tags, 0 rows", emptyMixed.Tags, emptyMixed.Len())
 	}
@@ -104,7 +104,7 @@ func TestSelectKeepsTagVector(t *testing.T) {
 		t.Fatal("gathered mixed column reports uniform")
 	}
 	// fallback vs kernel agreement on the gathered rows
-	sel.AddCol("two", Col{Kind: KItem, Item: constItemVec(xqt.Int(2), 3)})
+	sel.AddCol("two", Col{Kind: KItem, Item: ex.constItemVec(xqt.Int(2), 3)})
 	viaFallback, err := ex.execFun(&Fun{Op: FunMul, Args: []string{"item", "two"}, Out: "o"}, sel)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSelectKeepsTagVector(t *testing.T) {
 	uni := NewItemVec([]xqt.Item{xqt.Int(1), xqt.Int(3), xqt.Int(5)})
 	utab := &Table{N: 3}
 	utab.AddCol("item", Col{Kind: KItem, Item: uni})
-	utab.AddCol("two", Col{Kind: KItem, Item: constItemVec(xqt.Int(2), 3)})
+	utab.AddCol("two", Col{Kind: KItem, Item: ex.constItemVec(xqt.Int(2), 3)})
 	viaKernel, err := ex.execFun(&Fun{Op: FunMul, Args: []string{"item", "two"}, Out: "o"}, utab)
 	if err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func TestItemVecAppendVecAndGather(t *testing.T) {
 				}
 			}
 			idx := []int32{11, 0, 3, 3, 9}
-			g := dst.Gather(idx)
+			g := dst.gatherIn(nil, outRegion, idx)
 			for i, j := range idx {
 				if g.At(i) != all[j] {
 					t.Fatalf("gather row %d: %+v want %+v", i, g.At(i), all[j])
@@ -129,36 +129,29 @@ func TestItemVecAppendVecAndGather(t *testing.T) {
 	}
 }
 
-// TestItemVecGrowRows: bulk-grown node rows are writable through the raw
-// payload vectors (the Step output path).
-func TestItemVecGrowRows(t *testing.T) {
-	var v ItemVec
-	v.Append(xqt.Node(1, 7))
-	base := v.growRows(xqt.KNode, 3)
-	for k := 0; k < 3; k++ {
-		v.Cont[base+k] = 2
-		v.I[base+k] = int64(10 + k)
+// TestUniformVecRows: a bulk-sized node vector is writable through the
+// raw payload vectors (the Step output path), carries only the payloads
+// its kind uses, and stays intact when a foreign kind is appended.
+func TestUniformVecRows(t *testing.T) {
+	v := new(Exec).uniformVec(xqt.KNode, 4)
+	if v.F != nil || v.S != nil || len(v.Cont) != 4 || cap(v.I) != 4 {
+		t.Fatalf("node vector payloads: %+v", v)
+	}
+	want := []xqt.Item{xqt.Node(1, 7), xqt.Node(2, 10), xqt.Node(2, 11), xqt.Node(2, 12)}
+	for k, w := range want {
+		v.Cont[k], v.I[k] = w.Cont, w.I
 	}
 	if k, ok := v.Uniform(); !ok || k != xqt.KNode {
 		t.Fatalf("node column not uniform: (%v, %v)", k, ok)
 	}
-	want := []xqt.Item{xqt.Node(1, 7), xqt.Node(2, 10), xqt.Node(2, 11), xqt.Node(2, 12)}
-	for i, w := range want {
+	v.Append(xqt.Untyped("tail"))
+	if _, ok := v.Uniform(); ok {
+		t.Error("column stayed uniform after appending a foreign kind")
+	}
+	for i, w := range append(want, xqt.Untyped("tail")) {
 		if v.At(i) != w {
 			t.Errorf("row %d = %+v, want %+v", i, v.At(i), w)
 		}
-	}
-	// growing a different kind breaks uniformity but keeps the values
-	b2 := v.growRows(xqt.KUntyped, 1)
-	v.S[b2] = "tail"
-	if _, ok := v.Uniform(); ok {
-		t.Error("column stayed uniform after growing a foreign kind")
-	}
-	if v.At(4) != xqt.Untyped("tail") {
-		t.Errorf("row 4 = %+v", v.At(4))
-	}
-	if v.At(0) != xqt.Node(1, 7) {
-		t.Errorf("row 0 corrupted: %+v", v.At(0))
 	}
 }
 

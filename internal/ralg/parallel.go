@@ -6,9 +6,10 @@
 // Serial execution is the one-chunk case of the same body: chunks
 // returns the single range [0, n) unless Par asks for more, a lone
 // chunk runs on the calling goroutine, and concat adopts a lone chunk's
-// slices without copying. This file is the only place that reads Par
-// (stepSegRun hands the worker budget on to scj); operators never
-// branch on it.
+// slices without copying. Chunk bodies build their lists in the
+// execution's scratch region (arena.go); settle moves them to a column.
+// This file is the only place that reads Par (stepSegRun hands the
+// worker budget on to scj); operators never branch on it.
 //
 // Chunk boundaries respect iter/part group runs or identical-item runs
 // (the cuttable predicate), so every group is processed by exactly one
@@ -164,36 +165,33 @@ func (e *Exec) chunkPairs(nrows int, gen func(lo, hi int) ([]int32, []int32)) ([
 	ls := make([][]int32, len(rs))
 	rds := make([][]int32, len(rs))
 	e.forChunks(rs, func(k, lo, hi int) { ls[k], rds[k] = gen(lo, hi) })
-	return concat(ls), concat(rds)
+	return concat(e, ls), concat(e, rds)
 }
 
-// concat joins per-chunk outputs in chunk order. A lone chunk's slice
-// is adopted as the result, not copied — the serial case pays nothing
-// for being expressed as chunks.
-func concat[T any](parts [][]T) []T {
+// concat joins per-chunk scratch lists (or chunk-owned heap slices) in
+// chunk order. A lone chunk's slice is adopted as the result, not copied
+// — the serial case pays nothing for being expressed as chunks.
+func concat[T any](e *Exec, parts [][]T) []T {
 	if len(parts) == 1 {
 		return parts[0]
 	}
+	return concatIn(e, scratchRegion, parts)
+}
+
+// settle copies lists built in scratch — chunk outputs, or one list of
+// a size only known once it was built — into one out-region column of
+// exactly their total size: the only way scratch contents reach a table.
+func settle[T any](e *Exec, parts ...[]T) []T { return concatIn(e, outRegion, parts) }
+
+func concatIn[T any](e *Exec, rg regionID, parts [][]T) []T {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
 	}
-	out := make([]T, 0, total)
+	out := dirty[T](e, rg, total)
+	o := 0
 	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// concatItemVecs is concat for item columns: a lone chunk's vector is
-// adopted, several are appended (staying uniform when they agree).
-func concatItemVecs(parts []ItemVec) ItemVec {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	var out ItemVec
-	for k := range parts {
-		out.AppendVec(&parts[k])
+		o += copy(out[o:], p)
 	}
 	return out
 }
@@ -217,12 +215,30 @@ func (e *Exec) keyPartitions(n int) int {
 	return e.Par.Workers
 }
 
+// identityIdx reports whether idx selects each of n rows once, in order:
+// gathering by it would copy the input.
+func identityIdx(idx []int32, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for i, j := range idx {
+		if int(j) != i {
+			return false
+		}
+	}
+	return true
+}
+
 // gather is Table.Gather with the columns as tasks, charged to the
 // memory budget: the materializing tail of every row-selecting operator.
+// An operator that selected every row gets its input back.
 func (e *Exec) gather(t *Table, idx []int32) *Table {
+	if identityIdx(idx, t.N) {
+		return t
+	}
 	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
 	out.cols = make([]Col, len(t.cols))
-	e.forCols(len(idx), len(t.cols), func(i int) { out.cols[i] = t.cols[i].Gather(idx) })
+	e.forCols(len(idx), len(t.cols), func(i int) { out.cols[i] = t.cols[i].gatherIn(e, outRegion, idx) })
 	e.chargeTable(out)
 	return out
 }

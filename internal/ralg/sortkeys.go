@@ -26,9 +26,9 @@ type sortKey struct {
 	desc bool // applies to s and col
 }
 
-// sortKeys extracts the keys of the named sort columns; typed is false
-// when some column needed the generic extractor.
-func sortKeys(t *Table, by []string, desc []bool) (keys []sortKey, typed bool) {
+// sortKeys extracts the keys of the named sort columns, into scratch
+// memory; typed is false when some column needed the generic extractor.
+func (e *Exec) sortKeys(t *Table, by []string, desc []bool) (keys []sortKey, typed bool) {
 	typed = true
 	for k, name := range by {
 		c := t.Col(name)
@@ -39,13 +39,13 @@ func sortKeys(t *Table, by []string, desc []bool) (keys []sortKey, typed bool) {
 		}
 		switch c.Kind {
 		case KInt:
-			u := make([]uint64, t.N)
+			u := dirty[uint64](e, scratchRegion, t.N)
 			for i, x := range c.Int {
 				u[i] = uint64(x) ^ 1<<63 ^ flip
 			}
 			keys = append(keys, sortKey{u: u})
 		case KBool:
-			u := make([]uint64, t.N)
+			u := zeroed[uint64](e, scratchRegion, t.N)
 			for i, b := range c.Bool {
 				if b != d {
 					u[i] = 1
@@ -53,7 +53,7 @@ func sortKeys(t *Table, by []string, desc []bool) (keys []sortKey, typed bool) {
 			}
 			keys = append(keys, sortKey{u: u})
 		default:
-			ik := itemKeys(&c.Item, flip)
+			ik := e.itemKeys(&c.Item, flip)
 			if ik == nil {
 				ik, typed = []sortKey{{col: c}}, false
 			}
@@ -70,7 +70,7 @@ func sortKeys(t *Table, by []string, desc []bool) (keys []sortKey, typed bool) {
 // xqt.SortLess, or returns nil when only the generic comparator does:
 // NaN compares equal to everything there (not a weak order), and rows
 // of mixed kinds order by kind rank first.
-func itemKeys(v *ItemVec, flip uint64) []sortKey {
+func (e *Exec) itemKeys(v *ItemVec, flip uint64) []sortKey {
 	n := v.Len()
 	tag, uniform := v.Uniform()
 	if !uniform {
@@ -87,7 +87,7 @@ func itemKeys(v *ItemVec, flip uint64) []sortKey {
 			// the EmptyLeast sentinel sorts before every string, "" included:
 			// a leading rank key carries that, and only columns holding the
 			// sentinel pay for it
-			rank := make([]uint64, n)
+			rank := zeroed[uint64](e, scratchRegion, n)
 			for j, s := range v.S {
 				if s != xqt.EmptyLeast.S {
 					rank[j] = 1
@@ -98,7 +98,7 @@ func itemKeys(v *ItemVec, flip uint64) []sortKey {
 		}
 		return keys
 	}
-	u := make([]uint64, n)
+	u := dirty[uint64](e, scratchRegion, n)
 	switch tag {
 	case xqt.KBool:
 		for i, x := range v.I {
@@ -218,6 +218,7 @@ const radixMin = 32
 // SortIdx returns the stable permutation that orders t's rows by the
 // given columns, or nil when the rows are already in that order (the
 // caller keeps its input: no permutation, no gather, no budget charge).
+// The permutation is scratch memory: it lives until the operator returns.
 // refinePrefix > 0 asserts that the input is already sorted on the
 // first refinePrefix columns; only runs with equal prefixes are
 // re-sorted (the paper's incremental refine-sort). A radix sort that
@@ -236,8 +237,8 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 	var run []uint64 // ordinal of each row's equal-prefix run
 	var keys []sortKey
 	if refinePrefix > 0 {
-		pre, _ := sortKeys(t, by[:refinePrefix], nil)
-		run = make([]uint64, n)
+		pre, _ := e.sortKeys(t, by[:refinePrefix], nil)
+		run = zeroed[uint64](e, scratchRegion, n)
 		for i, start := 1, 0; i < n; i++ {
 			run[i] = run[i-1]
 			if compareKeys(pre, int32(start), int32(i)) != 0 {
@@ -252,7 +253,7 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 			desc = nil
 		}
 	}
-	suffix, typed := sortKeys(t, by[refinePrefix:], desc)
+	suffix, typed := e.sortKeys(t, by[refinePrefix:], desc)
 	keys = append(keys, suffix...)
 
 	radix := typed && n >= radixMin
@@ -269,7 +270,7 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 		}
 	}
 	e.charge(int64(n) * int64(4+8*len(keys))) // the key and index buffers
-	idx := identity(n)
+	idx := identity(e, n)
 	switch {
 	case !typed:
 		// the generic path is the old comparator sort, run for run: where
@@ -290,7 +291,7 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 	default:
 		// LSD over the key columns, last column first; every pass is stable
 		e.charge(4 * int64(n))
-		tmp := make([]int32, n)
+		tmp := dirty[int32](e, scratchRegion, n)
 		for k := len(keys) - 1; k >= 0 && idx != nil; k-- {
 			idx, tmp = e.radixSort(keys[k].u, idx, tmp)
 		}
@@ -353,9 +354,9 @@ func rawSorted(t *Table, by []string, desc []bool) bool {
 	return rawColsSorted(cols, t.N)
 }
 
-// identity returns the row indexes 0..n-1.
-func identity(n int) []int32 {
-	idx := make([]int32, n)
+// identity returns the row indexes 0..n-1, in scratch memory.
+func identity(e *Exec, n int) []int32 {
+	idx := dirty[int32](e, scratchRegion, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}

@@ -87,38 +87,23 @@ func payloads(k xqt.Kind) (cont, i, f, s bool) {
 	}
 }
 
-// growPayload extends one payload vector of an n-row column by count
-// zero rows. A vector no row has needed so far stays nil unless the new
-// rows use it.
-func growPayload[T any](p []T, used bool, n, count int) []T {
-	if p == nil && !used {
+// payload returns an n-row payload vector of the out region — zeroed
+// when only some rows will be written — or nil when the column does not
+// use it.
+func payload[T any](e *Exec, used, zero bool, n int) []T {
+	if !used {
 		return nil
 	}
-	if p == nil {
-		p = make([]T, n, n+count)
-	}
-	return append(p, make([]T, count)...)
+	return carve[T](e, outRegion, n, zero)
 }
 
-// appendPayload appends the on-row payload vector o (nil: zero rows) to
-// the n-row vector p, keeping p nil when neither column carries it.
-func appendPayload[T any](p, o []T, n, on int) []T {
-	if o == nil {
-		return growPayload(p, false, n, on)
-	}
-	if p == nil {
-		p = make([]T, n, n+on)
-	}
-	return append(p, o...)
-}
-
-// gatherOf returns src[idx[0]], src[idx[1]], …; a payload the column
-// does not carry (nil) stays nil.
-func gatherOf[T any](src []T, idx []int32) []T {
+// gatherOf returns src[idx[0]], src[idx[1]], …, in region rg; a payload
+// the column does not carry (nil) stays nil.
+func gatherOf[T any](e *Exec, rg regionID, src []T, idx []int32) []T {
 	if src == nil {
 		return nil
 	}
-	out := make([]T, len(idx))
+	out := dirty[T](e, rg, len(idx))
 	for i, j := range idx {
 		out[i] = src[j]
 	}
@@ -154,94 +139,77 @@ func (v *ItemVec) At(i int) xqt.Item {
 	}
 }
 
-// growRows appends count rows of kind k with zero payloads and returns
-// the index of the first new row. The caller fills the payload vectors
-// directly (possibly in parallel chunks — the rows are disjoint).
-func (v *ItemVec) growRows(k xqt.Kind, count int) int {
-	base := v.n
-	if count <= 0 {
-		return base
-	}
-	if v.Tags == nil && v.n > 0 && k != v.Tag {
-		tags := make([]xqt.Kind, v.n, v.n+count)
-		for i := range tags {
-			tags[i] = v.Tag
-		}
-		v.Tags = tags
-	}
-	if v.n == 0 && v.Tags == nil {
-		v.Tag = k
-	}
-	if v.Tags != nil {
-		for j := 0; j < count; j++ {
-			v.Tags = append(v.Tags, k)
-		}
-	}
-	cont, i, f, s := payloads(k)
-	v.Cont = growPayload(v.Cont, cont, v.n, count)
-	v.I = growPayload(v.I, i, v.n, count)
-	v.F = growPayload(v.F, f, v.n, count)
-	v.S = growPayload(v.S, s, v.n, count)
-	v.n += count
-	return base
-}
-
-// Append appends one item.
-func (v *ItemVec) Append(it xqt.Item) {
-	i := v.growRows(it.K, 1)
-	switch it.K {
-	case xqt.KInt, xqt.KBool:
-		v.I[i] = it.I
-	case xqt.KDouble:
-		v.F[i] = it.F
-	case xqt.KString, xqt.KUntyped:
-		v.S[i] = it.S
-	default:
-		v.Cont[i] = it.Cont
-		v.I[i] = it.I
-	}
-}
+// Append appends one item by rebuilding the vector — O(n), a convenience
+// for tests and plan-building code; NewItemVec builds a vector at once.
+func (v *ItemVec) Append(it xqt.Item) { o := itemVecOf(nil, []xqt.Item{it}); v.AppendVec(&o) }
 
 // AppendVec appends all rows of o (payload contents are copied, never
 // aliased, so o stays untouched by later appends to v).
-func (v *ItemVec) AppendVec(o *ItemVec) {
-	if o.n == 0 {
-		return
+func (v *ItemVec) AppendVec(o *ItemVec) { *v = unionVecs(nil, []ItemVec{*v, *o}) }
+
+// unionPayload concatenates one payload vector of the parts (of picks
+// it; n rows in all) at its exact size; a part that does not carry it
+// contributes zero rows, and nil comes back when no part does.
+func unionPayload[T any](e *Exec, parts []ItemVec, n int, of func(*ItemVec) []T) []T {
+	carried, sparse := false, false
+	for k := range parts {
+		p := &parts[k]
+		carried, sparse = carried || of(p) != nil, sparse || (p.n > 0 && of(p) == nil)
 	}
-	if v.Tags == nil && o.Tags == nil && (v.n == 0 || o.Tag == v.Tag) {
-		// stays uniform
-		if v.n == 0 {
-			v.Tag = o.Tag
-		}
-	} else if v.Tags == nil {
-		tags := make([]xqt.Kind, v.n, v.n+o.n)
-		for i := range tags {
-			tags[i] = v.Tag
-		}
-		v.Tags = tags
+	if !carried {
+		return nil
 	}
-	if v.Tags != nil {
-		if o.Tags != nil {
-			v.Tags = append(v.Tags, o.Tags...)
-		} else {
-			for j := 0; j < o.n; j++ {
-				v.Tags = append(v.Tags, o.Tag)
-			}
-		}
+	out, o := carve[T](e, outRegion, n, sparse), 0
+	for k := range parts {
+		copy(out[o:], of(&parts[k]))
+		o += parts[k].n
 	}
-	v.Cont = appendPayload(v.Cont, o.Cont, v.n, o.n)
-	v.I = appendPayload(v.I, o.I, v.n, o.n)
-	v.F = appendPayload(v.F, o.F, v.n, o.n)
-	v.S = appendPayload(v.S, o.S, v.n, o.n)
-	v.n += o.n
+	return out
 }
 
-// Gather returns a new vector holding rows idx, in order. A mixed tag
-// vector stays mixed even if the gathered rows happen to share a kind
-// (re-detecting uniformity would cost a scan per gather).
-func (v *ItemVec) Gather(idx []int32) ItemVec {
-	return ItemVec{Tags: gatherOf(v.Tags, idx), Tag: v.Tag, n: len(idx),
-		Cont: gatherOf(v.Cont, idx), I: gatherOf(v.I, idx), F: gatherOf(v.F, idx), S: gatherOf(v.S, idx)}
+// unionVecs concatenates item vectors into one sized exactly, uniform
+// when the non-empty parts agree on one kind.
+func unionVecs(e *Exec, parts []ItemVec) ItemVec {
+	var out ItemVec
+	uniform := true
+	for _, p := range parts {
+		if p.n > 0 && out.n == 0 {
+			out.Tag = p.Tag
+		}
+		uniform = uniform && (p.n == 0 || p.Tags == nil && p.Tag == out.Tag)
+		out.n += p.n
+	}
+	if !uniform {
+		out.Tags = dirty[xqt.Kind](e, outRegion, out.n)
+		o := 0
+		for _, p := range parts {
+			if fillWith(out.Tags[o:o+p.n], p.Tag); p.Tags != nil {
+				copy(out.Tags[o:], p.Tags)
+			}
+			o += p.n
+		}
+	}
+	out.Cont = unionPayload(e, parts, out.n, func(p *ItemVec) []int32 { return p.Cont })
+	out.I = unionPayload(e, parts, out.n, func(p *ItemVec) []int64 { return p.I })
+	out.F = unionPayload(e, parts, out.n, func(p *ItemVec) []float64 { return p.F })
+	out.S = unionPayload(e, parts, out.n, func(p *ItemVec) []string { return p.S })
+	return out
+}
+
+// fillWith sets every element of s to v.
+func fillWith[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// gatherIn returns a new vector holding rows idx, in order, in region rg
+// of e's arena. A mixed tag vector stays mixed even if the gathered rows
+// happen to share a kind (re-detecting uniformity would cost a scan per
+// gather).
+func (v *ItemVec) gatherIn(e *Exec, rg regionID, idx []int32) ItemVec {
+	return ItemVec{Tags: gatherOf(e, rg, v.Tags, idx), Tag: v.Tag, n: len(idx), Cont: gatherOf(e, rg, v.Cont, idx),
+		I: gatherOf(e, rg, v.I, idx), F: gatherOf(e, rg, v.F, idx), S: gatherOf(e, rg, v.S, idx)}
 }
 
 // Slice materializes the vector as a polymorphic item slice (a
@@ -256,40 +224,64 @@ func (v *ItemVec) Slice() []xqt.Item {
 }
 
 // NewItemVec builds a vector from a polymorphic item slice.
-func NewItemVec(items []xqt.Item) ItemVec {
-	v := ItemVec{}
-	for _, it := range items {
-		v.Append(it)
-	}
-	return v
-}
+func NewItemVec(items []xqt.Item) ItemVec { return itemVecOf(nil, items) }
 
 // ItemsOf builds a vector from the given items (test convenience).
 func ItemsOf(items ...xqt.Item) ItemVec { return NewItemVec(items) }
 
-// constItemVec builds a uniform vector holding n copies of it.
-func constItemVec(it xqt.Item, n int) ItemVec {
-	v := ItemVec{}
-	v.growRows(it.K, n)
-	switch it.K {
-	case xqt.KInt, xqt.KBool:
-		for i := range v.I {
-			v.I[i] = it.I
-		}
-	case xqt.KDouble:
-		for i := range v.F {
-			v.F[i] = it.F
-		}
-	case xqt.KString, xqt.KUntyped:
-		for i := range v.S {
-			v.S[i] = it.S
-		}
-	default:
-		for i := range v.Cont {
-			v.Cont[i] = it.Cont
-			v.I[i] = it.I
+// itemVecOf builds a vector from items at its exact size: uniform when
+// the items share a kind, and carrying only the payloads their kinds use.
+func itemVecOf(e *Exec, items []xqt.Item) ItemVec {
+	v := ItemVec{n: len(items)}
+	if v.n == 0 {
+		return v
+	}
+	v.Tag = items[0].K
+	var cont, i, f, s bool
+	for k := range items {
+		c2, i2, f2, s2 := payloads(items[k].K)
+		cont, i, f, s = cont || c2, i || i2, f || f2, s || s2
+		if items[k].K != v.Tag && v.Tags == nil {
+			v.Tags = dirty[xqt.Kind](e, outRegion, v.n)
 		}
 	}
+	mixed := v.Tags != nil
+	v.Cont, v.I = payload[int32](e, cont, mixed, v.n), payload[int64](e, i, mixed, v.n)
+	v.F, v.S = payload[float64](e, f, mixed, v.n), payload[string](e, s, mixed, v.n)
+	for k := range items {
+		it := &items[k]
+		if mixed {
+			v.Tags[k] = it.K
+		}
+		switch it.K {
+		case xqt.KInt, xqt.KBool:
+			v.I[k] = it.I
+		case xqt.KDouble:
+			v.F[k] = it.F
+		case xqt.KString, xqt.KUntyped:
+			v.S[k] = it.S
+		default:
+			v.Cont[k], v.I[k] = it.Cont, it.I
+		}
+	}
+	return v
+}
+
+// uniformVec returns an n-row vector of kind k whose payload rows the
+// caller overwrites (dirty memory of the out region).
+func (e *Exec) uniformVec(k xqt.Kind, n int) ItemVec {
+	cont, i, f, s := payloads(k)
+	return ItemVec{Tag: k, n: n, Cont: payload[int32](e, cont, false, n), I: payload[int64](e, i, false, n),
+		F: payload[float64](e, f, false, n), S: payload[string](e, s, false, n)}
+}
+
+// constItemVec builds a uniform vector holding n copies of it.
+func (e *Exec) constItemVec(it xqt.Item, n int) ItemVec {
+	v := e.uniformVec(it.K, n)
+	fillWith(v.Cont, it.Cont)
+	fillWith(v.I, it.I)
+	fillWith(v.F, it.F)
+	fillWith(v.S, it.S)
 	return v
 }
 
@@ -314,15 +306,15 @@ func (c *Col) Len() int {
 	}
 }
 
-// Gather returns a new column holding rows idx of c, in order.
-func (c *Col) Gather(idx []int32) Col {
+// gatherIn returns a new column holding rows idx of c, in order.
+func (c *Col) gatherIn(e *Exec, rg regionID, idx []int32) Col {
 	switch c.Kind {
 	case KInt:
-		return Col{Kind: KInt, Int: gatherOf(c.Int, idx)}
+		return Col{Kind: KInt, Int: gatherOf(e, rg, c.Int, idx)}
 	case KBool:
-		return Col{Kind: KBool, Bool: gatherOf(c.Bool, idx)}
+		return Col{Kind: KBool, Bool: gatherOf(e, rg, c.Bool, idx)}
 	}
-	return Col{Kind: KItem, Item: c.Item.Gather(idx)}
+	return Col{Kind: KItem, Item: c.Item.gatherIn(e, rg, idx)}
 }
 
 // Table is a named collection of columns of equal length.
@@ -392,7 +384,7 @@ func (t *Table) Gather(idx []int32) *Table {
 	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
 	out.cols = make([]Col, len(t.cols))
 	for i := range t.cols {
-		out.cols[i] = t.cols[i].Gather(idx)
+		out.cols[i] = t.cols[i].gatherIn(nil, outRegion, idx)
 	}
 	return out
 }

@@ -115,8 +115,12 @@ func ParRunSlots(sl Slots, workers, n int, f func(int)) {
 			work()
 		}()
 	}
-	work()
-	wg.Wait()
+	func() {
+		// a panicking caller drains its workers too: they write into
+		// memory the execution releases as it unwinds
+		defer wg.Wait()
+		work()
+	}()
 	if panicVal != nil {
 		panic(panicVal)
 	}

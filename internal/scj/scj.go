@@ -132,22 +132,6 @@ type Pairs struct {
 // Len returns the number of pairs.
 func (p *Pairs) Len() int { return len(p.Pre) }
 
-// FromColumns builds a context relation from parallel pre/iter columns in
-// the executor's int64 column width, narrowing them to the document's
-// int32 encoding in one pass. rows [lo, hi) are taken; the caller
-// guarantees they are (pre, iter)-sorted (the Step input contract).
-func FromColumns(pres, iters []int64, lo, hi int) Pairs {
-	p := Pairs{
-		Pre:  make([]int32, hi-lo),
-		Iter: make([]int32, hi-lo),
-	}
-	for i := lo; i < hi; i++ {
-		p.Pre[i-lo] = int32(pres[i])
-		p.Iter[i-lo] = int32(iters[i])
-	}
-	return p
-}
-
 // SortPairs establishes the (pre, iter) sort order in place.
 func SortPairs(p *Pairs) {
 	(&Blocks{Segs: []Pairs{*p}}).sort()

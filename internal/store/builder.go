@@ -1,6 +1,9 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder constructs container rows incrementally in document order. It is
 // used by the shredder, by the XMark document generator, and by the element
@@ -130,24 +133,40 @@ func (b *Builder) End() int32 {
 	return pre
 }
 
+// extend lengthens col by n rows the caller fills (amortized growth).
+func extend[T any](col []T, n int) []T { return slices.Grow(col, n)[:len(col)+n] }
+
+// Reserve makes room for n more structural rows, so the appends of a
+// caller that knows its output size never regrow the ten columns.
+func (b *Builder) Reserve(n int) {
+	c := b.c
+	c.Size, c.Level, c.Kind, c.Parent = slices.Grow(c.Size, n), slices.Grow(c.Level, n), slices.Grow(c.Kind, n), slices.Grow(c.Parent, n)
+	c.Frag, c.NameID, c.Value = slices.Grow(c.Frag, n), slices.Grow(c.NameID, n), slices.Grow(c.Value, n)
+	c.attrStart = slices.Grow(c.attrStart, n)
+	if c.RefCont != nil {
+		c.RefCont, c.RefPre = slices.Grow(c.RefCont, n), slices.Grow(c.RefPre, n)
+	}
+}
+
 // CopyTree appends a shallow copy of the subtree rooted at pre of src as
 // content of the innermost open element (or as a new fragment when nothing
 // is open). Structural rows are copied; properties stay in src and are
 // reached via the cont/ref indirection (paper §5.1). It returns the pre of
-// the copy root in the destination container.
+// the copy root in the destination container. The ten columns grow once
+// per subtree: size and kind are copied, the rest filled by index.
 func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 	c := b.c
+	rows := int(src.Size[pre]) + 1
+	base := int32(len(c.Size))
 	if c.RefCont == nil {
 		// materialize self-referencing indirection columns lazily
-		n := len(c.Size)
-		c.RefCont = make([]int32, n, n+int(src.Size[pre])+1)
-		c.RefPre = make([]int32, n, n+int(src.Size[pre])+1)
-		for i := 0; i < n; i++ {
+		c.RefCont = make([]int32, base, max(int(base)+rows, cap(c.Size)))
+		c.RefPre = make([]int32, base, cap(c.RefCont))
+		for i := range c.RefCont {
 			c.RefCont[i] = c.ID
 			c.RefPre[i] = int32(i)
 		}
 	}
-	base := int32(len(c.Size))
 	var parent, frag int32 = -1, base
 	baseLevel := int32(0)
 	if len(b.stack) > 0 {
@@ -155,40 +174,32 @@ func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 		baseLevel = c.Level[parent] + 1
 		frag = c.Frag[parent]
 	}
-	// resolve the source row's own indirection so chains stay one hop deep
-	end := pre + src.Size[pre]
-	for p := pre; p <= end; p++ {
+	c.Size = append(c.Size, src.Size[pre:int(pre)+rows]...)
+	c.Kind = append(c.Kind, src.Kind[pre:int(pre)+rows]...)
+	c.Level, c.Parent, c.Frag = extend(c.Level, rows), extend(c.Parent, rows), extend(c.Frag, rows)
+	c.NameID, c.Value, c.attrStart = extend(c.NameID, rows), extend(c.Value, rows), extend(c.attrStart, rows)
+	c.RefCont, c.RefPre = extend(c.RefCont, rows), extend(c.RefPre, rows)
+	level, par := c.Level[base:], c.Parent[base:]
+	refCont, refPre := c.RefCont[base:], c.RefPre[base:]
+	attrs := int32(len(c.AttrOwner))
+	for i := range level {
+		c.Frag[int(base)+i], c.NameID[int(base)+i], c.Value[int(base)+i] = frag, -1, -1
+		c.attrStart[len(c.attrStart)-rows+i] = attrs
+		p := pre + int32(i)
 		if src.Level[p] == NullLevel {
-			c.Size = append(c.Size, src.Size[p])
-			c.Level = append(c.Level, NullLevel)
-			c.Kind = append(c.Kind, KindUnused)
-			c.Parent = append(c.Parent, -1)
-			c.Frag = append(c.Frag, frag)
-			c.NameID = append(c.NameID, -1)
-			c.Value = append(c.Value, -1)
-			c.RefCont = append(c.RefCont, c.ID)
-			c.RefPre = append(c.RefPre, base+(p-pre))
-			c.attrStart = append(c.attrStart, int32(len(c.AttrOwner)))
+			c.Kind[int(base)+i] = KindUnused
+			level[i], par[i], refCont[i], refPre[i] = NullLevel, -1, c.ID, base+int32(i)
 			continue
 		}
-		c.Size = append(c.Size, src.Size[p])
-		c.Level = append(c.Level, baseLevel+src.Level[p]-src.Level[pre])
-		c.Kind = append(c.Kind, src.Kind[p])
-		if p == pre {
-			c.Parent = append(c.Parent, parent)
-		} else {
-			c.Parent = append(c.Parent, base+(src.Parent[p]-pre))
+		level[i], par[i] = baseLevel+src.Level[p]-src.Level[pre], base+(src.Parent[p]-pre)
+		if i == 0 {
+			par[i] = parent
 		}
-		c.Frag = append(c.Frag, frag)
-		c.NameID = append(c.NameID, -1)
-		c.Value = append(c.Value, -1)
-		rc, rp := src.ID, p
+		// resolve the source row's own indirection so chains stay one hop deep
+		refCont[i], refPre[i] = src.ID, p
 		if src.RefCont != nil {
-			rc, rp = src.RefCont[p], src.RefPre[p]
+			refCont[i], refPre[i] = src.RefCont[p], src.RefPre[p]
 		}
-		c.RefCont = append(c.RefCont, rc)
-		c.RefPre = append(c.RefPre, rp)
-		c.attrStart = append(c.attrStart, int32(len(c.AttrOwner)))
 	}
 	return base
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,151 @@ func TestQuickPostOrderIdentity(t *testing.T) {
 		return len(seen) == int(n)-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// copyTreeRef is the per-row CopyTree that the column-at-a-time one
+// replaced: ten appends per node. The property test below holds the new
+// kernel to it column for column.
+func copyTreeRef(b *Builder, src *Container, pre int32) int32 {
+	c := b.c
+	if c.RefCont == nil {
+		n := len(c.Size)
+		c.RefCont, c.RefPre = make([]int32, n), make([]int32, n)
+		for i := 0; i < n; i++ {
+			c.RefCont[i], c.RefPre[i] = c.ID, int32(i)
+		}
+	}
+	base := int32(len(c.Size))
+	var parent, frag int32 = -1, base
+	baseLevel := int32(0)
+	if len(b.stack) > 0 {
+		parent = b.stack[len(b.stack)-1]
+		baseLevel = c.Level[parent] + 1
+		frag = c.Frag[parent]
+	}
+	for p, end := pre, pre+src.Size[pre]; p <= end; p++ {
+		c.Size = append(c.Size, src.Size[p])
+		c.Frag = append(c.Frag, frag)
+		c.NameID = append(c.NameID, -1)
+		c.Value = append(c.Value, -1)
+		c.attrStart = append(c.attrStart, int32(len(c.AttrOwner)))
+		if src.Level[p] == NullLevel {
+			c.Level = append(c.Level, NullLevel)
+			c.Kind = append(c.Kind, KindUnused)
+			c.Parent = append(c.Parent, -1)
+			c.RefCont = append(c.RefCont, c.ID)
+			c.RefPre = append(c.RefPre, base+(p-pre))
+			continue
+		}
+		c.Level = append(c.Level, baseLevel+src.Level[p]-src.Level[pre])
+		c.Kind = append(c.Kind, src.Kind[p])
+		if p == pre {
+			c.Parent = append(c.Parent, parent)
+		} else {
+			c.Parent = append(c.Parent, base+(src.Parent[p]-pre))
+		}
+		rc, rp := src.ID, p
+		if src.RefCont != nil {
+			rc, rp = src.RefCont[p], src.RefPre[p]
+		}
+		c.RefCont = append(c.RefCont, rc)
+		c.RefPre = append(c.RefPre, rp)
+	}
+	return base
+}
+
+// TestQuickCopyTreeMatchesPerRowLoop: the same random sequence of
+// constructor events — elements opened and closed, text, attributes,
+// subtrees copied at top level and under open elements — fed to the
+// reference loop and to CopyTree (with and without a Reserve up front)
+// yields identical containers, for plain sources, sources with unused
+// (NullLevel) tuples and sources that are themselves shallow copies.
+func TestQuickCopyTreeMatchesPerRowLoop(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pool := NewPool()
+		plain := buildRandom(seed, 60)
+		holes := buildRandom(seed+1, 60)
+		pool.Register(plain)
+		pool.Register(holes)
+		for p := int32(2); p < int32(holes.Len()); p++ { // unused leaves
+			if holes.Size[p] == 0 && rng.Intn(3) == 0 {
+				holes.Level[p], holes.Kind[p] = NullLevel, KindUnused
+			}
+		}
+		indirect := NewContainer("") // a source with RefCont: copies of plain plus own rows
+		pool.Register(indirect)
+		ib := NewContainerBuilder(indirect)
+		ib.StartElem("own")
+		ib.Text("t")
+		ib.CopyTree(plain, 1)
+		ib.End()
+		sources := []*Container{plain, holes, indirect}
+
+		var dsts [3]*Container
+		var bs [3]*Builder
+		for i := range bs {
+			dsts[i] = NewContainer("")
+			pool.Register(dsts[i])
+			dsts[i].ID = dsts[0].ID // one identity, so self-references compare equal
+			bs[i] = NewContainerBuilder(dsts[i])
+		}
+		bs[2].Reserve(1 + rng.Intn(500))
+		open := 0
+		for step := 0; step < 40; step++ {
+			switch ev := rng.Intn(6); {
+			case ev == 0:
+				for _, b := range bs {
+					b.StartElem("e")
+				}
+				open++
+			case ev == 1 && open > 0:
+				for _, b := range bs {
+					b.End()
+				}
+				open--
+			case ev == 2 && open > 0:
+				for _, b := range bs {
+					b.Text("x")
+				}
+			default:
+				src := sources[rng.Intn(len(sources))]
+				pre := int32(rng.Intn(src.Len()))
+				if src.Kind[pre] == KindDoc {
+					pre++
+				}
+				want := copyTreeRef(bs[0], src, pre)
+				if got1, got2 := bs[1].CopyTree(src, pre), bs[2].CopyTree(src, pre); got1 != want || got2 != want {
+					t.Logf("seed %d: copy root %d/%d, want %d", seed, got1, got2, want)
+					return false
+				}
+			}
+		}
+		for ; open > 0; open-- {
+			for _, b := range bs {
+				b.End()
+			}
+		}
+		ref := dsts[0]
+		for i, d := range dsts[1:] {
+			for name, eq := range map[string]bool{
+				"size": slices.Equal(d.Size, ref.Size), "level": slices.Equal(d.Level, ref.Level),
+				"kind": slices.Equal(d.Kind, ref.Kind), "parent": slices.Equal(d.Parent, ref.Parent),
+				"frag": slices.Equal(d.Frag, ref.Frag), "nameid": slices.Equal(d.NameID, ref.NameID),
+				"value": slices.Equal(d.Value, ref.Value), "attrStart": slices.Equal(d.attrStart, ref.attrStart),
+				"refcont": slices.Equal(d.RefCont, ref.RefCont), "refpre": slices.Equal(d.RefPre, ref.RefPre),
+			} {
+				if !eq {
+					t.Logf("seed %d: builder %d: column %s differs from the per-row loop", seed, i+1, name)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }
