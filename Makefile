@@ -61,6 +61,11 @@ race:
 race-cover:
 	$(GO) test -race -coverprofile=coverage.out -coverpkg=./... ./...
 
+# bench runs every benchmark of the module once — the staircase-join
+# kernels, the theta hit-rate sweep (internal/ralg), BenchmarkSerialize
+# (internal/store) and the paper's tables — so a kernel that stops
+# compiling, panics or disagrees with its reference fails CI; for
+# numbers see the verify skill.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 

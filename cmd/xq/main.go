@@ -84,7 +84,7 @@ func main() {
 		docPath  = flag.String("doc", "", "XML document to load as the context document")
 		xmarkF   = flag.Float64("xmark", 0, "generate an XMark document at this scale factor instead of loading one")
 		seed     = flag.Int64("seed", 42, "XMark generator seed")
-		explain  = flag.Bool("explain", false, "print the plan and the run's sort counters instead of the result")
+		explain  = flag.Bool("explain", false, "print the plan and the run's sort, theta-join and construction counters instead of the result")
 		rewrites = flag.Bool("rewrite-coverage", false, "print which optimizer rewrite rules fired on the query instead of running it")
 		noJoin   = flag.Bool("no-joinrec", false, "disable join recognition")
 		noOrder  = flag.Bool("no-order", false, "disable the order-aware peephole optimizer")
@@ -187,6 +187,11 @@ func main() {
 		st := db.Engine().LastStats()
 		fmt.Printf("run: %d sort operators (%d full, %d refine) over %d rows; %d of them (%d rows) found their input already in order\n",
 			st.FullSorts+st.RefineSort, st.FullSorts, st.RefineSort, st.SortedRows, st.SortsPresorted, st.RowsPresorted)
+		// the two output-bound kernels: pairs out of the theta joins, and
+		// the transient container (this is the statement's first execution,
+		// the one that regrows; the next is sized by what this one built)
+		fmt.Printf("run: %d theta joins emitted %d pairs; transient container %d rows, %d regrows\n",
+			st.ThetaNL+st.ThetaIdx, st.ThetaPairs, st.TransientRows, st.TransientRegrows)
 		return
 	}
 	if err := res.SerializeXML(os.Stdout); err != nil {

@@ -111,10 +111,12 @@ func TestConcurrentExecutionsReleaseArenas(t *testing.T) {
 // still asks the Go allocator for — string vectors, the result items,
 // the transient container, per-operator headers — is bounded by a
 // hard-coded figure per query, so a column site that slips back to
-// make fails here. The bounds sit 15 % above today's 3 416, 303 and
-// 662 KB — most of it the transient container of Q10's constructors
-// and columns under the arena's 4 KB floor — and well below the 4 495,
-// 1 002 and 1 032 KB the same executions allocated before the arena.
+// make fails here. The bounds sit 10 % above today's 1 963, 302 and
+// 668 KB — most of it the transient container of Q10's constructors,
+// allocated once at the size the statement remembers (3 416 KB while
+// fourteen constructors regrew it), and columns under the arena's 4 KB
+// floor — and well below the 4 495, 1 002 and 1 032 KB the same
+// executions allocated before the arena.
 func TestWarmExecutionAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations distort the byte counts")
@@ -123,7 +125,7 @@ func TestWarmExecutionAllocationBound(t *testing.T) {
 	for _, tc := range []struct {
 		query int
 		maxKB float64
-	}{{10, 3900}, {11, 350}, {20, 760}} {
+	}{{10, 2160}, {11, 332}, {20, 735}} {
 		p, err := e.Prepare(xmark.Query(tc.query))
 		if err != nil {
 			t.Fatal(err)

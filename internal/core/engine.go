@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -267,11 +268,11 @@ func (e *Engine) RegisterCollection(sp *store.ShardedPool) {
 // seeing the collection state their snapshot captured, exactly as
 // document loads behave. The updated shard re-registers under a fresh
 // container id, which moves its documents to the end of the collection's
-// document order. Each add costs O(shard) time and — because container
-// ids pin superseded shard versions for snapshot validity — O(shard)
-// pool memory that is not reclaimed; grow large corpora with
-// LoadCollection bulk loads and reserve AddToCollection for occasional
-// incremental documents.
+// document order. Each add costs O(shard) time for the copy; the version
+// it supersedes leaves the engine's pool and is reclaimed once the last
+// snapshot taken before the add — an in-flight execution, a Result
+// still held — is gone. Grow large corpora with LoadCollection bulk
+// loads and reserve AddToCollection for incremental documents.
 func (e *Engine) AddToCollection(coll, doc string, r io.Reader) error {
 	// The shard copy and the XML shred run outside the engine lock so
 	// concurrent queries are never stalled behind a parse (LoadXML makes
@@ -342,7 +343,7 @@ func (e *Engine) Compile(q string) (ralg.Plan, error) {
 // QueryString all go through it. The result — main plan plus the
 // prolog parameter plans — is independent of the context document and
 // of any bindings, so it is cached per (compiler options, query text).
-func (e *Engine) compile(q string) (*xqc.Compiled, error) {
+func (e *Engine) compile(q string) (*compiled, error) {
 	key := e.optsKey + "\x00" + q
 	if e.cache != nil {
 		if p, ok := e.cache.get(key); ok {
@@ -372,10 +373,11 @@ func (e *Engine) compile(q string) (*xqc.Compiled, error) {
 			}
 		}
 	}
+	st := &compiled{Compiled: cq}
 	if e.cache != nil {
-		e.cache.put(key, cq)
+		e.cache.put(key, st)
 	}
-	return cq, nil
+	return st, nil
 }
 
 // optimizeCompiled runs the peephole optimizer over every parameter
@@ -534,36 +536,33 @@ func (e *Engine) PlanStats(q string) (ops, joins int, err error) {
 }
 
 // SerializeXML writes the result sequence as XML text: nodes are
-// serialized, adjacent atoms are separated by single spaces.
+// serialized, adjacent atoms are separated by single spaces. One
+// buffering serializer carries the whole sequence to w; a write error
+// ends the walk and is returned.
 func (r *Result) SerializeXML(w io.Writer) error {
+	s := store.NewSerializer(w)
 	prevAtom := false
 	for _, it := range r.Items {
+		if s.Err() != nil {
+			break
+		}
 		switch it.K {
 		case xqt.KNode:
-			c := r.pool.Get(it.Cont)
-			if err := store.Serialize(w, c, int32(it.I)); err != nil {
-				return err
-			}
+			s.Node(r.pool.Get(it.Cont), int32(it.I))
 			prevAtom = false
 		case xqt.KAttr:
 			c := r.pool.Get(it.Cont)
-			name := c.Names.Name(c.AttrName[it.I])
-			if _, err := fmt.Fprintf(w, `%s=%q`, name, c.AttrVal[it.I]); err != nil {
-				return err
-			}
+			s.String(c.Names.Name(c.AttrName[it.I]) + "=" + strconv.Quote(c.AttrVal[it.I]))
 			prevAtom = false
 		default:
-			s := it.AsString()
 			if prevAtom {
-				s = " " + s
+				s.String(" ")
 			}
-			if _, err := io.WriteString(w, s); err != nil {
-				return err
-			}
+			s.String(it.AsString())
 			prevAtom = true
 		}
 	}
-	return nil
+	return s.Flush()
 }
 
 // String renders the result as serialized XML text.

@@ -106,7 +106,7 @@ func TestExecutePanicContained(t *testing.T) {
 	p := &Prepared{
 		eng:   New(DefaultConfig()),
 		query: "q-with-broken-plan",
-		cq:    &xqc.Compiled{Plan: broken},
+		cq:    &compiled{Compiled: &xqc.Compiled{Plan: broken}},
 	}
 	res, err := p.Execute(nil)
 	if err == nil {

@@ -30,9 +30,22 @@ type planCache struct {
 	lru *list.List // front = most recently used
 }
 
+// compiled is one cached statement: the immutable compiler output plus
+// what its executions learn for each other. Every Prepared handle and
+// one-shot Query of one text share it through the cache.
+type compiled struct {
+	*xqc.Compiled
+	// transientRows is how many rows the last successful execution built
+	// in its transient container; the next one reserves them up front, so
+	// its element constructors never regrow the container. The last
+	// value, not the maximum: a binding that once built a huge result
+	// must not pin a huge reservation. Failed executions never write it.
+	transientRows atomic.Int64
+}
+
 type planEntry struct {
 	key  string
-	plan *xqc.Compiled
+	plan *compiled
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -42,7 +55,7 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, m: make(map[string]*list.Element), lru: list.New()}
 }
 
-func (c *planCache) get(key string) (*xqc.Compiled, bool) {
+func (c *planCache) get(key string) (*compiled, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -55,7 +68,7 @@ func (c *planCache) get(key string) (*xqc.Compiled, bool) {
 	return el.Value.(*planEntry).plan, true
 }
 
-func (c *planCache) put(key string, p *xqc.Compiled) {
+func (c *planCache) put(key string, p *compiled) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {

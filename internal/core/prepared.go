@@ -7,7 +7,6 @@ import (
 	"mxq/internal/ralg"
 	"mxq/internal/sched"
 	"mxq/internal/store"
-	"mxq/internal/xqc"
 	"mxq/internal/xqerr"
 )
 
@@ -26,7 +25,7 @@ type Bindings = ralg.Bindings
 type Prepared struct {
 	eng   *Engine
 	query string
-	cq    *xqc.Compiled
+	cq    *compiled
 	// ops/joins are the main plan's cost hints, counted once at prepare
 	// time; the scheduler derives each execution's worker budget from
 	// them (plus the snapshot size, known only at execution time).
@@ -155,6 +154,8 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	e.mu.RUnlock()
 	transient := store.NewContainer("")
 	qp.Register(transient)
+	// sized once: what the statement's last successful execution built
+	store.NewContainerBuilder(transient).Reserve(int(p.cq.transientRows.Load()))
 	ex := ralg.NewExec(qp, transient)
 	// The executor's column memory goes back for reuse on every exit
 	// path — result, error, cancellation, budget abort, contained panic.
@@ -215,6 +216,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	e.statsMu.Lock()
 	e.lastStats = ex.Stats
 	e.statsMu.Unlock()
+	p.cq.transientRows.Store(int64(transient.Len()))
 	// Items materializes a fresh polymorphic slice off the typed-vector
 	// column, so the result does not pin the executor's tables.
 	return &Result{Items: tab.Items("item"), pool: qp}, nil

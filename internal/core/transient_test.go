@@ -1,0 +1,140 @@
+package core
+
+import (
+	"context"
+	"strings"
+	"sync"
+	"testing"
+
+	"mxq/internal/faults"
+	"mxq/internal/ralg"
+	"mxq/internal/xmark"
+)
+
+// TestTransientContainerSizedOnce: a statement remembers how many
+// transient rows its last successful execution built, so from the
+// second execution on — through any handle or one-shot query of the
+// same text — no element constructor regrows the container.
+func TestTransientContainerSizedOnce(t *testing.T) {
+	e := xmarkEngine(t, DefaultConfig(), 0.01)
+	p, err := e.Prepare(xmark.Query(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.ExecuteString(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := e.LastStats()
+	if first.TransientRows == 0 || first.TransientRegrows == 0 {
+		t.Fatalf("first execution: %d transient rows, %d regrows; Q10's fourteen constructors should outgrow their own reservations", first.TransientRows, first.TransientRegrows)
+	}
+	if got := p.cq.transientRows.Load(); got != first.TransientRows {
+		t.Fatalf("statement remembers %d rows, the execution built %d", got, first.TransientRows)
+	}
+	for _, run := range []func() (string, error){
+		func() (string, error) { return p.ExecuteString(nil) },
+		func() (string, error) { return e.QueryString(xmark.Query(10)) }, // same text, same cached statement
+	} {
+		got, err := run()
+		if err != nil || got != want {
+			t.Fatalf("sized execution: err=%v, identical=%v", err, got == want)
+		}
+		if st := e.LastStats(); st.TransientRegrows != 0 || st.TransientRows != first.TransientRows {
+			t.Fatalf("sized execution: %d rows (want %d), %d regrows (want 0)", st.TransientRows, first.TransientRows, st.TransientRegrows)
+		}
+	}
+}
+
+const elemsQuery = `declare variable $n external; for $i in 1 to $n return <a>{$i}</a>`
+
+// The figure is the last value, not the maximum: a binding that once
+// built a large result does not pin a large reservation.
+func TestTransientFigureFollowsTheBinding(t *testing.T) {
+	e := New(DefaultConfig())
+	p, err := e.Prepare(elemsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{5000, 3, 700} {
+		if _, err := p.Execute(Bindings{"n": ralg.BindInts(n)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.cq.transientRows.Load(); got != 2*n { // an element and its text node
+			t.Fatalf("$n = %d: statement remembers %d rows, want %d", n, got, 2*n)
+		}
+	}
+}
+
+// Sixteen executions of one statement share the figure without a race
+// (run under -race by make check) and each gets its own result.
+func TestTransientFigureConcurrent(t *testing.T) {
+	e := New(DefaultConfig())
+	p, err := e.Prepare(elemsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := int64(1); c <= 16; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				got, err := p.ExecuteString(Bindings{"n": ralg.BindInts(40 * c)})
+				if err != nil || strings.Count(got, "<a>") != int(40*c) {
+					t.Errorf("client %d: err=%v, %d elements", c, err, strings.Count(got, "<a>"))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := p.cq.transientRows.Load(); got%80 != 0 || got < 80 || got > 16*80 {
+		t.Fatalf("statement remembers %d rows, not the figure of any one execution", got)
+	}
+}
+
+// An execution that does not succeed — cancelled, over budget, failed by
+// an injected error or a contained panic — never writes the figure.
+func TestTransientFigureIgnoresFailedExecutions(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	cfg := DefaultConfig()
+	cfg.MemLimit = 1 << 20
+	e := New(cfg)
+	p, err := e.Prepare(elemsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(Bindings{"n": ralg.BindInts(50)}); err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(path string) {
+		t.Helper()
+		if got := p.cq.transientRows.Load(); got != 100 {
+			t.Fatalf("%s: the figure moved to %d", path, got)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.ExecuteContext(ctx, Bindings{"n": ralg.BindInts(7)}); err == nil {
+		t.Fatal("cancelled execution succeeded")
+	}
+	unchanged("cancelled")
+	if _, err := p.Execute(Bindings{"n": ralg.BindInts(1 << 20)}); err == nil {
+		t.Fatal("a million elements fit a 1 MiB budget")
+	}
+	unchanged("over budget")
+	for _, mode := range []faults.Mode{faults.ModeError, faults.ModePanic, faults.ModeCancel} {
+		if err := faults.Enable("ralg.op", 1, 7, mode); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Execute(Bindings{"n": ralg.BindInts(9)}); err == nil {
+			t.Fatalf("fault mode %v: execution succeeded", mode)
+		}
+		faults.Reset()
+		unchanged("injected fault")
+	}
+	if _, err := p.Execute(Bindings{"n": ralg.BindInts(9)}); err != nil || p.cq.transientRows.Load() != 18 {
+		t.Fatalf("after the faults: err=%v, figure %d, want 18", err, p.cq.transientRows.Load())
+	}
+}

@@ -234,8 +234,7 @@ func nodeEqual(a, b Plan) bool {
 	case *ExistJoin:
 		y, ok := b.(*ExistJoin)
 		return ok && x.Cmp == y.Cmp && x.LIter == y.LIter && x.LItem == y.LItem &&
-			x.RIter == y.RIter && x.RItem == y.RItem && x.Out1 == y.Out1 && x.Out2 == y.Out2 &&
-			x.Strategy == y.Strategy
+			x.RIter == y.RIter && x.RItem == y.RItem && x.Out1 == y.Out1 && x.Out2 == y.Out2
 	case *Cross:
 		y, ok := b.(*Cross)
 		return ok && refsEq(x.LCols, y.LCols) && refsEq(x.RCols, y.RCols)

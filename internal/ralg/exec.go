@@ -21,14 +21,17 @@ type ExecStats struct {
 	// sort operators (of FullSorts+RefineSort) whose input the kernel's
 	// runtime check found already ordered, and their rows (of
 	// SortedRows): orderings opt's static inference did not derive
-	SortsPresorted int64
-	RowsPresorted  int64
-	HashJoins      int64
-	PosJoins       int64
-	ThetaNL        int64 // theta joins executed nested-loop
-	ThetaIdx       int64 // theta joins executed via transient index
-	ExistAggr      int64 // theta joins reduced to per-iter extrema (Fig. 8b)
-	CrossRows      int64 // rows produced by Cartesian products
+	SortsPresorted   int64
+	RowsPresorted    int64
+	HashJoins        int64
+	PosJoins         int64
+	ThetaNL          int64 // theta joins executed nested-loop
+	ThetaIdx         int64 // theta joins executed via transient index
+	ThetaPairs       int64 // (iter1, iter2) pairs the theta joins emitted
+	ExistAggr        int64 // theta joins reduced to per-iter extrema (Fig. 8b)
+	CrossRows        int64 // rows produced by Cartesian products
+	TransientRows    int64 // rows the element constructors appended to the transient container
+	TransientRegrows int64 // element constructors that found it too small and moved its columns
 }
 
 // MaxRows bounds intermediate result sizes; exceeding it aborts the query

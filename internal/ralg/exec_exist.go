@@ -2,8 +2,8 @@ package ralg
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"mxq/internal/xqt"
 )
@@ -216,85 +216,93 @@ func thetaHolds[T float64 | string](a, b T, op xqt.CmpOp) bool {
 }
 
 // existThetaJoin evaluates <, <=, >, >= over the promoted comparison
-// keys of two extremum-reduced (one row per iter, NaN-free) sides. A
-// transient sorted index over the right side tells, by binary search,
-// how many rows each left row matches: the output is sized exactly,
-// and the run-time "choose-plan" of §4.2 picks from the true hit rate
-// between nested-loop join (output directly in [iter1, iter2] order)
-// and index lookups (output refine-sorted per iter1 chunk).
+// keys of two extremum-reduced (one row per iter, NaN-free) sides, and
+// emits the pairs in [iter1, iter2] order without sorting them. A
+// transient index orders the right rows so that the matches of any left
+// row are a prefix perm[:cut] of it (binary search; the output is sized
+// exactly). The index delivers value order where the output wants iter2
+// order, so the emission sweeps in rank space: right rows are numbered
+// by ascending iter2, left rows are visited by ascending cut, and a
+// bitmap over the ranks only ever gains the rows perm newly admits; each
+// left row then writes its set bits, in rank order, into the slot its
+// prefix-summed cut fixed. O(nl + nr·log nr + nl·nr/64 + pairs).
 func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	nl, nr := len(liter), len(riter)
+	e.Stats.ThetaIdx++
+	e.charge(4 * int64(nr+nl))
+	// rank = row number once the right side ascends on iter2: under the
+	// [iter, pos] contract it does, and SortIdx says so (nil)
+	rt := &Table{N: nr, names: []string{"iter"}, cols: []Col{{Kind: KInt, Int: riter}}}
+	ord := e.SortIdx(rt, rt.names, nil, 0)
+	if ord != nil {
+		riter, rv = gatherOf(e, scratchRegion, riter, ord), gatherOf(e, scratchRegion, rv, ord)
+	}
+	perm := identity(e, nr)
 	lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
-	nl, nrt := len(liter), len(riter)
-
-	e.charge(4 * int64(nrt+nl))
-	perm := identity(e, nrt)
-	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(rv[a], rv[b]) })
-	// row i matches perm[cut[i]:] under <, <= and perm[:cut[i]] under >, >=
+	slices.SortFunc(perm, func(a, b int32) int {
+		if !lmax {
+			a, b = b, a
+		}
+		return cmp.Compare(rv[a], rv[b])
+	})
+	// row i matches perm[:cut[i]]; start[c] counts, then places, the left
+	// rows with cut c (the counting sort behind the visiting order)
 	cut := dirty[int32](e, scratchRegion, nl)
-	total := int64(0)
+	start := zeroed[int32](e, scratchRegion, nr+2)
 	for i := range cut {
-		c := sort.Search(nrt, func(k int) bool { return thetaHolds(lv[i], rv[perm[k]], n.Cmp) != lmax })
+		c, hi := 0, nr
+		for c < hi { // sort.Search, minus a closure call per probe
+			if m := (c + hi) >> 1; thetaHolds(lv[i], rv[perm[m]], n.Cmp) {
+				c = m + 1
+			} else {
+				hi = m
+			}
+		}
 		cut[i] = int32(c)
-		if lmax {
-			total += int64(c)
-		} else {
-			total += int64(nrt - c)
-		}
+		start[c+1]++
 	}
-	strategy := n.Strategy
-	if strategy == ThetaAuto {
-		strategy = ThetaIndex
-		if int64(nl)*int64(nrt) <= 4096 || total*4 >= int64(nl)*int64(nrt) {
-			strategy = ThetaNestedLoop // tiny, or result construction dominates
-		}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
-	if strategy == ThetaNestedLoop {
-		e.Stats.ThetaNL++
-	} else {
-		e.Stats.ThetaIdx++
+	visit, off, total := dirty[int32](e, scratchRegion, nl), dirty[int64](e, scratchRegion, nl), int64(0)
+	for i, c := range cut {
+		visit[start[c]], off[i], total = int32(i), total, total+int64(c)
+		start[c]++
 	}
-	// a dense theta join approaches nl*nrt pairs: the budget trips here,
+	// a dense theta join approaches nl*nr pairs: the budget trips here,
 	// before they are allocated
 	if !e.charge(16 * total) {
 		return nil, nil
 	}
 	p1, p2 = dirty[int64](e, outRegion, int(total)), dirty[int64](e, outRegion, int(total))
-	o := 0
-	for i := 0; i < nl; i++ {
-		if i&255 == 255 && e.stopRequested() {
+	ranks, admitted := zeroed[uint64](e, scratchRegion, (nr+63)/64), 0
+	for k, i := range visit {
+		if k&255 == 255 && e.stopRequested() {
 			return nil, nil
 		}
-		lo, hi := int(cut[i]), nrt
-		if lmax {
-			lo, hi = 0, lo
+		for ; admitted < int(cut[i]); admitted++ {
+			ranks[perm[admitted]>>6] |= 1 << (perm[admitted] & 63)
 		}
-		start := o
-		for k := start; k < start+hi-lo; k++ {
-			p1[k] = liter[i]
-		}
-		if strategy == ThetaNestedLoop {
-			for j := 0; o < start+hi-lo; j++ {
-				if thetaHolds(lv[i], rv[j], n.Cmp) {
-					p2[o] = riter[j]
-					o++
-				}
+		o := off[i]
+		fillWith(p1[o:o+int64(cut[i])], liter[i])
+		for w, word := range ranks {
+			if word == ^uint64(0) {
+				o += int64(copy(p2[o:], riter[w<<6:w<<6+64]))
+				continue
 			}
-			continue
+			for ; word != 0; word &= word - 1 {
+				p2[o] = riter[w<<6+bits.TrailingZeros64(word)]
+				o++
+			}
 		}
-		for _, j := range perm[lo:hi] {
-			p2[o] = riter[j]
-			o++
-		}
-		// refine-sort the chunk on iter2 (the index delivers value order
-		// within an iter1 group)
-		slices.Sort(p2[start:o])
 	}
 	// reduced sides have unique iters: when both ascend (the [iter, pos]
 	// contract), the pairs are unique and already in [iter1, iter2] order
-	if int64sNonDecreasing(liter) && int64sNonDecreasing(riter) {
-		return p1, p2
+	if ord != nil || !int64sNonDecreasing(liter) {
+		p1, p2 = dedupPairs(e, p1, p2)
 	}
-	return dedupPairs(e, p1, p2)
+	e.Stats.ThetaPairs += int64(len(p1))
+	return p1, p2
 }
 
 // dedupPairs removes duplicate (iter1, iter2) pairs and establishes

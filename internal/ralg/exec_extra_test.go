@@ -1,7 +1,6 @@
 package ralg
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -65,52 +64,6 @@ func TestCoverCheck(t *testing.T) {
 	cc2.SetInput(1, &Lit{Tab: full})
 	if _, err := NewExec(pool, nil).Run(cc2); err != nil {
 		t.Errorf("full cover rejected: %v", err)
-	}
-}
-
-// TestExistJoinStrategiesAgree cross-checks nested-loop, index, and auto
-// (choose-plan) theta-join strategies on random inputs.
-func TestExistJoinStrategiesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		nl, nr := 1+rng.Intn(40), 1+rng.Intn(40)
-		mk := func(n int) *Table {
-			tab := NewTable([]string{"iter", "pos", "item"}, []ColKind{KInt, KInt, KItem})
-			tab.N = n
-			iter := int64(1)
-			for i := 0; i < n; i++ {
-				tab.Col("iter").Int = append(tab.Col("iter").Int, iter)
-				tab.Col("pos").Int = append(tab.Col("pos").Int, 1)
-				tab.Col("item").Item.Append(xqt.Int(int64(rng.Intn(20))))
-				if rng.Intn(2) == 0 {
-					iter++
-				}
-			}
-			return tab
-		}
-		l, r := mk(nl), mk(nr)
-		for _, cmp := range []xqt.CmpOp{xqt.CmpLt, xqt.CmpLe, xqt.CmpGt, xqt.CmpGe} {
-			var results [][2][]int64
-			for _, strat := range []ThetaStrategy{ThetaNestedLoop, ThetaIndex, ThetaAuto} {
-				j := &ExistJoin{Cmp: cmp, LIter: "iter", LItem: "item",
-					RIter: "iter", RItem: "item", Out1: "a", Out2: "b", Strategy: strat}
-				j.SetInput(0, &Lit{Tab: l})
-				j.SetInput(1, &Lit{Tab: r})
-				out := run(t, j)
-				results = append(results, [2][]int64{out.Ints("a"), out.Ints("b")})
-			}
-			for s := 1; s < len(results); s++ {
-				if len(results[s][0]) != len(results[0][0]) {
-					t.Fatalf("trial %d cmp %v: strategy %d produced %d pairs, want %d",
-						trial, cmp, s, len(results[s][0]), len(results[0][0]))
-				}
-				for i := range results[0][0] {
-					if results[s][0][i] != results[0][0][i] || results[s][1][i] != results[0][1][i] {
-						t.Fatalf("trial %d cmp %v: strategy %d pair %d differs", trial, cmp, s, i)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -290,38 +290,40 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	tc.Item = e.uniformVec(xqt.KNode, len(loop))
 	b := store.NewContainerBuilder(e.Transient)
 	// the copied subtrees dominate the rows this operator appends to the
-	// transient container: make room for them once
+	// transient container: make room for them once (text nodes ride on
+	// append's growth). A container whose statement remembers its size
+	// (core) has the room already, and nothing below moves a column.
 	rows := len(loop)
 	for i := 0; i < citem.Len(); i++ {
 		if citem.KindAt(i) == xqt.KNode {
 			rows += int(e.Pool.Get(citem.Cont[i]).Size[citem.I[i]]) + 1
 		}
 	}
+	before, room := e.Transient.Len(), cap(e.Transient.Size)
 	b.Reserve(rows)
+	tag := e.Transient.Names.ID(n.Tag)
 	ci := 0
 	for built, it := range loop {
 		if built&1023 == 1023 && e.stopRequested() {
 			return nil, e.stopErr()
 		}
-		pre := b.StartElem(n.Tag)
+		pre := b.StartElemID(tag)
 		for a := range attrs {
-			var val strings.Builder
+			val := ""
 			for pi := range attrs[a].parts {
 				cur := &attrs[a].parts[pi]
 				for cur.pos < len(cur.iter) && cur.iter[cur.pos] < it {
 					cur.pos++
 				}
-				first := true
+				lo := cur.pos
 				for cur.pos < len(cur.iter) && cur.iter[cur.pos] == it {
-					if !first {
-						val.WriteString(" ")
-					}
-					first = false
-					val.WriteString(cur.strs[cur.pos])
 					cur.pos++
 				}
+				// Join and += return a lone string as it is: the common
+				// single-part single-item value is passed through, not copied
+				val += strings.Join(cur.strs[lo:cur.pos], " ")
 			}
-			b.Attr(attrs[a].name, val.String())
+			b.Attr(attrs[a].name, val)
 		}
 		for ci < len(citer) && citer[ci] < it {
 			ci++
@@ -368,6 +370,10 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 		flush()
 		b.End()
 		tc.Item.Cont[built], tc.Item.I[built] = e.Transient.ID, int64(pre)
+	}
+	e.Stats.TransientRows += int64(e.Transient.Len() - before)
+	if room > 0 && cap(e.Transient.Size) != room {
+		e.Stats.TransientRegrows++
 	}
 	e.chargeTable(out)
 	return out, nil

@@ -364,21 +364,6 @@ func NewHashJoin(l, r Plan, lkey, rkey string, lcols, rcols []ColRef) *HashJoin 
 	return &HashJoin{binary: binary{L: l, R: r}, LKey: lkey, RKey: rkey, LCols: lcols, RCols: rcols}
 }
 
-// ThetaStrategy selects the physical algorithm of an ExistJoin with a
-// non-equality predicate.
-type ThetaStrategy uint8
-
-// Theta-join strategies (paper §4.2).
-const (
-	// ThetaAuto runs a small join sample at run time to estimate the
-	// hit rate, then picks nested-loop or index-lookup ("choose-plan").
-	ThetaAuto ThetaStrategy = iota
-	// ThetaNestedLoop always uses the nested-loop join.
-	ThetaNestedLoop
-	// ThetaIndex always builds the transient sorted index.
-	ThetaIndex
-)
-
 // ExistJoin implements XQuery's general comparisons in join position with
 // existential semantics (§4.2): it joins (iter1, item1) with
 // (iter2, item2) on item1 Cmp item2 and emits the distinct
@@ -391,7 +376,6 @@ type ExistJoin struct {
 	RIter      string
 	RItem      string
 	Out1, Out2 string
-	Strategy   ThetaStrategy
 }
 
 // Name implements Plan.

@@ -260,26 +260,23 @@ func TestExistJoinEq(t *testing.T) {
 	}
 }
 
-func TestExistJoinLtBothStrategies(t *testing.T) {
+func TestExistJoinLt(t *testing.T) {
 	// Figure 8(b): lt join after min/max aggregation
 	l := seqTable([]int64{1, 2}, []int64{1, 1},
 		[]xqt.Item{xqt.Int(1), xqt.Int(15)}) // min per iter
 	r := seqTable([]int64{1, 2}, []int64{1, 1},
 		[]xqt.Item{xqt.Int(10), xqt.Int(30)}) // max per iter
-	for _, strat := range []ThetaStrategy{ThetaNestedLoop, ThetaIndex, ThetaAuto} {
-		j := &ExistJoin{binary: binary{L: &Lit{Tab: l}, R: &Lit{Tab: r}},
-			Cmp: xqt.CmpLt, LIter: "iter", LItem: "item", RIter: "iter", RItem: "item",
-			Out1: "iter1", Out2: "iter2", Strategy: strat}
-		out := run(t, j)
-		want := [][2]int64{{1, 1}, {1, 2}, {2, 2}}
-		if out.N != len(want) {
-			t.Fatalf("strategy %d: %d pairs want %d", strat, out.N, len(want))
-		}
-		for i, w := range want {
-			if out.Ints("iter1")[i] != w[0] || out.Ints("iter2")[i] != w[1] {
-				t.Errorf("strategy %d pair %d: (%d,%d) want %v", strat, i,
-					out.Ints("iter1")[i], out.Ints("iter2")[i], w)
-			}
+	j := &ExistJoin{binary: binary{L: &Lit{Tab: l}, R: &Lit{Tab: r}},
+		Cmp: xqt.CmpLt, LIter: "iter", LItem: "item", RIter: "iter", RItem: "item",
+		Out1: "iter1", Out2: "iter2"}
+	out := run(t, j)
+	want := [][2]int64{{1, 1}, {1, 2}, {2, 2}}
+	if out.N != len(want) {
+		t.Fatalf("%d pairs want %d", out.N, len(want))
+	}
+	for i, w := range want {
+		if out.Ints("iter1")[i] != w[0] || out.Ints("iter2")[i] != w[1] {
+			t.Errorf("pair %d: (%d,%d) want %v", i, out.Ints("iter1")[i], out.Ints("iter2")[i], w)
 		}
 	}
 }

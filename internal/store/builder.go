@@ -42,9 +42,6 @@ func NewContainerBuilder(c *Container) *Builder {
 // Container returns the container under construction.
 func (b *Builder) Container() *Container { return b.c }
 
-// Depth returns the number of currently open elements.
-func (b *Builder) Depth() int { return len(b.stack) }
-
 func (b *Builder) appendRow(kind NodeKind, nameID, value int32) int32 {
 	c := b.c
 	pre := int32(len(c.Size))
@@ -79,8 +76,13 @@ func (b *Builder) StartDoc() int32 {
 }
 
 // StartElem opens an element node and returns its pre.
-func (b *Builder) StartElem(name string) int32 {
-	pre := b.appendRow(KindElem, b.c.Names.ID(name), -1)
+func (b *Builder) StartElem(name string) int32 { return b.StartElemID(b.c.Names.ID(name)) }
+
+// StartElemID is StartElem for a name the caller interned in the
+// container's dictionary already (one lookup per constructor, not one
+// per constructed element).
+func (b *Builder) StartElemID(nameID int32) int32 {
+	pre := b.appendRow(KindElem, nameID, -1)
 	b.stack = append(b.stack, pre)
 	return pre
 }
@@ -136,6 +138,26 @@ func (b *Builder) End() int32 {
 // extend lengthens col by n rows the caller fills (amortized growth).
 func extend[T any](col []T, n int) []T { return slices.Grow(col, n)[:len(col)+n] }
 
+// appendFill appends n copies of v to col.
+func appendFill[T any](col []T, n int, v T) []T {
+	col = extend(col, n)
+	tail := col[len(col)-n:]
+	for i := range tail {
+		tail[i] = v
+	}
+	return col
+}
+
+// appendShifted appends src[i]+delta for every row of src to col.
+func appendShifted(col, src []int32, delta int32) []int32 {
+	col = extend(col, len(src))
+	tail := col[len(col)-len(src):]
+	for i, v := range src {
+		tail[i] = v + delta
+	}
+	return col
+}
+
 // Reserve makes room for n more structural rows, so the appends of a
 // caller that knows its output size never regrow the ten columns.
 func (b *Builder) Reserve(n int) {
@@ -152,8 +174,11 @@ func (b *Builder) Reserve(n int) {
 // content of the innermost open element (or as a new fragment when nothing
 // is open). Structural rows are copied; properties stay in src and are
 // reached via the cont/ref indirection (paper §5.1). It returns the pre of
-// the copy root in the destination container. The ten columns grow once
-// per subtree: size and kind are copied, the rest filled by index.
+// the copy root in the destination container. Each of the ten columns
+// grows once and is filled in a loop of its own: size and kind copies,
+// frag, name, value and attribute offset constants, level and parent the
+// source's plus a delta, the indirection the source's own (chains stay
+// one hop deep) or (src, pre..pre+size).
 func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 	c := b.c
 	rows := int(src.Size[pre]) + 1
@@ -163,8 +188,7 @@ func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 		c.RefCont = make([]int32, base, max(int(base)+rows, cap(c.Size)))
 		c.RefPre = make([]int32, base, cap(c.RefCont))
 		for i := range c.RefCont {
-			c.RefCont[i] = c.ID
-			c.RefPre[i] = int32(i)
+			c.RefCont[i], c.RefPre[i] = c.ID, int32(i)
 		}
 	}
 	var parent, frag int32 = -1, base
@@ -174,31 +198,30 @@ func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 		baseLevel = c.Level[parent] + 1
 		frag = c.Frag[parent]
 	}
-	c.Size = append(c.Size, src.Size[pre:int(pre)+rows]...)
-	c.Kind = append(c.Kind, src.Kind[pre:int(pre)+rows]...)
-	c.Level, c.Parent, c.Frag = extend(c.Level, rows), extend(c.Parent, rows), extend(c.Frag, rows)
-	c.NameID, c.Value, c.attrStart = extend(c.NameID, rows), extend(c.Value, rows), extend(c.attrStart, rows)
-	c.RefCont, c.RefPre = extend(c.RefCont, rows), extend(c.RefPre, rows)
-	level, par := c.Level[base:], c.Parent[base:]
-	refCont, refPre := c.RefCont[base:], c.RefPre[base:]
-	attrs := int32(len(c.AttrOwner))
-	for i := range level {
-		c.Frag[int(base)+i], c.NameID[int(base)+i], c.Value[int(base)+i] = frag, -1, -1
-		c.attrStart[len(c.attrStart)-rows+i] = attrs
-		p := pre + int32(i)
-		if src.Level[p] == NullLevel {
-			c.Kind[int(base)+i] = KindUnused
-			level[i], par[i], refCont[i], refPre[i] = NullLevel, -1, c.ID, base+int32(i)
-			continue
+	lo, hi := int(pre), int(pre)+rows
+	c.Size = append(c.Size, src.Size[lo:hi]...)
+	c.Kind = append(c.Kind, src.Kind[lo:hi]...)
+	c.Frag, c.NameID, c.Value = appendFill(c.Frag, rows, frag), appendFill(c.NameID, rows, -1), appendFill(c.Value, rows, -1)
+	c.attrStart = appendFill(c.attrStart, rows, int32(len(c.AttrOwner)))
+	c.Level = appendShifted(c.Level, src.Level[lo:hi], baseLevel-src.Level[pre])
+	c.Parent = appendShifted(c.Parent, src.Parent[lo:hi], base-pre)
+	c.Parent[base] = parent
+	if src.RefCont != nil {
+		c.RefCont, c.RefPre = append(c.RefCont, src.RefCont[lo:hi]...), append(c.RefPre, src.RefPre[lo:hi]...)
+	} else {
+		c.RefCont = appendFill(c.RefCont, rows, src.ID)
+		c.RefPre = extend(c.RefPre, rows)
+		for i := range rows {
+			c.RefPre[int(base)+i] = pre + int32(i)
 		}
-		level[i], par[i] = baseLevel+src.Level[p]-src.Level[pre], base+(src.Parent[p]-pre)
-		if i == 0 {
-			par[i] = parent
-		}
-		// resolve the source row's own indirection so chains stay one hop deep
-		refCont[i], refPre[i] = src.ID, p
-		if src.RefCont != nil {
-			refCont[i], refPre[i] = src.RefCont[p], src.RefPre[p]
+	}
+	// unused rows (the slack of the paged update scheme, §5.2) stay
+	// unused, self-referencing rows; a source without any skips the pass
+	if slices.Contains(src.Level[lo:hi], NullLevel) {
+		for i := lo; i < hi; i++ {
+			if p := base + int32(i-lo); src.Level[i] == NullLevel {
+				c.Kind[p], c.Level[p], c.Parent[p], c.RefCont[p], c.RefPre[p] = KindUnused, NullLevel, -1, c.ID, p
+			}
 		}
 	}
 	return base

@@ -16,6 +16,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mxq/internal/faults"
@@ -417,7 +418,9 @@ func (p *Pool) Get(id int32) *Container { return p.containers[id] }
 func (p *Pool) Rows() int64 {
 	var n int64
 	for _, c := range p.containers {
-		n += int64(c.Len())
+		if c != nil { // the slot of a superseded shard version
+			n += int64(c.Len())
+		}
 	}
 	return n
 }
@@ -451,11 +454,21 @@ func (p *Pool) Snapshot() *Pool {
 // order) and records the collection under its name. Re-registering a
 // collection after WithDoc registers only the fresh shard containers;
 // shards already in this pool — shared with pool snapshots — are left
-// untouched. A ShardedPool belongs to exactly one pool: registering a
+// untouched, and the slots of the versions the new collection no longer
+// holds are emptied: snapshots own their registry, so a superseded
+// version lives exactly as long as a snapshot that can name it. A
+// ShardedPool belongs to exactly one pool: registering a
 // shard that another pool owns would rewrite its container id under that
 // engine's feet (silently corrupting its Roots resolution), so it
 // panics — build a separate collection per engine instead.
 func (p *Pool) RegisterCollection(sp *ShardedPool) {
+	if old := p.collections[sp.Name]; old != nil {
+		for _, c := range old.shards {
+			if c.pool == p && !slices.Contains(sp.shards, c) {
+				p.containers[c.ID] = nil
+			}
+		}
+	}
 	for _, c := range sp.shards {
 		if c.pool == nil {
 			p.Register(c)
@@ -475,16 +488,6 @@ func (p *Pool) Collection(name string) (*ShardedPool, bool) {
 	return sp, ok
 }
 
-// Collections returns the names of all registered collections.
-func (p *Pool) Collections() []string {
-	names := make([]string, 0, len(p.collections))
-	for n := range p.collections {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // ByName returns the document container registered under name.
 func (p *Pool) ByName(name string) (*Container, bool) {
 	c, ok := p.byName[name]
@@ -499,10 +502,4 @@ func (p *Pool) Documents() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// AttrOwnerOf returns the owner pre of attribute row in container cont;
-// it has the signature xqt.DocOrderLess expects.
-func (p *Pool) AttrOwnerOf(cont int32, row int32) int32 {
-	return p.Get(cont).AttrOwner[row]
 }

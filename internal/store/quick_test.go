@@ -213,8 +213,9 @@ func copyTreeRef(b *Builder, src *Container, pre int32) int32 {
 // constructor events — elements opened and closed, text, attributes,
 // subtrees copied at top level and under open elements — fed to the
 // reference loop and to CopyTree (with and without a Reserve up front)
-// yields identical containers, for plain sources, sources with unused
-// (NullLevel) tuples and sources that are themselves shallow copies.
+// yields identical containers, for plain sources (no NullLevel row:
+// CopyTree skips its fix-up pass), sources with unused tuples, single
+// and in runs, and sources that are themselves shallow copies.
 func TestQuickCopyTreeMatchesPerRowLoop(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -223,9 +224,14 @@ func TestQuickCopyTreeMatchesPerRowLoop(t *testing.T) {
 		holes := buildRandom(seed+1, 60)
 		pool.Register(plain)
 		pool.Register(holes)
-		for p := int32(2); p < int32(holes.Len()); p++ { // unused leaves
+		for p := int32(2); p < int32(holes.Len()); p++ { // unused leaves, and runs of them under one skip size
 			if holes.Size[p] == 0 && rng.Intn(3) == 0 {
 				holes.Level[p], holes.Kind[p] = NullLevel, KindUnused
+				for q := p + 1; q < int32(holes.Len()) && holes.Size[q] == 0 && rng.Intn(2) == 0; q++ {
+					holes.Level[q], holes.Kind[q] = NullLevel, KindUnused
+					holes.Size[p]++
+				}
+				p += holes.Size[p]
 			}
 		}
 		indirect := NewContainer("") // a source with RefCont: copies of plain plus own rows

@@ -92,94 +92,118 @@ func qname(n xml.Name) string {
 // Serialize writes the subtree rooted at pre as XML text. Document nodes
 // serialize their children. The writer is not flushed or closed.
 func Serialize(w io.Writer, c *Container, pre int32) error {
-	s := serializer{w: w, c: c}
-	s.node(pre)
-	return s.err
+	s := Serializer{w: w, buf: make([]byte, 0, min(32<<10, 32*(int(c.Size[pre])+1)))} // a small subtree's buffer grows at most once
+	s.Node(c, pre)
+	return s.Flush()
 }
 
-type serializer struct {
+// Serializer writes a sequence of nodes and strings as XML text through
+// one buffer it owns: everything is appended to it (escapes inline, an
+// untouched string in one append) and handed to the writer in 32 KB
+// pieces and at Flush. The first write error sticks, ends the walk —
+// what is written after it is dropped — and is what Flush returns.
+type Serializer struct {
 	w   io.Writer
-	c   *Container
+	buf []byte
 	err error
 }
 
-func (s *serializer) write(str string) {
-	if s.err != nil {
-		return
+// NewSerializer returns a serializer writing to w.
+func NewSerializer(w io.Writer) *Serializer { return &Serializer{w: w} }
+
+// Flush writes what is buffered and returns the first error any write met.
+func (s *Serializer) Flush() error {
+	if s.err == nil && len(s.buf) > 0 {
+		_, s.err = s.w.Write(s.buf)
 	}
-	_, s.err = io.WriteString(s.w, str)
+	s.buf = s.buf[:0]
+	return s.err
 }
 
-func (s *serializer) node(pre int32) {
-	c := s.c
+// Err returns the first error a write met, without flushing.
+func (s *Serializer) Err() error { return s.err }
+
+// room flushes a full buffer and reports whether the serializer still writes.
+func (s *Serializer) room() bool {
+	if len(s.buf) >= 32<<10 {
+		s.Flush()
+	}
+	return s.err == nil
+}
+
+// String writes str as it is.
+func (s *Serializer) String(str string) {
+	if s.room() {
+		s.buf = append(s.buf, str...)
+	}
+}
+
+// Node writes the subtree rooted at pre of c.
+func (s *Serializer) Node(c *Container, pre int32) {
+	if !s.room() {
+		return
+	}
 	switch c.Kind[pre] {
 	case KindDoc:
-		s.children(pre)
+		s.children(c, pre, "")
 	case KindElem:
 		name := c.NameOf(pre)
-		s.write("<")
-		s.write(name)
+		s.buf = append(append(s.buf, '<'), name...)
 		ac, lo, hi := c.Attrs(pre)
 		for i := lo; i < hi; i++ {
-			s.write(" ")
-			s.write(ac.Names.Name(ac.AttrName[i]))
-			s.write(`="`)
-			s.write(escapeAttr(ac.AttrVal[i]))
-			s.write(`"`)
+			s.buf = append(append(append(s.buf, ' '), ac.Names.Name(ac.AttrName[i])...), '=', '"')
+			s.escape(ac.AttrVal[i], '"', "&quot;")
+			s.buf = append(s.buf, '"')
 		}
-		if !s.hasRealChild(pre) {
-			s.write("/>")
-			return
+		if s.children(c, pre, ">") {
+			s.buf = append(append(append(s.buf, '<', '/'), name...), '>')
+		} else {
+			s.buf = append(s.buf, '/', '>')
 		}
-		s.write(">")
-		s.children(pre)
-		s.write("</")
-		s.write(name)
-		s.write(">")
 	case KindText:
-		s.write(escapeText(c.TextOf(pre)))
+		s.escape(c.TextOf(pre), '>', "&gt;")
 	case KindComment:
-		s.write("<!--")
-		s.write(c.TextOf(pre))
-		s.write("-->")
+		s.buf = append(append(append(s.buf, "<!--"...), c.TextOf(pre)...), "-->"...)
 	case KindPI:
-		s.write("<?")
-		s.write(c.NameOf(pre))
-		s.write(" ")
-		s.write(c.TextOf(pre))
-		s.write("?>")
+		s.buf = append(append(append(s.buf, '<', '?'), c.NameOf(pre)...), ' ')
+		s.buf = append(append(s.buf, c.TextOf(pre)...), '?', '>')
 	case KindUnused:
 		// skipped
 	}
 }
 
-// hasRealChild reports whether any non-unused tuple lies in the region
-// (regions may contain only unused slack in the paged update scheme).
-func (s *serializer) hasRealChild(pre int32) bool {
-	end := pre + s.c.Size[pre]
-	for p := pre + 1; p <= end; p += s.c.Size[p] + 1 {
-		if s.c.Level[p] != NullLevel {
-			return true
+// children writes the children of pre, open ahead of the first, and
+// reports whether there was one (a region may hold only unused slack).
+func (s *Serializer) children(c *Container, pre int32, open string) (any bool) {
+	end := pre + c.Size[pre]
+	for p := pre + 1; p <= end; p += c.Size[p] + 1 {
+		if c.Level[p] != NullLevel {
+			if !any {
+				s.buf, any = append(s.buf, open...), true
+			}
+			s.Node(c, p)
 		}
 	}
-	return false
+	return any
 }
 
-func (s *serializer) children(pre int32) {
-	end := pre + s.c.Size[pre]
-	p := pre + 1
-	for p <= end {
-		if s.c.Level[p] == NullLevel {
-			p += s.c.Size[p] + 1
+// escape appends str with & and < replaced by their entities, and the
+// byte third (> in text, " in attribute values) by ent.
+func (s *Serializer) escape(str string, third byte, ent string) {
+	last := 0
+	for i := 0; i < len(str); i++ {
+		esc := ent
+		switch str[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case third:
+		default:
 			continue
 		}
-		s.node(p)
-		p += s.c.Size[p] + 1
+		s.buf = append(append(s.buf, str[last:i]...), esc...)
+		last = i + 1
 	}
+	s.buf = append(s.buf, str[last:]...)
 }
-
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }

@@ -263,9 +263,9 @@ func (db *DB) LoadCollection(name string, shards int, docs ...Doc) error {
 // behind the parse); if another goroutine updates the same collection
 // concurrently, the add fails with a "changed concurrently" error and
 // should be retried with a fresh Doc reader. Each add costs O(shard)
-// time and unreclaimed O(shard) pool memory (superseded shard versions
-// stay pinned for snapshot validity) — bulk-load large corpora with
-// LoadCollection.
+// time; the shard version it supersedes is reclaimed once the last
+// Result or in-flight query from before the add is gone — bulk-load
+// large corpora with LoadCollection.
 func (db *DB) AddToCollection(coll string, doc Doc) error {
 	return db.eng.AddToCollection(coll, doc.Name, doc.R)
 }
