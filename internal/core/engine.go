@@ -271,7 +271,8 @@ func (e *Engine) RegisterCollection(sp *store.ShardedPool) {
 // document order. Each add costs O(shard) time for the copy; the version
 // it supersedes leaves the engine's pool and is reclaimed once the last
 // snapshot taken before the add — an in-flight execution, a Result
-// still held — is gone. Grow large corpora with LoadCollection bulk
+// still held — is gone; node items of that version bound into a later
+// execution fail its binding check with XPDY0002. Grow large corpora with LoadCollection bulk
 // loads and reserve AddToCollection for incremental documents.
 func (e *Engine) AddToCollection(coll, doc string, r io.Reader) error {
 	// The shard copy and the XML shred run outside the engine lock so

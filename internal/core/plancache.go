@@ -36,8 +36,8 @@ type planCache struct {
 type compiled struct {
 	*xqc.Compiled
 	// transientRows is how many rows the last successful execution built
-	// in its transient container; the next one reserves them up front, so
-	// its element constructors never regrow the container. The last
+	// in its transient container; the next one's first element constructor
+	// reserves them, so the later ones never regrow the container. The last
 	// value, not the maximum: a binding that once built a huge result
 	// must not pin a huge reservation. Failed executions never write it.
 	transientRows atomic.Int64

@@ -8,6 +8,7 @@ import (
 	"mxq/internal/sched"
 	"mxq/internal/store"
 	"mxq/internal/xqerr"
+	"mxq/internal/xqt"
 )
 
 // Bindings maps external variable names (declared in the query prolog
@@ -154,9 +155,10 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	e.mu.RUnlock()
 	transient := store.NewContainer("")
 	qp.Register(transient)
-	// sized once: what the statement's last successful execution built
-	store.NewContainerBuilder(transient).Reserve(int(p.cq.transientRows.Load()))
 	ex := ralg.NewExec(qp, transient)
+	// sized once, by the first constructor that builds anything: what the
+	// statement's last successful execution built
+	ex.SizeHint = int(p.cq.transientRows.Load())
 	// The executor's column memory goes back for reuse on every exit
 	// path — result, error, cancellation, budget abort, contained panic.
 	// Nothing below may hand out a table: the result is copied off first.
@@ -196,6 +198,9 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 				if prm.Singleton && v.Len() > 1 {
 					return nil, xqerr.Newf("XPTY0004", "external variable $%s expects a single item (its default is one) but is bound to %d items", prm.Name, v.Len())
 				}
+				if c, stale := unheldNode(qp, transient.ID, &v); stale {
+					return nil, xqerr.Newf("XPDY0002", "external variable $%s is bound to a node of container %d, which this execution's snapshot does not hold (a collection shard that an AddToCollection superseded, or a node another Result constructed): query for the node again", prm.Name, c)
+				}
 				env[prm.Name] = v
 				continue
 			}
@@ -220,6 +225,23 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	// Items materializes a fresh polymorphic slice off the typed-vector
 	// column, so the result does not pin the executor's tables.
 	return &Result{Items: tab.Items("item"), pool: qp}, nil
+}
+
+// unheldNode finds a bound node item the snapshot cannot resolve. A node
+// item is a (container id, row) pair: the id of a shard version that an
+// AddToCollection superseded after the node was obtained names an empty
+// slot in every later snapshot, an id from another engine may name none,
+// and the id of this execution's own (still empty) transient container
+// can only be a node some earlier Result constructed. Each must be an
+// error of the binding, not a nil dereference or an index out of range
+// somewhere inside the plan.
+func unheldNode(qp *store.Pool, own int32, v *ralg.ItemVec) (int32, bool) {
+	for i, c := range v.Cont {
+		if k := v.KindAt(i); (k == xqt.KNode || k == xqt.KAttr) && (c == own || !qp.Holds(c)) {
+			return c, true
+		}
+	}
+	return 0, false
 }
 
 // ExecuteString runs the prepared plan under the given bindings and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +64,37 @@ func TestTransientFigureFollowsTheBinding(t *testing.T) {
 		if got := p.cq.transientRows.Load(); got != 2*n { // an element and its text node
 			t.Fatalf("$n = %d: statement remembers %d rows, want %d", n, got, 2*n)
 		}
+	}
+}
+
+// The remembered room is taken by the first constructor that builds
+// something, not before the plan runs: an execution whose binding builds
+// nothing allocates what a statement with nothing to remember does,
+// whatever its last execution built.
+func TestTransientRoomOnlyWhenBuilding(t *testing.T) {
+	e := New(DefaultConfig())
+	exec := func(q string, n int64) (kb int64) {
+		p, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := p.Execute(Bindings{"n": ralg.BindInts(n)}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) >> 10
+	}
+	control := strings.Replace(elemsQuery, "a>", "b>", 2) // same plan shape, never builds
+	exec(control, 0)
+	exec(elemsQuery, 20000) // remembers 40 000 rows: 1.4 MB of columns
+	if idle, kb := exec(control, 0), exec(elemsQuery, 0); kb > idle+400 {
+		t.Fatalf("an execution that builds nothing allocated %d KB, %d KB with nothing remembered", kb, idle)
+	}
+	exec(elemsQuery, 20000)
+	if idle, kb, st := exec(control, 0), exec(elemsQuery, 20000), e.LastStats(); kb < idle+1400 || st.TransientRegrows != 0 {
+		t.Fatalf("a building execution allocated %d KB (%d KB idle) with %d regrows; it should take the remembered room once", kb, idle, st.TransientRegrows)
 	}
 }
 

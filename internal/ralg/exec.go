@@ -82,6 +82,7 @@ type Bindings map[string]ItemVec
 type Exec struct {
 	Pool       *store.Pool
 	Transient  *store.Container
+	SizeHint   int // rows the statement's last execution built in Transient (0: unknown)
 	Stats      ExecStats
 	Par        ParOptions
 	ContextDoc string

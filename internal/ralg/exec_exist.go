@@ -296,9 +296,9 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 			}
 		}
 	}
-	// reduced sides have unique iters: when both ascend (the [iter, pos]
-	// contract), the pairs are unique and already in [iter1, iter2] order
-	if ord != nil || !int64sNonDecreasing(liter) {
+	// reduced sides have unique iters and the right one ascends by now:
+	// when the left does too, the pairs are unique and in [iter1, iter2] order
+	if !int64sNonDecreasing(liter) {
 		p1, p2 = dedupPairs(e, p1, p2)
 	}
 	e.Stats.ThetaPairs += int64(len(p1))

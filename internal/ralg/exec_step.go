@@ -258,12 +258,8 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	if e.Transient == nil {
 		return nil, fmt.Errorf("ralg: element construction without a transient container")
 	}
-	loop := in[0].Ints("iter")
-	content := in[1]
-	citer := content.Ints("iter")
-	citem := content.ItemVec("item")
-	// attribute value cursors: one per attribute part, its items cast to
-	// strings up front
+	loop, citer, citem := in[0].Ints("iter"), in[1].Ints("iter"), in[1].ItemVec("item")
+	// attribute value cursors: one per attribute part, its items cast to strings up front
 	type partCur struct {
 		iter []int64
 		strs []string
@@ -291,8 +287,8 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	b := store.NewContainerBuilder(e.Transient)
 	// the copied subtrees dominate the rows this operator appends to the
 	// transient container: make room for them once (text nodes ride on
-	// append's growth). A container whose statement remembers its size
-	// (core) has the room already, and nothing below moves a column.
+	// append's growth) — the first constructor to build anything for what
+	// the whole statement built last time, so no later one moves a column
 	rows := len(loop)
 	for i := 0; i < citem.Len(); i++ {
 		if citem.KindAt(i) == xqt.KNode {
@@ -300,6 +296,9 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 		}
 	}
 	before, room := e.Transient.Len(), cap(e.Transient.Size)
+	if room == 0 && rows > 0 {
+		rows = max(rows, e.SizeHint)
+	}
 	b.Reserve(rows)
 	tag := e.Transient.Names.ID(n.Tag)
 	ci := 0

@@ -16,6 +16,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -412,9 +413,14 @@ func (p *Pool) Register(c *Container) *Container {
 // Get returns the container with the given id.
 func (p *Pool) Get(id int32) *Container { return p.containers[id] }
 
-// Rows sums the structural row counts of every registered container —
-// the snapshot input size the query scheduler's worker-budget
-// heuristic scales with.
+// Holds reports whether id names a container of this pool: false for an
+// id out of range and for the emptied slot of a superseded shard version.
+func (p *Pool) Holds(id int32) bool {
+	return uint(id) < uint(len(p.containers)) && p.containers[id] != nil
+}
+
+// Rows sums the structural row counts of every registered container: the
+// snapshot input size the scheduler's worker-budget heuristic scales with.
 func (p *Pool) Rows() int64 {
 	var n int64
 	for _, c := range p.containers {
@@ -435,32 +441,18 @@ func (p *Pool) Snapshot() *Pool {
 	if err := faults.StoreSnapshot.Err(); err != nil {
 		panic(err)
 	}
-	q := &Pool{
-		containers:  append([]*Container(nil), p.containers...),
-		byName:      make(map[string]*Container, len(p.byName)),
-		collections: make(map[string]*ShardedPool, len(p.collections)),
-	}
-	for k, v := range p.byName {
-		q.byName[k] = v
-	}
-	for k, v := range p.collections {
-		q.collections[k] = v
-	}
-	return q
+	return &Pool{containers: slices.Clone(p.containers), byName: maps.Clone(p.byName), collections: maps.Clone(p.collections)}
 }
 
 // RegisterCollection registers the collection's shard containers that
-// this pool does not hold yet (assigning ascending container ids in shard
-// order) and records the collection under its name. Re-registering a
-// collection after WithDoc registers only the fresh shard containers;
-// shards already in this pool — shared with pool snapshots — are left
-// untouched, and the slots of the versions the new collection no longer
-// holds are emptied: snapshots own their registry, so a superseded
-// version lives exactly as long as a snapshot that can name it. A
-// ShardedPool belongs to exactly one pool: registering a
-// shard that another pool owns would rewrite its container id under that
-// engine's feet (silently corrupting its Roots resolution), so it
-// panics — build a separate collection per engine instead.
+// this pool does not hold yet (ascending container ids in shard order)
+// and records the collection under its name. Re-registering after WithDoc
+// leaves the shards already here — shared with pool snapshots — untouched
+// and empties the slots of the versions the new collection no longer
+// holds: snapshots own their registry, so a superseded version lives
+// exactly as long as a snapshot that can name it. A ShardedPool belongs
+// to one pool: registering a shard another pool owns would rewrite its
+// container id under that engine's feet, so it panics.
 func (p *Pool) RegisterCollection(sp *ShardedPool) {
 	if old := p.collections[sp.Name]; old != nil {
 		for _, c := range old.shards {

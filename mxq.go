@@ -265,7 +265,9 @@ func (db *DB) LoadCollection(name string, shards int, docs ...Doc) error {
 // should be retried with a fresh Doc reader. Each add costs O(shard)
 // time; the shard version it supersedes is reclaimed once the last
 // Result or in-flight query from before the add is gone — bulk-load
-// large corpora with LoadCollection.
+// large corpora with LoadCollection. Nodes of the superseded shard that
+// were taken from an earlier Result can no longer be bound into new
+// executions (see Items): they raise XPDY0002.
 func (db *DB) AddToCollection(coll string, doc Doc) error {
 	return db.eng.AddToCollection(coll, doc.Name, doc.R)
 }

@@ -10,6 +10,7 @@ import (
 	"mxq/internal/naive"
 	"mxq/internal/store"
 	"mxq/internal/xmark"
+	"mxq/internal/xqt"
 )
 
 // collectionQueries is the differential workload over a sharded XMark
@@ -166,6 +167,83 @@ func TestAddToCollectionSnapshot(t *testing.T) {
 	if err := db.AddToCollection("c", mxq.DocString("a.xml", `<d/>`)); err == nil ||
 		!strings.Contains(err.Error(), "already in collection") {
 		t.Fatalf("duplicate add error = %v", err)
+	}
+}
+
+// TestBindNodesAcrossAddToCollection: nodes taken from a Result can be
+// bound into a later execution as long as that execution's snapshot
+// still holds their container. An AddToCollection supersedes one shard:
+// nodes of the other shards keep resolving, nodes of the superseded
+// version are a typed XPDY0002 of the binding (not a contained nil
+// dereference), and so are a container id the engine never handed out
+// and a node an earlier Result constructed.
+func TestBindNodesAcrossAddToCollection(t *testing.T) {
+	db := mxq.Open()
+	docs := []string{"a.xml", "b.xml", "c.xml", "d.xml", "e.xml"}
+	var load []mxq.Doc
+	for _, d := range docs {
+		load = append(load, mxq.DocString(d, `<d><n>`+d[:1]+`</n></d>`))
+	}
+	if err := db.LoadCollection("c", 2, load...); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := db.Prepare(`declare variable $x external; for $n in $x return string($n)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// one node sequence per shard, split by where the add will land
+	const added = "z.xml"
+	var hit, other []string
+	for _, d := range docs {
+		if store.ShardOf(d, 2) == store.ShardOf(added, 2) {
+			hit = append(hit, d[:1])
+		} else {
+			other = append(other, d[:1])
+		}
+	}
+	if len(hit) == 0 || len(other) == 0 {
+		t.Fatalf("corpus does not span both shards: %v / %v", hit, other)
+	}
+	nodesOf := func(names []string) *mxq.Result {
+		r, err := db.Query(`collection("c")//n[. = ("` + strings.Join(names, `","`) + `")]`)
+		if err != nil || r.Len() != len(names) {
+			t.Fatalf("nodes of %v: %v, %d items", names, err, r.Len())
+		}
+		return r
+	}
+	exec := func(r *mxq.Result) (string, error) {
+		return stmt.Bind("x", mxq.Items(r.Items()...)).ExecString()
+	}
+	rHit, rOther := nodesOf(hit), nodesOf(other)
+	if got, err := exec(rHit); err != nil || got != strings.Join(hit, " ") {
+		t.Fatalf("before the add: %q, %v", got, err)
+	}
+	if err := db.AddToCollection("c", mxq.DocString(added, `<d><n>z</n></d>`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := exec(rOther); err != nil || got != strings.Join(other, " ") {
+		t.Fatalf("nodes of the untouched shard after the add: %q, %v", got, err)
+	}
+	_, err = exec(rHit)
+	if qe := mxq.AsQueryError(err); qe == nil || qe.Code != "XPDY0002" || !strings.Contains(err.Error(), "$x") {
+		t.Fatalf("nodes of the superseded shard version: %v, want XPDY0002 naming $x", err)
+	}
+	// the old Result itself still serializes its version; asking again binds fine
+	if got := rHit.String(); !strings.Contains(got, "<n>"+hit[0]+"</n>") {
+		t.Fatalf("pre-add result no longer serializes: %q", got)
+	}
+	if got, err := exec(nodesOf(hit)); err != nil || got != strings.Join(hit, " ") {
+		t.Fatalf("re-queried nodes: %q, %v", got, err)
+	}
+	built, err := db.Query(`<x>{1}</x>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []mxq.Value{mxq.Items(xqt.Node(99, 0)), mxq.Items(xqt.Attr(-1, 0)), mxq.Items(built.Items()...)} {
+		_, err = stmt.Bind("x", v).ExecString()
+		if qe := mxq.AsQueryError(err); qe == nil || qe.Code != "XPDY0002" {
+			t.Fatalf("nodes of containers the engine never held, or that a Result constructed: %v, want XPDY0002", err)
+		}
 	}
 }
 

@@ -54,7 +54,14 @@ func Strings(vs ...string) Value {
 
 // Items builds a value from raw items — e.g. a node sequence obtained
 // from a previous Result on the same DB. Node items are only
-// meaningful to the DB whose documents they reference.
+// meaningful to the DB whose documents they reference, and only while
+// it still holds the document version they came from: nodes of loaded
+// documents and of collection shards stay bindable until an
+// AddToCollection supersedes their shard, after which executing with
+// them fails with a typed XPDY0002 (the Result they came from keeps
+// serializing its own version; run the query again for current nodes).
+// Nodes a query constructed belong to that one Result and cannot be
+// bound.
 func Items(items ...xqt.Item) Value {
 	return Value{vec: ralg.BindItems(append([]xqt.Item(nil), items...)...)}
 }
