@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -167,15 +168,13 @@ func main() {
 func parseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	shift := 0
-	for suf, sh := range map[string]int{"K": 10, "M": 20, "G": 30, "T": 40} {
-		for _, full := range []string{suf + "iB", suf + "B", suf} {
-			if strings.HasSuffix(t, full) {
-				t, shift = strings.TrimSuffix(t, full), sh
-				break
+units:
+	for i, unit := range []string{"K", "M", "G", "T"} {
+		for _, full := range []string{unit + "iB", unit + "B", unit} {
+			if rest, ok := strings.CutSuffix(t, full); ok {
+				t, shift = rest, 10*(i+1)
+				break units
 			}
-		}
-		if shift != 0 {
-			break
 		}
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
@@ -184,6 +183,9 @@ func parseBytes(s string) (int64, error) {
 	}
 	if n < 0 {
 		return 0, fmt.Errorf("negative size %q", s)
+	}
+	if n > math.MaxInt64>>shift {
+		return 0, fmt.Errorf("size %q overflows 64 bits", s)
 	}
 	return n << shift, nil
 }

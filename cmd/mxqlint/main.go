@@ -6,9 +6,9 @@
 //	mxqlint [dir]
 //
 // With no argument it lints the current directory tree. Diagnostics
-// print one per line as file:line:col: [analyzer] message. The four
-// analyzers — cancelcheck, waitcheck, xqerrcheck, adoptcheck — are
-// documented in docs/static-analysis.md.
+// print one per line as file:line:col: [analyzer] message. The five
+// analyzers — cancelcheck, alloccheck, waitcheck, xqerrcheck, rulecheck —
+// are documented in docs/static-analysis.md.
 package main
 
 import (

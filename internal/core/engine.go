@@ -351,11 +351,7 @@ func (e *Engine) compile(q string) (*compiled, error) {
 			return p, nil
 		}
 	}
-	m, err := xqp.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	cq, err := xqc.Compile(m, e.cfg.Compiler)
+	cq, err := e.parseCompile(q)
 	if err != nil {
 		return nil, err
 	}
@@ -381,39 +377,61 @@ func (e *Engine) compile(q string) (*compiled, error) {
 	return st, nil
 }
 
-// optimizeCompiled runs the peephole optimizer over every parameter
-// initializer and the main plan. With TraceRewrites set, each
-// optimization collects its rewrite witnesses and the translation
-// validator replays them over synthesized inputs — an unsound rewrite
-// fails the compilation, attributed to the plan it fired in (parameter
-// initializers are covered exactly like the main plan).
-func (e *Engine) optimizeCompiled(cq *xqc.Compiled, q string) error {
-	if !e.cfg.TraceRewrites {
-		cq.Plan = opt.Optimize(cq.Plan)
-		for i := range cq.Params {
-			if cq.Params[i].Init != nil {
-				cq.Params[i].Init = opt.Optimize(cq.Params[i].Init)
+// parseCompile is the front half of compile: query text to unoptimized
+// plans.
+func (e *Engine) parseCompile(q string) (*xqc.Compiled, error) {
+	m, err := xqp.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return xqc.Compile(m, e.cfg.Compiler)
+}
+
+// eachPlan calls f on every plan of a compiled query, in the order the
+// executor materializes them: every parameter initializer in
+// declaration order, then the main plan. f gets the plan's slot (so it
+// may replace the plan), the name of the parameter it initializes (""
+// for the main plan) and the verifier configuration naming the
+// parameters visible to it — initializer i may only reference
+// parameters declared before it, the main plan sees them all. The first
+// error ends the walk.
+func eachPlan(cq *xqc.Compiled, f func(plan *ralg.Plan, param string, cfg planck.Config) error) error {
+	cfg := planck.Config{Params: map[string]bool{}, RequireItem: true}
+	for i := range cq.Params {
+		p := &cq.Params[i]
+		if p.Init != nil {
+			if err := f(&p.Init, p.Name, cfg); err != nil {
+				return err
 			}
 		}
-		return nil
+		cfg.Params[p.Name] = true
 	}
-	checkOpts := optcheck.DefaultOptions()
-	for i := range cq.Params {
-		if cq.Params[i].Init == nil {
-			continue
+	return f(&cq.Plan, "", cfg)
+}
+
+// optimizeCompiled runs the peephole optimizer over every plan of cq.
+// With TraceRewrites set, each optimization collects its rewrite
+// witnesses and the translation validator replays them over synthesized
+// inputs — an unsound rewrite fails the compilation, attributed to the
+// plan it fired in (parameter initializers are covered exactly like the
+// main plan).
+func (e *Engine) optimizeCompiled(cq *xqc.Compiled, q string) error {
+	return eachPlan(cq, func(plan *ralg.Plan, param string, _ planck.Config) error {
+		if !e.cfg.TraceRewrites {
+			*plan = opt.Optimize(*plan)
+			return nil
 		}
 		var steps []opt.RewriteStep
-		cq.Params[i].Init = opt.OptimizeTraced(cq.Params[i].Init, func(s opt.RewriteStep) { steps = append(steps, s) })
-		if err := optcheck.ValidateSteps(steps, checkOpts); err != nil {
-			return fmt.Errorf("core: unsound rewrite in the initializer of $%s for %q: %w", cq.Params[i].Name, q, err)
+		*plan = opt.OptimizeTraced(*plan, func(s opt.RewriteStep) { steps = append(steps, s) })
+		err := optcheck.ValidateSteps(steps, optcheck.DefaultOptions())
+		switch {
+		case err == nil:
+			return nil
+		case param != "":
+			return fmt.Errorf("core: unsound rewrite in the initializer of $%s for %q: %w", param, q, err)
 		}
-	}
-	var steps []opt.RewriteStep
-	cq.Plan = opt.OptimizeTraced(cq.Plan, func(s opt.RewriteStep) { steps = append(steps, s) })
-	if err := optcheck.ValidateSteps(steps, checkOpts); err != nil {
 		return fmt.Errorf("core: unsound rewrite for %q: %w", q, err)
-	}
-	return nil
+	})
 }
 
 // RewriteSteps compiles q afresh (bypassing the plan cache, which only
@@ -424,40 +442,27 @@ func (e *Engine) RewriteSteps(q string) ([]opt.RewriteStep, error) {
 	if !e.cfg.OrderAware {
 		return nil, nil
 	}
-	m, err := xqp.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	cq, err := xqc.Compile(m, e.cfg.Compiler)
+	cq, err := e.parseCompile(q)
 	if err != nil {
 		return nil, err
 	}
 	var steps []opt.RewriteStep
-	trace := func(s opt.RewriteStep) { steps = append(steps, s) }
-	for i := range cq.Params {
-		if cq.Params[i].Init != nil {
-			cq.Params[i].Init = opt.OptimizeTraced(cq.Params[i].Init, trace)
-		}
-	}
-	cq.Plan = opt.OptimizeTraced(cq.Plan, trace)
-	return steps, nil
+	err = eachPlan(cq, func(plan *ralg.Plan, _ string, _ planck.Config) error {
+		*plan = opt.OptimizeTraced(*plan, func(s opt.RewriteStep) { steps = append(steps, s) })
+		return nil
+	})
+	return steps, err
 }
 
-// verifyCompiled runs the static plan verifier over the main plan and
-// every parameter initializer. Parameters are materialized in
-// declaration order, so initializer i may only reference parameters
-// declared before it; the main plan sees them all.
+// verifyCompiled runs the static plan verifier over every plan of cq.
 func verifyCompiled(cq *xqc.Compiled) error {
-	visible := map[string]bool{}
-	for _, p := range cq.Params {
-		if p.Init != nil {
-			if err := planck.Verify(p.Init, planck.Config{Params: visible, RequireItem: true}); err != nil {
-				return fmt.Errorf("initializer of $%s: %w", p.Name, err)
-			}
+	return eachPlan(cq, func(plan *ralg.Plan, param string, cfg planck.Config) error {
+		err := planck.Verify(*plan, cfg)
+		if err != nil && param != "" {
+			return fmt.Errorf("initializer of $%s: %w", param, err)
 		}
-		visible[p.Name] = true
-	}
-	return planck.Verify(cq.Plan, planck.Config{Params: visible, RequireItem: true})
+		return err
+	})
 }
 
 // ExplainPlan compiles q (hitting the plan cache like any compile) and
@@ -468,23 +473,18 @@ func (e *Engine) ExplainPlan(q string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	visible := map[string]bool{}
 	var b strings.Builder
-	for _, p := range cq.Params {
-		if p.Init != nil {
-			s, err := planck.Explain(p.Init, planck.Config{Params: visible, RequireItem: true})
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, "$%s :=\n%s", p.Name, s)
+	err = eachPlan(cq.Compiled, func(plan *ralg.Plan, param string, cfg planck.Config) error {
+		s, err := planck.Explain(*plan, cfg)
+		if param != "" {
+			fmt.Fprintf(&b, "$%s :=\n", param)
 		}
-		visible[p.Name] = true
-	}
-	s, err := planck.Explain(cq.Plan, planck.Config{Params: visible, RequireItem: true})
+		b.WriteString(s)
+		return err
+	})
 	if err != nil {
 		return "", err
 	}
-	b.WriteString(s)
 	return b.String(), nil
 }
 

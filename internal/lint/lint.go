@@ -1,8 +1,7 @@
 // Package lint is a self-contained static-analysis framework for the
 // project-specific invariants that ordinary vet cannot see: executor
 // cancellation polling (cancelcheck), scheduler/serving wait-point
-// cancellability (waitcheck), error-code hygiene (xqerrcheck), and
-// binding-adoption safety at the public API boundary (adoptcheck).
+// cancellability (waitcheck) and error-code hygiene (xqerrcheck).
 //
 // It deliberately works at the syntax level only (go/parser + go/ast,
 // no type checking): every rule it enforces is expressible over names
@@ -57,7 +56,7 @@ type Analyzer struct {
 
 // All returns every analyzer mxqlint ships, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{CancelCheck, AllocCheck, WaitCheck, XQErrCheck, AdoptCheck, RuleCheck}
+	return []*Analyzer{CancelCheck, AllocCheck, WaitCheck, XQErrCheck, RuleCheck}
 }
 
 // LoadDir parses every .go file directly inside dir into one Package.

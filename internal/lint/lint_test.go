@@ -35,10 +35,6 @@ func TestXQErrCheckFixtures(t *testing.T) {
 	runFixture(t, XQErrCheck, "testdata/xqerrcheck")
 }
 
-func TestAdoptCheckFixtures(t *testing.T) {
-	runFixture(t, AdoptCheck, "testdata/adoptcheck")
-}
-
 func TestRuleCheckFixtures(t *testing.T) {
 	runFixture(t, RuleCheck, "testdata/rulecheck/opt")
 }
@@ -50,7 +46,7 @@ func TestAnalyzersSkipForeignPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []*Analyzer{CancelCheck, WaitCheck, AdoptCheck, RuleCheck} {
+	for _, a := range []*Analyzer{CancelCheck, WaitCheck, RuleCheck} {
 		if ds := a.Run(p); len(ds) != 0 {
 			t.Errorf("%s fired on package %q: %v", a.Name, p.Name, ds)
 		}
@@ -59,7 +55,7 @@ func TestAnalyzersSkipForeignPackages(t *testing.T) {
 
 // The repository itself must lint clean: every executor loop polls, is
 // reachable from a poll, or carries a justified exemption; no bare
-// error-code strings; no adopting constructors. This is the same sweep
+// error-code strings. This is the same sweep
 // cmd/mxqlint performs in CI, kept in-suite so `go test ./...` catches
 // regressions without the extra tool invocation.
 func TestRepositoryLintsClean(t *testing.T) {

@@ -40,15 +40,6 @@ func (pr Props) GrpCovered(cols []string, g string) bool {
 	return pr.p != nil && pr.p.grpCovered(cols, g)
 }
 
-// SortedPrefix returns the number of leading cols the node is known to
-// be sorted on.
-func (pr Props) SortedPrefix(cols []string) int {
-	if pr.p == nil {
-		return 0
-	}
-	return pr.p.sortedPrefix(cols)
-}
-
 // DenseCols returns the dense columns, sorted by name.
 func (pr Props) DenseCols() []string { return sortedKeys(prMap(pr, 'd')) }
 

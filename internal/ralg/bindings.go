@@ -1,29 +1,33 @@
 package ralg
 
-import "mxq/internal/xqt"
+import (
+	"slices"
+
+	"mxq/internal/xqt"
+)
 
 // Typed binding constructors: each materializes an external variable
-// binding as a uniform ItemVec in one slice assignment, without boxing
+// binding as a uniform ItemVec in one slice copy, without boxing
 // values through xqt.Item. These are the fast paths of the prepared-
 // query API (core.Prepared / mxq.Stmt); BindItems is the generic path
 // for mixed or node sequences.
 //
-// The payload slices are adopted, not copied — callers must not mutate
-// them after binding (vectors are immutable once built).
+// Every constructor copies its argument: vectors are immutable once
+// built, so a binding must not alias a slice its caller still owns.
 
 // BindInts builds an xs:integer sequence binding.
 func BindInts(vs ...int64) ItemVec {
-	return ItemVec{Tag: xqt.KInt, n: len(vs), I: vs}
+	return ItemVec{Tag: xqt.KInt, n: len(vs), I: slices.Clone(vs)}
 }
 
 // BindFloats builds an xs:double sequence binding.
 func BindFloats(vs ...float64) ItemVec {
-	return ItemVec{Tag: xqt.KDouble, n: len(vs), F: vs}
+	return ItemVec{Tag: xqt.KDouble, n: len(vs), F: slices.Clone(vs)}
 }
 
 // BindStrings builds an xs:string sequence binding.
 func BindStrings(vs ...string) ItemVec {
-	return ItemVec{Tag: xqt.KString, n: len(vs), S: vs}
+	return ItemVec{Tag: xqt.KString, n: len(vs), S: slices.Clone(vs)}
 }
 
 // BindBools builds an xs:boolean sequence binding.

@@ -2,6 +2,7 @@ package ralg
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mxq/internal/xqt"
@@ -178,4 +179,22 @@ func demote(v ItemVec) ItemVec {
 		out.Tags[i] = v.Tag
 	}
 	return out
+}
+
+// Every Bind* constructor copies its argument: a binding never aliases
+// a slice its caller still owns (vectors are immutable once built).
+func TestBindCopiesArgument(t *testing.T) {
+	ints, floats, strs := []int64{1, 2}, []float64{1.5, 2.5}, []string{"a", "b"}
+	bools, items := []bool{true, false}, []xqt.Item{xqt.Int(1), xqt.Str("x")}
+	vecs := []ItemVec{BindInts(ints...), BindFloats(floats...), BindStrings(strs...), BindBools(bools...), BindItems(items...)}
+	var want [][]xqt.Item
+	for i := range vecs {
+		want = append(want, vecs[i].Slice())
+	}
+	ints[0], floats[0], strs[0], bools[0], items[0] = 9, 9.5, "z", false, xqt.Str("z")
+	for i := range vecs {
+		if got := vecs[i].Slice(); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("binding %d changed with its caller's slice: %v, was %v", i, got, want[i])
+		}
+	}
 }

@@ -84,11 +84,3 @@ func (m *MemBudget) HighWater() int64 {
 	}
 	return m.high.Load()
 }
-
-// Limit returns the budget in bytes (0 = unlimited).
-func (m *MemBudget) Limit() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.limit
-}

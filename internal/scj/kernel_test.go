@@ -147,7 +147,7 @@ func richCtx(rng *rand.Rand, c *store.Container, iters int) Pairs {
 			add(p)
 		}
 	}
-	SortPairs(&ctx)
+	(&Blocks{Segs: []Pairs{ctx}}).sort()
 	return ctx
 }
 

@@ -167,28 +167,22 @@ func mergePairsTree(outs []Pairs) Pairs {
 	return outs[0]
 }
 
-// ParallelStepSlots evaluates one location step like Step, distributing
-// the work over up to workers goroutines drawn from sl (see Slots; a nil
-// sl spawns freely) when the input is large enough (threshold context
-// rows for context partitioning, threshold document tuples for range
-// partitioning). The result is identical to Step's — same pairs, same
-// (pre, iter) order — so serial execution remains the
-// differential-testing oracle. Small inputs run serially.
+// StepBlocks is the one entry to the step kernels: it evaluates the step
+// serially (workers <= 1, or an input below threshold) or decomposed —
+// over up to workers goroutines drawn from sl (see Slots; a nil sl
+// spawns freely) when the input is large enough (threshold context rows
+// for context partitioning, threshold document tuples for range
+// partitioning) — and returns the result as the blocks the kernels
+// filled. The caller copies the segments out and calls Release; Step is
+// the serial run followed by Blocks.Pairs. Decomposed, the result is
+// identical to Step's — same pairs, same (pre, iter) order — so serial
+// execution remains the differential-testing oracle.
 //
 // Stats count the total work performed across all workers: Emitted
 // equals the merged result size exactly, but Touched/Pruned include the
 // per-worker seeding and context-walk replays, so they can exceed the
 // serial counters for the same query. That surplus is the real cost of
 // the decomposition, not an accounting error.
-func ParallelStepSlots(sl Slots, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
-	return StepBlocks(sl, c, ctx, axis, test, v, workers, threshold, st).Pairs()
-}
-
-// StepBlocks is the one entry to the step kernels: it evaluates the step
-// serially (workers <= 1, or an input below threshold) or decomposed,
-// and returns the result as the blocks the kernels filled. The caller
-// copies the segments out and calls Release. Step and ParallelStepSlots
-// are this run followed by Blocks.Pairs.
 func StepBlocks(sl Slots, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Blocks {
 	if st == nil {
 		st = &Stats{}

@@ -7,9 +7,9 @@ import (
 	"mxq/internal/store"
 )
 
-// ParallelStep is ParallelStepSlots spawning its workers freely.
+// ParallelStep is StepBlocks spawning its workers freely, flattened.
 func ParallelStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
-	return ParallelStepSlots(nil, c, ctx, axis, test, v, workers, threshold, st)
+	return StepBlocks(nil, c, ctx, axis, test, v, workers, threshold, st).Pairs()
 }
 
 // TestParallelStepMatchesSerial is the core contract of the parallel

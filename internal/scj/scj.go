@@ -90,16 +90,6 @@ func (a Axis) String() string {
 	return "axis?"
 }
 
-// Reverse reports whether the axis is a reverse axis (results precede the
-// context node in document order).
-func (a Axis) Reverse() bool {
-	switch a {
-	case Parent, Ancestor, AncestorOrSelf, Preceding, PrecedingSibling:
-		return true
-	}
-	return false
-}
-
 // TestKind is the node test of a location step.
 type TestKind uint8
 
@@ -131,11 +121,6 @@ type Pairs struct {
 
 // Len returns the number of pairs.
 func (p *Pairs) Len() int { return len(p.Pre) }
-
-// SortPairs establishes the (pre, iter) sort order in place.
-func SortPairs(p *Pairs) {
-	(&Blocks{Segs: []Pairs{*p}}).sort()
-}
 
 // Stats collects the access counters used to verify the
 // |result| + |context| touch bound and to drive the skipping experiments.

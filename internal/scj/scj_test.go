@@ -64,7 +64,7 @@ func naiveAxis(c *store.Container, ctx Pairs, axis Axis, test Test) Pairs {
 			out.append(v, ctx.Iter[i])
 		}
 	}
-	SortPairs(&out)
+	(&Blocks{Segs: []Pairs{out}}).sort()
 	return out
 }
 
@@ -190,7 +190,7 @@ func randomCtx(rng *rand.Rand, c *store.Container, maxIters int) Pairs {
 			}
 		}
 	}
-	SortPairs(&ctx)
+	(&Blocks{Segs: []Pairs{ctx}}).sort()
 	return ctx
 }
 
@@ -408,14 +408,11 @@ func TestStepResultOrdering(t *testing.T) {
 	}
 }
 
-func TestAxisStringAndReverse(t *testing.T) {
+func TestAxisString(t *testing.T) {
 	for _, a := range allAxes {
 		if a.String() == "axis?" {
 			t.Errorf("axis %d missing name", a)
 		}
-	}
-	if !Ancestor.Reverse() || Child.Reverse() {
-		t.Error("Reverse misclassifies axes")
 	}
 }
 

@@ -248,7 +248,9 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*queryRe
 func (s *Server) execContext(r *http.Request, req *queryRequest) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		// clamped in milliseconds: multiplied first, a huge timeout_ms
+		// wraps negative and would read as "no deadline" below
+		timeout = time.Duration(min(req.TimeoutMS, s.cfg.MaxTimeout.Milliseconds()+1)) * time.Millisecond
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout

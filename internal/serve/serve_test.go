@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -198,11 +199,21 @@ func TestServerErrorMapping(t *testing.T) {
 const slowQuery = `sum(for $i in 1 to 2000 return sum(for $j in 1 to 2000 return $i * $j))`
 
 func TestServerQueryTimeout(t *testing.T) {
+	testQueryTimeout(t, Config{}, 50)
+}
+
+// A timeout_ms whose nanosecond count overflows int64 is still capped
+// by MaxTimeout: it must not wrap into "no deadline".
+func TestServerQueryTimeoutOverflow(t *testing.T) {
+	testQueryTimeout(t, Config{MaxTimeout: 50 * time.Millisecond}, math.MaxInt64/int64(time.Millisecond)+1)
+}
+
+func testQueryTimeout(t *testing.T, cfg Config, timeoutMS int64) {
 	testutil.CheckGoroutines(t)
-	ts, _ := newTestServer(t, Config{}, mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
+	ts, _ := newTestServer(t, cfg, mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
 	start := time.Now()
 	resp, body := postJSON(t, ts.URL+"/query",
-		map[string]any{"query": slowQuery, "timeout_ms": 50})
+		map[string]any{"query": slowQuery, "timeout_ms": timeoutMS})
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)

@@ -152,28 +152,6 @@ func (c *Container) Attrs(pre int32) (ac *Container, lo, hi int32) {
 	return rc, rc.attrStart[rp], rc.attrStart[rp+1]
 }
 
-// AttrCount returns the number of attributes of node pre.
-func (c *Container) AttrCount(pre int32) int {
-	_, lo, hi := c.Attrs(pre)
-	return int(hi - lo)
-}
-
-// AttrByName returns the attribute row of node pre with the given name, or
-// -1 if absent, along with the container holding the attribute.
-func (c *Container) AttrByName(pre int32, name string) (*Container, int32) {
-	ac, lo, hi := c.Attrs(pre)
-	id, ok := ac.Names.Lookup(name)
-	if !ok {
-		return ac, -1
-	}
-	for i := lo; i < hi; i++ {
-		if ac.AttrName[i] == id {
-			return ac, i
-		}
-	}
-	return ac, -1
-}
-
 // StringValue computes the XPath string value of the node at pre: the text
 // content for text/comment/PI nodes, and the concatenation of all
 // descendant text nodes for elements and document nodes.
@@ -484,14 +462,4 @@ func (p *Pool) Collection(name string) (*ShardedPool, bool) {
 func (p *Pool) ByName(name string) (*Container, bool) {
 	c, ok := p.byName[name]
 	return c, ok
-}
-
-// Documents returns the names of all registered documents.
-func (p *Pool) Documents() []string {
-	names := make([]string, 0, len(p.byName))
-	for n := range p.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

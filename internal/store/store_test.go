@@ -100,19 +100,16 @@ func TestAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := c.AttrCount(1); n != 1 {
-		t.Errorf("r has %d attrs, want 1", n)
+	if _, lo, hi := c.Attrs(1); hi-lo != 1 {
+		t.Errorf("r has %d attrs, want 1", hi-lo)
 	}
-	ac, row := c.AttrByName(2, "id")
-	if row < 0 || ac.AttrVal[row] != "p1" {
-		t.Errorf("p1 id attr: row %d", row)
+	ac, lo, hi := c.Attrs(2)
+	got := map[string]string{}
+	for row := lo; row < hi; row++ {
+		got[ac.Names.Name(ac.AttrName[row])] = ac.AttrVal[row]
 	}
-	ac, row = c.AttrByName(2, "x")
-	if row < 0 || ac.AttrVal[row] != "1" {
-		t.Errorf("x attr lookup failed")
-	}
-	if _, row = c.AttrByName(2, "missing"); row != -1 {
-		t.Errorf("missing attr found: %d", row)
+	if len(got) != 2 || got["id"] != "p1" || got["x"] != "1" {
+		t.Errorf("attributes of p1: %v", got)
 	}
 }
 
@@ -262,8 +259,5 @@ func TestPool(t *testing.T) {
 	}
 	if p.Get(c1.ID) != c1 {
 		t.Error("Get failed")
-	}
-	if docs := p.Documents(); len(docs) != 2 || docs[0] != "one.xml" {
-		t.Errorf("Documents = %v", docs)
 	}
 }

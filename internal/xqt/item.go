@@ -108,14 +108,8 @@ func (it Item) IsNode() bool { return it.K == KNode || it.K == KAttr }
 // IsNumeric reports whether the item is an xs:integer or xs:double.
 func (it Item) IsNumeric() bool { return it.K == KInt || it.K == KDouble }
 
-// IsAtom reports whether the item is an atomic value (not a node).
-func (it Item) IsAtom() bool { return !it.IsNode() }
-
 // Pre returns the preorder rank of a KNode item.
 func (it Item) Pre() int32 { return int32(it.I) }
-
-// AsBool returns the boolean payload of a KBool item.
-func (it Item) AsBool() bool { return it.I != 0 }
 
 // AsDouble converts the item to xs:double following the XQuery casting
 // rules. Untyped and string payloads are parsed; unparsable input yields
@@ -433,35 +427,3 @@ func sortRank(a Item) int {
 // Equal reports deep equality of two items as node identities or atomic
 // values (used by `is` and for duplicate elimination of node sequences).
 func Equal(a, b Item) bool { return a == b }
-
-// DocOrderLess orders node items by document order: lexicographically by
-// (container, pre). Attribute nodes order immediately after their owner
-// element; two attributes of the same element keep attribute-table order.
-// ownerOf resolves the owning element pre of an attribute row and is
-// supplied by the storage layer.
-func DocOrderLess(a, b Item, ownerOf func(cont int32, row int32) int32) bool {
-	ak, bk := docKey(a, ownerOf), docKey(b, ownerOf)
-	if ak.cont != bk.cont {
-		return ak.cont < bk.cont
-	}
-	if ak.pre != bk.pre {
-		return ak.pre < bk.pre
-	}
-	if ak.sub != bk.sub {
-		return ak.sub < bk.sub
-	}
-	return false
-}
-
-type docOrderKey struct {
-	cont int32
-	pre  int32
-	sub  int64
-}
-
-func docKey(a Item, ownerOf func(cont int32, row int32) int32) docOrderKey {
-	if a.K == KAttr {
-		return docOrderKey{cont: a.Cont, pre: ownerOf(a.Cont, int32(a.I)), sub: 1 + a.I}
-	}
-	return docOrderKey{cont: a.Cont, pre: int32(a.I)}
-}

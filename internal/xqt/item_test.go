@@ -16,7 +16,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	if Double(3).AsString() != "3" {
 		t.Errorf("integral double format: %s", Double(3).AsString())
 	}
-	if !Bool(true).AsBool() || Bool(false).AsBool() {
+	if Bool(true).I != 1 || Bool(false).I != 0 {
 		t.Error("Bool")
 	}
 	if Str("x").AsString() != "x" || Untyped("y").AsString() != "y" {
@@ -27,7 +27,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 		t.Error("Node")
 	}
 	a := Attr(2, 5)
-	if !a.IsNode() || a.IsAtom() {
+	if !a.IsNode() || Int(1).IsNode() {
 		t.Error("Attr")
 	}
 	if !Int(1).IsNumeric() || !Double(1).IsNumeric() || Str("1").IsNumeric() {
@@ -203,28 +203,6 @@ func TestEmptyLeastSortsFirst(t *testing.T) {
 		if SortLess(o, EmptyLeast) {
 			t.Errorf("%+v sorts before EmptyLeast", o)
 		}
-	}
-}
-
-func TestDocOrderLess(t *testing.T) {
-	owner := func(cont int32, row int32) int32 { return 10 } // all attrs owned by pre 10
-	n5, n10, n11 := Node(1, 5), Node(1, 10), Node(1, 11)
-	a0, a1 := Attr(1, 0), Attr(1, 1)
-	other := Node(2, 0)
-	if !DocOrderLess(n5, n10, owner) || DocOrderLess(n10, n5, owner) {
-		t.Error("pre order")
-	}
-	if !DocOrderLess(n10, a0, owner) {
-		t.Error("element before its attributes")
-	}
-	if !DocOrderLess(a0, a1, owner) {
-		t.Error("attribute table order")
-	}
-	if !DocOrderLess(a1, n11, owner) {
-		t.Error("attributes before the next element")
-	}
-	if !DocOrderLess(n11, other, owner) {
-		t.Error("container order")
 	}
 }
 

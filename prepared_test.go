@@ -141,3 +141,26 @@ func TestStmtVarsAndValues(t *testing.T) {
 		t.Errorf("node-sequence binding sum = %q, want 3", got)
 	}
 }
+
+// The sequence constructors copy: mutating the slice after building the
+// value changes neither the value nor a statement already bound to it.
+func TestValuesCopyCallerSlices(t *testing.T) {
+	db := mxq.Open()
+	db.LoadXMark("auction.xml", 0.002, 3)
+	stmt, err := db.Prepare(`declare variable $v external; $v`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints, floats, strs := []int64{1, 2}, []float64{1.5, 2.5}, []string{"a", "b"}
+	items := []xqt.Item{xqt.Int(7), xqt.Str("x")}
+	bound := []*mxq.Stmt{
+		stmt.Bind("v", mxq.Ints(ints...)), stmt.Bind("v", mxq.Floats(floats...)),
+		stmt.Bind("v", mxq.Strings(strs...)), stmt.Bind("v", mxq.Items(items...)),
+	}
+	ints[0], floats[0], strs[0], items[0] = 9, 9.5, "z", xqt.Str("z")
+	for i, want := range []string{"1 2", "1.5 2.5", "a b", "7 x"} {
+		if got, err := bound[i].ExecString(); err != nil || got != want {
+			t.Errorf("value %d after its slice was mutated: %q, %v; want %q", i, got, err, want)
+		}
+	}
+}

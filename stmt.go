@@ -37,19 +37,19 @@ func Bool(b bool) Value { return Value{vec: ralg.BindBools(b)} }
 // Ints builds an xs:integer sequence value on the typed fast path (no
 // per-item boxing; the input slice is copied, so callers may reuse it).
 func Ints(vs ...int64) Value {
-	return Value{vec: ralg.BindInts(append([]int64(nil), vs...)...)}
+	return Value{vec: ralg.BindInts(vs...)}
 }
 
 // Floats builds an xs:double sequence value on the typed fast path
 // (the input slice is copied).
 func Floats(vs ...float64) Value {
-	return Value{vec: ralg.BindFloats(append([]float64(nil), vs...)...)}
+	return Value{vec: ralg.BindFloats(vs...)}
 }
 
 // Strings builds an xs:string sequence value on the typed fast path
 // (the input slice is copied).
 func Strings(vs ...string) Value {
-	return Value{vec: ralg.BindStrings(append([]string(nil), vs...)...)}
+	return Value{vec: ralg.BindStrings(vs...)}
 }
 
 // Items builds a value from raw items — e.g. a node sequence obtained
@@ -63,7 +63,7 @@ func Strings(vs ...string) Value {
 // Nodes a query constructed belong to that one Result and cannot be
 // bound.
 func Items(items ...xqt.Item) Value {
-	return Value{vec: ralg.BindItems(append([]xqt.Item(nil), items...)...)}
+	return Value{vec: ralg.BindItems(items...)}
 }
 
 // Sequence concatenates values into one sequence value (XQuery
