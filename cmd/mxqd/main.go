@@ -125,9 +125,9 @@ func main() {
 		log.Printf("loaded generated XMark document (factor %g)", *xmarkFactor)
 	}
 
+	// admission is the engine scheduler's (-max-inflight and -queue-depth
+	// went there): the server's own MaxInflight/MaxQueue would be ignored
 	srv := serve.New(db, serve.Config{
-		MaxInflight:    *maxInflight,
-		MaxQueue:       *queueDepth,
 		MaxStmts:       *maxStmts,
 		StmtTTL:        *stmtTTL,
 		DefaultTimeout: *timeout,

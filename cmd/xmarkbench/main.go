@@ -491,8 +491,14 @@ func fig14(scales []float64) {
 	var sumA, sumB time.Duration
 	for q := 1; q <= 20; q++ {
 		query := xmark.Query(q)
-		da, okA := bestOf(func() error { _, err := ordered.Query(query); return err })
-		st := ordered.LastStats()
+		var st ralg.ExecStats
+		da, okA := bestOf(func() error {
+			res, err := ordered.Query(query)
+			if err == nil {
+				st = res.Stats
+			}
+			return err
+		})
 		db, okB := bestOf(func() error { _, err := unordered.Query(query); return err })
 		sumA += da
 		sumB += db

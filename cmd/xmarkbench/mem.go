@@ -12,10 +12,10 @@ import (
 
 // memExp measures the cost of per-query memory governance: the full
 // Q1–Q20 mix runs once on an ungoverned engine and once under a
-// generous budget (every charge flows through the shared MemBudget,
-// no query is aborted), so the delta is pure accounting overhead —
-// the number the budget design keeps under a few percent by amortizing
-// checks over the cancellation poll sites. A third section tightens
+// generous budget (every allocator charges the shared MemBudget, no
+// query is aborted), so the delta is pure accounting overhead — one
+// atomic add per column or list handed out, not per row. A third
+// section tightens
 // the budget until queries are rejected, demonstrating that aborts are
 // typed, prompt, and leave the engine fully usable.
 func memExp(scales []float64) {

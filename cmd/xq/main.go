@@ -184,7 +184,7 @@ func main() {
 	if *explain {
 		// what the run found that the plan above did not promise: sorts
 		// whose input was already ordered are orderings opt did not infer
-		st := db.Engine().LastStats()
+		st := res.Stats()
 		fmt.Printf("run: %d sort operators (%d full, %d refine) over %d rows; %d of them (%d rows) found their input already in order\n",
 			st.FullSorts+st.RefineSort, st.FullSorts, st.RefineSort, st.SortedRows, st.SortsPresorted, st.RowsPresorted)
 		// the two output-bound kernels: pairs out of the theta joins, and

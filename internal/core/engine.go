@@ -138,9 +138,6 @@ type Engine struct {
 	defaultDoc string
 
 	cache *planCache // nil when plan caching is disabled
-
-	statsMu   sync.Mutex
-	lastStats ralg.ExecStats
 }
 
 // New returns an engine with the given configuration. Setting the
@@ -323,10 +320,12 @@ func (e *Engine) SetContextDocument(name string) {
 	e.mu.Unlock()
 }
 
-// Result is a query result: the item sequence plus access to the
-// containers the node items live in.
+// Result is a query result: the item sequence, the executor counters of
+// the execution that produced it, and access to the containers the node
+// items live in.
 type Result struct {
 	Items []xqt.Item
+	Stats ralg.ExecStats
 	pool  *store.Pool
 }
 
@@ -516,13 +515,6 @@ func (e *Engine) CacheStats() (hits, misses int64, size int) {
 		return 0, 0, 0
 	}
 	return e.cache.hits.Load(), e.cache.misses.Load(), e.cache.len()
-}
-
-// LastStats returns the executor counters of the most recent Query.
-func (e *Engine) LastStats() ralg.ExecStats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.lastStats
 }
 
 // PlanStats returns the operator and join counts of a compiled query

@@ -218,13 +218,10 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	if err != nil {
 		return nil, err
 	}
-	e.statsMu.Lock()
-	e.lastStats = ex.Stats
-	e.statsMu.Unlock()
 	p.cq.transientRows.Store(int64(transient.Len()))
 	// Items materializes a fresh polymorphic slice off the typed-vector
 	// column, so the result does not pin the executor's tables.
-	return &Result{Items: tab.Items("item"), pool: qp}, nil
+	return &Result{Items: tab.Items("item"), Stats: ex.Stats, pool: qp}, nil
 }
 
 // unheldNode finds a bound node item the snapshot cannot resolve. A node

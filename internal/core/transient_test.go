@@ -10,6 +10,7 @@ import (
 	"mxq/internal/faults"
 	"mxq/internal/ralg"
 	"mxq/internal/xmark"
+	"mxq/internal/xqerr"
 )
 
 // TestTransientContainerSizedOnce: a statement remembers how many
@@ -22,26 +23,26 @@ func TestTransientContainerSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.ExecuteString(nil)
+	res, err := p.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := e.LastStats()
+	want, first := res.String(), res.Stats
 	if first.TransientRows == 0 || first.TransientRegrows == 0 {
 		t.Fatalf("first execution: %d transient rows, %d regrows; Q10's fourteen constructors should outgrow their own reservations", first.TransientRows, first.TransientRegrows)
 	}
 	if got := p.cq.transientRows.Load(); got != first.TransientRows {
 		t.Fatalf("statement remembers %d rows, the execution built %d", got, first.TransientRows)
 	}
-	for _, run := range []func() (string, error){
-		func() (string, error) { return p.ExecuteString(nil) },
-		func() (string, error) { return e.QueryString(xmark.Query(10)) }, // same text, same cached statement
+	for _, run := range []func() (*Result, error){
+		func() (*Result, error) { return p.Execute(nil) },
+		func() (*Result, error) { return e.Query(xmark.Query(10)) }, // same text, same cached statement
 	} {
 		got, err := run()
-		if err != nil || got != want {
-			t.Fatalf("sized execution: err=%v, identical=%v", err, got == want)
+		if err != nil || got.String() != want {
+			t.Fatalf("sized execution: err=%v, identical=%v", err, err == nil && got.String() == want)
 		}
-		if st := e.LastStats(); st.TransientRegrows != 0 || st.TransientRows != first.TransientRows {
+		if st := got.Stats; st.TransientRegrows != 0 || st.TransientRows != first.TransientRows {
 			t.Fatalf("sized execution: %d rows (want %d), %d regrows (want 0)", st.TransientRows, first.TransientRows, st.TransientRegrows)
 		}
 	}
@@ -73,6 +74,7 @@ func TestTransientFigureFollowsTheBinding(t *testing.T) {
 // whatever its last execution built.
 func TestTransientRoomOnlyWhenBuilding(t *testing.T) {
 	e := New(DefaultConfig())
+	var last *Result
 	exec := func(q string, n int64) (kb int64) {
 		p, err := e.Prepare(q)
 		if err != nil {
@@ -80,7 +82,7 @@ func TestTransientRoomOnlyWhenBuilding(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := p.Execute(Bindings{"n": ralg.BindInts(n)}); err != nil {
+		if last, err = p.Execute(Bindings{"n": ralg.BindInts(n)}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -93,8 +95,8 @@ func TestTransientRoomOnlyWhenBuilding(t *testing.T) {
 		t.Fatalf("an execution that builds nothing allocated %d KB, %d KB with nothing remembered", kb, idle)
 	}
 	exec(elemsQuery, 20000)
-	if idle, kb, st := exec(control, 0), exec(elemsQuery, 20000), e.LastStats(); kb < idle+1400 || st.TransientRegrows != 0 {
-		t.Fatalf("a building execution allocated %d KB (%d KB idle) with %d regrows; it should take the remembered room once", kb, idle, st.TransientRegrows)
+	if idle, kb := exec(control, 0), exec(elemsQuery, 20000); kb < idle+1400 || last.Stats.TransientRegrows != 0 {
+		t.Fatalf("a building execution allocated %d KB (%d KB idle) with %d regrows; it should take the remembered room once", kb, idle, last.Stats.TransientRegrows)
 	}
 }
 
@@ -168,5 +170,22 @@ func TestTransientFigureIgnoresFailedExecutions(t *testing.T) {
 	}
 	if _, err := p.Execute(Bindings{"n": ralg.BindInts(9)}); err != nil || p.cq.transientRows.Load() != 18 {
 		t.Fatalf("after the faults: err=%v, figure %d, want 18", err, p.cq.transientRows.Load())
+	}
+}
+
+// The transient container is a row store like any column: forty copies
+// of the regions subtree (16 MB of structural rows at factor 0.02) do
+// not fit a 2 MiB budget, however few items the query returns; a small
+// constructor still does.
+func TestTransientContainerIsBudgeted(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MemLimit = 2 << 20
+	e := xmarkEngine(t, cfg, 0.02)
+	res, err := e.Query(`count(for $i in (1 to 40) return <r>{/site/regions}</r>)`)
+	if !xqerr.IsResourceLimit(err) || res != nil {
+		t.Fatalf("forty copied subtrees under 2 MiB: err = %v, result %v", err, res)
+	}
+	if got, err := e.QueryString(`count(for $i in (1 to 40) return <r>{/site/regions/africa/item[1]/name}</r>)`); err != nil || got != "40" {
+		t.Fatalf("a small constructor under the same budget: %q, %v", got, err)
 	}
 }

@@ -24,7 +24,6 @@ func TestCancelCheckFixtures(t *testing.T) {
 
 func TestAllocCheckFixtures(t *testing.T) {
 	runFixture(t, AllocCheck, "testdata/alloccheck/ralg")
-	runFixture(t, AllocCheck, "testdata/alloccheck/scj")
 }
 
 func TestWaitCheckFixtures(t *testing.T) {

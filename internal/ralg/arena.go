@@ -7,14 +7,18 @@
 // after every operator and holds pair and index lists, sort keys, hash
 // heads, bitmaps. dirty memory carries what the last execution left —
 // the kernel overwrites every element — and zeroed memory is cleared.
-// Slices come back as b[:n:n], so MemBytes and every charge see what a
-// make of n elements would show. Requests under arenaFloor bytes,
-// []string vectors and requests without an Exec stay on make: a tiny
-// execution never takes an arena, and an Exec that is never released is
-// ordinary garbage (its slices keep their slabs alive).
+// Requests under arenaFloor bytes, []string vectors and requests without
+// an Exec stay on make: a tiny execution never takes an arena, and an
+// Exec that is never released is ordinary garbage (its slices keep their
+// slabs alive).
+//
+// carve is also where the memory budget is metered (mem.go): every
+// request of an Exec, arena or make, is charged its n·sizeof(T) bytes
+// before it is served, a refused one is never served, and the scratch
+// bytes go back to the budget with the scratch region.
 //
 // This is the package's only user of unsafe, and the only file mxqlint's
-// alloccheck allows a row-sized make of a pointer-free type.
+// alloccheck allows a row-sized make.
 
 package ralg
 
@@ -31,6 +35,9 @@ import (
 const (
 	minSlabWords = 16 << 7 // 16 KB: the first slab of a region
 	poisonWord   = 0xA5A5A5A5A5A5A5A5
+	// itemBytes is what a row of a []xqt.Item costs: the few row-sized
+	// item slices operators make are charged by hand (Exec.charge)
+	itemBytes = int64(unsafe.Sizeof(xqt.Item{}))
 )
 
 // regionID names one of an arena's two lifetimes.
@@ -123,8 +130,31 @@ func trimEveryCycle() {
 // execMem is an execution's handle on its arena, taken at the first
 // region-sized request; the mutex lets chunk bodies request columns.
 type execMem struct {
-	mu sync.Mutex
-	a  *arena
+	mu      sync.Mutex
+	a       *arena
+	scratch atomic.Int64 // operator-lifetime bytes charged to the budget
+}
+
+// overBudget is what a refused request unwinds the operator with, from
+// a worker goroutine by way of scj.ParRunSlots; runOp turns it into the
+// budget's typed error.
+type overBudget struct{}
+
+// metered accounts n bytes of lifetime rg about to be allocated and
+// reports whether the budget grants them.
+func (e *Exec) metered(rg regionID, n int64) bool {
+	if rg == scratchRegion {
+		e.mem.scratch.Add(n)
+	}
+	return e.Mem.Charge(n)
+}
+
+// charge is metered for carve and for the operators that make a row-sized
+// Go map or item slice: a refusal ends the operator there.
+func (e *Exec) charge(rg regionID, n int64) {
+	if e.Mem != nil && !e.metered(rg, n) {
+		panic(overBudget{})
+	}
 }
 
 func (e *Exec) bump(rg regionID, words int) []uint64 {
@@ -145,8 +175,12 @@ func (e *Exec) bump(rg regionID, words int) []uint64 {
 	return m.a[rg].bump(words)
 }
 
-// resetScratch ends the operator lifetime: Run calls it after every apply.
+// resetScratch ends the operator lifetime: its bytes go back to the
+// budget, its memory to the region.
 func (e *Exec) resetScratch() {
+	if e.Mem != nil {
+		e.Mem.release(e.mem.scratch.Swap(0))
+	}
 	if e.mem.a != nil {
 		e.mem.a[scratchRegion].reset()
 	}
@@ -176,9 +210,13 @@ func (e *Exec) Release() {
 }
 
 // carve returns n elements of region rg, zeroed or dirty (poisoned
-// builds fill dirty memory with a pattern no kernel writes).
+// builds fill dirty memory with a pattern no kernel writes), charged to
+// the budget first.
 func carve[T any](e *Exec, rg regionID, n int, zero bool) []T {
 	size := int(unsafe.Sizeof(*new(T)))
+	if e != nil {
+		e.charge(rg, int64(n)*int64(size))
+	}
 	switch any((*T)(nil)).(type) {
 	case *int64, *int32, *float64, *uint64, *bool, *xqt.Kind, *aggGroup: // pointer-free: the collector never scans a slab
 		if e != nil && n*size >= arenaFloor {

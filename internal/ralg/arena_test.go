@@ -48,12 +48,12 @@ func TestRegionBumpResetCoalesce(t *testing.T) {
 	}
 }
 
-// Slices come back with capacity == length for every element type, so
-// MemBytes charges what a make would; strings, nil executions and (in
-// the default build) requests under the floor stay on make and never
-// take an arena.
+// Slices come back with capacity == length for every element type;
+// strings, nil executions and (in the default build) requests under the
+// floor stay on make and never take an arena. The budget is charged
+// what was asked for either way, and gets the scratch bytes back.
 func TestCarveCapacityAndFallbacks(t *testing.T) {
-	e := &Exec{}
+	e := &Exec{Mem: NewMemBudget(1 << 40)}
 	defer e.Release()
 	const n = 5000
 	if s := dirty[int64](e, outRegion, n); len(s) != n || cap(s) != n {
@@ -73,15 +73,18 @@ func TestCarveCapacityAndFallbacks(t *testing.T) {
 			t.Fatalf("zeroed[%d] = %v", i, v)
 		}
 	}
-	col := Col{Kind: KInt, Int: dirty[int64](e, outRegion, n)}
-	if col.MemBytes() != 8*n {
-		t.Errorf("MemBytes = %d, want %d", col.MemBytes(), 8*n)
+	const out, scratch = 8*n + (3*n + 1) + (2*n + 3) + 8*n, 4 * (n + 1) // the requests above, by region
+	if e.Mem.Used() != out+scratch {
+		t.Errorf("%d bytes held, %d asked for", e.Mem.Used(), out+scratch)
+	}
+	if e.resetScratch(); e.Mem.Used() != out {
+		t.Errorf("%d bytes held once the scratch column is gone, %d are columns", e.Mem.Used(), out)
 	}
 	if LiveArenas() < 1 {
 		t.Error("region-sized requests did not take an arena")
 	}
 
-	tiny := &Exec{}
+	tiny := &Exec{Mem: NewMemBudget(1 << 40)}
 	_ = dirty[string](tiny, outRegion, n) // strings hold pointers: Go heap
 	_ = dirty[int64](nil, outRegion, n)   // no execution: Go heap
 	if !poisoned {
@@ -89,6 +92,9 @@ func TestCarveCapacityAndFallbacks(t *testing.T) {
 	}
 	if tiny.mem.a != nil {
 		t.Error("a string vector or an under-floor request took an arena")
+	}
+	if held := tiny.Mem.Used(); held < 16*n || held > 16*n+arenaFloor {
+		t.Errorf("%d bytes held for %d strings and an under-floor column", held, n)
 	}
 }
 

@@ -191,14 +191,15 @@ func TestChunksObserveCancelAndBudget(t *testing.T) {
 				t.Errorf("%s %+v: %d chunk bodies ran on a stopped execution", name, par, ran)
 			}
 
-			// Select, called directly: no row is tested, no row selected
+			// Select on its own: no row is tested, no row selected (a spent
+			// budget refuses its first column)
 			in := NewTable([]string{"b"}, []ColKind{KBool})
 			in.N = 5000
 			in.Col("b").Bool = make([]bool, in.N)
 			e = NewExec(pool, nil)
 			e.Par = par
 			stop(e)
-			if out := e.execSelect(&Select{Cond: "b", Neg: true}, in); out.N != 0 {
+			if out, err := e.runOp(&Select{Cond: "b", Neg: true}, []*Table{in}); err == nil && out.N != 0 {
 				t.Errorf("%s %+v: Select produced %d rows on a stopped execution", name, par, out.N)
 			}
 		}

@@ -69,12 +69,10 @@ type Bindings map[string]ItemVec
 // pass; comparison sorts (string keys, mixed-tag columns) run to
 // completion, so a cancelled query returns within one of those.
 //
-// Mem is the execution's memory budget (nil = unlimited). Operators
-// charge the bytes they materialize through charge/chargeTable; an
-// exceeded budget trips the same stopRequested poll the cancellation
-// machinery uses, so workers drain and partial tables are discarded
-// identically, and Run surfaces the typed resource-exhausted error
-// instead of memoizing.
+// Mem is the execution's memory budget (nil = unlimited), metered where
+// memory is handed out (carve): a request it refuses ends the operator
+// and Run returns the typed resource-exhausted error. An exceeded budget
+// also trips the stopRequested poll, so sibling workers drain.
 //
 // Row-sized pointer-free columns come from a pooled arena (arena.go):
 // Release hands it back, after which no table of this Exec may be read.
@@ -128,8 +126,7 @@ func (e *Exec) Run(p Plan) (*Table, error) {
 	if err := faults.RalgOp.Err(); err != nil {
 		return nil, err
 	}
-	t, err := e.apply(p, in)
-	e.resetScratch() // no table column may reference operator-lifetime memory
+	t, err := e.runOp(p, in)
 	if err != nil {
 		return nil, err
 	}
@@ -137,12 +134,7 @@ func (e *Exec) Run(p Plan) (*Table, error) {
 	// budget may have stopped early with a partial table: surface the
 	// error instead of memoizing it (context first, matching the
 	// precedence a cancelled-and-over-budget execution reports)
-	if e.Ctx != nil {
-		if err := e.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.Mem.Err(); err != nil {
+	if err := e.stopErr(); err != nil {
 		return nil, err
 	}
 	if t.N > MaxRows {
@@ -151,6 +143,23 @@ func (e *Exec) Run(p Plan) (*Table, error) {
 	}
 	e.memo[p] = t
 	return t, nil
+}
+
+// runOp applies one operator and ends its lifetime on every path: no
+// table column may reference scratch memory, and an operator that a
+// refused memory request unwound (workers have drained by then) fails
+// with the budget's error.
+func (e *Exec) runOp(p Plan, in []*Table) (t *Table, err error) {
+	defer func() {
+		e.resetScratch()
+		if r := recover(); r != nil {
+			if _, refused := r.(overBudget); !refused {
+				panic(r)
+			}
+			t, err = nil, e.Mem.Err()
+		}
+	}()
+	return e.apply(p, in)
 }
 
 // stopRequested reports whether the execution's context has expired or
@@ -184,7 +193,7 @@ func (e *Exec) stopFunc() func() bool {
 
 // stopErr returns the error behind a stopRequested signal: the context
 // error when the context expired, the typed budget error when the
-// memory budget tripped. Returns nil only on a spurious call.
+// memory budget tripped, nil when neither did.
 func (e *Exec) stopErr() error {
 	if e.Ctx != nil {
 		if err := e.Ctx.Err(); err != nil {
@@ -192,25 +201,6 @@ func (e *Exec) stopErr() error {
 		}
 	}
 	return e.Mem.Err()
-}
-
-// charge accounts n bytes of materialized storage against the memory
-// budget; false means the execution is over budget and should stop at
-// its next poll.
-func (e *Exec) charge(n int64) bool { return e.Mem.Charge(n) }
-
-// chargeTable charges a freshly materialized table's storage. Call it
-// only from the operator that allocated the storage — zero-copy views
-// over an input must not re-charge shared payload slices.
-func (e *Exec) chargeTable(t *Table) bool { return e.Mem.Charge(t.MemBytes()) }
-
-// chargeFunc returns the accounting hook handed to the staircase-join
-// layer, or nil when the execution carries no budget.
-func (e *Exec) chargeFunc() func(int64) bool {
-	if e.Mem == nil {
-		return nil
-	}
-	return e.Mem.Charge
 }
 
 func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
@@ -299,11 +289,6 @@ func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 			return nil, xqerr.Newf(xqerr.CodeResourceLimit, "ranges of %d rows and more exceed the %d-row limit", total, MaxRows)
 		}
 	}
-	// 24 B/row: the iter, pos and item int64 columns, charged before any
-	// of them is allocated
-	if !e.charge(24 * total) {
-		return nil, e.Mem.Err()
-	}
 	out := NewTable([]string{"iter", "pos", "item"}, []ColKind{KInt, KInt, KItem})
 	ic, pc := dirty[int64](e, outRegion, int(total)), dirty[int64](e, outRegion, int(total))
 	tc := e.uniformVec(xqt.KInt, int(total))
@@ -323,8 +308,6 @@ func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 }
 
 // cancelcheck:exempt two memory-bound integer-column scans
-// alloccheck:exempt transient membership scratch bounded by the charged
-// input column, freed at return; the output is the input, zero-copy
 func (e *Exec) execCoverCheck(n *CoverCheck, loop, in *Table) (*Table, error) {
 	have := e.newKeySet(in.Ints(n.Part))
 	for _, it := range loop.Ints(n.LoopIter) {
@@ -377,7 +360,6 @@ func (e *Exec) execParam(n *ParamTable) (*Table, error) {
 	}
 	t := NewTable([]string{"pos", "item"}, []ColKind{KInt, KItem})
 	t.N = v.Len()
-	// charges the pos column; the item vector is the caller's binding
 	t.Col("pos").Int = e.rowNumbers(v.Len())
 	t.Col("item").Item = v
 	return t, nil
@@ -401,12 +383,10 @@ func (e *Exec) execCollectionRoot(n *CollectionRoot) (*Table, error) {
 		tc.Item.Cont[i] = conts[i]
 		tc.Item.I[i] = int64(pres[i])
 	}
-	e.chargeTable(t)
 	return t, nil
 }
 
 // cancelcheck:exempt per-column header remap, no per-row work
-// alloccheck:exempt zero-copy: O(columns) header slices, no row payloads
 func execProject(n *Project, in *Table) (*Table, error) {
 	out := &Table{N: in.N}
 	for _, ref := range n.Cols {
@@ -431,7 +411,6 @@ func (e *Exec) execAttach(n *Attach, in *Table) *Table {
 	default:
 		c.Item = e.constItemVec(n.It, in.N)
 	}
-	e.charge(c.MemBytes()) // the attached column is the only fresh allocation
 	return in.withCol(n.Col, c)
 }
 
@@ -472,7 +451,6 @@ func seqRank(part, rank []int64, lo, hi int) {
 // rowNumbers returns the dense column 1..n (global row numbering, the
 // pos column of a bound sequence).
 func (e *Exec) rowNumbers(n int) []int64 {
-	e.charge(8 * int64(n))
 	out := dirty[int64](e, outRegion, n)
 	e.chunkFill(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -500,7 +478,6 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 	if part == nil && idx == nil {
 		return in.withCol(n.Out, Col{Kind: KInt, Int: e.rowNumbers(in.N)})
 	}
-	e.charge(8 * int64(in.N)) // the rank column
 	rank := dirty[int64](e, outRegion, in.N)
 	switch {
 	case part == nil:
@@ -531,7 +508,6 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 		var ctr []int64
 		var ctrMap map[int64]int64
 		if span := uint64(hi - lo); span <= 4*uint64(in.N) {
-			e.charge(8 * int64(span+1))
 			ctr = zeroed[int64](e, scratchRegion, int(span+1))
 		} else {
 			ctrMap = make(map[int64]int64, 64)
@@ -544,8 +520,10 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 				ctr[p-lo]++
 				rank[i] = ctr[p-lo]
 			} else {
-				ctrMap[p]++
-				rank[i] = ctrMap[p]
+				if rank[i] = ctrMap[p] + 1; rank[i] == 1 {
+					e.charge(scratchRegion, 16) // a new group's map entry
+				}
+				ctrMap[p] = rank[i]
 			}
 		}
 	}
@@ -595,7 +573,6 @@ func (e *Exec) execUnion(in []*Table) *Table {
 	if len(out.cols) > 0 {
 		out.N = out.cols[0].Len()
 	}
-	e.chargeTable(out)
 	return out
 }
 

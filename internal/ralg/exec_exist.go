@@ -9,8 +9,11 @@ import (
 )
 
 // atoms materializes the per-row atomization of a column as items (the
-// per-pair fallback and the boolean cast of the existential joins).
-func (e *Exec) atoms(c *Col) []xqt.Item { return e.cast(FunAtomize, c).Slice() }
+// per-pair fallback of the existential joins).
+func (e *Exec) atoms(c *Col) []xqt.Item {
+	e.charge(scratchRegion, int64(c.Len())*itemBytes)
+	return e.cast(FunAtomize, c).Slice()
+}
 
 // cmpDomain is the domain xqt.Compare promotes a pair of atoms to.
 type cmpDomain uint8
@@ -76,9 +79,9 @@ func (e *Exec) existKeys(c *Col, dom cmpDomain) ([]float64, []string) {
 	case domString:
 		return nil, e.cast(FunStringOf, c).S
 	}
-	f := zeroed[float64](e, outRegion, c.Len())
-	for i, it := range e.atoms(c) {
-		if xqt.Compare(it, xqt.Bool(true), xqt.CmpEq) { // the cast to xs:boolean, as Compare applies it
+	f, atoms := zeroed[float64](e, outRegion, c.Len()), e.cast(FunAtomize, c)
+	for i := range f {
+		if xqt.Compare(atoms.At(i), xqt.Bool(true), xqt.CmpEq) { // the cast to xs:boolean, as Compare applies it
 			f[i] = 1
 		}
 	}
@@ -101,14 +104,9 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 		// per-pair promotion via nested loop
 		latoms, ratoms := e.atoms(lc), e.atoms(rc)
 		e.Stats.ThetaNL++
-		charged := 0
 		for i := range latoms {
-			if i&255 == 255 {
-				e.charge(16 * int64(len(p1)-charged))
-				charged = len(p1)
-				if e.stopRequested() {
-					break
-				}
+			if i&255 == 255 && e.stopRequested() {
+				break
 			}
 			for j := range ratoms {
 				if xqt.Compare(latoms[i], ratoms[j], n.Cmp) {
@@ -116,7 +114,6 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 				}
 			}
 		}
-		e.charge(16 * int64(len(p1)-charged))
 		p1, p2 = dedupPairs(e, p1, p2)
 		p1, p2 = settle(e, p1), settle(e, p2)
 	default:
@@ -149,11 +146,6 @@ func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 		return existThetaJoin(e, n, liter, lv, riter, rv)
 	}
 	e.Stats.HashJoins++
-	// the build table hashes the whole right input: charge it before
-	// the join helper allocates it (over budget, Run surfaces the error)
-	if !e.charge(32 * int64(len(rv))) {
-		return nil, nil
-	}
 	return existHashJoin(e, liter, lv, riter, rv)
 }
 
@@ -187,6 +179,7 @@ func reduceExtremum[T float64 | string](e *Exec, iters []int64, vals []T, max bo
 // in left order, and eliminate duplicate (iter1, iter2) pairs per
 // left-iteration run (the merge-style δ of §4.2).
 func existHashJoin[T float64 | string](e *Exec, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+	e.charge(scratchRegion, 32*int64(len(rv))) // the build table hashes the whole right input
 	ht := make(map[T][]int64, len(rv))
 	for j, v := range rv {
 		if v == v {
@@ -229,7 +222,6 @@ func thetaHolds[T float64 | string](a, b T, op xqt.CmpOp) bool {
 func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
 	nl, nr := len(liter), len(riter)
 	e.Stats.ThetaIdx++
-	e.charge(4 * int64(nr+nl))
 	// rank = row number once the right side ascends on iter2: under the
 	// [iter, pos] contract it does, and SortIdx says so (nil)
 	rt := &Table{N: nr, names: []string{"iter"}, cols: []Col{{Kind: KInt, Int: riter}}}
@@ -269,11 +261,7 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 		visit[start[c]], off[i], total = int32(i), total, total+int64(c)
 		start[c]++
 	}
-	// a dense theta join approaches nl*nr pairs: the budget trips here,
-	// before they are allocated
-	if !e.charge(16 * total) {
-		return nil, nil
-	}
+	// a dense theta join approaches nl*nr pairs: the budget refuses them here
 	p1, p2 = dirty[int64](e, outRegion, int(total)), dirty[int64](e, outRegion, int(total))
 	ranks, admitted := zeroed[uint64](e, scratchRegion, (nr+63)/64), 0
 	for k, i := range visit {

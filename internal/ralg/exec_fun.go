@@ -65,7 +65,7 @@ func (e *Exec) atomizeNodes(k xqt.Kind, vec *ItemVec) []string {
 // one of the store's bulk kernels, batching per container run (the
 // container lookup is hoisted out of the row loop).
 func (e *Exec) nodeStrings(vec *ItemVec, bulk func(c *store.Container, rows []int64, out []string)) []string {
-	out := make([]string, vec.Len())
+	out := dirty[string](e, outRegion, vec.Len())
 	i := 0
 	for i < vec.Len() {
 		cont := vec.Cont[i]
@@ -96,33 +96,16 @@ func (v vecView) floats(e *Exec, n int) []float64 {
 }
 
 // strs materializes the view as xs:string values (the AsString cast).
-func (v vecView) strs(n int) []string {
+func (v vecView) strs(e *Exec) []string {
 	switch v.tag {
 	case xqt.KString, xqt.KUntyped:
 		return v.s
 	case xqt.KInt:
-		out := make([]string, n)
-		for i, x := range v.i {
-			out[i] = strconv.FormatInt(x, 10)
-		}
-		return out
+		return map1(e, v.i, func(x int64) string { return strconv.FormatInt(x, 10) })
 	case xqt.KBool:
-		out := make([]string, n)
-		for i, x := range v.i {
-			if x != 0 {
-				out[i] = "true"
-			} else {
-				out[i] = "false"
-			}
-		}
-		return out
-	default:
-		out := make([]string, n)
-		for i, x := range v.f {
-			out[i] = xqt.FormatDouble(x)
-		}
-		return out
+		return map1(e, v.i, func(x int64) string { return strconv.FormatBool(x != 0) })
 	}
+	return map1(e, v.f, xqt.FormatDouble)
 }
 
 // col wraps the view's payload vectors as a uniform item column.
@@ -137,7 +120,7 @@ func uniformDoubleCol(vs []float64) Col { return vecView{tag: xqt.KDouble, f: vs
 func uniformStringCol(vs []string) Col  { return vecView{tag: xqt.KString, s: vs}.col(len(vs)) }
 func boolCol(vs []bool) Col             { return Col{Kind: KBool, Bool: vs} }
 func (e *Exec) floats(c *Col) []float64 { return e.view(c).floats(e, c.Len()) }
-func (e *Exec) strs(c *Col) []string    { return e.view(c).strs(c.Len()) }
+func (e *Exec) strs(c *Col) []string    { return e.view(c).strs(e) }
 
 // constBools is the predicate column that is b on every one of n rows.
 func (e *Exec) constBools(n int, b bool) Col {
@@ -182,12 +165,6 @@ func map2[A, B, R any](e *Exec, a []A, b []B, f func(A, B) R) []R {
 // execFun evaluates the row-wise functions: one output column, a row
 // per input row.
 func (e *Exec) execFun(n *Fun, in *Table) (*Table, error) {
-	// charged up front as a flat estimate (bool outputs are 1 B/row, item
-	// outputs up to ~40 B/row; 16 B is the mid estimate the bench
-	// validates)
-	if !e.charge(16 * int64(in.N)) {
-		return nil, e.Mem.Err()
-	}
 	args := make([]*Col, len(n.Args))
 	for i, name := range n.Args {
 		args[i] = in.Col(name)
@@ -212,15 +189,11 @@ func (e *Exec) funCol(op FunOp, args []*Col, n int) (Col, error) {
 	if groups == nil {
 		return e.funKernel(op, args, n)
 	}
-	e.charge(5 * int64(n)) // the signatures and row lists of the split
 	parts := make([]Col, len(groups))
 	for g, grp := range groups {
 		sub := make([]*Col, len(args))
 		for a, c := range args {
 			u := uniformRows(e, c, grp.kinds[a], grp.idx)
-			if grp.idx != nil {
-				e.charge(u.MemBytes())
-			}
 			sub[a] = &u
 		}
 		var err error
@@ -589,7 +562,6 @@ func (e *Exec) nodeOrder(a, b *Col, rel func(ca, cb int32, oa, ob uint64) bool) 
 	if err != nil {
 		return Col{}, err
 	}
-	e.charge(16 * int64(a.Len())) // the two key vectors
 	oa, ob := e.docOrderKeys(va), e.docOrderKeys(vb)
 	out := dirty[bool](e, outRegion, len(oa))
 	e.chunkFill(len(oa), func(lo, hi int) {

@@ -28,7 +28,7 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 		for i, c := range cols {
 			encs[i] = colKeyEnc(c)
 		}
-		e.charge(24 * int64(in.N)) // the dedup set, sized up front
+		e.charge(scratchRegion, 24*int64(in.N)) // the dedup set, sized up front
 		seen := make(map[string]bool, in.N)
 		var key []byte
 		for i := 0; i < in.N; i++ {
@@ -128,7 +128,6 @@ func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 		out.Col(n.Out).Item = unionVecs(e, vcs)
 	}
 	out.N = out.Col(n.Part).Len()
-	e.chargeTable(out)
 	return out, nil
 }
 
@@ -164,8 +163,9 @@ func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int
 		}
 	}
 	var ordinal map[int64]int32 // unclustered input only
+	var heapBytes int64         // what a new group is about to add to ordinal and mm, which grow on the Go heap
 	if !clustered {
-		runs, ordinal = 64, make(map[int64]int32, 64)
+		runs, ordinal, heapBytes = 64, make(map[int64]int32, 64), 16
 	}
 	tag := xqt.KUntyped
 	uniform := false
@@ -173,23 +173,30 @@ func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int
 		tag, uniform = arg.Uniform()
 	}
 	groups := dirty[aggGroup](e, scratchRegion, runs)[:0]
-	var mm []xqt.Item // per group: the extremum of a column that is not uniformly numeric
-	if (n.Op == AggMin || n.Op == AggMax) && !(uniform && (tag == xqt.KInt || tag == xqt.KDouble)) {
-		mm = make([]xqt.Item, 0, runs)
+	var mm []xqt.Item // per group, where the column is not uniformly numeric: the extremum so far, or room for the sum
+	if n.Op != AggCount && n.Op != AggAvg && !(uniform && (tag == xqt.KInt || tag == xqt.KDouble)) {
+		mm, heapBytes = []xqt.Item{}, heapBytes+itemBytes
 	}
 	k := 0 // the group of the row at hand
+	// newGroup is kept out of lookup, which the accumulation loops inline
+	newGroup := func(p int64) {
+		k = len(groups)
+		groups = append(grown(e, groups, 1), aggGroup{part: p, allInt: true})
+		if heapBytes != 0 {
+			e.charge(scratchRegion, heapBytes)
+		}
+		if mm != nil {
+			mm = append(mm, xqt.Item{})
+		}
+		if ordinal != nil {
+			ordinal[p] = int32(k)
+		}
+	}
 	lookup := func(p int64) *aggGroup {
 		if k = len(groups) - 1; k < 0 || groups[k].part != p {
 			o, seen := ordinal[p]
 			if k = int(o); !seen {
-				k = len(groups)
-				groups = append(grown(e, groups, 1), aggGroup{part: p, allInt: true})
-				if mm != nil {
-					mm = append(mm, xqt.Item{})
-				}
-				if ordinal != nil {
-					ordinal[p] = int32(k)
-				}
+				newGroup(p)
 			}
 		}
 		groups[k].cnt++
@@ -285,20 +292,19 @@ func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int
 		return pc, ints(func(g *aggGroup) int64 { return g.cnt })
 	case n.Op == AggAvg:
 		return pc, floats(func(g *aggGroup) float64 { return g.sumF / float64(g.cnt) })
-	case mm != nil:
-		return pc, itemVecOf(e, mm)
 	case uniform && tag == xqt.KInt: // the sum, minimum or maximum of xs:integers
 		return pc, ints(func(g *aggGroup) int64 { return g.sumI })
 	case uniform && tag == xqt.KDouble:
 		return pc, floats(func(g *aggGroup) float64 { return g.sumF })
 	}
-	vc := make([]xqt.Item, len(groups)) // a sum is an xs:integer while every addend was one
-	for i, g := range groups {
-		if vc[i] = xqt.Double(g.sumF); g.allInt {
-			vc[i] = xqt.Int(g.sumI)
+	if n.Op == AggSum { // else mm holds the extrema
+		for i, g := range groups {
+			if mm[i] = xqt.Double(g.sumF); g.allInt { // a sum is an xs:integer while every addend was one
+				mm[i] = xqt.Int(g.sumI)
+			}
 		}
 	}
-	return pc, itemVecOf(e, vc)
+	return pc, itemVecOf(e, mm)
 }
 
 func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
@@ -331,6 +337,5 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 	}
 	out.N = groups
 	out.Col(n.Part).Int, out.Col(n.Out).Bool = settle(e, pc[:groups]), settle(e, bc[:groups])
-	e.chargeTable(out)
 	return out, nil
 }

@@ -23,16 +23,9 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 		ht := e.buildHashTable(rkey)
 		lidx, ridx = e.chunkPairs(l.N, func(lo, hi int) ([]int32, []int32) {
 			var li, ri []int32
-			charged := 0
 			for i := lo; i < hi; i++ {
-				if (i-lo)&4095 == 4095 {
-					// probe output can explode on skewed keys: charge the
-					// pairs as they accumulate, not just the final table
-					e.charge(8 * int64(len(li)-charged))
-					charged = len(li)
-					if e.stopRequested() {
-						break
-					}
+				if (i-lo)&4095 == 4095 && e.stopRequested() {
+					break
 				}
 				for j := ht.first(lkey[i]); j != 0; j = ht.next[j-1] {
 					if rkey[j-1] != lkey[i] {
@@ -41,7 +34,6 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 					li, ri = append(grown(e, li, 1), int32(i)), append(grown(e, ri, 1), j-1)
 				}
 			}
-			e.charge(8 * int64(len(li)-charged))
 			return li, ri
 		})
 	}
@@ -70,7 +62,6 @@ func (e *Exec) posPairs(keys []int64, base int64, n int) (rows, targets []int32)
 func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32) (*Table, error) {
 	out := &Table{N: len(lidx)}
 	ncols := len(lcols) + len(rcols)
-	out.names = make([]string, 0, ncols)
 	out.cols = make([]Col, ncols)
 	for _, ref := range lcols {
 		out.names = append(out.names, ref.Dst)
@@ -80,7 +71,7 @@ func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32
 	}
 	// a side whose every row joins exactly once, in order — the usual
 	// outcome of mapping an iteration back to its scope — is shared, not
-	// copied: only gathered columns are materialized, and charged
+	// copied: only gathered columns are materialized
 	lall, rall := identityIdx(lidx, l.N), identityIdx(ridx, r.N)
 	e.forCols(len(lidx), ncols, func(i int) {
 		src, idx, all := r, ridx, rall
@@ -92,7 +83,6 @@ func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32
 		}
 		if out.cols[i] = *src.Col(ref.Src); !all {
 			out.cols[i] = out.cols[i].gatherIn(e, outRegion, idx)
-			e.charge(out.cols[i].MemBytes())
 		}
 	})
 	return out, nil
@@ -103,10 +93,6 @@ func (e *Exec) execCross(n *Cross, l, r *Table) (*Table, error) {
 	if total > MaxRows {
 		return nil, xqerr.Newf(xqerr.CodeResourceLimit,
 			"Cartesian product of %d x %d rows exceeds the %d-row limit", l.N, r.N, MaxRows)
-	}
-	// the full pair-index size is known up front: charge before allocating
-	if !e.charge(8 * total) {
-		return nil, e.Mem.Err()
 	}
 	e.Stats.CrossRows += total
 	lidx, ridx := dirty[int32](e, scratchRegion, int(total)), dirty[int32](e, scratchRegion, int(total))
@@ -122,7 +108,6 @@ func (e *Exec) execCross(n *Cross, l, r *Table) (*Table, error) {
 }
 
 func (e *Exec) execDiff(n *Diff, l, r *Table) *Table {
-	e.charge(16 * int64(r.N)) // the key set, sized up front
 	rset := e.newKeySet(r.Ints(n.RKey))
 	idx, o := dirty[int32](e, scratchRegion, l.N), 0
 	for i, k := range l.Ints(n.LKey) {
@@ -159,6 +144,7 @@ func (e *Exec) newKeySet(keys []int64) keySet {
 		}
 		return s
 	}
+	e.charge(scratchRegion, 16*int64(len(keys))) // the map, sized up front
 	s := keySet{m: make(map[int64]struct{}, len(keys))}
 	for _, k := range keys {
 		s.m[k] = struct{}{}
@@ -202,10 +188,6 @@ func (h *hashTable) first(k int64) int32 {
 	return h.heads[keyPart(k, len(h.heads))][hashKey(k)>>h.shift]
 }
 
-// hashEntryBytes is the accounted cost of one build-table entry: the
-// chain link plus amortized bucket overhead.
-const hashEntryBytes = 16
-
 // buildHashTable builds the right-side key -> row-chain table, one task
 // per key partition: each task scans the whole key column, last row
 // first, and pushes only the keys it owns onto their buckets, so no
@@ -218,24 +200,15 @@ func (e *Exec) buildHashTable(rkey []int64) *hashTable {
 	h := &hashTable{heads: make([][]int32, nparts), next: dirty[int32](e, scratchRegion, len(rkey)), shift: uint(64 - width)}
 	e.forTasks(nparts, func(w int) {
 		head := zeroed[int32](e, scratchRegion, 1<<width)
-		inserted := 0
 		for j := len(rkey) - 1; j >= 0; j-- {
-			if j&8191 == 0 {
-				// charge the build as it grows so an over-budget query
-				// aborts mid-build instead of after materializing it
-				e.charge(int64(inserted) * hashEntryBytes)
-				inserted = 0
-				if e.stopRequested() {
-					break
-				}
+			if j&8191 == 0 && e.stopRequested() {
+				break
 			}
 			if k := rkey[j]; keyPart(k, nparts) == w {
 				b := hashKey(k) >> h.shift
 				h.next[j], head[b] = head[b], int32(j)+1
-				inserted++
 			}
 		}
-		e.charge(int64(inserted) * hashEntryBytes)
 		h.heads[w] = head
 	})
 	return h

@@ -87,7 +87,6 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, wei
 		if !scj.CompileTest(c, n.Test)(owner) {
 			return scj.Blocks{}
 		}
-		e.charge(8) // the emitter's share of this row
 		return scj.Blocks{Segs: []scj.Pairs{{Pre: []int32{owner}, Iter: []int32{int32(iters[s.lo])}}}}
 	}
 	// the context relation: the run's pre and iter vectors narrowed to the
@@ -136,7 +135,12 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	}()
 	stats := make([]scj.Stats, len(segs))
 	stop := e.stopFunc()
-	charge := e.chargeFunc()
+	var charge func(int64) bool
+	if e.Mem != nil {
+		// the emitter's blocks go back to their pool when the step ends:
+		// operator-lifetime bytes
+		charge = func(n int64) bool { return e.metered(scratchRegion, n) }
+	}
 	e.forTasks(len(segs), func(k int) {
 		stats[k] = scj.Stats{Stop: stop, Charge: charge}
 		results[k] = e.stepSegRun(n, iters, items, segs[k], weights[k], weight, &stats[k])
@@ -158,14 +162,9 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 			total += seg.Len()
 		}
 	}
-	// A step costs 20 B per result row: the emitter charged 8 of them as
-	// each block filled (so a runaway step aborts mid-emission), the
-	// other 12 — the widening of iter and pre to int64 plus the cont
-	// vector — are charged here, before allocating, so an over-budget
-	// step fails without materializing the output
-	if !e.charge(12 * int64(total)) {
-		return nil, e.Mem.Err()
-	}
+	// the emitter charged 8 B per pair as each block filled, so a runaway
+	// step aborts mid-emission; the 20 B per row of the widened columns
+	// are refused here, before they are allocated
 	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
 	ic := out.Col("iter")
 	tc := out.Col("item")
@@ -210,7 +209,6 @@ func (e *Exec) execAttrStep(n *AttrStep, in *Table) (*Table, error) {
 	out.Col("iter").Int = settle(e, ics...)
 	out.N = out.Col("iter").Len()
 	out.Col("item").Item = ItemVec{Tag: xqt.KAttr, n: out.N, Cont: settle(e, conts...), I: settle(e, rows...)}
-	e.chargeTable(out)
 	return out, nil
 }
 
@@ -299,6 +297,9 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	if room == 0 && rows > 0 {
 		rows = max(rows, e.SizeHint)
 	}
+	// the container is the one row store the arena does not hand out:
+	// what Reserve is about to add is charged, and refused, like a column
+	e.charge(outRegion, int64(max(before+rows-room, 0))*store.RowBytes)
 	b.Reserve(rows)
 	tag := e.Transient.Names.ID(n.Tag)
 	ci := 0
@@ -374,6 +375,5 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	if room > 0 && cap(e.Transient.Size) != room {
 		e.Stats.TransientRegrows++
 	}
-	e.chargeTable(out)
 	return out, nil
 }

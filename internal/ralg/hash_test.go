@@ -46,7 +46,7 @@ func TestHashJoinSkewedKeysMatchNestedLoop(t *testing.T) {
 		}
 		join := &HashJoin{LKey: "k", RKey: "k", LCols: []ColRef{{Src: "v", Dst: "lv"}}, RCols: []ColRef{{Src: "v", Dst: "rv"}}}
 		for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1}} {
-			e := &Exec{Par: par, Mem: NewMemBudget(1 << 40)}
+			e := &Exec{Par: par}
 			if parts := e.keyPartitions(nr); (par.Workers > 1) != (parts > 1) {
 				t.Fatalf("%s: %d key partitions under %+v", name, parts, par)
 			}
@@ -57,8 +57,8 @@ func TestHashJoinSkewedKeysMatchNestedLoop(t *testing.T) {
 			if !slices.Equal(out.Ints("lv"), wantL) || !slices.Equal(out.Ints("rv"), wantR) {
 				t.Errorf("%s, %+v: %d pairs differ from the nested loop's %d", name, par, out.N, len(wantL))
 			}
-			if e.Stats.HashJoins != 1 || e.Mem.Used() < hashEntryBytes*int64(nr) {
-				t.Errorf("%s, %+v: hash joins %d, charged %d", name, par, e.Stats.HashJoins, e.Mem.Used())
+			if e.Stats.HashJoins != 1 {
+				t.Errorf("%s, %+v: hash joins %d", name, par, e.Stats.HashJoins)
 			}
 			e.Release()
 		}

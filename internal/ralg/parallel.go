@@ -229,8 +229,8 @@ func identityIdx(idx []int32, n int) bool {
 	return true
 }
 
-// gather is Table.Gather with the columns as tasks, charged to the
-// memory budget: the materializing tail of every row-selecting operator.
+// gather is Table.Gather with the columns as tasks and the arena as the
+// allocator: the materializing tail of every row-selecting operator.
 // An operator that selected every row gets its input back.
 func (e *Exec) gather(t *Table, idx []int32) *Table {
 	if identityIdx(idx, t.N) {
@@ -239,6 +239,5 @@ func (e *Exec) gather(t *Table, idx []int32) *Table {
 	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
 	out.cols = make([]Col, len(t.cols))
 	e.forCols(len(idx), len(t.cols), func(i int) { out.cols[i] = t.cols[i].gatherIn(e, outRegion, idx) })
-	e.chargeTable(out)
 	return out
 }

@@ -217,7 +217,7 @@ const radixMin = 32
 
 // SortIdx returns the stable permutation that orders t's rows by the
 // given columns, or nil when the rows are already in that order (the
-// caller keeps its input: no permutation, no gather, no budget charge).
+// caller keeps its input: no permutation, no gather).
 // The permutation is scratch memory: it lives until the operator returns.
 // refinePrefix > 0 asserts that the input is already sorted on the
 // first refinePrefix columns; only runs with equal prefixes are
@@ -269,7 +269,6 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 			radix = radix && keys[k].u != nil
 		}
 	}
-	e.charge(int64(n) * int64(4+8*len(keys))) // the key and index buffers
 	idx := identity(e, n)
 	switch {
 	case !typed:
@@ -290,7 +289,6 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 		})
 	default:
 		// LSD over the key columns, last column first; every pass is stable
-		e.charge(4 * int64(n))
 		tmp := dirty[int32](e, scratchRegion, n)
 		for k := len(keys) - 1; k >= 0 && idx != nil; k-- {
 			idx, tmp = e.radixSort(keys[k].u, idx, tmp)

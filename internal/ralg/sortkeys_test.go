@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
 
@@ -271,9 +272,10 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 }
 
 // TestSortIdxBudgetAndCancel pins the accounting contract of the
-// kernel: an ordered input costs nothing, an unordered one charges its
-// key and index buffers, and the radix passes observe a cancelled
-// context or an exhausted budget.
+// kernel: an ordered input costs nothing, an unordered one holds its
+// key and index buffers until the operator ends, a budget that cannot
+// cover them fails the sort, and the radix passes observe a cancelled
+// context.
 func TestSortIdxBudgetAndCancel(t *testing.T) {
 	const n = 20000
 	vals := make([]int64, n)
@@ -290,8 +292,11 @@ func TestSortIdxBudgetAndCancel(t *testing.T) {
 	if e.SortIdx(unsorted, []string{"v"}, nil, 0) == nil {
 		t.Fatal("unordered input kept")
 	}
-	if e.Mem.Used() < n*(8+4+4) {
-		t.Fatalf("radix sort of %d rows charged %d bytes", n, e.Mem.Used())
+	if e.Mem.Used() == 0 {
+		t.Fatalf("radix sort of %d rows holds nothing", n)
+	}
+	if e.resetScratch(); e.Mem.Used() != 0 {
+		t.Fatalf("%d bytes still held after the operator ended", e.Mem.Used())
 	}
 	e.Stats = ExecStats{}
 	e.execSort(&Sort{By: []string{"v"}}, sorted)
@@ -300,9 +305,12 @@ func TestSortIdxBudgetAndCancel(t *testing.T) {
 		t.Fatalf("sort counters: %+v", s)
 	}
 
-	tight := &Exec{Mem: NewMemBudget(1024)}
-	if tight.SortIdx(unsorted, []string{"v"}, nil, 0) != nil || !tight.Mem.Exceeded() {
-		t.Fatal("over-budget sort ran to completion")
+	tight := NewExec(nil, nil)
+	tight.Mem = NewMemBudget(1024)
+	srt := &Sort{By: []string{"v"}}
+	srt.SetInput(0, &Lit{Tab: unsorted})
+	if _, err := tight.Run(srt); !xqerr.IsResourceLimit(err) {
+		t.Fatalf("over-budget sort: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

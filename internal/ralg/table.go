@@ -438,30 +438,3 @@ func (t *Table) String() string {
 	}
 	return sb.String()
 }
-
-// MemBytes estimates the heap bytes held by the vector's slices: O(1),
-// computed from capacities, with a flat per-header charge for strings
-// (the byte data itself is usually shared with the store). Budget
-// accounting wants a cheap consistent estimate, not malloc truth.
-func (v *ItemVec) MemBytes() int64 {
-	n := int64(cap(v.Tags)) + 4*int64(cap(v.Cont)) + 8*int64(cap(v.I)) + 8*int64(cap(v.F)) + 16*int64(cap(v.S))
-	return n
-}
-
-// MemBytes estimates the heap bytes held by the column.
-func (c *Col) MemBytes() int64 {
-	return 8*int64(cap(c.Int)) + int64(cap(c.Bool)) + c.Item.MemBytes()
-}
-
-// MemBytes estimates the heap bytes held by the table's columns.
-// Zero-copy operators share payload slices with their inputs, so
-// summing MemBytes across a plan's tables overcounts; budget charges
-// are therefore issued by the operator that materialized the storage,
-// not per table reference.
-func (t *Table) MemBytes() int64 {
-	var n int64
-	for i := range t.cols {
-		n += t.cols[i].MemBytes()
-	}
-	return n
-}

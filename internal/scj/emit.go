@@ -61,13 +61,16 @@ func (b *Blocks) Release() {
 
 // Pairs flattens the result into one exact-size relation and releases
 // the blocks. A result that already is one unpooled segment (a merged
-// parallel result) is adopted, not copied.
-func (b Blocks) Pairs() Pairs {
+// parallel result) is adopted, not copied. The copy is charged to the
+// budget behind st (nil: none) first; refused, the result is empty.
+//
+// cancelcheck:exempt memory-bound copies of the segments
+func (b Blocks) Pairs(st *Stats) Pairs {
 	if len(b.Segs) == 1 && len(b.owned) == 0 {
 		return b.Segs[0]
 	}
 	var out Pairs
-	if n := b.Len(); n > 0 {
+	if n := b.Len(); n > 0 && st.charge(n) {
 		out = Pairs{Pre: make([]int32, n), Iter: make([]int32, n)}
 		off := 0
 		for _, s := range b.Segs {
@@ -144,9 +147,7 @@ func (em *emitter) seal() {
 	if em.cur != nil {
 		em.out.Segs = append(em.out.Segs, Pairs{Pre: em.cur.pre[:em.fill], Iter: em.cur.iter[:em.fill]})
 		em.out.owned = append(em.out.owned, em.cur)
-		if em.st.Charge != nil {
-			em.st.Charge(8 * int64(em.fill))
-		}
+		em.st.charge(em.fill)
 		em.cur = nil
 	}
 }

@@ -151,12 +151,16 @@ func splitPairsByPre(ctx Pairs, chunks int) []Pairs {
 }
 
 // mergePairsTree folds a non-empty list of sorted pair lists with
-// pairwise merges.
-func mergePairsTree(outs []Pairs) Pairs {
+// pairwise merges, each charged to st before it is allocated; refused,
+// or cancelled, the fold stops and the result is empty.
+func mergePairsTree(outs []Pairs, st *Stats) Pairs {
 	for len(outs) > 1 {
 		next := outs[:0:0]
 		for i := 0; i < len(outs); i += 2 {
 			if i+1 < len(outs) {
+				if st.stopped() || !st.charge(outs[i].Len()+outs[i+1].Len()) {
+					return Pairs{}
+				}
 				next = append(next, MergePairs(outs[i], outs[i+1]))
 			} else {
 				next = append(next, outs[i])
@@ -227,9 +231,9 @@ func forkStats(sl Slots, workers, n int, st *Stats, f func(k int, wst *Stats)) {
 func parByContext(sl Slots, c *store.Container, chunks []Pairs, axis Axis, test Test, v Variant, workers int, st *Stats) Blocks {
 	outs := make([]Pairs, len(chunks))
 	forkStats(sl, workers, len(chunks), st, func(k int, wst *Stats) {
-		outs[k] = serialStep(c, chunks[k], axis, test, v, wst).Pairs()
+		outs[k] = serialStep(c, chunks[k], axis, test, v, wst).Pairs(wst)
 	})
-	return Blocks{Segs: []Pairs{mergePairsTree(outs)}}
+	return Blocks{Segs: []Pairs{mergePairsTree(outs, st)}}
 }
 
 // parDescendant evaluates a descendant(-or-self) step with document-

@@ -2,6 +2,7 @@ package scj
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"mxq/internal/store"
@@ -9,7 +10,7 @@ import (
 
 // ParallelStep is StepBlocks spawning its workers freely, flattened.
 func ParallelStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
-	return StepBlocks(nil, c, ctx, axis, test, v, workers, threshold, st).Pairs()
+	return StepBlocks(nil, c, ctx, axis, test, v, workers, threshold, st).Pairs(nil)
 }
 
 // TestParallelStepMatchesSerial is the core contract of the parallel
@@ -122,5 +123,44 @@ func TestMergePairsExportedDedups(t *testing.T) {
 	want := Pairs{Pre: []int32{1, 2, 3}, Iter: []int32{1, 1, 1}}
 	if !pairsEqual(got, want) {
 		t.Errorf("got %s want %s", pairsString(got), pairsString(want))
+	}
+}
+
+// A context-partitioned step asks the budget before it flattens a
+// chunk's blocks and before every merge: under half of what its output
+// takes, the hook refuses and the step comes back empty instead of
+// allocating the merged list unaccounted.
+func TestParByContextBudgetRefusesMerge(t *testing.T) {
+	c := randomTree(rand.New(rand.NewSource(5)), 4000)
+	var ctx Pairs
+	for pre := int32(0); pre < int32(c.Len()); pre++ {
+		if c.Kind[pre] == store.KindElem {
+			ctx.Pre, ctx.Iter = append(ctx.Pre, pre), append(ctx.Iter, 1)
+		}
+	}
+	full := ParallelStep(c, ctx, Child, Test{Kind: TestNode}, LoopLifted, 4, 1, nil)
+	if full.Len() < 1000 {
+		t.Fatalf("step emits only %d pairs", full.Len())
+	}
+	var used, asked atomic.Int64
+	var over atomic.Bool
+	limit := 8 * int64(full.Len()) / 2
+	st := &Stats{Stop: over.Load, Charge: func(n int64) bool {
+		asked.Add(n)
+		if used.Add(n) > limit {
+			over.Store(true)
+		}
+		return !over.Load()
+	}}
+	live := liveBlocks.Load()
+	got := StepBlocks(nil, c, ctx, Child, Test{Kind: TestNode}, LoopLifted, 4, 1, st)
+	if got.Len() != 0 {
+		t.Errorf("refused step returned %d of %d pairs", got.Len(), full.Len())
+	}
+	if !over.Load() || asked.Load() <= 8*int64(full.Len())/2 {
+		t.Errorf("budget saw %d bytes for a %d-pair step", asked.Load(), full.Len())
+	}
+	if got.Release(); liveBlocks.Load() != live {
+		t.Errorf("%d blocks not returned", liveBlocks.Load()-live)
 	}
 }

@@ -137,14 +137,19 @@ type Stats struct {
 	// keeps the sweeps poll-free.
 	Stop func() bool
 
-	// Charge, when non-nil, accounts n bytes of emitted pairs against the
-	// execution's memory budget: the emitter calls it with 8 B per pair
-	// as each block fills, on serial and parallel steps alike, so a step
-	// is visible to the budget while it runs. It must be safe for
-	// concurrent use; an exhausted budget reports through Stop, so the
-	// sweeps need no extra branch. Nil disables accounting.
+	// Charge, when non-nil, accounts n bytes of pairs against the
+	// execution's memory budget, 8 B per pair: the emitter calls it as
+	// each block fills, on serial and parallel steps alike, so a step is
+	// visible to the budget while it runs, and the flattened and merged
+	// lists ask before they allocate. It must be safe for concurrent
+	// use; an exhausted budget reports through Stop, so the sweeps need
+	// no extra branch. Nil disables accounting.
 	Charge func(n int64) bool
 }
+
+// charge accounts n pairs; false means the budget refused them and a
+// caller about to allocate them must not.
+func (st *Stats) charge(n int) bool { return st == nil || st.Charge == nil || st.Charge(8*int64(n)) }
 
 // stopped reports whether a cancellation hook is installed and has fired.
 func (st *Stats) stopped() bool { return st.Stop != nil && st.Stop() }
@@ -180,7 +185,7 @@ const (
 // iteration the result is duplicate-free and in document order. It is
 // StepBlocks run serially and flattened.
 func Step(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, st *Stats) Pairs {
-	return StepBlocks(nil, c, ctx, axis, test, v, 1, 0, st).Pairs()
+	return StepBlocks(nil, c, ctx, axis, test, v, 1, 0, st).Pairs(st)
 }
 
 // serialStep runs the kernel of (axis, v) over ctx on the calling

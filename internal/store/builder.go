@@ -158,6 +158,10 @@ func appendShifted(col, src []int32, delta int32) []int32 {
 	return col
 }
 
+// RowBytes is what one structural row costs across the ten columns
+// Reserve grows: nine int32 and the kind byte.
+const RowBytes = 37
+
 // Reserve makes room for n more structural rows, so the appends of a
 // caller that knows its output size never regrow the ten columns.
 func (b *Builder) Reserve(n int) {

@@ -43,6 +43,7 @@ import (
 	"mxq/internal/core"
 	"mxq/internal/optcheck"
 	"mxq/internal/pages"
+	"mxq/internal/ralg"
 	"mxq/internal/sched"
 	"mxq/internal/scj"
 	"mxq/internal/store"
@@ -331,6 +332,10 @@ func (r *Result) SerializeXML(w io.Writer) error { return r.r.SerializeXML(w) }
 
 // String renders the result as XML text.
 func (r *Result) String() string { return r.r.String() }
+
+// Stats returns the executor counters of the execution that produced
+// the result.
+func (r *Result) Stats() ralg.ExecStats { return r.r.Stats }
 
 // Items exposes the raw item sequence (nodes as (container, pre) refs).
 func (r *Result) Items() []xqt.Item { return r.r.Items }
