@@ -370,6 +370,7 @@ func (e *Engine) compile(q string) (*compiled, error) {
 		}
 	}
 	st := &compiled{Compiled: cq}
+	st.ops, st.joins = ralg.CountOps(cq.Plan)
 	if e.cache != nil {
 		e.cache.put(key, st)
 	}
@@ -520,12 +521,11 @@ func (e *Engine) CacheStats() (hits, misses int64, size int) {
 // PlanStats returns the operator and join counts of a compiled query
 // (the §4.1 plan statistics).
 func (e *Engine) PlanStats(q string) (ops, joins int, err error) {
-	plan, err := e.Compile(q)
+	cq, err := e.compile(q)
 	if err != nil {
 		return 0, 0, err
 	}
-	ops, joins = ralg.CountOps(plan)
-	return ops, joins, nil
+	return cq.ops, cq.joins, nil
 }
 
 // SerializeXML writes the result sequence as XML text: nodes are

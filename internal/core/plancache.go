@@ -35,6 +35,11 @@ type planCache struct {
 // one-shot Query of one text share it through the cache.
 type compiled struct {
 	*xqc.Compiled
+	// ops/joins are the main plan's cost hints, counted once when the
+	// statement is compiled; the scheduler derives each execution's worker
+	// budget from them (plus the snapshot size, known only at execution
+	// time).
+	ops, joins int
 	// transientRows is how many rows the last successful execution built
 	// in its transient container; the next one's first element constructor
 	// reserves them, so the later ones never regrow the container. The last

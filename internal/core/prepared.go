@@ -27,10 +27,6 @@ type Prepared struct {
 	eng   *Engine
 	query string
 	cq    *compiled
-	// ops/joins are the main plan's cost hints, counted once at prepare
-	// time; the scheduler derives each execution's worker budget from
-	// them (plus the snapshot size, known only at execution time).
-	ops, joins int
 }
 
 // Prepare parses, compiles and optimizes q into a reusable statement
@@ -42,8 +38,7 @@ func (e *Engine) Prepare(q string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	ops, joins := ralg.CountOps(cq.Plan)
-	return &Prepared{eng: e, query: q, cq: cq, ops: ops, joins: joins}, nil
+	return &Prepared{eng: e, query: q, cq: cq}, nil
 }
 
 // Query returns the query text the statement was prepared from.
@@ -133,7 +128,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 		e.mu.RLock()
 		rows := e.pool.Rows()
 		e.mu.RUnlock()
-		g, err := e.cfg.Scheduler.Admit(ctx, sched.Cost{Ops: p.ops, Joins: p.joins, Rows: rows})
+		g, err := e.cfg.Scheduler.Admit(ctx, sched.Cost{Ops: p.cq.ops, Joins: p.cq.joins, Rows: rows})
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +140,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 		e.mu.RLock()
 		rows := e.pool.Rows()
 		e.mu.RUnlock()
-		grant.SetCost(sched.Cost{Ops: p.ops, Joins: p.joins, Rows: rows})
+		grant.SetCost(sched.Cost{Ops: p.cq.ops, Joins: p.cq.joins, Rows: rows})
 	}
 	// The snapshot is taken after admission: a queued execution sees the
 	// document state as of when it actually starts running.

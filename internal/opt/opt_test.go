@@ -13,64 +13,68 @@ func litTable(vals ...int64) *ralg.Table {
 	return t
 }
 
+// declared returns the properties inferred for a column-less literal
+// that declares them, so that a test states properties without
+// depending on how they are stored.
+func declared(d *ralg.LitDecl) Props {
+	d.Tab = ralg.NewTable(nil, nil)
+	return InferProps(d)[d]
+}
+
+func litPropsOf(tab *ralg.Table) Props {
+	l := &ralg.Lit{Tab: tab}
+	return InferProps(l)[l]
+}
+
 func TestLitProps(t *testing.T) {
-	pr := newProps()
-	litProps(litTable(1, 2, 3), pr)
-	if !pr.dense["iter"] || !pr.key["iter"] || !pr.covers([]string{"iter"}) {
-		t.Errorf("dense lit: %+v", pr)
+	pr := litPropsOf(litTable(1, 2, 3))
+	if !pr.Dense("iter") || !pr.Key("iter") || !pr.Covers([]string{"iter"}) {
+		t.Errorf("dense lit: %v %v %v", pr.DenseCols(), pr.KeyCols(), pr.Ords())
 	}
-	pr = newProps()
-	litProps(litTable(1, 1, 3), pr)
-	if pr.dense["iter"] || pr.key["iter"] {
+	pr = litPropsOf(litTable(1, 1, 3))
+	if pr.Dense("iter") || pr.Key("iter") {
 		t.Error("non-dense lit misclassified")
 	}
-	if !pr.covers([]string{"iter"}) {
+	if !pr.Covers([]string{"iter"}) {
 		t.Error("sorted lit not covered")
 	}
-	pr = newProps()
-	litProps(litTable(3, 1), pr)
-	if pr.covers([]string{"iter"}) {
+	pr = litPropsOf(litTable(3, 1))
+	if pr.Covers([]string{"iter"}) {
 		t.Error("unsorted lit claimed sorted")
 	}
 }
 
 func TestCoversKeyCut(t *testing.T) {
-	pr := newProps()
-	pr.ords = [][]string{{"a"}}
-	pr.key["a"] = true
-	if !pr.covers([]string{"a", "b", "c"}) {
+	pr := declared(&ralg.LitDecl{Ords: [][]string{{"a"}}, Key: []string{"a"}})
+	if !pr.Covers([]string{"a", "b", "c"}) {
 		t.Error("unique prefix must cover any suffix")
 	}
-	pr2 := newProps()
-	pr2.ords = [][]string{{"a"}}
-	if pr2.covers([]string{"a", "b"}) {
+	pr2 := declared(&ralg.LitDecl{Ords: [][]string{{"a"}}})
+	if pr2.Covers([]string{"a", "b"}) {
 		t.Error("non-unique prefix must not cover suffixes")
 	}
 }
 
 func TestCoversSkipsConsts(t *testing.T) {
-	pr := newProps()
-	pr.ords = [][]string{{"a"}}
-	pr.cnst["c"] = true
-	if !pr.covers([]string{"c", "a"}) || !pr.covers([]string{"a", "c"}) {
+	pr := declared(&ralg.LitDecl{Ords: [][]string{{"a"}}, Const: []string{"c"}})
+	if !pr.Covers([]string{"c", "a"}) || !pr.Covers([]string{"a", "c"}) {
 		t.Error("constant columns must be transparent to orderings")
 	}
 }
 
 func TestGrpCoveredByGlobalOrder(t *testing.T) {
-	pr := newProps()
-	pr.ords = [][]string{{"x"}}
-	if !pr.grpCovered([]string{"x"}, "anygroup") {
+	pr := declared(&ralg.LitDecl{Ords: [][]string{{"x"}}})
+	if !pr.GrpCovered([]string{"x"}, "anygroup") {
 		t.Error("global order implies every group order")
 	}
 }
 
 func TestExpandOrds(t *testing.T) {
-	pr := newProps()
-	pr.ords = [][]string{{"iter"}}
-	pr.grps = []grpOrd{{cols: []string{"pos"}, g: "iter"}}
-	pr.expandOrds()
-	if !pr.covers([]string{"iter", "pos"}) {
+	pr := declared(&ralg.LitDecl{
+		Ords: [][]string{{"iter"}},
+		Grps: []ralg.GrpSpec{{Cols: []string{"pos"}, Group: "iter"}},
+	})
+	if !pr.Covers([]string{"iter", "pos"}) {
 		t.Error("ord[iter] + grpord([pos],iter) must imply ord[iter,pos]")
 	}
 }

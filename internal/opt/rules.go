@@ -87,12 +87,8 @@ type RewriteStep struct {
 // deep-copied before/after subplans. A nil trace is exactly Optimize —
 // tracing off costs a single nil check per rewrite site.
 func OptimizeTraced(p ralg.Plan, trace func(RewriteStep)) ralg.Plan {
-	o := &optimizer{
-		done:  map[ralg.Plan]ralg.Plan{},
-		props: map[ralg.Plan]*props{},
-		trace: trace,
-	}
-	return o.rewrite(p)
+	r, _ := newOptimizer(trace).rewrite(p)
+	return r
 }
 
 // snap captures the pre-rewrite deep copy of n. The returned copier's
