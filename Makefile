@@ -34,11 +34,14 @@ verify:
 # optcheck runs the optimizer translation-validation corpus (every
 # rewrite the 20 XMark + 500 generated queries fire, checked for
 # semantic equivalence on synthesized micro-inputs) plus the
-# rule-coverage floor — see docs/optimizer.md. MXQ_FUZZ_SEED adds an
-# extra synthesis seed (CI passes the workflow run id); re-run with the
-# seed an unsound-rewrite report prints to replay it exactly.
+# rule-coverage floor — see docs/optimizer.md. The corpus test collects
+# the witnesses with Engine.RewriteSteps and validates each one itself
+# (optcheck.ValidateSteps), so MXQ_CHECK_REWRITES plays no part here.
+# MXQ_FUZZ_SEED adds an extra synthesis seed (CI passes the workflow
+# run id); re-run with the seed an unsound-rewrite report prints to
+# replay it exactly.
 optcheck:
-	MXQ_CHECK_REWRITES=1 MXQ_FUZZ_SEED=$(MXQ_FUZZ_SEED) $(GO) test -run 'TestCorpusRewritesSound|TestRuleCoverageFloor' -count=1 -v ./internal/optcheck/
+	MXQ_FUZZ_SEED=$(MXQ_FUZZ_SEED) $(GO) test -run 'TestCorpusRewritesSound|TestRuleCoverageFloor' -count=1 -v ./internal/optcheck/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -69,13 +72,13 @@ race-cover:
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# bench-smoke runs the serving-path benchmarks once: prepared-vs-cold
-# (Prepare/bind/execute must stay strictly cheaper than cold
-# parse+compile+execute) and the oversubscribed-scheduler family
-# (4×GOMAXPROCS concurrent executions, free-spawning vs the shared
-# slot pool). A fast CI gate that records the sched numbers per run.
+# bench-smoke runs the serving-path benchmarks once: prepared
+# statements (Prepare once, bind+execute per call) and the
+# oversubscribed-scheduler family (4×GOMAXPROCS concurrent executions,
+# free-spawning vs the shared slot pool). A fast CI gate that records
+# the sched numbers per run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PreparedVsCold|SchedOversubscribed' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Prepared|SchedOversubscribed' -benchtime 1x .
 
 # repo-bench-smoke runs the repository benchmark (bench/, a module of
 # its own that `go test ./...` here does not descend into) at smoke

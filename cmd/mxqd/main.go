@@ -57,7 +57,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "parallel worker pool size (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", serve.DefaultQueryTimeout, "default per-query timeout")
 		maxTimeout   = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "cap on client-requested timeouts")
-		maxInflight  = flag.Int("max-inflight", serve.DefaultMaxInflight, "max concurrently executing queries")
+		maxInflight  = flag.Int("max-inflight", 64, "max concurrently executing queries")
 		queueDepth   = flag.Int("queue-depth", 0, "max requests queued for an execution slot (0 = 2x max-inflight, negative = reject instantly)")
 		schedWorkers = flag.Int("sched-workers", 0, "global worker-slot pool shared by all executions (0 = GOMAXPROCS)")
 		maxStmts     = flag.Int("max-stmts", serve.DefaultMaxStmts, "max live prepared statements before LRU eviction")
@@ -125,8 +125,6 @@ func main() {
 		log.Printf("loaded generated XMark document (factor %g)", *xmarkFactor)
 	}
 
-	// admission is the engine scheduler's (-max-inflight and -queue-depth
-	// went there): the server's own MaxInflight/MaxQueue would be ignored
 	srv := serve.New(db, serve.Config{
 		MaxStmts:       *maxStmts,
 		StmtTTL:        *stmtTTL,

@@ -13,8 +13,6 @@
 //	xmarkbench -experiment updates  # §5.2 paged updates vs full rebuild
 //	xmarkbench -experiment parallel # serial vs parallel execution + multi-client throughput
 //	xmarkbench -experiment collection # sharded multi-document collection() scaling (-collection N docs)
-//	xmarkbench -experiment prepared # prepared statements: bind+execute vs cold parse+compile+execute
-//	xmarkbench -experiment serve    # HTTP serving layer: N wire clients x M prepared statements
 //	xmarkbench -experiment sched    # global query scheduler under 4x oversubscription, differential vs serial
 //	xmarkbench -experiment mem      # per-query memory governance: accounting overhead + typed aborts
 //	xmarkbench -experiment all
@@ -28,11 +26,11 @@
 // interpreter standing in for the paper's non-relational comparators
 // (eXist/Galax/X-Hive/BDB — see DESIGN.md for the substitution).
 //
-// All experiments run with rewrite tracing off (the default): the
+// Run them with MXQ_CHECK_REWRITES unset: rewrite tracing off, the
 // optimizer's translation-validation hook costs one nil check per
-// rewrite site when disabled (opt.OptimizeTraced with a nil trace is
-// exactly opt.Optimize), so these numbers are unaffected by the
-// optcheck layer — see docs/optimizer.md.
+// rewrite site (opt.OptimizeTraced with a nil trace is exactly
+// opt.Optimize), so the numbers are unaffected by the optcheck layer —
+// see docs/optimizer.md.
 package main
 
 import (
@@ -59,7 +57,7 @@ var (
 	seedFlag    = flag.Int64("seed", 42, "generator seed")
 	runsFlag    = flag.Int("runs", 3, "report the best of N runs (the paper uses 5)")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-query soft time limit; slower entries print DNF")
-	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, updates, parallel, collection, prepared, serve, sched, mem, all)")
+	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, updates, parallel, collection, sched, mem, all)")
 
 	parallelFlag = flag.Bool("parallel", false, "run MXQ engines with intra-query parallel execution")
 	workersFlag  = flag.Int("workers", 0, "parallel worker goroutines (0 = GOMAXPROCS)")
@@ -87,8 +85,6 @@ func main() {
 	run("updates", updates)
 	run("parallel", parallel)
 	run("collection", collection)
-	run("prepared", prepared)
-	run("serve", serveExp)
 	run("sched", schedExp)
 	run("mem", memExp)
 }
@@ -199,7 +195,6 @@ func parallel(scales []float64) {
 	if clients < 1 {
 		clients = 1
 	}
-	mix := []int{1, 2, 5, 6, 13, 15, 17, 20}
 	const perClient = 8
 	throughput := func(eng *core.Engine) (float64, error) {
 		var wg sync.WaitGroup
@@ -210,7 +205,7 @@ func parallel(scales []float64) {
 			go func(cl int) {
 				defer wg.Done()
 				for i := 0; i < perClient; i++ {
-					if _, err := eng.Query(xmark.Query(mix[(cl+i)%len(mix)])); err != nil {
+					if _, err := eng.Query(xmark.Query(cheapMix[(cl+i)%len(cheapMix)])); err != nil {
 						errs <- err
 						return
 					}
@@ -293,85 +288,6 @@ func collection(scales []float64) {
 		sumRatio = fmt.Sprintf("%.2fx", float64(sumS)/float64(sumP))
 	}
 	fmt.Printf("%-12s %12s %12s %8s\n", "sum", fmtTime(sumS, allOK), fmtTime(sumP, allOK), sumRatio)
-}
-
-// prepared measures the statement-centric API: for every XMark query,
-// cold = parse+compile+optimize+execute per call (plan cache disabled)
-// versus prepared = Prepare once, bind+execute per call. The headline
-// number is the plan-reuse speedup of the serving path; the
-// parameterized section executes ONE prepared statement with a fresh
-// binding per call — the case the one-shot API cannot express at all
-// without splicing values into query text (a cache miss per distinct
-// value).
-func prepared(scales []float64) {
-	for _, f := range scales {
-		fmt.Printf("\n== Prepared statements (%s): bind+execute vs cold compile ==\n", mb(f))
-		cont := xmark.NewStoreContainer("auction.xml", f, *seedFlag)
-		coldCfg := core.DefaultConfig()
-		coldCfg.PlanCache = false
-		cold := engineFor(coldCfg, cont)
-		warm := engineFor(core.DefaultConfig(), cont)
-
-		fmt.Printf("%-4s %12s %12s %8s\n", "Q", "cold", "prepared", "speedup")
-		var sumC, sumP time.Duration
-		allOK := true
-		for q := 1; q <= 20; q++ {
-			query := xmark.Query(q)
-			stmt, err := warm.Prepare(query)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "prepare error:", err)
-				return
-			}
-			dc, okC := bestOf(func() error { _, err := cold.Query(query); return err })
-			dp, okP := bestOf(func() error { _, err := stmt.Execute(nil); return err })
-			allOK = allOK && okC && okP
-			sumC += dc
-			sumP += dp
-			ratio := "-"
-			if okC && okP && dp > 0 {
-				ratio = fmt.Sprintf("%.2fx", float64(dc)/float64(dp))
-			}
-			fmt.Printf("Q%-3d %12s %12s %8s\n", q, fmtTime(dc, okC), fmtTime(dp, okP), ratio)
-		}
-		sumRatio := "-"
-		if allOK && sumP > 0 {
-			sumRatio = fmt.Sprintf("%.2fx", float64(sumC)/float64(sumP))
-		}
-		fmt.Printf("%-4s %12s %12s %8s\n", "sum", fmtTime(sumC, allOK), fmtTime(sumP, allOK), sumRatio)
-
-		// parameterized statement: one plan, a fresh binding per call
-		const paramQ = `declare variable $min external;
-			for $a in /site/closed_auctions/closed_auction
-			where number($a/price) > $min return $a/price/text()`
-		stmt, err := warm.Prepare(paramQ)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "prepare error:", err)
-			return
-		}
-		const execs = 200
-		start := time.Now()
-		for i := 0; i < execs; i++ {
-			if _, err := stmt.Execute(core.Bindings{"min": ralg.BindFloats(float64(i % 97))}); err != nil {
-				fmt.Fprintln(os.Stderr, "execute error:", err)
-				return
-			}
-		}
-		perBind := time.Since(start) / execs
-		start = time.Now()
-		for i := 0; i < execs; i++ {
-			q := fmt.Sprintf(`for $a in /site/closed_auctions/closed_auction
-				where number($a/price) > %d return $a/price/text()`, i%97)
-			if _, err := cold.Query(q); err != nil {
-				fmt.Fprintln(os.Stderr, "query error:", err)
-				return
-			}
-		}
-		perSplice := time.Since(start) / execs
-		fmt.Printf("\n-- parameterized: %d executions, fresh binding per call --\n", execs)
-		fmt.Printf("bind+execute:          %10.3f ms/exec\n", perBind.Seconds()*1000)
-		fmt.Printf("text-splice (cold):    %10.3f ms/exec\n", perSplice.Seconds()*1000)
-		fmt.Printf("plan-reuse speedup:    %10.2fx\n", float64(perSplice)/float64(perBind))
-	}
 }
 
 // table1 reproduces Table 1: elapsed seconds for Q1–Q20 over growing

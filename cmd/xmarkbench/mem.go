@@ -6,29 +6,34 @@ import (
 	"time"
 
 	"mxq/internal/core"
+	"mxq/internal/sched"
 	"mxq/internal/xmark"
 	"mxq/internal/xqerr"
 )
 
 // memExp measures the cost of per-query memory governance: the full
 // Q1–Q20 mix runs once on an ungoverned engine and once under a
-// generous budget (every allocator charges the shared MemBudget, no
-// query is aborted), so the delta is pure accounting overhead — one
-// atomic add per column or list handed out, not per row. A third
-// section tightens
-// the budget until queries are rejected, demonstrating that aborts are
+// scheduler with a generous per-query budget (every allocator charges
+// the shared MemBudget, no query is aborted), so the delta is the
+// accounting — one atomic add per column or list handed out, not per
+// row — plus the admission it comes with. A third section tightens the
+// budget until queries are rejected, demonstrating that aborts are
 // typed, prompt, and leave the engine fully usable.
 func memExp(scales []float64) {
 	f := scales[len(scales)-1]
 	cont := xmark.NewStoreContainer("auction.xml", f, *seedFlag)
 
+	// limit 0 is the unscheduled, unlimited engine; otherwise the budget
+	// is the grant's, min(MemFloor + MemPerRow·rows, limit)
 	mkEngine := func(limit int64) *core.Engine {
 		cfg := core.DefaultConfig()
 		if *parallelFlag {
 			cfg = core.ParallelConfig()
 			cfg.Workers = *workersFlag
 		}
-		cfg.MemLimit = limit
+		if limit > 0 {
+			cfg.Scheduler = sched.New(sched.Config{MemPerQuery: limit})
+		}
 		e := core.New(cfg)
 		e.LoadContainer(cont.Name, cont)
 		return e
@@ -81,7 +86,7 @@ func memExp(scales []float64) {
 	}
 	overhead := 100 * (gov.Seconds() - base.Seconds()) / base.Seconds()
 	fmt.Printf("%-12s %10s\n", "ungoverned", base.Round(time.Microsecond))
-	fmt.Printf("%-12s %10s   overhead %+.2f%%  (budget 1GiB, all 20 byte-identical)\n",
+	fmt.Printf("%-12s %10s   overhead %+.2f%%  (MemPerQuery 1GiB, all 20 byte-identical)\n",
 		"budgeted", gov.Round(time.Microsecond), overhead)
 
 	// -- governance in action: a budget small enough to reject work --

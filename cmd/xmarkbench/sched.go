@@ -13,6 +13,12 @@ import (
 	"mxq/internal/xmark"
 )
 
+// cheapMix is the XMark query mix of the multi-client runs (the
+// parallel experiment's throughput section and the scheduler storm):
+// cheap queries, so a run measures concurrency and scheduling overhead
+// rather than a single heavy plan.
+var cheapMix = []int{1, 2, 5, 6, 13, 15, 17, 20}
+
 // schedExp measures the global query scheduler under oversubscription:
 // 4× more concurrent clients than execution slots hammer one engine
 // with the cheap XMark mix, once with free-spawning parallel execution
@@ -56,8 +62,8 @@ func schedExp(scales []float64) {
 	fmt.Printf("\n== Scheduler (%s): %d clients over %d execution slots, %d-worker pool ==\n",
 		mb(f), clients, maxConcurrent, workers)
 
-	want := make([]string, len(serveMix))
-	for i, q := range serveMix {
+	want := make([]string, len(cheapMix))
+	for i, q := range cheapMix {
 		w, err := serial.QueryString(xmark.Query(q))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sched: serial Q%d: %v\n", q, err)
@@ -67,8 +73,8 @@ func schedExp(scales []float64) {
 	}
 
 	storm := func(eng *core.Engine) (qps float64, lat []time.Duration, errs int) {
-		stmts := make([]*core.Prepared, len(serveMix))
-		for i, q := range serveMix {
+		stmts := make([]*core.Prepared, len(cheapMix))
+		for i, q := range cheapMix {
 			p, err := eng.Prepare(xmark.Query(q))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sched: prepare Q%d: %v\n", q, err)
@@ -85,17 +91,17 @@ func schedExp(scales []float64) {
 			go func(cl int) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
-					for k := range serveMix {
-						i := (cl + r + k) % len(serveMix)
+					for k := range cheapMix {
+						i := (cl + r + k) % len(cheapMix)
 						t0 := time.Now()
 						res, err := stmts[i].Execute(nil)
 						lats[cl] = append(lats[cl], time.Since(t0))
 						if err != nil {
-							bad.Store(fmt.Sprintf("Q%d: %v", serveMix[i], err), true)
+							bad.Store(fmt.Sprintf("Q%d: %v", cheapMix[i], err), true)
 							continue
 						}
 						if res.String() != want[i] {
-							bad.Store(fmt.Sprintf("Q%d: result differs from serial", serveMix[i]), true)
+							bad.Store(fmt.Sprintf("Q%d: result differs from serial", cheapMix[i]), true)
 						}
 					}
 				}
@@ -115,7 +121,7 @@ func schedExp(scales []float64) {
 		return float64(len(lat)) / wall.Seconds(), lat, errs
 	}
 
-	total := clients * rounds * len(serveMix)
+	total := clients * rounds * len(cheapMix)
 	errsTotal := 0
 	for _, mode := range []struct {
 		label string
@@ -142,4 +148,15 @@ func schedExp(scales []float64) {
 	} else {
 		fmt.Printf("differential:      %d FAILURES\n", errsTotal)
 	}
+}
+
+func pctl(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := p * len(sorted) / 100
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
 }

@@ -32,7 +32,7 @@ func AsQueryError(err error) *QueryError {
 
 // IsResourceLimit reports whether err is the typed resource-exhausted
 // error (code XPDY0130) a query raises when it exceeds its memory
-// budget (WithMemLimit or a scheduler memory grant) or an intermediate
+// budget (its scheduler grant's, SchedulerConfig.MemPerQuery) or an intermediate
 // result row limit. It is a dynamic error — the same query may succeed
 // under a larger budget — so servers map it to 503, not 400.
 func IsResourceLimit(err error) bool { return xqerr.IsResourceLimit(err) }

@@ -37,12 +37,14 @@ type fuzzWorld struct {
 // buildFuzzWorld loads two distinct XMark documents (a.xml is the context
 // document of absolute paths) plus an ndocs-document collection sharded
 // across `shards` containers, mirrored into the naive oracle in the
-// relational collection's document order.
+// relational collection's document order. Both relational engines run
+// the plan verifier on every generated plan.
 func buildFuzzWorld(t testing.TB, factor float64, ndocs, shards int) *fuzzWorld {
 	t.Helper()
+	t.Setenv("MXQ_VERIFY_PLANS", "1")
 	w := &fuzzWorld{
-		serial:   mxq.Open(mxq.WithVerifyPlans(true)),
-		parallel: mxq.Open(mxq.WithVerifyPlans(true), mxq.WithWorkers(4), mxq.WithParallelThreshold(1)),
+		serial:   mxq.Open(),
+		parallel: mxq.Open(mxq.WithWorkers(4), mxq.WithParallelThreshold(1)),
 		oracle:   naive.New(),
 	}
 	for _, db := range []*mxq.DB{w.serial, w.parallel} {

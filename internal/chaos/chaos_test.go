@@ -230,7 +230,8 @@ func TestChaosConcurrentClients(t *testing.T) {
 // TestChaosWithMemBudget overlays fault injection on a tight memory
 // budget: both stop mechanisms share the executor's poll sites, so this
 // is the cross-check that neither masks the other and the typed errors
-// stay classifiable.
+// stay classifiable. The budget is the scheduler grant's, and the mix
+// must actually fork on the scheduler's pool.
 func TestChaosWithMemBudget(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	t.Cleanup(faults.Reset)
@@ -238,7 +239,8 @@ func TestChaosWithMemBudget(t *testing.T) {
 	cfg := core.ParallelConfig()
 	cfg.Workers = 4
 	cfg.ParallelThreshold = 1
-	cfg.MemLimit = 2 << 20
+	s := sched.New(sched.Config{Workers: 8, MaxConcurrent: 8, RowsPerWorker: 1, MemPerQuery: 2 << 20})
+	cfg.Scheduler = s
 	eng := core.New(cfg)
 	eng.LoadContainer("auction.xml", cont)
 
@@ -257,4 +259,7 @@ func TestChaosWithMemBudget(t *testing.T) {
 		}
 	}
 	faults.Reset()
+	if s.Stats().MaxSlotsInUse == 0 {
+		t.Fatal("no execution drew a worker slot: the budgeted mix ran serially")
+	}
 }

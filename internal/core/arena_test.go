@@ -10,6 +10,7 @@ import (
 
 	"mxq/internal/faults"
 	"mxq/internal/ralg"
+	"mxq/internal/sched"
 	"mxq/internal/xmark"
 	"mxq/internal/xqerr"
 )
@@ -58,7 +59,7 @@ func TestExecuteReleasesArenaOnEveryPath(t *testing.T) {
 	check("cancelled before run")
 
 	tight := cfg
-	tight.MemLimit = 96 << 10 // above the snapshot charge, below Q11's joins
+	tight.Scheduler = sched.New(sched.Config{MemPerQuery: 96 << 10}) // above the snapshot charge, below Q11's joins
 	te := xmarkEngine(t, tight, 0.01)
 	if _, err := te.QueryString(xmark.Query(11)); !xqerr.IsResourceLimit(err) {
 		t.Fatalf("budget run: %v", err)

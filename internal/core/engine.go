@@ -46,23 +46,17 @@ import (
 	"mxq/internal/xqt"
 )
 
-// Config selects the engine's optimization strategies; the zero value
-// disables everything (the ablation baselines of Figures 12–14), and
-// DefaultConfig enables the full system.
+// Config selects the engine's optimization strategies and how it
+// executes; the zero value disables every optimization (the ablation
+// baselines of Figures 12–14), and DefaultConfig enables the full
+// system. Resource limits — admission, worker slots, memory — are not
+// here: they live in the Scheduler's sched.Config.
 type Config struct {
 	Compiler xqc.Options
 	// OrderAware runs the property-driven peephole optimizer (§4.1):
 	// sort elimination, refine sorts, streaming rank, positional joins,
 	// merge duplicate elimination (Figure 14's "order preserving").
 	OrderAware bool
-	// PlanCache re-uses compiled physical plans per (compiler options,
-	// query text) pair (the paper's "physical query plan caching
-	// feature"); context document and bindings are execution-time plan
-	// inputs, not key components. The cache is a concurrency-safe LRU.
-	PlanCache bool
-	// PlanCacheSize bounds the LRU plan cache; 0 means
-	// DefaultPlanCacheSize.
-	PlanCacheSize int
 	// Parallel enables intra-query parallel operator execution: the hot
 	// per-iter operators (staircase-join steps, row numbering,
 	// aggregation, selection, row-wise functions, hash join build/probe)
@@ -81,41 +75,18 @@ type Config struct {
 	// concurrency, deadline-aware queueing) and draws its parallel
 	// workers from the scheduler's shared slot pool under a cost-derived
 	// budget, so N concurrent queries never claim N×Workers goroutines.
-	// One scheduler may be shared by several engines. Nil keeps the
-	// unscheduled behavior: executions run immediately with a private
-	// Workers-sized pool each.
+	// One scheduler may be shared by several engines; its grants also
+	// carry each execution's memory budget (sched.Config.MemPerQuery).
+	// Nil keeps the unscheduled behavior: executions run immediately,
+	// with a private Workers-sized pool each and no memory budget.
 	Scheduler *sched.Scheduler
-	// MemLimit is the default per-execution memory budget in bytes:
-	// operators charge estimated bytes as they materialize rows, and an
-	// over-budget execution aborts promptly (workers drain at their next
-	// poll, partial tables are discarded) with a typed
-	// resource-exhausted error (xqerr.CodeResourceLimit). When a
-	// scheduler grant carries its own memory limit the smaller nonzero
-	// limit wins. 0 means unlimited.
-	MemLimit int64
-	// VerifyPlans runs the static plan verifier (internal/planck) over
-	// every compiled plan — the main plan and each prolog parameter
-	// initializer, before and after optimization — and fails compilation
-	// with a *planck.PlanInvariantError on any violation. Tests and the
-	// fuzzer keep it always on; production keeps it opt-in (also via the
-	// MXQ_VERIFY_PLANS environment variable, see New).
-	VerifyPlans bool
-	// TraceRewrites validates every optimizer rewrite during
-	// compilation: each fired rule emits a before/after witness
-	// (opt.RewriteStep) that the translation validator
-	// (internal/optcheck) replays over synthesized micro-inputs, and a
-	// disagreement fails compilation naming the guilty rule. Much more
-	// expensive than VerifyPlans — meant for tests and CI, not
-	// production (also via the MXQ_CHECK_REWRITES environment variable,
-	// see New). Off, the tracing hook costs one nil check per rewrite.
-	TraceRewrites bool
 }
 
 // DefaultConfig is the full-strength engine configuration (parallel
 // execution stays opt-in so the default engine doubles as the serial
 // oracle).
 func DefaultConfig() Config {
-	return Config{Compiler: xqc.DefaultOptions(), OrderAware: true, PlanCache: true}
+	return Config{Compiler: xqc.DefaultOptions(), OrderAware: true}
 }
 
 // ParallelConfig is DefaultConfig plus intra-query parallelism sized by
@@ -137,27 +108,45 @@ type Engine struct {
 	pool       *store.Pool
 	defaultDoc string
 
-	cache *planCache // nil when plan caching is disabled
+	cache *planCache
+
+	// verify (MXQ_VERIFY_PLANS) runs the static plan verifier
+	// (internal/planck) over every compiled plan — the main plan and each
+	// prolog parameter initializer, before and after optimization.
+	verify bool
+	// checkRewrites (MXQ_CHECK_REWRITES) replays every optimizer rewrite's
+	// witness through the translation validator (internal/optcheck) and
+	// fails compilation naming an unsound rule; off, the tracing hook
+	// costs one nil check per rewrite.
+	checkRewrites bool
 }
 
-// New returns an engine with the given configuration. Setting the
-// MXQ_VERIFY_PLANS environment variable to a non-empty value other
-// than "0" force-enables Config.VerifyPlans — the hook CI uses to plan-
-// verify every query of the full test suite without threading a knob
-// through each test helper. MXQ_CHECK_REWRITES does the same for
-// Config.TraceRewrites, translation-validating every optimizer rewrite.
+// New returns an engine with the given configuration. The two plan
+// checks are switched by the environment alone, read once here (see
+// envSwitch): `make verify`, CI and the tests check every compiled
+// query without threading a knob through each test helper.
 func New(cfg Config) *Engine {
-	if v := os.Getenv("MXQ_VERIFY_PLANS"); v != "" && v != "0" {
-		cfg.VerifyPlans = true
+	return &Engine{
+		cfg:           cfg,
+		pool:          store.NewPool(),
+		optsKey:       optionsKey(cfg),
+		cache:         newPlanCache(),
+		verify:        envSwitch("MXQ_VERIFY_PLANS"),
+		checkRewrites: envSwitch("MXQ_CHECK_REWRITES"),
 	}
-	if v := os.Getenv("MXQ_CHECK_REWRITES"); v != "" && v != "0" {
-		cfg.TraceRewrites = true
+}
+
+// envSwitch reads an on/off environment variable: unset, or a value
+// strconv.ParseBool reads as false ("0", "f", "false", "FALSE", …), is
+// off; "1", "true" and every value ParseBool rejects are on, so a typo
+// cannot silently drop a safety check.
+func envSwitch(name string) bool {
+	v := os.Getenv(name)
+	if v == "" {
+		return false
 	}
-	e := &Engine{cfg: cfg, pool: store.NewPool(), optsKey: optionsKey(cfg)}
-	if cfg.PlanCache {
-		e.cache = newPlanCache(cfg.PlanCacheSize)
-	}
-	return e
+	on, err := strconv.ParseBool(v)
+	return on || err != nil
 }
 
 // optionsKey fingerprints the configuration knobs that change compiled
@@ -345,16 +334,14 @@ func (e *Engine) Compile(q string) (ralg.Plan, error) {
 // of any bindings, so it is cached per (compiler options, query text).
 func (e *Engine) compile(q string) (*compiled, error) {
 	key := e.optsKey + "\x00" + q
-	if e.cache != nil {
-		if p, ok := e.cache.get(key); ok {
-			return p, nil
-		}
+	if p, ok := e.cache.get(key); ok {
+		return p, nil
 	}
 	cq, err := e.parseCompile(q)
 	if err != nil {
 		return nil, err
 	}
-	if e.cfg.VerifyPlans {
+	if e.verify {
 		if err := verifyCompiled(cq); err != nil {
 			return nil, fmt.Errorf("core: compiler emitted an invalid plan for %q: %w", q, err)
 		}
@@ -363,7 +350,7 @@ func (e *Engine) compile(q string) (*compiled, error) {
 		if err := e.optimizeCompiled(cq, q); err != nil {
 			return nil, err
 		}
-		if e.cfg.VerifyPlans {
+		if e.verify {
 			if err := verifyCompiled(cq); err != nil {
 				return nil, fmt.Errorf("core: optimizer broke the plan for %q: %w", q, err)
 			}
@@ -371,9 +358,7 @@ func (e *Engine) compile(q string) (*compiled, error) {
 	}
 	st := &compiled{Compiled: cq}
 	st.ops, st.joins = ralg.CountOps(cq.Plan)
-	if e.cache != nil {
-		e.cache.put(key, st)
-	}
+	e.cache.put(key, st)
 	return st, nil
 }
 
@@ -410,14 +395,14 @@ func eachPlan(cq *xqc.Compiled, f func(plan *ralg.Plan, param string, cfg planck
 }
 
 // optimizeCompiled runs the peephole optimizer over every plan of cq.
-// With TraceRewrites set, each optimization collects its rewrite
+// With rewrite checking on, each optimization collects its rewrite
 // witnesses and the translation validator replays them over synthesized
 // inputs — an unsound rewrite fails the compilation, attributed to the
 // plan it fired in (parameter initializers are covered exactly like the
 // main plan).
 func (e *Engine) optimizeCompiled(cq *xqc.Compiled, q string) error {
 	return eachPlan(cq, func(plan *ralg.Plan, param string, _ planck.Config) error {
-		if !e.cfg.TraceRewrites {
+		if !e.checkRewrites {
 			*plan = opt.Optimize(*plan)
 			return nil
 		}
@@ -509,12 +494,8 @@ func (e *Engine) QueryContext(ctx context.Context, q string) (*Result, error) {
 }
 
 // CacheStats reports plan-cache effectiveness: hits and misses since
-// the engine was created, and the current number of cached plans. All
-// zeros when plan caching is disabled.
+// the engine was created, and the current number of cached plans.
 func (e *Engine) CacheStats() (hits, misses int64, size int) {
-	if e.cache == nil {
-		return 0, 0, 0
-	}
 	return e.cache.hits.Load(), e.cache.misses.Load(), e.cache.len()
 }
 

@@ -19,7 +19,7 @@ const memTestDoc = `<site><a><b>1</b><b>2</b><b>3</b></a><a><b>4</b><b>5</b></a>
 // runs — even for a query that touches no document node.
 func TestMemBudgetSmallerThanSnapshot(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MemLimit = 4 // bytes; any real document exceeds this
+	cfg.Scheduler = sched.New(sched.Config{MemPerQuery: 4}) // bytes; any real document exceeds this
 	e := New(cfg)
 	if err := e.LoadXML("d.xml", strings.NewReader(memTestDoc)); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,8 @@ func TestMemBudgetAbortsParallelExecution(t *testing.T) {
 	cfg.Parallel = true
 	cfg.Workers = 4
 	cfg.ParallelThreshold = 1
-	cfg.MemLimit = 512 << 10
+	s := sched.New(sched.Config{Workers: 4, RowsPerWorker: 1, MemPerQuery: 512 << 10})
+	cfg.Scheduler = s
 	e := New(cfg)
 	if err := e.LoadXML("d.xml", strings.NewReader(memTestDoc)); err != nil {
 		t.Fatal(err)
@@ -67,6 +68,18 @@ func TestMemBudgetAbortsParallelExecution(t *testing.T) {
 	got, err := e.QueryString(`count(//b)`)
 	if err != nil || got != "5" {
 		t.Fatalf("engine unusable after budget aborts: %q, %v", got, err)
+	}
+	requireForked(t, s)
+}
+
+// requireForked fails a budget test whose executions never drew a worker
+// from the scheduler's pool: a grant of worker budget 1 (the default
+// RowsPerWorker over a small document) would run them serially and the
+// parallel half of the test would pass vacuously.
+func requireForked(t *testing.T, s *sched.Scheduler) {
+	t.Helper()
+	if s.Stats().MaxSlotsInUse == 0 {
+		t.Fatal("no execution drew a worker slot: the budget runs were serial")
 	}
 }
 
@@ -97,19 +110,22 @@ func TestMemBudget16ClientStress(t *testing.T) {
 		want[i] = w
 	}
 
+	const clients = 16
 	cfg := DefaultConfig()
 	cfg.Parallel = true
 	cfg.Workers = 4
 	cfg.ParallelThreshold = 1
-	cfg.MemLimit = 16 << 20
+	// every client is admitted at once; each grant is MemFloor (8 MiB),
+	// the floor plus 4 KiB a row being larger for any document
+	s := sched.New(sched.Config{Workers: 4, MaxConcurrent: clients, RowsPerWorker: 1, MemPerQuery: sched.MemFloor})
+	cfg.Scheduler = s
 	e := New(cfg)
 	if err := e.LoadXML("d.xml", strings.NewReader(memTestDoc)); err != nil {
 		t.Fatal(err)
 	}
-	// ~2M generated rows charge ~48MB against the 16MB budget
+	// ~2M generated rows charge ~48MB against the 8MiB budget
 	hog := `count(for $i in 1 to 2000000 return $i)`
 
-	const clients = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -139,6 +155,7 @@ func TestMemBudget16ClientStress(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+	requireForked(t, s)
 }
 
 type clientErr struct {
@@ -158,10 +175,9 @@ func errStr(err error) string {
 	return err.Error()
 }
 
-// The scheduler's memory grant governs executions that carry no
-// engine-level limit: an over-pool admission is rejected with
-// ErrMemExhausted while a granted execution runs under the grant's
-// byte budget.
+// The scheduler's memory grant is the execution's byte budget: an
+// in-budget query answers, an over-budget one fails with the typed
+// resource error.
 func TestSchedulerMemGrantGovernsExecution(t *testing.T) {
 	s := sched.New(sched.Config{MaxConcurrent: 4, MemPerQuery: sched.MemFloor})
 	cfg := DefaultConfig()

@@ -40,22 +40,11 @@ func TestRewriteStepsNilWithoutOptimizer(t *testing.T) {
 	}
 }
 
-// MXQ_CHECK_REWRITES force-enables rewrite validation regardless of
-// Config, mirroring MXQ_VERIFY_PLANS.
 func TestCheckRewritesEnvOverride(t *testing.T) {
-	t.Setenv("MXQ_CHECK_REWRITES", "1")
-	eng := New(DefaultConfig())
-	if !eng.cfg.TraceRewrites {
-		t.Fatal("MXQ_CHECK_REWRITES=1 did not enable rewrite validation")
-	}
-	t.Setenv("MXQ_CHECK_REWRITES", "0")
-	eng = New(DefaultConfig())
-	if eng.cfg.TraceRewrites {
-		t.Fatal("MXQ_CHECK_REWRITES=0 must not enable rewrite validation")
-	}
+	checkEnvSwitch(t, "MXQ_CHECK_REWRITES", func(e *Engine) bool { return e.checkRewrites })
 }
 
-// With TraceRewrites on, the traced compile path (parameter
+// With MXQ_CHECK_REWRITES on, the traced compile path (parameter
 // initializers included) validates and yields the same results as the
 // untraced one.
 func TestTraceRewritesCompilePath(t *testing.T) {
@@ -75,10 +64,10 @@ func TestTraceRewritesCompilePath(t *testing.T) {
 		return res.String()
 	}
 
+	t.Setenv("MXQ_CHECK_REWRITES", "0")
 	plain := run(DefaultConfig())
-	traced := DefaultConfig()
-	traced.TraceRewrites = true
-	if got := run(traced); got != plain {
+	t.Setenv("MXQ_CHECK_REWRITES", "1")
+	if got := run(DefaultConfig()); got != plain {
 		t.Fatalf("traced compile path changed results:\n got %q\nwant %q", got, plain)
 	}
 }

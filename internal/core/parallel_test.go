@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -95,28 +96,32 @@ func TestParallelXMarkDifferential(t *testing.T) {
 	}
 }
 
-// Plan cache behavior: LRU eviction respects the configured capacity,
-// and cached plans are keyed by context document.
+// Plan cache behavior: LRU eviction holds the cache at
+// DefaultPlanCacheSize, dropping the least recently used text first.
 func TestPlanCacheLRU(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PlanCacheSize = 2
-	eng := New(cfg)
+	eng := New(DefaultConfig())
 	if err := eng.LoadXML("auction.xml", strings.NewReader(auctionDoc)); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{`1`, `2`, `3`, `4`} {
-		if _, err := eng.Compile(q); err != nil {
+	first, _ := eng.Compile(`0`)
+	last := DefaultPlanCacheSize + 1
+	for i := 0; i <= last; i++ {
+		if _, err := eng.Compile(strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := eng.cache.len(); got != 2 {
-		t.Errorf("cache holds %d plans, want 2", got)
+	if got := eng.cache.len(); got != DefaultPlanCacheSize {
+		t.Errorf("cache holds %d plans, want %d", got, DefaultPlanCacheSize)
 	}
-	// the most recent entry must be a hit (pointer identity)
-	p1, _ := eng.Compile(`4`)
-	p2, _ := eng.Compile(`4`)
+	// the most recent entry must be a hit and the oldest a miss
+	// (pointer identity)
+	p1, _ := eng.Compile(strconv.Itoa(last))
+	p2, _ := eng.Compile(strconv.Itoa(last))
 	if p1 != p2 {
 		t.Error("LRU did not retain the most recent plan")
+	}
+	if again, _ := eng.Compile(`0`); again == first {
+		t.Error("LRU kept the least recently used plan past capacity")
 	}
 }
 

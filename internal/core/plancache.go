@@ -8,8 +8,8 @@ import (
 	"mxq/internal/xqc"
 )
 
-// DefaultPlanCacheSize bounds the compiled-plan cache when
-// Config.PlanCacheSize is zero.
+// DefaultPlanCacheSize is the capacity of every engine's compiled-plan
+// cache.
 const DefaultPlanCacheSize = 256
 
 // planCache is a concurrency-safe LRU cache of compiled queries, keyed
@@ -25,7 +25,6 @@ type planCache struct {
 	misses atomic.Int64
 
 	mu  sync.Mutex
-	cap int
 	m   map[string]*list.Element
 	lru *list.List // front = most recently used
 }
@@ -53,11 +52,8 @@ type planEntry struct {
 	plan *compiled
 }
 
-func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheSize
-	}
-	return &planCache{cap: capacity, m: make(map[string]*list.Element), lru: list.New()}
+func newPlanCache() *planCache {
+	return &planCache{m: make(map[string]*list.Element), lru: list.New()}
 }
 
 func (c *planCache) get(key string) (*compiled, bool) {
@@ -82,7 +78,7 @@ func (c *planCache) put(key string, p *compiled) {
 		return
 	}
 	c.m[key] = c.lru.PushFront(&planEntry{key: key, plan: p})
-	for c.lru.Len() > c.cap {
+	for c.lru.Len() > DefaultPlanCacheSize {
 		last := c.lru.Back()
 		c.lru.Remove(last)
 		delete(c.m, last.Value.(*planEntry).key)

@@ -167,11 +167,11 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	}
 	ex.ContextDoc = doc
 	ex.Ctx = ctx
-	limit := e.cfg.MemLimit
+	// The memory budget is the grant's: an unscheduled execution is
+	// unlimited.
+	var limit int64
 	if grant != nil {
-		if gl := grant.MemLimit(); gl > 0 && (limit == 0 || gl < limit) {
-			limit = gl
-		}
+		limit = grant.MemLimit()
 	}
 	if mem := ralg.NewMemBudget(limit); mem != nil {
 		// The pinned snapshot is the execution's first materialized

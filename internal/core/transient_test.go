@@ -9,6 +9,7 @@ import (
 
 	"mxq/internal/faults"
 	"mxq/internal/ralg"
+	"mxq/internal/sched"
 	"mxq/internal/xmark"
 	"mxq/internal/xqerr"
 )
@@ -133,7 +134,7 @@ func TestTransientFigureConcurrent(t *testing.T) {
 func TestTransientFigureIgnoresFailedExecutions(t *testing.T) {
 	t.Cleanup(faults.Reset)
 	cfg := DefaultConfig()
-	cfg.MemLimit = 1 << 20
+	cfg.Scheduler = sched.New(sched.Config{MemPerQuery: 1 << 20})
 	e := New(cfg)
 	p, err := e.Prepare(elemsQuery)
 	if err != nil {
@@ -179,7 +180,7 @@ func TestTransientFigureIgnoresFailedExecutions(t *testing.T) {
 // constructor still does.
 func TestTransientContainerIsBudgeted(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MemLimit = 2 << 20
+	cfg.Scheduler = sched.New(sched.Config{MemPerQuery: 2 << 20})
 	e := xmarkEngine(t, cfg, 0.02)
 	res, err := e.Query(`count(for $i in (1 to 40) return <r>{/site/regions}</r>)`)
 	if !xqerr.IsResourceLimit(err) || res != nil {

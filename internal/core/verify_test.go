@@ -14,23 +14,21 @@ import (
 
 // verifyConfigs are the compile pipelines the verifier must accept:
 // with and without the order-aware optimizer (the verifier runs before
-// and after optimization, so both plan shapes are checked).
-func verifyConfigs() map[string]Config {
-	ordered := DefaultConfig()
-	ordered.VerifyPlans = true
+// and after optimization, so both plan shapes are checked). It turns
+// the verifier on for the rest of the test.
+func verifyConfigs(t *testing.T) map[string]Config {
+	t.Setenv("MXQ_VERIFY_PLANS", "1")
 	unordered := DefaultConfig()
 	unordered.OrderAware = false
-	unordered.VerifyPlans = true
 	nojoin := DefaultConfig()
 	nojoin.Compiler.JoinRecognition = false
-	nojoin.VerifyPlans = true
-	return map[string]Config{"ordered": ordered, "unordered": unordered, "nojoinrec": nojoin}
+	return map[string]Config{"ordered": DefaultConfig(), "unordered": unordered, "nojoinrec": nojoin}
 }
 
 // All twenty XMark benchmark plans must verify with zero violations,
 // before and after optimization.
 func TestPlanckVerifiesXMarkPlans(t *testing.T) {
-	for cname, cfg := range verifyConfigs() {
+	for cname, cfg := range verifyConfigs(t) {
 		eng := New(cfg)
 		for i, q := range xmark.Queries {
 			if _, err := eng.Compile(q); err != nil {
@@ -46,7 +44,7 @@ func TestPlanckVerifiesXMarkPlans(t *testing.T) {
 func TestPlanckVerifiesGeneratedPlans(t *testing.T) {
 	const n = 500
 	roots := []string{"/site", `doc("b.xml")/site`, `collection("xm")/site`, `collection("xm")`}
-	for cname, cfg := range verifyConfigs() {
+	for cname, cfg := range verifyConfigs(t) {
 		eng := New(cfg)
 		g := qgen.New(20260807, roots)
 		for i := 0; i < n; i++ {
@@ -67,7 +65,7 @@ func TestPlanckVerifiesGeneratedPlans(t *testing.T) {
 // PlanInvariantError naming the offending operator — not by a runtime
 // panic when the executor trips over it.
 func TestCorruptedPlanRejectedAtCompileTime(t *testing.T) {
-	eng := New(verifyConfigs()["ordered"])
+	eng := New(verifyConfigs(t)["ordered"])
 	cq, err := eng.compile(`1 + 2`)
 	if err != nil {
 		t.Fatal(err)
@@ -85,18 +83,29 @@ func TestCorruptedPlanRejectedAtCompileTime(t *testing.T) {
 	}
 }
 
-// MXQ_VERIFY_PLANS force-enables verification regardless of Config.
+// checkEnvSwitch asserts how New reads a plan-check switch.
+// MXQ_VERIFY_PLANS and MXQ_CHECK_REWRITES are the plan checks' only
+// switches, read with strconv.ParseBool when the engine is built: what
+// it reads as false is off, and a value it rejects is on — a typo must
+// not silently drop a safety check.
+func checkEnvSwitch(t *testing.T, name string, on func(*Engine) bool) {
+	t.Helper()
+	for _, tc := range []struct {
+		val string
+		on  bool
+	}{
+		{"", false}, {"0", false}, {"false", false}, {"FALSE", false}, {"f", false},
+		{"1", true}, {"true", true}, {"yes", true},
+	} {
+		t.Setenv(name, tc.val)
+		if got := on(New(DefaultConfig())); got != tc.on {
+			t.Errorf("%s=%q: switch on = %v, want %v", name, tc.val, got, tc.on)
+		}
+	}
+}
+
 func TestVerifyPlansEnvOverride(t *testing.T) {
-	t.Setenv("MXQ_VERIFY_PLANS", "1")
-	eng := New(DefaultConfig())
-	if !eng.cfg.VerifyPlans {
-		t.Fatal("MXQ_VERIFY_PLANS=1 did not enable plan verification")
-	}
-	t.Setenv("MXQ_VERIFY_PLANS", "0")
-	eng = New(DefaultConfig())
-	if eng.cfg.VerifyPlans {
-		t.Fatal("MXQ_VERIFY_PLANS=0 must not enable plan verification")
-	}
+	checkEnvSwitch(t, "MXQ_VERIFY_PLANS", func(e *Engine) bool { return e.verify })
 }
 
 // ExplainPlan renders the optimized plan with schema and property

@@ -22,8 +22,8 @@
 //
 // Admission is scheduled, not shed at the door: every request —
 // including its compile work — first admits itself with the engine's
-// global query scheduler (or a server-private one sized by
-// MaxInflight), waiting deadline-aware in a bounded queue for an
+// global query scheduler (or a server-private one with the sched
+// defaults), waiting deadline-aware in a bounded queue for an
 // execution slot. Only a full queue answers 503 immediately; a request
 // whose deadline expires while queued answers 503 too, having done no
 // work. Prepared statements are evicted under an idle TTL plus LRU
@@ -49,20 +49,9 @@ import (
 )
 
 // Config tunes one Server. The zero value serves with the defaults
-// noted per field.
+// noted per field. Admission limits are not here: they are the
+// scheduler's (sched.Config, installed with mxq.WithScheduler).
 type Config struct {
-	// MaxInflight bounds concurrently executing queries across all
-	// endpoints. Further requests queue (see MaxQueue) until a slot
-	// frees or their deadline expires. When the DB's engine carries its
-	// own scheduler (mxq.WithScheduler), that scheduler's limits govern
-	// admission and MaxInflight/MaxQueue are ignored. 0 means
-	// DefaultMaxInflight.
-	MaxInflight int
-	// MaxQueue bounds the requests waiting for an execution slot;
-	// beyond it the server answers 503 immediately. 0 means
-	// 2×MaxInflight; negative disables queueing (a saturated server
-	// rejects instantly, the pre-scheduler behavior).
-	MaxQueue int
 	// MaxStmts bounds the live prepared statements; preparing beyond it
 	// evicts the least-recently-used statement rather than failing.
 	// 0 means DefaultMaxStmts.
@@ -85,7 +74,6 @@ type Config struct {
 
 // Defaults for the zero Config.
 const (
-	DefaultMaxInflight     = 64
 	DefaultMaxStmts        = 1024
 	DefaultStmtTTL         = 15 * time.Minute
 	DefaultQueryTimeout    = 30 * time.Second
@@ -94,12 +82,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaxInflight == 0 {
-		c.MaxInflight = DefaultMaxInflight
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 2 * c.MaxInflight
-	}
 	if c.MaxStmts == 0 {
 		c.MaxStmts = DefaultMaxStmts
 	}
@@ -146,7 +128,7 @@ type stmtEntry struct {
 
 // New builds a Server over db. When db's engine runs under a global
 // scheduler the server admits requests through it; otherwise the
-// server builds a private scheduler sized by MaxInflight/MaxQueue so
+// server builds a private one with the sched.Config defaults, so
 // admission is always scheduled.
 func New(db *mxq.DB, cfg Config) *Server {
 	s := &Server{
@@ -159,10 +141,7 @@ func New(db *mxq.DB, cfg Config) *Server {
 	}
 	s.sched = db.Engine().Scheduler()
 	if s.sched == nil {
-		s.sched = sched.New(sched.Config{
-			MaxConcurrent: s.cfg.MaxInflight,
-			MaxQueue:      s.cfg.MaxQueue,
-		})
+		s.sched = sched.New(sched.Config{})
 	}
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /prepare", s.handlePrepare)

@@ -239,7 +239,10 @@ func testQueryTimeout(t *testing.T, cfg Config, timeoutMS int64) {
 // in-process result. Run under -race this doubles as the data-race
 // check on the session registry and the shared engine.
 func TestServerConcurrentSessions(t *testing.T) {
-	ts, db := newTestServer(t, Config{})
+	const clients = 8
+	// admits every client at once: the default scheduler's 2×GOMAXPROCS
+	// slots plus its queue may be fewer on a small host
+	ts, db := newTestServer(t, Config{}, mxq.WithScheduler(mxq.NewScheduler(mxq.SchedulerConfig{MaxConcurrent: clients})))
 	queries := []string{
 		xmark.Query(1),
 		xmark.Query(5),
@@ -268,7 +271,6 @@ func TestServerConcurrentSessions(t *testing.T) {
 		}
 		sessions[i] = session{id: pr.ID, want: want}
 	}
-	const clients = 8
 	const rounds = 5
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -342,13 +344,19 @@ func saturate(t *testing.T, ts *httptest.Server) (wait func()) {
 	}
 }
 
+// oneSlot is an engine scheduler with a single execution slot and the
+// given admission queue depth — the server admits through it.
+func oneSlot(maxQueue int) mxq.Option {
+	return mxq.WithScheduler(mxq.NewScheduler(mxq.SchedulerConfig{MaxConcurrent: 1, MaxQueue: maxQueue}))
+}
+
 // TestServerInflightLimit verifies load shedding with queueing
 // disabled: with one execution slot and MaxQueue < 0, a second
 // concurrent query is rejected with 503 up front. The probe query is a
 // parse error — getting 503 rather than 400 proves the saturated
 // server rejected it before spending any compile work on it.
 func TestServerInflightLimit(t *testing.T) {
-	ts, _ := newTestServer(t, Config{MaxInflight: 1, MaxQueue: -1})
+	ts, _ := newTestServer(t, Config{}, oneSlot(-1))
 	wait := saturate(t, ts)
 	defer wait()
 	resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": `for $x in`})
@@ -371,7 +379,7 @@ func TestServerInflightLimit(t *testing.T) {
 // door — a request with deadline to spare waits in the admission queue
 // and succeeds once the slot frees.
 func TestServerQueuedAdmission(t *testing.T) {
-	ts, _ := newTestServer(t, Config{MaxInflight: 1})
+	ts, _ := newTestServer(t, Config{}, oneSlot(0))
 	wait := saturate(t, ts)
 	defer wait()
 	resp, body := postJSON(t, ts.URL+"/query",
@@ -397,7 +405,7 @@ func TestServerQueuedAdmission(t *testing.T) {
 // before a slot frees answers 503 — it did no work, so 504 (execution
 // timed out) would be misleading.
 func TestServerQueueDeadline(t *testing.T) {
-	ts, _ := newTestServer(t, Config{MaxInflight: 1})
+	ts, _ := newTestServer(t, Config{}, oneSlot(0))
 	wait := saturate(t, ts)
 	defer wait()
 	start := time.Now()

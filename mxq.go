@@ -58,7 +58,6 @@ import (
 // additionally parallelizes the execution of each single query.
 type DB struct {
 	eng *core.Engine
-	cfg core.Config
 }
 
 // Option configures a DB at Open time.
@@ -125,12 +124,6 @@ func WithParallelThreshold(n int) Option {
 	return func(c *core.Config) { c.ParallelThreshold = n }
 }
 
-// WithPlanCacheSize bounds the LRU cache of compiled plans (0 keeps the
-// default size).
-func WithPlanCacheSize(n int) Option {
-	return func(c *core.Config) { c.PlanCacheSize = n }
-}
-
 // Scheduler is the global query scheduler: admission control over
 // concurrent executions plus one bounded worker-slot pool they all
 // share, so N in-flight queries never claim N×cores goroutines. Build
@@ -166,42 +159,14 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler { return sched.New(cfg) }
 // deadline-aware queueing) and draws its parallel workers from the
 // scheduler's shared slot pool under a budget derived from the plan's
 // cost hints. Combine with WithParallel; serial execution under a
-// scheduler still gets admission control, just with budget 1.
+// scheduler still gets admission control, just with budget 1. The
+// scheduler is also the one place a per-query memory limit is set
+// (SchedulerConfig.MemPerQuery/MemTotal): an over-budget execution
+// aborts with a typed resource-exhausted QueryError (see
+// IsResourceLimit), never a partial result. Without a scheduler,
+// executions are unlimited.
 func WithScheduler(s *Scheduler) Option {
 	return func(c *core.Config) { c.Scheduler = s }
-}
-
-// WithMemLimit sets the per-query memory budget in bytes (0, the
-// default, means unlimited): operators charge estimated bytes as they
-// materialize rows — at the same amortized checkpoints as cancellation
-// polls — and an over-budget query aborts promptly with a typed
-// resource-exhausted QueryError (code XPDY0130, see IsResourceLimit),
-// never a partial result. Under a scheduler whose grants carry their
-// own memory limits, the smaller nonzero limit governs each execution.
-func WithMemLimit(bytes int64) Option {
-	return func(c *core.Config) { c.MemLimit = bytes }
-}
-
-// WithVerifyPlans runs the static plan verifier over every compiled
-// plan (before and after optimization): a plan violating the operator
-// schema/property invariants fails compilation with a structured
-// *planck.PlanInvariantError instead of reaching the executor. Tests
-// and the fuzzer keep it on; production use is opt-in (compilation
-// cost, not execution cost). The MXQ_VERIFY_PLANS environment variable
-// force-enables it regardless of this option.
-func WithVerifyPlans(on bool) Option {
-	return func(c *core.Config) { c.VerifyPlans = on }
-}
-
-// WithCheckRewrites translation-validates the optimizer during
-// compilation: every fired rewrite rule emits a before/after witness
-// that is replayed over synthesized micro-inputs (internal/optcheck),
-// and a disagreement fails compilation naming the guilty rule. Far
-// more expensive than WithVerifyPlans — meant for tests, CI and bug
-// hunts. The MXQ_CHECK_REWRITES environment variable force-enables it
-// regardless of this option.
-func WithCheckRewrites(on bool) Option {
-	return func(c *core.Config) { c.TraceRewrites = on }
 }
 
 // Open returns a new engine instance with all paper optimizations
@@ -211,7 +176,7 @@ func Open(opts ...Option) *DB {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &DB{eng: core.New(cfg), cfg: cfg}
+	return &DB{eng: core.New(cfg)}
 }
 
 // LoadDocument shreds and registers an XML document under the given name.
