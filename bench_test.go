@@ -17,7 +17,6 @@ import (
 
 	"mxq/internal/core"
 	"mxq/internal/naive"
-	"mxq/internal/pages"
 	"mxq/internal/ralg"
 	"mxq/internal/sched"
 	"mxq/internal/scj"
@@ -270,42 +269,6 @@ func BenchmarkSerialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkUpdates regenerates the §5.2 ablation: paged insert-first vs
-// rebuilding the document (the O(N) renumbering alternative).
-func BenchmarkUpdates(b *testing.B) {
-	b.Run("paged_insert", func(b *testing.B) {
-		d := pages.FromContainer(contFor(benchFactor), 0, 0.75)
-		v := d.View("v")
-		var target int32
-		for p := int32(0); p < int32(v.Len()); p++ {
-			if v.Kind[p] == store.KindElem && v.NameOf(p) == "open_auctions" {
-				target = p
-				break
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := d.InsertFirst(target, "note", "x"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full_renumber", func(b *testing.B) {
-		cont := contFor(benchFactor)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var sb strings.Builder
-			if err := store.Serialize(&sb, cont, 0); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := store.Shred("x", strings.NewReader(sb.String()), false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSkipping regenerates the Figures 1–3 micro-measurements: the

@@ -10,12 +10,13 @@
 //	xmarkbench -experiment fig16    # normalized cross-system comparison
 //	xmarkbench -experiment shred    # shredding and serialization timings
 //	xmarkbench -experiment plans    # §4.1 plan statistics (ops/joins)
-//	xmarkbench -experiment updates  # §5.2 paged updates vs full rebuild
 //	xmarkbench -experiment parallel # serial vs parallel execution + multi-client throughput
 //	xmarkbench -experiment collection # sharded multi-document collection() scaling (-collection N docs)
 //	xmarkbench -experiment sched    # global query scheduler under 4x oversubscription, differential vs serial
 //	xmarkbench -experiment mem      # per-query memory governance: accounting overhead + typed aborts
 //	xmarkbench -experiment all
+//
+// An unknown experiment name exits with status 2 and lists the valid ones.
 //
 // The -parallel flag switches every experiment's MXQ engine to parallel
 // intra-query execution (worker pool sized by -workers, default
@@ -38,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,7 +47,6 @@ import (
 
 	"mxq/internal/core"
 	"mxq/internal/naive"
-	"mxq/internal/pages"
 	"mxq/internal/ralg"
 	"mxq/internal/scj"
 	"mxq/internal/store"
@@ -57,7 +58,7 @@ var (
 	seedFlag    = flag.Int64("seed", 42, "generator seed")
 	runsFlag    = flag.Int("runs", 3, "report the best of N runs (the paper uses 5)")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-query soft time limit; slower entries print DNF")
-	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, updates, parallel, collection, sched, mem, all)")
+	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, parallel, collection, sched, mem, all)")
 
 	parallelFlag = flag.Bool("parallel", false, "run MXQ engines with intra-query parallel execution")
 	workersFlag  = flag.Int("workers", 0, "parallel worker goroutines (0 = GOMAXPROCS)")
@@ -66,27 +67,34 @@ var (
 	collectionFlag = flag.Int("collection", 8, "documents in the collection experiment's sharded corpus")
 )
 
+// experiments lists every experiment in the order -experiment all runs
+// them.
+var experiments = []struct {
+	name string
+	run  func([]float64)
+}{
+	{"table1", table1}, {"fig12", fig12}, {"fig13", fig13}, {"fig14", fig14},
+	{"fig15", fig15}, {"fig16", fig16}, {"shred", shred}, {"plans", plans},
+	{"parallel", parallel}, {"collection", collection}, {"sched", schedExp},
+	{"mem", memExp},
+}
+
 func main() {
 	flag.Parse()
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	if !slices.Contains(names, *expFlag) {
+		fmt.Fprintf(os.Stderr, "xmarkbench: unknown experiment %q (valid: %s)\n", *expFlag, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 	scales := parseScales(*scalesFlag)
-	run := func(name string, f func([]float64)) {
-		if *expFlag == name || *expFlag == "all" {
-			f(scales)
+	for _, e := range experiments {
+		if *expFlag == e.name || *expFlag == "all" {
+			e.run(scales)
 		}
 	}
-	run("table1", table1)
-	run("fig12", fig12)
-	run("fig13", fig13)
-	run("fig14", fig14)
-	run("fig15", fig15)
-	run("fig16", fig16)
-	run("shred", shred)
-	run("plans", plans)
-	run("updates", updates)
-	run("parallel", parallel)
-	run("collection", collection)
-	run("sched", schedExp)
-	run("mem", memExp)
 }
 
 func parseScales(s string) []float64 {
@@ -526,47 +534,4 @@ func plans(scales []float64) {
 	}
 	fmt.Printf("avg  %6.1f %6.1f   (paper: 86 operators, 9 joins)\n",
 		float64(totOps)/20, float64(totJoins)/20)
-}
-
-// updates benchmarks the §5.2 paged update scheme against the naive
-// alternative (full renumbering via re-shred).
-func updates(scales []float64) {
-	f := scales[len(scales)-1]
-	fmt.Printf("\n== Updates (§5.2): paged inserts vs full renumbering (%s) ==\n", mb(f))
-	cont := xmark.NewStoreContainer("auction.xml", f, *seedFlag)
-	d := pages.FromContainer(cont, 0, 0.75)
-	// locate an element to grow
-	v := d.View("v")
-	var target int32 = -1
-	for p := int32(0); p < int32(v.Len()); p++ {
-		if v.Kind[p] == store.KindElem && v.NameOf(p) == "open_auctions" {
-			target = p
-			break
-		}
-	}
-	const inserts = 100
-	start := time.Now()
-	for i := 0; i < inserts; i++ {
-		if _, err := d.InsertFirst(target, "note", "updated"); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-	}
-	paged := time.Since(start)
-	// naive alternative: rebuild the container once per insert
-	start = time.Now()
-	rebuilds := 3
-	for i := 0; i < rebuilds; i++ {
-		var sb strings.Builder
-		store.Serialize(&sb, cont, 0)
-		if _, err := store.Shred("x", strings.NewReader(sb.String()), false); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-	}
-	rebuild := time.Since(start) / time.Duration(rebuilds)
-	fmt.Printf("paged insert-first: %8.3f ms/op (pages appended: %d, tuples moved: %d)\n",
-		paged.Seconds()*1000/inserts, d.PagesAppended, d.TuplesMoved)
-	fmt.Printf("full renumbering:   %8.3f ms/op (serialize + re-shred)\n", rebuild.Seconds()*1000)
-	fmt.Printf("speedup:            %8.1fx\n", float64(rebuild)/(float64(paged)/inserts))
 }

@@ -134,8 +134,6 @@ func FromContainer(c *store.Container, ord *int64) *Node {
 		case store.KindPI:
 			b.PI(c.NameOf(pre), c.TextOf(pre))
 			return
-		case store.KindUnused:
-			return
 		}
 		end := pre + c.Size[pre]
 		for p := pre + 1; p <= end; p += c.Size[p] + 1 {

@@ -129,7 +129,7 @@ func richCtx(rng *rand.Rand, c *store.Container, iters int) Pairs {
 	for it := int32(1); it <= int32(iters); it++ {
 		seen := map[int32]bool{}
 		add := func(p int32) {
-			if p >= 0 && c.Level[p] != store.NullLevel && !seen[p] {
+			if p >= 0 && !seen[p] {
 				seen[p] = true
 				ctx.append(p, it*3) // iteration numbers need not be dense
 			}
@@ -151,21 +151,6 @@ func richCtx(rng *rand.Rand, c *store.Container, iters int) Pairs {
 	return ctx
 }
 
-// blankSubtrees turns a few random subtrees of c into unused-tuple runs
-// (the paged update scheme's deleted regions) and rebuilds the index.
-func blankSubtrees(rng *rand.Rand, c *store.Container) {
-	for k := 0; k < 4; k++ {
-		p := int32(2 + rng.Intn(c.Len()-2))
-		if c.Level[p] == store.NullLevel || c.Size[p] > 12 {
-			continue
-		}
-		for q := p; q <= p+c.Size[p]; q++ {
-			c.Kind[q], c.Level[q], c.Parent[q] = store.KindUnused, store.NullLevel, -1
-		}
-	}
-	c.BuildIndexes()
-}
-
 // shallowCopy returns a transient container whose fragments mix its own
 // elements with shallow copies of src's subtrees, so that node names
 // resolve through the RefCont indirection.
@@ -177,9 +162,7 @@ func shallowCopy(t testing.TB, rng *rand.Rand, src *store.Container) *store.Cont
 	for f := 0; f < 3; f++ {
 		b.StartElem("b")
 		for k := 0; k < 3; k++ {
-			if p := int32(1 + rng.Intn(src.Len()-1)); src.Level[p] != store.NullLevel {
-				b.CopyTree(src, p)
-			}
+			b.CopyTree(src, 1+int32(rng.Intn(src.Len()-1)))
 			b.StartElem("a")
 			b.End()
 		}
@@ -195,19 +178,15 @@ func shallowCopy(t testing.TB, rng *rand.Rand, src *store.Container) *store.Cont
 }
 
 // TestKernelsAgainstOracle runs every axis x variant x entry point over
-// random trees — plain, with unused-tuple runs, and shallow-copy
-// transient containers — with contexts of one, two and many iterations.
+// random trees — plain, and shallow-copy transient containers — with
+// contexts of one, two and many iterations.
 func TestKernelsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	tests := []Test{{Kind: TestNode}, {Kind: TestElem}, {Kind: TestElem, Name: "b"}, {Kind: TestText}}
 	for trial := 0; trial < 24; trial++ {
 		c := randomTree(rng, 120)
 		kind := "plain"
-		switch trial % 3 {
-		case 1:
-			blankSubtrees(rng, c)
-			kind = "unused"
-		case 2:
+		if trial%2 == 1 {
 			c = shallowCopy(t, rng, c)
 			kind = "shallow"
 		}

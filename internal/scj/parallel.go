@@ -356,9 +356,7 @@ func scanStretch(c *store.Container, t *nodeTest, p, stop int32, active []int32,
 			if st.touch(1) {
 				return -1
 			}
-			if c.Level[p] == store.NullLevel {
-				p += c.Size[p] // skip unused run
-			} else if t.match(c, p) {
+			if t.match(c, p) {
 				for _, it := range active {
 					em.emit(p, it)
 				}
@@ -371,14 +369,9 @@ func scanStretch(c *store.Container, t *nodeTest, p, stop int32, active []int32,
 		pre, iter := em.room()
 		from, k := p, 0
 		for end := min(stop, p+int32(len(pre))-1); p <= end; p++ {
-			if kp := kind[p]; mask>>kp&1 != 0 {
-				if id < 0 || nameID[p] == id {
-					pre[k], iter[k] = p, it
-					k++
-				}
-			} else if kp == store.KindUnused {
-				from += c.Size[p] // a skipped unused run is one touch
-				p += c.Size[p]
+			if mask>>kind[p]&1 != 0 && (id < 0 || nameID[p] == id) {
+				pre[k], iter[k] = p, it
+				k++
 			}
 		}
 		em.fill += k

@@ -243,7 +243,7 @@ type nodeTest struct {
 }
 
 var kindMasks = [...]uint8{
-	TestNode:    1<<store.KindUnused - 1, // every kind but unused
+	TestNode:    1<<(store.KindPI+1) - 1, // every node kind
 	TestElem:    1 << store.KindElem,
 	TestText:    1 << store.KindText,
 	TestComment: 1 << store.KindComment,
@@ -270,7 +270,7 @@ func compileTest(c *store.Container, t Test) nodeTest {
 	return nt
 }
 
-// match reports whether row p passes the test; unused tuples never do.
+// match reports whether row p passes the test.
 func (t *nodeTest) match(c *store.Container, p int32) bool {
 	return t.mask>>c.Kind[p]&1 != 0 && (t.id < 0 || c.NameID[p] == t.id) && (t.name == nil || t.name(p))
 }
@@ -566,9 +566,7 @@ func llFollowing(c *store.Container, ctx Pairs, t *nodeTest, em *emitter) {
 			if em.st.touch(1) {
 				return
 			}
-			if c.Level[p] == store.NullLevel {
-				p += c.Size[p]
-			} else if t.match(c, p) {
+			if t.match(c, p) {
 				for _, it := range active {
 					em.emit(p, it)
 				}
@@ -589,9 +587,7 @@ func llPreceding(c *store.Container, ctx Pairs, t *nodeTest, em *emitter) {
 			if em.st.touch(1) {
 				return
 			}
-			if c.Level[p] == store.NullLevel {
-				p += c.Size[p]
-			} else if t.match(c, p) {
+			if t.match(c, p) {
 				// iterations whose cutoff exceeds the node's end form a suffix of cuts
 				end := p + c.Size[p]
 				lo := sort.Search(len(cuts), func(i int) bool { return cuts[i].cut > end })

@@ -18,9 +18,6 @@ import (
 func naiveAxis(c *store.Container, ctx Pairs, axis Axis, test Test) Pairs {
 	match := func(p int32) bool { return naiveMatch(c, test, p) }
 	inAxis := func(v, ctx int32) bool {
-		if c.Level[v] == store.NullLevel {
-			return false
-		}
 		vEnd := v + c.Size[v]
 		cEnd := ctx + c.Size[ctx]
 		switch axis {
@@ -88,11 +85,7 @@ func naiveMatch(c *store.Container, t Test, p int32) bool {
 		TestElem: store.KindElem, TestText: store.KindText, TestComment: store.KindComment,
 		TestPI: store.KindPI, TestDoc: store.KindDoc,
 	}
-	k := c.Kind[p]
-	if k == store.KindUnused || c.Level[p] == store.NullLevel {
-		return false
-	}
-	if wk, ok := want[t.Kind]; ok && k != wk {
+	if wk, ok := want[t.Kind]; ok && c.Kind[p] != wk {
 		return false
 	}
 	named := t.Name != "" && (t.Kind == TestElem || t.Kind == TestPI)
@@ -353,30 +346,6 @@ func TestPruningCounter(t *testing.T) {
 		Descendant, Test{Kind: TestNode}, LoopLifted, &st)
 	if st.Pruned != 0 {
 		t.Errorf("cross-iteration contexts: pruned = %d, want 0", st.Pruned)
-	}
-}
-
-// TestUnusedTuples verifies all axes skip unused tuples (paged update
-// scheme) — build a container with blanked regions by hand.
-func TestUnusedTuples(t *testing.T) {
-	c := shred(t, paperDoc)
-	// blank out <d/> (pre 4): becomes an unused tuple
-	c.Kind[4] = store.KindUnused
-	c.Level[4] = store.NullLevel
-	c.Parent[4] = -1
-	for _, axis := range allAxes {
-		ctx := Pairs{Pre: []int32{3}, Iter: []int32{1}} // <c>
-		got := Step(c, ctx, axis, Test{Kind: TestNode}, LoopLifted, nil)
-		for i := range got.Pre {
-			if got.Pre[i] == 4 {
-				t.Errorf("%v returned unused tuple", axis)
-			}
-		}
-		want := naiveAxis(c, ctx, axis, Test{Kind: TestNode})
-		if !pairsEqual(got, want) {
-			t.Errorf("%v with unused tuple:\n got %s\nwant %s", axis,
-				pairsString(got), pairsString(want))
-		}
 	}
 }
 

@@ -182,7 +182,8 @@ func (b *Builder) Reserve(n int) {
 // grows once and is filled in a loop of its own: size and kind copies,
 // frag, name, value and attribute offset constants, level and parent the
 // source's plus a delta, the indirection the source's own (chains stay
-// one hop deep) or (src, pre..pre+size).
+// one hop deep) or (src, pre..pre+size). Every row of src is a node (the
+// invariant Validate checks), so every copied row is one too.
 func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 	c := b.c
 	rows := int(src.Size[pre]) + 1
@@ -217,15 +218,6 @@ func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 		c.RefPre = extend(c.RefPre, rows)
 		for i := range rows {
 			c.RefPre[int(base)+i] = pre + int32(i)
-		}
-	}
-	// unused rows (the slack of the paged update scheme, §5.2) stay
-	// unused, self-referencing rows; a source without any skips the pass
-	if slices.Contains(src.Level[lo:hi], NullLevel) {
-		for i := lo; i < hi; i++ {
-			if p := base + int32(i-lo); src.Level[i] == NullLevel {
-				c.Kind[p], c.Level[p], c.Parent[p], c.RefCont[p], c.RefPre[p] = KindUnused, NullLevel, -1, c.ID, p
-			}
 		}
 	}
 	return base

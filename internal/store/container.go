@@ -33,7 +33,6 @@ const (
 	KindText                    // text node
 	KindComment                 // comment node
 	KindPI                      // processing instruction
-	KindUnused                  // unused tuple on a logical page (level is NULL)
 )
 
 func (k NodeKind) String() string {
@@ -48,26 +47,21 @@ func (k NodeKind) String() string {
 		return "comment"
 	case KindPI:
 		return "processing-instruction"
-	case KindUnused:
-		return "unused"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// NullLevel is the level value of unused tuples (the relational NULL of the
-// paged update scheme, §5.2).
-const NullLevel int32 = -1
-
 // Container is the relational encoding of a set of XML tree fragments: the
 // pre|size|level backbone plus property containers. All slices are indexed
-// by preorder rank.
+// by preorder rank, and every row is a node: the encoding has no unused
+// tuples (Validate checks it).
 type Container struct {
 	ID   int32  // container id within its Pool
 	Name string // document name ("" for transient containers)
 
 	// Structural backbone.
 	Size   []int32    // number of nodes in the subtree below each node
-	Level  []int32    // depth below the fragment root; NullLevel marks unused tuples
+	Level  []int32    // depth below the fragment root, >= 0
 	Kind   []NodeKind // node kind
 	Parent []int32    // parent pre; -1 for fragment roots
 	Frag   []int32    // pre of the fragment root each node belongs to
@@ -210,22 +204,6 @@ func (c *Container) Post(pre int32) int32 {
 	return pre + c.Size[pre] - c.Level[pre]
 }
 
-// RebuildAttrIndex recomputes the attrStart offsets from the AttrOwner
-// column (which must be grouped by owner in ascending pre order). Callers
-// that assemble the attribute table directly — such as the paged update
-// scheme's view materialization — use this instead of the Builder.
-func (c *Container) RebuildAttrIndex() {
-	n := c.Len()
-	c.attrStart = make([]int32, n+1)
-	a := 0
-	for p := 0; p <= n; p++ {
-		for a < len(c.AttrOwner) && c.AttrOwner[a] < int32(p) {
-			a++
-		}
-		c.attrStart[p] = int32(a)
-	}
-}
-
 // BuildIndexes constructs the element-name posting lists used by the
 // candidate-list ("nametest pushdown") variants of staircase join. The
 // lists hold pres in ascending (document) order.
@@ -261,21 +239,18 @@ func (c *Container) ElemIndex(name string) ([]int32, bool) {
 // FragRoots returns the pres of all fragment roots in the container.
 func (c *Container) FragRoots() []int32 {
 	var roots []int32
-	p := int32(0)
-	for p < int32(c.Len()) {
-		if c.Level[p] == NullLevel {
-			p += c.Size[p] + 1
-			continue
-		}
+	for p := int32(0); p < int32(c.Len()); p += c.Size[p] + 1 {
 		roots = append(roots, p)
-		p += c.Size[p] + 1
 	}
 	return roots
 }
 
-// Validate checks the well-formedness invariants of the pre|size|level
-// encoding and the property containers. It is used by tests and by the
-// paged update scheme after structural updates.
+// Validate checks the invariants of the pre|size|level encoding and the
+// property containers: every row is a node (level >= 0, a kind from
+// KindDoc to KindPI), and the children of every node tile its region
+// exactly — each starts where its previous sibling's region ends, and the
+// last ends where the parent's does. Tests call it on shredded, generated,
+// copied and sharded containers.
 func (c *Container) Validate() error {
 	n := int32(c.Len())
 	if len(c.Level) != int(n) || len(c.Kind) != int(n) || len(c.Parent) != int(n) ||
@@ -285,33 +260,26 @@ func (c *Container) Validate() error {
 	if len(c.attrStart) != int(n)+1 {
 		return fmt.Errorf("store: attrStart has %d entries, want %d", len(c.attrStart), n+1)
 	}
-	for p := int32(0); p < n; p++ {
-		if c.Size[p] < 0 {
-			return fmt.Errorf("store: node %d has negative size", p)
-		}
-		if c.Level[p] == NullLevel {
-			continue
+	// backwards, so every row a region walk steps over is already checked
+	for p := n - 1; p >= 0; p-- {
+		if c.Size[p] < 0 || c.Level[p] < 0 || c.Kind[p] > KindPI {
+			return fmt.Errorf("store: row %d (size %d, level %d, %v) is not a node", p, c.Size[p], c.Level[p], c.Kind[p])
 		}
 		end := p + c.Size[p]
 		if end >= n {
 			return fmt.Errorf("store: node %d subtree end %d out of range", p, end)
 		}
-		// real children must nest inside the region; unused runs may
-		// extend past the region end (skip loops are bounded by eos)
 		q := p + 1
-		for q <= end {
-			if c.Level[q] != NullLevel {
-				if c.Parent[q] != p {
-					return fmt.Errorf("store: node %d inside region of %d has parent %d", q, p, c.Parent[q])
-				}
-				if c.Level[q] != c.Level[p]+1 {
-					return fmt.Errorf("store: child %d of %d has level %d, want %d", q, p, c.Level[q], c.Level[p]+1)
-				}
-				if q+c.Size[q] > end {
-					return fmt.Errorf("store: child %d of %d overruns region end %d", q, p, end)
-				}
+		for ; q <= end; q += c.Size[q] + 1 {
+			if c.Parent[q] != p {
+				return fmt.Errorf("store: node %d inside region of %d has parent %d", q, p, c.Parent[q])
 			}
-			q += c.Size[q] + 1
+			if c.Level[q] != c.Level[p]+1 {
+				return fmt.Errorf("store: child %d of %d has level %d, want %d", q, p, c.Level[q], c.Level[p]+1)
+			}
+		}
+		if q != end+1 {
+			return fmt.Errorf("store: children of %d overrun its region end %d", p, end)
 		}
 	}
 	if !sort.SliceIsSorted(c.AttrOwner, func(i, j int) bool { return c.AttrOwner[i] < c.AttrOwner[j] }) {

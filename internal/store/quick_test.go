@@ -184,14 +184,6 @@ func copyTreeRef(b *Builder, src *Container, pre int32) int32 {
 		c.NameID = append(c.NameID, -1)
 		c.Value = append(c.Value, -1)
 		c.attrStart = append(c.attrStart, int32(len(c.AttrOwner)))
-		if src.Level[p] == NullLevel {
-			c.Level = append(c.Level, NullLevel)
-			c.Kind = append(c.Kind, KindUnused)
-			c.Parent = append(c.Parent, -1)
-			c.RefCont = append(c.RefCont, c.ID)
-			c.RefPre = append(c.RefPre, base+(p-pre))
-			continue
-		}
 		c.Level = append(c.Level, baseLevel+src.Level[p]-src.Level[pre])
 		c.Kind = append(c.Kind, src.Kind[p])
 		if p == pre {
@@ -213,27 +205,14 @@ func copyTreeRef(b *Builder, src *Container, pre int32) int32 {
 // constructor events — elements opened and closed, text, attributes,
 // subtrees copied at top level and under open elements — fed to the
 // reference loop and to CopyTree (with and without a Reserve up front)
-// yields identical containers, for plain sources (no NullLevel row:
-// CopyTree skips its fix-up pass), sources with unused tuples, single
-// and in runs, and sources that are themselves shallow copies.
+// yields identical containers, for plain sources and sources that are
+// themselves shallow copies.
 func TestQuickCopyTreeMatchesPerRowLoop(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		pool := NewPool()
 		plain := buildRandom(seed, 60)
-		holes := buildRandom(seed+1, 60)
 		pool.Register(plain)
-		pool.Register(holes)
-		for p := int32(2); p < int32(holes.Len()); p++ { // unused leaves, and runs of them under one skip size
-			if holes.Size[p] == 0 && rng.Intn(3) == 0 {
-				holes.Level[p], holes.Kind[p] = NullLevel, KindUnused
-				for q := p + 1; q < int32(holes.Len()) && holes.Size[q] == 0 && rng.Intn(2) == 0; q++ {
-					holes.Level[q], holes.Kind[q] = NullLevel, KindUnused
-					holes.Size[p]++
-				}
-				p += holes.Size[p]
-			}
-		}
 		indirect := NewContainer("") // a source with RefCont: copies of plain plus own rows
 		pool.Register(indirect)
 		ib := NewContainerBuilder(indirect)
@@ -241,7 +220,7 @@ func TestQuickCopyTreeMatchesPerRowLoop(t *testing.T) {
 		ib.Text("t")
 		ib.CopyTree(plain, 1)
 		ib.End()
-		sources := []*Container{plain, holes, indirect}
+		sources := []*Container{plain, indirect}
 
 		var dsts [3]*Container
 		var bs [3]*Builder

@@ -167,24 +167,21 @@ func (s *Serializer) Node(c *Container, pre int32) {
 	case KindPI:
 		s.buf = append(append(append(s.buf, '<', '?'), c.NameOf(pre)...), ' ')
 		s.buf = append(append(s.buf, c.TextOf(pre)...), '?', '>')
-	case KindUnused:
-		// skipped
 	}
 }
 
 // children writes the children of pre, open ahead of the first, and
-// reports whether there was one (a region may hold only unused slack).
-func (s *Serializer) children(c *Container, pre int32, open string) (any bool) {
+// reports whether there was one.
+func (s *Serializer) children(c *Container, pre int32, open string) bool {
 	end := pre + c.Size[pre]
-	for p := pre + 1; p <= end; p += c.Size[p] + 1 {
-		if c.Level[p] != NullLevel {
-			if !any {
-				s.buf, any = append(s.buf, open...), true
-			}
-			s.Node(c, p)
-		}
+	if end == pre {
+		return false
 	}
-	return any
+	s.buf = append(s.buf, open...)
+	for p := pre + 1; p <= end; p += c.Size[p] + 1 {
+		s.Node(c, p)
+	}
+	return true
 }
 
 // escape appends str with & and < replaced by their entities, and the

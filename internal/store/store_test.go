@@ -56,6 +56,30 @@ func TestShredPaperEncoding(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonNodes: every row must be a node and every node's
+// children must tile its region; a hand-broken paper document fails each
+// way.
+func TestValidateRejectsNonNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(c *Container)
+		want  string
+	}{
+		{"negative level", func(c *Container) { c.Level[4], c.Parent[4] = -1, -1 }, "row 4 "},
+		{"child overruns parent", func(c *Container) { c.Size[2] = 2 }, "children of 2 overrun"},
+		{"kind out of range", func(c *Container) { c.Kind[4] = KindPI + 1 }, "row 4 "},
+	} {
+		c := shredPaperDoc(t)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: intact document: %v", tc.name, err)
+		}
+		tc.spoil(c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	docs := []string{
 		paperDoc,

@@ -5,8 +5,7 @@
 // compiled by loop-lifting into relational algebra over iter|pos|item
 // tables, a property-driven peephole optimizer rewrites the plans, and a
 // columnar relational engine executes them. XPath location steps run as
-// loop-lifted staircase joins; structural XML updates use the paged,
-// append-only rid|size|level scheme.
+// loop-lifted staircase joins.
 //
 // The serving API is statement-centric: Prepare compiles a query once
 // into an immutable plan, and the resulting Stmt is executed any number
@@ -42,11 +41,9 @@ import (
 
 	"mxq/internal/core"
 	"mxq/internal/optcheck"
-	"mxq/internal/pages"
 	"mxq/internal/ralg"
 	"mxq/internal/sched"
 	"mxq/internal/scj"
-	"mxq/internal/store"
 	"mxq/internal/xmark"
 	"mxq/internal/xqt"
 )
@@ -333,55 +330,3 @@ func (db *DB) RewriteCoverage(q string) (string, error) {
 
 // Engine exposes the underlying engine for benchmarks and tools.
 func (db *DB) Engine() *core.Engine { return db.eng }
-
-// UpdatableDoc is a document stored in the paged rid|size|level layout of
-// §5.2, supporting structural and value updates without global
-// renumbering. Obtain a queryable snapshot with Snapshot.
-type UpdatableDoc struct {
-	name string
-	doc  *pages.Doc
-}
-
-// LoadUpdatable shreds a document into the paged update layout. fill is
-// the used fraction of each logical page (0 picks the default 0.75);
-// pageBits selects the page size in tuples (0 picks the default 128).
-func LoadUpdatable(name string, r io.Reader, pageBits uint, fill float64) (*UpdatableDoc, error) {
-	c, err := store.Shred(name, r, false)
-	if err != nil {
-		return nil, err
-	}
-	return &UpdatableDoc{name: name, doc: pages.FromContainer(c, pageBits, fill)}, nil
-}
-
-// Doc exposes the underlying paged document.
-func (u *UpdatableDoc) Doc() *pages.Doc { return u.doc }
-
-// InsertFirst inserts a new element (optionally with text content) as the
-// first child of the node at pre, returning the new node's pre.
-func (u *UpdatableDoc) InsertFirst(pre int32, elem, text string) (int32, error) {
-	return u.doc.InsertFirst(pre, elem, text)
-}
-
-// InsertAfter inserts a new element as the following sibling of pre.
-func (u *UpdatableDoc) InsertAfter(pre int32, elem, text string) (int32, error) {
-	return u.doc.InsertAfter(pre, elem, text)
-}
-
-// Delete removes the subtree at pre (tuples become unused in place).
-func (u *UpdatableDoc) Delete(pre int32) error { return u.doc.Delete(pre) }
-
-// ReplaceText replaces a text node's content (a value update).
-func (u *UpdatableDoc) ReplaceText(pre int32, s string) error { return u.doc.ReplaceText(pre, s) }
-
-// SetAttr sets or adds an attribute on an element.
-func (u *UpdatableDoc) SetAttr(pre int32, name, val string) error {
-	return u.doc.SetAttr(pre, name, val)
-}
-
-// Snapshot materializes the current pre|size|level view into a fresh DB
-// for querying.
-func (u *UpdatableDoc) Snapshot() *DB {
-	db := Open()
-	db.eng.LoadContainer(u.name, u.doc.View(u.name))
-	return db
-}

@@ -84,62 +84,6 @@ func TestLoadXMarkAndDocFunction(t *testing.T) {
 	}
 }
 
-func TestUpdatableAPI(t *testing.T) {
-	u, err := LoadUpdatable("d.xml", strings.NewReader(`<a><b>x</b></a>`), 4, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := u.Snapshot()
-	res, err := db.Query(`/a`)
-	if err != nil || res.Len() != 1 {
-		t.Fatalf("query: %v", err)
-	}
-	root := int32(res.Items()[0].I)
-	pre, err := u.InsertFirst(root, "c", "new")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u.InsertAfter(pre, "d", ""); err != nil {
-		t.Fatal(err)
-	}
-	out, err := u.Snapshot().QueryString(`/a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `<a><c>new</c><d/><b>x</b></a>`; out != want {
-		t.Errorf("after updates: %s, want %s", out, want)
-	}
-	if err := u.SetAttr(root, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	res, err = u.Snapshot().Query(`//b`)
-	if err != nil || res.Len() != 1 {
-		t.Fatal("b lookup")
-	}
-	if err := u.Delete(int32(res.Items()[0].I)); err != nil {
-		t.Fatal(err)
-	}
-	out, err = u.Snapshot().QueryString(`/a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `<a k="v"><c>new</c><d/></a>`; out != want {
-		t.Errorf("after delete: %s, want %s", out, want)
-	}
-	// replace the text node under c
-	res, err = u.Snapshot().Query(`//c/text()`)
-	if err != nil || res.Len() != 1 {
-		t.Fatal("text lookup")
-	}
-	if err := u.ReplaceText(int32(res.Items()[0].I), "newer"); err != nil {
-		t.Fatal(err)
-	}
-	out, _ = u.Snapshot().QueryString(`string(//c)`)
-	if out != "newer" {
-		t.Errorf("ReplaceText: %s", out)
-	}
-}
-
 func TestQueryErrorsSurface(t *testing.T) {
 	db := Open()
 	if err := db.LoadDocumentString("books.xml", bookDoc); err != nil {
