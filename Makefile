@@ -74,9 +74,9 @@ bench:
 
 # bench-smoke runs the serving-path benchmarks once: prepared
 # statements (Prepare once, bind+execute per call) and the
-# oversubscribed-scheduler family (4×GOMAXPROCS concurrent executions,
-# free-spawning vs the shared slot pool). A fast CI gate that records
-# the sched numbers per run.
+# oversubscribed scheduler (4×GOMAXPROCS concurrent executions on one
+# shared slot pool). A fast CI gate that records the sched numbers per
+# run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Prepared|SchedOversubscribed' -benchtime 1x .
 

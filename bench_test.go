@@ -208,37 +208,27 @@ func BenchmarkPrepared(b *testing.B) {
 
 // BenchmarkSchedOversubscribed measures the global query scheduler
 // under 4× oversubscription: 4×GOMAXPROCS goroutines execute the same
-// prepared statement against a parallel engine, once free-spawning
-// (every execution builds its own worker set) and once under a shared
-// scheduler (bounded slot pool, cost-derived budgets). The delta is
-// the scheduling overhead; the point is that the scheduled run keeps
-// live workers bounded by the pool size instead of clients×workers
-// (`make bench-smoke` runs this family once in CI).
+// prepared statement against a parallel engine under a shared
+// scheduler (bounded slot pool, cost-derived budgets), so the figure is
+// the scheduled path's cost per execution (`make bench-smoke` runs it
+// once in CI).
 func BenchmarkSchedOversubscribed(b *testing.B) {
-	run := func(b *testing.B, eng *core.Engine) {
-		p, err := eng.Prepare(xmark.Query(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.SetParallelism(4) // 4× GOMAXPROCS concurrent executions
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := p.Execute(nil); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
+	cfg := core.ParallelConfig()
+	cfg.Scheduler = sched.New(sched.Config{})
+	p, err := engineWith(cfg, benchFactor).Prepare(xmark.Query(1))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("free", func(b *testing.B) {
-		run(b, engineWith(core.ParallelConfig(), benchFactor))
-	})
-	b.Run("scheduled", func(b *testing.B) {
-		cfg := core.ParallelConfig()
-		cfg.Scheduler = sched.New(sched.Config{})
-		run(b, engineWith(cfg, benchFactor))
+	b.ReportAllocs()
+	b.SetParallelism(4) // 4× GOMAXPROCS concurrent executions
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := p.Execute(nil); err != nil {
+				b.Error(err)
+				return
+			}
+		}
 	})
 }
 

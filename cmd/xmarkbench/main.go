@@ -12,7 +12,6 @@
 //	xmarkbench -experiment plans    # §4.1 plan statistics (ops/joins)
 //	xmarkbench -experiment parallel # serial vs parallel execution + multi-client throughput
 //	xmarkbench -experiment collection # sharded multi-document collection() scaling (-collection N docs)
-//	xmarkbench -experiment sched    # global query scheduler under 4x oversubscription, differential vs serial
 //	xmarkbench -experiment mem      # per-query memory governance: accounting overhead + typed aborts
 //	xmarkbench -experiment all
 //
@@ -58,7 +57,7 @@ var (
 	seedFlag    = flag.Int64("seed", 42, "generator seed")
 	runsFlag    = flag.Int("runs", 3, "report the best of N runs (the paper uses 5)")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-query soft time limit; slower entries print DNF")
-	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, parallel, collection, sched, mem, all)")
+	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, parallel, collection, mem, all)")
 
 	parallelFlag = flag.Bool("parallel", false, "run MXQ engines with intra-query parallel execution")
 	workersFlag  = flag.Int("workers", 0, "parallel worker goroutines (0 = GOMAXPROCS)")
@@ -75,8 +74,7 @@ var experiments = []struct {
 }{
 	{"table1", table1}, {"fig12", fig12}, {"fig13", fig13}, {"fig14", fig14},
 	{"fig15", fig15}, {"fig16", fig16}, {"shred", shred}, {"plans", plans},
-	{"parallel", parallel}, {"collection", collection}, {"sched", schedExp},
-	{"mem", memExp},
+	{"parallel", parallel}, {"collection", collection}, {"mem", memExp},
 }
 
 func main() {
@@ -152,10 +150,16 @@ func engineFor(cfg core.Config, cont *store.Container) *core.Engine {
 	return e
 }
 
+// cheapMix is the XMark query mix of the parallel experiment's
+// multi-client throughput run: cheap queries, so the run measures
+// concurrency overhead rather than a single heavy plan.
+var cheapMix = []int{1, 2, 5, 6, 13, 15, 17, 20}
+
 // parallel measures intra-query parallelism (serial vs parallel per
 // XMark query, with speedups, at every requested scale) and
 // multi-client throughput on one shared engine — the two scaling axes
-// the parallel subsystem adds.
+// the parallel subsystem adds. The parallel engine has no scheduler, so
+// its concurrent clients share its own -workers slot pool.
 func parallel(scales []float64) {
 	workers := *workersFlag
 	if workers <= 0 {

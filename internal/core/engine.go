@@ -12,18 +12,21 @@
 // and every execution takes a cheap pool snapshot plus a fresh
 // transient container, so concurrent queries — and concurrent document
 // loads — never share mutable state. Compiled queries are immutable
-// after optimization and cached in a lock-protected LRU keyed by
-// (compiler options, query text); the context document and the external
-// variable bindings of a prepared query are execution-time plan inputs,
-// so any number of in-flight executions — of one Prepared handle or of
-// independent queries — may share the same cached plan. Result node
-// items stay valid for the lifetime of the Result (they pin the
-// snapshot), even across later loads and queries.
+// after optimization and cached in a lock-protected LRU keyed by the
+// query text (the cache is per engine, and an engine's Config is fixed
+// at New); the context document and the external variable bindings of
+// a prepared query are execution-time plan inputs, so any number of
+// in-flight executions — of one Prepared handle or of independent
+// queries — may share the same cached plan. Result node items stay
+// valid for the lifetime of the Result (they pin the snapshot), even
+// across later loads and queries.
 //
 // Intra-query parallelism (Config.Parallel) partitions the hot operators
-// of one plan across a bounded goroutine pool; it composes freely with
-// inter-query concurrency because each executor owns its intermediate
-// state.
+// of one plan across worker goroutines drawn from one bounded slot pool
+// — the scheduler's, or else the engine's own — so it composes with
+// inter-query concurrency: each executor owns its intermediate state,
+// and concurrent executions share the pool's slots instead of each
+// forking its own workers.
 package core
 
 import (
@@ -60,12 +63,13 @@ type Config struct {
 	// Parallel enables intra-query parallel operator execution: the hot
 	// per-iter operators (staircase-join steps, row numbering,
 	// aggregation, selection, row-wise functions, hash join build/probe)
-	// partition their inputs across a bounded goroutine pool. Output is
-	// byte-identical to serial execution, which remains the
-	// differential-testing oracle.
+	// partition their inputs across worker goroutines drawn from a
+	// bounded slot pool. Output is byte-identical to serial execution,
+	// which remains the differential-testing oracle.
 	Parallel bool
-	// Workers bounds the parallel goroutine pool; 0 means
-	// runtime.GOMAXPROCS(0).
+	// Workers bounds one execution's workers; without a Scheduler it is
+	// also the size of the engine's own slot pool, shared by all its
+	// executions. 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// ParallelThreshold is the minimum operator input size to go
 	// parallel; 0 means ralg.DefaultParThreshold.
@@ -77,8 +81,8 @@ type Config struct {
 	// budget, so N concurrent queries never claim N×Workers goroutines.
 	// One scheduler may be shared by several engines; its grants also
 	// carry each execution's memory budget (sched.Config.MemPerQuery).
-	// Nil keeps the unscheduled behavior: executions run immediately,
-	// with a private Workers-sized pool each and no memory budget.
+	// Without one, executions run immediately, with no memory budget,
+	// and draw their workers from the engine's own Workers-slot pool.
 	Scheduler *sched.Scheduler
 }
 
@@ -101,8 +105,8 @@ func ParallelConfig() Config {
 // safe for concurrent use; see the package documentation for the
 // concurrency model.
 type Engine struct {
-	cfg     Config
-	optsKey string // compiler-options fingerprint prefixed to cache keys
+	cfg Config
+	par ralg.ParOptions // every execution's; a grant replaces Slots
 
 	mu         sync.RWMutex // guards pool registration and defaultDoc
 	pool       *store.Pool
@@ -128,8 +132,8 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	return &Engine{
 		cfg:           cfg,
+		par:           parOptions(cfg),
 		pool:          store.NewPool(),
-		optsKey:       optionsKey(cfg),
 		cache:         newPlanCache(),
 		verify:        envSwitch("MXQ_VERIFY_PLANS"),
 		checkRewrites: envSwitch("MXQ_CHECK_REWRITES"),
@@ -149,15 +153,6 @@ func envSwitch(name string) bool {
 	return on || err != nil
 }
 
-// optionsKey fingerprints the configuration knobs that change compiled
-// plans; together with the query text it forms the plan cache key.
-func optionsKey(cfg Config) string {
-	return fmt.Sprintf("j%t:c%d:d%d:n%t:o%t",
-		cfg.Compiler.JoinRecognition, cfg.Compiler.ChildVariant,
-		cfg.Compiler.DescVariant, cfg.Compiler.NametestPushdown,
-		cfg.OrderAware)
-}
-
 // Pool exposes the container pool (used by benchmarks and tests).
 // Callers must not register containers directly while queries are in
 // flight; use LoadContainer.
@@ -168,17 +163,21 @@ func (e *Engine) Pool() *store.Pool { return e.pool }
 func (e *Engine) Scheduler() *sched.Scheduler { return e.cfg.Scheduler }
 
 // parOptions resolves the configured parallelism knobs against the
-// ralg defaults.
-func (e *Engine) parOptions() ralg.ParOptions {
-	if !e.cfg.Parallel {
+// ralg defaults; an unscheduled parallel engine gets its own pool of
+// Workers slots.
+func parOptions(cfg Config) ralg.ParOptions {
+	if !cfg.Parallel {
 		return ralg.ParOptions{}
 	}
 	p := ralg.DefaultParOptions()
-	if e.cfg.Workers > 0 {
-		p.Workers = e.cfg.Workers
+	if cfg.Workers > 0 {
+		p.Workers = cfg.Workers
 	}
-	if e.cfg.ParallelThreshold > 0 {
-		p.Threshold = e.cfg.ParallelThreshold
+	if cfg.ParallelThreshold > 0 {
+		p.Threshold = cfg.ParallelThreshold
+	}
+	if cfg.Scheduler == nil && p.Workers > 1 {
+		p.Slots = sched.NewPool(p.Workers)
 	}
 	return p
 }
@@ -331,10 +330,9 @@ func (e *Engine) Compile(q string) (ralg.Plan, error) {
 // compile is the single compile path of the engine: Prepare, Query and
 // QueryString all go through it. The result — main plan plus the
 // prolog parameter plans — is independent of the context document and
-// of any bindings, so it is cached per (compiler options, query text).
+// of any bindings, so it is cached per query text.
 func (e *Engine) compile(q string) (*compiled, error) {
-	key := e.optsKey + "\x00" + q
-	if p, ok := e.cache.get(key); ok {
+	if p, ok := e.cache.get(q); ok {
 		return p, nil
 	}
 	cq, err := e.parseCompile(q)
@@ -358,7 +356,7 @@ func (e *Engine) compile(q string) (*compiled, error) {
 	}
 	st := &compiled{Compiled: cq}
 	st.ops, st.joins = ralg.CountOps(cq.Plan)
-	e.cache.put(key, st)
+	e.cache.put(q, st)
 	return st, nil
 }
 

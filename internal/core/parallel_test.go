@@ -126,8 +126,8 @@ func TestPlanCacheLRU(t *testing.T) {
 }
 
 // TestContextDocumentIsExecutionInput is the regression test for the
-// stale-context-document cache hazard: the plan cache is keyed by
-// (compiler options, query text) only, and the context document is
+// stale-context-document cache hazard: the plan cache is keyed by the
+// query text only, and the context document is
 // resolved at execution time through the plan's ContextRoot leaf. The
 // same cached entry must therefore serve both context documents — one
 // plan, two answers — and flipping back must not recompile either.

@@ -13,13 +13,13 @@ import (
 const DefaultPlanCacheSize = 256
 
 // planCache is a concurrency-safe LRU cache of compiled queries, keyed
-// by (compiler options, query text). The context document and the
-// external variable bindings are execution-time inputs of the plan
-// (ContextRoot/ParamTable leaves), not part of the key — one cached
-// entry serves every context document and every binding set. Compiled
-// queries are immutable after optimization, so one cached entry may be
-// executed by any number of concurrent queries; each execution keeps
-// its own memo table and transient container.
+// by query text. The context document and the external variable
+// bindings are execution-time inputs of the plan (ContextRoot/ParamTable
+// leaves), not part of the key — one cached entry serves every context
+// document and every binding set. Compiled queries are immutable after
+// optimization, so one cached entry may be executed by any number of
+// concurrent queries; each execution keeps its own memo table and
+// transient container.
 type planCache struct {
 	hits   atomic.Int64
 	misses atomic.Int64

@@ -99,7 +99,8 @@ func (p *Prepared) Execute(b Bindings) (*Result, error) {
 // that grant's budget governs and no second admission happens. The
 // granted budget caps the execution's parallel workers, and the
 // fork-join regions draw their goroutines from the scheduler's shared
-// slot pool.
+// slot pool. Without a grant they draw on the engine's own pool, which
+// every execution of the engine shares.
 func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result, err error) {
 	// The executor trusts its plans: a malformed plan (or an executor
 	// bug) panics rather than corrupting results. Contain such panics
@@ -158,7 +159,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	// path — result, error, cancellation, budget abort, contained panic.
 	// Nothing below may hand out a table: the result is copied off first.
 	defer ex.Release()
-	ex.Par = e.parOptions()
+	ex.Par = e.par
 	if grant != nil && ex.Par.Workers > 1 {
 		if b := grant.Budget(); b < ex.Par.Workers {
 			ex.Par.Workers = b

@@ -12,113 +12,137 @@ import (
 	"mxq/internal/xmark"
 )
 
-// TestSchedOversubscribedDifferential is the scheduler stress test: 4×
-// more concurrent executions than execution slots, all drawing workers
-// from one shared pool. Every execution must complete (no starvation),
-// every result must be byte-identical to serial execution, worker
-// goroutines across all executions must stay bounded by the configured
-// pool size, and the scheduler must drain back to idle. Run under
-// -race this doubles as the data-race check on the grant/slot-pool
-// path.
+// TestSchedOversubscribedDifferential is the worker-bound stress test:
+// 4× more concurrent executions than execution slots, on a scheduled
+// engine (all drawing workers from the scheduler's pool) and on an
+// unscheduled one with Workers set (all drawing from the engine's own
+// pool). Every execution must complete (no starvation), every result
+// must be byte-identical to serial execution, the pool's high-water
+// mark must stay within its size, worker goroutines across all
+// executions must stay bounded by it, and everything must drain back to
+// idle. Run under -race this doubles as the data-race check on the
+// slot-pool path.
 func TestSchedOversubscribedDifferential(t *testing.T) {
 	const poolWorkers = 4
 	const maxConcurrent = 4
 	const clients = 4 * maxConcurrent
+	const rounds = 3
 
 	cont := xmark.NewStoreContainer("auction.xml", 0.005, 42)
 	serial := New(DefaultConfig())
 	serial.LoadContainer("auction.xml", cont)
-
-	s := sched.New(sched.Config{
-		Workers:       poolWorkers,
-		MaxConcurrent: maxConcurrent,
-		MaxQueue:      2 * clients, // every client may queue; none sheds
-		RowsPerWorker: 1,           // let plan complexity alone pick the width
-	})
-	cfg := parallelTestConfig()
-	cfg.Scheduler = s
-	eng := New(cfg)
-	eng.LoadContainer("auction.xml", cont)
-
 	queries := []string{xmark.Query(1), xmark.Query(5), xmark.Query(13), xmark.Query(20), `count(//item)`}
 	want := make([]string, len(queries))
-	stmts := make([]*Prepared, len(queries))
 	for i, q := range queries {
 		w, err := serial.QueryString(q)
 		if err != nil {
 			t.Fatalf("serial %q: %v", q, err)
 		}
 		want[i] = w
-		p, err := eng.Prepare(q)
-		if err != nil {
-			t.Fatalf("prepare %q: %v", q, err)
+	}
+
+	// storm runs the clients against eng and samples the process
+	// goroutine count meanwhile: with every spawned worker holding a pool
+	// slot, it stays around clients (launchers) + poolWorkers over the
+	// baseline, never clients×Workers.
+	storm := func(t *testing.T, eng *Engine) {
+		eng.LoadContainer("auction.xml", cont)
+		stmts := make([]*Prepared, len(queries))
+		for i, q := range queries {
+			p, err := eng.Prepare(q)
+			if err != nil {
+				t.Fatalf("prepare %q: %v", q, err)
+			}
+			stmts[i] = p
 		}
-		stmts[i] = p
-	}
-
-	// Sample the process goroutine count while the storm runs: with
-	// every spawned worker holding a pool slot, the total stays around
-	// clients (launchers) + poolWorkers, never clients×GOMAXPROCS.
-	before := runtime.NumGoroutine()
-	stop := make(chan struct{})
-	maxGoroutines := make(chan int, 1)
-	go func() {
-		peak := 0
-		for {
-			select {
-			case <-stop:
-				maxGoroutines <- peak
-				return
-			default:
+		before := runtime.NumGoroutine()
+		stop := make(chan struct{})
+		maxGoroutines := make(chan int, 1)
+		go func() {
+			peak := 0
+			for {
+				select {
+				case <-stop:
+					maxGoroutines <- peak
+					return
+				default:
+				}
+				if n := runtime.NumGoroutine(); n > peak {
+					peak = n
+				}
+				time.Sleep(time.Millisecond)
 			}
-			if n := runtime.NumGoroutine(); n > peak {
-				peak = n
-			}
-			time.Sleep(time.Millisecond)
+		}()
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					i := (c + r) % len(queries)
+					res, err := stmts[i].ExecuteContext(context.Background(), nil)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got := res.String(); got != want[i] {
+						errs <- errors.New("result differs from serial for " + queries[i])
+						return
+					}
+				}
+			}(c)
 		}
-	}()
-
-	const rounds = 3
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				i := (c + r) % len(queries)
-				res, err := stmts[i].ExecuteContext(context.Background(), nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got := res.String(); got != want[i] {
-					errs <- errors.New("scheduled result differs from serial for " + queries[i])
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(stop)
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+		wg.Wait()
+		close(stop)
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if peak := <-maxGoroutines - before; peak > clients+poolWorkers+8 {
+			t.Errorf("goroutine peak %d over the baseline: workers are not drawing from one pool", peak)
+		}
 	}
 
-	st := s.Stats()
-	if st.MaxSlotsInUse > poolWorkers {
-		t.Errorf("MaxSlotsInUse = %d, want <= %d (worker goroutines exceeded the pool)", st.MaxSlotsInUse, poolWorkers)
-	}
-	if st.Admitted != clients*rounds {
-		t.Errorf("Admitted = %d, want %d (starved executions)", st.Admitted, clients*rounds)
-	}
-	if st.Running != 0 || st.QueueDepth != 0 || st.SlotsInUse != 0 || st.GrantedBudget != 0 {
-		t.Errorf("scheduler did not drain: %+v", st)
-	}
-	if peak := <-maxGoroutines; peak > before+clients+poolWorkers+8 {
-		t.Errorf("goroutine peak %d (baseline %d): workers are not drawing from the shared pool", peak, before)
-	}
+	t.Run("scheduled", func(t *testing.T) {
+		s := sched.New(sched.Config{
+			Workers:       poolWorkers,
+			MaxConcurrent: maxConcurrent,
+			MaxQueue:      2 * clients, // every client may queue; none sheds
+			RowsPerWorker: 1,           // let plan complexity alone pick the width
+		})
+		cfg := parallelTestConfig()
+		cfg.Workers = poolWorkers
+		cfg.Scheduler = s
+		storm(t, New(cfg))
+		st := s.Stats()
+		if st.MaxSlotsInUse > poolWorkers {
+			t.Errorf("MaxSlotsInUse = %d, want <= %d (worker goroutines exceeded the pool)", st.MaxSlotsInUse, poolWorkers)
+		}
+		if st.Admitted != clients*rounds {
+			t.Errorf("Admitted = %d, want %d (starved executions)", st.Admitted, clients*rounds)
+		}
+		if st.Running != 0 || st.QueueDepth != 0 || st.SlotsInUse != 0 || st.GrantedBudget != 0 {
+			t.Errorf("scheduler did not drain: %+v", st)
+		}
+	})
+
+	t.Run("unscheduled", func(t *testing.T) {
+		cfg := parallelTestConfig()
+		cfg.Workers = poolWorkers
+		eng := New(cfg)
+		storm(t, eng)
+		own, ok := eng.par.Slots.(*sched.Pool)
+		if !ok {
+			t.Fatal("the unscheduled parallel engine has no slot pool of its own")
+		}
+		if hw := own.MaxInUse(); hw == 0 || hw > poolWorkers {
+			t.Errorf("engine pool high-water %d, want 1..%d", hw, poolWorkers)
+		}
+		if own.InUse() != 0 {
+			t.Errorf("engine pool did not drain: %d slots held", own.InUse())
+		}
+	})
 }
 
 // TestSchedQueuedExecutionCancel: an execution queued behind a

@@ -17,9 +17,8 @@ import (
 //     unconditionally and is flagged.
 //
 // Operations that provably cannot block — draining a buffered slot the
-// function is known to hold, a listener gate with no request context —
-// opt out with an explanatory annotation in the function's doc
-// comment:
+// function is known to hold — opt out with an explanatory annotation in
+// the function's doc comment:
 //
 //	// waitcheck:exempt <reason>
 //

@@ -7,6 +7,7 @@ import (
 
 	"mxq/internal/scj"
 	"mxq/internal/store"
+	"mxq/internal/testutil"
 	"mxq/internal/xmark"
 	"mxq/internal/xqt"
 )
@@ -62,7 +63,7 @@ func BenchmarkStepParallel(b *testing.B) {
 	if w < 2 {
 		w = 2
 	}
-	benchmarkStep(b, ParOptions{Workers: w, Threshold: DefaultParThreshold})
+	benchmarkStep(b, ParOptions{Workers: w, Threshold: DefaultParThreshold, Slots: testutil.ForkPool(b, w)})
 }
 
 func benchmarkHashJoin(b *testing.B, par ParOptions) {
@@ -96,7 +97,7 @@ func BenchmarkHashJoinParallel(b *testing.B) {
 	if w < 2 {
 		w = 2
 	}
-	benchmarkHashJoin(b, ParOptions{Workers: w, Threshold: DefaultParThreshold})
+	benchmarkHashJoin(b, ParOptions{Workers: w, Threshold: DefaultParThreshold, Slots: testutil.ForkPool(b, w)})
 }
 
 // --- uniform vs tag-vector column pairs --------------------------------

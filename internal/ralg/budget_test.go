@@ -8,6 +8,7 @@ import (
 
 	"mxq/internal/scj"
 	"mxq/internal/store"
+	"mxq/internal/testutil"
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
@@ -140,8 +141,9 @@ func TestBudgetIsTheMeter(t *testing.T) {
 		}
 		return renderTable(qp, tab), e.Mem.HighWater(), nil
 	}
+	slots := testutil.ForkPool(t, 4)
 	for name, p := range plans {
-		for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1}} {
+		for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1, Slots: slots}} {
 			want, peak, err := runUnder(p, par, 1<<50)
 			if err != nil || peak == 0 || want == "" {
 				t.Fatalf("%s %+v: unlimited run: peak %d, %d bytes of output, err %v", name, par, peak, len(want), err)

@@ -9,6 +9,7 @@ import (
 
 	"mxq/internal/scj"
 	"mxq/internal/store"
+	"mxq/internal/testutil"
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
@@ -42,7 +43,7 @@ func TestLoneChunkIsAdopted(t *testing.T) {
 		}
 	}
 	// several chunks: concatenated in chunk order
-	e := &Exec{Par: ParOptions{Workers: 3, Threshold: 1}}
+	e := &Exec{Par: ParOptions{Workers: 3, Threshold: 1, Slots: testutil.ForkPool(t, 3)}}
 	gl, _ := e.chunkPairs(9, func(lo, hi int) ([]int32, []int32) {
 		return []int32{int32(lo), int32(hi)}, []int32{0, 0}
 	})
@@ -140,6 +141,7 @@ func shardedPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 // the chunk count.
 func TestChunkedOutputEqualsOneChunk(t *testing.T) {
 	pool, plans := shardedPlans(t)
+	slots := testutil.ForkPool(t, 4)
 	for name, p := range plans {
 		ref, err := NewExec(pool, nil).Run(p)
 		if err != nil {
@@ -151,7 +153,7 @@ func TestChunkedOutputEqualsOneChunk(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, threshold := range []int{1, DefaultParThreshold} {
 				ex := NewExec(pool, nil)
-				ex.Par = ParOptions{Workers: workers, Threshold: threshold}
+				ex.Par = ParOptions{Workers: workers, Threshold: threshold, Slots: slots}
 				got, err := ex.Run(p)
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, ex.Par, err)
@@ -176,7 +178,7 @@ func TestChunksObserveCancelAndBudget(t *testing.T) {
 		m.Charge(2)
 		return m
 	}
-	for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1}} {
+	for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1, Slots: testutil.ForkPool(t, 4)}} {
 		for name, stop := range map[string]func(e *Exec){
 			"cancel": func(e *Exec) { e.Ctx, e.done = cancelled, cancelled.Done() },
 			"budget": func(e *Exec) { e.Mem = spent() },

@@ -10,6 +10,7 @@ import (
 
 	"mxq/internal/naive"
 	"mxq/internal/store"
+	"mxq/internal/testutil"
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
@@ -238,7 +239,7 @@ func sameItem(a, b xqt.Item) bool {
 
 func TestFunGridMatchesOracle(t *testing.T) {
 	g := newFunGrid(t)
-	pars := []ParOptions{{}, {Workers: 4, Threshold: 1}}
+	pars := []ParOptions{{}, {Workers: 4, Threshold: 1, Slots: testutil.ForkPool(t, 4)}}
 	seen := map[FunOp]bool{}
 	for _, o := range funGridOps {
 		seen[o.op] = true

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"mxq/internal/testutil"
 )
 
 // kvTable is the two-column integer table (k, v).
@@ -20,6 +22,7 @@ func kvTable(k, v []int64) *Table {
 // with one key partition and with several.
 func TestHashJoinSkewedKeysMatchNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	slots := testutil.ForkPool(t, 4)
 	shapes := map[string]func() int64{
 		"hot key":       func() int64 { return int64(rng.Intn(10) / 7 * (1 + rng.Intn(40))) }, // 70 % zeros
 		"few keys":      func() int64 { return int64(rng.Intn(5)) - 2 },
@@ -45,7 +48,7 @@ func TestHashJoinSkewedKeysMatchNestedLoop(t *testing.T) {
 			}
 		}
 		join := &HashJoin{LKey: "k", RKey: "k", LCols: []ColRef{{Src: "v", Dst: "lv"}}, RCols: []ColRef{{Src: "v", Dst: "rv"}}}
-		for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1}} {
+		for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1, Slots: slots}} {
 			e := &Exec{Par: par}
 			if parts := e.keyPartitions(nr); (par.Workers > 1) != (parts > 1) {
 				t.Fatalf("%s: %d key partitions under %+v", name, parts, par)

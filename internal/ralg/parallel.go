@@ -40,19 +40,19 @@ import (
 const DefaultParThreshold = 2048
 
 // ParOptions configures intra-query parallelism of an Exec. The zero
-// value (or Workers <= 1) executes everything serially.
+// value (Workers <= 1, or no Slots) executes everything serially.
 type ParOptions struct {
-	// Workers bounds the number of concurrently running goroutines.
-	// Under a global scheduler this is the execution's granted worker
-	// budget rather than a per-query pool size.
+	// Workers bounds the number of concurrently running goroutines of
+	// one fork-join region: the chunk count, and under a scheduler the
+	// execution's granted worker budget.
 	Workers int
 	// Threshold is the minimum input size to parallelize an operator.
 	Threshold int
-	// Slots, when set, is the slot-acquisition hook: fork-join regions
-	// draw their extra goroutines from this shared pool (a scheduler
-	// grant) instead of spawning freely, so concurrent executions
-	// together never exceed the pool size. Acquisition never blocks —
-	// a region granted no slots runs serially on its own goroutine.
+	// Slots is where fork-join regions draw their extra goroutines from:
+	// the engine's own pool or a scheduler grant, shared with every other
+	// execution holding it, so together they never exceed the pool size.
+	// Acquisition never blocks — a region granted no slots (or given no
+	// Slots) runs its chunks serially on its own goroutine.
 	Slots scj.Slots
 }
 
@@ -132,9 +132,8 @@ func (e *Exec) groupChunks(part []int64) [][2]int {
 // the partial table.
 func (e *Exec) forTasks(n int, f func(k int)) { e.runTasks(e.Par.Workers, n, f) }
 
-// runTasks is forTasks on at most workers goroutines, drawn from the
-// shared slot pool when one is installed; one task, or one worker, runs
-// on the calling goroutine.
+// runTasks is forTasks on at most workers goroutines, drawn from
+// Par.Slots; one task, or one worker, runs on the calling goroutine.
 func (e *Exec) runTasks(workers, n int, f func(k int)) {
 	scj.ParRunSlots(e.Par.Slots, workers, n, func(k int) {
 		if e.stopRequested() {

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"mxq/internal/sched"
 	"mxq/internal/store"
+	"mxq/internal/testutil"
 	"mxq/internal/xqt"
 )
 
@@ -133,7 +135,7 @@ func runWith(t *testing.T, p Plan, par ParOptions) *Table {
 // and asserts byte-identical output to serial execution.
 func TestParallelOperatorsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	par := ParOptions{Workers: 4, Threshold: 1}
+	par := ParOptions{Workers: 4, Threshold: 1, Slots: testutil.ForkPool(t, 4)}
 
 	const n = 257 // odd size so chunk edges land mid-run
 	iters := make([]int64, n)
@@ -208,9 +210,11 @@ func rtab2(in Plan) Plan {
 }
 
 // Unclustered part columns must fall back to the serial hash-counter and
-// hash-aggregation paths and still agree.
+// hash-aggregation paths — one chunk, so no worker is ever drawn — and
+// still agree.
 func TestParallelUnclusteredFallback(t *testing.T) {
-	par := ParOptions{Workers: 4, Threshold: 1}
+	slots := sched.NewPool(4)
+	par := ParOptions{Workers: 4, Threshold: 1, Slots: slots}
 	tab := NewTable([]string{"part", "item"}, []ColKind{KInt, KItem})
 	parts := []int64{3, 1, 3, 2, 1, 3, 2, 1, 3, 1}
 	for i, p := range parts {
@@ -228,6 +232,9 @@ func TestParallelUnclusteredFallback(t *testing.T) {
 		if !tablesEqual(serial, parallel) {
 			t.Errorf("%s: unclustered parallel output differs\nserial:\n%s\nparallel:\n%s", name, serial, parallel)
 		}
+	}
+	if n := slots.MaxInUse(); n != 0 {
+		t.Errorf("unclustered input forked %d workers", n)
 	}
 }
 
@@ -261,6 +268,7 @@ func TestParallelAttrStep(t *testing.T) {
 		tab.Col("item").Item.Append(xqt.Node(c.ID, p))
 	}
 	tab.N = tab.Col("iter").Len()
+	slots := testutil.ForkPool(t, 3)
 	for _, nametest := range []string{"", "id"} {
 		n := &AttrStep{unary: unary{In: &Lit{Tab: tab}}, NameTest: nametest, IterCol: "iter", ItemCol: "item"}
 		exS := NewExec(pool, nil)
@@ -269,7 +277,7 @@ func TestParallelAttrStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		exP := NewExec(pool, nil)
-		exP.Par = ParOptions{Workers: 3, Threshold: 1}
+		exP.Par = ParOptions{Workers: 3, Threshold: 1, Slots: slots}
 		parallel, err := exP.execAttrStep(n, tab)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,7 @@
 // Package sched is the global query scheduler: admission control over
 // concurrent executions plus one bounded worker-slot pool they all
-// share. It closes the §6 multi-client oversubscription gap — without
-// it every parallel execution builds its own GOMAXPROCS-sized pool, so
-// N in-flight queries claim N×cores workers.
+// share, the §6 multi-client setting. Without one, an engine bounds
+// only its own executions' workers, by a Pool of its own.
 //
 // The scheduler layers three mechanisms with distinct jobs:
 //
@@ -19,18 +18,13 @@
 //     join-heavy scan over a large corpus is granted many workers
 //     (never more than the pool holds).
 //
-//   - The slot pool bounds the worker goroutines actually live across
-//     ALL executions at the pool size (Workers). Partitioned operators
-//     draw their extra goroutines from it through the Grant (the
-//     scj.Slots hook) instead of spawning freely; acquisition never
-//     blocks — a fork-join region that gets no slots simply runs its
-//     chunks serially on its own goroutine, so progress is guaranteed,
-//     there is no deadlock by construction, and the pool is
-//     work-conserving under any mix of queries.
+//   - The slot pool (Pool) bounds the worker goroutines actually live
+//     across ALL executions at the pool size (Workers). Partitioned
+//     operators draw their extra goroutines from it through the Grant
+//     (the scj.Slots hook).
 //
-// Serial execution is untouched: an engine without a scheduler — or a
-// grant with budget 1 — runs exactly the zero-dependency serial code
-// path, which remains the byte-identical differential oracle.
+// A grant with budget 1 runs exactly the serial code path, which
+// remains the byte-identical differential oracle.
 package sched
 
 import (
@@ -145,9 +139,7 @@ type Scheduler struct {
 	canceledWait  atomic.Int64 // Admit calls abandoned while queued
 	grantedBudget atomic.Int64 // sum of running grants' budgets
 
-	slotsFree     atomic.Int64 // worker slots not handed out
-	slotsInUse    atomic.Int64 // worker goroutines currently live
-	maxSlotsInUse atomic.Int64 // high-water mark of slotsInUse
+	slots *Pool // the worker slots every grant draws from
 
 	memInUse    atomic.Int64 // sum of running grants' memory reservations
 	memHigh     atomic.Int64 // high-water mark of memInUse
@@ -157,13 +149,8 @@ type Scheduler struct {
 // New builds a scheduler from cfg (zero fields pick the defaults).
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	s := &Scheduler{cfg: cfg, execSem: make(chan struct{}, cfg.MaxConcurrent)}
-	s.slotsFree.Store(int64(cfg.Workers))
-	return s
+	return &Scheduler{cfg: cfg, execSem: make(chan struct{}, cfg.MaxConcurrent), slots: NewPool(cfg.Workers)}
 }
-
-// Workers returns the configured global worker-slot pool size.
-func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
 // Admit blocks until an execution slot is free, then returns the
 // execution's Grant. It fails fast with ErrQueueFull when MaxQueue
@@ -238,12 +225,7 @@ func (s *Scheduler) reserveMem(n int64) bool {
 			return false
 		}
 		if s.memInUse.CompareAndSwap(used, used+n) {
-			for {
-				hw := s.memHigh.Load()
-				if used+n <= hw || s.memHigh.CompareAndSwap(hw, used+n) {
-					break
-				}
-			}
+			raise(&s.memHigh, used+n)
 			return true
 		}
 	}
@@ -318,8 +300,8 @@ func (s *Scheduler) Stats() Stats {
 		RejectedFull:  s.rejectedFull.Load(),
 		CanceledWait:  s.canceledWait.Load(),
 		GrantedBudget: s.grantedBudget.Load(),
-		SlotsInUse:    s.slotsInUse.Load(),
-		MaxSlotsInUse: s.maxSlotsInUse.Load(),
+		SlotsInUse:    s.slots.InUse(),
+		MaxSlotsInUse: s.slots.MaxInUse(),
 		MemPerQuery:   s.cfg.MemPerQuery,
 		MemTotal:      s.cfg.MemTotal,
 		MemInUse:      s.memInUse.Load(),
@@ -328,41 +310,50 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// acquireSlots hands out up to want worker slots without ever blocking
-// (a region that gets none runs serially on its own goroutine).
-func (s *Scheduler) acquireSlots(want int) int {
-	if want <= 0 {
-		return 0
-	}
+// Pool is a bounded set of worker slots, the one source of the extra
+// goroutines a fork-join region runs on (the scj.Slots hook, which says
+// why acquisition never blocks). A Scheduler holds one that all its
+// grants draw from; an engine without a scheduler holds its own, shared
+// by all its executions. A Pool is safe for concurrent use.
+type Pool struct {
+	size     int64
+	inUse    atomic.Int64 // slots handed out and not yet returned
+	maxInUse atomic.Int64 // high-water mark of inUse
+}
+
+// NewPool returns a pool of n worker slots.
+func NewPool(n int) *Pool { return &Pool{size: int64(n)} }
+
+// AcquireSlots hands out up to want slots, as many as are free, without
+// blocking. The caller must return exactly the granted count via
+// ReleaseSlots when its fork-join region completes.
+func (p *Pool) AcquireSlots(want int) int {
 	for {
-		free := s.slotsFree.Load()
-		if free <= 0 {
+		used := p.inUse.Load()
+		n := min(int64(want), p.size-used)
+		if n <= 0 {
 			return 0
 		}
-		n := int64(want)
-		if n > free {
-			n = free
+		if p.inUse.CompareAndSwap(used, used+n) {
+			raise(&p.maxInUse, used+n)
+			return int(n)
 		}
-		if !s.slotsFree.CompareAndSwap(free, free-n) {
-			continue
-		}
-		inUse := s.slotsInUse.Add(n)
-		for {
-			hw := s.maxSlotsInUse.Load()
-			if inUse <= hw || s.maxSlotsInUse.CompareAndSwap(hw, inUse) {
-				break
-			}
-		}
-		return int(n)
 	}
 }
 
-func (s *Scheduler) releaseSlots(n int) {
-	if n <= 0 {
-		return
+// ReleaseSlots returns n slots to the pool.
+func (p *Pool) ReleaseSlots(n int) { p.inUse.Add(-int64(n)) }
+
+// InUse returns the slots handed out now.
+func (p *Pool) InUse() int64 { return p.inUse.Load() }
+
+// MaxInUse returns the most slots ever handed out at once.
+func (p *Pool) MaxInUse() int64 { return p.maxInUse.Load() }
+
+// raise lifts the high-water mark hw to at least v.
+func raise(hw *atomic.Int64, v int64) {
+	for cur := hw.Load(); v > cur && !hw.CompareAndSwap(cur, v); cur = hw.Load() {
 	}
-	s.slotsInUse.Add(-int64(n))
-	s.slotsFree.Add(int64(n))
 }
 
 // Grant is one admitted execution's hold on the scheduler: an
@@ -425,14 +416,12 @@ func (g *Grant) Release() {
 	}
 }
 
-// AcquireSlots draws up to want worker slots from the shared pool
-// without blocking (the scj.Slots hook). The caller must return
-// exactly the granted count via ReleaseSlots when its fork-join region
-// completes.
-func (g *Grant) AcquireSlots(want int) int { return g.s.acquireSlots(want) }
+// AcquireSlots draws up to want worker slots from the scheduler's pool
+// (see Pool.AcquireSlots).
+func (g *Grant) AcquireSlots(want int) int { return g.s.slots.AcquireSlots(want) }
 
-// ReleaseSlots returns n worker slots to the shared pool.
-func (g *Grant) ReleaseSlots(n int) { g.s.releaseSlots(n) }
+// ReleaseSlots returns n worker slots to the scheduler's pool.
+func (g *Grant) ReleaseSlots(n int) { g.s.slots.ReleaseSlots(n) }
 
 // ctxKey carries a Grant through a context.
 type ctxKey struct{}

@@ -225,11 +225,27 @@ func TestSlotPoolBounded(t *testing.T) {
 	if st.MaxSlotsInUse > workers {
 		t.Errorf("MaxSlotsInUse = %d > %d", st.MaxSlotsInUse, workers)
 	}
-	if s.slotsFree.Load() != workers {
-		t.Errorf("slotsFree = %d, want %d", s.slotsFree.Load(), workers)
+	if n := s.slots.AcquireSlots(workers + 1); n != workers {
+		t.Errorf("a drained pool hands out %d slots, want all %d", n, workers)
 	}
 	if total.Load() == 0 {
 		t.Error("no slots were ever acquired")
+	}
+}
+
+// TestPoolNeverBlocks: a pool hands out what is free — all of a request
+// it can cover, part of one it cannot, nothing when it is empty or the
+// request is — and a release makes the slots available again.
+func TestPoolNeverBlocks(t *testing.T) {
+	p := NewPool(3)
+	for _, tc := range []struct{ want, got int }{{2, 2}, {0, 0}, {5, 1}, {1, 0}} {
+		if n := p.AcquireSlots(tc.want); n != tc.got {
+			t.Fatalf("AcquireSlots(%d) = %d, want %d", tc.want, n, tc.got)
+		}
+	}
+	p.ReleaseSlots(2)
+	if n := p.AcquireSlots(4); n != 2 || p.InUse() != 3 || p.MaxInUse() != 3 {
+		t.Errorf("after a release: got %d, in use %d, high-water %d; want 2, 3, 3", n, p.InUse(), p.MaxInUse())
 	}
 }
 

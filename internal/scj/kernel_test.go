@@ -8,18 +8,19 @@ import (
 	"testing"
 
 	"mxq/internal/store"
+	"mxq/internal/testutil"
 	"mxq/internal/xmark"
 )
 
 // checkStep compares one step, in every variant and through every entry
-// (Step, ParallelStep at workers {1, 4} x threshold {1, default}),
+// (Step, ParallelStep on sl at workers {1, 4} x threshold {1, default}),
 // against the oracle, and checks that every block went back to the pool.
-func checkStep(t *testing.T, label string, c *store.Container, ctx Pairs, axis Axis, test Test) {
+func checkStep(t *testing.T, sl Slots, label string, c *store.Container, ctx Pairs, axis Axis, test Test) {
 	t.Helper()
-	checkStepWant(t, label, c, ctx, axis, test, naiveAxis(c, ctx, axis, test))
+	checkStepWant(t, sl, label, c, ctx, axis, test, naiveAxis(c, ctx, axis, test))
 }
 
-func checkStepWant(t *testing.T, label string, c *store.Container, ctx Pairs, axis Axis, test Test, want Pairs) {
+func checkStepWant(t *testing.T, sl Slots, label string, c *store.Container, ctx Pairs, axis Axis, test Test, want Pairs) {
 	t.Helper()
 	live := liveBlocks.Load()
 	for _, v := range allVariants {
@@ -33,7 +34,7 @@ func checkStepWant(t *testing.T, label string, c *store.Container, ctx Pairs, ax
 		}
 		for _, workers := range []int{1, 4} {
 			for _, th := range []int{1, 2048} {
-				if p := ParallelStep(c, ctx, axis, test, v, workers, th, nil); !pairsEqual(p, want) {
+				if p := ParallelStep(sl, c, ctx, axis, test, v, workers, th, nil); !pairsEqual(p, want) {
 					t.Fatalf("%s %v/%v test=%+v workers=%d threshold=%d: %d pairs, want %d", label, axis, v, test, workers, th, p.Len(), want.Len())
 				}
 			}
@@ -75,6 +76,7 @@ func wideDoc(t testing.TB, n int) *store.Container {
 // block, one pair more and several blocks, from one and from two
 // iterations, on every axis that can produce that many pairs.
 func TestBlockBoundaries(t *testing.T) {
+	slots := testutil.ForkPool(t, 4)
 	for _, n := range []int{blockCap - 1, blockCap, blockCap + 1, 2*blockCap + blockCap/2 + 3} {
 		c := wideDoc(t, n)
 		first, last := int32(2), int32(1+n)
@@ -92,7 +94,7 @@ func TestBlockBoundaries(t *testing.T) {
 					ctx.append(tc.pre, it)
 				}
 				for _, test := range []Test{{Kind: TestElem, Name: "x"}} {
-					checkStep(t, fmt.Sprintf("n=%d iters=%v", n, iters), c, ctx, tc.axis, test)
+					checkStep(t, slots, fmt.Sprintf("n=%d iters=%v", n, iters), c, ctx, tc.axis, test)
 				}
 			}
 		}
@@ -108,11 +110,11 @@ func TestBlockBoundaries(t *testing.T) {
 			top.append(p, 1)
 		}
 		label := fmt.Sprintf("n=%d leaves", n)
-		checkStepWant(t, label, c, leaves, Self, Test{Kind: TestElem}, leaves)
-		checkStepWant(t, label, c, leaves, Child, Test{Kind: TestElem}, Pairs{})
-		checkStepWant(t, label, c, leaves, Parent, Test{Kind: TestNode}, Pairs{Pre: []int32{1, 1}, Iter: []int32{0, 1}})
-		checkStepWant(t, label, c, leaves, Ancestor, Test{Kind: TestNode}, top)
-		checkStepWant(t, label, c, leaves, AncestorOrSelf, Test{Kind: TestNode}, MergePairs(top, leaves))
+		checkStepWant(t, slots, label, c, leaves, Self, Test{Kind: TestElem}, leaves)
+		checkStepWant(t, slots, label, c, leaves, Child, Test{Kind: TestElem}, Pairs{})
+		checkStepWant(t, slots, label, c, leaves, Parent, Test{Kind: TestNode}, Pairs{Pre: []int32{1, 1}, Iter: []int32{0, 1}})
+		checkStepWant(t, slots, label, c, leaves, Ancestor, Test{Kind: TestNode}, top)
+		checkStepWant(t, slots, label, c, leaves, AncestorOrSelf, Test{Kind: TestNode}, MergePairs(top, leaves))
 	}
 }
 
@@ -182,6 +184,7 @@ func shallowCopy(t testing.TB, rng *rand.Rand, src *store.Container) *store.Cont
 // contexts of one, two and many iterations.
 func TestKernelsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
+	slots := testutil.ForkPool(t, 4)
 	tests := []Test{{Kind: TestNode}, {Kind: TestElem}, {Kind: TestElem, Name: "b"}, {Kind: TestText}}
 	for trial := 0; trial < 24; trial++ {
 		c := randomTree(rng, 120)
@@ -194,7 +197,7 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			ctx := richCtx(rng, c, iters)
 			for _, axis := range allAxes {
 				for _, test := range tests {
-					checkStep(t, fmt.Sprintf("trial %d (%s) iters=%d", trial, kind, iters), c, ctx, axis, test)
+					checkStep(t, slots, fmt.Sprintf("trial %d (%s) iters=%d", trial, kind, iters), c, ctx, axis, test)
 				}
 			}
 		}
@@ -212,6 +215,7 @@ func TestStopMidBlockReturnsBlocks(t *testing.T) {
 		leaves.append(p, 1)
 	}
 	live := liveBlocks.Load()
+	slots := testutil.ForkPool(t, 4)
 	x, r := Test{Kind: TestElem, Name: "x"}, Pairs{Pre: []int32{1}, Iter: []int32{1}}
 	for _, tc := range []struct {
 		ctx  Pairs
@@ -231,7 +235,7 @@ func TestStopMidBlockReturnsBlocks(t *testing.T) {
 			t.Errorf("%v/%v: Stop fired %d times, %d of %d pairs emitted: not stopped early", tc.axis, tc.v, polls.Load(), out.Len(), full.Len())
 		}
 		polls.Store(0)
-		b := StepBlocks(nil, c, tc.ctx, tc.axis, tc.test, tc.v, 4, 1, &st)
+		b := StepBlocks(slots, c, tc.ctx, tc.axis, tc.test, tc.v, 4, 1, &st)
 		b.Release()
 		if now := liveBlocks.Load(); now != live {
 			t.Fatalf("%v/%v: %d blocks left outside the pool after a stopped step", tc.axis, tc.v, now-live)

@@ -37,15 +37,15 @@ import (
 	"mxq/internal/store"
 )
 
-// Slots is the slot-acquisition hook of the fork-join helpers: when a
-// global query scheduler is installed, every partitioned operator
-// draws its extra worker goroutines from the shared bounded pool
-// behind this interface instead of spawning freely, so the live worker
-// count across ALL concurrent executions stays bounded by the pool
-// size. AcquireSlots must not block: it returns 0..want immediately,
-// and a region granted 0 slots runs its chunks serially on the calling
-// goroutine (progress is guaranteed, so there is no deadlock by
-// construction). Implementations must be safe for concurrent use.
+// Slots is the slot-acquisition hook of the fork-join helpers and the
+// only source of their extra worker goroutines: a bounded pool (a
+// sched.Pool, or a scheduler grant drawing on one) shared by every
+// execution that holds it, so the live worker count across all of them
+// stays bounded by the pool size. AcquireSlots must not block: it
+// returns 0..want immediately, and a region granted 0 slots runs its
+// chunks serially on the calling goroutine (progress is guaranteed, so
+// there is no deadlock by construction). Implementations must be safe
+// for concurrent use.
 type Slots interface {
 	AcquireSlots(want int) int
 	ReleaseSlots(n int)
@@ -55,30 +55,21 @@ type Slots interface {
 // goroutines and waits for all of them: the bounded fork-join helper
 // shared by this package and the ralg operator layer. The caller
 // always participates, and up to workers-1 extra goroutines are
-// acquired from sl (spawned freely when sl is nil). Chunks are handed
-// out through an atomic cursor, so every index runs exactly once;
-// callers must make f(i) write only chunk-i state.
+// acquired from sl; a nil sl grants none, so the chunks run serially.
+// Chunks are handed out through an atomic cursor, so every index runs
+// exactly once; callers must make f(i) write only chunk-i state.
 //
 // A panic on a worker goroutine is captured and re-raised on the
 // calling goroutine after every worker has drained, so the execution
 // boundary's recover contains it like any caller-side panic — a worker
 // must never be able to kill the process or leak its siblings.
 func ParRunSlots(sl Slots, workers, n int, f func(int)) {
-	if n <= 1 {
-		if n == 1 {
-			f(0)
-		}
-		return
-	}
-	extra := workers - 1
-	if extra > n-1 {
-		extra = n - 1
-	}
-	if sl != nil && extra > 0 {
-		extra = sl.AcquireSlots(extra)
+	extra := 0
+	if sl != nil && workers > 1 && n > 1 {
+		extra = sl.AcquireSlots(min(workers, n) - 1)
 		defer sl.ReleaseSlots(extra)
 	}
-	if extra <= 0 {
+	if extra == 0 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
@@ -173,8 +164,8 @@ func mergePairsTree(outs []Pairs, st *Stats) Pairs {
 
 // StepBlocks is the one entry to the step kernels: it evaluates the step
 // serially (workers <= 1, or an input below threshold) or decomposed —
-// over up to workers goroutines drawn from sl (see Slots; a nil sl
-// spawns freely) when the input is large enough (threshold context rows
+// over up to workers goroutines drawn from sl (see Slots) when the
+// input is large enough (threshold context rows
 // for context partitioning, threshold document tuples for range
 // partitioning) — and returns the result as the blocks the kernels
 // filled. The caller copies the segments out and calls Release; Step is

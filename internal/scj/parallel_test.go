@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"mxq/internal/store"
+	"mxq/internal/testutil"
 )
 
-// ParallelStep is StepBlocks spawning its workers freely, flattened.
-func ParallelStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
-	return StepBlocks(nil, c, ctx, axis, test, v, workers, threshold, st).Pairs(nil)
+// ParallelStep is StepBlocks drawing its workers from sl, flattened.
+func ParallelStep(sl Slots, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, workers, threshold int, st *Stats) Pairs {
+	return StepBlocks(sl, c, ctx, axis, test, v, workers, threshold, st).Pairs(nil)
 }
 
 // TestParallelStepMatchesSerial is the core contract of the parallel
@@ -19,6 +20,7 @@ func ParallelStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant
 // pairs, same (pre, iter) order.
 func TestParallelStepMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	slots := testutil.ForkPool(t, 4)
 	tests := []Test{
 		{Kind: TestNode},
 		{Kind: TestElem},
@@ -38,7 +40,7 @@ func TestParallelStepMatchesSerial(t *testing.T) {
 					want := Step(c, ctx, axis, test, v, nil)
 					for _, workers := range []int{2, 4} {
 						for _, th := range []int{1, 4} {
-							got := ParallelStep(c, ctx, axis, test, v, workers, th, nil)
+							got := ParallelStep(slots, c, ctx, axis, test, v, workers, th, nil)
 							if !pairsEqual(got, want) {
 								t.Fatalf("trial %d axis %v variant %d test %+v workers %d threshold %d:\n got  %s\n want %s\nctx %s",
 									trial, axis, v, test, workers, th, pairsString(got), pairsString(want), pairsString(ctx))
@@ -58,10 +60,11 @@ func TestParallelStepNestedSameIterContexts(t *testing.T) {
 	c := shred(t, paperDoc)
 	// a(0) > b(1) > c(2) > d(3), e(4); f(5) > g(6), h(7) > i(8), j(9)
 	ctx := Pairs{Pre: []int32{0, 1, 2, 5}, Iter: []int32{1, 1, 1, 1}}
+	slots := testutil.ForkPool(t, 5)
 	for _, axis := range []Axis{Descendant, DescendantOrSelf, Child, Following, Preceding} {
 		want := Step(c, ctx, axis, Test{Kind: TestNode}, LoopLifted, nil)
 		for workers := 2; workers <= 5; workers++ {
-			got := ParallelStep(c, ctx, axis, Test{Kind: TestNode}, LoopLifted, workers, 1, nil)
+			got := ParallelStep(slots, c, ctx, axis, Test{Kind: TestNode}, LoopLifted, workers, 1, nil)
 			if !pairsEqual(got, want) {
 				t.Errorf("axis %v workers %d:\n got  %s\n want %s", axis, workers, pairsString(got), pairsString(want))
 			}
@@ -75,7 +78,7 @@ func TestParallelStepStats(t *testing.T) {
 	c := shred(t, paperDoc)
 	ctx := Pairs{Pre: []int32{0}, Iter: []int32{1}}
 	var st Stats
-	out := ParallelStep(c, ctx, Descendant, Test{Kind: TestElem}, LoopLifted, 4, 1, &st)
+	out := ParallelStep(testutil.ForkPool(t, 4), c, ctx, Descendant, Test{Kind: TestElem}, LoopLifted, 4, 1, &st)
 	if st.Emitted != int64(out.Len()) {
 		t.Errorf("emitted %d, want %d", st.Emitted, out.Len())
 	}
@@ -138,7 +141,8 @@ func TestParByContextBudgetRefusesMerge(t *testing.T) {
 			ctx.Pre, ctx.Iter = append(ctx.Pre, pre), append(ctx.Iter, 1)
 		}
 	}
-	full := ParallelStep(c, ctx, Child, Test{Kind: TestNode}, LoopLifted, 4, 1, nil)
+	slots := testutil.ForkPool(t, 4)
+	full := ParallelStep(slots, c, ctx, Child, Test{Kind: TestNode}, LoopLifted, 4, 1, nil)
 	if full.Len() < 1000 {
 		t.Fatalf("step emits only %d pairs", full.Len())
 	}
@@ -153,7 +157,7 @@ func TestParByContextBudgetRefusesMerge(t *testing.T) {
 		return !over.Load()
 	}}
 	live := liveBlocks.Load()
-	got := StepBlocks(nil, c, ctx, Child, Test{Kind: TestNode}, LoopLifted, 4, 1, st)
+	got := StepBlocks(slots, c, ctx, Child, Test{Kind: TestNode}, LoopLifted, 4, 1, st)
 	if got.Len() != 0 {
 		t.Errorf("refused step returned %d of %d pairs", got.Len(), full.Len())
 	}

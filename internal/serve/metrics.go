@@ -122,28 +122,43 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // slot on Close. This is the daemon's connection limit, sitting below
 // the per-query inflight limit.
 func LimitListener(l net.Listener, n int) net.Listener {
-	return &limitListener{Listener: l, sem: make(chan struct{}, n)}
+	return &limitListener{Listener: l, sem: make(chan struct{}, n), done: make(chan struct{})}
 }
 
 type limitListener struct {
 	net.Listener
-	sem chan struct{}
+	sem    chan struct{}
+	done   chan struct{} // closed by Close
+	closed atomic.Bool
 }
 
-// Accept waits for a connection slot, then accepts.
+// Accept waits for a connection slot, then accepts. Close ends the
+// wait: http.Server's Close and Shutdown wait for Serve to return
+// before they close a connection, so a wait only a connection's close
+// could end would hang them at the limit.
 //
-// waitcheck:exempt the gate intentionally blocks while the daemon is
-// at its connection limit — there is no request context at this layer,
-// and closing the listener unblocks it; the error-path and per-conn
-// releases drain a slot this call provably holds.
+// waitcheck:exempt the error-path and per-conn releases drain a slot
+// this call provably holds.
 func (l *limitListener) Accept() (net.Conn, error) {
-	l.sem <- struct{}{}
+	select {
+	case l.sem <- struct{}{}:
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
 	c, err := l.Listener.Accept()
 	if err != nil {
 		<-l.sem
 		return nil, err
 	}
 	return &limitConn{Conn: c, release: func() { <-l.sem }}, nil
+}
+
+// Close closes the listener and ends any Accept waiting for a slot.
+func (l *limitListener) Close() error {
+	if l.closed.CompareAndSwap(false, true) {
+		close(l.done)
+	}
+	return l.Listener.Close()
 }
 
 type limitConn struct {

@@ -67,19 +67,18 @@ type Config struct {
 	// MaxTimeout caps the per-request timeout_ms. 0 means
 	// DefaultMaxTimeout.
 	MaxTimeout time.Duration
-	// MaxRequestBytes bounds request bodies. 0 means
-	// DefaultMaxRequestBytes.
-	MaxRequestBytes int64
 }
 
 // Defaults for the zero Config.
 const (
-	DefaultMaxStmts        = 1024
-	DefaultStmtTTL         = 15 * time.Minute
-	DefaultQueryTimeout    = 30 * time.Second
-	DefaultMaxTimeout      = 5 * time.Minute
-	DefaultMaxRequestBytes = 1 << 20
+	DefaultMaxStmts     = 1024
+	DefaultStmtTTL      = 15 * time.Minute
+	DefaultQueryTimeout = 30 * time.Second
+	DefaultMaxTimeout   = 5 * time.Minute
 )
+
+// maxRequestBytes bounds request bodies; a larger body answers 400.
+const maxRequestBytes = 1 << 20
 
 func (c Config) withDefaults() Config {
 	if c.MaxStmts == 0 {
@@ -93,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = DefaultMaxTimeout
-	}
-	if c.MaxRequestBytes == 0 {
-		c.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	return c
 }
@@ -214,7 +210,7 @@ func execStatus(err error) int {
 
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*queryRequest, bool) {
 	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return nil, false

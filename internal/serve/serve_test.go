@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -191,6 +194,104 @@ func TestServerErrorMapping(t *testing.T) {
 		if c.code != "" && !strings.Contains(string(body), c.code) {
 			t.Errorf("%s: body %s lacks code %s", c.name, body, c.code)
 		}
+	}
+}
+
+// TestServerRequestBodyBound: a request body over maxRequestBytes is a
+// client error (400); the same request padded to just under it is
+// served.
+func TestServerRequestBodyBound(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	for _, tc := range []struct{ size, status int }{
+		{maxRequestBytes, http.StatusOK},
+		{maxRequestBytes + 1, http.StatusBadRequest},
+	} {
+		const query = `{"query":"1"`
+		body := query + strings.Repeat(" ", tc.size-len(query)-1) + "}"
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%d-byte body: status %d, want %d (%s)", tc.size, resp.StatusCode, tc.status, got)
+		}
+	}
+}
+
+// TestLimitListener: with n connections held open, the (n+1)-th is not
+// served until one of them closes, and closing the server while the
+// limit is reached returns at once (the Accept waiting for a slot ends
+// with the listener, not with a client).
+func TestLimitListener(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "ok")
+	})}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(LimitListener(ln, n)) }()
+
+	type client struct {
+		conn net.Conn
+		r    *bufio.Reader
+	}
+	// dial opens a keep-alive connection and sends one request on it
+	dial := func() client {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprint(c, "GET / HTTP/1.1\r\nHost: mxqd\r\n\r\n")
+		return client{c, bufio.NewReader(c)}
+	}
+	// answered reports whether the response arrives within wait
+	answered := func(cl client, wait time.Duration) bool {
+		cl.conn.SetReadDeadline(time.Now().Add(wait))
+		resp, err := http.ReadResponse(cl.r, nil)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			return false
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return true
+	}
+	var held []client
+	for i := 0; i < n; i++ {
+		held = append(held, dial())
+		if !answered(held[i], 5*time.Second) {
+			t.Fatalf("connection %d of %d not served", i+1, n)
+		}
+	}
+	extra := dial()
+	if answered(extra, 200*time.Millisecond) {
+		t.Fatalf("connection %d served while %d were held open", n+1, n)
+	}
+	held[0].conn.Close()
+	if !answered(extra, 5*time.Second) {
+		t.Fatalf("connection %d not served after a held one closed", n+1)
+	}
+	// the limit is reached again (held[1] and extra), and Serve waits
+	// for a slot
+	go srv.Close()
+	select {
+	case err := <-served:
+		if !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve returned %v, want ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("closing the server did not end an Accept waiting for a slot")
+	}
+	for _, cl := range append(held[1:], extra) {
+		cl.conn.Close()
 	}
 }
 

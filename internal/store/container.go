@@ -100,9 +100,6 @@ type Container struct {
 // Len returns the number of rows in the pre|size|level table.
 func (c *Container) Len() int { return len(c.Size) }
 
-// Pool returns the pool this container is registered with.
-func (c *Container) Pool() *Pool { return c.pool }
-
 // refOf resolves the property indirection of row pre: the container and pre
 // where the node's properties live.
 func (c *Container) refOf(pre int32) (*Container, int32) {

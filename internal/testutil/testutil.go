@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"mxq/internal/sched"
 )
 
 // CheckGoroutines snapshots the process goroutine count and registers a
@@ -34,4 +36,18 @@ func CheckGoroutines(t testing.TB) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	})
+}
+
+// ForkPool returns a pool of n worker slots for a test that forces
+// parallel execution without a scheduler, and fails the test at cleanup
+// if no fork-join region ever drew a slot from it (the forced-parallel
+// runs were serial) or if slots are still held.
+func ForkPool(t testing.TB, n int) *sched.Pool {
+	p := sched.NewPool(n)
+	t.Cleanup(func() {
+		if p.MaxInUse() == 0 || p.InUse() != 0 {
+			t.Errorf("worker pool: high-water %d, %d slots still held; want > 0 and 0", p.MaxInUse(), p.InUse())
+		}
+	})
+	return p
 }

@@ -423,7 +423,3 @@ func sortRank(a Item) int {
 		return rankNode
 	}
 }
-
-// Equal reports deep equality of two items as node identities or atomic
-// values (used by `is` and for duplicate elimination of node sequences).
-func Equal(a, b Item) bool { return a == b }

@@ -96,15 +96,17 @@ func WithNametestPushdown(on bool) Option {
 
 // WithParallel toggles intra-query parallel execution (off by default):
 // staircase-join steps, row numbering, aggregation, selection, row-wise
-// functions and hash joins partition their inputs across a goroutine
-// pool sized by GOMAXPROCS. Results are byte-identical to serial
-// execution.
+// functions and hash joins partition their inputs across worker
+// goroutines drawn from a slot pool: the DB's own (GOMAXPROCS slots,
+// shared by all its executions) unless WithScheduler installs one.
+// Results are byte-identical to serial execution.
 func WithParallel(on bool) Option {
 	return func(c *core.Config) { c.Parallel = on }
 }
 
-// WithWorkers bounds the parallel worker pool (implies WithParallel when
-// n > 1); 0 restores the GOMAXPROCS default.
+// WithWorkers bounds an execution's parallel workers, and without a
+// scheduler the DB's slot pool, to n (implies WithParallel when n > 1);
+// 0 restores the GOMAXPROCS default.
 func WithWorkers(n int) Option {
 	return func(c *core.Config) {
 		c.Workers = n
