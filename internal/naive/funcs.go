@@ -109,15 +109,26 @@ func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, err
 		}
 		return []Val{atomVal(xqt.Double(sf / float64(len(args[0]))))}, nil
 	case "min", "max":
+		// F&O: xs:untypedAtomic is cast to xs:double; numbers compare as
+		// xs:double, strings and booleans among themselves (else FORG0006);
+		// NaN wins and a tie keeps the earlier value
+		var best xqt.Item
+		for i, v := range args[0] {
+			a := v.Atomize()
+			if a.K == xqt.KUntyped {
+				a = xqt.Double(a.AsDouble())
+			}
+			switch {
+			case i == 0:
+			case (a.K == xqt.KString) != (best.K == xqt.KString) || (a.K == xqt.KBool) != (best.K == xqt.KBool):
+				return nil, xqerr.Newf("FORG0006", "%s over %s and %s values", name, best.K, a.K)
+			case !minMaxBeats(a, best, name == "max"):
+				continue
+			}
+			best = a
+		}
 		if len(args[0]) == 0 {
 			return nil, nil
-		}
-		best := args[0][0].Atomize()
-		for _, v := range args[0][1:] {
-			a := v.Atomize()
-			if (name == "min") == xqt.SortLess(a, best) {
-				best = a
-			}
 		}
 		return []Val{atomVal(best)}, nil
 	case "string":
@@ -368,4 +379,17 @@ func (in *Interp) copyTree(n *Node, parent *Node) *Node {
 		cp.Children = append(cp.Children, in.copyTree(ch, cp))
 	}
 	return cp
+}
+
+// minMaxBeats reports whether a replaces best, the extremum so far: NaN
+// wins, and a tie keeps best.
+func minMaxBeats(a, best xqt.Item, isMax bool) bool {
+	if a.K == xqt.KString {
+		return isMax && a.S > best.S || !isMax && a.S < best.S
+	}
+	x, y := a.AsDouble(), best.AsDouble()
+	if x != x || y != y {
+		return y == y
+	}
+	return isMax && x > y || !isMax && x < y
 }

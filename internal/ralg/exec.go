@@ -66,8 +66,8 @@ type Bindings map[string]ItemVec
 // Partial outputs never escape: Run returns the context error before
 // memoizing a table produced under a cancelled context. A nil Ctx (the
 // default) disables all checks. The radix sort kernel polls once per
-// pass; comparison sorts (string keys, mixed-tag columns) run to
-// completion, so a cancelled query returns within one of those.
+// pass; comparison sorts (string keys, small inputs) run to completion,
+// so a cancelled query returns within one of those.
 //
 // Mem is the execution's memory budget (nil = unlimited), metered where
 // memory is handed out (carve): a request it refuses ends the operator

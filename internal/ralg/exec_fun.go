@@ -525,26 +525,29 @@ func (e *Exec) nodeNames(c *Col) ([]string, error) {
 	return e.nodeStrings(vec, (*store.Container).NamesOf), nil
 }
 
-// docOrderKeys maps a uniform node column to document-order keys within
-// its containers (the Cont vector is the leading key): pre<<32 for a
-// tree node, owner-pre<<32 | 1+row for an attribute, which orders an
-// attribute right after its owner element and its earlier siblings
-// attributes, and gives two rows the same key exactly when they are the
-// same node.
+// docOrderKeys maps a node column to document-order keys within its
+// containers (the Cont vector is the leading key): pre<<32 for a tree
+// node, owner-pre<<32 | 1+row for an attribute, which orders an
+// attribute after its owner element and its earlier sibling attributes
+// and before the owner's children, and gives two rows the same key
+// exactly when they are the same node (an atom's key is 0). It is the one
+// document-order encoding: node comparisons and the sort keys of node
+// columns read it.
 func (e *Exec) docOrderKeys(vec *ItemVec) []uint64 {
 	out := dirty[uint64](e, scratchRegion, vec.Len())
-	if vec.Tag != xqt.KAttr {
-		for i, pre := range vec.I {
-			out[i] = uint64(pre) << 32
-		}
-		return out
-	}
 	var c *store.Container
-	for i, row := range vec.I {
-		if c == nil || c.ID != vec.Cont[i] {
-			c = e.Pool.Get(vec.Cont[i])
+	for i, x := range vec.I {
+		switch vec.KindAt(i) {
+		case xqt.KNode:
+			out[i] = uint64(x) << 32
+		case xqt.KAttr:
+			if c == nil || c.ID != vec.Cont[i] {
+				c = e.Pool.Get(vec.Cont[i])
+			}
+			out[i] = uint64(c.AttrOwner[x])<<32 | uint64(x+1)
+		default:
+			out[i] = 0
 		}
-		out[i] = uint64(c.AttrOwner[row])<<32 | uint64(row+1)
 	}
 	return out
 }

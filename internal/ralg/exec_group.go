@@ -1,6 +1,7 @@
 package ralg
 
 import (
+	"cmp"
 	"math"
 
 	"mxq/internal/xqerr"
@@ -8,25 +9,24 @@ import (
 )
 
 func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
-	cols := make([]*Col, len(n.By))
-	for i, name := range n.By {
-		cols[i] = in.Col(name)
-	}
 	idx, o := dirty[int32](e, scratchRegion, in.N), 0
 	if n.Merge {
+		// sorted input: a row is new when its sort keys differ from its
+		// predecessor's
+		keys := e.sortKeys(in, n.By, nil)
 		for i := 0; i < in.N; i++ {
 			if i&8191 == 8191 && e.stopRequested() {
 				break // Run's post-operator checkpoint discards the partial table
 			}
-			if i == 0 || compareRows(cols, int32(i-1), int32(i)) != 0 {
+			if i == 0 || compareKeys(keys, int32(i-1), int32(i)) != 0 {
 				idx[o] = int32(i)
 				o++
 			}
 		}
 	} else {
-		encs := make([]keyEnc, len(cols))
-		for i, c := range cols {
-			encs[i] = colKeyEnc(c)
+		encs := make([]keyEnc, len(n.By))
+		for i, name := range n.By {
+			encs[i] = colKeyEnc(in.Col(name))
 		}
 		e.charge(scratchRegion, 24*int64(in.N)) // the dedup set, sized up front
 		seen := make(map[string]bool, in.N)
@@ -111,17 +111,27 @@ func appendInt(buf []byte, v int64) []byte {
 
 func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 	part := in.Ints(n.Part)
+	// the argument, cast once: sum/avg add xs:integer rows up from the
+	// payload and every other row as xs:double (in place for a double column)
 	var arg *ItemVec
-	if n.Op != AggCount {
-		arg = in.ItemVec(n.Arg)
+	var nums []float64
+	switch n.Op {
+	case AggSum, AggAvg:
+		if arg = in.ItemVec(n.Arg); arg.Tags != nil || arg.Tag != xqt.KInt {
+			nums = e.cast(FunNumber, in.Col(n.Arg)).F
+		}
+	case AggMin, AggMax:
+		arg = e.minMaxCast(in.Col(n.Arg))
 	}
 	// chunks end at group boundaries, so every group is accumulated by
 	// one chunk in row order (floating-point sums do not depend on the
 	// chunk count)
 	rs := e.groupChunks(part)
-	pcs := make([][]int64, len(rs))
-	vcs := make([]ItemVec, len(rs))
-	e.forChunks(rs, func(k, lo, hi int) { pcs[k], vcs[k] = e.aggrRange(n, part, arg, lo, hi) })
+	pcs, vcs, errs := make([][]int64, len(rs)), make([]ItemVec, len(rs)), make([]error, len(rs))
+	e.forChunks(rs, func(k, lo, hi int) { pcs[k], vcs[k], errs[k] = e.aggrRange(n, part, arg, nums, lo, hi) })
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
 	out := NewTable([]string{n.Part, n.Out}, []ColKind{KInt, KItem})
 	out.Col(n.Part).Int = settle(e, pcs...)
 	if out.Col(n.Out).Item = vcs[0]; len(vcs) > 1 {
@@ -131,30 +141,57 @@ func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 	return out, nil
 }
 
+// minMaxCast casts an fn:min/max argument into F&O's comparison domain:
+// an xs:untypedAtomic row (a node, atomized) becomes xs:double; numbers,
+// strings and booleans stay, and a column of only those is read in
+// place.
+func (e *Exec) minMaxCast(c *Col) *ItemVec {
+	groups := tagGroups(e, []*Col{c}, c.Len())
+	if groups == nil {
+		groups = []tagGroup{{kinds: [2]xqt.Kind{colTag(c)}}}
+	}
+	parts := make([]Col, len(groups))
+	for g, grp := range groups {
+		parts[g] = uniformRows(e, c, grp.kinds[0], grp.idx)
+		switch grp.kinds[0] {
+		case xqt.KInt, xqt.KDouble, xqt.KString, xqt.KBool:
+		default:
+			parts[g] = uniformDoubleCol(e.floats(&parts[g]))
+		}
+	}
+	out := mergeRows(e, parts, groups, c.Len())
+	return &out.Item
+}
+
+// numberAt reads a number or boolean row as xs:double.
+func numberAt(d *ItemVec, i int) float64 {
+	if d.KindAt(i) == xqt.KDouble {
+		return d.F[i]
+	}
+	return float64(d.I[i])
+}
+
 // aggGroup accumulates one group's aggregate state: pointer-free, so the
-// groups of a chunk live in scratch memory. The minimum or maximum of a
-// uniform xs:integer or xs:double column is kept in sumI or sumF.
+// groups of a chunk live in scratch memory. fn:min/max keep the row of
+// the group's extremum so far.
 type aggGroup struct {
 	part   int64
 	cnt    int64
 	sumF   float64
 	sumI   int64
 	allInt bool
+	row    int32
 }
 
 // aggrRange aggregates rows [lo, hi) by part, returning one (part, value)
 // row per group in first-appearance order. Groups live in one flat slice:
 // on clustered input (part non-decreasing, the usual state of an iter
 // column) a group is a run and its ordinal is the run's; otherwise a map
-// assigns the ordinals. When the argument column has a
-// uniform numeric tag, the accumulation loops run over the raw
-// int64/float64 payload vectors — one kind dispatch per chunk instead of
-// one per row (the accumulation order, and therefore every
-// floating-point result bit, is unchanged). The execution's stop signal
-// is polled every few thousand rows; when it fires the partial result is
-// dropped (the caller's Run surfaces the context error). The part list
-// is scratch memory, the value vector a column of its exact size.
-func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int64, ItemVec) {
+// assigns the ordinals. Each aggregate is one loop over the typed vectors
+// of its cast argument, polling the stop signal every few thousand rows
+// (a stopped chunk's result is dropped; Run surfaces the error). The part
+// list is scratch memory, the value vector a column of its exact size.
+func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, nums []float64, lo, hi int) ([]int64, ItemVec, error) {
 	runs, clustered := 0, true
 	for i := lo; i < hi; i++ {
 		if i == lo || part[i] != part[i-1] {
@@ -163,32 +200,17 @@ func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int
 		}
 	}
 	var ordinal map[int64]int32 // unclustered input only
-	var heapBytes int64         // what a new group is about to add to ordinal and mm, which grow on the Go heap
 	if !clustered {
-		runs, ordinal, heapBytes = 64, make(map[int64]int32, 64), 16
-	}
-	tag := xqt.KUntyped
-	uniform := false
-	if arg != nil {
-		tag, uniform = arg.Uniform()
+		runs, ordinal = 64, make(map[int64]int32, 64)
 	}
 	groups := dirty[aggGroup](e, scratchRegion, runs)[:0]
-	var mm []xqt.Item // per group, where the column is not uniformly numeric: the extremum so far, or room for the sum
-	if n.Op != AggCount && n.Op != AggAvg && !(uniform && (tag == xqt.KInt || tag == xqt.KDouble)) {
-		mm, heapBytes = []xqt.Item{}, heapBytes+itemBytes
-	}
 	k := 0 // the group of the row at hand
 	// newGroup is kept out of lookup, which the accumulation loops inline
 	newGroup := func(p int64) {
 		k = len(groups)
 		groups = append(grown(e, groups, 1), aggGroup{part: p, allInt: true})
-		if heapBytes != 0 {
-			e.charge(scratchRegion, heapBytes)
-		}
-		if mm != nil {
-			mm = append(mm, xqt.Item{})
-		}
 		if ordinal != nil {
+			e.charge(scratchRegion, 16) // the entry grows a Go map
 			ordinal[p] = int32(k)
 		}
 	}
@@ -202,70 +224,49 @@ func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int
 		groups[k].cnt++
 		return &groups[k]
 	}
+	isMax := n.Op == AggMax
 	// one kernel dispatch and one poll per block of rows
 	for blo := lo; blo < hi; blo += 8192 {
 		if blo > lo && e.stopRequested() {
-			return nil, ItemVec{}
+			return nil, ItemVec{}, nil
 		}
 		bhi := min(blo+8192, hi)
-		switch {
-		case n.Op == AggCount:
+		switch n.Op {
+		case AggCount:
 			for i := blo; i < bhi; i++ {
 				lookup(part[i])
 			}
-		case uniform && tag == xqt.KInt && (n.Op == AggSum || n.Op == AggAvg):
+		case AggSum, AggAvg:
 			for i := blo; i < bhi; i++ {
 				g := lookup(part[i])
-				g.sumI += arg.I[i]
-				g.sumF += float64(arg.I[i])
-			}
-		case uniform && tag == xqt.KDouble && (n.Op == AggSum || n.Op == AggAvg):
-			for i := blo; i < bhi; i++ {
-				g := lookup(part[i])
-				g.allInt = false
-				g.sumF += arg.F[i]
-			}
-		case uniform && tag == xqt.KInt && (n.Op == AggMin || n.Op == AggMax):
-			// ties keep the earlier row, and the comparison is the xs:double
-			// order xqt.SortLess applies to numeric items
-			max := n.Op == AggMax
-			for i := blo; i < bhi; i++ {
-				g := lookup(part[i])
-				v := arg.I[i]
-				if g.cnt == 1 || (max && float64(g.sumI) < float64(v)) || (!max && float64(v) < float64(g.sumI)) {
-					g.sumI = v
+				if arg.KindAt(i) == xqt.KInt {
+					g.sumI += arg.I[i]
+					g.sumF += float64(arg.I[i])
+				} else {
+					g.allInt = false
+					g.sumF += nums[i]
 				}
 			}
-		case uniform && tag == xqt.KDouble && (n.Op == AggMin || n.Op == AggMax):
-			max := n.Op == AggMax
+		default: // AggMin, AggMax: a group keeps its extremum's row
 			for i := blo; i < bhi; i++ {
 				g := lookup(part[i])
-				v := arg.F[i]
-				if g.cnt == 1 || (max && g.sumF < v) || (!max && v < g.sumF) {
-					g.sumF = v
-				}
-			}
-		default:
-			for i := blo; i < bhi; i++ {
-				g := lookup(part[i])
-				switch n.Op {
-				case AggSum, AggAvg:
-					it := arg.At(i)
-					if it.K == xqt.KInt {
-						g.sumI += it.I
-					} else {
-						g.allInt = false
+				if g.cnt > 1 {
+					// strings compare as strings, numbers and booleans as
+					// xs:double; NaN wins, and a tie keeps the earlier row j
+					j := int(g.row)
+					if arg.Tags != nil && ((arg.Tags[i] == xqt.KString) != (arg.Tags[j] == xqt.KString) ||
+						(arg.Tags[i] == xqt.KBool) != (arg.Tags[j] == xqt.KBool)) {
+						return nil, ItemVec{}, xqerr.Newf("FORG0006", "fn:min/fn:max over %s and %s values", arg.Tags[j], arg.Tags[i])
 					}
-					g.sumF += it.AsDouble()
-				case AggMin:
-					if g.cnt == 1 || xqt.SortLess(arg.At(i), mm[k]) {
-						mm[k] = arg.At(i)
-					}
-				case AggMax:
-					if g.cnt == 1 || xqt.SortLess(mm[k], arg.At(i)) {
-						mm[k] = arg.At(i)
+					if arg.KindAt(i) == xqt.KString {
+						if !(isMax && arg.S[i] > arg.S[j] || !isMax && arg.S[i] < arg.S[j]) {
+							continue
+						}
+					} else if a, b := numberAt(arg, i), numberAt(arg, j); !(isMax && a > b || !isMax && a < b || a != a && b == b) {
+						continue
 					}
 				}
+				g.row = int32(i)
 			}
 		}
 	}
@@ -289,22 +290,29 @@ func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, lo, hi int) ([]int
 	}
 	switch {
 	case n.Op == AggCount:
-		return pc, ints(func(g *aggGroup) int64 { return g.cnt })
+		return pc, ints(func(g *aggGroup) int64 { return g.cnt }), nil
 	case n.Op == AggAvg:
-		return pc, floats(func(g *aggGroup) float64 { return g.sumF / float64(g.cnt) })
-	case uniform && tag == xqt.KInt: // the sum, minimum or maximum of xs:integers
-		return pc, ints(func(g *aggGroup) int64 { return g.sumI })
-	case uniform && tag == xqt.KDouble:
-		return pc, floats(func(g *aggGroup) float64 { return g.sumF })
-	}
-	if n.Op == AggSum { // else mm holds the extrema
+		return pc, floats(func(g *aggGroup) float64 { return g.sumF / float64(g.cnt) }), nil
+	case n.Op == AggSum && arg.Tags == nil: // every sum is an xs:integer, or none is
+		if arg.Tag == xqt.KInt {
+			return pc, ints(func(g *aggGroup) int64 { return g.sumI }), nil
+		}
+		return pc, floats(func(g *aggGroup) float64 { return g.sumF }), nil
+	case n.Op == AggSum: // a sum is an xs:integer while every addend was one
+		e.charge(scratchRegion, itemBytes*int64(len(groups)))
+		sums := make([]xqt.Item, len(groups))
 		for i, g := range groups {
-			if mm[i] = xqt.Double(g.sumF); g.allInt { // a sum is an xs:integer while every addend was one
-				mm[i] = xqt.Int(g.sumI)
+			if sums[i] = xqt.Double(g.sumF); g.allInt {
+				sums[i] = xqt.Int(g.sumI)
 			}
 		}
+		return pc, itemVecOf(e, sums), nil
 	}
-	return pc, itemVecOf(e, mm)
+	rows := dirty[int32](e, scratchRegion, len(groups))
+	for i := range groups {
+		rows[i] = groups[i].row
+	}
+	return pc, arg.gatherIn(e, outRegion, rows), nil
 }
 
 func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {

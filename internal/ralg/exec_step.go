@@ -2,6 +2,7 @@ package ralg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mxq/internal/scj"
@@ -10,103 +11,98 @@ import (
 	"mxq/internal/xqt"
 )
 
-// stepInputSorted verifies the (item, iter) sort contract of Step inputs.
-func stepInputSorted(items *ItemVec, iters []int64) bool {
-	if k, ok := items.Uniform(); ok && (k == xqt.KNode || k == xqt.KAttr) {
-		// uniform node column: document order is (container, pre) order
-		// directly on the payload vectors
-		return rawColsSorted([]rawCol{{hi: items.Cont, lo: items.I}, {lo: iters}}, items.Len())
-	}
-	for i := 1; i < items.Len(); i++ {
-		a, b := items.At(i-1), items.At(i)
-		if xqt.SortLess(a, b) {
-			continue
-		}
-		if xqt.SortLess(b, a) || iters[i-1] > iters[i] {
-			return false
-		}
-	}
-	return true
+// stepInputSorted verifies the (item, iter) sort contract of Step inputs
+// on the keys of the sort that establishes it.
+func (e *Exec) stepInputSorted(in *Table, item, iter string) bool {
+	by := []string{item, iter}
+	return rawSorted(in, by, nil) || keysSorted(e.sortKeys(in, by, nil), in.N)
 }
 
-// stepSeg is one contiguous segment of a Step input: either a run of
-// node-context rows [lo, hi) all living in container cont, or a single
-// attribute row (attrRow = true; only the parent axis resolves those).
+// stepSeg is one container's run [lo, hi) of Step input nodes.
 type stepSeg struct {
-	cont    int32
-	lo, hi  int
-	attrRow bool
+	cont   int32
+	lo, hi int
 }
 
 // stepSegments cuts the (item, iter)-sorted Step input into per-container
-// context runs. With a sharded collection each shard is one segment, so
-// the segments are the unit of cross-shard parallelism.
-func stepSegments(items *ItemVec, axis scj.Axis) []stepSeg {
-	uniformNodes := false
-	if k, ok := items.Uniform(); ok && k == xqt.KNode {
-		uniformNodes = true
-	}
+// runs, skipping atoms (which sort first). With a sharded collection each
+// shard is one segment: the unit of cross-shard parallelism.
+func stepSegments(items *ItemVec) []stepSeg {
 	var segs []stepSeg
-	i := 0
-	for i < items.Len() {
-		if items.KindAt(i) != xqt.KNode {
-			// attribute nodes have no children etc.; only the parent
-			// axis resolves to their owner
-			if items.KindAt(i) == xqt.KAttr && axis == scj.Parent {
-				segs = append(segs, stepSeg{cont: items.Cont[i], lo: i, hi: i + 1, attrRow: true})
-			}
+	for i := 0; i < items.Len(); {
+		if k := items.KindAt(i); k != xqt.KNode && k != xqt.KAttr {
 			i++
 			continue
 		}
-		cont := items.Cont[i]
-		j := i
-		if uniformNodes {
-			for j < items.Len() && items.Cont[j] == cont {
-				j++
-			}
-		} else {
-			for j < items.Len() && items.KindAt(j) == xqt.KNode && items.Cont[j] == cont {
-				j++
-			}
+		j := i + 1
+		for j < items.Len() && items.Cont[j] == items.Cont[i] {
+			j++
 		}
-		segs = append(segs, stepSeg{cont: cont, lo: i, hi: j})
+		segs = append(segs, stepSeg{cont: items.Cont[i], lo: i, hi: j})
 		i = j
 	}
 	return segs
 }
 
-// stepSegRun evaluates one segment and returns the blocks the kernel
-// filled. The segment's worker budget is its share — weight out of
-// total — of the execution's workers: scj.StepBlocks runs the step
-// serially on a budget of one, or below the threshold, and decomposed
-// otherwise.
-func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) scj.Blocks {
+// stepSegRun evaluates one segment: the blocks of its result and, when
+// that holds attributes, every pair's kind. Tree-node rows go through
+// scj.StepBlocks with the segment's share (weight of total) of the
+// workers. An attribute row resolves on parent, to its owner (merged into
+// the kernel's pairs, duplicates dropped), and on self under node() (a
+// self step over a segment holding attributes filters its rows instead).
+func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) (scj.Blocks, []xqt.Kind) {
 	c := e.Pool.Get(s.cont)
-	if s.attrRow {
-		owner := c.AttrOwner[items.I[s.lo]]
-		if !scj.CompileTest(c, n.Test)(owner) {
-			return scj.Blocks{}
-		}
-		return scj.Blocks{Segs: []scj.Pairs{{Pre: []int32{owner}, Iter: []int32{int32(iters[s.lo])}}}}
-	}
-	// the context relation: the run's pre and iter vectors narrowed to the
-	// document's int32 encoding, in scratch memory
+	test := scj.CompileTest(c, n.Test)
+	// the context relation: the run's tree-node rows narrowed to the
+	// document's int32 encoding, in scratch memory; under parent, the
+	// owners of its attribute rows as packed (pre, iter) pairs
 	ctx := scj.Pairs{Pre: dirty[int32](e, scratchRegion, s.hi-s.lo), Iter: dirty[int32](e, scratchRegion, s.hi-s.lo)}
+	var owners []uint64
+	k := 0
 	for i := s.lo; i < s.hi; i++ {
-		ctx.Pre[i-s.lo], ctx.Iter[i-s.lo] = int32(items.I[i]), int32(iters[i])
+		x, it := int32(items.I[i]), int32(iters[i])
+		switch {
+		case items.KindAt(i) != xqt.KAttr:
+			ctx.Pre[k], ctx.Iter[k] = x, it
+			k++
+		case n.Axis == scj.Parent && test(c.AttrOwner[x]):
+			owners = append(grown(e, owners, 1), uint64(c.AttrOwner[x])<<32|uint64(uint32(it)))
+		}
 	}
+	if k < s.hi-s.lo && n.Axis == scj.Self {
+		out, kinds := scj.Pairs{Pre: ctx.Pre[:0], Iter: ctx.Iter[:0]}, dirty[xqt.Kind](e, scratchRegion, s.hi-s.lo)[:0]
+		for i := s.lo; i < s.hi; i++ {
+			kind, x := items.KindAt(i), int32(items.I[i])
+			if kind == xqt.KAttr && n.Test.Kind == scj.TestNode || kind == xqt.KNode && test(x) {
+				out.Pre, out.Iter, kinds = append(out.Pre, x), append(out.Iter, int32(iters[i])), append(kinds, kind)
+			}
+		}
+		return scj.Blocks{Segs: []scj.Pairs{out}}, kinds
+	}
+	ctx.Pre, ctx.Iter = ctx.Pre[:k], ctx.Iter[:k]
 	budget := int(int64(e.Par.Workers) * weight / total)
-	return scj.StepBlocks(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
+	blocks := scj.StepBlocks(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
+	if len(owners) == 0 {
+		return blocks, nil
+	}
+	slices.Sort(owners)
+	owners = slices.Compact(owners)
+	op := scj.Pairs{Pre: dirty[int32](e, scratchRegion, len(owners)), Iter: dirty[int32](e, scratchRegion, len(owners))}
+	for r, key := range owners {
+		op.Pre[r], op.Iter[r] = int32(key>>32), int32(uint32(key))
+	}
+	return scj.Blocks{Segs: []scj.Pairs{scj.MergePairs(blocks.Pairs(st), op)}}, nil
 }
 
 func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	iters := in.Ints(n.IterCol)
 	items := in.ItemVec(n.ItemCol)
-	if !stepInputSorted(items, iters) {
+	if !e.stepInputSorted(in, n.ItemCol, n.IterCol) {
 		return nil, fmt.Errorf("ralg: step(%v) input not sorted on (item, iter): plan misses a sort", n.Axis)
 	}
-	segs := stepSegments(items, n.Axis)
+	segs := stepSegments(items)
 	results := make([]scj.Blocks, len(segs))
+	kinds := make([][]xqt.Kind, len(segs))
 	// Each container run is one task (with a sharded collection, the
 	// unit of cross-shard parallelism), and the worker budget is split
 	// across segments in proportion to their containers' sizes, so a
@@ -119,14 +115,8 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	weights := dirty[int64](e, scratchRegion, len(segs))
 	var weight int64
 	for k, s := range segs {
-		w := int64(1)
-		if !s.attrRow {
-			if l := int64(e.Pool.Get(s.cont).Len()); l > 1 {
-				w = l
-			}
-		}
-		weights[k] = w
-		weight += w
+		weights[k] = max(int64(e.Pool.Get(s.cont).Len()), 1)
+		weight += weights[k]
 	}
 	defer func() {
 		for k := range results {
@@ -143,24 +133,27 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	}
 	e.forTasks(len(segs), func(k int) {
 		stats[k] = scj.Stats{Stop: stop, Charge: charge}
-		results[k] = e.stepSegRun(n, iters, items, segs[k], weights[k], weight, &stats[k])
+		results[k], kinds[k] = e.stepSegRun(n, iters, items, segs[k], weights[k], weight, &stats[k])
 	})
-	// the pair segments of all container runs with their output offsets
+	// the pair segments of all container runs with their output offsets;
+	// kinds is nil for a piece of tree nodes
 	type piece struct {
 		scj.Pairs
-		cont int32
-		base int
+		kinds []xqt.Kind
+		cont  int32
+		base  int
 	}
 	var pieces []piece
-	total := 0
+	total, attrs := 0, false
 	for k := range results {
 		e.Stats.Step.Touched += stats[k].Touched
 		e.Stats.Step.Emitted += stats[k].Emitted
 		e.Stats.Step.Pruned += stats[k].Pruned
 		for _, seg := range results[k].Segs {
-			pieces = append(pieces, piece{seg, segs[k].cont, total})
+			pieces = append(pieces, piece{seg, kinds[k], segs[k].cont, total})
 			total += seg.Len()
 		}
+		attrs = attrs || kinds[k] != nil
 	}
 	// the emitter charged 8 B per pair as each block filled, so a runaway
 	// step aborts mid-emission; the 20 B per row of the widened columns
@@ -170,6 +163,9 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	tc := out.Col("item")
 	ic.Int = dirty[int64](e, outRegion, total)
 	tc.Item = e.uniformVec(xqt.KNode, total)
+	if attrs {
+		tc.Item.Tags = dirty[xqt.Kind](e, outRegion, total)
+	}
 	// the single copy of the step result: block pairs widen straight into
 	// the output columns
 	e.forTasks(len(pieces), func(k int) {
@@ -177,6 +173,11 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 		ii, cc, pp := ic.Int[pc.base:], tc.Item.Cont[pc.base:], tc.Item.I[pc.base:]
 		for r, pre := range pc.Pre {
 			ii[r], cc[r], pp[r] = int64(pc.Iter[r]), pc.cont, int64(pre)
+		}
+		if pc.kinds != nil {
+			copy(tc.Item.Tags[pc.base:], pc.kinds)
+		} else if attrs {
+			fillWith(tc.Item.Tags[pc.base:pc.base+pc.Len()], xqt.KNode)
 		}
 	})
 	out.N = total
@@ -186,7 +187,7 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 func (e *Exec) execAttrStep(n *AttrStep, in *Table) (*Table, error) {
 	iters := in.Ints(n.IterCol)
 	items := in.ItemVec(n.ItemCol)
-	if !stepInputSorted(items, iters) {
+	if !e.stepInputSorted(in, n.ItemCol, n.IterCol) {
 		return nil, fmt.Errorf("ralg: attribute step input not sorted on (item, iter)")
 	}
 	// newRunAt is the chunk boundary predicate: row i starts a new

@@ -3,6 +3,7 @@ package ralg
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -10,31 +11,26 @@ import (
 )
 
 // sortKey is one normalized sort column, extracted once per sort so the
-// kernel never interprets a value per comparison. Exactly one of u, s
-// and col is set:
+// kernel never interprets a value per comparison. Exactly one of u and s
+// is set:
 //
-//	u    order-preserving uint64 keys, Desc folded in as bit-complement
-//	     (KInt/KBool columns, uniform numeric/boolean item columns, node
-//	     columns as (cont, pre, attr-bit))
-//	s    a uniform string/untyped item column, compared as strings
-//	col  the generic extractor: a mixed-tag or NaN-bearing column
-//	     compared row by row with xqt.SortLess
+//	u  order-preserving uint64 keys, Desc folded in as bit-complement
+//	s  an item column's strings, compared as strings
 type sortKey struct {
 	u    []uint64
 	s    []string
-	col  *Col
-	desc bool // applies to s and col
+	desc bool // applies to s
 }
 
 // sortKeys extracts the keys of the named sort columns, into scratch
-// memory; typed is false when some column needed the generic extractor.
-func (e *Exec) sortKeys(t *Table, by []string, desc []bool) (keys []sortKey, typed bool) {
-	typed = true
+// memory. Every order the executor establishes or checks reads them: the
+// sort kernel, the Step-input check and Distinct's merge.
+func (e *Exec) sortKeys(t *Table, by []string, desc []bool) []sortKey {
+	var keys []sortKey
 	for k, name := range by {
 		c := t.Col(name)
-		d := k < len(desc) && desc[k]
 		var flip uint64
-		if d {
+		if k < len(desc) && desc[k] {
 			flip = ^uint64(0)
 		}
 		switch c.Kind {
@@ -45,139 +41,120 @@ func (e *Exec) sortKeys(t *Table, by []string, desc []bool) (keys []sortKey, typ
 			}
 			keys = append(keys, sortKey{u: u})
 		case KBool:
-			u := zeroed[uint64](e, scratchRegion, t.N)
+			u := dirty[uint64](e, scratchRegion, t.N)
 			for i, b := range c.Bool {
-				if b != d {
-					u[i] = 1
-				}
+				u[i] = boolKey(b) ^ flip
 			}
 			keys = append(keys, sortKey{u: u})
 		default:
-			ik := e.itemKeys(&c.Item, flip)
-			if ik == nil {
-				ik, typed = []sortKey{{col: c}}, false
-			}
-			for i := range ik {
-				ik[i].desc = d
-			}
-			keys = append(keys, ik...)
+			keys = e.appendItemKeys(keys, &c.Item, flip)
 		}
 	}
-	return keys, typed
+	return keys
 }
 
-// itemKeys maps an item column to typed keys that order exactly like
-// xqt.SortLess, or returns nil when only the generic comparator does:
-// NaN compares equal to everything there (not a weak order), and rows
-// of mixed kinds order by kind rank first.
-func (e *Exec) itemKeys(v *ItemVec, flip uint64) []sortKey {
+// appendItemKeys appends the keys that order an item column like
+// XQuery's order by: a rank key when the rows span several of xqt's sort
+// ranks (the empty key, numbers, strings, booleans, nodes), then one
+// value key per rank present. Numbers order as xs:double with NaN below
+// every number (floatKey), booleans false first, strings as strings, and
+// nodes by container, then docOrderKeys (an attribute after its owner
+// element). A row holds zero in the value keys of the other ranks: the
+// rank key has told such rows apart before those are read.
+func (e *Exec) appendItemKeys(keys []sortKey, v *ItemVec, flip uint64) []sortKey {
 	n := v.Len()
-	tag, uniform := v.Uniform()
-	if !uniform {
-		tag = xqt.KNode
-		for _, k := range v.Tags {
-			if k < xqt.KNode {
-				return nil
-			}
+	rank := func(i int) int {
+		if k := v.KindAt(i); k != xqt.KUntyped || v.S[i] != xqt.EmptyLeast.S {
+			return xqt.KindRank(k)
 		}
+		return xqt.RankEmpty
 	}
-	if tag == xqt.KString || tag == xqt.KUntyped {
-		keys := []sortKey{{s: v.S}}
-		if tag == xqt.KUntyped && slices.Contains(v.S, xqt.EmptyLeast.S) {
-			// the EmptyLeast sentinel sorts before every string, "" included:
-			// a leading rank key carries that, and only columns holding the
-			// sentinel pay for it
-			rank := zeroed[uint64](e, scratchRegion, n)
-			for j, s := range v.S {
-				if s != xqt.EmptyLeast.S {
-					rank[j] = 1
-				}
-				rank[j] ^= flip
-			}
-			keys = []sortKey{{u: rank}, keys[0]}
-		}
-		return keys
-	}
-	u := dirty[uint64](e, scratchRegion, n)
-	switch tag {
-	case xqt.KBool:
-		for i, x := range v.I {
-			u[i] = uint64(x) ^ flip
-		}
-	case xqt.KInt: // items order as xs:double, like SortLess (exact past 2^53 it is not)
-		for i, x := range v.I {
-			u[i] = floatKey(float64(x)) ^ flip
-		}
-	case xqt.KDouble:
-		for i, f := range v.F {
-			if f != f {
-				return nil
-			}
-			u[i] = floatKey(f) ^ flip
-		}
-	default:
-		// document order: container, then pre/attribute row, an element
-		// before an attribute at the same rank
-		var bad uint64
-		for i, x := range v.I {
-			k := uint64(v.Cont[i])<<33 | uint64(x)<<1
-			if v.KindAt(i) == xqt.KAttr {
-				k |= 1
-			}
-			bad |= uint64(v.Cont[i])>>31 | uint64(x)>>32
-			u[i] = k ^ flip
-		}
-		if bad != 0 {
-			return nil // ids outside the packed ranges: negative, or a row past 2^32
-		}
-	}
-	return []sortKey{{u: u}}
-}
-
-// floatKey maps an xs:double to a uint64 that orders like the value
-// (-0 and +0 share a key, as they compare equal).
-func floatKey(f float64) uint64 {
-	if f == 0 {
-		return 1 << 63
-	}
-	if b := math.Float64bits(f); b>>63 == 0 {
-		return b | 1<<63
+	var ranks uint // the set of ranks present
+	if tag, uniform := v.Uniform(); uniform && tag != xqt.KUntyped {
+		ranks = 1 << xqt.KindRank(tag)
 	} else {
-		return ^b
+		for i := range n {
+			ranks |= 1 << rank(i)
+		}
 	}
+	if bits.OnesCount(ranks) > 1 {
+		u := dirty[uint64](e, scratchRegion, n)
+		for i := range u {
+			u[i] = uint64(rank(i)) ^ flip
+		}
+		keys = append(keys, sortKey{u: u})
+	}
+	if ranks&(1<<xqt.RankNumeric|1<<xqt.RankBool) != 0 {
+		u := dirty[uint64](e, scratchRegion, n)
+		for i := range u {
+			switch v.KindAt(i) {
+			case xqt.KInt: // items order as xs:double, like SortLess (exact past 2^53 it is not)
+				u[i] = floatKey(float64(v.I[i])) ^ flip
+			case xqt.KDouble:
+				u[i] = floatKey(v.F[i]) ^ flip
+			case xqt.KBool:
+				u[i] = uint64(v.I[i]) ^ flip
+			default:
+				u[i] = 0
+			}
+		}
+		keys = append(keys, sortKey{u: u})
+	}
+	if ranks&(1<<xqt.RankString) != 0 {
+		keys = append(keys, sortKey{s: v.S, desc: flip != 0})
+	}
+	if ranks&(1<<xqt.RankNode) != 0 {
+		cont, pos := dirty[uint64](e, scratchRegion, n), e.docOrderKeys(v)
+		for i := range cont {
+			cont[i], pos[i] = uint64(v.Cont[i])^1<<63^flip, pos[i]^flip
+		}
+		keys = append(keys, sortKey{u: cont}, sortKey{u: pos})
+	}
+	return keys
 }
 
-// compareCol is the generic comparator: rows i and j of one column,
-// items via xqt.SortLess (document order for nodes, value order for
-// atoms).
-func compareCol(c *Col, i, j int32) int {
-	switch c.Kind {
-	case KInt:
-		return cmp.Compare(c.Int[i], c.Int[j])
-	case KBool:
-		a, b := c.Bool[i], c.Bool[j]
-		switch {
-		case !a && b:
-			return -1
-		case a && !b:
-			return 1
-		}
-		return 0
-	}
-	a, b := c.Item.At(int(i)), c.Item.At(int(j))
-	switch {
-	case xqt.SortLess(a, b):
-		return -1
-	case xqt.SortLess(b, a):
+// boolKey orders false before true.
+func boolKey(b bool) uint64 {
+	if b {
 		return 1
 	}
 	return 0
 }
 
-// compareRows compares rows i and j on the given columns, ascending.
-func compareRows(by []*Col, i, j int32) int {
+// floatKey maps an xs:double to a uint64 that orders like the value, NaN
+// lowest (-0 and +0 share a key, as they compare equal).
+func floatKey(f float64) uint64 {
+	switch b := math.Float64bits(f); {
+	case f != f:
+		return 0
+	case f == 0:
+		return 1 << 63
+	case b>>63 == 0:
+		return b | 1<<63
+	default:
+		return ^b
+	}
+}
+
+// compareRows compares rows i and j on the given columns, ascending, one
+// boxed comparison per column: ints and booleans by value, items by
+// xqt.SortLess. Only CompareRowsOn and IsSortedBy use it.
+func compareRows(by []*Col, i, j int) int {
 	for _, c := range by {
-		if r := compareCol(c, i, j); r != 0 {
+		r := 0
+		switch c.Kind {
+		case KInt:
+			r = cmp.Compare(c.Int[i], c.Int[j])
+		case KBool:
+			r = cmp.Compare(boolKey(c.Bool[i]), boolKey(c.Bool[j]))
+		default:
+			if a, b := c.Item.At(i), c.Item.At(j); xqt.SortLess(a, b) {
+				r = -1
+			} else if xqt.SortLess(b, a) {
+				r = 1
+			}
+		}
+		if r != 0 {
 			return r
 		}
 	}
@@ -188,19 +165,11 @@ func compareRows(by []*Col, i, j int32) int {
 func compareKeys(keys []sortKey, i, j int32) int {
 	for k := range keys {
 		key := &keys[k]
-		var r int
-		switch {
-		case key.u != nil:
-			if r = cmp.Compare(key.u[i], key.u[j]); r != 0 {
+		if key.u != nil {
+			if r := cmp.Compare(key.u[i], key.u[j]); r != 0 {
 				return r
 			}
-			continue
-		case key.col != nil:
-			r = compareCol(key.col, i, j)
-		default:
-			r = strings.Compare(key.s[i], key.s[j])
-		}
-		if r != 0 {
+		} else if r := strings.Compare(key.s[i], key.s[j]); r != 0 {
 			if key.desc {
 				return -r
 			}
@@ -208,6 +177,16 @@ func compareKeys(keys []sortKey, i, j int32) int {
 		}
 	}
 	return 0
+}
+
+// keysSorted reports whether the n rows are in ascending order on keys.
+func keysSorted(keys []sortKey, n int) bool {
+	for i := 1; i < n; i++ {
+		if compareKeys(keys, int32(i-1), int32(i)) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // radixMin is the input size from which the LSD radix kernel beats the
@@ -225,20 +204,18 @@ const radixMin = 32
 // observes a cancelled or over-budget execution also returns nil; Run
 // discards what the operator builds then. It is the one sort entry
 // point of the package: Sort, refine sort and RankSort numbering all
-// funnel through it.
+// funnel through it. Every column reduces to typed keys: radix over
+// uint64 keys, a comparison sort for string keys or small inputs.
 func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []int32 {
 	n := t.N
-	if refinePrefix >= len(by) || n < 2 {
+	if refinePrefix >= len(by) || n < 2 || rawSorted(t, by, desc) {
 		return nil
 	}
-	if rawSorted(t, by, desc) {
-		return nil
-	}
-	var run []uint64 // ordinal of each row's equal-prefix run
 	var keys []sortKey
 	if refinePrefix > 0 {
-		pre, _ := e.sortKeys(t, by[:refinePrefix], nil)
-		run = zeroed[uint64](e, scratchRegion, n)
+		// the ordinal of each row's equal-prefix run leads the keys
+		pre := e.sortKeys(t, by[:refinePrefix], nil)
+		run := zeroed[uint64](e, scratchRegion, n)
 		for i, start := 1, 0; i < n; i++ {
 			run[i] = run[i-1]
 			if compareKeys(pre, int32(start), int32(i)) != 0 {
@@ -247,57 +224,31 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 			}
 		}
 		keys = append(keys, sortKey{u: run})
-		if len(desc) > refinePrefix {
-			desc = desc[refinePrefix:]
-		} else {
-			desc = nil
-		}
+		desc = desc[min(refinePrefix, len(desc)):]
 	}
-	suffix, typed := e.sortKeys(t, by[refinePrefix:], desc)
-	keys = append(keys, suffix...)
-
-	radix := typed && n >= radixMin
-	if typed {
-		sorted := true
-		for i := 1; i < n && sorted; i++ {
-			sorted = compareKeys(keys, int32(i-1), int32(i)) <= 0
-		}
-		if sorted {
-			return nil
-		}
-		for k := range keys {
-			radix = radix && keys[k].u != nil
-		}
+	keys = append(keys, e.sortKeys(t, by[refinePrefix:], desc)...)
+	if keysSorted(keys, n) {
+		return nil
 	}
 	idx := identity(e, n)
-	switch {
-	case !typed:
-		// the generic path is the old comparator sort, run for run: where
-		// NaN makes the comparator inconsistent, the outcome is whatever
-		// this algorithm yields, so it cannot be replaced piecemeal
-		for lo, hi := 0, 0; lo < n; lo = hi {
-			for hi = lo + 1; hi < n && (run == nil || run[hi] == run[lo]); hi++ {
-			}
-			slices.SortStableFunc(idx[lo:hi], func(a, b int32) int { return compareKeys(suffix, a, b) })
-		}
-	case !radix:
+	if n < radixMin || slices.ContainsFunc(keys, func(k sortKey) bool { return k.u == nil }) {
 		slices.SortFunc(idx, func(a, b int32) int {
 			if r := compareKeys(keys, a, b); r != 0 {
 				return r
 			}
 			return cmp.Compare(a, b) // the row index as tie-break: stability for free
 		})
-	default:
-		// LSD over the key columns, last column first; every pass is stable
-		tmp := dirty[int32](e, scratchRegion, n)
-		for k := len(keys) - 1; k >= 0 && idx != nil; k-- {
-			idx, tmp = e.radixSort(keys[k].u, idx, tmp)
-		}
+		return idx
+	}
+	// LSD over the key columns, last column first; every pass is stable
+	tmp := dirty[int32](e, scratchRegion, n)
+	for k := len(keys) - 1; k >= 0 && idx != nil; k-- {
+		idx, tmp = e.radixSort(keys[k].u, idx, tmp)
 	}
 	return idx
 }
 
-// rawCol is a column the presorted checks read in place: the (container,
+// rawCol is a column the presorted check reads in place: the (container,
 // pre) payload vectors of a uniform node column or, with hi nil, an
 // int64 column.
 type rawCol struct {
@@ -305,34 +256,13 @@ type rawCol struct {
 	lo []int64
 }
 
-// rawColsSorted reports whether the n rows are in ascending
-// lexicographic order on cols.
-func rawColsSorted(cols []rawCol, n int) bool {
-	for i := 1; i < n; i++ {
-		for _, c := range cols {
-			if c.hi != nil && c.hi[i-1] != c.hi[i] {
-				if c.hi[i-1] > c.hi[i] {
-					return false
-				}
-				break
-			}
-			if c.lo[i-1] != c.lo[i] {
-				if c.lo[i-1] > c.lo[i] {
-					return false
-				}
-				break
-			}
-		}
-	}
-	return true
-}
-
 // rawSorted is the presorted check on the raw column vectors, before any
 // key is extracted: it reports true only when every sort column is an
 // ascending KInt column or a uniform node column — the iter/pos/item
 // columns of path steps, which order by their payload vectors exactly as
-// their extracted keys do — and the rows are in order. On false the
-// caller takes the key route, which decides everything else.
+// their extracted keys do (a container's attribute rows are in document
+// order) — and the rows are in order. On false the caller takes the key
+// route, which decides everything else.
 func rawSorted(t *Table, by []string, desc []bool) bool {
 	cols := make([]rawCol, len(by))
 	for k, name := range by {
@@ -349,7 +279,23 @@ func rawSorted(t *Table, by []string, desc []bool) bool {
 			return false
 		}
 	}
-	return rawColsSorted(cols, t.N)
+	for i := 1; i < t.N; i++ {
+		for _, c := range cols {
+			if c.hi != nil && c.hi[i-1] != c.hi[i] {
+				if c.hi[i-1] > c.hi[i] {
+					return false
+				}
+				break
+			}
+			if c.lo[i-1] != c.lo[i] {
+				if c.lo[i-1] > c.lo[i] {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }
 
 // identity returns the row indexes 0..n-1, in scratch memory.
@@ -398,18 +344,20 @@ func (e *Exec) radixSort(u []uint64, idx, tmp []int32) ([]int32, []int32) {
 }
 
 // CompareRowsOn compares rows i and j of t on the named columns,
-// ascending, with the generic comparator (items via xqt.SortLess).
+// ascending, with the boxed comparator (items via xqt.SortLess).
 // Planck's literal-claim verification and optcheck's input synthesis
-// share it so "sorted" means exactly what the executor means by it.
+// share it. It agrees with the executor's keys on every column they
+// hand it; SortLess is not document order for a column that mixes
+// elements and attributes, and none of them builds one.
 func CompareRowsOn(t *Table, by []string, i, j int) int {
-	return compareRows(colsOf(t, by), int32(i), int32(j))
+	return compareRows(colsOf(t, by), i, j)
 }
 
 // IsSortedBy reports whether t is sorted on the given columns.
 func IsSortedBy(t *Table, by []string) bool {
 	cols := colsOf(t, by)
 	for i := 1; i < t.N; i++ {
-		if compareRows(cols, int32(i-1), int32(i)) > 0 {
+		if compareRows(cols, i-1, i) > 0 {
 			return false
 		}
 	}

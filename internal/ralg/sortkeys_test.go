@@ -7,15 +7,74 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
+	"mxq/internal/naive"
+	"mxq/internal/store"
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
 
-// refCompareRows is the comparator the sort ran on before the typed
-// kernel: one boxed xqt.Item per comparison, items via xqt.SortLess.
-func refCompareRows(by []*Col, desc []bool, i, j int32) int {
+// sortDoc is the document the node flavours draw from, loaded twice (two
+// containers): elements with and without attributes, nested, and text.
+const sortDoc = `<r a="1" b="2"><x c="3">t<y d="4"/></x><z/><w e="5" f="6"><v g="7"/>u</w></r>`
+
+// sortWorld holds the containers the node flavours reference, their tree
+// nodes and attributes, and each one's position in the naive oracle's
+// document order: (the node's or owner's Ord, attribute index + 1).
+type sortWorld struct {
+	pool         *store.Pool
+	nodes, attrs []xqt.Item
+	pos          map[xqt.Item][2]int64
+}
+
+func newSortWorld(t *testing.T) *sortWorld {
+	t.Helper()
+	w := &sortWorld{pool: store.NewPool(), pos: map[xqt.Item][2]int64{}}
+	var ord int64
+	for k := range 2 {
+		c, err := store.Shred(fmt.Sprintf("s%d", k), strings.NewReader(sortDoc), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.pool.Register(c)
+		pre := int32(0)
+		var walk func(n *naive.Node)
+		walk = func(n *naive.Node) {
+			it := xqt.Node(c.ID, pre)
+			w.nodes, w.pos[it] = append(w.nodes, it), [2]int64{n.Ord, 0}
+			if n.Kind == store.KindElem {
+				ac, lo, _ := c.Attrs(pre)
+				for i := range n.Attrs {
+					a := xqt.Attr(ac.ID, lo+int32(i))
+					w.attrs, w.pos[a] = append(w.attrs, a), [2]int64{n.Ord, int64(i) + 1}
+				}
+			}
+			pre++
+			for _, ch := range n.Children {
+				walk(ch)
+			}
+		}
+		walk(naive.FromContainer(c, &ord))
+	}
+	return w
+}
+
+// less is the reference item order: xqt.SortLess, with its NaN rank, for
+// atoms, and for two nodes the container, then the naive oracle's
+// document order (SortLess's node clause holds for one node kind only).
+func (w *sortWorld) less(a, b xqt.Item) bool {
+	if !a.IsNode() || !b.IsNode() {
+		return xqt.SortLess(a, b)
+	}
+	pa, pb := w.pos[a], w.pos[b]
+	return a.Cont < b.Cont || a.Cont == b.Cont && (pa[0] < pb[0] || pa[0] == pb[0] && pa[1] < pb[1])
+}
+
+// refCompareRows is the reference comparator: one boxed xqt.Item per
+// comparison, items ordered by less.
+func refCompareRows(by []*Col, desc []bool, i, j int32, less func(a, b xqt.Item) bool) int {
 	for k, c := range by {
 		var r int
 		switch c.Kind {
@@ -38,9 +97,9 @@ func refCompareRows(by []*Col, desc []bool, i, j int32) int {
 		default:
 			a, b := c.Item.At(int(i)), c.Item.At(int(j))
 			switch {
-			case xqt.SortLess(a, b):
+			case less(a, b):
 				r = -1
-			case xqt.SortLess(b, a):
+			case less(b, a):
 				r = 1
 			}
 		}
@@ -54,10 +113,10 @@ func refCompareRows(by []*Col, desc []bool, i, j int32) int {
 	return 0
 }
 
-// refSortIdx is the comparator sort SortIdx replaced (sort.SliceStable
-// over the row indexes, refine mode run by run): the reference the
-// kernel must reproduce permutation for permutation.
-func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int) []int32 {
+// refSortIdx is a comparator sort (sort.SliceStable over the row
+// indexes, refine mode run by run): the reference the kernel must
+// reproduce permutation for permutation.
+func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int, less func(a, b xqt.Item) bool) []int32 {
 	cols := colsOf(t, by)
 	idx := identity(nil, t.N)
 	if refinePrefix >= len(by) {
@@ -65,7 +124,7 @@ func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int) []int32 {
 	}
 	if refinePrefix == 0 {
 		sort.SliceStable(idx, func(a, b int) bool {
-			return refCompareRows(cols, desc, idx[a], idx[b]) < 0
+			return refCompareRows(cols, desc, idx[a], idx[b], less) < 0
 		})
 		return idx
 	}
@@ -76,12 +135,12 @@ func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int) []int32 {
 	}
 	for start := 0; start < t.N; {
 		end := start + 1
-		for end < t.N && refCompareRows(prefix, nil, int32(start), int32(end)) == 0 {
+		for end < t.N && refCompareRows(prefix, nil, int32(start), int32(end), less) == 0 {
 			end++
 		}
 		run := idx[start:end]
 		sort.SliceStable(run, func(a, b int) bool {
-			return refCompareRows(suffix, sufDesc, run[a], run[b]) < 0
+			return refCompareRows(suffix, sufDesc, run[a], run[b], less) < 0
 		})
 		start = end
 	}
@@ -89,14 +148,14 @@ func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int) []int32 {
 }
 
 // sortColumns is one generator per column flavour the kernel
-// distinguishes; generic marks the flavours that take the comparator
-// path (never reported as presorted).
+// distinguishes; nan marks the flavours whose tables TablesEqual cannot
+// compare (NaN != NaN).
 var sortColumns = []struct {
-	name    string
-	generic bool
-	gen     func(rng *rand.Rand, n int) Col
+	name string
+	nan  bool
+	gen  func(rng *rand.Rand, n int, w *sortWorld) Col
 }{
-	{"int", false, func(rng *rand.Rand, n int) Col {
+	{"int", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		vs := make([]int64, n)
 		for i := range vs {
 			switch rng.Intn(8) {
@@ -110,49 +169,49 @@ var sortColumns = []struct {
 		}
 		return Col{Kind: KInt, Int: vs}
 	}},
-	{"wideint", false, func(rng *rand.Rand, n int) Col {
+	{"wideint", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		vs := make([]int64, n)
 		for i := range vs {
 			vs[i] = rng.Int63n(1 << 40)
 		}
 		return Col{Kind: KInt, Int: vs}
 	}},
-	{"bool", false, func(rng *rand.Rand, n int) Col {
+	{"bool", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		vs := make([]bool, n)
 		for i := range vs {
 			vs[i] = rng.Intn(2) == 0
 		}
 		return Col{Kind: KBool, Bool: vs}
 	}},
-	{"itemint", false, func(rng *rand.Rand, n int) Col {
+	{"itemint", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		// past 2^53 neighbouring integers collapse to one xs:double
 		pick := []int64{0, 1, -1, 7, 1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53) - 1, math.MaxInt64, math.MinInt64}
 		return itemCol(n, func() xqt.Item { return xqt.Int(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemdouble", false, func(rng *rand.Rand, n int) Col {
+	{"itemdouble", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		pick := []float64{0, math.Copysign(0, -1), 1, -1, 1.5, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64, 1e300}
 		return itemCol(n, func() xqt.Item { return xqt.Double(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemnan", true, func(rng *rand.Rand, n int) Col {
-		pick := []float64{0, 1, -1, math.NaN(), 2.5}
+	{"itemnan", true, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+		pick := []float64{0, 1, -1, math.NaN(), 2.5, math.Inf(-1)}
 		c := itemCol(n, func() xqt.Item { return xqt.Double(pick[rng.Intn(len(pick))]) })
 		if n > 0 {
 			c.Item.F[rng.Intn(n)] = math.NaN()
 		}
 		return c
 	}},
-	{"itembool", false, func(rng *rand.Rand, n int) Col {
+	{"itembool", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		return itemCol(n, func() xqt.Item { return xqt.Bool(rng.Intn(2) == 0) })
 	}},
-	{"itemstring", false, func(rng *rand.Rand, n int) Col {
+	{"itemstring", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		pick := []string{"", "a", "ab", "b", "\x00", "\x00emptyleast", "é", "10", "9"}
 		return itemCol(n, func() xqt.Item { return xqt.Str(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemuntyped", false, func(rng *rand.Rand, n int) Col {
+	{"itemuntyped", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		pick := []string{"", "a", "ab", "\x00", "zz"}
 		return itemCol(n, func() xqt.Item { return xqt.Untyped(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itememptyleast", false, func(rng *rand.Rand, n int) Col {
+	{"itememptyleast", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
 		return itemCol(n, func() xqt.Item {
 			if rng.Intn(3) == 0 {
 				return xqt.EmptyLeast
@@ -160,24 +219,25 @@ var sortColumns = []struct {
 			return xqt.Untyped([]string{"", "\x00", "a", "b"}[rng.Intn(4)])
 		})
 	}},
-	{"itemnode", false, func(rng *rand.Rand, n int) Col {
-		return itemCol(n, func() xqt.Item { return xqt.Node(int32(rng.Intn(3)), int32(rng.Intn(6))) })
+	{"itemnode", false, func(rng *rand.Rand, n int, w *sortWorld) Col {
+		return itemCol(n, func() xqt.Item { return w.nodes[rng.Intn(len(w.nodes))] })
 	}},
-	{"itemattr", false, func(rng *rand.Rand, n int) Col {
-		return itemCol(n, func() xqt.Item { return xqt.Attr(int32(rng.Intn(2)), int32(rng.Intn(1<<20))) })
+	{"itemattr", false, func(rng *rand.Rand, n int, w *sortWorld) Col {
+		return itemCol(n, func() xqt.Item { return w.attrs[rng.Intn(len(w.attrs))] })
 	}},
-	{"itemnodeattr", false, func(rng *rand.Rand, n int) Col {
-		// an attribute sorts after the element at the same rank
+	{"itemnodeattr", false, func(rng *rand.Rand, n int, w *sortWorld) Col {
+		// an attribute sorts after its owner element and before the
+		// owner's children
 		return itemCol(n, func() xqt.Item {
 			if rng.Intn(2) == 0 {
-				return xqt.Attr(int32(rng.Intn(2)), int32(rng.Intn(4)))
+				return w.attrs[rng.Intn(len(w.attrs))]
 			}
-			return xqt.Node(int32(rng.Intn(2)), int32(rng.Intn(4)))
+			return w.nodes[rng.Intn(len(w.nodes))]
 		})
 	}},
-	{"itemmixed", true, func(rng *rand.Rand, n int) Col {
-		pick := []xqt.Item{xqt.Int(1), xqt.Int(2), xqt.Double(1), xqt.Double(1.5), xqt.Str("a"), xqt.Untyped("a"),
-			xqt.Untyped("b"), xqt.Bool(true), xqt.Bool(false), xqt.Node(0, 3), xqt.Attr(0, 3), xqt.EmptyLeast}
+	{"itemmixed", true, func(rng *rand.Rand, n int, w *sortWorld) Col {
+		pick := []xqt.Item{xqt.Int(1), xqt.Int(2), xqt.Double(1), xqt.Double(1.5), xqt.Double(math.NaN()), xqt.Str("a"),
+			xqt.Untyped("a"), xqt.Untyped("b"), xqt.Bool(true), xqt.Bool(false), w.nodes[3], w.attrs[3], w.nodes[9], xqt.EmptyLeast}
 		c := itemCol(n, func() xqt.Item { return pick[rng.Intn(len(pick))] })
 		if n > 1 { // never uniform by chance
 			c.Item = NewItemVec(append([]xqt.Item{xqt.Int(1), xqt.Str("a")}, c.Item.Slice()[2:]...))
@@ -194,11 +254,13 @@ func itemCol(n int, gen func() xqt.Item) Col {
 	return Col{Kind: KItem, Item: NewItemVec(items)}
 }
 
-// TestSortIdxMatchesComparatorSort is the property test of the typed
-// sort kernel: over random tables of every column flavour it must
-// return exactly the permutation of the old comparator sort, and nil
-// (keep the input) exactly when a typed input is already in order.
+// TestSortIdxMatchesComparatorSort is the property test of the sort
+// kernel: over random tables of every column flavour it must return
+// exactly the permutation of a stable comparator sort on the reference
+// order, and nil (keep the input) exactly when the input is already in
+// that order.
 func TestSortIdxMatchesComparatorSort(t *testing.T) {
+	w := newSortWorld(t)
 	rng := rand.New(rand.NewSource(12))
 	sizes := []int{0, 1, 2, radixMin - 1, radixMin, radixMin + 1, 100, 500, 10000}
 	for trial := 0; trial < 400; trial++ {
@@ -209,13 +271,13 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 		ncols := 1 + rng.Intn(4)
 		tab := &Table{}
 		var by []string
-		generic := false
+		nan := false
 		for k := 0; k < ncols; k++ {
 			f := sortColumns[rng.Intn(len(sortColumns))]
 			name := fmt.Sprintf("c%d_%s", k, f.name)
-			tab.AddCol(name, f.gen(rng, n))
+			tab.AddCol(name, f.gen(rng, n, w))
 			by = append(by, name)
-			generic = generic || f.generic
+			nan = nan || f.nan
 		}
 		tab.N = n
 		var desc []bool
@@ -229,16 +291,16 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			// a refine sort's input is ascending on the prefix
 			refine = 1 + rng.Intn(ncols)
-			tab = tab.Gather(refSortIdx(tab, by[:refine], nil, 0))
+			tab = tab.Gather(refSortIdx(tab, by[:refine], nil, 0, w.less))
 		}
 		arrangement := rng.Intn(4)
 		switch {
 		case refine > 0:
 			arrangement = 0
 		case arrangement == 1: // presorted
-			tab = tab.Gather(refSortIdx(tab, by, desc, 0))
+			tab = tab.Gather(refSortIdx(tab, by, desc, 0, w.less))
 		case arrangement == 2: // reverse order
-			idx := refSortIdx(tab, by, desc, 0)
+			idx := refSortIdx(tab, by, desc, 0, w.less)
 			slices.Reverse(idx)
 			tab = tab.Gather(idx)
 		case arrangement == 3: // all rows equal
@@ -246,26 +308,19 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 		}
 		label := fmt.Sprintf("trial %d: n=%d by=%v desc=%v refine=%d arrangement=%d", trial, n, by, desc, refine, arrangement)
 
-		want := refSortIdx(tab, by, desc, refine)
-		e := &Exec{}
+		want := refSortIdx(tab, by, desc, refine, w.less)
+		e := &Exec{Pool: w.pool}
 		got := e.SortIdx(tab, by, desc, refine)
-		ordered := slices.Equal(want, identity(nil, n))
-		if got == nil {
-			if !ordered {
-				t.Fatalf("%s: kernel kept an input the reference reorders", label)
-			}
-		} else if !slices.Equal(got, want) {
+		switch ordered := slices.Equal(want, identity(nil, n)); {
+		case ordered != (got == nil):
+			t.Fatalf("%s: kernel kept the input = %v, reference finds it ordered = %v", label, got == nil, ordered)
+		case got != nil && !slices.Equal(got, want):
 			t.Fatalf("%s: permutation differs from the comparator sort", label)
 		}
-		if typed := !generic || refine >= ncols || n < 2; ordered && typed && got != nil {
-			t.Fatalf("%s: ordered typed input not detected", label)
-		}
-		// the operator hands an ordered input back as the same *Table (the
-		// generic path only finds out by sorting: its identity permutation
-		// is not gathered either)
-		if out := e.execSort(&Sort{By: by, Desc: desc, RefinePrefix: refine}, tab); (out == tab) != (got == nil || ordered) {
+		// the operator hands an ordered input back as the same *Table
+		if out := e.execSort(&Sort{By: by, Desc: desc, RefinePrefix: refine}, tab); (out == tab) != (got == nil) {
 			t.Fatalf("%s: execSort returned same table = %v, kernel nil = %v", label, out == tab, got == nil)
-		} else if got != nil && !generic && !TablesEqual(out, tab.Gather(want)) { // TablesEqual has NaN != NaN
+		} else if got != nil && !nan && !TablesEqual(out, tab.Gather(want)) { // TablesEqual has NaN != NaN
 			t.Fatalf("%s: execSort output differs", label)
 		}
 	}

@@ -197,6 +197,58 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 }
 
+// TestServerInputValidation pins the status and the JSON body of every
+// request the server refuses before it runs anything: a missing query, a
+// malformed body, a compile error (which mxqd_compile_errors_total
+// counts), and each bind the JSON mapping rejects.
+func TestServerInputValidation(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	const bound = `declare variable $v external; $v`
+	resp, body := postJSON(t, ts.URL+"/prepare", map[string]any{"query": bound})
+	var pr struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &pr); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("prepare: status %d: %s", resp.StatusCode, body)
+	}
+	exec := "/stmt/" + pr.ID + "/exec"
+	for _, c := range []struct {
+		name, path, body string
+		err, code        string // the start of the error text, and the code
+	}{
+		{"query without query", "/query", `{"binds":{}}`, `missing "query"`, ""},
+		{"prepare without query", "/prepare", `{}`, `missing "query"`, ""},
+		{"malformed prepare body", "/prepare", `{"query":`, "bad request body: unexpected EOF", ""},
+		{"malformed exec body", exec, `["v"]`, "bad request body: json: cannot unmarshal array", ""},
+		{"prepare compile error", "/prepare", `{"query":"$undeclared"}`, "", "XPST0008"},
+		{"bad number", exec, `{"binds":{"v":1e400}}`, `bind $v: bad number "1e400"`, ""},
+		{"nested array", exec, `{"binds":{"v":[1,[2]]}}`, "bind $v: sequences do not nest", ""},
+		{"unsupported bind type", "/query", `{"query":"` + bound + `","binds":{"v":{"k":1}}}`,
+			"bind $v: unsupported bind type map[string]interface {}", ""},
+		{"null bind", exec, `{"binds":{"v":null}}`, "bind $v: unsupported bind type <nil>", ""},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.HasPrefix(got.Error, c.err) || got.Code != c.code {
+			t.Errorf("%s: status %d, body %+v (%v); want 400, error %q…, code %q", c.name, resp.StatusCode, got, derr, c.err, c.code)
+		}
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(metrics), "mxqd_compile_errors_total 1\n") {
+		t.Errorf("one compile error, metrics:\n%s", metrics)
+	}
+}
+
 // TestServerRequestBodyBound: a request body over maxRequestBytes is a
 // client error (400); the same request padded to just under it is
 // served.

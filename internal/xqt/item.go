@@ -351,29 +351,28 @@ func cmpStr(a, b string, op CmpOp) bool {
 	return false
 }
 
-// SortLess is a total order over items used for order-by clauses and for
-// value-based sorting inside the engine. Nodes sort by document order
-// (container, pre); numeric values sort numerically; strings
-// lexicographically; mixed kinds sort by a fixed kind rank so the order is
-// total. Empty-sequence sort keys are represented by the engine with
-// EmptyLeast, which sorts before everything.
+// SortLess is a total order over items used for order-by clauses:
+// numbers numerically with NaN below every number, strings
+// lexicographically, mixed kinds by a fixed kind rank. Empty-sequence
+// sort keys are represented by the engine with EmptyLeast, which sorts
+// before everything. Nodes sort by container, then I, an element before
+// an attribute at the same I: that compares an attribute's table row with
+// an element's pre, so it is document order only among items of one node
+// kind, all the executor's literal and synthesized order checks hand it.
 func SortLess(a, b Item) bool {
 	ra, rb := sortRank(a), sortRank(b)
 	if ra != rb {
 		return ra < rb
 	}
 	switch ra {
-	case rankEmpty:
+	case RankEmpty:
 		return false
-	case rankNumeric:
+	case RankNumeric:
 		af, bf := a.AsDouble(), b.AsDouble()
-		if af != bf {
-			return af < bf
-		}
-		return false
-	case rankString:
+		return af < bf || af != af && bf == bf
+	case RankString:
 		return a.AsString() < b.AsString()
-	case rankBool:
+	case RankBool:
 		return a.I < b.I
 	default: // nodes
 		if a.Cont != b.Cont {
@@ -387,13 +386,28 @@ func SortLess(a, b Item) bool {
 	}
 }
 
+// The sort ranks: SortLess orders items of different ranks by rank.
 const (
-	rankEmpty = iota
-	rankNumeric
-	rankString
-	rankBool
-	rankNode
+	RankEmpty   = iota // the EmptyLeast sentinel
+	RankNumeric        // xs:integer, xs:double
+	RankString         // xs:string, xs:untypedAtomic
+	RankBool
+	RankNode // tree and attribute nodes
 )
+
+// KindRank is the sort rank of items of kind k (the EmptyLeast sentinel,
+// an xs:untypedAtomic, ranks RankEmpty instead).
+func KindRank(k Kind) int {
+	switch k {
+	case KInt, KDouble:
+		return RankNumeric
+	case KUntyped, KString:
+		return RankString
+	case KBool:
+		return RankBool
+	}
+	return RankNode
+}
 
 // EmptyLeast is the sort key used for "order by" keys over empty sequences
 // (XQuery's default "empty least" behaviour). It sorts before every other
@@ -410,16 +424,7 @@ func IsEmptyLeast(a Item) bool {
 
 func sortRank(a Item) int {
 	if IsEmptyLeast(a) {
-		return rankEmpty
+		return RankEmpty
 	}
-	switch a.K {
-	case KInt, KDouble:
-		return rankNumeric
-	case KUntyped, KString:
-		return rankString
-	case KBool:
-		return rankBool
-	default:
-		return rankNode
-	}
+	return KindRank(a.K)
 }

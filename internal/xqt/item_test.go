@@ -111,13 +111,16 @@ func TestSwapConsistency(t *testing.T) {
 }
 
 // TestSortLessStrictWeakOrder: SortLess is irreflexive, asymmetric and
-// transitive over a mixed value domain (property-based).
+// transitive over a mixed value domain, NaN included (property-based).
 func TestSortLessStrictWeakOrder(t *testing.T) {
 	gen := func(k uint8, i int32, s uint8) Item {
 		switch k % 5 {
 		case 0:
 			return Int(int64(i))
 		case 1:
+			if i%5 == 0 {
+				return Double(math.NaN())
+			}
 			return Double(float64(i) / 2)
 		case 2:
 			return Str(string(rune('a' + s%26)))
@@ -191,6 +194,23 @@ func TestLocalName(t *testing.T) {
 		if got := LocalName(c.in); got != c.want {
 			t.Errorf("LocalName(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// TestSortLessNaNRank: NaN sorts after the empty key and before every
+// number, and NaNs tie (XQuery's order by).
+func TestSortLessNaNRank(t *testing.T) {
+	nan := Double(math.NaN())
+	if !SortLess(EmptyLeast, nan) || SortLess(nan, EmptyLeast) {
+		t.Error("NaN must sort after EmptyLeast")
+	}
+	for _, o := range []Item{Int(-1 << 60), Double(math.Inf(-1)), Double(0)} {
+		if !SortLess(nan, o) || SortLess(o, nan) {
+			t.Errorf("NaN must sort before %+v", o)
+		}
+	}
+	if SortLess(nan, nan) {
+		t.Error("NaN sorts before NaN")
 	}
 }
 

@@ -132,6 +132,44 @@ var specCases = []struct {
 		"false false true true"},
 	{"node-is-mixed", `for $v in (/root/m/n, /root/m/n/@x, /root/m/o) return $v is /root/m/n/@x`, "false true false"},
 	{"node-before-atom", `7 << 8`, "err:XPTY0004"},
+
+	// order by (XQuery 1.0 §3.8.3): the empty key, then NaN, then the
+	// numbers; descending reverses all of it
+	{"order-by-nan", `for $x in (3, number("x"), 1, 2) order by $x return $x`, "NaN 1 2 3"},
+	{"order-by-nan-descending", `for $x in (3, number("x"), 1, 2) order by $x descending return $x`, "3 2 1 NaN"},
+
+	// fn:min / fn:max (F&O 15.4.3, 15.4.4): NaN wins; xs:untypedAtomic
+	// compares as xs:double; values with no common type are FORG0006
+	{"min-nan", `min((3, number("x"), 1))`, "NaN"},
+	{"max-nan", `max((3, number("x"), 1))`, "NaN"},
+	{"min-untyped", `min(doc("p.xml")//p)`, "9"},
+	{"max-untyped-and-integer", `max((doc("p.xml")//p/text(), 50))`, "100"},
+	{"min-no-common-type", `min((3, "a"))`, "err:FORG0006"},
+
+	// document order puts an attribute after its owner element and
+	// before the owner's children
+	{"union-attribute-order", `for $n in (doc("attrs.xml")//@id | doc("attrs.xml")//a | doc("attrs.xml")//@x | doc("attrs.xml")//d) return name($n)`,
+		"a x id id d"},
+}
+
+// specDocs are the documents besides spec.xml that cases address with
+// doc().
+var specDocs = map[string]string{
+	"p.xml":     `<r><p>10</p><p>9</p><p>100</p></r>`,
+	"attrs.xml": `<r><a x="1" y="2" z="3"><b id="i1"/></a><c id="i2"><d/></c></r>`,
+}
+
+// loadSpecDocs loads spec.xml, the context document, then specDocs.
+func loadSpecDocs(t *testing.T, load func(name, xml string) error) {
+	t.Helper()
+	if err := load("spec.xml", specDoc); err != nil {
+		t.Fatal(err)
+	}
+	for name, xml := range specDocs {
+		if err := load(name, xml); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // checkSpec compares one engine's answer with the case's expectation.
@@ -149,9 +187,7 @@ func checkSpec(t *testing.T, label, name, query, want, got string, err error) {
 
 func TestSpecConformanceRelational(t *testing.T) {
 	db := mxq.Open()
-	if err := db.LoadDocumentString("spec.xml", specDoc); err != nil {
-		t.Fatal(err)
-	}
+	loadSpecDocs(t, db.LoadDocumentString)
 	for _, c := range specCases {
 		got, err := db.QueryString(c.query)
 		checkSpec(t, "", c.name, c.query, c.want, got, err)
@@ -164,9 +200,7 @@ func TestSpecConformanceRelational(t *testing.T) {
 func TestSpecConformanceRelationalParallel(t *testing.T) {
 	db := mxq.Open(mxq.WithWorkers(4))
 	db.Engine() // ensure construction
-	if err := db.LoadDocumentString("spec.xml", specDoc); err != nil {
-		t.Fatal(err)
-	}
+	loadSpecDocs(t, db.LoadDocumentString)
 	for _, c := range specCases {
 		got, err := db.QueryString(c.query)
 		checkSpec(t, "", c.name, c.query, c.want, got, err)
@@ -182,9 +216,7 @@ func TestSpecConformanceNoJoinRecognition(t *testing.T) {
 		"parallel": {mxq.WithJoinRecognition(false), mxq.WithWorkers(4)},
 	} {
 		db := mxq.Open(opts...)
-		if err := db.LoadDocumentString("spec.xml", specDoc); err != nil {
-			t.Fatal(err)
-		}
+		loadSpecDocs(t, db.LoadDocumentString)
 		for _, c := range specCases {
 			got, err := db.QueryString(c.query)
 			checkSpec(t, name+": ", c.name, c.query, c.want, got, err)
@@ -195,9 +227,7 @@ func TestSpecConformanceNoJoinRecognition(t *testing.T) {
 func TestSpecConformanceNaive(t *testing.T) {
 	for _, c := range specCases {
 		in := naive.New()
-		if err := in.LoadXML("spec.xml", strings.NewReader(specDoc)); err != nil {
-			t.Fatal(err)
-		}
+		loadSpecDocs(t, func(name, xml string) error { return in.LoadXML(name, strings.NewReader(xml)) })
 		got, err := in.QueryString(c.query)
 		checkSpec(t, "", c.name, c.query, c.want, got, err)
 	}
