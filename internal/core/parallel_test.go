@@ -61,10 +61,29 @@ func TestParallelDifferentialAgainstNaive(t *testing.T) {
 	}
 }
 
+// mixedKindQueries are sequences that mix elements and attributes:
+// unions of both kinds, parent and self steps from such unions, order by
+// over them (NaN keys included), and node comparisons between the kinds.
+// The generated fuzzer's corpus is also the benchmark's query set, so
+// these shapes are pinned here rather than added to it.
+var mixedKindQueries = []string{
+	`for $n in (//person/@id | //person/name | //person/profile/@income | //person) return name($n)`,
+	`for $n in (//bidder/personref/@person | //bidder/increase | //bidder) return name($n)`,
+	`for $p in (//person/@id | //person/name)/.. return string($p/@id)`,
+	`(//item/@id | //item/name)/parent::item/location/text()`,
+	`for $n in (//item/@id | //item/location)/self::node() return concat(name($n), "=", string($n))`,
+	`for $n in //open_auction/@id/self::node() return string($n)`,
+	`for $n in (//category/@id | //category/name) order by string($n) descending return name($n)`,
+	`for $n in (//item/@id | //item/quantity) order by number($n) return string($n)`,
+	`for $n in (//person/@id | //person/name) return $n << /site/people/person[2]/name`,
+	`count(for $a in //person/@id, $b in (//person | //person/name) where $b << $a or $a is $b return 1)`,
+}
+
 // TestParallelXMarkDifferential is the three-way differential suite on a
 // generated XMark document: serial execution, parallel execution and the
 // naive DOM oracle must produce byte-identical serialized results for
-// all twenty benchmark queries, including sequence and document order.
+// all twenty benchmark queries and mixedKindQueries, including sequence
+// and document order.
 func TestParallelXMarkDifferential(t *testing.T) {
 	cont := xmark.NewStoreContainer("auction.xml", 0.005, 42)
 	serial := New(DefaultConfig())
@@ -73,25 +92,28 @@ func TestParallelXMarkDifferential(t *testing.T) {
 	parallel.LoadContainer("auction.xml", cont)
 	oracle := naive.New()
 	oracle.LoadContainer("auction.xml", cont)
+	var queries []string
 	for q := 1; q <= 20; q++ {
-		query := xmark.Query(q)
+		queries = append(queries, xmark.Query(q))
+	}
+	for _, query := range append(queries, mixedKindQueries...) {
 		want, err := oracle.QueryString(query)
 		if err != nil {
-			t.Fatalf("Q%d oracle: %v", q, err)
+			t.Fatalf("oracle: %s: %v", query, err)
 		}
 		gotS, err := serial.QueryString(query)
 		if err != nil {
-			t.Fatalf("Q%d serial: %v", q, err)
+			t.Fatalf("serial: %s: %v", query, err)
 		}
 		gotP, err := parallel.QueryString(query)
 		if err != nil {
-			t.Fatalf("Q%d parallel: %v", q, err)
+			t.Fatalf("parallel: %s: %v", query, err)
 		}
 		if gotS != want {
-			t.Errorf("Q%d: serial differs from oracle\n got  %.200q\n want %.200q", q, gotS, want)
+			t.Errorf("%.80s: serial differs from oracle\n got  %.200q\n want %.200q", query, gotS, want)
 		}
 		if gotP != gotS {
-			t.Errorf("Q%d: parallel differs from serial\n got  %.200q\n want %.200q", q, gotP, gotS)
+			t.Errorf("%.80s: parallel differs from serial\n got  %.200q\n want %.200q", query, gotP, gotS)
 		}
 	}
 }

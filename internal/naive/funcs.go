@@ -388,8 +388,5 @@ func minMaxBeats(a, best xqt.Item, isMax bool) bool {
 		return isMax && a.S > best.S || !isMax && a.S < best.S
 	}
 	x, y := a.AsDouble(), best.AsDouble()
-	if x != x || y != y {
-		return y == y
-	}
-	return isMax && x > y || !isMax && x < y
+	return x != x && y == y || isMax && x > y || !isMax && x < y
 }

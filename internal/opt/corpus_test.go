@@ -112,9 +112,11 @@ func identityDigest() string {
 
 // TestOptimizeIdentityCorpus pins every optimizer decision on the
 // compile-cold corpus — each optimized plan and every node's inferred
-// properties — to the digest generated before the property
-// representation changed (testdata/identity.digest): a faster inference
-// has to reach exactly the same answers.
+// properties — to testdata/identity.digest: a faster inference has to
+// reach exactly the same answers. The digest was generated before the
+// property representation changed, and regenerated only when the
+// compiler's plans changed on purpose (the NaN filter of the Fig. 8(b)
+// reduction: 57 texts).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")

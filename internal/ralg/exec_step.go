@@ -45,11 +45,12 @@ func stepSegments(items *ItemVec) []stepSeg {
 }
 
 // stepSegRun evaluates one segment: the blocks of its result and, when
-// that holds attributes, every pair's kind. Tree-node rows go through
+// that holds attributes, every pair's kind. Self filters the rows in
+// place: a tree node passes the node test, an attribute passes node().
+// Every other axis runs the segment's tree-node rows through
 // scj.StepBlocks with the segment's share (weight of total) of the
-// workers. An attribute row resolves on parent, to its owner (merged into
-// the kernel's pairs, duplicates dropped), and on self under node() (a
-// self step over a segment holding attributes filters its rows instead).
+// workers; an attribute row resolves on parent, to its owner (merged into
+// the kernel's pairs, duplicates dropped).
 func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) (scj.Blocks, []xqt.Kind) {
 	c := e.Pool.Get(s.cont)
 	test := scj.CompileTest(c, n.Test)
@@ -57,6 +58,20 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, wei
 	// document's int32 encoding, in scratch memory; under parent, the
 	// owners of its attribute rows as packed (pre, iter) pairs
 	ctx := scj.Pairs{Pre: dirty[int32](e, scratchRegion, s.hi-s.lo), Iter: dirty[int32](e, scratchRegion, s.hi-s.lo)}
+	if n.Axis == scj.Self { // counted as the kernel counts: a touch per row, the matches emitted
+		kinds := dirty[xqt.Kind](e, scratchRegion, s.hi-s.lo)[:0]
+		for i := s.lo; i < s.hi; i++ {
+			if kind, x := items.KindAt(i), int32(items.I[i]); kind == xqt.KAttr && n.Test.Kind == scj.TestNode || kind == xqt.KNode && test(x) {
+				ctx.Pre[len(kinds)], ctx.Iter[len(kinds)], kinds = x, int32(iters[i]), append(kinds, kind)
+			}
+		}
+		st.Touched, st.Emitted = st.Touched+int64(s.hi-s.lo), st.Emitted+int64(len(kinds))
+		out := scj.Pairs{Pre: ctx.Pre[:len(kinds)], Iter: ctx.Iter[:len(kinds)]}
+		if !slices.Contains(kinds, xqt.KAttr) {
+			kinds = nil
+		}
+		return scj.Blocks{Segs: []scj.Pairs{out}}, kinds
+	}
 	var owners []uint64
 	k := 0
 	for i := s.lo; i < s.hi; i++ {
@@ -68,16 +83,6 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, wei
 		case n.Axis == scj.Parent && test(c.AttrOwner[x]):
 			owners = append(grown(e, owners, 1), uint64(c.AttrOwner[x])<<32|uint64(uint32(it)))
 		}
-	}
-	if k < s.hi-s.lo && n.Axis == scj.Self {
-		out, kinds := scj.Pairs{Pre: ctx.Pre[:0], Iter: ctx.Iter[:0]}, dirty[xqt.Kind](e, scratchRegion, s.hi-s.lo)[:0]
-		for i := s.lo; i < s.hi; i++ {
-			kind, x := items.KindAt(i), int32(items.I[i])
-			if kind == xqt.KAttr && n.Test.Kind == scj.TestNode || kind == xqt.KNode && test(x) {
-				out.Pre, out.Iter, kinds = append(out.Pre, x), append(out.Iter, int32(iters[i])), append(kinds, kind)
-			}
-		}
-		return scj.Blocks{Segs: []scj.Pairs{out}}, kinds
 	}
 	ctx.Pre, ctx.Iter = ctx.Pre[:k], ctx.Iter[:k]
 	budget := int(int64(e.Par.Workers) * weight / total)

@@ -138,7 +138,8 @@ func floatKey(f float64) uint64 {
 
 // compareRows compares rows i and j on the given columns, ascending, one
 // boxed comparison per column: ints and booleans by value, items by
-// xqt.SortLess. Only CompareRowsOn and IsSortedBy use it.
+// xqt.SortLess; an element and an attribute, whose order needs the owner
+// a table does not carry, are out of order (1) both ways.
 func compareRows(by []*Col, i, j int) int {
 	for _, c := range by {
 		r := 0
@@ -148,7 +149,9 @@ func compareRows(by []*Col, i, j int) int {
 		case KBool:
 			r = cmp.Compare(boolKey(c.Bool[i]), boolKey(c.Bool[j]))
 		default:
-			if a, b := c.Item.At(i), c.Item.At(j); xqt.SortLess(a, b) {
+			if a, b := c.Item.At(i), c.Item.At(j); a.K == xqt.KNode && b.K == xqt.KAttr || a.K == xqt.KAttr && b.K == xqt.KNode {
+				return 1
+			} else if xqt.SortLess(a, b) {
 				r = -1
 			} else if xqt.SortLess(b, a) {
 				r = 1
@@ -346,9 +349,8 @@ func (e *Exec) radixSort(u []uint64, idx, tmp []int32) ([]int32, []int32) {
 // CompareRowsOn compares rows i and j of t on the named columns,
 // ascending, with the boxed comparator (items via xqt.SortLess).
 // Planck's literal-claim verification and optcheck's input synthesis
-// share it. It agrees with the executor's keys on every column they
-// hand it; SortLess is not document order for a column that mixes
-// elements and attributes, and none of them builds one.
+// share it. It agrees with the executor's keys on every column it
+// orders; an element and an attribute compare as out of order.
 func CompareRowsOn(t *Table, by []string, i, j int) int {
 	return compareRows(colsOf(t, by), i, j)
 }

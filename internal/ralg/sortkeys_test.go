@@ -326,6 +326,33 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 	}
 }
 
+// TestOrderChecksRejectMixedNodeKinds: CompareRowsOn and IsSortedBy order
+// nodes of one kind, and hold an element and an attribute, which a table
+// cannot order, out of order both ways — even an element and its own
+// attribute, which document order puts in that order.
+func TestOrderChecksRejectMixedNodeKinds(t *testing.T) {
+	w := newSortWorld(t)
+	table := func(items ...xqt.Item) *Table {
+		tab := &Table{N: len(items)}
+		tab.AddCol("item", Col{Kind: KItem, Item: NewItemVec(items)})
+		return tab
+	}
+	by := []string{"item"}
+	owner, attr := w.nodes[1], w.attrs[0] // <r a="1" ...> and its a
+	if w.less(attr, owner) || !w.less(owner, attr) {
+		t.Fatal("the world's first attribute is not its first element's")
+	}
+	mixed := table(owner, attr)
+	if IsSortedBy(mixed, by) || CompareRowsOn(mixed, by, 0, 1) != 1 || CompareRowsOn(mixed, by, 1, 0) != 1 {
+		t.Error("an element and an attribute in one column are not held out of order")
+	}
+	for _, kind := range [][]xqt.Item{w.nodes, w.attrs} {
+		if !IsSortedBy(table(kind[0], kind[1]), by) || IsSortedBy(table(kind[1], kind[0]), by) {
+			t.Errorf("%v, %v: one node kind is not ordered by document order", kind[0], kind[1])
+		}
+	}
+}
+
 // TestSortIdxBudgetAndCancel pins the accounting contract of the
 // kernel: an ordered input costs nothing, an unordered one holds its
 // key and index buffers until the operator ends, a budget that cannot

@@ -713,8 +713,8 @@ func (c *Compiler) compileGeneralCmp(x *xqp.Binary, sc *scope) (ralg.Plan, error
 		if op == xqt.CmpGt || op == xqt.CmpGe {
 			lAgg, rAgg = ralg.AggMax, ralg.AggMin
 		}
-		ql = aggrSide(ql, lAgg)
-		qr = aggrSide(qr, rAgg)
+		ql = aggrSide(ql, x.L, lAgg)
+		qr = aggrSide(qr, x.R, rAgg)
 	}
 	j := ralg.NewHashJoin(ql, qr, "iter", "iter",
 		ralg.Refs("iter", "item->a"), ralg.Refs("item->b"))
@@ -732,10 +732,18 @@ func (c *Compiler) compileGeneralCmp(x *xqp.Binary, sc *scope) (ralg.Plan, error
 	return densifyBool(val, sc.loop, false), nil
 }
 
-func aggrSide(q ralg.Plan, op ralg.AggOp) ralg.Plan {
-	num := ralg.NewFun(q, ralg.FunNumber, "nv", "item")
+// aggrSide reduces side e (plan q) of a Fig. 8(b) comparison to its
+// per-iteration extremum. NaN rows, which fn:min/max would return, are
+// dropped first (nv eq nv) unless e is a numeric literal.
+func aggrSide(q ralg.Plan, e xqp.Expr, op ralg.AggOp) ralg.Plan {
+	var in ralg.Plan = ralg.NewFun(q, ralg.FunNumber, "nv", "item")
+	if lit, ok := e.(*xqp.Literal); !ok || lit.Kind == xqp.LitString {
+		sel := &ralg.Select{Cond: "num"}
+		sel.SetInput(0, ralg.NewFun(ralg.NewProject(in, "iter", "nv"), ralg.FunEq, "num", "nv", "nv"))
+		in = sel
+	}
 	a := &ralg.Aggr{Part: "iter", Op: op, Arg: "nv", Out: "item"}
-	a.SetInput(0, num)
+	a.SetInput(0, in)
 	return a
 }
 

@@ -353,12 +353,10 @@ func cmpStr(a, b string, op CmpOp) bool {
 
 // SortLess is a total order over items used for order-by clauses:
 // numbers numerically with NaN below every number, strings
-// lexicographically, mixed kinds by a fixed kind rank. Empty-sequence
-// sort keys are represented by the engine with EmptyLeast, which sorts
-// before everything. Nodes sort by container, then I, an element before
-// an attribute at the same I: that compares an attribute's table row with
-// an element's pre, so it is document order only among items of one node
-// kind, all the executor's literal and synthesized order checks hand it.
+// lexicographically, mixed kinds by a fixed kind rank, and the EmptyLeast
+// key before everything. Nodes sort by container, then I (an element
+// before an attribute at the same I): document order only among nodes of
+// one kind, which ralg's order checks, its one caller for nodes, require.
 func SortLess(a, b Item) bool {
 	ra, rb := sortRank(a), sortRank(b)
 	if ra != rb {

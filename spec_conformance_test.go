@@ -146,6 +146,12 @@ var specCases = []struct {
 	{"max-untyped-and-integer", `max((doc("p.xml")//p/text(), 50))`, "100"},
 	{"min-no-common-type", `min((3, "a"))`, "err:FORG0006"},
 
+	// a general comparison is existential (XQuery 1.0 §3.5.2): a NaN
+	// item compares false, and the other items still decide
+	{"general-gt-nan-item", `doc("p2.xml")//p > 5`, "true"},
+	{"general-lt-nan-item", `doc("p2.xml")//p < 50`, "true"},
+	{"general-gt-nan-item-none", `doc("p2.xml")//p > 50`, "false"},
+
 	// document order puts an attribute after its owner element and
 	// before the owner's children
 	{"union-attribute-order", `for $n in (doc("attrs.xml")//@id | doc("attrs.xml")//a | doc("attrs.xml")//@x | doc("attrs.xml")//d) return name($n)`,
@@ -156,6 +162,7 @@ var specCases = []struct {
 // doc().
 var specDocs = map[string]string{
 	"p.xml":     `<r><p>10</p><p>9</p><p>100</p></r>`,
+	"p2.xml":    `<r><p>10</p><p>abc</p><p/></r>`,
 	"attrs.xml": `<r><a x="1" y="2" z="3"><b id="i1"/></a><c id="i2"><d/></c></r>`,
 }
 
