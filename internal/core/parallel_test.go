@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"mxq/internal/naive"
 	"mxq/internal/scj"
 	"mxq/internal/xmark"
+	"mxq/internal/xqerr"
 )
 
 // parallelTestConfig forces every parallel code path on (threshold 1,
@@ -77,45 +79,117 @@ var mixedKindQueries = []string{
 	`for $n in (//item/@id | //item/quantity) order by number($n) return string($n)`,
 	`for $n in (//person/@id | //person/name) return $n << /site/people/person[2]/name`,
 	`count(for $a in //person/@id, $b in (//person | //person/name) where $b << $a or $a is $b return 1)`,
+	// an attribute answers ancestor, following and preceding through its
+	// owner element, and is its own ancestor-or-self and
+	// descendant-or-self under node()
+	`count(//person/@id/ancestor::*)`,
+	`for $a in //person/@id return count($a/ancestor::*)`,
+	`for $n in (//item/@id | //item/name)/ancestor::* return name($n)`,
+	`for $n in (//category/@id | //category/name)/ancestor-or-self::node() return name($n)`,
+	`for $n in (//category/@id | //category)/descendant-or-self::node() return name($n)`,
+	`for $n in //open_auction/@id/descendant-or-self::* return name($n)`,
+	`count(//category/@id/following::*)`,
+	`for $a in //category/@id return count($a/following::name)`,
+	`count(//category/@id/preceding::node())`,
+	`for $a in //category/@id return count($a/preceding::*)`,
+	`for $n in (//person/@id | //person)/parent::* return name($n)`,
+}
+
+// countQueries count FLWORs whose return is a for variable: the count
+// plan (the chain's rows per outer iteration, or an existential join in
+// count mode) against the pair plan. Every comparison, outer rows with no
+// partner, no value or a NaN value, a later where on the outer loop,
+// at-variables, two for clauses, a let-bound sequence counted and
+// returned, the shapes that keep the pair plan (order by, a path as
+// return). None of them raises; raisingCountQueries do.
+var countQueries = []string{
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where $p/profile/@income < 500 * exactly-one($i/text()) return $i)`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where $p/profile/@income <= 300 * $i return $i)`,
+	`for $p in /site/people/person let $l := for $i in /site/open_auctions/open_auction/initial where $p/profile/@income > 800 * $i return $i return count($l)`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where 1000 * $i >= $p/profile/@income return $i)`,
+	`for $p in /site/people/person return count(for $t in /site/closed_auctions/closed_auction where $t/buyer/@person = $p/@id return $t)`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where floor($i div 10) = floor($p/profile/@income div 1000) return $i)`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where $p/profile/@income > 1000000 * $i return $i)`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where number($p/profile/@income) > 400 * $i return $i)`,
+	`for $p in /site/people/person let $l := for $i in /site/open_auctions/open_auction/initial where $p/profile/@income > 900 * $i return $i where $p/profile/@income > 40000 return <n>{count($l)}</n>`,
+	`for $p in /site/people/person return count(for $i at $k in /site/open_auctions/open_auction/initial where $p/profile/@income > 700 * $i return $k)`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where $p/profile/@income > 600 * $i and $i > 20 return $i)`,
+	`for $p in /site/people/person return count(for $o in /site/open_auctions/open_auction, $b in $o/bidder where $b/personref/@person = $p/@id return $b)`,
+	`count(for $a in /site/categories/category, $b in /site/categories/category where $a/@id = $b/@id return $a)`,
+	`count(for $p in /site/people/person where empty($p/profile/@income) return $p)`,
+	`for $p in /site/people/person let $l := for $t in /site/closed_auctions/closed_auction where $t/buyer/@person = $p/@id return $t return <r n="{count($l)}">{$l/price/text()}</r>`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where $p/profile/@income > 800 * $i order by string($i) return $i)`,
+	`for $p in /site/people/person return count(for $i in /site/open_auctions/open_auction/initial where $p/profile/@income > 800 * $i return $i/text())`,
+}
+
+// raisingCountQueries are count-plan shapes whose join's right side
+// raises: the count plan must keep the check that raises it.
+var raisingCountQueries = []string{
+	`for $p in /site/people/person return count(for $o in /site/open_auctions/open_auction where $p/profile/@income > 100 * exactly-one($o/bidder[1]/increase) return $o)`,
 }
 
 // TestParallelXMarkDifferential is the three-way differential suite on a
 // generated XMark document: serial execution, parallel execution and the
-// naive DOM oracle must produce byte-identical serialized results for
-// all twenty benchmark queries and mixedKindQueries, including sequence
-// and document order.
+// naive DOM oracle must produce byte-identical serialized results, or
+// the same error code, for all twenty benchmark queries,
+// mixedKindQueries, countQueries and raisingCountQueries, including
+// sequence and document order. Only raisingCountQueries may raise, and
+// they must. The count queries also run on the Cartesian plans of a
+// serial engine without join recognition.
 func TestParallelXMarkDifferential(t *testing.T) {
 	cont := xmark.NewStoreContainer("auction.xml", 0.005, 42)
 	serial := New(DefaultConfig())
 	serial.LoadContainer("auction.xml", cont)
 	parallel := New(parallelTestConfig())
 	parallel.LoadContainer("auction.xml", cont)
+	noJoin := DefaultConfig()
+	noJoin.Compiler.JoinRecognition = false
+	cartesian := New(noJoin)
+	cartesian.LoadContainer("auction.xml", cont)
 	oracle := naive.New()
 	oracle.LoadContainer("auction.xml", cont)
 	var queries []string
 	for q := 1; q <= 20; q++ {
 		queries = append(queries, xmark.Query(q))
 	}
-	for _, query := range append(queries, mixedKindQueries...) {
+	check := func(query string, raises bool, engines map[string]*Engine) {
 		want, err := oracle.QueryString(query)
-		if err != nil {
-			t.Fatalf("oracle: %s: %v", query, err)
+		wantErr := errCode(err)
+		if raises != (wantErr != "") {
+			t.Errorf("%.80s: oracle error %q, want an error: %v", query, wantErr, raises)
+			return
 		}
-		gotS, err := serial.QueryString(query)
-		if err != nil {
-			t.Fatalf("serial: %s: %v", query, err)
-		}
-		gotP, err := parallel.QueryString(query)
-		if err != nil {
-			t.Fatalf("parallel: %s: %v", query, err)
-		}
-		if gotS != want {
-			t.Errorf("%.80s: serial differs from oracle\n got  %.200q\n want %.200q", query, gotS, want)
-		}
-		if gotP != gotS {
-			t.Errorf("%.80s: parallel differs from serial\n got  %.200q\n want %.200q", query, gotP, gotS)
+		for name, eng := range engines {
+			got, err := eng.QueryString(query)
+			if code := errCode(err); code != wantErr || got != want {
+				t.Errorf("%.80s: %s differs from the oracle\n got  %.200q %s\n want %.200q %s", query, name, got, code, want, wantErr)
+			}
 		}
 	}
+	engines := map[string]*Engine{"serial": serial, "parallel": parallel}
+	for _, query := range append(queries, mixedKindQueries...) {
+		check(query, false, engines)
+	}
+	engines["cartesian"] = cartesian
+	for _, query := range countQueries {
+		check(query, false, engines)
+	}
+	for _, query := range raisingCountQueries {
+		check(query, true, engines)
+	}
+}
+
+// errCode is the XQuery error code of err, its text for another error,
+// and "" for nil.
+func errCode(err error) string {
+	var xe *xqerr.Error
+	switch {
+	case err == nil:
+		return ""
+	case errors.As(err, &xe):
+		return xe.Code
+	}
+	return err.Error()
 }
 
 // Plan cache behavior: LRU eviction holds the cache at

@@ -674,18 +674,26 @@ func (in *Interp) applyPreds(seq []Val, preds []xqp.Expr, env *scope) ([]Val, er
 // stepFrom evaluates one axis step from a single context node.
 func stepFrom(c Val, axis xqp.Axis, test xqp.NodeTest) []Val {
 	if c.Owner != nil {
-		// attribute context: only parent and self produce results
+		// attribute context: the attribute sits right after its owner
+		// element, which answers for it on parent, ancestor, following
+		// and preceding; the attribute itself is its own self and, under
+		// node(), its own ancestor-or-self and descendant-or-self
+		owner := Val{Node: c.Owner}
+		var out []Val
+		if test.Kind == xqp.TestAnyNode && (axis == xqp.AxisSelf || axis == xqp.AxisAncestorOrSelf || axis == xqp.AxisDescendantOrSelf) {
+			out = []Val{c}
+		}
 		switch axis {
 		case xqp.AxisParent:
-			if matchTest(&Node{Kind: store.KindElem, Name: c.Owner.Name}, test) {
-				return []Val{{Node: c.Owner}}
-			}
-		case xqp.AxisSelf:
-			if test.Kind == xqp.TestAnyNode {
-				return []Val{c}
-			}
+			return stepFrom(owner, xqp.AxisSelf, test)
+		case xqp.AxisAncestor, xqp.AxisAncestorOrSelf:
+			return append(out, stepFrom(owner, xqp.AxisAncestorOrSelf, test)...)
+		case xqp.AxisFollowing:
+			return append(stepFrom(owner, xqp.AxisDescendant, test), stepFrom(owner, xqp.AxisFollowing, test)...)
+		case xqp.AxisPreceding:
+			return stepFrom(owner, xqp.AxisPreceding, test)
 		}
-		return nil
+		return out
 	}
 	n := c.Node
 	var out []Val

@@ -417,7 +417,12 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 	case *ralg.Step, *ralg.AttrStep:
 		o.addOrd(pr, o.ord("item", "iter"))
 	case *ralg.ExistJoin:
-		o.addOrd(pr, o.ord(n.Out1, n.Out2))
+		if n.Count { // one (iter1, count) row per iter1, ascending
+			o.addOrd(pr, o.ord(n.Out1))
+			pr.key = o.with(pr.key, n.Out1)
+		} else {
+			o.addOrd(pr, o.ord(n.Out1, n.Out2))
+		}
 	case *ralg.ElemConstruct:
 		// one output row per Loop row, in loop order: ordering and
 		// uniqueness of the iter column are inherited from the loop

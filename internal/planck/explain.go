@@ -164,7 +164,11 @@ func opLabel(n ralg.Plan) string {
 		}
 		return fmt.Sprintf("join(%s = %s%s)", x.LKey, x.RKey, mode)
 	case *ralg.ExistJoin:
-		return fmt.Sprintf("existjoin(%s %s %s -> %s,%s)", x.LItem, x.Cmp, x.RItem, x.Out1, x.Out2)
+		mode := ""
+		if x.Count {
+			mode = " := count"
+		}
+		return fmt.Sprintf("existjoin(%s %s %s -> %s,%s%s)", x.LItem, x.Cmp, x.RItem, x.Out1, x.Out2, mode)
 	case *ralg.Cross:
 		return "cross"
 	case *ralg.Union:

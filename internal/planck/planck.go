@@ -1050,7 +1050,11 @@ func (v *verifier) checkExistJoin(x *ralg.ExistJoin) (*Schema, *colProps) {
 	s := newSchema()
 	s.add(x.Out1, ColInfo{Kind: ralg.KInt})
 	s.add(x.Out2, ColInfo{Kind: ralg.KInt})
-	return s, nil
+	cp := newColProps()
+	if x.Count { // one row per iter1
+		cp.key[x.Out1] = true
+	}
+	return s, cp
 }
 
 func (v *verifier) checkUnion(x *ralg.Union) (*Schema, *colProps) {

@@ -63,12 +63,14 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 		Test: scj.Test{Kind: scj.TestElem, Name: "e"}, Variant: scj.LoopLifted, IterCol: "pos", ItemCol: "item"}
 	child := &Step{unary: unary{In: step}, Axis: scj.Child,
 		Test: scj.Test{Kind: scj.TestNode}, Variant: scj.LoopLifted, IterCol: "iter", ItemCol: "item"}
-	exist := func(cmp xqt.CmpOp, l, r Plan) Plan {
+	exist := func(cmp xqt.CmpOp, l, r Plan) *ExistJoin {
 		return &ExistJoin{binary: binary{L: l, R: r}, Cmp: cmp, LIter: "iter", LItem: "item", RIter: "iter", RItem: "item", Out1: "i1", Out2: "i2"}
 	}
 	// one element per e, holding a copy of it: loop and content in iter order
 	loop := NewProject(&RowNum{unary: unary{In: step}, Out: "n"}, "n->iter")
 	content := NewProject(AttachInt(&RowNum{unary: unary{In: step}, Out: "n"}, "pos", 1), "n->iter", "pos", "item")
+	counted := exist(xqt.CmpGt, lit(doubles), lit(doubles))
+	counted.Count = true
 	return pool, map[string]Plan{
 		"step":        child,
 		"attrstep":    &AttrStep{unary: unary{In: step}, IterCol: "iter", ItemCol: "item"},
@@ -76,6 +78,7 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 		"exist-hash":  exist(xqt.CmpEq, lit(ints), lit(mixed)),
 		"exist-theta": exist(xqt.CmpLt, small(doubles), lit(doubles)),
 		"exist-pairs": exist(xqt.CmpNe, small(ints), small(mixed)),
+		"exist-count": counted,
 		"cross":       &Cross{binary: binary{L: small(ints), R: small(doubles)}, LCols: Refs("iter"), RCols: Refs("item")},
 		"rangegen":    &RangeGen{unary: unary{In: NewFun(lit(ints), FunAdd, "hi", "item", "item")}, Iter: "iter", Lo: "item", Hi: "hi"},
 		"sort":        NewSort(lit(ints), "big"),

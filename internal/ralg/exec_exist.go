@@ -114,7 +114,7 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 				}
 			}
 		}
-		p1, p2 = dedupPairs(e, p1, p2)
+		p1, p2 = dedupPairs(e, p1, p2, n.Count)
 		p1, p2 = settle(e, p1), settle(e, p2)
 	default:
 		lf, ls := e.existKeys(lc, dom)
@@ -146,7 +146,7 @@ func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 		return existThetaJoin(e, n, liter, lv, riter, rv)
 	}
 	e.Stats.HashJoins++
-	return existHashJoin(e, liter, lv, riter, rv)
+	return existHashJoin(e, liter, lv, riter, rv, n.Count)
 }
 
 // reduceExtremum keeps one row per iter: the minimum (max=false) or
@@ -177,8 +177,9 @@ func reduceExtremum[T float64 | string](e *Exec, iters []int64, vals []T, max bo
 // existHashJoin evaluates an existential eq join over raw key vectors:
 // hash the right input by value (NaN joins nothing, -0 joins +0), probe
 // in left order, and eliminate duplicate (iter1, iter2) pairs per
-// left-iteration run (the merge-style δ of §4.2).
-func existHashJoin[T float64 | string](e *Exec, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+// left-iteration run (the merge-style δ of §4.2); count keeps each run's
+// length instead.
+func existHashJoin[T float64 | string](e *Exec, liter []int64, lv []T, riter []int64, rv []T, count bool) (p1, p2 []int64) {
 	e.charge(scratchRegion, 32*int64(len(rv))) // the build table hashes the whole right input
 	ht := make(map[T][]int64, len(rv))
 	for j, v := range rv {
@@ -191,7 +192,7 @@ func existHashJoin[T float64 | string](e *Exec, liter []int64, lv []T, riter []i
 			p1, p2 = append(grown(e, p1, 1), liter[i]), append(grown(e, p2, 1), i2)
 		}
 	}
-	p1, p2 = dedupPairs(e, p1, p2)
+	p1, p2 = dedupPairs(e, p1, p2, count)
 	return settle(e, p1), settle(e, p2) // the lists grew in scratch
 }
 
@@ -219,6 +220,11 @@ func thetaHolds[T float64 | string](a, b T, op xqt.CmpOp) bool {
 // bitmap over the ranks only ever gains the rows perm newly admits; each
 // left row then writes its set bits, in rank order, into the slot its
 // prefix-summed cut fixed. O(nl + nr·log nr + nl·nr/64 + pairs).
+//
+// In count mode the binary search is the whole join: left row i has the
+// cut[i] partners perm[:cut[i]], one per right row, and when both sides
+// hold unique iters those are cut[i] distinct iter2. O(nl·log nr +
+// nr·log nr), whatever the number of pairs.
 func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
 	nl, nr := len(liter), len(riter)
 	e.Stats.ThetaIdx++
@@ -229,6 +235,9 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 	if ord != nil {
 		riter, rv = gatherOf(e, scratchRegion, riter, ord), gatherOf(e, scratchRegion, rv, ord)
 	}
+	// reduced sides of clustered inputs have unique iters: when both
+	// ascended, the pairs are unique and come in [iter1, iter2] order
+	uniq := ord == nil && int64sNonDecreasing(liter)
 	perm := identity(e, nr)
 	lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
 	slices.SortFunc(perm, func(a, b int32) int {
@@ -252,6 +261,17 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 		}
 		cut[i] = int32(c)
 		start[c+1]++
+	}
+	if n.Count && uniq {
+		p1, p2 = dirty[int64](e, outRegion, nl), dirty[int64](e, outRegion, nl)
+		o := 0
+		for i, c := range cut {
+			if c > 0 {
+				p1[o], p2[o] = liter[i], int64(c)
+				o++
+			}
+		}
+		return p1[:o], p2[:o]
 	}
 	for c := 1; c < len(start); c++ {
 		start[c] += start[c-1]
@@ -284,20 +304,21 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 			}
 		}
 	}
-	// reduced sides have unique iters and the right one ascends by now:
-	// when the left does too, the pairs are unique and in [iter1, iter2] order
-	if !int64sNonDecreasing(liter) {
-		p1, p2 = dedupPairs(e, p1, p2)
+	if !uniq {
+		p1, p2 = dedupPairs(e, p1, p2, n.Count)
 	}
-	e.Stats.ThetaPairs += int64(len(p1))
+	if !n.Count {
+		e.Stats.ThetaPairs += int64(len(p1))
+	}
 	return p1, p2
 }
 
 // dedupPairs removes duplicate (iter1, iter2) pairs and establishes
 // [iter1, iter2] order, in place. Inputs that are already iter1-ordered
 // (the common case: probes in left order) are deduplicated with a
-// per-run merge; otherwise the pairs are sorted first.
-func dedupPairs(e *Exec, p1, p2 []int64) ([]int64, []int64) {
+// per-run merge; otherwise the pairs are sorted first. count keeps one
+// (iter1, number of distinct iter2) row per iter1 instead.
+func dedupPairs(e *Exec, p1, p2 []int64, count bool) ([]int64, []int64) {
 	if !int64sNonDecreasing(p1) {
 		idx := identity(e, len(p1))
 		slices.SortFunc(idx, func(a, b int32) int {
@@ -314,11 +335,15 @@ func dedupPairs(e *Exec, p1, p2 []int64) ([]int64, []int64) {
 		run := p2[start:end]
 		slices.Sort(run)
 		// o never passes the row being read, so compacting in place is safe
+		first := o
 		for k, v := range run {
 			if k == 0 || v != run[k-1] {
 				p1[o], p2[o] = cur, v
 				o++
 			}
+		}
+		if count {
+			p2[first], o = int64(o-first), first+1
 		}
 	}
 	return p1[:o], p2[:o]

@@ -49,14 +49,14 @@ func stepSegments(items *ItemVec) []stepSeg {
 // place: a tree node passes the node test, an attribute passes node().
 // Every other axis runs the segment's tree-node rows through
 // scj.StepBlocks with the segment's share (weight of total) of the
-// workers; an attribute row resolves on parent, to its owner (merged into
-// the kernel's pairs, duplicates dropped).
+// workers; attribute rows resolve through their owners (ownerAxes, the
+// results merged into the kernel's pairs, duplicates dropped).
 func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) (scj.Blocks, []xqt.Kind) {
 	c := e.Pool.Get(s.cont)
 	test := scj.CompileTest(c, n.Test)
 	// the context relation: the run's tree-node rows narrowed to the
-	// document's int32 encoding, in scratch memory; under parent, the
-	// owners of its attribute rows as packed (pre, iter) pairs
+	// document's int32 encoding, in scratch memory; the owners of its
+	// attribute rows as packed (pre, iter) pairs
 	ctx := scj.Pairs{Pre: dirty[int32](e, scratchRegion, s.hi-s.lo), Iter: dirty[int32](e, scratchRegion, s.hi-s.lo)}
 	if n.Axis == scj.Self { // counted as the kernel counts: a touch per row, the matches emitted
 		kinds := dirty[xqt.Kind](e, scratchRegion, s.hi-s.lo)[:0]
@@ -73,30 +73,71 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, wei
 		return scj.Blocks{Segs: []scj.Pairs{out}}, kinds
 	}
 	var owners []uint64
+	var selves []int // attribute rows in their own result, in (item, iter) order as the input
+	orSelf := n.Test.Kind == scj.TestNode && (n.Axis == scj.AncestorOrSelf || n.Axis == scj.DescendantOrSelf)
 	k := 0
 	for i := s.lo; i < s.hi; i++ {
 		x, it := int32(items.I[i]), int32(iters[i])
-		switch {
-		case items.KindAt(i) != xqt.KAttr:
+		if items.KindAt(i) != xqt.KAttr {
 			ctx.Pre[k], ctx.Iter[k] = x, it
 			k++
-		case n.Axis == scj.Parent && test(c.AttrOwner[x]):
+			continue
+		}
+		if ownerAxes[n.Axis] != nil {
 			owners = append(grown(e, owners, 1), uint64(c.AttrOwner[x])<<32|uint64(uint32(it)))
+		}
+		if orSelf {
+			selves = append(grown(e, selves, 1), i)
 		}
 	}
 	ctx.Pre, ctx.Iter = ctx.Pre[:k], ctx.Iter[:k]
 	budget := int(int64(e.Par.Workers) * weight / total)
 	blocks := scj.StepBlocks(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
-	if len(owners) == 0 {
+	if len(owners) == 0 && len(selves) == 0 {
 		return blocks, nil
 	}
-	slices.Sort(owners)
-	owners = slices.Compact(owners)
-	op := scj.Pairs{Pre: dirty[int32](e, scratchRegion, len(owners)), Iter: dirty[int32](e, scratchRegion, len(owners))}
-	for r, key := range owners {
-		op.Pre[r], op.Iter[r] = int32(key>>32), int32(uint32(key))
+	res := blocks.Pairs(st)
+	if len(owners) > 0 {
+		slices.Sort(owners)
+		owners = slices.Compact(owners)
+		op := scj.Pairs{Pre: dirty[int32](e, scratchRegion, len(owners)), Iter: dirty[int32](e, scratchRegion, len(owners))}
+		for r, key := range owners {
+			op.Pre[r], op.Iter[r] = int32(key>>32), int32(uint32(key))
+		}
+		for _, ax := range ownerAxes[n.Axis] {
+			res = scj.MergePairs(res, scj.Step(c, op, ax, n.Test, n.Variant, st))
+		}
 	}
-	return scj.Blocks{Segs: []scj.Pairs{scj.MergePairs(blocks.Pairs(st), op)}}, nil
+	if len(selves) == 0 {
+		return scj.Blocks{Segs: []scj.Pairs{res}}, nil
+	}
+	// an attribute follows its owner element and precedes the owner's
+	// first child in document order
+	out := scj.Pairs{Pre: dirty[int32](e, scratchRegion, res.Len()+len(selves)), Iter: dirty[int32](e, scratchRegion, res.Len()+len(selves))}
+	kinds := dirty[xqt.Kind](e, scratchRegion, out.Len())
+	for o, r, j := 0, 0, 0; o < out.Len(); o++ {
+		if j < len(selves) && (r == res.Len() || c.AttrOwner[items.I[selves[j]]] < res.Pre[r]) {
+			out.Pre[o], out.Iter[o], kinds[o] = int32(items.I[selves[j]]), int32(iters[selves[j]]), xqt.KAttr
+			j++
+		} else {
+			out.Pre[o], out.Iter[o], kinds[o] = res.Pre[r], res.Iter[r], xqt.KNode
+			r++
+		}
+	}
+	st.Emitted += int64(len(selves))
+	return scj.Blocks{Segs: []scj.Pairs{out}}, kinds
+}
+
+// ownerAxes are the steps that answer an axis for an attribute row from
+// its owner element: the owner is its parent, the owner's
+// ancestors-or-self are its ancestors, and since it sits right after its
+// owner, it is followed by the owner's descendants and following nodes
+// and preceded by the owner's preceding ones. Its other axes are empty
+// but for itself on self and, under node(), on ancestor-or-self and
+// descendant-or-self.
+var ownerAxes = map[scj.Axis][]scj.Axis{
+	scj.Parent: {scj.Self}, scj.Ancestor: {scj.AncestorOrSelf}, scj.AncestorOrSelf: {scj.AncestorOrSelf},
+	scj.Following: {scj.Descendant, scj.Following}, scj.Preceding: {scj.Preceding},
 }
 
 func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {

@@ -367,7 +367,9 @@ func NewHashJoin(l, r Plan, lkey, rkey string, lcols, rcols []ColRef) *HashJoin 
 // ExistJoin implements XQuery's general comparisons in join position with
 // existential semantics (§4.2): it joins (iter1, item1) with
 // (iter2, item2) on item1 Cmp item2 and emits the distinct
-// (iter1, iter2) pairs, in [iter1, iter2] order.
+// (iter1, iter2) pairs, in [iter1, iter2] order. In Count mode Out2
+// holds, per iter1 with any partner, the number of distinct iter2
+// partners instead: one row per iter1, ascending.
 type ExistJoin struct {
 	binary
 	Cmp        xqt.CmpOp
@@ -376,6 +378,7 @@ type ExistJoin struct {
 	RIter      string
 	RItem      string
 	Out1, Out2 string
+	Count      bool
 }
 
 // Name implements Plan.

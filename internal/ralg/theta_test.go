@@ -113,9 +113,9 @@ func TestThetaSweepMatchesNestedLoop(t *testing.T) {
 	checkThetaSweep(t, "nothing-or-all", riter, rv, liter, lv)
 }
 
-// TestThetaSweepAbortsTyped: a budget that trips on the pair output and a
-// context cancelled mid-sweep surface as the typed error through Run,
-// and the execution's arena goes back.
+// TestThetaSweepAbortsTyped: a budget that trips on the pair output (in
+// count mode, on the index) and a context cancelled mid-sweep surface as
+// the typed error through Run, and the execution's arena goes back.
 func TestThetaSweepAbortsTyped(t *testing.T) {
 	const n = 3000
 	vals := make([]xqt.Item, n)
@@ -128,27 +128,90 @@ func TestThetaSweepAbortsTyped(t *testing.T) {
 	j.SetInput(1, &Lit{Tab: side})
 	base := LiveArenas()
 
-	e := NewExec(nil, nil)
-	e.Mem = NewMemBudget(1 << 20)
-	_, err := e.Run(j)
-	var xe *xqerr.Error
-	if !errors.As(err, &xe) || xe.Code != xqerr.CodeResourceLimit {
-		t.Fatalf("over-budget theta join: %v", err)
-	}
-	e.Release()
+	for _, mode := range []struct {
+		count bool
+		limit int64
+	}{{false, 1 << 20}, {true, 64 << 10}} {
+		j.Count = mode.count
+		e := NewExec(nil, nil)
+		e.Mem = NewMemBudget(mode.limit)
+		_, err := e.Run(j)
+		var xe *xqerr.Error
+		if !errors.As(err, &xe) || xe.Code != xqerr.CodeResourceLimit {
+			t.Fatalf("over-budget theta join (count %v): %v", mode.count, err)
+		}
+		e.Release()
 
-	// Run asks Err five times before it applies the join (its own entry
-	// check, then entry and exit of either literal input): the fifth
-	// answer is the last "not cancelled", so the sweep's poll is the
-	// first to see the cancellation
-	e = NewExec(nil, nil)
-	e.Ctx = &cancelAfter{Context: context.Background(), asks: 5, done: make(chan struct{})}
-	if _, err := e.Run(j); !errors.Is(err, context.Canceled) || e.Stats.ThetaPairs != 0 {
-		t.Fatalf("theta join cancelled mid-sweep: %v, %d pairs emitted", err, e.Stats.ThetaPairs)
+		// Run asks Err five times before it applies the join (its own
+		// entry check, then entry and exit of either literal input): the
+		// fifth answer is the last "not cancelled", so the sweep's poll,
+		// or in count mode Run's exit check, is the first to see the
+		// cancellation
+		e = NewExec(nil, nil)
+		e.Ctx = &cancelAfter{Context: context.Background(), asks: 5, done: make(chan struct{})}
+		if _, err := e.Run(j); !errors.Is(err, context.Canceled) || e.Stats.ThetaPairs != 0 {
+			t.Fatalf("theta join (count %v) cancelled mid-sweep: %v, %d pairs emitted", mode.count, err, e.Stats.ThetaPairs)
+		}
+		e.Release()
+		if LiveArenas() != base {
+			t.Fatalf("count %v: LiveArenas = %d, want %d", mode.count, LiveArenas(), base)
+		}
 	}
-	e.Release()
-	if LiveArenas() != base {
-		t.Fatalf("LiveArenas = %d, want %d", LiveArenas(), base)
+}
+
+// TestExistJoinCountMode: on random inputs the count mode is Aggr(count
+// part Out1) over the pair mode, for every comparison, over double and
+// string keys (typed kernels) and mixed ones (the per-pair loop), with
+// NaN, several rows per left iter, and left iters out of order.
+func TestExistJoinCountMode(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	gens := map[string]func() xqt.Item{
+		"double": func() xqt.Item { return xqt.Double([]float64{-3, 1, 2, 2.5, 7, math.NaN()}[rng.Intn(6)]) },
+		"string": func() xqt.Item { return xqt.Str(strconv.Itoa(rng.Intn(12))) },
+		"mixed": func() xqt.Item {
+			if rng.Intn(2) == 0 {
+				return xqt.Int(int64(rng.Intn(12)))
+			}
+			return xqt.Str(strconv.Itoa(rng.Intn(12)))
+		},
+	}
+	side := func(n int, gen func() xqt.Item, shuffled bool) *Table {
+		iters, poss, items := make([]int64, n), make([]int64, n), make([]xqt.Item, n)
+		iter := int64(1)
+		for i := range items {
+			iters[i], poss[i], items[i] = iter, int64(i+1), gen()
+			if rng.Intn(3) > 0 {
+				iter++
+			}
+		}
+		if shuffled {
+			rng.Shuffle(n, func(a, b int) { iters[a], iters[b] = iters[b], iters[a] })
+		}
+		return seqTable(iters, poss, items)
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 40, 150} {
+			for _, shuffled := range []bool{false, true} {
+				l, r := side(n, gen, shuffled), side(n+70, gen, false)
+				for op := xqt.CmpEq; op <= xqt.CmpGe; op++ {
+					pairs := &ExistJoin{Cmp: op, LIter: "iter", LItem: "item", RIter: "iter", RItem: "item", Out1: "a", Out2: "b"}
+					pairs.SetInput(0, &Lit{Tab: l})
+					pairs.SetInput(1, &Lit{Tab: r})
+					want := &Aggr{Part: "a", Op: AggCount, Out: "n"}
+					want.SetInput(0, pairs)
+					counted := *pairs
+					counted.Count = true
+					got, w := run(t, &counted), run(t, want)
+					same := got.N == w.N
+					for i := 0; same && i < got.N; i++ {
+						same = got.Ints("a")[i] == w.Ints("a")[i] && xqt.Int(got.Ints("b")[i]) == w.Col("n").Item.At(i)
+					}
+					if !same {
+						t.Fatalf("%s %v (n=%d, shuffled %v): count mode\n%v\nwant\n%v", name, op, n, shuffled, got, w)
+					}
+				}
+			}
+		}
 	}
 }
 

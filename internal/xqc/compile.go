@@ -109,7 +109,7 @@ func Compile(m *xqp.Module, opts Options) (*Compiled, error) {
 		prm := Param{Name: d.Name, External: d.External}
 		if d.Init != nil {
 			c.declLimit = i
-			sc := &scope{loop: litLoop1(), vars: map[string]*binding{}, loopVars: varset{}}
+			sc := &scope{loop: litLoop1(), vars: map[string]*binding{}}
 			q, err := c.compile(d.Init, sc)
 			if err != nil {
 				return nil, err
@@ -120,7 +120,7 @@ func Compile(m *xqp.Module, opts Options) (*Compiled, error) {
 		out.Params = append(out.Params, prm)
 	}
 	c.declLimit = len(m.Vars)
-	sc := &scope{loop: litLoop1(), vars: map[string]*binding{}, loopVars: varset{}}
+	sc := &scope{loop: litLoop1(), vars: map[string]*binding{}}
 	body, err := c.compile(m.Body, sc)
 	if err != nil {
 		return nil, err
@@ -164,29 +164,24 @@ func (v varset) union(o varset) varset {
 	return out
 }
 
-func (v varset) intersects(o varset) bool {
-	for k := range v {
-		if o[k] {
-			return true
-		}
-	}
-	return false
-}
-
 // binding is a variable's compiled representation relative to its scope's
 // loop, plus the loop variables its value depends on (used for join
-// recognition — the paper's indep property).
+// recognition — the paper's indep property). count, when known, is the
+// number of items per iteration as an (iter, item) table over the
+// iterations that have any (see compileFLWOR); loop marks a for or at
+// variable, exactly one item per iteration.
 type binding struct {
-	plan ralg.Plan
-	deps varset
+	plan  ralg.Plan
+	count ralg.Plan
+	deps  varset
+	loop  bool
 }
 
 // scope is a compilation scope: the loop relation and the visible
 // variable bindings (all relative to that loop).
 type scope struct {
-	loop     ralg.Plan
-	vars     map[string]*binding
-	loopVars varset // all for-variables lifted into this loop
+	loop ralg.Plan
+	vars map[string]*binding
 }
 
 func (sc *scope) clone() *scope {
@@ -194,7 +189,7 @@ func (sc *scope) clone() *scope {
 	for k, v := range sc.vars {
 		vars[k] = v
 	}
-	return &scope{loop: sc.loop, vars: vars, loopVars: sc.loopVars.clone()}
+	return &scope{loop: sc.loop, vars: vars}
 }
 
 // --- small plan constructors -------------------------------------------
@@ -244,22 +239,32 @@ func firstItem(q ralg.Plan) ralg.Plan {
 // the new bindings are relative to the loop the map's inner column ranges
 // over. The map plan must be sorted on inner.
 func liftVars(sc *scope, mapPlan ralg.Plan, newLoop ralg.Plan) *scope {
-	out := &scope{loop: newLoop, vars: make(map[string]*binding, len(sc.vars)), loopVars: sc.loopVars.clone()}
+	out := &scope{loop: newLoop, vars: make(map[string]*binding, len(sc.vars))}
 	for name, b := range sc.vars {
 		j := ralg.NewHashJoin(mapPlan, b.plan, "outer", "iter",
 			ralg.Refs("inner->iter"), ralg.Refs("pos", "item"))
-		out.vars[name] = &binding{plan: ralg.NewProject(j, "iter", "pos", "item"), deps: b.deps}
+		nb := &binding{plan: ralg.NewProject(j, "iter", "pos", "item"), deps: b.deps, loop: b.loop}
+		if b.count != nil {
+			nb.count = ralg.NewHashJoin(mapPlan, b.count, "outer", "iter",
+				ralg.Refs("inner->iter"), ralg.Refs("item"))
+		}
+		out.vars[name] = nb
 	}
 	return out
 }
 
 // restrictScope semi-joins every binding (and the loop) with subLoop.
 func restrictScope(sc *scope, subLoop ralg.Plan) *scope {
-	out := &scope{loop: subLoop, vars: make(map[string]*binding, len(sc.vars)), loopVars: sc.loopVars.clone()}
+	out := &scope{loop: subLoop, vars: make(map[string]*binding, len(sc.vars))}
 	for name, b := range sc.vars {
 		j := ralg.NewHashJoin(b.plan, subLoop, "iter", "iter",
 			ralg.Refs("iter", "pos", "item"), nil)
-		out.vars[name] = &binding{plan: j, deps: b.deps}
+		nb := &binding{plan: j, deps: b.deps, loop: b.loop}
+		if b.count != nil {
+			nb.count = ralg.NewHashJoin(b.count, subLoop, "iter", "iter",
+				ralg.Refs("iter", "item"), nil)
+		}
+		out.vars[name] = nb
 	}
 	return out
 }
@@ -424,7 +429,8 @@ func (c *Compiler) compile(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 	case *xqp.If:
 		return c.compileIf(x, sc)
 	case *xqp.FLWOR:
-		return c.compileFLWOR(x, sc)
+		q, _, err := c.compileFLWOR(x, sc)
+		return q, err
 	case *xqp.Quantified:
 		b, err := c.compileBool(x, sc)
 		if err != nil {
@@ -448,6 +454,21 @@ func (c *Compiler) compile(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 		return c.compileCtor(x, sc)
 	}
 	return nil, fmt.Errorf("xqc: unhandled expression %T", e)
+}
+
+// compileCounted is compile plus e's count plan where one is known (a
+// FLWOR's, or a variable's that carries one), nil otherwise.
+func (c *Compiler) compileCounted(e xqp.Expr, sc *scope) (q, count ralg.Plan, err error) {
+	switch x := e.(type) {
+	case *xqp.FLWOR:
+		return c.compileFLWOR(x, sc)
+	case *xqp.VarRef:
+		if b, ok := sc.vars[x.Name]; ok {
+			return b.plan, b.count, nil
+		}
+	}
+	q, err = c.compile(e, sc)
+	return q, nil, err
 }
 
 // compileSeqList concatenates subexpression results, re-deriving pos via ρ

@@ -14,13 +14,21 @@ import (
 // the enclosing scope in one join. Where clauses restrict loops via
 // selections; order-by re-derives positions by ranking over the key
 // values.
-func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (ralg.Plan, error) {
+//
+// It also returns the FLWOR's count plan, the number of result items per
+// enclosing iteration, when that needs no return plan: without order by,
+// a for (or at) variable as the return yields one item, and no error, per
+// chain row, so the count is the chain's rows per outer iteration, and
+// when the chain is one recognized join it is the join's count mode.
+// Otherwise count is nil.
+func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (plan, count ralg.Plan, err error) {
 	cur := sc0.clone()
 	// chain: (outer, inner) composition of the scope maps; nil means the
 	// identity (no for clause processed yet), which keeps the common
 	// single-for back-map a single positional join
 	var chainPlan ralg.Plan
 	var orderKeys []xqp.OrderKey
+	var join *ralg.ExistJoin // the chain is this recognized join and nothing else
 
 	clauses := append([]xqp.Clause(nil), f.Clauses...)
 	for i := 0; i < len(clauses); i++ {
@@ -32,11 +40,15 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (ralg.Plan, error) {
 			// the new variable to the enclosing loops compiles to a
 			// theta-join instead of a loop-lifted Cartesian product
 			if c.opts.JoinRecognition && i+1 < len(clauses) && clauses[i+1].Kind == xqp.ClauseWhere {
-				newCur, newChain, residual, ok, err := c.tryJoinFor(cl, clauses[i+1].Expr, cur, chainPlan)
+				newCur, newChain, j, residual, ok, err := c.tryJoinFor(cl, clauses[i+1].Expr, cur, chainPlan)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				if ok {
+					join = nil
+					if chainPlan == nil && residual == nil {
+						join = j
+					}
 					cur, chainPlan = newCur, newChain
 					if residual != nil {
 						clauses[i+1].Expr = residual
@@ -48,20 +60,21 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (ralg.Plan, error) {
 			}
 			newCur, newChain, err := c.standardFor(cl, cur, chainPlan)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			cur, chainPlan = newCur, newChain
+			cur, chainPlan, join = newCur, newChain, nil
 		case xqp.ClauseLet:
-			q, err := c.compile(cl.Expr, cur)
+			q, cnt, err := c.compileCounted(cl.Expr, cur)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			cur = cur.clone()
-			cur.vars[cl.Var] = &binding{plan: q, deps: c.depsOf(cl.Expr, cur)}
+			cur.vars[cl.Var] = &binding{plan: q, count: cnt, deps: c.depsOf(cl.Expr, cur)}
 		case xqp.ClauseWhere:
+			join = nil
 			b, err := c.compileBool(cl.Expr, cur)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			sel := &ralg.Select{Cond: "val"}
 			sel.SetInput(0, b)
@@ -80,19 +93,22 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (ralg.Plan, error) {
 
 	qr, err := c.compile(f.Return, cur)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if chainPlan == nil && len(orderKeys) == 0 {
-		return qr, nil // identity chain: the result is already back-mapped
+		return qr, nil, nil // identity chain: the result is already back-mapped
 	}
 	if chainPlan == nil {
 		chainPlan = ralg.NewProject(cur.loop, "iter->outer", "iter->inner")
 	}
 	if len(orderKeys) == 0 {
+		if v, ok := f.Return.(*xqp.VarRef); ok && cur.vars[v.Name] != nil && cur.vars[v.Name].loop {
+			count = countChain(chainPlan, join)
+		}
 		j := ralg.NewHashJoin(chainPlan, qr, "inner", "iter",
 			ralg.Refs("outer", "inner"), ralg.Refs("pos", "item"))
 		rn := ralg.NewRowNum(j, "pos2", []string{"inner", "pos"}, "outer")
-		return ralg.NewProject(rn, "outer->iter", "pos2->pos", "item"), nil
+		return ralg.NewProject(rn, "outer->iter", "pos2->pos", "item"), count, nil
 	}
 
 	// order by: attach the key values to the chain (absent keys sort
@@ -105,7 +121,7 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (ralg.Plan, error) {
 	for ki, k := range orderKeys {
 		kq, err := c.compile(k.Expr, cur)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// order keys are atomized singletons
 		at := ralg.NewFun(firstItem(kq), ralg.FunAtomize, "av", "item")
@@ -131,7 +147,23 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (ralg.Plan, error) {
 		ralg.Refs("outer", "rnk"), ralg.Refs("pos", "item"))
 	srt := ralg.NewSort(j, "outer", "rnk", "pos")
 	rn2 := ralg.NewRowNum(srt, "pos2", []string{"rnk", "pos"}, "outer")
-	return ralg.NewProject(rn2, "outer->iter", "pos2->pos", "item"), nil
+	return ralg.NewProject(rn2, "outer->iter", "pos2->pos", "item"), nil, nil
+}
+
+// countChain is the count plan of a FLWOR that returns one item per chain
+// row: the chain's rows per outer iteration, or the count mode of the
+// chain's one recognized join.
+func countChain(chainPlan ralg.Plan, join *ralg.ExistJoin) ralg.Plan {
+	if join != nil {
+		cj := *join
+		cj.Out1, cj.Out2, cj.Count = "iter", "n", true
+		n := &ralg.ColToItem{Src: "n", Dst: "item"}
+		n.SetInput(0, &cj)
+		return ralg.NewProject(n, "iter", "item")
+	}
+	a := &ralg.Aggr{Part: "outer", Op: ralg.AggCount, Out: "item"}
+	a.SetInput(0, chainPlan)
+	return ralg.NewProject(a, "outer->iter", "item")
 }
 
 // standardFor is the textbook loop-lifting of one for clause (§2.1): the
@@ -154,8 +186,8 @@ func (c *Compiler) standardFor(cl xqp.Clause, cur *scope, chainPlan ralg.Plan) (
 	newCur.vars[cl.Var] = &binding{
 		plan: ralg.NewProject(vb, "iter", "pos", "item"),
 		deps: varset{cl.Var: true},
+		loop: true,
 	}
-	newCur.loopVars[cl.Var] = true
 	if cl.Pos != "" {
 		pv := &ralg.ColToItem{Src: "prank", Dst: "item"}
 		pv.SetInput(0, ralg.NewProject(numbered, "inner->iter", "prank"))
@@ -163,6 +195,7 @@ func (c *Compiler) standardFor(cl xqp.Clause, cur *scope, chainPlan ralg.Plan) (
 		newCur.vars[cl.Pos] = &binding{
 			plan: ralg.NewProject(pb, "iter", "pos", "item"),
 			deps: varset{cl.Var: true},
+			loop: true,
 		}
 	}
 	return newCur, composeChain(chainPlan, mapPlan), nil
@@ -191,10 +224,10 @@ func composeChain(chainPlan, mapPlan ralg.Plan) ralg.Plan {
 // evaluates the two key expressions in their natural scopes, joins them
 // with an existential theta-join, and rebuilds the inner loop from the
 // surviving (outer, binding) pairs — avoiding the |outer| × |E2|
-// Cartesian product entirely.
-func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPlan ralg.Plan) (*scope, ralg.Plan, xqp.Expr, bool, error) {
+// Cartesian product entirely. It also returns the join itself.
+func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPlan ralg.Plan) (*scope, ralg.Plan, *ralg.ExistJoin, xqp.Expr, bool, error) {
 	if len(c.depsOf(cl.Expr, cur)) != 0 {
-		return nil, nil, nil, false, nil
+		return nil, nil, nil, nil, false, nil
 	}
 	conjuncts := splitAnd(where)
 	// probe scope: $v visible with deps {v}
@@ -203,9 +236,8 @@ func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPl
 	if cl.Pos != "" {
 		probe.vars[cl.Pos] = &binding{deps: varset{cl.Var: true}}
 	}
-	loopVars := cur.loopVars.clone()
-	loopVars[cl.Var] = true
-
+	// every dependence is a for variable of an enclosing loop, so a side
+	// with any dependence varies with those loops
 	match := -1
 	var vSide, oSide xqp.Expr
 	var cmp xqt.CmpOp
@@ -223,10 +255,10 @@ func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPl
 		dr := c.depsOf(b.R, probe)
 		vInL, vInR := dl[cl.Var], dr[cl.Var]
 		switch {
-		case vInL && !vInR && len(dl) == 1 && dr.intersects(loopVars):
+		case vInL && !vInR && len(dl) == 1 && len(dr) > 0:
 			vSide, oSide, cmp = b.L, b.R, genCmpOp(b.Op).Swap() // oSide cmp' vSide
 			match = ci
-		case vInR && !vInL && len(dr) == 1 && dl.intersects(loopVars):
+		case vInR && !vInL && len(dr) == 1 && len(dl) > 0:
 			vSide, oSide, cmp = b.R, b.L, genCmpOp(b.Op)
 			match = ci
 		}
@@ -235,17 +267,17 @@ func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPl
 		}
 	}
 	if match < 0 {
-		return nil, nil, nil, false, nil
+		return nil, nil, nil, nil, false, nil
 	}
 
 	// compile E2 once, in a fresh single-iteration loop. Compile errors
 	// in this speculative scope abandon the rewrite instead of failing
 	// the query: standardFor recompiles the clause in its natural scope
 	// and surfaces any genuine static error there.
-	baseScope := &scope{loop: litLoop1(), vars: map[string]*binding{}, loopVars: varset{}}
+	baseScope := &scope{loop: litLoop1(), vars: map[string]*binding{}}
 	qb, err := c.compile(cl.Expr, baseScope)
 	if err != nil {
-		return nil, nil, nil, false, nil
+		return nil, nil, nil, nil, false, nil
 	}
 	numbered := ralg.NewRowNum(qb, "bid", []string{"iter", "pos"}, "")
 	if cl.Pos != "" {
@@ -254,17 +286,16 @@ func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPl
 	baseLoop := ralg.NewProject(numbered, "bid->iter")
 	vbBase := ralg.AttachInt(ralg.NewProject(numbered, "bid->iter", "item"), "pos", 1)
 	vScope := &scope{
-		loop:     baseLoop,
-		vars:     map[string]*binding{cl.Var: {plan: ralg.NewProject(vbBase, "iter", "pos", "item"), deps: varset{cl.Var: true}}},
-		loopVars: varset{cl.Var: true},
+		loop: baseLoop,
+		vars: map[string]*binding{cl.Var: {plan: ralg.NewProject(vbBase, "iter", "pos", "item"), deps: varset{cl.Var: true}}},
 	}
 	qv, err := c.compile(vSide, vScope)
 	if err != nil {
-		return nil, nil, nil, false, nil
+		return nil, nil, nil, nil, false, nil
 	}
 	qo, err := c.compile(oSide, cur)
 	if err != nil {
-		return nil, nil, nil, false, nil
+		return nil, nil, nil, nil, false, nil
 	}
 	// existential theta-join: (outer iter, binding id) pairs
 	join := &ralg.ExistJoin{
@@ -284,8 +315,8 @@ func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPl
 	newCur.vars[cl.Var] = &binding{
 		plan: ralg.NewProject(ralg.AttachInt(vb, "pos", 1), "iter", "pos", "item"),
 		deps: varset{cl.Var: true},
+		loop: true,
 	}
-	newCur.loopVars[cl.Var] = true
 	if cl.Pos != "" {
 		pj := ralg.NewHashJoin(pairs, numbered, "b", "bid",
 			ralg.Refs("inner->iter"), ralg.Refs("prank"))
@@ -294,10 +325,11 @@ func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPl
 		newCur.vars[cl.Pos] = &binding{
 			plan: ralg.NewProject(ralg.AttachInt(pv, "pos", 1), "iter", "pos", "item"),
 			deps: varset{cl.Var: true},
+			loop: true,
 		}
 	}
 	residual := joinConjuncts(conjuncts, match)
-	return newCur, composeChain(chainPlan, mapPlan), residual, true, nil
+	return newCur, composeChain(chainPlan, mapPlan), join, residual, true, nil
 }
 
 // splitAnd flattens a conjunction into its conjuncts.

@@ -183,9 +183,13 @@ func (c *Compiler) inlineUDF(f *xqp.FuncDecl, x *xqp.Call, sc *scope) (ralg.Plan
 }
 
 // compileAggr compiles the grouped aggregates. count and sum densify
-// empty iterations with 0; avg/min/max leave them empty.
+// empty iterations with 0; avg/min/max leave them empty. count takes the
+// argument's count plan where it has one.
 func (c *Compiler) compileAggr(x *xqp.Call, sc *scope) (ralg.Plan, error) {
-	q, err := c.compileArg(x, 0, sc)
+	if len(x.Args) == 0 {
+		return c.compileArg(x, 0, sc)
+	}
+	q, counted, err := c.compileCounted(x.Args[0], sc)
 	if err != nil {
 		return nil, err
 	}
@@ -199,15 +203,18 @@ func (c *Compiler) compileAggr(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 		q = at
 		arg = "av"
 	}
-	a := &ralg.Aggr{Part: "iter", Op: op, Arg: arg, Out: "item"}
-	a.SetInput(0, q)
-	var full ralg.Plan = a
+	full := counted
+	if op != ralg.AggCount || counted == nil {
+		a := &ralg.Aggr{Part: "iter", Op: op, Arg: arg, Out: "item"}
+		a.SetInput(0, q)
+		full = a
+	}
 	if x.Name == "count" || x.Name == "sum" {
 		d := &ralg.Diff{LKey: "iter", RKey: "iter"}
 		d.SetInput(0, ralg.NewProject(sc.loop, "iter"))
-		d.SetInput(1, a)
+		d.SetInput(1, full)
 		zero := ralg.AttachItem(d, "item", xqt.Int(0))
-		u := &ralg.Union{Ins: []ralg.Plan{ralg.NewProject(a, "iter", "item"), ralg.NewProject(zero, "iter", "item")}}
+		u := &ralg.Union{Ins: []ralg.Plan{ralg.NewProject(full, "iter", "item"), ralg.NewProject(zero, "iter", "item")}}
 		full = ralg.NewSort(u, "iter")
 	}
 	res := ralg.AttachInt(full, "pos", 1)

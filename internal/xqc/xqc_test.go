@@ -40,10 +40,17 @@ const joinQuery = `
 	          return $t
 	return count($a)`
 
+// joinQuery only counts $a, so the inner FLWOR's count plan replaces its
+// result: with join recognition the join runs in count mode, without it
+// the Cartesian chain is counted; neither keeps the inner back-map (the
+// pos2 numbering), only the outer FLWOR's.
 func TestJoinRecognitionProducesExistJoin(t *testing.T) {
+	backMaps := func(p ralg.Plan) int {
+		return countNodes(p, func(p ralg.Plan) bool { r, ok := p.(*ralg.RowNum); return ok && r.Out == "pos2" })
+	}
 	with := compilePlan(t, joinQuery, DefaultOptions())
-	if n := countNodes(with, func(p ralg.Plan) bool { _, ok := p.(*ralg.ExistJoin); return ok }); n != 1 {
-		t.Errorf("with join recognition: %d ExistJoins, want 1", n)
+	if n := countNodes(with, func(p ralg.Plan) bool { j, ok := p.(*ralg.ExistJoin); return ok && j.Count }); n != 1 {
+		t.Errorf("with join recognition: %d count-mode ExistJoins, want 1", n)
 	}
 	if n := countNodes(with, func(p ralg.Plan) bool { _, ok := p.(*ralg.Cross); return ok }); n > 2 {
 		t.Errorf("with join recognition: %d Cross operators (doc-root lifts only expected)", n)
@@ -53,6 +60,9 @@ func TestJoinRecognitionProducesExistJoin(t *testing.T) {
 	without := compilePlan(t, joinQuery, off)
 	if n := countNodes(without, func(p ralg.Plan) bool { _, ok := p.(*ralg.ExistJoin); return ok }); n != 0 {
 		t.Errorf("without join recognition: %d ExistJoins, want 0", n)
+	}
+	if w, wo := backMaps(with), backMaps(without); w != 1 || wo != 1 {
+		t.Errorf("back-maps: %d with join recognition, %d without; want 1 each", w, wo)
 	}
 }
 
@@ -160,7 +170,6 @@ func TestDepsAnalysis(t *testing.T) {
 			"b": {deps: varset{"b": true}},
 			"l": {deps: varset{"a": true}}, // a let derived from $a
 		},
-		loopVars: varset{"a": true, "b": true},
 	}
 	cases := []struct {
 		q    string

@@ -49,6 +49,35 @@ func TestPreparedHundredBindingsDifferential(t *testing.T) {
 	}
 }
 
+// TestCountedThetaJoinsEmitNoPairs: XMark Q11 and Q12 only count each
+// person's theta-join partners, so their existential join runs in count
+// mode — one Fig. 8(b) reduction, a binary search per person, and no
+// (person, auction) pair; the pair plan emitted 75 878 at factor 0.04.
+// The results are checked against the oracle.
+func TestCountedThetaJoinsEmitNoPairs(t *testing.T) {
+	const factor = 0.01
+	db := mxq.Open()
+	db.LoadXMark("auction.xml", factor, 42)
+	oracle := naive.New()
+	oracle.LoadDOM("auction.xml", xmark.NewDOM(factor, 42, oracle.OrdCounter()))
+	for _, q := range []int{11, 12} {
+		stmt, err := db.Prepare(xmark.Query(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := stmt.Exec()
+		if err != nil {
+			t.Fatalf("Q%d: %v", q, err)
+		}
+		if st := res.Stats(); st.ThetaPairs != 0 || st.ExistAggr != 1 {
+			t.Errorf("Q%d: %d theta pairs, %d extremum reductions; want 0 and 1", q, st.ThetaPairs, st.ExistAggr)
+		}
+		if want, err := oracle.QueryString(xmark.Query(q)); err != nil || res.String() != want {
+			t.Errorf("Q%d differs from the oracle (oracle error %v)", q, err)
+		}
+	}
+}
+
 // TestStmtConcurrentBinders runs one prepared statement from 8+
 // goroutines, each chaining its own Bind — the immutable-handle
 // contract of the public API (race-clean under `go test -race`).

@@ -156,6 +156,19 @@ var specCases = []struct {
 	// before the owner's children
 	{"union-attribute-order", `for $n in (doc("attrs.xml")//@id | doc("attrs.xml")//a | doc("attrs.xml")//@x | doc("attrs.xml")//d) return name($n)`,
 		"a x id id d"},
+
+	// an attribute's ancestors are its owner element's ancestors-or-self
+	// (XPath 2.0 §3.2.1.1: the owner is the attribute's parent)
+	{"attribute-ancestors", `count(doc("attrs.xml")//@id/ancestor::*)`, "4"},
+	{"attribute-ancestor-or-self", `for $n in doc("attrs.xml")//b/@id/ancestor-or-self::node() return name($n)`, " r a b id"},
+
+	// fn:count over a FLWOR that returns its for variable is 0 for an
+	// outer iteration without partners (none, no value, NaN), and an
+	// error the joined side raises is raised however the count is planned
+	{"count-join-zero-rows", `for $p in doc("j.xml")//p return count(for $q in doc("j.xml")//q where number($p/@v) > $q/i return $q)`, "0 2 0 0"},
+	{"count-join-eq-zero-rows", `for $p in doc("j.xml")//p return count(for $i in doc("j.xml")//q/i where $i = $p/@v return $i)`, "0 1 0 0"},
+	{"count-join-let-strings", `for $p in doc("j.xml")//p let $l := for $i in doc("j.xml")//q/i where $p/@v >= $i return $i return count($l)`, "0 3 0 3"},
+	{"count-join-exactly-one-empty", `for $p in doc("j.xml")//p return count(for $s in doc("j.xml")//s where $p/@v > exactly-one($s/i) return $s)`, "err:FORG0005"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
@@ -164,6 +177,7 @@ var specDocs = map[string]string{
 	"p.xml":     `<r><p>10</p><p>9</p><p>100</p></r>`,
 	"p2.xml":    `<r><p>10</p><p>abc</p><p/></r>`,
 	"attrs.xml": `<r><a x="1" y="2" z="3"><b id="i1"/></a><c id="i2"><d/></c></r>`,
+	"j.xml":     `<r><p v="1"/><p v="5"/><p/><p v="x"/><q><i>2</i></q><q><i>3</i></q><q><i>5</i></q><s><i>1</i></s><s/></r>`,
 }
 
 // loadSpecDocs loads spec.xml, the context document, then specDocs.
