@@ -93,6 +93,20 @@ var mixedKindQueries = []string{
 	`count(//category/@id/preceding::node())`,
 	`for $a in //category/@id return count($a/preceding::*)`,
 	`for $n in (//person/@id | //person)/parent::* return name($n)`,
+	// a reverse axis numbers its results in reverse document order, from
+	// elements and from attributes
+	`for $k in //keyword return name($k/ancestor::*[1])`,
+	`for $k in //keyword return name($k/ancestor-or-self::*[last()])`,
+	`count(//keyword/ancestor::*[1])`,
+	`for $b in //bidder return string($b/preceding-sibling::bidder[1]/increase)`,
+	`for $b in //bidder return string($b/preceding-sibling::*[last()])`,
+	`for $i in //item return name($i/preceding::*[1])`,
+	`for $a in //person/@id return name($a/ancestor::*[1])`,
+	`for $a in //person/@id return name($a/ancestor-or-self::node()[1])`,
+	`for $a in //person/@id return name($a/ancestor::*[last()])`,
+	`for $a in //category/@id return name($a/preceding::*[1])`,
+	`for $a in //category/@id return count($a/preceding-sibling::node()[1])`,
+	`for $n in (//category/@id | //category/name)/preceding::*[1] return name($n)`,
 }
 
 // countQueries count FLWORs whose return is a for variable: the count

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -591,7 +592,7 @@ func (in *Interp) evalPath(p *xqp.Path, env *scope) ([]Val, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err = in.applyPreds(v, s.Preds, env)
+			v, err = in.applyPreds(v, s.Preds, false, env)
 			if err != nil {
 				return nil, err
 			}
@@ -629,7 +630,7 @@ func (in *Interp) axisStep(ctx []Val, s xqp.Step, env *scope) ([]Val, error) {
 			return nil, xqerr.Newf("XPTY0019", "path step applied to an atomic value")
 		}
 		res := stepFrom(c, s.Axis, s.Test)
-		res, err := in.applyPreds(res, s.Preds, env)
+		res, err := in.applyPreds(res, s.Preds, s.Axis.Reverse(), env)
 		if err != nil {
 			return nil, err
 		}
@@ -638,22 +639,26 @@ func (in *Interp) axisStep(ctx []Val, s xqp.Step, env *scope) ([]Val, error) {
 	return sortAndDedup(out), nil
 }
 
-func (in *Interp) applyPreds(seq []Val, preds []xqp.Expr, env *scope) ([]Val, error) {
+func (in *Interp) applyPreds(seq []Val, preds []xqp.Expr, reverse bool, env *scope) ([]Val, error) {
 	for _, pred := range preds {
 		positional := xqp.PredIsPositional(pred)
 		var kept []Val
 		for i, v := range seq {
+			pos := i + 1
+			if reverse {
+				pos = len(seq) - i
+			}
 			pe := env.child()
 			vv := v
 			pe.ctxItem = &vv
-			pe.ctxPos = i + 1
+			pe.ctxPos = pos
 			pe.ctxSize = len(seq)
 			if positional {
 				pv, err := in.eval(pred, pe)
 				if err != nil {
 					return nil, err
 				}
-				if len(pv) == 1 && pv[0].Atomize().AsDouble() == float64(i+1) {
+				if len(pv) == 1 && pv[0].Atomize().AsDouble() == float64(pos) {
 					kept = append(kept, v)
 				}
 				continue
@@ -671,7 +676,8 @@ func (in *Interp) applyPreds(seq []Val, preds []xqp.Expr, env *scope) ([]Val, er
 	return seq, nil
 }
 
-// stepFrom evaluates one axis step from a single context node.
+// stepFrom evaluates one axis step from a single context node, in
+// document order whatever the axis.
 func stepFrom(c Val, axis xqp.Axis, test xqp.NodeTest) []Val {
 	if c.Owner != nil {
 		// attribute context: the attribute sits right after its owner
@@ -687,7 +693,7 @@ func stepFrom(c Val, axis xqp.Axis, test xqp.NodeTest) []Val {
 		case xqp.AxisParent:
 			return stepFrom(owner, xqp.AxisSelf, test)
 		case xqp.AxisAncestor, xqp.AxisAncestorOrSelf:
-			return append(out, stepFrom(owner, xqp.AxisAncestorOrSelf, test)...)
+			return append(stepFrom(owner, xqp.AxisAncestorOrSelf, test), out...)
 		case xqp.AxisFollowing:
 			return append(stepFrom(owner, xqp.AxisDescendant, test), stepFrom(owner, xqp.AxisFollowing, test)...)
 		case xqp.AxisPreceding:
@@ -726,14 +732,15 @@ func stepFrom(c Val, axis xqp.Axis, test xqp.NodeTest) []Val {
 		if n.Parent != nil {
 			add(n.Parent)
 		}
-	case xqp.AxisAncestor:
-		for a := n.Parent; a != nil; a = a.Parent {
+	case xqp.AxisAncestor, xqp.AxisAncestorOrSelf:
+		a := n
+		if axis == xqp.AxisAncestor {
+			a = n.Parent
+		}
+		for ; a != nil; a = a.Parent {
 			add(a)
 		}
-	case xqp.AxisAncestorOrSelf:
-		for a := n; a != nil; a = a.Parent {
-			add(a)
-		}
+		slices.Reverse(out)
 	case xqp.AxisFollowingSibling:
 		if n.Parent != nil {
 			for _, sib := range n.Parent.Children {

@@ -68,7 +68,8 @@ func TestPaths(t *testing.T) {
 	q(t, in, `string(/site/items/item[1]/@price)`, "10")
 	// reverse and sibling axes
 	q(t, in, `/site/items/item[1]/following-sibling::item[1]/name/text()`, "table with gold leaf")
-	q(t, in, `/site/items/item[3]/preceding-sibling::item[1]/name/text()`, "chair")
+	q(t, in, `/site/items/item[3]/preceding-sibling::item[1]/name/text()`, "table with gold leaf")
+	q(t, in, `/site/items/item[3]/preceding-sibling::item[last()]/name/text()`, "chair")
 	q(t, in, `count(/site/items/item[2]/ancestor::*)`, "2")
 	q(t, in, `/site/items/item[2]/parent::items/../people/person[1]/name/text()`, "Ada")
 	q(t, in, `count(/site/people/following::item)`, "3")

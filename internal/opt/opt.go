@@ -414,8 +414,10 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 			o.addOrd(pr, part)
 		}
 		pr.key = o.with(pr.key, n.Part)
-	case *ralg.Step, *ralg.AttrStep:
-		o.addOrd(pr, o.ord("item", "iter"))
+	case *ralg.Step:
+		o.stepProps(pr, ins[0], n.IterCol)
+	case *ralg.AttrStep:
+		o.stepProps(pr, ins[0], n.IterCol)
 	case *ralg.ExistJoin:
 		if n.Count { // one (iter1, count) row per iter1, ascending
 			o.addOrd(pr, o.ord(n.Out1))
@@ -441,6 +443,16 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		o.addGrp(pr, grpOrd{o.ord("pos"), o.id("iter")})
 	}
 	return o.expand(pr, false)
+}
+
+// stepProps are a staircase join's output properties: (item, iter)
+// order, and — since a step emits a subset of its input's iterations — a
+// constant iter when the input's iteration column is constant.
+func (o *optimizer) stepProps(pr, in *props, iterCol string) {
+	o.addOrd(pr, o.ord("item", "iter"))
+	if in.cnst.has(o.id(iterCol)) {
+		pr.cnst = o.with(pr.cnst, "iter")
+	}
 }
 
 // expand adds the orderings one expansion step implies: a table sorted

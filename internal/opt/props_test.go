@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"mxq/internal/ralg"
+	"mxq/internal/scj"
+	"mxq/internal/xqt"
 )
 
 // litTable2 builds a one-int-column table under an arbitrary name.
@@ -115,5 +117,50 @@ func TestStableSortKeepsGlobalOrderAsGrpord(t *testing.T) {
 	}
 	if !InferProps(srt)[srt].Covers([]string{"item", "iter"}) {
 		t.Error("shortened stable sort must still prove ord(item,iter)")
+	}
+}
+
+// A staircase join emits a subset of its input's iterations: over a
+// const(iter) input its output keeps const(iter) — the fact that lets a
+// one-iteration path drop its sorts — and over two iterations it claims
+// nothing of the kind.
+func TestStepKeepsConstIter(t *testing.T) {
+	ctx := func(iters ...int64) ralg.Plan {
+		tab := ralg.NewTable([]string{"iter", "item"}, []ralg.ColKind{ralg.KInt, ralg.KItem})
+		tab.N = len(iters)
+		tab.Col("iter").Int = iters
+		for range iters {
+			tab.Col("item").Item.Append(xqt.Int(1))
+		}
+		return ralg.NewSort(&ralg.Lit{Tab: tab}, "item", "iter")
+	}
+	for _, c := range []struct {
+		iters []int64
+		want  bool
+	}{{[]int64{1}, true}, {[]int64{1, 2}, false}} {
+		for _, mk := range []func(ralg.Plan) ralg.Plan{
+			func(in ralg.Plan) ralg.Plan {
+				s := &ralg.Step{Axis: scj.Child, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
+				s.SetInput(0, in)
+				return s
+			},
+			func(in ralg.Plan) ralg.Plan {
+				s := &ralg.AttrStep{IterCol: "iter", ItemCol: "item"}
+				s.SetInput(0, in)
+				return s
+			},
+		} {
+			step := mk(ctx(c.iters...))
+			pr := InferProps(step)[step]
+			if got := pr.Const("iter"); got != c.want {
+				t.Errorf("%s over iterations %v: const(iter) %v, want %v", step.Name(), c.iters, got, c.want)
+			}
+			if !pr.Covers([]string{"item", "iter"}) {
+				t.Errorf("%s over iterations %v: ord(item, iter) lost", step.Name(), c.iters)
+			}
+			if c.want && !pr.Covers([]string{"iter", "item"}) {
+				t.Errorf("%s over one iteration: ord(iter, item) not proved", step.Name())
+			}
+		}
 	}
 }

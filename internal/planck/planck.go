@@ -1133,7 +1133,8 @@ func (v *verifier) checkAggr(x *ralg.Aggr) (*Schema, *colProps) {
 // checkStep validates a Step/AttrStep input: the iter column must be
 // integer, the item column an item column, and — the staircase-join
 // hard precondition — the input must be provably sorted on
-// (item, iter); the executor refuses to run otherwise.
+// (item, iter); the executor refuses to run otherwise. A constant input
+// iter column stays constant in the output.
 func (v *verifier) checkStep(n ralg.Plan, iterCol, itemCol string, outTag xqt.Kind) (*Schema, *colProps) {
 	in := v.sch(n, 0)
 	okIter := v.need(n, in, "iter", iterCol, ralg.KInt)
@@ -1146,7 +1147,11 @@ func (v *verifier) checkStep(n ralg.Plan, iterCol, itemCol string, outTag xqt.Ki
 	s := newSchema()
 	s.add("iter", ColInfo{Kind: ralg.KInt})
 	s.add("item", ColInfo{Kind: ralg.KItem, Node: true, Tag: outTag, TagKnown: true})
-	return s, nil
+	cp := newColProps()
+	if v.cprops(n, 0).cnst[iterCol] {
+		cp.cnst["iter"] = true // the output's iterations are a subset of the input's
+	}
+	return s, cp
 }
 
 func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {

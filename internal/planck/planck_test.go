@@ -2,6 +2,7 @@ package planck
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -247,5 +248,27 @@ func TestExplainSharedSubplanPrintedOnce(t *testing.T) {
 	}
 	if strings.Count(s, "lit(2 rows)") != 2 || !strings.Contains(s, "(shared)") {
 		t.Errorf("shared subplan not referenced:\n%s", s)
+	}
+}
+
+// planck derives const(iter) for a step result on its own — the step
+// emits a subset of its input's iterations — so the cross-check accepts
+// the optimizer's claim over one iteration, and neither side credits a
+// step whose input has two iterations with it.
+func TestStepConstIterNeedsConstInput(t *testing.T) {
+	for n, want := range map[int]bool{1: true, 2: false} {
+		step := &ralg.Step{Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
+		step.SetInput(0, ralg.NewSort(itemLit(n), "item", "iter"))
+		infos, err := Analyze(step, Config{})
+		if err != nil {
+			t.Fatalf("%d iterations: %v", n, err)
+		}
+		info := infos[step]
+		if got := slices.Contains(info.Const, "iter"); got != want {
+			t.Errorf("%d iterations: planck const(iter) %v, want %v", n, got, want)
+		}
+		if got := info.Props.Const("iter"); got != want {
+			t.Errorf("%d iterations: optimizer const(iter) %v, want %v", n, got, want)
+		}
 	}
 }

@@ -106,14 +106,40 @@ func (c *Compiler) compilePath(p *xqp.Path, sc *scope) (ralg.Plan, error) {
 		ctx = b.plan
 	}
 	steps = fuseDescendantSteps(steps)
-	for _, s := range steps {
-		q, err := c.compileStep(ctx, s, sc)
+	for len(steps) > 0 {
+		run := 0
+		for run < len(steps) && steps[run].Expr == nil && len(steps[run].Preds) == 0 {
+			run++
+		}
+		if run > 0 {
+			ctx, steps = c.compileChain(ctx, steps[:run], false), steps[run:]
+			continue
+		}
+		q, err := c.compileStep(ctx, steps[0], sc)
 		if err != nil {
 			return nil, err
 		}
-		ctx = q
+		ctx, steps = q, steps[1:]
 	}
 	return ctx, nil
+}
+
+// compileChain applies a run of predicate-free axis steps to the context
+// sequence ctx (iter|pos|item) as one staircase pipeline: a single sort
+// into (item, iter) order, each step consuming its predecessor's output
+// (which leaves the staircase join in that order), and a single
+// numbering back into sequence order after the last step — document
+// order, or reverse document order for the positions of a reverse axis.
+func (c *Compiler) compileChain(ctx ralg.Plan, run []xqp.Step, reverse bool) ralg.Plan {
+	q := ralg.Plan(ralg.NewSort(ctx, "item", "iter"))
+	for _, s := range run {
+		q = c.stepOp(q, s)
+	}
+	rn := ralg.NewRowNum(q, "pos", []string{"item"}, "iter")
+	if reverse {
+		rn.Desc = []bool{true}
+	}
+	return ralg.NewProject(ralg.NewSort(rn, "iter", "pos"), "iter", "pos", "item")
 }
 
 // fuseDescendantSteps rewrites the "//" desugaring
@@ -148,32 +174,20 @@ func fuseDescendantSteps(steps []xqp.Step) []xqp.Step {
 	return out
 }
 
-// compileStep applies one axis step to the context sequence ctx
-// (iter|pos|item). Without predicates the step evaluates over the merged
-// per-iteration context (a single loop-lifted staircase join); with
-// predicates each context node becomes its own iteration so positional
-// predicates see per-context-node positions, and results are
-// deduplicated afterwards.
+// compileStep applies one predicated axis step to the context sequence
+// ctx (iter|pos|item). Each context node becomes its own iteration so
+// positional predicates see per-context-node positions (counted from the
+// end of the document on a reverse axis), and results are deduplicated
+// afterwards.
 func (c *Compiler) compileStep(ctx ralg.Plan, s xqp.Step, sc *scope) (ralg.Plan, error) {
 	if s.Expr != nil {
 		return nil, fmt.Errorf("xqc: primary expression in non-initial path step")
 	}
-	if len(s.Preds) == 0 {
-		srt := ralg.NewSort(ctx, "item", "iter")
-		stepped := c.stepOp(srt, s)
-		rn := ralg.NewRowNum(stepped, "pos", []string{"item"}, "iter")
-		res := ralg.NewSort(rn, "iter", "pos")
-		return ralg.NewProject(res, "iter", "pos", "item"), nil
-	}
-	// per-context-node loop
 	numbered := ralg.NewRowNum(ctx, "cid", []string{"iter", "pos"}, "")
 	mapPlan := ralg.NewProject(numbered, "iter->outer", "cid->inner")
 	cidLoop := ralg.NewProject(numbered, "cid->iter")
 	cidCtx := ralg.AttachInt(ralg.NewProject(numbered, "cid->iter", "item"), "pos", 1)
-	srt := ralg.NewSort(ralg.NewProject(cidCtx, "iter", "pos", "item"), "item", "iter")
-	stepped := c.stepOp(srt, s)
-	rn := ralg.NewRowNum(stepped, "pos", []string{"item"}, "iter")
-	seq := ralg.NewProject(ralg.NewSort(rn, "iter", "pos"), "iter", "pos", "item")
+	seq := c.compileChain(ralg.NewProject(cidCtx, "iter", "pos", "item"), []xqp.Step{s}, s.Axis.Reverse())
 	pscope := liftVars(sc, mapPlan, cidLoop)
 	filtered, err := c.compilePreds(seq, s.Preds, pscope)
 	if err != nil {
@@ -189,8 +203,8 @@ func (c *Compiler) compileStep(ctx ralg.Plan, s xqp.Step, sc *scope) (ralg.Plan,
 	return ralg.NewProject(rn2, "outer->iter", "pos", "item"), nil
 }
 
-// stepOp emits the location step operator itself over a
-// (item, iter)-sorted context.
+// stepOp emits the location step operator itself (its predicates
+// aside) over an (item, iter)-sorted context.
 func (c *Compiler) stepOp(srt ralg.Plan, s xqp.Step) ralg.Plan {
 	if s.Axis == xqp.AxisAttribute {
 		as := &ralg.AttrStep{NameTest: s.Test.Name, IterCol: "iter", ItemCol: "item"}

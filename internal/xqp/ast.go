@@ -205,6 +205,13 @@ var axisNames = map[string]Axis{
 	"preceding-sibling": AxisPrecedingSibling, "attribute": AxisAttribute,
 }
 
+// Reverse reports whether a positional predicate numbers the axis's
+// step results in reverse document order (XPath 2.0 §3.2.2; parent,
+// with at most one node, needs no numbering either way).
+func (a Axis) Reverse() bool {
+	return a == AxisAncestor || a == AxisAncestorOrSelf || a == AxisPreceding || a == AxisPrecedingSibling
+}
+
 // TestKind is a node test kind in the surface syntax.
 type TestKind uint8
 

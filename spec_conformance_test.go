@@ -162,6 +162,29 @@ var specCases = []struct {
 	{"attribute-ancestors", `count(doc("attrs.xml")//@id/ancestor::*)`, "4"},
 	{"attribute-ancestor-or-self", `for $n in doc("attrs.xml")//b/@id/ancestor-or-self::node() return name($n)`, " r a b id"},
 
+	// a reverse axis numbers its step results in reverse document order
+	// (XPath 2.0 §3.2.2): [1] is the nearest node, [last()] the farthest,
+	// from elements and from attributes alike; the step's result is still
+	// returned in document order
+	{"ancestor-first", `name(doc("rev.xml")//d/ancestor::*[1])`, "c"},
+	{"ancestor-last", `name(doc("rev.xml")//d/ancestor::*[last()])`, "r"},
+	{"ancestor-or-self-first", `name(doc("rev.xml")//d/ancestor-or-self::*[1])`, "d"},
+	{"ancestor-or-self-last", `name(doc("rev.xml")//d/ancestor-or-self::*[last()])`, "r"},
+	{"preceding-first", `name(doc("rev.xml")//e/preceding::*[1])`, "d"},
+	{"preceding-last", `name(doc("rev.xml")//e/preceding::*[last()])`, "b"},
+	{"preceding-sibling-first", `name(doc("rev.xml")//e/preceding-sibling::*[1])`, "c"},
+	{"preceding-sibling-last", `name(doc("rev.xml")//e/preceding-sibling::*[last()])`, "b"},
+	{"attribute-ancestor-first", `name(doc("rev.xml")//e/@id/ancestor::*[1])`, "e"},
+	{"attribute-ancestor-last", `name(doc("rev.xml")//e/@id/ancestor::*[last()])`, "r"},
+	{"attribute-ancestor-or-self-first", `name(doc("rev.xml")//e/@id/ancestor-or-self::node()[1])`, "id"},
+	{"attribute-ancestor-or-self-last", `name(doc("rev.xml")//e/@id/ancestor-or-self::node()[last()]/*)`, "r"},
+	{"attribute-preceding-first", `name(doc("rev.xml")//e/@id/preceding::*[1])`, "d"},
+	{"attribute-preceding-last", `name(doc("rev.xml")//e/@id/preceding::*[last()])`, "b"},
+	{"attribute-preceding-sibling-first", `count(doc("rev.xml")//e/@id/preceding-sibling::node()[1])`, "0"},
+	{"attribute-preceding-sibling-last", `count(doc("rev.xml")//e/@id/preceding-sibling::node()[last()])`, "0"},
+	{"ancestor-first-per-context", `for $n in doc("rev.xml")//*/ancestor::*[1] return name($n)`, "r a c"},
+	{"preceding-sibling-first-per-context", `for $n in doc("rev.xml")//*/preceding-sibling::*[1] return name($n)`, "a b c"},
+
 	// fn:count over a FLWOR that returns its for variable is 0 for an
 	// outer iteration without partners (none, no value, NaN), and an
 	// error the joined side raises is raised however the count is planned
@@ -177,6 +200,7 @@ var specDocs = map[string]string{
 	"p.xml":     `<r><p>10</p><p>9</p><p>100</p></r>`,
 	"p2.xml":    `<r><p>10</p><p>abc</p><p/></r>`,
 	"attrs.xml": `<r><a x="1" y="2" z="3"><b id="i1"/></a><c id="i2"><d/></c></r>`,
+	"rev.xml":   `<r><a><b/><c id="c1"><d/></c><e id="e1"/></a><f/></r>`,
 	"j.xml":     `<r><p v="1"/><p v="5"/><p/><p v="x"/><q><i>2</i></q><q><i>3</i></q><q><i>5</i></q><s><i>1</i></s><s/></r>`,
 }
 
