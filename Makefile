@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: check check-ci fmt vet build test race race-cover bench bench-smoke repo-bench-smoke poison-smoke size serve-smoke fuzz-short chaos-smoke cover lint mxqlint verify optcheck
 
 # check is the CI gate: formatting, vet, build, and the full test suite
-# under the race detector (the parallel executor must stay race-clean).
+# under the race detector (the server, the scheduler and concurrent
+# executions of one engine must stay race-clean).
 check: fmt vet build race
 
 # check-ci is check with the race run also producing the coverage profile
@@ -74,9 +75,9 @@ bench:
 
 # bench-smoke runs the serving-path benchmarks once: prepared
 # statements (Prepare once, bind+execute per call) and the
-# oversubscribed scheduler (4×GOMAXPROCS concurrent executions on one
-# shared slot pool). A fast CI gate that records the sched numbers per
-# run.
+# oversubscribed scheduler (4×GOMAXPROCS concurrent executions admitted
+# through one scheduler). A fast CI gate that records the sched numbers
+# per run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Prepared|SchedOversubscribed' -benchtime 1x .
 
@@ -89,7 +90,7 @@ repo-bench-smoke:
 	cd bench && $(GO) test ./...
 
 # poison-smoke runs the executor's own suites (the Fun grid against the
-# oracle, the chunk-count identity tests, the arena contract) and the
+# oracle, the budget and cancellation tests, the arena contract) and the
 # repository benchmark's output verification on the poisoned arena build
 # (-tags arenapoison, docs/executor.md): dirty column memory arrives as
 # 0xA5…, every reset overwrites what was handed out and no request is
@@ -113,13 +114,12 @@ size:
 # serve-smoke boots the mxqd daemon on a loopback port and drives the
 # example wire client through a full session against it (healthz,
 # prepare, typed binds, exec, close) — the end-to-end gate on the HTTP
-# serving layer. The daemon runs with parallel execution on so the
-# session exercises the global scheduler (admission, budgets, shared
-# slot pool), not just the serial path. The client retries healthz, so
-# no sleep race.
+# serving layer. The daemon always runs under the global scheduler, so
+# the session exercises admission. The client retries healthz, so no
+# sleep race.
 serve-smoke:
 	$(GO) build -o mxqd.smoke ./cmd/mxqd
-	./mxqd.smoke -addr 127.0.0.1:18099 -xmark 0.002 -parallel & \
+	./mxqd.smoke -addr 127.0.0.1:18099 -xmark 0.002 & \
 	pid=$$!; \
 	$(GO) run ./examples/server -addr 127.0.0.1:18099; \
 	status=$$?; \
@@ -128,7 +128,7 @@ serve-smoke:
 	exit $$status
 
 # fuzz-short runs the seeded differential query generator (relational
-# serial + parallel vs the naive oracle, ~30s budget). MXQ_FUZZ_SEED
+# engine vs the naive oracle, ~30s budget). MXQ_FUZZ_SEED
 # defaults to a seed distinct from the in-suite run, so this is a fresh
 # 500-query stream, not a replay; override it to reproduce a failure.
 # The second pass replays the stream on the poisoned arena build.

@@ -208,12 +208,11 @@ func BenchmarkPrepared(b *testing.B) {
 
 // BenchmarkSchedOversubscribed measures the global query scheduler
 // under 4× oversubscription: 4×GOMAXPROCS goroutines execute the same
-// prepared statement against a parallel engine under a shared
-// scheduler (bounded slot pool, cost-derived budgets), so the figure is
-// the scheduled path's cost per execution (`make bench-smoke` runs it
-// once in CI).
+// prepared statement under a shared scheduler's admission control, so
+// the figure is the scheduled path's cost per execution (`make
+// bench-smoke` runs it once in CI).
 func BenchmarkSchedOversubscribed(b *testing.B) {
-	cfg := core.ParallelConfig()
+	cfg := core.DefaultConfig()
 	cfg.Scheduler = sched.New(sched.Config{})
 	p, err := engineWith(cfg, benchFactor).Prepare(xmark.Query(1))
 	if err != nil {

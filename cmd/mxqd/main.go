@@ -5,7 +5,7 @@
 // Typical invocations:
 //
 //	mxqd -addr :8080 -doc auction=auction.xml
-//	mxqd -addr :8080 -xmark 0.1 -parallel -timeout 10s
+//	mxqd -addr :8080 -xmark 0.1 -timeout 10s
 //
 // Every query executes under the request context plus the effective
 // timeout, so client disconnects and deadlines cancel the executor
@@ -49,22 +49,19 @@ func (d *docFlags) Set(s string) error {
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
-		docs         docFlags
-		xmarkFactor  = flag.Float64("xmark", 0, "load a generated XMark document at this scale factor (0 = off)")
-		xmarkSeed    = flag.Int64("xmark-seed", 42, "XMark generator seed")
-		parallel     = flag.Bool("parallel", false, "enable intra-query parallel execution")
-		workers      = flag.Int("workers", 0, "parallel worker pool size (0 = GOMAXPROCS)")
-		timeout      = flag.Duration("timeout", serve.DefaultQueryTimeout, "default per-query timeout")
-		maxTimeout   = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "cap on client-requested timeouts")
-		maxInflight  = flag.Int("max-inflight", 64, "max concurrently executing queries")
-		queueDepth   = flag.Int("queue-depth", 0, "max requests queued for an execution slot (0 = 2x max-inflight, negative = reject instantly)")
-		schedWorkers = flag.Int("sched-workers", 0, "global worker-slot pool shared by all executions (0 = GOMAXPROCS)")
-		maxStmts     = flag.Int("max-stmts", serve.DefaultMaxStmts, "max live prepared statements before LRU eviction")
-		stmtTTL      = flag.Duration("stmt-ttl", serve.DefaultStmtTTL, "evict prepared statements idle this long (negative = never)")
-		maxConns     = flag.Int("max-conns", 0, "max open client connections (0 = unlimited)")
-		memPerQuery  = flag.String("mem-per-query", "0", "per-query memory budget, e.g. 256MiB (0 = unlimited); over-budget queries fail with 503")
-		memTotal     = flag.String("mem-total", "0", "global memory pool bounding the sum of per-query reservations, e.g. 4GiB (0 = unlimited); exhausted admissions answer 503")
+		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
+		docs        docFlags
+		xmarkFactor = flag.Float64("xmark", 0, "load a generated XMark document at this scale factor (0 = off)")
+		xmarkSeed   = flag.Int64("xmark-seed", 42, "XMark generator seed")
+		timeout     = flag.Duration("timeout", serve.DefaultQueryTimeout, "default per-query timeout")
+		maxTimeout  = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "cap on client-requested timeouts")
+		maxInflight = flag.Int("max-inflight", 64, "max concurrently executing queries")
+		queueDepth  = flag.Int("queue-depth", 0, "max requests queued for an execution slot (0 = 2x max-inflight, negative = reject instantly)")
+		maxStmts    = flag.Int("max-stmts", serve.DefaultMaxStmts, "max live prepared statements before LRU eviction")
+		stmtTTL     = flag.Duration("stmt-ttl", serve.DefaultStmtTTL, "evict prepared statements idle this long (negative = never)")
+		maxConns    = flag.Int("max-conns", 0, "max open client connections (0 = unlimited)")
+		memPerQuery = flag.String("mem-per-query", "0", "per-query memory budget, e.g. 256MiB (0 = unlimited); over-budget queries fail with 503")
+		memTotal    = flag.String("mem-total", "0", "global memory pool bounding the sum of per-query reservations, e.g. 4GiB (0 = unlimited); exhausted admissions answer 503")
 	)
 	flag.Var(&docs, "doc", "load an XML document, name=path (repeatable)")
 	flag.Parse()
@@ -90,23 +87,14 @@ func main() {
 	}
 
 	// The daemon always runs under a global scheduler: admission and the
-	// worker budget come from one place whether execution is serial or
-	// parallel, and N in-flight queries never claim N×cores goroutines.
+	// memory limits come from one place.
 	scheduler := mxq.NewScheduler(mxq.SchedulerConfig{
-		Workers:       *schedWorkers,
 		MaxConcurrent: *maxInflight,
 		MaxQueue:      *queueDepth,
 		MemPerQuery:   memPQ,
 		MemTotal:      memTot,
 	})
-	opts := []mxq.Option{mxq.WithScheduler(scheduler)}
-	if *parallel {
-		opts = append(opts, mxq.WithParallel(true))
-	}
-	if *workers > 0 {
-		opts = append(opts, mxq.WithWorkers(*workers))
-	}
-	db := mxq.Open(opts...)
+	db := mxq.Open(mxq.WithScheduler(scheduler))
 	for _, d := range docs {
 		name, path, _ := strings.Cut(d, "=")
 		f, err := os.Open(path)

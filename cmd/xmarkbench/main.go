@@ -10,17 +10,10 @@
 //	xmarkbench -experiment fig16    # normalized cross-system comparison
 //	xmarkbench -experiment shred    # shredding and serialization timings
 //	xmarkbench -experiment plans    # §4.1 plan statistics (ops/joins)
-//	xmarkbench -experiment parallel # serial vs parallel execution + multi-client throughput
-//	xmarkbench -experiment collection # sharded multi-document collection() scaling (-collection N docs)
 //	xmarkbench -experiment mem      # per-query memory governance: accounting overhead + typed aborts
 //	xmarkbench -experiment all
 //
 // An unknown experiment name exits with status 2 and lists the valid ones.
-//
-// The -parallel flag switches every experiment's MXQ engine to parallel
-// intra-query execution (worker pool sized by -workers, default
-// GOMAXPROCS); the parallel experiment always measures both modes and a
-// -clients sized multi-client throughput run.
 //
 // MXQ is this reproduction's relational engine; NAIVE is the DOM
 // interpreter standing in for the paper's non-relational comparators
@@ -37,11 +30,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mxq/internal/core"
@@ -57,13 +48,7 @@ var (
 	seedFlag    = flag.Int64("seed", 42, "generator seed")
 	runsFlag    = flag.Int("runs", 3, "report the best of N runs (the paper uses 5)")
 	timeoutFlag = flag.Duration("timeout", 60*time.Second, "per-query soft time limit; slower entries print DNF")
-	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, parallel, collection, mem, all)")
-
-	parallelFlag = flag.Bool("parallel", false, "run MXQ engines with intra-query parallel execution")
-	workersFlag  = flag.Int("workers", 0, "parallel worker goroutines (0 = GOMAXPROCS)")
-	clientsFlag  = flag.Int("clients", 4, "concurrent clients in the parallel experiment's throughput section")
-
-	collectionFlag = flag.Int("collection", 8, "documents in the collection experiment's sharded corpus")
+	expFlag     = flag.String("experiment", "all", "experiment to run (table1, fig12, fig13, fig14, fig15, fig16, shred, plans, mem, all)")
 )
 
 // experiments lists every experiment in the order -experiment all runs
@@ -74,7 +59,7 @@ var experiments = []struct {
 }{
 	{"table1", table1}, {"fig12", fig12}, {"fig13", fig13}, {"fig14", fig14},
 	{"fig15", fig15}, {"fig16", fig16}, {"shred", shred}, {"plans", plans},
-	{"parallel", parallel}, {"collection", collection}, {"mem", memExp},
+	{"mem", memExp},
 }
 
 func main() {
@@ -141,165 +126,9 @@ func fmtTime(d time.Duration, ok bool) string {
 }
 
 func engineFor(cfg core.Config, cont *store.Container) *core.Engine {
-	if *parallelFlag {
-		cfg.Parallel = true
-		cfg.Workers = *workersFlag
-	}
 	e := core.New(cfg)
 	e.LoadContainer(cont.Name, cont)
 	return e
-}
-
-// cheapMix is the XMark query mix of the parallel experiment's
-// multi-client throughput run: cheap queries, so the run measures
-// concurrency overhead rather than a single heavy plan.
-var cheapMix = []int{1, 2, 5, 6, 13, 15, 17, 20}
-
-// parallel measures intra-query parallelism (serial vs parallel per
-// XMark query, with speedups, at every requested scale) and
-// multi-client throughput on one shared engine — the two scaling axes
-// the parallel subsystem adds. The parallel engine has no scheduler, so
-// its concurrent clients share its own -workers slot pool.
-func parallel(scales []float64) {
-	workers := *workersFlag
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var serialEng, parEng *core.Engine
-	for _, f := range scales {
-		fmt.Printf("\n== Parallel execution (%s, %d workers, GOMAXPROCS=%d) ==\n",
-			mb(f), workers, runtime.GOMAXPROCS(0))
-		cont := xmark.NewStoreContainer("auction.xml", f, *seedFlag)
-		serialEng = core.New(core.DefaultConfig())
-		serialEng.LoadContainer(cont.Name, cont)
-		parCfg := core.ParallelConfig()
-		parCfg.Workers = workers
-		parEng = core.New(parCfg)
-		parEng.LoadContainer(cont.Name, cont)
-
-		fmt.Printf("%-4s %12s %12s %8s\n", "Q", "serial", "parallel", "speedup")
-		var sumS, sumP time.Duration
-		allOK := true
-		for q := 1; q <= 20; q++ {
-			query := xmark.Query(q)
-			ds, okS := bestOf(func() error { _, err := serialEng.Query(query); return err })
-			dp, okP := bestOf(func() error { _, err := parEng.Query(query); return err })
-			allOK = allOK && okS && okP
-			sumS += ds
-			sumP += dp
-			ratio := "-"
-			if okS && okP && dp > 0 {
-				ratio = fmt.Sprintf("%.2fx", float64(ds)/float64(dp))
-			}
-			fmt.Printf("Q%-3d %12s %12s %8s\n", q, fmtTime(ds, okS), fmtTime(dp, okP), ratio)
-		}
-		sumRatio := "-"
-		if allOK && sumP > 0 {
-			sumRatio = fmt.Sprintf("%.2fx", float64(sumS)/float64(sumP))
-		}
-		fmt.Printf("%-4s %12s %12s %8s\n", "sum", fmtTime(sumS, allOK), fmtTime(sumP, allOK), sumRatio)
-	}
-
-	// multi-client throughput at the largest scale: C goroutines issue
-	// the cheap query mix against ONE engine (the concurrency-safety
-	// axis)
-	clients := *clientsFlag
-	if clients < 1 {
-		clients = 1
-	}
-	const perClient = 8
-	throughput := func(eng *core.Engine) (float64, error) {
-		var wg sync.WaitGroup
-		errs := make(chan error, clients)
-		start := time.Now()
-		for cl := 0; cl < clients; cl++ {
-			wg.Add(1)
-			go func(cl int) {
-				defer wg.Done()
-				for i := 0; i < perClient; i++ {
-					if _, err := eng.Query(xmark.Query(cheapMix[(cl+i)%len(cheapMix)])); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(cl)
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-		return float64(clients*perClient) / time.Since(start).Seconds(), nil
-	}
-	fmt.Printf("\n-- throughput, %d concurrent clients x %d queries (one shared engine) --\n", clients, perClient)
-	for _, mode := range []struct {
-		label string
-		eng   *core.Engine
-	}{{"serial exec", serialEng}, {"parallel exec", parEng}} {
-		qps, err := throughput(mode.eng)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "throughput error:", err)
-			return
-		}
-		fmt.Printf("%-14s %8.1f queries/s\n", mode.label, qps)
-	}
-}
-
-// collection measures sharded multi-document stores: N XMark documents
-// are generated into a collection with one shard per document, and
-// collection()-rooted queries run serial versus parallel — the parallel
-// executor distributes the per-shard staircase joins across the worker
-// pool, so the speedup axis here is shards, not intra-document ranges.
-func collection(scales []float64) {
-	ndocs := *collectionFlag
-	if ndocs < 1 {
-		ndocs = 8
-	}
-	workers := *workersFlag
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	f := scales[len(scales)-1]
-	fmt.Printf("\n== Sharded collection: %d x %s documents, %d shards, %d workers (GOMAXPROCS=%d) ==\n",
-		ndocs, mb(f), ndocs, workers, runtime.GOMAXPROCS(0))
-	// a ShardedPool belongs to one engine; generation is deterministic,
-	// so each engine gets its own identical corpus
-	spSerial, _ := xmark.BuildShardedCollection("xmark", ndocs, ndocs, f, *seedFlag)
-	spPar, _ := xmark.BuildShardedCollection("xmark", ndocs, ndocs, f, *seedFlag)
-	serialEng := core.New(core.DefaultConfig())
-	serialEng.RegisterCollection(spSerial)
-	parCfg := core.ParallelConfig()
-	parCfg.Workers = workers
-	parEng := core.New(parCfg)
-	parEng.RegisterCollection(spPar)
-
-	queries := []struct{ label, q string }{
-		{"count-person", `count(collection("xmark")/site/people/person)`},
-		{"desc-item", `count(collection("xmark")//item)`},
-		{"names", `for $p in collection("xmark")/site/people/person where $p/@id = "person0" return $p/name/text()`},
-		{"sum-per-doc", `sum(for $d in collection("xmark") return count($d/site/regions//item))`},
-		{"closed-auct", `count(collection("xmark")/site/closed_auctions/closed_auction[price > 40])`},
-	}
-	fmt.Printf("%-12s %12s %12s %8s\n", "query", "serial", "parallel", "speedup")
-	var sumS, sumP time.Duration
-	allOK := true
-	for _, qc := range queries {
-		ds, okS := bestOf(func() error { _, err := serialEng.Query(qc.q); return err })
-		dp, okP := bestOf(func() error { _, err := parEng.Query(qc.q); return err })
-		allOK = allOK && okS && okP
-		sumS += ds
-		sumP += dp
-		ratio := "-"
-		if okS && okP && dp > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(ds)/float64(dp))
-		}
-		fmt.Printf("%-12s %12s %12s %8s\n", qc.label, fmtTime(ds, okS), fmtTime(dp, okP), ratio)
-	}
-	sumRatio := "-"
-	if allOK && sumP > 0 {
-		sumRatio = fmt.Sprintf("%.2fx", float64(sumS)/float64(sumP))
-	}
-	fmt.Printf("%-12s %12s %12s %8s\n", "sum", fmtTime(sumS, allOK), fmtTime(sumP, allOK), sumRatio)
 }
 
 // table1 reproduces Table 1: elapsed seconds for Q1–Q20 over growing

@@ -14,7 +14,7 @@ import (
 // memExp measures the cost of per-query memory governance: the full
 // Q1–Q20 mix runs once on an ungoverned engine and once under a
 // scheduler with a generous per-query budget (every allocator charges
-// the shared MemBudget, no query is aborted), so the delta is the
+// the execution's MemBudget, no query is aborted), so the delta is the
 // accounting — one atomic add per column or list handed out, not per
 // row — plus the admission it comes with. A third section tightens the
 // budget until queries are rejected, demonstrating that aborts are
@@ -27,10 +27,6 @@ func memExp(scales []float64) {
 	// is the grant's, min(MemFloor + MemPerRow·rows, limit)
 	mkEngine := func(limit int64) *core.Engine {
 		cfg := core.DefaultConfig()
-		if *parallelFlag {
-			cfg = core.ParallelConfig()
-			cfg.Workers = *workersFlag
-		}
 		if limit > 0 {
 			cfg.Scheduler = sched.New(sched.Config{MemPerQuery: limit})
 		}

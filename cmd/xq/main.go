@@ -89,8 +89,6 @@ func main() {
 		noJoin   = flag.Bool("no-joinrec", false, "disable join recognition")
 		noOrder  = flag.Bool("no-order", false, "disable the order-aware peephole optimizer")
 		noLifted = flag.Bool("no-looplift", false, "use per-iteration staircase joins")
-		parallel = flag.Bool("parallel", false, "parallel intra-query execution")
-		workers  = flag.Int("workers", 0, "parallel worker goroutines (0 = GOMAXPROCS)")
 		timing   = flag.Bool("time", false, "print evaluation time")
 	)
 	var vars varFlags
@@ -106,12 +104,6 @@ func main() {
 	}
 	if *noLifted {
 		opts = append(opts, mxq.WithLoopLiftedSteps(false))
-	}
-	if *parallel {
-		opts = append(opts, mxq.WithParallel(true))
-	}
-	if *workers > 0 {
-		opts = append(opts, mxq.WithWorkers(*workers))
 	}
 	db := mxq.Open(opts...)
 

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	db := mxq.Open(mxq.WithParallel(true))
+	db := mxq.Open()
 
 	// A small library corpus, sharded across 3 containers.
 	err := db.LoadCollection("library", 3,

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	db := mxq.Open(mxq.WithParallel(true))
+	db := mxq.Open()
 	// a synthetic XMark auction document (~1.1 MB worth of data)
 	db.LoadXMark("auction.xml", 0.01, 42)
 

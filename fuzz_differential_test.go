@@ -1,7 +1,6 @@
 package mxq_test
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -17,51 +16,38 @@ import (
 // The randomized differential fuzzer: a seeded, deterministic query
 // generator (internal/qgen) produces XPath/FLWOR queries over two single
 // XMark documents and one sharded multi-document collection; every query
-// runs through the relational engine serially, through the relational
-// engine with forced parallel execution (4 workers, threshold 1 — every
-// chunked code path engages even on small inputs), and through the naive
-// DOM oracle. Serializations must be byte-identical; a query may error
-// only if all three engines error.
+// runs through the relational engine and through the naive DOM oracle.
+// Serializations must be byte-identical; a query may error only if both
+// engines error.
 //
 // The short run is part of the regular `go test` suite (and the CI
 // `make fuzz-short` target); the long run lives behind `-tags slow`.
 
 // fuzzWorld is the document corpus shared by all engines of one run.
 type fuzzWorld struct {
-	oracle   *naive.Interp
-	serial   *mxq.DB
-	parallel *mxq.DB
-	roots    []string
+	oracle *naive.Interp
+	serial *mxq.DB
+	roots  []string
 }
 
 // buildFuzzWorld loads two distinct XMark documents (a.xml is the context
 // document of absolute paths) plus an ndocs-document collection sharded
 // across `shards` containers, mirrored into the naive oracle in the
-// relational collection's document order. Both relational engines run
+// relational collection's document order. The relational engine runs
 // the plan verifier on every generated plan.
 func buildFuzzWorld(t testing.TB, factor float64, ndocs, shards int) *fuzzWorld {
 	t.Helper()
 	t.Setenv("MXQ_VERIFY_PLANS", "1")
-	w := &fuzzWorld{
-		serial:   mxq.Open(),
-		parallel: mxq.Open(mxq.WithWorkers(4), mxq.WithParallelThreshold(1)),
-		oracle:   naive.New(),
-	}
-	for _, db := range []*mxq.DB{w.serial, w.parallel} {
-		db.LoadXMark("a.xml", factor, 1)
-		db.LoadXMark("b.xml", factor, 2)
-	}
+	w := &fuzzWorld{serial: mxq.Open(), oracle: naive.New()}
+	w.serial.LoadXMark("a.xml", factor, 1)
+	w.serial.LoadXMark("b.xml", factor, 2)
 	seeds := w.serial.LoadXMarkCollection("xm", ndocs, shards, factor, 100)
-	w.parallel.LoadXMarkCollection("xm", ndocs, shards, factor, 100)
 
 	w.oracle.LoadDOM("a.xml", xmark.NewDOM(factor, 1, w.oracle.OrdCounter()))
 	w.oracle.LoadDOM("b.xml", xmark.NewDOM(factor, 2, w.oracle.OrdCounter()))
 	order, ok := w.serial.CollectionDocs("xm")
 	if !ok {
 		t.Fatal("collection xm not registered")
-	}
-	if po, _ := w.parallel.CollectionDocs("xm"); fmt.Sprint(po) != fmt.Sprint(order) {
-		t.Fatalf("serial and parallel engines disagree on collection order: %v vs %v", order, po)
 	}
 	for _, d := range order {
 		w.oracle.AddCollectionDOM("xm", xmark.NewDOM(factor, seeds[d], w.oracle.OrdCounter()))
@@ -125,23 +111,14 @@ func runDifferentialFuzz(t *testing.T, w *fuzzWorld, seed int64, n int) {
 		rb := relBindings(binds)
 		want, errO := w.oracle.QueryStringBound(q, naiveBindings(binds))
 		gotS, errS := queryBound(w.serial, q, rb)
-		gotP, errP := queryBound(w.parallel, q, rb)
-		nerr := 0
-		for _, err := range []error{errO, errS, errP} {
-			if err != nil {
-				nerr++
-			}
-		}
 		switch {
-		case nerr == 3:
-			agreedErrs++ // all engines reject the query: agreement
-		case nerr != 0:
-			t.Fatalf("query %d %q (binds %v): engines disagree on erroring:\n oracle: %v\n serial: %v\n parallel: %v",
-				i, q, binds, errO, errS, errP)
+		case errO != nil && errS != nil:
+			agreedErrs++ // both engines reject the query: agreement
+		case errO != nil || errS != nil:
+			t.Fatalf("query %d %q (binds %v): engines disagree on erroring:\n oracle: %v\n serial: %v",
+				i, q, binds, errO, errS)
 		case gotS != want:
 			t.Fatalf("query %d %q (binds %v): serial mismatch:\n got  %q\n want %q", i, q, binds, gotS, want)
-		case gotP != want:
-			t.Fatalf("query %d %q (binds %v): parallel mismatch:\n got  %q\n want %q", i, q, binds, gotP, want)
 		}
 	}
 	t.Logf("%d queries, %d with agreed errors, 0 mismatches", n, agreedErrs)

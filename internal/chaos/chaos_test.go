@@ -1,15 +1,14 @@
 // Package chaos is the deterministic fault-injection suite: it drives
 // the XMark query mix through the full engine stack — snapshotting,
-// relational operators, parallel staircase-join forks, scheduler
-// admission and release — while the fault registry (internal/faults)
+// relational operators, scheduler admission and release — while the
+// fault registry (internal/faults)
 // injects allocation-failure errors, cancellations, and panics at every
 // registered site, and asserts the robustness invariants the rest of
 // the repository relies on:
 //
 //  1. no injected panic escapes ExecuteContext (the process survives
 //     every site × mode combination),
-//  2. no goroutines leak across faulted executions (fork-join workers
-//     always drain), and
+//  2. no goroutines leak across faulted executions, and
 //  3. once faults are disarmed, the same engine answers every query of
 //     the mix byte-identical to the serial oracle — a faulted execution
 //     never poisons memoization, the plan cache, the scheduler, or the
@@ -67,7 +66,7 @@ var chaosMix = append(xmark.Queries[:len(xmark.Queries):len(xmark.Queries)],
 // engineSites are the fault points the in-process engine stack reaches;
 // serve.stream needs an HTTP response writer and is exercised by the
 // serving-layer chaos test in internal/serve.
-var engineSites = []string{"store.snapshot", "ralg.op", "scj.fork", "sched.admit", "sched.release"}
+var engineSites = []string{"store.snapshot", "ralg.op", "sched.admit", "sched.release"}
 
 func TestChaosXMarkMix(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -88,16 +87,10 @@ func TestChaosXMarkMix(t *testing.T) {
 		want[i] = w
 	}
 
-	// The engine under attack: parallel with a forced threshold (so
-	// scj.fork sites actually fork) under a scheduler (so sched.admit
-	// and sched.release sites are on every execution's path).
-	cfg := core.ParallelConfig()
-	cfg.Workers = 4
-	cfg.ParallelThreshold = 1
-	// RowsPerWorker 1 defeats the data-size budget cap: the chaos corpus
-	// is deliberately tiny, but the forks must happen for scj.fork to be
-	// reachable.
-	cfg.Scheduler = sched.New(sched.Config{Workers: 8, MaxConcurrent: 8, RowsPerWorker: 1, MemPerQuery: 64 << 20})
+	// The engine under attack runs under a scheduler, so the sched.admit
+	// and sched.release sites are on every execution's path.
+	cfg := core.DefaultConfig()
+	cfg.Scheduler = sched.New(sched.Config{MaxConcurrent: 8, MemPerQuery: 64 << 20})
 	eng := core.New(cfg)
 	eng.LoadContainer("auction.xml", cont)
 
@@ -163,7 +156,7 @@ func TestChaosXMarkMix(t *testing.T) {
 // TestChaosConcurrentClients arms every engine site at once at a lower
 // probability and hammers the engine from concurrent clients — the
 // worst case for drain bugs: faults firing while other executions hold
-// scheduler slots and fork-join workers. The process must survive,
+// scheduler slots and memory reservations. The process must survive,
 // and afterwards the engine must still agree with the oracle.
 func TestChaosConcurrentClients(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -174,17 +167,15 @@ func TestChaosConcurrentClients(t *testing.T) {
 	oracle := core.New(core.DefaultConfig())
 	oracle.LoadContainer("auction.xml", cont)
 
-	cfg := core.ParallelConfig()
-	cfg.Workers = 4
-	cfg.ParallelThreshold = 1
-	cfg.Scheduler = sched.New(sched.Config{Workers: 8, MaxConcurrent: 8, RowsPerWorker: 1, MemPerQuery: 64 << 20})
+	cfg := core.DefaultConfig()
+	cfg.Scheduler = sched.New(sched.Config{MaxConcurrent: 8, MemPerQuery: 64 << 20})
 	eng := core.New(cfg)
 	eng.LoadContainer("auction.xml", cont)
 
 	faults.Reset()
 	for _, site := range engineSites {
 		mode := faults.ModeError
-		if site == "scj.fork" || site == "store.snapshot" {
+		if site == "store.snapshot" {
 			mode = faults.ModePanic // these sites inject panics by design
 		}
 		if err := faults.Enable(site, 0.05, seed, mode); err != nil {
@@ -230,17 +221,13 @@ func TestChaosConcurrentClients(t *testing.T) {
 // TestChaosWithMemBudget overlays fault injection on a tight memory
 // budget: both stop mechanisms share the executor's poll sites, so this
 // is the cross-check that neither masks the other and the typed errors
-// stay classifiable. The budget is the scheduler grant's, and the mix
-// must actually fork on the scheduler's pool.
+// stay classifiable. The budget is the scheduler grant's.
 func TestChaosWithMemBudget(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	t.Cleanup(faults.Reset)
 	cont := xmark.NewStoreContainer("auction.xml", 0.002, 11)
-	cfg := core.ParallelConfig()
-	cfg.Workers = 4
-	cfg.ParallelThreshold = 1
-	s := sched.New(sched.Config{Workers: 8, MaxConcurrent: 8, RowsPerWorker: 1, MemPerQuery: 2 << 20})
-	cfg.Scheduler = s
+	cfg := core.DefaultConfig()
+	cfg.Scheduler = sched.New(sched.Config{MaxConcurrent: 8, MemPerQuery: 2 << 20})
 	eng := core.New(cfg)
 	eng.LoadContainer("auction.xml", cont)
 
@@ -259,7 +246,4 @@ func TestChaosWithMemBudget(t *testing.T) {
 		}
 	}
 	faults.Reset()
-	if s.Stats().MaxSlotsInUse == 0 {
-		t.Fatal("no execution drew a worker slot: the budgeted mix ran serially")
-	}
 }

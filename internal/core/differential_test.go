@@ -7,61 +7,9 @@ import (
 	"testing"
 
 	"mxq/internal/naive"
-	"mxq/internal/scj"
 	"mxq/internal/xmark"
 	"mxq/internal/xqerr"
 )
-
-// parallelTestConfig forces every parallel code path on (threshold 1,
-// several workers) so that even the small test documents exercise the
-// chunked operators.
-func parallelTestConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Parallel = true
-	cfg.Workers = 4
-	cfg.ParallelThreshold = 1
-	return cfg
-}
-
-// TestParallelDifferentialAgainstNaive runs the whole differential
-// corpus through parallel execution (in several compiler ablations) and
-// checks against the naive DOM oracle.
-func TestParallelDifferentialAgainstNaive(t *testing.T) {
-	oracle := naive.New()
-	if err := oracle.LoadXML("auction.xml", strings.NewReader(auctionDoc)); err != nil {
-		t.Fatal(err)
-	}
-	iter := parallelTestConfig()
-	iter.Compiler.ChildVariant = scj.Iterative
-	iter.Compiler.DescVariant = scj.Iterative
-	noPush := parallelTestConfig()
-	noPush.Compiler.NametestPushdown = false
-	cfgs := map[string]Config{
-		"parallel-full":       parallelTestConfig(),
-		"parallel-iterative":  iter,
-		"parallel-nopushdown": noPush,
-	}
-	for cname, cfg := range cfgs {
-		eng := New(cfg)
-		if err := eng.LoadXML("auction.xml", strings.NewReader(auctionDoc)); err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range corpus {
-			want, err := oracle.QueryString(q)
-			if err != nil {
-				t.Fatalf("oracle failed on %s: %v", q, err)
-			}
-			got, err := eng.QueryString(q)
-			if err != nil {
-				t.Errorf("[%s] engine error on %s: %v", cname, q, err)
-				continue
-			}
-			if got != want {
-				t.Errorf("[%s] mismatch on %s:\n got  %q\n want %q", cname, q, got, want)
-			}
-		}
-	}
-}
 
 // mixedKindQueries are sequences that mix elements and attributes:
 // unions of both kinds, parent and self steps from such unions, order by
@@ -142,20 +90,17 @@ var raisingCountQueries = []string{
 	`for $p in /site/people/person return count(for $o in /site/open_auctions/open_auction where $p/profile/@income > 100 * exactly-one($o/bidder[1]/increase) return $o)`,
 }
 
-// TestParallelXMarkDifferential is the three-way differential suite on a
-// generated XMark document: serial execution, parallel execution and the
-// naive DOM oracle must produce byte-identical serialized results, or
-// the same error code, for all twenty benchmark queries,
-// mixedKindQueries, countQueries and raisingCountQueries, including
-// sequence and document order. Only raisingCountQueries may raise, and
-// they must. The count queries also run on the Cartesian plans of a
-// serial engine without join recognition.
-func TestParallelXMarkDifferential(t *testing.T) {
+// TestXMarkDifferential is the differential suite on a generated XMark
+// document: the engine and the naive DOM oracle must produce
+// byte-identical serialized results, or the same error code, for all
+// twenty benchmark queries, mixedKindQueries, countQueries and
+// raisingCountQueries, including sequence and document order. Only
+// raisingCountQueries may raise, and they must. The count queries also
+// run on the Cartesian plans of an engine without join recognition.
+func TestXMarkDifferential(t *testing.T) {
 	cont := xmark.NewStoreContainer("auction.xml", 0.005, 42)
 	serial := New(DefaultConfig())
 	serial.LoadContainer("auction.xml", cont)
-	parallel := New(parallelTestConfig())
-	parallel.LoadContainer("auction.xml", cont)
 	noJoin := DefaultConfig()
 	noJoin.Compiler.JoinRecognition = false
 	cartesian := New(noJoin)
@@ -180,7 +125,7 @@ func TestParallelXMarkDifferential(t *testing.T) {
 			}
 		}
 	}
-	engines := map[string]*Engine{"serial": serial, "parallel": parallel}
+	engines := map[string]*Engine{"serial": serial}
 	for _, query := range append(queries, mixedKindQueries...) {
 		check(query, false, engines)
 	}

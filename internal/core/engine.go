@@ -19,14 +19,8 @@
 // in-flight executions — of one Prepared handle or of independent
 // queries — may share the same cached plan. Result node items stay
 // valid for the lifetime of the Result (they pin the snapshot), even
-// across later loads and queries.
-//
-// Intra-query parallelism (Config.Parallel) partitions the hot operators
-// of one plan across worker goroutines drawn from one bounded slot pool
-// — the scheduler's, or else the engine's own — so it composes with
-// inter-query concurrency: each executor owns its intermediate state,
-// and concurrent executions share the pool's slots instead of each
-// forking its own workers.
+// across later loads and queries. One execution runs on the goroutine
+// that called it.
 package core
 
 import (
@@ -49,56 +43,29 @@ import (
 	"mxq/internal/xqt"
 )
 
-// Config selects the engine's optimization strategies and how it
-// executes; the zero value disables every optimization (the ablation
-// baselines of Figures 12–14), and DefaultConfig enables the full
-// system. Resource limits — admission, worker slots, memory — are not
-// here: they live in the Scheduler's sched.Config.
+// Config selects the engine's optimization strategies; the zero value
+// disables every optimization (the ablation baselines of Figures
+// 12–14), and DefaultConfig enables the full system. Resource limits —
+// admission, memory — are not here: they live in the Scheduler's
+// sched.Config.
 type Config struct {
 	Compiler xqc.Options
 	// OrderAware runs the property-driven peephole optimizer (§4.1):
 	// sort elimination, refine sorts, streaming rank, positional joins,
 	// merge duplicate elimination (Figure 14's "order preserving").
 	OrderAware bool
-	// Parallel enables intra-query parallel operator execution: the hot
-	// per-iter operators (staircase-join steps, row numbering,
-	// aggregation, selection, row-wise functions, hash join build/probe)
-	// partition their inputs across worker goroutines drawn from a
-	// bounded slot pool. Output is byte-identical to serial execution,
-	// which remains the differential-testing oracle.
-	Parallel bool
-	// Workers bounds one execution's workers; without a Scheduler it is
-	// also the size of the engine's own slot pool, shared by all its
-	// executions. 0 means runtime.GOMAXPROCS(0).
-	Workers int
-	// ParallelThreshold is the minimum operator input size to go
-	// parallel; 0 means ralg.DefaultParThreshold.
-	ParallelThreshold int
 	// Scheduler, when set, is the global query scheduler the engine's
 	// executions run under: every ExecuteContext admits itself (bounded
-	// concurrency, deadline-aware queueing) and draws its parallel
-	// workers from the scheduler's shared slot pool under a cost-derived
-	// budget, so N concurrent queries never claim N×Workers goroutines.
-	// One scheduler may be shared by several engines; its grants also
-	// carry each execution's memory budget (sched.Config.MemPerQuery).
-	// Without one, executions run immediately, with no memory budget,
-	// and draw their workers from the engine's own Workers-slot pool.
+	// concurrency, deadline-aware queueing) and runs under the memory
+	// budget of its grant (sched.Config.MemPerQuery). One scheduler may
+	// be shared by several engines. Without one, executions run
+	// immediately and with no memory budget.
 	Scheduler *sched.Scheduler
 }
 
-// DefaultConfig is the full-strength engine configuration (parallel
-// execution stays opt-in so the default engine doubles as the serial
-// oracle).
+// DefaultConfig is the full-strength engine configuration.
 func DefaultConfig() Config {
 	return Config{Compiler: xqc.DefaultOptions(), OrderAware: true}
-}
-
-// ParallelConfig is DefaultConfig plus intra-query parallelism sized by
-// GOMAXPROCS.
-func ParallelConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Parallel = true
-	return cfg
 }
 
 // Engine is one XQuery engine instance with its loaded documents. It is
@@ -106,7 +73,6 @@ func ParallelConfig() Config {
 // concurrency model.
 type Engine struct {
 	cfg Config
-	par ralg.ParOptions // every execution's; a grant replaces Slots
 
 	mu         sync.RWMutex // guards pool registration and defaultDoc
 	pool       *store.Pool
@@ -132,7 +98,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	return &Engine{
 		cfg:           cfg,
-		par:           parOptions(cfg),
 		pool:          store.NewPool(),
 		cache:         newPlanCache(),
 		verify:        envSwitch("MXQ_VERIFY_PLANS"),
@@ -161,26 +126,6 @@ func (e *Engine) Pool() *store.Pool { return e.pool }
 // Scheduler returns the global query scheduler the engine runs under,
 // or nil when executions are unscheduled.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.cfg.Scheduler }
-
-// parOptions resolves the configured parallelism knobs against the
-// ralg defaults; an unscheduled parallel engine gets its own pool of
-// Workers slots.
-func parOptions(cfg Config) ralg.ParOptions {
-	if !cfg.Parallel {
-		return ralg.ParOptions{}
-	}
-	p := ralg.DefaultParOptions()
-	if cfg.Workers > 0 {
-		p.Workers = cfg.Workers
-	}
-	if cfg.ParallelThreshold > 0 {
-		p.Threshold = cfg.ParallelThreshold
-	}
-	if cfg.Scheduler == nil && p.Workers > 1 {
-		p.Slots = sched.NewPool(p.Workers)
-	}
-	return p
-}
 
 // LoadXML shreds and registers a document; the first document loaded
 // becomes the context document of absolute paths. Loading is safe while
@@ -355,7 +300,6 @@ func (e *Engine) compile(q string) (*compiled, error) {
 		}
 	}
 	st := &compiled{Compiled: cq}
-	st.ops, st.joins = ralg.CountOps(cq.Plan)
 	e.cache.put(q, st)
 	return st, nil
 }
@@ -504,7 +448,8 @@ func (e *Engine) PlanStats(q string) (ops, joins int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return cq.ops, cq.joins, nil
+	ops, joins = ralg.CountOps(cq.Plan)
+	return ops, joins, nil
 }
 
 // SerializeXML writes the result sequence as XML text: nodes are

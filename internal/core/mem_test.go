@@ -36,18 +36,13 @@ func TestMemBudgetSmallerThanSnapshot(t *testing.T) {
 	}
 }
 
-// A budget hit mid-execution under forced parallelism: the fork-join
-// workers must drain (no goroutine leak), the error must be typed, and
-// the engine must stay fully usable — the budget is per-execution
-// state, never engine state.
-func TestMemBudgetAbortsParallelExecution(t *testing.T) {
+// A budget hit mid-execution: no goroutine may leak, the error must be
+// typed, and the engine must stay fully usable — the budget is
+// per-execution state, never engine state.
+func TestMemBudgetAbortsExecution(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	cfg := DefaultConfig()
-	cfg.Parallel = true
-	cfg.Workers = 4
-	cfg.ParallelThreshold = 1
-	s := sched.New(sched.Config{Workers: 4, RowsPerWorker: 1, MemPerQuery: 512 << 10})
-	cfg.Scheduler = s
+	cfg.Scheduler = sched.New(sched.Config{MemPerQuery: 512 << 10})
 	e := New(cfg)
 	if err := e.LoadXML("d.xml", strings.NewReader(memTestDoc)); err != nil {
 		t.Fatal(err)
@@ -69,25 +64,12 @@ func TestMemBudgetAbortsParallelExecution(t *testing.T) {
 	if err != nil || got != "5" {
 		t.Fatalf("engine unusable after budget aborts: %q, %v", got, err)
 	}
-	requireForked(t, s)
-}
-
-// requireForked fails a budget test whose executions never drew a worker
-// from the scheduler's pool: a grant of worker budget 1 (the default
-// RowsPerWorker over a small document) would run them serially and the
-// parallel half of the test would pass vacuously.
-func requireForked(t *testing.T, s *sched.Scheduler) {
-	t.Helper()
-	if s.Stats().MaxSlotsInUse == 0 {
-		t.Fatal("no execution drew a worker slot: the budget runs were serial")
-	}
 }
 
 // Sixteen concurrent clients on one engine: the one over-budget query
 // fails with the typed error while the fifteen in-budget clients get
-// results byte-identical to the serial oracle. Run under -race this is
-// also the budget accounting's race check (all charges flow through one
-// shared MemBudget per execution, from every worker).
+// results byte-identical to an unscheduled engine's. Run under -race
+// this is also the budget accounting's race check across executions.
 func TestMemBudget16ClientStress(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	serial := New(DefaultConfig())
@@ -112,13 +94,9 @@ func TestMemBudget16ClientStress(t *testing.T) {
 
 	const clients = 16
 	cfg := DefaultConfig()
-	cfg.Parallel = true
-	cfg.Workers = 4
-	cfg.ParallelThreshold = 1
 	// every client is admitted at once; each grant is MemFloor (8 MiB),
 	// the floor plus 4 KiB a row being larger for any document
-	s := sched.New(sched.Config{Workers: 4, MaxConcurrent: clients, RowsPerWorker: 1, MemPerQuery: sched.MemFloor})
-	cfg.Scheduler = s
+	cfg.Scheduler = sched.New(sched.Config{MaxConcurrent: clients, MemPerQuery: sched.MemFloor})
 	e := New(cfg)
 	if err := e.LoadXML("d.xml", strings.NewReader(memTestDoc)); err != nil {
 		t.Fatal(err)
@@ -155,7 +133,6 @@ func TestMemBudget16ClientStress(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	requireForked(t, s)
 }
 
 type clientErr struct {

@@ -87,8 +87,7 @@ func (p *Prepared) Execute(b Bindings) (*Result, error) {
 
 // ExecuteContext is Execute under a context: when ctx carries a
 // deadline or is cancelled mid-execution, the executor's operators
-// abandon their work at the next checkpoint, all parallel workers
-// drain (the worker pool is a fork-join barrier), and the call returns
+// abandon their work at the next checkpoint and the call returns
 // ctx.Err() — never a partial result. A nil ctx behaves like
 // context.Background().
 //
@@ -96,11 +95,7 @@ func (p *Prepared) Execute(b Bindings) (*Result, error) {
 // admits itself — waiting, deadline-aware, for an execution slot and
 // failing with sched.ErrQueueFull when the admission queue is full —
 // unless ctx already carries a grant (sched.WithGrant), in which case
-// that grant's budget governs and no second admission happens. The
-// granted budget caps the execution's parallel workers, and the
-// fork-join regions draw their goroutines from the scheduler's shared
-// slot pool. Without a grant they draw on the engine's own pool, which
-// every execution of the engine shares.
+// that grant's memory budget governs and no second admission happens.
 func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result, err error) {
 	// The executor trusts its plans: a malformed plan (or an executor
 	// bug) panics rather than corrupting results. Contain such panics
@@ -129,19 +124,19 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 		e.mu.RLock()
 		rows := e.pool.Rows()
 		e.mu.RUnlock()
-		g, err := e.cfg.Scheduler.Admit(ctx, sched.Cost{Ops: p.cq.ops, Joins: p.cq.joins, Rows: rows})
+		g, err := e.cfg.Scheduler.Admit(ctx, sched.Cost{Rows: rows, Known: true})
 		if err != nil {
 			return nil, err
 		}
 		defer g.Release()
 		grant = g
 	} else if grant != nil {
-		// The serving layer admits before it compiles (budget 1 until the
-		// plan is known); finalize the budget from this statement's cost.
+		// The serving layer admits before it compiles, with the full
+		// per-query reservation; size it from this execution's snapshot.
 		e.mu.RLock()
 		rows := e.pool.Rows()
 		e.mu.RUnlock()
-		grant.SetCost(sched.Cost{Ops: p.cq.ops, Joins: p.cq.joins, Rows: rows})
+		grant.SetCost(sched.Cost{Rows: rows, Known: true})
 	}
 	// The snapshot is taken after admission: a queued execution sees the
 	// document state as of when it actually starts running.
@@ -159,13 +154,6 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	// path — result, error, cancellation, budget abort, contained panic.
 	// Nothing below may hand out a table: the result is copied off first.
 	defer ex.Release()
-	ex.Par = e.par
-	if grant != nil && ex.Par.Workers > 1 {
-		if b := grant.Budget(); b < ex.Par.Workers {
-			ex.Par.Workers = b
-		}
-		ex.Par.Slots = grant
-	}
 	ex.ContextDoc = doc
 	ex.Ctx = ctx
 	// The memory budget is the grant's: an unscheduled execution is

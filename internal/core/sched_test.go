@@ -12,18 +12,14 @@ import (
 	"mxq/internal/xmark"
 )
 
-// TestSchedOversubscribedDifferential is the worker-bound stress test:
-// 4× more concurrent executions than execution slots, on a scheduled
-// engine (all drawing workers from the scheduler's pool) and on an
-// unscheduled one with Workers set (all drawing from the engine's own
-// pool). Every execution must complete (no starvation), every result
-// must be byte-identical to serial execution, the pool's high-water
-// mark must stay within its size, worker goroutines across all
-// executions must stay bounded by it, and everything must drain back to
-// idle. Run under -race this doubles as the data-race check on the
-// slot-pool path.
+// TestSchedOversubscribedDifferential is the admission stress test: 4×
+// more concurrent executions than execution slots, on a scheduled engine
+// and on an unscheduled one. Every execution must complete (no
+// starvation), every result must be byte-identical to a lone engine's,
+// no execution may spawn goroutines of its own, and the scheduler must
+// drain back to idle. Run under -race this doubles as the data-race
+// check on the admission path.
 func TestSchedOversubscribedDifferential(t *testing.T) {
-	const poolWorkers = 4
 	const maxConcurrent = 4
 	const clients = 4 * maxConcurrent
 	const rounds = 3
@@ -42,9 +38,8 @@ func TestSchedOversubscribedDifferential(t *testing.T) {
 	}
 
 	// storm runs the clients against eng and samples the process
-	// goroutine count meanwhile: with every spawned worker holding a pool
-	// slot, it stays around clients (launchers) + poolWorkers over the
-	// baseline, never clients×Workers.
+	// goroutine count meanwhile: it stays around clients (launchers) over
+	// the baseline.
 	storm := func(t *testing.T, eng *Engine) {
 		eng.LoadContainer("auction.xml", cont)
 		stmts := make([]*Prepared, len(queries))
@@ -99,57 +94,37 @@ func TestSchedOversubscribedDifferential(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
-		if peak := <-maxGoroutines - before; peak > clients+poolWorkers+8 {
-			t.Errorf("goroutine peak %d over the baseline: workers are not drawing from one pool", peak)
+		if peak := <-maxGoroutines - before; peak > clients+8 {
+			t.Errorf("goroutine peak %d over the baseline: executions spawn goroutines", peak)
 		}
 	}
 
 	t.Run("scheduled", func(t *testing.T) {
 		s := sched.New(sched.Config{
-			Workers:       poolWorkers,
 			MaxConcurrent: maxConcurrent,
 			MaxQueue:      2 * clients, // every client may queue; none sheds
-			RowsPerWorker: 1,           // let plan complexity alone pick the width
 		})
-		cfg := parallelTestConfig()
-		cfg.Workers = poolWorkers
+		cfg := DefaultConfig()
 		cfg.Scheduler = s
 		storm(t, New(cfg))
 		st := s.Stats()
-		if st.MaxSlotsInUse > poolWorkers {
-			t.Errorf("MaxSlotsInUse = %d, want <= %d (worker goroutines exceeded the pool)", st.MaxSlotsInUse, poolWorkers)
-		}
 		if st.Admitted != clients*rounds {
 			t.Errorf("Admitted = %d, want %d (starved executions)", st.Admitted, clients*rounds)
 		}
-		if st.Running != 0 || st.QueueDepth != 0 || st.SlotsInUse != 0 || st.GrantedBudget != 0 {
+		if st.Running != 0 || st.QueueDepth != 0 {
 			t.Errorf("scheduler did not drain: %+v", st)
 		}
 	})
 
-	t.Run("unscheduled", func(t *testing.T) {
-		cfg := parallelTestConfig()
-		cfg.Workers = poolWorkers
-		eng := New(cfg)
-		storm(t, eng)
-		own, ok := eng.par.Slots.(*sched.Pool)
-		if !ok {
-			t.Fatal("the unscheduled parallel engine has no slot pool of its own")
-		}
-		if hw := own.MaxInUse(); hw == 0 || hw > poolWorkers {
-			t.Errorf("engine pool high-water %d, want 1..%d", hw, poolWorkers)
-		}
-		if own.InUse() != 0 {
-			t.Errorf("engine pool did not drain: %d slots held", own.InUse())
-		}
-	})
+	// without a scheduler every client runs at once
+	t.Run("unscheduled", func(t *testing.T) { storm(t, New(DefaultConfig())) })
 }
 
 // TestSchedQueuedExecutionCancel: an execution queued behind a
 // saturated scheduler gives up promptly when its deadline expires,
 // without ever starting, and the queue drains.
 func TestSchedQueuedExecutionCancel(t *testing.T) {
-	s := sched.New(sched.Config{Workers: 2, MaxConcurrent: 1, MaxQueue: 4})
+	s := sched.New(sched.Config{MaxConcurrent: 1, MaxQueue: 4})
 	cfg := DefaultConfig()
 	cfg.Scheduler = s
 	eng := New(cfg)

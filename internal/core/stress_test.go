@@ -8,13 +8,12 @@ import (
 )
 
 // TestConcurrentQueriesAndLoads is the concurrency stress test: many
-// goroutines issue a mixed query load against one Engine — with
-// intra-query parallelism on, so worker goroutines nest inside query
-// goroutines — while a writer keeps loading new documents. Every result
+// goroutines issue a mixed query load against one Engine while a writer
+// keeps loading new documents. Every result
 // must equal the single-threaded answer, and the whole test must be
 // race-clean under `go test -race`.
 func TestConcurrentQueriesAndLoads(t *testing.T) {
-	eng := New(parallelTestConfig())
+	eng := New(DefaultConfig())
 	if err := eng.LoadXML("auction.xml", strings.NewReader(auctionDoc)); err != nil {
 		t.Fatal(err)
 	}

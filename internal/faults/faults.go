@@ -1,9 +1,8 @@
 // Package faults is the deterministic fault-injection registry behind
 // the chaos suite: a fixed catalog of named injection points (Sites)
 // threaded through the layers whose failure paths must stay clean —
-// the store snapshot, every ralg operator boundary, the staircase-join
-// fork-join workers, scheduler admission/release, and response
-// streaming in the serving layer.
+// the store snapshot, every ralg operator boundary, scheduler
+// admission/release, and response streaming in the serving layer.
 //
 // Disabled — the production state — a site check is one atomic load
 // (Armed) and nothing else, so the instrumented hot paths pay no
@@ -144,7 +143,6 @@ func register(name string) *Site {
 var (
 	StoreSnapshot = register("store.snapshot") // Pool.Snapshot, the per-execution document snapshot
 	RalgOp        = register("ralg.op")        // Exec.Run, before every operator application
-	SCJFork       = register("scj.fork")       // staircase-join fork-join worker bodies
 	SchedAdmit    = register("sched.admit")    // Scheduler.Admit, before granting a slot
 	SchedRelease  = register("sched.release")  // Grant.Release, after returning the slot
 	ServeStream   = register("serve.stream")   // response-body writes while streaming a result

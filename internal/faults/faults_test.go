@@ -109,7 +109,7 @@ func TestModes(t *testing.T) {
 		t.Fatalf("cancel mode error %v not classified as injected", err)
 	}
 
-	if err := Enable("scj.fork", 1, 1, ModePanic); err != nil {
+	if err := Enable("store.snapshot", 1, 1, ModePanic); err != nil {
 		t.Fatal(err)
 	}
 	func() {
@@ -118,11 +118,11 @@ func TestModes(t *testing.T) {
 			if r == nil {
 				t.Fatal("panic mode did not panic")
 			}
-			if inj, ok := r.(*Injected); !ok || inj.Site != "scj.fork" {
-				t.Fatalf("panic value %v is not the *Injected for scj.fork", r)
+			if inj, ok := r.(*Injected); !ok || inj.Site != "store.snapshot" {
+				t.Fatalf("panic value %v is not the *Injected for store.snapshot", r)
 			}
 		}()
-		SCJFork.Err()
+		StoreSnapshot.Err()
 	}()
 }
 
@@ -176,7 +176,7 @@ func TestSetSpecGrammar(t *testing.T) {
 }
 
 func TestSitesCatalog(t *testing.T) {
-	want := []string{"ralg.op", "sched.admit", "sched.release", "scj.fork", "serve.stream", "store.snapshot"}
+	want := []string{"ralg.op", "sched.admit", "sched.release", "serve.stream", "store.snapshot"}
 	got := Sites()
 	if len(got) != len(want) {
 		t.Fatalf("Sites() = %v, want %v", got, want)

@@ -9,9 +9,7 @@ import (
 // row-loop in the relational executor (ralg's exec* operator methods)
 // and every staircase-join kernel (scj functions threading a *Stats)
 // must poll cancellation on an amortized schedule, either directly
-// (stopRequested / stopFunc / stopped / Stop wiring, or by delegating
-// to ralg's chunk drivers — forTasks, forChunks, forCols, chunkFill,
-// chunkPairs — which poll before every chunk) or by calling —
+// (stopRequested / stopFunc / stopped / Stop wiring) or by calling —
 // transitively, within the package — a function that does.
 //
 // A function whose loops are provably memory-bound (no per-row work
@@ -28,18 +26,13 @@ var CancelCheck = &Analyzer{
 }
 
 // cancelMarkers are the identifiers whose presence means the function
-// participates in cancellation: the poll entry points themselves, the
-// Stats.Stop wiring, and the chunk drivers that poll per chunk.
+// participates in cancellation: the poll entry points themselves and
+// the Stats.Stop wiring.
 var cancelMarkers = map[string]bool{
 	"stopRequested": true,
 	"stopFunc":      true,
 	"stopped":       true,
 	"Stop":          true,
-	"forTasks":      true,
-	"forChunks":     true,
-	"forCols":       true,
-	"chunkFill":     true,
-	"chunkPairs":    true,
 }
 
 var execNameRE = regexp.MustCompile(`^exec[A-Z]`)

@@ -132,7 +132,7 @@ func Dirs(root string) ([]string, error) {
 
 // hasLoop reports whether the function body contains any for/range
 // statement, including inside function literals (a loop handed to a
-// parallel driver is still this function's loop).
+// helper is still this function's loop).
 func hasLoop(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

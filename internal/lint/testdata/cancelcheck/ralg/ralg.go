@@ -36,10 +36,10 @@ func (e *Exec) execViaHelper(in *Table) *Table {
 
 func (e *Exec) pollingHelper() { _ = e.stopRequested() }
 
-// execViaChunkDriver hands its row loop to a chunk driver, which polls
-// before every chunk (the drivers live in parallel.go, outside this
-// fixture: the marker list must know them by name).
-func (e *Exec) execViaChunkDriver(in *Table) *Table {
+// execViaChunkDriver hands its row loop to a helper the package does not
+// define. A helper's name is no poll: the loop itself must poll, or be
+// exempt.
+func (e *Exec) execViaChunkDriver(in *Table) *Table { // want "execViaChunkDriver: row loop never polls"
 	out := make([]int64, in.N)
 	e.chunkFill(in.N, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

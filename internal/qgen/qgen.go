@@ -1,8 +1,7 @@
 // Package qgen is a seeded, deterministic XPath/FLWOR query generator
 // over the XMark vocabulary, used for randomized differential testing:
-// every generated query is run through the relational engine (serial and
-// parallel) and the naive DOM oracle, and the serializations must be
-// byte-identical. The generator stays inside the dialect both engines
+// every generated query is run through the relational engine and the
+// naive DOM oracle, and the serializations must be byte-identical. The generator stays inside the dialect both engines
 // implement and favors the constructs whose plans differ most between
 // them (location steps with predicates, FLWOR pipelines, aggregates,
 // general comparisons, doc()/collection() roots, and — via BoundQuery —

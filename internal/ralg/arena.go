@@ -128,23 +128,21 @@ func trimEveryCycle() {
 }
 
 // execMem is an execution's handle on its arena, taken at the first
-// region-sized request; the mutex lets chunk bodies request columns.
+// region-sized request.
 type execMem struct {
-	mu      sync.Mutex
 	a       *arena
-	scratch atomic.Int64 // operator-lifetime bytes charged to the budget
+	scratch int64 // operator-lifetime bytes charged to the budget
 }
 
-// overBudget is what a refused request unwinds the operator with, from
-// a worker goroutine by way of scj.ParRunSlots; runOp turns it into the
-// budget's typed error.
+// overBudget is what a refused request unwinds the operator with; runOp
+// turns it into the budget's typed error.
 type overBudget struct{}
 
 // metered accounts n bytes of lifetime rg about to be allocated and
 // reports whether the budget grants them.
 func (e *Exec) metered(rg regionID, n int64) bool {
 	if rg == scratchRegion {
-		e.mem.scratch.Add(n)
+		e.mem.scratch += n
 	}
 	return e.Mem.Charge(n)
 }
@@ -159,8 +157,6 @@ func (e *Exec) charge(rg regionID, n int64) {
 
 func (e *Exec) bump(rg regionID, words int) []uint64 {
 	m := &e.mem
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.a == nil {
 		liveArenas.Add(1)
 		arenas.Lock()
@@ -179,7 +175,8 @@ func (e *Exec) bump(rg regionID, words int) []uint64 {
 // budget, its memory to the region.
 func (e *Exec) resetScratch() {
 	if e.Mem != nil {
-		e.Mem.release(e.mem.scratch.Swap(0))
+		e.Mem.release(e.mem.scratch)
+		e.mem.scratch = 0
 	}
 	if e.mem.a != nil {
 		e.mem.a[scratchRegion].reset()
@@ -193,8 +190,6 @@ func (e *Exec) resetScratch() {
 // must not run concurrently with Run.
 func (e *Exec) Release() {
 	m := &e.mem
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.a == nil {
 		return
 	}

@@ -2,7 +2,6 @@ package ralg
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -95,40 +94,6 @@ func TestCarveCapacityAndFallbacks(t *testing.T) {
 	}
 	if held := tiny.Mem.Used(); held < 16*n || held > 16*n+arenaFloor {
 		t.Errorf("%d bytes held for %d strings and an under-floor column", held, n)
-	}
-}
-
-// Chunk bodies request columns from worker goroutines: the requests
-// must not overlap (run under -race in CI).
-func TestArenaConcurrentRequests(t *testing.T) {
-	e := &Exec{}
-	defer e.Release()
-	const workers, rounds, n = 8, 50, 700
-	var wg sync.WaitGroup
-	bufs := make([][][]int64, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				rg := regionID(r % 2)
-				b := dirty[int64](e, rg, n+w)
-				for i := range b {
-					b[i] = int64(w<<32 | r)
-				}
-				bufs[w] = append(bufs[w], b)
-			}
-		}()
-	}
-	wg.Wait()
-	for w := range bufs {
-		for r, b := range bufs[w] {
-			for _, v := range b {
-				if v != int64(w<<32|r) {
-					t.Fatalf("worker %d round %d: buffer overwritten with %x", w, r, v)
-				}
-			}
-		}
 	}
 }
 

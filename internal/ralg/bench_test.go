@@ -1,13 +1,11 @@
 package ralg
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
 	"mxq/internal/scj"
 	"mxq/internal/store"
-	"mxq/internal/testutil"
 	"mxq/internal/xmark"
 	"mxq/internal/xqt"
 )
@@ -34,7 +32,7 @@ func stepBenchSetup() {
 	})
 }
 
-func benchmarkStep(b *testing.B, par ParOptions) {
+func BenchmarkStep(b *testing.B) {
 	stepBenchSetup()
 	n := &Step{
 		unary:   unary{In: &Lit{Tab: stepBenchTab}},
@@ -45,7 +43,6 @@ func benchmarkStep(b *testing.B, par ParOptions) {
 		ItemCol: "item",
 	}
 	ex := NewExec(stepBenchPool, nil)
-	ex.Par = par
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ex.execStep(n, stepBenchTab); err != nil {
@@ -54,19 +51,7 @@ func benchmarkStep(b *testing.B, par ParOptions) {
 	}
 }
 
-func BenchmarkStepSerial(b *testing.B) { benchmarkStep(b, ParOptions{}) }
-
-// BenchmarkStepParallel forces at least two workers so the parallel code
-// path is exercised (and its overhead visible) even on single-core hosts.
-func BenchmarkStepParallel(b *testing.B) {
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 {
-		w = 2
-	}
-	benchmarkStep(b, ParOptions{Workers: w, Threshold: DefaultParThreshold, Slots: testutil.ForkPool(b, w)})
-}
-
-func benchmarkHashJoin(b *testing.B, par ParOptions) {
+func BenchmarkHashJoin(b *testing.B) {
 	const nl, nr = 200000, 50000
 	l := NewTable([]string{"k"}, []ColKind{KInt})
 	l.N = nl
@@ -81,23 +66,12 @@ func benchmarkHashJoin(b *testing.B, par ParOptions) {
 	}
 	n := NewHashJoin(&Lit{Tab: l}, &Lit{Tab: r}, "k", "k", Refs("k"), Refs("v"))
 	ex := NewExec(store.NewPool(), nil)
-	ex.Par = par
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ex.execHashJoin(n, l, r); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkHashJoinSerial(b *testing.B) { benchmarkHashJoin(b, ParOptions{}) }
-
-func BenchmarkHashJoinParallel(b *testing.B) {
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 {
-		w = 2
-	}
-	benchmarkHashJoin(b, ParOptions{Workers: w, Threshold: DefaultParThreshold, Slots: testutil.ForkPool(b, w)})
 }
 
 // --- uniform vs tag-vector column pairs --------------------------------

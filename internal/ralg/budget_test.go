@@ -8,7 +8,6 @@ import (
 
 	"mxq/internal/scj"
 	"mxq/internal/store"
-	"mxq/internal/testutil"
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
@@ -123,20 +122,20 @@ func renderTable(pool *store.Pool, tab *Table) string {
 	return sb.String()
 }
 
-// TestBudgetIsTheMeter is the budget's one property, per operator family
-// and serial or forced parallel: the peak an unlimited run reports is
+// TestBudgetIsTheMeter is the budget's one property, per operator
+// family: the peak an unlimited run reports is
 // what the plan needs — half of it fails with the typed error and no
 // table, twice it returns the same bytes — and every execution gives its
 // arena back.
 func TestBudgetIsTheMeter(t *testing.T) {
 	pool, plans := budgetPlans(t)
-	runUnder := func(p Plan, par ParOptions, limit int64) (string, int64, error) {
+	runUnder := func(p Plan, limit int64) (string, int64, error) {
 		qp := pool.Snapshot()
 		tr := store.NewContainer("")
 		qp.Register(tr)
 		e := NewExec(qp, tr)
 		defer e.Release()
-		e.Par, e.Mem = par, NewMemBudget(limit)
+		e.Mem = NewMemBudget(limit)
 		tab, err := e.Run(p)
 		if err != nil {
 			if tab != nil {
@@ -146,22 +145,19 @@ func TestBudgetIsTheMeter(t *testing.T) {
 		}
 		return renderTable(qp, tab), e.Mem.HighWater(), nil
 	}
-	slots := testutil.ForkPool(t, 4)
 	for name, p := range plans {
-		for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1, Slots: slots}} {
-			want, peak, err := runUnder(p, par, 1<<50)
-			if err != nil || peak == 0 || want == "" {
-				t.Fatalf("%s %+v: unlimited run: peak %d, %d bytes of output, err %v", name, par, peak, len(want), err)
-			}
-			if _, _, err := runUnder(p, par, peak/2); !xqerr.IsResourceLimit(err) {
-				t.Errorf("%s %+v: half of the %d-byte peak: err = %v, want %s", name, par, peak, err, xqerr.CodeResourceLimit)
-			}
-			if got, again, err := runUnder(p, par, 2*peak); err != nil || got != want || again != peak {
-				t.Errorf("%s %+v: under twice the %d-byte peak: err %v, peak %d, same output %v", name, par, peak, err, again, got == want)
-			}
-			if live := LiveArenas(); live != 0 {
-				t.Fatalf("%s %+v: %d arenas still out", name, par, live)
-			}
+		want, peak, err := runUnder(p, 1<<50)
+		if err != nil || peak == 0 || want == "" {
+			t.Fatalf("%s: unlimited run: peak %d, %d bytes of output, err %v", name, peak, len(want), err)
+		}
+		if _, _, err := runUnder(p, peak/2); !xqerr.IsResourceLimit(err) {
+			t.Errorf("%s: half of the %d-byte peak: err = %v, want %s", name, peak, err, xqerr.CodeResourceLimit)
+		}
+		if got, again, err := runUnder(p, 2*peak); err != nil || got != want || again != peak {
+			t.Errorf("%s: under twice the %d-byte peak: err %v, peak %d, same output %v", name, peak, err, again, got == want)
+		}
+		if live := LiveArenas(); live != 0 {
+			t.Fatalf("%s: %d arenas still out", name, live)
 		}
 	}
 }

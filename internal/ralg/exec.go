@@ -48,21 +48,19 @@ const MaxRows = 64 << 20
 type Bindings map[string]ItemVec
 
 // Exec evaluates plan DAGs against a container pool. Shared sub-plans are
-// evaluated once and their results re-used. Par sets how many chunks
-// the partitionable operators cut their input into and how many
-// goroutines run them (see parallel.go); every operator has one body,
-// serial execution is its one-chunk case, and the output does not
-// depend on the chunk count. One Exec evaluates one
-// query; concurrent queries each get their own Exec (and their own
-// transient container), sharing only the read-only document containers.
+// evaluated once and their results re-used. Every operator has one body,
+// run once over all its input rows on the calling goroutine. One Exec
+// evaluates one query; concurrent queries each get their own Exec (and
+// their own transient container), sharing only the read-only document
+// containers.
 // ContextDoc names the document ContextRoot leaves (absolute paths)
 // resolve to; Bindings supplies the values of ParamTable leaves.
 //
 // Ctx carries the execution's cancellation signal (deadline, client
-// disconnect): Run checks it between operators, and the long-running
-// operator loops — staircase-join steps, joins, Cartesian products,
-// aggregation, range generation — poll it every few thousand rows and
-// at the start of every chunk, and abandon their remaining work.
+// disconnect): Run checks it before and after every operator, and the
+// long-running operator loops — staircase-join steps, joins, Cartesian
+// products, aggregation, range generation — poll it every few thousand
+// rows and abandon their remaining work.
 // Partial outputs never escape: Run returns the context error before
 // memoizing a table produced under a cancelled context. A nil Ctx (the
 // default) disables all checks. The radix sort kernel polls once per
@@ -72,7 +70,7 @@ type Bindings map[string]ItemVec
 // Mem is the execution's memory budget (nil = unlimited), metered where
 // memory is handed out (carve): a request it refuses ends the operator
 // and Run returns the typed resource-exhausted error. An exceeded budget
-// also trips the stopRequested poll, so sibling workers drain.
+// also trips the stopRequested poll, so the running loop stops.
 //
 // Row-sized pointer-free columns come from a pooled arena (arena.go):
 // Release hands it back, after which no table of this Exec may be read.
@@ -82,7 +80,6 @@ type Exec struct {
 	Transient  *store.Container
 	SizeHint   int // rows the statement's last execution built in Transient (0: unknown)
 	Stats      ExecStats
-	Par        ParOptions
 	ContextDoc string
 	Bindings   Bindings
 	Ctx        context.Context
@@ -147,9 +144,12 @@ func (e *Exec) Run(p Plan) (*Table, error) {
 
 // runOp applies one operator and ends its lifetime on every path: no
 // table column may reference scratch memory, and an operator that a
-// refused memory request unwound (workers have drained by then) fails
-// with the budget's error.
+// refused memory request unwound fails with the budget's error. An
+// execution that is already cancelled or over budget runs no operator.
 func (e *Exec) runOp(p Plan, in []*Table) (t *Table, err error) {
+	if e.stopRequested() {
+		return nil, e.stopErr()
+	}
 	defer func() {
 		e.resetScratch()
 		if r := recover(); r != nil {
@@ -164,8 +164,7 @@ func (e *Exec) runOp(p Plan, in []*Table) (t *Table, err error) {
 
 // stopRequested reports whether the execution's context has expired or
 // its memory budget is exhausted; it is the cheap poll the operator
-// loops amortize over a few thousand rows. Safe to call from worker
-// goroutines (it reads the done channel and an atomic flag).
+// loops amortize over a few thousand rows.
 func (e *Exec) stopRequested() bool {
 	if e.Mem.Exceeded() {
 		return true
@@ -415,33 +414,26 @@ func (e *Exec) execAttach(n *Attach, in *Table) *Table {
 }
 
 func (e *Exec) execSelect(n *Select, in *Table) *Table {
-	cond := in.Bools(n.Cond)
-	rs := e.chunks(in.N, nil)
-	parts := make([][]int32, len(rs))
-	e.forChunks(rs, func(k, lo, hi int) {
-		local, o := dirty[int32](e, scratchRegion, hi-lo), 0
-		for i := lo; i < hi; i++ {
-			if (i-lo)&8191 == 8191 && e.stopRequested() {
-				break // Run's post-operator checkpoint discards the partial table
-			}
-			if cond[i] != n.Neg {
-				local[o] = int32(i)
-				o++
-			}
+	idx, o := dirty[int32](e, scratchRegion, in.N), 0
+	for i, c := range in.Bools(n.Cond) {
+		if i&8191 == 8191 && e.stopRequested() {
+			break // Run's post-operator checkpoint discards the partial table
 		}
-		parts[k] = local[:o]
-	})
-	return e.gather(in, concat(e, parts))
+		if c != n.Neg {
+			idx[o] = int32(i)
+			o++
+		}
+	}
+	return e.gather(in, idx[:o])
 }
 
-// seqRank numbers rows 1.. per contiguous part run within [lo, hi); lo
-// must start a run.
-func seqRank(part, rank []int64, lo, hi int) {
+// seqRank numbers rows 1.. per contiguous part run.
+func seqRank(part, rank []int64) {
 	var cur int64
 	var k int64
-	for i := lo; i < hi; i++ {
-		if i == lo || part[i] != cur {
-			cur, k = part[i], 0
+	for i, p := range part {
+		if i == 0 || p != cur {
+			cur, k = p, 0
 		}
 		k++
 		rank[i] = k
@@ -452,11 +444,9 @@ func seqRank(part, rank []int64, lo, hi int) {
 // pos column of a bound sequence).
 func (e *Exec) rowNumbers(n int) []int64 {
 	out := dirty[int64](e, outRegion, n)
-	e.chunkFill(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = int64(i) + 1
-		}
-	})
+	for i := range out {
+		out[i] = int64(i) + 1
+	}
 	return out
 }
 
@@ -497,9 +487,8 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 		// rows arrive in (Part, OrderBy) order — the RankSeq contract, a
 		// RankSort input found presorted — or, for RankStream, at least
 		// clustered by group: arrival-order counters equal run-local
-		// numbering, which chunks at run boundaries
-		e.forChunks(e.chunks(in.N, func(i int) bool { return part[i] != part[i-1] }),
-			func(_, lo, hi int) { seqRank(part, rank, lo, hi) })
+		// numbering
+		seqRank(part, rank)
 	default:
 		// hash-based numbering in arrival order per group (§4.1): valid
 		// under grpord(OrderBy, Part). Group ids of a narrow range count
@@ -587,4 +576,60 @@ func execCardCheck(n *CardCheck, in *Table) (*Table, error) {
 		}
 	}
 	return in, nil
+}
+
+// int64sNonDecreasing reports whether s is sorted ascending (the usual
+// state of iter/part columns).
+func int64sNonDecreasing(s []int64) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] < s[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// settle copies lists built in scratch — lists of a size only known
+// once they were built — into one out-region column of exactly their
+// total size: the only way scratch contents reach a table.
+func settle[T any](e *Exec, parts ...[]T) []T {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := dirty[T](e, outRegion, total)
+	o := 0
+	for _, p := range parts {
+		o += copy(out[o:], p)
+	}
+	return out
+}
+
+// identityIdx reports whether idx selects each of n rows once, in order:
+// gathering by it would copy the input.
+func identityIdx(idx []int32, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for i, j := range idx {
+		if int(j) != i {
+			return false
+		}
+	}
+	return true
+}
+
+// gather is Table.Gather with the arena as the allocator: the
+// materializing tail of every row-selecting operator. An operator that
+// selected every row gets its input back.
+func (e *Exec) gather(t *Table, idx []int32) *Table {
+	if identityIdx(idx, t.N) {
+		return t
+	}
+	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
+	out.cols = make([]Col, len(t.cols))
+	for i := range t.cols {
+		out.cols[i] = t.cols[i].gatherIn(e, outRegion, idx)
+	}
+	return out
 }

@@ -141,29 +141,27 @@ func colTag(c *Col) xqt.Kind {
 }
 
 // map1 and map2 apply a scalar function to every row of one or two
-// typed vectors, a chunk at a time.
+// typed vectors.
 func map1[A, R any](e *Exec, a []A, f func(A) R) []R {
 	out := dirty[R](e, outRegion, len(a))
-	e.chunkFill(len(a), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(a[i])
-		}
-	})
+	for i := range out {
+		out[i] = f(a[i])
+	}
 	return out
 }
 
 func map2[A, B, R any](e *Exec, a []A, b []B, f func(A, B) R) []R {
 	out := dirty[R](e, outRegion, len(a))
-	e.chunkFill(len(a), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(a[i], b[i])
-		}
-	})
+	for i := range out {
+		out[i] = f(a[i], b[i])
+	}
 	return out
 }
 
 // execFun evaluates the row-wise functions: one output column, a row
 // per input row.
+//
+// cancelcheck:exempt one pass of a row-wise kernel per argument column; runOp polls before the operator starts
 func (e *Exec) execFun(n *Fun, in *Table) (*Table, error) {
 	args := make([]*Col, len(n.Args))
 	for i, name := range n.Args {
@@ -567,10 +565,8 @@ func (e *Exec) nodeOrder(a, b *Col, rel func(ca, cb int32, oa, ob uint64) bool) 
 	}
 	oa, ob := e.docOrderKeys(va), e.docOrderKeys(vb)
 	out := dirty[bool](e, outRegion, len(oa))
-	e.chunkFill(len(oa), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = rel(va.Cont[i], vb.Cont[i], oa[i], ob[i])
-		}
-	})
+	for i := range out {
+		out[i] = rel(va.Cont[i], vb.Cont[i], oa[i], ob[i])
+	}
 	return boolCol(out), nil
 }

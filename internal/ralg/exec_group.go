@@ -1,7 +1,6 @@
 package ralg
 
 import (
-	"cmp"
 	"math"
 
 	"mxq/internal/xqerr"
@@ -123,21 +122,13 @@ func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 	case AggMin, AggMax:
 		arg = e.minMaxCast(in.Col(n.Arg))
 	}
-	// chunks end at group boundaries, so every group is accumulated by
-	// one chunk in row order (floating-point sums do not depend on the
-	// chunk count)
-	rs := e.groupChunks(part)
-	pcs, vcs, errs := make([][]int64, len(rs)), make([]ItemVec, len(rs)), make([]error, len(rs))
-	e.forChunks(rs, func(k, lo, hi int) { pcs[k], vcs[k], errs[k] = e.aggrRange(n, part, arg, nums, lo, hi) })
-	if err := cmp.Or(errs...); err != nil {
+	pc, vc, err := e.aggregate(n, part, arg, nums)
+	if err != nil {
 		return nil, err
 	}
 	out := NewTable([]string{n.Part, n.Out}, []ColKind{KInt, KItem})
-	out.Col(n.Part).Int = settle(e, pcs...)
-	if out.Col(n.Out).Item = vcs[0]; len(vcs) > 1 {
-		out.Col(n.Out).Item = unionVecs(e, vcs)
-	}
-	out.N = out.Col(n.Part).Len()
+	out.Col(n.Part).Int, out.Col(n.Out).Item = settle(e, pc), vc
+	out.N = len(pc)
 	return out, nil
 }
 
@@ -172,7 +163,7 @@ func numberAt(d *ItemVec, i int) float64 {
 }
 
 // aggGroup accumulates one group's aggregate state: pointer-free, so the
-// groups of a chunk live in scratch memory. fn:min/max keep the row of
+// groups live in scratch memory. fn:min/max keep the row of
 // the group's extremum so far.
 type aggGroup struct {
 	part   int64
@@ -183,20 +174,21 @@ type aggGroup struct {
 	row    int32
 }
 
-// aggrRange aggregates rows [lo, hi) by part, returning one (part, value)
-// row per group in first-appearance order. Groups live in one flat slice:
+// aggregate aggregates the rows by part, returning one (part, value) row
+// per group in first-appearance order. Groups live in one flat slice:
 // on clustered input (part non-decreasing, the usual state of an iter
 // column) a group is a run and its ordinal is the run's; otherwise a map
 // assigns the ordinals. Each aggregate is one loop over the typed vectors
 // of its cast argument, polling the stop signal every few thousand rows
-// (a stopped chunk's result is dropped; Run surfaces the error). The part
-// list is scratch memory, the value vector a column of its exact size.
-func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, nums []float64, lo, hi int) ([]int64, ItemVec, error) {
+// (a stopped aggregation returns nothing; Run surfaces the error). The
+// part list is scratch memory, the value vector a column of its exact
+// size.
+func (e *Exec) aggregate(n *Aggr, part []int64, arg *ItemVec, nums []float64) ([]int64, ItemVec, error) {
 	runs, clustered := 0, true
-	for i := lo; i < hi; i++ {
-		if i == lo || part[i] != part[i-1] {
+	for i := range part {
+		if i == 0 || part[i] != part[i-1] {
 			runs++
-			clustered = clustered && (i == lo || part[i] > part[i-1])
+			clustered = clustered && (i == 0 || part[i] > part[i-1])
 		}
 	}
 	var ordinal map[int64]int32 // unclustered input only
@@ -226,11 +218,11 @@ func (e *Exec) aggrRange(n *Aggr, part []int64, arg *ItemVec, nums []float64, lo
 	}
 	isMax := n.Op == AggMax
 	// one kernel dispatch and one poll per block of rows
-	for blo := lo; blo < hi; blo += 8192 {
-		if blo > lo && e.stopRequested() {
+	for blo := 0; blo < len(part); blo += 8192 {
+		if blo > 0 && e.stopRequested() {
 			return nil, ItemVec{}, nil
 		}
-		bhi := min(blo+8192, hi)
+		bhi := min(blo+8192, len(part))
 		switch n.Op {
 		case AggCount:
 			for i := blo; i < bhi; i++ {

@@ -21,21 +21,17 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 	default:
 		e.Stats.HashJoins++
 		ht := e.buildHashTable(rkey)
-		lidx, ridx = e.chunkPairs(l.N, func(lo, hi int) ([]int32, []int32) {
-			var li, ri []int32
-			for i := lo; i < hi; i++ {
-				if (i-lo)&4095 == 4095 && e.stopRequested() {
-					break
-				}
-				for j := ht.first(lkey[i]); j != 0; j = ht.next[j-1] {
-					if rkey[j-1] != lkey[i] {
-						continue // another key of the same bucket
-					}
-					li, ri = append(grown(e, li, 1), int32(i)), append(grown(e, ri, 1), j-1)
-				}
+		for i, k := range lkey {
+			if i&4095 == 4095 && e.stopRequested() {
+				break
 			}
-			return li, ri
-		})
+			for j := ht.first(k); j != 0; j = ht.next[j-1] {
+				if rkey[j-1] != k {
+					continue // another key of the same bucket
+				}
+				lidx, ridx = append(grown(e, lidx, 1), int32(i)), append(grown(e, ridx, 1), j-1)
+			}
+		}
 	}
 	return e.joinGather(l, r, n.LCols, n.RCols, lidx, ridx)
 }
@@ -44,19 +40,18 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 // run base, base+1, … of n rows, so key k pairs row i of keys with row
 // k-base over there, no table needed.
 func (e *Exec) posPairs(keys []int64, base int64, n int) (rows, targets []int32) {
-	return e.chunkPairs(len(keys), func(lo, hi int) ([]int32, []int32) {
-		ri, ti, o := dirty[int32](e, scratchRegion, hi-lo), dirty[int32](e, scratchRegion, hi-lo), 0
-		for i := lo; i < hi; i++ {
-			if (i-lo)&8191 == 8191 && e.stopRequested() {
-				break
-			}
-			if j := keys[i] - base; j >= 0 && j < int64(n) {
-				ri[o], ti[o] = int32(i), int32(j)
-				o++
-			}
+	rows, targets = dirty[int32](e, scratchRegion, len(keys)), dirty[int32](e, scratchRegion, len(keys))
+	o := 0
+	for i, k := range keys {
+		if i&8191 == 8191 && e.stopRequested() {
+			break
 		}
-		return ri[:o], ti[:o]
-	})
+		if j := k - base; j >= 0 && j < int64(n) {
+			rows[o], targets[o] = int32(i), int32(j)
+			o++
+		}
+	}
+	return rows[:o], targets[:o]
 }
 
 func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32) (*Table, error) {
@@ -73,7 +68,7 @@ func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32
 	// outcome of mapping an iteration back to its scope — is shared, not
 	// copied: only gathered columns are materialized
 	lall, rall := identityIdx(lidx, l.N), identityIdx(ridx, r.N)
-	e.forCols(len(lidx), ncols, func(i int) {
+	for i := range out.cols {
 		src, idx, all := r, ridx, rall
 		ref := ColRef{}
 		if i < len(lcols) {
@@ -84,7 +79,7 @@ func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32
 		if out.cols[i] = *src.Col(ref.Src); !all {
 			out.cols[i] = out.cols[i].gatherIn(e, outRegion, idx)
 		}
-	})
+	}
 	return out, nil
 }
 
@@ -162,12 +157,11 @@ func (s *keySet) has(k int64) bool {
 }
 
 // hashTable is a bucket-chained join hash table over the right key
-// column, in scratch memory. Partition w owns the keys with
-// keyPart(k, w) and has its own bucket heads; one next array chains the
-// rows of a bucket in right-input order. Entries are 1 + a row, 0 ends
-// a chain; a bucket may chain rows of several keys.
+// column, in scratch memory: one next array chains the rows of a bucket
+// in right-input order. Entries are 1 + a row, 0 ends a chain; a bucket
+// may chain rows of several keys.
 type hashTable struct {
-	heads [][]int32
+	heads []int32
 	next  []int32
 	shift uint // a key's bucket is the top 64-shift bits of its hash
 }
@@ -175,41 +169,20 @@ type hashTable struct {
 // hashKey is Fibonacci mixing, so dense ascending keys spread evenly.
 func hashKey(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
 
-// keyPart maps a join key to its owning partition.
-func keyPart(k int64, nparts int) int {
-	if nparts == 1 {
-		return 0
-	}
-	return int((hashKey(k) >> 32) % uint64(nparts))
-}
-
 // first returns the head of the chain holding k's rows.
-func (h *hashTable) first(k int64) int32 {
-	return h.heads[keyPart(k, len(h.heads))][hashKey(k)>>h.shift]
-}
+func (h *hashTable) first(k int64) int32 { return h.heads[hashKey(k)>>h.shift] }
 
-// buildHashTable builds the right-side key -> row-chain table, one task
-// per key partition: each task scans the whole key column, last row
-// first, and pushes only the keys it owns onto their buckets, so no
-// merge is needed and every chain is in right-input order whatever the
-// partition count. A small build side has the one partition that owns
-// every key.
+// buildHashTable builds the right-side key -> row-chain table, scanning
+// the key column last row first so every chain is in right-input order.
 func (e *Exec) buildHashTable(rkey []int64) *hashTable {
-	nparts := e.keyPartitions(len(rkey))
-	width := bits.Len(uint(len(rkey) / nparts)) // 2^width buckets per partition
-	h := &hashTable{heads: make([][]int32, nparts), next: dirty[int32](e, scratchRegion, len(rkey)), shift: uint(64 - width)}
-	e.forTasks(nparts, func(w int) {
-		head := zeroed[int32](e, scratchRegion, 1<<width)
-		for j := len(rkey) - 1; j >= 0; j-- {
-			if j&8191 == 0 && e.stopRequested() {
-				break
-			}
-			if k := rkey[j]; keyPart(k, nparts) == w {
-				b := hashKey(k) >> h.shift
-				h.next[j], head[b] = head[b], int32(j)+1
-			}
+	width := bits.Len(uint(len(rkey))) // 2^width buckets
+	h := &hashTable{heads: zeroed[int32](e, scratchRegion, 1<<width), next: dirty[int32](e, scratchRegion, len(rkey)), shift: uint(64 - width)}
+	for j := len(rkey) - 1; j >= 0; j-- {
+		if j&8191 == 0 && e.stopRequested() {
+			break
 		}
-		h.heads[w] = head
-	})
+		b := hashKey(rkey[j]) >> h.shift
+		h.next[j], h.heads[b] = h.heads[b], int32(j)+1
+	}
 	return h
 }

@@ -26,7 +26,7 @@ type stepSeg struct {
 
 // stepSegments cuts the (item, iter)-sorted Step input into per-container
 // runs, skipping atoms (which sort first). With a sharded collection each
-// shard is one segment: the unit of cross-shard parallelism.
+// shard is one segment.
 func stepSegments(items *ItemVec) []stepSeg {
 	var segs []stepSeg
 	for i := 0; i < items.Len(); {
@@ -48,10 +48,10 @@ func stepSegments(items *ItemVec) []stepSeg {
 // that holds attributes, every pair's kind. Self filters the rows in
 // place: a tree node passes the node test, an attribute passes node().
 // Every other axis runs the segment's tree-node rows through
-// scj.StepBlocks with the segment's share (weight of total) of the
-// workers; attribute rows resolve through their owners (ownerAxes, the
-// results merged into the kernel's pairs, duplicates dropped).
-func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, weight, total int64, st *scj.Stats) (scj.Blocks, []xqt.Kind) {
+// scj.StepBlocks; attribute rows resolve through their owners
+// (ownerAxes, the results merged into the kernel's pairs, duplicates
+// dropped).
+func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, st *scj.Stats) (scj.Blocks, []xqt.Kind) {
 	c := e.Pool.Get(s.cont)
 	test := scj.CompileTest(c, n.Test)
 	// the context relation: the run's tree-node rows narrowed to the
@@ -91,8 +91,7 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, wei
 		}
 	}
 	ctx.Pre, ctx.Iter = ctx.Pre[:k], ctx.Iter[:k]
-	budget := int(int64(e.Par.Workers) * weight / total)
-	blocks := scj.StepBlocks(e.Par.Slots, c, ctx, n.Axis, n.Test, n.Variant, budget, e.Par.Threshold, st)
+	blocks := scj.StepBlocks(c, ctx, n.Axis, n.Test, n.Variant, st)
 	if len(owners) == 0 && len(selves) == 0 {
 		return blocks, nil
 	}
@@ -149,38 +148,28 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	segs := stepSegments(items)
 	results := make([]scj.Blocks, len(segs))
 	kinds := make([][]xqt.Kind, len(segs))
-	// Each container run is one task (with a sharded collection, the
-	// unit of cross-shard parallelism), and the worker budget is split
-	// across segments in proportion to their containers' sizes, so a
-	// dominant segment (one huge document next to small shards) keeps
-	// its intra-container range/context partitioning. Context rows are
-	// not the weight because one root row can cover a whole document.
-	// Per-segment stats are summed afterwards; concatenating segment
-	// outputs in segment order gives the same emission order whatever
-	// the task schedule.
-	weights := dirty[int64](e, scratchRegion, len(segs))
-	var weight int64
-	for k, s := range segs {
-		weights[k] = max(int64(e.Pool.Get(s.cont).Len()), 1)
-		weight += weights[k]
-	}
 	defer func() {
 		for k := range results {
 			results[k].Release() // the blocks go back to the pool on every path
 		}
 	}()
-	stats := make([]scj.Stats, len(segs))
-	stop := e.stopFunc()
-	var charge func(int64) bool
+	st := scj.Stats{Stop: e.stopFunc()}
 	if e.Mem != nil {
 		// the emitter's blocks go back to their pool when the step ends:
 		// operator-lifetime bytes
-		charge = func(n int64) bool { return e.metered(scratchRegion, n) }
+		st.Charge = func(n int64) bool { return e.metered(scratchRegion, n) }
 	}
-	e.forTasks(len(segs), func(k int) {
-		stats[k] = scj.Stats{Stop: stop, Charge: charge}
-		results[k], kinds[k] = e.stepSegRun(n, iters, items, segs[k], weights[k], weight, &stats[k])
-	})
+	// concatenating the container runs' outputs in segment order keeps
+	// the (item, iter) order across containers
+	for k := range segs {
+		if e.stopRequested() {
+			break // Run's post-operator checkpoint discards the partial table
+		}
+		results[k], kinds[k] = e.stepSegRun(n, iters, items, segs[k], &st)
+	}
+	e.Stats.Step.Touched += st.Touched
+	e.Stats.Step.Emitted += st.Emitted
+	e.Stats.Step.Pruned += st.Pruned
 	// the pair segments of all container runs with their output offsets;
 	// kinds is nil for a piece of tree nodes
 	type piece struct {
@@ -192,9 +181,6 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	var pieces []piece
 	total, attrs := 0, false
 	for k := range results {
-		e.Stats.Step.Touched += stats[k].Touched
-		e.Stats.Step.Emitted += stats[k].Emitted
-		e.Stats.Step.Pruned += stats[k].Pruned
 		for _, seg := range results[k].Segs {
 			pieces = append(pieces, piece{seg, kinds[k], segs[k].cont, total})
 			total += seg.Len()
@@ -214,8 +200,7 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	}
 	// the single copy of the step result: block pairs widen straight into
 	// the output columns
-	e.forTasks(len(pieces), func(k int) {
-		pc := pieces[k]
+	for _, pc := range pieces {
 		ii, cc, pp := ic.Int[pc.base:], tc.Item.Cont[pc.base:], tc.Item.I[pc.base:]
 		for r, pre := range pc.Pre {
 			ii[r], cc[r], pp[r] = int64(pc.Iter[r]), pc.cont, int64(pre)
@@ -225,7 +210,7 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 		} else if attrs {
 			fillWith(tc.Item.Tags[pc.base:pc.base+pc.Len()], xqt.KNode)
 		}
-	})
+	}
 	out.N = total
 	return out, nil
 }
@@ -236,36 +221,21 @@ func (e *Exec) execAttrStep(n *AttrStep, in *Table) (*Table, error) {
 	if !e.stepInputSorted(in, n.ItemCol, n.IterCol) {
 		return nil, fmt.Errorf("ralg: attribute step input not sorted on (item, iter)")
 	}
-	// newRunAt is the chunk boundary predicate: row i starts a new
-	// run of identical context items
-	newRunAt := func(i int) bool { return items.At(i) != items.At(i-1) }
-	if k, ok := items.Uniform(); ok && (k == xqt.KNode || k == xqt.KAttr) {
-		newRunAt = func(i int) bool {
-			return items.Cont[i] != items.Cont[i-1] || items.I[i] != items.I[i-1]
-		}
-	}
-	// chunks end at identical-item run boundaries: each run is resolved
-	// by one chunk, so concatenating chunk outputs keeps the (attribute,
-	// iter) order
-	rs := e.chunks(in.N, newRunAt)
-	ics, conts, rows := make([][]int64, len(rs)), make([][]int32, len(rs)), make([][]int64, len(rs))
-	e.forChunks(rs, func(k, lo, hi int) {
-		ics[k], conts[k], rows[k] = e.attrStepRange(n, iters, items, lo, hi)
-	})
+	ic, conts, rows := e.attrRows(n, iters, items)
 	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	out.Col("iter").Int = settle(e, ics...)
-	out.N = out.Col("iter").Len()
-	out.Col("item").Item = ItemVec{Tag: xqt.KAttr, n: out.N, Cont: settle(e, conts...), I: settle(e, rows...)}
+	out.Col("iter").Int = settle(e, ic)
+	out.N = len(ic)
+	out.Col("item").Item = ItemVec{Tag: xqt.KAttr, n: out.N, Cont: settle(e, conts), I: settle(e, rows)}
 	return out, nil
 }
 
-// attrStepRange resolves the attribute axis for input rows [lo, hi); lo
-// must start a run of identical context items. The (iter, container,
-// attribute row) lists it returns grow in scratch memory.
-func (e *Exec) attrStepRange(n *AttrStep, iters []int64, items *ItemVec, lo, hi int) (ic []int64, tc []int32, ta []int64) {
-	i := lo
+// attrRows resolves the attribute axis for every input row. The (iter,
+// container, attribute row) lists it returns grow in scratch memory.
+func (e *Exec) attrRows(n *AttrStep, iters []int64, items *ItemVec) (ic []int64, tc []int32, ta []int64) {
+	end := items.Len()
+	i := 0
 	runs := 0
-	for i < hi {
+	for i < end {
 		runs++
 		if runs&4095 == 4095 && e.stopRequested() {
 			break // the caller's partial output is discarded at Run's checkpoint
@@ -277,7 +247,7 @@ func (e *Exec) attrStepRange(n *AttrStep, iters []int64, items *ItemVec, lo, hi 
 		// group the run of identical context nodes so the output stays
 		// (attribute, iter)-ordered
 		j := i
-		for j < hi && items.KindAt(j) == xqt.KNode &&
+		for j < end && items.KindAt(j) == xqt.KNode &&
 			items.Cont[j] == items.Cont[i] && items.I[j] == items.I[i] {
 			j++
 		}

@@ -10,7 +10,6 @@ import (
 
 	"mxq/internal/naive"
 	"mxq/internal/store"
-	"mxq/internal/testutil"
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
@@ -239,7 +238,6 @@ func sameItem(a, b xqt.Item) bool {
 
 func TestFunGridMatchesOracle(t *testing.T) {
 	g := newFunGrid(t)
-	pars := []ParOptions{{}, {Workers: 4, Threshold: 1, Slots: testutil.ForkPool(t, 4)}}
 	seen := map[FunOp]bool{}
 	for _, o := range funGridOps {
 		seen[o.op] = true
@@ -264,33 +262,30 @@ func TestFunGridMatchesOracle(t *testing.T) {
 					}
 					want, codes := g.oracle(t, o.query, args)
 					label := fmt.Sprintf("%s over (%s, %s) safe=%v", o.query, ka, kb, safe)
-					for _, par := range pars {
-						ex := NewExec(g.pool, nil)
-						ex.Par = par
-						out, err := ex.execFun(&Fun{Op: o.op, Args: names, Out: "o"}, tab)
-						if len(codes) > 0 {
-							// some row is an error in the oracle: the column is one here
-							var xe *xqerr.Error
-							if !errors.As(err, &xe) || !codes[xe.Code] {
-								t.Errorf("%s par=%v: err = %v, oracle raises %v", label, par.Workers, err, codes)
-							}
-							continue
+					ex := NewExec(g.pool, nil)
+					out, err := ex.execFun(&Fun{Op: o.op, Args: names, Out: "o"}, tab)
+					if len(codes) > 0 {
+						// some row is an error in the oracle: the column is one here
+						var xe *xqerr.Error
+						if !errors.As(err, &xe) || !codes[xe.Code] {
+							t.Errorf("%s: err = %v, oracle raises %v", label, err, codes)
 						}
-						if err != nil {
-							t.Errorf("%s par=%v: %v", label, par.Workers, err)
-							continue
+						continue
+					}
+					if err != nil {
+						t.Errorf("%s: %v", label, err)
+						continue
+					}
+					oc := out.Col("o")
+					for i, w := range want {
+						got := xqt.Bool(oc.Kind == KBool && oc.Bool[i])
+						if oc.Kind == KItem {
+							got = oc.Item.At(i)
 						}
-						oc := out.Col("o")
-						for i, w := range want {
-							got := xqt.Bool(oc.Kind == KBool && oc.Bool[i])
-							if oc.Kind == KItem {
-								got = oc.Item.At(i)
-							}
-							if !sameItem(got, w) {
-								t.Errorf("%s par=%v row %d (%+v, %+v): got %+v, oracle %+v",
-									label, par.Workers, i, args[0].vals[i].Atom, args[len(args)-1].vals[i].Atom, got, w)
-								break
-							}
+						if !sameItem(got, w) {
+							t.Errorf("%s row %d (%+v, %+v): got %+v, oracle %+v",
+								label, i, args[0].vals[i].Atom, args[len(args)-1].vals[i].Atom, got, w)
+							break
 						}
 					}
 				}

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"mxq/internal/testutil"
 )
 
 // kvTable is the two-column integer table (k, v).
@@ -18,11 +16,9 @@ func kvTable(k, v []int64) *Table {
 
 // The bucket-chained build table must pair every left row with its
 // matching right rows in right-input order — byte for byte what the
-// nested loop yields — on skewed, duplicate-heavy and colliding keys,
-// with one key partition and with several.
+// nested loop yields — on skewed, duplicate-heavy and colliding keys.
 func TestHashJoinSkewedKeysMatchNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	slots := testutil.ForkPool(t, 4)
 	shapes := map[string]func() int64{
 		"hot key":       func() int64 { return int64(rng.Intn(10) / 7 * (1 + rng.Intn(40))) }, // 70 % zeros
 		"few keys":      func() int64 { return int64(rng.Intn(5)) - 2 },
@@ -48,23 +44,18 @@ func TestHashJoinSkewedKeysMatchNestedLoop(t *testing.T) {
 			}
 		}
 		join := &HashJoin{LKey: "k", RKey: "k", LCols: []ColRef{{Src: "v", Dst: "lv"}}, RCols: []ColRef{{Src: "v", Dst: "rv"}}}
-		for _, par := range []ParOptions{{}, {Workers: 4, Threshold: 1, Slots: slots}} {
-			e := &Exec{Par: par}
-			if parts := e.keyPartitions(nr); (par.Workers > 1) != (parts > 1) {
-				t.Fatalf("%s: %d key partitions under %+v", name, parts, par)
-			}
-			out, err := e.execHashJoin(join, kvTable(lk, lv), kvTable(rk, rv))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(out.Ints("lv"), wantL) || !slices.Equal(out.Ints("rv"), wantR) {
-				t.Errorf("%s, %+v: %d pairs differ from the nested loop's %d", name, par, out.N, len(wantL))
-			}
-			if e.Stats.HashJoins != 1 {
-				t.Errorf("%s, %+v: hash joins %d", name, par, e.Stats.HashJoins)
-			}
-			e.Release()
+		e := &Exec{}
+		out, err := e.execHashJoin(join, kvTable(lk, lv), kvTable(rk, rv))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !slices.Equal(out.Ints("lv"), wantL) || !slices.Equal(out.Ints("rv"), wantR) {
+			t.Errorf("%s: %d pairs differ from the nested loop's %d", name, out.N, len(wantL))
+		}
+		if e.Stats.HashJoins != 1 {
+			t.Errorf("%s: hash joins %d", name, e.Stats.HashJoins)
+		}
+		e.Release()
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // what the execution holds and HighWater its peak, in bytes. A request
 // that would pass the limit is refused before it is allocated: the
 // budget latches an exceeded flag that Exec.stopRequested observes
-// exactly like a context cancellation, so sibling workers drain at their
+// exactly like a context cancellation, so the running loop stops at its
 // next poll, and Run surfaces the typed resource-exhausted error.
 //
 // A nil *MemBudget is valid everywhere and means "unlimited": every

@@ -153,7 +153,7 @@ func (p *ParamTable) Name() string { return "param($" + p.Var + ")" }
 // document root nodes, in collection document order: one row per
 // document, pos = 1..N, items ordered by (shard container id, pre). Each
 // shard contributes a contiguous run of context rows, which downstream
-// Step operators evaluate per shard under the worker pool.
+// Step operators evaluate one shard at a time.
 type CollectionRoot struct {
 	nullary
 	Coll string

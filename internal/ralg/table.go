@@ -21,12 +21,8 @@
 // output tables (possibly sharing read-only column payloads with their
 // inputs), so one compiled plan may be executed by any number of Exec
 // instances concurrently, each with its own memo table, statistics and
-// transient container. Within one execution, Exec.Par additionally
-// cuts the input of the hot operators — Step/AttrStep, RowNum, Aggr,
-// Select, Fun, HashJoin build and probe — into chunks run on a bounded
-// goroutine pool, with chunk boundaries aligned to iter/part group
-// runs so the output does not depend on the chunk count (see
-// parallel.go).
+// transient container. One execution runs its operators one after
+// another on the calling goroutine.
 package ralg
 
 import (

@@ -42,12 +42,12 @@ func TestAdmitMemExhausted(t *testing.T) {
 	}
 }
 
-// Cost hints size the reservation down from the per-query default, so
-// small queries pack more densely into the pool.
+// A known cost sizes the reservation down from the per-query default,
+// so small queries pack more densely into the pool.
 func TestMemGrantSizedByCost(t *testing.T) {
 	s := New(Config{MaxConcurrent: 8, MemPerQuery: 64 << 20, MemTotal: 64 << 20})
 	ctx := context.Background()
-	small := Cost{Ops: 5, Rows: 100}
+	small := Cost{Rows: 100, Known: true}
 	g, err := s.Admit(ctx, small)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestSetCostShrinksMem(t *testing.T) {
 	if g.MemLimit() != 64<<20 {
 		t.Fatalf("pre-cost MemLimit = %d, want full default", g.MemLimit())
 	}
-	g.SetCost(Cost{Ops: 3, Rows: 10})
+	g.SetCost(Cost{Rows: 10, Known: true})
 	want := int64(MemFloor + MemPerRow*10)
 	if g.MemLimit() != want {
 		t.Fatalf("post-cost MemLimit = %d, want %d", g.MemLimit(), want)
@@ -86,8 +86,8 @@ func TestSetCostShrinksMem(t *testing.T) {
 	if st := s.Stats(); st.MemInUse != want {
 		t.Fatalf("excess not returned to pool: MemInUse = %d, want %d", st.MemInUse, want)
 	}
-	// huge hints must not grow the reservation past the per-query cap
-	g2, err := s.Admit(ctx, Cost{Rows: 1 << 40})
+	// a huge snapshot must not grow the reservation past the per-query cap
+	g2, err := s.Admit(ctx, Cost{Rows: 1 << 40, Known: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestMemConfigCorners(t *testing.T) {
 	}
 
 	s = New(Config{MaxConcurrent: 4})
-	g, err := s.Admit(ctx, Cost{Rows: 1000})
+	g, err := s.Admit(ctx, Cost{Rows: 1000, Known: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,4 +131,45 @@ func TestMemConfigCorners(t *testing.T) {
 		t.Fatalf("ungoverned MemLimit = %d, want 0", g.MemLimit())
 	}
 	g.Release()
+}
+
+// An engine-level admission over an empty pool knows its snapshot is
+// zero rows: it reserves the MemFloor grant, not the full MemPerQuery —
+// Known, not a non-zero Rows, is what tells it from an admission whose
+// cost is not known yet.
+func TestAdmitKnownEmptySnapshotReservesFloor(t *testing.T) {
+	s := New(Config{MaxConcurrent: 8, MemPerQuery: 64 << 20, MemTotal: 128 << 20})
+	ctx := context.Background()
+	g, err := s.Admit(ctx, Cost{Known: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.MemLimit() != MemFloor {
+		t.Errorf("known empty snapshot: MemLimit = %d, want MemFloor %d", g.MemLimit(), MemFloor)
+	}
+	unknown, err := s.Admit(ctx, Cost{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unknown.MemLimit() != 64<<20 {
+		t.Errorf("unknown cost: MemLimit = %d, want the full MemPerQuery %d", unknown.MemLimit(), 64<<20)
+	}
+	if st := s.Stats(); st.MemInUse != MemFloor+64<<20 {
+		t.Errorf("MemInUse = %d, want %d", st.MemInUse, MemFloor+64<<20)
+	}
+	// a floor larger than MemPerQuery is clamped to it
+	small := New(Config{MemPerQuery: MemFloor / 2, MemTotal: MemFloor})
+	h, err := small.Admit(ctx, Cost{Known: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.MemLimit() != MemFloor/2 {
+		t.Errorf("clamped floor: MemLimit = %d, want %d", h.MemLimit(), MemFloor/2)
+	}
+	h.Release()
+	g.Release()
+	unknown.Release()
+	if st := s.Stats(); st.MemInUse != 0 {
+		t.Errorf("MemInUse = %d after all releases", st.MemInUse)
+	}
 }

@@ -3,57 +3,38 @@ package sched
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
+	"runtime"
 	"testing"
 	"time"
 )
 
+// The zero Config admits 2×GOMAXPROCS executions at once and queues
+// twice that many: the defaults every scheduler built without explicit
+// limits (mxq.NewScheduler, the serving layer's private one) runs with.
 func TestDefaults(t *testing.T) {
-	c := Config{Workers: 4}.withDefaults()
-	if c.MaxConcurrent != 8 {
-		t.Errorf("MaxConcurrent = %d, want 8", c.MaxConcurrent)
+	procs := runtime.GOMAXPROCS(0)
+	c := Config{}.withDefaults()
+	if c.MaxConcurrent != 2*procs {
+		t.Errorf("MaxConcurrent = %d, want 2×GOMAXPROCS = %d", c.MaxConcurrent, 2*procs)
 	}
-	if c.MaxQueue != 16 {
-		t.Errorf("MaxQueue = %d, want 16", c.MaxQueue)
+	if c.MaxQueue != 4*procs {
+		t.Errorf("MaxQueue = %d, want 2×MaxConcurrent = %d", c.MaxQueue, 4*procs)
 	}
-	if c.MaxWorkersPerQuery != 4 {
-		t.Errorf("MaxWorkersPerQuery = %d, want 4", c.MaxWorkersPerQuery)
+	if st := New(Config{}).Stats(); st.MaxConcurrent != 2*procs {
+		t.Errorf("Stats().MaxConcurrent = %d, want %d", st.MaxConcurrent, 2*procs)
 	}
-	if c.RowsPerWorker != DefaultRowsPerWorker {
-		t.Errorf("RowsPerWorker = %d, want %d", c.RowsPerWorker, DefaultRowsPerWorker)
+	// explicit values stay; a negative MaxQueue disables queueing
+	c = Config{MaxConcurrent: 3, MaxQueue: -1}.withDefaults()
+	if c.MaxConcurrent != 3 || c.MaxQueue != -1 {
+		t.Errorf("explicit config = %+v, want MaxConcurrent 3, MaxQueue -1", c)
 	}
-}
-
-func TestBudgetFor(t *testing.T) {
-	s := New(Config{Workers: 8, RowsPerWorker: 1000})
-	cases := []struct {
-		c    Cost
-		want int
-	}{
-		// trivial plan, tiny input: serial
-		{Cost{Ops: 3, Rows: 10}, 1},
-		// join-heavy plan over a large input: wide
-		{Cost{Ops: 64, Joins: 3, Rows: 1 << 20}, 8},
-		// complex plan but tiny input: the data cap wins
-		{Cost{Ops: 200, Joins: 10, Rows: 500}, 1},
-		// moderate plan, moderate input
-		{Cost{Ops: 32, Joins: 1, Rows: 2500}, 3},
-	}
-	for _, tc := range cases {
-		if got := s.budgetFor(tc.c); got != tc.want {
-			t.Errorf("budgetFor(%+v) = %d, want %d", tc.c, got, tc.want)
-		}
-	}
-	// MaxWorkersPerQuery clamps below the pool size.
-	s2 := New(Config{Workers: 8, MaxWorkersPerQuery: 2, RowsPerWorker: 1})
-	if got := s2.budgetFor(Cost{Joins: 10, Rows: 1 << 20}); got != 2 {
-		t.Errorf("clamped budget = %d, want 2", got)
+	if c := (Config{MaxConcurrent: 5}).withDefaults(); c.MaxQueue != 10 {
+		t.Errorf("MaxQueue = %d, want 2×MaxConcurrent = 10", c.MaxQueue)
 	}
 }
 
 func TestAdmitQueueFull(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrent: 1, MaxQueue: -1})
+	s := New(Config{MaxConcurrent: 1, MaxQueue: -1})
 	g, err := s.Admit(context.Background(), Cost{})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +57,7 @@ func TestAdmitQueueFull(t *testing.T) {
 // TestAdmitQueuedCancel: a queued-but-unadmitted request releases its
 // queue position promptly when its context is cancelled.
 func TestAdmitQueuedCancel(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrent: 1, MaxQueue: 4})
+	s := New(Config{MaxConcurrent: 1, MaxQueue: 4})
 	g, err := s.Admit(context.Background(), Cost{})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +93,7 @@ func TestAdmitQueuedCancel(t *testing.T) {
 
 // TestAdmitQueuedWait: a queued admit proceeds when a slot frees.
 func TestAdmitQueuedWait(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrent: 1, MaxQueue: 4})
+	s := New(Config{MaxConcurrent: 1, MaxQueue: 4})
 	g, err := s.Admit(context.Background(), Cost{})
 	if err != nil {
 		t.Fatal(err)
@@ -142,14 +123,14 @@ func TestAdmitQueuedWait(t *testing.T) {
 }
 
 func TestGrantReleaseIdempotent(t *testing.T) {
-	s := New(Config{Workers: 2, MaxConcurrent: 1})
+	s := New(Config{MaxConcurrent: 1})
 	g, err := s.Admit(context.Background(), Cost{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Release()
 	g.Release() // must not double-free the execution slot
-	if st := s.Stats(); st.Running != 0 || st.GrantedBudget != 0 {
+	if st := s.Stats(); st.Running != 0 {
 		t.Errorf("stats after double release = %+v", st)
 	}
 	// The slot is free exactly once: a new admit succeeds, a second queues.
@@ -164,88 +145,30 @@ func TestGrantReleaseIdempotent(t *testing.T) {
 }
 
 func TestSetCostOnce(t *testing.T) {
-	s := New(Config{Workers: 8, RowsPerWorker: 1})
+	s := New(Config{MemPerQuery: 64 << 20})
 	g, err := s.Admit(context.Background(), Cost{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Budget() != 1 {
-		t.Fatalf("initial budget = %d, want 1", g.Budget())
+	defer g.Release()
+	g.SetCost(Cost{Rows: 100, Known: true})
+	want := int64(MemFloor + MemPerRow*100)
+	if g.MemLimit() != want {
+		t.Fatalf("MemLimit after SetCost = %d, want %d", g.MemLimit(), want)
 	}
-	g.SetCost(Cost{Joins: 3, Rows: 1 << 20})
-	if g.Budget() != 4 {
-		t.Fatalf("budget after SetCost = %d, want 4", g.Budget())
+	g.SetCost(Cost{Rows: 1, Known: true}) // first call wins
+	if g.MemLimit() != want {
+		t.Fatalf("MemLimit after second SetCost = %d, want %d", g.MemLimit(), want)
 	}
-	g.SetCost(Cost{Joins: 7, Rows: 1 << 20}) // first call wins
-	if g.Budget() != 4 {
-		t.Fatalf("budget after second SetCost = %d, want 4", g.Budget())
+	// a grant admitted with a known cost is already sized
+	g2, err := s.Admit(context.Background(), Cost{Rows: 100, Known: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := s.Stats(); st.GrantedBudget != 4 {
-		t.Errorf("GrantedBudget = %d, want 4", st.GrantedBudget)
-	}
-	g.Release()
-	if st := s.Stats(); st.GrantedBudget != 0 {
-		t.Errorf("GrantedBudget after release = %d, want 0", st.GrantedBudget)
-	}
-}
-
-// TestSlotPoolBounded hammers the slot pool from many goroutines and
-// checks the pool-wide invariant: slots in use never exceed Workers,
-// and everything is returned at the end.
-func TestSlotPoolBounded(t *testing.T) {
-	const workers = 4
-	s := New(Config{Workers: workers, MaxConcurrent: 64})
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g, err := s.Admit(context.Background(), Cost{})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer g.Release()
-			for j := 0; j < 100; j++ {
-				n := g.AcquireSlots(3)
-				if in := s.Stats().SlotsInUse; in > workers {
-					t.Errorf("SlotsInUse = %d > %d", in, workers)
-				}
-				total.Add(int64(n))
-				g.ReleaseSlots(n)
-			}
-		}()
-	}
-	wg.Wait()
-	st := s.Stats()
-	if st.SlotsInUse != 0 {
-		t.Errorf("SlotsInUse after drain = %d, want 0", st.SlotsInUse)
-	}
-	if st.MaxSlotsInUse > workers {
-		t.Errorf("MaxSlotsInUse = %d > %d", st.MaxSlotsInUse, workers)
-	}
-	if n := s.slots.AcquireSlots(workers + 1); n != workers {
-		t.Errorf("a drained pool hands out %d slots, want all %d", n, workers)
-	}
-	if total.Load() == 0 {
-		t.Error("no slots were ever acquired")
-	}
-}
-
-// TestPoolNeverBlocks: a pool hands out what is free — all of a request
-// it can cover, part of one it cannot, nothing when it is empty or the
-// request is — and a release makes the slots available again.
-func TestPoolNeverBlocks(t *testing.T) {
-	p := NewPool(3)
-	for _, tc := range []struct{ want, got int }{{2, 2}, {0, 0}, {5, 1}, {1, 0}} {
-		if n := p.AcquireSlots(tc.want); n != tc.got {
-			t.Fatalf("AcquireSlots(%d) = %d, want %d", tc.want, n, tc.got)
-		}
-	}
-	p.ReleaseSlots(2)
-	if n := p.AcquireSlots(4); n != 2 || p.InUse() != 3 || p.MaxInUse() != 3 {
-		t.Errorf("after a release: got %d, in use %d, high-water %d; want 2, 3, 3", n, p.InUse(), p.MaxInUse())
+	defer g2.Release()
+	g2.SetCost(Cost{Rows: 1, Known: true})
+	if g2.MemLimit() != want {
+		t.Errorf("SetCost resized a grant admitted with a known cost: %d, want %d", g2.MemLimit(), want)
 	}
 }
 
@@ -256,7 +179,7 @@ func TestGrantFromNilContext(t *testing.T) {
 	if g := GrantFrom(context.Background()); g != nil {
 		t.Errorf("GrantFrom(Background) = %v, want nil", g)
 	}
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	g, err := s.Admit(context.Background(), Cost{})
 	if err != nil {
 		t.Fatal(err)

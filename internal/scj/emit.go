@@ -60,15 +60,11 @@ func (b *Blocks) Release() {
 }
 
 // Pairs flattens the result into one exact-size relation and releases
-// the blocks. A result that already is one unpooled segment (a merged
-// parallel result) is adopted, not copied. The copy is charged to the
-// budget behind st (nil: none) first; refused, the result is empty.
+// the blocks. The copy is charged to the budget behind st (nil: none)
+// first; refused, the result is empty.
 //
 // cancelcheck:exempt memory-bound copies of the segments
 func (b Blocks) Pairs(st *Stats) Pairs {
-	if len(b.Segs) == 1 && len(b.owned) == 0 {
-		return b.Segs[0]
-	}
 	var out Pairs
 	if n := b.Len(); n > 0 && st.charge(n) {
 		out = Pairs{Pre: make([]int32, n), Iter: make([]int32, n)}
@@ -112,7 +108,7 @@ func (b *Blocks) sort() {
 // emitter is the one sink of every kernel: it fills the current block
 // and seals it into out when full. Each sealed block is charged to the
 // step's Stats (8 B per pair), so a runaway step trips the memory budget
-// — and with it Stop — while it is still emitting, serial or parallel.
+// — and with it Stop — while it is still emitting.
 type emitter struct {
 	out      Blocks
 	cur      *block

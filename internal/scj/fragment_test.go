@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mxq/internal/store"
-	"mxq/internal/testutil"
 )
 
 // twoFragContainer builds a container holding two document fragments —
@@ -67,10 +66,5 @@ func TestFollowingPrecedingStayInFragment(t *testing.T) {
 	out := Step(c, ctx, Following, elem, LoopLifted, nil)
 	if fmt.Sprint(out.Pre) != "[3 7]" || fmt.Sprint(out.Iter) != "[1 2]" {
 		t.Errorf("two-fragment following = %v/%v, want [3 7]/[1 2]", out.Pre, out.Iter)
-	}
-	// ParallelStep must agree (context partitioning path)
-	pout := ParallelStep(testutil.ForkPool(t, 4), c, ctx, Following, elem, LoopLifted, 4, 1, nil)
-	if fmt.Sprint(pout.Pre) != fmt.Sprint(out.Pre) || fmt.Sprint(pout.Iter) != fmt.Sprint(out.Iter) {
-		t.Errorf("parallel following = %v/%v, want %v/%v", pout.Pre, pout.Iter, out.Pre, out.Iter)
 	}
 }

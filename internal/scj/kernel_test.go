@@ -4,23 +4,20 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
-	"sync/atomic"
 	"testing"
 
 	"mxq/internal/store"
-	"mxq/internal/testutil"
 	"mxq/internal/xmark"
 )
 
-// checkStep compares one step, in every variant and through every entry
-// (Step, ParallelStep on sl at workers {1, 4} x threshold {1, default}),
-// against the oracle, and checks that every block went back to the pool.
-func checkStep(t *testing.T, sl Slots, label string, c *store.Container, ctx Pairs, axis Axis, test Test) {
+// checkStep compares one step, in every variant, against the oracle,
+// and checks that every block went back to the pool.
+func checkStep(t *testing.T, label string, c *store.Container, ctx Pairs, axis Axis, test Test) {
 	t.Helper()
-	checkStepWant(t, sl, label, c, ctx, axis, test, naiveAxis(c, ctx, axis, test))
+	checkStepWant(t, label, c, ctx, axis, test, naiveAxis(c, ctx, axis, test))
 }
 
-func checkStepWant(t *testing.T, sl Slots, label string, c *store.Container, ctx Pairs, axis Axis, test Test, want Pairs) {
+func checkStepWant(t *testing.T, label string, c *store.Container, ctx Pairs, axis Axis, test Test, want Pairs) {
 	t.Helper()
 	live := liveBlocks.Load()
 	for _, v := range allVariants {
@@ -31,13 +28,6 @@ func checkStepWant(t *testing.T, sl Slots, label string, c *store.Container, ctx
 		}
 		if st.Emitted != int64(want.Len()) {
 			t.Fatalf("%s %v/%v: Emitted = %d, want %d", label, axis, v, st.Emitted, want.Len())
-		}
-		for _, workers := range []int{1, 4} {
-			for _, th := range []int{1, 2048} {
-				if p := ParallelStep(sl, c, ctx, axis, test, v, workers, th, nil); !pairsEqual(p, want) {
-					t.Fatalf("%s %v/%v test=%+v workers=%d threshold=%d: %d pairs, want %d", label, axis, v, test, workers, th, p.Len(), want.Len())
-				}
-			}
 		}
 	}
 	if now := liveBlocks.Load(); now != live {
@@ -76,7 +66,6 @@ func wideDoc(t testing.TB, n int) *store.Container {
 // block, one pair more and several blocks, from one and from two
 // iterations, on every axis that can produce that many pairs.
 func TestBlockBoundaries(t *testing.T) {
-	slots := testutil.ForkPool(t, 4)
 	for _, n := range []int{blockCap - 1, blockCap, blockCap + 1, 2*blockCap + blockCap/2 + 3} {
 		c := wideDoc(t, n)
 		first, last := int32(2), int32(1+n)
@@ -94,7 +83,7 @@ func TestBlockBoundaries(t *testing.T) {
 					ctx.append(tc.pre, it)
 				}
 				for _, test := range []Test{{Kind: TestElem, Name: "x"}} {
-					checkStep(t, slots, fmt.Sprintf("n=%d iters=%v", n, iters), c, ctx, tc.axis, test)
+					checkStep(t, fmt.Sprintf("n=%d iters=%v", n, iters), c, ctx, tc.axis, test)
 				}
 			}
 		}
@@ -110,11 +99,11 @@ func TestBlockBoundaries(t *testing.T) {
 			top.append(p, 1)
 		}
 		label := fmt.Sprintf("n=%d leaves", n)
-		checkStepWant(t, slots, label, c, leaves, Self, Test{Kind: TestElem}, leaves)
-		checkStepWant(t, slots, label, c, leaves, Child, Test{Kind: TestElem}, Pairs{})
-		checkStepWant(t, slots, label, c, leaves, Parent, Test{Kind: TestNode}, Pairs{Pre: []int32{1, 1}, Iter: []int32{0, 1}})
-		checkStepWant(t, slots, label, c, leaves, Ancestor, Test{Kind: TestNode}, top)
-		checkStepWant(t, slots, label, c, leaves, AncestorOrSelf, Test{Kind: TestNode}, MergePairs(top, leaves))
+		checkStepWant(t, label, c, leaves, Self, Test{Kind: TestElem}, leaves)
+		checkStepWant(t, label, c, leaves, Child, Test{Kind: TestElem}, Pairs{})
+		checkStepWant(t, label, c, leaves, Parent, Test{Kind: TestNode}, Pairs{Pre: []int32{1, 1}, Iter: []int32{0, 1}})
+		checkStepWant(t, label, c, leaves, Ancestor, Test{Kind: TestNode}, top)
+		checkStepWant(t, label, c, leaves, AncestorOrSelf, Test{Kind: TestNode}, MergePairs(top, leaves))
 	}
 }
 
@@ -179,12 +168,11 @@ func shallowCopy(t testing.TB, rng *rand.Rand, src *store.Container) *store.Cont
 	return dst
 }
 
-// TestKernelsAgainstOracle runs every axis x variant x entry point over
+// TestKernelsAgainstOracle runs every axis x variant over
 // random trees — plain, and shallow-copy transient containers — with
 // contexts of one, two and many iterations.
 func TestKernelsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	slots := testutil.ForkPool(t, 4)
 	tests := []Test{{Kind: TestNode}, {Kind: TestElem}, {Kind: TestElem, Name: "b"}, {Kind: TestText}}
 	for trial := 0; trial < 24; trial++ {
 		c := randomTree(rng, 120)
@@ -197,7 +185,7 @@ func TestKernelsAgainstOracle(t *testing.T) {
 			ctx := richCtx(rng, c, iters)
 			for _, axis := range allAxes {
 				for _, test := range tests {
-					checkStep(t, slots, fmt.Sprintf("trial %d (%s) iters=%d", trial, kind, iters), c, ctx, axis, test)
+					checkStep(t, fmt.Sprintf("trial %d (%s) iters=%d", trial, kind, iters), c, ctx, axis, test)
 				}
 			}
 		}
@@ -215,7 +203,6 @@ func TestStopMidBlockReturnsBlocks(t *testing.T) {
 		leaves.append(p, 1)
 	}
 	live := liveBlocks.Load()
-	slots := testutil.ForkPool(t, 4)
 	x, r := Test{Kind: TestElem, Name: "x"}, Pairs{Pre: []int32{1}, Iter: []int32{1}}
 	for _, tc := range []struct {
 		ctx  Pairs
@@ -227,15 +214,15 @@ func TestStopMidBlockReturnsBlocks(t *testing.T) {
 		{r, Child, x, LoopLifted}, {r, Child, x, CandidateList}, {leaves, Self, x, LoopLifted},
 		{leaves, AncestorOrSelf, Test{Kind: TestElem}, LoopLifted}, {leaves, PrecedingSibling, x, LoopLifted},
 	} {
-		var polls atomic.Int32 // the forced-parallel run polls from its workers
-		st := Stats{Stop: func() bool { return polls.Add(1) > 1 }}
+		polls := 0
+		st := Stats{Stop: func() bool { polls++; return polls > 1 }}
 		full := Step(c, tc.ctx, tc.axis, tc.test, tc.v, nil)
 		out := Step(c, tc.ctx, tc.axis, tc.test, tc.v, &st)
-		if polls.Load() < 2 || out.Len() >= full.Len() {
-			t.Errorf("%v/%v: Stop fired %d times, %d of %d pairs emitted: not stopped early", tc.axis, tc.v, polls.Load(), out.Len(), full.Len())
+		if polls < 2 || out.Len() >= full.Len() {
+			t.Errorf("%v/%v: Stop fired %d times, %d of %d pairs emitted: not stopped early", tc.axis, tc.v, polls, out.Len(), full.Len())
 		}
-		polls.Store(0)
-		b := StepBlocks(slots, c, tc.ctx, tc.axis, tc.test, tc.v, 4, 1, &st)
+		polls = 0
+		b := StepBlocks(c, tc.ctx, tc.axis, tc.test, tc.v, &st)
 		b.Release()
 		if now := liveBlocks.Load(); now != live {
 			t.Fatalf("%v/%v: %d blocks left outside the pool after a stopped step", tc.axis, tc.v, now-live)

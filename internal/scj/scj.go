@@ -28,11 +28,8 @@
 // a stack of open sibling groups. StepBlocks hands the block list to the
 // caller; Step is the same run flattened into one exact-size Pairs.
 //
-// StepBlocks distributes a step over a bounded goroutine pool — by
-// context chunks or by document ranges — when asked to, producing output
-// identical to the serial run (see parallel.go for the decomposition
-// argument). All variants are read-only with respect to the container,
-// so any number of steps may run concurrently against the same document.
+// All variants are read-only with respect to the container, so any
+// number of steps may run concurrently against the same document.
 package scj
 
 import (
@@ -139,11 +136,10 @@ type Stats struct {
 
 	// Charge, when non-nil, accounts n bytes of pairs against the
 	// execution's memory budget, 8 B per pair: the emitter calls it as
-	// each block fills, on serial and parallel steps alike, so a step is
-	// visible to the budget while it runs, and the flattened and merged
-	// lists ask before they allocate. It must be safe for concurrent
-	// use; an exhausted budget reports through Stop, so the sweeps need
-	// no extra branch. Nil disables accounting.
+	// each block fills, so a step is visible to the budget while it
+	// runs, and the flattened list asks before it allocates. An
+	// exhausted budget reports through Stop, so the sweeps need no extra
+	// branch. Nil disables accounting.
 	Charge func(n int64) bool
 }
 
@@ -183,17 +179,24 @@ const (
 // Step evaluates one location step over ctx against the document encoding
 // of c and returns the result pairs in (pre, iter) order: within each
 // iteration the result is duplicate-free and in document order. It is
-// StepBlocks run serially and flattened.
+// StepBlocks flattened.
 func Step(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, st *Stats) Pairs {
-	return StepBlocks(nil, c, ctx, axis, test, v, 1, 0, st).Pairs(st)
+	return StepBlocks(c, ctx, axis, test, v, st).Pairs(st)
 }
 
-// serialStep runs the kernel of (axis, v) over ctx on the calling
-// goroutine.
-func serialStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, st *Stats) Blocks {
+// StepBlocks is the one entry to the step kernels: it runs the kernel of
+// (axis, v) over ctx and returns the result as the blocks the kernel
+// filled, in (pre, iter) order. The caller copies the segments out and
+// calls Release.
+func StepBlocks(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, st *Stats) Blocks {
+	if st == nil {
+		st = &Stats{}
+	}
 	em := newEmitter(st)
 	runKernel(c, ctx, axis, test, v, em)
-	return em.finish()
+	out := em.finish()
+	st.Emitted += int64(out.Len())
+	return out
 }
 
 func runKernel(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, em *emitter) {
@@ -214,10 +217,8 @@ func runKernel(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, e
 	case Descendant, DescendantOrSelf:
 		if useCand {
 			candDescendant(c, ctx, cand, axis == DescendantOrSelf, em)
-		} else if ctx.Len() > 0 {
-			// the serial sweep is the full-document case of the range
-			// sweep, so serial and range-parallel share one kernel
-			scanDescendantRange(c, ctx, &t, axis == DescendantOrSelf, ctx.Pre[0], int32(c.Len()), em)
+		} else {
+			scanDescendant(c, ctx, &t, axis == DescendantOrSelf, em)
 		}
 	case Self:
 		llSelf(c, ctx, &t, em)
@@ -232,6 +233,101 @@ func runKernel(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, e
 	case FollowingSibling, PrecedingSibling:
 		llSibling(c, ctx, &t, axis == FollowingSibling, em)
 	}
+}
+
+// scanDescendant is the descendant sweep: a context node pushes its
+// region when the scan reaches it, the stretches between context nodes
+// are filtered in bulk, and a gap that no open region covers is skipped
+// to the next context node. With orSelf a context node joins the result
+// of its own iterations too: its region is pushed before the node is
+// tested.
+func scanDescendant(c *store.Container, ctx Pairs, t *nodeTest, orSelf bool, em *emitter) {
+	var rg regions
+	st := em.st
+	n := int32(ctx.Len())
+	if n == 0 {
+		return
+	}
+	nxt := int32(0)
+	for p, end := ctx.Pre[0], int32(c.Len()); p < end; {
+		rg.popBefore(p)
+		if len(rg.frames) == 0 {
+			// skipping: jump to the next context node
+			if nxt >= n {
+				break
+			}
+			p = ctx.Pre[nxt]
+		}
+		if nxt < n && ctx.Pre[nxt] == p {
+			j := runEnd(ctx, nxt, n)
+			if orSelf {
+				st.Pruned += rg.push(ctx.Iter[nxt:j], p+c.Size[p])
+			}
+			if len(rg.active) > 0 {
+				if st.touch(1) {
+					return
+				}
+				if t.match(c, p) {
+					for _, it := range rg.active {
+						em.emit(p, it)
+					}
+				}
+			}
+			if !orSelf {
+				st.Pruned += rg.push(ctx.Iter[nxt:j], p+c.Size[p])
+			}
+			nxt = j
+			p++
+			continue
+		}
+		stop := rg.frames[len(rg.frames)-1].eos
+		if nxt < n {
+			stop = min(stop, ctx.Pre[nxt]-1)
+		}
+		if p = scanStretch(c, t, p, stop, rg.active, em); p < 0 {
+			return
+		}
+	}
+}
+
+// scanStretch emits the matching tuples of [p, stop] — a stretch with no
+// context node and one fixed set of active iterations — and returns the
+// position after it, or -1 when the sweep was stopped. With a single
+// active iteration and a table-only test (the common case) it is a bulk
+// filter straight into the current block: sub-stretches no longer than
+// the block's free space need no capacity check, and each adds its
+// touch count and polls Stop once.
+func scanStretch(c *store.Container, t *nodeTest, p, stop int32, active []int32, em *emitter) int32 {
+	st := em.st
+	if len(active) != 1 || t.name != nil {
+		for ; p <= stop; p++ {
+			if st.touch(1) {
+				return -1
+			}
+			if t.match(c, p) {
+				for _, it := range active {
+					em.emit(p, it)
+				}
+			}
+		}
+		return p
+	}
+	kind, nameID, mask, id, it := c.Kind, c.NameID, t.mask, t.id, active[0]
+	for p <= stop {
+		pre, iter := em.room()
+		from, k := p, 0
+		for end := min(stop, p+int32(len(pre))-1); p <= end; p++ {
+			if mask>>kind[p]&1 != 0 && (id < 0 || nameID[p] == id) {
+				pre[k], iter[k] = p, it
+				k++
+			}
+		}
+		em.fill += k
+		if st.touch(int64(p - from)) {
+			return -1
+		}
+	}
+	return p
 }
 
 // nodeTest is a compiled node test: a bit mask over store.NodeKind plus
@@ -786,7 +882,7 @@ func candChild(c *store.Container, ctx Pairs, cand []int32, em *emitter) {
 }
 
 // MergePairs merges two (pre, iter)-sorted pair lists, dropping pairs
-// present in both (the cross-chunk duplicates of context partitioning).
+// present in both.
 func MergePairs(a, b Pairs) Pairs {
 	out := Pairs{Pre: make([]int32, a.Len()+b.Len()), Iter: make([]int32, a.Len()+b.Len())}
 	i, j, k := 0, 0, 0

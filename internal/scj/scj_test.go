@@ -394,3 +394,13 @@ func TestMergePairs(t *testing.T) {
 		t.Errorf("mergePairs = %s, want %s", pairsString(m), pairsString(want))
 	}
 }
+
+func TestMergePairsExportedDedups(t *testing.T) {
+	a := Pairs{Pre: []int32{1, 3}, Iter: []int32{1, 1}}
+	b := Pairs{Pre: []int32{1, 2}, Iter: []int32{1, 1}}
+	got := MergePairs(a, b)
+	want := Pairs{Pre: []int32{1, 2, 3}, Iter: []int32{1, 1, 1}}
+	if !pairsEqual(got, want) {
+		t.Errorf("got %s want %s", pairsString(got), pairsString(want))
+	}
+}

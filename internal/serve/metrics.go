@@ -104,10 +104,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE mxqd_sched_admitted_total counter\nmxqd_sched_admitted_total %d\n", st.Admitted)
 	fmt.Fprintf(w, "# TYPE mxqd_sched_queue_rejected_total counter\nmxqd_sched_queue_rejected_total %d\n", st.RejectedFull)
 	fmt.Fprintf(w, "# TYPE mxqd_sched_queue_canceled_total counter\nmxqd_sched_queue_canceled_total %d\n", st.CanceledWait)
-	fmt.Fprintf(w, "# TYPE mxqd_sched_pool_workers gauge\nmxqd_sched_pool_workers %d\n", st.Workers)
-	fmt.Fprintf(w, "# TYPE mxqd_sched_slots_in_use gauge\nmxqd_sched_slots_in_use %d\n", st.SlotsInUse)
-	fmt.Fprintf(w, "# TYPE mxqd_sched_slots_in_use_max gauge\nmxqd_sched_slots_in_use_max %d\n", st.MaxSlotsInUse)
-	fmt.Fprintf(w, "# TYPE mxqd_sched_budget_granted gauge\nmxqd_sched_budget_granted %d\n", st.GrantedBudget)
 	fmt.Fprintf(w, "# TYPE mxqd_mem_rejected_total counter\nmxqd_mem_rejected_total %d\n", m.memRejected.Load())
 	fmt.Fprintf(w, "# TYPE mxqd_mem_per_query_bytes gauge\nmxqd_mem_per_query_bytes %d\n", st.MemPerQuery)
 	fmt.Fprintf(w, "# TYPE mxqd_mem_total_bytes gauge\nmxqd_mem_total_bytes %d\n", st.MemTotal)

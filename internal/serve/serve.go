@@ -13,8 +13,8 @@
 // the serialized text is never materialized server-side. Every
 // execution runs under the request's context plus the effective
 // timeout, so client disconnects and deadlines cancel the executor at
-// its operator checkpoints; the fork-join worker pool guarantees no
-// goroutine outlives its request. Static query errors (parse errors
+// its operator checkpoints; an execution runs on its request's
+// goroutine, so none outlives its request. Static query errors (parse errors
 // and the XPST/XQST classes) map to 400, dynamic errors to 500,
 // deadline expiry to 504, and resource exhaustion — a query exceeding
 // its memory budget, or the scheduler's memory pool refusing another
@@ -102,7 +102,7 @@ type Server struct {
 	db    *mxq.DB
 	cfg   Config
 	mux   *http.ServeMux
-	sched *sched.Scheduler // admission + worker pool; never nil
+	sched *sched.Scheduler // admission + memory; never nil
 	now   func() time.Time // statement-eviction clock (tests inject)
 
 	mu     sync.Mutex
@@ -240,8 +240,8 @@ func (s *Server) execContext(r *http.Request, req *queryRequest) (context.Contex
 // — for an execution slot. A full admission queue answers 503
 // immediately; a deadline that expires while queued answers 503 too
 // (the request did no work, so 504 would be misleading). The grant is
-// admitted with no cost hints: the budget is finalized by the
-// execution once the plan is compiled.
+// admitted with no known cost: the execution sizes its memory
+// reservation once the statement is prepared.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (*sched.Grant, bool) {
 	start := time.Now()
 	g, err := s.sched.Admit(ctx, sched.Cost{})

@@ -363,7 +363,7 @@ func TestServerQueryTimeoutOverflow(t *testing.T) {
 
 func testQueryTimeout(t *testing.T, cfg Config, timeoutMS int64) {
 	testutil.CheckGoroutines(t)
-	ts, _ := newTestServer(t, cfg, mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
+	ts, _ := newTestServer(t, cfg)
 	start := time.Now()
 	resp, body := postJSON(t, ts.URL+"/query",
 		map[string]any{"query": slowQuery, "timeout_ms": timeoutMS})
@@ -383,8 +383,9 @@ func testQueryTimeout(t *testing.T, cfg Config, timeoutMS int64) {
 	if hresp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after timeout: %d", hresp.StatusCode)
 	}
-	// the cancelled execution's workers drain; testutil.CheckGoroutines
-	// asserts it at cleanup, after the test server closes its conns
+	// the cancelled execution leaves no goroutine behind;
+	// testutil.CheckGoroutines asserts it at cleanup, after the test
+	// server closes its conns
 }
 
 // TestServerConcurrentSessions hammers one server with N clients × M

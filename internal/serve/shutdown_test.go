@@ -223,7 +223,7 @@ func TestGracefulShutdownInFlight(t *testing.T) {
 // TestShutdownDeadlineHonored checks the other half of the contract: a
 // request that outlives the shutdown context makes Shutdown return
 // DeadlineExceeded instead of hanging, and Close then tears the
-// connection down so the executor's cancellation drains the workers.
+// connection down so the executor's cancellation ends the execution.
 func TestShutdownDeadlineHonored(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	db := mxq.Open()

@@ -363,7 +363,7 @@ func (p *Pool) Holds(id int32) bool {
 }
 
 // Rows sums the structural row counts of every registered container: the
-// snapshot input size the scheduler's worker-budget heuristic scales with.
+// snapshot input size the scheduler's memory reservation scales with.
 func (p *Pool) Rows() int64 {
 	var n int64
 	for _, c := range p.containers {

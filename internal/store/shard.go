@@ -2,9 +2,8 @@
 // across K shard containers. Each shard container holds many document
 // fragments (one StartDoc..End fragment per document), so one corpus uses
 // K containers instead of one container per document — downstream
-// staircase joins then evaluate per shard, giving `collection()`-heavy
-// workloads K-way parallelism, and loading itself parallelizes because
-// every shard has its own Builder.
+// staircase joins then evaluate per shard, and loading parallelizes
+// because every shard has its own Builder.
 //
 // Documents are assigned to shards by a hash of the document name
 // (ShardOf), so shard membership is stable across loads and independent

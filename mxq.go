@@ -51,8 +51,7 @@ import (
 // DB is an XQuery engine instance holding its loaded documents. It is
 // safe for concurrent use: any number of goroutines may call Query (and
 // load further documents) on one DB; each query runs against a snapshot
-// of the loaded documents with its own transient state. WithParallel
-// additionally parallelizes the execution of each single query.
+// of the loaded documents with its own transient state.
 type DB struct {
 	eng *core.Engine
 }
@@ -94,49 +93,35 @@ func WithNametestPushdown(on bool) Option {
 	return func(c *core.Config) { c.Compiler.NametestPushdown = on }
 }
 
-// WithParallel toggles intra-query parallel execution (off by default):
-// staircase-join steps, row numbering, aggregation, selection, row-wise
-// functions and hash joins partition their inputs across worker
-// goroutines drawn from a slot pool: the DB's own (GOMAXPROCS slots,
-// shared by all its executions) unless WithScheduler installs one.
-// Results are byte-identical to serial execution.
-func WithParallel(on bool) Option {
-	return func(c *core.Config) { c.Parallel = on }
-}
+// WithParallel has no effect: every query runs serially on the
+// goroutine that executes it.
+//
+// Deprecated: intra-query parallelism was removed. The option remains
+// only because bench/workload.go still passes it; it goes once that
+// call is gone.
+func WithParallel(on bool) Option { return func(*core.Config) {} }
 
-// WithWorkers bounds an execution's parallel workers, and without a
-// scheduler the DB's slot pool, to n (implies WithParallel when n > 1);
-// 0 restores the GOMAXPROCS default.
-func WithWorkers(n int) Option {
-	return func(c *core.Config) {
-		c.Workers = n
-		if n > 1 {
-			c.Parallel = true
-		}
-	}
-}
-
-// WithParallelThreshold sets the minimum operator input size at which
-// parallel execution kicks in (0 keeps the default; 1 forces every
-// operator onto the chunked code paths — useful for testing).
-func WithParallelThreshold(n int) Option {
-	return func(c *core.Config) { c.ParallelThreshold = n }
-}
+// WithWorkers has no effect: every query runs serially on the goroutine
+// that executes it.
+//
+// Deprecated: intra-query parallelism was removed. The option remains
+// only because bench/workload.go still passes it; it goes once that
+// call is gone.
+func WithWorkers(n int) Option { return func(*core.Config) {} }
 
 // Scheduler is the global query scheduler: admission control over
-// concurrent executions plus one bounded worker-slot pool they all
-// share, so N in-flight queries never claim N×cores goroutines. Build
-// one with NewScheduler and install it with WithScheduler; one
-// scheduler may serve several DBs.
+// concurrent executions and their memory. Build one with NewScheduler
+// and install it with WithScheduler; one scheduler may serve several
+// DBs.
 type Scheduler = sched.Scheduler
 
 // SchedulerConfig sizes a Scheduler; zero fields pick the documented
-// defaults (pool = GOMAXPROCS workers, 2×pool concurrent executions,
-// 2×that queued admissions).
+// defaults (2×GOMAXPROCS concurrent executions, 2×that queued
+// admissions, no memory limit).
 type SchedulerConfig = sched.Config
 
 // SchedulerStats is a point-in-time snapshot of a scheduler's
-// admission and pool counters.
+// admission and memory counters.
 type SchedulerStats = sched.Stats
 
 // ErrQueueFull is returned by a scheduled execution when the
@@ -155,11 +140,8 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler { return sched.New(cfg) }
 
 // WithScheduler runs the DB's executions under a global query
 // scheduler: every execution admits itself (bounded concurrency with
-// deadline-aware queueing) and draws its parallel workers from the
-// scheduler's shared slot pool under a budget derived from the plan's
-// cost hints. Combine with WithParallel; serial execution under a
-// scheduler still gets admission control, just with budget 1. The
-// scheduler is also the one place a per-query memory limit is set
+// deadline-aware queueing). The scheduler is also the one place a
+// per-query memory limit is set
 // (SchedulerConfig.MemPerQuery/MemTotal): an over-budget execution
 // aborts with a typed resource-exhausted QueryError (see
 // IsResourceLimit), never a partial result. Without a scheduler,
@@ -209,8 +191,7 @@ func DocString(name, xml string) Doc { return Doc{Name: name, R: strings.NewRead
 // LoadCollection shreds the given documents into a sharded collection:
 // the corpus is partitioned across `shards` containers by a hash of each
 // document name, and shard containers load concurrently. The collection
-// is queried with collection(name); each shard's documents are evaluated
-// in parallel under WithParallel. Collection documents are not
+// is queried with collection(name). Collection documents are not
 // individually addressable via doc().
 func (db *DB) LoadCollection(name string, shards int, docs ...Doc) error {
 	cds := make([]core.CollectionDoc, len(docs))

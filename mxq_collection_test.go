@@ -30,45 +30,40 @@ var collectionQueries = []string{
 }
 
 // buildCollectionWorld loads an ndocs XMark corpus as a sharded
-// collection into serial and forced-parallel relational engines and
-// mirrors it — in the relational collection's document order — into the
-// naive oracle.
-func buildCollectionWorld(t testing.TB, factor float64, ndocs, shards int) (serial, par *mxq.DB, oracle *naive.Interp) {
+// collection into a relational engine and mirrors it — in the relational
+// collection's document order — into the naive oracle.
+func buildCollectionWorld(t testing.TB, factor float64, ndocs, shards int) (db *mxq.DB, oracle *naive.Interp) {
 	t.Helper()
-	serial = mxq.Open()
-	par = mxq.Open(mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
-	seeds := serial.LoadXMarkCollection("xm", ndocs, shards, factor, 7)
-	par.LoadXMarkCollection("xm", ndocs, shards, factor, 7)
+	db = mxq.Open()
+	seeds := db.LoadXMarkCollection("xm", ndocs, shards, factor, 7)
 	oracle = naive.New()
-	order, ok := serial.CollectionDocs("xm")
+	order, ok := db.CollectionDocs("xm")
 	if !ok {
 		t.Fatal("collection xm not registered")
 	}
 	for _, d := range order {
 		oracle.AddCollectionDOM("xm", xmark.NewDOM(factor, seeds[d], oracle.OrdCounter()))
 	}
-	return serial, par, oracle
+	return db, oracle
 }
 
 // TestCollectionDifferential: collection() over an N-document sharded
 // corpus must return results byte-identical to the naive oracle holding
-// the same documents, under both serial and forced-parallel execution.
+// the same documents.
 func TestCollectionDifferential(t *testing.T) {
-	serial, par, oracle := buildCollectionWorld(t, 0.001, 5, 2)
+	db, oracle := buildCollectionWorld(t, 0.001, 5, 2)
 	for _, q := range collectionQueries {
 		want, err := oracle.QueryString(q)
 		if err != nil {
 			t.Fatalf("oracle %s: %v", q, err)
 		}
-		for name, db := range map[string]*mxq.DB{"serial": serial, "parallel": par} {
-			got, err := db.QueryString(q)
-			if err != nil {
-				t.Errorf("[%s] %s: %v", name, q, err)
-				continue
-			}
-			if got != want {
-				t.Errorf("[%s] %s:\n got  %q\n want %q", name, q, got, want)
-			}
+		got, err := db.QueryString(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		if got != want {
+			t.Errorf("%s:\n got  %q\n want %q", q, got, want)
 		}
 	}
 }
@@ -247,12 +242,12 @@ func TestBindNodesAcrossAddToCollection(t *testing.T) {
 	}
 }
 
-// TestCollectionConcurrency: concurrent collection queries (parallel
-// execution on) racing against AddToCollection writers must stay
-// race-clean and always observe a consistent snapshot (count is one of
-// the valid corpus sizes, never torn).
+// TestCollectionConcurrency: concurrent collection queries racing
+// against AddToCollection writers must stay race-clean and always
+// observe a consistent snapshot (count is one of the valid corpus sizes,
+// never torn).
 func TestCollectionConcurrency(t *testing.T) {
-	db := mxq.Open(mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
+	db := mxq.Open()
 	if err := db.LoadCollection("c", 3,
 		mxq.DocString("a.xml", `<d><n>1</n></d>`),
 		mxq.DocString("b.xml", `<d><n>2</n></d>`),

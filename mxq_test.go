@@ -2,6 +2,7 @@ package mxq
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -97,5 +98,73 @@ func TestQueryErrorsSurface(t *testing.T) {
 	}
 	if _, err := db.Query(`exactly-one(())`); err == nil {
 		t.Error("runtime error not surfaced")
+	}
+}
+
+const siteDoc = `<site><regions><europe><item id="i0"><name>chair</name></item><item id="i1"><name>table</name></item></europe></regions><people><person id="p0"><name>Ada</name></person><person id="p1"><name>Bob</name></person></people></site>`
+
+// One DB, many goroutines: every query runs against its own snapshot
+// with its own transient state.
+func TestConcurrentDBUse(t *testing.T) {
+	db := Open()
+	if err := db.LoadDocumentString("site.xml", siteDoc); err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]string{
+		`count(//item)`:                      "2",
+		`/site/people/person[1]/name/text()`: "Ada",
+		`for $p in //person return $p/@id`:   `id="p0"id="p1"`,
+		`<n c="{count(//person)}"/>`:         `<n c="2"/>`,
+		`count(//name)`:                      "4",
+	}
+	var wg sync.WaitGroup
+	for q, want := range queries {
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(q, want string) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					got, err := db.QueryString(q)
+					if err != nil {
+						t.Errorf("%s: %v", q, err)
+						return
+					}
+					if got != want {
+						t.Errorf("%s: got %q, want %q", q, got, want)
+						return
+					}
+				}
+			}(q, want)
+		}
+	}
+	wg.Wait()
+}
+
+// The deprecated WithParallel and WithWorkers options are accepted and
+// change no result.
+func TestParallelOptionMatchesSerial(t *testing.T) {
+	serial := Open()
+	par := Open(WithParallel(true), WithWorkers(3))
+	for _, db := range []*DB{serial, par} {
+		if err := db.LoadDocumentString("site.xml", siteDoc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		`//item/name/text()`,
+		`for $p in //person order by $p/name/text() descending return $p/name/text()`,
+		`count(//item[@id = "i1"])`,
+	} {
+		a, err := serial.QueryString(q)
+		if err != nil {
+			t.Fatalf("serial %s: %v", q, err)
+		}
+		b, err := par.QueryString(q)
+		if err != nil {
+			t.Fatalf("with the deprecated options %s: %v", q, err)
+		}
+		if a != b {
+			t.Errorf("%s: %q without the deprecated options, %q with them", q, a, b)
+		}
 	}
 }

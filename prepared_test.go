@@ -82,7 +82,7 @@ func TestCountedThetaJoinsEmitNoPairs(t *testing.T) {
 // goroutines, each chaining its own Bind — the immutable-handle
 // contract of the public API (race-clean under `go test -race`).
 func TestStmtConcurrentBinders(t *testing.T) {
-	db := mxq.Open(mxq.WithParallel(true))
+	db := mxq.Open()
 	db.LoadXMark("auction.xml", 0.002, 3)
 	stmt, err := db.Prepare(`declare variable $k external;
 		declare variable $tag external := "person";

@@ -239,33 +239,15 @@ func TestSpecConformanceRelational(t *testing.T) {
 	}
 }
 
-// TestSpecConformanceRelationalParallel runs the same suite through the
-// parallel executor (forced workers, threshold 1) — the typed-vector
-// kernels must produce spec-conformant output on the chunked paths too.
-func TestSpecConformanceRelationalParallel(t *testing.T) {
-	db := mxq.Open(mxq.WithWorkers(4))
-	db.Engine() // ensure construction
-	loadSpecDocs(t, db.LoadDocumentString)
-	for _, c := range specCases {
-		got, err := db.QueryString(c.query)
-		checkSpec(t, "", c.name, c.query, c.want, got, err)
-	}
-}
-
 // TestSpecConformanceNoJoinRecognition runs the suite on the plans the
 // compiler emits without join recognition (selections over Cartesian
 // products, not existential joins): both plan shapes must conform.
 func TestSpecConformanceNoJoinRecognition(t *testing.T) {
-	for name, opts := range map[string][]mxq.Option{
-		"serial":   {mxq.WithJoinRecognition(false)},
-		"parallel": {mxq.WithJoinRecognition(false), mxq.WithWorkers(4)},
-	} {
-		db := mxq.Open(opts...)
-		loadSpecDocs(t, db.LoadDocumentString)
-		for _, c := range specCases {
-			got, err := db.QueryString(c.query)
-			checkSpec(t, name+": ", c.name, c.query, c.want, got, err)
-		}
+	db := mxq.Open(mxq.WithJoinRecognition(false))
+	loadSpecDocs(t, db.LoadDocumentString)
+	for _, c := range specCases {
+		got, err := db.QueryString(c.query)
+		checkSpec(t, "", c.name, c.query, c.want, got, err)
 	}
 }
 
@@ -282,8 +264,8 @@ func TestSpecConformanceNaive(t *testing.T) {
 
 // The doc/collection suite runs a fixed corpus — one context document,
 // one doc()-addressable document, and a three-document collection
-// sharded across two containers — through the serial relational engine,
-// the forced-parallel relational engine, and the naive interpreter.
+// sharded across two containers — through the relational engine and the
+// naive interpreter.
 // Expected values (and expected error codes, marked by a "FODC" prefix in
 // want) come from the XQuery 1.0 / F&O specs: FODC0002 for an
 // unavailable document, FODC0004 for an unavailable collection.
@@ -384,7 +366,6 @@ func TestSpecConformanceDocCollection(t *testing.T) {
 		return db
 	}
 	serial := mkDB()
-	par := mkDB(mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
 
 	oracle := naive.New()
 	if err := oracle.LoadXML("spec.xml", strings.NewReader(specDoc)); err != nil {
@@ -404,7 +385,6 @@ func TestSpecConformanceDocCollection(t *testing.T) {
 	}
 
 	checkDocColl(t, "serial", order, serial.QueryString)
-	checkDocColl(t, "parallel", order, par.QueryString)
 	checkDocColl(t, "naive", order, oracle.QueryString)
 }
 
@@ -416,9 +396,8 @@ func TestSpecConformanceDocCollection(t *testing.T) {
 // XQST0049 for duplicate declarations, XPDY0002 for executing with a
 // required external unbound, and XPTY0004 for binding a multi-item
 // sequence where the declaration's default implies a single item.
-// Every case runs on the serial relational engine, the forced-parallel
-// relational engine and the naive interpreter — all three must raise
-// the same code.
+// Every case runs on the relational engine and the naive interpreter —
+// both must raise the same code.
 var externalVarErrorCases = []struct {
 	name  string
 	query string
@@ -440,17 +419,13 @@ var externalVarErrorCases = []struct {
 
 func TestExternalVarErrorsAllEngines(t *testing.T) {
 	serial := mxq.Open()
-	parallel := mxq.Open(mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
-	for _, db := range []*mxq.DB{serial, parallel} {
-		if err := db.LoadDocumentString("spec.xml", specDoc); err != nil {
-			t.Fatal(err)
-		}
+	if err := serial.LoadDocumentString("spec.xml", specDoc); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range externalVarErrorCases {
 		rb := relBindings(c.binds)
 		for label, run := range map[string]func() (string, error){
-			"serial":   func() (string, error) { return queryBound(serial, c.query, rb) },
-			"parallel": func() (string, error) { return queryBound(parallel, c.query, rb) },
+			"serial": func() (string, error) { return queryBound(serial, c.query, rb) },
 			"naive": func() (string, error) {
 				in := naive.New()
 				if err := in.LoadXML("spec.xml", strings.NewReader(specDoc)); err != nil {
@@ -473,15 +448,12 @@ func TestExternalVarErrorsAllEngines(t *testing.T) {
 
 // TestExternalVarPositiveAllEngines pins the non-error side of the
 // same surface: defaults apply when unbound, bindings override
-// defaults, globals see earlier declarations, and all three engines
+// defaults, globals see earlier declarations, and both engines
 // serialize identically.
 func TestExternalVarPositiveAllEngines(t *testing.T) {
 	serial := mxq.Open()
-	parallel := mxq.Open(mxq.WithWorkers(4), mxq.WithParallelThreshold(1))
-	for _, db := range []*mxq.DB{serial, parallel} {
-		if err := db.LoadDocumentString("spec.xml", specDoc); err != nil {
-			t.Fatal(err)
-		}
+	if err := serial.LoadDocumentString("spec.xml", specDoc); err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name  string
@@ -512,17 +484,16 @@ func TestExternalVarPositiveAllEngines(t *testing.T) {
 	for _, c := range cases {
 		rb := relBindings(c.binds)
 		gotS, errS := queryBound(serial, c.query, rb)
-		gotP, errP := queryBound(parallel, c.query, rb)
 		in := naive.New()
 		if err := in.LoadXML("spec.xml", strings.NewReader(specDoc)); err != nil {
 			t.Fatal(err)
 		}
 		gotN, errN := in.QueryStringBound(c.query, naiveBindings(c.binds))
-		if errS != nil || errP != nil || errN != nil {
-			t.Errorf("%s: errors serial=%v parallel=%v naive=%v", c.name, errS, errP, errN)
+		if errS != nil || errN != nil {
+			t.Errorf("%s: errors serial=%v naive=%v", c.name, errS, errN)
 			continue
 		}
-		for label, got := range map[string]string{"serial": gotS, "parallel": gotP, "naive": gotN} {
+		for label, got := range map[string]string{"serial": gotS, "naive": gotN} {
 			if got != c.want {
 				t.Errorf("%s [%s]: got %q, want %q", c.name, label, got, c.want)
 			}

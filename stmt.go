@@ -148,8 +148,6 @@ func (s *Stmt) Exec() (*Result, error) {
 // ExecContext is Exec under a context: a deadline or cancellation that
 // fires mid-execution makes the executor abandon its work at the next
 // operator checkpoint and return ctx.Err() — never a partial result.
-// All parallel workers of the execution have drained by the time it
-// returns.
 func (s *Stmt) ExecContext(ctx context.Context) (*Result, error) {
 	r, err := s.p.ExecuteContext(ctx, s.binds)
 	if err != nil {
