@@ -641,7 +641,6 @@ func (in *Interp) axisStep(ctx []Val, s xqp.Step, env *scope) ([]Val, error) {
 
 func (in *Interp) applyPreds(seq []Val, preds []xqp.Expr, reverse bool, env *scope) ([]Val, error) {
 	for _, pred := range preds {
-		positional := xqp.PredIsPositional(pred)
 		var kept []Val
 		for i, v := range seq {
 			pos := i + 1
@@ -653,18 +652,17 @@ func (in *Interp) applyPreds(seq []Val, preds []xqp.Expr, reverse bool, env *sco
 			pe.ctxItem = &vv
 			pe.ctxPos = pos
 			pe.ctxSize = len(seq)
-			if positional {
-				pv, err := in.eval(pred, pe)
-				if err != nil {
-					return nil, err
-				}
-				if len(pv) == 1 && pv[0].Atomize().AsDouble() == float64(pos) {
-					kept = append(kept, v)
-				}
-				continue
-			}
-			ok, err := in.evalEBV(pred, pe)
+			pv, err := in.eval(pred, pe)
 			if err != nil {
+				return nil, err
+			}
+			// the predicate truth value (XQuery 1.0 §3.2.2): a numeric
+			// singleton holds at its own position, anything else by its
+			// effective boolean value
+			ok := false
+			if len(pv) == 1 && !pv[0].IsNode() && (pv[0].Atom.K == xqt.KInt || pv[0].Atom.K == xqt.KDouble) {
+				ok = pv[0].Atom.AsDouble() == float64(pos)
+			} else if ok, err = ebv(pv); err != nil {
 				return nil, err
 			}
 			if ok {

@@ -118,7 +118,9 @@ func identityDigest() string {
 // compiler's plans changed on purpose (the NaN filter of the Fig. 8(b)
 // reduction: 57 texts; the count plans of fn:count over a FLWOR: 4;
 // paths chained in staircase order, with const(iter) kept through each
-// step and reverse-axis positions numbered descending: 1 241).
+// step and reverse-axis positions numbered descending: 1 241; conditions
+// compiled to the iteration sets where they hold, and predicates that
+// are not provably conditions given their items' positions: 780).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")

@@ -321,7 +321,7 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		}
 		pr.dense, pr.key, pr.cnst = carry(pr.dense, in.dense, m), carry(pr.key, in.key, m), carry(pr.cnst, in.cnst, m)
 	case *ralg.EBV:
-		// one row per group, groups in input order
+		// one row per true group, groups in input order
 		if part := o.ord(n.Part); ins[0].covers(part) {
 			o.addOrd(pr, part)
 		}

@@ -125,9 +125,6 @@ func opLabel(n ralg.Plan) string {
 	case *ralg.Attach:
 		return fmt.Sprintf("attach(%s:%s)", x.Col, kindStr(x.Kind))
 	case *ralg.Select:
-		if x.Neg {
-			return fmt.Sprintf("select(!%s)", x.Cond)
-		}
 		return fmt.Sprintf("select(%s)", x.Cond)
 	case *ralg.Fun:
 		name := fmt.Sprintf("fun(%d)", x.Op)
@@ -200,7 +197,10 @@ func opLabel(n ralg.Plan) string {
 	case *ralg.CoverCheck:
 		return fmt.Sprintf("covercheck(%s ⊇ %s, %s)", x.Part, x.LoopIter, x.Fn)
 	case *ralg.EBV:
-		return fmt.Sprintf("ebv(%s := %s part %s)", x.Out, x.Item, x.Part)
+		if x.Pos != "" {
+			return fmt.Sprintf("ebv(%s part %s at %s)", x.Item, x.Part, x.Pos)
+		}
+		return fmt.Sprintf("ebv(%s part %s)", x.Item, x.Part)
 	case *ralg.CardCheck:
 		return fmt.Sprintf("cardcheck(part %s, %s)", x.Part, x.Fn)
 	case *ralg.Fail:

@@ -494,12 +494,11 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		in := v.sch(n, 0)
 		v.need(n, in, "partition", x.Part, ralg.KInt)
 		v.need(n, in, "item", x.Item, ralg.KItem)
-		if x.Out == x.Part {
-			v.failf(n, "output column %q collides with the partition column", x.Out)
+		if x.Pos != "" {
+			v.need(n, in, "position", x.Pos, ralg.KInt)
 		}
 		s := newSchema()
 		s.add(x.Part, ColInfo{Kind: ralg.KInt})
-		s.add(x.Out, ColInfo{Kind: ralg.KBool})
 		cp := newColProps()
 		cp.key[x.Part] = true
 		return s, cp
@@ -754,7 +753,7 @@ func (v *verifier) checkAttach(x *ralg.Attach) (*Schema, *colProps) {
 	s := in.clone()
 	ci := ColInfo{Kind: x.Kind}
 	switch x.Kind {
-	case ralg.KInt, ralg.KBool:
+	case ralg.KInt:
 	case ralg.KItem:
 		ci.Tag, ci.TagKnown = x.It.K, true
 		ci.Node = x.It.IsNode()
@@ -770,11 +769,11 @@ func (v *verifier) checkAttach(x *ralg.Attach) (*Schema, *colProps) {
 }
 
 // funSpec describes one row-wise function: argument count, argument
-// kind ("" = any of int/bool/item — the comparisons), output kind.
+// kind ("item", or "" for int or item — the comparisons), output kind.
 type funSpec struct {
 	name  string
 	arity int
-	arg   string // "item", "bool", or "" for any
+	arg   string
 	out   ralg.ColKind
 	tag   xqt.Kind // uniform output tag when out == KItem and tagKnown
 	known bool
@@ -794,9 +793,6 @@ var funSpecs = map[ralg.FunOp]funSpec{
 	ralg.FunLe:         {"le", 2, "", ralg.KBool, 0, false},
 	ralg.FunGt:         {"gt", 2, "", ralg.KBool, 0, false},
 	ralg.FunGe:         {"ge", 2, "", ralg.KBool, 0, false},
-	ralg.FunAnd:        {"and", 2, "bool", ralg.KBool, 0, false},
-	ralg.FunOr:         {"or", 2, "bool", ralg.KBool, 0, false},
-	ralg.FunNot:        {"not", 1, "bool", ralg.KBool, 0, false},
 	ralg.FunAtomize:    {"atomize", 1, "item", ralg.KItem, 0, false},
 	ralg.FunStringOf:   {"string", 1, "item", ralg.KItem, xqt.KString, true},
 	ralg.FunNumber:     {"number", 1, "item", ralg.KItem, xqt.KDouble, true},
@@ -807,7 +803,6 @@ var funSpecs = map[ralg.FunOp]funSpec{
 	ralg.FunNodeAfter:  {"node-after", 2, "item", ralg.KBool, 0, false},
 	ralg.FunNodeIs:     {"node-is", 2, "item", ralg.KBool, 0, false},
 	ralg.FunNameOf:     {"name", 1, "item", ralg.KItem, xqt.KString, true},
-	ralg.FunIsNumeric:  {"is-numeric", 1, "item", ralg.KBool, 0, false},
 	ralg.FunEbvAtom:    {"ebv-atom", 1, "item", ralg.KBool, 0, false},
 	ralg.FunFloor:      {"floor", 1, "item", ralg.KItem, xqt.KDouble, true},
 	ralg.FunCeil:       {"ceiling", 1, "item", ralg.KItem, xqt.KDouble, true},
@@ -835,20 +830,15 @@ func (v *verifier) checkFun(x *ralg.Fun) (*Schema, *colProps) {
 			v.failf(x, "%s argument %q not in input schema %v", spec.name, a, in.Cols())
 			return nil, nil
 		}
-		got := in.Info(a).Kind
-		switch spec.arg {
-		case "item":
-			// non-comparison fallbacks materialize only item columns, so
-			// an int/bool argument would dereference a nil vector
-			if got != ralg.KItem {
-				v.failf(x, "%s argument %q has kind %s, want item", spec.name, a, kindStr(got))
-				return nil, nil
-			}
-		case "bool":
-			if got != ralg.KBool {
-				v.failf(x, "%s argument %q has kind %s, want bool", spec.name, a, kindStr(got))
-				return nil, nil
-			}
+		// the kernels read int and item columns, and the
+		// non-comparisons only item columns
+		want := "int or item"
+		if spec.arg == "item" {
+			want = "item"
+		}
+		if got := in.Info(a).Kind; got == ralg.KBool || spec.arg == "item" && got != ralg.KItem {
+			v.failf(x, "%s argument %q has kind %s, want %s", spec.name, a, kindStr(got), want)
+			return nil, nil
 		}
 	}
 	s := in.clone()

@@ -142,9 +142,9 @@ func TestProjectMissingSource(t *testing.T) {
 }
 
 func TestFunArgumentKinds(t *testing.T) {
-	// corrupt: and() over item columns (executor reads the bool vectors)
-	f := ralg.NewFun(itemLit(2), ralg.FunAnd, "out", "item", "item")
-	wantViolation(t, f, Config{}, f.Name(), "want bool")
+	// corrupt: a comparison over a bool column (no kernel reads one)
+	cmp := ralg.NewFun(ralg.NewFun(itemLit(2), ralg.FunEq, "b", "item", "item"), ralg.FunEq, "out", "b", "b")
+	wantViolation(t, cmp, Config{}, cmp.Name(), "want int or item")
 
 	// corrupt: arithmetic over the raw int iter column (the
 	// non-comparison fallback materializes only item columns)

@@ -92,7 +92,7 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 		"elem":        &ElemConstruct{Loop: loop, Content: content, Tag: "r"},
 		"union":       &Union{Ins: []Plan{lit(ints), lit(mixed), lit(doubles)}},
 		"select-fun":  &Select{unary: unary{In: NewFun(AttachItem(lit(doubles), "c", xqt.Double(50)), FunLt, "b", "item", "c")}, Cond: "b"},
-		"ebv":         &EBV{unary: unary{In: NewProject(&RowNum{unary: unary{In: lit(ints)}, Out: "n"}, "n->iter", "item")}, Part: "iter", Item: "item", Out: "b"},
+		"ebv":         &EBV{unary: unary{In: NewProject(&RowNum{unary: unary{In: lit(ints)}, Out: "n"}, "n->iter", "item")}, Part: "iter", Item: "item"},
 	}
 }
 

@@ -404,9 +404,6 @@ func (e *Exec) execAttach(n *Attach, in *Table) *Table {
 	case KInt:
 		c.Int = dirty[int64](e, outRegion, in.N)
 		fillWith(c.Int, n.I)
-	case KBool:
-		c.Bool = dirty[bool](e, outRegion, in.N)
-		fillWith(c.Bool, n.B)
 	default:
 		c.Item = e.constItemVec(n.It, in.N)
 	}
@@ -419,7 +416,7 @@ func (e *Exec) execSelect(n *Select, in *Table) *Table {
 		if i&8191 == 8191 && e.stopRequested() {
 			break // Run's post-operator checkpoint discards the partial table
 		}
-		if c != n.Neg {
+		if c {
 			idx[o] = int32(i)
 			o++
 		}

@@ -28,11 +28,8 @@ const (
 // atomKinds returns the set of kinds (one bit per xqt.Kind) the rows of
 // c have once atomized: nodes become xs:untypedAtomic.
 func atomKinds(c *Col) (set uint8) {
-	switch c.Kind {
-	case KInt:
+	if c.Kind == KInt {
 		return 1 << xqt.KInt
-	case KBool:
-		return 1 << xqt.KBool
 	}
 	tags := c.Item.Tags
 	if tags == nil {

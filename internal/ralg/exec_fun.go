@@ -32,7 +32,7 @@ func (e *Exec) view(c *Col) vecView {
 	switch c.Kind {
 	case KInt:
 		return vecView{tag: xqt.KInt, i: c.Int}
-	case KBool:
+	case KBool: // ColToItem's source; no function reads a bool column
 		iv := zeroed[int64](e, outRegion, len(c.Bool))
 		for j, b := range c.Bool {
 			if b {
@@ -131,11 +131,8 @@ func (e *Exec) constBools(n int, b bool) Col {
 
 // colTag is the kind of a uniform column's rows, nodes included.
 func colTag(c *Col) xqt.Kind {
-	switch c.Kind {
-	case KInt:
+	if c.Kind == KInt {
 		return xqt.KInt
-	case KBool:
-		return xqt.KBool
 	}
 	return c.Item.Tag
 }
@@ -359,13 +356,6 @@ func (e *Exec) funKernel(op FunOp, a []*Col, n int) (Col, error) {
 		return e.compareCols(cmp, a[0], a[1]), nil
 	}
 	switch op {
-	case FunAnd:
-		return boolCol(map2(e, a[0].Bool, a[1].Bool, func(x, y bool) bool { return x && y })), nil
-	case FunOr:
-		return boolCol(map2(e, a[0].Bool, a[1].Bool, func(x, y bool) bool { return x || y })), nil
-	case FunNot:
-		return boolCol(map1(e, a[0].Bool, func(x bool) bool { return !x })), nil
-
 	case FunAdd:
 		return e.numBinary(a, func(x, y int64) int64 { return x + y }, func(x, y float64) float64 { return x + y }), nil
 	case FunSub:
@@ -439,9 +429,6 @@ func (e *Exec) funKernel(op FunOp, a []*Col, n int) (Col, error) {
 	case FunNodeAfter:
 		return e.nodeOrder(a[1], a[0], docOrderBefore)
 
-	case FunIsNumeric:
-		k := colTag(a[0])
-		return e.constBools(n, k == xqt.KInt || k == xqt.KDouble), nil
 	case FunEbvAtom:
 		if k := colTag(a[0]); k == xqt.KNode || k == xqt.KAttr {
 			return e.constBools(n, true), nil

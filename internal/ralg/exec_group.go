@@ -316,12 +316,12 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTable([]string{n.Part, n.Out}, []ColKind{KInt, KBool})
-	pc, bc := dirty[int64](e, scratchRegion, len(part)), dirty[bool](e, scratchRegion, len(part))
-	i := 0
-	groups := 0
-	for i < len(part) {
-		groups++
+	var pos []int64
+	if n.Pos != "" {
+		pos = in.Ints(n.Pos)
+	}
+	pc, o := dirty[int64](e, scratchRegion, len(part)), 0
+	for i, groups := 0, 0; i < len(part); groups++ {
 		if groups&8191 == 8191 && e.stopRequested() {
 			break // Run's post-operator checkpoint discards the partial table
 		}
@@ -329,13 +329,22 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 		for j < len(part) && part[j] == part[i] {
 			j++
 		}
-		if k := items.KindAt(i); j-i > 1 && k != xqt.KNode && k != xqt.KAttr {
+		k := items.KindAt(i)
+		if j-i > 1 && k != xqt.KNode && k != xqt.KAttr {
 			return nil, xqerr.Newf("FORG0006", "effective boolean value of a sequence of %d atomic values", j-i)
 		}
-		pc[groups-1], bc[groups-1] = part[i], rowEBV.Bool[i]
+		holds := rowEBV.Bool[i]
+		if pos != nil && j-i == 1 && (k == xqt.KInt || k == xqt.KDouble) {
+			holds = xqt.Compare(items.At(i), xqt.Int(pos[i]), xqt.CmpEq)
+		}
+		if holds {
+			pc[o] = part[i]
+			o++
+		}
 		i = j
 	}
-	out.N = groups
-	out.Col(n.Part).Int, out.Col(n.Out).Bool = settle(e, pc[:groups]), settle(e, bc[:groups])
+	out := NewTable([]string{n.Part}, []ColKind{KInt})
+	out.N = o
+	out.Col(n.Part).Int = settle(e, pc[:o])
 	return out, nil
 }

@@ -34,15 +34,11 @@ var funGridOps = []struct {
 	{FunNeg, `-$a`, 1},
 	{FunEq, `$a eq $b`, 2}, {FunNe, `$a ne $b`, 2}, {FunLt, `$a lt $b`, 2},
 	{FunLe, `$a le $b`, 2}, {FunGt, `$a gt $b`, 2}, {FunGe, `$a ge $b`, 2},
-	{FunAnd, `$a and $b`, 2}, {FunOr, `$a or $b`, 2}, {FunNot, `not($a)`, 1},
 	{FunAtomize, `data($a)`, 1}, {FunStringOf, `string($a)`, 1}, {FunNumber, `number($a)`, 1},
 	{FunContains, `contains($a, $b)`, 2}, {FunStartsWith, `starts-with($a, $b)`, 2},
 	{FunConcat, `concat($a, $b)`, 2},
 	{FunNodeBefore, `$a << $b`, 2}, {FunNodeAfter, `$a >> $b`, 2}, {FunNodeIs, `$a is $b`, 2},
 	{FunNameOf, `name($a)`, 1}, {FunLocalName, `local-name($a)`, 1},
-	// no query applies IsNumeric alone (it guards dynamic positional
-	// predicates): its reference is the oracle value's own kind
-	{FunIsNumeric, ``, 1},
 	{FunEbvAtom, `boolean($a)`, 1},
 	{FunFloor, `floor($a)`, 1}, {FunCeil, `ceiling($a)`, 1}, {FunRound, `round($a)`, 1},
 	{FunStrLen, `string-length($a)`, 1},
@@ -110,7 +106,7 @@ func gridNumeric(s string) bool {
 const funGridRows = 24
 
 var funGridKinds = []string{"int", "double", "string", "untyped", "bool", "node", "attr",
-	"demoted-int", "demoted-node", "mixed", "tab-int", "tab-bool"}
+	"demoted-int", "demoted-node", "mixed", "tab-int"}
 
 // atom draws a value of kind k. Safe values cast to finite nonzero
 // numbers, so the partial operators (idiv, mod) are checked on values,
@@ -166,7 +162,7 @@ func (g *funGrid) arg(kind string, safe bool) gridArg {
 	}
 	uniform := map[string]xqt.Kind{"int": xqt.KInt, "double": xqt.KDouble, "string": xqt.KString,
 		"untyped": xqt.KUntyped, "bool": xqt.KBool, "node": xqt.KNode, "attr": xqt.KAttr,
-		"demoted-int": xqt.KInt, "demoted-node": xqt.KNode, "tab-int": xqt.KInt, "tab-bool": xqt.KBool}
+		"demoted-int": xqt.KInt, "demoted-node": xqt.KNode, "tab-int": xqt.KInt}
 	for i := 0; i < funGridRows; i++ {
 		if k, ok := uniform[kind]; ok {
 			add(k)
@@ -179,11 +175,6 @@ func (g *funGrid) arg(kind string, safe bool) gridArg {
 		a.col.Kind = KInt
 		for _, it := range items {
 			a.col.Int = append(a.col.Int, it.I)
-		}
-	case "tab-bool":
-		a.col.Kind = KBool
-		for _, it := range items {
-			a.col.Bool = append(a.col.Bool, it.I != 0)
 		}
 	default:
 		a.col = Col{Kind: KItem, Item: NewItemVec(items)}
@@ -205,24 +196,19 @@ func (g *funGrid) oracle(t *testing.T, query string, args []gridArg) (vals []xqt
 	}
 	for i := 0; i < funGridRows; i++ {
 		var it xqt.Item
-		if query == "" {
-			v := args[0].vals[i]
-			it = xqt.Bool(!v.IsNode() && v.Atom.IsNumeric())
-		} else {
-			binds := map[string][]naive.Val{"a": {args[0].vals[i]}}
-			if len(args) == 2 {
-				binds["b"] = []naive.Val{args[1].vals[i]}
-			}
-			seq, err := g.in.QueryBound(decl+query, binds)
-			var xe *xqerr.Error
-			switch {
-			case errors.As(err, &xe):
-				codes[xe.Code] = true
-			case err != nil || len(seq) != 1 || seq[0].IsNode():
-				t.Fatalf("oracle: %s row %d: %v, %v", query, i, seq, err)
-			default:
-				it = seq[0].Atom
-			}
+		binds := map[string][]naive.Val{"a": {args[0].vals[i]}}
+		if len(args) == 2 {
+			binds["b"] = []naive.Val{args[1].vals[i]}
+		}
+		seq, err := g.in.QueryBound(decl+query, binds)
+		var xe *xqerr.Error
+		switch {
+		case errors.As(err, &xe):
+			codes[xe.Code] = true
+		case err != nil || len(seq) != 1 || seq[0].IsNode():
+			t.Fatalf("oracle: %s row %d: %v, %v", query, i, seq, err)
+		default:
+			it = seq[0].Atom
 		}
 		vals = append(vals, it)
 	}
@@ -242,9 +228,6 @@ func TestFunGridMatchesOracle(t *testing.T) {
 	for _, o := range funGridOps {
 		seen[o.op] = true
 		kindsA, kindsB := funGridKinds, funGridKinds
-		if o.op == FunAnd || o.op == FunOr || o.op == FunNot {
-			kindsA, kindsB = []string{"tab-bool"}, []string{"tab-bool"} // predicate columns only
-		}
 		if o.arity == 1 {
 			kindsB = []string{""}
 		}

@@ -197,7 +197,6 @@ type Attach struct {
 	Col  string
 	Kind ColKind
 	I    int64
-	B    bool
 	It   xqt.Item
 }
 
@@ -218,8 +217,6 @@ func AttachItem(in Plan, col string, it xqt.Item) *Attach {
 type Select struct {
 	unary
 	Cond string
-	// Neg selects the complement (the paper's σ¬).
-	Neg bool
 }
 
 // Name implements Plan.
@@ -243,9 +240,6 @@ const (
 	FunLe
 	FunGt
 	FunGe
-	FunAnd // bool x bool -> bool
-	FunOr
-	FunNot
 	FunAtomize    // node -> untyped atomic (string value); atoms pass through
 	FunStringOf   // atom/node -> xs:string
 	FunNumber     // -> xs:double
@@ -256,7 +250,6 @@ const (
 	FunNodeAfter  // node >> node -> bool
 	FunNodeIs     // node is node -> bool
 	FunNameOf     // node -> element/attribute name as string
-	FunIsNumeric  // item -> bool (used by dynamic positional predicates)
 	FunEbvAtom    // singleton atom -> effective boolean value
 	FunFloor      // -> xs:double
 	FunCeil       // -> xs:double
@@ -410,8 +403,8 @@ func (u *Union) Inputs() []Plan { return u.Ins }
 func (u *Union) SetInput(i int, p Plan) { u.Ins[i] = p }
 
 // Diff is the anti-semijoin: rows of L whose integer LKey does not occur
-// in R's RKey column (the paper's \ operator as used for loop
-// densification).
+// in R's RKey column (the paper's \ operator: the complement of an
+// iteration set in its loop, and loop densification).
 type Diff struct {
 	binary
 	LKey, RKey string
@@ -575,16 +568,17 @@ type CoverCheck struct {
 // Name implements Plan.
 func (*CoverCheck) Name() string { return "covercheck" }
 
-// EBV computes the effective boolean value of each iteration's group of
-// (Part, Item) rows: present nodes make the group true; a singleton atom
-// contributes its boolean value; multi-item atomic groups raise XQuery's
-// FORG0006. Output is (Part, Out bool) for the groups present in the
-// input (absent groups are false and densified by the compiler).
+// EBV emits, as a one-column (Part) table, the groups of (Part, Item)
+// rows whose effective boolean value is true: present nodes make the
+// group true; a singleton atom contributes its boolean value;
+// multi-item atomic groups raise XQuery's FORG0006. With Pos set it is
+// the predicate truth value (XQuery 1.0 §3.2.2): a group that is one
+// numeric item is true when the item equals the group's int Pos value.
 type EBV struct {
 	unary
 	Part string
 	Item string
-	Out  string
+	Pos  string
 }
 
 // Name implements Plan.

@@ -52,16 +52,10 @@ func TestAttachAndSelect(t *testing.T) {
 	tab := intTable("iter", 1, 2, 3, 4)
 	tab.AddCol("c", Col{Kind: KBool, Bool: []bool{true, false, true, false}})
 	in := &Lit{Tab: tab}
-	f := NewFun(in, FunNot, "nc", "c")
-	sel := &Select{unary: unary{In: f}, Cond: "nc"}
+	sel := &Select{unary: unary{In: in}, Cond: "c"}
 	out := run(t, sel)
-	if out.N != 2 || out.Ints("iter")[0] != 2 || out.Ints("iter")[1] != 4 {
+	if out.N != 2 || out.Ints("iter")[0] != 1 || out.Ints("iter")[1] != 3 {
 		t.Errorf("select: %v", out)
-	}
-	neg := &Select{unary: unary{In: f}, Cond: "nc", Neg: true}
-	out = run(t, neg)
-	if out.N != 2 || out.Ints("iter")[0] != 1 {
-		t.Errorf("negated select: %v", out)
 	}
 	at := AttachInt(in, "k", 9)
 	out = run(t, at)
@@ -381,7 +375,7 @@ func TestEBVAndCardCheck(t *testing.T) {
 		[]int64{1, 1, 1, 2},
 		[]xqt.Item{xqt.Bool(false), xqt.Str("x"), xqt.Int(1), xqt.Int(2)},
 	)
-	ebv := &EBV{unary: unary{In: &Lit{Tab: tab}}, Part: "iter", Item: "item", Out: "b"}
+	ebv := &EBV{unary: unary{In: &Lit{Tab: tab}}, Part: "iter", Item: "item"}
 	pool := store.NewPool()
 	ex := NewExec(pool, nil)
 	out, err := ex.Run(ebv)
@@ -390,12 +384,24 @@ func TestEBVAndCardCheck(t *testing.T) {
 	}
 	tab2 := seqTable([]int64{1, 2}, []int64{1, 1},
 		[]xqt.Item{xqt.Bool(false), xqt.Str("x")})
-	out, err = NewExec(pool, nil).Run(&EBV{unary: unary{In: &Lit{Tab: tab2}}, Part: "iter", Item: "item", Out: "b"})
+	out, err = NewExec(pool, nil).Run(&EBV{unary: unary{In: &Lit{Tab: tab2}}, Part: "iter", Item: "item"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Bools("b")[0] != false || out.Bools("b")[1] != true {
-		t.Errorf("EBV: %v", out.Bools("b"))
+	if got := out.Ints("iter"); len(got) != 1 || got[0] != 2 {
+		t.Errorf("EBV: the true groups are %v, want [2]", got)
+	}
+	// with a position column a numeric singleton holds where it equals
+	// the position; other groups keep their effective boolean value
+	tab3 := seqTable([]int64{1, 2, 3, 4, 5}, []int64{1, 1, 1, 1, 1},
+		[]xqt.Item{xqt.Int(2), xqt.Double(2), xqt.Int(0), xqt.Str("x"), xqt.Double(1.5)})
+	tab3.AddCol("at", Col{Kind: KInt, Int: []int64{1, 2, 3, 1, 1}})
+	out, err = NewExec(pool, nil).Run(&EBV{unary: unary{In: &Lit{Tab: tab3}}, Part: "iter", Item: "item", Pos: "at"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Ints("iter"); !slices.Equal(got, []int64{2, 4}) {
+		t.Errorf("EBV at a position: the true groups are %v, want [2 4]", got)
 	}
 	cc := &CardCheck{unary: unary{In: &Lit{Tab: tab}}, Part: "iter", AtMostOne: true, Fn: "fn:zero-or-one"}
 	if _, err := NewExec(pool, nil).Run(cc); err == nil {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"mxq/internal/planck"
 	"mxq/internal/ralg"
 	"mxq/internal/xmark"
+	"mxq/internal/xqt"
 )
 
 // TestStepRunsAreChained: within a run of predicate-free steps each
@@ -48,4 +50,86 @@ func renumberedStep(p ralg.Plan) string {
 		}
 		p = p.Inputs()[0]
 	}
+}
+
+// TestConditionsCompileToIterationSets: a where clause, a boolean step
+// predicate and an if condition compile to the set of iterations where
+// they hold, so no operator of their plans materializes a dense boolean
+// relation — no Attach of a boolean column, no Union carrying one, no
+// Fun over one, no Select on val. A condition in value position is
+// densified exactly once, at the top, whatever operators it combines.
+func TestConditionsCompileToIterationSets(t *testing.T) {
+	filters := []string{
+		`for $i in (1, 2, 3) where $i = 1 or not(exists((2, 3)[. = $i])) return $i`,
+		`for $i in (1, 2, 3) where $i > 1 and empty((4, 5)[. = $i]) and true() return $i`,
+		`/site/people/person[@id = "person0" and not(empty(address)) or false()]/name`,
+		`for $i in (1, 2) return if ($i = 1 or boolean(/site)) then 1 else 2`,
+		`for $i in (1, 2) return if (some $j in (1, 3) satisfies $j = $i) then 1 else 2`,
+	}
+	for _, q := range filters {
+		infos := analyze(t, q)
+		for n := range infos {
+			if what := denseBoolean(n, infos); what != "" {
+				t.Errorf("%s: %s", q, what)
+			}
+		}
+	}
+	values := []string{
+		`for $i in (1, 2, 3) return ($i = 1 and exists((2, 3)[. = $i])) or not($i = 3)`,
+		`for $i in (1, 2, 3) return not(empty((2, 3)[. = $i]) or $i > 2)`,
+	}
+	for _, q := range values {
+		infos := analyze(t, q)
+		unions := 0
+		for n := range infos {
+			if _, ok := n.(*ralg.Union); ok && denseBoolean(n, infos) != "" {
+				unions++
+			}
+		}
+		if unions != 1 {
+			t.Errorf("%s: densified %d times, want once", q, unions)
+		}
+	}
+}
+
+func analyze(t *testing.T, q string) map[ralg.Plan]planck.Info {
+	t.Helper()
+	infos, err := planck.Analyze(compilePlan(t, q, DefaultOptions()), planck.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return infos
+}
+
+// denseBoolean names n when it is one of the operators of a dense
+// boolean relation: a boolean Attach, a Union carrying a boolean
+// column, a Fun over a boolean column, or a Select on val.
+func denseBoolean(n ralg.Plan, infos map[ralg.Plan]planck.Info) string {
+	isBool := func(s *planck.Schema, c string) bool {
+		ci := s.Info(c)
+		return ci.Kind == ralg.KBool || ci.Kind == ralg.KItem && ci.TagKnown && ci.Tag == xqt.KBool
+	}
+	switch x := n.(type) {
+	case *ralg.Attach:
+		if isBool(infos[x].Schema, x.Col) {
+			return "attach of the boolean " + x.Col
+		}
+	case *ralg.Union:
+		for _, c := range infos[x].Schema.Cols() {
+			if isBool(infos[x].Schema, c) {
+				return "union carrying the boolean " + c
+			}
+		}
+	case *ralg.Fun:
+		for _, a := range x.Args {
+			if isBool(infos[x.Inputs()[0]].Schema, a) {
+				return "fun over the boolean " + a
+			}
+		}
+	case *ralg.Select:
+		if x.Cond == "val" {
+			return "select on val"
+		}
+	}
+	return ""
 }

@@ -3,7 +3,7 @@
 // paper builds on (§2.1): every XQuery expression compiles to a plan
 // producing an iter|pos|item table relative to the loop relation of its
 // scope; for-loops introduce new loops via dense row numbering (ρ) and
-// scope map relations; conditionals split loops with selections;
+// scope map relations; conditionals split loops into iteration sets;
 // general comparisons compile to existential joins; and when the two
 // sides of a comparison depend on disjoint loop variables, the compiler
 // replaces the loop-lifted Cartesian product with a theta-join over the
@@ -217,13 +217,19 @@ func litSeq(loop ralg.Plan, it xqt.Item) ralg.Plan {
 	return ralg.NewProject(ralg.AttachItem(p, "item", it), "iter", "pos", "item")
 }
 
-// boolSeq converts a dense (iter, val) boolean relation into an
+// boolItems converts a (iter, val) boolean relation into an
 // iter|pos|item sequence of xs:boolean singletons.
-func boolSeq(b ralg.Plan) ralg.Plan {
+func boolItems(b ralg.Plan) ralg.Plan {
 	p := &ralg.ColToItem{Src: "val", Dst: "item"}
 	p.SetInput(0, b)
 	q := ralg.AttachInt(p, "pos", 1)
 	return ralg.NewProject(q, "iter", "pos", "item")
+}
+
+// boolSeq is a condition in value position: the xs:boolean singleton
+// true in the iterations of set, false in the rest of loop.
+func boolSeq(set, loop ralg.Plan) ralg.Plan {
+	return ralg.NewProject(ralg.AttachInt(densifyBool(set, loop), "pos", 1), "iter", "pos", "item")
 }
 
 // firstItem keeps the first item of each iteration (pos = 1), matching
@@ -269,16 +275,23 @@ func restrictScope(sc *scope, subLoop ralg.Plan) *scope {
 	return out
 }
 
-// densifyBool completes a partial (iter, val) relation to all iterations
-// of loop, filling absent iterations with the given default.
-func densifyBool(partial, loop ralg.Plan, def bool) ralg.Plan {
+// densifyBool completes an iteration set to a dense (iter, item)
+// relation over loop, sorted on iter: true in set, false elsewhere.
+func densifyBool(set, loop ralg.Plan) ralg.Plan {
+	u := &ralg.Union{Ins: []ralg.Plan{
+		ralg.AttachItem(set, "item", xqt.Bool(true)),
+		ralg.AttachItem(complement(loop, set), "item", xqt.Bool(false)),
+	}}
+	return ralg.NewSort(u, "iter")
+}
+
+// complement is the iteration set loop \ set, set any relation with an
+// iter column.
+func complement(loop, set ralg.Plan) ralg.Plan {
 	d := &ralg.Diff{LKey: "iter", RKey: "iter"}
 	d.SetInput(0, ralg.NewProject(loop, "iter"))
-	d.SetInput(1, partial)
-	filled := &ralg.Attach{Col: "val", Kind: ralg.KBool, B: def}
-	filled.SetInput(0, d)
-	u := &ralg.Union{Ins: []ralg.Plan{ralg.NewProject(partial, "iter", "val"), ralg.NewProject(filled, "iter", "val")}}
-	return ralg.NewSort(u, "iter")
+	d.SetInput(1, set)
+	return d
 }
 
 // --- dependence analysis (the indep property) ---------------------------
@@ -436,7 +449,7 @@ func (c *Compiler) compile(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return boolSeq(b), nil
+		return boolSeq(b, sc.loop), nil
 	case *xqp.Binary:
 		return c.compileBinary(x, sc)
 	case *xqp.Unary:
@@ -496,21 +509,15 @@ func (c *Compiler) compileSeqList(items []xqp.Expr, sc *scope) (ralg.Plan, error
 }
 
 func (c *Compiler) compileIf(x *xqp.If, sc *scope) (ralg.Plan, error) {
-	cond, err := c.compileBool(x.Cond, sc)
+	loopT, err := c.compileBool(x.Cond, sc)
 	if err != nil {
 		return nil, err
 	}
-	selT := &ralg.Select{Cond: "val"}
-	selT.SetInput(0, cond)
-	loopT := ralg.NewProject(selT, "iter")
-	selE := &ralg.Select{Cond: "val", Neg: true}
-	selE.SetInput(0, cond)
-	loopE := ralg.NewProject(selE, "iter")
 	qt, err := c.compile(x.Then, restrictScope(sc, loopT))
 	if err != nil {
 		return nil, err
 	}
-	qe, err := c.compile(x.Else, restrictScope(sc, loopE))
+	qe, err := c.compile(x.Else, restrictScope(sc, complement(sc.loop, loopT)))
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +533,7 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return boolSeq(b), nil
+		return boolSeq(b, sc.loop), nil
 	case xqp.OpValEq, xqp.OpValNe, xqp.OpValLt, xqp.OpValLe, xqp.OpValGt, xqp.OpValGe,
 		xqp.OpIs, xqp.OpBefore, xqp.OpAfter:
 		// empty-propagating singleton comparison: absent iterations stay
@@ -538,7 +545,7 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 		j := ralg.NewHashJoin(ql, qr, "iter", "iter",
 			ralg.Refs("iter", "pos", "item->a"), ralg.Refs("item->b"))
 		f := ralg.NewFun(j, valueCmpFun(x.Op), "val", "a", "b")
-		return boolSeq(ralg.NewProject(f, "iter", "val")), nil
+		return boolItems(ralg.NewProject(f, "iter", "val")), nil
 	case xqp.OpAdd, xqp.OpSub, xqp.OpMul, xqp.OpDiv, xqp.OpIDiv, xqp.OpMod:
 		ql, qr, err := c.compileBothSingleton(x.L, x.R, sc)
 		if err != nil {
@@ -639,8 +646,11 @@ func staticNumeric(e xqp.Expr) bool {
 	return false
 }
 
-// compileBool compiles e to its effective boolean value: a dense
-// (iter, val) relation over sc.loop, sorted on iter.
+// compileBool compiles e in filter position: it returns the iteration
+// set where e's effective boolean value is true, the duplicate-free
+// (iter) relation of those iterations of sc.loop, sorted on iter.
+// Conjunction is a semijoin, disjunction a union, negation the
+// complement in sc.loop.
 func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 	switch x := e.(type) {
 	case *xqp.Binary:
@@ -654,14 +664,10 @@ func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			j := ralg.NewHashJoin(bl, br, "iter", "iter",
-				ralg.Refs("iter", "val->v1"), ralg.Refs("val->v2"))
-			op := ralg.FunOr
 			if x.Op == xqp.OpAnd {
-				op = ralg.FunAnd
+				return ralg.NewHashJoin(bl, br, "iter", "iter", ralg.Refs("iter"), nil), nil
 			}
-			f := ralg.NewFun(j, op, "val", "v1", "v2")
-			return ralg.NewProject(f, "iter", "val"), nil
+			return distinctIters(ralg.NewSort(&ralg.Union{Ins: []ralg.Plan{bl, br}}, "iter")), nil
 		case xqp.OpGenEq, xqp.OpGenNe, xqp.OpGenLt, xqp.OpGenLe, xqp.OpGenGt, xqp.OpGenGe:
 			return c.compileGeneralCmp(x, sc)
 		}
@@ -673,8 +679,7 @@ func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 				if err != nil {
 					return nil, err
 				}
-				f := ralg.NewFun(b, ralg.FunNot, "nval", "val")
-				return ralg.NewProject(f, "iter", "nval->val"), nil
+				return complement(sc.loop, b), nil
 			}
 		case "boolean":
 			if len(x.Args) == 1 {
@@ -686,39 +691,44 @@ func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 				if err != nil {
 					return nil, err
 				}
-				present := &ralg.Distinct{By: []string{"iter"}}
-				present.SetInput(0, ralg.NewProject(q, "iter"))
-				val := &ralg.Attach{Col: "val", Kind: ralg.KBool, B: x.Name == "exists"}
-				val.SetInput(0, present)
-				return densifyBool(val, sc.loop, x.Name == "empty"), nil
+				present := distinctIters(ralg.NewProject(q, "iter"))
+				if x.Name == "empty" {
+					return complement(sc.loop, present), nil
+				}
+				return present, nil
 			}
 		case "true":
-			t := &ralg.Attach{Col: "val", Kind: ralg.KBool, B: true}
-			t.SetInput(0, ralg.NewProject(sc.loop, "iter"))
-			return t, nil
+			return ralg.NewProject(sc.loop, "iter"), nil
 		case "false":
-			f := &ralg.Attach{Col: "val", Kind: ralg.KBool, B: false}
-			f.SetInput(0, ralg.NewProject(sc.loop, "iter"))
-			return f, nil
+			return &ralg.Lit{Tab: ralg.NewTable([]string{"iter"}, []ralg.ColKind{ralg.KInt})}, nil
 		}
 	case *xqp.Quantified:
 		return c.compileBool(desugarQuantified(x), sc)
 	}
-	// generic fallback: effective boolean value of the sequence
+	// generic fallback: the iterations whose sequence's effective
+	// boolean value is true
 	q, err := c.compile(e, sc)
 	if err != nil {
 		return nil, err
 	}
-	ebv := &ralg.EBV{Part: "iter", Item: "item", Out: "val"}
+	ebv := &ralg.EBV{Part: "iter", Item: "item"}
 	ebv.SetInput(0, q)
-	return densifyBool(ebv, sc.loop, false), nil
+	return ebv, nil
 }
 
-// compileGeneralCmp compiles a same-loop existential general comparison:
-// join both sides on iter, compare, project the satisfied iterations, and
-// densify (Fig. 8a). For ordering comparisons over statically numeric
-// operands both sides are first reduced to per-iteration extrema
-// (Fig. 8b).
+// distinctIters removes the duplicates from an iter column sorted on
+// iter.
+func distinctIters(iters ralg.Plan) ralg.Plan {
+	d := &ralg.Distinct{By: []string{"iter"}}
+	d.SetInput(0, iters)
+	return d
+}
+
+// compileGeneralCmp compiles a same-loop existential general comparison
+// to the iterations where it holds: join both sides on iter, compare,
+// and keep the distinct iterations of the satisfied pairs (Fig. 8a).
+// For ordering comparisons over statically numeric operands both sides
+// are first reduced to per-iteration extrema (Fig. 8b).
 func (c *Compiler) compileGeneralCmp(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 	ql, err := c.compile(x.L, sc)
 	if err != nil {
@@ -746,11 +756,7 @@ func (c *Compiler) compileGeneralCmp(x *xqp.Binary, sc *scope) (ralg.Plan, error
 	f := ralg.NewFun(j, fn, "hit", "a", "b")
 	sel := &ralg.Select{Cond: "hit"}
 	sel.SetInput(0, f)
-	dist := &ralg.Distinct{By: []string{"iter"}}
-	dist.SetInput(0, ralg.NewProject(sel, "iter"))
-	val := &ralg.Attach{Col: "val", Kind: ralg.KBool, B: true}
-	val.SetInput(0, dist)
-	return densifyBool(val, sc.loop, false), nil
+	return distinctIters(ralg.NewProject(sel, "iter")), nil
 }
 
 // aggrSide reduces side e (plan q) of a Fig. 8(b) comparison to its

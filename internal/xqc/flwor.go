@@ -11,8 +11,8 @@ import (
 // compileFLWOR translates a FLWOR expression. Each for clause introduces
 // a new loop via dense row numbering; the chain map (outer, inner) tracks
 // the composition of the scope maps so the result can be back-mapped to
-// the enclosing scope in one join. Where clauses restrict loops via
-// selections; order-by re-derives positions by ranking over the key
+// the enclosing scope in one join. Where clauses restrict the loop to
+// the iterations where they hold; order-by re-derives positions by ranking over the key
 // values.
 //
 // It also returns the FLWOR's count plan, the number of result items per
@@ -72,13 +72,10 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (plan, count ralg.Plan
 			cur.vars[cl.Var] = &binding{plan: q, count: cnt, deps: c.depsOf(cl.Expr, cur)}
 		case xqp.ClauseWhere:
 			join = nil
-			b, err := c.compileBool(cl.Expr, cur)
+			subLoop, err := c.compileBool(cl.Expr, cur)
 			if err != nil {
 				return nil, nil, err
 			}
-			sel := &ralg.Select{Cond: "val"}
-			sel.SetInput(0, b)
-			subLoop := ralg.NewProject(sel, "iter")
 			cur = restrictScope(cur, subLoop)
 			if chainPlan == nil {
 				chainPlan = ralg.NewProject(subLoop, "iter->outer", "iter->inner")

@@ -68,7 +68,7 @@ func (c *Compiler) compileCall(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return boolSeq(b), nil
+		return boolSeq(b, sc.loop), nil
 	case "count", "sum", "avg", "min", "max":
 		return c.compileAggr(x, sc)
 	case "string", "data", "number", "name", "local-name",
@@ -210,10 +210,7 @@ func (c *Compiler) compileAggr(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 		full = a
 	}
 	if x.Name == "count" || x.Name == "sum" {
-		d := &ralg.Diff{LKey: "iter", RKey: "iter"}
-		d.SetInput(0, ralg.NewProject(sc.loop, "iter"))
-		d.SetInput(1, full)
-		zero := ralg.AttachItem(d, "item", xqt.Int(0))
+		zero := ralg.AttachItem(complement(sc.loop, full), "item", xqt.Int(0))
 		u := &ralg.Union{Ins: []ralg.Plan{ralg.NewProject(full, "iter", "item"), ralg.NewProject(zero, "iter", "item")}}
 		full = ralg.NewSort(u, "iter")
 	}
@@ -255,10 +252,7 @@ func (c *Compiler) compileUnaryFn(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 		default:
 			return part, nil
 		}
-		d := &ralg.Diff{LKey: "iter", RKey: "iter"}
-		d.SetInput(0, ralg.NewProject(sc.loop, "iter"))
-		d.SetInput(1, part)
-		filled := ralg.AttachItem(ralg.AttachInt(d, "pos", 1), "item", def)
+		filled := ralg.AttachItem(ralg.AttachInt(complement(sc.loop, part), "pos", 1), "item", def)
 		u := &ralg.Union{Ins: []ralg.Plan{part, ralg.NewProject(filled, "iter", "pos", "item")}}
 		return ralg.NewSort(u, "iter", "pos"), nil
 	}
@@ -283,7 +277,7 @@ func (c *Compiler) compileStringCmp(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 		fn = ralg.FunStartsWith
 	}
 	f := ralg.NewFun(j, fn, "val", "a", "b")
-	return boolSeq(ralg.NewProject(f, "iter", "val")), nil
+	return boolItems(ralg.NewProject(f, "iter", "val")), nil
 }
 
 func (c *Compiler) compileConcat(x *xqp.Call, sc *scope) (ralg.Plan, error) {
@@ -317,10 +311,7 @@ func (c *Compiler) stringified(x *xqp.Call, i int, sc *scope) (ralg.Plan, error)
 	first := firstItem(q)
 	f := ralg.NewFun(first, ralg.FunStringOf, "sv", "item")
 	part := ralg.NewProject(f, "iter", "pos", "sv->item")
-	d := &ralg.Diff{LKey: "iter", RKey: "iter"}
-	d.SetInput(0, ralg.NewProject(sc.loop, "iter"))
-	d.SetInput(1, part)
-	filled := ralg.AttachItem(ralg.AttachInt(d, "pos", 1), "item", xqt.Str(""))
+	filled := ralg.AttachItem(ralg.AttachInt(complement(sc.loop, part), "pos", 1), "item", xqt.Str(""))
 	u := &ralg.Union{Ins: []ralg.Plan{part, ralg.NewProject(filled, "iter", "pos", "item")}}
 	return ralg.NewSort(u, "iter"), nil
 }

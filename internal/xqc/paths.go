@@ -2,6 +2,7 @@ package xqc
 
 import (
 	"fmt"
+	"slices"
 
 	"mxq/internal/ralg"
 	"mxq/internal/scj"
@@ -159,7 +160,7 @@ func fuseDescendantSteps(steps []xqp.Step) []xqp.Step {
 			next := steps[i+1]
 			positional := false
 			for _, p := range next.Preds {
-				positional = positional || xqp.PredUsesPosition(p)
+				positional = positional || xqp.PredUsesPosition(p) || !isCondition(p)
 			}
 			if next.Expr == nil && !positional &&
 				(next.Axis == xqp.AxisChild || next.Axis == xqp.AxisDescendant) {
@@ -222,7 +223,10 @@ func (c *Compiler) stepOp(srt ralg.Plan, s xqp.Step) ralg.Plan {
 // compilePreds applies predicates to a sequence relative to sc.loop.
 // Statically positional predicates filter on the pos column; general
 // predicates spawn a per-item loop with ".", position() and last()
-// bindings, exactly like a nested for-loop (§2.1).
+// bindings, exactly like a nested for-loop (§2.1), and keep the items
+// whose iterations the predicate holds in. A predicate that is not
+// provably a condition (isCondition) carries each item's position into
+// EBV, since a numeric value selects by position (XQuery 1.0 §3.2.2).
 func (c *Compiler) compilePreds(seq ralg.Plan, preds []xqp.Expr, sc *scope) (ralg.Plan, error) {
 	for _, pred := range preds {
 		if xqp.PredIsPositional(pred) {
@@ -253,19 +257,46 @@ func (c *Compiler) compilePreds(seq ralg.Plan, preds []xqp.Expr, sc *scope) (ral
 			ralg.Refs("inner->iter"), ralg.Refs("item"))
 		lastPlan2 := ralg.AttachInt(lastPlan, "pos", 1)
 		pscope.vars["#last"] = &binding{plan: ralg.NewProject(lastPlan2, "iter", "pos", "item"), deps: varset{}}
-		bp, err := c.compileBool(pred, pscope)
-		if err != nil {
-			return nil, err
+		var keep ralg.Plan
+		if isCondition(pred) {
+			var err error
+			if keep, err = c.compileBool(pred, pscope); err != nil {
+				return nil, err
+			}
+		} else {
+			q, err := c.compile(pred, pscope)
+			if err != nil {
+				return nil, err
+			}
+			ebv := &ralg.EBV{Part: "iter", Item: "item", Pos: "pos"}
+			ebv.SetInput(0, ralg.NewHashJoin(q, numbered, "iter", "pid",
+				ralg.Refs("iter", "item"), ralg.Refs("pos")))
+			keep = ebv
 		}
-		sel := &ralg.Select{Cond: "val"}
-		sel.SetInput(0, bp)
-		keep := ralg.NewProject(sel, "iter")
 		fj := ralg.NewHashJoin(numbered, keep, "pid", "iter",
 			ralg.Refs("iter", "pos", "item"), nil)
 		rn := ralg.NewRowNum(fj, "pos2", []string{"pos"}, "iter")
 		seq = ralg.NewProject(rn, "iter", "pos2->pos", "item")
 	}
 	return seq, nil
+}
+
+// isCondition reports whether a predicate's value is provably an
+// xs:boolean or a node sequence, neither of which selects by position:
+// a comparison or logical operator, one of the boolean functions, a
+// quantifier, or a path made only of axis steps.
+func isCondition(e xqp.Expr) bool {
+	switch x := e.(type) {
+	case *xqp.Binary:
+		return x.Op < xqp.OpAdd // the logical operators and comparisons
+	case *xqp.Call:
+		return slices.Contains([]string{"not", "exists", "empty", "boolean", "true", "false", "contains", "starts-with"}, x.Name)
+	case *xqp.Quantified:
+		return true
+	case *xqp.Path:
+		return !slices.ContainsFunc(x.Steps, func(s xqp.Step) bool { return s.Expr != nil })
+	}
+	return false
 }
 
 // posValue extends the sequence's row table with an item column holding

@@ -192,6 +192,63 @@ var specCases = []struct {
 	{"count-join-eq-zero-rows", `for $p in doc("j.xml")//p return count(for $i in doc("j.xml")//q/i where $i = $p/@v return $i)`, "0 1 0 0"},
 	{"count-join-let-strings", `for $p in doc("j.xml")//p let $l := for $i in doc("j.xml")//q/i where $p/@v >= $i return $i return count($l)`, "0 3 0 3"},
 	{"count-join-exactly-one-empty", `for $p in doc("j.xml")//p return count(for $s in doc("j.xml")//s where $p/@v > exactly-one($s/i) return $s)`, "err:FORG0005"},
+
+	// the predicate truth value (XQuery 1.0 §3.2.2): a predicate whose
+	// value is one numeric item holds where it equals the context
+	// position, whether or not that is visible before run time; any
+	// other value, a node whose content is a number included, holds by
+	// its effective boolean value
+	{"pred-numeric-let", `let $n := 2 return doc("num.xml")/r/a[$n]`, "<a>2</a>"},
+	{"pred-numeric-count", `doc("num.xml")/r/a[count(doc("num.xml")/r/a) - 1]`, "<a>2</a>"},
+	{"pred-numeric-for", `for $i in (1, 2) return doc("num.xml")/r/a[$i]`, "<a>1</a><a>2</a>"},
+	{"pred-numeric-number", `(10, 20, 30)[number(2)]`, "20"},
+	{"pred-numeric-per-item", `doc("num.xml")/r/a[4 - number(.)]`, "<a>2</a>"},
+	{"pred-numeric-descendant", `let $n := 2 return doc("nest.xml")//a[$n]`, "<a>2</a><a>4</a>"},
+	{"pred-numeric-reverse-axis", `let $n := 1 return name(doc("rev.xml")//d/ancestor::*[$n])`, "c"},
+	{"pred-node-not-numeric", `doc("num.xml")/r/a[.]`, "<a>1</a><a>2</a><a>3</a>"},
+	{"pred-untyped-not-numeric", `doc("num.xml")/r/a[data(.)]`, "<a>1</a><a>2</a><a>3</a>"},
+	{"pred-string", `(10, 20, 30)["x"]`, "10 20 30"},
+	{"pred-two-atoms", `(10, 20)[(1, 2)]`, "err:FORG0006"},
+
+	// the condition operators (XQuery 1.0 §3.6, F&O 9.3.1, 15.1.4,
+	// 15.1.5) in a where clause, a step predicate, an if condition and
+	// value position; or holds once in an iteration both sides hold in
+	{"where-or-both", `for $i in (1, 2) where $i = 1 or $i < 2 return $i`, "1"},
+	{"where-and", `for $i in (1, 2, 3) where $i > 1 and $i < 3 return $i`, "2"},
+	{"where-and-or", `for $i in (1, 2, 3) where $i = 1 or $i = 3 and $i > 1 return $i`, "1 3"},
+	{"where-not", `for $i in (1, 2, 3) where not($i = 2) return $i`, "1 3"},
+	{"where-exists", `for $i in (1, 2, 3) where exists((2, 3)[. = $i]) return $i`, "2 3"},
+	{"where-empty", `for $i in (1, 2, 3) where empty((2, 3)[. = $i]) return $i`, "1"},
+	{"where-true", `for $i in (1, 2) where true() return $i`, "1 2"},
+	{"where-false", `for $i in (1, 2) where false() return $i`, ""},
+	{"pred-or", `doc("num.xml")/r/a[. = 1 or . = 3]`, "<a>1</a><a>3</a>"},
+	{"pred-and", `doc("num.xml")/r/a[. > 1 and . < 3]`, "<a>2</a>"},
+	{"pred-not-and-or", `doc("num.xml")/r/a[not(. = 2) and not(. = 3) or false()]`, "<a>1</a>"},
+	{"pred-not", `doc("num.xml")/r/a[not(. = 2)]`, "<a>1</a><a>3</a>"},
+	{"pred-exists", `/*/m/*[exists(@x)]`, `<n x="4">2</n>`},
+	{"pred-empty", `/*/m/*[empty(@x)]`, `<o y="q">t</o>`},
+	{"pred-true", `(10, 20)[true()]`, "10 20"},
+	{"pred-false", `(10, 20)[false()]`, ""},
+	{"if-or", `for $i in (1, 2, 3) return if ($i = 1 or $i = 3) then "y" else "n"`, "y n y"},
+	{"if-and", `for $i in (1, 2, 3) return if ($i > 1 and $i < 3) then "y" else "n"`, "n y n"},
+	{"if-not", `for $i in (1, 2) return if (not($i = 1)) then "y" else "n"`, "n y"},
+	{"if-exists", `for $i in (1, 2) return if (exists((2)[. = $i])) then "y" else "n"`, "n y"},
+	{"if-empty", `for $i in (1, 2) return if (empty((2)[. = $i])) then "y" else "n"`, "y n"},
+	{"if-true", `if (true()) then "y" else "n"`, "y"},
+	{"if-false", `if (false()) then "y" else "n"`, "n"},
+	{"value-or", `for $i in (1, 2) return $i = 1 or $i < 2`, "true false"},
+	{"value-and", `for $i in (1, 2, 3) return $i > 1 and $i < 3`, "false true false"},
+	{"value-not", `for $i in (1, 2) return not($i = 1)`, "false true"},
+	{"value-exists", `for $i in (1, 2) return exists((2)[. = $i])`, "false true"},
+	{"value-empty", `for $i in (1, 2) return empty((2)[. = $i])`, "true false"},
+	{"value-true-false", `(true() and false(), true() or false(), not(false()))`, "false true true"},
+	{"not-empty-loop", `for $i in () return not($i = 1)`, ""},
+	{"if-empty-loop", `for $i in () return if ($i = 1) then "y" else "n"`, ""},
+	{"if-not-filtered-loop", `for $i in (1, 2) where $i > 5 return if (not($i = 1)) then "y" else "n"`, ""},
+	{"count-not-empty-loop", `count(for $i in () return not(exists($i)))`, "0"},
+	{"or-ebv-error", `for $i in (1, 2) where $i = 2 or (1, 2) return $i`, "err:FORG0006"},
+	{"not-ebv-error", `for $i in (1, 2) where not(("a", "b")) return $i`, "err:FORG0006"},
+	{"if-ebv-error", `if ((1, 2)) then 1 else 2`, "err:FORG0006"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
@@ -202,6 +259,8 @@ var specDocs = map[string]string{
 	"attrs.xml": `<r><a x="1" y="2" z="3"><b id="i1"/></a><c id="i2"><d/></c></r>`,
 	"rev.xml":   `<r><a><b/><c id="c1"><d/></c><e id="e1"/></a><f/></r>`,
 	"j.xml":     `<r><p v="1"/><p v="5"/><p/><p v="x"/><q><i>2</i></q><q><i>3</i></q><q><i>5</i></q><s><i>1</i></s><s/></r>`,
+	"num.xml":   `<r><a>1</a><a>2</a><a>3</a></r>`,
+	"nest.xml":  `<r><a>1</a><a>2</a><s><a>3</a><a>4</a></s></r>`,
 }
 
 // loadSpecDocs loads spec.xml, the context document, then specDocs.
