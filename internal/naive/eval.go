@@ -793,7 +793,7 @@ func stepFrom(c Val, axis xqp.Axis, test xqp.NodeTest) []Val {
 	case xqp.AxisAttribute:
 		if n.Kind == store.KindElem {
 			for i, a := range n.Attrs {
-				if test.Kind == xqp.TestName && (test.Name == "" || test.Name == a.Name) {
+				if test.Kind == xqp.TestAnyNode || test.Kind == xqp.TestName && (test.Name == "" || test.Name == a.Name) {
 					out = append(out, Val{Owner: n, AIdx: i})
 				}
 			}

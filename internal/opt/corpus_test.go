@@ -120,7 +120,10 @@ func identityDigest() string {
 // paths chained in staircase order, with const(iter) kept through each
 // step and reverse-axis positions numbered descending: 1 241; conditions
 // compiled to the iteration sets where they hold, and predicates that
-// are not provably conditions given their items' positions: 780).
+// are not provably conditions given their items' positions: 780;
+// predicates that cannot see position filtering their step's output in
+// staircase order, the attribute axis a Step axis, and a hash join's
+// left order kept under repetitions: 1 028).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")

@@ -369,17 +369,14 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 			// repetitions keep non-strict order; extend with the right
 			// ordering when the left key is unique and the matched
 			// ordering ends at the key
-			if rp.key.has(rk) || !lp.key.has(lk) {
-				o.addOrd(pr, mapped)
-			}
 			if lp.key.has(lk) && last(ord) == lk {
 				for _, rord := range rp.ords {
 					if rest, ok := strings.CutPrefix(rord, string(rk)); ok {
 						o.addOrd(pr, o.mapSeq(append(o.buf[:0], mapped...), rest, rm))
 					}
 				}
-				o.addOrd(pr, mapped)
 			}
+			o.addOrd(pr, mapped)
 		}
 		// key columns survive on the side whose partner key is unique;
 		// dense columns survive only when no rows drop or duplicate,
@@ -415,8 +412,6 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		}
 		pr.key = o.with(pr.key, n.Part)
 	case *ralg.Step:
-		o.stepProps(pr, ins[0], n.IterCol)
-	case *ralg.AttrStep:
 		o.stepProps(pr, ins[0], n.IterCol)
 	case *ralg.ExistJoin:
 		if n.Count { // one (iter1, count) row per iter1, ascending

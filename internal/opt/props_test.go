@@ -145,7 +145,7 @@ func TestStepKeepsConstIter(t *testing.T) {
 				return s
 			},
 			func(in ralg.Plan) ralg.Plan {
-				s := &ralg.AttrStep{IterCol: "iter", ItemCol: "item"}
+				s := &ralg.Step{Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
 				s.SetInput(0, in)
 				return s
 			},

@@ -182,12 +182,6 @@ func opLabel(n ralg.Plan) string {
 		return fmt.Sprintf("aggr(%s := %s(%s) part %s)", x.Out, aggName(x.Op), x.Arg, x.Part)
 	case *ralg.Step:
 		return fmt.Sprintf("step(%s::%s%s)", x.Axis, testName(x.Test), stepVariant(x.Variant))
-	case *ralg.AttrStep:
-		name := x.NameTest
-		if name == "" {
-			name = "*"
-		}
-		return fmt.Sprintf("step(attribute::%s)", name)
 	case *ralg.ElemConstruct:
 		return fmt.Sprintf("elem(<%s>, %d attrs)", x.Tag, len(x.Attrs))
 	case *ralg.ColToItem:

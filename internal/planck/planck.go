@@ -29,6 +29,7 @@ import (
 
 	"mxq/internal/opt"
 	"mxq/internal/ralg"
+	"mxq/internal/scj"
 	"mxq/internal/xqt"
 )
 
@@ -465,9 +466,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 	case *ralg.Aggr:
 		return v.checkAggr(x)
 	case *ralg.Step:
-		return v.checkStep(n, x.IterCol, x.ItemCol, xqt.KNode)
-	case *ralg.AttrStep:
-		return v.checkStep(n, x.IterCol, x.ItemCol, xqt.KAttr)
+		return v.checkStep(x)
 	case *ralg.ElemConstruct:
 		return v.checkElem(x)
 	case *ralg.ColToItem:
@@ -1120,12 +1119,16 @@ func (v *verifier) checkAggr(x *ralg.Aggr) (*Schema, *colProps) {
 	return s, cp
 }
 
-// checkStep validates a Step/AttrStep input: the iter column must be
-// integer, the item column an item column, and — the staircase-join
-// hard precondition — the input must be provably sorted on
-// (item, iter); the executor refuses to run otherwise. A constant input
-// iter column stays constant in the output.
-func (v *verifier) checkStep(n ralg.Plan, iterCol, itemCol string, outTag xqt.Kind) (*Schema, *colProps) {
+// checkStep validates a Step input: the iter column must be integer, the
+// item column an item column, and — the staircase-join hard
+// precondition — the input must be provably sorted on (item, iter); the
+// executor refuses to run otherwise. A constant input iter column stays
+// constant in the output.
+func (v *verifier) checkStep(n *ralg.Step) (*Schema, *colProps) {
+	iterCol, itemCol, outTag := n.IterCol, n.ItemCol, xqt.KNode
+	if n.Axis == scj.Attribute {
+		outTag = xqt.KAttr
+	}
 	in := v.sch(n, 0)
 	okIter := v.need(n, in, "iter", iterCol, ralg.KInt)
 	okItem := v.need(n, in, "item", itemCol, ralg.KItem)

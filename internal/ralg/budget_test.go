@@ -72,7 +72,7 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 	counted.Count = true
 	return pool, map[string]Plan{
 		"step":        child,
-		"attrstep":    &AttrStep{unary: unary{In: step}, IterCol: "iter", ItemCol: "item"},
+		"attrstep":    &Step{unary: unary{In: step}, Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"},
 		"hashjoin":    NewHashJoin(lit(ints), lit(doubles), "key", "key", Refs("iter", "item"), Refs("big")),
 		"exist-hash":  exist(xqt.CmpEq, lit(ints), lit(mixed)),
 		"exist-theta": exist(xqt.CmpLt, small(doubles), lit(doubles)),

@@ -55,7 +55,7 @@ func shardedPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 
 	step := &Step{unary: unary{In: &CollectionRoot{Coll: "c"}}, Axis: scj.Descendant,
 		Test: scj.Test{Kind: scj.TestElem, Name: "e"}, Variant: scj.LoopLifted, IterCol: "pos", ItemCol: "item"}
-	attrs := &AttrStep{unary: unary{In: step}, IterCol: "iter", ItemCol: "item"}
+	attrs := &Step{unary: unary{In: step}, Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
 	num := NewFun(attrs, FunNumber, "n", "item")
 	cond := NewFun(AttachItem(num, "five", xqt.Double(5)), FunLt, "b", "n", "five")
 	keys := NewTable([]string{"rk", "rv"}, []ColKind{KInt, KInt})

@@ -16,7 +16,7 @@ import (
 var operators = []Plan{
 	&Lit{}, &LitDecl{}, &DocRoot{}, &ContextRoot{}, &ParamTable{}, &CollectionRoot{}, &Fail{},
 	&Project{}, &Attach{}, &Select{}, &Fun{}, &RowNum{}, &Sort{}, &HashJoin{}, &ExistJoin{},
-	&Cross{}, &Union{}, &Diff{}, &Distinct{}, &Aggr{}, &Step{}, &AttrStep{}, &ElemConstruct{},
+	&Cross{}, &Union{}, &Diff{}, &Distinct{}, &Aggr{}, &Step{}, &ElemConstruct{},
 	&ColToItem{}, &RangeGen{}, &CoverCheck{}, &EBV{}, &CardCheck{},
 }
 

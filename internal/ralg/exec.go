@@ -246,8 +246,6 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 		return e.execAggr(n, in[0])
 	case *Step:
 		return e.execStep(n, in[0])
-	case *AttrStep:
-		return e.execAttrStep(n, in[0])
 	case *ElemConstruct:
 		return e.execElem(n, in)
 	case *EBV:

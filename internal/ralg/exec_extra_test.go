@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mxq/internal/scj"
 	"mxq/internal/store"
 	"mxq/internal/xqt"
 )
@@ -98,6 +99,8 @@ func TestExistJoinEqNaNNeverMatches(t *testing.T) {
 	}
 }
 
+// TestAttrStep: the attribute axis is a Step axis whose node test a name
+// or * passes by name and node() always, and every other kind test never.
 func TestAttrStep(t *testing.T) {
 	pool := store.NewPool()
 	c, err := store.Shred("d", strings.NewReader(`<r a="1" b="2"><s a="3"/></r>`), false)
@@ -110,7 +113,7 @@ func TestAttrStep(t *testing.T) {
 	ctx.Col("iter").Int = []int64{1, 2, 1}
 	ctx.Col("item").Item = ItemsOf(xqt.Node(c.ID, 1), xqt.Node(c.ID, 1), xqt.Node(c.ID, 2))
 	srt := NewSort(&Lit{Tab: ctx}, "item", "iter")
-	all := &AttrStep{IterCol: "iter", ItemCol: "item"}
+	all := &Step{Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
 	all.SetInput(0, srt)
 	out, err := NewExec(pool, nil).Run(all)
 	if err != nil {
@@ -120,7 +123,7 @@ func TestAttrStep(t *testing.T) {
 	if out.N != 5 {
 		t.Fatalf("attr rows: %d\n%s", out.N, out)
 	}
-	named := &AttrStep{NameTest: "a", IterCol: "iter", ItemCol: "item"}
+	named := &Step{Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestElem, Name: "a"}, IterCol: "iter", ItemCol: "item"}
 	named.SetInput(0, srt)
 	out, err = NewExec(pool, nil).Run(named)
 	if err != nil {
@@ -128,6 +131,13 @@ func TestAttrStep(t *testing.T) {
 	}
 	if out.N != 3 {
 		t.Fatalf("named attr rows: %d\n%s", out.N, out)
+	}
+	for _, kind := range []scj.TestKind{scj.TestText, scj.TestComment, scj.TestPI, scj.TestDoc} {
+		none := &Step{Axis: scj.Attribute, Test: scj.Test{Kind: kind}, IterCol: "iter", ItemCol: "item"}
+		none.SetInput(0, srt)
+		if out, err = NewExec(pool, nil).Run(none); err != nil || out.N != 0 {
+			t.Fatalf("kind test %d: %v\n%s", kind, err, out)
+		}
 	}
 }
 

@@ -145,6 +145,9 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	if !e.stepInputSorted(in, n.ItemCol, n.IterCol) {
 		return nil, fmt.Errorf("ralg: step(%v) input not sorted on (item, iter): plan misses a sort", n.Axis)
 	}
+	if n.Axis == scj.Attribute {
+		return e.attrStep(n, iters, items), nil
+	}
 	segs := stepSegments(items)
 	results := make([]scj.Blocks, len(segs))
 	kinds := make([][]xqt.Kind, len(segs))
@@ -215,24 +218,16 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	return out, nil
 }
 
-func (e *Exec) execAttrStep(n *AttrStep, in *Table) (*Table, error) {
-	iters := in.Ints(n.IterCol)
-	items := in.ItemVec(n.ItemCol)
-	if !e.stepInputSorted(in, n.ItemCol, n.IterCol) {
-		return nil, fmt.Errorf("ralg: attribute step input not sorted on (item, iter)")
-	}
-	ic, conts, rows := e.attrRows(n, iters, items)
-	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	out.Col("iter").Int = settle(e, ic)
-	out.N = len(ic)
-	out.Col("item").Item = ItemVec{Tag: xqt.KAttr, n: out.N, Cont: settle(e, conts), I: settle(e, rows)}
-	return out, nil
-}
-
-// attrRows resolves the attribute axis for every input row. The (iter,
-// container, attribute row) lists it returns grow in scratch memory.
-func (e *Exec) attrRows(n *AttrStep, iters []int64, items *ItemVec) (ic []int64, tc []int32, ta []int64) {
+// attrStep resolves the attribute axis for every input row. The (iter,
+// container, attribute row) lists grow in scratch memory.
+func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec) *Table {
+	var ic []int64
+	var tc []int32
+	var ta []int64
 	end := items.Len()
+	if n.Test.Kind != scj.TestNode && n.Test.Kind != scj.TestElem {
+		end = 0 // only a name test, * and node() match attributes
+	}
 	i := 0
 	runs := 0
 	for i < end {
@@ -256,7 +251,7 @@ func (e *Exec) attrRows(n *AttrStep, iters []int64, items *ItemVec) (ic []int64,
 		if c.Kind[pre] == store.KindElem {
 			ac, alo, ahi := c.Attrs(pre)
 			for a := alo; a < ahi; a++ {
-				if n.NameTest != "" && ac.Names.Name(ac.AttrName[a]) != n.NameTest {
+				if n.Test.Name != "" && ac.Names.Name(ac.AttrName[a]) != n.Test.Name {
 					continue
 				}
 				for k := i; k < j; k++ {
@@ -266,7 +261,11 @@ func (e *Exec) attrRows(n *AttrStep, iters []int64, items *ItemVec) (ic []int64,
 		}
 		i = j
 	}
-	return ic, tc, ta
+	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	out.Col("iter").Int = settle(e, ic)
+	out.N = len(ic)
+	out.Col("item").Item = ItemVec{Tag: xqt.KAttr, n: out.N, Cont: settle(e, tc), I: settle(e, ta)}
+	return out
 }
 
 func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {

@@ -451,10 +451,12 @@ type Aggr struct {
 // Name implements Plan.
 func (*Aggr) Name() string { return "aggr" }
 
-// Step evaluates an XPath location step with (loop-lifted) staircase join.
-// The input must be sorted so that node items appear in document order
-// with iterations clustered per node — i.e. sorted on (ItemCol, IterCol).
-// The output (OutIter, OutItem) is likewise in (document order, iter)
+// Step evaluates an XPath location step with (loop-lifted) staircase join,
+// or, on the attribute axis, from the attribute table: a name test or *
+// selects attributes by name, node() all of them, any other kind test
+// none. The input must be sorted so that node items appear in document
+// order with iterations clustered per node — i.e. sorted on (ItemCol,
+// IterCol). The output (iter, item) is likewise in (document order, iter)
 // order and carries the grpord([item], iter) property.
 type Step struct {
 	unary
@@ -467,19 +469,6 @@ type Step struct {
 
 // Name implements Plan.
 func (s *Step) Name() string { return "step(" + s.Axis.String() + ")" }
-
-// AttrStep evaluates the attribute axis: for each (iter, element) input
-// row it emits (iter, attribute-node) rows for the matching attributes.
-// Ordering mirrors Step.
-type AttrStep struct {
-	unary
-	NameTest string // "" = all attributes
-	IterCol  string
-	ItemCol  string
-}
-
-// Name implements Plan.
-func (*AttrStep) Name() string { return "attrstep" }
 
 // AttrSpec is one attribute of a constructed element: its name and the
 // plans computing its value per iteration. The items of each part are

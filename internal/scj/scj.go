@@ -42,9 +42,9 @@ import (
 // Axis identifies an XPath axis.
 type Axis uint8
 
-// The XPath axes supported by loop-lifted staircase join. (The attribute
-// axis is handled by the relational algebra layer because its results are
-// attribute rows, not pre|size|level tuples.)
+// The XPath axes. Loop-lifted staircase join evaluates all but the
+// attribute axis, whose results are attribute rows, not pre|size|level
+// tuples: the relational algebra layer resolves that one.
 const (
 	Child Axis = iota
 	Descendant
@@ -57,6 +57,7 @@ const (
 	Preceding
 	FollowingSibling
 	PrecedingSibling
+	Attribute
 )
 
 func (a Axis) String() string {
@@ -83,6 +84,8 @@ func (a Axis) String() string {
 		return "following-sibling"
 	case PrecedingSibling:
 		return "preceding-sibling"
+	case Attribute:
+		return "attribute"
 	}
 	return "axis?"
 }

@@ -2,6 +2,7 @@ package xqc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mxq/internal/planck"
@@ -10,19 +11,19 @@ import (
 	"mxq/internal/xqt"
 )
 
-// TestStepRunsAreChained: within a run of predicate-free steps each
-// staircase join consumes its predecessor's (item, iter)-ordered output
-// directly, so in none of the twenty XMark plans does a Sort or RowNum
-// sit between two steps with only Sort, RowNum and Project operators
-// around it. A predicated step starts over from its context's
-// per-node iterations (an Attach of pos 1), which ends the walk.
+// TestStepRunsAreChained: within a run of steps whose predicates cannot
+// see position each staircase join consumes its predecessor's (item,
+// iter)-ordered output directly, so in none of the twenty XMark plans
+// does a Sort or RowNum sit between two steps with only Sort, RowNum and
+// Project operators around it. Such a predicate filters its step's
+// output in that same order, and the walk continues across the filter.
+// A step whose predicates can see position starts over from its
+// context's numbered sequence, which ends the walk.
 func TestStepRunsAreChained(t *testing.T) {
 	for q := 1; q <= 20; q++ {
 		p := compilePlan(t, xmark.Query(q), DefaultOptions())
 		ralg.Walk(p, func(n ralg.Plan) {
-			switch n.(type) {
-			case *ralg.Step, *ralg.AttrStep:
-			default:
+			if _, ok := n.(*ralg.Step); !ok {
 				return
 			}
 			if between := renumberedStep(n.Inputs()[0]); between != "" {
@@ -32,23 +33,65 @@ func TestStepRunsAreChained(t *testing.T) {
 	}
 }
 
-// renumberedStep follows p down through Sort, RowNum and Project and
-// names the Sort or RowNum operators it passed when it ends at a step.
+// renumberedStep follows p down through Sort, RowNum, Project and
+// predicate filters and names the Sort or RowNum operators it passed
+// when it ends at a step.
 func renumberedStep(p ralg.Plan) string {
 	passed := ""
 	for {
 		switch x := p.(type) {
-		case *ralg.Step, *ralg.AttrStep:
+		case *ralg.Step:
 			return passed
+		case *ralg.HashJoin:
+			// a filter keeps the rows of its pid-numbered input
+			rn, ok := x.Inputs()[0].(*ralg.RowNum)
+			if !ok || rn.Out != "pid" || !slices.Equal(rn.OrderBy, []string{"item", "iter"}) {
+				return ""
+			}
+			p = rn
 		case *ralg.Sort:
 			passed += fmt.Sprintf(" sort%v", x.By)
 		case *ralg.RowNum:
-			passed += fmt.Sprintf(" rownum(%s)", x.Out)
+			if x.Out != "pid" {
+				passed += fmt.Sprintf(" rownum(%s)", x.Out)
+			}
 		case *ralg.Project:
 		default:
 			return ""
 		}
 		p = p.Inputs()[0]
+	}
+}
+
+// TestReIterationOnlyWherePositionTellsNodesApart: a step is re-iterated
+// per context node (a RowNum named cid) only where its predicates can
+// see position and its context holds several nodes per iteration. None
+// of the twenty XMark plans has one: their predicates select, or count
+// positions over a for variable.
+func TestReIterationOnlyWherePositionTellsNodesApart(t *testing.T) {
+	reiterates := func(p ralg.Plan) bool {
+		return countNodes(p, func(n ralg.Plan) bool {
+			rn, ok := n.(*ralg.RowNum)
+			return ok && rn.Out == "cid"
+		}) > 0
+	}
+	for q := 1; q <= 20; q++ {
+		if reiterates(compilePlan(t, xmark.Query(q), DefaultOptions())) {
+			t.Errorf("Q%d re-iterates a step per context node", q)
+		}
+	}
+	for q, want := range map[string]bool{
+		`//a/b[1]`:                                    true,
+		`let $n := 2 return //a/b[$n]`:                true,
+		`//a/b[@id = "x"]/c[. = "y"]`:                 false,
+		`for $a in //a return $a/b[1]`:                false,
+		`for $a in //a return $a/ancestor::*[last()]`: false,
+		`//a[b[1]]/c`:                                 false,
+		`/b[2]`:                                       false,
+	} {
+		if got := reiterates(compilePlan(t, q, DefaultOptions())); got != want {
+			t.Errorf("%s: re-iterates %v, want %v", q, got, want)
+		}
 	}
 }
 

@@ -169,7 +169,8 @@ func (v varset) union(o varset) varset {
 // recognition — the paper's indep property). count, when known, is the
 // number of items per iteration as an (iter, item) table over the
 // iterations that have any (see compileFLWOR); loop marks a for or at
-// variable, exactly one item per iteration.
+// variable or a predicate's context item, exactly one item per
+// iteration.
 type binding struct {
 	plan  ralg.Plan
 	count ralg.Plan

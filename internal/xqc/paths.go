@@ -11,33 +11,9 @@ import (
 	"mxq/internal/xqt"
 )
 
-func axisToSCJ(a xqp.Axis) scj.Axis {
-	switch a {
-	case xqp.AxisChild:
-		return scj.Child
-	case xqp.AxisDescendant:
-		return scj.Descendant
-	case xqp.AxisDescendantOrSelf:
-		return scj.DescendantOrSelf
-	case xqp.AxisSelf:
-		return scj.Self
-	case xqp.AxisParent:
-		return scj.Parent
-	case xqp.AxisAncestor:
-		return scj.Ancestor
-	case xqp.AxisAncestorOrSelf:
-		return scj.AncestorOrSelf
-	case xqp.AxisFollowing:
-		return scj.Following
-	case xqp.AxisPreceding:
-		return scj.Preceding
-	case xqp.AxisFollowingSibling:
-		return scj.FollowingSibling
-	case xqp.AxisPrecedingSibling:
-		return scj.PrecedingSibling
-	}
-	panic("xqc: attribute axis handled separately")
-}
+// axisToSCJ maps a parsed axis to the staircase join's: both packages
+// list the XPath axes in the same order (TestAxesAgree).
+func axisToSCJ(a xqp.Axis) scj.Axis { return scj.Axis(a) }
 
 func testToSCJ(t xqp.NodeTest) scj.Test {
 	switch t.Kind {
@@ -78,6 +54,9 @@ func (c *Compiler) stepVariant(axis scj.Axis, test scj.Test) scj.Variant {
 func (c *Compiler) compilePath(p *xqp.Path, sc *scope) (ralg.Plan, error) {
 	var ctx ralg.Plan
 	steps := p.Steps
+	// one marks a context of exactly one item per iteration: the
+	// document root, a for variable or the context item
+	one := true
 	switch {
 	case p.Absolute:
 		// the context document is an execution-time plan input (resolved
@@ -96,6 +75,8 @@ func (c *Compiler) compilePath(p *xqp.Path, sc *scope) (ralg.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		v, isVar := steps[0].Expr.(*xqp.VarRef)
+		one = isVar && sc.vars[v.Name] != nil && sc.vars[v.Name].loop
 		ctx = q
 		steps = steps[1:]
 	default:
@@ -108,45 +89,80 @@ func (c *Compiler) compilePath(p *xqp.Path, sc *scope) (ralg.Plan, error) {
 	}
 	steps = fuseDescendantSteps(steps)
 	for len(steps) > 0 {
-		run := 0
-		for run < len(steps) && steps[run].Expr == nil && len(steps[run].Preds) == 0 {
-			run++
+		if steps[0].Expr != nil {
+			return nil, fmt.Errorf("xqc: primary expression in non-initial path step")
 		}
-		if run > 0 {
-			ctx, steps = c.compileChain(ctx, steps[:run], false), steps[run:]
-			continue
+		n := 1
+		var err error
+		if seesPosition(steps[0].Preds) {
+			ctx, err = c.compileStep(ctx, steps[0], sc, one)
+		} else {
+			for n < len(steps) && steps[n].Expr == nil && !seesPosition(steps[n].Preds) {
+				n++
+			}
+			ctx, err = c.compileChain(ctx, steps[:n], sc, false)
 		}
-		q, err := c.compileStep(ctx, steps[0], sc)
 		if err != nil {
 			return nil, err
 		}
-		ctx, steps = q, steps[1:]
+		steps, one = steps[n:], false
 	}
 	return ctx, nil
 }
 
-// compileChain applies a run of predicate-free axis steps to the context
-// sequence ctx (iter|pos|item) as one staircase pipeline: a single sort
-// into (item, iter) order, each step consuming its predecessor's output
-// (which leaves the staircase join in that order), and a single
-// numbering back into sequence order after the last step — document
-// order, or reverse document order for the positions of a reverse axis.
-func (c *Compiler) compileChain(ctx ralg.Plan, run []xqp.Step, reverse bool) ralg.Plan {
+// compileChain applies a run of axis steps whose predicates cannot see
+// position to the context sequence ctx (iter|pos|item) as one staircase
+// pipeline: a single sort into (item, iter) order, each step consuming
+// its predecessor's output (which leaves the staircase join in that
+// order) as its predicates filter it, and a single numbering back into
+// sequence order after the last step — document order, or reverse
+// document order for the positions of a reverse axis.
+func (c *Compiler) compileChain(ctx ralg.Plan, run []xqp.Step, sc *scope, reverse bool) (ralg.Plan, error) {
 	q := ralg.Plan(ralg.NewSort(ctx, "item", "iter"))
 	for _, s := range run {
-		q = c.stepOp(q, s)
+		axis, test := axisToSCJ(s.Axis), testToSCJ(s.Test)
+		st := &ralg.Step{Axis: axis, Test: test, Variant: c.stepVariant(axis, test),
+			IterCol: "iter", ItemCol: "item"}
+		st.SetInput(0, q)
+		q = st
+		for _, pred := range s.Preds {
+			var err error
+			if q, err = c.filter(q, pred, sc); err != nil {
+				return nil, err
+			}
+		}
 	}
 	rn := ralg.NewRowNum(q, "pos", []string{"item"}, "iter")
 	if reverse {
 		rn.Desc = []bool{true}
 	}
-	return ralg.NewProject(ralg.NewSort(rn, "iter", "pos"), "iter", "pos", "item")
+	return ralg.NewProject(ralg.NewSort(rn, "iter", "pos"), "iter", "pos", "item"), nil
+}
+
+// filter keeps the rows of the (item, iter)-ordered step output q whose
+// item the predicate holds for, in that order. The predicate cannot see
+// position: it is a condition, evaluated with each row its own iteration.
+func (c *Compiler) filter(q ralg.Plan, pred xqp.Expr, sc *scope) (ralg.Plan, error) {
+	numbered := ralg.NewRowNum(q, "pid", []string{"item", "iter"}, "")
+	pscope, _ := predScope(numbered, sc)
+	keep, err := c.compileBool(pred, pscope)
+	if err != nil {
+		return nil, err
+	}
+	return ralg.NewHashJoin(numbered, keep, "pid", "iter", ralg.Refs("iter", "item"), nil), nil
+}
+
+// seesPosition reports whether a predicate list can tell a step's
+// context nodes apart by position: one of its predicates refers to
+// position() or last(), or may be numeric and so select by position.
+func seesPosition(preds []xqp.Expr) bool {
+	return slices.ContainsFunc(preds, func(p xqp.Expr) bool { return xqp.PredUsesPosition(p) || !isCondition(p) })
 }
 
 // fuseDescendantSteps rewrites the "//" desugaring
 // descendant-or-self::node()/child::T into the single step descendant::T
 // (and …/descendant::T into descendant::T). The identity holds whenever
-// the child step carries no positional predicate: positions in the
+// the child step's predicates cannot see position: positions in the
 // rewritten step range over each node's descendants rather than each
 // intermediate node's children, so boolean predicates are unaffected but
 // positional ones are not.
@@ -158,11 +174,7 @@ func fuseDescendantSteps(steps []xqp.Step) []xqp.Step {
 			s.Axis == xqp.AxisDescendantOrSelf && s.Test.Kind == xqp.TestAnyNode &&
 			len(s.Preds) == 0 && s.Expr == nil {
 			next := steps[i+1]
-			positional := false
-			for _, p := range next.Preds {
-				positional = positional || xqp.PredUsesPosition(p) || !isCondition(p)
-			}
-			if next.Expr == nil && !positional &&
+			if next.Expr == nil && !seesPosition(next.Preds) &&
 				(next.Axis == xqp.AxisChild || next.Axis == xqp.AxisDescendant) {
 				next.Axis = xqp.AxisDescendant
 				out = append(out, next)
@@ -175,49 +187,41 @@ func fuseDescendantSteps(steps []xqp.Step) []xqp.Step {
 	return out
 }
 
-// compileStep applies one predicated axis step to the context sequence
-// ctx (iter|pos|item). Each context node becomes its own iteration so
-// positional predicates see per-context-node positions (counted from the
-// end of the document on a reverse axis), and results are deduplicated
-// afterwards.
-func (c *Compiler) compileStep(ctx ralg.Plan, s xqp.Step, sc *scope) (ralg.Plan, error) {
-	if s.Expr != nil {
-		return nil, fmt.Errorf("xqc: primary expression in non-initial path step")
+// compileStep applies one step whose predicates can see position to the
+// context sequence ctx (iter|pos|item): positions count per context node,
+// from the end of the document on a reverse axis, and the result is in
+// document order. Over a context of one node per iteration (one) they
+// are counted per iteration; elsewhere each context node becomes its own
+// iteration, and the results are mapped back and deduplicated.
+func (c *Compiler) compileStep(ctx ralg.Plan, s xqp.Step, sc *scope, one bool) (ralg.Plan, error) {
+	var mapPlan ralg.Plan
+	if !one {
+		numbered := ralg.NewRowNum(ctx, "cid", []string{"iter", "pos"}, "")
+		mapPlan = ralg.NewProject(numbered, "iter->outer", "cid->inner")
+		sc = liftVars(sc, mapPlan, ralg.NewProject(numbered, "cid->iter"))
+		cidCtx := ralg.AttachInt(ralg.NewProject(numbered, "cid->iter", "item"), "pos", 1)
+		ctx = ralg.NewProject(cidCtx, "iter", "pos", "item")
 	}
-	numbered := ralg.NewRowNum(ctx, "cid", []string{"iter", "pos"}, "")
-	mapPlan := ralg.NewProject(numbered, "iter->outer", "cid->inner")
-	cidLoop := ralg.NewProject(numbered, "cid->iter")
-	cidCtx := ralg.AttachInt(ralg.NewProject(numbered, "cid->iter", "item"), "pos", 1)
-	seq := c.compileChain(ralg.NewProject(cidCtx, "iter", "pos", "item"), []xqp.Step{s}, s.Axis.Reverse())
-	pscope := liftVars(sc, mapPlan, cidLoop)
-	filtered, err := c.compilePreds(seq, s.Preds, pscope)
-	if err != nil {
-		return nil, err
+	seq, err := c.compileChain(ctx, []xqp.Step{{Axis: s.Axis, Test: s.Test}}, sc, s.Axis.Reverse())
+	if err == nil {
+		seq, err = c.compilePreds(seq, s.Preds, sc)
 	}
-	// map back to the original iterations, dedup, restore document order
-	back := ralg.NewHashJoin(mapPlan, filtered, "inner", "iter",
-		ralg.Refs("outer"), ralg.Refs("item"))
-	srt2 := ralg.NewSort(back, "outer", "item")
-	dist := &ralg.Distinct{By: []string{"outer", "item"}}
-	dist.SetInput(0, srt2)
-	rn2 := ralg.NewRowNum(dist, "pos", []string{"item"}, "outer")
-	return ralg.NewProject(rn2, "outer->iter", "pos", "item"), nil
-}
-
-// stepOp emits the location step operator itself (its predicates
-// aside) over an (item, iter)-sorted context.
-func (c *Compiler) stepOp(srt ralg.Plan, s xqp.Step) ralg.Plan {
-	if s.Axis == xqp.AxisAttribute {
-		as := &ralg.AttrStep{NameTest: s.Test.Name, IterCol: "iter", ItemCol: "item"}
-		as.SetInput(0, srt)
-		return as
+	if err != nil || one && !s.Axis.Reverse() {
+		return seq, err
 	}
-	axis := axisToSCJ(s.Axis)
-	test := testToSCJ(s.Test)
-	st := &ralg.Step{Axis: axis, Test: test, Variant: c.stepVariant(axis, test),
-		IterCol: "iter", ItemCol: "item"}
-	st.SetInput(0, srt)
-	return st
+	// back into document order, on the original iterations without
+	// duplicates
+	var back ralg.Plan
+	if one {
+		back = ralg.NewSort(seq, "iter", "item")
+	} else {
+		j := ralg.NewHashJoin(mapPlan, seq, "inner", "iter", ralg.Refs("outer->iter"), ralg.Refs("item"))
+		dist := &ralg.Distinct{By: []string{"iter", "item"}}
+		dist.SetInput(0, ralg.NewSort(j, "iter", "item"))
+		back = dist
+	}
+	rn := ralg.NewRowNum(back, "pos2", []string{"item"}, "iter")
+	return ralg.NewProject(rn, "iter", "pos2->pos", "item"), nil
 }
 
 // compilePreds applies predicates to a sequence relative to sc.loop.
@@ -242,11 +246,7 @@ func (c *Compiler) compilePreds(seq ralg.Plan, preds []xqp.Expr, sc *scope) (ral
 			continue
 		}
 		numbered := ralg.NewRowNum(seq, "pid", []string{"iter", "pos"}, "")
-		mapPlan := ralg.NewProject(numbered, "iter->outer", "pid->inner")
-		pidLoop := ralg.NewProject(numbered, "pid->iter")
-		pscope := liftVars(sc, mapPlan, pidLoop)
-		dot := ralg.AttachInt(ralg.NewProject(numbered, "pid->iter", "item"), "pos", 1)
-		pscope.vars["."] = &binding{plan: ralg.NewProject(dot, "iter", "pos", "item"), deps: sc.allDeps()}
+		pscope, mapPlan := predScope(numbered, sc)
 		posIt := &ralg.ColToItem{Src: "pos", Dst: "item2"}
 		posIt.SetInput(0, numbered)
 		posPlan := ralg.AttachInt(ralg.NewProject(posIt, "pid->iter", "item2->item"), "pos", 1)
@@ -279,6 +279,17 @@ func (c *Compiler) compilePreds(seq ralg.Plan, preds []xqp.Expr, sc *scope) (ral
 		seq = ralg.NewProject(rn, "iter", "pos2->pos", "item")
 	}
 	return seq, nil
+}
+
+// predScope is the scope of a predicate over the pid-numbered rows of
+// numbered: each row is an iteration of its own, with "." bound to its
+// item. It also returns the map from numbered's iterations to the rows'.
+func predScope(numbered ralg.Plan, sc *scope) (*scope, ralg.Plan) {
+	mapPlan := ralg.NewProject(numbered, "iter->outer", "pid->inner")
+	pscope := liftVars(sc, mapPlan, ralg.NewProject(numbered, "pid->iter"))
+	dot := ralg.AttachInt(ralg.NewProject(numbered, "pid->iter", "item"), "pos", 1)
+	pscope.vars["."] = &binding{plan: ralg.NewProject(dot, "iter", "pos", "item"), deps: sc.allDeps(), loop: true}
+	return pscope, mapPlan
 }
 
 // isCondition reports whether a predicate's value is provably an

@@ -289,3 +289,19 @@ func TestFuseDescendantSteps(t *testing.T) {
 		t.Errorf("//item[1] plan has %d steps, want 3 (no fusion)", steps)
 	}
 }
+
+// TestAxesAgree: axisToSCJ converts an axis by value, so xqp and scj
+// must list the axes in the same order.
+func TestAxesAgree(t *testing.T) {
+	for _, name := range []string{"child", "descendant", "descendant-or-self", "self", "parent",
+		"ancestor", "ancestor-or-self", "following", "preceding", "following-sibling",
+		"preceding-sibling", "attribute"} {
+		m, err := xqp.Parse(name + "::x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := axisToSCJ(m.Body.(*xqp.Path).Steps[0].Axis).String(); got != name {
+			t.Errorf("%s:: maps to %s", name, got)
+		}
+	}
+}

@@ -184,6 +184,22 @@ var specCases = []struct {
 	{"attribute-preceding-sibling-last", `count(doc("rev.xml")//e/@id/preceding-sibling::node()[last()])`, "0"},
 	{"ancestor-first-per-context", `for $n in doc("rev.xml")//*/ancestor::*[1] return name($n)`, "r a c"},
 	{"preceding-sibling-first-per-context", `for $n in doc("rev.xml")//*/preceding-sibling::*[1] return name($n)`, "a b c"},
+	// positions over one context node per iteration, the result still
+	// in document order; a predicate that cannot see position filters
+	// the step's result, at the end of a path and in its middle
+	{"for-ancestor-first-two", `for $x in doc("rev.xml")//d return for $n in $x/ancestor::*[position() <= 2] return name($n)`, "a c"},
+	{"for-preceding-first-two", `for $x in doc("rev.xml")//e return for $n in $x/preceding::*[position() < 3] return name($n)`, "c d"},
+	{"for-ancestor-last", `for $x in doc("rev.xml")//d return name($x/ancestor::*[last()])`, "r"},
+	{"preceding-sibling-selected", `for $n in doc("rev.xml")//e/preceding-sibling::*[@id] return name($n)`, "c"},
+	{"selection-mid-path", `count(doc("rev.xml")/r/a/c[@id]/d)`, "1"},
+
+	// the attribute axis's node tests (XPath 2.0 §3.2.1.2): a name
+	// test, * and node() select attributes, any other kind test none
+	{"attribute-node", `count(doc("rev.xml")//c/attribute::node())`, "1"},
+	{"attribute-star", `count(doc("rev.xml")//c/@*)`, "1"},
+	{"attribute-text", `count(doc("rev.xml")//c/attribute::text())`, "0"},
+	{"attribute-comment", `count(doc("rev.xml")//c/attribute::comment())`, "0"},
+	{"attribute-pi", `count(doc("rev.xml")//c/attribute::processing-instruction())`, "0"},
 
 	// fn:count over a FLWOR that returns its for variable is 0 for an
 	// outer iteration without partners (none, no value, NaN), and an
