@@ -123,7 +123,8 @@ func identityDigest() string {
 // are not provably conditions given their items' positions: 780;
 // predicates that cannot see position filtering their step's output in
 // staircase order, the attribute axis a Step axis, and a hash join's
-// left order kept under repetitions: 1 028).
+// left order kept under repetitions: 1 028; fn:count, fn:exists,
+// fn:empty and conditions over a path compiled to count plans: 567).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")

@@ -412,7 +412,17 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		}
 		pr.key = o.with(pr.key, n.Part)
 	case *ralg.Step:
-		o.stepProps(pr, ins[0], n.IterCol)
+		// (item, iter) order, in count mode one row per iter, ascending;
+		// a step emits a subset of its input's iterations
+		if n.Count {
+			o.addOrd(pr, o.ord("iter"))
+			pr.key = o.with(pr.key, "iter")
+		} else {
+			o.addOrd(pr, o.ord("item", "iter"))
+		}
+		if ins[0].cnst.has(o.id(n.IterCol)) {
+			pr.cnst = o.with(pr.cnst, "iter")
+		}
 	case *ralg.ExistJoin:
 		if n.Count { // one (iter1, count) row per iter1, ascending
 			o.addOrd(pr, o.ord(n.Out1))
@@ -438,16 +448,6 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		o.addGrp(pr, grpOrd{o.ord("pos"), o.id("iter")})
 	}
 	return o.expand(pr, false)
-}
-
-// stepProps are a staircase join's output properties: (item, iter)
-// order, and — since a step emits a subset of its input's iterations — a
-// constant iter when the input's iteration column is constant.
-func (o *optimizer) stepProps(pr, in *props, iterCol string) {
-	o.addOrd(pr, o.ord("item", "iter"))
-	if in.cnst.has(o.id(iterCol)) {
-		pr.cnst = o.with(pr.cnst, "iter")
-	}
 }
 
 // expand adds the orderings one expansion step implies: a table sorted

@@ -181,7 +181,11 @@ func opLabel(n ralg.Plan) string {
 	case *ralg.Aggr:
 		return fmt.Sprintf("aggr(%s := %s(%s) part %s)", x.Out, aggName(x.Op), x.Arg, x.Part)
 	case *ralg.Step:
-		return fmt.Sprintf("step(%s::%s%s)", x.Axis, testName(x.Test), stepVariant(x.Variant))
+		mode := ""
+		if x.Count {
+			mode = " count"
+		}
+		return fmt.Sprintf("step(%s::%s%s%s)", x.Axis, testName(x.Test), stepVariant(x.Variant), mode)
 	case *ralg.ElemConstruct:
 		return fmt.Sprintf("elem(<%s>, %d attrs)", x.Tag, len(x.Attrs))
 	case *ralg.ColToItem:

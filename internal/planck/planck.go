@@ -1123,13 +1123,23 @@ func (v *verifier) checkAggr(x *ralg.Aggr) (*Schema, *colProps) {
 // item column an item column, and — the staircase-join hard
 // precondition — the input must be provably sorted on (item, iter); the
 // executor refuses to run otherwise. A constant input iter column stays
-// constant in the output.
+// constant in the output. The tag is claimed unless an attribute can
+// come out of a non-attribute step (self, ancestor-or-self or
+// descendant-or-self under node() over a context that may hold one); a
+// count-mode output is (iter, xs:integer), keyed by iter.
 func (v *verifier) checkStep(n *ralg.Step) (*Schema, *colProps) {
-	iterCol, itemCol, outTag := n.IterCol, n.ItemCol, xqt.KNode
-	if n.Axis == scj.Attribute {
-		outTag = xqt.KAttr
-	}
+	iterCol, itemCol := n.IterCol, n.ItemCol
 	in := v.sch(n, 0)
+	out := ColInfo{Kind: ralg.KItem, Node: true, Tag: xqt.KNode, TagKnown: true}
+	switch {
+	case n.Count:
+		out = ColInfo{Kind: ralg.KItem, Tag: xqt.KInt, TagKnown: true}
+	case n.Axis == scj.Attribute:
+		out.Tag = xqt.KAttr
+	case n.Test.Kind == scj.TestNode && (n.Axis == scj.Self || n.Axis == scj.AncestorOrSelf || n.Axis == scj.DescendantOrSelf):
+		ctx := in.Info(itemCol)
+		out.TagKnown = !in.Any && ctx.TagKnown && ctx.Tag == xqt.KNode
+	}
 	okIter := v.need(n, in, "iter", iterCol, ralg.KInt)
 	okItem := v.need(n, in, "item", itemCol, ralg.KItem)
 	if okIter && okItem && !in.Any {
@@ -1139,10 +1149,13 @@ func (v *verifier) checkStep(n *ralg.Step) (*Schema, *colProps) {
 	}
 	s := newSchema()
 	s.add("iter", ColInfo{Kind: ralg.KInt})
-	s.add("item", ColInfo{Kind: ralg.KItem, Node: true, Tag: outTag, TagKnown: true})
+	s.add("item", out)
 	cp := newColProps()
 	if v.cprops(n, 0).cnst[iterCol] {
 		cp.cnst["iter"] = true // the output's iterations are a subset of the input's
+	}
+	if n.Count {
+		cp.key["iter"] = true // one row per iteration
 	}
 	return s, cp
 }

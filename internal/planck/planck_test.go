@@ -272,3 +272,48 @@ func TestStepConstIterNeedsConstInput(t *testing.T) {
 		}
 	}
 }
+
+// A step claims node-tagged output only where no attribute can come
+// out: self, ancestor-or-self and descendant-or-self under node() pass
+// an attribute context's attributes through, so over one the tag is
+// left unknown, while a node-tagged context, another axis or another
+// node test keeps the claim. A count-mode step is (iter, xs:integer),
+// one row per iteration.
+func TestStepTagClaim(t *testing.T) {
+	sorted := func(p ralg.Plan) ralg.Plan { return ralg.NewSort(p, "item", "iter") }
+	nodes := &ralg.Step{Axis: scj.Child, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
+	nodes.SetInput(0, sorted(itemLit(2)))
+	attrs := &ralg.Step{Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
+	attrs.SetInput(0, sorted(nodes))
+	for _, tc := range []struct {
+		ctx   ralg.Plan
+		axis  scj.Axis
+		test  scj.TestKind
+		count bool
+		known bool
+		tag   xqt.Kind
+	}{
+		{attrs, scj.Self, scj.TestNode, false, false, 0},
+		{attrs, scj.AncestorOrSelf, scj.TestNode, false, false, 0},
+		{attrs, scj.DescendantOrSelf, scj.TestNode, false, false, 0},
+		{attrs, scj.Self, scj.TestElem, false, true, xqt.KNode},
+		{attrs, scj.Parent, scj.TestNode, false, true, xqt.KNode},
+		{attrs, scj.Attribute, scj.TestNode, false, true, xqt.KAttr},
+		{nodes, scj.DescendantOrSelf, scj.TestNode, false, true, xqt.KNode},
+		{attrs, scj.Self, scj.TestNode, true, true, xqt.KInt},
+	} {
+		step := &ralg.Step{Axis: tc.axis, Test: scj.Test{Kind: tc.test}, IterCol: "iter", ItemCol: "item", Count: tc.count}
+		step.SetInput(0, sorted(tc.ctx))
+		infos, err := Analyze(step, Config{})
+		if err != nil {
+			t.Fatalf("%v::%v count=%v: %v", tc.axis, tc.test, tc.count, err)
+		}
+		ci := infos[step].Schema.Info("item")
+		if ci.TagKnown != tc.known || tc.known && ci.Tag != tc.tag {
+			t.Errorf("%v::%v over %s count=%v: tag %v known=%v, want %v known=%v", tc.axis, tc.test, tc.ctx.Name(), tc.count, ci.Tag, ci.TagKnown, tc.tag, tc.known)
+		}
+		if key := slices.Contains(infos[step].Key, "iter"); key != tc.count {
+			t.Errorf("%v count=%v: key(iter) %v", tc.axis, tc.count, key)
+		}
+	}
+}

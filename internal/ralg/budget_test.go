@@ -73,6 +73,8 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 	return pool, map[string]Plan{
 		"step":        child,
 		"attrstep":    &Step{unary: unary{In: step}, Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"},
+		"step-count":  &Step{unary: unary{In: step}, Axis: scj.DescendantOrSelf, Test: scj.Test{Kind: scj.TestNode}, Variant: scj.LoopLifted, IterCol: "iter", ItemCol: "item", Count: true},
+		"attr-count":  &Step{unary: unary{In: step}, Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item", Count: true},
 		"hashjoin":    NewHashJoin(lit(ints), lit(doubles), "key", "key", Refs("iter", "item"), Refs("big")),
 		"exist-hash":  exist(xqt.CmpEq, lit(ints), lit(mixed)),
 		"exist-theta": exist(xqt.CmpLt, small(doubles), lit(doubles)),

@@ -68,6 +68,8 @@ func shardedPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 	return pool, map[string]Plan{
 		"step":     step,
 		"attrstep": attrs,
+		"stepcount": &Step{unary: unary{In: step}, Axis: scj.DescendantOrSelf, Test: scj.Test{Kind: scj.TestNode},
+			IterCol: "iter", ItemCol: "item", Count: true},
 		"select":   &Select{unary: unary{In: cond}, Cond: "b"},
 		"aggr-sum": &Aggr{unary: unary{In: num}, Part: "iter", Op: AggSum, Arg: "n", Out: "s"},
 		"aggr-max": &Aggr{unary: unary{In: num}, Part: "iter", Op: AggMax, Arg: "n", Out: "m"},

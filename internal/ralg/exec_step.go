@@ -50,10 +50,15 @@ func stepSegments(items *ItemVec) []stepSeg {
 // Every other axis runs the segment's tree-node rows through
 // scj.StepBlocks; attribute rows resolve through their owners
 // (ownerAxes, the results merged into the kernel's pairs, duplicates
-// dropped).
-func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, st *scj.Stats) (scj.Blocks, []xqt.Kind) {
+// dropped). A context row equal to its predecessor is skipped. In count
+// mode a segment of tree nodes only is counted into counts by
+// scj.CountStep and yields no blocks.
+func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, st *scj.Stats, counts []int64) (scj.Blocks, []xqt.Kind) {
 	c := e.Pool.Get(s.cont)
 	test := scj.CompileTest(c, n.Test)
+	dup := func(i int) bool {
+		return i > s.lo && items.I[i] == items.I[i-1] && iters[i] == iters[i-1] && items.KindAt(i) == items.KindAt(i-1)
+	}
 	// the context relation: the run's tree-node rows narrowed to the
 	// document's int32 encoding, in scratch memory; the owners of its
 	// attribute rows as packed (pre, iter) pairs
@@ -61,7 +66,7 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, st 
 	if n.Axis == scj.Self { // counted as the kernel counts: a touch per row, the matches emitted
 		kinds := dirty[xqt.Kind](e, scratchRegion, s.hi-s.lo)[:0]
 		for i := s.lo; i < s.hi; i++ {
-			if kind, x := items.KindAt(i), int32(items.I[i]); kind == xqt.KAttr && n.Test.Kind == scj.TestNode || kind == xqt.KNode && test(x) {
+			if kind, x := items.KindAt(i), int32(items.I[i]); !dup(i) && (kind == xqt.KAttr && n.Test.Kind == scj.TestNode || kind == xqt.KNode && test(x)) {
 				ctx.Pre[len(kinds)], ctx.Iter[len(kinds)], kinds = x, int32(iters[i]), append(kinds, kind)
 			}
 		}
@@ -78,6 +83,9 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, st 
 	k := 0
 	for i := s.lo; i < s.hi; i++ {
 		x, it := int32(items.I[i]), int32(iters[i])
+		if dup(i) {
+			continue
+		}
 		if items.KindAt(i) != xqt.KAttr {
 			ctx.Pre[k], ctx.Iter[k] = x, it
 			k++
@@ -91,6 +99,10 @@ func (e *Exec) stepSegRun(n *Step, iters []int64, items *ItemVec, s stepSeg, st 
 		}
 	}
 	ctx.Pre, ctx.Iter = ctx.Pre[:k], ctx.Iter[:k]
+	if n.Count && len(owners) == 0 && len(selves) == 0 {
+		scj.CountStep(c, ctx, n.Axis, n.Test, n.Variant, st, counts)
+		return scj.Blocks{}, nil
+	}
 	blocks := scj.StepBlocks(c, ctx, n.Axis, n.Test, n.Variant, st)
 	if len(owners) == 0 && len(selves) == 0 {
 		return blocks, nil
@@ -145,8 +157,15 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	if !e.stepInputSorted(in, n.ItemCol, n.IterCol) {
 		return nil, fmt.Errorf("ralg: step(%v) input not sorted on (item, iter): plan misses a sort", n.Axis)
 	}
+	var counts []int64
+	if n.Count && in.N > 0 { // one counter per iteration number, in scratch memory
+		counts = zeroed[int64](e, scratchRegion, int(slices.Max(iters))+1)
+	}
 	if n.Axis == scj.Attribute {
-		return e.attrStep(n, iters, items), nil
+		if out := e.attrStep(n, iters, items, counts); !n.Count {
+			return out, nil
+		}
+		return e.countTable(counts), nil
 	}
 	segs := stepSegments(items)
 	results := make([]scj.Blocks, len(segs))
@@ -168,11 +187,21 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 		if e.stopRequested() {
 			break // Run's post-operator checkpoint discards the partial table
 		}
-		results[k], kinds[k] = e.stepSegRun(n, iters, items, segs[k], &st)
+		results[k], kinds[k] = e.stepSegRun(n, iters, items, segs[k], &st, counts)
 	}
 	e.Stats.Step.Touched += st.Touched
 	e.Stats.Step.Emitted += st.Emitted
 	e.Stats.Step.Pruned += st.Pruned
+	if n.Count { // the segments that kept their pairs are counted here
+		for k := range results {
+			for _, seg := range results[k].Segs {
+				for _, it := range seg.Iter {
+					counts[it]++
+				}
+			}
+		}
+		return e.countTable(counts), nil
+	}
 	// the pair segments of all container runs with their output offsets;
 	// kinds is nil for a piece of tree nodes
 	type piece struct {
@@ -218,9 +247,25 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	return out, nil
 }
 
+// countTable is a count-mode Step's output: an (iter, xs:integer) row
+// per iteration with a nonzero count, in iteration order.
+func (e *Exec) countTable(counts []int64) *Table {
+	var ic, vc []int64
+	for it, k := range counts {
+		if k > 0 {
+			ic, vc = append(grown(e, ic, 1), int64(it)), append(grown(e, vc, 1), k)
+		}
+	}
+	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	out.N = len(ic)
+	out.Col("iter").Int, out.Col("item").Item = settle(e, ic), ItemVec{Tag: xqt.KInt, n: out.N, I: settle(e, vc)}
+	return out
+}
+
 // attrStep resolves the attribute axis for every input row. The (iter,
-// container, attribute row) lists grow in scratch memory.
-func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec) *Table {
+// container, attribute row) lists grow in scratch memory; in count mode
+// each result only adds to counts.
+func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec, counts []int64) *Table {
 	var ic []int64
 	var tc []int32
 	var ta []int64
@@ -255,6 +300,12 @@ func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec) *Table {
 					continue
 				}
 				for k := i; k < j; k++ {
+					if k > i && iters[k] == iters[k-1] {
+						continue // a duplicate context row
+					} else if n.Count {
+						counts[iters[k]]++
+						continue
+					}
 					ic, tc, ta = append(grown(e, ic, 1), iters[k]), append(grown(e, tc, 1), ac.ID), append(grown(e, ta, 1), int64(a))
 				}
 			}

@@ -457,7 +457,9 @@ func (*Aggr) Name() string { return "aggr" }
 // none. The input must be sorted so that node items appear in document
 // order with iterations clustered per node — i.e. sorted on (ItemCol,
 // IterCol). The output (iter, item) is likewise in (document order, iter)
-// order and carries the grpord([item], iter) property.
+// order and carries the grpord([item], iter) property. In Count mode the
+// output holds, per iteration with any result, the number of result
+// nodes as an xs:integer item instead: one row per iter, ascending.
 type Step struct {
 	unary
 	Axis    scj.Axis
@@ -465,6 +467,7 @@ type Step struct {
 	Variant scj.Variant
 	IterCol string
 	ItemCol string
+	Count   bool
 }
 
 // Name implements Plan.

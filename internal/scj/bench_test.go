@@ -99,3 +99,28 @@ func BenchmarkFollowingSibling(b *testing.B) {
 		benchStep(b, benchCtx("bidder", 0, true), FollowingSibling, elemTest("bidder"), LoopLifted)
 	})
 }
+
+func benchCount(b *testing.B, ctx Pairs, axis Axis, test Test, v Variant) {
+	c := benchDoc()
+	counts := make([]int64, ctx.Len()+1)
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CountStep(c, ctx, axis, test, v, &st, counts)
+	}
+	if st.Touched > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Touched), "ns/touched")
+	}
+}
+
+// BenchmarkCount runs kernels of the families above in count mode.
+func BenchmarkCount(b *testing.B) {
+	b.Run("desc-root", func(b *testing.B) { benchCount(b, benchRoot, Descendant, elemTest(""), LoopLifted) })
+	b.Run("desc-root-text", func(b *testing.B) { benchCount(b, benchRoot, Descendant, Test{Kind: TestText}, LoopLifted) })
+	b.Run("desc-items-Niter", func(b *testing.B) { benchCount(b, benchCtx("item", 0, true), Descendant, elemTest(""), LoopLifted) })
+	b.Run("cand-root", func(b *testing.B) { benchCount(b, benchRoot, Descendant, elemTest("keyword"), CandidateList) })
+	b.Run("ancestor-keywords-1iter", func(b *testing.B) {
+		benchCount(b, benchCtx("keyword", 0, false), Ancestor, elemTest(""), LoopLifted)
+	})
+}

@@ -108,12 +108,14 @@ func (b *Blocks) sort() {
 // emitter is the one sink of every kernel: it fills the current block
 // and seals it into out when full. Each sealed block is charged to the
 // step's Stats (8 B per pair), so a runaway step trips the memory budget
-// — and with it Stop — while it is still emitting.
+// — and with it Stop — while it is still emitting. With counts set
+// (count mode) a full block is tallied into counts and refilled instead.
 type emitter struct {
 	out      Blocks
 	cur      *block
 	fill     int
-	unsorted bool // a kernel emitted out of (pre, iter) order: finish sorts
+	unsorted bool    // a kernel emitted out of (pre, iter) order: finish sorts
+	counts   []int64 // count mode: the result count of each iteration
 	st       *Stats
 }
 
@@ -149,14 +151,24 @@ func (em *emitter) seal() {
 }
 
 func (em *emitter) grow() {
+	if em.counts != nil && em.cur != nil { // count mode: tally the block and refill it
+		for _, it := range em.cur.iter[:em.fill] {
+			em.counts[it]++
+		}
+		em.st.Emitted, em.fill = em.st.Emitted+int64(em.fill), 0
+		return
+	}
 	em.seal()
 	em.cur, em.fill = blockPool.Get().(*block), 0
 	liveBlocks.Add(1)
 }
 
-// finish seals the last block and returns the result in (pre, iter)
-// order.
+// finish seals the last block (in count mode tallied first, so it seals
+// empty) and returns the result in (pre, iter) order.
 func (em *emitter) finish() Blocks {
+	if em.counts != nil && em.cur != nil {
+		em.grow()
+	}
 	em.seal()
 	if em.unsorted {
 		em.out.sort()

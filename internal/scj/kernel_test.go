@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"mxq/internal/store"
 	"mxq/internal/xmark"
 )
 
-// checkStep compares one step, in every variant, against the oracle,
-// and checks that every block went back to the pool.
+// checkStep compares one step, in every variant and in pair and count
+// mode, against the oracle, and checks that every block went back to the
+// pool.
 func checkStep(t *testing.T, label string, c *store.Container, ctx Pairs, axis Axis, test Test) {
 	t.Helper()
 	checkStepWant(t, label, c, ctx, axis, test, naiveAxis(c, ctx, axis, test))
@@ -29,9 +31,34 @@ func checkStepWant(t *testing.T, label string, c *store.Container, ctx Pairs, ax
 		if st.Emitted != int64(want.Len()) {
 			t.Fatalf("%s %v/%v: Emitted = %d, want %d", label, axis, v, st.Emitted, want.Len())
 		}
+		checkCount(t, label, c, ctx, axis, test, v, want, st)
 	}
 	if now := liveBlocks.Load(); now != live {
 		t.Fatalf("%s %v: %d blocks left outside the pool", label, axis, now-live)
+	}
+}
+
+// checkCount runs the step in count mode: its per-iteration counts must
+// be the lengths of want's iterations, and it must touch the tuples and
+// count the results the pair mode's run (st) did.
+func checkCount(t *testing.T, label string, c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, want Pairs, pairs Stats) {
+	t.Helper()
+	n := 0
+	for _, it := range ctx.Iter {
+		n = max(n, int(it)+1)
+	}
+	wantCounts, counts := make([]int64, n), make([]int64, n)
+	for _, it := range want.Iter {
+		wantCounts[it]++
+	}
+	var st Stats
+	CountStep(c, ctx, axis, test, v, &st, counts)
+	if !slices.Equal(counts, wantCounts) {
+		t.Fatalf("%s %v/%v test=%+v: counts %v, want %v", label, axis, v, test, clip(fmt.Sprint(counts)), clip(fmt.Sprint(wantCounts)))
+	}
+	if st.Touched != pairs.Touched || st.Emitted != pairs.Emitted || st.Pruned != pairs.Pruned {
+		t.Fatalf("%s %v/%v test=%+v: count mode touched/emitted/pruned %d/%d/%d, pair mode %d/%d/%d", label, axis, v, test,
+			st.Touched, st.Emitted, st.Pruned, pairs.Touched, pairs.Emitted, pairs.Pruned)
 	}
 }
 
@@ -226,6 +253,15 @@ func TestStopMidBlockReturnsBlocks(t *testing.T) {
 		b.Release()
 		if now := liveBlocks.Load(); now != live {
 			t.Fatalf("%v/%v: %d blocks left outside the pool after a stopped step", tc.axis, tc.v, now-live)
+		}
+		polls, st.Emitted = 0, 0
+		counts := make([]int64, 2)
+		CountStep(c, tc.ctx, tc.axis, tc.test, tc.v, &st, counts)
+		if polls < 2 || counts[1] >= int64(full.Len()) || counts[1] != st.Emitted {
+			t.Errorf("%v/%v count mode: Stop fired %d times, %d of %d results counted (Emitted %d): not stopped early", tc.axis, tc.v, polls, counts[1], full.Len(), st.Emitted)
+		}
+		if now := liveBlocks.Load(); now != live {
+			t.Fatalf("%v/%v: %d blocks left outside the pool after a stopped count", tc.axis, tc.v, now-live)
 		}
 	}
 }

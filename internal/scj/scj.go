@@ -26,7 +26,8 @@
 // id) table inline, and never hash: pruning state is a sorted iteration
 // set (descendant), the previous context of the iteration (ancestor) or
 // a stack of open sibling groups. StepBlocks hands the block list to the
-// caller; Step is the same run flattened into one exact-size Pairs.
+// caller; Step is the same run flattened into one exact-size Pairs;
+// CountStep is the same run counted per iteration, with no result kept.
 //
 // All variants are read-only with respect to the container, so any
 // number of steps may run concurrently against the same document.
@@ -202,6 +203,17 @@ func StepBlocks(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, 
 	return out
 }
 
+// CountStep is StepBlocks in count mode: it adds each iteration's result
+// count to counts[iter], which must cover every iteration of ctx, and
+// keeps no pair. It touches and emits what StepBlocks does (st must not
+// be nil); the pairs pass through one recycled block, charged nothing.
+func CountStep(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, st *Stats, counts []int64) {
+	em := &emitter{fill: blockCap, st: st, counts: counts}
+	runKernel(c, ctx, axis, test, v, em)
+	b := em.finish()
+	b.Release()
+}
+
 func runKernel(c *store.Container, ctx Pairs, axis Axis, test Test, v Variant, em *emitter) {
 	if v == Iterative {
 		iterative(c, ctx, axis, test, em)
@@ -299,7 +311,7 @@ func scanDescendant(c *store.Container, ctx Pairs, t *nodeTest, orSelf bool, em 
 // active iteration and a table-only test (the common case) it is a bulk
 // filter straight into the current block: sub-stretches no longer than
 // the block's free space need no capacity check, and each adds its
-// touch count and polls Stop once.
+// touch count and polls Stop once. In count mode that filter only counts.
 func scanStretch(c *store.Container, t *nodeTest, p, stop int32, active []int32, em *emitter) int32 {
 	st := em.st
 	if len(active) != 1 || t.name != nil {
@@ -316,6 +328,19 @@ func scanStretch(c *store.Container, t *nodeTest, p, stop int32, active []int32,
 		return p
 	}
 	kind, nameID, mask, id, it := c.Kind, c.NameID, t.mask, t.id, active[0]
+	for em.counts != nil && p <= stop {
+		end, k := min(stop, p+blockCap-1), 0
+		for q, kd := range kind[p : end+1] { // the kind test is added, not branched on
+			if id < 0 || nameID[p+int32(q)] == id {
+				k += int(mask >> kd & 1)
+			}
+		}
+		em.counts[it], st.Emitted = em.counts[it]+int64(k), st.Emitted+int64(k)
+		if st.touch(int64(end + 1 - p)) {
+			return -1
+		}
+		p = end + 1
+	}
 	for p <= stop {
 		pre, iter := em.room()
 		from, k := p, 0

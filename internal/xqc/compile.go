@@ -461,7 +461,7 @@ func (c *Compiler) compile(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 		f := ralg.NewFun(firstItem(q), ralg.FunNeg, "negv", "item")
 		return ralg.NewProject(f, "iter", "pos", "negv->item"), nil
 	case *xqp.Path:
-		return c.compilePath(x, sc)
+		return c.compilePath(x, sc, false)
 	case *xqp.Call:
 		return c.compileCall(x, sc)
 	case *xqp.ElemCtor:
@@ -471,8 +471,13 @@ func (c *Compiler) compile(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 }
 
 // compileCounted is compile plus e's count plan where one is known (a
-// FLWOR's, or a variable's that carries one), nil otherwise.
-func (c *Compiler) compileCounted(e xqp.Expr, sc *scope) (q, count ralg.Plan, err error) {
+// FLWOR's, or a variable's that carries one), nil otherwise. With paths,
+// a counted path is compiled to its count plan alone.
+func (c *Compiler) compileCounted(e xqp.Expr, sc *scope, paths bool) (q, count ralg.Plan, err error) {
+	if paths && counted(e) {
+		count, err = c.compilePath(e.(*xqp.Path), sc, true)
+		return nil, count, err
+	}
 	switch x := e.(type) {
 	case *xqp.FLWOR:
 		return c.compileFLWOR(x, sc)
@@ -688,11 +693,10 @@ func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 			}
 		case "exists", "empty":
 			if len(x.Args) == 1 {
-				q, err := c.compile(x.Args[0], sc)
+				present, err := c.nonEmpty(x.Args[0], sc)
 				if err != nil {
 					return nil, err
 				}
-				present := distinctIters(ralg.NewProject(q, "iter"))
 				if x.Name == "empty" {
 					return complement(sc.loop, present), nil
 				}
@@ -706,6 +710,9 @@ func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 	case *xqp.Quantified:
 		return c.compileBool(desugarQuantified(x), sc)
 	}
+	if counted(e) { // a node sequence: its effective boolean value is exists
+		return c.nonEmpty(e, sc)
+	}
 	// generic fallback: the iterations whose sequence's effective
 	// boolean value is true
 	q, err := c.compile(e, sc)
@@ -715,6 +722,21 @@ func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 	ebv := &ralg.EBV{Part: "iter", Item: "item"}
 	ebv.SetInput(0, q)
 	return ebv, nil
+}
+
+// nonEmpty is the set of iterations in which e has an item: those of
+// its count plan where e is a counted path, else the distinct iterations
+// of its rows.
+func (c *Compiler) nonEmpty(e xqp.Expr, sc *scope) (ralg.Plan, error) {
+	if counted(e) {
+		q, err := c.compilePath(e.(*xqp.Path), sc, true)
+		return ralg.NewProject(q, "iter"), err
+	}
+	q, err := c.compile(e, sc)
+	if err != nil {
+		return nil, err
+	}
+	return distinctIters(ralg.NewProject(q, "iter")), nil
 }
 
 // distinctIters removes the duplicates from an iter column sorted on

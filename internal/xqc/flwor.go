@@ -64,7 +64,7 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (plan, count ralg.Plan
 			}
 			cur, chainPlan, join = newCur, newChain, nil
 		case xqp.ClauseLet:
-			q, cnt, err := c.compileCounted(cl.Expr, cur)
+			q, cnt, err := c.compileCounted(cl.Expr, cur, false)
 			if err != nil {
 				return nil, nil, err
 			}

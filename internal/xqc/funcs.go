@@ -189,7 +189,7 @@ func (c *Compiler) compileAggr(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 	if len(x.Args) == 0 {
 		return c.compileArg(x, 0, sc)
 	}
-	q, counted, err := c.compileCounted(x.Args[0], sc)
+	q, counted, err := c.compileCounted(x.Args[0], sc, x.Name == "count")
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,10 @@ func (c *Compiler) stepVariant(axis scj.Axis, test scj.Test) scj.Variant {
 	return scj.LoopLifted
 }
 
-func (c *Compiler) compilePath(p *xqp.Path, sc *scope) (ralg.Plan, error) {
+// compilePath compiles a path to its sequence (iter|pos|item) or, with
+// count, a counted path to its count plan: per iteration with a result
+// node, an (iter, item) row holding their number, in iteration order.
+func (c *Compiler) compilePath(p *xqp.Path, sc *scope, count bool) (ralg.Plan, error) {
 	var ctx ralg.Plan
 	steps := p.Steps
 	// one marks a context of exactly one item per iteration: the
@@ -100,7 +103,7 @@ func (c *Compiler) compilePath(p *xqp.Path, sc *scope) (ralg.Plan, error) {
 			for n < len(steps) && steps[n].Expr == nil && !seesPosition(steps[n].Preds) {
 				n++
 			}
-			ctx, err = c.compileChain(ctx, steps[:n], sc, false)
+			ctx, err = c.compileChain(ctx, steps[:n], sc, false, count && n == len(steps))
 		}
 		if err != nil {
 			return nil, err
@@ -110,14 +113,22 @@ func (c *Compiler) compilePath(p *xqp.Path, sc *scope) (ralg.Plan, error) {
 	return ctx, nil
 }
 
+// counted reports whether e is a path whose last run is a chain (its
+// last step cannot see position), which compilePath can count.
+func counted(e xqp.Expr) bool {
+	p, ok := e.(*xqp.Path)
+	return ok && len(p.Steps) > 0 && p.Steps[len(p.Steps)-1].Expr == nil && !seesPosition(p.Steps[len(p.Steps)-1].Preds)
+}
+
 // compileChain applies a run of axis steps whose predicates cannot see
 // position to the context sequence ctx (iter|pos|item) as one staircase
-// pipeline: a single sort into (item, iter) order, each step consuming
-// its predecessor's output (which leaves the staircase join in that
-// order) as its predicates filter it, and a single numbering back into
-// sequence order after the last step — document order, or reverse
-// document order for the positions of a reverse axis.
-func (c *Compiler) compileChain(ctx ralg.Plan, run []xqp.Step, sc *scope, reverse bool) (ralg.Plan, error) {
+// pipeline: a single sort into (item, iter) order, and each step
+// consuming its predecessor's output (which leaves the staircase join in
+// that order) as its predicates filter it. Then it numbers the output
+// back into sequence order — document order, or reverse document order
+// for the positions of a reverse axis — or, with count, it counts it: a
+// trailing Step in the kernel, a trailing filter by an Aggr.
+func (c *Compiler) compileChain(ctx ralg.Plan, run []xqp.Step, sc *scope, reverse, count bool) (ralg.Plan, error) {
 	q := ralg.Plan(ralg.NewSort(ctx, "item", "iter"))
 	for _, s := range run {
 		axis, test := axisToSCJ(s.Axis), testToSCJ(s.Test)
@@ -131,6 +142,14 @@ func (c *Compiler) compileChain(ctx ralg.Plan, run []xqp.Step, sc *scope, revers
 				return nil, err
 			}
 		}
+	}
+	if st, ok := q.(*ralg.Step); ok && count {
+		st.Count = true
+		return st, nil
+	} else if count {
+		a := &ralg.Aggr{Part: "iter", Op: ralg.AggCount, Out: "item"}
+		a.SetInput(0, q)
+		return ralg.NewSort(a, "iter"), nil
 	}
 	rn := ralg.NewRowNum(q, "pos", []string{"item"}, "iter")
 	if reverse {
@@ -202,7 +221,7 @@ func (c *Compiler) compileStep(ctx ralg.Plan, s xqp.Step, sc *scope, one bool) (
 		cidCtx := ralg.AttachInt(ralg.NewProject(numbered, "cid->iter", "item"), "pos", 1)
 		ctx = ralg.NewProject(cidCtx, "iter", "pos", "item")
 	}
-	seq, err := c.compileChain(ctx, []xqp.Step{{Axis: s.Axis, Test: s.Test}}, sc, s.Axis.Reverse())
+	seq, err := c.compileChain(ctx, []xqp.Step{{Axis: s.Axis, Test: s.Test}}, sc, s.Axis.Reverse(), false)
 	if err == nil {
 		seq, err = c.compilePreds(seq, s.Preds, sc)
 	}

@@ -1,6 +1,7 @@
 package mxq_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -265,6 +266,18 @@ var specCases = []struct {
 	{"or-ebv-error", `for $i in (1, 2) where $i = 2 or (1, 2) return $i`, "err:FORG0006"},
 	{"not-ebv-error", `for $i in (1, 2) where not(("a", "b")) return $i`, "err:FORG0006"},
 	{"if-ebv-error", `if ((1, 2)) then 1 else 2`, "err:FORG0006"},
+
+	// a path's result is duplicate-free in document order (XPath 2.0
+	// §3.2): a context node that occurs twice yields its children, its
+	// attributes and itself once
+	{"dup-context-child", `count((doc("rev.xml")/r, doc("rev.xml")/r)/a)`, "1"},
+	{"dup-context-child-let", `let $s := (doc("rev.xml")/r, doc("rev.xml")/r) return count($s/a)`, "1"},
+	{"dup-context-child-items", `(doc("num.xml")/r, doc("num.xml")/r)/a`, "<a>1</a><a>2</a><a>3</a>"},
+	{"dup-context-child-star", `count((doc("rev.xml")/r, doc("rev.xml")/r)/*)`, "2"},
+	{"dup-context-self", `count((doc("rev.xml")/r, doc("rev.xml")/r)/self::r)`, "1"},
+	{"dup-context-attribute", `count((doc("attrs.xml")//b, doc("attrs.xml")//b)/@id)`, "1"},
+	{"dup-context-attribute-self", `count((doc("attrs.xml")//@id, doc("attrs.xml")//@id)/self::node())`, "2"},
+	{"dup-context-attribute-dos", `count((doc("attrs.xml")//@id, doc("attrs.xml")//@id)/descendant-or-self::node())`, "2"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
@@ -335,6 +348,91 @@ func TestSpecConformanceNaive(t *testing.T) {
 	}
 }
 
+// --- fn:count, fn:exists, fn:empty and conditions over a path ------------
+
+// pathCountCases put a path (the %s of query) where only its length or
+// whether it is empty matters: fn:count, fn:exists, fn:empty, an if
+// condition or a where clause. counted marks a path whose last step
+// cannot see position, which compiles to a count plan; the others are
+// numbered like any path.
+var pathCountCases = []struct {
+	name, query, path string
+	counted           bool
+	want              string
+}{
+	{"child", `count(%s)`, `doc("rev.xml")/r/a/*`, true, "3"},
+	{"descendant", `count(%s)`, `doc("rev.xml")//*`, true, "7"},
+	{"descendant-or-self", `count(%s)`, `doc("rev.xml")/r/descendant-or-self::*`, true, "7"},
+	{"self", `count(%s)`, `doc("rev.xml")//*/self::c`, true, "1"},
+	{"parent", `count(%s)`, `doc("rev.xml")//*/parent::*`, true, "3"},
+	{"ancestor", `count(%s)`, `doc("rev.xml")//d/ancestor::*`, true, "3"},
+	{"ancestor-or-self", `count(%s)`, `doc("rev.xml")//d/ancestor-or-self::node()`, true, "5"},
+	{"following", `count(%s)`, `doc("rev.xml")//c/following::*`, true, "2"},
+	{"preceding", `count(%s)`, `doc("rev.xml")//e/preceding::*`, true, "3"},
+	{"following-sibling", `count(%s)`, `doc("rev.xml")//b/following-sibling::*`, true, "2"},
+	{"preceding-sibling", `count(%s)`, `doc("rev.xml")//e/preceding-sibling::*`, true, "2"},
+	{"attribute", `count(%s)`, `doc("attrs.xml")//@*`, true, "5"},
+	{"attribute-named", `exists(%s)`, `doc("attrs.xml")//a/@y`, true, "true"},
+	{"attribute-parent", `count(%s)`, `doc("attrs.xml")//@id/..`, true, "2"},
+	{"attribute-self", `count(%s)`, `doc("attrs.xml")//b/@id/self::node()`, true, "1"},
+	{"attribute-self-elem", `count(%s)`, `doc("attrs.xml")//@id/self::*`, true, "0"},
+	{"attribute-ancestor-or-self", `count(%s)`, `doc("attrs.xml")//b/@id/ancestor-or-self::node()`, true, "5"},
+	{"attribute-descendant-or-self", `count(%s)`, `doc("attrs.xml")//@id/descendant-or-self::node()`, true, "2"},
+	{"attribute-following", `count(%s)`, `doc("attrs.xml")//a/@x/following::*`, true, "3"},
+	{"mixed-context-ancestor", `count(%s)`, `(doc("attrs.xml")//@id, doc("attrs.xml")//d)/ancestor::*`, true, "4"},
+	{"empty-context", `count(%s)`, `doc("rev.xml")//zz/*`, true, "0"},
+	{"empty-context-exists", `exists(%s)`, `doc("rev.xml")//zz/*`, true, "false"},
+	{"empty-context-empty", `empty(%s)`, `doc("rev.xml")//zz/*`, true, "true"},
+	{"empty-result", `empty(%s)`, `doc("rev.xml")//b/*`, true, "true"},
+	{"nonempty-empty", `empty(%s)`, `doc("rev.xml")//c/*`, true, "false"},
+	{"per-iteration-count", `for $x in doc("rev.xml")/r/a/* return count(%s)`, `$x//*`, true, "0 1 0"},
+	{"per-iteration-exists", `for $x in doc("rev.xml")//* return exists(%s)`, `$x/*`, true, "true true false true false false false"},
+	{"per-iteration-empty", `for $x in doc("rev.xml")//* return empty(%s)`, `$x/@id`, true, "true true true false true false true"},
+	{"per-iteration-filtered", `for $x in doc("rev.xml")/r/* return count(%s)`, `$x//*[@id]`, true, "2 0"},
+	{"filtered", `count(%s)`, `doc("attrs.xml")//*[@id]`, true, "2"},
+	{"filtered-exists", `exists(%s)`, `doc("rev.xml")//*[@id][*]`, true, "true"},
+	{"filtered-empty", `empty(%s)`, `doc("rev.xml")//*[@id][f]`, true, "true"},
+	{"filtered-mid-path", `count(%s)`, `doc("rev.xml")//*[@id]/*`, true, "1"},
+	{"positional", `count(%s)`, `doc("rev.xml")//*[1]`, false, "4"},
+	{"positional-last", `count(%s)`, `doc("rev.xml")/r/a/*[last()]`, false, "1"},
+	{"positional-exists", `for $x in doc("rev.xml")/r/* return exists(%s)`, `$x/*[2]`, false, "true false"},
+	{"if", `if (%s) then "y" else "n"`, `doc("rev.xml")//d`, true, "y"},
+	{"if-per-iteration", `for $x in doc("rev.xml")/r/* return if (%s) then "y" else "n"`, `$x/*`, true, "y n"},
+	{"if-attribute", `for $x in doc("rev.xml")//* return if (%s) then name($x) else ()`, `$x/@id`, true, "c e"},
+	{"where", `for $x in doc("rev.xml")//* where %s return name($x)`, `$x/*/*`, true, "r a"},
+	{"not", `for $x in doc("rev.xml")/r/a/* return not(%s)`, `$x/*`, true, "true false true"},
+	{"count-arith", `count(%s) + 1`, `doc("rev.xml")//*`, true, "8"},
+}
+
+// TestSpecConformancePathCounts runs pathCountCases on three engines:
+// the relational engine as written (a counted case must compile to a
+// count plan), the relational engine with the path wrapped in a
+// two-item sequence, which compiles it like any other path, and the
+// naive interpreter.
+func TestSpecConformancePathCounts(t *testing.T) {
+	db := mxq.Open()
+	loadSpecDocs(t, db.LoadDocumentString)
+	oracle := naive.New()
+	loadSpecDocs(t, func(name, xml string) error { return oracle.LoadXML(name, strings.NewReader(xml)) })
+	for _, c := range pathCountCases {
+		q := fmt.Sprintf(c.query, c.path)
+		plan, err := db.ExplainPlan(q)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", c.name, q, err)
+		}
+		if counted := strings.Contains(plan, " count)") || strings.Contains(plan, "aggr(item := count() part"); counted != c.counted {
+			t.Errorf("%s: %s compiles to a count plan: %v, want %v\n%s", c.name, q, counted, c.counted, plan)
+		}
+		got, err := db.QueryString(q)
+		checkSpec(t, "[count plan] ", c.name, q, c.want, got, err)
+		seq := fmt.Sprintf(c.query, "("+c.path+", ())")
+		got, err = db.QueryString(seq)
+		checkSpec(t, "[sequence] ", c.name, seq, c.want, got, err)
+		got, err = oracle.QueryString(q)
+		checkSpec(t, "[naive] ", c.name, q, c.want, got, err)
+	}
+}
+
 // --- fn:doc / fn:collection conformance ----------------------------------
 
 // The doc/collection suite runs a fixed corpus — one context document,
@@ -377,6 +475,14 @@ func docCollCases(t *testing.T, order []string) []struct{ name, query, want stri
 		{"collection-in-flwor", `for $d in collection("col") where number($d/r/v) > 1 return <v>{$d/r/v/text()}</v>`,
 			flworWant(order)},
 		{"collection-desc", `count(collection("col")//v)`, "3"},
+		// count, exists and empty over a path across the shards: the
+		// count plan, and the same path compiled as a sequence
+		{"collection-count-path", `count(collection("col")/r/*)`, "3"},
+		{"collection-count-seq", `count((collection("col")/r/*, ()))`, "3"},
+		{"collection-exists-path", `exists(collection("col")//v/text())`, "true"},
+		{"collection-empty-path", `empty(collection("col")/r/w)`, "true"},
+		{"collection-count-per-doc", `for $d in collection("col") return count($d//v/..)`, "1 1 1"},
+		{"collection-count-filtered", `count(collection("col")/r[v > 1])`, "2"},
 		{"collection-root-kind", `count(collection("col")/..)`, "0"},
 	}
 }
