@@ -10,6 +10,7 @@ import (
 	"mxq/internal/ralg"
 	"mxq/internal/testutil"
 	"mxq/internal/xqc"
+	"mxq/internal/xqt"
 )
 
 // slowQuery generates ~4M rows through RangeGen and aggregates them —
@@ -68,8 +69,8 @@ func TestQueryContextCompleteRunsUnaffected(t *testing.T) {
 // panic into an error carrying the query text instead of crashing the
 // process.
 func TestExecutePanicContained(t *testing.T) {
-	tab := ralg.NewTable([]string{"iter"}, []ralg.ColKind{ralg.KInt})
-	tab.Col("iter").Int = []int64{1}
+	tab := ralg.NewTable([]string{"iter"}, []xqt.Kind{xqt.KInt})
+	*tab.Col("iter") = ralg.BindInts(1)
 	tab.N = 1
 	broken := &ralg.Select{Cond: "no-such-column"}
 	broken.SetInput(0, &ralg.Lit{Tab: tab})

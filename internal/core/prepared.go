@@ -196,7 +196,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 		if err != nil {
 			return nil, err
 		}
-		env[prm.Name] = *tab.ItemVec("item")
+		env[prm.Name] = *tab.Col("item")
 	}
 	tab, err := ex.Run(p.cq.Plan)
 	if err != nil {

@@ -366,9 +366,21 @@ func (in *Interp) evalFLWOR(f *xqp.FLWOR, env *scope) ([]Val, error) {
 				}
 			}
 		}
+		// a key none of whose values is an xs:double orders its
+		// xs:integer values exactly, not as xs:double
+		exact := make([]bool, len(order.Keys))
+		for ki := range exact {
+			exact[ki] = !slices.ContainsFunc(ks, func(k keyed) bool { return k.keys[ki].K == xqt.KDouble })
+		}
 		sort.SliceStable(ks, func(a, b int) bool {
 			for ki, key := range order.Keys {
 				x, y := ks[a].keys[ki], ks[b].keys[ki]
+				if exact[ki] && x.K == xqt.KInt && y.K == xqt.KInt {
+					if x.I != y.I {
+						return (x.I < y.I) != key.Desc
+					}
+					continue
+				}
 				if xqt.SortLess(x, y) {
 					return !key.Desc
 				}

@@ -3,6 +3,7 @@ package naive
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"unicode/utf8"
 
@@ -110,19 +111,24 @@ func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, err
 		return []Val{atomVal(xqt.Double(sf / float64(len(args[0]))))}, nil
 	case "min", "max":
 		// F&O: xs:untypedAtomic is cast to xs:double; numbers compare as
-		// xs:double, strings and booleans among themselves (else FORG0006);
-		// NaN wins and a tie keeps the earlier value
-		var best xqt.Item
+		// xs:double — exactly when every value is an xs:integer — strings
+		// and booleans among themselves (else FORG0006); NaN wins and a
+		// tie keeps the earlier value
+		atoms := make([]xqt.Item, len(args[0]))
+		exact := true
 		for i, v := range args[0] {
-			a := v.Atomize()
-			if a.K == xqt.KUntyped {
-				a = xqt.Double(a.AsDouble())
+			if atoms[i] = v.Atomize(); atoms[i].K == xqt.KUntyped {
+				atoms[i] = xqt.Double(atoms[i].AsDouble())
 			}
+			exact = exact && atoms[i].K == xqt.KInt
+		}
+		var best xqt.Item
+		for i, a := range atoms {
 			switch {
 			case i == 0:
 			case (a.K == xqt.KString) != (best.K == xqt.KString) || (a.K == xqt.KBool) != (best.K == xqt.KBool):
 				return nil, xqerr.Newf("FORG0006", "%s over %s and %s values", name, best.K, a.K)
-			case !minMaxBeats(a, best, name == "max"):
+			case !minMaxBeats(a, best, name == "max", exact):
 				continue
 			}
 			best = a
@@ -184,11 +190,15 @@ func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, err
 		}
 		return []Val{atomVal(xqt.Double(f))}, nil
 	case "distinct-values":
+		atoms := make([]xqt.Item, len(args[0]))
+		for i, v := range args[0] {
+			atoms[i] = v.Atomize()
+		}
+		exact := !slices.ContainsFunc(atoms, func(a xqt.Item) bool { return a.K == xqt.KDouble })
 		seen := make(map[string]bool)
 		var out []Val
-		for _, v := range args[0] {
-			a := v.Atomize()
-			k := valueKey(a)
+		for _, a := range atoms {
+			k := valueKey(a, exact)
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, atomVal(a))
@@ -279,11 +289,14 @@ func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, err
 }
 
 // valueKey normalizes an atom for distinct-values: numeric values compare
-// numerically (so 1 and 1.0 are one value), booleans only against
-// booleans, everything else as strings (mirrors ralg's rowKey policy;
+// numerically (so 1 and 1.0 are one value) — integers exactly in a
+// sequence without an xs:double (exact) — booleans only against
+// booleans, everything else as strings (mirrors ralg's itemKey policy;
 // values of incomparable types are distinct per the XQuery spec).
-func valueKey(a xqt.Item) string {
+func valueKey(a xqt.Item, exact bool) string {
 	switch {
+	case exact && a.K == xqt.KInt:
+		return fmt.Sprintf("n%d", a.I)
 	case a.IsNumeric():
 		return fmt.Sprintf("n%v", a.AsDouble())
 	case a.K == xqt.KBool:
@@ -382,10 +395,14 @@ func (in *Interp) copyTree(n *Node, parent *Node) *Node {
 }
 
 // minMaxBeats reports whether a replaces best, the extremum so far: NaN
-// wins, and a tie keeps best.
-func minMaxBeats(a, best xqt.Item, isMax bool) bool {
-	if a.K == xqt.KString {
+// wins, and a tie keeps best; exact compares xs:integer values as
+// themselves, not as xs:double.
+func minMaxBeats(a, best xqt.Item, isMax, exact bool) bool {
+	switch {
+	case a.K == xqt.KString:
 		return isMax && a.S > best.S || !isMax && a.S < best.S
+	case exact:
+		return isMax && a.I > best.I || !isMax && a.I < best.I
 	}
 	x, y := a.AsDouble(), best.AsDouble()
 	return x != x && y == y || isMax && x > y || !isMax && x < y

@@ -27,6 +27,7 @@ import (
 	"unicode/utf8"
 
 	"mxq/internal/ralg"
+	"mxq/internal/xqt"
 )
 
 // Optimize rewrites the plan DAG in place (returning the possibly new
@@ -231,7 +232,7 @@ func (o *optimizer) rewriteNode(p ralg.Plan, ins []*props) ralg.Plan {
 // struct and shares the rest.
 func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 	switch n := p.(type) {
-	case *ralg.Fun, *ralg.ColToItem, *ralg.CardCheck:
+	case *ralg.Fun, *ralg.CardCheck:
 		return o.expand(ins[0], true)
 	case *ralg.CoverCheck:
 		return o.expand(ins[1], true)
@@ -586,13 +587,13 @@ func (o *optimizer) mapMulti(ord string, m []colPair, fan bool, add func(string)
 func (o *optimizer) litProps(t *ralg.Table, pr *props) {
 	for _, name := range t.Names() {
 		c := t.Col(name)
-		if c.Kind != ralg.KInt {
+		if tag, uniform := c.Uniform(); !uniform || tag != xqt.KInt {
 			continue
 		}
 		sorted, uniq, dense := true, true, true
-		for i, v := range c.Int {
-			sorted = sorted && (i == 0 || v >= c.Int[i-1])
-			uniq = uniq && (i == 0 || v != c.Int[i-1])
+		for i, v := range c.I {
+			sorted = sorted && (i == 0 || v >= c.I[i-1])
+			uniq = uniq && (i == 0 || v != c.I[i-1])
 			dense = dense && v == int64(i)+1
 		}
 		id := o.id(name)

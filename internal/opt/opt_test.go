@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"mxq/internal/ralg"
+	"mxq/internal/xqt"
 )
 
 func litTable(vals ...int64) *ralg.Table {
-	t := ralg.NewTable([]string{"iter"}, []ralg.ColKind{ralg.KInt})
+	t := ralg.NewTable([]string{"iter"}, []xqt.Kind{xqt.KInt})
 	t.N = len(vals)
-	t.Col("iter").Int = vals
+	*t.Col("iter") = ralg.BindInts(vals...)
 	return t
 }
 
@@ -107,9 +108,9 @@ func TestRowNumModeSelection(t *testing.T) {
 func TestPositionalJoinModes(t *testing.T) {
 	dense := &ralg.Lit{Tab: litTable(1, 2, 3)}
 	other := func() *ralg.Lit {
-		tab := ralg.NewTable([]string{"k"}, []ralg.ColKind{ralg.KInt})
+		tab := ralg.NewTable([]string{"k"}, []xqt.Kind{xqt.KInt})
 		tab.N = 3
-		tab.Col("k").Int = []int64{2, 2, 3}
+		*tab.Col("k") = ralg.BindInts(2, 2, 3)
 		return &ralg.Lit{Tab: tab}
 	}
 	j := ralg.NewHashJoin(other(), dense, "k", "iter", ralg.Refs("k"), ralg.Refs("iter"))

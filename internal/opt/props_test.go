@@ -10,9 +10,9 @@ import (
 
 // litTable2 builds a one-int-column table under an arbitrary name.
 func litTable2(name string, vals ...int64) *ralg.Table {
-	t := ralg.NewTable([]string{name}, []ralg.ColKind{ralg.KInt})
+	t := ralg.NewTable([]string{name}, []xqt.Kind{xqt.KInt})
 	t.N = len(vals)
-	t.Col(name).Int = vals
+	*t.Col(name) = ralg.BindInts(vals...)
 	return t
 }
 
@@ -36,9 +36,9 @@ func TestDescendingSortNotElided(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int64{3, 2, 1}
-	for i, v := range got.Col("iter").Int {
+	for i, v := range got.Ints("iter") {
 		if v != want[i] {
-			t.Fatalf("descending sort output %v, want %v", got.Col("iter").Int, want)
+			t.Fatalf("descending sort output %v, want %v", got.Ints("iter"), want)
 		}
 	}
 }
@@ -46,10 +46,10 @@ func TestDescendingSortNotElided(t *testing.T) {
 // A sort reorders rows, so density (values == row index + 1) of an
 // unrelated column must not survive it.
 func TestSortDropsDensity(t *testing.T) {
-	tab := ralg.NewTable([]string{"a", "b"}, []ralg.ColKind{ralg.KInt, ralg.KInt})
+	tab := ralg.NewTable([]string{"a", "b"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	tab.N = 3
-	tab.Col("a").Int = []int64{1, 2, 3}    // dense
-	tab.Col("b").Int = []int64{30, 20, 10} // sort key reverses the rows
+	*tab.Col("a") = ralg.BindInts(1, 2, 3)    // dense
+	*tab.Col("b") = ralg.BindInts(30, 20, 10) // sort key reverses the rows
 	s := ralg.NewSort(&ralg.Lit{Tab: tab}, "b")
 	props := InferProps(s)
 	if props[s].Dense("a") {
@@ -66,10 +66,10 @@ func TestSortDropsDensity(t *testing.T) {
 
 // Distinct drops duplicate rows, leaving gaps in a dense column.
 func TestDistinctDropsDensity(t *testing.T) {
-	tab := ralg.NewTable([]string{"a", "b"}, []ralg.ColKind{ralg.KInt, ralg.KInt})
+	tab := ralg.NewTable([]string{"a", "b"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	tab.N = 3
-	tab.Col("a").Int = []int64{1, 2, 3}
-	tab.Col("b").Int = []int64{7, 7, 8}
+	*tab.Col("a") = ralg.BindInts(1, 2, 3)
+	*tab.Col("b") = ralg.BindInts(7, 7, 8)
 	d := &ralg.Distinct{By: []string{"b"}}
 	d.SetInput(0, &ralg.Lit{Tab: tab})
 	props := InferProps(d)
@@ -84,7 +84,7 @@ func TestElemConstructKeyRequiresLoopKey(t *testing.T) {
 	uniqLoop := &ralg.Lit{Tab: litTable2("iter", 1, 2, 3)}
 	dupLoop := &ralg.Lit{Tab: litTable2("iter", 1, 1, 2)}
 	mkElem := func(loop ralg.Plan) *ralg.ElemConstruct {
-		tab := ralg.NewTable([]string{"iter", "item"}, []ralg.ColKind{ralg.KInt, ralg.KItem})
+		tab := ralg.NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 		e := &ralg.ElemConstruct{Loop: loop, Content: &ralg.Lit{Tab: tab}, Tag: "e"}
 		return e
 	}
@@ -105,10 +105,10 @@ func TestElemConstructKeyRequiresLoopKey(t *testing.T) {
 // sort(item), and downstream consumers must still be able to prove
 // ord(item,iter).
 func TestStableSortKeepsGlobalOrderAsGrpord(t *testing.T) {
-	tab := ralg.NewTable([]string{"iter", "item"}, []ralg.ColKind{ralg.KInt, ralg.KInt})
+	tab := ralg.NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	tab.N = 4
-	tab.Col("iter").Int = []int64{1, 2, 3, 4}
-	tab.Col("item").Int = []int64{9, 7, 9, 7}
+	*tab.Col("iter") = ralg.BindInts(1, 2, 3, 4)
+	*tab.Col("item") = ralg.BindInts(9, 7, 9, 7)
 	s := ralg.NewSort(&ralg.Lit{Tab: tab}, "item", "iter")
 	out := Optimize(s)
 	srt, ok := out.(*ralg.Sort)
@@ -126,11 +126,11 @@ func TestStableSortKeepsGlobalOrderAsGrpord(t *testing.T) {
 // nothing of the kind.
 func TestStepKeepsConstIter(t *testing.T) {
 	ctx := func(iters ...int64) ralg.Plan {
-		tab := ralg.NewTable([]string{"iter", "item"}, []ralg.ColKind{ralg.KInt, ralg.KItem})
+		tab := ralg.NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 		tab.N = len(iters)
-		tab.Col("iter").Int = iters
+		*tab.Col("iter") = ralg.BindInts(iters...)
 		for range iters {
-			tab.Col("item").Item.Append(xqt.Int(1))
+			tab.Col("item").Append(xqt.Int(1))
 		}
 		return ralg.NewSort(&ralg.Lit{Tab: tab}, "item", "iter")
 	}

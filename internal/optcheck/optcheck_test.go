@@ -99,9 +99,8 @@ func TestRuleCoverageFloor(t *testing.T) {
 // the optimizer's inference claims key(a) for it, never ord(a).
 func unsortedLit() *ralg.Lit {
 	tab := ralg.NewTable(nil, nil)
-	tab.AddCol("a", ralg.Col{Kind: ralg.KInt, Int: []int64{3, 1, 5, 2, 4}})
-	tab.AddCol("item", ralg.Col{Kind: ralg.KItem, Item: ralg.ItemsOf(
-		xqt.Int(10), xqt.Int(20), xqt.Int(30), xqt.Int(40), xqt.Int(50))})
+	tab.AddCol("a", ralg.BindInts(3, 1, 5, 2, 4))
+	tab.AddCol("item", ralg.ItemsOf(xqt.Int(10), xqt.Int(20), xqt.Int(30), xqt.Int(40), xqt.Int(50)))
 	return &ralg.Lit{Tab: tab}
 }
 
@@ -172,7 +171,7 @@ func TestPlanckRefutedRewriteCaught(t *testing.T) {
 // honor the declared ordering, so both sides agree.
 func TestSoundSortDropValidates(t *testing.T) {
 	tab := ralg.NewTable(nil, nil)
-	tab.AddCol("a", ralg.Col{Kind: ralg.KInt, Int: []int64{1, 2, 3}})
+	tab.AddCol("a", ralg.BindInts(1, 2, 3))
 	in := &ralg.LitDecl{Tab: tab, Ords: [][]string{{"a"}}, Key: []string{"a"}}
 	before := ralg.NewSort(in, "a")
 	step := opt.RewriteStep{

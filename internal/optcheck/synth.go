@@ -72,7 +72,7 @@ func claimsOf(info planck.Info) *claims {
 	for _, c := range info.Props.DenseCols() {
 		// pos-density only makes sense on integer columns; a dense
 		// claim elsewhere would be an inference bug planck rejects.
-		if s.Has(c) && s.Info(c).Kind == ralg.KInt {
+		if s.Has(c) && s.Info(c).Is(xqt.KInt) {
 			cl.dense[c] = true
 		}
 	}
@@ -131,13 +131,10 @@ func (cl *claims) clone() *claims {
 	return out
 }
 
-// boolish reports whether column c holds two-valued data (a boolean
-// column, or an item column statically known boolean) — a key claim on
-// such a column caps the table at two rows.
-func (cl *claims) boolish(c string) bool {
-	ci := cl.info[c]
-	return ci.Kind == ralg.KBool || (ci.Kind == ralg.KItem && ci.TagKnown && ci.Tag == xqt.KBool)
-}
+// boolish reports whether column c holds two-valued data (a column
+// statically known xs:boolean) — a key claim on such a column caps the
+// table at two rows.
+func (cl *claims) boolish(c string) bool { return cl.info[c].Is(xqt.KBool) }
 
 // maxRows returns the largest row count the claims admit, at most want.
 func (cl *claims) maxRows(want int) int {
@@ -452,22 +449,11 @@ func rankOf(cs []int64) map[int64]int {
 func (d *domain) materialize(cl *claims, codes map[string][]int64, n int) (*ralg.Table, error) {
 	t := ralg.NewTable(nil, nil)
 	for _, name := range cl.cols {
-		cs := codes[name]
-		ci := cl.info[name]
-		var col ralg.Col
-		switch ci.Kind {
-		case ralg.KInt:
-			col = ralg.Col{Kind: ralg.KInt, Int: append([]int64(nil), cs...)}
-		case ralg.KBool:
-			col = ralg.Col{Kind: ralg.KBool, Bool: boolsOf(cs)}
-		default:
-			iv, err := d.itemsOf(ci, cs)
-			if err != nil {
-				return nil, err
-			}
-			col = ralg.Col{Kind: ralg.KItem, Item: iv}
+		iv, err := d.itemsOf(cl.info[name], codes[name])
+		if err != nil {
+			return nil, err
 		}
-		t.AddCol(name, col)
+		t.AddCol(name, iv)
 	}
 	return t, nil
 }
@@ -534,6 +520,9 @@ func (d *domain) itemsOf(ci planck.ColInfo, cs []int64) (ralg.ItemVec, error) {
 		default:
 			iv.Append(xqt.Int(v))
 		}
+	}
+	if iv.Len() == 0 {
+		iv.Tag = tag // the claimed tag holds of no rows
 	}
 	return iv, nil
 }

@@ -65,17 +65,9 @@ func annotation(info Info) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			ci := info.Schema.Info(c)
 			b.WriteString(c)
 			b.WriteByte(':')
-			switch {
-			case ci.Node:
-				b.WriteString("node")
-			case ci.TagKnown:
-				b.WriteString(ci.Tag.String())
-			default:
-				b.WriteString(kindStr(ci.Kind))
-			}
+			b.WriteString(info.Schema.Info(c).String())
 		}
 		b.WriteString("]")
 	}
@@ -123,7 +115,7 @@ func opLabel(n ralg.Plan) string {
 		}
 		return "project(" + strings.Join(refs, ",") + ")"
 	case *ralg.Attach:
-		return fmt.Sprintf("attach(%s:%s)", x.Col, kindStr(x.Kind))
+		return fmt.Sprintf("attach(%s:%s)", x.Col, x.It.K)
 	case *ralg.Select:
 		return fmt.Sprintf("select(%s)", x.Cond)
 	case *ralg.Fun:
@@ -188,8 +180,6 @@ func opLabel(n ralg.Plan) string {
 		return fmt.Sprintf("step(%s::%s%s%s)", x.Axis, testName(x.Test), stepVariant(x.Variant), mode)
 	case *ralg.ElemConstruct:
 		return fmt.Sprintf("elem(<%s>, %d attrs)", x.Tag, len(x.Attrs))
-	case *ralg.ColToItem:
-		return fmt.Sprintf("coltoitem(%s := %s)", x.Dst, x.Src)
 	case *ralg.RangeGen:
 		return fmt.Sprintf("rangegen(%s to %s by %s)", x.Lo, x.Hi, x.Iter)
 	case *ralg.CoverCheck:

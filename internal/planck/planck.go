@@ -1,8 +1,9 @@
 // Package planck is the static plan verifier: it walks a compiled ralg
 // plan DAG inputs-first, infers every operator's output schema (column
-// names, column kinds, node-ness and — where statically known — the
-// uniform item tag) plus a conservative set of the §4.1 column
-// properties (pos-density, key-ness, constness), and checks each
+// names, node-ness and — where statically known — the uniform item tag
+// that types a column: iter and pos columns are xs:integer, a
+// comparison's result xs:boolean) plus a conservative set of the §4.1
+// column properties (pos-density, key-ness, constness), and checks each
 // operator's preconditions against its inferred inputs. A malformed
 // plan — a Select over a missing or non-boolean column, a Step whose
 // input is not provably in (item, iter) order, a positional join
@@ -54,21 +55,41 @@ type Config struct {
 	// means "no parameters declared", so any ParamTable leaf is a
 	// violation.
 	Params map[string]bool
-	// RequireItem demands that the root plan produce an "item" column
-	// of item kind — the contract of every result-producing plan (the
-	// engine reads the result sequence off that column).
+	// RequireItem demands that the root plan produce an "item" column —
+	// the contract of every result-producing plan (the engine reads the
+	// result sequence off that column).
 	RequireItem bool
 }
 
-// ColInfo is the statically inferred shape of one output column.
+// ColInfo is the statically inferred type of one output column. Every
+// column is an item column; it is typed by its tag when all its rows
+// provably share one.
 type ColInfo struct {
-	Kind ralg.ColKind
-	// Node marks an item column statically known to hold only nodes.
+	// Node marks a column statically known to hold only nodes.
 	Node bool
-	// Tag is the uniform item tag when TagKnown (e.g. every Step output
-	// is node-tagged, every fn:string result is string-tagged).
+	// Tag is the uniform item tag when TagKnown (e.g. every iter column
+	// is xs:integer, every Step output is node-tagged, every fn:string
+	// result is string-tagged).
 	Tag      xqt.Kind
 	TagKnown bool
+}
+
+// intInfo types an xs:integer column: iter, pos, ranks and counts.
+var intInfo = ColInfo{Tag: xqt.KInt, TagKnown: true}
+
+// Is reports whether the column is known to hold only items of kind k.
+func (ci ColInfo) Is(k xqt.Kind) bool { return ci.TagKnown && ci.Tag == k }
+
+// String renders the column's type: "node" for a node column, its tag
+// when known, "item" otherwise.
+func (ci ColInfo) String() string {
+	switch {
+	case ci.Node:
+		return "node"
+	case ci.TagKnown:
+		return ci.Tag.String()
+	}
+	return "item"
 }
 
 // Schema is the inferred output schema of one operator.
@@ -190,9 +211,6 @@ func Analyze(root ralg.Plan, cfg Config) (map[ralg.Plan]Info, error) {
 			if !s.Has("item") {
 				return infos, &PlanInvariantError{Op: root.Name(), Msg: fmt.Sprintf("root plan must produce an \"item\" column, has %v", s.Cols())}
 			}
-			if s.Info("item").Kind != ralg.KItem {
-				return infos, &PlanInvariantError{Op: root.Name(), Msg: "root plan's \"item\" column is not of item kind"}
-			}
 		}
 	}
 	return infos, nil
@@ -246,21 +264,9 @@ func (v *verifier) iprops(n ralg.Plan, i int) opt.Props {
 	return opt.Props{}
 }
 
-func kindStr(k ralg.ColKind) string {
-	switch k {
-	case ralg.KInt:
-		return "int"
-	case ralg.KBool:
-		return "bool"
-	case ralg.KItem:
-		return "item"
-	}
-	return fmt.Sprintf("kind(%d)", k)
-}
-
-// need checks that schema s (of the given input role) has column col of
-// the wanted kind; an Any schema passes vacuously.
-func (v *verifier) need(n ralg.Plan, s *Schema, role, col string, kind ralg.ColKind) bool {
+// have checks that schema s (of the given input role) has column col;
+// an Any schema passes vacuously.
+func (v *verifier) have(n ralg.Plan, s *Schema, role, col string) bool {
 	if s.Any {
 		return true
 	}
@@ -272,8 +278,17 @@ func (v *verifier) need(n ralg.Plan, s *Schema, role, col string, kind ralg.ColK
 		v.failf(n, "%s column %q not in input schema %v", role, col, s.Cols())
 		return false
 	}
-	if got := s.Info(col).Kind; got != kind {
-		v.failf(n, "%s column %q has kind %s, want %s", role, col, kindStr(got), kindStr(kind))
+	return true
+}
+
+// need is have for a column whose tag must be known to be k: an
+// xs:integer key, iter or partition, an xs:boolean condition.
+func (v *verifier) need(n ralg.Plan, s *Schema, role, col string, k xqt.Kind) bool {
+	if !v.have(n, s, role, col) {
+		return false
+	}
+	if ci := s.Info(col); !s.Any && !ci.Is(k) {
+		v.failf(n, "%s column %q has type %s, want %s", role, col, ci, k)
 		return false
 	}
 	return true
@@ -329,7 +344,7 @@ func (v *verifier) crossCheck(n ralg.Plan, s *Schema, cp *colProps) {
 		switch {
 		case !s.Has(c):
 			v.failf(n, "optimizer infers dense(%s) but the column is not in the schema %v", c, s.Cols())
-		case s.Info(c).Kind != ralg.KInt:
+		case !s.Info(c).Is(xqt.KInt):
 			v.failf(n, "optimizer infers dense(%s) on a non-integer column", c)
 		case !cp.dense[c]:
 			v.failf(n, "optimizer infers dense(%s) but planck's propagation refutes it (inference disagreement)", c)
@@ -393,8 +408,8 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 			v.failf(n, "references undeclared variable $%s", x.Var)
 		}
 		s := newSchema()
-		s.add("pos", ColInfo{Kind: ralg.KInt})
-		s.add("item", ColInfo{Kind: ralg.KItem})
+		s.add("pos", intInfo)
+		s.add("item", ColInfo{})
 		cp := newColProps()
 		cp.dense["pos"] = true
 		cp.key["pos"] = true
@@ -404,8 +419,8 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 			v.failf(n, "empty collection name")
 		}
 		s := newSchema()
-		s.add("pos", ColInfo{Kind: ralg.KInt})
-		s.add("item", ColInfo{Kind: ralg.KItem, Node: true, Tag: xqt.KNode, TagKnown: true})
+		s.add("pos", intInfo)
+		s.add("item", ColInfo{Node: true, Tag: xqt.KNode, TagKnown: true})
 		cp := newColProps()
 		cp.dense["pos"] = true
 		cp.key["pos"] = true
@@ -422,7 +437,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		return v.checkAttach(x)
 	case *ralg.Select:
 		in := v.sch(n, 0)
-		v.need(n, in, "condition", x.Cond, ralg.KBool)
+		v.need(n, in, "condition", x.Cond, xqt.KBool)
 		cp := v.cprops(n, 0).clone()
 		cp.dense = map[string]bool{} // dropped rows leave gaps
 		return in, cp
@@ -442,8 +457,8 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		return v.checkUnion(x)
 	case *ralg.Diff:
 		l, r := v.sch(n, 0), v.sch(n, 1)
-		v.need(n, l, "left key", x.LKey, ralg.KInt)
-		v.need(n, r, "right key", x.RKey, ralg.KInt)
+		v.need(n, l, "left key", x.LKey, xqt.KInt)
+		v.need(n, r, "right key", x.RKey, xqt.KInt)
 		cp := v.cprops(n, 0).clone()
 		cp.dense = map[string]bool{}
 		return l, cp
@@ -469,41 +484,39 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		return v.checkStep(x)
 	case *ralg.ElemConstruct:
 		return v.checkElem(x)
-	case *ralg.ColToItem:
-		return v.checkColToItem(x)
 	case *ralg.RangeGen:
 		in := v.sch(n, 0)
-		v.need(n, in, "iter", x.Iter, ralg.KInt)
-		v.need(n, in, "range lower bound", x.Lo, ralg.KItem)
-		v.need(n, in, "range upper bound", x.Hi, ralg.KItem)
+		v.need(n, in, "iter", x.Iter, xqt.KInt)
+		v.have(n, in, "range lower bound", x.Lo)
+		v.have(n, in, "range upper bound", x.Hi)
 		s := newSchema()
-		s.add("iter", ColInfo{Kind: ralg.KInt})
-		s.add("pos", ColInfo{Kind: ralg.KInt})
-		s.add("item", ColInfo{Kind: ralg.KItem, Tag: xqt.KInt, TagKnown: true})
+		s.add("iter", intInfo)
+		s.add("pos", intInfo)
+		s.add("item", ColInfo{Tag: xqt.KInt, TagKnown: true})
 		return s, nil
 	case *ralg.CoverCheck:
 		loop, in := v.sch(n, 0), v.sch(n, 1)
-		v.need(n, loop, "loop iter", x.LoopIter, ralg.KInt)
-		v.need(n, in, "partition", x.Part, ralg.KInt)
+		v.need(n, loop, "loop iter", x.LoopIter, xqt.KInt)
+		v.need(n, in, "partition", x.Part, xqt.KInt)
 		if x.Fn == "" {
 			v.failf(n, "empty function name for error reporting")
 		}
 		return in, v.cprops(n, 1).clone()
 	case *ralg.EBV:
 		in := v.sch(n, 0)
-		v.need(n, in, "partition", x.Part, ralg.KInt)
-		v.need(n, in, "item", x.Item, ralg.KItem)
+		v.need(n, in, "partition", x.Part, xqt.KInt)
+		v.have(n, in, "item", x.Item)
 		if x.Pos != "" {
-			v.need(n, in, "position", x.Pos, ralg.KInt)
+			v.need(n, in, "position", x.Pos, xqt.KInt)
 		}
 		s := newSchema()
-		s.add(x.Part, ColInfo{Kind: ralg.KInt})
+		s.add(x.Part, intInfo)
 		cp := newColProps()
 		cp.key[x.Part] = true
 		return s, cp
 	case *ralg.CardCheck:
 		in := v.sch(n, 0)
-		v.need(n, in, "partition", x.Part, ralg.KInt)
+		v.need(n, in, "partition", x.Part, xqt.KInt)
 		if x.Fn == "" {
 			v.failf(n, "empty function name for error reporting")
 		}
@@ -515,8 +528,8 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 
 func (v *verifier) rootSchema(node bool, tag xqt.Kind, constItem bool) (*Schema, *colProps) {
 	s := newSchema()
-	s.add("pos", ColInfo{Kind: ralg.KInt})
-	s.add("item", ColInfo{Kind: ralg.KItem, Node: node, Tag: tag, TagKnown: node})
+	s.add("pos", intInfo)
+	s.add("item", ColInfo{Node: node, Tag: tag, TagKnown: node})
 	cp := newColProps()
 	cp.dense["pos"] = true
 	cp.key["pos"] = true
@@ -543,12 +556,11 @@ func (v *verifier) litSchema(n ralg.Plan, tab *ralg.Table) (*Schema, *colProps) 
 	cp := newColProps()
 	for _, name := range tab.Names() {
 		c := tab.Col(name)
-		ci := ColInfo{Kind: c.Kind}
-		if c.Kind == ralg.KItem {
-			if k, ok := c.Item.Uniform(); ok && c.Item.Len() > 0 {
-				ci.Tag, ci.TagKnown = k, true
-				ci.Node = k == xqt.KNode || k == xqt.KAttr
-			}
+		// a uniform column's tag holds of its rows — vacuously when it
+		// has none
+		var ci ColInfo
+		if k, ok := c.Uniform(); ok {
+			ci = ColInfo{Tag: k, TagKnown: true, Node: k == xqt.KNode || k == xqt.KAttr}
 		}
 		if !s.add(name, ci) {
 			v.failf(n, "duplicate column %q in literal table", name)
@@ -557,10 +569,10 @@ func (v *verifier) litSchema(n ralg.Plan, tab *ralg.Table) (*Schema, *colProps) 
 		if tab.N <= 1 {
 			cp.cnst[name] = true
 		}
-		if c.Kind == ralg.KInt {
+		if ci.Is(xqt.KInt) {
 			uniq, dense := true, true
-			seen := make(map[int64]bool, len(c.Int))
-			for i, val := range c.Int {
+			seen := make(map[int64]bool, len(c.I))
+			for i, val := range c.I {
 				if seen[val] {
 					uniq = false
 				}
@@ -578,19 +590,6 @@ func (v *verifier) litSchema(n ralg.Plan, tab *ralg.Table) (*Schema, *colProps) 
 		}
 	}
 	return s, cp
-}
-
-// litVal returns the comparable value of column c at row i (xqt.Item is
-// a comparable struct), for duplicate and group detection.
-func litVal(c *ralg.Col, i int) any {
-	switch c.Kind {
-	case ralg.KInt:
-		return c.Int[i]
-	case ralg.KBool:
-		return c.Bool[i]
-	default:
-		return c.Item.At(i)
-	}
 }
 
 // checkLitDecl infers a declared literal's schema like a plain Lit and
@@ -618,12 +617,12 @@ func (v *verifier) checkLitDecl(x *ralg.LitDecl) (*Schema, *colProps) {
 			continue
 		}
 		col := t.Col(c)
-		if col.Kind != ralg.KInt {
+		if !s.Info(c).Is(xqt.KInt) {
 			v.failf(x, "declared dense(%s) on a non-integer column", c)
 			continue
 		}
 		ok := true
-		for i, val := range col.Int {
+		for i, val := range col.I {
 			if val != int64(i)+1 {
 				v.failf(x, "declared dense(%s) but row %d holds %d", c, i, val)
 				ok = false
@@ -639,10 +638,10 @@ func (v *verifier) checkLitDecl(x *ralg.LitDecl) (*Schema, *colProps) {
 			continue
 		}
 		col := t.Col(c)
-		seen := make(map[any]bool, t.N)
+		seen := make(map[xqt.Item]bool, t.N)
 		ok := true
 		for i := 0; i < t.N; i++ {
-			k := litVal(col, i)
+			k := col.At(i)
 			if seen[k] {
 				v.failf(x, "declared key(%s) but row %d repeats an earlier value", c, i)
 				ok = false
@@ -661,7 +660,7 @@ func (v *verifier) checkLitDecl(x *ralg.LitDecl) (*Schema, *colProps) {
 		col := t.Col(c)
 		ok := true
 		for i := 1; i < t.N; i++ {
-			if litVal(col, i) != litVal(col, 0) {
+			if col.At(i) != col.At(0) {
 				v.failf(x, "declared const(%s) but rows 0 and %d differ", c, i)
 				ok = false
 				break
@@ -695,9 +694,9 @@ func (v *verifier) checkLitDecl(x *ralg.LitDecl) (*Schema, *colProps) {
 		// necessarily consecutive) the subsequence must be sorted, i.e.
 		// every adjacent same-group pair must be ordered
 		gc := t.Col(g.Group)
-		last := make(map[any]int, t.N)
+		last := make(map[xqt.Item]int, t.N)
 		for i := 0; i < t.N; i++ {
-			k := litVal(gc, i)
+			k := gc.At(i)
 			if j, seen := last[k]; seen && ralg.CompareRowsOn(t, g.Cols, j, i) > 0 {
 				v.failf(x, "declared group ordering %v by %s but rows %d and %d of one group are out of order", g.Cols, g.Group, j, i)
 				break
@@ -750,16 +749,7 @@ func (v *verifier) checkAttach(x *ralg.Attach) (*Schema, *colProps) {
 		return anySchema(), nil
 	}
 	s := in.clone()
-	ci := ColInfo{Kind: x.Kind}
-	switch x.Kind {
-	case ralg.KInt:
-	case ralg.KItem:
-		ci.Tag, ci.TagKnown = x.It.K, true
-		ci.Node = x.It.IsNode()
-	default:
-		v.failf(x, "invalid attached column kind %d", x.Kind)
-	}
-	if !s.add(x.Col, ci) {
+	if !s.add(x.Col, ColInfo{Tag: x.It.K, TagKnown: true, Node: x.It.IsNode()}) {
 		v.failf(x, "attached column %q already exists in %v", x.Col, in.Cols())
 	}
 	cp := v.cprops(x, 0).clone()
@@ -767,47 +757,45 @@ func (v *verifier) checkAttach(x *ralg.Attach) (*Schema, *colProps) {
 	return s, cp
 }
 
-// funSpec describes one row-wise function: argument count, argument
-// kind ("item", or "" for int or item — the comparisons), output kind.
+// funSpec describes one row-wise function: its argument count and its
+// output's uniform tag when that is known.
 type funSpec struct {
 	name  string
 	arity int
-	arg   string
-	out   ralg.ColKind
-	tag   xqt.Kind // uniform output tag when out == KItem and tagKnown
+	tag   xqt.Kind
 	known bool
 }
 
 var funSpecs = map[ralg.FunOp]funSpec{
-	ralg.FunAdd:        {"add", 2, "item", ralg.KItem, 0, false},
-	ralg.FunSub:        {"sub", 2, "item", ralg.KItem, 0, false},
-	ralg.FunMul:        {"mul", 2, "item", ralg.KItem, 0, false},
-	ralg.FunDiv:        {"div", 2, "item", ralg.KItem, 0, false},
-	ralg.FunIDiv:       {"idiv", 2, "item", ralg.KItem, 0, false},
-	ralg.FunMod:        {"mod", 2, "item", ralg.KItem, 0, false},
-	ralg.FunNeg:        {"neg", 1, "item", ralg.KItem, 0, false},
-	ralg.FunEq:         {"eq", 2, "", ralg.KBool, 0, false},
-	ralg.FunNe:         {"ne", 2, "", ralg.KBool, 0, false},
-	ralg.FunLt:         {"lt", 2, "", ralg.KBool, 0, false},
-	ralg.FunLe:         {"le", 2, "", ralg.KBool, 0, false},
-	ralg.FunGt:         {"gt", 2, "", ralg.KBool, 0, false},
-	ralg.FunGe:         {"ge", 2, "", ralg.KBool, 0, false},
-	ralg.FunAtomize:    {"atomize", 1, "item", ralg.KItem, 0, false},
-	ralg.FunStringOf:   {"string", 1, "item", ralg.KItem, xqt.KString, true},
-	ralg.FunNumber:     {"number", 1, "item", ralg.KItem, xqt.KDouble, true},
-	ralg.FunContains:   {"contains", 2, "item", ralg.KBool, 0, false},
-	ralg.FunStartsWith: {"starts-with", 2, "item", ralg.KBool, 0, false},
-	ralg.FunConcat:     {"concat", 2, "item", ralg.KItem, xqt.KString, true},
-	ralg.FunNodeBefore: {"node-before", 2, "item", ralg.KBool, 0, false},
-	ralg.FunNodeAfter:  {"node-after", 2, "item", ralg.KBool, 0, false},
-	ralg.FunNodeIs:     {"node-is", 2, "item", ralg.KBool, 0, false},
-	ralg.FunNameOf:     {"name", 1, "item", ralg.KItem, xqt.KString, true},
-	ralg.FunEbvAtom:    {"ebv-atom", 1, "item", ralg.KBool, 0, false},
-	ralg.FunFloor:      {"floor", 1, "item", ralg.KItem, xqt.KDouble, true},
-	ralg.FunCeil:       {"ceiling", 1, "item", ralg.KItem, xqt.KDouble, true},
-	ralg.FunRound:      {"round", 1, "item", ralg.KItem, xqt.KDouble, true},
-	ralg.FunStrLen:     {"string-length", 1, "item", ralg.KItem, xqt.KInt, true},
-	ralg.FunLocalName:  {"local-name", 1, "item", ralg.KItem, xqt.KString, true},
+	ralg.FunAdd:        {"add", 2, 0, false},
+	ralg.FunSub:        {"sub", 2, 0, false},
+	ralg.FunMul:        {"mul", 2, 0, false},
+	ralg.FunDiv:        {"div", 2, 0, false},
+	ralg.FunIDiv:       {"idiv", 2, 0, false},
+	ralg.FunMod:        {"mod", 2, 0, false},
+	ralg.FunNeg:        {"neg", 1, 0, false},
+	ralg.FunEq:         {"eq", 2, xqt.KBool, true},
+	ralg.FunNe:         {"ne", 2, xqt.KBool, true},
+	ralg.FunLt:         {"lt", 2, xqt.KBool, true},
+	ralg.FunLe:         {"le", 2, xqt.KBool, true},
+	ralg.FunGt:         {"gt", 2, xqt.KBool, true},
+	ralg.FunGe:         {"ge", 2, xqt.KBool, true},
+	ralg.FunAtomize:    {"atomize", 1, 0, false},
+	ralg.FunStringOf:   {"string", 1, xqt.KString, true},
+	ralg.FunNumber:     {"number", 1, xqt.KDouble, true},
+	ralg.FunContains:   {"contains", 2, xqt.KBool, true},
+	ralg.FunStartsWith: {"starts-with", 2, xqt.KBool, true},
+	ralg.FunConcat:     {"concat", 2, xqt.KString, true},
+	ralg.FunNodeBefore: {"node-before", 2, xqt.KBool, true},
+	ralg.FunNodeAfter:  {"node-after", 2, xqt.KBool, true},
+	ralg.FunNodeIs:     {"node-is", 2, xqt.KBool, true},
+	ralg.FunNameOf:     {"name", 1, xqt.KString, true},
+	ralg.FunEbvAtom:    {"ebv-atom", 1, xqt.KBool, true},
+	ralg.FunFloor:      {"floor", 1, xqt.KDouble, true},
+	ralg.FunCeil:       {"ceiling", 1, xqt.KDouble, true},
+	ralg.FunRound:      {"round", 1, xqt.KDouble, true},
+	ralg.FunStrLen:     {"string-length", 1, xqt.KInt, true},
+	ralg.FunLocalName:  {"local-name", 1, xqt.KString, true},
 }
 
 func (v *verifier) checkFun(x *ralg.Fun) (*Schema, *colProps) {
@@ -829,19 +817,9 @@ func (v *verifier) checkFun(x *ralg.Fun) (*Schema, *colProps) {
 			v.failf(x, "%s argument %q not in input schema %v", spec.name, a, in.Cols())
 			return nil, nil
 		}
-		// the kernels read int and item columns, and the
-		// non-comparisons only item columns
-		want := "int or item"
-		if spec.arg == "item" {
-			want = "item"
-		}
-		if got := in.Info(a).Kind; got == ralg.KBool || spec.arg == "item" && got != ralg.KItem {
-			v.failf(x, "%s argument %q has kind %s, want %s", spec.name, a, kindStr(got), want)
-			return nil, nil
-		}
 	}
 	s := in.clone()
-	if !s.add(x.Out, ColInfo{Kind: spec.out, Tag: spec.tag, TagKnown: spec.known}) {
+	if !s.add(x.Out, ColInfo{Tag: spec.tag, TagKnown: spec.known}) {
 		v.failf(x, "output column %q already exists in %v", x.Out, in.Cols())
 	}
 	return s, v.cprops(x, 0).clone()
@@ -863,7 +841,7 @@ func (v *verifier) checkRowNum(x *ralg.RowNum) (*Schema, *colProps) {
 			}
 		}
 		if x.Part != "" {
-			v.need(x, in, "partition", x.Part, ralg.KInt)
+			v.need(x, in, "partition", x.Part, xqt.KInt)
 		}
 	}
 	ip := v.iprops(x, 0)
@@ -891,7 +869,7 @@ func (v *verifier) checkRowNum(x *ralg.RowNum) (*Schema, *colProps) {
 		return anySchema(), nil
 	}
 	s := in.clone()
-	if !s.add(x.Out, ColInfo{Kind: ralg.KInt}) {
+	if !s.add(x.Out, intInfo) {
 		v.failf(x, "output column %q already exists in %v", x.Out, in.Cols())
 	}
 	cp := v.cprops(x, 0).clone()
@@ -992,8 +970,8 @@ func (v *verifier) checkJoinCols(n ralg.Plan, lcols, rcols []ralg.ColRef) (*Sche
 
 func (v *verifier) checkHashJoin(x *ralg.HashJoin) (*Schema, *colProps) {
 	l, r := v.sch(x, 0), v.sch(x, 1)
-	v.need(x, l, "left key", x.LKey, ralg.KInt)
-	v.need(x, r, "right key", x.RKey, ralg.KInt)
+	v.need(x, l, "left key", x.LKey, xqt.KInt)
+	v.need(x, r, "right key", x.RKey, xqt.KInt)
 	lp, rp := v.iprops(x, 0), v.iprops(x, 1)
 	if x.Pos && x.PosLeft {
 		v.failf(x, "both positional modes set")
@@ -1029,16 +1007,16 @@ func (v *verifier) checkHashJoin(x *ralg.HashJoin) (*Schema, *colProps) {
 
 func (v *verifier) checkExistJoin(x *ralg.ExistJoin) (*Schema, *colProps) {
 	l, r := v.sch(x, 0), v.sch(x, 1)
-	v.need(x, l, "left iter", x.LIter, ralg.KInt)
-	v.need(x, l, "left item", x.LItem, ralg.KItem)
-	v.need(x, r, "right iter", x.RIter, ralg.KInt)
-	v.need(x, r, "right item", x.RItem, ralg.KItem)
+	v.need(x, l, "left iter", x.LIter, xqt.KInt)
+	v.have(x, l, "left item", x.LItem)
+	v.need(x, r, "right iter", x.RIter, xqt.KInt)
+	v.have(x, r, "right item", x.RItem)
 	if x.Out1 == "" || x.Out2 == "" || x.Out1 == x.Out2 {
 		v.failf(x, "invalid output columns (%q, %q)", x.Out1, x.Out2)
 	}
 	s := newSchema()
-	s.add(x.Out1, ColInfo{Kind: ralg.KInt})
-	s.add(x.Out2, ColInfo{Kind: ralg.KInt})
+	s.add(x.Out1, intInfo)
+	s.add(x.Out2, intInfo)
 	cp := newColProps()
 	if x.Count { // one row per iter1
 		cp.key[x.Out1] = true
@@ -1073,11 +1051,7 @@ func (v *verifier) checkUnion(x *ralg.Union) (*Schema, *colProps) {
 				v.failf(x, "input %d lacks column %q of input %d's schema %v", i, c, refIdx, ref.Cols())
 				return out, nil
 			}
-			a, b := ref.Info(c), s.Info(c)
-			if a.Kind != b.Kind {
-				v.failf(x, "column %q has kind %s in input %d but %s in input %d", c, kindStr(a.Kind), refIdx, kindStr(b.Kind), i)
-				return out, nil
-			}
+			b := s.Info(c)
 			merged := out.info[c]
 			merged.Node = merged.Node && b.Node
 			if merged.TagKnown && (!b.TagKnown || b.Tag != merged.Tag) {
@@ -1100,18 +1074,18 @@ func (v *verifier) checkUnion(x *ralg.Union) (*Schema, *colProps) {
 
 func (v *verifier) checkAggr(x *ralg.Aggr) (*Schema, *colProps) {
 	in := v.sch(x, 0)
-	v.need(x, in, "partition", x.Part, ralg.KInt)
+	v.need(x, in, "partition", x.Part, xqt.KInt)
 	if x.Op != ralg.AggCount {
-		v.need(x, in, "aggregate argument", x.Arg, ralg.KItem)
+		v.have(x, in, "aggregate argument", x.Arg)
 	}
 	if x.Out == x.Part {
 		v.failf(x, "output column %q collides with the partition column", x.Out)
 	}
 	s := newSchema()
-	s.add(x.Part, ColInfo{Kind: ralg.KInt})
-	ci := ColInfo{Kind: ralg.KItem}
+	s.add(x.Part, intInfo)
+	ci := ColInfo{}
 	if x.Op == ralg.AggCount {
-		ci.Tag, ci.TagKnown = xqt.KInt, true
+		ci = intInfo
 	}
 	s.add(x.Out, ci)
 	cp := newColProps()
@@ -1130,25 +1104,25 @@ func (v *verifier) checkAggr(x *ralg.Aggr) (*Schema, *colProps) {
 func (v *verifier) checkStep(n *ralg.Step) (*Schema, *colProps) {
 	iterCol, itemCol := n.IterCol, n.ItemCol
 	in := v.sch(n, 0)
-	out := ColInfo{Kind: ralg.KItem, Node: true, Tag: xqt.KNode, TagKnown: true}
+	out := ColInfo{Node: true, Tag: xqt.KNode, TagKnown: true}
 	switch {
 	case n.Count:
-		out = ColInfo{Kind: ralg.KItem, Tag: xqt.KInt, TagKnown: true}
+		out = intInfo
 	case n.Axis == scj.Attribute:
 		out.Tag = xqt.KAttr
 	case n.Test.Kind == scj.TestNode && (n.Axis == scj.Self || n.Axis == scj.AncestorOrSelf || n.Axis == scj.DescendantOrSelf):
 		ctx := in.Info(itemCol)
 		out.TagKnown = !in.Any && ctx.TagKnown && ctx.Tag == xqt.KNode
 	}
-	okIter := v.need(n, in, "iter", iterCol, ralg.KInt)
-	okItem := v.need(n, in, "item", itemCol, ralg.KItem)
+	okIter := v.need(n, in, "iter", iterCol, xqt.KInt)
+	okItem := v.have(n, in, "item", itemCol)
 	if okIter && okItem && !in.Any {
 		if !v.iprops(n, 0).Covers([]string{itemCol, iterCol}) {
 			v.failf(n, "input not provably sorted on (%s, %s): plan misses a sort", itemCol, iterCol)
 		}
 	}
 	s := newSchema()
-	s.add("iter", ColInfo{Kind: ralg.KInt})
+	s.add("iter", intInfo)
 	s.add("item", out)
 	cp := newColProps()
 	if v.cprops(n, 0).cnst[iterCol] {
@@ -1165,9 +1139,9 @@ func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {
 		v.failf(x, "empty element tag")
 	}
 	loop, content := v.sch(x, 0), v.sch(x, 1)
-	v.need(x, loop, "loop iter", "iter", ralg.KInt)
-	v.need(x, content, "content iter", "iter", ralg.KInt)
-	v.need(x, content, "content item", "item", ralg.KItem)
+	v.need(x, loop, "loop iter", "iter", xqt.KInt)
+	v.need(x, content, "content iter", "iter", xqt.KInt)
+	v.have(x, content, "content item", "item")
 	i := 2
 	for _, a := range x.Attrs {
 		if a.Attr == "" {
@@ -1175,45 +1149,19 @@ func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {
 		}
 		for range a.Parts {
 			ps := v.sch(x, i)
-			v.need(x, ps, fmt.Sprintf("attribute %q part iter", a.Attr), "iter", ralg.KInt)
-			v.need(x, ps, fmt.Sprintf("attribute %q part item", a.Attr), "item", ralg.KItem)
+			v.need(x, ps, fmt.Sprintf("attribute %q part iter", a.Attr), "iter", xqt.KInt)
+			v.have(x, ps, fmt.Sprintf("attribute %q part item", a.Attr), "item")
 			i++
 		}
 	}
 	s := newSchema()
-	s.add("iter", ColInfo{Kind: ralg.KInt})
-	s.add("item", ColInfo{Kind: ralg.KItem, Node: true, Tag: xqt.KNode, TagKnown: true})
+	s.add("iter", intInfo)
+	s.add("item", ColInfo{Node: true, Tag: xqt.KNode, TagKnown: true})
 	cp := newColProps()
 	if v.cprops(x, 0).key["iter"] {
 		cp.key["iter"] = true // one output row per loop row
 	}
 	return s, cp
-}
-
-func (v *verifier) checkColToItem(x *ralg.ColToItem) (*Schema, *colProps) {
-	in := v.sch(x, 0)
-	if in.Any {
-		return anySchema(), nil
-	}
-	if !in.Has(x.Src) {
-		v.failf(x, "source column %q not in input schema %v", x.Src, in.Cols())
-		return nil, nil
-	}
-	src := in.Info(x.Src)
-	ci := ColInfo{Kind: ralg.KItem}
-	switch src.Kind {
-	case ralg.KInt:
-		ci.Tag, ci.TagKnown = xqt.KInt, true
-	case ralg.KBool:
-		ci.Tag, ci.TagKnown = xqt.KBool, true
-	default:
-		ci = src
-	}
-	s := in.clone()
-	if !s.add(x.Dst, ci) {
-		v.failf(x, "output column %q already exists in %v", x.Dst, in.Cols())
-	}
-	return s, v.cprops(x, 0).clone()
 }
 
 func min(a, b int) int {

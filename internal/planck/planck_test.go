@@ -21,28 +21,29 @@ func intTable(cols map[string][]int64) *ralg.Table {
 			names[j], names[j-1] = names[j-1], names[j]
 		}
 	}
-	kinds := make([]ralg.ColKind, len(names))
+	kinds := make([]xqt.Kind, len(names))
 	for i := range kinds {
-		kinds[i] = ralg.KInt
+		kinds[i] = xqt.KInt
 	}
 	t := ralg.NewTable(names, kinds)
 	for n, vs := range cols {
-		t.Col(n).Int = vs
+		*t.Col(n) = ralg.BindInts(vs...)
 		t.N = len(vs)
 	}
 	return t
 }
 
-// itemLit builds a lit with iter:int and item:item columns.
+// itemLit builds a lit with an iter column and a descending xs:integer
+// item column.
 func itemLit(n int) *ralg.Lit {
-	t := ralg.NewTable([]string{"iter", "item"}, []ralg.ColKind{ralg.KInt, ralg.KItem})
+	t := ralg.NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 	t.N = n
 	iters := make([]int64, n)
 	for i := range iters {
 		iters[i] = int64(i) + 1
-		t.Col("item").Item.Append(xqt.Int(int64(i)))
+		t.Col("item").Append(xqt.Int(int64(n - i)))
 	}
-	t.Col("iter").Int = iters
+	*t.Col("iter") = ralg.BindInts(iters...)
 	return &ralg.Lit{Tab: t}
 }
 
@@ -77,10 +78,25 @@ func TestValidPlanVerifies(t *testing.T) {
 }
 
 func TestSelectNeedsBoolColumn(t *testing.T) {
-	// corrupt: Select over a column that is an int, not a bool
+	// corrupt: Select over a column that is xs:integer, not xs:boolean
 	sel := &ralg.Select{Cond: "iter"}
 	sel.SetInput(0, itemLit(2))
-	wantViolation(t, sel, Config{}, sel.Name(), "kind int, want bool")
+	wantViolation(t, sel, Config{}, sel.Name(), "type integer, want boolean")
+
+	// corrupt: Select over a column of unknown type
+	mixed := ralg.NewTable(nil, nil)
+	mixed.AddCol("c", ralg.ItemsOf(xqt.Bool(true), xqt.Int(1)))
+	sel3 := &ralg.Select{Cond: "c"}
+	sel3.SetInput(0, &ralg.Lit{Tab: mixed})
+	wantViolation(t, sel3, Config{}, sel3.Name(), "type item, want boolean")
+
+	// a comparison's output is xs:boolean
+	cmp := ralg.NewFun(itemLit(2), ralg.FunEq, "keep", "iter", "item")
+	ok := &ralg.Select{Cond: "keep"}
+	ok.SetInput(0, cmp)
+	if err := Verify(ok, Config{}); err != nil {
+		t.Fatalf("select over a comparison rejected: %v", err)
+	}
 
 	// corrupt: Select over a missing column
 	sel2 := &ralg.Select{Cond: "nope"}
@@ -94,10 +110,10 @@ func TestStepNeedsSortedNodeInput(t *testing.T) {
 	step.SetInput(0, itemLit(3))
 	wantViolation(t, step, Config{}, step.Name(), "not provably sorted")
 
-	// corrupt: iter column points at the item column
-	step2 := &ralg.Step{IterCol: "item", ItemCol: "item"}
-	step2.SetInput(0, ralg.NewSort(itemLit(3), "item", "iter"))
-	wantViolation(t, step2, Config{}, step2.Name(), "want int")
+	// corrupt: iter column points at a string column
+	step2 := &ralg.Step{IterCol: "s", ItemCol: "item"}
+	step2.SetInput(0, ralg.NewSort(ralg.AttachItem(itemLit(3), "s", xqt.Str("x")), "item", "s"))
+	wantViolation(t, step2, Config{}, step2.Name(), "type string, want integer")
 }
 
 func TestHashJoinKeyMustExist(t *testing.T) {
@@ -117,10 +133,10 @@ func TestAggrColumns(t *testing.T) {
 	a.SetInput(0, itemLit(2))
 	wantViolation(t, a, Config{}, a.Name(), `"nope" not in input schema`)
 
-	// corrupt: sum over an int column (aggregates take item columns)
-	a2 := &ralg.Aggr{Part: "iter", Op: ralg.AggSum, Arg: "iter", Out: "s"}
-	a2.SetInput(0, itemLit(2))
-	wantViolation(t, a2, Config{}, a2.Name(), "want item")
+	// corrupt: grouping by a column of unknown type
+	a2 := &ralg.Aggr{Part: "item", Op: ralg.AggSum, Arg: "iter", Out: "s"}
+	a2.SetInput(0, ralg.NewProject(&ralg.Union{Ins: []ralg.Plan{itemLit(2), ralg.AttachItem(ralg.NewProject(itemLit(1), "iter"), "item", xqt.Str("x"))}}, "iter", "item"))
+	wantViolation(t, a2, Config{}, a2.Name(), "type item, want integer")
 }
 
 func TestParamTableMustBeDeclared(t *testing.T) {
@@ -142,19 +158,18 @@ func TestProjectMissingSource(t *testing.T) {
 }
 
 func TestFunArgumentKinds(t *testing.T) {
-	// corrupt: a comparison over a bool column (no kernel reads one)
-	cmp := ralg.NewFun(ralg.NewFun(itemLit(2), ralg.FunEq, "b", "item", "item"), ralg.FunEq, "out", "b", "b")
-	wantViolation(t, cmp, Config{}, cmp.Name(), "want int or item")
+	// corrupt: an argument the input does not have
+	f1 := ralg.NewFun(itemLit(2), ralg.FunAdd, "out", "iter", "nope")
+	wantViolation(t, f1, Config{}, f1.Name(), `"nope" not in input schema`)
 
-	// corrupt: arithmetic over the raw int iter column (the
-	// non-comparison fallback materializes only item columns)
+	// every column is an item column: a function reads an iter column
+	// like any other, and the output of a comparison
 	f2 := ralg.NewFun(itemLit(2), ralg.FunAdd, "out", "iter", "iter")
-	wantViolation(t, f2, Config{}, f2.Name(), "want item")
-
-	// comparisons accept mixed kinds: pos = item-valued literal
-	f3 := ralg.NewFun(itemLit(2), ralg.FunEq, "keep", "iter", "item")
-	if err := Verify(f3, Config{}); err != nil {
-		t.Fatalf("mixed-kind comparison rejected: %v", err)
+	f3 := ralg.NewFun(ralg.NewFun(itemLit(2), ralg.FunEq, "b", "iter", "item"), ralg.FunEbvAtom, "out", "b")
+	for _, f := range []*ralg.Fun{f2, f3} {
+		if err := Verify(f, Config{}); err != nil {
+			t.Fatalf("%s rejected: %v", f.Name(), err)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Column memory (docs/executor.md, "Memory: one region per execution").
 // Every Exec draws its row-sized pointer-free column vectors — int64,
-// int32, float64, uint64, bool, xqt.Kind (and Aggr's scratch records) —
+// int32, float64, uint64, xqt.Kind (and Aggr's scratch records) —
 // from one recycled arena with
 // two bump regions: outRegion lives until Exec.Release and holds
 // whatever a table column may reference; scratchRegion is reset by Run
@@ -213,7 +213,7 @@ func carve[T any](e *Exec, rg regionID, n int, zero bool) []T {
 		e.charge(rg, int64(n)*int64(size))
 	}
 	switch any((*T)(nil)).(type) {
-	case *int64, *int32, *float64, *uint64, *bool, *xqt.Kind, *aggGroup: // pointer-free: the collector never scans a slab
+	case *int64, *int32, *float64, *uint64, *xqt.Kind, *aggGroup: // pointer-free: the collector never scans a slab
 		if e != nil && n*size >= arenaFloor {
 			w := e.bump(rg, (n*size+7)/8)
 			if zero {

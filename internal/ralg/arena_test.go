@@ -138,12 +138,11 @@ func TestReleaseIdempotentAndExclusive(t *testing.T) {
 func TestUnreleasedExecTablesStayValid(t *testing.T) {
 	const n = 20000
 	plan := func() Plan {
-		tab := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
 		iters, items := make([]int64, n), make([]xqt.Item, n)
 		for i := range iters {
 			iters[i], items[i] = int64(n-i), xqt.Int(int64(i%97))
 		}
-		tab.N, tab.Col("iter").Int, tab.Col("item").Item = n, iters, NewItemVec(items)
+		tab := tableOf([]string{"iter", "item"}, uniformIntCol(iters), NewItemVec(items))
 		var p Plan = &Sort{unary: unary{In: &Lit{Tab: tab}}, By: []string{"item", "iter"}}
 		p = &RowNum{unary: unary{In: p}, Out: "pos", Part: "item", Mode: RankSeq}
 		return &Select{unary: unary{In: &Fun{unary: unary{In: p}, Op: FunLt, Args: []string{"pos", "iter"}, Out: "c"}}, Cond: "c"}

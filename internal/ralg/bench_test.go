@@ -24,10 +24,10 @@ func stepBenchSetup() {
 		cont.BuildIndexes()
 		stepBenchPool = store.NewPool()
 		stepBenchPool.Register(cont)
-		tab := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+		tab := NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 		tab.N = 1
-		tab.Col("iter").Int = []int64{1}
-		tab.Col("item").Item = ItemsOf(xqt.Node(cont.ID, 0))
+		*tab.Col("iter") = BindInts(1)
+		*tab.Col("item") = ItemsOf(xqt.Node(cont.ID, 0))
 		stepBenchTab = tab
 	})
 }
@@ -53,16 +53,16 @@ func BenchmarkStep(b *testing.B) {
 
 func BenchmarkHashJoin(b *testing.B) {
 	const nl, nr = 200000, 50000
-	l := NewTable([]string{"k"}, []ColKind{KInt})
+	l := NewTable([]string{"k"}, []xqt.Kind{xqt.KInt})
 	l.N = nl
 	for i := 0; i < nl; i++ {
-		l.Col("k").Int = append(l.Col("k").Int, int64(i%nr))
+		*l.Col("k") = BindInts(append(l.Ints("k"), int64(i%nr))...)
 	}
-	r := NewTable([]string{"k", "v"}, []ColKind{KInt, KInt})
+	r := NewTable([]string{"k", "v"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	r.N = nr
 	for j := 0; j < nr; j++ {
-		r.Col("k").Int = append(r.Col("k").Int, int64(j))
-		r.Col("v").Int = append(r.Col("v").Int, int64(j)*3)
+		*r.Col("k") = BindInts(append(r.Ints("k"), int64(j))...)
+		*r.Col("v") = BindInts(append(r.Ints("v"), int64(j)*3)...)
 	}
 	n := NewHashJoin(&Lit{Tab: l}, &Lit{Tab: r}, "k", "k", Refs("k"), Refs("v"))
 	ex := NewExec(store.NewPool(), nil)
@@ -97,8 +97,8 @@ func funBenchTable(demoted bool) *Table {
 		av, cv = demote(av), demote(cv)
 	}
 	tab := &Table{N: funBenchRows}
-	tab.AddCol("a", Col{Kind: KItem, Item: av})
-	tab.AddCol("b", Col{Kind: KItem, Item: cv})
+	tab.AddCol("a", av)
+	tab.AddCol("b", cv)
 	return tab
 }
 
@@ -131,8 +131,8 @@ func aggrBenchTable(demoted bool) *Table {
 		v = demote(v)
 	}
 	tab := &Table{N: funBenchRows}
-	tab.AddCol("part", Col{Kind: KInt, Int: parts})
-	tab.AddCol("item", Col{Kind: KItem, Item: v})
+	tab.AddCol("part", uniformIntCol(parts))
+	tab.AddCol("item", v)
 	return tab
 }
 

@@ -46,11 +46,7 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 		}
 	}
 	seq := func(items []xqt.Item) *Table {
-		tab := NewTable([]string{"iter", "key", "big", "item"}, []ColKind{KInt, KInt, KInt, KItem})
-		tab.N = n
-		tab.Col("iter").Int, tab.Col("key").Int, tab.Col("big").Int = iters, keys, unsorted
-		tab.Col("item").Item = NewItemVec(items)
-		return tab
+		return tableOf([]string{"iter", "key", "big", "item"}, uniformIntCol(iters), uniformIntCol(keys), uniformIntCol(unsorted), NewItemVec(items))
 	}
 	lit := func(items []xqt.Item) Plan { return &Lit{Tab: seq(items)} }
 	small := func(items []xqt.Item) Plan { // 150 rows: one side of the quadratic joins
@@ -103,20 +99,13 @@ func renderTable(pool *store.Pool, tab *Table) string {
 	var sb strings.Builder
 	for r := 0; r < tab.N; r++ {
 		for i := range tab.cols {
-			switch c := &tab.cols[i]; c.Kind {
-			case KInt:
-				fmt.Fprint(&sb, c.Int[r], " ")
-			case KBool:
-				fmt.Fprint(&sb, c.Bool[r], " ")
+			switch it := tab.cols[i].At(r); it.K {
+			case xqt.KNode:
+				store.Serialize(&sb, pool.Get(it.Cont), int32(it.I))
+			case xqt.KAttr:
+				fmt.Fprintf(&sb, "@%d:%d ", it.Cont, it.I)
 			default:
-				switch it := c.Item.At(r); it.K {
-				case xqt.KNode:
-					store.Serialize(&sb, pool.Get(it.Cont), int32(it.I))
-				case xqt.KAttr:
-					fmt.Fprintf(&sb, "@%d:%d ", it.Cont, it.I)
-				default:
-					fmt.Fprintf(&sb, "%d:%s ", it.K, it.AsString())
-				}
+				fmt.Fprintf(&sb, "%d:%s ", it.K, it.AsString())
 			}
 		}
 		sb.WriteByte('\n')

@@ -58,10 +58,10 @@ func shardedPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 	attrs := &Step{unary: unary{In: step}, Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
 	num := NewFun(attrs, FunNumber, "n", "item")
 	cond := NewFun(AttachItem(num, "five", xqt.Double(5)), FunLt, "b", "n", "five")
-	keys := NewTable([]string{"rk", "rv"}, []ColKind{KInt, KInt})
+	keys := NewTable([]string{"rk", "rv"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	for j := 0; j < 1200; j++ {
-		keys.Col("rk").Int = append(keys.Col("rk").Int, int64(j*3%2000))
-		keys.Col("rv").Int = append(keys.Col("rv").Int, int64(j))
+		*keys.Col("rk") = BindInts(append(keys.Ints("rk"), int64(j*3%2000))...)
+		*keys.Col("rv") = BindInts(append(keys.Ints("rv"), int64(j))...)
 	}
 	keys.N = 1200
 	numbered := &RowNum{unary: unary{In: num}, Out: "r", Mode: RankStream}
@@ -95,12 +95,7 @@ func TestOperatorsObserveCancelAndBudget(t *testing.T) {
 		"cancel": func(e *Exec) { e.Ctx, e.done = cancelled, cancelled.Done() },
 		"budget": func(e *Exec) { e.Mem = spent() },
 	} {
-		in := NewTable([]string{"b"}, []ColKind{KBool})
-		in.N = 5000
-		in.Col("b").Bool = make([]bool, in.N)
-		for i := range in.Col("b").Bool {
-			in.Col("b").Bool[i] = true
-		}
+		in := tableOf([]string{"b"}, (&Exec{}).constItemVec(xqt.Bool(true), 5000))
 		e := NewExec(pool, nil)
 		stop(e)
 		if out, err := e.runOp(&Select{Cond: "b"}, []*Table{in}); err == nil {

@@ -121,28 +121,9 @@ func TablesEqual(a, b *Table) bool {
 		if b.names[i] != name {
 			return false
 		}
-		ca, cb := &a.cols[i], &b.cols[i]
-		if ca.Kind != cb.Kind {
-			return false
-		}
-		switch ca.Kind {
-		case KInt:
-			for r := range ca.Int {
-				if ca.Int[r] != cb.Int[r] {
-					return false
-				}
-			}
-		case KBool:
-			for r := range ca.Bool {
-				if ca.Bool[r] != cb.Bool[r] {
-					return false
-				}
-			}
-		default:
-			for r := 0; r < ca.Item.Len(); r++ {
-				if ca.Item.At(r) != cb.Item.At(r) {
-					return false
-				}
+		for r := range a.N {
+			if a.cols[i].At(r) != b.cols[i].At(r) {
+				return false
 			}
 		}
 	}

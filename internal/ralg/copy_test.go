@@ -17,7 +17,7 @@ var operators = []Plan{
 	&Lit{}, &LitDecl{}, &DocRoot{}, &ContextRoot{}, &ParamTable{}, &CollectionRoot{}, &Fail{},
 	&Project{}, &Attach{}, &Select{}, &Fun{}, &RowNum{}, &Sort{}, &HashJoin{}, &ExistJoin{},
 	&Cross{}, &Union{}, &Diff{}, &Distinct{}, &Aggr{}, &Step{}, &ElemConstruct{},
-	&ColToItem{}, &RangeGen{}, &CoverCheck{}, &EBV{}, &CardCheck{},
+	&RangeGen{}, &CoverCheck{}, &EBV{}, &CardCheck{},
 }
 
 // populator fills plan nodes by reflection: every scalar non-zero and
@@ -55,7 +55,7 @@ func (f *populator) fill(v reflect.Value) {
 			f.t.Fatalf("populator: pointer field of type %s", v.Type())
 		}
 		tab := NewTable(nil, nil)
-		tab.AddCol("iter", Col{Kind: KInt, Int: []int64{f.n, f.n + 1}})
+		tab.AddCol("iter", BindInts(f.n, f.n+1))
 		v.Set(reflect.ValueOf(tab))
 	case reflect.Interface:
 		v.Set(reflect.ValueOf(Plan(NewSort(f.shared, fmt.Sprint("k", f.n)))))
@@ -150,7 +150,7 @@ func TestCopyEveryOperator(t *testing.T) {
 		typ := reflect.TypeOf(op).Elem()
 		t.Run(typ.Name(), func(t *testing.T) {
 			tab := NewTable(nil, nil)
-			tab.AddCol("iter", Col{Kind: KInt, Int: []int64{1, 2, 3}})
+			tab.AddCol("iter", BindInts(1, 2, 3))
 			shared := Plan(&Lit{Tab: tab})
 			nv := reflect.New(typ)
 			(&populator{t: t, shared: shared}).fill(nv.Elem())
@@ -272,7 +272,7 @@ func TestOperatorListComplete(t *testing.T) {
 // the original.
 func TestCopyMutationIsolation(t *testing.T) {
 	tab := NewTable(nil, nil)
-	tab.AddCol("iter", Col{Kind: KInt, Int: []int64{1, 2}})
+	tab.AddCol("iter", BindInts(1, 2))
 	shared := NewSort(&Lit{Tab: tab}, "iter")
 	join := NewHashJoin(shared, shared, "iter", "iter", nil, nil)
 	cp := NewCopier().Copy(join).(*HashJoin)
@@ -300,7 +300,7 @@ func TestCopyMutationIsolation(t *testing.T) {
 // substitute, shared occurrences to the one substitute object.
 func TestCopierReplace(t *testing.T) {
 	tab := NewTable(nil, nil)
-	tab.AddCol("iter", Col{Kind: KInt, Int: []int64{2, 1}})
+	tab.AddCol("iter", BindInts(2, 1))
 	in := &Lit{Tab: tab}
 	sorted := NewSort(in, "iter")
 

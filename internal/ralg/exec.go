@@ -143,20 +143,25 @@ func (e *Exec) Run(p Plan) (*Table, error) {
 }
 
 // runOp applies one operator and ends its lifetime on every path: no
-// table column may reference scratch memory, and an operator that a
-// refused memory request unwound fails with the budget's error. An
-// execution that is already cancelled or over budget runs no operator.
+// table column may reference scratch memory, an operator that a refused
+// memory request unwound fails with the budget's error, and one that
+// read a column as a kind it does not hold (wrongTag) fails with an
+// internal error. An execution that is already cancelled or over budget
+// runs no operator.
 func (e *Exec) runOp(p Plan, in []*Table) (t *Table, err error) {
 	if e.stopRequested() {
 		return nil, e.stopErr()
 	}
 	defer func() {
 		e.resetScratch()
-		if r := recover(); r != nil {
-			if _, refused := r.(overBudget); !refused {
-				panic(r)
-			}
+		switch r := recover().(type) {
+		case nil:
+		case overBudget:
 			t, err = nil, e.Mem.Err()
+		case wrongTag:
+			t, err = nil, fmt.Errorf("ralg: %s: %w", p.Name(), r)
+		default:
+			panic(r)
 		}
 	}()
 	return e.apply(p, in)
@@ -221,7 +226,7 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	case *Project:
 		return execProject(n, in[0])
 	case *Attach:
-		return e.execAttach(n, in[0]), nil
+		return in[0].withCol(n.Col, e.constItemVec(n.It, in[0].N)), nil
 	case *Select:
 		return e.execSelect(n, in[0]), nil
 	case *Fun:
@@ -252,8 +257,6 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 		return e.execEBV(n, in[0])
 	case *CardCheck:
 		return execCardCheck(n, in[0])
-	case *ColToItem:
-		return e.execColToItem(n, in[0]), nil
 	case *RangeGen:
 		return e.execRangeGen(n, in[0])
 	case *CoverCheck:
@@ -262,20 +265,9 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	return nil, fmt.Errorf("ralg: unknown operator %T", p)
 }
 
-// execColToItem views an integer or boolean table column as an item
-// column: zero-copy for integers (columns are immutable once produced),
-// one 0/1 payload vector for booleans.
-func (e *Exec) execColToItem(n *ColToItem, in *Table) *Table {
-	src := in.Col(n.Src)
-	if src.Kind == KItem {
-		return in.withCol(n.Dst, *src)
-	}
-	return in.withCol(n.Dst, e.view(src).col(in.N))
-}
-
 func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 	iters := in.Ints(n.Iter)
-	lo, hi := in.ItemVec(n.Lo), in.ItemVec(n.Hi)
+	lo, hi := in.Col(n.Lo), in.Col(n.Hi)
 	bounds := func(i int) (a, b int64) { return int64(lo.At(i).AsDouble()), int64(hi.At(i).AsDouble()) }
 	total := int64(0)
 	for i := range iters {
@@ -286,9 +278,7 @@ func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 			return nil, xqerr.Newf(xqerr.CodeResourceLimit, "ranges of %d rows and more exceed the %d-row limit", total, MaxRows)
 		}
 	}
-	out := NewTable([]string{"iter", "pos", "item"}, []ColKind{KInt, KInt, KItem})
-	ic, pc := dirty[int64](e, outRegion, int(total)), dirty[int64](e, outRegion, int(total))
-	tc := e.uniformVec(xqt.KInt, int(total))
+	ic, pc, tc := e.uniformVec(xqt.KInt, int(total)), e.uniformVec(xqt.KInt, int(total)), e.uniformVec(xqt.KInt, int(total))
 	o := 0
 	for i := range iters {
 		a, b := bounds(i)
@@ -296,12 +286,11 @@ func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 			if o&(1<<16-1) == 1<<16-1 && e.stopRequested() {
 				return nil, e.stopErr()
 			}
-			ic[o], pc[o], tc.I[o] = iters[i], v-a+1, v
+			ic.I[o], pc.I[o], tc.I[o] = iters[i], v-a+1, v
 			o++
 		}
 	}
-	out.N, out.Col("iter").Int, out.Col("pos").Int, out.Col("item").Item = o, ic, pc, tc
-	return out, nil
+	return tableOf([]string{"iter", "pos", "item"}, ic, pc, tc), nil
 }
 
 // cancelcheck:exempt two memory-bound integer-column scans
@@ -318,11 +307,7 @@ func (e *Exec) execCoverCheck(n *CoverCheck, loop, in *Table) (*Table, error) {
 // rootTable is the one-row (pos, item) sequence holding c's document
 // node.
 func rootTable(c *store.Container) *Table {
-	t := NewTable([]string{"pos", "item"}, []ColKind{KInt, KItem})
-	t.N = 1
-	t.Col("pos").Int = []int64{1}
-	t.Col("item").Item = ItemsOf(xqt.Node(c.ID, 0))
-	return t
+	return tableOf([]string{"pos", "item"}, ItemsOf(xqt.Int(1)), ItemsOf(xqt.Node(c.ID, 0)))
 }
 
 func (e *Exec) execDocRoot(n *DocRoot) (*Table, error) {
@@ -355,11 +340,7 @@ func (e *Exec) execParam(n *ParamTable) (*Table, error) {
 	if !ok {
 		return nil, xqerr.Newf("XPDY0002", "no value bound for external variable $%s", n.Var)
 	}
-	t := NewTable([]string{"pos", "item"}, []ColKind{KInt, KItem})
-	t.N = v.Len()
-	t.Col("pos").Int = e.rowNumbers(v.Len())
-	t.Col("item").Item = v
-	return t, nil
+	return tableOf([]string{"pos", "item"}, uniformIntCol(e.rowNumbers(v.Len())), v), nil
 }
 
 // cancelcheck:exempt loops over collection shards, not rows
@@ -369,18 +350,11 @@ func (e *Exec) execCollectionRoot(n *CollectionRoot) (*Table, error) {
 		return nil, xqerr.Newf("FODC0004", "collection %q not available", n.Coll)
 	}
 	conts, pres := sp.Roots()
-	t := NewTable([]string{"pos", "item"}, []ColKind{KInt, KItem})
-	t.N = len(conts)
-	pc := t.Col("pos")
-	pc.Int = dirty[int64](e, outRegion, len(conts))
-	tc := t.Col("item")
-	tc.Item = e.uniformVec(xqt.KNode, len(conts))
+	tc := e.uniformVec(xqt.KNode, len(conts))
 	for i := range conts {
-		pc.Int[i] = int64(i) + 1
-		tc.Item.Cont[i] = conts[i]
-		tc.Item.I[i] = int64(pres[i])
+		tc.Cont[i], tc.I[i] = conts[i], int64(pres[i])
 	}
-	return t, nil
+	return tableOf([]string{"pos", "item"}, uniformIntCol(e.rowNumbers(len(conts))), tc), nil
 }
 
 // cancelcheck:exempt per-column header remap, no per-row work
@@ -396,25 +370,13 @@ func execProject(n *Project, in *Table) (*Table, error) {
 	return out, nil
 }
 
-func (e *Exec) execAttach(n *Attach, in *Table) *Table {
-	c := Col{Kind: n.Kind}
-	switch n.Kind {
-	case KInt:
-		c.Int = dirty[int64](e, outRegion, in.N)
-		fillWith(c.Int, n.I)
-	default:
-		c.Item = e.constItemVec(n.It, in.N)
-	}
-	return in.withCol(n.Col, c)
-}
-
 func (e *Exec) execSelect(n *Select, in *Table) *Table {
 	idx, o := dirty[int32](e, scratchRegion, in.N), 0
-	for i, c := range in.Bools(n.Cond) {
+	for i, c := range in.payloadOf(n.Cond, xqt.KBool) {
 		if i&8191 == 8191 && e.stopRequested() {
 			break // Run's post-operator checkpoint discards the partial table
 		}
-		if c {
+		if c != 0 {
 			idx[o] = int32(i)
 			o++
 		}
@@ -461,7 +423,7 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 		idx = e.SortIdx(in, by, desc, 0)
 	}
 	if part == nil && idx == nil {
-		return in.withCol(n.Out, Col{Kind: KInt, Int: e.rowNumbers(in.N)})
+		return in.withCol(n.Out, uniformIntCol(e.rowNumbers(in.N)))
 	}
 	rank := dirty[int64](e, outRegion, in.N)
 	switch {
@@ -511,7 +473,7 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 			}
 		}
 	}
-	return in.withCol(n.Out, Col{Kind: KInt, Int: rank})
+	return in.withCol(n.Out, uniformIntCol(rank))
 }
 
 func (e *Exec) execSort(n *Sort, in *Table) *Table {
@@ -535,24 +497,13 @@ func (e *Exec) execSort(n *Sort, in *Table) *Table {
 
 // cancelcheck:exempt memory-bound column concatenation
 func (e *Exec) execUnion(in []*Table) *Table {
-	out := &Table{}
+	out := &Table{names: in[0].names}
 	for _, name := range in[0].names {
-		c := Col{Kind: in[0].Col(name).Kind}
-		ints, bools, vecs := make([][]int64, len(in)), make([][]bool, len(in)), make([]ItemVec, len(in))
+		vecs := make([]ItemVec, len(in))
 		for k, t := range in {
-			src := t.Col(name)
-			ints[k], bools[k], vecs[k] = src.Int, src.Bool, src.Item
+			vecs[k] = *t.Col(name)
 		}
-		switch c.Kind {
-		case KInt:
-			c.Int = settle(e, ints...)
-		case KBool:
-			c.Bool = settle(e, bools...)
-		default:
-			c.Item = unionVecs(e, vecs)
-		}
-		out.names = append(out.names, name)
-		out.cols = append(out.cols, c)
+		out.cols = append(out.cols, unionVecs(e, vecs))
 	}
 	if len(out.cols) > 0 {
 		out.N = out.cols[0].Len()
@@ -562,12 +513,10 @@ func (e *Exec) execUnion(in []*Table) *Table {
 
 // cancelcheck:exempt memory-bound adjacent-equality scan
 func execCardCheck(n *CardCheck, in *Table) (*Table, error) {
-	if n.AtMostOne {
-		part := in.Ints(n.Part)
-		for i := 1; i < len(part); i++ {
-			if part[i] == part[i-1] {
-				return nil, xqerr.Newf("FORG0003", "%s applied to a sequence with more than one item", n.Fn)
-			}
+	part := in.Ints(n.Part)
+	for i := 1; i < len(part); i++ {
+		if part[i] == part[i-1] {
+			return nil, xqerr.Newf("FORG0003", "%s applied to a sequence with more than one item", n.Fn)
 		}
 	}
 	return in, nil
@@ -622,7 +571,7 @@ func (e *Exec) gather(t *Table, idx []int32) *Table {
 		return t
 	}
 	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
-	out.cols = make([]Col, len(t.cols))
+	out.cols = make([]ItemVec, len(t.cols))
 	for i := range t.cols {
 		out.cols[i] = t.cols[i].gatherIn(e, outRegion, idx)
 	}

@@ -10,7 +10,7 @@ import (
 
 // atoms materializes the per-row atomization of a column as items (the
 // per-pair fallback of the existential joins).
-func (e *Exec) atoms(c *Col) []xqt.Item {
+func (e *Exec) atoms(c *ItemVec) []xqt.Item {
 	e.charge(scratchRegion, int64(c.Len())*itemBytes)
 	return e.cast(FunAtomize, c).Slice()
 }
@@ -27,13 +27,10 @@ const (
 
 // atomKinds returns the set of kinds (one bit per xqt.Kind) the rows of
 // c have once atomized: nodes become xs:untypedAtomic.
-func atomKinds(c *Col) (set uint8) {
-	if c.Kind == KInt {
-		return 1 << xqt.KInt
-	}
-	tags := c.Item.Tags
+func atomKinds(c *ItemVec) (set uint8) {
+	tags := c.Tags
 	if tags == nil {
-		tags = []xqt.Kind{c.Item.Tag}
+		tags = []xqt.Kind{c.Tag}
 	}
 	for _, k := range tags {
 		if k >= xqt.KNode {
@@ -69,7 +66,7 @@ func joinDomain(l, r uint8) cmpDomain {
 // existKeys casts column c to the comparison keys of domain dom, once
 // per row: xs:double values (booleans as 0/1) or strings. The casts are
 // the fn:number and fn:string kernels, whatever the column's tag mix.
-func (e *Exec) existKeys(c *Col, dom cmpDomain) ([]float64, []string) {
+func (e *Exec) existKeys(c *ItemVec, dom cmpDomain) ([]float64, []string) {
 	switch dom {
 	case domDouble:
 		return e.cast(FunNumber, c).F, nil
@@ -122,11 +119,7 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 			p1, p2 = existTypedJoin(e, n, liter, lf, riter, rf)
 		}
 	}
-	out := NewTable([]string{n.Out1, n.Out2}, []ColKind{KInt, KInt})
-	out.N = len(p1)
-	out.Col(n.Out1).Int = p1
-	out.Col(n.Out2).Int = p2
-	return out, nil
+	return tableOf([]string{n.Out1, n.Out2}, uniformIntCol(p1), uniformIntCol(p2)), nil
 }
 
 // existTypedJoin runs the typed kernel for n.Cmp over key vectors of
@@ -227,7 +220,7 @@ func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 	e.Stats.ThetaIdx++
 	// rank = row number once the right side ascends on iter2: under the
 	// [iter, pos] contract it does, and SortIdx says so (nil)
-	rt := &Table{N: nr, names: []string{"iter"}, cols: []Col{{Kind: KInt, Int: riter}}}
+	rt := tableOf([]string{"iter"}, uniformIntCol(riter))
 	ord := e.SortIdx(rt, rt.names, nil, 0)
 	if ord != nil {
 		riter, rv = gatherOf(e, scratchRegion, riter, ord), gatherOf(e, scratchRegion, rv, ord)

@@ -10,11 +10,11 @@ import (
 )
 
 func TestRangeGen(t *testing.T) {
-	in := NewTable([]string{"iter", "lo", "hi"}, []ColKind{KInt, KItem, KItem})
+	in := NewTable([]string{"iter", "lo", "hi"}, []xqt.Kind{xqt.KInt, xqt.KUntyped, xqt.KUntyped})
 	in.N = 3
-	in.Col("iter").Int = []int64{1, 2, 3}
-	in.Col("lo").Item = ItemsOf(xqt.Int(1), xqt.Int(5), xqt.Int(3))
-	in.Col("hi").Item = ItemsOf(xqt.Int(3), xqt.Int(4), xqt.Int(3))
+	*in.Col("iter") = BindInts(1, 2, 3)
+	*in.Col("lo") = ItemsOf(xqt.Int(1), xqt.Int(5), xqt.Int(3))
+	*in.Col("hi") = ItemsOf(xqt.Int(3), xqt.Int(4), xqt.Int(3))
 	rg := &RangeGen{Iter: "iter", Lo: "lo", Hi: "hi"}
 	rg.SetInput(0, &Lit{Tab: in})
 	out := run(t, rg)
@@ -30,20 +30,31 @@ func TestRangeGen(t *testing.T) {
 	}
 }
 
-func TestColToItem(t *testing.T) {
-	in := intTable("v", 7, 8)
-	in.AddCol("b", Col{Kind: KBool, Bool: []bool{true, false}})
-	c1 := &ColToItem{Src: "v", Dst: "vi"}
-	c1.SetInput(0, &Lit{Tab: in})
-	out := run(t, c1)
-	if out.Items("vi")[1] != xqt.Int(8) {
-		t.Errorf("int conversion: %+v", out.Items("vi"))
+// A column read as integer keys that is not a uniform xs:integer vector
+// is a plan defect: the operator fails with an internal error instead of
+// reading, say, a node column's pre ranks as iterations — and so does a
+// selection over a column that is not xs:boolean.
+func TestIntsOnNodeColumnIsAnError(t *testing.T) {
+	pool := store.NewPool()
+	c, err := store.Shred("d", strings.NewReader("<a><b/></a>"), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c2 := &ColToItem{Src: "b", Dst: "bi"}
-	c2.SetInput(0, &Lit{Tab: in})
-	out = run(t, c2)
-	if out.Items("bi")[0] != xqt.Bool(true) {
-		t.Errorf("bool conversion: %+v", out.Items("bi"))
+	pool.Register(c)
+	nodes := tableOf([]string{"iter"}, ItemsOf(xqt.Node(c.ID, 0), xqt.Node(c.ID, 1)))
+	j := NewHashJoin(&Lit{Tab: nodes}, &Lit{Tab: intTable("iter", 0, 1)}, "iter", "iter", Refs("iter->l"), Refs("iter->r"))
+	sel := &Select{Cond: "iter"}
+	sel.SetInput(0, &Lit{Tab: intTable("iter", 1, 0)})
+	for _, p := range []Plan{j, sel} {
+		out, err := NewExec(pool, nil).Run(p)
+		if err == nil || !strings.Contains(err.Error(), `column "iter" is not a uniform`) {
+			t.Errorf("%s: %v, %v; want the internal error", p.Name(), out, err)
+		}
+	}
+	// an empty column of any kind holds no key to misread
+	empty := tableOf([]string{"iter"}, ItemVec{Tag: xqt.KNode})
+	if _, err := NewExec(pool, nil).Run(NewHashJoin(&Lit{Tab: empty}, &Lit{Tab: intTable("iter", 1)}, "iter", "iter", Refs("iter"), nil)); err != nil {
+		t.Errorf("hash join of an empty node column: %v", err)
 	}
 }
 
@@ -108,10 +119,10 @@ func TestAttrStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Register(c)
-	ctx := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	ctx := NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 	ctx.N = 3
-	ctx.Col("iter").Int = []int64{1, 2, 1}
-	ctx.Col("item").Item = ItemsOf(xqt.Node(c.ID, 1), xqt.Node(c.ID, 1), xqt.Node(c.ID, 2))
+	*ctx.Col("iter") = BindInts(1, 2, 1)
+	*ctx.Col("item") = ItemsOf(xqt.Node(c.ID, 1), xqt.Node(c.ID, 1), xqt.Node(c.ID, 2))
 	srt := NewSort(&Lit{Tab: ctx}, "item", "iter")
 	all := &Step{Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
 	all.SetInput(0, srt)

@@ -14,12 +14,11 @@ import (
 )
 
 // vecView is a uniformly tagged columnar view of an argument column:
-// integer and boolean table columns view as xs:integer/xs:boolean
-// payload vectors, uniform atom columns expose their payloads directly,
-// and uniform node columns are atomized in bulk through the container's
-// string-value kernels (becoming xs:untypedAtomic, as row-wise
-// atomization would). Mixed-tag columns have no view: funCol splits them
-// into uniform row groups first.
+// uniform atom columns expose their payloads directly, and uniform node
+// columns are atomized in bulk through the container's string-value
+// kernels (becoming xs:untypedAtomic, as row-wise atomization would).
+// Mixed-tag columns have no view: funCol splits them into uniform row
+// groups first.
 type vecView struct {
 	tag xqt.Kind
 	i   []int64
@@ -28,20 +27,8 @@ type vecView struct {
 }
 
 // view resolves a uniform column to its typed view.
-func (e *Exec) view(c *Col) vecView {
-	switch c.Kind {
-	case KInt:
-		return vecView{tag: xqt.KInt, i: c.Int}
-	case KBool: // ColToItem's source; no function reads a bool column
-		iv := zeroed[int64](e, outRegion, len(c.Bool))
-		for j, b := range c.Bool {
-			if b {
-				iv[j] = 1
-			}
-		}
-		return vecView{tag: xqt.KBool, i: iv}
-	}
-	switch vec := &c.Item; vec.Tag {
+func (e *Exec) view(vec *ItemVec) vecView {
+	switch vec.Tag {
 	case xqt.KInt, xqt.KBool:
 		return vecView{tag: vec.Tag, i: vec.I}
 	case xqt.KDouble:
@@ -108,37 +95,20 @@ func (v vecView) strs(e *Exec) []string {
 	return map1(e, v.f, xqt.FormatDouble)
 }
 
-// col wraps the view's payload vectors as a uniform item column.
-func (v vecView) col(n int) Col {
-	return Col{Kind: KItem, Item: ItemVec{Tag: v.tag, n: n, I: v.i, F: v.f, S: v.s}}
-}
+// col wraps the view's payload vectors as a uniform column.
+func (v vecView) col(n int) ItemVec { return ItemVec{Tag: v.tag, n: n, I: v.i, F: v.f, S: v.s} }
 
 // uniformIntCol / uniformDoubleCol / uniformStringCol wrap a raw payload
-// vector as a uniform item column; boolCol wraps a predicate column.
-func uniformIntCol(vs []int64) Col      { return vecView{tag: xqt.KInt, i: vs}.col(len(vs)) }
-func uniformDoubleCol(vs []float64) Col { return vecView{tag: xqt.KDouble, f: vs}.col(len(vs)) }
-func uniformStringCol(vs []string) Col  { return vecView{tag: xqt.KString, s: vs}.col(len(vs)) }
-func boolCol(vs []bool) Col             { return Col{Kind: KBool, Bool: vs} }
-func (e *Exec) floats(c *Col) []float64 { return e.view(c).floats(e, c.Len()) }
-func (e *Exec) strs(c *Col) []string    { return e.view(c).strs(e) }
-
-// constBools is the predicate column that is b on every one of n rows.
-func (e *Exec) constBools(n int, b bool) Col {
-	out := dirty[bool](e, outRegion, n)
-	fillWith(out, b)
-	return boolCol(out)
-}
-
-// colTag is the kind of a uniform column's rows, nodes included.
-func colTag(c *Col) xqt.Kind {
-	if c.Kind == KInt {
-		return xqt.KInt
-	}
-	return c.Item.Tag
-}
+// vector as a uniform column.
+func uniformIntCol(vs []int64) ItemVec      { return vecView{tag: xqt.KInt, i: vs}.col(len(vs)) }
+func uniformDoubleCol(vs []float64) ItemVec { return vecView{tag: xqt.KDouble, f: vs}.col(len(vs)) }
+func uniformStringCol(vs []string) ItemVec  { return vecView{tag: xqt.KString, s: vs}.col(len(vs)) }
+func (e *Exec) floats(c *ItemVec) []float64 { return e.view(c).floats(e, c.Len()) }
+func (e *Exec) strs(c *ItemVec) []string    { return e.view(c).strs(e) }
 
 // map1 and map2 apply a scalar function to every row of one or two
-// typed vectors.
+// typed vectors; holds1 and holds2 apply a predicate, into a uniform
+// xs:boolean column (0/1 payloads).
 func map1[A, R any](e *Exec, a []A, f func(A) R) []R {
 	out := dirty[R](e, outRegion, len(a))
 	for i := range out {
@@ -155,12 +125,36 @@ func map2[A, B, R any](e *Exec, a []A, b []B, f func(A, B) R) []R {
 	return out
 }
 
+func holds1[A any](e *Exec, a []A, f func(A) bool) ItemVec {
+	out := e.uniformVec(xqt.KBool, len(a))
+	for i := range out.I {
+		out.I[i] = b2i(f(a[i]))
+	}
+	return out
+}
+
+func holds2[A, B any](e *Exec, a []A, b []B, f func(A, B) bool) ItemVec {
+	out := e.uniformVec(xqt.KBool, len(a))
+	for i := range out.I {
+		out.I[i] = b2i(f(a[i], b[i]))
+	}
+	return out
+}
+
+// b2i is a boolean's xs:boolean payload.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // execFun evaluates the row-wise functions: one output column, a row
 // per input row.
 //
 // cancelcheck:exempt one pass of a row-wise kernel per argument column; runOp polls before the operator starts
 func (e *Exec) execFun(n *Fun, in *Table) (*Table, error) {
-	args := make([]*Col, len(n.Args))
+	args := make([]*ItemVec, len(n.Args))
 	for i, name := range n.Args {
 		args[i] = in.Col(name)
 	}
@@ -179,30 +173,30 @@ func (e *Exec) execFun(n *Fun, in *Table) (*Table, error) {
 // and the group outputs scatter back to row order; this step knows
 // nothing about op. Uniform arguments are the zero-copy case of one
 // group.
-func (e *Exec) funCol(op FunOp, args []*Col, n int) (Col, error) {
+func (e *Exec) funCol(op FunOp, args []*ItemVec, n int) (ItemVec, error) {
 	groups := tagGroups(e, args, n)
 	if groups == nil {
 		return e.funKernel(op, args, n)
 	}
-	parts := make([]Col, len(groups))
+	parts := make([]ItemVec, len(groups))
 	for g, grp := range groups {
-		sub := make([]*Col, len(args))
+		sub := make([]*ItemVec, len(args))
 		for a, c := range args {
 			u := uniformRows(e, c, grp.kinds[a], grp.idx)
 			sub[a] = &u
 		}
 		var err error
 		if parts[g], err = e.funKernel(op, sub, sub[0].Len()); err != nil {
-			return Col{}, err
+			return ItemVec{}, err
 		}
 	}
 	return mergeRows(e, parts, groups, n), nil
 }
 
 // cast applies a unary op that cannot fail to one column.
-func (e *Exec) cast(op FunOp, c *Col) *ItemVec {
-	out, _ := e.funCol(op, []*Col{c}, c.Len())
-	return &out.Item
+func (e *Exec) cast(op FunOp, c *ItemVec) *ItemVec {
+	out, _ := e.funCol(op, []*ItemVec{c}, c.Len())
+	return &out
 }
 
 // tagGroup is one set of rows whose kinds agree in every argument.
@@ -215,14 +209,11 @@ type tagGroup struct {
 // arguments' kinds. It returns nil when no argument has a tag vector,
 // and one group without a row list when the tag vectors turn out
 // constant (a demoted-uniform column): both run zero-copy.
-func tagGroups(e *Exec, args []*Col, n int) []tagGroup {
+func tagGroups(e *Exec, args []*ItemVec, n int) []tagGroup {
 	var all tagGroup
 	var tags [2][]xqt.Kind
 	for a, c := range args {
-		all.kinds[a] = colTag(c)
-		if c.Kind == KItem {
-			tags[a] = c.Item.Tags
-		}
+		all.kinds[a], tags[a] = c.Tag, c.Tags
 	}
 	if tags[0] == nil && tags[1] == nil {
 		return nil
@@ -257,12 +248,9 @@ func tagGroups(e *Exec, args []*Col, n int) []tagGroup {
 // uniformRows returns rows idx of c (nil: every row), all of kind k, as
 // a uniform column: only the payload vectors k uses are carried over.
 // The gathered rows are kernel input, gone with the operator.
-func uniformRows(e *Exec, c *Col, k xqt.Kind, idx []int32) Col {
-	u := *c
-	if v := &c.Item; c.Kind == KItem {
-		cont, i, f, s := payloads(k)
-		u.Item = ItemVec{Tag: k, n: v.n, Cont: keepIf(v.Cont, cont), I: keepIf(v.I, i), F: keepIf(v.F, f), S: keepIf(v.S, s)}
-	}
+func uniformRows(e *Exec, v *ItemVec, k xqt.Kind, idx []int32) ItemVec {
+	cont, i, f, s := payloads(k)
+	u := ItemVec{Tag: k, n: v.n, Cont: keepIf(v.Cont, cont), I: keepIf(v.I, i), F: keepIf(v.F, f), S: keepIf(v.S, s)}
 	if idx == nil {
 		return u
 	}
@@ -291,26 +279,19 @@ func scatterRows[T any](e *Exec, dst, src []T, idx []int32, n int) []T {
 	return dst
 }
 
-// mergeRows scatters the per-group kernel outputs — predicate columns
-// or uniform item columns — back to row order. The result is uniform
-// when the groups' outputs agree on a kind.
-func mergeRows(e *Exec, parts []Col, groups []tagGroup, n int) Col {
+// mergeRows scatters the per-group kernel outputs, uniform columns,
+// back to row order. The result is uniform when the groups' outputs
+// agree on a kind.
+func mergeRows(e *Exec, parts []ItemVec, groups []tagGroup, n int) ItemVec {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	if parts[0].Kind == KBool {
-		var out []bool
-		for g := range parts {
-			out = scatterRows(e, out, parts[g].Bool, groups[g].idx, n)
-		}
-		return boolCol(out)
-	}
-	out := ItemVec{Tag: parts[0].Item.Tag, n: n}
-	if slices.ContainsFunc(parts, func(p Col) bool { return p.Item.Tag != out.Tag }) {
+	out := ItemVec{Tag: parts[0].Tag, n: n}
+	if slices.ContainsFunc(parts, func(p ItemVec) bool { return p.Tag != out.Tag }) {
 		out.Tags = dirty[xqt.Kind](e, outRegion, n)
 	}
 	for g := range parts {
-		p, idx := &parts[g].Item, groups[g].idx
+		p, idx := &parts[g], groups[g].idx
 		if out.Tags != nil {
 			for _, i := range idx {
 				out.Tags[i] = p.Tag
@@ -321,7 +302,7 @@ func mergeRows(e *Exec, parts []Col, groups []tagGroup, n int) Col {
 		out.F = scatterRows(e, out.F, p.F, idx, n)
 		out.S = scatterRows(e, out.S, p.S, idx, n)
 	}
-	return Col{Kind: KItem, Item: out}
+	return out
 }
 
 func cmpOpOf(op FunOp) (xqt.CmpOp, bool) {
@@ -351,7 +332,7 @@ func cmpOpOf(op FunOp) (xqt.CmpOp, bool) {
 //	arithmetic    xs:integer when both operands are, else xs:double
 //	string ops    the xs:string cast (strs)
 //	node ops      (container, pre / attribute row) straight off the column
-func (e *Exec) funKernel(op FunOp, a []*Col, n int) (Col, error) {
+func (e *Exec) funKernel(op FunOp, a []*ItemVec, n int) (ItemVec, error) {
 	if cmp, ok := cmpOpOf(op); ok {
 		return e.compareCols(cmp, a[0], a[1]), nil
 	}
@@ -367,30 +348,30 @@ func (e *Exec) funKernel(op FunOp, a []*Col, n int) (Col, error) {
 	case FunMod:
 		// F&O 6.2.6: an integer zero divisor is an error, xs:double mod 0 is NaN
 		if intZeroDivisor(a) {
-			return Col{}, errDivByZero
+			return ItemVec{}, errDivByZero
 		}
 		return e.numBinary(a, func(x, y int64) int64 { return x % y }, math.Mod), nil
 	case FunIDiv:
 		// F&O 6.2.5: the quotient is an xs:integer whatever the operands
 		if intZeroDivisor(a) {
-			return Col{}, errDivByZero
+			return ItemVec{}, errDivByZero
 		}
-		if colTag(a[0]) == xqt.KInt && colTag(a[1]) == xqt.KInt {
+		if a[0].Tag == xqt.KInt && a[1].Tag == xqt.KInt {
 			return e.numBinary(a, func(x, y int64) int64 { return x / y }, nil), nil
 		}
 		fa, fb := e.floats(a[0]), e.floats(a[1])
 		for i, y := range fb {
 			switch q := fa[i] / y; {
 			case y == 0:
-				return Col{}, errDivByZero
+				return ItemVec{}, errDivByZero
 			case !(math.Abs(q) < 1<<63): // a NaN operand, an infinite dividend, or overflow
-				return Col{}, xqerr.Newf("FOAR0002", "idiv: %s idiv %s is not an xs:integer", xqt.FormatDouble(fa[i]), xqt.FormatDouble(y))
+				return ItemVec{}, xqerr.Newf("FOAR0002", "idiv: %s idiv %s is not an xs:integer", xqt.FormatDouble(fa[i]), xqt.FormatDouble(y))
 			}
 		}
 		return uniformIntCol(map2(e, fa, fb, func(x, y float64) int64 { return int64(x / y) })), nil
 	case FunNeg:
-		if colTag(a[0]) == xqt.KInt {
-			return uniformIntCol(map1(e, e.view(a[0]).i, func(x int64) int64 { return -x })), nil
+		if a[0].Tag == xqt.KInt {
+			return uniformIntCol(map1(e, a[0].I, func(x int64) int64 { return -x })), nil
 		}
 		return uniformDoubleCol(map1(e, e.floats(a[0]), func(x float64) float64 { return -x })), nil
 	case FunFloor:
@@ -409,9 +390,9 @@ func (e *Exec) funKernel(op FunOp, a []*Col, n int) (Col, error) {
 	case FunConcat:
 		return uniformStringCol(map2(e, e.strs(a[0]), e.strs(a[1]), func(x, y string) string { return x + y })), nil
 	case FunContains:
-		return boolCol(map2(e, e.strs(a[0]), e.strs(a[1]), strings.Contains)), nil
+		return holds2(e, e.strs(a[0]), e.strs(a[1]), strings.Contains), nil
 	case FunStartsWith:
-		return boolCol(map2(e, e.strs(a[0]), e.strs(a[1]), strings.HasPrefix)), nil
+		return holds2(e, e.strs(a[0]), e.strs(a[1]), strings.HasPrefix), nil
 	case FunAtomize:
 		// atoms atomize to themselves (the payload vectors are shared)
 		return e.view(a[0]).col(n), nil
@@ -430,47 +411,47 @@ func (e *Exec) funKernel(op FunOp, a []*Col, n int) (Col, error) {
 		return e.nodeOrder(a[1], a[0], docOrderBefore)
 
 	case FunEbvAtom:
-		if k := colTag(a[0]); k == xqt.KNode || k == xqt.KAttr {
-			return e.constBools(n, true), nil
+		if k := a[0].Tag; k == xqt.KNode || k == xqt.KAttr {
+			return e.constItemVec(xqt.Bool(true), n), nil
 		}
 		switch v := e.view(a[0]); v.tag {
 		case xqt.KDouble:
-			return boolCol(map1(e, v.f, func(x float64) bool { return x != 0 && x == x })), nil
+			return holds1(e, v.f, func(x float64) bool { return x != 0 && x == x }), nil
 		case xqt.KString, xqt.KUntyped:
-			return boolCol(map1(e, v.s, func(s string) bool { return s != "" })), nil
+			return holds1(e, v.s, func(s string) bool { return s != "" }), nil
 		default:
-			return boolCol(map1(e, v.i, func(x int64) bool { return x != 0 })), nil
+			return holds1(e, v.i, func(x int64) bool { return x != 0 }), nil
 		}
 	}
-	return Col{}, fmt.Errorf("ralg: unhandled function op %d", op)
+	return ItemVec{}, fmt.Errorf("ralg: unhandled function op %d", op)
 }
 
 // compareCols is the comparison shape: both columns cast to the one
 // domain xqt.Compare promotes their kinds to — the same joinDomain table
 // and existKeys casts the existential join uses — and compare there.
-func (e *Exec) compareCols(op xqt.CmpOp, a, b *Col) Col {
+func (e *Exec) compareCols(op xqt.CmpOp, a, b *ItemVec) ItemVec {
 	ka, kb := atomKinds(a), atomKinds(b)
 	switch dom := joinDomain(ka, kb); {
 	case ka == 1<<xqt.KInt && kb == 1<<xqt.KInt:
 		// xs:integer pairs compare exactly, not through xs:double
-		return boolCol(map2(e, e.view(a).i, e.view(b).i, func(x, y int64) bool { return xqt.CompareInt(x, y, op) }))
+		return holds2(e, a.I, b.I, func(x, y int64) bool { return xqt.CompareInt(x, y, op) })
 	case dom == domString:
 		_, sa := e.existKeys(a, dom)
 		_, sb := e.existKeys(b, dom)
-		return boolCol(map2(e, sa, sb, func(x, y string) bool { return xqt.CompareString(x, y, op) }))
+		return holds2(e, sa, sb, func(x, y string) bool { return xqt.CompareString(x, y, op) })
 	default: // xs:double, or xs:boolean as 0/1
 		fa, _ := e.existKeys(a, dom)
 		fb, _ := e.existKeys(b, dom)
-		return boolCol(map2(e, fa, fb, func(x, y float64) bool { return xqt.CompareFloat(x, y, op) }))
+		return holds2(e, fa, fb, func(x, y float64) bool { return xqt.CompareFloat(x, y, op) })
 	}
 }
 
 // numBinary is the numeric binary shape: xs:integer results when both
 // operands are xs:integer (and the op has an integer form), xs:double
 // over the AsDouble casts otherwise.
-func (e *Exec) numBinary(a []*Col, fi func(x, y int64) int64, ff func(x, y float64) float64) Col {
-	if fi != nil && colTag(a[0]) == xqt.KInt && colTag(a[1]) == xqt.KInt {
-		return uniformIntCol(map2(e, e.view(a[0]).i, e.view(a[1]).i, fi))
+func (e *Exec) numBinary(a []*ItemVec, fi func(x, y int64) int64, ff func(x, y float64) float64) ItemVec {
+	if fi != nil && a[0].Tag == xqt.KInt && a[1].Tag == xqt.KInt {
+		return uniformIntCol(map2(e, a[0].I, a[1].I, fi))
 	}
 	return uniformDoubleCol(map2(e, e.floats(a[0]), e.floats(a[1]), ff))
 }
@@ -479,27 +460,21 @@ var errDivByZero = xqerr.Newf("FOAR0001", "division by zero")
 
 // intZeroDivisor reports an xs:integer division whose divisor column
 // holds a zero.
-func intZeroDivisor(a []*Col) bool {
-	if colTag(a[0]) != xqt.KInt || colTag(a[1]) != xqt.KInt {
-		return false
-	}
-	if a[1].Kind == KInt {
-		return slices.Contains(a[1].Int, 0)
-	}
-	return slices.Contains(a[1].Item.I, 0)
+func intZeroDivisor(a []*ItemVec) bool {
+	return a[0].Tag == xqt.KInt && a[1].Tag == xqt.KInt && slices.Contains(a[1].I, 0)
 }
 
 // nodeVec returns the payload of a uniform node column; the node ops
 // are type errors on anything else.
-func nodeVec(c *Col) (*ItemVec, error) {
-	if k := colTag(c); c.Len() > 0 && k != xqt.KNode && k != xqt.KAttr {
+func nodeVec(c *ItemVec) (*ItemVec, error) {
+	if k := c.Tag; c.Len() > 0 && k != xqt.KNode && k != xqt.KAttr {
 		return nil, xqerr.Newf("XPTY0004", "node operation applied to an %s value", k)
 	}
-	return &c.Item, nil
+	return c, nil
 }
 
 // nodeNames resolves the qualified names of a uniform node column.
-func (e *Exec) nodeNames(c *Col) ([]string, error) {
+func (e *Exec) nodeNames(c *ItemVec) ([]string, error) {
 	vec, err := nodeVec(c)
 	if err != nil {
 		return nil, err
@@ -541,19 +516,19 @@ func docOrderBefore(ca, cb int32, oa, ob uint64) bool { return ca < cb || (ca ==
 
 // nodeOrder is the node comparison shape (is, <<, >>): rel over the
 // (container, document-order key) pairs of two uniform node columns.
-func (e *Exec) nodeOrder(a, b *Col, rel func(ca, cb int32, oa, ob uint64) bool) (Col, error) {
+func (e *Exec) nodeOrder(a, b *ItemVec, rel func(ca, cb int32, oa, ob uint64) bool) (ItemVec, error) {
 	va, err := nodeVec(a)
 	if err != nil {
-		return Col{}, err
+		return ItemVec{}, err
 	}
 	vb, err := nodeVec(b)
 	if err != nil {
-		return Col{}, err
+		return ItemVec{}, err
 	}
 	oa, ob := e.docOrderKeys(va), e.docOrderKeys(vb)
-	out := dirty[bool](e, outRegion, len(oa))
-	for i := range out {
-		out[i] = rel(va.Cont[i], vb.Cont[i], oa[i], ob[i])
+	out := e.uniformVec(xqt.KBool, len(oa))
+	for i := range out.I {
+		out.I[i] = b2i(rel(va.Cont[i], vb.Cont[i], oa[i], ob[i]))
 	}
-	return boolCol(out), nil
+	return out, nil
 }

@@ -53,12 +53,13 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 type keyEnc func(buf []byte, i int32) []byte
 
 // itemKey appends the per-kind value encoding used for duplicate
-// elimination: numeric values (integers and doubles) encode as their
-// xs:double bit pattern so 1 and 1.0 collapse into one value; booleans,
-// strings and node identities each keep their own tag, so values the eq
-// operator cannot compare (1 versus true()) stay distinct, per the
-// fn:distinct-values rules.
-func itemKey(buf []byte, v *ItemVec, k xqt.Kind, i int32) []byte {
+// elimination: numeric values encode as their xs:double bit pattern so 1
+// and 1.0 collapse into one value — but in a column without an xs:double
+// row (exact) integers encode as themselves, so integers past 2^53 stay
+// apart; booleans, strings and node identities each keep their own tag,
+// so values the eq operator cannot compare (1 versus true()) stay
+// distinct, per the fn:distinct-values rules.
+func itemKey(buf []byte, v *ItemVec, k xqt.Kind, i int32, exact bool) []byte {
 	switch k {
 	case xqt.KNode, xqt.KAttr:
 		buf = append(buf, byte(k))
@@ -66,6 +67,9 @@ func itemKey(buf []byte, v *ItemVec, k xqt.Kind, i int32) []byte {
 		return appendInt(buf, v.I[i])
 	case xqt.KInt:
 		buf = append(buf, 'n')
+		if exact {
+			return appendInt(buf, v.I[i])
+		}
 		return appendInt(buf, int64(math.Float64bits(float64(v.I[i]))))
 	case xqt.KBool:
 		buf = append(buf, 'b')
@@ -80,25 +84,13 @@ func itemKey(buf []byte, v *ItemVec, k xqt.Kind, i int32) []byte {
 }
 
 // colKeyEnc builds the key encoder of one column, dispatching on the
-// column kind — and, for uniform item columns, on the item kind — once
-// instead of per row.
-func colKeyEnc(c *Col) keyEnc {
-	switch c.Kind {
-	case KInt:
-		return func(buf []byte, i int32) []byte { return appendInt(buf, c.Int[i]) }
-	case KBool:
-		return func(buf []byte, i int32) []byte {
-			if c.Bool[i] {
-				return append(buf, 1)
-			}
-			return append(buf, 0)
-		}
-	}
-	v := &c.Item
+// item kind of a uniform column once instead of per row.
+func colKeyEnc(v *ItemVec) keyEnc {
+	exact := !v.has(xqt.KDouble)
 	if k, ok := v.Uniform(); ok {
-		return func(buf []byte, i int32) []byte { return itemKey(buf, v, k, i) }
+		return func(buf []byte, i int32) []byte { return itemKey(buf, v, k, i, exact) }
 	}
-	return func(buf []byte, i int32) []byte { return itemKey(buf, v, v.Tags[i], i) }
+	return func(buf []byte, i int32) []byte { return itemKey(buf, v, v.Tags[i], i, exact) }
 }
 
 func appendInt(buf []byte, v int64) []byte {
@@ -116,8 +108,8 @@ func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 	var nums []float64
 	switch n.Op {
 	case AggSum, AggAvg:
-		if arg = in.ItemVec(n.Arg); arg.Tags != nil || arg.Tag != xqt.KInt {
-			nums = e.cast(FunNumber, in.Col(n.Arg)).F
+		if arg = in.Col(n.Arg); arg.Tags != nil || arg.Tag != xqt.KInt {
+			nums = e.cast(FunNumber, arg).F
 		}
 	case AggMin, AggMax:
 		arg = e.minMaxCast(in.Col(n.Arg))
@@ -126,22 +118,19 @@ func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewTable([]string{n.Part, n.Out}, []ColKind{KInt, KItem})
-	out.Col(n.Part).Int, out.Col(n.Out).Item = settle(e, pc), vc
-	out.N = len(pc)
-	return out, nil
+	return tableOf([]string{n.Part, n.Out}, uniformIntCol(settle(e, pc)), vc), nil
 }
 
 // minMaxCast casts an fn:min/max argument into F&O's comparison domain:
 // an xs:untypedAtomic row (a node, atomized) becomes xs:double; numbers,
 // strings and booleans stay, and a column of only those is read in
 // place.
-func (e *Exec) minMaxCast(c *Col) *ItemVec {
-	groups := tagGroups(e, []*Col{c}, c.Len())
+func (e *Exec) minMaxCast(c *ItemVec) *ItemVec {
+	groups := tagGroups(e, []*ItemVec{c}, c.Len())
 	if groups == nil {
-		groups = []tagGroup{{kinds: [2]xqt.Kind{colTag(c)}}}
+		groups = []tagGroup{{kinds: [2]xqt.Kind{c.Tag}}}
 	}
-	parts := make([]Col, len(groups))
+	parts := make([]ItemVec, len(groups))
 	for g, grp := range groups {
 		parts[g] = uniformRows(e, c, grp.kinds[0], grp.idx)
 		switch grp.kinds[0] {
@@ -151,7 +140,7 @@ func (e *Exec) minMaxCast(c *Col) *ItemVec {
 		}
 	}
 	out := mergeRows(e, parts, groups, c.Len())
-	return &out.Item
+	return &out
 }
 
 // numberAt reads a number or boolean row as xs:double.
@@ -166,12 +155,12 @@ func numberAt(d *ItemVec, i int) float64 {
 // groups live in scratch memory. fn:min/max keep the row of
 // the group's extremum so far.
 type aggGroup struct {
-	part   int64
-	cnt    int64
-	sumF   float64
-	sumI   int64
-	allInt bool
-	row    int32
+	part      int64
+	cnt       int64
+	sumF      float64
+	sumI      int64
+	allInt    bool  // every row so far is an xs:integer
+	row, irow int32 // the extremum so far as xs:double, and as xs:integer while allInt
 }
 
 // aggregate aggregates the rows by part, returning one (part, value) row
@@ -242,21 +231,26 @@ func (e *Exec) aggregate(n *Aggr, part []int64, arg *ItemVec, nums []float64) ([
 		default: // AggMin, AggMax: a group keeps its extremum's row
 			for i := blo; i < bhi; i++ {
 				g := lookup(part[i])
-				if g.cnt > 1 {
-					// strings compare as strings, numbers and booleans as
-					// xs:double; NaN wins, and a tie keeps the earlier row j
-					j := int(g.row)
-					if arg.Tags != nil && ((arg.Tags[i] == xqt.KString) != (arg.Tags[j] == xqt.KString) ||
-						(arg.Tags[i] == xqt.KBool) != (arg.Tags[j] == xqt.KBool)) {
-						return nil, ItemVec{}, xqerr.Newf("FORG0006", "fn:min/fn:max over %s and %s values", arg.Tags[j], arg.Tags[i])
-					}
-					if arg.KindAt(i) == xqt.KString {
-						if !(isMax && arg.S[i] > arg.S[j] || !isMax && arg.S[i] < arg.S[j]) {
-							continue
-						}
-					} else if a, b := numberAt(arg, i), numberAt(arg, j); !(isMax && a > b || !isMax && a < b || a != a && b == b) {
+				if g.allInt = g.allInt && arg.KindAt(i) == xqt.KInt; g.cnt == 1 {
+					g.row, g.irow = int32(i), int32(i)
+					continue
+				}
+				if g.allInt && (isMax && arg.I[i] > arg.I[g.irow] || !isMax && arg.I[i] < arg.I[g.irow]) {
+					g.irow = int32(i)
+				}
+				// strings compare as strings, numbers and booleans as
+				// xs:double; NaN wins, and a tie keeps the earlier row j
+				j := int(g.row)
+				if arg.Tags != nil && ((arg.Tags[i] == xqt.KString) != (arg.Tags[j] == xqt.KString) ||
+					(arg.Tags[i] == xqt.KBool) != (arg.Tags[j] == xqt.KBool)) {
+					return nil, ItemVec{}, xqerr.Newf("FORG0006", "fn:min/fn:max over %s and %s values", arg.Tags[j], arg.Tags[i])
+				}
+				if arg.KindAt(i) == xqt.KString {
+					if !(isMax && arg.S[i] > arg.S[j] || !isMax && arg.S[i] < arg.S[j]) {
 						continue
 					}
+				} else if a, b := numberAt(arg, i), numberAt(arg, j); !(isMax && a > b || !isMax && a < b || a != a && b == b) {
+					continue
 				}
 				g.row = int32(i)
 			}
@@ -300,19 +294,22 @@ func (e *Exec) aggregate(n *Aggr, part []int64, arg *ItemVec, nums []float64) ([
 		}
 		return pc, itemVecOf(e, sums), nil
 	}
+	// a group of xs:integer rows only compares them exactly
 	rows := dirty[int32](e, scratchRegion, len(groups))
-	for i := range groups {
-		rows[i] = groups[i].row
+	for i, g := range groups {
+		if rows[i] = g.row; g.allInt {
+			rows[i] = g.irow
+		}
 	}
 	return pc, arg.gatherIn(e, outRegion, rows), nil
 }
 
 func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 	part := in.Ints(n.Part)
-	items := in.ItemVec(n.Item)
+	items := in.Col(n.Item)
 	// every row's own effective boolean value (a node's is true); only a
 	// group's first row is read
-	rowEBV, err := e.funCol(FunEbvAtom, []*Col{in.Col(n.Item)}, in.N)
+	rowEBV, err := e.funCol(FunEbvAtom, []*ItemVec{items}, in.N)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +330,7 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 		if j-i > 1 && k != xqt.KNode && k != xqt.KAttr {
 			return nil, xqerr.Newf("FORG0006", "effective boolean value of a sequence of %d atomic values", j-i)
 		}
-		holds := rowEBV.Bool[i]
+		holds := rowEBV.I[i] != 0
 		if pos != nil && j-i == 1 && (k == xqt.KInt || k == xqt.KDouble) {
 			holds = xqt.Compare(items.At(i), xqt.Int(pos[i]), xqt.CmpEq)
 		}
@@ -343,8 +340,5 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 		}
 		i = j
 	}
-	out := NewTable([]string{n.Part}, []ColKind{KInt})
-	out.N = o
-	out.Col(n.Part).Int = settle(e, pc[:o])
-	return out, nil
+	return tableOf([]string{n.Part}, uniformIntCol(settle(e, pc[:o]))), nil
 }

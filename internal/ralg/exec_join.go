@@ -57,7 +57,7 @@ func (e *Exec) posPairs(keys []int64, base int64, n int) (rows, targets []int32)
 func (e *Exec) joinGather(l, r *Table, lcols, rcols []ColRef, lidx, ridx []int32) (*Table, error) {
 	out := &Table{N: len(lidx)}
 	ncols := len(lcols) + len(rcols)
-	out.cols = make([]Col, ncols)
+	out.cols = make([]ItemVec, ncols)
 	for _, ref := range lcols {
 		out.names = append(out.names, ref.Dst)
 	}

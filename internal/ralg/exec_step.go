@@ -153,7 +153,7 @@ var ownerAxes = map[scj.Axis][]scj.Axis{
 
 func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	iters := in.Ints(n.IterCol)
-	items := in.ItemVec(n.ItemCol)
+	items := in.Col(n.ItemCol)
 	if !e.stepInputSorted(in, n.ItemCol, n.IterCol) {
 		return nil, fmt.Errorf("ralg: step(%v) input not sorted on (item, iter): plan misses a sort", n.Axis)
 	}
@@ -222,29 +222,24 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	// the emitter charged 8 B per pair as each block filled, so a runaway
 	// step aborts mid-emission; the 20 B per row of the widened columns
 	// are refused here, before they are allocated
-	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	ic := out.Col("iter")
-	tc := out.Col("item")
-	ic.Int = dirty[int64](e, outRegion, total)
-	tc.Item = e.uniformVec(xqt.KNode, total)
+	ic, tc := e.uniformVec(xqt.KInt, total), e.uniformVec(xqt.KNode, total)
 	if attrs {
-		tc.Item.Tags = dirty[xqt.Kind](e, outRegion, total)
+		tc.Tags = dirty[xqt.Kind](e, outRegion, total)
 	}
 	// the single copy of the step result: block pairs widen straight into
 	// the output columns
 	for _, pc := range pieces {
-		ii, cc, pp := ic.Int[pc.base:], tc.Item.Cont[pc.base:], tc.Item.I[pc.base:]
+		ii, cc, pp := ic.I[pc.base:], tc.Cont[pc.base:], tc.I[pc.base:]
 		for r, pre := range pc.Pre {
 			ii[r], cc[r], pp[r] = int64(pc.Iter[r]), pc.cont, int64(pre)
 		}
 		if pc.kinds != nil {
-			copy(tc.Item.Tags[pc.base:], pc.kinds)
+			copy(tc.Tags[pc.base:], pc.kinds)
 		} else if attrs {
-			fillWith(tc.Item.Tags[pc.base:pc.base+pc.Len()], xqt.KNode)
+			fillWith(tc.Tags[pc.base:pc.base+pc.Len()], xqt.KNode)
 		}
 	}
-	out.N = total
-	return out, nil
+	return tableOf([]string{"iter", "item"}, ic, tc), nil
 }
 
 // countTable is a count-mode Step's output: an (iter, xs:integer) row
@@ -256,10 +251,7 @@ func (e *Exec) countTable(counts []int64) *Table {
 			ic, vc = append(grown(e, ic, 1), int64(it)), append(grown(e, vc, 1), k)
 		}
 	}
-	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	out.N = len(ic)
-	out.Col("iter").Int, out.Col("item").Item = settle(e, ic), ItemVec{Tag: xqt.KInt, n: out.N, I: settle(e, vc)}
-	return out
+	return tableOf([]string{"iter", "item"}, uniformIntCol(settle(e, ic)), uniformIntCol(settle(e, vc)))
 }
 
 // attrStep resolves the attribute axis for every input row. The (iter,
@@ -312,18 +304,14 @@ func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec, counts []int64) 
 		}
 		i = j
 	}
-	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	out.Col("iter").Int = settle(e, ic)
-	out.N = len(ic)
-	out.Col("item").Item = ItemVec{Tag: xqt.KAttr, n: out.N, Cont: settle(e, tc), I: settle(e, ta)}
-	return out
+	return tableOf([]string{"iter", "item"}, uniformIntCol(settle(e, ic)), ItemVec{Tag: xqt.KAttr, n: len(ic), Cont: settle(e, tc), I: settle(e, ta)})
 }
 
 func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	if e.Transient == nil {
 		return nil, fmt.Errorf("ralg: element construction without a transient container")
 	}
-	loop, citer, citem := in[0].Ints("iter"), in[1].Ints("iter"), in[1].ItemVec("item")
+	loop, citer, citem := in[0].Ints("iter"), in[1].Ints("iter"), in[1].Col("item")
 	// attribute value cursors: one per attribute part, its items cast to strings up front
 	type partCur struct {
 		iter []int64
@@ -344,11 +332,7 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 			attrs[i].parts = append(attrs[i].parts, partCur{iter: t.Ints("iter"), strs: e.cast(FunStringOf, t.Col("item")).S})
 		}
 	}
-	out := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
-	out.N = len(loop)
-	out.Col("iter").Int = loop // one element per iteration, in loop order
-	tc := out.Col("item")
-	tc.Item = e.uniformVec(xqt.KNode, len(loop))
+	tc := e.uniformVec(xqt.KNode, len(loop))
 	b := store.NewContainerBuilder(e.Transient)
 	// the copied subtrees dominate the rows this operator appends to the
 	// transient container: make room for them once (text nodes ride on
@@ -436,11 +420,12 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 		}
 		flush()
 		b.End()
-		tc.Item.Cont[built], tc.Item.I[built] = e.Transient.ID, int64(pre)
+		tc.Cont[built], tc.I[built] = e.Transient.ID, int64(pre)
 	}
 	e.Stats.TransientRows += int64(e.Transient.Len() - before)
 	if room > 0 && cap(e.Transient.Size) != room {
 		e.Stats.TransientRegrows++
 	}
-	return out, nil
+	// one element per iteration, in loop order: the loop's iter column is shared
+	return tableOf([]string{"iter", "item"}, *in[0].Col("iter"), tc), nil
 }

@@ -46,7 +46,7 @@ var funGridOps = []struct {
 
 // gridArg is one argument column with the oracle's view of its rows.
 type gridArg struct {
-	col  Col
+	col  ItemVec
 	vals []naive.Val
 }
 
@@ -106,7 +106,7 @@ func gridNumeric(s string) bool {
 const funGridRows = 24
 
 var funGridKinds = []string{"int", "double", "string", "untyped", "bool", "node", "attr",
-	"demoted-int", "demoted-node", "mixed", "tab-int"}
+	"demoted-int", "demoted-node", "mixed"}
 
 // atom draws a value of kind k. Safe values cast to finite nonzero
 // numbers, so the partial operators (idiv, mod) are checked on values,
@@ -162,7 +162,7 @@ func (g *funGrid) arg(kind string, safe bool) gridArg {
 	}
 	uniform := map[string]xqt.Kind{"int": xqt.KInt, "double": xqt.KDouble, "string": xqt.KString,
 		"untyped": xqt.KUntyped, "bool": xqt.KBool, "node": xqt.KNode, "attr": xqt.KAttr,
-		"demoted-int": xqt.KInt, "demoted-node": xqt.KNode, "tab-int": xqt.KInt}
+		"demoted-int": xqt.KInt, "demoted-node": xqt.KNode}
 	for i := 0; i < funGridRows; i++ {
 		if k, ok := uniform[kind]; ok {
 			add(k)
@@ -170,17 +170,8 @@ func (g *funGrid) arg(kind string, safe bool) gridArg {
 			add(xqt.Kind(g.rng.Intn(int(xqt.KAttr) + 1)))
 		}
 	}
-	switch kind {
-	case "tab-int":
-		a.col.Kind = KInt
-		for _, it := range items {
-			a.col.Int = append(a.col.Int, it.I)
-		}
-	default:
-		a.col = Col{Kind: KItem, Item: NewItemVec(items)}
-		if strings.HasPrefix(kind, "demoted") {
-			a.col.Item = demote(a.col.Item)
-		}
+	if a.col = NewItemVec(items); strings.HasPrefix(kind, "demoted") {
+		a.col = demote(a.col)
 	}
 	return a
 }
@@ -261,11 +252,7 @@ func TestFunGridMatchesOracle(t *testing.T) {
 					}
 					oc := out.Col("o")
 					for i, w := range want {
-						got := xqt.Bool(oc.Kind == KBool && oc.Bool[i])
-						if oc.Kind == KItem {
-							got = oc.Item.At(i)
-						}
-						if !sameItem(got, w) {
+						if got := oc.At(i); !sameItem(got, w) {
 							t.Errorf("%s row %d (%+v, %+v): got %+v, oracle %+v",
 								label, i, args[0].vals[i].Atom, args[len(args)-1].vals[i].Atom, got, w)
 							break

@@ -9,9 +9,7 @@ import (
 
 // kvTable is the two-column integer table (k, v).
 func kvTable(k, v []int64) *Table {
-	t := NewTable([]string{"k", "v"}, []ColKind{KInt, KInt})
-	t.N, t.Col("k").Int, t.Col("v").Int = len(k), k, v
-	return t
+	return tableOf([]string{"k", "v"}, uniformIntCol(k), uniformIntCol(v))
 }
 
 // The bucket-chained build table must pair every left row with its

@@ -44,9 +44,9 @@ func TestItemVecEmptyColumns(t *testing.T) {
 		"mixed-empty":   emptyMixed,
 	} {
 		tab := &Table{N: 0}
-		tab.AddCol("iter", Col{Kind: KInt})
-		tab.AddCol("item", Col{Kind: KItem, Item: vec})
-		tab.AddCol("b", Col{Kind: KItem, Item: vec})
+		tab.AddCol("iter", ItemVec{Tag: xqt.KInt})
+		tab.AddCol("item", vec)
+		tab.AddCol("b", vec)
 		ex := NewExec(pool, nil)
 
 		for _, op := range []FunOp{FunAdd, FunEq, FunConcat} {
@@ -87,16 +87,16 @@ func TestItemVecEmptyColumns(t *testing.T) {
 func TestSelectKeepsTagVector(t *testing.T) {
 	pool := store.NewPool()
 	mixed := mixedVec(xqt.Int(1), xqt.Str("x"), xqt.Int(3), xqt.Str("y"), xqt.Int(5))
-	cond := []bool{true, false, true, false, true} // keep the ints only
+	cond := BindBools(true, false, true, false, true) // keep the ints only
 	tab := &Table{N: 5}
-	tab.AddCol("item", Col{Kind: KItem, Item: mixed})
-	tab.AddCol("keep", Col{Kind: KBool, Bool: cond})
+	tab.AddCol("item", mixed)
+	tab.AddCol("keep", cond)
 	ex := NewExec(pool, nil)
 	sel := ex.execSelect(&Select{Cond: "keep"}, tab)
 	if sel.N != 3 {
 		t.Fatalf("select kept %d rows, want 3", sel.N)
 	}
-	got := sel.ItemVec("item")
+	got := sel.Col("item")
 	if got.Tags == nil {
 		t.Fatal("gathered mixed column lost its tag vector")
 	}
@@ -104,23 +104,23 @@ func TestSelectKeepsTagVector(t *testing.T) {
 		t.Fatal("gathered mixed column reports uniform")
 	}
 	// fallback vs kernel agreement on the gathered rows
-	sel.AddCol("two", Col{Kind: KItem, Item: ex.constItemVec(xqt.Int(2), 3)})
+	sel.AddCol("two", ex.constItemVec(xqt.Int(2), 3))
 	viaFallback, err := ex.execFun(&Fun{Op: FunMul, Args: []string{"item", "two"}, Out: "o"}, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	uni := NewItemVec([]xqt.Item{xqt.Int(1), xqt.Int(3), xqt.Int(5)})
 	utab := &Table{N: 3}
-	utab.AddCol("item", Col{Kind: KItem, Item: uni})
-	utab.AddCol("two", Col{Kind: KItem, Item: ex.constItemVec(xqt.Int(2), 3)})
+	utab.AddCol("item", uni)
+	utab.AddCol("two", ex.constItemVec(xqt.Int(2), 3))
 	viaKernel, err := ex.execFun(&Fun{Op: FunMul, Args: []string{"item", "two"}, Out: "o"}, utab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if viaFallback.Col("o").Item.At(i) != viaKernel.Col("o").Item.At(i) {
+		if viaFallback.Col("o").At(i) != viaKernel.Col("o").At(i) {
 			t.Fatalf("row %d: fallback %+v != kernel %+v", i,
-				viaFallback.Col("o").Item.At(i), viaKernel.Col("o").Item.At(i))
+				viaFallback.Col("o").At(i), viaKernel.Col("o").At(i))
 		}
 	}
 }
@@ -142,8 +142,8 @@ func TestSortStabilityMixedColumn(t *testing.T) {
 		seq[i] = int64(i)
 	}
 	tab := &Table{N: n}
-	tab.AddCol("item", Col{Kind: KItem, Item: mixedVec(items...)})
-	tab.AddCol("seq", Col{Kind: KInt, Int: seq})
+	tab.AddCol("item", mixedVec(items...))
+	tab.AddCol("seq", uniformIntCol(seq))
 	ex := NewExec(pool, nil)
 	out := ex.execSort(&Sort{By: []string{"item"}}, tab)
 
@@ -160,8 +160,8 @@ func TestSortStabilityMixedColumn(t *testing.T) {
 	}
 	// the sorted column still reconstructs the right items
 	for i := 0; i < n; i++ {
-		if out.ItemVec("item").At(i) != items[ref[i]] {
-			t.Fatalf("row %d: item %+v, want %+v", i, out.ItemVec("item").At(i), items[ref[i]])
+		if out.Col("item").At(i) != items[ref[i]] {
+			t.Fatalf("row %d: item %+v, want %+v", i, out.Col("item").At(i), items[ref[i]])
 		}
 	}
 }

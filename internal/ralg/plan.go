@@ -194,26 +194,22 @@ func NewProject(in Plan, cols ...string) *Project {
 // Attach appends a constant column (the paper's const-property columns).
 type Attach struct {
 	unary
-	Col  string
-	Kind ColKind
-	I    int64
-	It   xqt.Item
+	Col string
+	It  xqt.Item
 }
 
 // Name implements Plan.
 func (*Attach) Name() string { return "attach" }
 
-// AttachInt attaches a constant integer column.
-func AttachInt(in Plan, col string, v int64) *Attach {
-	return &Attach{unary: unary{In: in}, Col: col, Kind: KInt, I: v}
-}
+// AttachInt attaches a constant xs:integer column.
+func AttachInt(in Plan, col string, v int64) *Attach { return AttachItem(in, col, xqt.Int(v)) }
 
-// AttachItem attaches a constant item column.
+// AttachItem attaches a constant column.
 func AttachItem(in Plan, col string, it xqt.Item) *Attach {
-	return &Attach{unary: unary{In: in}, Col: col, Kind: KItem, It: it}
+	return &Attach{unary: unary{In: in}, Col: col, It: it}
 }
 
-// Select keeps the rows whose boolean column Cond is true.
+// Select keeps the rows whose xs:boolean column Cond is true.
 type Select struct {
 	unary
 	Cond string
@@ -225,7 +221,7 @@ func (*Select) Name() string { return "select" }
 // FunOp enumerates row-wise functions.
 type FunOp uint8
 
-// Row-wise functions over item columns (unless noted otherwise).
+// Row-wise functions; a comparison yields an xs:boolean column.
 const (
 	FunAdd FunOp = iota
 	FunSub
@@ -234,7 +230,7 @@ const (
 	FunIDiv
 	FunMod
 	FunNeg
-	FunEq // value comparison -> bool
+	FunEq // value comparison -> xs:boolean
 	FunNe
 	FunLt
 	FunLe
@@ -526,19 +522,9 @@ func (e *ElemConstruct) SetInput(i int, p Plan) {
 	}
 }
 
-// ColToItem converts an integer or boolean column into an item column
-// (xs:integer / xs:boolean items).
-type ColToItem struct {
-	unary
-	Src, Dst string
-}
-
-// Name implements Plan.
-func (*ColToItem) Name() string { return "coltoitem" }
-
-// RangeGen expands each input row into the integer sequence Lo..Hi (item
-// columns holding integers): output columns are (iter, pos, item), sorted
-// by the input's iter order.
+// RangeGen expands each input row into the integer sequence Lo..Hi:
+// output columns are (iter, pos, item), sorted by the input's iter
+// order.
 type RangeGen struct {
 	unary
 	Iter, Lo, Hi string
@@ -565,7 +551,7 @@ func (*CoverCheck) Name() string { return "covercheck" }
 // group true; a singleton atom contributes its boolean value;
 // multi-item atomic groups raise XQuery's FORG0006. With Pos set it is
 // the predicate truth value (XQuery 1.0 §3.2.2): a group that is one
-// numeric item is true when the item equals the group's int Pos value.
+// numeric item is true when the item equals the group's Pos value.
 type EBV struct {
 	unary
 	Part string
@@ -576,16 +562,14 @@ type EBV struct {
 // Name implements Plan.
 func (*EBV) Name() string { return "ebv" }
 
-// CardCheck validates the cardinality of each iteration group, raising
-// XQuery's dynamic errors for fn:zero-or-one, fn:exactly-one and
-// fn:one-or-more. It passes its input through unchanged. Exactly-one's
-// "at least one" half is checked by the compiler against the loop
-// relation.
+// CardCheck rejects iteration groups of more than one row, raising
+// XQuery's FORG0003 for fn:zero-or-one and fn:exactly-one (and the
+// singleton arguments of other builtins). It passes its input through
+// unchanged. Exactly-one's "at least one" half is checked against the
+// loop relation (CoverCheck).
 type CardCheck struct {
 	unary
 	Part string
-	// AtMostOne rejects groups with more than one row.
-	AtMostOne bool
 	// Fn names the builtin for error messages.
 	Fn string
 }

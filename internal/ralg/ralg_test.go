@@ -12,19 +12,11 @@ import (
 )
 
 func intTable(name string, vals ...int64) *Table {
-	t := NewTable([]string{name}, []ColKind{KInt})
-	t.N = len(vals)
-	t.Col(name).Int = vals
-	return t
+	return tableOf([]string{name}, BindInts(vals...))
 }
 
 func seqTable(iters []int64, poss []int64, items []xqt.Item) *Table {
-	t := NewTable([]string{"iter", "pos", "item"}, []ColKind{KInt, KInt, KItem})
-	t.N = len(iters)
-	t.Col("iter").Int = iters
-	t.Col("pos").Int = poss
-	t.Col("item").Item = NewItemVec(items)
-	return t
+	return tableOf([]string{"iter", "pos", "item"}, BindInts(iters...), BindInts(poss...), NewItemVec(items))
 }
 
 func run(t *testing.T, p Plan) *Table {
@@ -50,7 +42,7 @@ func TestProjectRename(t *testing.T) {
 
 func TestAttachAndSelect(t *testing.T) {
 	tab := intTable("iter", 1, 2, 3, 4)
-	tab.AddCol("c", Col{Kind: KBool, Bool: []bool{true, false, true, false}})
+	tab.AddCol("c", BindBools(true, false, true, false))
 	in := &Lit{Tab: tab}
 	sel := &Select{unary: unary{In: in}, Cond: "c"}
 	out := run(t, sel)
@@ -71,10 +63,10 @@ func TestAttachAndSelect(t *testing.T) {
 
 func TestRowNumModes(t *testing.T) {
 	// table with part column and values to order by
-	tab := NewTable([]string{"part", "v"}, []ColKind{KInt, KInt})
+	tab := NewTable([]string{"part", "v"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	tab.N = 6
-	tab.Col("part").Int = []int64{1, 2, 1, 2, 1, 3}
-	tab.Col("v").Int = []int64{30, 10, 10, 20, 20, 5}
+	*tab.Col("part") = BindInts(1, 2, 1, 2, 1, 3)
+	*tab.Col("v") = BindInts(30, 10, 10, 20, 20, 5)
 
 	// RankSort: ranks within part by v
 	rn := NewRowNum(&Lit{Tab: tab}, "r", []string{"v"}, "part")
@@ -98,9 +90,9 @@ func TestRowNumModes(t *testing.T) {
 	}
 
 	// RankSeq over part-sorted input
-	tab2 := NewTable([]string{"part"}, []ColKind{KInt})
+	tab2 := NewTable([]string{"part"}, []xqt.Kind{xqt.KInt})
 	tab2.N = 5
-	tab2.Col("part").Int = []int64{1, 1, 2, 2, 2}
+	*tab2.Col("part") = BindInts(1, 1, 2, 2, 2)
 	rq := NewRowNum(&Lit{Tab: tab2}, "r", nil, "part")
 	rq.Mode = RankSeq
 	out = run(t, rq)
@@ -113,10 +105,10 @@ func TestRowNumModes(t *testing.T) {
 }
 
 func TestSortRefineEqualsFull(t *testing.T) {
-	tab := NewTable([]string{"a", "b"}, []ColKind{KInt, KInt})
+	tab := NewTable([]string{"a", "b"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	tab.N = 6
-	tab.Col("a").Int = []int64{1, 1, 1, 2, 2, 3} // already sorted
-	tab.Col("b").Int = []int64{3, 1, 2, 2, 1, 1}
+	*tab.Col("a") = BindInts(1, 1, 1, 2, 2, 3) // already sorted
+	*tab.Col("b") = BindInts(3, 1, 2, 2, 1, 1)
 	full := NewSort(&Lit{Tab: tab}, "a", "b")
 	refine := NewSort(&Lit{Tab: tab}, "a", "b")
 	refine.RefinePrefix = 1
@@ -134,10 +126,10 @@ func TestSortRefineEqualsFull(t *testing.T) {
 
 func TestHashJoinAndPositional(t *testing.T) {
 	l := intTable("k", 3, 1, 2, 3)
-	r := NewTable([]string{"k2", "v"}, []ColKind{KInt, KInt})
+	r := NewTable([]string{"k2", "v"}, []xqt.Kind{xqt.KInt, xqt.KInt})
 	r.N = 3
-	r.Col("k2").Int = []int64{1, 2, 3} // dense
-	r.Col("v").Int = []int64{10, 20, 30}
+	*r.Col("k2") = BindInts(1, 2, 3) // dense
+	*r.Col("v") = BindInts(10, 20, 30)
 	j := NewHashJoin(&Lit{Tab: l}, &Lit{Tab: r}, "k", "k2",
 		Refs("k"), Refs("v"))
 	out := run(t, j)
@@ -298,10 +290,10 @@ func TestStepChild(t *testing.T) {
 	tr := store.NewContainer("")
 	pool.Register(tr)
 	// context: <a> (pre 1) in iterations 1 and 2
-	ctx := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	ctx := NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 	ctx.N = 2
-	ctx.Col("iter").Int = []int64{1, 2}
-	ctx.Col("item").Item = ItemsOf(xqt.Node(c.ID, 1), xqt.Node(c.ID, 1))
+	*ctx.Col("iter") = BindInts(1, 2)
+	*ctx.Col("item") = ItemsOf(xqt.Node(c.ID, 1), xqt.Node(c.ID, 1))
 	st := &Step{unary: unary{In: &Lit{Tab: ctx}}, Axis: scj.Child,
 		Test: scj.Test{Kind: scj.TestElem, Name: "b"}, IterCol: "iter", ItemCol: "item"}
 	ex := NewExec(pool, tr)
@@ -321,10 +313,10 @@ func TestStepRejectsUnsortedInput(t *testing.T) {
 	pool := store.NewPool()
 	c, _ := store.Shred("d", strings.NewReader(`<a><b/></a>`), false)
 	pool.Register(c)
-	ctx := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	ctx := NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 	ctx.N = 2
-	ctx.Col("iter").Int = []int64{1, 1}
-	ctx.Col("item").Item = ItemsOf(xqt.Node(c.ID, 2), xqt.Node(c.ID, 1))
+	*ctx.Col("iter") = BindInts(1, 1)
+	*ctx.Col("item") = ItemsOf(xqt.Node(c.ID, 2), xqt.Node(c.ID, 1))
 	st := &Step{unary: unary{In: &Lit{Tab: ctx}}, Axis: scj.Child,
 		Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
 	ex := NewExec(pool, nil)
@@ -395,7 +387,7 @@ func TestEBVAndCardCheck(t *testing.T) {
 	// the position; other groups keep their effective boolean value
 	tab3 := seqTable([]int64{1, 2, 3, 4, 5}, []int64{1, 1, 1, 1, 1},
 		[]xqt.Item{xqt.Int(2), xqt.Double(2), xqt.Int(0), xqt.Str("x"), xqt.Double(1.5)})
-	tab3.AddCol("at", Col{Kind: KInt, Int: []int64{1, 2, 3, 1, 1}})
+	tab3.AddCol("at", BindInts(1, 2, 3, 1, 1))
 	out, err = NewExec(pool, nil).Run(&EBV{unary: unary{In: &Lit{Tab: tab3}}, Part: "iter", Item: "item", Pos: "at"})
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +395,7 @@ func TestEBVAndCardCheck(t *testing.T) {
 	if got := out.Ints("iter"); !slices.Equal(got, []int64{2, 4}) {
 		t.Errorf("EBV at a position: the true groups are %v, want [2 4]", got)
 	}
-	cc := &CardCheck{unary: unary{In: &Lit{Tab: tab}}, Part: "iter", AtMostOne: true, Fn: "fn:zero-or-one"}
+	cc := &CardCheck{unary: unary{In: &Lit{Tab: tab}}, Part: "iter", Fn: "fn:zero-or-one"}
 	if _, err := NewExec(pool, nil).Run(cc); err == nil {
 		t.Error("CardCheck must reject the 2-row group")
 	}

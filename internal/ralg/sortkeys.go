@@ -28,41 +28,33 @@ type sortKey struct {
 func (e *Exec) sortKeys(t *Table, by []string, desc []bool) []sortKey {
 	var keys []sortKey
 	for k, name := range by {
-		c := t.Col(name)
 		var flip uint64
 		if k < len(desc) && desc[k] {
 			flip = ^uint64(0)
 		}
-		switch c.Kind {
-		case KInt:
-			u := dirty[uint64](e, scratchRegion, t.N)
-			for i, x := range c.Int {
-				u[i] = uint64(x) ^ 1<<63 ^ flip
-			}
-			keys = append(keys, sortKey{u: u})
-		case KBool:
-			u := dirty[uint64](e, scratchRegion, t.N)
-			for i, b := range c.Bool {
-				u[i] = boolKey(b) ^ flip
-			}
-			keys = append(keys, sortKey{u: u})
-		default:
-			keys = e.appendItemKeys(keys, &c.Item, flip)
-		}
+		keys = e.appendItemKeys(keys, t.Col(name), flip)
 	}
 	return keys
 }
 
-// appendItemKeys appends the keys that order an item column like
-// XQuery's order by: a rank key when the rows span several of xqt's sort
-// ranks (the empty key, numbers, strings, booleans, nodes), then one
-// value key per rank present. Numbers order as xs:double with NaN below
-// every number (floatKey), booleans false first, strings as strings, and
-// nodes by container, then docOrderKeys (an attribute after its owner
-// element). A row holds zero in the value keys of the other ranks: the
-// rank key has told such rows apart before those are read.
+// appendItemKeys appends the keys that order a column like XQuery's
+// order by: a rank key when the rows span several of xqt's sort ranks
+// (the empty key, numbers, strings, booleans, nodes), then one value key
+// per rank present. Numbers order as xs:double with NaN below every
+// number (floatKey) — but in a column without an xs:double row integers
+// order exactly, as int64 — booleans false first, strings as strings,
+// and nodes by container, then docOrderKeys (an attribute after its
+// owner element). A row holds zero in the value keys of the other ranks:
+// the rank key has told such rows apart before those are read.
 func (e *Exec) appendItemKeys(keys []sortKey, v *ItemVec, flip uint64) []sortKey {
 	n := v.Len()
+	if tag, uniform := v.Uniform(); uniform && tag == xqt.KInt { // iter, pos and rank columns
+		u := dirty[uint64](e, scratchRegion, n)
+		for i, x := range v.I {
+			u[i] = intKey(x) ^ flip
+		}
+		return append(keys, sortKey{u: u})
+	}
 	rank := func(i int) int {
 		if k := v.KindAt(i); k != xqt.KUntyped || v.S[i] != xqt.EmptyLeast.S {
 			return xqt.KindRank(k)
@@ -85,11 +77,16 @@ func (e *Exec) appendItemKeys(keys []sortKey, v *ItemVec, flip uint64) []sortKey
 		keys = append(keys, sortKey{u: u})
 	}
 	if ranks&(1<<xqt.RankNumeric|1<<xqt.RankBool) != 0 {
+		exact := !v.has(xqt.KDouble)
 		u := dirty[uint64](e, scratchRegion, n)
 		for i := range u {
 			switch v.KindAt(i) {
-			case xqt.KInt: // items order as xs:double, like SortLess (exact past 2^53 it is not)
-				u[i] = floatKey(float64(v.I[i])) ^ flip
+			case xqt.KInt:
+				if exact {
+					u[i] = intKey(v.I[i]) ^ flip
+				} else {
+					u[i] = floatKey(float64(v.I[i])) ^ flip
+				}
 			case xqt.KDouble:
 				u[i] = floatKey(v.F[i]) ^ flip
 			case xqt.KBool:
@@ -106,20 +103,15 @@ func (e *Exec) appendItemKeys(keys []sortKey, v *ItemVec, flip uint64) []sortKey
 	if ranks&(1<<xqt.RankNode) != 0 {
 		cont, pos := dirty[uint64](e, scratchRegion, n), e.docOrderKeys(v)
 		for i := range cont {
-			cont[i], pos[i] = uint64(v.Cont[i])^1<<63^flip, pos[i]^flip
+			cont[i], pos[i] = intKey(int64(v.Cont[i]))^flip, pos[i]^flip
 		}
 		keys = append(keys, sortKey{u: cont}, sortKey{u: pos})
 	}
 	return keys
 }
 
-// boolKey orders false before true.
-func boolKey(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
+// intKey maps an int64 to a uint64 that orders like the value.
+func intKey(x int64) uint64 { return uint64(x) ^ 1<<63 }
 
 // floatKey maps an xs:double to a uint64 that orders like the value, NaN
 // lowest (-0 and +0 share a key, as they compare equal).
@@ -136,29 +128,30 @@ func floatKey(f float64) uint64 {
 	}
 }
 
+// rowCol is a column compareRows reads: exact when no row is an
+// xs:double, so its integers compare as int64, as its sort keys do.
+type rowCol struct {
+	v     *ItemVec
+	exact bool
+}
+
 // compareRows compares rows i and j on the given columns, ascending, one
-// boxed comparison per column: ints and booleans by value, items by
-// xqt.SortLess; an element and an attribute, whose order needs the owner
-// a table does not carry, are out of order (1) both ways.
-func compareRows(by []*Col, i, j int) int {
+// boxed comparison per column, by xqt.SortLess but for the integers of
+// an exact column; an element and an attribute, whose order needs the
+// owner a table does not carry, are out of order (1) both ways.
+func compareRows(by []rowCol, i, j int) int {
 	for _, c := range by {
-		r := 0
-		switch c.Kind {
-		case KInt:
-			r = cmp.Compare(c.Int[i], c.Int[j])
-		case KBool:
-			r = cmp.Compare(boolKey(c.Bool[i]), boolKey(c.Bool[j]))
-		default:
-			if a, b := c.Item.At(i), c.Item.At(j); a.K == xqt.KNode && b.K == xqt.KAttr || a.K == xqt.KAttr && b.K == xqt.KNode {
-				return 1
-			} else if xqt.SortLess(a, b) {
-				r = -1
-			} else if xqt.SortLess(b, a) {
-				r = 1
+		switch a, b := c.v.At(i), c.v.At(j); {
+		case a.K == xqt.KNode && b.K == xqt.KAttr || a.K == xqt.KAttr && b.K == xqt.KNode:
+			return 1
+		case c.exact && a.K == xqt.KInt && b.K == xqt.KInt:
+			if r := cmp.Compare(a.I, b.I); r != 0 {
+				return r
 			}
-		}
-		if r != 0 {
-			return r
+		case xqt.SortLess(a, b):
+			return -1
+		case xqt.SortLess(b, a):
+			return 1
 		}
 	}
 	return 0
@@ -252,16 +245,16 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 }
 
 // rawCol is a column the presorted check reads in place: the (container,
-// pre) payload vectors of a uniform node column or, with hi nil, an
-// int64 column.
+// pre) payload vectors of a uniform node column or, with hi nil, the
+// int64 payload of a uniform xs:integer column.
 type rawCol struct {
 	hi []int32
 	lo []int64
 }
 
 // rawSorted is the presorted check on the raw column vectors, before any
-// key is extracted: it reports true only when every sort column is an
-// ascending KInt column or a uniform node column — the iter/pos/item
+// key is extracted: it reports true only when every sort column is a
+// uniform xs:integer or node column — the iter/pos/item
 // columns of path steps, which order by their payload vectors exactly as
 // their extracted keys do (a container's attribute rows are in document
 // order) — and the rows are in order. On false the caller takes the key
@@ -270,14 +263,14 @@ func rawSorted(t *Table, by []string, desc []bool) bool {
 	cols := make([]rawCol, len(by))
 	for k, name := range by {
 		c := t.Col(name)
-		tag, uniform := c.Item.Uniform()
+		tag, uniform := c.Uniform()
 		switch {
-		case k < len(desc) && desc[k]:
+		case k < len(desc) && desc[k] || !uniform:
 			return false
-		case c.Kind == KInt:
-			cols[k] = rawCol{lo: c.Int}
-		case c.Kind == KItem && uniform && (tag == xqt.KNode || tag == xqt.KAttr):
-			cols[k] = rawCol{hi: c.Item.Cont, lo: c.Item.I}
+		case tag == xqt.KInt:
+			cols[k] = rawCol{lo: c.I}
+		case tag == xqt.KNode || tag == xqt.KAttr:
+			cols[k] = rawCol{hi: c.Cont, lo: c.I}
 		default:
 			return false
 		}
@@ -347,7 +340,8 @@ func (e *Exec) radixSort(u []uint64, idx, tmp []int32) ([]int32, []int32) {
 }
 
 // CompareRowsOn compares rows i and j of t on the named columns,
-// ascending, with the boxed comparator (items via xqt.SortLess).
+// ascending, with the boxed comparator (xqt.SortLess, integers exact in
+// a column without an xs:double).
 // Planck's literal-claim verification and optcheck's input synthesis
 // share it. It agrees with the executor's keys on every column it
 // orders; an element and an attribute compare as out of order.
@@ -366,10 +360,11 @@ func IsSortedBy(t *Table, by []string) bool {
 	return true
 }
 
-func colsOf(t *Table, names []string) []*Col {
-	cols := make([]*Col, len(names))
+func colsOf(t *Table, names []string) []rowCol {
+	cols := make([]rowCol, len(names))
 	for i, n := range names {
-		cols[i] = t.Col(n)
+		v := t.Col(n)
+		cols[i] = rowCol{v, !v.has(xqt.KDouble)}
 	}
 	return cols
 }

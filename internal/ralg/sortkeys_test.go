@@ -1,6 +1,7 @@
 package ralg
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -73,35 +74,19 @@ func (w *sortWorld) less(a, b xqt.Item) bool {
 }
 
 // refCompareRows is the reference comparator: one boxed xqt.Item per
-// comparison, items ordered by less.
-func refCompareRows(by []*Col, desc []bool, i, j int32, less func(a, b xqt.Item) bool) int {
+// comparison, items ordered by less, but integers by value in a column
+// without an xs:double (exact).
+func refCompareRows(by []rowCol, desc []bool, i, j int32, less func(a, b xqt.Item) bool) int {
 	for k, c := range by {
 		var r int
-		switch c.Kind {
-		case KInt:
-			a, b := c.Int[i], c.Int[j]
-			switch {
-			case a < b:
-				r = -1
-			case a > b:
-				r = 1
-			}
-		case KBool:
-			a, b := c.Bool[i], c.Bool[j]
-			switch {
-			case !a && b:
-				r = -1
-			case a && !b:
-				r = 1
-			}
-		default:
-			a, b := c.Item.At(int(i)), c.Item.At(int(j))
-			switch {
-			case less(a, b):
-				r = -1
-			case less(b, a):
-				r = 1
-			}
+		a, b := c.v.At(int(i)), c.v.At(int(j))
+		switch {
+		case c.exact && a.K == xqt.KInt && b.K == xqt.KInt:
+			r = cmp.Compare(a.I, b.I)
+		case less(a, b):
+			r = -1
+		case less(b, a):
+			r = 1
 		}
 		if r != 0 {
 			if desc != nil && desc[k] {
@@ -117,7 +102,11 @@ func refCompareRows(by []*Col, desc []bool, i, j int32, less func(a, b xqt.Item)
 // indexes, refine mode run by run): the reference the kernel must
 // reproduce permutation for permutation.
 func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int, less func(a, b xqt.Item) bool) []int32 {
-	cols := colsOf(t, by)
+	cols := make([]rowCol, len(by))
+	for k, name := range by {
+		v := t.Col(name)
+		cols[k] = rowCol{v, !slices.ContainsFunc(v.Slice(), func(it xqt.Item) bool { return it.K == xqt.KDouble })}
+	}
 	idx := identity(nil, t.N)
 	if refinePrefix >= len(by) {
 		return idx
@@ -153,9 +142,9 @@ func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int, less func(
 var sortColumns = []struct {
 	name string
 	nan  bool
-	gen  func(rng *rand.Rand, n int, w *sortWorld) Col
+	gen  func(rng *rand.Rand, n int, w *sortWorld) ItemVec
 }{
-	{"int", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"int", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		vs := make([]int64, n)
 		for i := range vs {
 			switch rng.Intn(8) {
@@ -167,51 +156,44 @@ var sortColumns = []struct {
 				vs[i] = int64(rng.Intn(9)) - 4
 			}
 		}
-		return Col{Kind: KInt, Int: vs}
+		return uniformIntCol(vs)
 	}},
-	{"wideint", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"wideint", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		vs := make([]int64, n)
 		for i := range vs {
 			vs[i] = rng.Int63n(1 << 40)
 		}
-		return Col{Kind: KInt, Int: vs}
+		return uniformIntCol(vs)
 	}},
-	{"bool", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
-		vs := make([]bool, n)
-		for i := range vs {
-			vs[i] = rng.Intn(2) == 0
-		}
-		return Col{Kind: KBool, Bool: vs}
-	}},
-	{"itemint", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
-		// past 2^53 neighbouring integers collapse to one xs:double
+	{"itemint", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+		// past 2^53 neighbouring integers order exactly, not as one xs:double
 		pick := []int64{0, 1, -1, 7, 1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53) - 1, math.MaxInt64, math.MinInt64}
 		return itemCol(n, func() xqt.Item { return xqt.Int(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemdouble", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"itemdouble", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []float64{0, math.Copysign(0, -1), 1, -1, 1.5, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64, 1e300}
 		return itemCol(n, func() xqt.Item { return xqt.Double(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemnan", true, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"itemnan", true, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []float64{0, 1, -1, math.NaN(), 2.5, math.Inf(-1)}
 		c := itemCol(n, func() xqt.Item { return xqt.Double(pick[rng.Intn(len(pick))]) })
 		if n > 0 {
-			c.Item.F[rng.Intn(n)] = math.NaN()
+			c.F[rng.Intn(n)] = math.NaN()
 		}
 		return c
 	}},
-	{"itembool", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"itembool", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item { return xqt.Bool(rng.Intn(2) == 0) })
 	}},
-	{"itemstring", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"itemstring", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []string{"", "a", "ab", "b", "\x00", "\x00emptyleast", "é", "10", "9"}
 		return itemCol(n, func() xqt.Item { return xqt.Str(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemuntyped", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"itemuntyped", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []string{"", "a", "ab", "\x00", "zz"}
 		return itemCol(n, func() xqt.Item { return xqt.Untyped(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itememptyleast", false, func(rng *rand.Rand, n int, _ *sortWorld) Col {
+	{"itememptyleast", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item {
 			if rng.Intn(3) == 0 {
 				return xqt.EmptyLeast
@@ -219,13 +201,13 @@ var sortColumns = []struct {
 			return xqt.Untyped([]string{"", "\x00", "a", "b"}[rng.Intn(4)])
 		})
 	}},
-	{"itemnode", false, func(rng *rand.Rand, n int, w *sortWorld) Col {
+	{"itemnode", false, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item { return w.nodes[rng.Intn(len(w.nodes))] })
 	}},
-	{"itemattr", false, func(rng *rand.Rand, n int, w *sortWorld) Col {
+	{"itemattr", false, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item { return w.attrs[rng.Intn(len(w.attrs))] })
 	}},
-	{"itemnodeattr", false, func(rng *rand.Rand, n int, w *sortWorld) Col {
+	{"itemnodeattr", false, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		// an attribute sorts after its owner element and before the
 		// owner's children
 		return itemCol(n, func() xqt.Item {
@@ -235,23 +217,23 @@ var sortColumns = []struct {
 			return w.nodes[rng.Intn(len(w.nodes))]
 		})
 	}},
-	{"itemmixed", true, func(rng *rand.Rand, n int, w *sortWorld) Col {
+	{"itemmixed", true, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		pick := []xqt.Item{xqt.Int(1), xqt.Int(2), xqt.Double(1), xqt.Double(1.5), xqt.Double(math.NaN()), xqt.Str("a"),
 			xqt.Untyped("a"), xqt.Untyped("b"), xqt.Bool(true), xqt.Bool(false), w.nodes[3], w.attrs[3], w.nodes[9], xqt.EmptyLeast}
 		c := itemCol(n, func() xqt.Item { return pick[rng.Intn(len(pick))] })
 		if n > 1 { // never uniform by chance
-			c.Item = NewItemVec(append([]xqt.Item{xqt.Int(1), xqt.Str("a")}, c.Item.Slice()[2:]...))
+			c = NewItemVec(append([]xqt.Item{xqt.Int(1), xqt.Str("a")}, c.Slice()[2:]...))
 		}
 		return c
 	}},
 }
 
-func itemCol(n int, gen func() xqt.Item) Col {
+func itemCol(n int, gen func() xqt.Item) ItemVec {
 	items := make([]xqt.Item, n)
 	for i := range items {
 		items[i] = gen()
 	}
-	return Col{Kind: KItem, Item: NewItemVec(items)}
+	return NewItemVec(items)
 }
 
 // TestSortIdxMatchesComparatorSort is the property test of the sort
@@ -334,7 +316,7 @@ func TestOrderChecksRejectMixedNodeKinds(t *testing.T) {
 	w := newSortWorld(t)
 	table := func(items ...xqt.Item) *Table {
 		tab := &Table{N: len(items)}
-		tab.AddCol("item", Col{Kind: KItem, Item: NewItemVec(items)})
+		tab.AddCol("item", NewItemVec(items))
 		return tab
 	}
 	by := []string{"item"}
@@ -421,7 +403,7 @@ func TestRowNumStreamCounters(t *testing.T) {
 		"negative":  {-2, -1, -2, -1, -2, -2},
 	} {
 		in := intTable("g", part...)
-		in.AddCol("pos", Col{Kind: KInt, Int: identity64(len(part))})
+		in.AddCol("pos", uniformIntCol(identity64(len(part))))
 		rn := &RowNum{Out: "r", OrderBy: []string{"pos"}, Part: "g", Mode: RankStream}
 		rn.SetInput(0, &Lit{Tab: in})
 		got := run(t, rn).Ints("r")
@@ -535,10 +517,10 @@ func TestExistJoinUnsortedIters(t *testing.T) {
 // columns out of order, or with a descending column, still sort.
 func TestSortIdxPresortedExtractsNoKeys(t *testing.T) {
 	const n = 5000
-	tab := NewTable([]string{"iter", "item"}, []ColKind{KInt, KItem})
+	tab := NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
 	for i := 0; i < n; i++ {
-		tab.Col("iter").Int = append(tab.Col("iter").Int, int64(i/3))
-		tab.Col("item").Item.Append(xqt.Node(int32(i/2000), int32(i%2000)))
+		*tab.Col("iter") = BindInts(append(tab.Ints("iter"), int64(i/3))...)
+		tab.Col("item").Append(xqt.Node(int32(i/2000), int32(i%2000)))
 	}
 	tab.N = n
 	e := &Exec{}

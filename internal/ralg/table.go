@@ -6,14 +6,16 @@
 // duplicate elimination, grouped aggregation, sorting, the staircase-join
 // location step, and XML node construction.
 //
-// Tables are sets of named, equally long columns. Three column kinds
-// exist: dense integers (iter/pos/inner/outer columns), booleans
-// (predicates), and XQuery items (the item columns of the iter|pos|item
-// sequence encoding). Item columns are stored as typed vectors — a tag
-// vector plus parallel int64/float64/string/node payload vectors
-// (ItemVec) — so the kernels dispatch on the item kind once per column
-// when the tag is uniform (the overwhelmingly common case after a Step
-// or a cast) instead of once per row.
+// Tables are sets of named, equally long columns, and every column is a
+// typed item vector (ItemVec): a tag vector plus parallel
+// int64/float64/string/node payload vectors, as in the paper's algebra,
+// where iter and pos are xs:integer columns like any other. The
+// iter/pos/inner/outer columns are uniform xs:integer vectors, a
+// comparison's result a uniform xs:boolean one (0/1 payloads), so the
+// kernels dispatch on the item kind once per column when the tag is
+// uniform (the overwhelmingly common case after a Step or a cast)
+// instead of once per row, and the integer kernels read the int64
+// payload in place (Table.Ints).
 //
 // # Concurrency model
 //
@@ -27,19 +29,10 @@ package ralg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mxq/internal/xqt"
-)
-
-// ColKind discriminates column representations.
-type ColKind uint8
-
-// Column kinds.
-const (
-	KInt  ColKind = iota // int64 column
-	KBool                // boolean column
-	KItem                // typed-vector XQuery item column
 )
 
 // ItemVec is the typed-vector representation of an item column: a tag
@@ -113,6 +106,14 @@ func (v *ItemVec) Len() int { return v.n }
 // empty vector counts as uniform).
 func (v *ItemVec) Uniform() (xqt.Kind, bool) { return v.Tag, v.Tags == nil }
 
+// has reports whether some row is of kind k.
+func (v *ItemVec) has(k xqt.Kind) bool {
+	if v.Tags == nil {
+		return v.n > 0 && v.Tag == k
+	}
+	return slices.Contains(v.Tags, k)
+}
+
 // KindAt returns the kind of row i.
 func (v *ItemVec) KindAt(i int) xqt.Kind {
 	if v.Tags != nil {
@@ -164,9 +165,13 @@ func unionPayload[T any](e *Exec, parts []ItemVec, n int, of func(*ItemVec) []T)
 }
 
 // unionVecs concatenates item vectors into one sized exactly, uniform
-// when the non-empty parts agree on one kind.
+// when the non-empty parts agree on one kind; parts that are all empty
+// keep the first one's kind (an empty iter column stays xs:integer).
 func unionVecs(e *Exec, parts []ItemVec) ItemVec {
 	var out ItemVec
+	if len(parts) > 0 {
+		out.Tag = parts[0].Tag
+	}
 	uniform := true
 	for _, p := range parts {
 		if p.n > 0 && out.n == 0 {
@@ -281,56 +286,29 @@ func (e *Exec) constItemVec(it xqt.Item, n int) ItemVec {
 	return v
 }
 
-// Col is a single column. The payload determined by Kind is meaningful;
-// for KItem the Item vector holds the rows.
-type Col struct {
-	Kind ColKind
-	Int  []int64
-	Bool []bool
-	Item ItemVec
-}
-
-// Len returns the number of rows in the column.
-func (c *Col) Len() int {
-	switch c.Kind {
-	case KInt:
-		return len(c.Int)
-	case KBool:
-		return len(c.Bool)
-	default:
-		return c.Item.Len()
-	}
-}
-
-// gatherIn returns a new column holding rows idx of c, in order.
-func (c *Col) gatherIn(e *Exec, rg regionID, idx []int32) Col {
-	switch c.Kind {
-	case KInt:
-		return Col{Kind: KInt, Int: gatherOf(e, rg, c.Int, idx)}
-	case KBool:
-		return Col{Kind: KBool, Bool: gatherOf(e, rg, c.Bool, idx)}
-	}
-	return Col{Kind: KItem, Item: c.Item.gatherIn(e, rg, idx)}
-}
-
 // Table is a named collection of columns of equal length.
 type Table struct {
 	N     int
 	names []string
-	cols  []Col
+	cols  []ItemVec
 }
 
-// NewTable returns an empty table with the given column names and kinds.
-func NewTable(names []string, kinds []ColKind) *Table {
-	if len(names) != len(kinds) {
-		panic("ralg: names/kinds mismatch")
+// NewTable returns an empty table with the given column names and tags.
+func NewTable(names []string, tags []xqt.Kind) *Table {
+	if len(names) != len(tags) {
+		panic("ralg: names/tags mismatch")
 	}
 	t := &Table{names: append([]string(nil), names...)}
-	t.cols = make([]Col, len(kinds))
-	for i, k := range kinds {
-		t.cols[i].Kind = k
+	t.cols = make([]ItemVec, len(tags))
+	for i, k := range tags {
+		t.cols[i].Tag = k
 	}
 	return t
+}
+
+// tableOf returns the table of the given columns, which share one length.
+func tableOf(names []string, cols ...ItemVec) *Table {
+	return &Table{N: cols[0].n, names: names, cols: cols}
 }
 
 // Names returns the column names in schema order.
@@ -338,7 +316,7 @@ func (t *Table) Names() []string { return t.names }
 
 // Col returns the column with the given name, panicking if absent (a
 // compiler bug, not a data error).
-func (t *Table) Col(name string) *Col {
+func (t *Table) Col(name string) *ItemVec {
 	for i, n := range t.names {
 		if n == name {
 			return &t.cols[i]
@@ -358,7 +336,7 @@ func (t *Table) HasCol(name string) bool {
 }
 
 // AddCol appends a column to the schema.
-func (t *Table) AddCol(name string, c Col) {
+func (t *Table) AddCol(name string, c ItemVec) {
 	if c.Len() != t.N && !(t.N == 0 && len(t.names) == 0) {
 		panic(fmt.Sprintf("ralg: column %q length %d != %d", name, c.Len(), t.N))
 	}
@@ -370,7 +348,7 @@ func (t *Table) AddCol(name string, c Col) {
 }
 
 // withCol returns a table sharing t's columns (zero-copy) plus c.
-func (t *Table) withCol(name string, c Col) *Table {
+func (t *Table) withCol(name string, c ItemVec) *Table {
 	return &Table{N: t.N, names: append(t.names[:len(t.names):len(t.names)], name),
 		cols: append(t.cols[:len(t.cols):len(t.cols)], c)}
 }
@@ -378,26 +356,45 @@ func (t *Table) withCol(name string, c Col) *Table {
 // Gather returns a new table holding rows idx of t, in order.
 func (t *Table) Gather(idx []int32) *Table {
 	out := &Table{N: len(idx), names: append([]string(nil), t.names...)}
-	out.cols = make([]Col, len(t.cols))
+	out.cols = make([]ItemVec, len(t.cols))
 	for i := range t.cols {
 		out.cols[i] = t.cols[i].gatherIn(nil, outRegion, idx)
 	}
 	return out
 }
 
-// Ints returns the int64 payload of an integer column.
-func (t *Table) Ints(name string) []int64 { return t.Col(name).Int }
+// wrongTag is the panic of a kernel that reads a column as a uniform
+// vector of a kind the column does not hold: a plan defect (planck
+// rejects such plans statically), which runOp turns into an error.
+type wrongTag struct {
+	col  string
+	want xqt.Kind
+}
 
-// Items materializes an item column as a polymorphic slice. Hot kernels
-// use ItemVec instead; this accessor serves tests, plan-building around
+func (w wrongTag) Error() string {
+	return fmt.Sprintf("column %q is not a uniform %s column", w.col, w.want)
+}
+
+// payloadOf returns the I payload of column name, which must be a
+// uniform vector of kind k (an empty column of any kind qualifies).
+func (t *Table) payloadOf(name string, k xqt.Kind) []int64 {
+	c := t.Col(name)
+	if c.n > 0 && (c.Tags != nil || c.Tag != k) {
+		panic(wrongTag{name, k})
+	}
+	return c.I
+}
+
+// Ints returns the int64 payload of a uniform xs:integer column. Any
+// other column is a plan defect: Ints panics, and inside an execution
+// the operator fails with an error instead of reading, say, a node
+// column's pre ranks as keys.
+func (t *Table) Ints(name string) []int64 { return t.payloadOf(name, xqt.KInt) }
+
+// Items materializes a column as a polymorphic slice. Hot kernels read
+// the ItemVec instead; this accessor serves tests, plan-building around
 // tiny tables and result extraction.
-func (t *Table) Items(name string) []xqt.Item { return t.Col(name).Item.Slice() }
-
-// ItemVec returns the typed-vector payload of an item column.
-func (t *Table) ItemVec(name string) *ItemVec { return &t.Col(name).Item }
-
-// Bools returns the boolean payload of a boolean column.
-func (t *Table) Bools(name string) []bool { return t.Col(name).Bool }
+func (t *Table) Items(name string) []xqt.Item { return t.Col(name).Slice() }
 
 // String renders the table for debugging and test failure messages.
 func (t *Table) String() string {
@@ -409,22 +406,13 @@ func (t *Table) String() string {
 			if i > 0 {
 				sb.WriteString(" ")
 			}
-			c := &t.cols[i]
-			switch c.Kind {
-			case KInt:
-				fmt.Fprintf(&sb, "%d", c.Int[r])
-			case KBool:
-				fmt.Fprintf(&sb, "%v", c.Bool[r])
+			switch it := t.cols[i].At(r); it.K {
+			case xqt.KNode:
+				fmt.Fprintf(&sb, "node(%d,%d)", it.Cont, it.I)
+			case xqt.KAttr:
+				fmt.Fprintf(&sb, "attr(%d,%d)", it.Cont, it.I)
 			default:
-				it := c.Item.At(r)
-				switch it.K {
-				case xqt.KNode:
-					fmt.Fprintf(&sb, "node(%d,%d)", it.Cont, it.I)
-				case xqt.KAttr:
-					fmt.Fprintf(&sb, "attr(%d,%d)", it.Cont, it.I)
-				default:
-					fmt.Fprintf(&sb, "%s", it.AsString())
-				}
+				sb.WriteString(it.AsString())
 			}
 		}
 		sb.WriteString("\n")

@@ -204,7 +204,7 @@ func TestExistJoinCountMode(t *testing.T) {
 					got, w := run(t, &counted), run(t, want)
 					same := got.N == w.N
 					for i := 0; same && i < got.N; i++ {
-						same = got.Ints("a")[i] == w.Ints("a")[i] && xqt.Int(got.Ints("b")[i]) == w.Col("n").Item.At(i)
+						same = got.Ints("a")[i] == w.Ints("a")[i] && xqt.Int(got.Ints("b")[i]) == w.Col("n").At(i)
 					}
 					if !same {
 						t.Fatalf("%s %v (n=%d, shuffled %v): count mode\n%v\nwant\n%v", name, op, n, shuffled, got, w)

@@ -148,10 +148,7 @@ func analyze(t *testing.T, q string) map[ralg.Plan]planck.Info {
 // boolean relation: a boolean Attach, a Union carrying a boolean
 // column, a Fun over a boolean column, or a Select on val.
 func denseBoolean(n ralg.Plan, infos map[ralg.Plan]planck.Info) string {
-	isBool := func(s *planck.Schema, c string) bool {
-		ci := s.Info(c)
-		return ci.Kind == ralg.KBool || ci.Kind == ralg.KItem && ci.TagKnown && ci.Tag == xqt.KBool
-	}
+	isBool := func(s *planck.Schema, c string) bool { return s.Info(c).Is(xqt.KBool) }
 	switch x := n.(type) {
 	case *ralg.Attach:
 		if isBool(infos[x].Schema, x.Col) {

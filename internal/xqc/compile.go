@@ -195,20 +195,13 @@ func (sc *scope) clone() *scope {
 
 // --- small plan constructors -------------------------------------------
 
-func seqSchema() ([]string, []ralg.ColKind) {
-	return []string{"iter", "pos", "item"},
-		[]ralg.ColKind{ralg.KInt, ralg.KInt, ralg.KItem}
-}
-
 func emptySeq() ralg.Plan {
-	names, kinds := seqSchema()
-	return &ralg.Lit{Tab: ralg.NewTable(names, kinds)}
+	return &ralg.Lit{Tab: ralg.NewTable([]string{"iter", "pos", "item"}, []xqt.Kind{xqt.KInt, xqt.KInt, xqt.KUntyped})}
 }
 
 func litLoop1() ralg.Plan {
-	t := ralg.NewTable([]string{"iter"}, []ralg.ColKind{ralg.KInt})
-	t.N = 1
-	t.Col("iter").Int = []int64{1}
+	t := ralg.NewTable(nil, nil)
+	t.AddCol("iter", ralg.BindInts(1))
 	return &ralg.Lit{Tab: t}
 }
 
@@ -218,13 +211,10 @@ func litSeq(loop ralg.Plan, it xqt.Item) ralg.Plan {
 	return ralg.NewProject(ralg.AttachItem(p, "item", it), "iter", "pos", "item")
 }
 
-// boolItems converts a (iter, val) boolean relation into an
-// iter|pos|item sequence of xs:boolean singletons.
+// boolItems turns an (iter, item) relation of xs:boolean values into an
+// iter|pos|item sequence of singletons.
 func boolItems(b ralg.Plan) ralg.Plan {
-	p := &ralg.ColToItem{Src: "val", Dst: "item"}
-	p.SetInput(0, b)
-	q := ralg.AttachInt(p, "pos", 1)
-	return ralg.NewProject(q, "iter", "pos", "item")
+	return ralg.NewProject(ralg.AttachInt(b, "pos", 1), "iter", "pos", "item")
 }
 
 // boolSeq is a condition in value position: the xs:boolean singleton
@@ -551,7 +541,7 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 		j := ralg.NewHashJoin(ql, qr, "iter", "iter",
 			ralg.Refs("iter", "pos", "item->a"), ralg.Refs("item->b"))
 		f := ralg.NewFun(j, valueCmpFun(x.Op), "val", "a", "b")
-		return boolItems(ralg.NewProject(f, "iter", "val")), nil
+		return boolItems(ralg.NewProject(f, "iter", "val->item")), nil
 	case xqp.OpAdd, xqp.OpSub, xqp.OpMul, xqp.OpDiv, xqp.OpIDiv, xqp.OpMod:
 		ql, qr, err := c.compileBothSingleton(x.L, x.R, sc)
 		if err != nil {
@@ -705,7 +695,7 @@ func (c *Compiler) compileBool(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 		case "true":
 			return ralg.NewProject(sc.loop, "iter"), nil
 		case "false":
-			return &ralg.Lit{Tab: ralg.NewTable([]string{"iter"}, []ralg.ColKind{ralg.KInt})}, nil
+			return &ralg.Lit{Tab: ralg.NewTable([]string{"iter"}, []xqt.Kind{xqt.KInt})}, nil
 		}
 	case *xqp.Quantified:
 		return c.compileBool(desugarQuantified(x), sc)

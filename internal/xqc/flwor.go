@@ -154,9 +154,7 @@ func countChain(chainPlan ralg.Plan, join *ralg.ExistJoin) ralg.Plan {
 	if join != nil {
 		cj := *join
 		cj.Out1, cj.Out2, cj.Count = "iter", "n", true
-		n := &ralg.ColToItem{Src: "n", Dst: "item"}
-		n.SetInput(0, &cj)
-		return ralg.NewProject(n, "iter", "item")
+		return ralg.NewProject(&cj, "iter", "n->item")
 	}
 	a := &ralg.Aggr{Part: "outer", Op: ralg.AggCount, Out: "item"}
 	a.SetInput(0, chainPlan)
@@ -186,9 +184,7 @@ func (c *Compiler) standardFor(cl xqp.Clause, cur *scope, chainPlan ralg.Plan) (
 		loop: true,
 	}
 	if cl.Pos != "" {
-		pv := &ralg.ColToItem{Src: "prank", Dst: "item"}
-		pv.SetInput(0, ralg.NewProject(numbered, "inner->iter", "prank"))
-		pb := ralg.AttachInt(pv, "pos", 1)
+		pb := ralg.AttachInt(ralg.NewProject(numbered, "inner->iter", "prank->item"), "pos", 1)
 		newCur.vars[cl.Pos] = &binding{
 			plan: ralg.NewProject(pb, "iter", "pos", "item"),
 			deps: varset{cl.Var: true},
@@ -316,11 +312,9 @@ func (c *Compiler) tryJoinFor(cl xqp.Clause, where xqp.Expr, cur *scope, chainPl
 	}
 	if cl.Pos != "" {
 		pj := ralg.NewHashJoin(pairs, numbered, "b", "bid",
-			ralg.Refs("inner->iter"), ralg.Refs("prank"))
-		pv := &ralg.ColToItem{Src: "prank", Dst: "item"}
-		pv.SetInput(0, pj)
+			ralg.Refs("inner->iter"), ralg.Refs("prank->item"))
 		newCur.vars[cl.Pos] = &binding{
-			plan: ralg.NewProject(ralg.AttachInt(pv, "pos", 1), "iter", "pos", "item"),
+			plan: ralg.NewProject(ralg.AttachInt(pj, "pos", 1), "iter", "pos", "item"),
 			deps: varset{cl.Var: true},
 			loop: true,
 		}

@@ -235,7 +235,7 @@ func (c *Compiler) compileUnaryFn(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 			"floor": ralg.FunFloor, "ceiling": ralg.FunCeil,
 			"round": ralg.FunRound, "string-length": ralg.FunStrLen,
 		}[x.Name]
-		cc := &ralg.CardCheck{Part: "iter", AtMostOne: true, Fn: x.Name}
+		cc := &ralg.CardCheck{Part: "iter", Fn: x.Name}
 		cc.SetInput(0, q)
 		f := ralg.NewFun(cc, fn, "fv", "item")
 		part := ralg.NewProject(f, "iter", "pos", "fv->item")
@@ -277,7 +277,7 @@ func (c *Compiler) compileStringCmp(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 		fn = ralg.FunStartsWith
 	}
 	f := ralg.NewFun(j, fn, "val", "a", "b")
-	return boolItems(ralg.NewProject(f, "iter", "val")), nil
+	return boolItems(ralg.NewProject(f, "iter", "val->item")), nil
 }
 
 func (c *Compiler) compileConcat(x *xqp.Call, sc *scope) (ralg.Plan, error) {
@@ -323,11 +323,11 @@ func (c *Compiler) compileCardinality(x *xqp.Call, sc *scope) (ralg.Plan, error)
 	}
 	switch x.Name {
 	case "zero-or-one":
-		cc := &ralg.CardCheck{Part: "iter", AtMostOne: true, Fn: "fn:zero-or-one"}
+		cc := &ralg.CardCheck{Part: "iter", Fn: "fn:zero-or-one"}
 		cc.SetInput(0, q)
 		return cc, nil
 	case "exactly-one":
-		cc := &ralg.CardCheck{Part: "iter", AtMostOne: true, Fn: "fn:exactly-one"}
+		cc := &ralg.CardCheck{Part: "iter", Fn: "fn:exactly-one"}
 		cc.SetInput(0, q)
 		cv := &ralg.CoverCheck{LoopIter: "iter", Part: "iter", Fn: "fn:exactly-one"}
 		cv.SetInput(0, sc.loop)

@@ -266,9 +266,7 @@ func (c *Compiler) compilePreds(seq ralg.Plan, preds []xqp.Expr, sc *scope) (ral
 		}
 		numbered := ralg.NewRowNum(seq, "pid", []string{"iter", "pos"}, "")
 		pscope, mapPlan := predScope(numbered, sc)
-		posIt := &ralg.ColToItem{Src: "pos", Dst: "item2"}
-		posIt.SetInput(0, numbered)
-		posPlan := ralg.AttachInt(ralg.NewProject(posIt, "pid->iter", "item2->item"), "pos", 1)
+		posPlan := ralg.AttachInt(ralg.NewProject(numbered, "pid->iter", "pos->item"), "pos", 1)
 		pscope.vars["#pos"] = &binding{plan: ralg.NewProject(posPlan, "iter", "pos", "item"), deps: varset{}}
 		cnt := &ralg.Aggr{Part: "iter", Op: ralg.AggCount, Out: "item"}
 		cnt.SetInput(0, seq)
@@ -329,11 +327,11 @@ func isCondition(e xqp.Expr) bool {
 	return false
 }
 
-// posValue extends the sequence's row table with an item column holding
-// the positional predicate's value (literal, last(), position(), or
-// arithmetic over those), returning the extended plan and column name.
-// last() is joined in once up front; all other builders (Attach, Fun,
-// ColToItem) preserve existing columns.
+// posValue extends the sequence's row table with a column holding the
+// positional predicate's value (literal, last(), position(), or
+// arithmetic over those), returning the extended plan and column name;
+// position() is the pos column itself. last() is joined in once up
+// front; the other builders (Attach, Fun) preserve existing columns.
 func (c *Compiler) posValue(seq ralg.Plan, e xqp.Expr) (ralg.Plan, string, error) {
 	var tab ralg.Plan = seq
 	if exprUsesLast(e) {
@@ -362,10 +360,7 @@ func (c *Compiler) posValue(seq ralg.Plan, e xqp.Expr) (ralg.Plan, string, error
 			case "last":
 				return "lastv", nil
 			case "position":
-				ci := &ralg.ColToItem{Src: "pos", Dst: col}
-				ci.SetInput(0, tab)
-				tab = ci
-				return col, nil
+				return "pos", nil
 			}
 		case *xqp.Unary:
 			c2, err := build(x.X)
