@@ -127,6 +127,15 @@ func (e *Engine) Pool() *store.Pool { return e.pool }
 // or nil when executions are unscheduled.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.cfg.Scheduler }
 
+// AdmissionCost is the scheduler cost of an execution that starts now:
+// the structural rows of the current snapshot. It is known before the
+// statement compiles, so the serving layer admits with it too.
+func (e *Engine) AdmissionCost() sched.Cost {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return sched.Cost{Rows: e.pool.Rows()}
+}
+
 // LoadXML shreds and registers a document; the first document loaded
 // becomes the context document of absolute paths. Loading is safe while
 // queries run: in-flight queries keep seeing their snapshot of the

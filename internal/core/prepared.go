@@ -121,22 +121,12 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	e := p.eng
 	grant := sched.GrantFrom(ctx)
 	if grant == nil && e.cfg.Scheduler != nil {
-		e.mu.RLock()
-		rows := e.pool.Rows()
-		e.mu.RUnlock()
-		g, err := e.cfg.Scheduler.Admit(ctx, sched.Cost{Rows: rows, Known: true})
+		g, err := e.cfg.Scheduler.Admit(ctx, e.AdmissionCost())
 		if err != nil {
 			return nil, err
 		}
 		defer g.Release()
 		grant = g
-	} else if grant != nil {
-		// The serving layer admits before it compiles, with the full
-		// per-query reservation; size it from this execution's snapshot.
-		e.mu.RLock()
-		rows := e.pool.Rows()
-		e.mu.RUnlock()
-		grant.SetCost(sched.Cost{Rows: rows, Known: true})
 	}
 	// The snapshot is taken after admission: a queued execution sees the
 	// document state as of when it actually starts running.

@@ -127,7 +127,9 @@ func identityDigest() string {
 // left order kept under repetitions: 1 028; fn:count, fn:exists,
 // fn:empty and conditions over a path compiled to count plans: 567;
 // columns typed by their item tags, printed as such, and ColToItem
-// gone: all 1 245, with the same rules firing in the same order).
+// gone: all 1 245, with the same rules firing in the same order; the
+// compiler's Fig. 8(b) reduction and its NaN filter deleted, so a
+// same-loop general comparison always pairs its sides on iter: 57).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")

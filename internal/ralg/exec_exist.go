@@ -21,6 +21,7 @@ type cmpDomain uint8
 const (
 	domPerPair cmpDomain = iota // the pairs of the two columns do not share one domain
 	domBool
+	domInt
 	domDouble
 	domString
 )
@@ -43,18 +44,20 @@ func atomKinds(c *ItemVec) (set uint8) {
 
 // joinDomain is the promotion table of xqt.Compare lifted from a pair
 // of atoms to a pair of columns: a boolean operand makes the comparison
-// boolean, else a numeric operand makes it xs:double (untypedAtomic and
-// string operands are cast), else it compares strings. When every
-// (left kind, right kind) pair lands in one domain, each column casts
-// to that domain once per row and the typed kernels run; otherwise the
-// join compares pair by pair.
+// boolean, two xs:integer operands stay exact, else a numeric operand
+// makes it xs:double (untypedAtomic and string operands are cast), else
+// it compares strings. When every (left kind, right kind) pair lands in
+// one domain, each column casts to that domain once per row and the
+// typed kernels run; otherwise the join compares pair by pair.
 func joinDomain(l, r uint8) cmpDomain {
-	const boolean, numeric = 1 << xqt.KBool, 1<<xqt.KInt | 1<<xqt.KDouble
+	const boolean, integer, numeric = 1 << xqt.KBool, 1 << xqt.KInt, 1<<xqt.KInt | 1<<xqt.KDouble
 	switch {
 	case l == boolean || r == boolean:
 		return domBool
 	case (l|r)&boolean != 0:
 		return domPerPair
+	case l == integer && r == integer:
+		return domInt
 	case l&^numeric == 0 || r&^numeric == 0:
 		return domDouble
 	case (l|r)&numeric == 0:
@@ -63,29 +66,29 @@ func joinDomain(l, r uint8) cmpDomain {
 	return domPerPair
 }
 
-// existKeys casts column c to the comparison keys of domain dom, once
-// per row: xs:double values (booleans as 0/1) or strings. The casts are
-// the fn:number and fn:string kernels, whatever the column's tag mix.
-func (e *Exec) existKeys(c *ItemVec, dom cmpDomain) ([]float64, []string) {
+// existKeys casts column c to domain dom's comparison keys once per
+// row: int64 (booleans as 0/1), xs:double or strings, through the
+// fn:number and fn:string kernels whatever the column's tag mix.
+func (e *Exec) existKeys(c *ItemVec, dom cmpDomain) vecView {
 	switch dom {
+	case domInt: // every row is an xs:integer: the I payload holds them all
+		return vecView{tag: xqt.KInt, i: c.I}
 	case domDouble:
-		return e.cast(FunNumber, c).F, nil
+		return vecView{tag: xqt.KDouble, f: e.cast(FunNumber, c).F}
 	case domString:
-		return nil, e.cast(FunStringOf, c).S
+		return vecView{tag: xqt.KString, s: e.cast(FunStringOf, c).S}
 	}
-	f, atoms := zeroed[float64](e, outRegion, c.Len()), e.cast(FunAtomize, c)
-	for i := range f {
-		if xqt.Compare(atoms.At(i), xqt.Bool(true), xqt.CmpEq) { // the cast to xs:boolean, as Compare applies it
-			f[i] = 1
-		}
+	i, atoms := dirty[int64](e, outRegion, c.Len()), e.cast(FunAtomize, c)
+	for r := range i { // the cast to xs:boolean, as Compare applies it
+		i[r] = b2i(xqt.Compare(atoms.At(r), xqt.Bool(true), xqt.CmpEq))
 	}
-	return f, nil
+	return vecView{tag: xqt.KBool, i: i}
 }
 
 // execExistJoin evaluates the existential general-comparison join. Both
-// inputs resolve to raw xs:double or string key vectors in the one
-// domain xqt.Compare promotes their kinds to (see joinDomain), and the
-// join kernels below run over those raw vectors.
+// inputs resolve to raw int64, xs:double or string key vectors in the
+// one domain xqt.Compare promotes their kinds to (see joinDomain), and
+// the join kernels below run over those raw vectors.
 func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 	liter := l.Ints(n.LIter)
 	riter := r.Ints(n.RIter)
@@ -110,21 +113,19 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 		}
 		p1, p2 = dedupPairs(e, p1, p2, n.Count)
 		p1, p2 = settle(e, p1), settle(e, p2)
+	case dom == domString:
+		p1, p2 = existTypedJoin(e, n, liter, e.existKeys(lc, dom).s, riter, e.existKeys(rc, dom).s)
+	case dom == domDouble:
+		p1, p2 = existTypedJoin(e, n, liter, e.existKeys(lc, dom).f, riter, e.existKeys(rc, dom).f)
 	default:
-		lf, ls := e.existKeys(lc, dom)
-		rf, rs := e.existKeys(rc, dom)
-		if dom == domString {
-			p1, p2 = existTypedJoin(e, n, liter, ls, riter, rs)
-		} else {
-			p1, p2 = existTypedJoin(e, n, liter, lf, riter, rf)
-		}
+		p1, p2 = existTypedJoin(e, n, liter, e.existKeys(lc, dom).i, riter, e.existKeys(rc, dom).i)
 	}
 	return tableOf([]string{n.Out1, n.Out2}, uniformIntCol(p1), uniformIntCol(p2)), nil
 }
 
 // existTypedJoin runs the typed kernel for n.Cmp over key vectors of
 // one comparison domain.
-func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+func existTypedJoin[T cmp.Ordered](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
 	if n.Cmp != xqt.CmpEq {
 		// Figure 8(b): under existential semantics an ordering
 		// comparison only needs each iteration's extremum, so both
@@ -144,7 +145,7 @@ func existTypedJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv
 // [iter, pos] sorted); the output keeps one row per cluster in input
 // order. NaN satisfies no comparison, so it is skipped, and an iter
 // with nothing but NaN drops out.
-func reduceExtremum[T float64 | string](e *Exec, iters []int64, vals []T, max bool) ([]int64, []T) {
+func reduceExtremum[T cmp.Ordered](e *Exec, iters []int64, vals []T, max bool) ([]int64, []T) {
 	oi, ov, o := dirty[int64](e, scratchRegion, len(vals)), dirty[T](e, scratchRegion, len(vals)), 0
 	open := false // the current cluster has its output row
 	for i, v := range vals {
@@ -169,7 +170,7 @@ func reduceExtremum[T float64 | string](e *Exec, iters []int64, vals []T, max bo
 // in left order, and eliminate duplicate (iter1, iter2) pairs per
 // left-iteration run (the merge-style δ of §4.2); count keeps each run's
 // length instead.
-func existHashJoin[T float64 | string](e *Exec, liter []int64, lv []T, riter []int64, rv []T, count bool) (p1, p2 []int64) {
+func existHashJoin[T cmp.Ordered](e *Exec, liter []int64, lv []T, riter []int64, rv []T, count bool) (p1, p2 []int64) {
 	e.charge(scratchRegion, 32*int64(len(rv))) // the build table hashes the whole right input
 	ht := make(map[T][]int64, len(rv))
 	for j, v := range rv {
@@ -187,7 +188,7 @@ func existHashJoin[T float64 | string](e *Exec, liter []int64, lv []T, riter []i
 }
 
 // thetaHolds applies an ordering comparison to two promoted keys.
-func thetaHolds[T float64 | string](a, b T, op xqt.CmpOp) bool {
+func thetaHolds[T cmp.Ordered](a, b T, op xqt.CmpOp) bool {
 	switch op {
 	case xqt.CmpLt:
 		return a < b
@@ -215,7 +216,7 @@ func thetaHolds[T float64 | string](a, b T, op xqt.CmpOp) bool {
 // cut[i] partners perm[:cut[i]], one per right row, and when both sides
 // hold unique iters those are cut[i] distinct iter2. O(nl·log nr +
 // nr·log nr), whatever the number of pairs.
-func existThetaJoin[T float64 | string](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
+func existThetaJoin[T cmp.Ordered](e *Exec, n *ExistJoin, liter []int64, lv []T, riter []int64, rv []T) (p1, p2 []int64) {
 	nl, nr := len(liter), len(riter)
 	e.Stats.ThetaIdx++
 	// rank = row number once the right side ascends on iter2: under the

@@ -430,19 +430,14 @@ func (e *Exec) funKernel(op FunOp, a []*ItemVec, n int) (ItemVec, error) {
 // domain xqt.Compare promotes their kinds to — the same joinDomain table
 // and existKeys casts the existential join uses — and compare there.
 func (e *Exec) compareCols(op xqt.CmpOp, a, b *ItemVec) ItemVec {
-	ka, kb := atomKinds(a), atomKinds(b)
-	switch dom := joinDomain(ka, kb); {
-	case ka == 1<<xqt.KInt && kb == 1<<xqt.KInt:
-		// xs:integer pairs compare exactly, not through xs:double
-		return holds2(e, a.I, b.I, func(x, y int64) bool { return xqt.CompareInt(x, y, op) })
-	case dom == domString:
-		_, sa := e.existKeys(a, dom)
-		_, sb := e.existKeys(b, dom)
-		return holds2(e, sa, sb, func(x, y string) bool { return xqt.CompareString(x, y, op) })
-	default: // xs:double, or xs:boolean as 0/1
-		fa, _ := e.existKeys(a, dom)
-		fb, _ := e.existKeys(b, dom)
-		return holds2(e, fa, fb, func(x, y float64) bool { return xqt.CompareFloat(x, y, op) })
+	dom := joinDomain(atomKinds(a), atomKinds(b))
+	switch ka, kb := e.existKeys(a, dom), e.existKeys(b, dom); dom {
+	case domString:
+		return holds2(e, ka.s, kb.s, func(x, y string) bool { return xqt.CompareString(x, y, op) })
+	case domDouble:
+		return holds2(e, ka.f, kb.f, func(x, y float64) bool { return xqt.CompareFloat(x, y, op) })
+	default: // xs:integer exactly, or xs:boolean as 0/1
+		return holds2(e, ka.i, kb.i, func(x, y int64) bool { return xqt.CompareInt(x, y, op) })
 	}
 }
 

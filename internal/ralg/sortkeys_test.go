@@ -440,8 +440,8 @@ func existRef(l, r *Table, op xqt.CmpOp) [][2]int64 {
 // TestExistJoinPromotionMatchesCompare checks the (left tag, right tag)
 // promotion table against per-pair xqt.Compare: all six operators, every
 // pairing of untyped, string, integer, double and boolean columns (and
-// mixed-tag ones), non-numeric strings, "", padded numbers, NaN, ±0 and
-// iterations with several rows.
+// mixed-tag ones), non-numeric strings, "", padded numbers, NaN, ±0,
+// integers past 2^53 and iterations with several rows.
 func TestExistJoinPromotionMatchesCompare(t *testing.T) {
 	str := []string{"1", " 2 ", "abc", "", "true", "false", "0", "10", "1.0", "-0", "NaN", "2"}
 	flavours := map[string]func(rng *rand.Rand) xqt.Item{
@@ -451,9 +451,10 @@ func TestExistJoinPromotionMatchesCompare(t *testing.T) {
 		"double": func(rng *rand.Rand) xqt.Item {
 			return xqt.Double([]float64{0, math.Copysign(0, -1), 1, 1.5, 2, 10, math.NaN(), math.Inf(1)}[rng.Intn(8)])
 		},
-		"bool": func(rng *rand.Rand) xqt.Item { return xqt.Bool(rng.Intn(2) == 0) },
+		"bool":  func(rng *rand.Rand) xqt.Item { return xqt.Bool(rng.Intn(2) == 0) },
+		"int53": func(rng *rand.Rand) xqt.Item { return xqt.Int(past253[rng.Intn(len(past253))]) },
 	}
-	names := []string{"untyped", "string", "int", "double", "bool", "mixed"}
+	names := []string{"untyped", "string", "int", "double", "bool", "int53", "mixed"}
 	flavours["mixed"] = func(rng *rand.Rand) xqt.Item { return flavours[names[rng.Intn(5)]](rng) }
 	rng := rand.New(rand.NewSource(3))
 	mk := func(n int, gen func(*rand.Rand) xqt.Item) *Table {

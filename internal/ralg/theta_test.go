@@ -18,7 +18,7 @@ import (
 // join over reduced sides — every (iter1, iter2) whose keys satisfy op,
 // deduplicated, in [iter1, iter2] order — and the nested-loop plan the
 // hit-rate sweep measures the kernel against.
-func thetaNestedLoop[T float64 | string](op xqt.CmpOp, liter []int64, lv []T, riter []int64, rv []T, p1, p2 []int64) ([]int64, []int64) {
+func thetaNestedLoop[T int64 | float64 | string](op xqt.CmpOp, liter []int64, lv []T, riter []int64, rv []T, p1, p2 []int64) ([]int64, []int64) {
 	for i, a := range lv {
 		for j, b := range rv {
 			if thetaHolds(a, b, op) {
@@ -41,7 +41,7 @@ func sortedPairs(p1, p2 []int64) [][2]int64 {
 
 // thetaSide is one reduced join side: unique iters in the given order
 // and NaN-free keys drawn by gen.
-func thetaSide[T float64 | string](rng *rand.Rand, n int, order string, gen func(*rand.Rand) T) ([]int64, []T) {
+func thetaSide[T int64 | float64 | string](rng *rand.Rand, n int, order string, gen func(*rand.Rand) T) ([]int64, []T) {
 	iters, vals := make([]int64, n), make([]T, n)
 	for i := range iters {
 		iters[i], vals[i] = int64(3*i+1), gen(rng)
@@ -55,7 +55,7 @@ func thetaSide[T float64 | string](rng *rand.Rand, n int, order string, gen func
 	return iters, vals
 }
 
-func checkThetaSweep[T float64 | string](t *testing.T, name string, liter []int64, lv []T, riter []int64, rv []T) {
+func checkThetaSweep[T int64 | float64 | string](t *testing.T, name string, liter []int64, lv []T, riter []int64, rv []T) {
 	t.Helper()
 	for _, op := range []xqt.CmpOp{xqt.CmpLt, xqt.CmpLe, xqt.CmpGt, xqt.CmpGe} {
 		e := NewExec(nil, nil)
@@ -76,13 +76,17 @@ func checkThetaSweep[T float64 | string](t *testing.T, name string, liter []int6
 }
 
 // TestThetaSweepMatchesNestedLoop: the rank-space sweep against the
-// quadratic reference — float and string keys with duplicates, ±0 and
-// ±Inf, all four operators, empty sides, right sides around the bitmap's
-// word boundaries, every iter order on either side, hit rates 0 and 1.
+// quadratic reference — float, integer and string keys with duplicates,
+// ±0 and ±Inf, integers around ±2^53 and the int64 limits, all four
+// operators, empty sides, right sides around the bitmap's word
+// boundaries, every iter order on either side, hit rates 0 and 1.
 func TestThetaSweepMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	floats := func(rng *rand.Rand) float64 {
 		return []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, 1, 2.5, -3, 7, 1e9}[rng.Intn(10)]
+	}
+	ints := func(rng *rand.Rand) int64 {
+		return past253[rng.Intn(len(past253))]
 	}
 	strs := func(rng *rand.Rand) string { return strconv.Itoa(rng.Intn(40)) }
 	orders := []string{"ascending", "descending", "shuffled"}
@@ -100,6 +104,9 @@ func TestThetaSweepMatchesNestedLoop(t *testing.T) {
 					_, ls := thetaSide(rng, nl, lo, strs)
 					_, rs := thetaSide(rng, nr, ro, strs)
 					checkThetaSweep(t, "string "+name, liter, ls, riter, rs)
+					_, li := thetaSide(rng, nl, lo, ints)
+					_, ri := thetaSide(rng, nr, ro, ints)
+					checkThetaSweep(t, "int "+name, liter, li, riter, ri)
 				}
 			}
 		}
@@ -112,6 +119,10 @@ func TestThetaSweepMatchesNestedLoop(t *testing.T) {
 	checkThetaSweep(t, "all-or-nothing", liter, lv, riter, rv)
 	checkThetaSweep(t, "nothing-or-all", riter, rv, liter, lv)
 }
+
+// past253 are xs:integer keys that one xs:double cannot tell apart:
+// neighbours around ±2^53 and the int64 limits.
+var past253 = []int64{0, 1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53), -(1 << 53) - 1, math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1}
 
 // TestThetaSweepAbortsTyped: a budget that trips on the pair output (in
 // count mode, on the index) and a context cancelled mid-sweep surface as
@@ -160,14 +171,16 @@ func TestThetaSweepAbortsTyped(t *testing.T) {
 }
 
 // TestExistJoinCountMode: on random inputs the count mode is Aggr(count
-// part Out1) over the pair mode, for every comparison, over double and
-// string keys (typed kernels) and mixed ones (the per-pair loop), with
-// NaN, several rows per left iter, and left iters out of order.
+// part Out1) over the pair mode, for every comparison, over double,
+// integer (around 2^53) and string keys (typed kernels) and mixed ones
+// (the per-pair loop), with NaN, several rows per left iter, and left
+// iters out of order.
 func TestExistJoinCountMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	gens := map[string]func() xqt.Item{
-		"double": func() xqt.Item { return xqt.Double([]float64{-3, 1, 2, 2.5, 7, math.NaN()}[rng.Intn(6)]) },
-		"string": func() xqt.Item { return xqt.Str(strconv.Itoa(rng.Intn(12))) },
+		"double":  func() xqt.Item { return xqt.Double([]float64{-3, 1, 2, 2.5, 7, math.NaN()}[rng.Intn(6)]) },
+		"integer": func() xqt.Item { return xqt.Int(past253[rng.Intn(5)]) },
+		"string":  func() xqt.Item { return xqt.Str(strconv.Itoa(rng.Intn(12))) },
 		"mixed": func() xqt.Item {
 			if rng.Intn(2) == 0 {
 				return xqt.Int(int64(rng.Intn(12)))

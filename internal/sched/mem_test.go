@@ -47,7 +47,7 @@ func TestAdmitMemExhausted(t *testing.T) {
 func TestMemGrantSizedByCost(t *testing.T) {
 	s := New(Config{MaxConcurrent: 8, MemPerQuery: 64 << 20, MemTotal: 64 << 20})
 	ctx := context.Background()
-	small := Cost{Rows: 100, Known: true}
+	small := Cost{Rows: 100}
 	g, err := s.Admit(ctx, small)
 	if err != nil {
 		t.Fatal(err)
@@ -63,39 +63,15 @@ func TestMemGrantSizedByCost(t *testing.T) {
 	}
 	g.Release()
 	g2.Release()
-}
-
-// A hint-less admission reserves the full per-query default; SetCost
-// then shrinks the reservation (never grows it), returning the excess
-// to the pool.
-func TestSetCostShrinksMem(t *testing.T) {
-	s := New(Config{MaxConcurrent: 8, MemPerQuery: 64 << 20, MemTotal: 128 << 20})
-	ctx := context.Background()
-	g, err := s.Admit(ctx, Cost{})
+	// a huge snapshot is capped at the per-query budget
+	g3, err := s.Admit(ctx, Cost{Rows: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.MemLimit() != 64<<20 {
-		t.Fatalf("pre-cost MemLimit = %d, want full default", g.MemLimit())
+	if g3.MemLimit() != 64<<20 {
+		t.Fatalf("MemLimit = %d, want the %d cap", g3.MemLimit(), 64<<20)
 	}
-	g.SetCost(Cost{Rows: 10, Known: true})
-	want := int64(MemFloor + MemPerRow*10)
-	if g.MemLimit() != want {
-		t.Fatalf("post-cost MemLimit = %d, want %d", g.MemLimit(), want)
-	}
-	if st := s.Stats(); st.MemInUse != want {
-		t.Fatalf("excess not returned to pool: MemInUse = %d, want %d", st.MemInUse, want)
-	}
-	// a huge snapshot must not grow the reservation past the per-query cap
-	g2, err := s.Admit(ctx, Cost{Rows: 1 << 40, Known: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.MemLimit() != 64<<20 {
-		t.Fatalf("MemLimit = %d, want the %d cap", g2.MemLimit(), 64<<20)
-	}
-	g.Release()
-	g2.Release()
+	g3.Release()
 	if st := s.Stats(); st.MemInUse != 0 {
 		t.Fatalf("MemInUse = %d after all releases", st.MemInUse)
 	}
@@ -123,7 +99,7 @@ func TestMemConfigCorners(t *testing.T) {
 	}
 
 	s = New(Config{MaxConcurrent: 4})
-	g, err := s.Admit(ctx, Cost{Rows: 1000, Known: true})
+	g, err := s.Admit(ctx, Cost{Rows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,33 +109,21 @@ func TestMemConfigCorners(t *testing.T) {
 	g.Release()
 }
 
-// An engine-level admission over an empty pool knows its snapshot is
-// zero rows: it reserves the MemFloor grant, not the full MemPerQuery —
-// Known, not a non-zero Rows, is what tells it from an admission whose
-// cost is not known yet.
+// An admission over a known empty snapshot reserves the MemFloor
+// grant, not the full MemPerQuery, and a floor larger than MemPerQuery
+// is clamped to it.
 func TestAdmitKnownEmptySnapshotReservesFloor(t *testing.T) {
 	s := New(Config{MaxConcurrent: 8, MemPerQuery: 64 << 20, MemTotal: 128 << 20})
 	ctx := context.Background()
-	g, err := s.Admit(ctx, Cost{Known: true})
+	g, err := s.Admit(ctx, Cost{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.MemLimit() != MemFloor {
-		t.Errorf("known empty snapshot: MemLimit = %d, want MemFloor %d", g.MemLimit(), MemFloor)
+		t.Errorf("empty snapshot: MemLimit = %d, want MemFloor %d", g.MemLimit(), MemFloor)
 	}
-	unknown, err := s.Admit(ctx, Cost{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unknown.MemLimit() != 64<<20 {
-		t.Errorf("unknown cost: MemLimit = %d, want the full MemPerQuery %d", unknown.MemLimit(), 64<<20)
-	}
-	if st := s.Stats(); st.MemInUse != MemFloor+64<<20 {
-		t.Errorf("MemInUse = %d, want %d", st.MemInUse, MemFloor+64<<20)
-	}
-	// a floor larger than MemPerQuery is clamped to it
 	small := New(Config{MemPerQuery: MemFloor / 2, MemTotal: MemFloor})
-	h, err := small.Admit(ctx, Cost{Known: true})
+	h, err := small.Admit(ctx, Cost{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +132,6 @@ func TestAdmitKnownEmptySnapshotReservesFloor(t *testing.T) {
 	}
 	h.Release()
 	g.Release()
-	unknown.Release()
 	if st := s.Stats(); st.MemInUse != 0 {
 		t.Errorf("MemInUse = %d after all releases", st.MemInUse)
 	}

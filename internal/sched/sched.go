@@ -11,9 +11,9 @@
 //
 //   - Memory reservations bound what the running executions may hold
 //     together (MemTotal). Each admitted execution reserves its
-//     per-query budget, sized from its snapshot's row count when that
-//     is known (Cost) and clamped to MemPerQuery; an admission the pool
-//     cannot cover fails with ErrMemExhausted.
+//     per-query budget, sized from its snapshot's row count (Cost) and
+//     clamped to MemPerQuery; an admission the pool cannot cover fails
+//     with ErrMemExhausted.
 package sched
 
 import (
@@ -83,16 +83,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Cost carries what an admitted execution's memory reservation is sized
-// from. The zero Cost is "not known yet": the serving layer admits
-// before it compiles, reserves the full MemPerQuery and shrinks the
-// reservation with SetCost once the statement is prepared.
+// from. It is known before anything compiles: the engine reads it off
+// its current snapshot (core.Engine.AdmissionCost).
 type Cost struct {
 	// Rows is the execution's snapshot input size: the total structural
 	// rows of the registered containers.
 	Rows int64
-	// Known marks Rows as measured, zero included: Admit reserves the
-	// sized grant (memFor) instead of the full MemPerQuery.
-	Known bool
 }
 
 // Scheduler is safe for concurrent use by any number of executions.
@@ -148,19 +144,13 @@ func (s *Scheduler) Admit(ctx context.Context, c Cost) (*Grant, error) {
 			return nil, ctx.Err()
 		}
 	}
-	mem := s.cfg.MemPerQuery
-	if mem > 0 && c.Known {
-		// the snapshot is already measured (engine-level admission):
-		// reserve the sized grant, not the full per-query default
-		mem = s.memFor(c)
-	}
+	mem := s.memFor(c)
 	if mem > 0 && !s.reserveMem(mem) {
 		s.drainSlot()
 		s.memRejected.Add(1)
 		return nil, ErrMemExhausted
 	}
 	g := &Grant{s: s, mem: mem}
-	g.costSet.Store(c.Known)
 	s.admitted.Add(1)
 	s.running.Add(1)
 	return g, nil
@@ -200,16 +190,10 @@ func (s *Scheduler) returnMem(n int64) {
 }
 
 // memFor sizes an execution's memory grant from its cost: a bookkeeping
-// floor plus a per-snapshot-row allowance, clamped to MemPerQuery.
-// SetCost only ever shrinks the initial MemPerQuery reservation toward
-// this value — growing would let a reservation the global pool never
-// covered slip through admission.
+// floor plus a per-snapshot-row allowance, clamped to MemPerQuery (0,
+// no memory governance, when MemPerQuery is unset).
 func (s *Scheduler) memFor(c Cost) int64 {
-	m := MemFloor + MemPerRow*c.Rows
-	if m > s.cfg.MemPerQuery {
-		m = s.cfg.MemPerQuery
-	}
-	return m
+	return min(MemFloor+MemPerRow*c.Rows, s.cfg.MemPerQuery)
 }
 
 // Stats is a point-in-time snapshot of the scheduler's counters.
@@ -256,29 +240,11 @@ func raise(hw *atomic.Int64, v int64) {
 type Grant struct {
 	s        *Scheduler
 	mem      int64
-	costSet  atomic.Bool
 	released atomic.Bool
 }
 
-// SetCost sizes the execution's memory reservation from its cost, once
-// the statement is prepared (the serving layer admits before it
-// compiles). Only the first call on a grant admitted without a known
-// Cost has an effect.
-func (g *Grant) SetCost(c Cost) {
-	if !g.costSet.CompareAndSwap(false, true) {
-		return
-	}
-	if g.mem > 0 {
-		if m := g.s.memFor(c); m < g.mem {
-			g.s.returnMem(g.mem - m)
-			g.mem = m
-		}
-	}
-}
-
 // MemLimit returns the execution's memory budget in bytes (0 =
-// unlimited): the scheduler's per-query default, or the grant memFor
-// sized from the execution's Cost.
+// unlimited): the grant memFor sized from the execution's Cost.
 func (g *Grant) MemLimit() int64 { return g.mem }
 
 // Release returns the execution slot. It is idempotent, so it is safe

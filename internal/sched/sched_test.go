@@ -144,34 +144,6 @@ func TestGrantReleaseIdempotent(t *testing.T) {
 	}
 }
 
-func TestSetCostOnce(t *testing.T) {
-	s := New(Config{MemPerQuery: 64 << 20})
-	g, err := s.Admit(context.Background(), Cost{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Release()
-	g.SetCost(Cost{Rows: 100, Known: true})
-	want := int64(MemFloor + MemPerRow*100)
-	if g.MemLimit() != want {
-		t.Fatalf("MemLimit after SetCost = %d, want %d", g.MemLimit(), want)
-	}
-	g.SetCost(Cost{Rows: 1, Known: true}) // first call wins
-	if g.MemLimit() != want {
-		t.Fatalf("MemLimit after second SetCost = %d, want %d", g.MemLimit(), want)
-	}
-	// a grant admitted with a known cost is already sized
-	g2, err := s.Admit(context.Background(), Cost{Rows: 100, Known: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Release()
-	g2.SetCost(Cost{Rows: 1, Known: true})
-	if g2.MemLimit() != want {
-		t.Errorf("SetCost resized a grant admitted with a known cost: %d, want %d", g2.MemLimit(), want)
-	}
-}
-
 func TestGrantFromNilContext(t *testing.T) {
 	if g := GrantFrom(nil); g != nil {
 		t.Errorf("GrantFrom(nil) = %v, want nil", g)

@@ -239,12 +239,11 @@ func (s *Server) execContext(r *http.Request, req *queryRequest) (context.Contex
 // admit waits — deadline-aware, up to the request's remaining timeout
 // — for an execution slot. A full admission queue answers 503
 // immediately; a deadline that expires while queued answers 503 too
-// (the request did no work, so 504 would be misleading). The grant is
-// admitted with no known cost: the execution sizes its memory
-// reservation once the statement is prepared.
+// (the request did no work, so 504 would be misleading). The memory
+// reservation is sized from the engine's current snapshot.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter) (*sched.Grant, bool) {
 	start := time.Now()
-	g, err := s.sched.Admit(ctx, sched.Cost{})
+	g, err := s.sched.Admit(ctx, s.db.Engine().AdmissionCost())
 	s.metrics.queueWait.observe(time.Since(start))
 	if err != nil {
 		s.metrics.rejected.Add(1)

@@ -573,6 +573,27 @@ func TestServerQueueDeadline(t *testing.T) {
 	}
 }
 
+// TestServerAdmitsWithSnapshotCost: the wire admits what the engine
+// admits in-process. A per-query budget larger than the whole memory
+// pool does not refuse a query over a tiny document, because the
+// reservation is sized from the snapshot before anything compiles.
+func TestServerAdmitsWithSnapshotCost(t *testing.T) {
+	db := mxq.Open(mxq.WithScheduler(mxq.NewScheduler(mxq.SchedulerConfig{MemPerQuery: 64 << 20, MemTotal: 16 << 20})))
+	if err := db.LoadDocumentString("tiny.xml", "<a><b/><b/></a>"); err != nil {
+		t.Fatal(err)
+	}
+	const q = `count(//b)`
+	if got, err := db.QueryString(q); err != nil || got != "2" {
+		t.Fatalf("in-process %s = %q, %v; want 2", q, got, err)
+	}
+	ts := httptest.NewServer(New(db, Config{}).Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/query", map[string]any{"query": q})
+	if resp.StatusCode != http.StatusOK || string(body) != "2" {
+		t.Fatalf("POST /query %s: status %d: %s", q, resp.StatusCode, body)
+	}
+}
+
 // TestServerStmtEviction is the regression test for the
 // prepared-statement session leak: idle statements expire under the
 // TTL and a full registry evicts its LRU entry instead of wedging

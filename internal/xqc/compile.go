@@ -540,7 +540,7 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 		}
 		j := ralg.NewHashJoin(ql, qr, "iter", "iter",
 			ralg.Refs("iter", "pos", "item->a"), ralg.Refs("item->b"))
-		f := ralg.NewFun(j, valueCmpFun(x.Op), "val", "a", "b")
+		f := ralg.NewFun(j, cmpFun(x.Op), "val", "a", "b")
 		return boolItems(ralg.NewProject(f, "iter", "val->item")), nil
 	case xqp.OpAdd, xqp.OpSub, xqp.OpMul, xqp.OpDiv, xqp.OpIDiv, xqp.OpMod:
 		ql, qr, err := c.compileBothSingleton(x.L, x.R, sc)
@@ -596,19 +596,21 @@ func (c *Compiler) compileBothSingleton(l, r xqp.Expr, sc *scope) (ralg.Plan, ra
 	return firstItem(ql), firstItem(qr), nil
 }
 
-func valueCmpFun(op xqp.BinOp) ralg.FunOp {
+// cmpFun is the row-wise comparison of a value, general or node
+// comparison operator.
+func cmpFun(op xqp.BinOp) ralg.FunOp {
 	switch op {
-	case xqp.OpValEq:
+	case xqp.OpValEq, xqp.OpGenEq:
 		return ralg.FunEq
-	case xqp.OpValNe:
+	case xqp.OpValNe, xqp.OpGenNe:
 		return ralg.FunNe
-	case xqp.OpValLt:
+	case xqp.OpValLt, xqp.OpGenLt:
 		return ralg.FunLt
-	case xqp.OpValLe:
+	case xqp.OpValLe, xqp.OpGenLe:
 		return ralg.FunLe
-	case xqp.OpValGt:
+	case xqp.OpValGt, xqp.OpGenGt:
 		return ralg.FunGt
-	case xqp.OpValGe:
+	case xqp.OpValGe, xqp.OpGenGe:
 		return ralg.FunGe
 	case xqp.OpIs:
 		return ralg.FunNodeIs
@@ -617,29 +619,7 @@ func valueCmpFun(op xqp.BinOp) ralg.FunOp {
 	case xqp.OpAfter:
 		return ralg.FunNodeAfter
 	}
-	panic("xqc: not a value comparison")
-}
-
-// staticNumeric reports whether e's value is statically known to be
-// numeric (drives the Fig. 8b min/max rewrite's comparison mode).
-func staticNumeric(e xqp.Expr) bool {
-	switch x := e.(type) {
-	case *xqp.Literal:
-		return x.Kind != xqp.LitString
-	case *xqp.Binary:
-		switch x.Op {
-		case xqp.OpAdd, xqp.OpSub, xqp.OpMul, xqp.OpDiv, xqp.OpIDiv, xqp.OpMod:
-			return true
-		}
-	case *xqp.Unary:
-		return true
-	case *xqp.Call:
-		switch x.Name {
-		case "count", "sum", "avg", "number", "floor", "ceiling", "round", "string-length":
-			return true
-		}
-	}
-	return false
+	panic("xqc: not a comparison")
 }
 
 // compileBool compiles e in filter position: it returns the iteration
@@ -740,8 +720,10 @@ func distinctIters(iters ralg.Plan) ralg.Plan {
 // compileGeneralCmp compiles a same-loop existential general comparison
 // to the iterations where it holds: join both sides on iter, compare,
 // and keep the distinct iterations of the satisfied pairs (Fig. 8a).
-// For ordering comparisons over statically numeric operands both sides
-// are first reduced to per-iteration extrema (Fig. 8b).
+// The pairs share one iteration, so their number is linear in either
+// side wherever the other holds one item per iteration; Fig. 8(b)'s
+// extremum reduction belongs to the existential join (ralg.ExistJoin),
+// whose comparison domain is read off the data, not the syntax.
 func (c *Compiler) compileGeneralCmp(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 	ql, err := c.compile(x.L, sc)
 	if err != nil {
@@ -751,40 +733,12 @@ func (c *Compiler) compileGeneralCmp(x *xqp.Binary, sc *scope) (ralg.Plan, error
 	if err != nil {
 		return nil, err
 	}
-	op := genCmpOp(x.Op)
-	if op != xqt.CmpEq && op != xqt.CmpNe && (staticNumeric(x.L) || staticNumeric(x.R)) {
-		lAgg, rAgg := ralg.AggMin, ralg.AggMax
-		if op == xqt.CmpGt || op == xqt.CmpGe {
-			lAgg, rAgg = ralg.AggMax, ralg.AggMin
-		}
-		ql = aggrSide(ql, x.L, lAgg)
-		qr = aggrSide(qr, x.R, rAgg)
-	}
 	j := ralg.NewHashJoin(ql, qr, "iter", "iter",
 		ralg.Refs("iter", "item->a"), ralg.Refs("item->b"))
-	fn := map[xqt.CmpOp]ralg.FunOp{
-		xqt.CmpEq: ralg.FunEq, xqt.CmpNe: ralg.FunNe, xqt.CmpLt: ralg.FunLt,
-		xqt.CmpLe: ralg.FunLe, xqt.CmpGt: ralg.FunGt, xqt.CmpGe: ralg.FunGe,
-	}[op]
-	f := ralg.NewFun(j, fn, "hit", "a", "b")
+	f := ralg.NewFun(j, cmpFun(x.Op), "hit", "a", "b")
 	sel := &ralg.Select{Cond: "hit"}
 	sel.SetInput(0, f)
 	return distinctIters(ralg.NewProject(sel, "iter")), nil
-}
-
-// aggrSide reduces side e (plan q) of a Fig. 8(b) comparison to its
-// per-iteration extremum. NaN rows, which fn:min/max would return, are
-// dropped first (nv eq nv) unless e is a numeric literal.
-func aggrSide(q ralg.Plan, e xqp.Expr, op ralg.AggOp) ralg.Plan {
-	var in ralg.Plan = ralg.NewFun(q, ralg.FunNumber, "nv", "item")
-	if lit, ok := e.(*xqp.Literal); !ok || lit.Kind == xqp.LitString {
-		sel := &ralg.Select{Cond: "num"}
-		sel.SetInput(0, ralg.NewFun(ralg.NewProject(in, "iter", "nv"), ralg.FunEq, "num", "nv", "nv"))
-		in = sel
-	}
-	a := &ralg.Aggr{Part: "iter", Op: op, Arg: "nv", Out: "item"}
-	a.SetInput(0, in)
-	return a
 }
 
 func genCmpOp(op xqp.BinOp) xqt.CmpOp {

@@ -291,6 +291,17 @@ var specCases = []struct {
 	{"distinct-values-past-2-53-double", `count(distinct-values((9007199254740993, 9007199254740992, 0.5)))`, "2"},
 	{"max-past-2-53-double", `max((9007199254740992, 9007199254740993, 0.5))`, "9007199254740992"},
 	{"order-by-past-2-53-double", `for $x in (9007199254740993, 9007199254740992, 0.5) order by $x return $x`, "0.5 9007199254740993 9007199254740992"},
+	// general comparisons of two xs:integer operands are exact too, in a
+	// single loop, per iteration and through the existential join's pair,
+	// count and equality kernels
+	{"general-gt-past-2-53", `(3, 9007199254740993) > 9007199254740992`, "true"},
+	{"general-gt-past-2-53-loop", `for $x in (1, 2) return ((3, 9007199254740993)[$x] > 9007199254740992)`, "false true"},
+	{"join-gt-past-2-53", `for $x in (9007199254740992, 5) for $y in (9007199254740993, 1) where $y > $x return $y`, "9007199254740993 9007199254740993"},
+	{"join-gt-past-2-53-count", `count(for $x in (9007199254740992, 5) for $y in (9007199254740993, 1) where $y > $x return $y)`, "2"},
+	{"join-eq-past-2-53", `for $x in (9007199254740992, 5) for $y in (9007199254740993, 9007199254740992) where $y = $x return $y`, "9007199254740992"},
+	// an untyped row that is not a number satisfies no numeric
+	// comparison, per iteration too, beside numeric rows that do
+	{"general-gt-nan-item-loop", `for $r in doc("p2.xml")/r return ($r/p > 9, $r/p > 10)`, "true false"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
