@@ -51,8 +51,8 @@ import (
 type Config struct {
 	Compiler xqc.Options
 	// OrderAware runs the property-driven peephole optimizer (§4.1):
-	// sort elimination, refine sorts, streaming rank, positional joins,
-	// merge duplicate elimination (Figure 14's "order preserving").
+	// sort elimination, refine sorts, streaming rank and positional
+	// joins (Figure 14's "order preserving").
 	OrderAware bool
 	// Scheduler, when set, is the global query scheduler the engine's
 	// executions run under: every ExecuteContext admits itself (bounded

@@ -289,14 +289,16 @@ func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, err
 }
 
 // valueKey normalizes an atom for distinct-values: numeric values compare
-// numerically (so 1 and 1.0 are one value) — integers exactly in a
-// sequence without an xs:double (exact) — booleans only against
-// booleans, everything else as strings (mirrors ralg's itemKey policy;
-// values of incomparable types are distinct per the XQuery spec).
+// numerically (so 1 and 1.0 are one value, so are -0 and +0, and so is
+// every NaN) — integers exactly in a sequence without an xs:double
+// (exact) — booleans only against booleans, everything else as strings
+// (values of incomparable types are distinct per the XQuery spec).
 func valueKey(a xqt.Item, exact bool) string {
 	switch {
 	case exact && a.K == xqt.KInt:
 		return fmt.Sprintf("n%d", a.I)
+	case a.IsNumeric() && a.AsDouble() == 0:
+		return "n0"
 	case a.IsNumeric():
 		return fmt.Sprintf("n%v", a.AsDouble())
 	case a.K == xqt.KBool:

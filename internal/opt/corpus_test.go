@@ -129,7 +129,10 @@ func identityDigest() string {
 // columns typed by their item tags, printed as such, and ColToItem
 // gone: all 1 245, with the same rules firing in the same order; the
 // compiler's Fig. 8(b) reduction and its NaN filter deleted, so a
-// same-loop general comparison always pairs its sides on iter: 57).
+// same-loop general comparison always pairs its sides on iter: 57;
+// Distinct's merge flag and its " merge" label deleted: 627, and the
+// previous plans rendered without the label give the new digest on all
+// 1 245).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")

@@ -16,9 +16,11 @@
 //   - turn full sorts into refine sorts (prefix already sorted) or into
 //     stable one-column sorts (grpord),
 //   - run ρ (DENSE_RANK) as a streaming hash-based numbering instead of a
-//     sorting implementation (the grpord case called out in the paper),
-//   - select positional joins on dense autoincrement key columns, and
-//   - switch duplicate elimination to merge mode on sorted inputs.
+//     sorting implementation (the grpord case called out in the paper), and
+//   - select positional joins on dense autoincrement key columns.
+//
+// Duplicate elimination has no variant to pick: ralg's Distinct finds a
+// sorted input at run time, as its sorts do.
 package opt
 
 import (
@@ -213,13 +215,6 @@ func (o *optimizer) rewriteNode(p ralg.Plan, ins []*props) ralg.Plan {
 			before, c := o.snap(n)
 			n.PosLeft = true
 			o.fired(RuleJoinPosLeft, before, c, n)
-		}
-		return n
-	case *ralg.Distinct:
-		if ins[0].covers(o.ord(n.By...)) {
-			before, c := o.snap(n)
-			n.Merge = true
-			o.fired(RuleDistinctMerge, before, c, n)
 		}
 		return n
 	}

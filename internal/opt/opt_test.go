@@ -125,15 +125,6 @@ func TestPositionalJoinModes(t *testing.T) {
 	}
 }
 
-func TestDistinctMergeMode(t *testing.T) {
-	d := &ralg.Distinct{By: []string{"iter"}}
-	d.SetInput(0, &ralg.Lit{Tab: litTable(1, 1, 2)})
-	Optimize(d)
-	if !d.Merge {
-		t.Error("distinct over sorted input must use merge mode")
-	}
-}
-
 func TestSortGrpordRewrite(t *testing.T) {
 	// input sorted by item with grpord([iter? no: construct directly
 	in := &ralg.Lit{Tab: litTable(1, 2, 3)}

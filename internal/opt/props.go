@@ -252,7 +252,7 @@ func (pr Props) Grps() []GrpOrd {
 // InferProps runs the §4.1 property inference over an existing plan DAG
 // without rewriting it, returning the inferred properties per node. It
 // works on optimized and unoptimized plans alike: inference only reads
-// the operators (including any Mode/Pos/Merge annotations already set),
+// the operators (including any Mode/Pos annotations already set),
 // so on an optimizer output it reproduces exactly the properties the
 // rewrites were justified by.
 func InferProps(root ralg.Plan) map[ralg.Plan]Props {

@@ -37,9 +37,6 @@ const (
 	// unique key; valid because the right input is sorted on its key, so
 	// left-major output order is preserved.
 	RuleJoinPosLeft Rule = "join.pos-left"
-	// RuleDistinctMerge eliminates duplicates in one merge pass over an
-	// input sorted on the By columns.
-	RuleDistinctMerge Rule = "distinct.merge"
 )
 
 // RuleInfo describes one registered rule for coverage reports and docs.
@@ -65,7 +62,6 @@ func Rules() []RuleInfo {
 		{RuleRankStream, "rownum", "rank by streaming per-group counters under grpord"},
 		{RuleJoinPosRight, "join", "positional lookup into the dense right key"},
 		{RuleJoinPosLeft, "join", "positional probe of the dense unique left key"},
-		{RuleDistinctMerge, "distinct", "merge duplicate elimination over a sorted input"},
 	}
 }
 

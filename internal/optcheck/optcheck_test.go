@@ -194,12 +194,12 @@ func TestCoverageReport(t *testing.T) {
 		t.Errorf("Count(sort.drop-covered) = %d, want 2", got)
 	}
 	rep := cov.Report()
-	if !strings.Contains(rep, "! "+string(opt.RuleDistinctMerge)) && !strings.Contains(rep, "!") {
+	if !strings.Contains(rep, "! "+string(opt.RuleJoinPosLeft)) && !strings.Contains(rep, "!") {
 		t.Errorf("report does not mark unfired rules:\n%s", rep)
 	}
-	unfired := cov.Unfired(map[opt.Rule]string{opt.RuleDistinctMerge: "exercised elsewhere"})
+	unfired := cov.Unfired(map[opt.Rule]string{opt.RuleJoinPosLeft: "exercised elsewhere"})
 	for _, r := range unfired {
-		if r == opt.RuleDistinctMerge {
+		if r == opt.RuleJoinPosLeft {
 			t.Errorf("exempt rule reported unfired")
 		}
 		if r == opt.RuleSortDropCovered || r == opt.RuleRankSeq {

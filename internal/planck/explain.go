@@ -165,11 +165,7 @@ func opLabel(n ralg.Plan) string {
 	case *ralg.Diff:
 		return fmt.Sprintf("diff(%s \\ %s)", x.LKey, x.RKey)
 	case *ralg.Distinct:
-		mode := ""
-		if x.Merge {
-			mode = " merge"
-		}
-		return fmt.Sprintf("distinct(%s%s)", strings.Join(x.By, ","), mode)
+		return fmt.Sprintf("distinct(%s)", strings.Join(x.By, ","))
 	case *ralg.Aggr:
 		return fmt.Sprintf("aggr(%s := %s(%s) part %s)", x.Out, aggName(x.Op), x.Arg, x.Part)
 	case *ralg.Step:

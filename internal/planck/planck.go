@@ -472,9 +472,6 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 				v.failf(n, "distinct-by column %q not in input schema %v", c, in.Cols())
 			}
 		}
-		if x.Merge && !v.iprops(n, 0).Covers(x.By) {
-			v.failf(n, "merge mode requires the input sorted on %v, which is not provable", x.By)
-		}
 		cp := v.cprops(n, 0).clone()
 		cp.dense = map[string]bool{}
 		return in, cp

@@ -193,13 +193,6 @@ func TestRowNumModeAnnotationChecked(t *testing.T) {
 	wantViolation(t, rn, Config{}, rn.Name(), "sequential rank mode")
 }
 
-func TestDistinctMergeAnnotationChecked(t *testing.T) {
-	tab := intTable(map[string][]int64{"a": {3, 1, 2}})
-	d := &ralg.Distinct{By: []string{"a"}, Merge: true}
-	d.SetInput(0, &ralg.Lit{Tab: tab})
-	wantViolation(t, d, Config{}, d.Name(), "merge mode")
-}
-
 func TestPositionalJoinAnnotationChecked(t *testing.T) {
 	nonDense := &ralg.Lit{Tab: intTable(map[string][]int64{"b": {2, 5}})}
 	l := &ralg.Lit{Tab: intTable(map[string][]int64{"a": {1, 2}})}

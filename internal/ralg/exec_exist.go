@@ -66,6 +66,21 @@ func joinDomain(l, r uint8) cmpDomain {
 	return domPerPair
 }
 
+// roundsInts reports whether both columns hold xs:integer rows and one
+// of those is past ±2^53, where xs:double would round an integer pair
+// that xqt.Compare compares exactly.
+func roundsInts(l, r *ItemVec) bool {
+	past := func(c *ItemVec) bool {
+		for i, x := range c.I {
+			if c.KindAt(i) == xqt.KInt && (x > 1<<53 || x < -(1<<53)) {
+				return true
+			}
+		}
+		return false
+	}
+	return l.has(xqt.KInt) && r.has(xqt.KInt) && (past(l) || past(r))
+}
+
 // existKeys casts column c to domain dom's comparison keys once per
 // row: int64 (booleans as 0/1), xs:double or strings, through the
 // fn:number and fn:string kernels whatever the column's tag mix.
@@ -94,6 +109,9 @@ func (e *Exec) execExistJoin(n *ExistJoin, l, r *Table) (*Table, error) {
 	riter := r.Ints(n.RIter)
 	lc, rc := l.Col(n.LItem), r.Col(n.RItem)
 	dom := joinDomain(atomKinds(lc), atomKinds(rc))
+	if dom == domDouble && roundsInts(lc, rc) {
+		dom = domPerPair // Compare keeps an xs:integer pair exact
+	}
 
 	var p1, p2 []int64
 	switch {

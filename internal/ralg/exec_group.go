@@ -1,103 +1,51 @@
 package ralg
 
 import (
-	"math"
+	"slices"
 
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
 
+// execDistinct keeps the first row of each run of equal By keys — the
+// sort keys, so δ and the sorts agree on what is equal: -0 and +0 are one
+// value, so is every NaN, and integers are exact where their partition
+// holds no xs:double. An input in key order costs one pass; at the first
+// row out of order the sort kernel orders a permutation, and the rows
+// kept return in input order.
 func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
-	idx, o := dirty[int32](e, scratchRegion, in.N), 0
-	if n.Merge {
-		// sorted input: a row is new when its sort keys differ from its
-		// predecessor's
-		keys := e.sortKeys(in, n.By, nil)
-		for i := 0; i < in.N; i++ {
-			if i&8191 == 8191 && e.stopRequested() {
-				break // Run's post-operator checkpoint discards the partial table
-			}
-			if i == 0 || compareKeys(keys, int32(i-1), int32(i)) != 0 {
-				idx[o] = int32(i)
-				o++
-			}
+	keys := e.sortKeys(in, n.By, nil, 0)
+	keep, o := dirty[int32](e, scratchRegion, in.N), 0
+	for i := 0; i < in.N; i++ {
+		if i&8191 == 8191 && e.stopRequested() {
+			break // Run's post-operator checkpoint discards the partial table
 		}
-	} else {
-		encs := make([]keyEnc, len(n.By))
-		for i, name := range n.By {
-			encs[i] = colKeyEnc(in.Col(name))
+		c := -1 // the first row starts a run
+		if i > 0 {
+			c = compareKeys(keys, int32(i-1), int32(i))
 		}
-		e.charge(scratchRegion, 24*int64(in.N)) // the dedup set, sized up front
-		seen := make(map[string]bool, in.N)
-		var key []byte
-		for i := 0; i < in.N; i++ {
-			if i&4095 == 4095 && e.stopRequested() {
-				break
-			}
-			key = key[:0]
-			for _, enc := range encs {
-				key = enc(key, int32(i))
-				key = append(key, 0xff)
-			}
-			if !seen[string(key)] {
-				seen[string(key)] = true
-				idx[o] = int32(i)
-				o++
-			}
+		if c > 0 {
+			return e.gather(in, e.runHeads(keys, in.N, keep[:0]))
+		}
+		if c < 0 {
+			keep[o] = int32(i)
+			o++
 		}
 	}
-	return e.gather(in, idx[:o])
+	return e.gather(in, keep[:o])
 }
 
-// keyEnc appends the hashable encoding of one column's row i to buf.
-type keyEnc func(buf []byte, i int32) []byte
-
-// itemKey appends the per-kind value encoding used for duplicate
-// elimination: numeric values encode as their xs:double bit pattern so 1
-// and 1.0 collapse into one value — but in a column without an xs:double
-// row (exact) integers encode as themselves, so integers past 2^53 stay
-// apart; booleans, strings and node identities each keep their own tag,
-// so values the eq operator cannot compare (1 versus true()) stay
-// distinct, per the fn:distinct-values rules.
-func itemKey(buf []byte, v *ItemVec, k xqt.Kind, i int32, exact bool) []byte {
-	switch k {
-	case xqt.KNode, xqt.KAttr:
-		buf = append(buf, byte(k))
-		buf = appendInt(buf, int64(v.Cont[i]))
-		return appendInt(buf, v.I[i])
-	case xqt.KInt:
-		buf = append(buf, 'n')
-		if exact {
-			return appendInt(buf, v.I[i])
+// runHeads returns, in keep's memory and in row order, the first row of
+// each run of equal keys among n unordered rows.
+func (e *Exec) runHeads(keys []sortKey, n int, keep []int32) []int32 {
+	perm := e.sortPerm(keys, n)
+	for r, i := range perm { // stable: a run's first row is its first occurrence
+		if r == 0 || compareKeys(keys, perm[r-1], i) != 0 {
+			keep = append(keep, i)
 		}
-		return appendInt(buf, int64(math.Float64bits(float64(v.I[i]))))
-	case xqt.KBool:
-		buf = append(buf, 'b')
-		return append(buf, byte(v.I[i]&1))
-	case xqt.KDouble:
-		buf = append(buf, 'n')
-		return appendInt(buf, int64(math.Float64bits(v.F[i])))
-	default:
-		buf = append(buf, 's')
-		return append(buf, v.S[i]...)
 	}
-}
-
-// colKeyEnc builds the key encoder of one column, dispatching on the
-// item kind of a uniform column once instead of per row.
-func colKeyEnc(v *ItemVec) keyEnc {
-	exact := !v.has(xqt.KDouble)
-	if k, ok := v.Uniform(); ok {
-		return func(buf []byte, i int32) []byte { return itemKey(buf, v, k, i, exact) }
-	}
-	return func(buf []byte, i int32) []byte { return itemKey(buf, v, v.Tags[i], i, exact) }
-}
-
-func appendInt(buf []byte, v int64) []byte {
-	for s := 56; s >= 0; s -= 8 {
-		buf = append(buf, byte(v>>uint(s)))
-	}
-	return buf
+	slices.Sort(keep)
+	return keep
 }
 
 func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {

@@ -15,7 +15,7 @@ import (
 // on the keys of the sort that establishes it.
 func (e *Exec) stepInputSorted(in *Table, item, iter string) bool {
 	by := []string{item, iter}
-	return rawSorted(in, by, nil) || keysSorted(e.sortKeys(in, by, nil), in.N)
+	return rawSorted(in, by, nil) || keysSorted(e.sortKeys(in, by, nil, 0), in.N)
 }
 
 // stepSeg is one container's run [lo, hi) of Step input nodes.

@@ -414,9 +414,6 @@ func (*Diff) Name() string { return "diff" }
 type Distinct struct {
 	unary
 	By []string
-	// Merge is set by the optimizer when the input is sorted on By,
-	// allowing consecutive-duplicate elimination.
-	Merge bool
 }
 
 // Name implements Plan.

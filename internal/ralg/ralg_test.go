@@ -169,10 +169,10 @@ func TestDiffAndUnionAndDistinct(t *testing.T) {
 		t.Errorf("distinct: %v", out.Ints("k"))
 	}
 	sorted := intTable("k", 1, 1, 2, 3, 3)
-	dm := &Distinct{unary: unary{In: &Lit{Tab: sorted}}, By: []string{"k"}, Merge: true}
-	out = run(t, dm)
-	if out.N != 3 {
-		t.Errorf("merge distinct: %v", out.Ints("k"))
+	ds := &Distinct{unary: unary{In: &Lit{Tab: sorted}}, By: []string{"k"}}
+	out = run(t, ds)
+	if out.N != 3 || out.Ints("k")[1] != 2 {
+		t.Errorf("distinct of a sorted input: %v", out.Ints("k"))
 	}
 }
 

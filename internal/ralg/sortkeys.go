@@ -22,31 +22,58 @@ type sortKey struct {
 	desc bool // applies to s
 }
 
-// sortKeys extracts the keys of the named sort columns, into scratch
-// memory. Every order the executor establishes or checks reads them: the
-// sort kernel, the Step-input check and Distinct's merge.
-func (e *Exec) sortKeys(t *Table, by []string, desc []bool) []sortKey {
+// sortKeys extracts the keys of the sort columns by[from:] (desc is
+// indexed like by), into scratch memory. Every order the executor
+// establishes or checks reads them: the sort kernel, the Step-input
+// check and Distinct.
+func (e *Exec) sortKeys(t *Table, by []string, desc []bool, from int) []sortKey {
 	var keys []sortKey
-	for k, name := range by {
+	for k := from; k < len(by); k++ {
 		var flip uint64
 		if k < len(desc) && desc[k] {
 			flip = ^uint64(0)
 		}
-		keys = e.appendItemKeys(keys, t.Col(name), flip)
+		keys = e.appendItemKeys(keys, t.Col(by[k]), inexactInts(e, t, by, k), flip)
 	}
 	return keys
+}
+
+// inexactInts reports which rows of sort column by[k] hold integers that
+// compare as xs:double: those whose partition holds an xs:double row, as
+// F&O's numeric promotion has it. A partition is one value of the
+// leading key by[0] when that is an xs:integer column (iter or outer in
+// every plan xqc emits); by[0] itself, or a column led by another kind,
+// is one partition. So integers past 2^53 stay apart in an iteration of
+// integers while another iteration of the same column holds a double.
+func inexactInts(e *Exec, t *Table, by []string, k int) func(i int) bool {
+	v := t.Col(by[k])
+	if !slices.Contains(v.Tags, xqt.KDouble) { // then no partition holds one
+		return func(int) bool { return false }
+	}
+	part := func(int) int64 { return 0 }
+	if lead := t.Col(by[0]); k > 0 && lead.Tags == nil && lead.Tag == xqt.KInt {
+		part = func(i int) int64 { return lead.I[i] }
+	}
+	withDouble := map[int64]bool{}
+	for i, tag := range v.Tags {
+		if tag == xqt.KDouble && !withDouble[part(i)] {
+			e.charge(scratchRegion, 16) // a partition's map entry
+			withDouble[part(i)] = true
+		}
+	}
+	return func(i int) bool { return withDouble[part(i)] }
 }
 
 // appendItemKeys appends the keys that order a column like XQuery's
 // order by: a rank key when the rows span several of xqt's sort ranks
 // (the empty key, numbers, strings, booleans, nodes), then one value key
 // per rank present. Numbers order as xs:double with NaN below every
-// number (floatKey) — but in a column without an xs:double row integers
-// order exactly, as int64 — booleans false first, strings as strings,
-// and nodes by container, then docOrderKeys (an attribute after its
-// owner element). A row holds zero in the value keys of the other ranks:
-// the rank key has told such rows apart before those are read.
-func (e *Exec) appendItemKeys(keys []sortKey, v *ItemVec, flip uint64) []sortKey {
+// number (floatKey) — but integers exactly, as int64, unless inexact
+// (inexactInts) — booleans false first, strings as strings, and nodes by
+// container, then docOrderKeys (an attribute after its owner element). A
+// row holds zero in the value keys of the other ranks: the rank key has
+// told such rows apart before those are read.
+func (e *Exec) appendItemKeys(keys []sortKey, v *ItemVec, inexact func(i int) bool, flip uint64) []sortKey {
 	n := v.Len()
 	if tag, uniform := v.Uniform(); uniform && tag == xqt.KInt { // iter, pos and rank columns
 		u := dirty[uint64](e, scratchRegion, n)
@@ -77,15 +104,14 @@ func (e *Exec) appendItemKeys(keys []sortKey, v *ItemVec, flip uint64) []sortKey
 		keys = append(keys, sortKey{u: u})
 	}
 	if ranks&(1<<xqt.RankNumeric|1<<xqt.RankBool) != 0 {
-		exact := !v.has(xqt.KDouble)
 		u := dirty[uint64](e, scratchRegion, n)
 		for i := range u {
 			switch v.KindAt(i) {
 			case xqt.KInt:
-				if exact {
-					u[i] = intKey(v.I[i]) ^ flip
-				} else {
+				if inexact(i) {
 					u[i] = floatKey(float64(v.I[i])) ^ flip
+				} else {
+					u[i] = intKey(v.I[i]) ^ flip
 				}
 			case xqt.KDouble:
 				u[i] = floatKey(v.F[i]) ^ flip
@@ -128,23 +154,24 @@ func floatKey(f float64) uint64 {
 	}
 }
 
-// rowCol is a column compareRows reads: exact when no row is an
-// xs:double, so its integers compare as int64, as its sort keys do.
+// rowCol is a column compareRows reads, with the rows whose integers
+// compare as xs:double (inexactInts): the others compare as int64, as
+// their sort keys do.
 type rowCol struct {
-	v     *ItemVec
-	exact bool
+	v       *ItemVec
+	inexact func(i int) bool
 }
 
 // compareRows compares rows i and j on the given columns, ascending, one
-// boxed comparison per column, by xqt.SortLess but for the integers of
-// an exact column; an element and an attribute, whose order needs the
-// owner a table does not carry, are out of order (1) both ways.
+// boxed comparison per column, by xqt.SortLess but for exact integers;
+// an element and an attribute, whose order needs the owner a table does
+// not carry, are out of order (1) both ways.
 func compareRows(by []rowCol, i, j int) int {
 	for _, c := range by {
 		switch a, b := c.v.At(i), c.v.At(j); {
 		case a.K == xqt.KNode && b.K == xqt.KAttr || a.K == xqt.KAttr && b.K == xqt.KNode:
 			return 1
-		case c.exact && a.K == xqt.KInt && b.K == xqt.KInt:
+		case a.K == xqt.KInt && b.K == xqt.KInt && !c.inexact(i):
 			if r := cmp.Compare(a.I, b.I); r != 0 {
 				return r
 			}
@@ -210,7 +237,7 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 	var keys []sortKey
 	if refinePrefix > 0 {
 		// the ordinal of each row's equal-prefix run leads the keys
-		pre := e.sortKeys(t, by[:refinePrefix], nil)
+		pre := e.sortKeys(t, by[:refinePrefix], nil, 0)
 		run := zeroed[uint64](e, scratchRegion, n)
 		for i, start := 1, 0; i < n; i++ {
 			run[i] = run[i-1]
@@ -220,12 +247,19 @@ func (e *Exec) SortIdx(t *Table, by []string, desc []bool, refinePrefix int) []i
 			}
 		}
 		keys = append(keys, sortKey{u: run})
-		desc = desc[min(refinePrefix, len(desc)):]
 	}
-	keys = append(keys, e.sortKeys(t, by[refinePrefix:], desc)...)
+	keys = append(keys, e.sortKeys(t, by, desc, refinePrefix)...)
 	if keysSorted(keys, n) {
 		return nil
 	}
+	return e.sortPerm(keys, n)
+}
+
+// sortPerm is the sort kernel: the stable permutation that orders n rows
+// by keys, in scratch memory — radix over uint64 keys, a comparison sort
+// for string keys or small inputs — or nil when a radix pass observes a
+// cancelled or over-budget execution.
+func (e *Exec) sortPerm(keys []sortKey, n int) []int32 {
 	idx := identity(e, n)
 	if n < radixMin || slices.ContainsFunc(keys, func(k sortKey) bool { return k.u == nil }) {
 		slices.SortFunc(idx, func(a, b int32) int {
@@ -340,8 +374,8 @@ func (e *Exec) radixSort(u []uint64, idx, tmp []int32) ([]int32, []int32) {
 }
 
 // CompareRowsOn compares rows i and j of t on the named columns,
-// ascending, with the boxed comparator (xqt.SortLess, integers exact in
-// a column without an xs:double).
+// ascending, with the boxed comparator (xqt.SortLess, integers exact
+// where their partition of the leading key holds no xs:double).
 // Planck's literal-claim verification and optcheck's input synthesis
 // share it. It agrees with the executor's keys on every column it
 // orders; an element and an attribute compare as out of order.
@@ -362,9 +396,8 @@ func IsSortedBy(t *Table, by []string) bool {
 
 func colsOf(t *Table, names []string) []rowCol {
 	cols := make([]rowCol, len(names))
-	for i, n := range names {
-		v := t.Col(n)
-		cols[i] = rowCol{v, !v.has(xqt.KDouble)}
+	for k, name := range names {
+		cols[k] = rowCol{t.Col(name), inexactInts(nil, t, names, k)}
 	}
 	return cols
 }

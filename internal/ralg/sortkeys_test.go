@@ -73,15 +73,34 @@ func (w *sortWorld) less(a, b xqt.Item) bool {
 	return a.Cont < b.Cont || a.Cont == b.Cont && (pa[0] < pb[0] || pa[0] == pb[0] && pa[1] < pb[1])
 }
 
+// refInexact is the reference partition rule over boxed items: the
+// integers of row i of column by[k] compare as xs:double when a row of
+// its partition is an xs:double. A partition is one value of the leading
+// column by[0] when every row of that column is an xs:integer; otherwise,
+// and for by[0] itself, the whole column is one.
+func refInexact(t *Table, by []string, k int) func(i int) bool {
+	part := func(int) xqt.Item { return xqt.Item{} }
+	if lead := t.Col(by[0]).Slice(); k > 0 && !slices.ContainsFunc(lead, func(it xqt.Item) bool { return it.K != xqt.KInt }) {
+		part = func(i int) xqt.Item { return lead[i] }
+	}
+	withDouble := map[xqt.Item]bool{}
+	for i, it := range t.Col(by[k]).Slice() {
+		if it.K == xqt.KDouble {
+			withDouble[part(i)] = true
+		}
+	}
+	return func(i int) bool { return withDouble[part(i)] }
+}
+
 // refCompareRows is the reference comparator: one boxed xqt.Item per
-// comparison, items ordered by less, but integers by value in a column
-// without an xs:double (exact).
+// comparison, items ordered by less, but integers by value where their
+// partition holds no xs:double (refInexact).
 func refCompareRows(by []rowCol, desc []bool, i, j int32, less func(a, b xqt.Item) bool) int {
 	for k, c := range by {
 		var r int
 		a, b := c.v.At(int(i)), c.v.At(int(j))
 		switch {
-		case c.exact && a.K == xqt.KInt && b.K == xqt.KInt:
+		case a.K == xqt.KInt && b.K == xqt.KInt && !c.inexact(int(i)):
 			r = cmp.Compare(a.I, b.I)
 		case less(a, b):
 			r = -1
@@ -104,8 +123,7 @@ func refCompareRows(by []rowCol, desc []bool, i, j int32, less func(a, b xqt.Ite
 func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int, less func(a, b xqt.Item) bool) []int32 {
 	cols := make([]rowCol, len(by))
 	for k, name := range by {
-		v := t.Col(name)
-		cols[k] = rowCol{v, !slices.ContainsFunc(v.Slice(), func(it xqt.Item) bool { return it.K == xqt.KDouble })}
+		cols[k] = rowCol{t.Col(name), refInexact(t, by, k)}
 	}
 	idx := identity(nil, t.N)
 	if refinePrefix >= len(by) {
@@ -228,6 +246,21 @@ var sortColumns = []struct {
 	}},
 }
 
+// partitionedCols is a leading iteration column and a column that holds
+// doubles next to integers in its odd iterations and only integers around
+// 2^53 in its even ones, whose integers must stay exact.
+func partitionedCols(rng *rand.Rand, n int) (iter, val ItemVec) {
+	near := []int64{1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53) - 1, 7}
+	iters, items := make([]int64, n), make([]xqt.Item, n)
+	for i := range items {
+		iters[i], items[i] = int64(rng.Intn(4)), xqt.Int(near[rng.Intn(len(near))])
+		if iters[i]%2 == 1 && rng.Intn(2) == 0 {
+			items[i] = xqt.Double([]float64{1 << 53, 0.5, 7}[rng.Intn(3)])
+		}
+	}
+	return uniformIntCol(iters), NewItemVec(items)
+}
+
 func itemCol(n int, gen func() xqt.Item) ItemVec {
 	items := make([]xqt.Item, n)
 	for i := range items {
@@ -250,9 +283,15 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 		if n == 10000 && trial > 120 {
 			n = 1000
 		}
-		ncols := 1 + rng.Intn(4)
 		tab := &Table{}
 		var by []string
+		ncols := 1 + rng.Intn(4)
+		if trial%3 == 0 { // an iteration column leads a column whose iterations differ
+			iter, val := partitionedCols(rng, n)
+			tab.AddCol("iter", iter)
+			tab.AddCol("part", val)
+			by, ncols = append(by, "iter", "part"), rng.Intn(3)
+		}
 		nan := false
 		for k := 0; k < ncols; k++ {
 			f := sortColumns[rng.Intn(len(sortColumns))]
@@ -264,7 +303,7 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 		tab.N = n
 		var desc []bool
 		if rng.Intn(2) == 0 {
-			desc = make([]bool, ncols)
+			desc = make([]bool, len(by))
 			for k := range desc {
 				desc[k] = rng.Intn(2) == 0
 			}
@@ -272,7 +311,7 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 		refine := 0
 		if rng.Intn(3) == 0 {
 			// a refine sort's input is ascending on the prefix
-			refine = 1 + rng.Intn(ncols)
+			refine = 1 + rng.Intn(len(by))
 			tab = tab.Gather(refSortIdx(tab, by[:refine], nil, 0, w.less))
 		}
 		arrangement := rng.Intn(4)
@@ -304,6 +343,81 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 			t.Fatalf("%s: execSort returned same table = %v, kernel nil = %v", label, out == tab, got == nil)
 		} else if got != nil && !nan && !TablesEqual(out, tab.Gather(want)) { // TablesEqual has NaN != NaN
 			t.Fatalf("%s: execSort output differs", label)
+		}
+	}
+}
+
+// refSame is fn:distinct-values' equality per pair: xqt.Compare's eq
+// between values of one sort rank (a number is distinct from a string,
+// an untyped value or a boolean), NaN equal to NaN, and a node equal only
+// to itself.
+func refSame(a, b xqt.Item) bool {
+	switch {
+	case a.IsNode() || b.IsNode():
+		return a == b
+	case xqt.KindRank(a.K) != xqt.KindRank(b.K):
+		return false
+	case a.IsNumeric() && math.IsNaN(a.AsDouble()):
+		return math.IsNaN(b.AsDouble())
+	}
+	return xqt.Compare(a, b, xqt.CmpEq)
+}
+
+// TestDistinctMatchesCompareEq: δ on [iter, item] keeps, in input order,
+// each row no earlier kept row of its iteration equals by refSame — over
+// sorted and shuffled inputs of iterations that hold integers around 2^53
+// and no double, -0 and +0, NaN of two bit patterns, strings next to
+// untyped values, booleans, elements and attributes. The iterations with
+// a double hold only integers a double represents, so eq is transitive
+// in each.
+func TestDistinctMatchesCompareEq(t *testing.T) {
+	w := newSortWorld(t)
+	zero := 0.0
+	nums := []xqt.Item{xqt.Double(0), xqt.Double(math.Copysign(0, -1)), xqt.Double(zero / zero), xqt.Double(math.NaN()),
+		xqt.Double(1), xqt.Double(0.5), xqt.Int(0), xqt.Int(1), xqt.Int(7)}
+	strs := []xqt.Item{xqt.Str("a"), xqt.Untyped("a"), xqt.Untyped("b"), xqt.Str("")}
+	others := []xqt.Item{xqt.Bool(true), xqt.Bool(false), w.nodes[1], w.nodes[2], w.nodes[9], w.attrs[0], w.attrs[1], w.attrs[7]}
+	pools := [][]xqt.Item{
+		{xqt.Int(1 << 53), xqt.Int(1<<53 + 1), xqt.Int(1<<53 + 2), xqt.Int(-(1 << 53) - 1), xqt.Int(7)},
+		nums, others, append(slices.Clone(nums), others...),
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 200 {
+		n := []int{0, 1, 2, 5, radixMin - 1, radixMin, 100, 1000}[trial%8]
+		iters, items, rows := make([]int64, n), make([]xqt.Item, n), make([]int64, n)
+		for i := range items {
+			iters[i], rows[i] = int64(rng.Intn(len(pools))), int64(i)
+			pool := pools[iters[i]]
+			if trial%2 == 0 { // strings in every iteration: the keys hold a string column
+				pool = append(slices.Clone(pool), strs...)
+			}
+			items[i] = pool[rng.Intn(len(pool))]
+		}
+		tab := &Table{N: n}
+		tab.AddCol("iter", uniformIntCol(iters))
+		tab.AddCol("item", NewItemVec(items))
+		tab.AddCol("row", uniformIntCol(rows))
+		sorted := trial%4 < 2
+		if sorted {
+			tab = tab.Gather(refSortIdx(tab, []string{"iter", "item"}, nil, 0, w.less))
+		} else {
+			perm := identity(nil, n)
+			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			tab = tab.Gather(perm)
+		}
+		var want []int64
+		var kept []int
+		for i := range n {
+			if !slices.ContainsFunc(kept, func(j int) bool {
+				return tab.Ints("iter")[j] == tab.Ints("iter")[i] && refSame(tab.Col("item").At(j), tab.Col("item").At(i))
+			}) {
+				kept, want = append(kept, i), append(want, tab.Ints("row")[i])
+			}
+		}
+		e := &Exec{Pool: w.pool}
+		out := e.execDistinct(&Distinct{By: []string{"iter", "item"}}, tab)
+		if got := out.Ints("row"); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, sorted %v): kept rows %v, want %v", trial, n, sorted, got, want)
 		}
 	}
 }
@@ -453,8 +567,15 @@ func TestExistJoinPromotionMatchesCompare(t *testing.T) {
 		},
 		"bool":  func(rng *rand.Rand) xqt.Item { return xqt.Bool(rng.Intn(2) == 0) },
 		"int53": func(rng *rand.Rand) xqt.Item { return xqt.Int(past253[rng.Intn(len(past253))]) },
+		// integers past 2^53 next to doubles: an integer pair still compares exactly
+		"int53double": func(rng *rand.Rand) xqt.Item {
+			if rng.Intn(3) == 0 {
+				return xqt.Double([]float64{0.5, 1 << 53, 1<<53 + 2, math.NaN()}[rng.Intn(4)])
+			}
+			return xqt.Int(past253[rng.Intn(len(past253))])
+		},
 	}
-	names := []string{"untyped", "string", "int", "double", "bool", "int53", "mixed"}
+	names := []string{"untyped", "string", "int", "double", "bool", "int53", "int53double", "mixed"}
 	flavours["mixed"] = func(rng *rand.Rand) xqt.Item { return flavours[names[rng.Intn(5)]](rng) }
 	rng := rand.New(rand.NewSource(3))
 	mk := func(n int, gen func(*rand.Rand) xqt.Item) *Table {

@@ -299,6 +299,21 @@ var specCases = []struct {
 	{"join-gt-past-2-53", `for $x in (9007199254740992, 5) for $y in (9007199254740993, 1) where $y > $x return $y`, "9007199254740993 9007199254740993"},
 	{"join-gt-past-2-53-count", `count(for $x in (9007199254740992, 5) for $y in (9007199254740993, 1) where $y > $x return $y)`, "2"},
 	{"join-eq-past-2-53", `for $x in (9007199254740992, 5) for $y in (9007199254740993, 9007199254740992) where $y = $x return $y`, "9007199254740992"},
+	// integers stay exact per iteration: another iteration's double
+	// does not make them compare as xs:double
+	{"distinct-values-past-2-53-loop", `for $a in (1, 2) return count(distinct-values(if ($a = 1) then (9007199254740993, 9007199254740992) else 0.5))`, "2 1"},
+	{"order-by-past-2-53-loop", `for $a in (1, 2) return (for $x in (if ($a = 1) then (9007199254740993, 9007199254740992) else (0.25, 0.5)) order by $x return $x)[1]`, "9007199254740992 0.25"},
+	// fn:distinct-values (F&O 15.1.6): every NaN is one value, -0 and +0
+	// are one value, and the first occurrence is kept
+	{"distinct-values-nan", `count(distinct-values((0 div 0e0, number("x"))))`, "1"},
+	{"distinct-values-signed-zero", `count(distinct-values((0e0, -0e0)))`, "1"},
+	{"distinct-values-signed-zero-first", `distinct-values((0e0, -0e0))`, "0"},
+	{"distinct-values-zeros-int-double", `count(distinct-values((1, -0e0, 0e0, 0)))`, "2"},
+	// a join over a column that mixes xs:integer and xs:double compares
+	// an integer pair exactly
+	{"join-eq-past-2-53-mixed", `for $x in (0.5, 9007199254740993) for $y in (9007199254740992, 7) where $x = $y return $x`, ""},
+	{"join-gt-past-2-53-mixed", `for $x in (0.5, 9007199254740993) for $y in (9007199254740992, 7) where $x > $y return $x`, "9007199254740993 9007199254740993"},
+	{"join-eq-past-2-53-mixed-count", `count(for $x in (0.5, 9007199254740993) for $y in (9007199254740992, 7) where $x = $y return $x)`, "0"},
 	// an untyped row that is not a number satisfies no numeric
 	// comparison, per iteration too, beside numeric rows that do
 	{"general-gt-nan-item-loop", `for $r in doc("p2.xml")/r return ($r/p > 9, $r/p > 10)`, "true false"},
