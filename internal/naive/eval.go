@@ -1,6 +1,7 @@
 package naive
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -518,11 +519,14 @@ func (in *Interp) evalBinary(b *xqp.Binary, env *scope) ([]Val, error) {
 		if len(l) == 0 || len(r) == 0 {
 			return nil, nil
 		}
-		lo := l[0].Atomize()
-		hi := r[0].Atomize()
+		lo, err := xqt.IntegerArg(l[0].Atomize())
+		hi, err2 := xqt.IntegerArg(r[0].Atomize())
+		if err = cmp.Or(err, err2); err != nil || hi < lo {
+			return nil, err
+		}
 		var out []Val
-		for v := lo.I; v <= hi.I; v++ {
-			out = append(out, atomVal(xqt.Int(v)))
+		for k := uint64(0); k <= uint64(hi-lo); k++ { // hi-lo+1 may not fit
+			out = append(out, atomVal(xqt.Int(lo+int64(k))))
 		}
 		return out, nil
 	case xqp.OpUnion:

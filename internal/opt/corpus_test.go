@@ -86,7 +86,7 @@ func identityRecord(p ralg.Plan) string {
 		}
 		slices.Sort(ords)
 		slices.Sort(grps)
-		fmt.Fprintf(&b, "%d %s d%v k%v c%v o%q g%q\n", i, n.Name(), pr.DenseCols(), pr.KeyCols(), pr.ConstCols(), ords, grps)
+		fmt.Fprintf(&b, "%d %s k%v c%v o%q g%q\n", i, n.Name(), pr.KeyCols(), pr.ConstCols(), ords, grps)
 		i++
 	})
 	return b.String()
@@ -132,7 +132,10 @@ func identityDigest() string {
 // same-loop general comparison always pairs its sides on iter: 57;
 // Distinct's merge flag and its " merge" label deleted: 627, and the
 // previous plans rendered without the label give the new digest on all
-// 1 245).
+// 1 245; the dense property and the join's positional flags deleted, so
+// the record loses its d[…] field and the plans their dense{…}, " pos"
+// and " posleft" labels: all 1 245, and the previous plans rendered
+// without them give the new digest on all 1 245).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")
@@ -224,7 +227,7 @@ func BenchmarkOptimizeCorpus(b *testing.B) {
 	}
 }
 
-// widePlan projects a 3-row table of 100 columns (even ones dense, odd
+// widePlan projects a 3-row table of 100 columns (even ones sorted, odd
 // ones unsorted) through two renaming Projects — 300 column names, far
 // past one bitset word and the one-byte ids — then sorts by an odd
 // column and numbers the rows.
@@ -263,7 +266,9 @@ func widePlan() (root ralg.Plan, last *ralg.Project) {
 // planck, the claims on high column ids must be there, and the plan's
 // identity record must be the one the map-based inference produced
 // (re-pinned when planck's schema printed tags for column kinds: the
-// record differs by the words "int" → "integer" only).
+// record differs by the words "int" → "integer" only; and when the dense
+// property went: the record differs by its d[…] fields and dense{…}
+// labels only).
 func TestWidePlanProps(t *testing.T) {
 	root, proj := widePlan()
 	root = opt.Optimize(root)
@@ -272,17 +277,17 @@ func TestWidePlanProps(t *testing.T) {
 	}
 	props := opt.InferProps(root)
 	pp := props[proj]
-	if !pp.Dense("e98") || !pp.Key("e98") || pp.Dense("e97") || !pp.Covers([]string{"e98", "e97"}) || pp.Covers([]string{"e97"}) {
-		t.Errorf("projected props: dense %v key %v ords %v", pp.DenseCols(), pp.KeyCols(), pp.Ords())
+	if !pp.Key("e98") || pp.Key("e97") || !pp.Covers([]string{"e98", "e97"}) || pp.Covers([]string{"e97"}) {
+		t.Errorf("projected props: key %v ords %v", pp.KeyCols(), pp.Ords())
 	}
-	if len(pp.DenseCols()) != 50 || len(pp.ConstCols()) != 0 {
-		t.Errorf("%d dense, %d const columns, want 50 and 0", len(pp.DenseCols()), len(pp.ConstCols()))
+	if len(pp.KeyCols()) != 50 || len(pp.ConstCols()) != 0 {
+		t.Errorf("%d key, %d const columns, want 50 and 0", len(pp.KeyCols()), len(pp.ConstCols()))
 	}
-	if rp := props[root]; !rp.Dense("r") || !rp.Covers([]string{"e99", "e0"}) || rp.Dense("e98") {
-		t.Errorf("numbered props: dense %v ords %v", rp.DenseCols(), rp.Ords())
+	if rp := props[root]; !rp.Key("r") || !rp.Covers([]string{"r"}) || !rp.Covers([]string{"e99", "e0"}) || rp.Covers([]string{"e98"}) {
+		t.Errorf("numbered props: key %v ords %v", rp.KeyCols(), rp.Ords())
 	}
 	root, _ = widePlan()
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(identityRecord(root)))); got[:16] != "9387ac68f9b11531" {
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(identityRecord(root)))); got[:16] != "71381937a0b11147" {
 		t.Errorf("wide plan identity %s", got[:16])
 	}
 }

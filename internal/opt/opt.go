@@ -2,7 +2,6 @@
 // pass over the physical plan DAG, visiting each operator once, maintains
 // the column properties
 //
-//	dense(c)        c is the sequence 1,2,3,…
 //	key(c)          c is duplicate-free
 //	const(c)        c has one constant value
 //	ord([c…])       tuples are lexicographically ordered on [c…]
@@ -16,11 +15,11 @@
 //   - turn full sorts into refine sorts (prefix already sorted) or into
 //     stable one-column sorts (grpord),
 //   - run ρ (DENSE_RANK) as a streaming hash-based numbering instead of a
-//     sorting implementation (the grpord case called out in the paper), and
-//   - select positional joins on dense autoincrement key columns.
+//     sorting implementation (the grpord case called out in the paper).
 //
-// Duplicate elimination has no variant to pick: ralg's Distinct finds a
-// sorted input at run time, as its sorts do.
+// Duplicate elimination and the equi-join have no variant to pick: ralg's
+// Distinct finds a sorted input at run time, as its sorts do, and its
+// join finds a key run b, b+1, … to look rows up positionally.
 package opt
 
 import (
@@ -129,7 +128,7 @@ func (o *optimizer) alloc(p props) *props {
 // derive copies in with its lists clipped, so that adding to them
 // copies them instead of writing into in's.
 func (o *optimizer) derive(in *props) *props {
-	return o.alloc(props{slices.Clip(in.ords), slices.Clip(in.grps), in.dense, in.key, in.cnst})
+	return o.alloc(props{slices.Clip(in.ords), slices.Clip(in.grps), in.key, in.cnst})
 }
 
 // add returns the set s with x added, carving a larger copy from *slab
@@ -200,23 +199,6 @@ func (o *optimizer) rewriteNode(p ralg.Plan, ins []*props) ralg.Plan {
 			n.Mode = ralg.RankSort
 		}
 		return n
-	case *ralg.HashJoin:
-		lp, rp := ins[0], ins[1]
-		lk, rk := o.id(n.LKey), o.id(n.RKey)
-		switch {
-		case rp.dense.has(rk):
-			before, c := o.snap(n)
-			n.Pos = true
-			o.fired(RuleJoinPosRight, before, c, n)
-		case lp.dense.has(lk) && lp.key.has(lk) && rp.covers(o.ord(n.RKey)):
-			// positional probe into the dense left key: equivalent to
-			// the left-major hash join because left keys are unique and
-			// the right input is key-sorted
-			before, c := o.snap(n)
-			n.PosLeft = true
-			o.fired(RuleJoinPosLeft, before, c, n)
-		}
-		return n
 	}
 	return p
 }
@@ -227,7 +209,7 @@ func (o *optimizer) rewriteNode(p ralg.Plan, ins []*props) ralg.Plan {
 // struct and shares the rest.
 func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 	switch n := p.(type) {
-	case *ralg.Fun, *ralg.CardCheck:
+	case *ralg.Fun, *ralg.CardCheck, *ralg.Select, *ralg.Diff, *ralg.Distinct:
 		return o.expand(ins[0], true)
 	case *ralg.CoverCheck:
 		return o.expand(ins[1], true)
@@ -237,14 +219,6 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 			return o.expand(ins[0], true)
 		}
 		return none
-	case *ralg.Select, *ralg.Diff, *ralg.Distinct:
-		// gaps (and, for Distinct, dropped duplicates) break denseness
-		if ins[0].dense == (colSet{}) {
-			return o.expand(ins[0], true)
-		}
-		pr := o.derive(ins[0])
-		pr.dense = colSet{}
-		return o.expand(pr, false)
 	case *ralg.Attach:
 		pr := o.derive(ins[0])
 		pr.cnst = o.with(pr.cnst, n.Col)
@@ -253,7 +227,6 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		pr := o.derive(ins[0])
 		switch {
 		case n.Mode == ralg.RankSeq && n.Part == "":
-			pr.dense = o.with(pr.dense, n.Out)
 			pr.key = o.with(pr.key, n.Out)
 			o.addOrd(pr, o.ord(n.Out))
 		case n.Mode == ralg.RankSeq:
@@ -280,7 +253,7 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		for _, g := range n.Grps {
 			o.addGrp(pr, grpOrd{o.ord(g.Cols...), o.id(g.Group)})
 		}
-		pr.dense, pr.key, pr.cnst = o.with(pr.dense, n.Dense...), o.with(pr.key, n.Key...), o.with(pr.cnst, n.Const...)
+		pr.key, pr.cnst = o.with(pr.key, n.Key...), o.with(pr.cnst, n.Const...)
 	case *ralg.DocRoot:
 		pr.key, pr.cnst = o.with(pr.key, "pos"), o.with(pr.cnst, "pos", "item")
 		o.addOrd(pr, o.ord("pos"))
@@ -291,14 +264,14 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 		pr.key, pr.cnst = o.with(pr.key, "pos", "item"), o.with(pr.cnst, "pos")
 		o.addOrd(pr, o.ord("pos"))
 	case *ralg.ParamTable:
-		// pos is the dense 1..N position of the bound sequence; items are
+		// pos is the position 1..N in the bound sequence; items are
 		// arbitrary (bindings may repeat values)
-		pr.key, pr.dense = o.with(pr.key, "pos"), o.with(pr.dense, "pos")
+		pr.key = o.with(pr.key, "pos")
 		o.addOrd(pr, o.ord("pos"))
 	case *ralg.CollectionRoot:
-		// pos is the dense 1..N document ordinal; items are the distinct
+		// pos is the document ordinal 1..N; items are the distinct
 		// document roots in (container, pre) — i.e. sorted — order
-		pr.key, pr.dense = o.with(pr.key, "pos", "item"), o.with(pr.dense, "pos")
+		pr.key = o.with(pr.key, "pos", "item")
 		o.addOrd(pr, o.ord("pos"))
 		o.addOrd(pr, o.ord("item"))
 	case *ralg.Project:
@@ -315,7 +288,7 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 				}
 			}
 		}
-		pr.dense, pr.key, pr.cnst = carry(pr.dense, in.dense, m), carry(pr.key, in.key, m), carry(pr.cnst, in.cnst, m)
+		pr.key, pr.cnst = carry(pr.key, in.key, m), carry(pr.cnst, in.cnst, m)
 	case *ralg.EBV:
 		// one row per true group, groups in input order
 		if part := o.ord(n.Part); ins[0].covers(part) {
@@ -325,13 +298,6 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 	case *ralg.Sort:
 		in := ins[0]
 		pr.key, pr.cnst = in.key, in.cnst
-		// a stable sort whose primary key is already the dense row
-		// sequence is the identity permutation, so density survives; any
-		// other sort may reorder rows, which breaks the in-row-order
-		// property even though the column values are unchanged
-		if len(n.By) > 0 && (len(n.Desc) == 0 || !n.Desc[0]) && in.dense.has(o.id(n.By[0])) {
-			pr.dense = in.dense
-		}
 		if n.Desc == nil {
 			o.addOrd(pr, o.ord(n.By...))
 		}
@@ -374,10 +340,7 @@ func (o *optimizer) infer(p ralg.Plan, ins []*props) *props {
 			}
 			o.addOrd(pr, mapped)
 		}
-		// key columns survive on the side whose partner key is unique;
-		// dense columns survive only when no rows drop or duplicate,
-		// which we cannot prove here — except the common map-composition
-		// case where the right key is unique and covers the left keys
+		// key columns survive on the side whose partner key is unique
 		if rp.key.has(rk) {
 			pr.key = carry(pr.key, lp.key, lm)
 		}
@@ -585,11 +548,10 @@ func (o *optimizer) litProps(t *ralg.Table, pr *props) {
 		if tag, uniform := c.Uniform(); !uniform || tag != xqt.KInt {
 			continue
 		}
-		sorted, uniq, dense := true, true, true
+		sorted, uniq := true, true
 		for i, v := range c.I {
 			sorted = sorted && (i == 0 || v >= c.I[i-1])
 			uniq = uniq && (i == 0 || v != c.I[i-1])
-			dense = dense && v == int64(i)+1
 		}
 		id := o.id(name)
 		if sorted {
@@ -597,9 +559,6 @@ func (o *optimizer) litProps(t *ralg.Table, pr *props) {
 		}
 		if sorted && uniq {
 			pr.key = pr.key.with(id)
-		}
-		if dense {
-			pr.dense = pr.dense.with(id)
 		}
 		if t.N <= 1 {
 			pr.cnst = pr.cnst.with(id)

@@ -29,12 +29,12 @@ func litPropsOf(tab *ralg.Table) Props {
 
 func TestLitProps(t *testing.T) {
 	pr := litPropsOf(litTable(1, 2, 3))
-	if !pr.Dense("iter") || !pr.Key("iter") || !pr.Covers([]string{"iter"}) {
-		t.Errorf("dense lit: %v %v %v", pr.DenseCols(), pr.KeyCols(), pr.Ords())
+	if !pr.Key("iter") || !pr.Covers([]string{"iter"}) {
+		t.Errorf("unique sorted lit: %v %v", pr.KeyCols(), pr.Ords())
 	}
 	pr = litPropsOf(litTable(1, 1, 3))
-	if pr.Dense("iter") || pr.Key("iter") {
-		t.Error("non-dense lit misclassified")
+	if pr.Key("iter") {
+		t.Error("lit with a repeated value claimed a key")
 	}
 	if !pr.Covers([]string{"iter"}) {
 		t.Error("sorted lit not covered")
@@ -102,26 +102,6 @@ func TestRowNumModeSelection(t *testing.T) {
 	Optimize(rn2)
 	if rn2.Mode != ralg.RankSort {
 		t.Errorf("descending RowNum: mode %d, want RankSort", rn2.Mode)
-	}
-}
-
-func TestPositionalJoinModes(t *testing.T) {
-	dense := &ralg.Lit{Tab: litTable(1, 2, 3)}
-	other := func() *ralg.Lit {
-		tab := ralg.NewTable([]string{"k"}, []xqt.Kind{xqt.KInt})
-		tab.N = 3
-		*tab.Col("k") = ralg.BindInts(2, 2, 3)
-		return &ralg.Lit{Tab: tab}
-	}
-	j := ralg.NewHashJoin(other(), dense, "k", "iter", ralg.Refs("k"), ralg.Refs("iter"))
-	Optimize(j)
-	if !j.Pos {
-		t.Error("dense right key must select the positional join")
-	}
-	j2 := ralg.NewHashJoin(dense, other(), "iter", "k", ralg.Refs("iter"), ralg.Refs("k"))
-	Optimize(j2)
-	if !j2.PosLeft {
-		t.Error("dense unique left key with sorted right input must select PosLeft")
 	}
 }
 

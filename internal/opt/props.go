@@ -9,15 +9,15 @@ import (
 
 // props are the inferred column properties of one plan node's output.
 // A column is the small id its name is interned to for the run (cols):
-// dense, key and cnst are bitsets of ids, and an ordering is the string
+// key and cnst are bitsets of ids, and an ordering is the string
 // of its columns' ids, one rune each. ords and grps are sets, kept
 // duplicate-free as entries are added. A props never changes once its
 // node is done, so an operator that passes properties through returns
 // its input's, and one that changes a field copies only the struct.
 type props struct {
-	ords             []string // known lexicographic orderings
-	grps             []grpOrd // known group orderings
-	dense, key, cnst colSet
+	ords      []string // known lexicographic orderings
+	grps      []grpOrd // known group orderings
+	key, cnst colSet
 }
 
 type grpOrd struct {
@@ -184,10 +184,6 @@ type GrpOrd struct {
 	Group string
 }
 
-// Dense reports whether column c is known to be the sequence 1,2,3,…
-// in row order.
-func (pr Props) Dense(c string) bool { return pr.p != nil && pr.p.dense.has(pr.t.ids[c]) }
-
 // Key reports whether column c is known to be duplicate-free.
 func (pr Props) Key(c string) bool { return pr.p != nil && pr.p.key.has(pr.t.ids[c]) }
 
@@ -201,9 +197,6 @@ func (pr Props) Covers(cols []string) bool { return pr.p != nil && pr.p.covers(p
 func (pr Props) GrpCovered(cols []string, g string) bool {
 	return pr.p != nil && pr.p.grpCovered(pr.t.spell(cols), pr.t.ids[g])
 }
-
-// DenseCols returns the dense columns, sorted by name.
-func (pr Props) DenseCols() []string { return pr.names(func(p *props) colSet { return p.dense }) }
 
 // KeyCols returns the key columns, sorted by name.
 func (pr Props) KeyCols() []string { return pr.names(func(p *props) colSet { return p.key }) }
@@ -252,7 +245,7 @@ func (pr Props) Grps() []GrpOrd {
 // InferProps runs the §4.1 property inference over an existing plan DAG
 // without rewriting it, returning the inferred properties per node. It
 // works on optimized and unoptimized plans alike: inference only reads
-// the operators (including any Mode/Pos annotations already set),
+// the operators (including any Mode annotations already set),
 // so on an optimizer output it reproduces exactly the properties the
 // rewrites were justified by.
 func InferProps(root ralg.Plan) map[ralg.Plan]Props {

@@ -43,41 +43,6 @@ func TestDescendingSortNotElided(t *testing.T) {
 	}
 }
 
-// A sort reorders rows, so density (values == row index + 1) of an
-// unrelated column must not survive it.
-func TestSortDropsDensity(t *testing.T) {
-	tab := ralg.NewTable([]string{"a", "b"}, []xqt.Kind{xqt.KInt, xqt.KInt})
-	tab.N = 3
-	*tab.Col("a") = ralg.BindInts(1, 2, 3)    // dense
-	*tab.Col("b") = ralg.BindInts(30, 20, 10) // sort key reverses the rows
-	s := ralg.NewSort(&ralg.Lit{Tab: tab}, "b")
-	props := InferProps(s)
-	if props[s].Dense("a") {
-		t.Error("density of column a claimed across a sort by b")
-	}
-	// the identity case: a stable sort keyed by the dense column itself
-	// cannot reorder anything
-	s2 := ralg.NewSort(&ralg.Lit{Tab: tab}, "a")
-	props = InferProps(s2)
-	if !props[s2].Dense("a") {
-		t.Error("sort by the dense column itself must keep density")
-	}
-}
-
-// Distinct drops duplicate rows, leaving gaps in a dense column.
-func TestDistinctDropsDensity(t *testing.T) {
-	tab := ralg.NewTable([]string{"a", "b"}, []xqt.Kind{xqt.KInt, xqt.KInt})
-	tab.N = 3
-	*tab.Col("a") = ralg.BindInts(1, 2, 3)
-	*tab.Col("b") = ralg.BindInts(7, 7, 8)
-	d := &ralg.Distinct{By: []string{"b"}}
-	d.SetInput(0, &ralg.Lit{Tab: tab})
-	props := InferProps(d)
-	if props[d].Dense("a") {
-		t.Error("density claimed across duplicate elimination")
-	}
-}
-
 // Element construction emits one row per loop row, so its iter column
 // is a key only when the loop's iter column is one.
 func TestElemConstructKeyRequiresLoopKey(t *testing.T) {

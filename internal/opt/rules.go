@@ -30,13 +30,6 @@ const (
 	// RuleRankStream runs ρ as streaming hash-based per-group counters
 	// when grpord(OrderBy, Part) holds (the paper's called-out case).
 	RuleRankStream Rule = "rownum.stream"
-	// RuleJoinPosRight looks join partners up positionally in the right
-	// input via its dense (autoincrement) key column.
-	RuleJoinPosRight Rule = "join.pos-right"
-	// RuleJoinPosLeft probes the left input positionally via its dense
-	// unique key; valid because the right input is sorted on its key, so
-	// left-major output order is preserved.
-	RuleJoinPosLeft Rule = "join.pos-left"
 )
 
 // RuleInfo describes one registered rule for coverage reports and docs.
@@ -60,8 +53,6 @@ func Rules() []RuleInfo {
 		{RuleSortRefinePrefix, "sort", "full sort to refine sort over a sorted prefix"},
 		{RuleRankSeq, "rownum", "rank by sequential numbering of a (part, order)-sorted input"},
 		{RuleRankStream, "rownum", "rank by streaming per-group counters under grpord"},
-		{RuleJoinPosRight, "join", "positional lookup into the dense right key"},
-		{RuleJoinPosLeft, "join", "positional probe of the dense unique left key"},
 	}
 }
 

@@ -194,12 +194,12 @@ func TestCoverageReport(t *testing.T) {
 		t.Errorf("Count(sort.drop-covered) = %d, want 2", got)
 	}
 	rep := cov.Report()
-	if !strings.Contains(rep, "! "+string(opt.RuleJoinPosLeft)) && !strings.Contains(rep, "!") {
+	if !strings.Contains(rep, "! "+string(opt.RuleRankStream)) && !strings.Contains(rep, "!") {
 		t.Errorf("report does not mark unfired rules:\n%s", rep)
 	}
-	unfired := cov.Unfired(map[opt.Rule]string{opt.RuleJoinPosLeft: "exercised elsewhere"})
+	unfired := cov.Unfired(map[opt.Rule]string{opt.RuleRankStream: "exercised elsewhere"})
 	for _, r := range unfired {
-		if r == opt.RuleJoinPosLeft {
+		if r == opt.RuleRankStream {
 			t.Errorf("exempt rule reported unfired")
 		}
 		if r == opt.RuleSortDropCovered || r == opt.RuleRankSeq {

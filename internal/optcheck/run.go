@@ -73,9 +73,6 @@ func (d *domain) repro(step opt.RewriteStep, ins []ralg.Plan, lits []*ralg.LitDe
 // declString renders the declared §4.1 properties of one literal.
 func declString(ld *ralg.LitDecl) string {
 	var parts []string
-	if len(ld.Dense) > 0 {
-		parts = append(parts, "dense{"+strings.Join(ld.Dense, ",")+"}")
-	}
 	if len(ld.Key) > 0 {
 		parts = append(parts, "key{"+strings.Join(ld.Key, ",")+"}")
 	}

@@ -10,10 +10,9 @@ import (
 // the row prefix, then drops individual rows, then drops columns, and
 // repeats until no single reduction keeps the failure alive. Every
 // candidate is re-validated — its declared properties must still hold
-// (planck rejects, say, a dense column with a middle row removed), the
-// pre-rewrite plan must still pass static verification (a column the
-// operator reads cannot be dropped), and the before/after disagreement
-// must persist. Each acceptance strictly reduces rows+columns, so the
+// (planck checks each against the rows), the pre-rewrite plan must
+// still pass static verification (a column the operator reads cannot
+// be dropped), and the before/after disagreement must persist. Each acceptance strictly reduces rows+columns, so the
 // loop terminates.
 func (d *domain) shrink(step opt.RewriteStep, ins []ralg.Plan, lits []*ralg.LitDecl) []*ralg.LitDecl {
 	cur := append([]*ralg.LitDecl(nil), lits...)
@@ -81,7 +80,6 @@ func rowsLit(ld *ralg.LitDecl, idx []int32) *ralg.LitDecl {
 		Tab:   ld.Tab.Gather(idx),
 		Ords:  ld.Ords,
 		Grps:  ld.Grps,
-		Dense: ld.Dense,
 		Key:   ld.Key,
 		Const: ld.Const,
 	}
@@ -98,7 +96,6 @@ func dropColLit(ld *ralg.LitDecl, c string) *ralg.LitDecl {
 	}
 	out := &ralg.LitDecl{
 		Tab:   t,
-		Dense: dropStr(ld.Dense, c),
 		Key:   dropStr(ld.Key, c),
 		Const: dropStr(ld.Const, c),
 	}

@@ -18,13 +18,12 @@ import (
 // synthesizer generates tables satisfying all of them; anything not
 // claimed is left as adversarial as the generator can make it.
 type claims struct {
-	cols  []string
-	info  map[string]planck.ColInfo
-	ords  [][]string
-	grps  []ralg.GrpSpec
-	dense map[string]bool
-	key   map[string]bool
-	cnst  map[string]bool
+	cols []string
+	info map[string]planck.ColInfo
+	ords [][]string
+	grps []ralg.GrpSpec
+	key  map[string]bool
+	cnst map[string]bool
 }
 
 // claimsOf extracts the synthesis contract from planck's per-node
@@ -34,10 +33,9 @@ type claims struct {
 func claimsOf(info planck.Info) *claims {
 	s := info.Schema
 	cl := &claims{
-		info:  map[string]planck.ColInfo{},
-		dense: map[string]bool{},
-		key:   map[string]bool{},
-		cnst:  map[string]bool{},
+		info: map[string]planck.ColInfo{},
+		key:  map[string]bool{},
+		cnst: map[string]bool{},
 	}
 	for _, c := range s.Cols() {
 		cl.cols = append(cl.cols, c)
@@ -69,13 +67,6 @@ func claimsOf(info planck.Info) *claims {
 			cl.grps = append(cl.grps, ralg.GrpSpec{Cols: pfx, Group: g.Group})
 		}
 	}
-	for _, c := range info.Props.DenseCols() {
-		// pos-density only makes sense on integer columns; a dense
-		// claim elsewhere would be an inference bug planck rejects.
-		if s.Has(c) && s.Info(c).Is(xqt.KInt) {
-			cl.dense[c] = true
-		}
-	}
 	for _, c := range info.Props.KeyCols() {
 		if s.Has(c) {
 			cl.key[c] = true
@@ -104,11 +95,10 @@ func colPrefix(cols []string, s *planck.Schema) []string {
 // dropping columns).
 func (cl *claims) clone() *claims {
 	out := &claims{
-		cols:  append([]string(nil), cl.cols...),
-		info:  make(map[string]planck.ColInfo, len(cl.info)),
-		dense: map[string]bool{},
-		key:   map[string]bool{},
-		cnst:  map[string]bool{},
+		cols: append([]string(nil), cl.cols...),
+		info: make(map[string]planck.ColInfo, len(cl.info)),
+		key:  map[string]bool{},
+		cnst: map[string]bool{},
 	}
 	for k, v := range cl.info {
 		out.info[k] = v
@@ -118,9 +108,6 @@ func (cl *claims) clone() *claims {
 	}
 	for _, g := range cl.grps {
 		out.grps = append(out.grps, ralg.GrpSpec{Cols: append([]string(nil), g.Cols...), Group: g.Group})
-	}
-	for c := range cl.dense {
-		out.dense[c] = true
 	}
 	for c := range cl.key {
 		out.key[c] = true
@@ -140,7 +127,7 @@ func (cl *claims) boolish(c string) bool { return cl.info[c].Is(xqt.KBool) }
 func (cl *claims) maxRows(want int) int {
 	n := want
 	for _, c := range cl.cols {
-		if cl.cnst[c] && (cl.key[c] || cl.dense[c]) && n > 1 {
+		if cl.cnst[c] && cl.key[c] && n > 1 {
 			n = 1
 		}
 		if cl.key[c] && cl.boolish(c) && n > 2 {
@@ -223,7 +210,6 @@ func (d *domain) synthInput(cl *claims, rows int, seed int64) *ralg.LitDecl {
 func litFor(cl *claims, tab *ralg.Table) *ralg.LitDecl {
 	ld := &ralg.LitDecl{
 		Tab:   tab,
-		Dense: sortedSet(cl.dense),
 		Key:   sortedSet(cl.key),
 		Const: sortedSet(cl.cnst),
 	}
@@ -273,9 +259,6 @@ func genCodes(cl *claims, n int, rng *rand.Rand, conservative bool) map[string][
 			cs[i] = int64(i + 1)
 		}
 		return cs
-	}
-	for c := range cl.dense {
-		assign(c, iota1())
 	}
 	for c := range cl.cnst {
 		if _, ok := codes[c]; ok {

@@ -71,9 +71,6 @@ func annotation(info Info) string {
 		}
 		b.WriteString("]")
 	}
-	if cols := info.Props.DenseCols(); len(cols) > 0 {
-		fmt.Fprintf(&b, " dense{%s}", strings.Join(cols, ","))
-	}
 	if cols := info.Props.KeyCols(); len(cols) > 0 {
 		fmt.Fprintf(&b, " key{%s}", strings.Join(cols, ","))
 	}
@@ -144,14 +141,7 @@ func opLabel(n ralg.Plan) string {
 		}
 		return fmt.Sprintf("sort(%s%s)", orderList(x.By, x.Desc), refine)
 	case *ralg.HashJoin:
-		mode := ""
-		if x.Pos {
-			mode = " pos"
-		}
-		if x.PosLeft {
-			mode = " posleft"
-		}
-		return fmt.Sprintf("join(%s = %s%s)", x.LKey, x.RKey, mode)
+		return fmt.Sprintf("join(%s = %s)", x.LKey, x.RKey)
 	case *ralg.ExistJoin:
 		mode := ""
 		if x.Count {

@@ -3,21 +3,21 @@
 // names, node-ness and — where statically known — the uniform item tag
 // that types a column: iter and pos columns are xs:integer, a
 // comparison's result xs:boolean) plus a conservative set of the §4.1
-// column properties (pos-density, key-ness, constness), and checks each
-// operator's preconditions against its inferred inputs. A malformed
-// plan — a Select over a missing or non-boolean column, a Step whose
-// input is not provably in (item, iter) order, a positional join
-// without a dense key, a rank operator whose streaming mode its input
-// order cannot justify — is rejected at compile time with a structured
-// *PlanInvariantError naming the offending operator, instead of
-// surfacing as a contained executor panic or, worse, wrong bytes.
+// column properties (key-ness, constness), and checks each operator's
+// preconditions against its inferred inputs. A malformed plan — a
+// Select over a missing or non-boolean column, a Step whose input is
+// not provably in (item, iter) order, a rank operator whose streaming
+// mode its input order cannot justify — is rejected at compile time
+// with a structured *PlanInvariantError naming the offending operator,
+// instead of surfacing as a contained executor panic or, worse, wrong
+// bytes.
 //
 // planck's own property inference is deliberately independent of the
 // optimizer's: internal/opt's inferred properties are cross-checked
 // against planck's maximal sound propagation rules, so an optimizer
-// claim planck cannot reproduce (dense surviving a reorder, a key
-// conjured out of thin air) is itself reported as a plan invariant
-// violation — inference disagreement means one of the two is wrong.
+// claim planck cannot reproduce (a key conjured out of thin air) is
+// itself reported as a plan invariant violation — inference
+// disagreement means one of the two is wrong.
 //
 // The verifier checks structural invariants the compiler guarantees by
 // construction; it never rejects on runtime value semantics (e.g. a
@@ -133,23 +133,21 @@ func (s *Schema) clone() *Schema {
 }
 
 // colProps are planck's independently derived column properties — the
-// maximal sound propagation of dense/key/const facts, used to audit
-// the optimizer's inference.
+// maximal sound propagation of key/const facts, used to audit the
+// optimizer's inference. A node's colProps never change once it is
+// checked, so an operator that keeps its input's properties returns
+// them, and one that adds to them clones them first.
 type colProps struct {
-	dense map[string]bool
-	key   map[string]bool
-	cnst  map[string]bool
+	key  map[string]bool
+	cnst map[string]bool
 }
 
 func newColProps() *colProps {
-	return &colProps{dense: map[string]bool{}, key: map[string]bool{}, cnst: map[string]bool{}}
+	return &colProps{key: map[string]bool{}, cnst: map[string]bool{}}
 }
 
 func (cp *colProps) clone() *colProps {
 	out := newColProps()
-	for c := range cp.dense {
-		out.dense[c] = true
-	}
 	for c := range cp.key {
 		out.key[c] = true
 	}
@@ -165,8 +163,8 @@ type Info struct {
 	Schema *Schema
 	// Props is the optimizer-side property inference for the node.
 	Props opt.Props
-	// Dense, Key, Const are planck's own property claims (sorted).
-	Dense, Key, Const []string
+	// Key and Const are planck's own property claims (sorted).
+	Key, Const []string
 }
 
 // Verify checks every operator of the plan DAG rooted at root. It
@@ -197,7 +195,6 @@ func Analyze(root ralg.Plan, cfg Config) (map[ralg.Plan]Info, error) {
 		infos[n] = Info{
 			Schema: s,
 			Props:  v.oprops[n],
-			Dense:  sortedSet(cp.dense),
 			Key:    sortedSet(cp.key),
 			Const:  sortedSet(cp.cnst),
 		}
@@ -334,22 +331,11 @@ func (v *verifier) visit(n ralg.Plan) {
 
 // crossCheck audits the optimizer's property inference for node n
 // against planck's schema and independently derived properties: a
-// property claimed for a column that does not exist, a dense claim on
-// a non-integer column, or a dense/key/const claim planck's maximal
-// sound propagation cannot reproduce is a bug in one of the two
-// inference engines.
+// property claimed for a column that does not exist, or a key/const
+// claim planck's maximal sound propagation cannot reproduce is a bug in
+// one of the two inference engines.
 func (v *verifier) crossCheck(n ralg.Plan, s *Schema, cp *colProps) {
 	op := v.oprops[n]
-	for _, c := range op.DenseCols() {
-		switch {
-		case !s.Has(c):
-			v.failf(n, "optimizer infers dense(%s) but the column is not in the schema %v", c, s.Cols())
-		case !s.Info(c).Is(xqt.KInt):
-			v.failf(n, "optimizer infers dense(%s) on a non-integer column", c)
-		case !cp.dense[c]:
-			v.failf(n, "optimizer infers dense(%s) but planck's propagation refutes it (inference disagreement)", c)
-		}
-	}
 	for _, c := range op.KeyCols() {
 		switch {
 		case !s.Has(c):
@@ -411,7 +397,6 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		s.add("pos", intInfo)
 		s.add("item", ColInfo{})
 		cp := newColProps()
-		cp.dense["pos"] = true
 		cp.key["pos"] = true
 		return s, cp
 	case *ralg.CollectionRoot:
@@ -422,7 +407,6 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		s.add("pos", intInfo)
 		s.add("item", ColInfo{Node: true, Tag: xqt.KNode, TagKnown: true})
 		cp := newColProps()
-		cp.dense["pos"] = true
 		cp.key["pos"] = true
 		cp.key["item"] = true
 		return s, cp
@@ -438,9 +422,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 	case *ralg.Select:
 		in := v.sch(n, 0)
 		v.need(n, in, "condition", x.Cond, xqt.KBool)
-		cp := v.cprops(n, 0).clone()
-		cp.dense = map[string]bool{} // dropped rows leave gaps
-		return in, cp
+		return in, v.cprops(n, 0)
 	case *ralg.Fun:
 		return v.checkFun(x)
 	case *ralg.RowNum:
@@ -459,9 +441,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		l, r := v.sch(n, 0), v.sch(n, 1)
 		v.need(n, l, "left key", x.LKey, xqt.KInt)
 		v.need(n, r, "right key", x.RKey, xqt.KInt)
-		cp := v.cprops(n, 0).clone()
-		cp.dense = map[string]bool{}
-		return l, cp
+		return l, v.cprops(n, 0)
 	case *ralg.Distinct:
 		in := v.sch(n, 0)
 		if len(x.By) == 0 {
@@ -472,9 +452,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 				v.failf(n, "distinct-by column %q not in input schema %v", c, in.Cols())
 			}
 		}
-		cp := v.cprops(n, 0).clone()
-		cp.dense = map[string]bool{}
-		return in, cp
+		return in, v.cprops(n, 0)
 	case *ralg.Aggr:
 		return v.checkAggr(x)
 	case *ralg.Step:
@@ -498,7 +476,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		if x.Fn == "" {
 			v.failf(n, "empty function name for error reporting")
 		}
-		return in, v.cprops(n, 1).clone()
+		return in, v.cprops(n, 1)
 	case *ralg.EBV:
 		in := v.sch(n, 0)
 		v.need(n, in, "partition", x.Part, xqt.KInt)
@@ -517,7 +495,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		if x.Fn == "" {
 			v.failf(n, "empty function name for error reporting")
 		}
-		return in, v.cprops(n, 0).clone()
+		return in, v.cprops(n, 0)
 	}
 	v.failf(n, "unknown operator %T", n)
 	return nil, nil
@@ -528,7 +506,6 @@ func (v *verifier) rootSchema(node bool, tag xqt.Kind, constItem bool) (*Schema,
 	s.add("pos", intInfo)
 	s.add("item", ColInfo{Node: node, Tag: tag, TagKnown: node})
 	cp := newColProps()
-	cp.dense["pos"] = true
 	cp.key["pos"] = true
 	cp.key["item"] = true
 	cp.cnst["pos"] = true
@@ -567,22 +544,16 @@ func (v *verifier) litSchema(n ralg.Plan, tab *ralg.Table) (*Schema, *colProps) 
 			cp.cnst[name] = true
 		}
 		if ci.Is(xqt.KInt) {
-			uniq, dense := true, true
+			uniq := true
 			seen := make(map[int64]bool, len(c.I))
-			for i, val := range c.I {
+			for _, val := range c.I {
 				if seen[val] {
 					uniq = false
 				}
 				seen[val] = true
-				if val != int64(i)+1 {
-					dense = false
-				}
 			}
 			if uniq {
 				cp.key[name] = true
-			}
-			if dense {
-				cp.dense[name] = true
 			}
 		}
 	}
@@ -608,27 +579,6 @@ func (v *verifier) checkLitDecl(x *ralg.LitDecl) (*Schema, *colProps) {
 			return false
 		}
 		return true
-	}
-	for _, c := range x.Dense {
-		if !has("dense", c) {
-			continue
-		}
-		col := t.Col(c)
-		if !s.Info(c).Is(xqt.KInt) {
-			v.failf(x, "declared dense(%s) on a non-integer column", c)
-			continue
-		}
-		ok := true
-		for i, val := range col.I {
-			if val != int64(i)+1 {
-				v.failf(x, "declared dense(%s) but row %d holds %d", c, i, val)
-				ok = false
-				break
-			}
-		}
-		if ok {
-			cp.dense[c] = true
-		}
 	}
 	for _, c := range x.Key {
 		if !has("key", c) {
@@ -727,9 +677,6 @@ func (v *verifier) checkProject(x *ralg.Project) (*Schema, *colProps) {
 	icp := v.cprops(x, 0)
 	cp := newColProps()
 	for _, ref := range x.Cols {
-		if icp.dense[ref.Src] {
-			cp.dense[ref.Dst] = true
-		}
 		if icp.key[ref.Src] {
 			cp.key[ref.Dst] = true
 		}
@@ -819,7 +766,7 @@ func (v *verifier) checkFun(x *ralg.Fun) (*Schema, *colProps) {
 	if !s.add(x.Out, ColInfo{Tag: spec.tag, TagKnown: spec.known}) {
 		v.failf(x, "output column %q already exists in %v", x.Out, in.Cols())
 	}
-	return s, v.cprops(x, 0).clone()
+	return s, v.cprops(x, 0)
 }
 
 func (v *verifier) checkRowNum(x *ralg.RowNum) (*Schema, *colProps) {
@@ -869,13 +816,11 @@ func (v *verifier) checkRowNum(x *ralg.RowNum) (*Schema, *colProps) {
 	if !s.add(x.Out, intInfo) {
 		v.failf(x, "output column %q already exists in %v", x.Out, in.Cols())
 	}
-	cp := v.cprops(x, 0).clone()
+	cp := v.cprops(x, 0)
 	if x.Part == "" {
 		// ranks over the whole table are a permutation of 1..N
+		cp = cp.clone()
 		cp.key[x.Out] = true
-		if !hasDesc && ip.Covers(x.OrderBy) {
-			cp.dense[x.Out] = true // already in rank order: out[i] == i+1
-		}
 	}
 	return s, cp
 }
@@ -910,18 +855,8 @@ func (v *verifier) checkSort(x *ralg.Sort) (*Schema, *colProps) {
 	if in.Any {
 		return anySchema(), nil
 	}
-	icp := v.cprops(x, 0)
-	cp := newColProps()
-	cp.key = icp.clone().key
-	cp.cnst = icp.clone().cnst
-	// a stable sort keyed first by an already-dense column is the
-	// identity permutation: density survives; any other sort reorders
-	if len(x.By) > 0 && (len(x.Desc) == 0 || !x.Desc[0]) && icp.dense[x.By[0]] {
-		for c := range icp.dense {
-			cp.dense[c] = true
-		}
-	}
-	return in, cp
+	// a sort permutes rows: keys and constants survive
+	return in, v.cprops(x, 0)
 }
 
 func (v *verifier) checkJoinCols(n ralg.Plan, lcols, rcols []ralg.ColRef) (*Schema, *colProps) {
@@ -969,16 +904,6 @@ func (v *verifier) checkHashJoin(x *ralg.HashJoin) (*Schema, *colProps) {
 	l, r := v.sch(x, 0), v.sch(x, 1)
 	v.need(x, l, "left key", x.LKey, xqt.KInt)
 	v.need(x, r, "right key", x.RKey, xqt.KInt)
-	lp, rp := v.iprops(x, 0), v.iprops(x, 1)
-	if x.Pos && x.PosLeft {
-		v.failf(x, "both positional modes set")
-	}
-	if x.Pos && !rp.Dense(x.RKey) {
-		v.failf(x, "positional mode requires a dense right key %q, which is not provable", x.RKey)
-	}
-	if x.PosLeft && !(lp.Dense(x.LKey) && lp.Key(x.LKey) && rp.Covers([]string{x.RKey})) {
-		v.failf(x, "left-positional mode requires a dense unique left key %q and a key-sorted right input, which is not provable", x.LKey)
-	}
 	s, cp := v.checkJoinCols(x, x.LCols, x.RCols)
 	if s == nil || s.Any || cp == nil {
 		return s, cp
@@ -1064,7 +989,7 @@ func (v *verifier) checkUnion(x *ralg.Union) (*Schema, *colProps) {
 	}
 	var cp *colProps
 	if len(x.Ins) == 1 {
-		cp = v.cprops(x, 0).clone()
+		cp = v.cprops(x, 0)
 	}
 	return out, cp
 }

@@ -193,14 +193,6 @@ func TestRowNumModeAnnotationChecked(t *testing.T) {
 	wantViolation(t, rn, Config{}, rn.Name(), "sequential rank mode")
 }
 
-func TestPositionalJoinAnnotationChecked(t *testing.T) {
-	nonDense := &ralg.Lit{Tab: intTable(map[string][]int64{"b": {2, 5}})}
-	l := &ralg.Lit{Tab: intTable(map[string][]int64{"a": {1, 2}})}
-	j := ralg.NewHashJoin(l, nonDense, "a", "b", ralg.Refs("a"), ralg.Refs("b"))
-	j.Pos = true
-	wantViolation(t, j, Config{}, j.Name(), "positional mode requires a dense right key")
-}
-
 func TestUnionSchemaMismatch(t *testing.T) {
 	a := &ralg.Lit{Tab: intTable(map[string][]int64{"x": {1}})}
 	b := &ralg.Lit{Tab: intTable(map[string][]int64{"y": {1}})}

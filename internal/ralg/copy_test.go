@@ -283,12 +283,12 @@ func TestCopyMutationIsolation(t *testing.T) {
 	cs := cp.L.(*Sort)
 	cs.By[0] = "mutated"
 	cs.RefinePrefix = 7
-	cp.Pos = true
+	cp.LKey = "mutated"
 	cp.SetInput(1, &Lit{Tab: tab})
 	if shared.By[0] != "iter" || shared.RefinePrefix != 0 {
 		t.Error("mutating the copied sort reached the original")
 	}
-	if join.Pos || join.R != shared {
+	if join.LKey != "iter" || join.R != shared {
 		t.Error("mutating the copied join reached the original")
 	}
 	if reflect.DeepEqual(join, cp) {

@@ -1,6 +1,7 @@
 package ralg
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -265,28 +266,35 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	return nil, fmt.Errorf("ralg: unknown operator %T", p)
 }
 
+// execRangeGen expands each row's bounds, atomized and converted by
+// xqt.IntegerArg, into its integers; rows are counted without overflow.
 func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 	iters := in.Ints(n.Iter)
-	lo, hi := in.Col(n.Lo), in.Col(n.Hi)
-	bounds := func(i int) (a, b int64) { return int64(lo.At(i).AsDouble()), int64(hi.At(i).AsDouble()) }
+	lo, hi := e.cast(FunAtomize, in.Col(n.Lo)), e.cast(FunAtomize, in.Col(n.Hi))
+	first, size := dirty[int64](e, scratchRegion, len(iters)), dirty[int64](e, scratchRegion, len(iters))
 	total := int64(0)
 	for i := range iters {
-		if a, b := bounds(i); b >= a {
-			total += b - a + 1
+		a, err := xqt.IntegerArg(lo.At(i))
+		b, err2 := xqt.IntegerArg(hi.At(i))
+		if err = cmp.Or(err, err2); err != nil {
+			return nil, err
 		}
-		if total > MaxRows {
-			return nil, xqerr.Newf(xqerr.CodeResourceLimit, "ranges of %d rows and more exceed the %d-row limit", total, MaxRows)
+		if first[i], size[i] = a, 0; b >= a {
+			if uint64(b-a) >= MaxRows-uint64(total) {
+				return nil, xqerr.Newf(xqerr.CodeResourceLimit, "ranges exceed the %d-row limit", MaxRows)
+			}
+			size[i] = b - a + 1
 		}
+		total += size[i]
 	}
 	ic, pc, tc := e.uniformVec(xqt.KInt, int(total)), e.uniformVec(xqt.KInt, int(total)), e.uniformVec(xqt.KInt, int(total))
 	o := 0
 	for i := range iters {
-		a, b := bounds(i)
-		for v := a; v <= b; v++ {
+		for k := range size[i] {
 			if o&(1<<16-1) == 1<<16-1 && e.stopRequested() {
 				return nil, e.stopErr()
 			}
-			ic.I[o], pc.I[o], tc.I[o] = iters[i], v-a+1, v
+			ic.I[o], pc.I[o], tc.I[o] = iters[i], k+1, first[i]+k
 			o++
 		}
 	}
@@ -552,15 +560,7 @@ func settle[T any](e *Exec, parts ...[]T) []T {
 // identityIdx reports whether idx selects each of n rows once, in order:
 // gathering by it would copy the input.
 func identityIdx(idx []int32, n int) bool {
-	if len(idx) != n {
-		return false
-	}
-	for i, j := range idx {
-		if int(j) != i {
-			return false
-		}
-	}
-	return true
+	return len(idx) == n && (n == 0 || idx[0] == 0 && isRun(idx))
 }
 
 // gather is Table.Gather with the arena as the allocator: the

@@ -7,17 +7,20 @@ import (
 	"mxq/internal/xqerr"
 )
 
+// execHashJoin reads its body off the keys: right keys that run b, b+1,
+// … are looked up positionally, so are left ones when the right keys
+// ascend (the output stays left-major), and otherwise the right keys are
+// hashed.
 func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
-	lkey := l.Ints(n.LKey)
-	rkey := r.Ints(n.RKey)
+	lkey, rkey := l.Ints(n.LKey), r.Ints(n.RKey)
 	var lidx, ridx []int32
 	switch {
-	case n.Pos && r.N > 0:
+	case isRun(rkey):
 		e.Stats.PosJoins++
-		lidx, ridx = e.posPairs(lkey, rkey[0], r.N)
-	case n.PosLeft && l.N > 0:
+		lidx, ridx = e.posPairs(lkey, rkey)
+	case slices.IsSorted(rkey) && isRun(lkey):
 		e.Stats.PosJoins++
-		ridx, lidx = e.posPairs(rkey, lkey[0], l.N)
+		ridx, lidx = e.posPairs(rkey, lkey)
 	default:
 		e.Stats.HashJoins++
 		ht := e.buildHashTable(rkey)
@@ -26,27 +29,36 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 				break
 			}
 			for j := ht.first(k); j != 0; j = ht.next[j-1] {
-				if rkey[j-1] != k {
-					continue // another key of the same bucket
+				if rkey[j-1] == k { // a bucket may chain other keys too
+					lidx, ridx = append(grown(e, lidx, 1), int32(i)), append(grown(e, ridx, 1), j-1)
 				}
-				lidx, ridx = append(grown(e, lidx, 1), int32(i)), append(grown(e, ridx, 1), j-1)
 			}
 		}
 	}
 	return e.joinGather(l, r, n.LCols, n.RCols, lidx, ridx)
 }
 
-// posPairs is the positional join: the other side's keys are the dense
-// run base, base+1, … of n rows, so key k pairs row i of keys with row
-// k-base over there, no table needed.
-func (e *Exec) posPairs(keys []int64, base int64, n int) (rows, targets []int32) {
+// isRun reports whether keys is the non-empty run b, b+1, b+2, …; one
+// that wraps past the largest integer ends below its start.
+func isRun[T int32 | int64](keys []T) bool {
+	for i, k := range keys {
+		if k-keys[0] != T(i) {
+			return false
+		}
+	}
+	return len(keys) > 0 && keys[len(keys)-1] >= keys[0]
+}
+
+// posPairs is the positional join: run is a run of keys, so key k pairs
+// row i of keys with row k-run[0] of run, no table needed.
+func (e *Exec) posPairs(keys, run []int64) (rows, targets []int32) {
 	rows, targets = dirty[int32](e, scratchRegion, len(keys)), dirty[int32](e, scratchRegion, len(keys))
 	o := 0
 	for i, k := range keys {
 		if i&8191 == 8191 && e.stopRequested() {
 			break
 		}
-		if j := k - base; j >= 0 && j < int64(n) {
+		if j := uint64(k - run[0]); j < uint64(len(run)) {
 			rows[o], targets[o] = int32(i), int32(j)
 			o++
 		}

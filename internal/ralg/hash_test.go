@@ -1,6 +1,7 @@
 package ralg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -52,6 +53,87 @@ func TestHashJoinSkewedKeysMatchNestedLoop(t *testing.T) {
 		}
 		if e.Stats.HashJoins != 1 {
 			t.Errorf("%s: hash joins %d", name, e.Stats.HashJoins)
+		}
+		e.Release()
+	}
+}
+
+// The equi-join reads its body off the keys: a right key run b, b+1, …
+// is looked up positionally, so is a left run when the right keys
+// ascend, anything else is hashed. Every body must give the nested
+// loop's pairs in left-major order.
+func TestHashJoinFindsPositionalRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	run := func(base int64, n int) []int64 {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = base + int64(i)
+		}
+		return ks
+	}
+	// probe draws n keys around [base, base+span), some outside
+	probe := func(base int64, span, n int) []int64 {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = base + int64(rng.Intn(span+4)) - 2
+		}
+		return ks
+	}
+	ascending := func(ks []int64) []int64 { slices.Sort(ks); return ks }
+	type joinCase struct {
+		l, r []int64
+		pos  bool
+	}
+	cases := map[string]joinCase{
+		"single right row":           {probe(7, 1, 20), run(7, 1), true},
+		"single left row":            {run(-3, 1), ascending(probe(-3, 1, 9)), true},
+		"both empty":                 {nil, nil, false},
+		"empty left, right run":      {nil, run(4, 5), true},
+		"empty right, left run":      {run(4, 5), nil, true},
+		"empty right, left unrun":    {[]int64{2, 9}, nil, false},
+		"right run to max":           {[]int64{math.MaxInt64, math.MinInt64, math.MaxInt64 - 2, 0}, run(math.MaxInt64-2, 3), true},
+		"right wraps past max":       {[]int64{math.MinInt64, math.MaxInt64}, []int64{math.MaxInt64, math.MinInt64}, false},
+		"left run from min":          {run(math.MinInt64, 3), []int64{math.MinInt64, math.MinInt64 + 2, math.MaxInt64}, true},
+		"dense left, unsorted right": {run(1, 50), []int64{3, 1, 2, 40, 2}, false},
+		"right duplicates":           {probe(0, 30, 40), ascending(probe(0, 30, 60)), false},
+		"left run, right duplicates": {run(-20, 30), ascending(probe(-20, 30, 60)), true},
+	}
+	for i := range 8 {
+		base, n := rng.Int63n(2_000_000)-1_000_000, 1+rng.Intn(300)
+		cases[fmt.Sprintf("right run %d", i)] = joinCase{probe(base, n, 400), run(base, n), true}
+		cases[fmt.Sprintf("left run %d", i)] = joinCase{run(base, n), ascending(probe(base, n, 400)), true}
+		gap := run(base, n+2)
+		gap = append(gap[:n/2+1], gap[n/2+2:]...)
+		cases[fmt.Sprintf("right gap %d", i)] = joinCase{probe(base, n, 400), gap, false}
+		cases[fmt.Sprintf("left gap %d", i)] = joinCase{gap, ascending(probe(base, n, 400)), false}
+	}
+	for name, c := range cases {
+		lv, rv := make([]int64, len(c.l)), make([]int64, len(c.r))
+		for i := range lv {
+			lv[i] = int64(i)
+		}
+		for j := range rv {
+			rv[j] = int64(j)
+		}
+		var wantL, wantR []int64
+		for i := range c.l {
+			for j := range c.r {
+				if c.l[i] == c.r[j] {
+					wantL, wantR = append(wantL, lv[i]), append(wantR, rv[j])
+				}
+			}
+		}
+		join := &HashJoin{LKey: "k", RKey: "k", LCols: []ColRef{{Src: "v", Dst: "lv"}}, RCols: []ColRef{{Src: "v", Dst: "rv"}}}
+		e := &Exec{}
+		out, err := e.execHashJoin(join, kvTable(c.l, lv), kvTable(c.r, rv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(out.Ints("lv"), wantL) || !slices.Equal(out.Ints("rv"), wantR) {
+			t.Errorf("%s: pairs (%v, %v), the nested loop gives (%v, %v)", name, out.Ints("lv"), out.Ints("rv"), wantL, wantR)
+		}
+		if pos := e.Stats.PosJoins == 1 && e.Stats.HashJoins == 0; pos != c.pos || e.Stats.PosJoins+e.Stats.HashJoins != 1 {
+			t.Errorf("%s: %d positional and %d hash joins, want positional %v", name, e.Stats.PosJoins, e.Stats.HashJoins, c.pos)
 		}
 		e.Release()
 	}

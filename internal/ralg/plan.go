@@ -103,9 +103,8 @@ type LitDecl struct {
 	Ords [][]string
 	// Grps are declared group orderings.
 	Grps []GrpSpec
-	// Dense, Key and Const name columns holding the sequence 1..N, a
-	// duplicate-free column, and a single constant value respectively.
-	Dense []string
+	// Key and Const name duplicate-free columns and columns holding a
+	// single constant value.
 	Key   []string
 	Const []string
 }
@@ -325,28 +324,17 @@ func NewSort(in Plan, by ...string) *Sort { return &Sort{unary: unary{In: in}, B
 
 // HashJoin is an equi-join on integer key columns. Output rows are in
 // left-major order (the left order is preserved; ties enumerate matching
-// right rows in right order). Pos/PosLeft are set by the optimizer when a
-// dense ascending key column allows positional lookup instead of hashing
-// (the paper's positional join on autoincrement keys): Pos looks rows up
-// in the right input; PosLeft probes the left input positionally, which
-// preserves left-major order when the left key is unique and the right
-// input is sorted on its key.
+// right rows in right order). Keys that run b, b+1, … are joined by
+// position (the paper's autoincrement keys), any others by hashing.
 type HashJoin struct {
 	binary
 	LKey, RKey string
 	LCols      []ColRef
 	RCols      []ColRef
-	Pos        bool
-	PosLeft    bool
 }
 
 // Name implements Plan.
-func (j *HashJoin) Name() string {
-	if j.Pos || j.PosLeft {
-		return "posjoin"
-	}
-	return "hashjoin"
-}
+func (*HashJoin) Name() string { return "hashjoin" }
 
 // NewHashJoin constructs an equi-join.
 func NewHashJoin(l, r Plan, lkey, rkey string, lcols, rcols []ColRef) *HashJoin {

@@ -126,25 +126,21 @@ func TestSortRefineEqualsFull(t *testing.T) {
 
 func TestHashJoinAndPositional(t *testing.T) {
 	l := intTable("k", 3, 1, 2, 3)
-	r := NewTable([]string{"k2", "v"}, []xqt.Kind{xqt.KInt, xqt.KInt})
-	r.N = 3
-	*r.Col("k2") = BindInts(1, 2, 3) // dense
-	*r.Col("v") = BindInts(10, 20, 30)
-	j := NewHashJoin(&Lit{Tab: l}, &Lit{Tab: r}, "k", "k2",
-		Refs("k"), Refs("v"))
-	out := run(t, j)
-	wantV := []int64{30, 10, 20, 30}
-	for i, w := range wantV {
-		if out.Ints("v")[i] != w {
-			t.Errorf("hash join row %d: v=%d want %d", i, out.Ints("v")[i], w)
-		}
-	}
-	j2 := NewHashJoin(&Lit{Tab: l}, &Lit{Tab: r}, "k", "k2", Refs("k"), Refs("v"))
-	j2.Pos = true
-	out2 := run(t, j2)
-	for i, w := range wantV {
-		if out2.Ints("v")[i] != w {
-			t.Errorf("positional join row %d: v=%d want %d", i, out2.Ints("v")[i], w)
+	// the right keys 1, 2, 3 are a run (a positional lookup), 3, 1, 2
+	// are not (a hash join); both give the same pairs
+	for _, keys := range [][]int64{{1, 2, 3}, {3, 1, 2}} {
+		r := NewTable([]string{"k2", "v"}, []xqt.Kind{xqt.KInt, xqt.KInt})
+		r.N = 3
+		*r.Col("k2") = BindInts(keys...)
+		*r.Col("v") = BindInts(keys[0]*10, keys[1]*10, keys[2]*10)
+		j := NewHashJoin(&Lit{Tab: l}, &Lit{Tab: r}, "k", "k2",
+			Refs("k"), Refs("v"))
+		out := run(t, j)
+		wantV := []int64{30, 10, 20, 30}
+		for i, w := range wantV {
+			if out.Ints("v")[i] != w {
+				t.Errorf("join on right keys %v row %d: v=%d want %d", keys, i, out.Ints("v")[i], w)
+			}
 		}
 	}
 }

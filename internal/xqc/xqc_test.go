@@ -234,18 +234,6 @@ func TestOptimizedPlansShrinkSorts(t *testing.T) {
 	}
 }
 
-func TestPositionalJoinSelection(t *testing.T) {
-	q := `for $p in /site/people/person return $p/name/text()`
-	optimized := opt.Optimize(compilePlan(t, q, DefaultOptions()))
-	pos := countNodes(optimized, func(p ralg.Plan) bool {
-		j, ok := p.(*ralg.HashJoin)
-		return ok && (j.Pos || j.PosLeft)
-	})
-	if pos == 0 {
-		t.Error("optimizer selected no positional joins on dense rank keys")
-	}
-}
-
 func TestCompileAllXMarkShapes(t *testing.T) {
 	// every construct used by the benchmark queries must compile
 	queries := []string{

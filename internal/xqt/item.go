@@ -12,6 +12,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"mxq/internal/xqerr"
 )
 
 // Kind discriminates the runtime type of an Item.
@@ -127,6 +129,24 @@ func (it Item) AsDouble() float64 {
 		return ParseDouble(it.S)
 	}
 	return math.NaN()
+}
+
+// IntegerArg converts an atomized operand to xs:integer by the function
+// conversion rules (a range bound, say): an xs:integer is taken as it
+// is, an xs:untypedAtomic is cast (FORG0001 when it spells no integer),
+// and any other kind is the type error XPTY0004.
+func IntegerArg(it Item) (int64, error) {
+	switch it.K {
+	case KInt:
+		return it.I, nil
+	case KUntyped:
+		v, err := strconv.ParseInt(strings.TrimSpace(it.S), 10, 64)
+		if err != nil {
+			return 0, xqerr.Newf("FORG0001", "cannot cast %q to xs:integer", it.S)
+		}
+		return v, nil
+	}
+	return 0, xqerr.Newf("XPTY0004", "an xs:%s where an xs:integer is expected", it.K)
 }
 
 // ParseDouble casts a string to xs:double per the item casting rules:

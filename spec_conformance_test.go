@@ -317,6 +317,14 @@ var specCases = []struct {
 	// an untyped row that is not a number satisfies no numeric
 	// comparison, per iteration too, beside numeric rows that do
 	{"general-gt-nan-item-loop", `for $r in doc("p2.xml")/r return ($r/p > 9, $r/p > 10)`, "true false"},
+	// a range (XQuery 1.0 §3.3.1) converts its atomized bounds to xs:integer:
+	// integers stay exact, untyped values are cast, other kinds are a
+	// type error, and a range may end at the largest integer
+	{"range-past-2-53", `9007199254740993 to 9007199254740994`, "9007199254740993 9007199254740994"},
+	{"range-to-max-integer", `count(9223372036854775806 to 9223372036854775807)`, "2"},
+	{"range-from-attribute", `/root/m/n/@x to 5`, "4 5"},
+	{"range-from-element", `/root/m/n to 3`, "2 3"},
+	{"range-from-decimal", `1.5 to 3`, "err:XPTY0004"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
@@ -375,6 +383,16 @@ func TestSpecConformanceNoJoinRecognition(t *testing.T) {
 	for _, c := range specCases {
 		got, err := db.QueryString(c.query)
 		checkSpec(t, "", c.name, c.query, c.want, got, err)
+	}
+}
+
+// A range longer than the row limit is the typed resource error, not a
+// row count that overflows. The naive interpreter has no row limit, so
+// this runs on the relational engine only.
+func TestRangeOverRowLimit(t *testing.T) {
+	got, err := mxq.Open().QueryString(`count(-9223372036854775807 to 0)`)
+	if !mxq.IsResourceLimit(err) {
+		t.Errorf("count(-9223372036854775807 to 0) = %q, %v; want XPDY0130", got, err)
 	}
 }
 
