@@ -180,11 +180,12 @@ func main() {
 		fmt.Printf("run: %d sort operators (%d full, %d refine) over %d rows; %d of them (%d rows) found their input already in order\n",
 			st.FullSorts+st.RefineSort, st.FullSorts, st.RefineSort, st.SortedRows, st.SortsPresorted, st.RowsPresorted)
 		// how the equi-joins ran (a join reads density off its keys), the
-		// two output-bound kernels: pairs out of the theta joins, and the
-		// transient container (this is the statement's first execution,
-		// the one that regrows; the next is sized by what this one built)
-		fmt.Printf("run: %d positional and %d hash joins; %d theta joins emitted %d pairs; transient container %d rows, %d regrows\n",
-			st.PosJoins, st.HashJoins, st.ThetaNL+st.ThetaIdx, st.ThetaPairs, st.TransientRows, st.TransientRegrows)
+		// existential eq joins' hash tables, the two output-bound kernels:
+		// pairs out of the theta joins, and the transient container (this
+		// is the statement's first execution, the one that regrows; the
+		// next is sized by what this one built)
+		fmt.Printf("run: %d positional and %d hash joins, %d existential hash joins; %d theta joins emitted %d pairs; transient container %d rows, %d regrows\n",
+			st.PosJoins, st.HashJoins, st.ExistHashJoins, st.ThetaNL+st.ThetaIdx, st.ThetaPairs, st.TransientRows, st.TransientRegrows)
 		return
 	}
 	if err := res.SerializeXML(os.Stdout); err != nil {

@@ -20,6 +20,11 @@
 // Duplicate elimination and the equi-join have no variant to pick: ralg's
 // Distinct finds a sorted input at run time, as its sorts do, and its
 // join finds a key run b, b+1, … to look rows up positionally.
+//
+// The same pass interns the plan: a rewritten node that computes what an
+// already kept one computes (see same) is replaced by it, so every
+// occurrence of a subexpression in the query text becomes one shared
+// node, which ralg's Exec sorts and steps once.
 package opt
 
 import (
@@ -42,48 +47,62 @@ func Optimize(p ralg.Plan) ralg.Plan {
 
 type optimizer struct {
 	cols
-	memo map[ralg.Plan]memo // every visited node: its rewrite and properties
-	strs map[string]string  // the run's orderings, one copy each
-	buf  []byte             // the ordering being spelled
-	m    []colPair          // the current node's column mappings
-	// props, ords and grps are carved from these: one run's die together
-	slab    []props
-	ordSlab []string
-	grpSlab []grpOrd
+	memo   map[ralg.Plan]*memo // every visited node: the kept node standing for it
+	leaves *memo               // the kept nodes without inputs
+	strs   map[string]string   // the run's orderings, one copy each
+	buf    []byte              // the ordering being spelled
+	m      []colPair           // the current node's column mappings
+	// memos, props, ords and grps are carved from these: one run's die
+	// together
+	memoSlab []memo
+	slab     []props
+	ordSlab  []string
+	grpSlab  []grpOrd
 	// trace receives one RewriteStep per fired rule (see OptimizeTraced);
 	// nil disables witness capture entirely.
 	trace func(RewriteStep)
 }
 
+// memo is one kept node r with its properties. A node is only ever
+// replaced by a kept node reading the same first input, so each keeps
+// the list of kept nodes reading it first: users, linked through next.
 type memo struct {
-	r  ralg.Plan
-	pr *props
+	r           ralg.Plan
+	pr          *props
+	users, next *memo
 }
 
 func newOptimizer(trace func(RewriteStep)) *optimizer {
-	return &optimizer{cols: cols{ids: map[string]rune{}}, memo: make(map[ralg.Plan]memo, 64),
+	return &optimizer{cols: cols{ids: map[string]rune{}}, memo: make(map[ralg.Plan]*memo, 64),
 		strs: map[string]string{}, trace: trace}
 }
 
-func (o *optimizer) rewrite(p ralg.Plan) (ralg.Plan, *props) {
+// rewrite rewrites p's inputs, then p, and returns the kept node that
+// stands for p: p itself, the input a dropped p returns, or the kept
+// node p turned out to duplicate. A duplicate is compared after its own
+// rewrite (which may trim or refine it) and skips the inference.
+func (o *optimizer) rewrite(p ralg.Plan) *memo {
 	if m, ok := o.memo[p]; ok {
-		return m.r, m.pr
+		return m
 	}
 	var buf [2]*props
-	ins := buf[:0]
+	ins, list := buf[:0], &o.leaves
 	for i, in := range p.Inputs() {
-		r, pr := o.rewrite(in)
-		p.SetInput(i, r)
-		ins = append(ins, pr)
+		m := o.rewrite(in)
+		p.SetInput(i, m.r)
+		ins = append(ins, m.pr)
+		if i == 0 {
+			list = &m.users
+		}
 	}
-	r, pr := o.rewriteNode(p, ins), none
-	if r == p {
-		pr = o.infer(p, ins)
-	} else {
-		pr = o.memo[r].pr // a dropped operator returns its input, already done
+	var m *memo
+	if r := o.rewriteNode(p, ins); r != p {
+		m = o.memo[r] // a dropped operator returns its input, already done
+	} else if m = find(*list, p); m == nil {
+		m = o.keep(p, o.infer(p, ins), list)
 	}
-	o.memo[p] = memo{r, pr}
-	return r, pr
+	o.memo[p] = m
+	return m
 }
 
 // ord spells the named columns as an ordering.

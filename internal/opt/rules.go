@@ -74,8 +74,7 @@ type RewriteStep struct {
 // deep-copied before/after subplans. A nil trace is exactly Optimize —
 // tracing off costs a single nil check per rewrite site.
 func OptimizeTraced(p ralg.Plan, trace func(RewriteStep)) ralg.Plan {
-	r, _ := newOptimizer(trace).rewrite(p)
-	return r
+	return newOptimizer(trace).rewrite(p).r
 }
 
 // snap captures the pre-rewrite deep copy of n. The returned copier's

@@ -154,7 +154,7 @@ func existTypedJoin[T cmp.Ordered](e *Exec, n *ExistJoin, liter []int64, lv []T,
 		riter, rv = reduceExtremum(e, riter, rv, !lmax)
 		return existThetaJoin(e, n, liter, lv, riter, rv)
 	}
-	e.Stats.HashJoins++
+	e.Stats.ExistHashJoins++
 	return existHashJoin(e, liter, lv, riter, rv, n.Count)
 }
 

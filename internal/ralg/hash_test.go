@@ -6,11 +6,33 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"mxq/internal/xqt"
 )
 
 // kvTable is the two-column integer table (k, v).
 func kvTable(k, v []int64) *Table {
 	return tableOf([]string{"k", "v"}, uniformIntCol(k), uniformIntCol(v))
+}
+
+// An existential eq join's hash table is counted apart from the
+// equi-join's: running one moves ExistHashJoins and neither HashJoins
+// nor PosJoins.
+func TestExistEqJoinCountsApart(t *testing.T) {
+	l := seqTable([]int64{1, 2, 2}, []int64{1, 1, 2}, []xqt.Item{xqt.Int(20), xqt.Int(30), xqt.Int(20)})
+	r := seqTable([]int64{1, 2}, []int64{1, 1}, []xqt.Item{xqt.Int(20), xqt.Int(30)})
+	j := &ExistJoin{binary: binary{L: &Lit{Tab: l}, R: &Lit{Tab: r}},
+		Cmp: xqt.CmpEq, LIter: "iter", LItem: "item", RIter: "iter", RItem: "item", Out1: "a", Out2: "b"}
+	e := NewExec(nil, nil)
+	defer e.Release()
+	out, err := e.Run(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats; out.N != 3 || st.ExistHashJoins != 1 || st.HashJoins != 0 || st.PosJoins != 0 {
+		t.Errorf("%d pairs; %d existential hash, %d hash and %d positional joins, want 3; 1, 0 and 0",
+			out.N, st.ExistHashJoins, st.HashJoins, st.PosJoins)
+	}
 }
 
 // The bucket-chained build table must pair every left row with its

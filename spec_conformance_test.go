@@ -325,6 +325,15 @@ var specCases = []struct {
 	{"range-from-attribute", `/root/m/n/@x to 5`, "4 5"},
 	{"range-from-element", `/root/m/n to 3`, "2 3"},
 	{"range-from-decimal", `1.5 to 3`, "err:XPTY0004"},
+
+	// every evaluation of an element constructor creates a new node
+	// (XQuery 1.0 §3.7.1): two equal constructors, or one per iteration,
+	// are distinct nodes, while one variable's node is the same however
+	// often it is read
+	{"construct-is-distinct", `<a/> is <a/>`, "false"},
+	{"construct-is-distinct-loop", `for $i in (1, 2) return <a/> is <a/>`, "false false"},
+	{"construct-union-distinct", `count((<a><b/></a>/b | <a><b/></a>/b))`, "2"},
+	{"construct-union-same-var", `let $x := <a><b/></a> return count(($x/b | $x/b))`, "1"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
