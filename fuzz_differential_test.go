@@ -18,7 +18,7 @@ import (
 // XMark documents and one sharded multi-document collection; every query
 // runs through the relational engine and through the naive DOM oracle.
 // Serializations must be byte-identical; a query may error only if both
-// engines error.
+// engines error, with the same W3C error code.
 //
 // The short run is part of the regular `go test` suite (and the CI
 // `make fuzz-short` target); the long run lives behind `-tags slow`.
@@ -113,7 +113,12 @@ func runDifferentialFuzz(t *testing.T, w *fuzzWorld, seed int64, n int) {
 		gotS, errS := queryBound(w.serial, q, rb)
 		switch {
 		case errO != nil && errS != nil:
-			agreedErrs++ // both engines reject the query: agreement
+			// both engines reject the query: agreement only on one code
+			if co, cs := errCode(errO), errCode(errS); co == "" || co != cs {
+				t.Fatalf("query %d %q (binds %v): engines disagree on the error code:\n oracle: %v\n serial: %v",
+					i, q, binds, errO, errS)
+			}
+			agreedErrs++
 		case errO != nil || errS != nil:
 			t.Fatalf("query %d %q (binds %v): engines disagree on erroring:\n oracle: %v\n serial: %v",
 				i, q, binds, errO, errS)
@@ -125,6 +130,14 @@ func runDifferentialFuzz(t *testing.T, w *fuzzWorld, seed int64, n int) {
 	if agreedErrs > n/5 {
 		t.Errorf("%d/%d queries errored — generator drifted out of the supported dialect", agreedErrs, n)
 	}
+}
+
+// errCode is err's W3C error code, "" for an error that carries none.
+func errCode(err error) string {
+	if qe := mxq.AsQueryError(err); qe != nil {
+		return qe.Code
+	}
+	return ""
 }
 
 // queryBound runs one query through the prepared path of a relational

@@ -236,11 +236,11 @@ func (in *Interp) eval(e xqp.Expr, env *scope) ([]Val, error) {
 		return in.evalBinary(x, env)
 	case *xqp.Unary:
 		v, err := in.eval(x.X, env)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = singletons("unary -", v)
 		}
-		if len(v) == 0 {
-			return nil, nil
+		if err != nil || len(v) == 0 {
+			return nil, err
 		}
 		a := v[0].Atomize()
 		if a.K == xqt.KInt {
@@ -354,17 +354,17 @@ func (in *Interp) evalFLWOR(f *xqp.FLWOR, env *scope) ([]Val, error) {
 			ks[i] = keyed{env: tp}
 			for _, k := range order.Keys {
 				v, err := in.eval(k.Expr, tp)
+				if err == nil {
+					err = singletons("order by", v)
+				}
 				if err != nil {
 					return nil, err
 				}
-				switch len(v) {
-				case 0:
-					ks[i].keys = append(ks[i].keys, xqt.EmptyLeast)
-				case 1:
-					ks[i].keys = append(ks[i].keys, v[0].Atomize())
-				default:
-					return nil, xqerr.Newf("XPTY0004", "order key is a sequence of %d items", len(v))
+				key := xqt.EmptyLeast
+				if len(v) == 1 {
+					key = v[0].Atomize()
 				}
+				ks[i].keys = append(ks[i].keys, key)
 			}
 		}
 		// a key none of whose values is an xs:double orders its
@@ -463,6 +463,13 @@ func (in *Interp) evalBinary(b *xqp.Binary, env *scope) ([]Val, error) {
 	if err != nil {
 		return nil, err
 	}
+	// the value and node comparisons, arithmetic and ranges take one
+	// item per operand, and an empty operand makes the result empty
+	if b.Op >= xqp.OpValEq && b.Op != xqp.OpUnion {
+		if err := singletons(b.Op.String(), l, r); err != nil || len(l) == 0 || len(r) == 0 {
+			return nil, err
+		}
+	}
 	switch b.Op {
 	case xqp.OpGenEq, xqp.OpGenNe, xqp.OpGenLt, xqp.OpGenLe, xqp.OpGenGt, xqp.OpGenGe:
 		op := map[xqp.BinOp]xqt.CmpOp{
@@ -478,23 +485,14 @@ func (in *Interp) evalBinary(b *xqp.Binary, env *scope) ([]Val, error) {
 		}
 		return []Val{atomVal(xqt.Bool(false))}, nil
 	case xqp.OpValEq, xqp.OpValNe, xqp.OpValLt, xqp.OpValLe, xqp.OpValGt, xqp.OpValGe:
-		if len(l) == 0 || len(r) == 0 {
-			return nil, nil
-		}
-		if len(l) > 1 || len(r) > 1 {
-			return nil, xqerr.Newf("XPTY0004", "value comparison over sequences")
-		}
 		op := map[xqp.BinOp]xqt.CmpOp{
 			xqp.OpValEq: xqt.CmpEq, xqp.OpValNe: xqt.CmpNe, xqp.OpValLt: xqt.CmpLt,
 			xqp.OpValLe: xqt.CmpLe, xqp.OpValGt: xqt.CmpGt, xqp.OpValGe: xqt.CmpGe,
 		}[b.Op]
 		return []Val{atomVal(xqt.Bool(xqt.Compare(l[0].Atomize(), r[0].Atomize(), op)))}, nil
 	case xqp.OpIs, xqp.OpBefore, xqp.OpAfter:
-		if len(l) == 0 || len(r) == 0 {
-			return nil, nil
-		}
-		if len(l) > 1 || len(r) > 1 || !l[0].IsNode() || !r[0].IsNode() {
-			return nil, xqerr.Newf("XPTY0004", "node comparison over non-singleton-node operands")
+		if !l[0].IsNode() || !r[0].IsNode() {
+			return nil, xqerr.Newf("XPTY0004", "node comparison over an atomic operand")
 		}
 		var res bool
 		switch b.Op {
@@ -507,18 +505,12 @@ func (in *Interp) evalBinary(b *xqp.Binary, env *scope) ([]Val, error) {
 		}
 		return []Val{atomVal(xqt.Bool(res))}, nil
 	case xqp.OpAdd, xqp.OpSub, xqp.OpMul, xqp.OpDiv, xqp.OpIDiv, xqp.OpMod:
-		if len(l) == 0 || len(r) == 0 {
-			return nil, nil
-		}
 		v, err := arith(b.Op, l[0].Atomize(), r[0].Atomize())
 		if err != nil {
 			return nil, err
 		}
 		return []Val{atomVal(v)}, nil
 	case xqp.OpRange:
-		if len(l) == 0 || len(r) == 0 {
-			return nil, nil
-		}
 		lo, err := xqt.IntegerArg(l[0].Atomize())
 		hi, err2 := xqt.IntegerArg(r[0].Atomize())
 		if err = cmp.Or(err, err2); err != nil || hi < lo {

@@ -52,6 +52,17 @@ func (in *Interp) evalCall(c *xqp.Call, env *scope) ([]Val, error) {
 	return in.callBuiltin(c.Name, args, env)
 }
 
+// singletons is the one rule for operands that must be a single item:
+// more is XPTY0004, and the caller gives an empty one its result.
+func singletons(what string, vs ...[]Val) error {
+	for _, v := range vs {
+		if len(v) > 1 {
+			return xqerr.Newf("XPTY0004", "%s applied to a sequence of %d items", what, len(v))
+		}
+	}
+	return nil
+}
+
 func single(args [][]Val, i int) (xqt.Item, bool) {
 	if i >= len(args) || len(args[i]) == 0 {
 		return xqt.Item{}, false
@@ -60,6 +71,13 @@ func single(args [][]Val, i int) (xqt.Item, bool) {
 }
 
 func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, error) {
+	switch name { // the builtins whose every argument is a single item
+	case "string", "number", "name", "local-name", "floor", "ceiling", "round", "string-length",
+		"contains", "starts-with", "concat", "doc", "collection":
+		if err := singletons(name, args...); err != nil {
+			return nil, err
+		}
+	}
 	switch name {
 	case "true":
 		return []Val{atomVal(xqt.Bool(true))}, nil
@@ -242,9 +260,6 @@ func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, err
 		if len(args) != 1 {
 			return nil, xqerr.Newf("XPST0017", "doc expects 1 argument")
 		}
-		if len(args[0]) > 1 {
-			return nil, xqerr.Newf("XPTY0004", "doc() argument is a sequence of %d items", len(args[0]))
-		}
 		it, ok := single(args, 0)
 		if !ok {
 			return nil, nil
@@ -257,9 +272,6 @@ func (in *Interp) callBuiltin(name string, args [][]Val, env *scope) ([]Val, err
 	case "collection":
 		if len(args) != 1 {
 			return nil, xqerr.Newf("XPST0017", "collection expects 1 argument")
-		}
-		if len(args[0]) > 1 {
-			return nil, xqerr.Newf("XPTY0004", "collection() argument is a sequence of %d items", len(args[0]))
 		}
 		it, ok := single(args, 0)
 		if !ok {

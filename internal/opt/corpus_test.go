@@ -138,7 +138,10 @@ func identityDigest() string {
 // without them give the new digest on all 1 245; the pass interning
 // equal operators, so a subexpression repeated in the query text is one
 // shared node: 821, with the same rules firing in the same order on all
-// 1 245).
+// 1 245; every singleton operand checked by a CardCheck that carries its
+// error code instead of cut to its first item: 317, exactly the texts
+// whose plans hold a CardCheck or CoverCheck — 135 change shape and 182
+// change only the code their check's label now prints).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")

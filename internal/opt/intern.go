@@ -1,11 +1,9 @@
 package opt
 
 import (
-	"math"
 	"slices"
 
 	"mxq/internal/ralg"
-	"mxq/internal/xqt"
 )
 
 // find returns the kept node of list that computes what p computes.
@@ -69,7 +67,7 @@ func same(p, q ralg.Plan) bool {
 		return eq(a, q)
 	case *ralg.Attach:
 		b, ok := q.(*ralg.Attach)
-		return ok && a.In == b.In && a.Col == b.Col && sameItem(a.It, b.It)
+		return ok && a.In == b.In && a.Col == b.Col && a.It.Same(b.It)
 	case *ralg.Project:
 		b, ok := q.(*ralg.Project)
 		return ok && a.In == b.In && slices.Equal(a.Cols, b.Cols)
@@ -108,12 +106,6 @@ func eq[T comparable](a *T, q ralg.Plan) bool {
 	return ok && *a == *b
 }
 
-// sameItem compares doubles by their bits: 0 and -0 print apart.
-func sameItem(a, b xqt.Item) bool {
-	return a.K == b.K && a.Cont == b.Cont && a.I == b.I && a.S == b.S &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
-}
-
 // smallLit is the most rows a literal compared by content may hold (the
 // compiler's are loop seeds and empty sequences); a larger one is only
 // the same as a literal of the same table.
@@ -121,8 +113,7 @@ const smallLit = 8
 
 // sameLit reports whether two literal tables hold the same rows of the
 // same columns, each of one tag: an empty column's tag tells two empty
-// literals apart, and doubles are left to identity (ralg.TablesEqual
-// has 0 = -0).
+// literals apart.
 func sameLit(a, b *ralg.Table) bool {
 	if a == b || a.N > smallLit || !ralg.TablesEqual(a, b) {
 		return a == b
@@ -130,7 +121,7 @@ func sameLit(a, b *ralg.Table) bool {
 	for _, name := range a.Names() {
 		ka, ua := a.Col(name).Uniform()
 		kb, ub := b.Col(name).Uniform()
-		if !ua || !ub || ka != kb || ka == xqt.KDouble {
+		if !ua || !ub || ka != kb {
 			return false
 		}
 	}

@@ -169,14 +169,14 @@ func opLabel(n ralg.Plan) string {
 	case *ralg.RangeGen:
 		return fmt.Sprintf("rangegen(%s to %s by %s)", x.Lo, x.Hi, x.Iter)
 	case *ralg.CoverCheck:
-		return fmt.Sprintf("covercheck(%s ⊇ %s, %s)", x.Part, x.LoopIter, x.Fn)
+		return fmt.Sprintf("covercheck(%s ⊇ %s, %s %s)", x.Part, x.LoopIter, x.Fn, x.Code)
 	case *ralg.EBV:
 		if x.Pos != "" {
 			return fmt.Sprintf("ebv(%s part %s at %s)", x.Item, x.Part, x.Pos)
 		}
 		return fmt.Sprintf("ebv(%s part %s)", x.Item, x.Part)
 	case *ralg.CardCheck:
-		return fmt.Sprintf("cardcheck(part %s, %s)", x.Part, x.Fn)
+		return fmt.Sprintf("cardcheck(part %s, %s %s)", x.Part, x.Fn, x.Code)
 	case *ralg.Fail:
 		return fmt.Sprintf("fail(%s)", x.Code)
 	case *ralg.ParamTable:

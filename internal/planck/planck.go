@@ -473,8 +473,8 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		loop, in := v.sch(n, 0), v.sch(n, 1)
 		v.need(n, loop, "loop iter", x.LoopIter, xqt.KInt)
 		v.need(n, in, "partition", x.Part, xqt.KInt)
-		if x.Fn == "" {
-			v.failf(n, "empty function name for error reporting")
+		if x.Fn == "" || x.Code == "" {
+			v.failf(n, "empty function name or error code for error reporting")
 		}
 		return in, v.cprops(n, 1)
 	case *ralg.EBV:
@@ -492,8 +492,8 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 	case *ralg.CardCheck:
 		in := v.sch(n, 0)
 		v.need(n, in, "partition", x.Part, xqt.KInt)
-		if x.Fn == "" {
-			v.failf(n, "empty function name for error reporting")
+		if x.Fn == "" || x.Code == "" {
+			v.failf(n, "empty function name or error code for error reporting")
 		}
 		return in, v.cprops(n, 0)
 	}

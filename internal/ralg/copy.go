@@ -106,7 +106,8 @@ func slicesOf(t reflect.Type) func(reflect.Value) {
 }
 
 // TablesEqual reports whether two tables hold the same schema and the
-// same rows in the same order (nil tables compare equal only to nil).
+// same rows in the same order, items compared by xqt.Item.Same (nil
+// tables compare equal only to nil).
 func TablesEqual(a, b *Table) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -122,7 +123,7 @@ func TablesEqual(a, b *Table) bool {
 			return false
 		}
 		for r := range a.N {
-			if a.cols[i].At(r) != b.cols[i].At(r) {
+			if !a.cols[i].At(r).Same(b.cols[i].At(r)) {
 				return false
 			}
 		}

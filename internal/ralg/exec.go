@@ -306,7 +306,7 @@ func (e *Exec) execCoverCheck(n *CoverCheck, loop, in *Table) (*Table, error) {
 	have := e.newKeySet(in.Ints(n.Part))
 	for _, it := range loop.Ints(n.LoopIter) {
 		if !have.has(it) {
-			return nil, xqerr.Newf("FORG0005", "%s applied to an empty sequence", n.Fn)
+			return nil, xqerr.Newf(n.Code, "%s applied to an empty sequence", n.Fn)
 		}
 	}
 	return in, nil
@@ -524,7 +524,7 @@ func execCardCheck(n *CardCheck, in *Table) (*Table, error) {
 	part := in.Ints(n.Part)
 	for i := 1; i < len(part); i++ {
 		if part[i] == part[i-1] {
-			return nil, xqerr.Newf("FORG0003", "%s applied to a sequence with more than one item", n.Fn)
+			return nil, xqerr.Newf(n.Code, "%s applied to a sequence with more than one item", n.Fn)
 		}
 	}
 	return in, nil

@@ -1,6 +1,7 @@
 package ralg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,12 +63,14 @@ func TestCoverCheck(t *testing.T) {
 	loop := intTable("iter", 1, 2, 3)
 	partial := seqTable([]int64{1, 3}, []int64{1, 1},
 		[]xqt.Item{xqt.Int(1), xqt.Int(2)})
-	cc := &CoverCheck{LoopIter: "iter", Part: "iter", Fn: "fn:exactly-one"}
-	cc.SetInput(0, &Lit{Tab: loop})
-	cc.SetInput(1, &Lit{Tab: partial})
 	pool := store.NewPool()
-	if _, err := NewExec(pool, nil).Run(cc); err == nil {
-		t.Error("missing iteration 2 must raise an error")
+	for _, code := range []string{"FORG0004", "FORG0005"} {
+		cc := &CoverCheck{LoopIter: "iter", Part: "iter", Fn: "fn:exactly-one", Code: code}
+		cc.SetInput(0, &Lit{Tab: loop})
+		cc.SetInput(1, &Lit{Tab: partial})
+		if _, err := NewExec(pool, nil).Run(cc); !strings.Contains(fmt.Sprint(err), code) {
+			t.Errorf("missing iteration 2 raised %v, want %s", err, code)
+		}
 	}
 	full := seqTable([]int64{1, 2, 3}, []int64{1, 1, 1},
 		[]xqt.Item{xqt.Int(1), xqt.Int(2), xqt.Int(3)})

@@ -518,14 +518,14 @@ type RangeGen struct {
 // Name implements Plan.
 func (*RangeGen) Name() string { return "rangegen" }
 
-// CoverCheck raises XQuery's FORG0004/FORG0005 when some iteration of
-// Loop (input 0) has no row in In (input 1): fn:one-or-more and
-// fn:exactly-one demand at least one item per call. It passes In through.
+// CoverCheck raises Code when some iteration of Loop (input 0) has no
+// row in In (input 1): fn:one-or-more (FORG0004) and fn:exactly-one
+// (FORG0005) demand at least one item per call. It passes In through.
 type CoverCheck struct {
 	binary   // L = loop, R = in
 	LoopIter string
 	Part     string
-	Fn       string
+	Fn, Code string
 }
 
 // Name implements Plan.
@@ -547,16 +547,15 @@ type EBV struct {
 // Name implements Plan.
 func (*EBV) Name() string { return "ebv" }
 
-// CardCheck rejects iteration groups of more than one row, raising
-// XQuery's FORG0003 for fn:zero-or-one and fn:exactly-one (and the
-// singleton arguments of other builtins). It passes its input through
-// unchanged. Exactly-one's "at least one" half is checked against the
-// loop relation (CoverCheck).
+// CardCheck raises Code when a Part group holds more than one row —
+// XPTY0004 for an operand that must be one item, FORG0003 for
+// fn:zero-or-one, FORG0005 for fn:exactly-one (whose "at least one"
+// half is CoverCheck's) — and passes its input, grouped on Part, through.
 type CardCheck struct {
 	unary
 	Part string
-	// Fn names the builtin for error messages.
-	Fn string
+	// Fn names the operator or builtin for error messages.
+	Fn, Code string
 }
 
 // Name implements Plan.

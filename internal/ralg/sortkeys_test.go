@@ -155,14 +155,12 @@ func refSortIdx(t *Table, by []string, desc []bool, refinePrefix int, less func(
 }
 
 // sortColumns is one generator per column flavour the kernel
-// distinguishes; nan marks the flavours whose tables TablesEqual cannot
-// compare (NaN != NaN).
+// distinguishes.
 var sortColumns = []struct {
 	name string
-	nan  bool
 	gen  func(rng *rand.Rand, n int, w *sortWorld) ItemVec
 }{
-	{"int", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"int", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		vs := make([]int64, n)
 		for i := range vs {
 			switch rng.Intn(8) {
@@ -176,23 +174,23 @@ var sortColumns = []struct {
 		}
 		return uniformIntCol(vs)
 	}},
-	{"wideint", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"wideint", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		vs := make([]int64, n)
 		for i := range vs {
 			vs[i] = rng.Int63n(1 << 40)
 		}
 		return uniformIntCol(vs)
 	}},
-	{"itemint", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"itemint", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		// past 2^53 neighbouring integers order exactly, not as one xs:double
 		pick := []int64{0, 1, -1, 7, 1 << 53, 1<<53 + 1, 1<<53 + 2, -(1 << 53) - 1, math.MaxInt64, math.MinInt64}
 		return itemCol(n, func() xqt.Item { return xqt.Int(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemdouble", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"itemdouble", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []float64{0, math.Copysign(0, -1), 1, -1, 1.5, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64, 1e300}
 		return itemCol(n, func() xqt.Item { return xqt.Double(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemnan", true, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"itemnan", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []float64{0, 1, -1, math.NaN(), 2.5, math.Inf(-1)}
 		c := itemCol(n, func() xqt.Item { return xqt.Double(pick[rng.Intn(len(pick))]) })
 		if n > 0 {
@@ -200,18 +198,18 @@ var sortColumns = []struct {
 		}
 		return c
 	}},
-	{"itembool", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"itembool", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item { return xqt.Bool(rng.Intn(2) == 0) })
 	}},
-	{"itemstring", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"itemstring", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []string{"", "a", "ab", "b", "\x00", "\x00emptyleast", "é", "10", "9"}
 		return itemCol(n, func() xqt.Item { return xqt.Str(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itemuntyped", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"itemuntyped", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		pick := []string{"", "a", "ab", "\x00", "zz"}
 		return itemCol(n, func() xqt.Item { return xqt.Untyped(pick[rng.Intn(len(pick))]) })
 	}},
-	{"itememptyleast", false, func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
+	{"itememptyleast", func(rng *rand.Rand, n int, _ *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item {
 			if rng.Intn(3) == 0 {
 				return xqt.EmptyLeast
@@ -219,13 +217,13 @@ var sortColumns = []struct {
 			return xqt.Untyped([]string{"", "\x00", "a", "b"}[rng.Intn(4)])
 		})
 	}},
-	{"itemnode", false, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
+	{"itemnode", func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item { return w.nodes[rng.Intn(len(w.nodes))] })
 	}},
-	{"itemattr", false, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
+	{"itemattr", func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		return itemCol(n, func() xqt.Item { return w.attrs[rng.Intn(len(w.attrs))] })
 	}},
-	{"itemnodeattr", false, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
+	{"itemnodeattr", func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		// an attribute sorts after its owner element and before the
 		// owner's children
 		return itemCol(n, func() xqt.Item {
@@ -235,7 +233,7 @@ var sortColumns = []struct {
 			return w.nodes[rng.Intn(len(w.nodes))]
 		})
 	}},
-	{"itemmixed", true, func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
+	{"itemmixed", func(rng *rand.Rand, n int, w *sortWorld) ItemVec {
 		pick := []xqt.Item{xqt.Int(1), xqt.Int(2), xqt.Double(1), xqt.Double(1.5), xqt.Double(math.NaN()), xqt.Str("a"),
 			xqt.Untyped("a"), xqt.Untyped("b"), xqt.Bool(true), xqt.Bool(false), w.nodes[3], w.attrs[3], w.nodes[9], xqt.EmptyLeast}
 		c := itemCol(n, func() xqt.Item { return pick[rng.Intn(len(pick))] })
@@ -292,13 +290,11 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 			tab.AddCol("part", val)
 			by, ncols = append(by, "iter", "part"), rng.Intn(3)
 		}
-		nan := false
 		for k := 0; k < ncols; k++ {
 			f := sortColumns[rng.Intn(len(sortColumns))]
 			name := fmt.Sprintf("c%d_%s", k, f.name)
 			tab.AddCol(name, f.gen(rng, n, w))
 			by = append(by, name)
-			nan = nan || f.nan
 		}
 		tab.N = n
 		var desc []bool
@@ -341,7 +337,7 @@ func TestSortIdxMatchesComparatorSort(t *testing.T) {
 		// the operator hands an ordered input back as the same *Table
 		if out := e.execSort(&Sort{By: by, Desc: desc, RefinePrefix: refine}, tab); (out == tab) != (got == nil) {
 			t.Fatalf("%s: execSort returned same table = %v, kernel nil = %v", label, out == tab, got == nil)
-		} else if got != nil && !nan && !TablesEqual(out, tab.Gather(want)) { // TablesEqual has NaN != NaN
+		} else if got != nil && !TablesEqual(out, tab.Gather(want)) {
 			t.Fatalf("%s: execSort output differs", label)
 		}
 	}

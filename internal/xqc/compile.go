@@ -223,13 +223,14 @@ func boolSeq(set, loop ralg.Plan) ralg.Plan {
 	return ralg.NewProject(ralg.AttachInt(densifyBool(set, loop), "pos", 1), "iter", "pos", "item")
 }
 
-// firstItem keeps the first item of each iteration (pos = 1), matching
-// the naive interpreter's singleton coercion for arithmetic operands.
-func firstItem(q ralg.Plan) ralg.Plan {
-	f := ralg.NewFun(ralg.AttachInt(q, "one", 1), ralg.FunEq, "keep", "pos", "one")
-	sel := &ralg.Select{Cond: "keep"}
-	sel.SetInput(0, f)
-	return ralg.NewProject(sel, "iter", "pos", "item")
+// cardCheck raises code where an iteration of q holds more than one
+// item (XPTY0004 for an operand that must be a single item). q is
+// compiled, so its [iter, pos] order groups it on iter, as CardCheck
+// needs; the check keeps q's rows and positions.
+func cardCheck(q ralg.Plan, fn, code string) ralg.Plan {
+	cc := &ralg.CardCheck{Part: "iter", Fn: fn, Code: code}
+	cc.SetInput(0, q)
+	return cc
 }
 
 // liftVars maps every binding of sc through the scope map (outer, inner):
@@ -448,7 +449,7 @@ func (c *Compiler) compile(e xqp.Expr, sc *scope) (ralg.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := ralg.NewFun(firstItem(q), ralg.FunNeg, "negv", "item")
+		f := ralg.NewFun(cardCheck(q, "unary -", "XPTY0004"), ralg.FunNeg, "negv", "item")
 		return ralg.NewProject(f, "iter", "pos", "negv->item"), nil
 	case *xqp.Path:
 		return c.compilePath(x, sc, false)
@@ -534,7 +535,7 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 		xqp.OpIs, xqp.OpBefore, xqp.OpAfter:
 		// empty-propagating singleton comparison: absent iterations stay
 		// absent (the result is the empty sequence there)
-		ql, qr, err := c.compileBothSingleton(x.L, x.R, sc)
+		ql, qr, err := c.compileBothSingleton(x, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -543,7 +544,7 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 		f := ralg.NewFun(j, cmpFun(x.Op), "val", "a", "b")
 		return boolItems(ralg.NewProject(f, "iter", "val->item")), nil
 	case xqp.OpAdd, xqp.OpSub, xqp.OpMul, xqp.OpDiv, xqp.OpIDiv, xqp.OpMod:
-		ql, qr, err := c.compileBothSingleton(x.L, x.R, sc)
+		ql, qr, err := c.compileBothSingleton(x, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -556,7 +557,7 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 		f := ralg.NewFun(j, ops[x.Op], "item2", "a", "b")
 		return ralg.NewProject(f, "iter", "pos", "item2->item"), nil
 	case xqp.OpRange:
-		ql, qr, err := c.compileBothSingleton(x.L, x.R, sc)
+		ql, qr, err := c.compileBothSingleton(x, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -584,16 +585,16 @@ func (c *Compiler) compileBinary(x *xqp.Binary, sc *scope) (ralg.Plan, error) {
 	return nil, fmt.Errorf("xqc: unhandled binary operator %v", x.Op)
 }
 
-func (c *Compiler) compileBothSingleton(l, r xqp.Expr, sc *scope) (ralg.Plan, ralg.Plan, error) {
-	ql, err := c.compile(l, sc)
+func (c *Compiler) compileBothSingleton(x *xqp.Binary, sc *scope) (ralg.Plan, ralg.Plan, error) {
+	ql, err := c.compile(x.L, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	qr, err := c.compile(r, sc)
+	qr, err := c.compile(x.R, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	return firstItem(ql), firstItem(qr), nil
+	return cardCheck(ql, x.Op.String(), "XPTY0004"), cardCheck(qr, x.Op.String(), "XPTY0004"), nil
 }
 
 // cmpFun is the row-wise comparison of a value, general or node

@@ -121,7 +121,7 @@ func (c *Compiler) compileFLWOR(f *xqp.FLWOR, sc0 *scope) (plan, count ralg.Plan
 			return nil, nil, err
 		}
 		// order keys are atomized singletons
-		at := ralg.NewFun(firstItem(kq), ralg.FunAtomize, "av", "item")
+		at := ralg.NewFun(cardCheck(kq, "order by", "XPTY0004"), ralg.FunAtomize, "av", "item")
 		kq = ralg.NewProject(at, "iter", "pos", "av->item")
 		col := fmt.Sprintf("key%d", ki)
 		keyCols[ki] = col

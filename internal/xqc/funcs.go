@@ -235,9 +235,7 @@ func (c *Compiler) compileUnaryFn(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 			"floor": ralg.FunFloor, "ceiling": ralg.FunCeil,
 			"round": ralg.FunRound, "string-length": ralg.FunStrLen,
 		}[x.Name]
-		cc := &ralg.CardCheck{Part: "iter", Fn: x.Name}
-		cc.SetInput(0, q)
-		f := ralg.NewFun(cc, fn, "fv", "item")
+		f := ralg.NewFun(cardCheck(q, x.Name, "XPTY0004"), fn, "fv", "item")
 		part := ralg.NewProject(f, "iter", "pos", "fv->item")
 		// string(), name() and string-length() of the empty sequence
 		// yield "" / 0 rather than the empty sequence
@@ -302,14 +300,14 @@ func (c *Compiler) compileConcat(x *xqp.Call, sc *scope) (ralg.Plan, error) {
 }
 
 // stringified compiles an argument to a dense (one row per iteration)
-// string singleton: first item stringified, empty iterations become "".
+// string singleton: the item stringified (two or more are XPTY0004),
+// empty iterations become "".
 func (c *Compiler) stringified(x *xqp.Call, i int, sc *scope) (ralg.Plan, error) {
 	q, err := c.compileArg(x, i, sc)
 	if err != nil {
 		return nil, err
 	}
-	first := firstItem(q)
-	f := ralg.NewFun(first, ralg.FunStringOf, "sv", "item")
+	f := ralg.NewFun(cardCheck(q, x.Name, "XPTY0004"), ralg.FunStringOf, "sv", "item")
 	part := ralg.NewProject(f, "iter", "pos", "sv->item")
 	filled := ralg.AttachItem(ralg.AttachInt(complement(sc.loop, part), "pos", 1), "item", xqt.Str(""))
 	u := &ralg.Union{Ins: []ralg.Plan{part, ralg.NewProject(filled, "iter", "pos", "item")}}
@@ -323,18 +321,14 @@ func (c *Compiler) compileCardinality(x *xqp.Call, sc *scope) (ralg.Plan, error)
 	}
 	switch x.Name {
 	case "zero-or-one":
-		cc := &ralg.CardCheck{Part: "iter", Fn: "fn:zero-or-one"}
-		cc.SetInput(0, q)
-		return cc, nil
+		return cardCheck(q, "fn:zero-or-one", "FORG0003"), nil
 	case "exactly-one":
-		cc := &ralg.CardCheck{Part: "iter", Fn: "fn:exactly-one"}
-		cc.SetInput(0, q)
-		cv := &ralg.CoverCheck{LoopIter: "iter", Part: "iter", Fn: "fn:exactly-one"}
+		cv := &ralg.CoverCheck{LoopIter: "iter", Part: "iter", Fn: "fn:exactly-one", Code: "FORG0005"}
 		cv.SetInput(0, sc.loop)
-		cv.SetInput(1, cc)
+		cv.SetInput(1, cardCheck(q, "fn:exactly-one", "FORG0005"))
 		return cv, nil
 	default: // one-or-more
-		cv := &ralg.CoverCheck{LoopIter: "iter", Part: "iter", Fn: "fn:one-or-more"}
+		cv := &ralg.CoverCheck{LoopIter: "iter", Part: "iter", Fn: "fn:one-or-more", Code: "FORG0004"}
 		cv.SetInput(0, sc.loop)
 		cv.SetInput(1, q)
 		return cv, nil

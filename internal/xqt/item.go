@@ -110,6 +110,15 @@ func (it Item) IsNode() bool { return it.K == KNode || it.K == KAttr }
 // IsNumeric reports whether the item is an xs:integer or xs:double.
 func (it Item) IsNumeric() bool { return it.K == KInt || it.K == KDouble }
 
+// Same reports whether two items are one value, telling apart what
+// prints apart: every NaN is one value, and -0 is not 0.
+func (it Item) Same(o Item) bool {
+	if math.IsNaN(it.F) && math.IsNaN(o.F) {
+		it.F, o.F = 0, 0
+	}
+	return it == o && math.Signbit(it.F) == math.Signbit(o.F)
+}
+
 // Pre returns the preorder rank of a KNode item.
 func (it Item) Pre() int32 { return int32(it.I) }
 

@@ -238,3 +238,27 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// Same is identity of values: every NaN is one value (whatever its
+// bits), -0 is apart from 0, and an item of another kind or container
+// is apart.
+func TestSame(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	for _, c := range []struct {
+		a, b Item
+		want bool
+	}{
+		{Double(math.NaN()), Double(nan2), true},
+		{Double(0), Double(math.Copysign(0, -1)), false},
+		{Double(math.Copysign(0, -1)), Double(math.Copysign(0, -1)), true},
+		{Double(1.5), Double(1.5), true},
+		{Int(1), Double(1), false},
+		{Int(7), Int(7), true},
+		{Str("a"), Untyped("a"), false},
+		{Node(1, 4), Node(2, 4), false},
+	} {
+		if got := c.a.Same(c.b); got != c.want {
+			t.Errorf("%v.Same(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}

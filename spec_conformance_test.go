@@ -326,6 +326,36 @@ var specCases = []struct {
 	{"range-from-element", `/root/m/n to 3`, "2 3"},
 	{"range-from-decimal", `1.5 to 3`, "err:XPTY0004"},
 
+	// an operand that must be one item (XQuery 1.0 §3.4, §3.5.1, §3.8.3,
+	// the single-item arguments of F&O) is XPTY0004 when it holds more,
+	// never its first item; fn:exactly-one and fn:one-or-more have their
+	// own codes (F&O 15.2)
+	{"singleton-value-compare", `(1, 2) eq 3`, "err:XPTY0004"},
+	{"singleton-add", `(1, 2) + 3`, "err:XPTY0004"},
+	{"singleton-range", `(1, 2) to 3`, "err:XPTY0004"},
+	{"singleton-negate", `-(1, 2)`, "err:XPTY0004"},
+	{"singleton-concat", `concat(("a", "b"), "c")`, "err:XPTY0004"},
+	{"singleton-contains", `contains(("ab", "c"), "a")`, "err:XPTY0004"},
+	{"singleton-string", `string((1, 2))`, "err:XPTY0004"},
+	{"singleton-string-length", `string-length(("ab", "c"))`, "err:XPTY0004"},
+	{"singleton-name", `name((/root/a, /root/b))`, "err:XPTY0004"},
+	{"singleton-floor", `floor((1.5, 2.5))`, "err:XPTY0004"},
+	{"singleton-order-key", `for $x in (1, 2) order by ($x, 5) return $x`, "err:XPTY0004"},
+	{"exactly-one-two", `exactly-one((1, 2))`, "err:FORG0005"},
+	{"exactly-one-empty", `exactly-one(())`, "err:FORG0005"},
+	{"one-or-more-empty", `one-or-more(())`, "err:FORG0004"},
+	// a checked operand keeps its rows: a lone item that a filter left
+	// is the result's first item
+	{"singleton-add-position", `((5, 6)[2] + 1)[1]`, "7"},
+	{"singleton-negate-position", `(-(5, 6)[2])[1]`, "-6"},
+	{"singleton-range-position", `((5, 6)[2] to 7)[1]`, "6"},
+	{"singleton-concat-position", `(concat((5, 6)[2], "x"))[1]`, "6x"},
+	// an empty operand gives the empty sequence or the function's default
+	{"empty-add", `() + 1`, ""},
+	{"empty-value-compare", `() eq 1`, ""},
+	{"empty-string-length", `string-length(())`, "0"},
+	{"empty-concat", `concat((), "c")`, "c"},
+
 	// every evaluation of an element constructor creates a new node
 	// (XQuery 1.0 §3.7.1): two equal constructors, or one per iteration,
 	// are distinct nodes, while one variable's node is the same however
