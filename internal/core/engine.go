@@ -308,7 +308,10 @@ func (e *Engine) compile(q string) (*compiled, error) {
 			}
 		}
 	}
-	st := &compiled{Compiled: cq}
+	st := &compiled{Compiled: cq, plan: ralg.NewSchedule(cq.Plan)}
+	for _, p := range cq.Params {
+		st.inits = append(st.inits, ralg.NewSchedule(p.Init))
+	}
 	e.cache.put(q, st)
 	return st, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mxq/internal/ralg"
 	"mxq/internal/xqc"
 )
 
@@ -18,8 +19,8 @@ const DefaultPlanCacheSize = 256
 // leaves), not part of the key — one cached entry serves every context
 // document and every binding set. Compiled queries are immutable after
 // optimization, so one cached entry may be executed by any number of
-// concurrent queries; each execution keeps its own memo table and
-// transient container.
+// concurrent queries; each execution keeps its own table per numbered
+// node and its own transient container.
 type planCache struct {
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -34,6 +35,10 @@ type planCache struct {
 // one-shot Query of one text share it through the cache.
 type compiled struct {
 	*xqc.Compiled
+	// inits and plan number every Params[i].Init and Plan once, for
+	// every execution: shared read-only, like the plans themselves.
+	inits []*ralg.Schedule
+	plan  *ralg.Schedule
 	// transientRows is how many rows the last successful execution built
 	// in its transient container; the next one's first element constructor
 	// reserves them, so the later ones never regrow the container. The last

@@ -182,13 +182,13 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 				return nil, xqerr.Newf("XPDY0002", "no value bound for external variable $%s", prm.Name)
 			}
 		}
-		tab, err := ex.Run(prm.Init)
+		tab, err := ex.RunSchedule(p.cq.inits[i])
 		if err != nil {
 			return nil, err
 		}
 		env[prm.Name] = *tab.Col("item")
 	}
-	tab, err := ex.Run(p.cq.Plan)
+	tab, err := ex.RunSchedule(p.cq.plan)
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,7 @@ func compilePlans(q string) []ralg.Plan {
 
 // identityRecord renders what the optimizer decides for one plan: the
 // optimized plan through planck.Explain, then every node's inferred
-// properties in Walk order, each set sorted.
+// properties in schedule order, each set sorted.
 func identityRecord(p ralg.Plan) string {
 	p = opt.Optimize(p)
 	var b strings.Builder
@@ -74,8 +74,8 @@ func identityRecord(p ralg.Plan) string {
 		b.WriteString(err.Error())
 	}
 	props := opt.InferProps(p)
-	i := 0
-	ralg.Walk(p, func(n ralg.Plan) {
+	for i, op := range ralg.NewSchedule(p).Ops {
+		n := op.Plan
 		pr := props[n]
 		var ords, grps []string
 		for _, o := range pr.Ords() {
@@ -87,8 +87,7 @@ func identityRecord(p ralg.Plan) string {
 		slices.Sort(ords)
 		slices.Sort(grps)
 		fmt.Fprintf(&b, "%d %s k%v c%v o%q g%q\n", i, n.Name(), pr.KeyCols(), pr.ConstCols(), ords, grps)
-		i++
-	})
+	}
 	return b.String()
 }
 

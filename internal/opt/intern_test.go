@@ -120,15 +120,15 @@ func TestInternedPlanVerifiedOnce(t *testing.T) {
 		by string
 	}
 	sorts := map[sortOf]bool{}
-	ralg.Walk(p, func(n ralg.Plan) {
-		if s, ok := n.(*ralg.Sort); ok {
+	for _, op := range ralg.NewSchedule(p).Ops {
+		if s, ok := op.Plan.(*ralg.Sort); ok {
 			k := sortOf{s.In, strings.Join(s.By, ",")}
 			if sorts[k] {
 				t.Errorf("Q20 sorts one input on [%s] twice", k.by)
 			}
 			sorts[k] = true
 		}
-	})
+	}
 	infos, err := planck.Analyze(p, planck.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -252,16 +252,16 @@ func InferProps(root ralg.Plan) map[ralg.Plan]Props {
 	o := newOptimizer(nil)
 	out := map[ralg.Plan]Props{}
 	var ins []*props
-	ralg.Walk(root, func(n ralg.Plan) {
+	for _, op := range ralg.NewSchedule(root).Ops {
 		ins = ins[:0]
-		for _, in := range n.Inputs() {
+		for _, in := range op.Plan.Inputs() {
 			pr := out[in].p
 			if pr == nil {
 				pr = none // a nil input
 			}
 			ins = append(ins, pr)
 		}
-		out[n] = Props{o.infer(n, ins), &o.cols}
-	})
+		out[op.Plan] = Props{o.infer(op.Plan, ins), &o.cols}
+	}
 	return out
 }

@@ -188,7 +188,9 @@ func Analyze(root ralg.Plan, cfg Config) (map[ralg.Plan]Info, error) {
 		schemas: map[ralg.Plan]*Schema{},
 		props:   map[ralg.Plan]*colProps{},
 	}
-	ralg.Walk(root, v.visit)
+	for _, op := range ralg.NewSchedule(root).Ops {
+		v.visit(op.Plan)
+	}
 	infos := make(map[ralg.Plan]Info, len(v.schemas))
 	for n, s := range v.schemas {
 		cp := v.props[n]

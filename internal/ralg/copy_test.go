@@ -112,7 +112,9 @@ func sliceArrays(n Plan, into map[uintptr]string) {
 
 func nodeSet(p Plan) map[Plan]bool {
 	set := map[Plan]bool{}
-	Walk(p, func(n Plan) { set[n] = true })
+	for _, op := range NewSchedule(p).Ops {
+		set[op.Plan] = true
+	}
 	return set
 }
 

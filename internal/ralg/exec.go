@@ -48,8 +48,8 @@ const MaxRows = 64 << 20
 // any number of binding environments concurrently.
 type Bindings map[string]ItemVec
 
-// Exec evaluates plan DAGs against a container pool. Shared sub-plans are
-// evaluated once and their results re-used. Every operator has one body,
+// Exec evaluates plan schedules against a container pool, each numbered
+// node once, in number order. Every operator has one body,
 // run once over all its input rows on the calling goroutine. One Exec
 // evaluates one query; concurrent queries each get their own Exec (and
 // their own transient container), sharing only the read-only document
@@ -58,20 +58,21 @@ type Bindings map[string]ItemVec
 // resolve to; Bindings supplies the values of ParamTable leaves.
 //
 // Ctx carries the execution's cancellation signal (deadline, client
-// disconnect): Run checks it before and after every operator, and the
-// long-running operator loops — staircase-join steps, joins, Cartesian
-// products, aggregation, range generation — poll it every few thousand
-// rows and abandon their remaining work.
-// Partial outputs never escape: Run returns the context error before
-// memoizing a table produced under a cancelled context. A nil Ctx (the
+// disconnect): RunSchedule checks it on entry and around every
+// operator, and the long-running operator loops — staircase-join steps,
+// joins, Cartesian products, aggregation, range generation — poll it
+// every few thousand rows and abandon their remaining work.
+// Partial outputs never escape: RunSchedule returns the context error
+// instead of a table produced under a cancelled context. A nil Ctx (the
 // default) disables all checks. The radix sort kernel polls once per
 // pass; comparison sorts (string keys, small inputs) run to completion,
 // so a cancelled query returns within one of those.
 //
 // Mem is the execution's memory budget (nil = unlimited), metered where
 // memory is handed out (carve): a request it refuses ends the operator
-// and Run returns the typed resource-exhausted error. An exceeded budget
-// also trips the stopRequested poll, so the running loop stops.
+// and RunSchedule returns the typed resource-exhausted error. An
+// exceeded budget also trips the stopRequested poll, so the running
+// loop stops.
 //
 // Row-sized pointer-free columns come from a pooled arena (arena.go):
 // Release hands it back, after which no table of this Exec may be read.
@@ -86,8 +87,7 @@ type Exec struct {
 	Ctx        context.Context
 	Mem        *MemBudget
 
-	memo map[Plan]*Table
-	done <-chan struct{} // Ctx.Done(), captured once at Run entry
+	done <-chan struct{} // Ctx.Done(), captured at RunSchedule entry
 	mem  execMem         // the arena behind every row-sized column (arena.go)
 }
 
@@ -95,52 +95,49 @@ type Exec struct {
 // constructed during execution are placed in transient, which must be
 // registered with the pool.
 func NewExec(pool *store.Pool, transient *store.Container) *Exec {
-	return &Exec{Pool: pool, Transient: transient, memo: make(map[Plan]*Table)}
+	return &Exec{Pool: pool, Transient: transient}
 }
 
-// Run evaluates the plan and returns its result table. When Ctx is set
-// and expires mid-execution, Run returns the context error promptly —
-// never a partial result.
-func (e *Exec) Run(p Plan) (*Table, error) {
+// Run numbers the plan and runs it (RunSchedule).
+func (e *Exec) Run(p Plan) (*Table, error) { return e.RunSchedule(NewSchedule(p)) }
+
+// RunSchedule evaluates the schedule in number order and returns its
+// root's table. When Ctx is set and expires mid-execution, it returns the
+// context error promptly — never a partial result.
+func (e *Exec) RunSchedule(s *Schedule) (*Table, error) {
 	if e.Ctx != nil {
-		if e.done == nil {
-			e.done = e.Ctx.Done()
-		}
+		e.done = e.Ctx.Done()
 		if err := e.Ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	if t, ok := e.memo[p]; ok {
-		return t, nil
-	}
-	in := make([]*Table, 0, 4)
-	for _, c := range p.Inputs() {
-		t, err := e.Run(c)
+	tabs, in := make([]*Table, len(s.Ops)), make([]*Table, 0, 4)
+	for i, op := range s.Ops {
+		in = in[:0]
+		for _, k := range op.In {
+			in = append(in, tabs[k])
+		}
+		if err := faults.RalgOp.Err(); err != nil {
+			return nil, err
+		}
+		t, err := e.runOp(op.Plan, in)
 		if err != nil {
 			return nil, err
 		}
-		in = append(in, t)
+		// an operator that observed the cancellation or an exhausted memory
+		// budget may have stopped early with a partial table: surface the
+		// error instead of keeping it (context first, matching the
+		// precedence a cancelled-and-over-budget execution reports)
+		if err := e.stopErr(); err != nil {
+			return nil, err
+		}
+		if t.N > MaxRows {
+			return nil, xqerr.Newf(xqerr.CodeResourceLimit,
+				"intermediate result of %s exceeds the %d-row limit", op.Plan.Name(), MaxRows)
+		}
+		tabs[i] = t
 	}
-	if err := faults.RalgOp.Err(); err != nil {
-		return nil, err
-	}
-	t, err := e.runOp(p, in)
-	if err != nil {
-		return nil, err
-	}
-	// an operator that observed the cancellation or an exhausted memory
-	// budget may have stopped early with a partial table: surface the
-	// error instead of memoizing it (context first, matching the
-	// precedence a cancelled-and-over-budget execution reports)
-	if err := e.stopErr(); err != nil {
-		return nil, err
-	}
-	if t.N > MaxRows {
-		return nil, xqerr.Newf(xqerr.CodeResourceLimit,
-			"intermediate result of %s exceeds the %d-row limit", p.Name(), MaxRows)
-	}
-	e.memo[p] = t
-	return t, nil
+	return tabs[len(tabs)-1], nil
 }
 
 // runOp applies one operator and ends its lifetime on every path: no
@@ -215,9 +212,12 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	case *LitDecl:
 		return n.Tab, nil
 	case *DocRoot:
-		return e.execDocRoot(n)
+		return e.execRoot(n.Doc)
 	case *ContextRoot:
-		return e.execContextRoot()
+		if e.ContextDoc == "" {
+			return nil, xqerr.Newf("XPDY0002", "absolute path but no context document")
+		}
+		return e.execRoot(e.ContextDoc)
 	case *ParamTable:
 		return e.execParam(n)
 	case *CollectionRoot:
@@ -257,7 +257,7 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	case *EBV:
 		return e.execEBV(n, in[0])
 	case *CardCheck:
-		return execCardCheck(n, in[0])
+		return e.execCardCheck(n, in[0])
 	case *RangeGen:
 		return e.execRangeGen(n, in[0])
 	case *CoverCheck:
@@ -312,31 +312,15 @@ func (e *Exec) execCoverCheck(n *CoverCheck, loop, in *Table) (*Table, error) {
 	return in, nil
 }
 
-// rootTable is the one-row (pos, item) sequence holding c's document
-// node.
-func rootTable(c *store.Container) *Table {
-	return tableOf([]string{"pos", "item"}, ItemsOf(xqt.Int(1)), ItemsOf(xqt.Node(c.ID, 0)))
-}
-
-func (e *Exec) execDocRoot(n *DocRoot) (*Table, error) {
-	c, ok := e.Pool.ByName(n.Doc)
+// execRoot resolves a document at execution time (the context document
+// too: a plan input, not a compile-time constant) to the one-row (pos,
+// item) sequence holding its document node.
+func (e *Exec) execRoot(doc string) (*Table, error) {
+	c, ok := e.Pool.ByName(doc)
 	if !ok {
-		return nil, xqerr.Newf("FODC0002", "document %q not loaded", n.Doc)
+		return nil, xqerr.Newf("FODC0002", "document %q not loaded", doc)
 	}
-	return rootTable(c), nil
-}
-
-// execContextRoot resolves the context document of absolute paths at
-// execution time (a plan input, not a compile-time constant).
-func (e *Exec) execContextRoot() (*Table, error) {
-	if e.ContextDoc == "" {
-		return nil, xqerr.Newf("XPDY0002", "absolute path but no context document")
-	}
-	c, ok := e.Pool.ByName(e.ContextDoc)
-	if !ok {
-		return nil, xqerr.Newf("FODC0002", "context document %q not loaded", e.ContextDoc)
-	}
-	return rootTable(c), nil
+	return tableOf([]string{"pos", "item"}, ItemsOf(xqt.Int(1)), ItemsOf(xqt.Node(c.ID, 0))), nil
 }
 
 // execParam materializes one external variable binding as its (pos,
@@ -382,7 +366,7 @@ func (e *Exec) execSelect(n *Select, in *Table) *Table {
 	idx, o := dirty[int32](e, scratchRegion, in.N), 0
 	for i, c := range in.payloadOf(n.Cond, xqt.KBool) {
 		if i&8191 == 8191 && e.stopRequested() {
-			break // Run's post-operator checkpoint discards the partial table
+			break // RunSchedule's post-operator checkpoint discards the partial table
 		}
 		if c != 0 {
 			idx[o] = int32(i)
@@ -448,7 +432,7 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 			k++
 			rank[i] = k
 		}
-	case n.Mode != RankStream || int64sNonDecreasing(part):
+	case n.Mode != RankStream || slices.IsSorted(part):
 		// rows arrive in (Part, OrderBy) order — the RankSeq contract, a
 		// RankSort input found presorted — or, for RankStream, at least
 		// clustered by group: arrival-order counters equal run-local
@@ -468,7 +452,7 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 		}
 		for i, p := range part {
 			if i&8191 == 8191 && e.stopRequested() {
-				break // Run's post-operator checkpoint discards the partial table
+				break // RunSchedule's post-operator checkpoint discards the partial table
 			}
 			if ctr != nil {
 				ctr[p-lo]++
@@ -519,26 +503,19 @@ func (e *Exec) execUnion(in []*Table) *Table {
 	return out
 }
 
-// cancelcheck:exempt memory-bound adjacent-equality scan
-func execCardCheck(n *CardCheck, in *Table) (*Table, error) {
+// cancelcheck:exempt memory-bound adjacent-equality scan (of a sorted
+// scratch copy when Part arrives ungrouped)
+func (e *Exec) execCardCheck(n *CardCheck, in *Table) (*Table, error) {
 	part := in.Ints(n.Part)
+	if !slices.IsSorted(part) {
+		part = gatherOf(e, scratchRegion, part, e.SortIdx(in, []string{n.Part}, nil, 0))
+	}
 	for i := 1; i < len(part); i++ {
 		if part[i] == part[i-1] {
 			return nil, xqerr.Newf(n.Code, "%s applied to a sequence with more than one item", n.Fn)
 		}
 	}
 	return in, nil
-}
-
-// int64sNonDecreasing reports whether s is sorted ascending (the usual
-// state of iter/part columns).
-func int64sNonDecreasing(s []int64) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // settle copies lists built in scratch — lists of a size only known

@@ -246,7 +246,7 @@ func existThetaJoin[T cmp.Ordered](e *Exec, n *ExistJoin, liter []int64, lv []T,
 	}
 	// reduced sides of clustered inputs have unique iters: when both
 	// ascended, the pairs are unique and come in [iter1, iter2] order
-	uniq := ord == nil && int64sNonDecreasing(liter)
+	uniq := ord == nil && slices.IsSorted(liter)
 	perm := identity(e, nr)
 	lmax := n.Cmp == xqt.CmpGt || n.Cmp == xqt.CmpGe
 	slices.SortFunc(perm, func(a, b int32) int {
@@ -328,7 +328,7 @@ func existThetaJoin[T cmp.Ordered](e *Exec, n *ExistJoin, liter []int64, lv []T,
 // per-run merge; otherwise the pairs are sorted first. count keeps one
 // (iter1, number of distinct iter2) row per iter1 instead.
 func dedupPairs(e *Exec, p1, p2 []int64, count bool) ([]int64, []int64) {
-	if !int64sNonDecreasing(p1) {
+	if !slices.IsSorted(p1) {
 		idx := identity(e, len(p1))
 		slices.SortFunc(idx, func(a, b int32) int {
 			return cmp.Or(cmp.Compare(p1[a], p1[b]), cmp.Compare(p2[a], p2[b]))

@@ -18,7 +18,7 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 	keep, o := dirty[int32](e, scratchRegion, in.N), 0
 	for i := 0; i < in.N; i++ {
 		if i&8191 == 8191 && e.stopRequested() {
-			break // Run's post-operator checkpoint discards the partial table
+			break // RunSchedule's post-operator checkpoint discards the partial table
 		}
 		c := -1 // the first row starts a run
 		if i > 0 {
@@ -268,7 +268,7 @@ func (e *Exec) execEBV(n *EBV, in *Table) (*Table, error) {
 	pc, o := dirty[int64](e, scratchRegion, len(part)), 0
 	for i, groups := 0, 0; i < len(part); groups++ {
 		if groups&8191 == 8191 && e.stopRequested() {
-			break // Run's post-operator checkpoint discards the partial table
+			break // RunSchedule's post-operator checkpoint discards the partial table
 		}
 		j := i
 		for j < len(part) && part[j] == part[i] {

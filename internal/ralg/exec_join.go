@@ -119,7 +119,7 @@ func (e *Exec) execDiff(n *Diff, l, r *Table) *Table {
 	idx, o := dirty[int32](e, scratchRegion, l.N), 0
 	for i, k := range l.Ints(n.LKey) {
 		if i&8191 == 8191 && e.stopRequested() {
-			break // Run's post-operator checkpoint discards the partial table
+			break // RunSchedule's post-operator checkpoint discards the partial table
 		}
 		if !rset.has(k) {
 			idx[o] = int32(i)

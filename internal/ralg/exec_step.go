@@ -185,7 +185,7 @@ func (e *Exec) execStep(n *Step, in *Table) (*Table, error) {
 	// the (item, iter) order across containers
 	for k := range segs {
 		if e.stopRequested() {
-			break // Run's post-operator checkpoint discards the partial table
+			break // RunSchedule's post-operator checkpoint discards the partial table
 		}
 		results[k], kinds[k] = e.stepSegRun(n, iters, items, segs[k], &st, counts)
 	}
@@ -270,7 +270,7 @@ func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec, counts []int64) 
 	for i < end {
 		runs++
 		if runs&4095 == 4095 && e.stopRequested() {
-			break // the caller's partial output is discarded at Run's checkpoint
+			break // the caller's partial output is discarded at RunSchedule's checkpoint
 		}
 		if items.KindAt(i) != xqt.KNode {
 			i++

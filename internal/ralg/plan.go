@@ -550,7 +550,7 @@ func (*EBV) Name() string { return "ebv" }
 // CardCheck raises Code when a Part group holds more than one row —
 // XPTY0004 for an operand that must be one item, FORG0003 for
 // fn:zero-or-one, FORG0005 for fn:exactly-one (whose "at least one"
-// half is CoverCheck's) — and passes its input, grouped on Part, through.
+// half is CoverCheck's) — and passes its input through.
 type CardCheck struct {
 	unary
 	Part string
@@ -561,22 +561,37 @@ type CardCheck struct {
 // Name implements Plan.
 func (*CardCheck) Name() string { return "cardcheck" }
 
-// Walk visits the plan DAG once per node in topological (inputs-first)
-// order.
-func Walk(p Plan, visit func(Plan)) {
-	seen := make(map[Plan]bool)
-	var rec func(Plan)
-	rec = func(n Plan) {
-		if n == nil || seen[n] {
-			return
+// Schedule is a plan DAG numbered once: the straight-line program the
+// executor runs, every node once, inputs before their consumers, the
+// root last.
+type Schedule struct{ Ops []Op }
+
+// Op is one numbered node: its plan and its inputs' numbers, -1 for a
+// nil input (which is not visited).
+type Op struct {
+	Plan Plan
+	In   []int
+}
+
+// NewSchedule numbers the DAG rooted at p depth-first, inputs first.
+func NewSchedule(p Plan) *Schedule {
+	s, num := &Schedule{}, map[Plan]int{nil: -1}
+	var rec func(Plan) int
+	rec = func(n Plan) int {
+		if i, ok := num[n]; ok {
+			return i
 		}
-		seen[n] = true
-		for _, in := range n.Inputs() {
-			rec(in)
+		ins := n.Inputs()
+		op := Op{Plan: n, In: make([]int, len(ins))}
+		for k, in := range ins {
+			op.In[k] = rec(in)
 		}
-		visit(n)
+		num[n] = len(s.Ops)
+		s.Ops = append(s.Ops, op)
+		return num[n]
 	}
 	rec(p)
+	return s
 }
 
 // CountOps returns the number of distinct operators in the plan DAG and
@@ -584,12 +599,12 @@ func Walk(p Plan, visit func(Plan)) {
 // statistics: "86 relational algebra operators on average, of which 9 are
 // joins").
 func CountOps(p Plan) (ops, joins int) {
-	Walk(p, func(n Plan) {
-		ops++
-		switch n.(type) {
+	s := NewSchedule(p)
+	for _, op := range s.Ops {
+		switch op.Plan.(type) {
 		case *HashJoin, *ExistJoin, *Cross, *Diff:
 			joins++
 		}
-	})
-	return ops, joins
+	}
+	return len(s.Ops), joins
 }

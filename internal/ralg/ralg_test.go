@@ -397,6 +397,16 @@ func TestEBVAndCardCheck(t *testing.T) {
 			t.Errorf("CardCheck over a 2-row group raised %v, want %s", err, code)
 		}
 	}
+	// Part need not arrive grouped: a repeat anywhere is a repeat
+	ungrouped := func(iters ...int64) Plan {
+		return &CardCheck{unary: unary{In: &Lit{Tab: seqTable(iters, []int64{1, 1, 1}, []xqt.Item{xqt.Int(7), xqt.Int(8), xqt.Int(9)})}}, Part: "iter", Fn: "op", Code: "XPTY0004"}
+	}
+	if _, err := NewExec(pool, nil).Run(ungrouped(1, 2, 1)); !strings.Contains(fmt.Sprint(err), "XPTY0004") {
+		t.Errorf("CardCheck over iters [1 2 1] raised %v, want XPTY0004", err)
+	}
+	if out, err := NewExec(pool, nil).Run(ungrouped(3, 1, 2)); err != nil || !slices.Equal(out.Ints("iter"), []int64{3, 1, 2}) {
+		t.Errorf("CardCheck over iters [3 1 2]: %v, %v, want them passed through", out, err)
+	}
 }
 
 func TestCountOps(t *testing.T) {
@@ -406,6 +416,37 @@ func TestCountOps(t *testing.T) {
 	ops, joins := CountOps(p)
 	if ops != 3 || joins != 1 {
 		t.Errorf("CountOps = %d, %d", ops, joins)
+	}
+}
+
+// TestScheduleOrder: NewSchedule numbers every node once, inputs before
+// their consumers and the root last, a shared node under one number,
+// and reports a nil input as -1 without visiting it.
+func TestScheduleOrder(t *testing.T) {
+	shared := &Lit{Tab: intTable("k", 1, 2)}
+	left, right := NewProject(shared, "k"), &Sort{unary: unary{In: shared}, By: []string{"k"}}
+	j := NewHashJoin(left, right, "k", "k", Refs("k"), nil)
+	root := NewProject(j, "k")
+	s := NewSchedule(root)
+	want := []Plan{shared, left, right, j, root}
+	if len(s.Ops) != len(want) {
+		t.Fatalf("%d ops, want %d", len(s.Ops), len(want))
+	}
+	for i, op := range s.Ops {
+		if op.Plan != want[i] {
+			t.Errorf("op %d is %s, want %s", i, op.Plan.Name(), want[i].Name())
+		}
+		for k, in := range op.In {
+			if in < 0 || in >= i || s.Ops[in].Plan != op.Plan.Inputs()[k] {
+				t.Errorf("op %d (%s): input %d numbered %d", i, op.Plan.Name(), k, in)
+			}
+		}
+	}
+	if s.Ops[1].In[0] != 0 || s.Ops[2].In[0] != 0 {
+		t.Errorf("the shared literal is numbered %d and %d, want 0 for both", s.Ops[1].In[0], s.Ops[2].In[0])
+	}
+	if s = NewSchedule(&Sort{By: []string{"k"}}); len(s.Ops) != 1 || !slices.Equal(s.Ops[0].In, []int{-1}) {
+		t.Errorf("a nil input: schedule %v, want one op with inputs [-1]", s.Ops)
 	}
 }
 

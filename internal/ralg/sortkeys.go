@@ -342,7 +342,7 @@ func identity(e *Exec, n int) []int32 {
 // buffers, and returns (sorted, spare); bytes on which all keys agree
 // cost no pass. It polls once per pass and returns nil when the
 // execution is cancelled or over budget: the caller then keeps its
-// input, and Run discards whatever the operator builds from it.
+// input, and RunSchedule discards whatever the operator builds from it.
 func (e *Exec) radixSort(u []uint64, idx, tmp []int32) ([]int32, []int32) {
 	var cnt [8][256]int32
 	for _, k := range u {

@@ -22,7 +22,7 @@
 // Plans and tables are immutable once produced: operators build fresh
 // output tables (possibly sharing read-only column payloads with their
 // inputs), so one compiled plan may be executed by any number of Exec
-// instances concurrently, each with its own memo table, statistics and
+// instances concurrently, each with its own tables, statistics and
 // transient container. One execution runs its operators one after
 // another on the calling goroutine.
 package ralg

@@ -153,14 +153,21 @@ func TestThetaSweepAbortsTyped(t *testing.T) {
 		}
 		e.Release()
 
-		// Run asks Err five times before it applies the join (its own
-		// entry check, then entry and exit of either literal input): the
-		// fifth answer is the last "not cancelled", so the sweep's poll,
-		// or in count mode Run's exit check, is the first to see the
-		// cancellation
+		// RunSchedule asks Err three times before it applies the join (on
+		// entry, then after either literal input): the third answer is the
+		// last "not cancelled" and closes Done, so the poll before the
+		// join is the first to see the cancellation
 		e = NewExec(nil, nil)
-		e.Ctx = &cancelAfter{Context: context.Background(), asks: 5, done: make(chan struct{})}
+		e.Ctx = &cancelAfter{Context: context.Background(), asks: 3, done: make(chan struct{})}
 		if _, err := e.Run(j); !errors.Is(err, context.Canceled) || e.Stats.ThetaPairs != 0 {
+			t.Fatalf("theta join (count %v) cancelled between operators: %v, %d pairs emitted", mode.count, err, e.Stats.ThetaPairs)
+		}
+		e.Release()
+		// with no poll before it, the sweep's own poll sees it
+		e, cancelled := NewExec(nil, nil), make(chan struct{})
+		close(cancelled)
+		e.done = cancelled
+		if _, err := e.apply(j, []*Table{side, side}); err != nil || e.Stats.ThetaPairs != 0 {
 			t.Fatalf("theta join (count %v) cancelled mid-sweep: %v, %d pairs emitted", mode.count, err, e.Stats.ThetaPairs)
 		}
 		e.Release()

@@ -22,14 +22,14 @@ import (
 func TestStepRunsAreChained(t *testing.T) {
 	for q := 1; q <= 20; q++ {
 		p := compilePlan(t, xmark.Query(q), DefaultOptions())
-		ralg.Walk(p, func(n ralg.Plan) {
-			if _, ok := n.(*ralg.Step); !ok {
-				return
+		for _, op := range ralg.NewSchedule(p).Ops {
+			if _, ok := op.Plan.(*ralg.Step); !ok {
+				continue
 			}
-			if between := renumberedStep(n.Inputs()[0]); between != "" {
-				t.Errorf("Q%d: %s between %s and the step before it", q, between, n.Name())
+			if between := renumberedStep(op.Plan.Inputs()[0]); between != "" {
+				t.Errorf("Q%d: %s between %s and the step before it", q, between, op.Plan.Name())
 			}
-		})
+		}
 	}
 }
 

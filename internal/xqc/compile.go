@@ -224,9 +224,8 @@ func boolSeq(set, loop ralg.Plan) ralg.Plan {
 }
 
 // cardCheck raises code where an iteration of q holds more than one
-// item (XPTY0004 for an operand that must be a single item). q is
-// compiled, so its [iter, pos] order groups it on iter, as CardCheck
-// needs; the check keeps q's rows and positions.
+// item (XPTY0004 for an operand that must be a single item); the check
+// keeps q's rows and positions.
 func cardCheck(q ralg.Plan, fn, code string) ralg.Plan {
 	cc := &ralg.CardCheck{Part: "iter", Fn: fn, Code: code}
 	cc.SetInput(0, q)

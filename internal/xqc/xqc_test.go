@@ -25,11 +25,11 @@ func compilePlan(t *testing.T, q string, opts Options) ralg.Plan {
 
 func countNodes(p ralg.Plan, pred func(ralg.Plan) bool) int {
 	n := 0
-	ralg.Walk(p, func(q ralg.Plan) {
-		if pred(q) {
+	for _, op := range ralg.NewSchedule(p).Ops {
+		if pred(op.Plan) {
 			n++
 		}
-	})
+	}
 	return n
 }
 
@@ -116,22 +116,22 @@ func TestStepVariantSelection(t *testing.T) {
 	// nametest pushdown selects the candidate-list variant
 	p := compilePlan(t, `/site/people/person`, DefaultOptions())
 	candidate := 0
-	ralg.Walk(p, func(n ralg.Plan) {
-		if s, ok := n.(*ralg.Step); ok && s.Variant == 2 { // scj.CandidateList
+	for _, op := range ralg.NewSchedule(p).Ops {
+		if s, ok := op.Plan.(*ralg.Step); ok && s.Variant == 2 { // scj.CandidateList
 			candidate++
 		}
-	})
+	}
 	if candidate == 0 {
 		t.Error("nametest pushdown did not select candidate-list steps")
 	}
 	off := DefaultOptions()
 	off.NametestPushdown = false
 	p = compilePlan(t, `/site/people/person`, off)
-	ralg.Walk(p, func(n ralg.Plan) {
-		if s, ok := n.(*ralg.Step); ok && s.Variant == 2 {
+	for _, op := range ralg.NewSchedule(p).Ops {
+		if s, ok := op.Plan.(*ralg.Step); ok && s.Variant == 2 {
 			t.Error("candidate-list step selected with pushdown disabled")
 		}
-	})
+	}
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -257,22 +257,22 @@ func TestFuseDescendantSteps(t *testing.T) {
 	// //name compiles to a single descendant step
 	p := compilePlan(t, `/site//item`, DefaultOptions())
 	steps := 0
-	ralg.Walk(p, func(n ralg.Plan) {
-		if _, ok := n.(*ralg.Step); ok {
+	for _, op := range ralg.NewSchedule(p).Ops {
+		if _, ok := op.Plan.(*ralg.Step); ok {
 			steps++
 		}
-	})
+	}
 	if steps != 2 { // child::site + descendant::item
 		t.Errorf("//item fused plan has %d steps, want 2", steps)
 	}
 	// a positional predicate must block the fusion
 	p = compilePlan(t, `/site//item[1]`, DefaultOptions())
 	steps = 0
-	ralg.Walk(p, func(n ralg.Plan) {
-		if _, ok := n.(*ralg.Step); ok {
+	for _, op := range ralg.NewSchedule(p).Ops {
+		if _, ok := op.Plan.(*ralg.Step); ok {
 			steps++
 		}
-	})
+	}
 	if steps != 3 { // child::site + dos::node() + child::item
 		t.Errorf("//item[1] plan has %d steps, want 3 (no fusion)", steps)
 	}
