@@ -77,7 +77,7 @@ func TestExecutePanicContained(t *testing.T) {
 	p := &Prepared{
 		eng:   New(DefaultConfig()),
 		query: "q-with-broken-plan",
-		cq:    &compiled{Compiled: &xqc.Compiled{Plan: broken}},
+		cq:    &compiled{Compiled: &xqc.Compiled{Plan: broken}, plan: ralg.NewSchedule(broken)},
 	}
 	res, err := p.Execute(nil)
 	if err == nil {
@@ -91,6 +91,9 @@ func TestExecutePanicContained(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "q-with-broken-plan") {
 		t.Errorf("error %q does not carry the query text", err)
+	}
+	if !strings.Contains(err.Error(), `no column "no-such-column"`) {
+		t.Errorf("error %q is not the Select's panic over the missing column", err)
 	}
 }
 

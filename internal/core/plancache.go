@@ -37,8 +37,8 @@ type compiled struct {
 	*xqc.Compiled
 	// inits and plan number every Params[i].Init and Plan once, for
 	// every execution: shared read-only, like the plans themselves.
-	inits []*ralg.Schedule
-	plan  *ralg.Schedule
+	inits []ralg.Schedule
+	plan  ralg.Schedule
 	// transientRows is how many rows the last successful execution built
 	// in its transient container; the next one's first element constructor
 	// reserves them, so the later ones never regrow the container. The last

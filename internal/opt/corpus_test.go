@@ -74,7 +74,7 @@ func identityRecord(p ralg.Plan) string {
 		b.WriteString(err.Error())
 	}
 	props := opt.InferProps(p)
-	for i, op := range ralg.NewSchedule(p).Ops {
+	for i, op := range ralg.NewSchedule(p) {
 		n := op.Plan
 		pr := props[n]
 		var ords, grps []string

@@ -120,7 +120,7 @@ func TestInternedPlanVerifiedOnce(t *testing.T) {
 		by string
 	}
 	sorts := map[sortOf]bool{}
-	for _, op := range ralg.NewSchedule(p).Ops {
+	for _, op := range ralg.NewSchedule(p) {
 		if s, ok := op.Plan.(*ralg.Sort); ok {
 			k := sortOf{s.In, strings.Join(s.By, ",")}
 			if sorts[k] {

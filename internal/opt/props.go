@@ -252,7 +252,7 @@ func InferProps(root ralg.Plan) map[ralg.Plan]Props {
 	o := newOptimizer(nil)
 	out := map[ralg.Plan]Props{}
 	var ins []*props
-	for _, op := range ralg.NewSchedule(root).Ops {
+	for _, op := range ralg.NewSchedule(root) {
 		ins = ins[:0]
 		for _, in := range op.Plan.Inputs() {
 			pr := out[in].p

@@ -188,7 +188,7 @@ func Analyze(root ralg.Plan, cfg Config) (map[ralg.Plan]Info, error) {
 		schemas: map[ralg.Plan]*Schema{},
 		props:   map[ralg.Plan]*colProps{},
 	}
-	for _, op := range ralg.NewSchedule(root).Ops {
+	for _, op := range ralg.NewSchedule(root) {
 		v.visit(op.Plan)
 	}
 	infos := make(map[ralg.Plan]Info, len(v.schemas))

@@ -187,8 +187,7 @@ func (e *Exec) resetScratch() {
 // Release returns the execution's column memory for reuse. Every table
 // the Exec produced is invalid afterwards: callers copy what they keep —
 // Table.Items does — before releasing. It is idempotent, a no-op for an
-// execution that never took an arena, and must not run concurrently
-// with RunSchedule.
+// execution that never took an arena, and must not overlap RunSchedule.
 func (e *Exec) Release() {
 	m := &e.mem
 	if m.a == nil {

@@ -112,7 +112,7 @@ func sliceArrays(n Plan, into map[uintptr]string) {
 
 func nodeSet(p Plan) map[Plan]bool {
 	set := map[Plan]bool{}
-	for _, op := range NewSchedule(p).Ops {
+	for _, op := range NewSchedule(p) {
 		set[op.Plan] = true
 	}
 	return set

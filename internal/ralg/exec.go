@@ -49,11 +49,10 @@ const MaxRows = 64 << 20
 type Bindings map[string]ItemVec
 
 // Exec evaluates plan schedules against a container pool, each numbered
-// node once, in number order. Every operator has one body,
-// run once over all its input rows on the calling goroutine. One Exec
-// evaluates one query; concurrent queries each get their own Exec (and
-// their own transient container), sharing only the read-only document
-// containers.
+// node once, in number order. Every operator has one body, run once over
+// all its input rows on the calling goroutine. One Exec evaluates one
+// query; concurrent queries each get their own Exec (and their own
+// transient container), sharing only the read-only document containers.
 // ContextDoc names the document ContextRoot leaves (absolute paths)
 // resolve to; Bindings supplies the values of ParamTable leaves.
 //
@@ -70,9 +69,8 @@ type Bindings map[string]ItemVec
 //
 // Mem is the execution's memory budget (nil = unlimited), metered where
 // memory is handed out (carve): a request it refuses ends the operator
-// and RunSchedule returns the typed resource-exhausted error. An
-// exceeded budget also trips the stopRequested poll, so the running
-// loop stops.
+// and RunSchedule returns the typed resource-exhausted error. An exceeded
+// budget also trips the stopRequested poll, so the running loop stops.
 //
 // Row-sized pointer-free columns come from a pooled arena (arena.go):
 // Release hands it back, after which no table of this Exec may be read.
@@ -104,15 +102,15 @@ func (e *Exec) Run(p Plan) (*Table, error) { return e.RunSchedule(NewSchedule(p)
 // RunSchedule evaluates the schedule in number order and returns its
 // root's table. When Ctx is set and expires mid-execution, it returns the
 // context error promptly — never a partial result.
-func (e *Exec) RunSchedule(s *Schedule) (*Table, error) {
+func (e *Exec) RunSchedule(s Schedule) (*Table, error) {
 	if e.Ctx != nil {
 		e.done = e.Ctx.Done()
 		if err := e.Ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	tabs, in := make([]*Table, len(s.Ops)), make([]*Table, 0, 4)
-	for i, op := range s.Ops {
+	tabs, in := make([]*Table, len(s)), make([]*Table, 0, 4)
+	for i, op := range s {
 		in = in[:0]
 		for _, k := range op.In {
 			in = append(in, tabs[k])

@@ -564,7 +564,7 @@ func (*CardCheck) Name() string { return "cardcheck" }
 // Schedule is a plan DAG numbered once: the straight-line program the
 // executor runs, every node once, inputs before their consumers, the
 // root last.
-type Schedule struct{ Ops []Op }
+type Schedule []Op
 
 // Op is one numbered node: its plan and its inputs' numbers, -1 for a
 // nil input (which is not visited).
@@ -573,21 +573,24 @@ type Op struct {
 	In   []int
 }
 
-// NewSchedule numbers the DAG rooted at p depth-first, inputs first.
-func NewSchedule(p Plan) *Schedule {
-	s, num := &Schedule{}, map[Plan]int{nil: -1}
+// NewSchedule numbers the DAG rooted at p depth-first, inputs first, into
+// 64 presized slots (XMark's median is 54), each In cut from a shared array.
+func NewSchedule(p Plan) Schedule {
+	s, num, in := make(Schedule, 0, 64), make(map[Plan]int, 64), make([]int, 0, 128)
+	num[nil] = -1
 	var rec func(Plan) int
 	rec = func(n Plan) int {
 		if i, ok := num[n]; ok {
 			return i
 		}
-		ins := n.Inputs()
-		op := Op{Plan: n, In: make([]int, len(ins))}
-		for k, in := range ins {
-			op.In[k] = rec(in)
+		ins, lo := n.Inputs(), len(in)
+		in = append(in, make([]int, len(ins))...)
+		for k, c := range ins {
+			i := rec(c) // before in is read: rec may regrow it
+			in[lo+k] = i
 		}
-		num[n] = len(s.Ops)
-		s.Ops = append(s.Ops, op)
+		num[n] = len(s)
+		s = append(s, Op{Plan: n, In: in[lo : lo+len(ins) : lo+len(ins)]})
 		return num[n]
 	}
 	rec(p)
@@ -600,11 +603,11 @@ func NewSchedule(p Plan) *Schedule {
 // joins").
 func CountOps(p Plan) (ops, joins int) {
 	s := NewSchedule(p)
-	for _, op := range s.Ops {
+	for _, op := range s {
 		switch op.Plan.(type) {
 		case *HashJoin, *ExistJoin, *Cross, *Diff:
 			joins++
 		}
 	}
-	return len(s.Ops), joins
+	return len(s), joins
 }

@@ -429,24 +429,24 @@ func TestScheduleOrder(t *testing.T) {
 	root := NewProject(j, "k")
 	s := NewSchedule(root)
 	want := []Plan{shared, left, right, j, root}
-	if len(s.Ops) != len(want) {
-		t.Fatalf("%d ops, want %d", len(s.Ops), len(want))
+	if len(s) != len(want) {
+		t.Fatalf("%d ops, want %d", len(s), len(want))
 	}
-	for i, op := range s.Ops {
+	for i, op := range s {
 		if op.Plan != want[i] {
 			t.Errorf("op %d is %s, want %s", i, op.Plan.Name(), want[i].Name())
 		}
 		for k, in := range op.In {
-			if in < 0 || in >= i || s.Ops[in].Plan != op.Plan.Inputs()[k] {
+			if in < 0 || in >= i || s[in].Plan != op.Plan.Inputs()[k] {
 				t.Errorf("op %d (%s): input %d numbered %d", i, op.Plan.Name(), k, in)
 			}
 		}
 	}
-	if s.Ops[1].In[0] != 0 || s.Ops[2].In[0] != 0 {
-		t.Errorf("the shared literal is numbered %d and %d, want 0 for both", s.Ops[1].In[0], s.Ops[2].In[0])
+	if s[1].In[0] != 0 || s[2].In[0] != 0 {
+		t.Errorf("the shared literal is numbered %d and %d, want 0 for both", s[1].In[0], s[2].In[0])
 	}
-	if s = NewSchedule(&Sort{By: []string{"k"}}); len(s.Ops) != 1 || !slices.Equal(s.Ops[0].In, []int{-1}) {
-		t.Errorf("a nil input: schedule %v, want one op with inputs [-1]", s.Ops)
+	if s = NewSchedule(&Sort{By: []string{"k"}}); len(s) != 1 || !slices.Equal(s[0].In, []int{-1}) {
+		t.Errorf("a nil input: schedule %v, want one op with inputs [-1]", s)
 	}
 }
 

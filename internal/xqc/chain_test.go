@@ -22,7 +22,7 @@ import (
 func TestStepRunsAreChained(t *testing.T) {
 	for q := 1; q <= 20; q++ {
 		p := compilePlan(t, xmark.Query(q), DefaultOptions())
-		for _, op := range ralg.NewSchedule(p).Ops {
+		for _, op := range ralg.NewSchedule(p) {
 			if _, ok := op.Plan.(*ralg.Step); !ok {
 				continue
 			}

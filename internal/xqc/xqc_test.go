@@ -25,7 +25,7 @@ func compilePlan(t *testing.T, q string, opts Options) ralg.Plan {
 
 func countNodes(p ralg.Plan, pred func(ralg.Plan) bool) int {
 	n := 0
-	for _, op := range ralg.NewSchedule(p).Ops {
+	for _, op := range ralg.NewSchedule(p) {
 		if pred(op.Plan) {
 			n++
 		}
@@ -116,7 +116,7 @@ func TestStepVariantSelection(t *testing.T) {
 	// nametest pushdown selects the candidate-list variant
 	p := compilePlan(t, `/site/people/person`, DefaultOptions())
 	candidate := 0
-	for _, op := range ralg.NewSchedule(p).Ops {
+	for _, op := range ralg.NewSchedule(p) {
 		if s, ok := op.Plan.(*ralg.Step); ok && s.Variant == 2 { // scj.CandidateList
 			candidate++
 		}
@@ -127,7 +127,7 @@ func TestStepVariantSelection(t *testing.T) {
 	off := DefaultOptions()
 	off.NametestPushdown = false
 	p = compilePlan(t, `/site/people/person`, off)
-	for _, op := range ralg.NewSchedule(p).Ops {
+	for _, op := range ralg.NewSchedule(p) {
 		if s, ok := op.Plan.(*ralg.Step); ok && s.Variant == 2 {
 			t.Error("candidate-list step selected with pushdown disabled")
 		}
@@ -257,7 +257,7 @@ func TestFuseDescendantSteps(t *testing.T) {
 	// //name compiles to a single descendant step
 	p := compilePlan(t, `/site//item`, DefaultOptions())
 	steps := 0
-	for _, op := range ralg.NewSchedule(p).Ops {
+	for _, op := range ralg.NewSchedule(p) {
 		if _, ok := op.Plan.(*ralg.Step); ok {
 			steps++
 		}
@@ -268,7 +268,7 @@ func TestFuseDescendantSteps(t *testing.T) {
 	// a positional predicate must block the fusion
 	p = compilePlan(t, `/site//item[1]`, DefaultOptions())
 	steps = 0
-	for _, op := range ralg.NewSchedule(p).Ops {
+	for _, op := range ralg.NewSchedule(p) {
 		if _, ok := op.Plan.(*ralg.Step); ok {
 			steps++
 		}
