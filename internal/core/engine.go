@@ -293,24 +293,19 @@ func (e *Engine) compile(q string) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.verify {
-		if err := verifyCompiled(cq); err != nil {
+	st := newCompiled(cq)
+	if e.verify || !e.cfg.OrderAware { // to verify, or to cache unoptimized
+		if err := e.number(st); err != nil {
 			return nil, fmt.Errorf("core: compiler emitted an invalid plan for %q: %w", q, err)
 		}
 	}
 	if e.cfg.OrderAware {
-		if err := e.optimizeCompiled(cq, q); err != nil {
+		if err := e.optimizeCompiled(st, q); err != nil {
 			return nil, err
 		}
-		if e.verify {
-			if err := verifyCompiled(cq); err != nil {
-				return nil, fmt.Errorf("core: optimizer broke the plan for %q: %w", q, err)
-			}
+		if err := e.number(st); err != nil {
+			return nil, fmt.Errorf("core: optimizer broke the plan for %q: %w", q, err)
 		}
-	}
-	st := &compiled{Compiled: cq, plan: ralg.NewSchedule(cq.Plan)}
-	for _, p := range cq.Params {
-		st.inits = append(st.inits, ralg.NewSchedule(p.Init))
 	}
 	e.cache.put(q, st)
 	return st, nil
@@ -326,36 +321,33 @@ func (e *Engine) parseCompile(q string) (*xqc.Compiled, error) {
 	return xqc.Compile(m, e.cfg.Compiler)
 }
 
-// eachPlan calls f on every plan of a compiled query, in the order the
-// executor materializes them: every parameter initializer in
-// declaration order, then the main plan. f gets the plan's slot (so it
-// may replace the plan), the name of the parameter it initializes (""
-// for the main plan) and the verifier configuration naming the
-// parameters visible to it — initializer i may only reference
-// parameters declared before it, the main plan sees them all. The first
-// error ends the walk.
-func eachPlan(cq *xqc.Compiled, f func(plan *ralg.Plan, param string, cfg planck.Config) error) error {
+// each calls f on every plan of st in the order the executor runs them:
+// every parameter initializer in declaration order, then the main plan.
+// f gets the slots of the plan and of its schedule, the name of the
+// parameter it initializes ("" for the main plan) and the verifier
+// configuration naming the parameters visible to it: those declared
+// before it, all of them for the main plan. The first error ends the walk.
+func (st *compiled) each(f func(plan *ralg.Plan, s *ralg.Schedule, param string, cfg planck.Config) error) error {
 	cfg := planck.Config{Params: map[string]bool{}, RequireItem: true}
-	for i := range cq.Params {
-		p := &cq.Params[i]
-		if p.Init != nil {
-			if err := f(&p.Init, p.Name, cfg); err != nil {
+	for i := range st.Params {
+		if p := &st.Params[i]; p.Init != nil {
+			if err := f(&p.Init, &st.inits[i], p.Name, cfg); err != nil {
 				return err
 			}
 		}
-		cfg.Params[p.Name] = true
+		cfg.Params[st.Params[i].Name] = true
 	}
-	return f(&cq.Plan, "", cfg)
+	return f(&st.Plan, &st.plan, "", cfg)
 }
 
-// optimizeCompiled runs the peephole optimizer over every plan of cq.
+// optimizeCompiled runs the peephole optimizer over every plan of st.
 // With rewrite checking on, each optimization collects its rewrite
 // witnesses and the translation validator replays them over synthesized
 // inputs — an unsound rewrite fails the compilation, attributed to the
 // plan it fired in (parameter initializers are covered exactly like the
 // main plan).
-func (e *Engine) optimizeCompiled(cq *xqc.Compiled, q string) error {
-	return eachPlan(cq, func(plan *ralg.Plan, param string, _ planck.Config) error {
+func (e *Engine) optimizeCompiled(st *compiled, q string) error {
+	return st.each(func(plan *ralg.Plan, _ *ralg.Schedule, param string, _ planck.Config) error {
 		if !e.checkRewrites {
 			*plan = opt.Optimize(*plan)
 			return nil
@@ -386,17 +378,21 @@ func (e *Engine) RewriteSteps(q string) ([]opt.RewriteStep, error) {
 		return nil, err
 	}
 	var steps []opt.RewriteStep
-	err = eachPlan(cq, func(plan *ralg.Plan, _ string, _ planck.Config) error {
+	err = newCompiled(cq).each(func(plan *ralg.Plan, _ *ralg.Schedule, _ string, _ planck.Config) error {
 		*plan = opt.OptimizeTraced(*plan, func(s opt.RewriteStep) { steps = append(steps, s) })
 		return nil
 	})
 	return steps, err
 }
 
-// verifyCompiled runs the static plan verifier over every plan of cq.
-func verifyCompiled(cq *xqc.Compiled) error {
-	return eachPlan(cq, func(plan *ralg.Plan, param string, cfg planck.Config) error {
-		err := planck.Verify(*plan, cfg)
+// number numbers every plan of st once and, with plan verification on,
+// runs the static plan verifier over each schedule.
+func (e *Engine) number(st *compiled) error {
+	return st.each(func(plan *ralg.Plan, s *ralg.Schedule, param string, cfg planck.Config) error {
+		if *s = ralg.NewSchedule(*plan); !e.verify {
+			return nil
+		}
+		_, err := planck.Analyze(*s, cfg)
 		if err != nil && param != "" {
 			return fmt.Errorf("initializer of $%s: %w", param, err)
 		}
@@ -413,12 +409,12 @@ func (e *Engine) ExplainPlan(q string) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	err = eachPlan(cq.Compiled, func(plan *ralg.Plan, param string, cfg planck.Config) error {
-		s, err := planck.Explain(*plan, cfg)
+	err = cq.each(func(_ *ralg.Plan, s *ralg.Schedule, param string, cfg planck.Config) error {
+		tree, err := planck.Explain(*s, cfg)
 		if param != "" {
 			fmt.Fprintf(&b, "$%s :=\n", param)
 		}
-		b.WriteString(s)
+		b.WriteString(tree)
 		return err
 	})
 	if err != nil {
@@ -457,11 +453,10 @@ func (e *Engine) CacheStats() (hits, misses int64, size int) {
 // (the §4.1 plan statistics).
 func (e *Engine) PlanStats(q string) (ops, joins int, err error) {
 	cq, err := e.compile(q)
-	if err != nil {
-		return 0, 0, err
+	if err == nil {
+		ops, joins = cq.plan.CountOps()
 	}
-	ops, joins = ralg.CountOps(cq.Plan)
-	return ops, joins, nil
+	return ops, joins, err
 }
 
 // SerializeXML writes the result sequence as XML text: nodes are

@@ -287,7 +287,7 @@ func TestStackedPositionalPredicatesPrepareFast(t *testing.T) {
 			t.Fatal(err)
 		}
 		best = min(best, time.Since(start))
-		for _, pr := range opt.InferProps(p.Plan()) {
+		for _, pr := range opt.InferProps(p.cq.plan) {
 			if n := len(pr.Ords()); n > 150 {
 				t.Fatalf("a plan node carries %d inferred orderings", n)
 			}

@@ -35,8 +35,8 @@ type planCache struct {
 // one-shot Query of one text share it through the cache.
 type compiled struct {
 	*xqc.Compiled
-	// inits and plan number every Params[i].Init and Plan once, for
-	// every execution: shared read-only, like the plans themselves.
+	// inits and plan number every Params[i].Init (an empty schedule for
+	// none) and Plan once, for every execution: shared read-only.
 	inits []ralg.Schedule
 	plan  ralg.Schedule
 	// transientRows is how many rows the last successful execution built
@@ -45,6 +45,11 @@ type compiled struct {
 	// value, not the maximum: a binding that once built a huge result
 	// must not pin a huge reservation. Failed executions never write it.
 	transientRows atomic.Int64
+}
+
+// newCompiled wraps cq with a schedule slot per plan (Engine.number).
+func newCompiled(cq *xqc.Compiled) *compiled {
+	return &compiled{Compiled: cq, inits: make([]ralg.Schedule, len(cq.Params))}
 }
 
 type planEntry struct {

@@ -73,7 +73,7 @@ func TestCorruptedPlanRejectedAtCompileTime(t *testing.T) {
 	// graft a Select over a non-boolean column onto the compiled plan
 	corrupted := &ralg.Select{Cond: "iter"}
 	corrupted.SetInput(0, cq.Plan)
-	err = verifyCompiled(&xqc.Compiled{Plan: corrupted})
+	err = eng.number(newCompiled(&xqc.Compiled{Plan: corrupted}))
 	var pie *planck.PlanInvariantError
 	if !errors.As(err, &pie) {
 		t.Fatalf("corrupted plan not rejected: %v", err)

@@ -66,17 +66,17 @@ func compilePlans(q string) []ralg.Plan {
 // optimized plan through planck.Explain, then every node's inferred
 // properties in schedule order, each set sorted.
 func identityRecord(p ralg.Plan) string {
-	p = opt.Optimize(p)
+	s := ralg.NewSchedule(opt.Optimize(p))
 	var b strings.Builder
-	s, err := planck.Explain(p, planck.Config{})
-	b.WriteString(s)
+	tree, err := planck.Explain(s, planck.Config{})
+	b.WriteString(tree)
 	if err != nil {
 		b.WriteString(err.Error())
 	}
-	props := opt.InferProps(p)
-	for i, op := range ralg.NewSchedule(p) {
+	props := opt.InferProps(s)
+	for i, op := range s {
 		n := op.Plan
-		pr := props[n]
+		pr := props[i]
 		var ords, grps []string
 		for _, o := range pr.Ords() {
 			ords = append(ords, strings.Join(o, ","))
@@ -140,7 +140,10 @@ func identityDigest() string {
 // 1 245; every singleton operand checked by a CardCheck that carries its
 // error code instead of cut to its first item: 317, exactly the texts
 // whose plans hold a CardCheck or CoverCheck — 135 change shape and 182
-// change only the code their check's label now prints).
+// change only the code their check's label now prints; explain's #N
+// printed as the node's schedule number instead of a preorder count
+// from 1: all 1 245, and the previous code printing schedule numbers
+// gives the new digest on all 1 245).
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")
@@ -274,26 +277,28 @@ func widePlan() (root ralg.Plan, last *ralg.Project) {
 // (re-pinned when planck's schema printed tags for column kinds: the
 // record differs by the words "int" → "integer" only; and when the dense
 // property went: the record differs by its d[…] fields and dense{…}
-// labels only).
+// labels only; and when explain's #N became the schedule number: the
+// record differs by those numbers only).
 func TestWidePlanProps(t *testing.T) {
 	root, proj := widePlan()
 	root = opt.Optimize(root)
 	if err := planck.Verify(root, planck.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	props := opt.InferProps(root)
-	pp := props[proj]
+	s := ralg.NewSchedule(root)
+	props := opt.InferProps(s)
+	pp := props[slices.IndexFunc(s, func(op ralg.Op) bool { return op.Plan == proj })]
 	if !pp.Key("e98") || pp.Key("e97") || !pp.Covers([]string{"e98", "e97"}) || pp.Covers([]string{"e97"}) {
 		t.Errorf("projected props: key %v ords %v", pp.KeyCols(), pp.Ords())
 	}
 	if len(pp.KeyCols()) != 50 || len(pp.ConstCols()) != 0 {
 		t.Errorf("%d key, %d const columns, want 50 and 0", len(pp.KeyCols()), len(pp.ConstCols()))
 	}
-	if rp := props[root]; !rp.Key("r") || !rp.Covers([]string{"r"}) || !rp.Covers([]string{"e99", "e0"}) || rp.Covers([]string{"e98"}) {
+	if rp := props[len(s)-1]; !rp.Key("r") || !rp.Covers([]string{"r"}) || !rp.Covers([]string{"e99", "e0"}) || rp.Covers([]string{"e98"}) {
 		t.Errorf("numbered props: key %v ords %v", rp.KeyCols(), rp.Ords())
 	}
 	root, _ = widePlan()
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(identityRecord(root)))); got[:16] != "71381937a0b11147" {
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(identityRecord(root)))); got[:16] != "055fb7a6a3d991d8" {
 		t.Errorf("wide plan identity %s", got[:16])
 	}
 }

@@ -129,15 +129,16 @@ func TestInternedPlanVerifiedOnce(t *testing.T) {
 			sorts[k] = true
 		}
 	}
-	infos, err := planck.Analyze(p, planck.Config{})
+	s := ralg.NewSchedule(p)
+	infos, err := planck.Analyze(s, planck.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ops, _ := ralg.CountOps(p); len(infos) != ops {
 		t.Errorf("Q20: planck analyzed %d nodes, the plan has %d", len(infos), ops)
 	}
-	s, err := planck.Explain(p, planck.Config{})
-	if err != nil || !strings.Contains(s, "(shared)") {
-		t.Errorf("Q20's explain shows no shared node (%v):\n%s", err, s)
+	tree, err := planck.Explain(s, planck.Config{})
+	if err != nil || !strings.Contains(tree, "(shared)") {
+		t.Errorf("Q20's explain shows no shared node (%v):\n%s", err, tree)
 	}
 }

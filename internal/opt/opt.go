@@ -72,11 +72,6 @@ type memo struct {
 	users, next *memo
 }
 
-func newOptimizer(trace func(RewriteStep)) *optimizer {
-	return &optimizer{cols: cols{ids: map[string]rune{}}, memo: make(map[ralg.Plan]*memo, 64),
-		strs: map[string]string{}, trace: trace}
-}
-
 // rewrite rewrites p's inputs, then p, and returns the kept node that
 // stands for p: p itself, the input a dropped p returns, or the kept
 // node p turned out to duplicate. A duplicate is compared after its own

@@ -19,12 +19,18 @@ func litTable(vals ...int64) *ralg.Table {
 // depending on how they are stored.
 func declared(d *ralg.LitDecl) Props {
 	d.Tab = ralg.NewTable(nil, nil)
-	return InferProps(d)[d]
+	return rootProps(d)
 }
 
 func litPropsOf(tab *ralg.Table) Props {
 	l := &ralg.Lit{Tab: tab}
-	return InferProps(l)[l]
+	return rootProps(l)
+}
+
+// rootProps returns the properties inferred for the root of p.
+func rootProps(p ralg.Plan) Props {
+	ps := InferProps(ralg.NewSchedule(p))
+	return ps[len(ps)-1]
 }
 
 func TestLitProps(t *testing.T) {

@@ -242,26 +242,26 @@ func (pr Props) Grps() []GrpOrd {
 	return out
 }
 
-// InferProps runs the §4.1 property inference over an existing plan DAG
-// without rewriting it, returning the inferred properties per node. It
-// works on optimized and unoptimized plans alike: inference only reads
-// the operators (including any Mode annotations already set),
-// so on an optimizer output it reproduces exactly the properties the
-// rewrites were justified by.
-func InferProps(root ralg.Plan) map[ralg.Plan]Props {
-	o := newOptimizer(nil)
-	out := map[ralg.Plan]Props{}
+// InferProps runs the §4.1 property inference over a numbered plan
+// without rewriting it, returning the inferred properties of each node
+// by its number. It works on optimized and unoptimized plans alike:
+// inference only reads the operators (including any Mode annotations
+// already set), so on an optimizer output it reproduces exactly the
+// properties the rewrites were justified by.
+func InferProps(s ralg.Schedule) []Props {
+	o := &optimizer{cols: cols{ids: map[string]rune{}}, strs: map[string]string{}}
+	out := make([]Props, len(s))
 	var ins []*props
-	for _, op := range ralg.NewSchedule(root) {
+	for i, op := range s {
 		ins = ins[:0]
-		for _, in := range op.Plan.Inputs() {
-			pr := out[in].p
-			if pr == nil {
-				pr = none // a nil input
+		for _, in := range op.In {
+			pr := none // a nil input
+			if in >= 0 {
+				pr = out[in].p
 			}
 			ins = append(ins, pr)
 		}
-		out[op.Plan] = Props{o.infer(op.Plan, ins), &o.cols}
+		out[i] = Props{o.infer(op.Plan, ins), &o.cols}
 	}
 	return out
 }

@@ -54,11 +54,11 @@ func TestElemConstructKeyRequiresLoopKey(t *testing.T) {
 		return e
 	}
 	e1 := mkElem(uniqLoop)
-	if !InferProps(e1)[e1].Key("iter") {
+	if !rootProps(e1).Key("iter") {
 		t.Error("elem over a key loop must keep key(iter)")
 	}
 	e2 := mkElem(dupLoop)
-	if InferProps(e2)[e2].Key("iter") {
+	if rootProps(e2).Key("iter") {
 		t.Error("elem over a loop with duplicate iterations must not claim key(iter)")
 	}
 }
@@ -80,7 +80,7 @@ func TestStableSortKeepsGlobalOrderAsGrpord(t *testing.T) {
 	if !ok || len(srt.By) != 1 || srt.By[0] != "item" {
 		t.Fatalf("sort-shortening rewrite did not fire: %T %v", out, out)
 	}
-	if !InferProps(srt)[srt].Covers([]string{"item", "iter"}) {
+	if !rootProps(srt).Covers([]string{"item", "iter"}) {
 		t.Error("shortened stable sort must still prove ord(item,iter)")
 	}
 }
@@ -116,7 +116,7 @@ func TestStepKeepsConstIter(t *testing.T) {
 			},
 		} {
 			step := mk(ctx(c.iters...))
-			pr := InferProps(step)[step]
+			pr := rootProps(step)
 			if got := pr.Const("iter"); got != c.want {
 				t.Errorf("%s over iterations %v: const(iter) %v, want %v", step.Name(), c.iters, got, c.want)
 			}

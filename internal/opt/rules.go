@@ -74,7 +74,9 @@ type RewriteStep struct {
 // deep-copied before/after subplans. A nil trace is exactly Optimize —
 // tracing off costs a single nil check per rewrite site.
 func OptimizeTraced(p ralg.Plan, trace func(RewriteStep)) ralg.Plan {
-	return newOptimizer(trace).rewrite(p).r
+	o := &optimizer{cols: cols{ids: map[string]rune{}}, memo: make(map[ralg.Plan]*memo, 64),
+		strs: map[string]string{}, trace: trace}
+	return o.rewrite(p).r
 }
 
 // snap captures the pre-rewrite deep copy of n. The returned copier's

@@ -124,11 +124,11 @@ func (d *domain) validateStep(step opt.RewriteStep, idx int, o Options) error {
 	}
 	cls := make([]*claims, len(ins))
 	for i, in := range ins {
-		infos, err := planck.Analyze(in, planck.Config{})
+		infos, err := planck.Analyze(ralg.NewSchedule(in), planck.Config{})
 		if err != nil {
 			return nil // input not independently verifiable: skip step
 		}
-		info := infos[in]
+		info := infos[len(infos)-1]
 		if info.Schema == nil || info.Schema.Any || len(info.Schema.Cols()) == 0 {
 			return nil
 		}
@@ -161,7 +161,7 @@ func (d *domain) validateStep(step opt.RewriteStep, idx int, o Options) error {
 // compares both sides, shrinking and reporting on disagreement.
 func (d *domain) checkShape(step opt.RewriteStep, idx int, seed int64, rows int, ins []ralg.Plan, lits []*ralg.LitDecl, o Options) error {
 	before, after := substitute(step, ins, lits)
-	if err := planck.Verify(before, planck.Config{}); err != nil {
+	if _, err := planck.Analyze(before, planck.Config{}); err != nil {
 		// The synthesized input satisfies the claimed properties, yet
 		// the pre-rewrite plan fails static verification: that is a bug
 		// in the synthesizer (or a planck/opt inference disagreement),
@@ -205,14 +205,14 @@ func dedupePlans(ins []ralg.Plan) []ralg.Plan {
 }
 
 // substitute wires the synthesized inputs into copies of the witness's
-// before and after subplans. One shared copier keeps input sharing
-// intact: an input reachable from both sides maps to the same literal,
-// and a rewrite whose after IS one of its inputs (sort.drop-covered)
-// maps to that input's literal.
-func substitute(step opt.RewriteStep, ins []ralg.Plan, lits []*ralg.LitDecl) (before, after ralg.Plan) {
+// before and after subplans, numbered once each. One shared copier keeps
+// input sharing intact: an input reachable from both sides maps to the
+// same literal, and a rewrite whose after IS one of its inputs
+// (sort.drop-covered) maps to that input's literal.
+func substitute(step opt.RewriteStep, ins []ralg.Plan, lits []*ralg.LitDecl) (before, after ralg.Schedule) {
 	c := ralg.NewCopier()
 	for i, in := range ins {
 		c.Replace(in, lits[i])
 	}
-	return c.Copy(step.Before), c.Copy(step.After)
+	return ralg.NewSchedule(c.Copy(step.Before)), ralg.NewSchedule(c.Copy(step.After))
 }

@@ -18,8 +18,8 @@ import (
 // perturb a single result byte. A rewritten plan that planck rejects
 // outright is unsound without needing execution: the rewrite produced
 // a plan whose own preconditions do not hold.
-func (d *domain) judge(before, after ralg.Plan) (ok bool, msg string) {
-	if err := planck.Verify(after, planck.Config{}); err != nil {
+func (d *domain) judge(before, after ralg.Schedule) (ok bool, msg string) {
+	if _, err := planck.Analyze(after, planck.Config{}); err != nil {
 		return false, "rewritten plan fails static verification: " + err.Error()
 	}
 	tb, eb := d.run(before)
@@ -53,7 +53,7 @@ func errCode(err error) string {
 // repro renders the minimal reproducer: the rule, the synthesized
 // inputs with their declared properties, both subplans via
 // planck.Explain, and what each side produced.
-func (d *domain) repro(step opt.RewriteStep, ins []ralg.Plan, lits []*ralg.LitDecl, before, after ralg.Plan) string {
+func (d *domain) repro(step opt.RewriteStep, ins []ralg.Plan, lits []*ralg.LitDecl, before, after ralg.Schedule) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rule: %s\n", step.Rule)
 	for i, ld := range lits {
@@ -91,9 +91,9 @@ func declString(ld *ralg.LitDecl) string {
 	return " " + strings.Join(parts, " ")
 }
 
-func explainString(p ralg.Plan) string {
-	s, _ := planck.Explain(p, planck.Config{})
-	return s
+func explainString(s ralg.Schedule) string {
+	tree, _ := planck.Explain(s, planck.Config{})
+	return tree
 }
 
 func resultString(t *ralg.Table, err error) string {

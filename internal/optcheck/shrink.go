@@ -23,7 +23,7 @@ func (d *domain) shrink(step opt.RewriteStep, ins []ralg.Plan, lits []*ralg.LitD
 		trial := append([]*ralg.LitDecl(nil), cur...)
 		trial[k] = cand
 		before, after := substitute(step, ins, trial)
-		if planck.Verify(before, planck.Config{}) != nil {
+		if _, err := planck.Analyze(before, planck.Config{}); err != nil {
 			return false
 		}
 		if ok, _ := d.judge(before, after); ok {

@@ -176,11 +176,11 @@ func newDomain() (*domain, error) {
 // run executes one substituted subplan against a fresh snapshot of the
 // domain pool with its own transient container — before and after
 // replay in fully isolated executors, sharing only read-only state.
-func (d *domain) run(p ralg.Plan) (*ralg.Table, error) {
+func (d *domain) run(s ralg.Schedule) (*ralg.Table, error) {
 	pool := d.base.Snapshot()
 	tr := store.NewContainer("")
 	pool.Register(tr)
-	return ralg.NewExec(pool, tr).Run(p)
+	return ralg.NewExec(pool, tr).RunSchedule(s)
 }
 
 // synthInput builds a literal input honoring the claims at the given

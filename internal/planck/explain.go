@@ -8,28 +8,30 @@ import (
 	"mxq/internal/scj"
 )
 
-// Explain renders the plan DAG rooted at root as an indented tree, each
-// operator annotated with planck's inferred output schema and the
-// optimizer-side column properties. Shared subplans are printed once
-// and referenced by number afterwards. When the plan violates an
-// invariant the tree is still rendered, with the violation appended.
-func Explain(root ralg.Plan, cfg Config) (string, error) {
-	infos, err := Analyze(root, cfg)
+// Explain renders the numbered plan s as an indented tree from its
+// root, each operator labeled #N with its number in s and annotated
+// with planck's inferred output schema and the optimizer-side column
+// properties. Shared subplans are printed once and referenced by
+// number afterwards. When the plan violates an invariant the tree is
+// still rendered, with the violation appended.
+func Explain(s ralg.Schedule, cfg Config) (string, error) {
+	infos, err := Analyze(s, cfg)
 	var b strings.Builder
-	ids := map[ralg.Plan]int{}
-	var rec func(n ralg.Plan, prefix, branch string)
-	rec = func(n ralg.Plan, prefix, branch string) {
-		if n == nil {
+	printed := make([]bool, len(s))
+	var rec func(id int, prefix, branch string)
+	rec = func(id int, prefix, branch string) {
+		if id < 0 {
 			fmt.Fprintf(&b, "%s%s<nil>\n", prefix, branch)
 			return
 		}
-		if id, ok := ids[n]; ok {
+		n := s[id].Plan
+		if printed[id] {
 			fmt.Fprintf(&b, "%s%s#%d %s (shared)\n", prefix, branch, id, opLabel(n))
 			return
 		}
-		ids[n] = len(ids) + 1
-		fmt.Fprintf(&b, "%s%s#%d %s%s\n", prefix, branch, ids[n], opLabel(n), annotation(infos[n]))
-		ins := n.Inputs()
+		printed[id] = true
+		fmt.Fprintf(&b, "%s%s#%d %s%s\n", prefix, branch, id, opLabel(n), annotation(infos[id]))
+		ins := s[id].In
 		childPrefix := prefix
 		switch branch {
 		case "├── ":
@@ -45,7 +47,7 @@ func Explain(root ralg.Plan, cfg Config) (string, error) {
 			rec(in, childPrefix, cb)
 		}
 	}
-	rec(root, "", "")
+	rec(len(s)-1, "", "")
 	if err != nil {
 		fmt.Fprintf(&b, "!! %v\n", err)
 	}
@@ -77,22 +79,11 @@ func annotation(info Info) string {
 	if cols := info.Props.ConstCols(); len(cols) > 0 {
 		fmt.Fprintf(&b, " const{%s}", strings.Join(cols, ","))
 	}
-	// the inference keeps derived orderings un-deduplicated; render
-	// each distinct one once
-	seen := map[string]bool{}
 	for _, ord := range info.Props.Ords() {
-		s := fmt.Sprintf(" ord(%s)", strings.Join(ord, ","))
-		if !seen[s] {
-			seen[s] = true
-			b.WriteString(s)
-		}
+		fmt.Fprintf(&b, " ord(%s)", strings.Join(ord, ","))
 	}
 	for _, g := range info.Props.Grps() {
-		s := fmt.Sprintf(" grpord(%s; %s)", strings.Join(g.Cols, ","), g.Group)
-		if !seen[s] {
-			seen[s] = true
-			b.WriteString(s)
-		}
+		fmt.Fprintf(&b, " grpord(%s; %s)", strings.Join(g.Cols, ","), g.Group)
 	}
 	return b.String()
 }

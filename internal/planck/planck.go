@@ -27,6 +27,8 @@ package planck
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"mxq/internal/opt"
 	"mxq/internal/ralg"
@@ -167,59 +169,53 @@ type Info struct {
 	Key, Const []string
 }
 
-// Verify checks every operator of the plan DAG rooted at root. It
-// returns nil when all invariants hold, and the first violation (in
-// inputs-first topological order) as a *PlanInvariantError otherwise.
+// Verify checks every operator of the plan DAG rooted at root (Analyze
+// over its schedule).
 func Verify(root ralg.Plan, cfg Config) error {
-	_, err := Analyze(root, cfg)
+	_, err := Analyze(ralg.NewSchedule(root), cfg)
 	return err
 }
 
-// Analyze is Verify exposing the per-node inference results (used by
-// plan explainers). On a violation the partial map and the error are
-// returned.
-func Analyze(root ralg.Plan, cfg Config) (map[ralg.Plan]Info, error) {
-	if root == nil {
+// Analyze checks every operator of the numbered plan s, in number order.
+// It returns each node's inference results by its number, and the first
+// violation as a *PlanInvariantError; nodes past a violation get an Any
+// schema.
+func Analyze(s ralg.Schedule, cfg Config) ([]Info, error) {
+	if len(s) == 0 {
 		return nil, &PlanInvariantError{Op: "<nil>", Msg: "nil plan"}
 	}
 	v := &verifier{
 		cfg:     cfg,
-		oprops:  opt.InferProps(root),
-		schemas: map[ralg.Plan]*Schema{},
-		props:   map[ralg.Plan]*colProps{},
+		oprops:  opt.InferProps(s),
+		schemas: make([]*Schema, len(s)),
+		props:   make([]*colProps, len(s)),
 	}
-	for _, op := range ralg.NewSchedule(root) {
-		v.visit(op.Plan)
+	for i, op := range s {
+		v.in = op.In
+		v.visit(i, op.Plan)
 	}
-	infos := make(map[ralg.Plan]Info, len(v.schemas))
-	for n, s := range v.schemas {
-		cp := v.props[n]
-		infos[n] = Info{
-			Schema: s,
-			Props:  v.oprops[n],
-			Key:    sortedSet(cp.key),
-			Const:  sortedSet(cp.cnst),
-		}
+	infos := make([]Info, len(s))
+	for i, cp := range v.props { // a set sorts to nil when empty
+		infos[i] = Info{Schema: v.schemas[i], Props: v.oprops[i], Key: slices.Sorted(maps.Keys(cp.key)), Const: slices.Sorted(maps.Keys(cp.cnst))}
 	}
 	if v.err != nil {
 		return infos, v.err
 	}
-	if cfg.RequireItem {
-		s := v.schemas[root]
-		if !s.Any {
-			if !s.Has("item") {
-				return infos, &PlanInvariantError{Op: root.Name(), Msg: fmt.Sprintf("root plan must produce an \"item\" column, has %v", s.Cols())}
-			}
-		}
+	root := s[len(s)-1].Plan
+	if sch := infos[len(s)-1].Schema; cfg.RequireItem && !sch.Any && !sch.Has("item") {
+		return infos, &PlanInvariantError{Op: root.Name(), Msg: fmt.Sprintf("root plan must produce an \"item\" column, has %v", sch.Cols())}
 	}
 	return infos, nil
 }
 
+// verifier holds the results so far by node number; in is the input
+// numbers of the node being checked.
 type verifier struct {
 	cfg     Config
-	oprops  map[ralg.Plan]opt.Props
-	schemas map[ralg.Plan]*Schema
-	props   map[ralg.Plan]*colProps
+	oprops  []opt.Props
+	schemas []*Schema
+	props   []*colProps
+	in      []int
 	err     *PlanInvariantError
 }
 
@@ -229,36 +225,29 @@ func (v *verifier) failf(n ralg.Plan, format string, args ...any) {
 	}
 }
 
-// sch returns the inferred schema of input i (Any for unvisited inputs,
-// which cannot happen on a well-formed DAG walk).
+// sch returns the inferred schema of n's input i; a nil input fails
+// the check.
 func (v *verifier) sch(n ralg.Plan, i int) *Schema {
-	ins := n.Inputs()
-	if i >= len(ins) || ins[i] == nil {
+	if i >= len(v.in) || v.in[i] < 0 {
 		v.failf(n, "missing input %d", i)
 		return anySchema()
 	}
-	if s, ok := v.schemas[ins[i]]; ok {
-		return s
-	}
-	return anySchema()
+	return v.schemas[v.in[i]]
 }
 
-func (v *verifier) cprops(n ralg.Plan, i int) *colProps {
-	ins := n.Inputs()
-	if i < len(ins) {
-		if cp, ok := v.props[ins[i]]; ok {
-			return cp
-		}
+// cprops returns planck's own properties of input i.
+func (v *verifier) cprops(i int) *colProps {
+	if i < len(v.in) && v.in[i] >= 0 {
+		return v.props[v.in[i]]
 	}
 	return newColProps()
 }
 
 // iprops returns the optimizer-side properties of input i, used for
 // order-dependent precondition checks (covers/grpord).
-func (v *verifier) iprops(n ralg.Plan, i int) opt.Props {
-	ins := n.Inputs()
-	if i < len(ins) {
-		return v.oprops[ins[i]]
+func (v *verifier) iprops(i int) opt.Props {
+	if i < len(v.in) && v.in[i] >= 0 {
+		return v.oprops[v.in[i]]
 	}
 	return opt.Props{}
 }
@@ -293,28 +282,11 @@ func (v *verifier) need(n ralg.Plan, s *Schema, role, col string, k xqt.Kind) bo
 	return true
 }
 
-func sortedSet(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func (v *verifier) visit(n ralg.Plan) {
+// visit checks node number i, n, and records its results.
+func (v *verifier) visit(i int, n ralg.Plan) {
 	if v.err != nil {
-		// after the first violation downstream schemas are meaningless;
-		// record Any so Analyze still returns a complete map
-		v.schemas[n] = anySchema()
-		v.props[n] = newColProps()
+		// after the first violation downstream schemas are meaningless
+		v.schemas[i], v.props[i] = anySchema(), newColProps()
 		return
 	}
 	s, cp := v.check(n)
@@ -324,20 +296,18 @@ func (v *verifier) visit(n ralg.Plan) {
 	if cp == nil {
 		cp = newColProps()
 	}
-	v.schemas[n] = s
-	v.props[n] = cp
+	v.schemas[i], v.props[i] = s, cp
 	if v.err == nil && !s.Any {
-		v.crossCheck(n, s, cp)
+		v.crossCheck(n, v.oprops[i], s, cp)
 	}
 }
 
-// crossCheck audits the optimizer's property inference for node n
+// crossCheck audits op, the optimizer's property inference for node n,
 // against planck's schema and independently derived properties: a
 // property claimed for a column that does not exist, or a key/const
 // claim planck's maximal sound propagation cannot reproduce is a bug in
 // one of the two inference engines.
-func (v *verifier) crossCheck(n ralg.Plan, s *Schema, cp *colProps) {
-	op := v.oprops[n]
+func (v *verifier) crossCheck(n ralg.Plan, op opt.Props, s *Schema, cp *colProps) {
 	for _, c := range op.KeyCols() {
 		switch {
 		case !s.Has(c):
@@ -424,7 +394,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 	case *ralg.Select:
 		in := v.sch(n, 0)
 		v.need(n, in, "condition", x.Cond, xqt.KBool)
-		return in, v.cprops(n, 0)
+		return in, v.cprops(0)
 	case *ralg.Fun:
 		return v.checkFun(x)
 	case *ralg.RowNum:
@@ -443,7 +413,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		l, r := v.sch(n, 0), v.sch(n, 1)
 		v.need(n, l, "left key", x.LKey, xqt.KInt)
 		v.need(n, r, "right key", x.RKey, xqt.KInt)
-		return l, v.cprops(n, 0)
+		return l, v.cprops(0)
 	case *ralg.Distinct:
 		in := v.sch(n, 0)
 		if len(x.By) == 0 {
@@ -454,7 +424,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 				v.failf(n, "distinct-by column %q not in input schema %v", c, in.Cols())
 			}
 		}
-		return in, v.cprops(n, 0)
+		return in, v.cprops(0)
 	case *ralg.Aggr:
 		return v.checkAggr(x)
 	case *ralg.Step:
@@ -478,7 +448,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		if x.Fn == "" || x.Code == "" {
 			v.failf(n, "empty function name or error code for error reporting")
 		}
-		return in, v.cprops(n, 1)
+		return in, v.cprops(1)
 	case *ralg.EBV:
 		in := v.sch(n, 0)
 		v.need(n, in, "partition", x.Part, xqt.KInt)
@@ -497,7 +467,7 @@ func (v *verifier) check(n ralg.Plan) (*Schema, *colProps) {
 		if x.Fn == "" || x.Code == "" {
 			v.failf(n, "empty function name or error code for error reporting")
 		}
-		return in, v.cprops(n, 0)
+		return in, v.cprops(0)
 	}
 	v.failf(n, "unknown operator %T", n)
 	return nil, nil
@@ -676,7 +646,7 @@ func (v *verifier) checkProject(x *ralg.Project) (*Schema, *colProps) {
 			return nil, nil
 		}
 	}
-	icp := v.cprops(x, 0)
+	icp := v.cprops(0)
 	cp := newColProps()
 	for _, ref := range x.Cols {
 		if icp.key[ref.Src] {
@@ -698,7 +668,7 @@ func (v *verifier) checkAttach(x *ralg.Attach) (*Schema, *colProps) {
 	if !s.add(x.Col, ColInfo{Tag: x.It.K, TagKnown: true, Node: x.It.IsNode()}) {
 		v.failf(x, "attached column %q already exists in %v", x.Col, in.Cols())
 	}
-	cp := v.cprops(x, 0).clone()
+	cp := v.cprops(0).clone()
 	cp.cnst[x.Col] = true
 	return s, cp
 }
@@ -768,7 +738,7 @@ func (v *verifier) checkFun(x *ralg.Fun) (*Schema, *colProps) {
 	if !s.add(x.Out, ColInfo{Tag: spec.tag, TagKnown: spec.known}) {
 		v.failf(x, "output column %q already exists in %v", x.Out, in.Cols())
 	}
-	return s, v.cprops(x, 0)
+	return s, v.cprops(0)
 }
 
 func (v *verifier) checkRowNum(x *ralg.RowNum) (*Schema, *colProps) {
@@ -790,7 +760,7 @@ func (v *verifier) checkRowNum(x *ralg.RowNum) (*Schema, *colProps) {
 			v.need(x, in, "partition", x.Part, xqt.KInt)
 		}
 	}
-	ip := v.iprops(x, 0)
+	ip := v.iprops(0)
 	switch x.Mode {
 	case ralg.RankSeq:
 		full := x.OrderBy
@@ -818,7 +788,7 @@ func (v *verifier) checkRowNum(x *ralg.RowNum) (*Schema, *colProps) {
 	if !s.add(x.Out, intInfo) {
 		v.failf(x, "output column %q already exists in %v", x.Out, in.Cols())
 	}
-	cp := v.cprops(x, 0)
+	cp := v.cprops(0)
 	if x.Part == "" {
 		// ranks over the whole table are a permutation of 1..N
 		cp = cp.clone()
@@ -850,7 +820,7 @@ func (v *verifier) checkSort(x *ralg.Sort) (*Schema, *colProps) {
 				v.failf(x, "refine sort over a descending prefix component")
 			}
 		}
-		if v.err == nil && !v.iprops(x, 0).Covers(x.By[:x.RefinePrefix]) {
+		if v.err == nil && !v.iprops(0).Covers(x.By[:x.RefinePrefix]) {
 			v.failf(x, "refine prefix %d requires the input sorted on %v, which is not provable", x.RefinePrefix, x.By[:x.RefinePrefix])
 		}
 	}
@@ -858,7 +828,7 @@ func (v *verifier) checkSort(x *ralg.Sort) (*Schema, *colProps) {
 		return anySchema(), nil
 	}
 	// a sort permutes rows: keys and constants survive
-	return in, v.cprops(x, 0)
+	return in, v.cprops(0)
 }
 
 func (v *verifier) checkJoinCols(n ralg.Plan, lcols, rcols []ralg.ColRef) (*Schema, *colProps) {
@@ -887,7 +857,7 @@ func (v *verifier) checkJoinCols(n ralg.Plan, lcols, rcols []ralg.ColRef) (*Sche
 			return nil, nil
 		}
 	}
-	lcp, rcp := v.cprops(n, 0), v.cprops(n, 1)
+	lcp, rcp := v.cprops(0), v.cprops(1)
 	cp := newColProps()
 	for _, ref := range lcols {
 		if lcp.cnst[ref.Src] {
@@ -911,7 +881,7 @@ func (v *verifier) checkHashJoin(x *ralg.HashJoin) (*Schema, *colProps) {
 		return s, cp
 	}
 	// key columns survive on the side whose partner key is unique
-	lcp, rcp := v.cprops(x, 0), v.cprops(x, 1)
+	lcp, rcp := v.cprops(0), v.cprops(1)
 	if rcp.key[x.RKey] {
 		for _, ref := range x.LCols {
 			if lcp.key[ref.Src] {
@@ -991,7 +961,7 @@ func (v *verifier) checkUnion(x *ralg.Union) (*Schema, *colProps) {
 	}
 	var cp *colProps
 	if len(x.Ins) == 1 {
-		cp = v.cprops(x, 0)
+		cp = v.cprops(0)
 	}
 	return out, cp
 }
@@ -1041,7 +1011,7 @@ func (v *verifier) checkStep(n *ralg.Step) (*Schema, *colProps) {
 	okIter := v.need(n, in, "iter", iterCol, xqt.KInt)
 	okItem := v.have(n, in, "item", itemCol)
 	if okIter && okItem && !in.Any {
-		if !v.iprops(n, 0).Covers([]string{itemCol, iterCol}) {
+		if !v.iprops(0).Covers([]string{itemCol, iterCol}) {
 			v.failf(n, "input not provably sorted on (%s, %s): plan misses a sort", itemCol, iterCol)
 		}
 	}
@@ -1049,7 +1019,7 @@ func (v *verifier) checkStep(n *ralg.Step) (*Schema, *colProps) {
 	s.add("iter", intInfo)
 	s.add("item", out)
 	cp := newColProps()
-	if v.cprops(n, 0).cnst[iterCol] {
+	if v.cprops(0).cnst[iterCol] {
 		cp.cnst["iter"] = true // the output's iterations are a subset of the input's
 	}
 	if n.Count {
@@ -1082,15 +1052,8 @@ func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {
 	s.add("iter", intInfo)
 	s.add("item", ColInfo{Node: true, Tag: xqt.KNode, TagKnown: true})
 	cp := newColProps()
-	if v.cprops(x, 0).key["iter"] {
+	if v.cprops(0).key["iter"] {
 		cp.key["iter"] = true // one output row per loop row
 	}
 	return s, cp
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

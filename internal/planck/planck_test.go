@@ -225,10 +225,20 @@ func TestFailPropagatesAnySchema(t *testing.T) {
 	}
 }
 
+// An operator never given its input has input number -1 in its
+// schedule; the verifier rejects the plan at that operator, not at its
+// consumer.
+func TestNilInputIsMissing(t *testing.T) {
+	srt := &ralg.Sort{By: []string{"iter"}}
+	sel := &ralg.Select{Cond: "iter"}
+	sel.SetInput(0, srt)
+	wantViolation(t, sel, Config{}, srt.Name(), "missing input 0")
+}
+
 func TestExplainRendersTreeWithAnnotations(t *testing.T) {
 	lit := itemLit(3)
 	sorted := ralg.NewSort(lit, "item", "iter")
-	s, err := Explain(sorted, Config{})
+	s, err := Explain(ralg.NewSchedule(sorted), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +252,7 @@ func TestExplainRendersTreeWithAnnotations(t *testing.T) {
 func TestExplainSharedSubplanPrintedOnce(t *testing.T) {
 	lit := itemLit(2)
 	u := &ralg.Union{Ins: []ralg.Plan{lit, lit}}
-	s, err := Explain(u, Config{})
+	s, err := Explain(ralg.NewSchedule(u), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +269,11 @@ func TestStepConstIterNeedsConstInput(t *testing.T) {
 	for n, want := range map[int]bool{1: true, 2: false} {
 		step := &ralg.Step{Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
 		step.SetInput(0, ralg.NewSort(itemLit(n), "item", "iter"))
-		infos, err := Analyze(step, Config{})
+		infos, err := Analyze(ralg.NewSchedule(step), Config{})
 		if err != nil {
 			t.Fatalf("%d iterations: %v", n, err)
 		}
-		info := infos[step]
+		info := infos[len(infos)-1]
 		if got := slices.Contains(info.Const, "iter"); got != want {
 			t.Errorf("%d iterations: planck const(iter) %v, want %v", n, got, want)
 		}
@@ -304,15 +314,16 @@ func TestStepTagClaim(t *testing.T) {
 	} {
 		step := &ralg.Step{Axis: tc.axis, Test: scj.Test{Kind: tc.test}, IterCol: "iter", ItemCol: "item", Count: tc.count}
 		step.SetInput(0, sorted(tc.ctx))
-		infos, err := Analyze(step, Config{})
+		infos, err := Analyze(ralg.NewSchedule(step), Config{})
 		if err != nil {
 			t.Fatalf("%v::%v count=%v: %v", tc.axis, tc.test, tc.count, err)
 		}
-		ci := infos[step].Schema.Info("item")
+		info := infos[len(infos)-1]
+		ci := info.Schema.Info("item")
 		if ci.TagKnown != tc.known || tc.known && ci.Tag != tc.tag {
 			t.Errorf("%v::%v over %s count=%v: tag %v known=%v, want %v known=%v", tc.axis, tc.test, tc.ctx.Name(), tc.count, ci.Tag, ci.TagKnown, tc.tag, tc.known)
 		}
-		if key := slices.Contains(infos[step].Key, "iter"); key != tc.count {
+		if key := slices.Contains(info.Key, "iter"); key != tc.count {
 			t.Errorf("%v count=%v: key(iter) %v", tc.axis, tc.count, key)
 		}
 	}

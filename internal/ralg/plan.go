@@ -597,12 +597,12 @@ func NewSchedule(p Plan) Schedule {
 	return s
 }
 
-// CountOps returns the number of distinct operators in the plan DAG and
-// the number of join operators among them (used for the paper's §4.1 plan
-// statistics: "86 relational algebra operators on average, of which 9 are
-// joins").
-func CountOps(p Plan) (ops, joins int) {
-	s := NewSchedule(p)
+// CountOps is the Schedule method over the plan DAG rooted at p.
+func CountOps(p Plan) (ops, joins int) { return NewSchedule(p).CountOps() }
+
+// CountOps returns the number of operators and of joins among them (§4.1:
+// "86 relational algebra operators on average, of which 9 are joins").
+func (s Schedule) CountOps() (ops, joins int) {
 	for _, op := range s {
 		switch op.Plan.(type) {
 		case *HashJoin, *ExistJoin, *Cross, *Diff:

@@ -110,9 +110,9 @@ func TestConditionsCompileToIterationSets(t *testing.T) {
 		`for $i in (1, 2) return if (some $j in (1, 3) satisfies $j = $i) then 1 else 2`,
 	}
 	for _, q := range filters {
-		infos := analyze(t, q)
-		for n := range infos {
-			if what := denseBoolean(n, infos); what != "" {
+		s, infos := analyze(t, q)
+		for i := range s {
+			if what := denseBoolean(s, i, infos); what != "" {
 				t.Errorf("%s: %s", q, what)
 			}
 		}
@@ -122,10 +122,10 @@ func TestConditionsCompileToIterationSets(t *testing.T) {
 		`for $i in (1, 2, 3) return not(empty((2, 3)[. = $i]) or $i > 2)`,
 	}
 	for _, q := range values {
-		infos := analyze(t, q)
+		s, infos := analyze(t, q)
 		unions := 0
-		for n := range infos {
-			if _, ok := n.(*ralg.Union); ok && denseBoolean(n, infos) != "" {
+		for i, op := range s {
+			if _, ok := op.Plan.(*ralg.Union); ok && denseBoolean(s, i, infos) != "" {
 				unions++
 			}
 		}
@@ -135,34 +135,36 @@ func TestConditionsCompileToIterationSets(t *testing.T) {
 	}
 }
 
-func analyze(t *testing.T, q string) map[ralg.Plan]planck.Info {
+func analyze(t *testing.T, q string) (ralg.Schedule, []planck.Info) {
 	t.Helper()
-	infos, err := planck.Analyze(compilePlan(t, q, DefaultOptions()), planck.Config{})
+	s := ralg.NewSchedule(compilePlan(t, q, DefaultOptions()))
+	infos, err := planck.Analyze(s, planck.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return infos
+	return s, infos
 }
 
-// denseBoolean names n when it is one of the operators of a dense
-// boolean relation: a boolean Attach, a Union carrying a boolean
-// column, a Fun over a boolean column, or a Select on val.
-func denseBoolean(n ralg.Plan, infos map[ralg.Plan]planck.Info) string {
+// denseBoolean names node i of s when it is one of the operators of a
+// dense boolean relation: a boolean Attach, a Union carrying a boolean
+// column, a Fun over a boolean column, or a Select on val. infos is by
+// schedule number.
+func denseBoolean(s ralg.Schedule, i int, infos []planck.Info) string {
 	isBool := func(s *planck.Schema, c string) bool { return s.Info(c).Is(xqt.KBool) }
-	switch x := n.(type) {
+	switch x := s[i].Plan.(type) {
 	case *ralg.Attach:
-		if isBool(infos[x].Schema, x.Col) {
+		if isBool(infos[i].Schema, x.Col) {
 			return "attach of the boolean " + x.Col
 		}
 	case *ralg.Union:
-		for _, c := range infos[x].Schema.Cols() {
-			if isBool(infos[x].Schema, c) {
+		for _, c := range infos[i].Schema.Cols() {
+			if isBool(infos[i].Schema, c) {
 				return "union carrying the boolean " + c
 			}
 		}
 	case *ralg.Fun:
 		for _, a := range x.Args {
-			if isBool(infos[x.Inputs()[0]].Schema, a) {
+			if isBool(infos[s[i].In[0]].Schema, a) {
 				return "fun over the boolean " + a
 			}
 		}
