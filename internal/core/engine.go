@@ -278,7 +278,7 @@ func (e *Engine) Compile(q string) (ralg.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cq.Plan, nil
+	return cq.root(), nil
 }
 
 // compile is the single compile path of the engine: Prepare, Query and
@@ -294,16 +294,14 @@ func (e *Engine) compile(q string) (*compiled, error) {
 		return nil, err
 	}
 	st := newCompiled(cq)
-	if e.verify || !e.cfg.OrderAware { // to verify, or to cache unoptimized
-		if err := e.number(st); err != nil {
-			return nil, fmt.Errorf("core: compiler emitted an invalid plan for %q: %w", q, err)
-		}
+	if err := e.verifyCompiled(st); err != nil {
+		return nil, fmt.Errorf("core: compiler emitted an invalid plan for %q: %w", q, err)
 	}
 	if e.cfg.OrderAware {
 		if err := e.optimizeCompiled(st, q); err != nil {
 			return nil, err
 		}
-		if err := e.number(st); err != nil {
+		if err := e.verifyCompiled(st); err != nil {
 			return nil, fmt.Errorf("core: optimizer broke the plan for %q: %w", q, err)
 		}
 	}
@@ -323,21 +321,21 @@ func (e *Engine) parseCompile(q string) (*xqc.Compiled, error) {
 
 // each calls f on every plan of st in the order the executor runs them:
 // every parameter initializer in declaration order, then the main plan.
-// f gets the slots of the plan and of its schedule, the name of the
-// parameter it initializes ("" for the main plan) and the verifier
-// configuration naming the parameters visible to it: those declared
-// before it, all of them for the main plan. The first error ends the walk.
-func (st *compiled) each(f func(plan *ralg.Plan, s *ralg.Schedule, param string, cfg planck.Config) error) error {
+// f gets the slot of the plan's schedule, the name of the parameter it
+// initializes ("" for the main plan) and the verifier configuration
+// naming the parameters visible to it: those declared before it, all of
+// them for the main plan. The first error ends the walk.
+func (st *compiled) each(f func(s *ralg.Schedule, param string, cfg planck.Config) error) error {
 	cfg := planck.Config{Params: map[string]bool{}, RequireItem: true}
-	for i := range st.Params {
-		if p := &st.Params[i]; p.Init != nil {
-			if err := f(&p.Init, &st.inits[i], p.Name, cfg); err != nil {
+	for i, p := range st.params {
+		if p.Init != nil {
+			if err := f(&st.inits[i], p.Name, cfg); err != nil {
 				return err
 			}
 		}
-		cfg.Params[st.Params[i].Name] = true
+		cfg.Params[p.Name] = true
 	}
-	return f(&st.Plan, &st.plan, "", cfg)
+	return f(&st.plan, "", cfg)
 }
 
 // optimizeCompiled runs the peephole optimizer over every plan of st.
@@ -347,13 +345,13 @@ func (st *compiled) each(f func(plan *ralg.Plan, s *ralg.Schedule, param string,
 // plan it fired in (parameter initializers are covered exactly like the
 // main plan).
 func (e *Engine) optimizeCompiled(st *compiled, q string) error {
-	return st.each(func(plan *ralg.Plan, _ *ralg.Schedule, param string, _ planck.Config) error {
+	return st.each(func(s *ralg.Schedule, param string, _ planck.Config) error {
 		if !e.checkRewrites {
-			*plan = opt.Optimize(*plan)
+			*s = opt.OptimizeSchedule(*s, nil)
 			return nil
 		}
 		var steps []opt.RewriteStep
-		*plan = opt.OptimizeTraced(*plan, func(s opt.RewriteStep) { steps = append(steps, s) })
+		*s = opt.OptimizeSchedule(*s, func(s opt.RewriteStep) { steps = append(steps, s) })
 		err := optcheck.ValidateSteps(steps, optcheck.DefaultOptions())
 		switch {
 		case err == nil:
@@ -378,20 +376,20 @@ func (e *Engine) RewriteSteps(q string) ([]opt.RewriteStep, error) {
 		return nil, err
 	}
 	var steps []opt.RewriteStep
-	err = newCompiled(cq).each(func(plan *ralg.Plan, _ *ralg.Schedule, _ string, _ planck.Config) error {
-		*plan = opt.OptimizeTraced(*plan, func(s opt.RewriteStep) { steps = append(steps, s) })
+	err = newCompiled(cq).each(func(s *ralg.Schedule, _ string, _ planck.Config) error {
+		*s = opt.OptimizeSchedule(*s, func(s opt.RewriteStep) { steps = append(steps, s) })
 		return nil
 	})
 	return steps, err
 }
 
-// number numbers every plan of st once and, with plan verification on,
-// runs the static plan verifier over each schedule.
-func (e *Engine) number(st *compiled) error {
-	return st.each(func(plan *ralg.Plan, s *ralg.Schedule, param string, cfg planck.Config) error {
-		if *s = ralg.NewSchedule(*plan); !e.verify {
-			return nil
-		}
+// verifyCompiled runs the static plan verifier over every schedule of
+// st when plan verification is on.
+func (e *Engine) verifyCompiled(st *compiled) error {
+	if !e.verify {
+		return nil
+	}
+	return st.each(func(s *ralg.Schedule, param string, cfg planck.Config) error {
 		_, err := planck.Analyze(*s, cfg)
 		if err != nil && param != "" {
 			return fmt.Errorf("initializer of $%s: %w", param, err)
@@ -409,7 +407,7 @@ func (e *Engine) ExplainPlan(q string) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	err = cq.each(func(_ *ralg.Plan, s *ralg.Schedule, param string, cfg planck.Config) error {
+	err = cq.each(func(s *ralg.Schedule, param string, cfg planck.Config) error {
 		tree, err := planck.Explain(*s, cfg)
 		if param != "" {
 			fmt.Fprintf(&b, "$%s :=\n", param)

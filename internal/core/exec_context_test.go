@@ -77,7 +77,7 @@ func TestExecutePanicContained(t *testing.T) {
 	p := &Prepared{
 		eng:   New(DefaultConfig()),
 		query: "q-with-broken-plan",
-		cq:    &compiled{Compiled: &xqc.Compiled{Plan: broken}, plan: ralg.NewSchedule(broken)},
+		cq:    newCompiled(&xqc.Compiled{Plan: broken}),
 	}
 	res, err := p.Execute(nil)
 	if err == nil {

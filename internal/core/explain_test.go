@@ -22,7 +22,7 @@ func TestExplainPrintsScheduleIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(st.Params) != 0 {
+		if len(st.params) != 0 {
 			t.Fatalf("Q%d declares parameters; the check reads one tree", q)
 		}
 		tree, err := e.ExplainPlan(xmark.Query(q))

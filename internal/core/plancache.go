@@ -30,13 +30,14 @@ type planCache struct {
 	lru *list.List // front = most recently used
 }
 
-// compiled is one cached statement: the immutable compiler output plus
-// what its executions learn for each other. Every Prepared handle and
-// one-shot Query of one text share it through the cache.
+// compiled is one cached statement: its numbered plans plus what its
+// executions learn for each other. Every Prepared handle and one-shot
+// Query of one text share it through the cache.
 type compiled struct {
-	*xqc.Compiled
-	// inits and plan number every Params[i].Init (an empty schedule for
-	// none) and Plan once, for every execution: shared read-only.
+	params []xqc.Param
+	// inits and plan are every params[i].Init (empty for none) and the
+	// main plan, numbered once: what the verifier checks, the optimizer
+	// rewrites and every execution runs, shared read-only once compiled.
 	inits []ralg.Schedule
 	plan  ralg.Schedule
 	// transientRows is how many rows the last successful execution built
@@ -47,10 +48,17 @@ type compiled struct {
 	transientRows atomic.Int64
 }
 
-// newCompiled wraps cq with a schedule slot per plan (Engine.number).
+// newCompiled numbers every plan of cq: the only numbering of a compile.
 func newCompiled(cq *xqc.Compiled) *compiled {
-	return &compiled{Compiled: cq, inits: make([]ralg.Schedule, len(cq.Params))}
+	st := &compiled{params: cq.Params, inits: make([]ralg.Schedule, len(cq.Params)), plan: ralg.NewSchedule(cq.Plan)}
+	for i, p := range cq.Params {
+		st.inits[i] = ralg.NewSchedule(p.Init) // empty for a nil Init
+	}
+	return st
 }
+
+// root is the main plan's root: the node the executor runs last.
+func (st *compiled) root() ralg.Plan { return st.plan[len(st.plan)-1].Plan }
 
 type planEntry struct {
 	key  string

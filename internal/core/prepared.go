@@ -44,8 +44,9 @@ func (e *Engine) Prepare(q string) (*Prepared, error) {
 // Query returns the query text the statement was prepared from.
 func (p *Prepared) Query() string { return p.query }
 
-// Plan exposes the compiled main plan (benchmarks, plan statistics).
-func (p *Prepared) Plan() ralg.Plan { return p.cq.Plan }
+// Plan exposes the root of the compiled main plan, the one Execute runs
+// (benchmarks, plan statistics).
+func (p *Prepared) Plan() ralg.Plan { return p.cq.root() }
 
 // VarInfo describes one external variable of a prepared query, in
 // declaration order.
@@ -64,7 +65,7 @@ type VarInfo struct {
 // declaration order.
 func (p *Prepared) Vars() []VarInfo {
 	var out []VarInfo
-	for _, prm := range p.cq.Params {
+	for _, prm := range p.cq.params {
 		if !prm.External {
 			continue
 		}
@@ -163,10 +164,10 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 		}
 		ex.Mem = mem
 	}
-	env := make(ralg.Bindings, len(p.cq.Params))
+	env := make(ralg.Bindings, len(p.cq.params))
 	ex.Bindings = env
-	for i := range p.cq.Params {
-		prm := &p.cq.Params[i]
+	for i := range p.cq.params {
+		prm := &p.cq.params[i]
 		if prm.External {
 			if v, ok := b[prm.Name]; ok {
 				if prm.Singleton && v.Len() > 1 {
@@ -226,7 +227,7 @@ func (p *Prepared) ExecuteString(b Bindings) (string, error) {
 }
 
 func (p *Prepared) declaresExternal(name string) bool {
-	for _, prm := range p.cq.Params {
+	for _, prm := range p.cq.params {
 		if prm.External && prm.Name == name {
 			return true
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mxq/internal/ralg"
+	"mxq/internal/store"
 )
 
 func preparedTestEngine(t *testing.T) *Engine {
@@ -184,5 +185,54 @@ func TestQueryIsPrepareExecute(t *testing.T) {
 	}
 	if got, err := eng.QueryString(`declare variable $x external := 4; $x + 1`); err != nil || got != "5" {
 		t.Errorf("Query with defaulted external: got %q, %v", got, err)
+	}
+}
+
+// Prepared.Plan and Engine.Compile return the root of the schedule the
+// executor runs, not the compiler's root: here a root Sort the optimizer
+// drops, grafted onto a path plan already in (iter, pos) order. The
+// repository benchmark runs Prepared.Plan through Exec.Run, which must
+// give Execute's bytes.
+func TestPlanIsTheScheduleRoot(t *testing.T) {
+	eng := preparedTestEngine(t)
+	const q = `/site/item/price`
+	cq, err := eng.parseCompile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srt := ralg.NewSort(cq.Plan, "iter", "pos")
+	cq.Plan = srt
+	st := newCompiled(cq)
+	if err := eng.optimizeCompiled(st, q); err != nil {
+		t.Fatal(err)
+	}
+	eng.cache.put(q, st)
+	p, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := p.Plan()
+	if root == srt || root != st.plan[len(st.plan)-1].Plan {
+		t.Fatalf("Prepared.Plan is %s, the executed schedule's root %s", root.Name(), st.plan[len(st.plan)-1].Plan.Name())
+	}
+	if c, err := eng.Compile(q); err != nil || c != root {
+		t.Errorf("Engine.Compile gives %v (%v), Prepared.Plan %s", c, err, root.Name())
+	}
+	want, err := p.ExecuteString(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp := eng.Pool().Snapshot()
+	transient := store.NewContainer("")
+	qp.Register(transient)
+	ex := ralg.NewExec(qp, transient)
+	defer ex.Release()
+	ex.ContextDoc = "site.xml"
+	tab, err := ex.Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := (&Result{Items: tab.Items("item"), pool: qp}).String(); got != want {
+		t.Errorf("Exec.Run(Prepared.Plan()) gives %q, Execute %q", got, want)
 	}
 }

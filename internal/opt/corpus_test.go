@@ -62,11 +62,38 @@ func compilePlans(q string) []ralg.Plan {
 	return append(plans, cq.Plan)
 }
 
+// optimized optimizes p the way the engine does, numbering it once and
+// optimizing the schedule, and checks that the schedule the optimizer
+// emits is the one ralg.NewSchedule numbers its root into.
+func optimized(tb testing.TB, p ralg.Plan) ralg.Schedule {
+	tb.Helper()
+	s := opt.OptimizeSchedule(ralg.NewSchedule(p), nil)
+	if err := scheduleDiff(s, ralg.NewSchedule(s[len(s)-1].Plan)); err != "" {
+		tb.Errorf("emitted schedule: %s", err)
+	}
+	return s
+}
+
+// scheduleDiff describes the first entry where got and want differ in
+// plan or inputs ("" when they agree entry for entry).
+func scheduleDiff(got, want ralg.Schedule) string {
+	for i := range min(len(got), len(want)) {
+		if got[i].Plan != want[i].Plan || !slices.Equal(got[i].In, want[i].In) {
+			return fmt.Sprintf("#%d is %s%v, want %s%v", i, got[i].Plan.Name(), got[i].In, want[i].Plan.Name(), want[i].In)
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d entries, want %d", len(got), len(want))
+	}
+	return ""
+}
+
 // identityRecord renders what the optimizer decides for one plan: the
 // optimized plan through planck.Explain, then every node's inferred
-// properties in schedule order, each set sorted.
-func identityRecord(p ralg.Plan) string {
-	s := ralg.NewSchedule(opt.Optimize(p))
+// properties in schedule order, each set sorted. Both read the schedule
+// the optimizer emits.
+func identityRecord(tb testing.TB, p ralg.Plan) string {
+	s := optimized(tb, p)
 	var b strings.Builder
 	tree, err := planck.Explain(s, planck.Config{})
 	b.WriteString(tree)
@@ -93,7 +120,7 @@ func identityRecord(p ralg.Plan) string {
 
 // identityDigest is one line per compiling corpus text: its id and the
 // SHA-256 prefix of its plans' identity records.
-func identityDigest() string {
+func identityDigest(tb testing.TB) string {
 	var b strings.Builder
 	ids, texts := coldTexts()
 	for i, q := range texts {
@@ -103,7 +130,7 @@ func identityDigest() string {
 		}
 		h := sha256.New()
 		for _, p := range plans {
-			h.Write([]byte(identityRecord(p)))
+			h.Write([]byte(identityRecord(tb, p)))
 		}
 		fmt.Fprintf(&b, "%s %x\n", ids[i], h.Sum(nil)[:8])
 	}
@@ -143,7 +170,9 @@ func identityDigest() string {
 // change only the code their check's label now prints; explain's #N
 // printed as the node's schedule number instead of a preorder count
 // from 1: all 1 245, and the previous code printing schedule numbers
-// gives the new digest on all 1 245).
+// gives the new digest on all 1 245). Every record is rendered from the
+// schedule the optimizer emits, which must equal ralg.NewSchedule of its
+// root entry for entry.
 func TestOptimizeIdentityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and optimizes ~1 200 plans")
@@ -159,7 +188,7 @@ func TestOptimizeIdentityCorpus(t *testing.T) {
 		id, sum, _ := strings.Cut(sc.Text(), " ")
 		want[id] = sum
 	}
-	got := identityDigest()
+	got := identityDigest(t)
 	n := 0
 	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
 		id, sum, _ := strings.Cut(line, " ")
@@ -173,41 +202,43 @@ func TestOptimizeIdentityCorpus(t *testing.T) {
 	}
 }
 
-// xmarkPlans compiles n fresh copies of the twenty XMark main plans
-// (Optimize rewrites in place, so every optimizer run needs its own),
-// and returns the node count of one copy.
-func xmarkPlans(tb testing.TB, n int) (sets [][]ralg.Plan, nodes int) {
+// xmarkSchedules compiles and numbers n fresh copies of the twenty XMark
+// main plans (the optimizer rewrites in place, so every run needs its
+// own), and returns the node count of one copy.
+func xmarkSchedules(tb testing.TB, n int) (sets [][]ralg.Schedule, nodes int) {
 	for range n {
-		var set []ralg.Plan
+		var set []ralg.Schedule
 		for _, q := range xmark.Queries {
 			plans := compilePlans(q)
 			if plans == nil {
 				tb.Fatalf("XMark query does not compile: %s", q)
 			}
-			set = append(set, plans[len(plans)-1])
+			set = append(set, ralg.NewSchedule(plans[len(plans)-1]))
 		}
 		sets = append(sets, set)
 	}
-	for _, p := range sets[0] {
-		ops, _ := ralg.CountOps(p)
-		nodes += ops
+	for _, s := range sets[0] {
+		nodes += len(s)
 	}
 	return sets, nodes
 }
 
 // TestOptimizeAllocs bounds the optimizer's heap allocations per plan
-// node on the twenty XMark plans. Allocation counts do not depend on
-// the machine, so the bound holds on any CI host. With three maps per
-// node and copied orderings the optimizer made 29.3 per node here; with
-// interned columns, bitsets and shared property sets it makes 1.7 (1.67
-// before it also interned the operators, 1.70 since).
+// node on the twenty XMark plans, numbered outside the count as the
+// engine numbers them once for the verifier and the optimizer alike.
+// Allocation counts do not depend on the machine, so the bound holds on
+// any CI host. With three maps per node and copied orderings the
+// optimizer made 29.3 per node here; with interned columns, bitsets and
+// shared property sets 1.7 (1.67 before it also interned the operators,
+// 1.70 since); with the memo map and recursion replaced by one loop over
+// the schedule, 0.71.
 func TestOptimizeAllocs(t *testing.T) {
 	const runs = 5
-	sets, nodes := xmarkPlans(t, runs+1) // AllocsPerRun warms up once
+	sets, nodes := xmarkSchedules(t, runs+1) // AllocsPerRun warms up once
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		for _, p := range sets[next] {
-			opt.Optimize(p)
+		for _, s := range sets[next] {
+			opt.OptimizeSchedule(s, nil)
 		}
 		next++
 	})
@@ -219,19 +250,22 @@ func TestOptimizeAllocs(t *testing.T) {
 }
 
 // BenchmarkOptimizeCorpus optimizes every plan of the compile-cold
-// corpus once per iteration; the plans are compiled outside the timer.
+// corpus once per iteration; the plans are compiled and numbered outside
+// the timer.
 func BenchmarkOptimizeCorpus(b *testing.B) {
 	_, texts := coldTexts()
 	b.ReportAllocs()
 	for range b.N {
 		b.StopTimer()
-		var plans []ralg.Plan
+		var scheds []ralg.Schedule
 		for _, q := range texts {
-			plans = append(plans, compilePlans(q)...)
+			for _, p := range compilePlans(q) {
+				scheds = append(scheds, ralg.NewSchedule(p))
+			}
 		}
 		b.StartTimer()
-		for _, p := range plans {
-			opt.Optimize(p)
+		for _, s := range scheds {
+			opt.OptimizeSchedule(s, nil)
 		}
 	}
 }
@@ -298,7 +332,7 @@ func TestWidePlanProps(t *testing.T) {
 		t.Errorf("numbered props: key %v ords %v", rp.KeyCols(), rp.Ords())
 	}
 	root, _ = widePlan()
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(identityRecord(root)))); got[:16] != "055fb7a6a3d991d8" {
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(identityRecord(t, root)))); got[:16] != "055fb7a6a3d991d8" {
 		t.Errorf("wide plan identity %s", got[:16])
 	}
 }

@@ -16,13 +16,11 @@ func find(list *memo, p ralg.Plan) *memo {
 	return nil
 }
 
-// keep carves p's memo from the run's slab and adds it to list.
-func (o *optimizer) keep(p ralg.Plan, pr *props, list **memo) *memo {
-	if len(o.memoSlab) == 0 {
-		o.memoSlab = make([]memo, 32)
-	}
-	m := &o.memoSlab[0]
-	o.memoSlab, *m = o.memoSlab[1:], memo{r: p, pr: pr, next: *list}
+// keep adds p, numbered at, to the kept nodes and to list. The kept nodes
+// never outgrow their capacity of one per node, so a memo never moves.
+func (o *optimizer) keep(at int, p ralg.Plan, pr *props, list **memo) *memo {
+	o.kept = append(o.kept, memo{r: p, pr: pr, at: at, n: len(o.kept), next: *list})
+	m := &o.kept[len(o.kept)-1]
 	*list = m
 	return m
 }

@@ -36,68 +36,87 @@ import (
 	"mxq/internal/xqt"
 )
 
-// Optimize rewrites the plan DAG in place (returning the possibly new
-// root). The pass visits each operator once; because every node's
-// orderings are kept as sets (see props), the work per operator is
-// bounded by the distinct orderings over its columns, not by the number
-// of derivations that reach them.
-func Optimize(p ralg.Plan) ralg.Plan {
-	return OptimizeTraced(p, nil)
+// Optimize is OptimizeTraced without a trace, kept for the repository
+// benchmark (bench/), which calls it.
+func Optimize(p ralg.Plan) ralg.Plan { return OptimizeTraced(p, nil) }
+
+// OptimizeSchedule rewrites the numbered plan s in place (s is spent) and
+// returns the optimized plan numbered. The pass visits each node once, in
+// number order, so its inputs are done before it; as orderings are kept
+// as sets (see props), a node costs the distinct orderings over its
+// columns, not the derivations that reach them. Each node is replaced by
+// the kept node standing for it: itself, the input a dropped node returns
+// or the kept node it duplicates, compared after its own rewrite. The kept
+// nodes, in the order they were kept, are the new schedule: the order
+// NewSchedule numbers the optimized root in. trace is OptimizeTraced's.
+func OptimizeSchedule(s ralg.Schedule, trace func(RewriteStep)) ralg.Schedule {
+	o := &optimizer{cols: cols{ids: map[string]rune{}}, strs: map[string]string{}, trace: trace,
+		memos: make([]*memo, len(s)), kept: make([]memo, 0, len(s))}
+	var ins []*props // the node's inputs' properties
+	for i, op := range s {
+		ins = ins[:0]
+		list := &o.leaves
+		for k, in := range op.In {
+			m := o.memos[in]
+			op.Plan.SetInput(k, m.r)
+			ins = append(ins, m.pr)
+			if k == 0 {
+				list = &m.users
+			}
+		}
+		if r := o.rewriteNode(op.Plan, ins); r != op.Plan {
+			o.memos[i] = o.memos[op.In[0]] // a dropped operator returns its first input
+		} else if o.memos[i] = find(*list, op.Plan); o.memos[i] == nil {
+			o.memos[i] = o.keep(i, op.Plan, o.infer(op.Plan, ins), list)
+		}
+	}
+	return o.schedule(s)
 }
 
 type optimizer struct {
 	cols
-	memo   map[ralg.Plan]*memo // every visited node: the kept node standing for it
-	leaves *memo               // the kept nodes without inputs
-	strs   map[string]string   // the run's orderings, one copy each
-	buf    []byte              // the ordering being spelled
-	m      []colPair           // the current node's column mappings
-	// memos, props, ords and grps are carved from these: one run's die
-	// together
-	memoSlab []memo
-	slab     []props
-	ordSlab  []string
-	grpSlab  []grpOrd
+	memos  []*memo           // by number in the plan being rewritten: the kept node standing for it
+	kept   []memo            // the kept nodes, in the order they were kept
+	leaves *memo             // the kept nodes without inputs
+	strs   map[string]string // the run's orderings, one copy each
+	buf    []byte            // the ordering being spelled
+	m      []colPair         // the current node's column mappings
+	// props, ords and grps are carved from these: one run's die together
+	slab    []props
+	ordSlab []string
+	grpSlab []grpOrd
 	// trace receives one RewriteStep per fired rule (see OptimizeTraced);
 	// nil disables witness capture entirely.
 	trace func(RewriteStep)
 }
 
-// memo is one kept node r with its properties. A node is only ever
-// replaced by a kept node reading the same first input, so each keeps
-// the list of kept nodes reading it first: users, linked through next.
+// memo is one kept node r with its properties, the number at of the node
+// it was kept from and its number n in the optimized schedule. A node is
+// only ever replaced by a kept node reading the same first input, so each
+// keeps the list of kept nodes reading it first: users, linked by next.
 type memo struct {
 	r           ralg.Plan
 	pr          *props
+	at, n       int
 	users, next *memo
 }
 
-// rewrite rewrites p's inputs, then p, and returns the kept node that
-// stands for p: p itself, the input a dropped p returns, or the kept
-// node p turned out to duplicate. A duplicate is compared after its own
-// rewrite (which may trim or refine it) and skips the inference.
-func (o *optimizer) rewrite(p ralg.Plan) *memo {
-	if m, ok := o.memo[p]; ok {
-		return m
+// schedule numbers the kept nodes in keep order, sized exactly.
+func (o *optimizer) schedule(s ralg.Schedule) ralg.Schedule {
+	n := 0
+	for _, m := range o.kept {
+		n += len(s[m.at].In)
 	}
-	var buf [2]*props
-	ins, list := buf[:0], &o.leaves
-	for i, in := range p.Inputs() {
-		m := o.rewrite(in)
-		p.SetInput(i, m.r)
-		ins = append(ins, m.pr)
-		if i == 0 {
-			list = &m.users
+	out, in := make(ralg.Schedule, len(o.kept)), make([]int, n)
+	for i, m := range o.kept {
+		from := s[m.at].In
+		out[i] = ralg.Op{Plan: m.r, In: in[:len(from):len(from)]}
+		for k, j := range from {
+			in[k] = o.memos[j].n
 		}
+		in = in[len(from):]
 	}
-	var m *memo
-	if r := o.rewriteNode(p, ins); r != p {
-		m = o.memo[r] // a dropped operator returns its input, already done
-	} else if m = find(*list, p); m == nil {
-		m = o.keep(p, o.infer(p, ins), list)
-	}
-	o.memo[p] = m
-	return m
+	return out
 }
 
 // ord spells the named columns as an ordering.

@@ -69,14 +69,14 @@ type RewriteStep struct {
 	Ins    []ralg.Plan
 }
 
-// OptimizeTraced is Optimize with a rewrite-witness hook: trace is
-// invoked once per fired rule, in firing (inputs-first) order, with
-// deep-copied before/after subplans. A nil trace is exactly Optimize —
-// tracing off costs a single nil check per rewrite site.
+// OptimizeTraced numbers the plan rooted at p, optimizes it
+// (OptimizeSchedule) and returns the new root. trace is invoked once per
+// fired rule, in firing (inputs-first) order, with deep-copied
+// before/after subplans; a nil trace costs one nil check per rewrite
+// site. It stays for the repository benchmark (bench/), which calls it.
 func OptimizeTraced(p ralg.Plan, trace func(RewriteStep)) ralg.Plan {
-	o := &optimizer{cols: cols{ids: map[string]rune{}}, memo: make(map[ralg.Plan]*memo, 64),
-		strs: map[string]string{}, trace: trace}
-	return o.rewrite(p).r
+	s := OptimizeSchedule(ralg.NewSchedule(p), trace)
+	return s[len(s)-1].Plan
 }
 
 // snap captures the pre-rewrite deep copy of n. The returned copier's

@@ -2,8 +2,9 @@ package optcheck
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"strings"
 
 	"mxq/internal/planck"
@@ -190,7 +191,7 @@ func (d *domain) run(s ralg.Schedule) (*ralg.Table, error) {
 // generator is tried before giving up on the shape.
 func (d *domain) synthInput(cl *claims, rows int, seed int64) *ralg.LitDecl {
 	n := cl.maxRows(rows)
-	rng := rand.New(rand.NewSource(seed*1000003 + int64(n)))
+	rng := rand.New(rand.NewPCG(uint64(seed), uint64(n)))
 	for _, conservative := range []bool{false, true} {
 		tab, err := d.materialize(cl, genCodes(cl, n, rng, conservative), n)
 		if err != nil {
@@ -210,8 +211,8 @@ func (d *domain) synthInput(cl *claims, rows int, seed int64) *ralg.LitDecl {
 func litFor(cl *claims, tab *ralg.Table) *ralg.LitDecl {
 	ld := &ralg.LitDecl{
 		Tab:   tab,
-		Key:   sortedSet(cl.key),
-		Const: sortedSet(cl.cnst),
+		Key:   slices.Sorted(maps.Keys(cl.key)), // nil when empty
+		Const: slices.Sorted(maps.Keys(cl.cnst)),
 	}
 	for _, ord := range cl.ords {
 		ld.Ords = append(ld.Ords, append([]string(nil), ord...))
@@ -220,18 +221,6 @@ func litFor(cl *claims, tab *ralg.Table) *ralg.LitDecl {
 		ld.Grps = append(ld.Grps, ralg.GrpSpec{Cols: append([]string(nil), g.Cols...), Group: g.Group})
 	}
 	return ld
-}
-
-func sortedSet(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // genCodes assigns every column an integer code sequence satisfying
@@ -253,33 +242,26 @@ func genCodes(cl *claims, n int, rng *rand.Rand, conservative bool) map[string][
 			codes[c] = cs
 		}
 	}
-	iota1 := func() []int64 {
-		cs := make([]int64, n)
-		for i := range cs {
-			cs[i] = int64(i + 1)
-		}
-		return cs
-	}
 	for c := range cl.cnst {
 		if _, ok := codes[c]; ok {
 			continue
 		}
 		v := int64(0)
 		if !conservative {
-			v = rng.Int63n(3)
+			v = rng.Int64N(3)
 			if cl.boolish(c) {
-				v = rng.Int63n(2)
+				v = rng.Int64N(2)
 			}
 		}
-		cs := make([]int64, n)
-		for i := range cs {
-			cs[i] = v
-		}
-		assign(c, cs)
+		assign(c, slices.Repeat([]int64{v}, n))
 	}
 	if conservative {
 		for _, c := range cl.cols {
-			assign(c, iota1())
+			cs := make([]int64, n)
+			for i := range cs {
+				cs[i] = int64(i + 1)
+			}
+			assign(c, cs)
 		}
 		return codes
 	}
@@ -294,13 +276,13 @@ func genCodes(cl *claims, n int, rng *rand.Rand, conservative bool) map[string][
 				// Leading ordered column (or a unique column anywhere in
 				// the ordering): globally non-decreasing, strictly so when
 				// unique.
-				v := rng.Int63n(3)
+				v := rng.Int64N(3)
 				for i := range cs {
 					cs[i] = v
 					if cl.key[c] {
-						v += 1 + rng.Int63n(2)
+						v += 1 + rng.Int64N(2)
 					} else {
-						v += rng.Int63n(2)
+						v += rng.Int64N(2)
 					}
 				}
 			default:
@@ -308,12 +290,12 @@ func genCodes(cl *claims, n int, rng *rand.Rand, conservative bool) map[string][
 				// to a random base at each run boundary, so the column is
 				// not globally sorted.
 				prefix := ord[:j]
-				v := rng.Int63n(4)
+				v := rng.Int64N(4)
 				for i := range cs {
 					if i > 0 && prefixChanged(codes, prefix, i) {
-						v = rng.Int63n(4)
+						v = rng.Int64N(4)
 					} else if i > 0 {
-						v += rng.Int63n(2)
+						v += rng.Int64N(2)
 					}
 					cs[i] = v
 				}
@@ -340,7 +322,7 @@ func genCodes(cl *claims, n int, rng *rand.Rand, conservative bool) map[string][
 					groups = 2
 				}
 				for i := range gv {
-					gv[i] = rng.Int63n(groups)
+					gv[i] = rng.Int64N(groups)
 				}
 			}
 			assign(g.Group, gv)
@@ -363,7 +345,7 @@ func genCodes(cl *claims, n int, rng *rand.Rand, conservative bool) map[string][
 					ctr[k]++
 				} else {
 					cs[i] = ctr[k]
-					ctr[k] += rng.Int63n(2)
+					ctr[k] += rng.Int64N(2)
 				}
 			}
 			assign(c, cs)
@@ -381,11 +363,11 @@ func genCodes(cl *claims, n int, rng *rand.Rand, conservative bool) map[string][
 			}
 		case cl.boolish(c):
 			for i := range cs {
-				cs[i] = rng.Int63n(2)
+				cs[i] = rng.Int64N(2)
 			}
 		default:
 			for i := range cs {
-				cs[i] = rng.Int63n(4)
+				cs[i] = rng.Int64N(4)
 			}
 		}
 		assign(c, cs)
@@ -407,15 +389,7 @@ func prefixChanged(codes map[string][]int64, prefix []string, i int) bool {
 // rankOf maps each distinct code to its rank in ascending code order —
 // the monotone bridge between generated codes and materialized values.
 func rankOf(cs []int64) map[int64]int {
-	distinct := make([]int64, 0, len(cs))
-	seen := map[int64]bool{}
-	for _, v := range cs {
-		if !seen[v] {
-			seen[v] = true
-			distinct = append(distinct, v)
-		}
-	}
-	sort.Slice(distinct, func(a, b int) bool { return distinct[a] < distinct[b] })
+	distinct := slices.Compact(slices.Sorted(slices.Values(cs)))
 	out := make(map[int64]int, len(distinct))
 	for r, v := range distinct {
 		out[v] = r
@@ -449,14 +423,9 @@ func boolsOf(cs []int64) []bool {
 	if len(cs) == 0 {
 		return out
 	}
-	min := cs[0]
-	for _, v := range cs {
-		if v < min {
-			min = v
-		}
-	}
+	lo := slices.Min(cs)
 	for i, v := range cs {
-		out[i] = v > min
+		out[i] = v > lo
 	}
 	return out
 }

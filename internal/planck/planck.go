@@ -169,8 +169,9 @@ type Info struct {
 	Key, Const []string
 }
 
-// Verify checks every operator of the plan DAG rooted at root (Analyze
-// over its schedule).
+// Verify numbers the plan DAG rooted at root and analyzes it (Analyze).
+// It stays for callers holding a root, not a schedule: the repository
+// benchmark (bench/) and optcheck's synthesized inputs.
 func Verify(root ralg.Plan, cfg Config) error {
 	_, err := Analyze(ralg.NewSchedule(root), cfg)
 	return err

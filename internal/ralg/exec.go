@@ -96,7 +96,7 @@ func NewExec(pool *store.Pool, transient *store.Container) *Exec {
 	return &Exec{Pool: pool, Transient: transient}
 }
 
-// Run numbers the plan and runs it (RunSchedule).
+// Run numbers p and runs it (RunSchedule); kept for bench/, which runs roots.
 func (e *Exec) Run(p Plan) (*Table, error) { return e.RunSchedule(NewSchedule(p)) }
 
 // RunSchedule evaluates the schedule in number order and returns its

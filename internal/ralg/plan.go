@@ -597,7 +597,7 @@ func NewSchedule(p Plan) Schedule {
 	return s
 }
 
-// CountOps is the Schedule method over the plan DAG rooted at p.
+// CountOps numbers the DAG rooted at p and counts it; kept for bench/.
 func CountOps(p Plan) (ops, joins int) { return NewSchedule(p).CountOps() }
 
 // CountOps returns the number of operators and of joins among them (§4.1:
