@@ -30,7 +30,7 @@ func TestTransientContainerSizedOnce(t *testing.T) {
 	}
 	want, first := res.String(), res.Stats
 	if first.TransientRows == 0 || first.TransientRegrows == 0 {
-		t.Fatalf("first execution: %d transient rows, %d regrows; Q10's fourteen constructors should outgrow their own reservations", first.TransientRows, first.TransientRegrows)
+		t.Fatalf("first execution: %d transient rows, %d regrows; Q10's second constructor should outgrow the first one's reservation", first.TransientRows, first.TransientRegrows)
 	}
 	if got := p.cq.transientRows.Load(); got != first.TransientRows {
 		t.Fatalf("statement remembers %d rows, the execution built %d", got, first.TransientRows)
@@ -46,6 +46,25 @@ func TestTransientContainerSizedOnce(t *testing.T) {
 		if st := got.Stats; st.TransientRegrows != 0 || st.TransientRows != first.TransientRows {
 			t.Fatalf("sized execution: %d rows (want %d), %d regrows (want 0)", st.TransientRows, first.TransientRows, st.TransientRegrows)
 		}
+	}
+}
+
+// A nest of direct constructors is built in one pass: Q10's <personne>
+// and its eleven nested elements are one constructor, so nothing is
+// copied into each enclosing level and no content list is unioned,
+// sorted and renumbered. The counters are exact, so a change that brings
+// back a per-level copy fails here on any machine.
+func TestNestedConstructorsBuildOnce(t *testing.T) {
+	e := New(DefaultConfig())
+	e.LoadContainer("auction.xml", xmark.NewStoreContainer("auction.xml", 0.04, 7))
+	res, err := e.Query(xmark.Query(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.TransientRows > 42418 || st.SortedRows > 11299 || st.FullSorts > 13 {
+		t.Errorf("Q10 at factor 0.04: %d transient rows, %d sorted rows, %d full sorts; want at most 42 418, 11 299 and 13",
+			st.TransientRows, st.SortedRows, st.FullSorts)
 	}
 }
 

@@ -344,23 +344,22 @@ func (in *Interp) evalCtor(c *xqp.ElemCtor, env *scope) ([]Val, error) {
 		}
 		elem.Attrs = append(elem.Attrs, Attr{Name: a.Name, Val: sb.String()})
 	}
-	pendingText := ""
+	var pending strings.Builder
 	sawContent := false
 	flush := func() {
-		if pendingText != "" {
+		if pending.Len() > 0 {
 			in.ord++
-			t := &Node{Kind: store.KindText, Text: pendingText, Parent: elem, Ord: in.ord}
+			t := &Node{Kind: store.KindText, Text: pending.String(), Parent: elem, Ord: in.ord}
 			elem.Children = append(elem.Children, t)
-			pendingText = ""
+			pending.Reset()
 		}
 	}
 	addAtom := func(s string) {
-		if pendingText != "" {
-			pendingText += " " + s
-		} else {
-			pendingText = s
-			sawContent = sawContent || s != ""
+		if pending.Len() > 0 {
+			pending.WriteByte(' ')
 		}
+		pending.WriteString(s)
+		sawContent = sawContent || s != ""
 	}
 	for _, part := range c.Content {
 		// literal text chunks and enclosed expressions are both treated
@@ -383,10 +382,15 @@ func (in *Interp) evalCtor(c *xqp.ElemCtor, env *scope) ([]Val, error) {
 				}
 				sawContent = true
 			case item.Owner != nil:
-				if sawContent || pendingText != "" {
+				a := item.Owner.Attrs[item.AIdx]
+				if sawContent {
 					return nil, xqerr.Newf("XQTY0024", "attribute node after content in element constructor")
 				}
-				a := item.Owner.Attrs[item.AIdx]
+				for _, prev := range elem.Attrs {
+					if prev.Name == a.Name {
+						return nil, xqerr.Newf("XQDY0025", "duplicate attribute %s in element constructor", a.Name)
+					}
+				}
 				elem.Attrs = append(elem.Attrs, Attr{Name: a.Name, Val: a.Val})
 			default:
 				addAtom(item.Atom.AsString())

@@ -170,7 +170,9 @@ func identityDigest(tb testing.TB) string {
 // change only the code their check's label now prints; explain's #N
 // printed as the node's schedule number instead of a preorder count
 // from 1: all 1 245, and the previous code printing schedule numbers
-// gives the new digest on all 1 245). Every record is rendered from the
+// gives the new digest on all 1 245; a nest of direct constructors
+// compiled to one ElemConstruct whose label prints its template, and the
+// content list's union, sort and numbering gone: 202). Every record is rendered from the
 // schedule the optimizer emits, which must equal ralg.NewSchedule of its
 // root entry for entry.
 func TestOptimizeIdentityCorpus(t *testing.T) {

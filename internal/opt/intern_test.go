@@ -48,7 +48,8 @@ func TestInternKeepsConstructorsApart(t *testing.T) {
 	elem := func() ralg.Plan {
 		loop := &ralg.Lit{Tab: intTable([]string{"iter"}, []int64{1})}
 		content := &ralg.Lit{Tab: ralg.NewTable([]string{"iter", "pos", "item"}, []xqt.Kind{xqt.KInt, xqt.KInt, xqt.KUntyped})}
-		return ralg.NewProject(&ralg.ElemConstruct{Loop: loop, Content: content, Tag: "a"}, "iter", "item")
+		tmpl := []ralg.CtorTok{{Kind: ralg.TokStart, Tag: "a"}, {Kind: ralg.TokPart}, {Kind: ralg.TokEnd}}
+		return ralg.NewProject(&ralg.ElemConstruct{Ins: []ralg.Plan{loop, content}, Template: tmpl}, "iter", "item")
 	}
 	ins := optimizeUnion(elem(), elem())
 	if ins[0] == ins[1] || ins[0].Inputs()[0] == ins[1].Inputs()[0] {

@@ -50,7 +50,8 @@ func TestElemConstructKeyRequiresLoopKey(t *testing.T) {
 	dupLoop := &ralg.Lit{Tab: litTable2("iter", 1, 1, 2)}
 	mkElem := func(loop ralg.Plan) *ralg.ElemConstruct {
 		tab := ralg.NewTable([]string{"iter", "item"}, []xqt.Kind{xqt.KInt, xqt.KUntyped})
-		e := &ralg.ElemConstruct{Loop: loop, Content: &ralg.Lit{Tab: tab}, Tag: "e"}
+		e := &ralg.ElemConstruct{Ins: []ralg.Plan{loop, &ralg.Lit{Tab: tab}},
+			Template: []ralg.CtorTok{{Kind: ralg.TokStart, Tag: "e"}, {Kind: ralg.TokPart}, {Kind: ralg.TokEnd}}}
 		return e
 	}
 	e1 := mkElem(uniqLoop)

@@ -156,7 +156,23 @@ func opLabel(n ralg.Plan) string {
 		}
 		return fmt.Sprintf("step(%s::%s%s%s)", x.Axis, testName(x.Test), stepVariant(x.Variant), mode)
 	case *ralg.ElemConstruct:
-		return fmt.Sprintf("elem(<%s>, %d attrs)", x.Tag, len(x.Attrs))
+		// the template: tags with attribute names, {} per content part
+		var sb strings.Builder
+		for _, t := range x.Template {
+			switch t.Kind {
+			case ralg.TokStart:
+				sb.WriteString("<" + t.Tag)
+				for _, a := range t.Attrs {
+					sb.WriteString(" " + a.Attr)
+				}
+				sb.WriteString(">")
+			case ralg.TokPart:
+				sb.WriteString("{}")
+			case ralg.TokEnd:
+				sb.WriteString("</>")
+			}
+		}
+		return "elem(" + sb.String() + ")"
 	case *ralg.RangeGen:
 		return fmt.Sprintf("rangegen(%s to %s by %s)", x.Lo, x.Hi, x.Iter)
 	case *ralg.CoverCheck:

@@ -1030,24 +1030,43 @@ func (v *verifier) checkStep(n *ralg.Step) (*Schema, *colProps) {
 }
 
 func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {
-	if x.Tag == "" {
-		v.failf(x, "empty element tag")
+	v.need(x, v.sch(x, 0), "loop iter", "iter", xqt.KInt)
+	in, open := 1, 0
+	part := func(role string) {
+		v.need(x, v.sch(x, in), role+" iter", "iter", xqt.KInt)
+		v.have(x, v.sch(x, in), role+" item", "item")
+		in++
 	}
-	loop, content := v.sch(x, 0), v.sch(x, 1)
-	v.need(x, loop, "loop iter", "iter", xqt.KInt)
-	v.need(x, content, "content iter", "iter", xqt.KInt)
-	v.have(x, content, "content item", "item")
-	i := 2
-	for _, a := range x.Attrs {
-		if a.Attr == "" {
-			v.failf(x, "empty attribute name")
+	for i, t := range x.Template {
+		switch {
+		case i > 0 && open == 0 || i == 0 && t.Kind != ralg.TokStart:
+			v.failf(x, "template token %d is outside the root element", i)
+		case t.Kind == ralg.TokStart && t.Tag == "":
+			v.failf(x, "empty element tag")
+		case t.Kind != ralg.TokStart && len(t.Attrs) > 0:
+			v.failf(x, "attributes on template token %d, which is no element start", i)
 		}
-		for range a.Parts {
-			ps := v.sch(x, i)
-			v.need(x, ps, fmt.Sprintf("attribute %q part iter", a.Attr), "iter", xqt.KInt)
-			v.have(x, ps, fmt.Sprintf("attribute %q part item", a.Attr), "item")
-			i++
+		for _, a := range t.Attrs {
+			if a.Attr == "" {
+				v.failf(x, "empty attribute name")
+			}
+			for range a.Parts {
+				part(fmt.Sprintf("attribute %q part", a.Attr))
+			}
 		}
+		switch t.Kind {
+		case ralg.TokStart:
+			open++
+		case ralg.TokPart:
+			part("content part")
+		case ralg.TokEnd:
+			open--
+		}
+	}
+	if open != 0 || len(x.Template) == 0 {
+		v.failf(x, "unbalanced template: %d of its elements open at its end", open)
+	} else if in != len(x.Ins) {
+		v.failf(x, "template reads %d inputs, the operator has %d", in, len(x.Ins))
 	}
 	s := newSchema()
 	s.add("iter", intInfo)

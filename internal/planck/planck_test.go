@@ -328,3 +328,30 @@ func TestStepTagClaim(t *testing.T) {
 		}
 	}
 }
+
+// An element constructor's template is one element in preorder: a root
+// start first, balanced starts and ends, named elements and attributes,
+// an iter/item schema on every part and one input per part.
+func TestElemTemplateWellFormed(t *testing.T) {
+	loop := ralg.NewProject(itemLit(2), "iter")
+	elem := func(parts []ralg.Plan, tmpl ...ralg.CtorTok) *ralg.ElemConstruct {
+		return &ralg.ElemConstruct{Ins: append([]ralg.Plan{loop}, parts...), Template: tmpl}
+	}
+	start := func(tag string) ralg.CtorTok { return ralg.CtorTok{Kind: ralg.TokStart, Tag: tag} }
+	part, end := ralg.CtorTok{Kind: ralg.TokPart}, ralg.CtorTok{Kind: ralg.TokEnd}
+	two := []ralg.Plan{itemLit(2), itemLit(1)}
+
+	if err := Verify(elem(two, start("a"), part, start("b"), end, part, end), Config{}); err != nil {
+		t.Fatalf("well-formed template rejected: %v", err)
+	}
+	wantViolation(t, elem(two[:1], start("a"), start("b"), part, end), Config{}, "elem", "unbalanced template: 1 of its elements open")
+	wantViolation(t, elem(nil, start("a"), end, start("b"), end), Config{}, "elem", "token 2 is outside the root element")
+	wantViolation(t, elem(two[:1], part), Config{}, "elem", "token 0 is outside the root element")
+	wantViolation(t, elem(nil), Config{}, "elem", "unbalanced template")
+	wantViolation(t, elem(nil, start("a"), start(""), end, end), Config{}, "elem", "empty element tag")
+	attrOnEnd := ralg.CtorTok{Kind: ralg.TokEnd, Attrs: []ralg.AttrSpec{{Attr: "k", Parts: 1}}}
+	wantViolation(t, elem(two[:1], start("a"), attrOnEnd), Config{}, "elem", "which is no element start")
+	wantViolation(t, elem([]ralg.Plan{loop}, start("a"), part, end), Config{}, "elem", `content part item column "item" not in input schema`)
+	wantViolation(t, elem(two, start("a"), part, end), Config{}, "elem", "template reads 2 inputs, the operator has 3")
+	wantViolation(t, elem(two[:1], start("a"), part, part, end), Config{}, "elem", "missing input 2")
+}

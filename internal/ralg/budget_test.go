@@ -87,7 +87,7 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 		"rownum-map":  &RowNum{unary: unary{In: lit(ints)}, Out: "r", Part: "big", Mode: RankStream},
 		"fun":         NewFun(lit(doubles), FunAdd, "s", "item", "item"),
 		"fun-mixed":   NewFun(lit(mixed), FunStringOf, "s", "item"),
-		"elem":        &ElemConstruct{Loop: loop, Content: content, Tag: "r"},
+		"elem":        &ElemConstruct{Ins: []Plan{loop, content}, Template: []CtorTok{{Kind: TokStart, Tag: "r"}, {Kind: TokPart}, {Kind: TokEnd}}},
 		"union":       &Union{Ins: []Plan{lit(ints), lit(mixed), lit(doubles)}},
 		"select-fun":  &Select{unary: unary{In: NewFun(AttachItem(lit(doubles), "c", xqt.Double(50)), FunLt, "b", "item", "c")}, Cond: "b"},
 		"ebv":         &EBV{unary: unary{In: NewProject(&RowNum{unary: unary{In: lit(ints)}, Out: "n"}, "n->iter", "item")}, Part: "iter", Item: "item"},

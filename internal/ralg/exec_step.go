@@ -307,43 +307,56 @@ func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec, counts []int64) 
 	return tableOf([]string{"iter", "item"}, uniformIntCol(settle(e, ic)), ItemVec{Tag: xqt.KAttr, n: len(ic), Cont: settle(e, tc), I: settle(e, ta)})
 }
 
+// elemCursor walks one (iter, item) input of an ElemConstruct.
+type elemCursor struct {
+	iter []int64
+	item *ItemVec
+	pos  int
+}
+
+// at returns the rows of iteration it; iterations are visited ascending.
+func (c *elemCursor) at(it int64) (lo, hi int) {
+	for c.pos < len(c.iter) && c.iter[c.pos] < it {
+		c.pos++
+	}
+	for lo = c.pos; c.pos < len(c.iter) && c.iter[c.pos] == it; c.pos++ {
+	}
+	return lo, c.pos
+}
+
 func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	if e.Transient == nil {
 		return nil, fmt.Errorf("ralg: element construction without a transient container")
 	}
-	loop, citer, citem := in[0].Ints("iter"), in[1].Ints("iter"), in[1].Col("item")
-	// attribute value cursors: one per attribute part, its items cast to strings up front
-	type partCur struct {
-		iter []int64
-		strs []string
-		pos  int
-	}
-	type attrCur struct {
-		name  string
-		parts []partCur
-	}
-	attrs := make([]attrCur, len(n.Attrs))
-	next := 2
-	for i := range n.Attrs {
-		attrs[i].name = n.Attrs[i].Attr
-		for range n.Attrs[i].Parts {
-			t := in[next]
-			next++
-			attrs[i].parts = append(attrs[i].parts, partCur{iter: t.Ints("iter"), strs: e.cast(FunStringOf, t.Col("item")).S})
+	loop := in[0].Ints("iter")
+	// one cursor per input, an attribute part's items cast to strings up
+	// front. The copied subtrees dominate the rows this operator appends to
+	// the transient container: make room for them once (text nodes ride on
+	// append's growth) — the first constructor to build anything for what
+	// the whole statement built last time, so no later one moves a column
+	curs, tags := make([]elemCursor, len(in)), dirty[int32](e, scratchRegion, len(n.Template))
+	rows, k := 0, 1
+	for i, t := range n.Template {
+		if t.Kind == TokStart {
+			tags[i], rows = e.Transient.Names.ID(t.Tag), rows+len(loop)
+		}
+		for _, a := range t.Attrs {
+			for range a.Parts {
+				curs[k], k = elemCursor{iter: in[k].Ints("iter"), item: e.cast(FunStringOf, in[k].Col("item"))}, k+1
+			}
+		}
+		if t.Kind == TokPart {
+			c := in[k].Col("item")
+			for j := 0; j < c.Len(); j++ {
+				if c.KindAt(j) == xqt.KNode {
+					rows += int(e.Pool.Get(c.Cont[j]).Size[c.I[j]]) + 1
+				}
+			}
+			curs[k], k = elemCursor{iter: in[k].Ints("iter"), item: c}, k+1
 		}
 	}
 	tc := e.uniformVec(xqt.KNode, len(loop))
 	b := store.NewContainerBuilder(e.Transient)
-	// the copied subtrees dominate the rows this operator appends to the
-	// transient container: make room for them once (text nodes ride on
-	// append's growth) — the first constructor to build anything for what
-	// the whole statement built last time, so no later one moves a column
-	rows := len(loop)
-	for i := 0; i < citem.Len(); i++ {
-		if citem.KindAt(i) == xqt.KNode {
-			rows += int(e.Pool.Get(citem.Cont[i]).Size[citem.I[i]]) + 1
-		}
-	}
 	before, room := e.Transient.Len(), cap(e.Transient.Size)
 	if room == 0 && rows > 0 {
 		rows = max(rows, e.SizeHint)
@@ -352,75 +365,85 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	// what Reserve is about to add is charged, and refused, like a column
 	e.charge(outRegion, int64(max(before+rows-room, 0))*store.RowBytes)
 	b.Reserve(rows)
-	tag := e.Transient.Names.ID(n.Tag)
-	ci := 0
+	// the innermost open element's pending text: a lone atom is passed
+	// through as it is, a run of atoms is joined in buf. Only a part makes
+	// a run, and a node, a start or an end ends it, so it is written where
+	// it ends. saw is whether that element has content yet
+	pend, buf, saw := "", []byte(nil), false
+	flush := func() {
+		if len(buf) > 0 {
+			pend, buf = string(buf), buf[:0]
+		}
+		b.Text(pend)
+		pend = ""
+	}
 	for built, it := range loop {
 		if built&1023 == 1023 && e.stopRequested() {
 			return nil, e.stopErr()
 		}
-		pre := b.StartElemID(tag)
-		for a := range attrs {
-			val := ""
-			for pi := range attrs[a].parts {
-				cur := &attrs[a].parts[pi]
-				for cur.pos < len(cur.iter) && cur.iter[cur.pos] < it {
-					cur.pos++
+		k = 1
+		for i := range n.Template {
+			switch t := &n.Template[i]; t.Kind {
+			case TokStart:
+				if pre := b.StartElemID(tags[i]); i == 0 {
+					tc.Cont[built], tc.I[built] = e.Transient.ID, int64(pre)
 				}
-				lo := cur.pos
-				for cur.pos < len(cur.iter) && cur.iter[cur.pos] == it {
-					cur.pos++
-				}
-				// Join and += return a lone string as it is: the common
-				// single-part single-item value is passed through, not copied
-				val += strings.Join(cur.strs[lo:cur.pos], " ")
-			}
-			b.Attr(attrs[a].name, val)
-		}
-		for ci < len(citer) && citer[ci] < it {
-			ci++
-		}
-		pendingText := ""
-		sawContent := false
-		flush := func() {
-			if pendingText != "" {
-				b.Text(pendingText)
-				pendingText = ""
-			}
-		}
-		for ci < len(citer) && citer[ci] == it {
-			switch citem.KindAt(ci) {
-			case xqt.KNode:
-				flush()
-				src, node := e.Pool.Get(citem.Cont[ci]), int32(citem.I[ci])
-				if src.Kind[node] == store.KindDoc {
-					// copying a document node copies its children
-					end := node + src.Size[node]
-					for p := node + 1; p <= end; p += src.Size[p] + 1 {
-						b.CopyTree(src, p)
+				saw = false
+				for _, a := range t.Attrs {
+					val := ""
+					for range a.Parts {
+						// Join and += return a lone string as it is: the common
+						// single-part single-item value is passed through, not copied
+						lo, hi := curs[k].at(it)
+						val, k = val+strings.Join(curs[k].item.S[lo:hi], " "), k+1
 					}
-				} else {
-					b.CopyTree(src, node)
+					b.Attr(a.Attr, val)
 				}
-				sawContent = true
-			case xqt.KAttr:
-				src, row := e.Pool.Get(citem.Cont[ci]), citem.I[ci]
-				if sawContent || pendingText != "" {
-					return nil, xqerr.Newf("XQTY0024", "attribute node after content in element constructor")
-				}
-				b.Attr(src.Names.Name(src.AttrName[row]), src.AttrVal[row])
+			case TokEnd:
+				b.End()
+				saw = true // the element is content of its parent
 			default:
-				if text := citem.At(ci).AsString(); pendingText != "" {
-					pendingText += " " + text
-				} else {
-					pendingText = text
-					sawContent = sawContent || pendingText != ""
+				lo, hi := curs[k].at(it)
+				for vec := curs[k].item; lo < hi; lo++ {
+					switch vec.KindAt(lo) {
+					case xqt.KNode:
+						flush()
+						src, node := e.Pool.Get(vec.Cont[lo]), int32(vec.I[lo])
+						if src.Kind[node] == store.KindDoc {
+							// copying a document node copies its children
+							end := node + src.Size[node]
+							for p := node + 1; p <= end; p += src.Size[p] + 1 {
+								b.CopyTree(src, p)
+							}
+						} else {
+							b.CopyTree(src, node)
+						}
+						saw = true
+					case xqt.KAttr:
+						src, row := e.Pool.Get(vec.Cont[lo]), vec.I[lo]
+						name := src.Names.Name(src.AttrName[row])
+						if saw {
+							return nil, xqerr.Newf("XQTY0024", "attribute node after content in element constructor")
+						} else if b.HasAttr(name) {
+							return nil, xqerr.Newf("XQDY0025", "duplicate attribute %s in element constructor", name)
+						}
+						b.Attr(name, src.AttrVal[row])
+					default:
+						switch s := vec.At(lo).AsString(); {
+						case len(buf) > 0:
+							buf = append(append(buf, ' '), s...)
+						case pend != "":
+							buf = append(append(append(buf, pend...), ' '), s...)
+						default:
+							pend, saw = s, saw || s != ""
+						}
+					}
+				}
+				if k++; n.Template[i+1].Kind != TokPart {
+					flush()
 				}
 			}
-			ci++
 		}
-		flush()
-		b.End()
-		tc.Cont[built], tc.I[built] = e.Transient.ID, int64(pre)
 	}
 	e.Stats.TransientRows += int64(e.Transient.Len() - before)
 	if room > 0 && cap(e.Transient.Size) != room {

@@ -454,58 +454,55 @@ type Step struct {
 // Name implements Plan.
 func (s *Step) Name() string { return "step(" + s.Axis.String() + ")" }
 
-// AttrSpec is one attribute of a constructed element: its name and the
-// plans computing its value per iteration. The items of each part are
-// joined with single spaces; the parts are then concatenated directly
-// (mirroring XQuery attribute value templates like n="a{$x}b").
+// AttrSpec is one attribute of a constructed element: its name and how
+// many inputs compute its value per iteration. The items of each part
+// are joined with single spaces; the parts are then concatenated
+// directly (mirroring XQuery attribute value templates like n="a{$x}b").
 type AttrSpec struct {
 	Attr  string
-	Parts []Plan
+	Parts int
 }
 
-// ElemConstruct builds one new element node per iteration of Loop (input
-// 0) in the query's transient container. Content (input 1) supplies the
-// iter|pos|item content sequence (sorted on [iter,pos]); additional
-// inputs 2.. are the attribute value part plans, in order. Output is
-// (iter, item).
+// TokKind tells the tokens of an ElemConstruct template apart.
+type TokKind uint8
+
+const (
+	TokStart TokKind = iota // an element start: Tag and Attrs
+	TokPart                 // a content part
+	TokEnd                  // the end of the innermost open element
+)
+
+// CtorTok is one token of an ElemConstruct template.
+type CtorTok struct {
+	Kind  TokKind
+	Tag   string
+	Attrs []AttrSpec
+}
+
+// ElemConstruct builds one new element tree per iteration of the loop
+// (input 0) in the query's transient container: a nest of direct
+// constructors, listed by Template in preorder as a root start, content
+// parts and nested starts, and balanced ends. Inputs 1.. are read in
+// token order: a start's attribute value parts, a content part's
+// iter|pos|item sequence sorted on [iter,pos]. Atoms adjacent in an
+// element's content join into one text node with a space between them,
+// across parts too (so literal text and an enclosed expression are
+// joined with a space, where XQuery §3.7.1.3 puts none); a node, a
+// start or an end ends the run. Output is (iter, item): the roots, in
+// loop order.
 type ElemConstruct struct {
-	Loop    Plan
-	Content Plan
-	Attrs   []AttrSpec
-	Tag     string
+	Ins      []Plan
+	Template []CtorTok
 }
 
 // Name implements Plan.
 func (*ElemConstruct) Name() string { return "elem" }
 
 // Inputs implements Plan.
-func (e *ElemConstruct) Inputs() []Plan {
-	in := []Plan{e.Loop, e.Content}
-	for _, a := range e.Attrs {
-		in = append(in, a.Parts...)
-	}
-	return in
-}
+func (e *ElemConstruct) Inputs() []Plan { return e.Ins }
 
 // SetInput implements Plan.
-func (e *ElemConstruct) SetInput(i int, p Plan) {
-	switch {
-	case i == 0:
-		e.Loop = p
-	case i == 1:
-		e.Content = p
-	default:
-		i -= 2
-		for a := range e.Attrs {
-			if i < len(e.Attrs[a].Parts) {
-				e.Attrs[a].Parts[i] = p
-				return
-			}
-			i -= len(e.Attrs[a].Parts)
-		}
-		panic("ralg: ElemConstruct input index out of range")
-	}
-}
+func (e *ElemConstruct) SetInput(i int, p Plan) { e.Ins[i] = p }
 
 // RangeGen expands each input row into the integer sequence Lo..Hi:
 // output columns are (iter, pos, item), sorted by the input's iter

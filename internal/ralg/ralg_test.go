@@ -2,6 +2,7 @@ package ralg
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -335,8 +336,8 @@ func TestElemConstruct(t *testing.T) {
 	)
 	aval := seqTable([]int64{1, 2}, []int64{1, 1},
 		[]xqt.Item{xqt.Str("a1"), xqt.Str("a2")})
-	ec := &ElemConstruct{Loop: &Lit{Tab: loop}, Content: &Lit{Tab: content},
-		Attrs: []AttrSpec{{Attr: "k", Parts: []Plan{&Lit{Tab: aval}}}}, Tag: "out"}
+	ec := &ElemConstruct{Ins: []Plan{&Lit{Tab: loop}, &Lit{Tab: aval}, &Lit{Tab: content}}, Template: []CtorTok{
+		{Kind: TokStart, Tag: "out", Attrs: []AttrSpec{{Attr: "k", Parts: 1}}}, {Kind: TokPart}, {Kind: TokEnd}}}
 	ex := NewExec(pool, tr)
 	res, err := ex.Run(ec)
 	if err != nil {
@@ -354,6 +355,35 @@ func TestElemConstruct(t *testing.T) {
 	store.Serialize(&sb, tr, int32(res.Items("item")[1].I))
 	if want := `<out k="a2">42</out>`; sb.String() != want {
 		t.Errorf("elem 2: %s want %s", sb.String(), want)
+	}
+}
+
+// A run of atoms becomes one text node built in one growing buffer: an
+// element of n atoms allocates bytes in proportion to n, not a copy of
+// the text so far per atom (n²/2 copied bytes).
+func TestElemTextRunIsLinear(t *testing.T) {
+	const n = 10000
+	iters, poss, items := make([]int64, n), make([]int64, n), make([]xqt.Item, n)
+	for i := range items {
+		iters[i], poss[i], items[i] = 1, int64(i+1), xqt.Str("atom")
+	}
+	ec := &ElemConstruct{Ins: []Plan{&Lit{Tab: intTable("iter", 1)}, &Lit{Tab: seqTable(iters, poss, items)}},
+		Template: []CtorTok{{Kind: TokStart, Tag: "a"}, {Kind: TokPart}, {Kind: TokEnd}}}
+	pool, tr := store.NewPool(), store.NewContainer("")
+	pool.Register(tr)
+	ex := NewExec(pool, tr)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := ex.Run(ec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64*n {
+		t.Errorf("one element of %d atoms allocated %d bytes, want at most %d", n, got, 64*n)
+	}
+	if text := tr.StringValue(int32(res.Items("item")[0].I)); len(text) != 5*n-1 || tr.Len() != 2 {
+		t.Errorf("%d rows, text of %d bytes; want an element and one text node of %d bytes", tr.Len(), len(text), 5*n-1)
 	}
 }
 

@@ -101,6 +101,13 @@ func (b *Builder) Attr(name, val string) {
 	c.attrStart[len(c.attrStart)-1] = int32(len(c.AttrOwner))
 }
 
+// HasAttr reports whether the innermost open element has an attribute
+// called name already.
+func (b *Builder) HasAttr(name string) bool {
+	c := b.c
+	return slices.Contains(c.AttrName[c.attrStart[b.stack[len(b.stack)-1]]:], c.Names.ID(name))
+}
+
 // Text appends a text node. Empty strings are skipped (no empty text
 // nodes exist in the data model).
 func (b *Builder) Text(s string) int32 {

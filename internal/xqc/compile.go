@@ -480,26 +480,18 @@ func (c *Compiler) compileCounted(e xqp.Expr, sc *scope, paths bool) (q, count r
 	return q, nil, err
 }
 
-// compileSeqList concatenates subexpression results, re-deriving pos via ρ
-// over (branch ordinal, pos) per iteration.
+// compileSeqList concatenates the results of a comma list (two items or
+// more), re-deriving pos via ρ over (branch ordinal, pos) per iteration.
 func (c *Compiler) compileSeqList(items []xqp.Expr, sc *scope) (ralg.Plan, error) {
-	if len(items) == 0 {
-		return emptySeq(), nil
-	}
-	var parts []ralg.Plan
+	parts := make([]ralg.Plan, len(items))
 	for i, item := range items {
 		q, err := c.compile(item, sc)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, ralg.NewProject(ralg.AttachInt(q, "ord", int64(i)),
-			"iter", "ord", "pos", "item"))
+		parts[i] = ralg.NewProject(ralg.AttachInt(q, "ord", int64(i)), "iter", "ord", "pos", "item")
 	}
-	if len(parts) == 1 {
-		return ralg.NewProject(parts[0], "iter", "pos", "item"), nil
-	}
-	u := &ralg.Union{Ins: parts}
-	srt := ralg.NewSort(u, "iter", "ord", "pos")
+	srt := ralg.NewSort(&ralg.Union{Ins: parts}, "iter", "ord", "pos")
 	rn := ralg.NewRowNum(srt, "pos2", []string{"ord", "pos"}, "iter")
 	return ralg.NewProject(rn, "iter", "pos2->pos", "item"), nil
 }

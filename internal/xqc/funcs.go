@@ -335,29 +335,52 @@ func (c *Compiler) compileCardinality(x *xqp.Call, sc *scope) (ralg.Plan, error)
 	}
 }
 
+// compileCtor compiles a nest of direct constructors into one
+// ElemConstruct: a constructor directly in another's content opens no
+// iteration scope and its node identity cannot be observed, so it is
+// built in place, not built and copied.
 func (c *Compiler) compileCtor(x *xqp.ElemCtor, sc *scope) (ralg.Plan, error) {
-	content, err := c.compileSeqList(x.Content, sc)
-	if err != nil {
+	ec := &ralg.ElemConstruct{Ins: []ralg.Plan{ralg.NewProject(sc.loop, "iter")}}
+	if err := c.ctorTemplate(ec, x, sc); err != nil {
 		return nil, err
 	}
-	ec := &ralg.ElemConstruct{
-		Loop:    ralg.NewProject(sc.loop, "iter"),
-		Content: content,
-		Tag:     x.Name,
-	}
+	return ralg.NewProject(ralg.AttachInt(ec, "pos", 1), "iter", "pos", "item"), nil
+}
+
+// ctorTemplate appends x's tokens and inputs to ec; every content item
+// but a nested direct constructor is a part of its own.
+func (c *Compiler) ctorTemplate(ec *ralg.ElemConstruct, x *xqp.ElemCtor, sc *scope) error {
+	start := ralg.CtorTok{Kind: ralg.TokStart, Tag: x.Name}
 	for _, a := range x.Attrs {
-		spec := ralg.AttrSpec{Attr: a.Name}
 		for _, part := range a.Parts {
-			pp, err := c.compile(part, sc)
-			if err != nil {
-				return nil, err
+			if err := c.ctorPart(ec, part, sc); err != nil {
+				return err
 			}
-			spec.Parts = append(spec.Parts, pp)
 		}
-		ec.Attrs = append(ec.Attrs, spec)
+		start.Attrs = append(start.Attrs, ralg.AttrSpec{Attr: a.Name, Parts: len(a.Parts)})
 	}
-	res := ralg.AttachInt(ec, "pos", 1)
-	return ralg.NewProject(res, "iter", "pos", "item"), nil
+	ec.Template = append(ec.Template, start)
+	for _, item := range x.Content {
+		var err error
+		if nested, ok := item.(*xqp.ElemCtor); ok {
+			err = c.ctorTemplate(ec, nested, sc)
+		} else {
+			ec.Template = append(ec.Template, ralg.CtorTok{Kind: ralg.TokPart})
+			err = c.ctorPart(ec, item, sc)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	ec.Template = append(ec.Template, ralg.CtorTok{Kind: ralg.TokEnd})
+	return nil
+}
+
+// ctorPart compiles x as ec's next input.
+func (c *Compiler) ctorPart(ec *ralg.ElemConstruct, x xqp.Expr, sc *scope) error {
+	q, err := c.compile(x, sc)
+	ec.Ins = append(ec.Ins, q)
+	return err
 }
 
 func nan() float64 {

@@ -1072,6 +1072,11 @@ func (p *parser) rawElem(i int) (*ElemCtor, int, error) {
 				}
 				i++
 				flush()
+				for _, prev := range el.Attrs {
+					if prev.Name == attr.Name {
+						return nil, 0, xqerr.Newf("XQST0040", "duplicate attribute %s in <%s>", attr.Name, el.Name)
+					}
+				}
 				el.Attrs = append(el.Attrs, attr)
 				goto nextAttr
 			case c == '{':

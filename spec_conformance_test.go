@@ -364,6 +364,29 @@ var specCases = []struct {
 	{"construct-is-distinct-loop", `for $i in (1, 2) return <a/> is <a/>`, "false false"},
 	{"construct-union-distinct", `count((<a><b/></a>/b | <a><b/></a>/b))`, "2"},
 	{"construct-union-same-var", `let $x := <a><b/></a> return count(($x/b | $x/b))`, "1"},
+
+	// nested direct constructors (XQuery 1.0 §3.7.1): a nested element is
+	// content of its parent, between its neighbours, and ends a run of text
+	{"construct-nested-between", `<a>{1}<b>{2}</b>{3}</a>`, "<a>1<b>2</b>3</a>"},
+	{"construct-nested-attr-value", `<a>1<b x="{1+1}">{2}</b>3</a>`, `<a>1<b x="2">2</b>3</a>`},
+	{"construct-nested-per-iteration", `for $i in 1 to 3 return <a n="{$i}"><b>{$i}</b><c><d>{$i*2}</d>t</c></a>`,
+		`<a n="1"><b>1</b><c><d>2</d>t</c></a><a n="2"><b>2</b><c><d>4</d>t</c></a><a n="3"><b>3</b><c><d>6</d>t</c></a>`},
+	{"construct-nested-parent", `(<a><b/></a>/b)/..`, "<a><b/></a>"},
+	{"construct-nested-descendants", `count(<a><b/><b/></a>//b)`, "2"},
+	{"construct-nested-document", `<a><b>{doc("num.xml")}</b></a>`, "<a><b><r><a>1</a><a>2</a><a>3</a></r></b></a>"},
+	{"construct-enclosed-element", `<a>{<b>1</b>}<c/></a>`, "<a><b>1</b><c/></a>"},
+	{"construct-nested-attr-node", `<a><b>{doc("attrs.xml")/r/c/@id}x</b></a>`, `<a><b id="i2">x</b></a>`},
+	// an attribute node after content is a type error (§3.7.1.3), and a
+	// nested element is content
+	{"construct-attr-after-nested", `<a><b/>{doc("attrs.xml")/r/c/@id}</a>`, "err:XQTY0024"},
+	{"construct-attr-after-text-nested", `<a><b>x{doc("attrs.xml")/r/c/@id}</b></a>`, "err:XQTY0024"},
+	// two attributes of one name: a static error when both are literal
+	// (§3.7.1.1), a dynamic one when content brings one (§3.7.1.3)
+	{"construct-dup-attr-literal", `<a b="1" b="2"/>`, "err:XQST0040"},
+	{"construct-dup-attr-content", `<a id="1">{doc("attrs.xml")/r/c/@id}</a>`, "err:XQDY0025"},
+	{"construct-dup-attr-two-nodes", `<a>{doc("attrs.xml")//@id}</a>`, "err:XQDY0025"},
+	{"construct-dup-attr-nested", `<a><b id="1">{doc("attrs.xml")/r/c/@id}</b></a>`, "err:XQDY0025"},
+	{"construct-same-attr-other-element", `<a id="1"><b>{doc("attrs.xml")/r/c/@id}</b></a>`, `<a id="1"><b id="i2"/></a>`},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
