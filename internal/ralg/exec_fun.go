@@ -35,24 +35,18 @@ func (e *Exec) view(vec *ItemVec) vecView {
 		return vecView{tag: vec.Tag, f: vec.F}
 	case xqt.KString, xqt.KUntyped:
 		return vecView{tag: vec.Tag, s: vec.S}
-	default:
-		return vecView{tag: xqt.KUntyped, s: e.atomizeNodes(vec.Tag, vec)}
+	case xqt.KNode:
+		return vecView{tag: xqt.KUntyped, s: nodeRuns(e, vec, (*store.Container).StringValues)}
+	default: // KAttr
+		return vecView{tag: xqt.KUntyped, s: nodeRuns(e, vec, (*store.Container).AttrValues)}
 	}
 }
 
-// atomizeNodes computes the string values of a uniform node column.
-func (e *Exec) atomizeNodes(k xqt.Kind, vec *ItemVec) []string {
-	if k == xqt.KNode {
-		return e.nodeStrings(vec, (*store.Container).StringValues)
-	}
-	return e.nodeStrings(vec, (*store.Container).AttrValues)
-}
-
-// nodeStrings maps a uniform node column to one string per row through
-// one of the store's bulk kernels, batching per container run (the
-// container lookup is hoisted out of the row loop).
-func (e *Exec) nodeStrings(vec *ItemVec, bulk func(c *store.Container, rows []int64, out []string)) []string {
-	out := dirty[string](e, outRegion, vec.Len())
+// nodeRuns maps a uniform node column to one value per row through one
+// of the store's bulk kernels, batching per container run (the container
+// lookup is hoisted out of the row loop).
+func nodeRuns[T any](e *Exec, vec *ItemVec, bulk func(c *store.Container, rows []int64, out []T)) []T {
+	out := dirty[T](e, outRegion, vec.Len())
 	i := 0
 	for i < vec.Len() {
 		cont := vec.Cont[i]
@@ -66,13 +60,19 @@ func (e *Exec) nodeStrings(vec *ItemVec, bulk func(c *store.Container, rows []in
 	return out
 }
 
-// floats materializes the view as xs:double values (the AsDouble cast)
-// in one conversion pass.
-func (v vecView) floats(e *Exec, n int) []float64 {
-	if v.tag == xqt.KDouble {
-		return v.f
+// floats casts a uniform column to xs:double (the AsDouble cast) in one
+// conversion pass. A node column is read through the store's number
+// kernels, which parse a document's values once, not once an execution.
+func (e *Exec) floats(c *ItemVec) []float64 {
+	switch c.Tag {
+	case xqt.KDouble:
+		return c.F
+	case xqt.KNode:
+		return nodeRuns(e, c, (*store.Container).NumberValues)
+	case xqt.KAttr:
+		return nodeRuns(e, c, (*store.Container).AttrNumbers)
 	}
-	out := dirty[float64](e, outRegion, n)
+	v, out := e.view(c), dirty[float64](e, outRegion, c.Len())
 	for i, x := range v.i { // KInt, KBool
 		out[i] = float64(x)
 	}
@@ -103,7 +103,6 @@ func (v vecView) col(n int) ItemVec { return ItemVec{Tag: v.tag, n: n, I: v.i, F
 func uniformIntCol(vs []int64) ItemVec      { return vecView{tag: xqt.KInt, i: vs}.col(len(vs)) }
 func uniformDoubleCol(vs []float64) ItemVec { return vecView{tag: xqt.KDouble, f: vs}.col(len(vs)) }
 func uniformStringCol(vs []string) ItemVec  { return vecView{tag: xqt.KString, s: vs}.col(len(vs)) }
-func (e *Exec) floats(c *ItemVec) []float64 { return e.view(c).floats(e, c.Len()) }
 func (e *Exec) strs(c *ItemVec) []string    { return e.view(c).strs(e) }
 
 // map1 and map2 apply a scalar function to every row of one or two
@@ -475,9 +474,9 @@ func (e *Exec) nodeNames(c *ItemVec) ([]string, error) {
 		return nil, err
 	}
 	if vec.Tag == xqt.KAttr {
-		return e.nodeStrings(vec, (*store.Container).AttrNames), nil
+		return nodeRuns(e, vec, (*store.Container).AttrNames), nil
 	}
-	return e.nodeStrings(vec, (*store.Container).NamesOf), nil
+	return nodeRuns(e, vec, (*store.Container).NamesOf), nil
 }
 
 // docOrderKeys maps a node column to document-order keys within its

@@ -330,17 +330,24 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	}
 	loop := in[0].Ints("iter")
 	// one cursor per input, an attribute part's items cast to strings up
-	// front. The copied subtrees dominate the rows this operator appends to
-	// the transient container: make room for them once (text nodes ride on
-	// append's growth) — the first constructor to build anything for what
-	// the whole statement built last time, so no later one moves a column
-	curs, tags := make([]elemCursor, len(in)), dirty[int32](e, scratchRegion, len(n.Template))
+	// front, and each name interned once: a tag at its template index, the
+	// attribute names after them in order. The copied subtrees dominate
+	// the rows this operator appends to the transient container: make room
+	// for them once (text nodes ride on append's growth) — the first
+	// constructor to build anything for what the whole statement built
+	// last time, so no later one moves a column
+	na := len(n.Template)
+	for _, t := range n.Template {
+		na += len(t.Attrs)
+	}
+	curs, ids := make([]elemCursor, len(in)), dirty[int32](e, scratchRegion, na)[:len(n.Template)]
 	rows, k := 0, 1
 	for i, t := range n.Template {
 		if t.Kind == TokStart {
-			tags[i], rows = e.Transient.Names.ID(t.Tag), rows+len(loop)
+			ids[i], rows = e.Transient.Names.ID(t.Tag), rows+len(loop)
 		}
 		for _, a := range t.Attrs {
+			ids = append(ids, e.Transient.Names.ID(a.Attr))
 			for range a.Parts {
 				curs[k], k = elemCursor{iter: in[k].Ints("iter"), item: e.cast(FunStringOf, in[k].Col("item"))}, k+1
 			}
@@ -357,14 +364,15 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	}
 	tc := e.uniformVec(xqt.KNode, len(loop))
 	b := store.NewContainerBuilder(e.Transient)
-	before, room := e.Transient.Len(), cap(e.Transient.Size)
+	before, room, attrs := e.Transient.Len(), cap(e.Transient.Size), (len(ids)-len(n.Template))*len(loop)
 	if room == 0 && rows > 0 {
 		rows = max(rows, e.SizeHint)
 	}
 	// the container is the one row store the arena does not hand out:
 	// what Reserve is about to add is charged, and refused, like a column
-	e.charge(outRegion, int64(max(before+rows-room, 0))*store.RowBytes)
-	b.Reserve(rows)
+	e.charge(outRegion, int64(max(before+rows-room, 0))*store.RowBytes+
+		int64(max(len(e.Transient.AttrOwner)+attrs-cap(e.Transient.AttrOwner), 0))*store.AttrBytes)
+	b.Reserve(rows, attrs)
 	// the innermost open element's pending text: a lone atom is passed
 	// through as it is, a run of atoms is joined in buf. Only a part makes
 	// a run, and a node, a start or an end ends it, so it is written where
@@ -381,11 +389,11 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 		if built&1023 == 1023 && e.stopRequested() {
 			return nil, e.stopErr()
 		}
-		k = 1
+		k, ai := 1, len(n.Template)
 		for i := range n.Template {
 			switch t := &n.Template[i]; t.Kind {
 			case TokStart:
-				if pre := b.StartElemID(tags[i]); i == 0 {
+				if pre := b.StartElemID(ids[i]); i == 0 {
 					tc.Cont[built], tc.I[built] = e.Transient.ID, int64(pre)
 				}
 				saw = false
@@ -397,7 +405,8 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 						lo, hi := curs[k].at(it)
 						val, k = val+strings.Join(curs[k].item.S[lo:hi], " "), k+1
 					}
-					b.Attr(a.Attr, val)
+					b.AttrID(ids[ai], val)
+					ai++
 				}
 			case TokEnd:
 				b.End()

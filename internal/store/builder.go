@@ -89,14 +89,18 @@ func (b *Builder) StartElemID(nameID int32) int32 {
 
 // Attr attaches an attribute to the innermost open element. It must be
 // called before any content is added to that element.
-func (b *Builder) Attr(name, val string) {
+func (b *Builder) Attr(name, val string) { b.AttrID(b.c.Names.ID(name), val) }
+
+// AttrID is Attr for a name the caller interned in the container's
+// dictionary already, as StartElemID is StartElem.
+func (b *Builder) AttrID(nameID int32, val string) {
 	c := b.c
 	owner := b.stack[len(b.stack)-1]
 	if int32(len(c.Size)) != owner+1 {
-		panic(fmt.Sprintf("store: attribute %q added after content of element %d", name, owner))
+		panic(fmt.Sprintf("store: attribute %q added after content of element %d", c.Names.Name(nameID), owner))
 	}
 	c.AttrOwner = append(c.AttrOwner, owner)
-	c.AttrName = append(c.AttrName, c.Names.ID(name))
+	c.AttrName = append(c.AttrName, nameID)
 	c.AttrVal = append(c.AttrVal, val)
 	c.attrStart[len(c.attrStart)-1] = int32(len(c.AttrOwner))
 }
@@ -166,13 +170,19 @@ func appendShifted(col, src []int32, delta int32) []int32 {
 }
 
 // RowBytes is what one structural row costs across the ten columns
-// Reserve grows: nine int32 and the kind byte.
-const RowBytes = 37
+// Reserve grows: nine int32 and the kind byte. AttrBytes is one attribute
+// row: owner, name and the value's string header.
+const (
+	RowBytes  = 37
+	AttrBytes = 24
+)
 
-// Reserve makes room for n more structural rows, so the appends of a
-// caller that knows its output size never regrow the ten columns.
-func (b *Builder) Reserve(n int) {
+// Reserve makes room for n more structural rows and attrs more attribute
+// rows, so the appends of a caller that knows its output size never
+// regrow the columns.
+func (b *Builder) Reserve(n, attrs int) {
 	c := b.c
+	c.AttrOwner, c.AttrName, c.AttrVal = slices.Grow(c.AttrOwner, attrs), slices.Grow(c.AttrName, attrs), slices.Grow(c.AttrVal, attrs)
 	c.Size, c.Level, c.Kind, c.Parent = slices.Grow(c.Size, n), slices.Grow(c.Level, n), slices.Grow(c.Kind, n), slices.Grow(c.Parent, n)
 	c.Frag, c.NameID, c.Value = slices.Grow(c.Frag, n), slices.Grow(c.NameID, n), slices.Grow(c.Value, n)
 	c.attrStart = slices.Grow(c.attrStart, n)

@@ -19,8 +19,10 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"mxq/internal/faults"
+	"mxq/internal/xqt"
 )
 
 // NodeKind is the node-kind property of a pre|size|level row.
@@ -95,6 +97,11 @@ type Container struct {
 	// elemIndex maps element name id -> ascending pres ("nametest
 	// index"), built by BuildIndexes for document containers.
 	elemIndex map[int32][]int32
+
+	// nums is the number memo of Texts and AttrVal (numbers.go), given
+	// by BuildIndexes to immutable containers only: a transient one has
+	// none and parses.
+	nums numMemo
 }
 
 // Len returns the number of rows in the pre|size|level table.
@@ -145,20 +152,43 @@ func (c *Container) Attrs(pre int32) (ac *Container, lo, hi int32) {
 
 // StringValue computes the XPath string value of the node at pre: the text
 // content for text/comment/PI nodes, and the concatenation of all
-// descendant text nodes for elements and document nodes.
+// descendant text nodes for elements and document nodes — the one text
+// itself when there is one, else built in one allocation of its size.
 func (c *Container) StringValue(pre int32) string {
 	switch c.Kind[pre] {
 	case KindText, KindComment, KindPI:
 		return c.TextOf(pre)
 	}
-	end := pre + c.Size[pre]
-	var buf []byte
-	for p := pre + 1; p <= end; p++ {
+	first, n, size := c.textsBelow(pre)
+	switch n {
+	case 0:
+		return ""
+	case 1:
+		return c.TextOf(first)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for p, end := first, pre+c.Size[pre]; p <= end; p++ {
 		if c.Kind[p] == KindText {
-			buf = append(buf, c.TextOf(p)...)
+			sb.WriteString(c.TextOf(p))
 		}
 	}
-	return string(buf)
+	return sb.String()
+}
+
+// textsBelow returns the first text node below element or document pre
+// (-1 when there is none), how many there are and their total length.
+func (c *Container) textsBelow(pre int32) (first int32, n, size int) {
+	first = -1
+	for p, end := pre+1, pre+c.Size[pre]; p <= end; p++ {
+		if c.Kind[p] == KindText {
+			if first < 0 {
+				first = p
+			}
+			n, size = n+1, size+len(c.TextOf(p))
+		}
+	}
+	return first, n, size
 }
 
 // StringValues is the bulk form of StringValue: it computes the string
@@ -171,11 +201,41 @@ func (c *Container) StringValues(pres []int64, out []string) {
 	}
 }
 
+// NumberValues is the bulk xs:double cast of string values:
+// xqt.ParseDouble(StringValue(p)) for every node in pres, into out. A
+// value that is one text — a text, comment or PI node, or an element or
+// document with one text below it — is read off the number memo of the
+// container the text lives in (a copied text reads its source's); any
+// other is parsed.
+func (c *Container) NumberValues(pres []int64, out []float64) {
+	for i, p := range pres {
+		t := int32(p)
+		if k := c.Kind[t]; k == KindElem || k == KindDoc {
+			first, n, _ := c.textsBelow(t)
+			if n != 1 {
+				out[i] = xqt.ParseDouble(c.StringValue(t))
+				continue
+			}
+			t = first
+		}
+		rc, rp := c.refOf(t)
+		v := rc.Value[rp]
+		out[i] = rc.nums.texts.number(v, rc.Texts[v])
+	}
+}
+
 // AttrValues is the bulk form of attribute atomization: it copies the
 // attribute values of the given attribute-table rows into out.
 func (c *Container) AttrValues(rows []int64, out []string) {
 	for i, r := range rows {
 		out[i] = c.AttrVal[r]
+	}
+}
+
+// AttrNumbers is AttrValues cast to xs:double, read off the number memo.
+func (c *Container) AttrNumbers(rows []int64, out []float64) {
+	for i, r := range rows {
+		out[i] = c.nums.attrs.number(int32(r), c.AttrVal[r])
 	}
 }
 
@@ -203,8 +263,12 @@ func (c *Container) Post(pre int32) int32 {
 
 // BuildIndexes constructs the element-name posting lists used by the
 // candidate-list ("nametest pushdown") variants of staircase join. The
-// lists hold pres in ascending (document) order.
+// lists hold pres in ascending (document) order. The container is
+// immutable from here on, so it also gets its (empty) number memo.
 func (c *Container) BuildIndexes() {
+	if c.nums.texts == nil {
+		c.nums = numMemo{}.over(c)
+	}
 	idx := make(map[int32][]int32)
 	for p := 0; p < c.Len(); p++ {
 		if c.Kind[p] == KindElem {

@@ -230,7 +230,8 @@ func TestQuickCopyTreeMatchesPerRowLoop(t *testing.T) {
 			dsts[i].ID = dsts[0].ID // one identity, so self-references compare equal
 			bs[i] = NewContainerBuilder(dsts[i])
 		}
-		bs[2].Reserve(1 + rng.Intn(500))
+		n := 1 + rng.Intn(500)
+		bs[2].Reserve(n, n/4)
 		open := 0
 		for step := 0; step < 40; step++ {
 			switch ev := rng.Intn(6); {

@@ -205,6 +205,8 @@ func (sp *ShardedPool) WithDoc(doc string, build func(b *Builder) error) (*Shard
 	if _, err := b.Done(); err != nil {
 		return nil, err
 	}
+	// the copy's numbers start as the source's: its values are a prefix
+	out.shards[s].nums = sp.shards[s].nums.over(out.shards[s])
 	return out, nil
 }
 

@@ -165,6 +165,50 @@ func TestAddToCollectionSnapshot(t *testing.T) {
 	}
 }
 
+// TestNumbersAcrossAddToCollection: a numeric query fills the number memo
+// of a collection's shards, and an add copies one of them. The new
+// snapshot reads the copy's values and the added document's, and a
+// statement bound to nodes of the old snapshot reads theirs.
+func TestNumbersAcrossAddToCollection(t *testing.T) {
+	db := mxq.Open()
+	docs := []string{"a.xml", "b.xml", "c.xml", "d.xml", "e.xml"}
+	var load []mxq.Doc
+	for i, d := range docs {
+		load = append(load, mxq.DocString(d, fmt.Sprintf(`<d><v>%d</v><w x=" %d "/></d>`, i+1, 10*(i+1))))
+	}
+	if err := db.LoadCollection("c", 2, load...); err != nil {
+		t.Fatal(err)
+	}
+	const q = `(sum(collection("c")//v), sum(collection("c")//@x), count(collection("c")//v[. > 2]))`
+	if got, err := db.QueryString(q); err != nil || got != "15 150 3" {
+		t.Fatalf("before the add: %q, %v", got, err)
+	}
+	const added = "z.xml"
+	var other, want []string // the values of the shard the add leaves alone, doubled
+	for i, d := range docs {
+		if store.ShardOf(d, 2) != store.ShardOf(added, 2) {
+			other, want = append(other, fmt.Sprint(i+1)), append(want, fmt.Sprint(2*(i+1)))
+		}
+	}
+	old, err := db.Query(`collection("c")//v[. = (` + strings.Join(other, ",") + `)]`)
+	if err != nil || old.Len() != len(other) {
+		t.Fatalf("nodes of the untouched shard: %v, %d items", err, old.Len())
+	}
+	stmt, err := db.Prepare(`declare variable $x external; for $v in $x return $v * 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddToCollection("c", mxq.DocString(added, `<d><v>100</v><w x="1000"/></d>`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := db.QueryString(q); err != nil || got != "115 1150 4" {
+		t.Fatalf("after the add: %q, %v", got, err)
+	}
+	if got, err := stmt.Bind("x", mxq.Items(old.Items()...)).ExecString(); err != nil || got != strings.Join(want, " ") {
+		t.Fatalf("old snapshot's nodes after the add: %q, %v; want %q", got, err, strings.Join(want, " "))
+	}
+}
+
 // TestBindNodesAcrossAddToCollection: nodes taken from a Result can be
 // bound into a later execution as long as that execution's snapshot
 // still holds their container. An AddToCollection supersedes one shard:

@@ -387,6 +387,29 @@ var specCases = []struct {
 	{"construct-dup-attr-two-nodes", `<a>{doc("attrs.xml")//@id}</a>`, "err:XQDY0025"},
 	{"construct-dup-attr-nested", `<a><b id="1">{doc("attrs.xml")/r/c/@id}</b></a>`, "err:XQDY0025"},
 	{"construct-same-attr-other-element", `<a id="1"><b>{doc("attrs.xml")/r/c/@id}</b></a>`, `<a id="1"><b id="i2"/></a>`},
+
+	// a node's value used as a number ignores surrounding blanks and
+	// spells the special values INF, -INF and NaN (XML Schema's xs:double
+	// lexical space); a value that is no number is NaN, as fn:number makes
+	// it (F&O 14.1.1), and satisfies no comparison — whether it is read
+	// from a document, a copy of one of its texts, or a constructed element
+	{"number-blank-exponent-cmp", `doc("vals.xml")/r/v[1] = 1000`, "true"},
+	{"number-blank-exponent-sum", `sum(doc("vals.xml")/r/v[1])`, "1000"},
+	{"number-inf-cmp", `doc("vals.xml")/r/v[2] > 1e308`, "true"},
+	{"number-inf-sum", `sum(doc("vals.xml")/r/v[2])`, "INF"},
+	{"number-neg-inf-cmp", `doc("vals.xml")/r/v[3] < -1e308`, "true"},
+	{"number-neg-inf-sum", `sum(doc("vals.xml")/r/v[3])`, "-INF"},
+	{"number-nan-cmp", `(doc("vals.xml")/r/v[4] < 1, doc("vals.xml")/r/v[4] >= 1)`, "false false"},
+	{"number-nan-sum", `sum(doc("vals.xml")/r/v[4])`, "NaN"},
+	{"number-text-cmp", `(doc("vals.xml")/r/v[6] < 1, doc("vals.xml")/r/v[6] >= 1)`, "false false"},
+	{"number-text-sum", `sum(doc("vals.xml")/r/v[6])`, "NaN"},
+	// -0 keeps its sign: 1 div -0 is -INF
+	{"number-negative-zero", `(1 div number(doc("vals.xml")/r/v[5]), 1 div doc("vals.xml")/r/v[5])`, "-INF -INF"},
+	{"number-attr-blanks", `(doc("vals.xml")/r/p/@a + 1, sum(doc("vals.xml")/r/p/@a), count(doc("vals.xml")/r/p[@a = 5]))`, "6 5 1"},
+	{"number-copied-text", `<a>{(doc("vals.xml")//price)[1]/text()}</a> + 0`, "12.5"},
+	{"number-multi-text-doc", `doc("vals.xml")/r/m * 2`, "68"},
+	{"number-multi-text-constructed", `number(<a>1<b>2</b></a>)`, "12"},
+	{"number-between-constructors", `let $a := <a>1</a> return (number($a), number(<b>2</b>))`, "1 2"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
@@ -399,6 +422,7 @@ var specDocs = map[string]string{
 	"j.xml":     `<r><p v="1"/><p v="5"/><p/><p v="x"/><q><i>2</i></q><q><i>3</i></q><q><i>5</i></q><s><i>1</i></s><s/></r>`,
 	"num.xml":   `<r><a>1</a><a>2</a><a>3</a></r>`,
 	"nest.xml":  `<r><a>1</a><a>2</a><s><a>3</a><a>4</a></s></r>`,
+	"vals.xml":  `<r><v> 1e3 </v><v>INF</v><v>-INF</v><v>NaN</v><v>-0</v><v>abc</v><p a=" 5 "/><price>12.5</price><price>7</price><m>3<b>4</b></m></r>`,
 }
 
 // loadSpecDocs loads spec.xml, the context document, then specDocs.
