@@ -183,9 +183,10 @@ func main() {
 		// existential eq joins' hash tables, the two output-bound kernels:
 		// pairs out of the theta joins, and the transient container (this
 		// is the statement's first execution, the one that regrows; the
-		// next is sized by what this one built)
-		fmt.Printf("run: %d positional and %d hash joins, %d existential hash joins; %d theta joins emitted %d pairs; transient container %d rows, %d regrows\n",
-			st.PosJoins, st.HashJoins, st.ExistHashJoins, st.ThetaNL+st.ThetaIdx, st.ThetaPairs, st.TransientRows, st.TransientRegrows)
+		// next is sized by what this one built) with the rows that copied
+		// content a by-ref constructor would reference
+		fmt.Printf("run: %d positional and %d hash joins, %d existential hash joins; %d theta joins emitted %d pairs; transient container %d rows (%d copied), %d regrows\n",
+			st.PosJoins, st.HashJoins, st.ExistHashJoins, st.ThetaNL+st.ThetaIdx, st.ThetaPairs, st.TransientRows, st.CopiedRows, st.TransientRegrows)
 		return
 	}
 	if err := res.SerializeXML(os.Stdout); err != nil {

@@ -96,16 +96,21 @@ func naiveBindings(binds map[string][]xqt.Item) map[string][]naive.Val {
 // parameterized query: its prolog declares 1–2 external variables and
 // it executes through the prepared path (Prepare + Execute with typed
 // bindings) on the relational engines versus QueryBound on the oracle.
+// Every sixth, from the second on, is a constructor query
+// (qgen.CtorQuery), alternately built by reference and by copying.
 func runDifferentialFuzz(t *testing.T, w *fuzzWorld, seed int64, n int) {
 	g := qgen.New(seed, w.roots)
 	agreedErrs := 0
 	for i := 0; i < n; i++ {
 		var q string
 		var binds map[string][]xqt.Item
-		if i%3 == 2 {
+		switch {
+		case i%3 == 2:
 			bq := g.BoundQuery()
 			q, binds = bq.Query, bq.Binds
-		} else {
+		case i%6 == 1:
+			q = g.CtorQuery()
+		default:
 			q = g.Query()
 		}
 		rb := relBindings(binds)

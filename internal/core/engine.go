@@ -301,9 +301,12 @@ func (e *Engine) compile(q string) (*compiled, error) {
 		if err := e.optimizeCompiled(st, q); err != nil {
 			return nil, err
 		}
-		if err := e.verifyCompiled(st); err != nil {
-			return nil, fmt.Errorf("core: optimizer broke the plan for %q: %w", q, err)
-		}
+	}
+	// the main plan's root is only serialized: decide which constructors
+	// build by reference, on the final schedule, and check the decision
+	st.plan.MarkByRef()
+	if err := e.verifyCompiled(st); err != nil {
+		return nil, fmt.Errorf("core: the optimized, by-reference-marked plan for %q is invalid: %w", q, err)
 	}
 	e.cache.put(q, st)
 	return st, nil
@@ -324,7 +327,8 @@ func (e *Engine) parseCompile(q string) (*xqc.Compiled, error) {
 // f gets the slot of the plan's schedule, the name of the parameter it
 // initializes ("" for the main plan) and the verifier configuration
 // naming the parameters visible to it: those declared before it, all of
-// them for the main plan. The first error ends the walk.
+// them for the main plan, whose root alone is only serialized. The
+// first error ends the walk.
 func (st *compiled) each(f func(s *ralg.Schedule, param string, cfg planck.Config) error) error {
 	cfg := planck.Config{Params: map[string]bool{}, RequireItem: true}
 	for i, p := range st.params {
@@ -335,6 +339,7 @@ func (st *compiled) each(f func(s *ralg.Schedule, param string, cfg planck.Confi
 		}
 		cfg.Params[p.Name] = true
 	}
+	cfg.Serialized = true
 	return f(&st.plan, "", cfg)
 }
 
@@ -459,8 +464,9 @@ func (e *Engine) PlanStats(q string) (ops, joins int, err error) {
 
 // SerializeXML writes the result sequence as XML text: nodes are
 // serialized, adjacent atoms are separated by single spaces. One
-// buffering serializer carries the whole sequence to w; a write error
-// ends the walk and is returned.
+// buffering serializer, its buffer reused from the last serialization,
+// carries the whole sequence to w; a write error ends the walk and is
+// returned.
 func (r *Result) SerializeXML(w io.Writer) error {
 	s := store.NewSerializer(w)
 	prevAtom := false
@@ -484,7 +490,7 @@ func (r *Result) SerializeXML(w io.Writer) error {
 			prevAtom = true
 		}
 	}
-	return s.Flush()
+	return s.Close()
 }
 
 // String renders the result as serialized XML text.

@@ -354,22 +354,15 @@ func (in *Interp) evalCtor(c *xqp.ElemCtor, env *scope) ([]Val, error) {
 			pending.Reset()
 		}
 	}
-	addAtom := func(s string) {
-		if pending.Len() > 0 {
-			pending.WriteByte(' ')
-		}
-		pending.WriteString(s)
-		sawContent = sawContent || s != ""
-	}
 	for _, part := range c.Content {
-		// literal text chunks and enclosed expressions are both treated
-		// as content atoms; adjacent atoms join with a single space (the
-		// same policy the relational constructor operator applies)
+		// literal text chunks and enclosed expressions are both content
+		// atoms; adjacent atoms of one part join with a single space,
+		// adjacent parts' directly (XQuery §3.7.1.3)
 		v, err := in.eval(part, env)
 		if err != nil {
 			return nil, err
 		}
-		for _, item := range v {
+		for i, item := range v {
 			switch {
 			case item.Node != nil:
 				flush()
@@ -393,7 +386,12 @@ func (in *Interp) evalCtor(c *xqp.ElemCtor, env *scope) ([]Val, error) {
 				}
 				elem.Attrs = append(elem.Attrs, Attr{Name: a.Name, Val: a.Val})
 			default:
-				addAtom(item.Atom.AsString())
+				if i > 0 && pending.Len() > 0 {
+					pending.WriteByte(' ')
+				}
+				s := item.Atom.AsString()
+				pending.WriteString(s)
+				sawContent = sawContent || s != ""
 			}
 		}
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // Explain renders the numbered plan s as an indented tree from its
-// root, each operator labeled #N with its number in s and annotated
-// with planck's inferred output schema and the optimizer-side column
-// properties. Shared subplans are printed once and referenced by
+// root, each operator labeled #N with its number in s (an element
+// constructor that builds by reference followed by "by-ref") and
+// annotated with planck's inferred output schema and the optimizer-side
+// column properties. Shared subplans are printed once and referenced by
 // number afterwards. When the plan violates an invariant the tree is
 // still rendered, with the violation appended.
 func Explain(s ralg.Schedule, cfg Config) (string, error) {
@@ -30,7 +31,11 @@ func Explain(s ralg.Schedule, cfg Config) (string, error) {
 			return
 		}
 		printed[id] = true
-		fmt.Fprintf(&b, "%s%s#%d %s%s\n", prefix, branch, id, opLabel(n), annotation(infos[id]))
+		mode := ""
+		if s[id].Ref {
+			mode = " by-ref"
+		}
+		fmt.Fprintf(&b, "%s%s#%d %s%s%s\n", prefix, branch, id, opLabel(n), mode, annotation(infos[id]))
 		ins := s[id].In
 		childPrefix := prefix
 		switch branch {

@@ -61,6 +61,10 @@ type Config struct {
 	// the contract of every result-producing plan (the engine reads the
 	// result sequence off that column).
 	RequireItem bool
+	// Serialized says the root's items are only serialized (a
+	// statement's main plan), so a by-reference constructor may reach
+	// it; a parameter initializer's root is bound and read as nodes.
+	Serialized bool
 }
 
 // ColInfo is the statically inferred type of one output column. Every
@@ -198,6 +202,9 @@ func Analyze(s ralg.Schedule, cfg Config) ([]Info, error) {
 	infos := make([]Info, len(s))
 	for i, cp := range v.props { // a set sorts to nil when empty
 		infos[i] = Info{Schema: v.schemas[i], Props: v.oprops[i], Key: slices.Sorted(maps.Keys(cp.key)), Const: slices.Sorted(maps.Keys(cp.cnst))}
+	}
+	if v.err == nil {
+		v.err = byRefViolation(s, cfg)
 	}
 	if v.err != nil {
 		return infos, v.err
@@ -1076,4 +1083,120 @@ func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {
 		cp.key["iter"] = true // one output row per loop row
 	}
 	return s, cp
+}
+
+// byRefViolation re-derives, forward and on its own, which output columns
+// may hold trees a by-reference constructor (Op.Ref) built, whose content
+// rows only the serializer can follow: such a column may be carried —
+// projected, attached to, ranked, sorted, made distinct, unioned,
+// diffed, joined, checked — and may reach the content of another
+// by-reference constructor or a root that is only serialized, but no
+// operator may read its nodes. It returns the first operator that does,
+// or a mark on anything but an element constructor.
+func byRefViolation(s ralg.Schedule, cfg Config) *PlanInvariantError {
+	refs := make([][]string, len(s)) // per node, the columns that may hold by-reference trees
+	for i, op := range s {
+		in := func(k int) []string {
+			if k < len(op.In) && op.In[k] >= 0 {
+				return refs[op.In[k]]
+			}
+			return nil
+		}
+		var bad string
+		reads := func(k int, cols ...string) {
+			for _, c := range cols {
+				if bad == "" && slices.Contains(in(k), c) {
+					bad = fmt.Sprintf("input %d column %q", k, c)
+				}
+			}
+		}
+		var out []string
+		keep := func(k int, except string) {
+			for _, c := range in(k) {
+				if c != except && !slices.Contains(out, c) {
+					out = append(out, c)
+				}
+			}
+		}
+		rename := func(k int, cols []ralg.ColRef) {
+			for _, r := range cols {
+				if slices.Contains(in(k), r.Src) {
+					out = append(out, r.Dst)
+				}
+			}
+		}
+		switch n := op.Plan.(type) {
+		case *ralg.Project:
+			rename(0, n.Cols)
+		case *ralg.Attach:
+			keep(0, n.Col)
+		case *ralg.RowNum:
+			keep(0, n.Out)
+		case *ralg.Sort, *ralg.Distinct, *ralg.Diff, *ralg.CardCheck:
+			keep(0, "")
+		case *ralg.Union:
+			for k := range op.In {
+				keep(k, "")
+			}
+		case *ralg.CoverCheck:
+			keep(1, "")
+		case *ralg.HashJoin:
+			rename(0, n.LCols)
+			rename(1, n.RCols)
+		case *ralg.Cross:
+			rename(0, n.LCols)
+			rename(1, n.RCols)
+		case *ralg.Select:
+			reads(0, n.Cond)
+			keep(0, "")
+		case *ralg.Fun:
+			reads(0, n.Args...)
+			keep(0, n.Out)
+		case *ralg.ExistJoin:
+			reads(0, n.LItem)
+			reads(1, n.RItem)
+		case *ralg.Aggr:
+			reads(0, n.Arg)
+		case *ralg.EBV:
+			reads(0, n.Item)
+		case *ralg.Step:
+			reads(0, n.ItemCol)
+		case *ralg.RangeGen:
+			reads(0, n.Lo, n.Hi)
+		case *ralg.ElemConstruct:
+			k := 1
+			for _, t := range n.Template {
+				for _, a := range t.Attrs {
+					for range a.Parts {
+						reads(k, "item") // atomized into the value
+						k++
+					}
+				}
+				if t.Kind == ralg.TokPart {
+					if !op.Ref {
+						reads(k, "item") // copied: a reference row has no subtree
+					}
+					k++
+				}
+			}
+			if op.Ref {
+				out = []string{"item"}
+			}
+		default:
+			for k := range op.In {
+				reads(k, in(k)...)
+			}
+		}
+		if _, ctor := op.Plan.(*ralg.ElemConstruct); op.Ref && !ctor {
+			return &PlanInvariantError{Op: op.Plan.Name(), Msg: "marked by-reference, but only an element constructor builds by reference"}
+		}
+		if bad != "" {
+			return &PlanInvariantError{Op: op.Plan.Name(), Msg: bad + " may hold trees a by-reference constructor built, which only the serializer may read"}
+		}
+		refs[i] = out
+	}
+	if root := s[len(s)-1]; !cfg.Serialized && len(refs[len(s)-1]) > 0 {
+		return &PlanInvariantError{Op: root.Plan.Name(), Msg: fmt.Sprintf("columns %v may hold by-reference trees, but the root is not only serialized (a parameter initializer's is bound)", refs[len(s)-1])}
+	}
+	return nil
 }

@@ -355,3 +355,77 @@ func TestElemTemplateWellFormed(t *testing.T) {
 	wantViolation(t, elem(two, start("a"), part, end), Config{}, "elem", "template reads 2 inputs, the operator has 3")
 	wantViolation(t, elem(two[:1], start("a"), part, part, end), Config{}, "elem", "missing input 2")
 }
+
+// A by-reference constructor's trees hold reference rows that only the
+// serializer follows. planck accepts one whose output reaches the root of
+// a serialized plan through operators that carry it, or the content of
+// another by-reference constructor, and agrees with MarkByRef there; it
+// rejects a hand-marked one whose output feeds a Step, a Fun, a copying
+// constructor or a parameter initializer's root, and a mark on any other
+// operator.
+func TestByRefReachesOnlyTheSerializer(t *testing.T) {
+	loop := ralg.NewProject(itemLit(2), "iter")
+	ctor := func(part ralg.Plan) *ralg.ElemConstruct {
+		return &ralg.ElemConstruct{Ins: []ralg.Plan{loop, part}, Template: []ralg.CtorTok{
+			{Kind: ralg.TokStart, Tag: "a"}, {Kind: ralg.TokPart}, {Kind: ralg.TokEnd}}}
+	}
+	seq := func(p ralg.Plan) ralg.Plan {
+		return ralg.NewProject(ralg.AttachInt(p, "pos", 1), "iter", "pos", "item")
+	}
+	inner := ctor(itemLit(2))
+	outer := ctor(seq(inner))
+	step := &ralg.Step{Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item"}
+	step.SetInput(0, ralg.NewSort(inner, "item", "iter"))
+	fun := ralg.NewFun(inner, ralg.FunStringOf, "s", "item")
+	sorted := ralg.NewSort(outer, "iter")
+	// analyze numbers root, marks the listed operators by-reference and
+	// checks the schedule
+	analyze := func(root ralg.Plan, cfg Config, byRef ...ralg.Plan) error {
+		s := ralg.NewSchedule(root)
+		for i := range s {
+			s[i].Ref = slices.Contains(byRef, s[i].Plan)
+		}
+		_, err := Analyze(s, cfg)
+		return err
+	}
+	main := Config{Serialized: true}
+	for _, root := range []ralg.Plan{sorted, step, fun, outer} {
+		if err := analyze(root, Config{}); err != nil {
+			t.Fatalf("unmarked %s rejected: %v", root.Name(), err)
+		}
+	}
+	if err := analyze(sorted, main, inner, outer); err != nil {
+		t.Fatalf("by-reference constructors that reach a serialized root rejected: %v", err)
+	}
+	s := ralg.NewSchedule(sorted)
+	s.MarkByRef()
+	marked := 0
+	for _, op := range s {
+		if op.Ref {
+			marked++
+		}
+	}
+	if _, err := Analyze(s, main); err != nil || marked != 2 {
+		t.Fatalf("MarkByRef marked %d of the two constructors; planck: %v", marked, err)
+	}
+	for _, tc := range []struct {
+		name  string
+		root  ralg.Plan
+		cfg   Config
+		byRef []ralg.Plan
+		op    string
+		msg   string
+	}{
+		{"step context", step, main, []ralg.Plan{inner}, "step(child)", `column "item" may hold trees a by-reference constructor built`},
+		{"fun argument", fun, main, []ralg.Plan{inner}, fun.Name(), `column "item" may hold trees`},
+		{"copying constructor's content", outer, main, []ralg.Plan{inner}, "elem", `column "item" may hold trees`},
+		{"parameter root", sorted, Config{}, []ralg.Plan{inner, outer}, "sort", "the root is not only serialized"},
+		{"mark on a sort", sorted, main, []ralg.Plan{sorted}, "sort", "only an element constructor builds by reference"},
+	} {
+		err := analyze(tc.root, tc.cfg, tc.byRef...)
+		var pie *PlanInvariantError
+		if !errors.As(err, &pie) || pie.Op != tc.op || !strings.Contains(pie.Msg, tc.msg) {
+			t.Errorf("%s: err = %v, want a violation at %s mentioning %q", tc.name, err, tc.op, tc.msg)
+		}
+	}
+}

@@ -23,6 +23,8 @@ type Gen struct {
 	// roots are full root expressions a path may start from — "/site",
 	// `doc("b.xml")/site`, `collection("xm")/site` — chosen uniformly.
 	roots []string
+	// ctors counts CtorQuery calls, which alternate between its two modes
+	ctors int
 }
 
 // New returns a generator drawing path roots from roots.
@@ -319,5 +321,40 @@ func (g *Gen) Query() string {
 	default: // positional / last() heavy path
 		p := g.Path()
 		return fmt.Sprintf("%s[%s]", p, g.pick([]string{"1", "2", "last()", "last() - 1", "position() = 2"}))
+	}
+}
+
+// CtorQuery emits one random query around element constructors. Calls
+// alternate between trees that are only serialized — nested, for- and
+// let-bound constructors used as content, which build by reference —
+// and trees that are navigated, atomized or compared, which copy their
+// content, so any two consecutive calls run both modes. Only the
+// differential fuzzer draws it: Query's stream is not touched.
+func (g *Gen) CtorQuery() string {
+	p, name, attr := g.Path(), g.name(), g.pick(attrs)
+	g.ctors++
+	if g.ctors%2 == 1 {
+		switch g.rng.Intn(4) {
+		case 0:
+			return fmt.Sprintf(`for $x in %s return <r>{$x/@%s}<s>{$x/name/text()}</s>x{%d}{$x/%s}</r>`, p, attr, g.rng.Intn(9), name)
+		case 1:
+			return fmt.Sprintf(`let $c := <c>{%s}</c> return <r>{$c}{$c}</r>`, p)
+		case 2:
+			return fmt.Sprintf(`for $c in (for $x in %s return <c>{$x/%s}</c>) return <r>{$c}</r>`, p, name)
+		default:
+			return fmt.Sprintf(`<r>{for $x in %s return <c n="{count($x/*)}">{$x}{1}{(2, 3)}</c>}</r>`, p)
+		}
+	}
+	switch g.rng.Intn(5) {
+	case 0:
+		return fmt.Sprintf(`let $c := <c>{%s}</c> return <r n="{count($c/*)}">{$c}{$c/*[1]}</r>`, p)
+	case 1:
+		return fmt.Sprintf(`(<c>{%s}</c>)/*[%d]`, p, 1+g.rng.Intn(3))
+	case 2:
+		return fmt.Sprintf(`string(<c>{%s}</c>)`, p)
+	case 3:
+		return fmt.Sprintf(`for $x in %s return <c>{$x}</c> is <c>{$x}</c>`, p)
+	default:
+		return fmt.Sprintf(`count(<c>{<d>{%s}</d>}</c>//%s)`, p, name)
 	}
 }

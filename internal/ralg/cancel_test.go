@@ -98,7 +98,7 @@ func TestOperatorsObserveCancelAndBudget(t *testing.T) {
 		in := tableOf([]string{"b"}, (&Exec{}).constItemVec(xqt.Bool(true), 5000))
 		e := NewExec(pool, nil)
 		stop(e)
-		if out, err := e.runOp(&Select{Cond: "b"}, []*Table{in}); err == nil {
+		if out, err := e.runOp(Op{Plan: &Select{Cond: "b"}}, []*Table{in}); err == nil {
 			t.Errorf("%s: Select produced %d rows on a stopped execution", name, out.N)
 		}
 	}
@@ -115,7 +115,7 @@ func TestOperatorsObserveCancelAndBudget(t *testing.T) {
 		}
 		e := NewExec(pool, nil)
 		e.Ctx, e.done = cancelled, cancelled.Done()
-		if out, err := e.runOp(p, ins); !errors.Is(err, context.Canceled) {
+		if out, err := e.runOp(Op{Plan: p}, ins); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled operator returned %v rows, err %v", name, out, err)
 		}
 		e = NewExec(pool, nil)

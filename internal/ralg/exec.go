@@ -32,6 +32,7 @@ type ExecStats struct {
 	ExistAggr           int64 // theta joins reduced to per-iter extrema (Fig. 8b)
 	CrossRows           int64 // rows produced by Cartesian products
 	TransientRows       int64 // rows the element constructors appended to the transient container
+	CopiedRows          int64 // of TransientRows, those that copied content subtrees
 	TransientRegrows    int64 // element constructors that found it too small and moved its columns
 }
 
@@ -96,8 +97,14 @@ func NewExec(pool *store.Pool, transient *store.Container) *Exec {
 	return &Exec{Pool: pool, Transient: transient}
 }
 
-// Run numbers p and runs it (RunSchedule); kept for bench/, which runs roots.
-func (e *Exec) Run(p Plan) (*Table, error) { return e.RunSchedule(NewSchedule(p)) }
+// Run numbers p as a main plan, whose root is only serialized, decides
+// its by-reference constructors (MarkByRef) and runs it (RunSchedule);
+// kept for bench/, which runs roots.
+func (e *Exec) Run(p Plan) (*Table, error) {
+	s := NewSchedule(p)
+	s.MarkByRef()
+	return e.RunSchedule(s)
+}
 
 // RunSchedule evaluates the schedule in number order and returns its
 // root's table. When Ctx is set and expires mid-execution, it returns the
@@ -118,7 +125,7 @@ func (e *Exec) RunSchedule(s Schedule) (*Table, error) {
 		if err := faults.RalgOp.Err(); err != nil {
 			return nil, err
 		}
-		t, err := e.runOp(op.Plan, in)
+		t, err := e.runOp(op, in)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +151,8 @@ func (e *Exec) RunSchedule(s Schedule) (*Table, error) {
 // read a column as a kind it does not hold (wrongTag) fails with an
 // internal error. An execution that is already cancelled or over budget
 // runs no operator.
-func (e *Exec) runOp(p Plan, in []*Table) (t *Table, err error) {
+func (e *Exec) runOp(op Op, in []*Table) (t *Table, err error) {
+	p := op.Plan
 	if e.stopRequested() {
 		return nil, e.stopErr()
 	}
@@ -160,7 +168,7 @@ func (e *Exec) runOp(p Plan, in []*Table) (t *Table, err error) {
 			panic(r)
 		}
 	}()
-	return e.apply(p, in)
+	return e.apply(op, in)
 }
 
 // stopRequested reports whether the execution's context has expired or
@@ -203,8 +211,8 @@ func (e *Exec) stopErr() error {
 	return e.Mem.Err()
 }
 
-func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
-	switch n := p.(type) {
+func (e *Exec) apply(op Op, in []*Table) (*Table, error) {
+	switch n := op.Plan.(type) {
 	case *Lit:
 		return n.Tab, nil
 	case *LitDecl:
@@ -251,7 +259,7 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	case *Step:
 		return e.execStep(n, in[0])
 	case *ElemConstruct:
-		return e.execElem(n, in)
+		return e.execElem(n, in, op.Ref)
 	case *EBV:
 		return e.execEBV(n, in[0])
 	case *CardCheck:
@@ -261,7 +269,7 @@ func (e *Exec) apply(p Plan, in []*Table) (*Table, error) {
 	case *CoverCheck:
 		return e.execCoverCheck(n, in[0], in[1])
 	}
-	return nil, fmt.Errorf("ralg: unknown operator %T", p)
+	return nil, fmt.Errorf("ralg: unknown operator %T", op.Plan)
 }
 
 // execRangeGen expands each row's bounds, atomized and converted by

@@ -1,18 +1,19 @@
 package ralg
 
 import (
-	"slices"
+	"hash/maphash"
+	"math/bits"
 
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
 
-// execDistinct keeps the first row of each run of equal By keys — the
+// execDistinct keeps the first row of each group of equal By keys — the
 // sort keys, so δ and the sorts agree on what is equal: -0 and +0 are one
 // value, so is every NaN, and integers are exact where their partition
 // holds no xs:double. An input in key order costs one pass; at the first
-// row out of order the sort kernel orders a permutation, and the rows
-// kept return in input order.
+// row out of order the rows are grouped by hashing (firstOfEach), and
+// the rows kept return in input order.
 func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 	keys := e.sortKeys(in, n.By, nil, 0)
 	keep, o := dirty[int32](e, scratchRegion, in.N), 0
@@ -25,7 +26,7 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 			c = compareKeys(keys, int32(i-1), int32(i))
 		}
 		if c > 0 {
-			return e.gather(in, e.runHeads(keys, in.N, keep[:0]))
+			return e.gather(in, e.firstOfEach(keys, in.N, keep[:0]))
 		}
 		if c < 0 {
 			keep[o] = int32(i)
@@ -35,17 +36,49 @@ func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 	return e.gather(in, keep[:o])
 }
 
-// runHeads returns, in keep's memory and in row order, the first row of
-// each run of equal keys among n unordered rows.
-func (e *Exec) runHeads(keys []sortKey, n int, keep []int32) []int32 {
-	perm := e.sortPerm(keys, n)
-	for r, i := range perm { // stable: a run's first row is its first occurrence
-		if r == 0 || compareKeys(keys, perm[r-1], i) != 0 {
-			keep = append(keep, i)
+// firstOfEach returns, in keep's memory and in row order, the first row
+// of each group of equal keys among n unordered rows: an open-addressing
+// table of row numbers in scratch memory, probed linearly from the hash
+// of a row's keys, finds the row's group by compareKeys.
+func (e *Exec) firstOfEach(keys []sortKey, n int, keep []int32) []int32 {
+	slots := dirty[int32](e, scratchRegion, 1<<bits.Len(uint(2*n-1))) // a power of two, at most half full
+	for i := range slots {
+		slots[i] = -1
+	}
+	mask := uint64(len(slots) - 1)
+	for i := range int32(n) {
+		if i&8191 == 8191 && e.stopRequested() {
+			break // RunSchedule's post-operator checkpoint discards the partial table
+		}
+		for h := hashKeys(keys, i) & mask; ; h = (h + 1) & mask {
+			if r := slots[h]; r < 0 {
+				slots[h], keep = i, append(keep, i)
+				break
+			} else if compareKeys(keys, r, i) == 0 {
+				break
+			}
 		}
 	}
-	slices.Sort(keep)
 	return keep
+}
+
+// keySeed seeds the hash of string keys; no output depends on it.
+var keySeed = maphash.MakeSeed()
+
+// hashKeys hashes row i's keys: equal keys (compareKeys 0) hash alike.
+func hashKeys(keys []sortKey, i int32) uint64 {
+	var h uint64
+	for k := range keys {
+		v := uint64(0)
+		if keys[k].u != nil {
+			v = keys[k].u[i]
+		} else {
+			v = maphash.String(keySeed, keys[k].s[i])
+		}
+		h = (h ^ v) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
 }
 
 func (e *Exec) execAggr(n *Aggr, in *Table) (*Table, error) {

@@ -324,18 +324,21 @@ func (c *elemCursor) at(it int64) (lo, hi int) {
 	return lo, c.pos
 }
 
-func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
+// execElem builds one tree per loop iteration by n's template. A node
+// content item becomes one KindRef row when ref (Op.Ref: the trees are
+// only serialized, MarkByRef), else a shallow copy of its subtree.
+func (e *Exec) execElem(n *ElemConstruct, in []*Table, ref bool) (*Table, error) {
 	if e.Transient == nil {
 		return nil, fmt.Errorf("ralg: element construction without a transient container")
 	}
 	loop := in[0].Ints("iter")
 	// one cursor per input, an attribute part's items cast to strings up
 	// front, and each name interned once: a tag at its template index, the
-	// attribute names after them in order. The copied subtrees dominate
-	// the rows this operator appends to the transient container: make room
-	// for them once (text nodes ride on append's growth) — the first
-	// constructor to build anything for what the whole statement built
-	// last time, so no later one moves a column
+	// attribute names after them in order. Make room once for a row per
+	// element and per node content item — what a reference takes; text
+	// nodes and copied subtrees grow the columns, and a copy is charged as
+	// it does — the first constructor to build anything for what the whole
+	// statement built last time, so no later one moves a column
 	na := len(n.Template)
 	for _, t := range n.Template {
 		na += len(t.Attrs)
@@ -356,7 +359,7 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 			c := in[k].Col("item")
 			for j := 0; j < c.Len(); j++ {
 				if c.KindAt(j) == xqt.KNode {
-					rows += int(e.Pool.Get(c.Cont[j]).Size[c.I[j]]) + 1
+					rows++
 				}
 			}
 			curs[k], k = elemCursor{iter: in[k].Ints("iter"), item: c}, k+1
@@ -374,10 +377,12 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 		int64(max(len(e.Transient.AttrOwner)+attrs-cap(e.Transient.AttrOwner), 0))*store.AttrBytes)
 	b.Reserve(rows, attrs)
 	// the innermost open element's pending text: a lone atom is passed
-	// through as it is, a run of atoms is joined in buf. Only a part makes
-	// a run, and a node, a start or an end ends it, so it is written where
-	// it ends. saw is whether that element has content yet
-	pend, buf, saw := "", []byte(nil), false
+	// through as it is, a run of atoms is joined in buf. A node, a start
+	// or an end ends a run, so it is written where it ends; atoms of one
+	// part are joined with a space, adjacent parts' directly (XQuery
+	// §3.7.1.3). saw is whether that element has content yet, sp whether
+	// an atom of the current part came before
+	pend, buf, saw, sp := "", []byte(nil), false, false
 	flush := func() {
 		if len(buf) > 0 {
 			pend, buf = string(buf), buf[:0]
@@ -418,14 +423,10 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 					case xqt.KNode:
 						flush()
 						src, node := e.Pool.Get(vec.Cont[lo]), int32(vec.I[lo])
-						if src.Kind[node] == store.KindDoc {
-							// copying a document node copies its children
-							end := node + src.Size[node]
-							for p := node + 1; p <= end; p += src.Size[p] + 1 {
-								b.CopyTree(src, p)
-							}
+						if ref {
+							b.Ref(src, node)
 						} else {
-							b.CopyTree(src, node)
+							e.copyNode(b, src, node)
 						}
 						saw = true
 					case xqt.KAttr:
@@ -439,16 +440,21 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 						b.Attr(name, src.AttrVal[row])
 					default:
 						switch s := vec.At(lo).AsString(); {
-						case len(buf) > 0:
-							buf = append(append(buf, ' '), s...)
-						case pend != "":
-							buf = append(append(append(buf, pend...), ' '), s...)
-						default:
+						case pend == "" && len(buf) == 0:
 							pend, saw = s, saw || s != ""
+						case len(buf) == 0:
+							buf = append(buf, pend...)
+							fallthrough
+						default:
+							if sp {
+								buf = append(buf, ' ')
+							}
+							buf = append(buf, s...)
 						}
+						sp = true
 					}
 				}
-				if k++; n.Template[i+1].Kind != TokPart {
+				if k, sp = k+1, false; n.Template[i+1].Kind != TokPart {
 					flush()
 				}
 			}
@@ -460,4 +466,20 @@ func (e *Exec) execElem(n *ElemConstruct, in []*Table) (*Table, error) {
 	}
 	// one element per iteration, in loop order: the loop's iter column is shared
 	return tableOf([]string{"iter", "item"}, *in[0].Col("iter"), tc), nil
+}
+
+// copyNode copies the subtree of node into b's open element, a document
+// node's children for a document node, counts the copied rows and
+// charges the columns' growth.
+func (e *Exec) copyNode(b *store.Builder, src *store.Container, node int32) {
+	at, room := e.Transient.Len(), cap(e.Transient.Size)
+	if src.Kind[node] != store.KindDoc {
+		b.CopyTree(src, node)
+	} else {
+		for p, end := node+1, node+src.Size[node]; p <= end; p += src.Size[p] + 1 {
+			b.CopyTree(src, p)
+		}
+	}
+	e.Stats.CopiedRows += int64(e.Transient.Len() - at)
+	e.charge(outRegion, int64(cap(e.Transient.Size)-room)*store.RowBytes)
 }

@@ -2,6 +2,7 @@ package ralg
 
 import (
 	"fmt"
+	"slices"
 
 	"mxq/internal/scj"
 	"mxq/internal/xqt"
@@ -564,10 +565,12 @@ func (*CardCheck) Name() string { return "cardcheck" }
 type Schedule []Op
 
 // Op is one numbered node: its plan and its inputs' numbers, -1 for a
-// nil input (which is not visited).
+// nil input (which is not visited). Ref marks an ElemConstruct that
+// builds by reference (MarkByRef).
 type Op struct {
 	Plan Plan
 	In   []int
+	Ref  bool
 }
 
 // NewSchedule numbers the DAG rooted at p depth-first, inputs first, into
@@ -607,4 +610,102 @@ func (s Schedule) CountOps() (ops, joins int) {
 		}
 	}
 	return len(s), joins
+}
+
+// MarkByRef decides, for every ElemConstruct of the main plan s, whether
+// it builds by reference: each node content item becomes one
+// store.KindRef row instead of a copy of its subtree. That holds when the
+// constructed nodes can reach only the root, whose items are only
+// serialized, the content of another by-reference constructor, or
+// operators that move items without reading node structure: Project,
+// Attach, RowNum, Sort, Distinct, Union and Diff (which order nodes by
+// identity), and joins, CardCheck and CoverCheck that carry the column.
+// Every other reader navigates or atomizes — a Step context, an
+// argument of Fun, Aggr, Select, EBV, ExistJoin or RangeGen, an
+// attribute value part, the content of a copying constructor — so the
+// constructor copies. One pass from the root back: read[i] lists the
+// output columns of node i whose nodes some consumer reads.
+func (s Schedule) MarkByRef() {
+	read := make([][]string, len(s))
+	for i := len(s) - 1; i >= 0; i-- {
+		op, d := &s[i], read[i]
+		need := func(k int, col string) {
+			if j := op.In[k]; j >= 0 && col != "" && !slices.Contains(read[j], col) {
+				read[j] = append(read[j], col)
+			}
+		}
+		pass := func(k int, except string) {
+			for _, c := range d {
+				if c != except {
+					need(k, c)
+				}
+			}
+		}
+		refs := func(k int, cols []ColRef) {
+			for _, r := range cols {
+				if slices.Contains(d, r.Dst) {
+					need(k, r.Src)
+				}
+			}
+		}
+		switch n := op.Plan.(type) {
+		case *Project:
+			refs(0, n.Cols)
+		case *Attach:
+			pass(0, n.Col)
+		case *RowNum:
+			pass(0, n.Out)
+		case *Sort, *Distinct, *Diff, *CardCheck:
+			pass(0, "")
+		case *Union:
+			for k := range op.In {
+				pass(k, "")
+			}
+		case *CoverCheck:
+			pass(1, "")
+		case *HashJoin:
+			refs(0, n.LCols)
+			refs(1, n.RCols)
+		case *Cross:
+			refs(0, n.LCols)
+			refs(1, n.RCols)
+		case *Select:
+			pass(0, "")
+			need(0, n.Cond)
+		case *Fun:
+			pass(0, n.Out)
+			for _, a := range n.Args {
+				need(0, a)
+			}
+		case *ExistJoin:
+			need(0, n.LItem)
+			need(1, n.RItem)
+		case *Aggr:
+			need(0, n.Arg)
+		case *EBV:
+			need(0, n.Item)
+		case *Step:
+			need(0, n.ItemCol)
+		case *RangeGen:
+			need(0, n.Lo)
+			need(0, n.Hi)
+		case *ElemConstruct:
+			op.Ref = !slices.Contains(d, "item")
+			k := 1
+			for _, t := range n.Template {
+				for _, a := range t.Attrs {
+					for range a.Parts {
+						need(k, "item")
+						k++
+					}
+				}
+				if t.Kind == TokPart {
+					if !op.Ref {
+						need(k, "item")
+					}
+					k++
+				}
+			}
+		}
+	}
 }

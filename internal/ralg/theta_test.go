@@ -167,7 +167,7 @@ func TestThetaSweepAbortsTyped(t *testing.T) {
 		e, cancelled := NewExec(nil, nil), make(chan struct{})
 		close(cancelled)
 		e.done = cancelled
-		if _, err := e.apply(j, []*Table{side, side}); err != nil || e.Stats.ThetaPairs != 0 {
+		if _, err := e.apply(Op{Plan: j}, []*Table{side, side}); err != nil || e.Stats.ThetaPairs != 0 {
 			t.Fatalf("theta join (count %v) cancelled mid-sweep: %v, %d pairs emitted", mode.count, err, e.Stats.ThetaPairs)
 		}
 		e.Release()

@@ -18,14 +18,17 @@ type Builder struct {
 	// pending attribute buffers for the innermost open element
 }
 
-// NewContainer returns an empty container with an empty name dictionary.
-// The container is not yet registered with a pool.
+// NewContainer returns an empty container with an empty name dictionary,
+// not yet registered with a pool. A container without a name is
+// transient: it holds the nodes one query constructs, and carries the
+// RefCont/RefPre indirection from its first row (a built row names
+// itself, a copied or referenced one its source).
 func NewContainer(name string) *Container {
-	return &Container{
-		Name:      name,
-		Names:     NewNames(),
-		attrStart: []int32{0},
+	c := &Container{Name: name, Names: NewNames(), attrStart: []int32{0}}
+	if name == "" {
+		c.RefCont, c.RefPre = []int32{}, []int32{}
 	}
+	return c
 }
 
 // NewBuilder returns a Builder appending to a fresh container.
@@ -195,24 +198,20 @@ func (b *Builder) Reserve(n, attrs int) {
 // content of the innermost open element (or as a new fragment when nothing
 // is open). Structural rows are copied; properties stay in src and are
 // reached via the cont/ref indirection (paper §5.1). It returns the pre of
-// the copy root in the destination container. Each of the ten columns
-// grows once and is filled in a loop of its own: size and kind copies,
-// frag, name, value and attribute offset constants, level and parent the
-// source's plus a delta, the indirection the source's own (chains stay
-// one hop deep) or (src, pre..pre+size). Every row of src is a node (the
-// invariant Validate checks), so every copied row is one too.
+// the copy root in the destination container, which must be transient.
+// Each of the ten columns grows once and is filled in a loop of its own:
+// size and kind copies, frag, name, value and attribute offset constants,
+// level and parent the source's plus a delta, the indirection the
+// source's own (chains stay one hop deep) or (src, pre..pre+size). Every
+// row of src is a node (src holds no KindRef row: a by-reference
+// constructor's output is never copied), so every copied row is one too.
 func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 	c := b.c
+	if c.RefCont == nil {
+		panic("store: CopyTree into a container that is not transient")
+	}
 	rows := int(src.Size[pre]) + 1
 	base := int32(len(c.Size))
-	if c.RefCont == nil {
-		// materialize self-referencing indirection columns lazily
-		c.RefCont = make([]int32, base, max(int(base)+rows, cap(c.Size)))
-		c.RefPre = make([]int32, base, cap(c.RefCont))
-		for i := range c.RefCont {
-			c.RefCont[i], c.RefPre[i] = c.ID, int32(i)
-		}
-	}
 	var parent, frag int32 = -1, base
 	baseLevel := int32(0)
 	if len(b.stack) > 0 {
@@ -238,6 +237,22 @@ func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 		}
 	}
 	return base
+}
+
+// Ref appends one KindRef row standing for the subtree rooted at pre of
+// src, as content of the innermost open element: the by-reference form
+// of CopyTree, for a tree that is only serialized. The row names the
+// source one hop deep, as a copied row would (a document node is
+// referenced, not expanded: the serializer writes its children). It
+// returns the row's pre; the container must be transient.
+func (b *Builder) Ref(src *Container, pre int32) int32 {
+	rc, rp := src.ID, pre
+	if src.RefCont != nil {
+		rc, rp = src.RefCont[pre], src.RefPre[pre]
+	}
+	at := b.appendRow(KindRef, -1, -1)
+	b.c.RefCont[at], b.c.RefPre[at] = rc, rp
+	return at
 }
 
 // Done finalizes the container (all elements must be closed) and verifies

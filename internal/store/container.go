@@ -35,6 +35,11 @@ const (
 	KindText                    // text node
 	KindComment                 // comment node
 	KindPI                      // processing instruction
+	// KindRef is a leaf of a transient container standing for the
+	// subtree RefCont/RefPre name: content an element constructor took by
+	// reference. Only the serializer follows it; it sits after every kind
+	// a node test matches, so no step ever selects one.
+	KindRef
 )
 
 func (k NodeKind) String() string {
@@ -49,14 +54,16 @@ func (k NodeKind) String() string {
 		return "comment"
 	case KindPI:
 		return "processing-instruction"
+	case KindRef:
+		return "reference"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Container is the relational encoding of a set of XML tree fragments: the
 // pre|size|level backbone plus property containers. All slices are indexed
-// by preorder rank, and every row is a node: the encoding has no unused
-// tuples (Validate checks it).
+// by preorder rank, and every row is a node or, in a transient container,
+// a KindRef leaf: the encoding has no unused tuples (Validate checks it).
 type Container struct {
 	ID   int32  // container id within its Pool
 	Name string // document name ("" for transient containers)
@@ -83,9 +90,10 @@ type Container struct {
 	attrStart []int32
 
 	// Shallow-copy indirection (paper's cont/ref columns). Nil for
-	// document containers: every row references itself. When non-nil,
-	// property lookups for row p are answered by container RefCont[p] at
-	// pre RefPre[p].
+	// document containers: every row references itself. A transient
+	// container (NewContainer("")) carries them from its first row: property
+	// lookups for row p are answered by container RefCont[p] at pre
+	// RefPre[p], and a KindRef row's are the subtree it stands for.
 	RefCont []int32
 	RefPre  []int32
 
@@ -308,7 +316,8 @@ func (c *Container) FragRoots() []int32 {
 
 // Validate checks the invariants of the pre|size|level encoding and the
 // property containers: every row is a node (level >= 0, a kind from
-// KindDoc to KindPI), and the children of every node tile its region
+// KindDoc to KindPI) or, in a transient container only, a KindRef leaf,
+// and the children of every node tile its region
 // exactly — each starts where its previous sibling's region ends, and the
 // last ends where the parent's does. Tests call it on shredded, generated,
 // copied and sharded containers.
@@ -323,8 +332,11 @@ func (c *Container) Validate() error {
 	}
 	// backwards, so every row a region walk steps over is already checked
 	for p := n - 1; p >= 0; p-- {
-		if c.Size[p] < 0 || c.Level[p] < 0 || c.Kind[p] > KindPI {
+		if c.Size[p] < 0 || c.Level[p] < 0 || c.Kind[p] > KindRef {
 			return fmt.Errorf("store: row %d (size %d, level %d, %v) is not a node", p, c.Size[p], c.Level[p], c.Kind[p])
+		}
+		if c.Kind[p] == KindRef && (c.RefCont == nil || c.Size[p] != 0) {
+			return fmt.Errorf("store: reference row %d (size %d) outside a transient container or not a leaf", p, c.Size[p])
 		}
 		end := p + c.Size[p]
 		if end >= n {

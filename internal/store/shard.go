@@ -151,7 +151,7 @@ func BuildSharded(name string, k int, docNames []string, build func(doc string, 
 	errs := make([]error, k)
 	var wg sync.WaitGroup
 	for s := 0; s < k; s++ {
-		sp.shards[s] = NewContainer("")
+		sp.shards[s] = &Container{Names: NewNames(), attrStart: []int32{0}} // unnamed, not transient
 		if len(sp.docs[s]) == 0 {
 			continue
 		}

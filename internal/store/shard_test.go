@@ -168,7 +168,7 @@ func TestWithDocCopyOnWrite(t *testing.T) {
 // TestCloneRejectsIndirection: containers with shallow-copy ref columns
 // cannot be cloned (their self-references are container-id-bound).
 func TestCloneRejectsIndirection(t *testing.T) {
-	c := NewContainer("x")
+	c := NewContainer("") // transient: only it holds copies
 	b := NewContainerBuilder(c)
 	b.StartDoc()
 	b.StartElem("a")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 )
 
 // Shred parses the XML document read from r into a fresh container using
@@ -92,24 +93,35 @@ func qname(n xml.Name) string {
 // Serialize writes the subtree rooted at pre as XML text. Document nodes
 // serialize their children. The writer is not flushed or closed.
 func Serialize(w io.Writer, c *Container, pre int32) error {
-	s := Serializer{w: w, buf: make([]byte, 0, min(32<<10, 32*(int(c.Size[pre])+1)))} // a small subtree's buffer grows at most once
+	s := NewSerializer(w)
 	s.Node(c, pre)
-	return s.Flush()
+	return s.Close()
 }
 
 // Serializer writes a sequence of nodes and strings as XML text through
-// one buffer it owns: everything is appended to it (escapes inline, an
-// untouched string in one append) and handed to the writer in 32 KB
-// pieces and at Flush. The first write error sticks, ends the walk —
-// what is written after it is dropped — and is what Flush returns.
+// one buffer: everything is appended to it (escapes inline, an untouched
+// string in one append) and handed to the writer in 32 KB pieces and at
+// Flush. The first write error sticks, ends the walk — what is written
+// after it is dropped — and is what Flush returns. The buffer comes from
+// a pool and goes back at Close, so a warm serialization grows none.
 type Serializer struct {
 	w   io.Writer
 	buf []byte
 	err error
+	own *[]byte // the pooled slice buf came from
 }
 
-// NewSerializer returns a serializer writing to w.
-func NewSerializer(w io.Writer) *Serializer { return &Serializer{w: w} }
+// bufs holds the buffers of finished serializations; one grown past
+// maxPooled (a text longer than the flush threshold) is left to the GC.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooled = 64 << 10
+
+// NewSerializer returns a serializer writing to w; Close ends it.
+func NewSerializer(w io.Writer) *Serializer {
+	own := bufs.Get().(*[]byte)
+	return &Serializer{w: w, buf: (*own)[:0], own: own}
+}
 
 // Flush writes what is buffered and returns the first error any write met.
 func (s *Serializer) Flush() error {
@@ -118,6 +130,18 @@ func (s *Serializer) Flush() error {
 	}
 	s.buf = s.buf[:0]
 	return s.err
+}
+
+// Close flushes, hands the buffer back for the next serialization and
+// returns Flush's error. The serializer may not be used after it.
+func (s *Serializer) Close() error {
+	err := s.Flush()
+	if cap(s.buf) <= maxPooled {
+		*s.own = s.buf
+		bufs.Put(s.own)
+	}
+	s.buf, s.own = nil, nil
+	return err
 }
 
 // Err returns the first error a write met, without flushing.
@@ -167,6 +191,8 @@ func (s *Serializer) Node(c *Container, pre int32) {
 	case KindPI:
 		s.buf = append(append(append(s.buf, '<', '?'), c.NameOf(pre)...), ' ')
 		s.buf = append(append(s.buf, c.TextOf(pre)...), '?', '>')
+	case KindRef:
+		s.Node(c.refOf(pre))
 	}
 }
 

@@ -285,3 +285,47 @@ func TestPool(t *testing.T) {
 		t.Error("Get failed")
 	}
 }
+
+// A reference row stands for its source subtree: the serializer writes
+// the source where the row is — a document node as its children, a
+// constructed element that holds references through both hops — exactly
+// as a copy of it serializes. Validate accepts the row as a leaf of a
+// transient container only.
+func TestRefRowSerializesLikeACopy(t *testing.T) {
+	pool := NewPool()
+	src := shredPaperDoc(t)
+	pool.Register(src)
+	build := func(content func(b *Builder, c *Container, pre int32) int32) *Container {
+		tr := pool.Register(NewContainer(""))
+		b := NewContainerBuilder(tr)
+		b.StartElem("m")
+		content(b, src, 2) // <b>…
+		b.Text("t")
+		b.End()
+		b.StartElem("d")
+		content(b, tr, 0) // the <m> above
+		content(b, src, 0)
+		b.End()
+		return tr
+	}
+	refs, copies := build((*Builder).Ref), build((*Builder).CopyTree)
+	if refs.Len() != 6 {
+		t.Errorf("%d rows, want 6: two elements, a text and three reference rows", refs.Len())
+	}
+	for i, pre := range refs.FragRoots() {
+		var got, want strings.Builder
+		Serialize(&got, refs, pre)
+		Serialize(&want, copies, copies.FragRoots()[i])
+		if got.String() != want.String() {
+			t.Errorf("fragment %d: by reference %s, copied %s", i, got.String(), want.String())
+		}
+	}
+	if err := refs.Validate(); err != nil {
+		t.Errorf("transient container with reference rows: %v", err)
+	}
+	doc := shredPaperDoc(t)
+	doc.Kind[3] = KindRef // a leaf (<d/>) of a document container
+	if err := doc.Validate(); err == nil || !strings.Contains(err.Error(), "reference row 3") {
+		t.Errorf("a reference row in a document container: %v", err)
+	}
+}

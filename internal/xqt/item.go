@@ -159,10 +159,22 @@ func IntegerArg(it Item) (int64, error) {
 }
 
 // ParseDouble casts a string to xs:double per the item casting rules:
-// surrounding whitespace is ignored and unparsable input yields NaN.
+// surrounding whitespace is ignored, and what is not in xs:double's
+// lexical space (XML Schema 1.0 §3.2.5: an optionally signed decimal
+// mantissa with an optional exponent, INF, -INF or NaN) yields NaN. Past
+// the special values that space is what strconv.ParseFloat accepts
+// spelled with digits, a point, signs and e or E alone — which shuts out
+// its other spellings, "inf", "Infinity", "+INF", "0x1p4" and "1_0".
 func ParseDouble(s string) float64 {
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
+	s = strings.Trim(s, " \t\r\n")
+	switch s {
+	case "INF":
+		return math.Inf(1)
+	case "-INF":
+		return math.Inf(-1)
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || strings.ContainsFunc(s, func(r rune) bool { return !strings.ContainsRune("0123456789.+-eE", r) }) {
 		return math.NaN()
 	}
 	return f

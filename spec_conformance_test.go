@@ -410,6 +410,40 @@ var specCases = []struct {
 	{"number-multi-text-doc", `doc("vals.xml")/r/m * 2`, "68"},
 	{"number-multi-text-constructed", `number(<a>1<b>2</b></a>)`, "12"},
 	{"number-between-constructors", `let $a := <a>1</a> return (number($a), number(<b>2</b>))`, "1 2"},
+
+	// xs:double's lexical space (XML Schema 1.0 §3.2.5): an optionally
+	// signed decimal mantissa with an optional exponent, INF, -INF and NaN,
+	// with surrounding whitespace; Go's other spellings are no number
+	{"number-go-inf", `number("inf")`, "NaN"},
+	{"number-go-infinity", `number("Infinity")`, "NaN"},
+	{"number-plus-inf", `number("+INF")`, "NaN"},
+	{"number-go-hex", `number("0x1p4")`, "NaN"},
+	{"number-go-underscore", `number("1_0")`, "NaN"},
+	{"number-lexical-forms", `(number(" -INF "), number("+1.5e2"), number(".5"), number("5."), number("1e"), number("."))`, "-INF 150 0.5 5 NaN NaN"},
+
+	// adjacent atoms in element content (XQuery 1.0 §3.7.1.3): the items
+	// of one enclosed expression join with a space, literal text and
+	// enclosed expressions with nothing
+	{"construct-text-then-enclosed", `<a>x{1}</a>`, "<a>x1</a>"},
+	{"construct-adjacent-enclosed", `<a>{1}{2}</a>`, "<a>12</a>"},
+	{"construct-enclosed-sequence", `<a>{(1,2)}</a>`, "<a>1 2</a>"},
+	{"construct-adjacent-mixed", `<a>{(1,2)}{3}x{4}y</a>`, "<a>1 23x4y</a>"},
+	{"construct-adjacent-empty", `<a>x{()}y</a>`, "<a>xy</a>"},
+	{"construct-adjacent-nested", `<a>{1}<b>{2}{3}</b>{4}{5}</a>`, "<a>1<b>23</b>45</a>"},
+
+	// a constructed tree that is only serialized takes its content by
+	// reference; one that is navigated, atomized, compared or bound to a
+	// prolog variable copies it, and so does the content it takes
+	{"construct-ref-let-twice", `let $p := <p>{doc("num.xml")/r/a[2]}</p> return <c>{$p}{$p}</c>`, "<c><p><a>2</a></p><p><a>2</a></p></c>"},
+	{"construct-ref-document", `<r>{doc("num.xml")}</r>`, "<r><r><a>1</a><a>2</a><a>3</a></r></r>"},
+	{"construct-ref-sorted", `for $a in (<b>{doc("num.xml")/r/a[2]}</b>, <c>{doc("num.xml")/r/a[1]}</c>) order by string($a) return $a`, "<c><a>1</a></c><b><a>2</a></b>"},
+	{"construct-copy-step", `(<a>{//b}</a>)/b`, "<b><plain>text</plain></b>"},
+	{"construct-copy-string", `let $t := <t><name>n1</name></t> return string(<a>{$t/name/text()}</a>)`, "n1"},
+	{"construct-copy-is", `let $x := doc("num.xml")/r/a[1] return <a>{$x}</a> is <a>{$x}</a>`, "false"},
+	{"construct-copy-document-descendants", `count(<a>{/}</a>//*)`, "8"},
+	{"construct-copy-prolog-variable", `declare variable $v := <a>{//b}</a>; $v/b`, "<b><plain>text</plain></b>"},
+	{"construct-copy-content-and-navigated", `let $c := <c>{doc("num.xml")/r/a}</c> return <r n="{count($c/a)}">{$c}</r>`, `<r n="3"><c><a>1</a><a>2</a><a>3</a></c></r>`},
+	{"construct-copy-nested-navigated", `let $c := <c>{<d>{doc("num.xml")/r/a[3]}</d>}</c> return ($c//a, <e>{$c}</e>)`, "<a>3</a><e><c><d><a>3</a></d></c></e>"},
 }
 
 // specDocs are the documents besides spec.xml that cases address with
