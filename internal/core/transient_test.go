@@ -204,11 +204,25 @@ func TestTransientContainerIsBudgeted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheduler = sched.New(sched.Config{MemPerQuery: 2 << 20})
 	e := xmarkEngine(t, cfg, 0.02)
-	res, err := e.Query(`count(for $i in (1 to 40) return <r>{/site/regions}</r>)`)
+	res, err := e.Query(`count(for $i in (1 to 40) return <r>{/site/regions}</r>/regions)`)
 	if !xqerr.IsResourceLimit(err) || res != nil {
 		t.Fatalf("forty copied subtrees under 2 MiB: err = %v, result %v", err, res)
 	}
 	if got, err := e.QueryString(`count(for $i in (1 to 40) return <r>{/site/regions/africa/item[1]/name}</r>)`); err != nil || got != "40" {
 		t.Fatalf("a small constructor under the same budget: %q, %v", got, err)
+	}
+}
+
+// fn:count reads no item of its argument, so forty counted constructors
+// build by reference: one element and one reference row each, nothing
+// copied.
+func TestCountedConstructorsBuildByReference(t *testing.T) {
+	e := xmarkEngine(t, DefaultConfig(), 0.001)
+	res, err := e.Query(`count(for $i in (1 to 40) return <r>{/site/regions}</r>)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.TransientRows != 80 || st.CopiedRows != 0 {
+		t.Errorf("%d transient rows (%d copied), want 80 (0 copied)", st.TransientRows, st.CopiedRows)
 	}
 }

@@ -24,8 +24,32 @@ func (e *Exec) execMakeColumn(in *Table) *Table {
 	_ = make([]int64, 4)           // literal size: bookkeeping, not a column
 	_ = make([][]int32, in.N)      // per-chunk headers, not a column
 	_ = make([]xqt.Item, in.N)     // holds pointers: charged by hand
-	_ = make(map[int64]bool, in.N) // not a slice
+	_ = make(map[int64]bool, in.N) // want "Go map keyed by a row value"
 	return in
+}
+
+// A map keyed by a row value is the key table's job, whatever its size
+// and however it is built; plan-time maps keyed by nodes or axes pass.
+func (e *Exec) execMakeMap(in *Table) *Table {
+	_ = map[string]int{"a": 1}          // want "Go map keyed by a row value outside arena.go"
+	_ = make(map[float64][]int64)       // want "Go map keyed by a row value"
+	_ = make(map[int32]struct{}, 8)     // want "Go map keyed by a row value"
+	_ = map[uint64]bool{}               // want "Go map keyed by a row value"
+	_ = make(map[Plan]int, in.N)        // plan bookkeeping
+	_ = map[scj.Axis][]scj.Axis{}       // plan bookkeeping
+	_ = func() { _ = map[int64]bool{} } // want "Go map keyed by a row value"
+	return in
+}
+
+func groupHelper[T comparable](vals []T) int {
+	seen := make(map[T]int32, len(vals)) // want "Go map keyed by a row value"
+	return len(seen)
+}
+
+type table[K comparable] struct{}
+
+func (t *table[K]) index(n int) map[K]int32 {
+	return make(map[K]int32, n) // want "Go map keyed by a row value"
 }
 
 func gatherHelper(src []float64, idx []int32) []float64 {

@@ -1089,7 +1089,7 @@ func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {
 // may hold trees a by-reference constructor (Op.Ref) built, whose content
 // rows only the serializer can follow: such a column may be carried —
 // projected, attached to, ranked, sorted, made distinct, unioned,
-// diffed, joined, checked — and may reach the content of another
+// diffed, joined, checked, counted — and may reach the content of another
 // by-reference constructor or a root that is only serialized, but no
 // operator may read its nodes. It returns the first operator that does,
 // or a mark on anything but an element constructor.
@@ -1156,7 +1156,9 @@ func byRefViolation(s ralg.Schedule, cfg Config) *PlanInvariantError {
 			reads(0, n.LItem)
 			reads(1, n.RItem)
 		case *ralg.Aggr:
-			reads(0, n.Arg)
+			if n.Op != ralg.AggCount { // a count reads no item
+				reads(0, n.Arg)
+			}
 		case *ralg.EBV:
 			reads(0, n.Item)
 		case *ralg.Step:

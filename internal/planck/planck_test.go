@@ -360,7 +360,8 @@ func TestElemTemplateWellFormed(t *testing.T) {
 // serializer follows. planck accepts one whose output reaches the root of
 // a serialized plan through operators that carry it, or the content of
 // another by-reference constructor, and agrees with MarkByRef there; it
-// rejects a hand-marked one whose output feeds a Step, a Fun, a copying
+// rejects a hand-marked one whose output feeds a Step, a Fun, an Aggr
+// other than fn:count, a copying
 // constructor or a parameter initializer's root, and a mark on any other
 // operator.
 func TestByRefReachesOnlyTheSerializer(t *testing.T) {
@@ -378,6 +379,12 @@ func TestByRefReachesOnlyTheSerializer(t *testing.T) {
 	step.SetInput(0, ralg.NewSort(inner, "item", "iter"))
 	fun := ralg.NewFun(inner, ralg.FunStringOf, "s", "item")
 	sorted := ralg.NewSort(outer, "iter")
+	aggr := func(op ralg.AggOp) *ralg.Aggr {
+		a := &ralg.Aggr{Part: "iter", Op: op, Arg: "item", Out: "n"}
+		a.SetInput(0, inner)
+		return a
+	}
+	count, sum := aggr(ralg.AggCount), aggr(ralg.AggSum)
 	// analyze numbers root, marks the listed operators by-reference and
 	// checks the schedule
 	analyze := func(root ralg.Plan, cfg Config, byRef ...ralg.Plan) error {
@@ -408,6 +415,14 @@ func TestByRefReachesOnlyTheSerializer(t *testing.T) {
 	if _, err := Analyze(s, main); err != nil || marked != 2 {
 		t.Fatalf("MarkByRef marked %d of the two constructors; planck: %v", marked, err)
 	}
+	// fn:count reads no item: a counted constructor builds by reference
+	s = ralg.NewSchedule(count)
+	if s.MarkByRef(); !s[len(s)-2].Ref {
+		t.Fatalf("MarkByRef copies a constructor fn:count only counts")
+	}
+	if _, err := Analyze(s, main); err != nil {
+		t.Fatalf("a counted by-reference constructor rejected: %v", err)
+	}
 	for _, tc := range []struct {
 		name  string
 		root  ralg.Plan
@@ -418,6 +433,7 @@ func TestByRefReachesOnlyTheSerializer(t *testing.T) {
 	}{
 		{"step context", step, main, []ralg.Plan{inner}, "step(child)", `column "item" may hold trees a by-reference constructor built`},
 		{"fun argument", fun, main, []ralg.Plan{inner}, fun.Name(), `column "item" may hold trees`},
+		{"summed argument", sum, main, []ralg.Plan{inner}, sum.Name(), `column "item" may hold trees`},
 		{"copying constructor's content", outer, main, []ralg.Plan{inner}, "elem", `column "item" may hold trees`},
 		{"parameter root", sorted, Config{}, []ralg.Plan{inner, outer}, "sort", "the root is not only serialized"},
 		{"mark on a sort", sorted, main, []ralg.Plan{sorted}, "sort", "only an element constructor builds by reference"},

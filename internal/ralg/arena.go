@@ -148,8 +148,8 @@ func (e *Exec) metered(rg regionID, n int64) bool {
 }
 
 // charge is metered for carve and for the operators that make a row-sized
-// Go map or item slice: a refusal ends the operator there. A nil Exec (the
-// exported order checks) is unmetered.
+// item slice: a refusal ends the operator there. A nil Exec (the exported
+// order checks) is unmetered.
 func (e *Exec) charge(rg regionID, n int64) {
 	if e != nil && e.Mem != nil && !e.metered(rg, n) {
 		panic(overBudget{})

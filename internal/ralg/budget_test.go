@@ -3,6 +3,7 @@ package ralg
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,9 +35,13 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 	rng := rand.New(rand.NewSource(3))
 	iters, keys, unsorted := make([]int64, n), make([]int64, n), make([]int64, n)
 	ints, doubles, mixed := make([]xqt.Item, n), make([]xqt.Item, n), make([]xqt.Item, n)
+	nums, strs := make([]xqt.Item, n), make([]xqt.Item, n)
 	for i := range iters {
 		iters[i], keys[i], unsorted[i] = int64(i/3+1), int64(rng.Intn(n/2)), int64(rng.Intn(1<<40))
 		ints[i], doubles[i] = xqt.Int(int64(rng.Intn(50))), xqt.Double(rng.Float64()*100)
+		if nums[i], strs[i] = ints[i], xqt.Str(fmt.Sprint("k", keys[i])); i%2 == 1 {
+			nums[i] = doubles[i]
+		}
 		// untyped rather than string rows: fn:max casts them to xs:double,
 		// so every group has a common comparison domain
 		if mixed[i] = ints[i]; i%3 == 1 {
@@ -73,6 +78,8 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 		"attr-count":  &Step{unary: unary{In: step}, Axis: scj.Attribute, Test: scj.Test{Kind: scj.TestNode}, IterCol: "iter", ItemCol: "item", Count: true},
 		"hashjoin":    NewHashJoin(lit(ints), lit(doubles), "key", "key", Refs("iter", "item"), Refs("big")),
 		"exist-hash":  exist(xqt.CmpEq, lit(ints), lit(mixed)),
+		"exist-str":   exist(xqt.CmpEq, lit(strs), lit(strs)),
+		"exist-num":   exist(xqt.CmpEq, lit(ints), lit(nums)),
 		"exist-theta": exist(xqt.CmpLt, small(doubles), lit(doubles)),
 		"exist-pairs": exist(xqt.CmpNe, small(ints), small(mixed)),
 		"exist-count": counted,
@@ -80,10 +87,15 @@ func budgetPlans(t *testing.T) (*store.Pool, map[string]Plan) {
 		"rangegen":    &RangeGen{unary: unary{In: NewFun(lit(ints), FunAdd, "hi", "item", "item")}, Iter: "iter", Lo: "item", Hi: "hi"},
 		"sort":        NewSort(lit(ints), "big"),
 		"sort-items":  NewSort(lit(mixed), "item", "big"),
+		"rank-parts":  &RowNum{unary: unary{In: lit(nums)}, Out: "r", Part: "key", OrderBy: []string{"item"}, Mode: RankSort},
 		"distinct":    &Distinct{unary: unary{In: lit(mixed)}, By: []string{"item"}},
+		"distinct-2":  &Distinct{unary: unary{In: lit(ints)}, By: []string{"key", "item"}},
 		"diff-sparse": &Diff{binary: binary{L: lit(ints), R: lit(doubles)}, LKey: "key", RKey: "big"},
+		"cover-sparse": &CoverCheck{binary: binary{L: lit(ints), R: lit(doubles)}, LoopIter: "big", Part: "big",
+			Fn: "fn:exactly-one", Code: "FORG0005"},
 		"aggr-sum":    &Aggr{unary: unary{In: lit(doubles)}, Part: "iter", Op: AggSum, Arg: "item", Out: "s"},
 		"aggr-mixed":  &Aggr{unary: unary{In: lit(mixed)}, Part: "key", Op: AggMax, Arg: "item", Out: "m"},
+		"aggr-sparse": &Aggr{unary: unary{In: lit(ints)}, Part: "big", Op: AggSum, Arg: "item", Out: "s"},
 		"rownum-map":  &RowNum{unary: unary{In: lit(ints)}, Out: "r", Part: "big", Mode: RankStream},
 		"fun":         NewFun(lit(doubles), FunAdd, "s", "item", "item"),
 		"fun-mixed":   NewFun(lit(mixed), FunStringOf, "s", "item"),
@@ -149,6 +161,48 @@ func TestBudgetIsTheMeter(t *testing.T) {
 		}
 		if live := LiveArenas(); live != 0 {
 			t.Fatalf("%s: %d arenas still out", name, live)
+		}
+	}
+}
+
+// keyedPlans are the budgetPlans that look rows up by key over inputs
+// without xs:string or xs:untypedAtomic rows, whose []string gathers are
+// Go heap by design: HashJoin, the existential eq join (double and string
+// domains), Diff, CoverCheck, RankStream numbering, unclustered
+// aggregation, δ over unordered keys and the sort keys of integers in
+// partitions holding a double (a RankSort numbering, which gathers no
+// column: a 3 000-row tag vector is under the arena's floor).
+var keyedPlans = []string{"hashjoin", "exist-num", "exist-str", "diff-sparse", "cover-sparse",
+	"rownum-map", "aggr-sparse", "distinct-2", "rank-parts"}
+
+// TestKeyedOperatorsStayInTheArena: every keyed lookup takes its table
+// from the execution's arena, so a warm execution of a keyed plan asks
+// the Go heap for little more than its table headers.
+func TestKeyedOperatorsStayInTheArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	pool, plans := budgetPlans(t)
+	run := func(s Schedule) {
+		e := NewExec(pool, nil)
+		defer e.Release()
+		if _, err := e.RunSchedule(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range keyedPlans {
+		s := NewSchedule(plans[name]) // numbered once, as a prepared statement is
+		run(s)                        // sizes the arena
+		least := uint64(1 << 62)
+		for range 3 { // a collection cycle may drop the warm arena: take the best of three
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(s)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > 4<<10 {
+			t.Errorf("%s: a warm execution allocates %d bytes of Go heap, want at most 4 KB", name, least)
 		}
 	}
 }

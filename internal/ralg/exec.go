@@ -175,6 +175,9 @@ func (e *Exec) runOp(op Op, in []*Table) (t *Table, err error) {
 // its memory budget is exhausted; it is the cheap poll the operator
 // loops amortize over a few thousand rows.
 func (e *Exec) stopRequested() bool {
+	if e == nil { // the exported order checks run without an execution
+		return false
+	}
 	if e.Mem.Exceeded() {
 		return true
 	}
@@ -309,9 +312,9 @@ func (e *Exec) execRangeGen(n *RangeGen, in *Table) (*Table, error) {
 
 // cancelcheck:exempt two memory-bound integer-column scans
 func (e *Exec) execCoverCheck(n *CoverCheck, loop, in *Table) (*Table, error) {
-	have := e.newKeySet(in.Ints(n.Part))
+	have := newKeyTable(e, in.Ints(n.Part), true)
 	for _, it := range loop.Ints(n.LoopIter) {
-		if !have.has(it) {
+		if have.find(it) == 0 {
 			return nil, xqerr.Newf(n.Code, "%s applied to an empty sequence", n.Fn)
 		}
 	}
@@ -382,19 +385,6 @@ func (e *Exec) execSelect(n *Select, in *Table) *Table {
 	return e.gather(in, idx[:o])
 }
 
-// seqRank numbers rows 1.. per contiguous part run.
-func seqRank(part, rank []int64) {
-	var cur int64
-	var k int64
-	for i, p := range part {
-		if i == 0 || p != cur {
-			cur, k = p, 0
-		}
-		k++
-		rank[i] = k
-	}
-}
-
 // rowNumbers returns the dense column 1..n (global row numbering, the
 // pos column of a bound sequence).
 func (e *Exec) rowNumbers(n int) []int64 {
@@ -424,52 +414,32 @@ func (e *Exec) execRowNum(n *RowNum, in *Table) *Table {
 		return in.withCol(n.Out, uniformIntCol(e.rowNumbers(in.N)))
 	}
 	rank := dirty[int64](e, outRegion, in.N)
-	switch {
-	case part == nil:
-		for r, i := range idx {
-			rank[i] = int64(r) + 1
-		}
-	case idx != nil:
-		var cur, k int64
-		for r, i := range idx {
-			if r == 0 || part[i] != cur {
-				cur, k = part[i], 0
-			}
-			k++
-			rank[i] = k
-		}
-	case n.Mode != RankStream || slices.IsSorted(part):
-		// rows arrive in (Part, OrderBy) order — the RankSeq contract, a
-		// RankSort input found presorted — or, for RankStream, at least
-		// clustered by group: arrival-order counters equal run-local
-		// numbering
-		seqRank(part, rank)
-	default:
+	if part != nil && idx == nil && n.Mode == RankStream && !slices.IsSorted(part) {
 		// hash-based numbering in arrival order per group (§4.1): valid
-		// under grpord(OrderBy, Part). Group ids of a narrow range count
-		// in a slice; the map is the last resort
-		lo, hi := slices.Min(part), slices.Max(part)
-		var ctr []int64
-		var ctrMap map[int64]int64
-		if span := uint64(hi - lo); span <= 4*uint64(in.N) {
-			ctr = zeroed[int64](e, scratchRegion, int(span+1))
-		} else {
-			ctrMap = make(map[int64]int64, 64)
+		// under grpord(OrderBy, Part); one counter per group
+		gid, groups := groupRows(e, part, nil)
+		ctr := zeroed[int64](e, scratchRegion, groups)
+		for i, g := range gid {
+			ctr[g]++
+			rank[i] = ctr[g]
 		}
-		for i, p := range part {
-			if i&8191 == 8191 && e.stopRequested() {
-				break // RunSchedule's post-operator checkpoint discards the partial table
-			}
-			if ctr != nil {
-				ctr[p-lo]++
-				rank[i] = ctr[p-lo]
-			} else {
-				if rank[i] = ctrMap[p] + 1; rank[i] == 1 {
-					e.charge(scratchRegion, 16) // a new group's map entry
-				}
-				ctrMap[p] = rank[i]
-			}
+		return in.withCol(n.Out, uniformIntCol(rank))
+	}
+	// rows numbered in sort order, or in place when they arrive in (Part,
+	// OrderBy) order — the RankSeq contract, a RankSort input found
+	// presorted — or, for RankStream, at least clustered by group:
+	// numbering restarts where Part changes
+	var cur, k int64
+	for r := range in.N {
+		i := r
+		if idx != nil {
+			i = int(idx[r])
 		}
+		if part != nil && (r == 0 || part[i] != cur) {
+			cur, k = part[i], 0
+		}
+		k++
+		rank[i] = k
 	}
 	return in.withCol(n.Out, uniformIntCol(rank))
 }
@@ -509,17 +479,9 @@ func (e *Exec) execUnion(in []*Table) *Table {
 	return out
 }
 
-// cancelcheck:exempt memory-bound adjacent-equality scan (of a sorted
-// scratch copy when Part arrives ungrouped)
 func (e *Exec) execCardCheck(n *CardCheck, in *Table) (*Table, error) {
-	part := in.Ints(n.Part)
-	if !slices.IsSorted(part) {
-		part = gatherOf(e, scratchRegion, part, e.SortIdx(in, []string{n.Part}, nil, 0))
-	}
-	for i := 1; i < len(part); i++ {
-		if part[i] == part[i-1] {
-			return nil, xqerr.Newf(n.Code, "%s applied to a sequence with more than one item", n.Fn)
-		}
+	if _, groups := groupRows(e, in.Ints(n.Part), nil); groups < in.N && !e.stopRequested() {
+		return nil, xqerr.Newf(n.Code, "%s applied to a sequence with more than one item", n.Fn)
 	}
 	return in, nil
 }

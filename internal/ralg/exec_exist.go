@@ -2,6 +2,7 @@ package ralg
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math/bits"
 	"slices"
 
@@ -184,25 +185,41 @@ func reduceExtremum[T cmp.Ordered](e *Exec, iters []int64, vals []T, max bool) (
 }
 
 // existHashJoin evaluates an existential eq join over raw key vectors:
-// hash the right input by value (NaN joins nothing, -0 joins +0), probe
+// chain the right input by value (NaN joins nothing, -0 joins +0), probe
 // in left order, and eliminate duplicate (iter1, iter2) pairs per
 // left-iteration run (the merge-style δ of §4.2); count keeps each run's
 // length instead.
 func existHashJoin[T cmp.Ordered](e *Exec, liter []int64, lv []T, riter []int64, rv []T, count bool) (p1, p2 []int64) {
-	e.charge(scratchRegion, 32*int64(len(rv))) // the build table hashes the whole right input
-	ht := make(map[T][]int64, len(rv))
-	for j, v := range rv {
-		if v == v {
-			ht[v] = append(ht[v], riter[j])
-		}
-	}
+	lc, ht := keyCodes(e, lv), newKeyTable(e, keyCodes(e, rv), true)
 	for i, v := range lv {
-		for _, i2 := range ht[v] {
-			p1, p2 = append(grown(e, p1, 1), liter[i]), append(grown(e, p2, 1), i2)
+		for j := ht.first(lc[i]); j != 0 && v == v; j = ht.next[j-1] { // a NaN's chain holds every NaN
+			if rv[j-1] == v {
+				p1, p2 = append(grown(e, p1, 1), liter[i]), append(grown(e, p2, 1), riter[j-1])
+			}
 		}
 	}
 	p1, p2 = dedupPairs(e, p1, p2, count)
 	return settle(e, p1), settle(e, p2) // the lists grew in scratch
+}
+
+// keyCodes returns the key-table codes of an existential join's keys: a
+// number's is its sort key (intKey, floatKey: -0 and +0 share one), so a
+// dense integer range stays dense; a string's is its hash.
+func keyCodes[T cmp.Ordered](e *Exec, vals []T) []uint64 {
+	codes := dirty[uint64](e, scratchRegion, len(vals))
+	ints, _ := any(vals).([]int64) // vals is one of the three
+	floats, _ := any(vals).([]float64)
+	strs, _ := any(vals).([]string)
+	for i, x := range ints {
+		codes[i] = intKey(x)
+	}
+	for i, x := range floats {
+		codes[i] = floatKey(x)
+	}
+	for i, x := range strs {
+		codes[i] = maphash.String(keySeed, x)
+	}
+	return codes
 }
 
 // thetaHolds applies an ordering comparison to two promoted keys.

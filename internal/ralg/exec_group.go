@@ -2,7 +2,6 @@ package ralg
 
 import (
 	"hash/maphash"
-	"math/bits"
 
 	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
@@ -11,55 +10,27 @@ import (
 // execDistinct keeps the first row of each group of equal By keys — the
 // sort keys, so δ and the sorts agree on what is equal: -0 and +0 are one
 // value, so is every NaN, and integers are exact where their partition
-// holds no xs:double. An input in key order costs one pass; at the first
-// row out of order the rows are grouped by hashing (firstOfEach), and
-// the rows kept return in input order.
+// holds no xs:double — in input order. groupRows finds the groups: a lone
+// integer-like key is its own code, other keys hash by hashKeys.
 func (e *Exec) execDistinct(n *Distinct, in *Table) *Table {
 	keys := e.sortKeys(in, n.By, nil, 0)
-	keep, o := dirty[int32](e, scratchRegion, in.N), 0
-	for i := 0; i < in.N; i++ {
-		if i&8191 == 8191 && e.stopRequested() {
-			break // RunSchedule's post-operator checkpoint discards the partial table
-		}
-		c := -1 // the first row starts a run
-		if i > 0 {
-			c = compareKeys(keys, int32(i-1), int32(i))
-		}
-		if c > 0 {
-			return e.gather(in, e.firstOfEach(keys, in.N, keep[:0]))
-		}
-		if c < 0 {
-			keep[o] = int32(i)
-			o++
+	codes, same := []uint64(nil), func(r, i int32) bool { return compareKeys(keys, r, i) == 0 }
+	if len(keys) == 1 && keys[0].u != nil {
+		codes, same = keys[0].u, nil
+	} else {
+		codes = dirty[uint64](e, scratchRegion, in.N)
+		for i := range codes {
+			codes[i] = hashKeys(keys, int32(i))
 		}
 	}
-	return e.gather(in, keep[:o])
-}
-
-// firstOfEach returns, in keep's memory and in row order, the first row
-// of each group of equal keys among n unordered rows: an open-addressing
-// table of row numbers in scratch memory, probed linearly from the hash
-// of a row's keys, finds the row's group by compareKeys.
-func (e *Exec) firstOfEach(keys []sortKey, n int, keep []int32) []int32 {
-	slots := dirty[int32](e, scratchRegion, 1<<bits.Len(uint(2*n-1))) // a power of two, at most half full
-	for i := range slots {
-		slots[i] = -1
-	}
-	mask := uint64(len(slots) - 1)
-	for i := range int32(n) {
-		if i&8191 == 8191 && e.stopRequested() {
-			break // RunSchedule's post-operator checkpoint discards the partial table
-		}
-		for h := hashKeys(keys, i) & mask; ; h = (h + 1) & mask {
-			if r := slots[h]; r < 0 {
-				slots[h], keep = i, append(keep, i)
-				break
-			} else if compareKeys(keys, r, i) == 0 {
-				break
-			}
+	gid, _ := groupRows(e, codes, same)
+	keep := dirty[int32](e, scratchRegion, in.N)[:0]
+	for i, g := range gid {
+		if int(g) == len(keep) {
+			keep = append(keep, int32(i))
 		}
 	}
-	return keep
+	return e.gather(in, keep)
 }
 
 // keySeed seeds the hash of string keys; no output depends on it.
@@ -133,8 +104,7 @@ func numberAt(d *ItemVec, i int) float64 {
 }
 
 // aggGroup accumulates one group's aggregate state: pointer-free, so the
-// groups live in scratch memory. fn:min/max keep the row of
-// the group's extremum so far.
+// groups live in scratch memory. fn:min/max keep their extremum's row.
 type aggGroup struct {
 	part      int64
 	cnt       int64
@@ -145,43 +115,22 @@ type aggGroup struct {
 }
 
 // aggregate aggregates the rows by part, returning one (part, value) row
-// per group in first-appearance order. Groups live in one flat slice:
-// on clustered input (part non-decreasing, the usual state of an iter
-// column) a group is a run and its ordinal is the run's; otherwise a map
-// assigns the ordinals. Each aggregate is one loop over the typed vectors
-// of its cast argument, polling the stop signal every few thousand rows
-// (a stopped aggregation returns nothing; Run surfaces the error). The
-// part list is scratch memory, the value vector a column of its exact
-// size.
+// per group in first-appearance order (groupRows numbers them; on
+// clustered input, the usual state of an iter column, a group is a run),
+// in one flat slice. Each aggregate is one loop over the typed vectors of
+// its cast argument, polling the stop signal every few thousand rows (a
+// stopped aggregation returns nothing; Run surfaces the error). The part
+// list is scratch memory, the value vector a column of its exact size.
 func (e *Exec) aggregate(n *Aggr, part []int64, arg *ItemVec, nums []float64) ([]int64, ItemVec, error) {
-	runs, clustered := 0, true
-	for i := range part {
-		if i == 0 || part[i] != part[i-1] {
-			runs++
-			clustered = clustered && (i == 0 || part[i] > part[i-1])
-		}
+	gid, ngroups := groupRows(e, part, nil)
+	if e.stopRequested() {
+		return nil, ItemVec{}, nil
 	}
-	var ordinal map[int64]int32 // unclustered input only
-	if !clustered {
-		runs, ordinal = 64, make(map[int64]int32, 64)
-	}
-	groups := dirty[aggGroup](e, scratchRegion, runs)[:0]
-	k := 0 // the group of the row at hand
-	// newGroup is kept out of lookup, which the accumulation loops inline
-	newGroup := func(p int64) {
-		k = len(groups)
-		groups = append(grown(e, groups, 1), aggGroup{part: p, allInt: true})
-		if ordinal != nil {
-			e.charge(scratchRegion, 16) // the entry grows a Go map
-			ordinal[p] = int32(k)
-		}
-	}
-	lookup := func(p int64) *aggGroup {
-		if k = len(groups) - 1; k < 0 || groups[k].part != p {
-			o, seen := ordinal[p]
-			if k = int(o); !seen {
-				newGroup(p)
-			}
+	groups := dirty[aggGroup](e, scratchRegion, ngroups)[:0]
+	lookup := func(i int) *aggGroup {
+		k := gid[i]
+		if int(k) == len(groups) {
+			groups = append(groups, aggGroup{part: part[i], allInt: true})
 		}
 		groups[k].cnt++
 		return &groups[k]
@@ -196,11 +145,11 @@ func (e *Exec) aggregate(n *Aggr, part []int64, arg *ItemVec, nums []float64) ([
 		switch n.Op {
 		case AggCount:
 			for i := blo; i < bhi; i++ {
-				lookup(part[i])
+				lookup(i)
 			}
 		case AggSum, AggAvg:
 			for i := blo; i < bhi; i++ {
-				g := lookup(part[i])
+				g := lookup(i)
 				if arg.KindAt(i) == xqt.KInt {
 					g.sumI += arg.I[i]
 					g.sumF += float64(arg.I[i])
@@ -211,7 +160,7 @@ func (e *Exec) aggregate(n *Aggr, part []int64, arg *ItemVec, nums []float64) ([
 			}
 		default: // AggMin, AggMax: a group keeps its extremum's row
 			for i := blo; i < bhi; i++ {
-				g := lookup(part[i])
+				g := lookup(i)
 				if g.allInt = g.allInt && arg.KindAt(i) == xqt.KInt; g.cnt == 1 {
 					g.row, g.irow = int32(i), int32(i)
 					continue

@@ -23,7 +23,7 @@ func (e *Exec) execHashJoin(n *HashJoin, l, r *Table) (*Table, error) {
 		ridx, lidx = e.posPairs(rkey, lkey)
 	default:
 		e.Stats.HashJoins++
-		ht := e.buildHashTable(rkey)
+		ht := newKeyTable(e, rkey, true)
 		for i, k := range lkey {
 			if i&4095 == 4095 && e.stopRequested() {
 				break
@@ -115,13 +115,13 @@ func (e *Exec) execCross(n *Cross, l, r *Table) (*Table, error) {
 }
 
 func (e *Exec) execDiff(n *Diff, l, r *Table) *Table {
-	rset := e.newKeySet(r.Ints(n.RKey))
+	rset := newKeyTable(e, r.Ints(n.RKey), true)
 	idx, o := dirty[int32](e, scratchRegion, l.N), 0
 	for i, k := range l.Ints(n.LKey) {
 		if i&8191 == 8191 && e.stopRequested() {
 			break // RunSchedule's post-operator checkpoint discards the partial table
 		}
-		if !rset.has(k) {
+		if rset.find(k) == 0 {
 			idx[o] = int32(i)
 			o++
 		}
@@ -129,72 +129,103 @@ func (e *Exec) execDiff(n *Diff, l, r *Table) *Table {
 	return e.gather(l, idx[:o])
 }
 
-// keySet is a membership set over one int64 key column: a bitmap when
-// the key span is at most 4·N (the rule the RankStream counters use), a
-// map as the last resort.
-type keySet struct {
-	lo   int64
-	bits []uint64
-	m    map[int64]struct{}
+// keyTable is the executor's one keyed-lookup structure (docs/executor.md,
+// "Keyed lookup: one table"): rows chained by the bucket of their code —
+// an integer key, or a hash of keys (hashKeys, keyCodes) — in scratch
+// memory. A bucket may chain other codes, and a hash other keys: probes
+// compare both. Entries are 1 + a row, 0 ends a chain.
+type keyTable[K int64 | uint64] struct {
+	codes       []K
+	heads, next []int32
+	lo          uint64 // dense: code c's bucket is c-lo
+	shift       uint   // hashed: the top 64-shift bits of c's hash; 0 when dense
 }
 
-func (e *Exec) newKeySet(keys []int64) keySet {
-	if len(keys) == 0 {
-		return keySet{}
-	}
-	lo, hi := slices.Min(keys), slices.Max(keys)
-	if span := uint64(hi - lo); span <= 4*uint64(len(keys)) {
-		s := keySet{lo: lo, bits: zeroed[uint64](e, scratchRegion, int(span>>6)+1)}
-		for _, k := range keys {
-			d := uint64(k - lo)
-			s.bits[d>>6] |= 1 << (d & 63)
+// newKeyTable makes the table for codes, chaining every row (each chain in
+// row order) or none: a bucket per code value when they span at most 4·N
+// (iterations, ranks), else 2^k ≥ N hashed ones. Its callers poll.
+func newKeyTable[K int64 | uint64](e *Exec, codes []K, chainAll bool) keyTable[K] {
+	t := keyTable[K]{codes: codes, next: dirty[int32](e, scratchRegion, len(codes))}
+	width, buckets := bits.Len(uint(len(codes))), 0
+	if len(codes) > 0 {
+		lo, hi := slices.Min(codes), slices.Max(codes)
+		if span := uint64(hi - lo); span <= 4*uint64(len(codes)) {
+			t.lo, buckets = uint64(lo), int(span)+1
 		}
-		return s
 	}
-	e.charge(scratchRegion, 16*int64(len(keys))) // the map, sized up front
-	s := keySet{m: make(map[int64]struct{}, len(keys))}
-	for _, k := range keys {
-		s.m[k] = struct{}{}
+	if buckets == 0 {
+		buckets, t.shift = 1<<width, uint(64-width)
 	}
-	return s
+	t.heads = zeroed[int32](e, scratchRegion, buckets)
+	for j := len(codes) - 1; chainAll && j >= 0; j-- {
+		t.add(int32(j))
+	}
+	return t
 }
 
-func (s *keySet) has(k int64) bool {
-	if s.bits != nil {
-		d := uint64(k - s.lo)
-		return d>>6 < uint64(len(s.bits)) && s.bits[d>>6]>>(d&63)&1 != 0
+// bucket returns code c's bucket, len(heads) or past it when c has none.
+func (t *keyTable[K]) bucket(c K) uint64 {
+	if t.shift == 0 {
+		return uint64(c) - t.lo
 	}
-	_, ok := s.m[k]
-	return ok
+	return uint64(c) * 0x9E3779B97F4A7C15 >> t.shift // Fibonacci mixing spreads ascending codes
 }
 
-// hashTable is a bucket-chained join hash table over the right key
-// column, in scratch memory: one next array chains the rows of a bucket
-// in right-input order. Entries are 1 + a row, 0 ends a chain; a bucket
-// may chain rows of several keys.
-type hashTable struct {
-	heads []int32
-	next  []int32
-	shift uint // a key's bucket is the top 64-shift bits of its hash
+// first returns the head of the chain code c's rows are in.
+func (t *keyTable[K]) first(c K) int32 {
+	if b := t.bucket(c); b < uint64(len(t.heads)) {
+		return t.heads[b]
+	}
+	return 0
 }
 
-// hashKey is Fibonacci mixing, so dense ascending keys spread evenly.
-func hashKey(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
+// add chains row i ahead of the rows already in its bucket.
+func (t *keyTable[K]) add(i int32) {
+	b := t.bucket(t.codes[i])
+	t.next[i], t.heads[b] = t.heads[b], i+1
+}
 
-// first returns the head of the chain holding k's rows.
-func (h *hashTable) first(k int64) int32 { return h.heads[hashKey(k)>>h.shift] }
+// find returns 1 + the first chained row of code c, 0 when there is none.
+func (t *keyTable[K]) find(c K) int32 {
+	j := t.first(c)
+	for j != 0 && t.codes[j-1] != c {
+		j = t.next[j-1]
+	}
+	return j
+}
 
-// buildHashTable builds the right-side key -> row-chain table, scanning
-// the key column last row first so every chain is in right-input order.
-func (e *Exec) buildHashTable(rkey []int64) *hashTable {
-	width := bits.Len(uint(len(rkey))) // 2^width buckets
-	h := &hashTable{heads: zeroed[int32](e, scratchRegion, 1<<width), next: dirty[int32](e, scratchRegion, len(rkey)), shift: uint(64 - width)}
-	for j := len(rkey) - 1; j >= 0; j-- {
-		if j&8191 == 0 && e.stopRequested() {
+// groupRows numbers the groups of rows with equal keys 0, 1, … in
+// first-arrival order (gid[i] is row i's group), chaining each group's
+// first row unless the codes ascend. same compares the keys of two rows
+// with equal codes; nil means the codes are the keys. Rows past a stop go
+// to group 0: RunSchedule's checkpoint discards what is made of them.
+func groupRows[K int64 | uint64](e *Exec, codes []K, same func(r, i int32) bool) (gid []int32, groups int) {
+	gid = dirty[int32](e, scratchRegion, len(codes))
+	if same == nil && slices.IsSorted(codes) { // clustered: the groups are the runs, no table
+		for i := range codes {
+			if i == 0 || codes[i] != codes[i-1] {
+				groups++
+			}
+			gid[i] = int32(groups - 1)
+		}
+		return gid, groups
+	}
+	t := newKeyTable(e, codes, false)
+	for i, c := range codes {
+		if i&8191 == 8191 && e.stopRequested() {
+			clear(gid[i:])
 			break
 		}
-		b := hashKey(rkey[j]) >> h.shift
-		h.next[j], h.heads[b] = h.heads[b], int32(j)+1
+		j := t.first(c)
+		for j != 0 && (t.codes[j-1] != c || same != nil && !same(j-1, int32(i))) {
+			j = t.next[j-1]
+		}
+		if j != 0 {
+			gid[i] = gid[j-1]
+			continue
+		}
+		gid[i], groups = int32(groups), groups+1
+		t.add(int32(i))
 	}
-	return h
+	return gid, groups
 }

@@ -161,9 +161,9 @@ func TestHashJoinFindsPositionalRun(t *testing.T) {
 	}
 }
 
-// keySet answers membership exactly for dense spans (the bitmap), sparse
-// spans (the map) and spans that overflow int64; Diff and CoverCheck on
-// top of it agree with the definition.
+// The key table answers membership exactly for dense spans (a bucket per
+// key), sparse spans (hashed buckets) and spans that overflow int64; Diff
+// and CoverCheck on top of it agree with the definition.
 func TestKeySetSparseAndDenseSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cases := map[string][]int64{
@@ -181,17 +181,17 @@ func TestKeySetSparseAndDenseSpans(t *testing.T) {
 	cases["big dense"] = big
 	for name, keys := range cases {
 		e := &Exec{}
-		s := e.newKeySet(keys)
-		if wantBitmap := name != "sparse" && name != "extremes" && name != "empty"; (s.bits != nil) != wantBitmap {
-			t.Errorf("%s: bitmap = %v, want %v", name, s.bits != nil, wantBitmap)
+		s := newKeyTable(e, keys, true)
+		if wantDense := name != "sparse" && name != "extremes" && name != "empty"; (s.shift == 0) != wantDense {
+			t.Errorf("%s: dense = %v, want %v", name, s.shift == 0, wantDense)
 		}
 		probes := append([]int64{math.MinInt64, -10001, -1, 0, 1, 14, 39, 41, 1 << 40, math.MaxInt64}, keys...)
 		for i := 0; i < 200; i++ {
 			probes = append(probes, int64(rng.Intn(24000))-12000)
 		}
 		for _, k := range probes {
-			if got, want := s.has(k), slices.Contains(keys, k); got != want {
-				t.Fatalf("%s: has(%d) = %v, want %v", name, k, got, want)
+			if got, want := s.find(k) != 0, slices.Contains(keys, k); got != want {
+				t.Fatalf("%s: find(%d) = %v, want %v", name, k, got, want)
 			}
 		}
 

@@ -619,9 +619,10 @@ func (s Schedule) CountOps() (ops, joins int) {
 // serialized, the content of another by-reference constructor, or
 // operators that move items without reading node structure: Project,
 // Attach, RowNum, Sort, Distinct, Union and Diff (which order nodes by
-// identity), and joins, CardCheck and CoverCheck that carry the column.
-// Every other reader navigates or atomizes — a Step context, an
-// argument of Fun, Aggr, Select, EBV, ExistJoin or RangeGen, an
+// identity), joins, CardCheck and CoverCheck that carry the column, and
+// fn:count's Aggr, which only counts rows. Every other reader navigates
+// or atomizes — a Step context, an argument of Fun, of any other Aggr,
+// of Select, EBV, ExistJoin or RangeGen, an
 // attribute value part, the content of a copying constructor — so the
 // constructor copies. One pass from the root back: read[i] lists the
 // output columns of node i whose nodes some consumer reads.
@@ -681,7 +682,9 @@ func (s Schedule) MarkByRef() {
 			need(0, n.LItem)
 			need(1, n.RItem)
 		case *Aggr:
-			need(0, n.Arg)
+			if n.Op != AggCount {
+				need(0, n.Arg)
+			}
 		case *EBV:
 			need(0, n.Item)
 		case *Step:

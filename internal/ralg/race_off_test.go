@@ -1,0 +1,5 @@
+//go:build !race
+
+package ralg
+
+const raceEnabled = false

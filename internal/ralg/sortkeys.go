@@ -50,18 +50,18 @@ func inexactInts(e *Exec, t *Table, by []string, k int) func(i int) bool {
 	if !slices.Contains(v.Tags, xqt.KDouble) { // then no partition holds one
 		return func(int) bool { return false }
 	}
-	part := func(int) int64 { return 0 }
-	if lead := t.Col(by[0]); k > 0 && lead.Tags == nil && lead.Tag == xqt.KInt {
-		part = func(i int) int64 { return lead.I[i] }
+	lead := t.Col(by[0])
+	if k == 0 || lead.Tags != nil || lead.Tag != xqt.KInt { // one partition, holding a double
+		return func(int) bool { return true }
 	}
-	withDouble := map[int64]bool{}
+	gid, groups := groupRows(e, lead.I, nil)
+	with := zeroed[int32](e, scratchRegion, groups) // 1 for a partition holding a double
 	for i, tag := range v.Tags {
-		if tag == xqt.KDouble && !withDouble[part(i)] {
-			e.charge(scratchRegion, 16) // a partition's map entry
-			withDouble[part(i)] = true
+		if tag == xqt.KDouble {
+			with[gid[i]] = 1
 		}
 	}
-	return func(i int) bool { return withDouble[part(i)] }
+	return func(i int) bool { return with[gid[i]] != 0 }
 }
 
 // appendItemKeys appends the keys that order a column like XQuery's

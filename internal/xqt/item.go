@@ -201,7 +201,7 @@ func (it Item) AsString() string {
 
 // FormatDouble renders a float the way XQuery serializes xs:double values
 // that have no exponent: integral values print without a decimal point,
-// and the special values serialize as INF, -INF and NaN (XPath spec
+// negative zero as -0, and the special values as INF, -INF and NaN (XPath spec
 // casting of xs:double to xs:string, not Go's +Inf/-Inf spellings).
 func FormatDouble(f float64) string {
 	switch {
@@ -211,6 +211,8 @@ func FormatDouble(f float64) string {
 		return "-INF"
 	case math.IsNaN(f):
 		return "NaN"
+	case f == 0 && math.Signbit(f):
+		return "-0" // F&O 17.1.2: negative zero keeps its sign
 	}
 	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
 		return strconv.FormatInt(int64(f), 10)

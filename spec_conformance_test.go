@@ -405,6 +405,8 @@ var specCases = []struct {
 	{"number-text-sum", `sum(doc("vals.xml")/r/v[6])`, "NaN"},
 	// -0 keeps its sign: 1 div -0 is -INF
 	{"number-negative-zero", `(1 div number(doc("vals.xml")/r/v[5]), 1 div doc("vals.xml")/r/v[5])`, "-INF -INF"},
+	{"number-negative-zero-string", `(string(-(0.0e0)), number("-0"), string(number(doc("vals.xml")/r/v[5])))`, "-0 -0 -0"},
+	{"number-negative-zero-arith", `(-0.0e0 * 1, 0 * -1.5e0, 0.0e0 + -0.0e0, -(0))`, "-0 -0 0 0"},
 	{"number-attr-blanks", `(doc("vals.xml")/r/p/@a + 1, sum(doc("vals.xml")/r/p/@a), count(doc("vals.xml")/r/p[@a = 5]))`, "6 5 1"},
 	{"number-copied-text", `<a>{(doc("vals.xml")//price)[1]/text()}</a> + 0`, "12.5"},
 	{"number-multi-text-doc", `doc("vals.xml")/r/m * 2`, "68"},
@@ -436,6 +438,7 @@ var specCases = []struct {
 	// prolog variable copies it, and so does the content it takes
 	{"construct-ref-let-twice", `let $p := <p>{doc("num.xml")/r/a[2]}</p> return <c>{$p}{$p}</c>`, "<c><p><a>2</a></p><p><a>2</a></p></c>"},
 	{"construct-ref-document", `<r>{doc("num.xml")}</r>`, "<r><r><a>1</a><a>2</a><a>3</a></r></r>"},
+	{"construct-ref-counted", `count(for $i in (1 to 3) return <r>{doc("num.xml")/r}</r>)`, "3"},
 	{"construct-ref-sorted", `for $a in (<b>{doc("num.xml")/r/a[2]}</b>, <c>{doc("num.xml")/r/a[1]}</c>) order by string($a) return $a`, "<c><a>1</a></c><b><a>2</a></b>"},
 	{"construct-copy-step", `(<a>{//b}</a>)/b`, "<b><plain>text</plain></b>"},
 	{"construct-copy-string", `let $t := <t><name>n1</name></t> return string(<a>{$t/name/text()}</a>)`, "n1"},
