@@ -184,9 +184,9 @@ func main() {
 		// pairs out of the theta joins, and the transient container (this
 		// is the statement's first execution, the one that regrows; the
 		// next is sized by what this one built) with the rows that copied
-		// content a by-ref constructor would reference
-		fmt.Printf("run: %d positional and %d hash joins, %d existential hash joins; %d theta joins emitted %d pairs; transient container %d rows (%d copied), %d regrows\n",
-			st.PosJoins, st.HashJoins, st.ExistHashJoins, st.ThetaNL+st.ThetaIdx, st.ThetaPairs, st.TransientRows, st.CopiedRows, st.TransientRegrows)
+		// content and the bytes of XML the by-ref constructors wrote
+		fmt.Printf("run: %d positional and %d hash joins, %d existential hash joins; %d theta joins emitted %d pairs; transient container %d rows (%d copied) and %d XML bytes, %d regrows\n",
+			st.PosJoins, st.HashJoins, st.ExistHashJoins, st.ThetaNL+st.ThetaIdx, st.ThetaPairs, st.TransientRows, st.CopiedRows, st.XMLBytes, st.TransientRegrows)
 		return
 	}
 	if err := res.SerializeXML(os.Stdout); err != nil {

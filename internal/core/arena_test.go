@@ -112,12 +112,13 @@ func TestConcurrentExecutionsReleaseArenas(t *testing.T) {
 // still asks the Go allocator for — string vectors, the result items,
 // the transient container, per-operator headers — is bounded by a
 // hard-coded figure per query, so a column site that slips back to
-// make fails here. The bounds sit 10 % above today's 1 963, 302 and
-// 668 KB — most of it the transient container of Q10's constructors,
-// allocated once at the size the statement remembers (3 416 KB while
-// fourteen constructors regrew it), and columns under the arena's 4 KB
-// floor — and well below the 4 495, 1 002 and 1 032 KB the same
-// executions allocated before the arena.
+// make fails here. The bounds sit 10 % above today's 186 and 169 KB for
+// Q11 and Q20, and Q10's below the 609 KB its constructors took as rows
+// (today 589 KB: they write XML, one row per tree) — most of it the
+// transient container, allocated once at the size the statement
+// remembers (3 416 KB while fourteen constructors regrew it), and
+// columns under the arena's 4 KB floor — and well below the 4 495,
+// 1 002 and 1 032 KB the same executions allocated before the arena.
 func TestWarmExecutionAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations distort the byte counts")
@@ -126,7 +127,7 @@ func TestWarmExecutionAllocationBound(t *testing.T) {
 	for _, tc := range []struct {
 		query int
 		maxKB float64
-	}{{10, 2160}, {11, 332}, {20, 735}} {
+	}{{10, 600}, {11, 205}, {20, 186}} {
 		p, err := e.Prepare(xmark.Query(tc.query))
 		if err != nil {
 			t.Fatal(err)

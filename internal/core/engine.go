@@ -463,7 +463,8 @@ func (e *Engine) PlanStats(q string) (ops, joins int, err error) {
 }
 
 // SerializeXML writes the result sequence as XML text: nodes are
-// serialized, adjacent atoms are separated by single spaces. One
+// serialized, an attribute as name="value" with the value escaped as
+// inside an element, adjacent atoms are separated by single spaces. One
 // buffering serializer, its buffer reused from the last serialization,
 // carries the whole sequence to w; a write error ends the walk and is
 // returned.
@@ -480,7 +481,7 @@ func (r *Result) SerializeXML(w io.Writer) error {
 			prevAtom = false
 		case xqt.KAttr:
 			c := r.pool.Get(it.Cont)
-			s.String(c.Names.Name(c.AttrName[it.I]) + "=" + strconv.Quote(c.AttrVal[it.I]))
+			s.Attr(c.Names.Name(c.AttrName[it.I]), c.AttrVal[it.I])
 			prevAtom = false
 		default:
 			if prevAtom {

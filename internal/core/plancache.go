@@ -40,12 +40,14 @@ type compiled struct {
 	// rewrites and every execution runs, shared read-only once compiled.
 	inits []ralg.Schedule
 	plan  ralg.Schedule
-	// transientRows is how many rows the last successful execution built
-	// in its transient container; the next one's first element constructor
-	// reserves them, so the later ones never regrow the container. The last
-	// value, not the maximum: a binding that once built a huge result
-	// must not pin a huge reservation. Failed executions never write it.
-	transientRows atomic.Int64
+	// transientRows and transientBytes are how many rows the last
+	// successful execution built in its transient container and how many
+	// bytes of XML it wrote into its slab; the next one's first element
+	// constructor reserves them, so the later ones never regrow either.
+	// The last values, not the maxima: a binding that once built a huge
+	// result must not pin a huge reservation. Failed executions never
+	// write them.
+	transientRows, transientBytes atomic.Int64
 }
 
 // newCompiled numbers every plan of cq: the only numbering of a compile.

@@ -140,7 +140,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 	ex := ralg.NewExec(qp, transient)
 	// sized once, by the first constructor that builds anything: what the
 	// statement's last successful execution built
-	ex.SizeHint = int(p.cq.transientRows.Load())
+	ex.SizeHint, ex.SlabHint = int(p.cq.transientRows.Load()), int(p.cq.transientBytes.Load())
 	// The executor's column memory goes back for reuse on every exit
 	// path — result, error, cancellation, budget abort, contained panic.
 	// Nothing below may hand out a table: the result is copied off first.
@@ -194,6 +194,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context, b Bindings) (res *Result,
 		return nil, err
 	}
 	p.cq.transientRows.Store(int64(transient.Len()))
+	p.cq.transientBytes.Store(int64(len(transient.XML)))
 	// Items materializes a fresh polymorphic slice off the typed-vector
 	// column, so the result does not pin the executor's tables.
 	return &Result{Items: tab.Items("item"), Stats: ex.Stats, pool: qp}, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -53,10 +54,11 @@ func TestTransientContainerSizedOnce(t *testing.T) {
 // and its eleven nested elements are one constructor, so nothing is
 // copied into each enclosing level and no content list is unioned,
 // sorted and renumbered. Both constructors are only serialized, so they
-// build by reference: every node content item — a text node into
-// <personne>, a <personne> into <categorie> — is one reference row, and
-// no row is copied. The counters are exact, so a change that brings back
-// a per-level copy, or a copy of content, fails here on any machine.
+// write XML: each <personne> and each <categorie> is one row standing
+// for its bytes in the slab, a <categorie> copies the bytes of its
+// <personne>s, and no row is copied. The counters are exact, so a change
+// that brings back a row per element or per content item, a per-level
+// copy, or a copy of content, fails here on any machine.
 func TestNestedConstructorsBuildOnce(t *testing.T) {
 	e := New(DefaultConfig())
 	e.LoadContainer("auction.xml", xmark.NewStoreContainer("auction.xml", 0.04, 7))
@@ -64,10 +66,13 @@ func TestNestedConstructorsBuildOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats
-	if st.TransientRows > 22479 || st.CopiedRows != 0 || st.SortedRows > 11299 || st.FullSorts > 13 {
-		t.Errorf("Q10 at factor 0.04: %d transient rows (%d copied), %d sorted rows, %d full sorts; want at most 22 479 (0 copied), 11 299 and 13",
+	st, out := res.Stats, len(res.String())
+	if st.TransientRows != 1250 || st.CopiedRows != 0 || st.SortedRows > 11299 || st.FullSorts > 13 {
+		t.Errorf("Q10 at factor 0.04: %d transient rows (%d copied), %d sorted rows, %d full sorts; want 1 250 (0 copied), at most 11 299 and 13",
 			st.TransientRows, st.CopiedRows, st.SortedRows, st.FullSorts)
+	}
+	if st.XMLBytes <= int64(out) || st.XMLBytes >= 2*int64(out) {
+		t.Errorf("Q10 wrote %d bytes of XML for %d bytes of output; want each output byte written once into a <personne> and once into a <categorie>", st.XMLBytes, out)
 	}
 }
 
@@ -82,11 +87,13 @@ func TestTransientFigureFollowsTheBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int64{5000, 3, 700} {
-		if _, err := p.Execute(Bindings{"n": ralg.BindInts(n)}); err != nil {
+		res, err := p.ExecuteString(Bindings{"n": ralg.BindInts(n)})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.cq.transientRows.Load(); got != 2*n { // an element and its text node
-			t.Fatalf("$n = %d: statement remembers %d rows, want %d", n, got, 2*n)
+		// one row per element, which the statement only serializes: its XML is in the slab
+		if rows, bytes := p.cq.transientRows.Load(), p.cq.transientBytes.Load(); rows != n || bytes != int64(len(res)) {
+			t.Fatalf("$n = %d: statement remembers %d rows and %d bytes, want %d and %d", n, rows, bytes, n, len(res))
 		}
 	}
 }
@@ -113,7 +120,7 @@ func TestTransientRoomOnlyWhenBuilding(t *testing.T) {
 	}
 	control := strings.Replace(elemsQuery, "a>", "b>", 2) // same plan shape, never builds
 	exec(control, 0)
-	exec(elemsQuery, 20000) // remembers 40 000 rows: 1.4 MB of columns
+	exec(elemsQuery, 20000) // remembers 20 000 rows and 229 KB of XML: 1.1 MB of columns and slab
 	if idle, kb := exec(control, 0), exec(elemsQuery, 0); kb > idle+400 {
 		t.Fatalf("an execution that builds nothing allocated %d KB, %d KB with nothing remembered", kb, idle)
 	}
@@ -146,7 +153,7 @@ func TestTransientFigureConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := p.cq.transientRows.Load(); got%80 != 0 || got < 80 || got > 16*80 {
+	if got := p.cq.transientRows.Load(); got%40 != 0 || got < 40 || got > 16*40 {
 		t.Fatalf("statement remembers %d rows, not the figure of any one execution", got)
 	}
 }
@@ -167,7 +174,7 @@ func TestTransientFigureIgnoresFailedExecutions(t *testing.T) {
 	}
 	unchanged := func(path string) {
 		t.Helper()
-		if got := p.cq.transientRows.Load(); got != 100 {
+		if got := p.cq.transientRows.Load(); got != 50 {
 			t.Fatalf("%s: the figure moved to %d", path, got)
 		}
 	}
@@ -191,8 +198,8 @@ func TestTransientFigureIgnoresFailedExecutions(t *testing.T) {
 		faults.Reset()
 		unchanged("injected fault")
 	}
-	if _, err := p.Execute(Bindings{"n": ralg.BindInts(9)}); err != nil || p.cq.transientRows.Load() != 18 {
-		t.Fatalf("after the faults: err=%v, figure %d, want 18", err, p.cq.transientRows.Load())
+	if _, err := p.Execute(Bindings{"n": ralg.BindInts(9)}); err != nil || p.cq.transientRows.Load() != 9 {
+		t.Fatalf("after the faults: err=%v, figure %d, want 9", err, p.cq.transientRows.Load())
 	}
 }
 
@@ -214,15 +221,88 @@ func TestTransientContainerIsBudgeted(t *testing.T) {
 }
 
 // fn:count reads no item of its argument, so forty counted constructors
-// build by reference: one element and one reference row each, nothing
-// copied.
+// are only serialized: each writes its XML, one row, nothing copied.
 func TestCountedConstructorsBuildByReference(t *testing.T) {
 	e := xmarkEngine(t, DefaultConfig(), 0.001)
 	res, err := e.Query(`count(for $i in (1 to 40) return <r>{/site/regions}</r>)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := res.Stats; st.TransientRows != 80 || st.CopiedRows != 0 {
-		t.Errorf("%d transient rows (%d copied), want 80 (0 copied)", st.TransientRows, st.CopiedRows)
+	one, err := e.QueryString(`<r>{/site/regions}</r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.TransientRows != 40 || st.CopiedRows != 0 || st.XMLBytes != 40*int64(len(one)) {
+		t.Errorf("%d transient rows (%d copied) and %d bytes of XML, want 40 (0 copied) and %d", st.TransientRows, st.CopiedRows, st.XMLBytes, 40*len(one))
+	}
+}
+
+// A constructor whose trees are only serialized writes them as XML; one
+// that is navigated builds rows. Every shape of content must serialize
+// to the same bytes — and raise the same error — both ways: each query
+// runs as it is (written, XMLBytes > 0) and under a self::node() step,
+// which makes its constructors build rows (XMLBytes 0).
+func TestWrittenConstructorsSerializeLikeCopies(t *testing.T) {
+	e := New(DefaultConfig())
+	for name, doc := range map[string]string{
+		"d.xml": `<r><!--a comment--><?target some data?><t a="x&amp;&quot;y&lt;z&gt;">1 &lt; 2 &amp; 3 &gt; 0 "q"</t><u/></r>`,
+		"n.xml": `<r><a>1</a><a>2</a><a>3</a></r>`,
+	} {
+		if err := e.LoadXML(name, strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		// document-node content, and several iterations of one constructor
+		`<a>{doc("d.xml")}</a>`,
+		`for $n in doc("n.xml")//a return <e k="{$n}">{$n}{doc("n.xml")}</e>`,
+		// attributes taken from content, beside literal ones and in a nested element
+		`<a>{doc("d.xml")//t/@a}{1}</a>`,
+		`<a x="{1}">{doc("d.xml")//t/@a}<b>{doc("d.xml")//t/@a}</b></a>`,
+		`for $i in 1 to 3 return <a>{doc("d.xml")//t/@a}{()}{$i}</a>`,
+		// empty and adjacent atoms, and empty elements
+		`<a>{()}</a>`,
+		`<a>{""}</a>`,
+		`<a>{("", "")}</a>`,
+		`<a>x{1}{(2, 3)}y{""}{("", 4)}</a>`,
+		`<a>{()}<b>{()}</b><c/>{""}</a>`,
+		`for $i in 1 to 4 return <a>{for $j in 1 to $i return $j}</a>`,
+		// text and attribute values that need escaping
+		`<a b="{doc("d.xml")//t/@a}" c="&lt;&amp;&quot;">{string(doc("d.xml")//t)}{"<&amp;>"}</a>`,
+		`<a>{doc("d.xml")//t}{doc("d.xml")//t/text()}</a>`,
+		// comments and processing instructions
+		`<a>{doc("d.xml")//comment()}{doc("d.xml")//processing-instruction()}</a>`,
+		// nested constructors: in one template, and one constructor's
+		// trees the content of another, several levels deep
+		`<a><b>{1}</b>{2}<c><d/>{doc("n.xml")//a[2]}</c></a>`,
+		`<o>{for $i in 1 to 3 return <i n="{$i}">{$i}<j>{<k>{$i}</k>}</j></i>}</o>`,
+		`for $i in 1 to 2 return <o>{for $j in 1 to $i return <p>{$j}</p>}</o>`,
+		// content a navigated constructor built as rows
+		`let $c := <c>{doc("n.xml")/r/a}</c> return <r n="{count($c/a)}">{$c}</r>`,
+		// the errors of content attributes
+		`<a><b/>{doc("d.xml")//t/@a}</a>`,
+		`<a>x{doc("d.xml")//t/@a}</a>`,
+		`<a a="1">{doc("d.xml")//t/@a}</a>`,
+		`<a>{doc("d.xml")//t/@a}{doc("d.xml")//t/@a}</a>`,
+	} {
+		code := func(err error) string {
+			var xe *xqerr.Error
+			if errors.As(err, &xe) {
+				return xe.Code
+			}
+			return ""
+		}
+		written, werr := e.Query(q)
+		rows, rerr := e.Query("(" + q + ")/self::node()")
+		switch {
+		case werr != nil || rerr != nil:
+			if code(werr) != code(rerr) || code(werr) == "" {
+				t.Errorf("%s: written %v, as rows %v", q, werr, rerr)
+			}
+		case written.String() != rows.String():
+			t.Errorf("%s: written %s, as rows %s", q, written, rows)
+		case written.Stats.XMLBytes == 0 || rows.Stats.XMLBytes != 0:
+			t.Errorf("%s: %d bytes of XML written, %d as rows; want some and none", q, written.Stats.XMLBytes, rows.Stats.XMLBytes)
+		}
 	}
 }

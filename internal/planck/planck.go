@@ -1086,8 +1086,8 @@ func (v *verifier) checkElem(x *ralg.ElemConstruct) (*Schema, *colProps) {
 }
 
 // byRefViolation re-derives, forward and on its own, which output columns
-// may hold trees a by-reference constructor (Op.Ref) built, whose content
-// rows only the serializer can follow: such a column may be carried —
+// may hold trees a by-reference constructor (Op.Ref) built, which are
+// serialized XML only the serializer can read: such a column may be carried —
 // projected, attached to, ranked, sorted, made distinct, unioned,
 // diffed, joined, checked, counted — and may reach the content of another
 // by-reference constructor or a root that is only serialized, but no
@@ -1176,7 +1176,7 @@ func byRefViolation(s ralg.Schedule, cfg Config) *PlanInvariantError {
 				}
 				if t.Kind == ralg.TokPart {
 					if !op.Ref {
-						reads(k, "item") // copied: a reference row has no subtree
+						reads(k, "item") // copied: a written tree has no rows to copy
 					}
 					k++
 				}

@@ -33,7 +33,8 @@ type ExecStats struct {
 	CrossRows           int64 // rows produced by Cartesian products
 	TransientRows       int64 // rows the element constructors appended to the transient container
 	CopiedRows          int64 // of TransientRows, those that copied content subtrees
-	TransientRegrows    int64 // element constructors that found it too small and moved its columns
+	XMLBytes            int64 // bytes the constructors whose trees are only serialized wrote into its slab
+	TransientRegrows    int64 // element constructors that found it too small and moved its columns or slab
 }
 
 // MaxRows bounds intermediate result sizes; exceeding it aborts the query
@@ -80,6 +81,7 @@ type Exec struct {
 	Pool       *store.Pool
 	Transient  *store.Container
 	SizeHint   int // rows the statement's last execution built in Transient (0: unknown)
+	SlabHint   int // bytes it wrote into Transient's slab
 	Stats      ExecStats
 	ContextDoc string
 	Bindings   Bindings

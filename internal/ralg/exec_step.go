@@ -3,11 +3,9 @@ package ralg
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"mxq/internal/scj"
 	"mxq/internal/store"
-	"mxq/internal/xqerr"
 	"mxq/internal/xqt"
 )
 
@@ -265,6 +263,10 @@ func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec, counts []int64) 
 	if n.Test.Kind != scj.TestNode && n.Test.Kind != scj.TestElem {
 		end = 0 // only a name test, * and node() match attributes
 	}
+	// the test's name as an id of the container the attributes live in,
+	// looked up once per container: -1 matches any name, -2 none
+	var nc *store.Container
+	want := int32(-1)
 	i := 0
 	runs := 0
 	for i < end {
@@ -287,8 +289,14 @@ func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec, counts []int64) 
 		pre := int32(items.I[i])
 		if c.Kind[pre] == store.KindElem {
 			ac, alo, ahi := c.Attrs(pre)
+			if ac != nc && n.Test.Name != "" {
+				nc, want = ac, -2
+				if id, ok := ac.Names.Lookup(n.Test.Name); ok {
+					want = id
+				}
+			}
 			for a := alo; a < ahi; a++ {
-				if n.Test.Name != "" && ac.Names.Name(ac.AttrName[a]) != n.Test.Name {
+				if want != -1 && ac.AttrName[a] != want {
 					continue
 				}
 				for k := i; k < j; k++ {
@@ -305,181 +313,4 @@ func (e *Exec) attrStep(n *Step, iters []int64, items *ItemVec, counts []int64) 
 		i = j
 	}
 	return tableOf([]string{"iter", "item"}, uniformIntCol(settle(e, ic)), ItemVec{Tag: xqt.KAttr, n: len(ic), Cont: settle(e, tc), I: settle(e, ta)})
-}
-
-// elemCursor walks one (iter, item) input of an ElemConstruct.
-type elemCursor struct {
-	iter []int64
-	item *ItemVec
-	pos  int
-}
-
-// at returns the rows of iteration it; iterations are visited ascending.
-func (c *elemCursor) at(it int64) (lo, hi int) {
-	for c.pos < len(c.iter) && c.iter[c.pos] < it {
-		c.pos++
-	}
-	for lo = c.pos; c.pos < len(c.iter) && c.iter[c.pos] == it; c.pos++ {
-	}
-	return lo, c.pos
-}
-
-// execElem builds one tree per loop iteration by n's template. A node
-// content item becomes one KindRef row when ref (Op.Ref: the trees are
-// only serialized, MarkByRef), else a shallow copy of its subtree.
-func (e *Exec) execElem(n *ElemConstruct, in []*Table, ref bool) (*Table, error) {
-	if e.Transient == nil {
-		return nil, fmt.Errorf("ralg: element construction without a transient container")
-	}
-	loop := in[0].Ints("iter")
-	// one cursor per input, an attribute part's items cast to strings up
-	// front, and each name interned once: a tag at its template index, the
-	// attribute names after them in order. Make room once for a row per
-	// element and per node content item — what a reference takes; text
-	// nodes and copied subtrees grow the columns, and a copy is charged as
-	// it does — the first constructor to build anything for what the whole
-	// statement built last time, so no later one moves a column
-	na := len(n.Template)
-	for _, t := range n.Template {
-		na += len(t.Attrs)
-	}
-	curs, ids := make([]elemCursor, len(in)), dirty[int32](e, scratchRegion, na)[:len(n.Template)]
-	rows, k := 0, 1
-	for i, t := range n.Template {
-		if t.Kind == TokStart {
-			ids[i], rows = e.Transient.Names.ID(t.Tag), rows+len(loop)
-		}
-		for _, a := range t.Attrs {
-			ids = append(ids, e.Transient.Names.ID(a.Attr))
-			for range a.Parts {
-				curs[k], k = elemCursor{iter: in[k].Ints("iter"), item: e.cast(FunStringOf, in[k].Col("item"))}, k+1
-			}
-		}
-		if t.Kind == TokPart {
-			c := in[k].Col("item")
-			for j := 0; j < c.Len(); j++ {
-				if c.KindAt(j) == xqt.KNode {
-					rows++
-				}
-			}
-			curs[k], k = elemCursor{iter: in[k].Ints("iter"), item: c}, k+1
-		}
-	}
-	tc := e.uniformVec(xqt.KNode, len(loop))
-	b := store.NewContainerBuilder(e.Transient)
-	before, room, attrs := e.Transient.Len(), cap(e.Transient.Size), (len(ids)-len(n.Template))*len(loop)
-	if room == 0 && rows > 0 {
-		rows = max(rows, e.SizeHint)
-	}
-	// the container is the one row store the arena does not hand out:
-	// what Reserve is about to add is charged, and refused, like a column
-	e.charge(outRegion, int64(max(before+rows-room, 0))*store.RowBytes+
-		int64(max(len(e.Transient.AttrOwner)+attrs-cap(e.Transient.AttrOwner), 0))*store.AttrBytes)
-	b.Reserve(rows, attrs)
-	// the innermost open element's pending text: a lone atom is passed
-	// through as it is, a run of atoms is joined in buf. A node, a start
-	// or an end ends a run, so it is written where it ends; atoms of one
-	// part are joined with a space, adjacent parts' directly (XQuery
-	// §3.7.1.3). saw is whether that element has content yet, sp whether
-	// an atom of the current part came before
-	pend, buf, saw, sp := "", []byte(nil), false, false
-	flush := func() {
-		if len(buf) > 0 {
-			pend, buf = string(buf), buf[:0]
-		}
-		b.Text(pend)
-		pend = ""
-	}
-	for built, it := range loop {
-		if built&1023 == 1023 && e.stopRequested() {
-			return nil, e.stopErr()
-		}
-		k, ai := 1, len(n.Template)
-		for i := range n.Template {
-			switch t := &n.Template[i]; t.Kind {
-			case TokStart:
-				if pre := b.StartElemID(ids[i]); i == 0 {
-					tc.Cont[built], tc.I[built] = e.Transient.ID, int64(pre)
-				}
-				saw = false
-				for _, a := range t.Attrs {
-					val := ""
-					for range a.Parts {
-						// Join and += return a lone string as it is: the common
-						// single-part single-item value is passed through, not copied
-						lo, hi := curs[k].at(it)
-						val, k = val+strings.Join(curs[k].item.S[lo:hi], " "), k+1
-					}
-					b.AttrID(ids[ai], val)
-					ai++
-				}
-			case TokEnd:
-				b.End()
-				saw = true // the element is content of its parent
-			default:
-				lo, hi := curs[k].at(it)
-				for vec := curs[k].item; lo < hi; lo++ {
-					switch vec.KindAt(lo) {
-					case xqt.KNode:
-						flush()
-						src, node := e.Pool.Get(vec.Cont[lo]), int32(vec.I[lo])
-						if ref {
-							b.Ref(src, node)
-						} else {
-							e.copyNode(b, src, node)
-						}
-						saw = true
-					case xqt.KAttr:
-						src, row := e.Pool.Get(vec.Cont[lo]), vec.I[lo]
-						name := src.Names.Name(src.AttrName[row])
-						if saw {
-							return nil, xqerr.Newf("XQTY0024", "attribute node after content in element constructor")
-						} else if b.HasAttr(name) {
-							return nil, xqerr.Newf("XQDY0025", "duplicate attribute %s in element constructor", name)
-						}
-						b.Attr(name, src.AttrVal[row])
-					default:
-						switch s := vec.At(lo).AsString(); {
-						case pend == "" && len(buf) == 0:
-							pend, saw = s, saw || s != ""
-						case len(buf) == 0:
-							buf = append(buf, pend...)
-							fallthrough
-						default:
-							if sp {
-								buf = append(buf, ' ')
-							}
-							buf = append(buf, s...)
-						}
-						sp = true
-					}
-				}
-				if k, sp = k+1, false; n.Template[i+1].Kind != TokPart {
-					flush()
-				}
-			}
-		}
-	}
-	e.Stats.TransientRows += int64(e.Transient.Len() - before)
-	if room > 0 && cap(e.Transient.Size) != room {
-		e.Stats.TransientRegrows++
-	}
-	// one element per iteration, in loop order: the loop's iter column is shared
-	return tableOf([]string{"iter", "item"}, *in[0].Col("iter"), tc), nil
-}
-
-// copyNode copies the subtree of node into b's open element, a document
-// node's children for a document node, counts the copied rows and
-// charges the columns' growth.
-func (e *Exec) copyNode(b *store.Builder, src *store.Container, node int32) {
-	at, room := e.Transient.Len(), cap(e.Transient.Size)
-	if src.Kind[node] != store.KindDoc {
-		b.CopyTree(src, node)
-	} else {
-		for p, end := node+1, node+src.Size[node]; p <= end; p += src.Size[p] + 1 {
-			b.CopyTree(src, p)
-		}
-	}
-	e.Stats.CopiedRows += int64(e.Transient.Len() - at)
-	e.charge(outRegion, int64(cap(e.Transient.Size)-room)*store.RowBytes)
 }

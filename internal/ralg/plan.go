@@ -486,11 +486,11 @@ type CtorTok struct {
 // parts and nested starts, and balanced ends. Inputs 1.. are read in
 // token order: a start's attribute value parts, a content part's
 // iter|pos|item sequence sorted on [iter,pos]. Atoms adjacent in an
-// element's content join into one text node with a space between them,
-// across parts too (so literal text and an enclosed expression are
-// joined with a space, where XQuery §3.7.1.3 puts none); a node, a
-// start or an end ends the run. Output is (iter, item): the roots, in
-// loop order.
+// element's content join into one text node, those of one part with a
+// space between them, adjacent parts' directly (XQuery §3.7.1.3); a
+// node, a start or an end ends the run. Output is (iter, item): the
+// roots, in loop order — as XML in the container's slab, one KindXML
+// row per root, when the trees are only serialized (Op.Ref).
 type ElemConstruct struct {
 	Ins      []Plan
 	Template []CtorTok
@@ -566,7 +566,7 @@ type Schedule []Op
 
 // Op is one numbered node: its plan and its inputs' numbers, -1 for a
 // nil input (which is not visited). Ref marks an ElemConstruct that
-// builds by reference (MarkByRef).
+// builds by reference, writing its trees as XML (MarkByRef).
 type Op struct {
 	Plan Plan
 	In   []int
@@ -613,8 +613,9 @@ func (s Schedule) CountOps() (ops, joins int) {
 }
 
 // MarkByRef decides, for every ElemConstruct of the main plan s, whether
-// it builds by reference: each node content item becomes one
-// store.KindRef row instead of a copy of its subtree. That holds when the
+// it builds by reference: it writes each tree as serialized XML, one
+// store.KindXML row, and takes its content by reading it, where a copying
+// constructor builds rows and copies the content's subtrees. That holds when the
 // constructed nodes can reach only the root, whose items are only
 // serialized, the content of another by-reference constructor, or
 // operators that move items without reading node structure: Project,

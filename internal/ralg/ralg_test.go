@@ -360,7 +360,8 @@ func TestElemConstruct(t *testing.T) {
 
 // A run of atoms becomes one text node built in one growing buffer: an
 // element of n atoms allocates bytes in proportion to n, not a copy of
-// the text so far per atom (n²/2 copied bytes).
+// the text so far per atom (n²/2 copied bytes). The schedule is not
+// marked (MarkByRef), so the constructor builds rows.
 func TestElemTextRunIsLinear(t *testing.T) {
 	const n = 10000
 	iters, poss, items := make([]int64, n), make([]int64, n), make([]xqt.Item, n)
@@ -374,7 +375,7 @@ func TestElemTextRunIsLinear(t *testing.T) {
 	ex := NewExec(pool, tr)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := ex.Run(ec)
+	res, err := ex.RunSchedule(NewSchedule(ec))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

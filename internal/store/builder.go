@@ -22,7 +22,7 @@ type Builder struct {
 // not yet registered with a pool. A container without a name is
 // transient: it holds the nodes one query constructs, and carries the
 // RefCont/RefPre indirection from its first row (a built row names
-// itself, a copied or referenced one its source).
+// itself, a copied one its source).
 func NewContainer(name string) *Container {
 	c := &Container{Name: name, Names: NewNames(), attrStart: []int32{0}}
 	if name == "" {
@@ -202,13 +202,16 @@ func (b *Builder) Reserve(n, attrs int) {
 // Each of the ten columns grows once and is filled in a loop of its own:
 // size and kind copies, frag, name, value and attribute offset constants,
 // level and parent the source's plus a delta, the indirection the
-// source's own (chains stay one hop deep) or (src, pre..pre+size). Every
-// row of src is a node (src holds no KindRef row: a by-reference
-// constructor's output is never copied), so every copied row is one too.
+// source's own (chains stay one hop deep) or (src, pre..pre+size). A
+// KindXML row has no tree to copy (a constructor that writes XML is only
+// serialized, so its output is never copied), and a KindXML row is only
+// ever a fragment root, so every copied row is a node.
 func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 	c := b.c
 	if c.RefCont == nil {
 		panic("store: CopyTree into a container that is not transient")
+	} else if src.Kind[pre] == KindXML {
+		panic("store: CopyTree of an element written as XML")
 	}
 	rows := int(src.Size[pre]) + 1
 	base := int32(len(c.Size))
@@ -239,20 +242,21 @@ func (b *Builder) CopyTree(src *Container, pre int32) int32 {
 	return base
 }
 
-// Ref appends one KindRef row standing for the subtree rooted at pre of
-// src, as content of the innermost open element: the by-reference form
-// of CopyTree, for a tree that is only serialized. The row names the
-// source one hop deep, as a copied row would (a document node is
-// referenced, not expanded: the serializer writes its children). It
-// returns the row's pre; the container must be transient.
-func (b *Builder) Ref(src *Container, pre int32) int32 {
-	rc, rp := src.ID, pre
-	if src.RefCont != nil {
-		rc, rp = src.RefCont[pre], src.RefPre[pre]
-	}
-	at := b.appendRow(KindRef, -1, -1)
-	b.c.RefCont[at], b.c.RefPre[at] = rc, rp
-	return at
+// ReserveXML makes room for n more bytes in the slab, so the
+// XMLSerializer of a caller that knows its output size never regrows it.
+func (b *Builder) ReserveXML(n int) { b.c.XML = slices.Grow(b.c.XML, n) }
+
+// XMLSerializer returns a serializer that appends to the slab of b's
+// container, which must be transient, and never flushes: the writer of
+// a constructor whose trees are only serialized. XML ends each tree.
+func (b *Builder) XMLSerializer() *Serializer { return &Serializer{buf: b.c.XML} }
+
+// XML ends the tree s (from XMLSerializer) wrote since the last one as
+// one KindXML row, a new fragment, and returns its pre.
+func (b *Builder) XML(s *Serializer) int32 {
+	c := b.c
+	c.XML, c.xmlEnd = s.buf, append(c.xmlEnd, len(s.buf))
+	return b.appendRow(KindXML, -1, int32(len(c.xmlEnd)-1))
 }
 
 // Done finalizes the container (all elements must be closed) and verifies

@@ -35,11 +35,12 @@ const (
 	KindText                    // text node
 	KindComment                 // comment node
 	KindPI                      // processing instruction
-	// KindRef is a leaf of a transient container standing for the
-	// subtree RefCont/RefPre name: content an element constructor took by
-	// reference. Only the serializer follows it; it sits after every kind
-	// a node test matches, so no step ever selects one.
-	KindRef
+	// KindXML is a fragment root of a transient container standing for
+	// an element a constructor wrote as serialized XML into the
+	// container's slab (XMLOf): a tree that is only serialized. Only the
+	// serializer reads it; it sits after every kind a node test matches,
+	// so no step ever selects one.
+	KindXML
 )
 
 func (k NodeKind) String() string {
@@ -54,8 +55,8 @@ func (k NodeKind) String() string {
 		return "comment"
 	case KindPI:
 		return "processing-instruction"
-	case KindRef:
-		return "reference"
+	case KindXML:
+		return "xml"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -63,7 +64,7 @@ func (k NodeKind) String() string {
 // Container is the relational encoding of a set of XML tree fragments: the
 // pre|size|level backbone plus property containers. All slices are indexed
 // by preorder rank, and every row is a node or, in a transient container,
-// a KindRef leaf: the encoding has no unused tuples (Validate checks it).
+// a KindXML leaf: the encoding has no unused tuples (Validate checks it).
 type Container struct {
 	ID   int32  // container id within its Pool
 	Name string // document name ("" for transient containers)
@@ -93,9 +94,15 @@ type Container struct {
 	// document containers: every row references itself. A transient
 	// container (NewContainer("")) carries them from its first row: property
 	// lookups for row p are answered by container RefCont[p] at pre
-	// RefPre[p], and a KindRef row's are the subtree it stands for.
+	// RefPre[p].
 	RefCont []int32
 	RefPre  []int32
+
+	// XML is a transient container's slab of serialized elements: the
+	// KindXML rows' bytes, in row order and tiling it. Row p's element
+	// ends at xmlEnd[Value[p]] and starts where the one before it ends.
+	XML    []byte
+	xmlEnd []int
 
 	// Names is the qualified-name dictionary of this container.
 	Names *Names
@@ -149,6 +156,15 @@ func (c *Container) TextOf(pre int32) string {
 		return ""
 	}
 	return rc.Texts[v]
+}
+
+// XMLOf returns the serialized element the KindXML row pre stands for.
+func (c *Container) XMLOf(pre int32) []byte {
+	k, lo := c.Value[pre], 0
+	if k > 0 {
+		lo = c.xmlEnd[k-1]
+	}
+	return c.XML[lo:c.xmlEnd[k]]
 }
 
 // Attrs returns the attribute rows (in the referenced container) of node
@@ -316,8 +332,8 @@ func (c *Container) FragRoots() []int32 {
 
 // Validate checks the invariants of the pre|size|level encoding and the
 // property containers: every row is a node (level >= 0, a kind from
-// KindDoc to KindPI) or, in a transient container only, a KindRef leaf,
-// and the children of every node tile its region
+// KindDoc to KindPI) or, in a transient container only, a KindXML
+// fragment root whose element lies in the slab, and the children of every node tile its region
 // exactly — each starts where its previous sibling's region ends, and the
 // last ends where the parent's does. Tests call it on shredded, generated,
 // copied and sharded containers.
@@ -332,11 +348,11 @@ func (c *Container) Validate() error {
 	}
 	// backwards, so every row a region walk steps over is already checked
 	for p := n - 1; p >= 0; p-- {
-		if c.Size[p] < 0 || c.Level[p] < 0 || c.Kind[p] > KindRef {
+		if c.Size[p] < 0 || c.Level[p] < 0 || c.Kind[p] > KindXML {
 			return fmt.Errorf("store: row %d (size %d, level %d, %v) is not a node", p, c.Size[p], c.Level[p], c.Kind[p])
 		}
-		if c.Kind[p] == KindRef && (c.RefCont == nil || c.Size[p] != 0) {
-			return fmt.Errorf("store: reference row %d (size %d) outside a transient container or not a leaf", p, c.Size[p])
+		if c.Kind[p] == KindXML && (c.RefCont == nil || c.Size[p] != 0 || c.Parent[p] >= 0 || c.Value[p] < 0 || int(c.Value[p]) >= len(c.xmlEnd)) {
+			return fmt.Errorf("store: xml row %d (size %d, parent %d) outside a transient container, not a fragment root or not in the slab", p, c.Size[p], c.Parent[p])
 		}
 		end := p + c.Size[p]
 		if end >= n {

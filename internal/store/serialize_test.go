@@ -63,6 +63,35 @@ func TestSerializerEscapesFlushesAndStops(t *testing.T) {
 	}
 }
 
+// The escapes find their bytes wherever they are: at every offset of a
+// text longer than the eight bytes the search reads at once, next to
+// multi-byte characters, several in one word and none at all.
+func TestEscapeFindsEveryByte(t *testing.T) {
+	text := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attr := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+	var ins []string
+	for n := range 20 {
+		for p := range n {
+			for _, c := range []string{"&", "<", ">", `"`, "é"} {
+				ins = append(ins, strings.Repeat("a", p)+c+strings.Repeat("é", (n-p)/2))
+			}
+		}
+		ins = append(ins, strings.Repeat("é<>", n), strings.Repeat("x", n))
+	}
+	for _, in := range ins {
+		var b strings.Builder
+		s := store.NewSerializer(&b)
+		s.Text(in)
+		s.Attr("a", in)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want := text.Replace(in) + `a="` + attr.Replace(in) + `"`; b.String() != want {
+			t.Fatalf("%q: %q, want %q", in, b.String(), want)
+		}
+	}
+}
+
 // BenchmarkSerialize serializes the people subtree of an XMark 0.04
 // document (the xmark-join document): elements, attributes and text in
 // the benchmark's mix.

@@ -103,7 +103,9 @@ func Serialize(w io.Writer, c *Container, pre int32) error {
 // string in one append) and handed to the writer in 32 KB pieces and at
 // Flush. The first write error sticks, ends the walk — what is written
 // after it is dropped — and is what Flush returns. The buffer comes from
-// a pool and goes back at Close, so a warm serialization grows none.
+// a pool and goes back at Close, so a warm serialization grows none. A
+// serializer without a writer (Builder.XMLSerializer) appends to a
+// transient container's slab and never flushes.
 type Serializer struct {
 	w   io.Writer
 	buf []byte
@@ -115,7 +117,10 @@ type Serializer struct {
 // maxPooled (a text longer than the flush threshold) is left to the GC.
 var bufs = sync.Pool{New: func() any { return new([]byte) }}
 
-const maxPooled = 64 << 10
+const (
+	maxPooled = 64 << 10
+	flushAt   = 32 << 10
+)
 
 // NewSerializer returns a serializer writing to w; Close ends it.
 func NewSerializer(w io.Writer) *Serializer {
@@ -149,7 +154,7 @@ func (s *Serializer) Err() error { return s.err }
 
 // room flushes a full buffer and reports whether the serializer still writes.
 func (s *Serializer) room() bool {
-	if len(s.buf) >= 32<<10 {
+	if s.w != nil && len(s.buf) >= flushAt {
 		s.Flush()
 	}
 	return s.err == nil
@@ -162,6 +167,31 @@ func (s *Serializer) String(str string) {
 	}
 }
 
+// Text writes str escaped as text content.
+func (s *Serializer) Text(str string) {
+	if s.room() {
+		s.escape(str, '>')
+	}
+}
+
+// Attr writes name="val", val escaped as an attribute value.
+func (s *Serializer) Attr(name, val string) {
+	if s.room() {
+		s.attr(name, val)
+	}
+}
+
+// attr is Attr without the flush check. Here and below each append is
+// a statement of its own: appending to s.buf in place then stores its
+// length only, where a nested append stores the whole slice header, a
+// pointer the garbage collector's write barrier must see.
+func (s *Serializer) attr(name, val string) {
+	s.buf = append(s.buf, name...)
+	s.buf = append(s.buf, '=', '"')
+	s.escape(val, '"')
+	s.buf = append(s.buf, '"')
+}
+
 // Node writes the subtree rooted at pre of c.
 func (s *Serializer) Node(c *Container, pre int32) {
 	if !s.room() {
@@ -172,27 +202,46 @@ func (s *Serializer) Node(c *Container, pre int32) {
 		s.children(c, pre, "")
 	case KindElem:
 		name := c.NameOf(pre)
-		s.buf = append(append(s.buf, '<'), name...)
+		s.buf = append(s.buf, '<')
+		s.buf = append(s.buf, name...)
 		ac, lo, hi := c.Attrs(pre)
 		for i := lo; i < hi; i++ {
-			s.buf = append(append(append(s.buf, ' '), ac.Names.Name(ac.AttrName[i])...), '=', '"')
-			s.escape(ac.AttrVal[i], '"', "&quot;")
-			s.buf = append(s.buf, '"')
+			s.buf = append(s.buf, ' ')
+			s.attr(ac.Names.Name(ac.AttrName[i]), ac.AttrVal[i])
 		}
 		if s.children(c, pre, ">") {
-			s.buf = append(append(append(s.buf, '<', '/'), name...), '>')
+			s.buf = append(s.buf, '<', '/')
+			s.buf = append(s.buf, name...)
+			s.buf = append(s.buf, '>')
 		} else {
 			s.buf = append(s.buf, '/', '>')
 		}
 	case KindText:
-		s.escape(c.TextOf(pre), '>', "&gt;")
+		s.escape(c.TextOf(pre), '>')
 	case KindComment:
-		s.buf = append(append(append(s.buf, "<!--"...), c.TextOf(pre)...), "-->"...)
+		s.buf = append(s.buf, "<!--"...)
+		s.buf = append(s.buf, c.TextOf(pre)...)
+		s.buf = append(s.buf, "-->"...)
 	case KindPI:
-		s.buf = append(append(append(s.buf, '<', '?'), c.NameOf(pre)...), ' ')
-		s.buf = append(append(s.buf, c.TextOf(pre)...), '?', '>')
-	case KindRef:
-		s.Node(c.refOf(pre))
+		s.buf = append(s.buf, '<', '?')
+		s.buf = append(s.buf, c.NameOf(pre)...)
+		s.buf = append(s.buf, ' ')
+		s.buf = append(s.buf, c.TextOf(pre)...)
+		s.buf = append(s.buf, '?', '>')
+	case KindXML:
+		// a written element goes into the buffer when it fits what is left
+		// of a flush, else after one, and past the buffer when it is larger
+		// than a flush: the pooled buffer never grows to hold one
+		x := c.XMLOf(pre)
+		if s.w != nil && len(s.buf)+len(x) > flushAt {
+			if s.Flush() != nil {
+				return
+			} else if len(x) >= flushAt {
+				_, s.err = s.w.Write(x)
+				return
+			}
+		}
+		s.buf = append(s.buf, x...)
 	}
 }
 
@@ -211,22 +260,46 @@ func (s *Serializer) children(c *Container, pre int32, open string) bool {
 }
 
 // escape appends str with & and < replaced by their entities, and the
-// byte third (> in text, " in attribute values) by ent.
-func (s *Serializer) escape(str string, third byte, ent string) {
-	last := 0
-	for i := 0; i < len(str); i++ {
-		esc := ent
-		switch str[i] {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case third:
-		default:
-			continue
+// byte third (> in text, " in attribute values) by its own: the clean
+// run before each such byte goes in one copy. The search reads eight
+// bytes at a time: a byte of v^(lsb*c) is zero where v holds c, and
+// (x-lsb)&^x&msb is not zero exactly when a byte of x is.
+func (s *Serializer) escape(str string, third byte) {
+	last, i, t := 0, 0, lsb*uint64(third)
+	for {
+		for ; i+8 <= len(str); i += 8 {
+			w := str[i : i+8]
+			v := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+				uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+			a, l, x := v^(lsb*'&'), v^(lsb*'<'), v^t
+			if ((a-lsb)&^a|(l-lsb)&^l|(x-lsb)&^x)&msb != 0 {
+				break
+			}
 		}
-		s.buf = append(append(s.buf, str[last:i]...), esc...)
-		last = i + 1
+		for ; i < len(str) && str[i] != '&' && str[i] != '<' && str[i] != third; i++ {
+		}
+		if i == len(str) {
+			break
+		}
+		s.buf = append(s.buf, str[last:i]...)
+		s.buf = append(s.buf, entity(str[i])...)
+		i++
+		last = i
 	}
 	s.buf = append(s.buf, str[last:]...)
+}
+
+const lsb, msb = 0x0101010101010101, 0x8080808080808080
+
+// entity is the escape of one byte of an escape set.
+func entity(b byte) string {
+	switch b {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	}
+	return "&quot;"
 }

@@ -286,46 +286,58 @@ func TestPool(t *testing.T) {
 	}
 }
 
-// A reference row stands for its source subtree: the serializer writes
-// the source where the row is — a document node as its children, a
-// constructed element that holds references through both hops — exactly
-// as a copy of it serializes. Validate accepts the row as a leaf of a
-// transient container only.
-func TestRefRowSerializesLikeACopy(t *testing.T) {
+// A KindXML row stands for the element written into the slab: the
+// serializer copies its bytes — a large one straight to the writer —
+// and an element written around it copies them into its own. Validate
+// accepts the row as a fragment root of a transient container only, and
+// CopyTree refuses it.
+func TestXMLRowSerializesItsBytes(t *testing.T) {
 	pool := NewPool()
 	src := shredPaperDoc(t)
 	pool.Register(src)
-	build := func(content func(b *Builder, c *Container, pre int32) int32) *Container {
-		tr := pool.Register(NewContainer(""))
-		b := NewContainerBuilder(tr)
-		b.StartElem("m")
-		content(b, src, 2) // <b>…
-		b.Text("t")
-		b.End()
-		b.StartElem("d")
-		content(b, tr, 0) // the <m> above
-		content(b, src, 0)
-		b.End()
-		return tr
-	}
-	refs, copies := build((*Builder).Ref), build((*Builder).CopyTree)
-	if refs.Len() != 6 {
-		t.Errorf("%d rows, want 6: two elements, a text and three reference rows", refs.Len())
-	}
-	for i, pre := range refs.FragRoots() {
-		var got, want strings.Builder
-		Serialize(&got, refs, pre)
-		Serialize(&want, copies, copies.FragRoots()[i])
-		if got.String() != want.String() {
-			t.Errorf("fragment %d: by reference %s, copied %s", i, got.String(), want.String())
+	tr := pool.Register(NewContainer(""))
+	b := NewContainerBuilder(tr)
+	s := b.XMLSerializer()
+	s.String("<m><n>")
+	s.Node(src, 2) // <b>…
+	s.Text("t<")
+	s.String("</n></m>")
+	m := b.XML(s)
+	s.String("<d ")
+	s.Attr("x", `"&`)
+	s.String(">")
+	s.Node(tr, m)
+	s.String("</d>")
+	d := b.XML(s)
+	big := strings.Repeat("<e/>", 3*flushAt/4) // one element over a flush
+	s.String("<f>" + big + "</f>")
+	f := b.XML(s)
+	var want strings.Builder
+	Serialize(&want, src, 2)
+	m1 := "<m><n>" + want.String() + "t&lt;</n></m>"
+	for pre, want := range map[int32]string{m: m1, d: `<d x="&quot;&amp;">` + m1 + "</d>", f: "<f>" + big + "</f>"} {
+		var got strings.Builder
+		if err := Serialize(&got, tr, pre); err != nil || got.String() != want {
+			t.Errorf("xml row %d: %q, %v; want %q", pre, got.String(), err, want)
 		}
 	}
-	if err := refs.Validate(); err != nil {
-		t.Errorf("transient container with reference rows: %v", err)
+	if tr.Len() != 3 || len(tr.FragRoots()) != 3 {
+		t.Errorf("%d rows in %d fragments, want 3 in 3: one leaf per element", tr.Len(), len(tr.FragRoots()))
 	}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("transient container with xml rows: %v", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("CopyTree copied an element written as XML")
+			}
+		}()
+		b.CopyTree(tr, m)
+	}()
 	doc := shredPaperDoc(t)
-	doc.Kind[3] = KindRef // a leaf (<d/>) of a document container
-	if err := doc.Validate(); err == nil || !strings.Contains(err.Error(), "reference row 3") {
-		t.Errorf("a reference row in a document container: %v", err)
+	doc.Kind[3] = KindXML // a leaf (<d/>) of a document container
+	if err := doc.Validate(); err == nil || !strings.Contains(err.Error(), "xml row 3") {
+		t.Errorf("an xml row in a document container: %v", err)
 	}
 }

@@ -446,6 +446,10 @@ var specCases = []struct {
 	{"construct-copy-document-descendants", `count(<a>{/}</a>//*)`, "8"},
 	{"construct-copy-prolog-variable", `declare variable $v := <a>{//b}</a>; $v/b`, "<b><plain>text</plain></b>"},
 	{"construct-copy-content-and-navigated", `let $c := <c>{doc("num.xml")/r/a}</c> return <r n="{count($c/a)}">{$c}</r>`, `<r n="3"><c><a>1</a><a>2</a><a>3</a></c></r>`},
+	// an attribute in the result serializes as name="value", its value
+	// escaped as inside an element
+	{"serialize-attribute-top-level", `<a b="x&quot;y&lt;\z"/>/@b`, `b="x&quot;y&lt;\z"`},
+	{"serialize-attribute-top-level-document", `(doc("attrs.xml")//@id)[1]`, `id="i1"`},
 	{"construct-copy-nested-navigated", `let $c := <c>{<d>{doc("num.xml")/r/a[3]}</d>}</c> return ($c//a, <e>{$c}</e>)`, "<a>3</a><e><c><d><a>3</a></d></c></e>"},
 }
 
